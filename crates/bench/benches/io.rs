@@ -3,6 +3,7 @@
 use bench::skewed_trace;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tracefmt::io::{from_binary, from_text, to_binary, to_text};
+use tracefmt::{EventKind, Tag};
 
 fn bench_codecs(c: &mut Criterion) {
     let (_, trace) = skewed_trace(8, 200, 29);
@@ -42,6 +43,23 @@ fn bench_analysis(c: &mut Criterion) {
     g.throughput(Throughput::Elements(events));
     g.bench_function("match_messages", |b| {
         b.iter(|| tracefmt::match_messages(&trace).messages.len())
+    });
+    // The other tag regime: every message carries its own tag (the shape
+    // `workloads::churn_scenario` and the service benches produce), where
+    // a per-(from, to, tag) queue matcher pays one map entry and one queue
+    // allocation per message. Same trace, same pairs, retagged.
+    let mut unique = trace.clone();
+    for (k, m) in tracefmt::match_messages(&trace).messages.iter().enumerate() {
+        for id in [m.send, m.recv] {
+            if let EventKind::Send { tag, .. } | EventKind::Recv { tag, .. } =
+                &mut unique.procs[id.p()].events[id.i()].kind
+            {
+                *tag = Tag(k as u32);
+            }
+        }
+    }
+    g.bench_function("match_messages_unique_tags", |b| {
+        b.iter(|| tracefmt::match_messages(&unique).messages.len())
     });
     g.bench_function("match_collectives", |b| {
         b.iter(|| tracefmt::match_collectives(&trace).unwrap().len())

@@ -218,6 +218,22 @@ impl TraceAnalysis {
         })
     }
 
+    /// [`capture`](Self::capture) with the per-timeline scans and the
+    /// per-communicator assembly sharded over `par`'s worker pool. Same
+    /// result and error for every worker count.
+    pub fn capture_sharded(trace: &Trace, par: &ParallelConfig) -> Result<Self, String> {
+        parallel::capture_analysis_sharded(trace, par).map(|(analysis, ..)| analysis)
+    }
+
+    /// [`capture`](Self::capture) straight from a `DTC2`/`DTC3` stream
+    /// presented as byte chunks, decoding block by block without
+    /// materializing the trace. Same result as capturing the decoded trace.
+    pub fn capture_stream(chunks: &[&[u8]]) -> Result<Self, PipelineError> {
+        let index = tracefmt::io::index_columnar_chunks(chunks).map_err(PipelineError::Codec)?;
+        let store = tracefmt::io::ChunkStore::new(chunks);
+        windowed::capture_analysis_streamed(&index, &store)
+    }
+
     /// Census work items: messages plus collective instances.
     fn n_items(&self) -> usize {
         self.matching.messages.len() + self.instances.len()

@@ -11,13 +11,12 @@
 
 use super::{PresyncMap, StageReport, TraceAnalysis};
 use crate::interp::TimestampMap;
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use tracefmt::{
     assemble_collective_instances, check_collectives_at, check_p2p_messages_at,
-    collect_collective_calls, collect_sends, consume_recvs, CensusPlan, CollCall, CollReport,
-    CollectiveInstance, CommId, EventRecord, LatencyTable, Matching, MessageMatch,
-    P2pReport, PendingSends, Rank, TimeSource, Trace, TraceColumns,
+    collect_collective_calls, group_calls_by_comm, CensusPlan, CollReport, CollectiveInstance,
+    EventRecord, LatencyTable, MessageMatch, MessageMatcher, P2pReport, TimeSource, Trace,
+    TraceColumns,
 };
 
 /// Worker-pool configuration for the parallel pipeline.
@@ -185,123 +184,49 @@ pub(super) fn apply_maps_sharded_cols(
 }
 
 /// Reconstruct the communication structure of `trace` with the per-rank
-/// scans sharded over the worker pool. Three rounds, each one
-/// [`run_sharded`] call over independent jobs:
-///
-/// 1. **scan** — per timeline: collect its sends (keyed for FIFO
-///    matching) and its collective calls per communicator;
-/// 2. **match** — per *consumer* timeline: walk its receives against
-///    exactly the pending-send queues addressed to its rank. Queue
-///    partitions are disjoint because ranks are unique (a trace with
-///    duplicate ranks falls back to the sequential consume loop), so each
-///    job reproduces the sequential FIFO decisions verbatim and the
-///    per-timeline outputs concatenate in timeline order to the
-///    sequential [`Matching`];
-/// 3. **assemble** — per communicator: zip the per-timeline call lists
-///    into [`CollectiveInstance`]s, in sorted communicator order.
+/// scans sharded over the worker pool: a [`run_sharded`] round of
+/// per-timeline scans (flat send/receive records, collective calls per
+/// communicator), one [`MessageMatcher::finish`] over the records
+/// concatenated in timeline order — exactly what the sequential scan
+/// feeds — and a second round zipping each communicator's call lists into
+/// [`CollectiveInstance`]s, in communicator order.
 ///
 /// Returns the analysis plus `(shards, merge wait)` summed over the
 /// rounds. Output and error strings are identical to
 /// [`TraceAnalysis::capture`] — merges walk results in job order, so the
-/// first error in timeline (round 1) or communicator (round 3) order wins
-/// exactly as sequentially.
+/// first error in timeline or communicator order wins exactly as
+/// sequentially.
 pub(super) fn capture_analysis_sharded(
     trace: &Trace,
     cfg: &ParallelConfig,
 ) -> Result<(TraceAnalysis, usize, Duration), String> {
-    let n = trace.n_procs();
     let workers = cfg.effective_workers();
-    let mut shards = 0usize;
-    let mut wait = Duration::ZERO;
-
-    // Round 1: independent per-timeline scans.
-    let run1 = run_sharded((0..n).collect(), workers, |p| {
-        (collect_sends(trace, p), collect_collective_calls(trace, p))
+    let scans = run_sharded((0..trace.n_procs()).collect(), workers, |p| {
+        let pt = &trace.procs[p];
+        let mut records = MessageMatcher::new();
+        for (i, e) in pt.events.iter().enumerate() {
+            records.feed(pt.location.rank, p, i, &e.kind);
+        }
+        (records, collect_collective_calls(trace, p))
     });
-    shards += run1.shards;
-    wait += run1.merge_wait;
-
-    let mut pending: PendingSends = HashMap::new();
-    let mut per_proc_colls = Vec::with_capacity(n);
-    for (sends, colls) in run1.results {
-        for (key, id, bytes) in sends {
-            pending.entry(key).or_default().push_back((id, bytes));
-        }
-        per_proc_colls.push(colls?);
+    let mut matcher = MessageMatcher::new();
+    let mut per_timeline = Vec::with_capacity(scans.results.len());
+    for (records, calls) in scans.results {
+        matcher.append(records);
+        per_timeline.push(calls?);
     }
 
-    // Round 2: receives, partitioned by consumer timeline.
-    let mut matching = Matching::default();
-    let mut proc_of_rank: HashMap<Rank, usize> = HashMap::new();
-    let mut dup = false;
-    for (p, pt) in trace.procs.iter().enumerate() {
-        if proc_of_rank.insert(pt.location.rank, p).is_some() {
-            dup = true;
-        }
-    }
-    if dup {
-        // Duplicate ranks would make consumer partitions overlap; the
-        // sequential consume loop handles the malformed trace verbatim.
-        for p in 0..n {
-            consume_recvs(trace, p, &mut pending, &mut matching);
-        }
-        shards += 1;
-    } else {
-        let mut parts: Vec<PendingSends> = vec![HashMap::new(); n];
-        let mut orphans: PendingSends = HashMap::new();
-        for (key, q) in pending.drain() {
-            match proc_of_rank.get(&key.1) {
-                Some(&p) => {
-                    parts[p].insert(key, q);
-                }
-                // No timeline carries the destination rank: nothing can
-                // consume these sends, they go straight to unmatched.
-                None => {
-                    orphans.insert(key, q);
-                }
-            }
-        }
-        let jobs: Vec<(usize, PendingSends)> = parts.into_iter().enumerate().collect();
-        let run2 = run_sharded(jobs, workers, |(p, mut part)| {
-            let mut out = Matching::default();
-            consume_recvs(trace, p, &mut part, &mut out);
-            (out, part)
-        });
-        shards += run2.shards;
-        wait += run2.merge_wait;
-        for (part, leftover) in run2.results {
-            matching.messages.extend(part.messages);
-            matching.unmatched_recvs.extend(part.unmatched_recvs);
-            pending.extend(leftover);
-        }
-        pending.extend(orphans);
-    }
-    for q in pending.values() {
-        matching.unmatched_sends.extend(q.iter().map(|&(id, _)| id));
-    }
-    matching.unmatched_sends.sort();
-
-    // Round 3: independent per-communicator assembly.
-    let mut per_comm: HashMap<CommId, Vec<Vec<CollCall>>> = HashMap::new();
-    for (p, colls) in per_proc_colls.into_iter().enumerate() {
-        for (comm, list) in colls {
-            per_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
-        }
-    }
-    let mut comms: Vec<CommId> = per_comm.keys().copied().collect();
-    comms.sort();
-    let per_comm_ref = &per_comm;
-    let run3 = run_sharded(comms, workers, |comm| {
-        assemble_collective_instances(comm, &per_comm_ref[&comm])
+    let by_comm = group_calls_by_comm(per_timeline);
+    let assembly = run_sharded(by_comm.iter().collect(), workers, |(&comm, lists)| {
+        assemble_collective_instances(comm, lists)
     });
-    shards += run3.shards;
-    wait += run3.merge_wait;
     let mut instances = Vec::new();
-    for r in run3.results {
+    for r in assembly.results {
         instances.extend(r?);
     }
 
-    Ok((TraceAnalysis { matching, instances }, shards, wait))
+    let analysis = TraceAnalysis { matching: matcher.finish(), instances };
+    Ok((analysis, scans.shards + assembly.shards, scans.merge_wait + assembly.merge_wait))
 }
 
 /// One census work unit: a chunk of either the message list or the

@@ -48,7 +48,7 @@
 
 use super::{
     build_presync_maps, CancelToken, PipelineConfig, PipelineError, PipelineStats, PresyncMap,
-    StageStats,
+    StageStats, TraceAnalysis,
 };
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
@@ -61,8 +61,8 @@ use tracefmt::io::{
     StreamIndex,
 };
 use tracefmt::{
-    assemble_collective_instances, CollCall, CollectiveInstance, CollectiveScanner, CommId,
-    EventId, EventKind, LatencyTable, Matching, MessageMatcher, MinLatency, Rank,
+    assemble_collective_instances, group_calls_by_comm, CollectiveScanner, EventId, EventKind,
+    LatencyTable, MessageMatcher, MinLatency, Rank,
 };
 
 /// A finalized-chunk consumer for the streaming entry point: called with
@@ -266,19 +266,16 @@ fn ingest_block(
 
 /// Reconstruct the communication structure straight from the indexed
 /// stream: the streamed twin of [`TraceAnalysis::capture`], feeding the
-/// same order-based matcher/scanner state machines block by block (two
-/// passes — all sends, then all receives — exactly like the batch
-/// matcher), so the resulting [`Matching`] and instance list are
-/// bit-identical to the batch analysis of the decoded trace.
-///
-/// [`TraceAnalysis::capture`]: super::TraceAnalysis::capture
-fn capture_analysis_streamed(
+/// same order-based matcher and scanner block by block — one decode per
+/// block, timelines in order — so the analysis is bit-identical to the
+/// batch analysis of the decoded trace.
+pub(super) fn capture_analysis_streamed(
     index: &StreamIndex,
     store: &ChunkStore,
-) -> Result<(Matching, Vec<CollectiveInstance>), PipelineError> {
+) -> Result<TraceAnalysis, PipelineError> {
     let n = index.locations.len();
     let mut matcher = MessageMatcher::new();
-    let mut per_comm: HashMap<CommId, Vec<Vec<CollCall>>> = HashMap::new();
+    let mut per_timeline = Vec::with_capacity(n);
     let mut scratch = Vec::new();
     let mut kinds: Vec<EventKind> = Vec::new();
 
@@ -293,39 +290,19 @@ fn capture_analysis_streamed(
                 .map_err(PipelineError::Codec)?;
             for (j, kind) in kinds.iter().enumerate() {
                 let i = bm.first_idx as usize + j;
-                matcher.feed_send(rank, p, i, kind);
+                matcher.feed(rank, p, i, kind);
                 scanner.feed(i, kind).map_err(PipelineError::BadTrace)?;
             }
         }
-        for (comm, list) in scanner.finish() {
-            per_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
-        }
+        per_timeline.push(scanner.finish());
     }
-    for p in 0..n {
-        let rank = index.locations[p].rank;
-        for &bidx in &index.proc_blocks[p] {
-            let bm = &index.blocks[bidx as usize];
-            kinds.clear();
-            let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-            decode_block_kinds(index.version, payload, bm.n_events as usize, &mut kinds)
-                .map_err(PipelineError::Codec)?;
-            for (j, kind) in kinds.iter().enumerate() {
-                matcher.feed_recv(rank, p, bm.first_idx as usize + j, kind);
-            }
-        }
-    }
-    let matching = matcher.finish();
-
-    let mut comms: Vec<CommId> = per_comm.keys().copied().collect();
-    comms.sort();
     let mut instances = Vec::new();
-    for comm in comms {
+    for (comm, lists) in group_calls_by_comm(per_timeline) {
         instances.extend(
-            assemble_collective_instances(comm, &per_comm[&comm])
-                .map_err(PipelineError::BadTrace)?,
+            assemble_collective_instances(comm, &lists).map_err(PipelineError::BadTrace)?,
         );
     }
-    Ok((matching, instances))
+    Ok(TraceAnalysis { matching: matcher.finish(), instances })
 }
 
 /// Sweep 1 (backward path only): run the forward pass once, with bounded
@@ -1078,14 +1055,15 @@ fn run_incremental(
         }
         Some(params) => {
             let t0 = Instant::now();
-            let (matching, instances) = capture_analysis_streamed(&index, &store)?;
+            let analysis = capture_analysis_streamed(&index, &store)?;
             stats
                 .stages
                 .push(StageStats::sequential("match", n_events, t0.elapsed()));
 
             let t0 = Instant::now();
             let proc_lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
-            let graph = DepGraph::build(&matching, &instances, &proc_lens, &table);
+            let graph =
+                DepGraph::build(&analysis.matching, &analysis.instances, &proc_lens, &table);
             stats
                 .stages
                 .push(StageStats::sequential("lower", n_events, t0.elapsed()));
@@ -1332,6 +1310,24 @@ mod tests {
         assert!(
             sp * 4 < lp,
             "expected a much smaller resident peak: window 16 → {sp} B, window 65536 → {lp} B"
+        );
+    }
+
+    #[test]
+    fn doubled_coll_end_is_a_typed_bad_trace() {
+        use tracefmt::{CollOp, CommId};
+        let (op, comm, root, bytes) = (CollOp::Barrier, CommId::WORLD, None, 0);
+        let mut t = Trace::for_ranks(1);
+        t.procs[0].push(simclock::Time::ZERO, EventKind::CollBegin { op, comm, root, bytes });
+        t.procs[0].push(simclock::Time::ZERO, EventKind::CollEnd { op, comm, root, bytes });
+        t.procs[0].push(simclock::Time::ZERO, EventKind::CollEnd { op, comm, root, bytes });
+        // One event per block: the second end arrives in a block of its own.
+        let bytes = to_binary_columnar_v3_blocked(&t, 1);
+        let cfg = cfg(Some(ClcParams::default()));
+        let err = synchronize_stream_incremental(&[&bytes[..]], &[None], None, &LMIN, &cfg, 16);
+        assert!(
+            matches!(&err, Err(PipelineError::BadTrace(m)) if m.contains("CollEnd without")),
+            "{err:?}"
         );
     }
 

@@ -10,9 +10,10 @@
 //! so corrupted clocks cannot corrupt the structure.
 
 use crate::event::{CollOp, EventKind};
-use crate::ids::{CommId, EventId, Rank, RegionId};
+use crate::ids::{CommId, EventId, Rank, RegionId, Tag};
 use crate::trace::Trace;
-use std::collections::{HashMap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
 
 /// A matched point-to-point message: its send and receive events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,117 +49,224 @@ impl Matching {
     }
 }
 
-/// The FIFO queue key of message matching: `(source, destination, tag)`.
-pub type SendKey = (Rank, Rank, u32);
-
-/// Pending-send queues per [`SendKey`], in program order — the state
-/// message matching threads from its send-collection pass to its
-/// receive-consumption pass.
-pub type PendingSends = HashMap<SendKey, VecDeque<(EventId, u64)>>;
-
-/// Collect the sends of timeline `p` in program order, as
-/// `(key, send event, bytes)` triples ready to be queued into a
-/// [`PendingSends`] map. One shard of [`match_messages`]'s first pass.
-pub fn collect_sends(trace: &Trace, p: usize) -> Vec<(SendKey, EventId, u64)> {
-    let pt = &trace.procs[p];
-    let from = pt.location.rank;
-    let mut out = Vec::new();
-    for (i, e) in pt.events.iter().enumerate() {
-        if let EventKind::Send { to, tag, bytes } = e.kind {
-            out.push(((from, to, tag.0), EventId::new(p, i), bytes));
-        }
-    }
-    out
+/// One side (sends or receives) of the point-to-point traffic as the
+/// matcher stores it: parallel columns in feed order. `pairs` holds the
+/// complete `(from, to)` — the event names its peer, the timeline supplies
+/// the other end.
+#[derive(Debug, Default)]
+struct MsgRecords {
+    ids: Vec<EventId>,
+    pairs: Vec<(Rank, Rank)>,
+    tags: Vec<u32>,
 }
 
-/// Consume pending sends with the receives of timeline `p`, in program
-/// order: matches are appended to `out.messages`, receives with no pending
-/// send to `out.unmatched_recvs`. One shard of [`match_messages`]'s second
-/// pass — when ranks are unique, every `(from, to, tag)` queue is drained
-/// by exactly one timeline, so per-timeline consumption parallelises
-/// without reordering any queue.
-pub fn consume_recvs(trace: &Trace, p: usize, pending: &mut PendingSends, out: &mut Matching) {
-    let pt = &trace.procs[p];
-    let to = pt.location.rank;
-    for (i, e) in pt.events.iter().enumerate() {
-        if let EventKind::Recv { from, tag, .. } = e.kind {
-            let recv = EventId::new(p, i);
-            match pending.get_mut(&(from, to, tag.0)).and_then(|q| q.pop_front()) {
-                Some((send, bytes)) => out.messages.push(MessageMatch {
-                    send,
-                    recv,
-                    from,
-                    to,
-                    bytes,
-                }),
-                None => out.unmatched_recvs.push(recv),
-            }
-        }
+impl MsgRecords {
+    fn push(&mut self, id: EventId, from: Rank, to: Rank, tag: Tag) {
+        self.ids.push(id);
+        self.pairs.push((from, to));
+        self.tags.push(tag.0);
+    }
+
+    fn append(&mut self, later: &mut MsgRecords) {
+        self.ids.append(&mut later.ids);
+        self.pairs.append(&mut later.pairs);
+        self.tags.append(&mut later.tags);
     }
 }
+
+/// "No partner" in the ordinal tables; record counts stay below it.
+const NONE: u32 = u32::MAX;
 
 /// Per-event message matcher: the streaming face of [`match_messages`].
+/// [`feed`] it every event once, in `(timeline, index)` order (per-timeline
+/// shards are [`append`]ed in timeline order); [`finish`] yields the
+/// [`Matching`] of the whole.
 ///
-/// Callers that never materialize a [`Trace`] (block-directory scans over
-/// an on-disk stream) feed events one at a time in the same two-pass order
-/// the batch function uses — every timeline's sends in program order, then
-/// every timeline's receives in program order — and [`finish`] yields a
-/// [`Matching`] bit-identical to the batch result.
+/// Sort-based and hash-free: both sides are grouped by `(from, to)` with a
+/// stable counting sort over compacted ranks, so every table is sized by
+/// the record count — never by a rank or tag value, never by ranks². Inside
+/// a pair, sends and receives zip positionally when their tag sequences
+/// agree (which *is* per-tag FIFO: the k-th receive of a tag sits where the
+/// k-th send of that tag sits); when they do not, both sides are stably
+/// sorted by tag first and zip per tag.
 ///
+/// [`feed`]: MessageMatcher::feed
+/// [`append`]: MessageMatcher::append
 /// [`finish`]: MessageMatcher::finish
 #[derive(Debug, Default)]
 pub struct MessageMatcher {
-    pending: PendingSends,
-    out: Matching,
+    sends: MsgRecords,
+    /// Payload size per send, parallel to `sends`.
+    send_bytes: Vec<u64>,
+    recvs: MsgRecords,
 }
 
 impl MessageMatcher {
-    /// Fresh matcher with no pending sends.
+    /// Fresh matcher with no records.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pass 1: feed event `i` of timeline `p` (whose location rank is
-    /// `from`). Non-`Send` kinds are ignored.
-    pub fn feed_send(&mut self, from: Rank, p: usize, i: usize, kind: &EventKind) {
-        if let EventKind::Send { to, tag, bytes } = *kind {
-            self.pending
-                .entry((from, to, tag.0))
-                .or_default()
-                .push_back((EventId::new(p, i), bytes));
+    /// Feed event `i` of timeline `p`, whose location rank is `rank`.
+    /// Kinds other than `Send`/`Recv` are ignored.
+    #[inline]
+    pub fn feed(&mut self, rank: Rank, p: usize, i: usize, kind: &EventKind) {
+        match *kind {
+            EventKind::Send { to, tag, bytes } => {
+                self.sends.push(EventId::new(p, i), rank, to, tag);
+                self.send_bytes.push(bytes);
+            }
+            EventKind::Recv { from, tag, .. } => {
+                self.recvs.push(EventId::new(p, i), from, rank, tag)
+            }
+            _ => {}
         }
     }
 
-    /// Pass 2: feed event `i` of timeline `p` (whose location rank is
-    /// `to`). Non-`Recv` kinds are ignored; receives consume pending sends
-    /// FIFO, per MPI's non-overtaking rule.
-    pub fn feed_recv(&mut self, to: Rank, p: usize, i: usize, kind: &EventKind) {
-        if let EventKind::Recv { from, tag, .. } = *kind {
-            let recv = EventId::new(p, i);
-            match self
-                .pending
-                .get_mut(&(from, to, tag.0))
-                .and_then(|q| q.pop_front())
-            {
-                Some((send, bytes)) => self.out.messages.push(MessageMatch {
-                    send,
-                    recv,
-                    from,
-                    to,
-                    bytes,
-                }),
-                None => self.out.unmatched_recvs.push(recv),
+    /// Concatenate the records of `later`, a matcher fed only timelines
+    /// that follow every timeline fed to this one.
+    pub fn append(&mut self, mut later: MessageMatcher) {
+        self.sends.append(&mut later.sends);
+        self.send_bytes.append(&mut later.send_bytes);
+        self.recvs.append(&mut later.recvs);
+    }
+
+    /// Match the records fed so far. Partners are written into per-record
+    /// ordinal slots and read back in feed order, so `messages` and
+    /// `unmatched_recvs` come out in receive order and `unmatched_sends`
+    /// in send order — what draining per-`(from, to, tag)` FIFO queues
+    /// receive by receive produces — with no final sort.
+    pub fn finish(self) -> Matching {
+        let MessageMatcher { sends, send_bytes, recvs } = self;
+        assert!(
+            sends.ids.len() < NONE as usize && recvs.ids.len() < NONE as usize,
+            "message records exceed the u32 ordinal space"
+        );
+        let ranks = RankIds::of(&sends.pairs, &recvs.pairs);
+        let mut s_ord = ranks.group_by_pair(&sends.pairs);
+        let mut r_ord = ranks.group_by_pair(&recvs.pairs);
+
+        // partner[r] = ordinal of the send that receive r consumes.
+        let mut partner = vec![NONE; recvs.ids.len()];
+        let mut consumed = vec![false; sends.ids.len()];
+        let (s_pair, r_pair) = (|s: u32| sends.pairs[s as usize], |r: u32| recvs.pairs[r as usize]);
+        let (mut si, mut ri) = (0, 0);
+        while si < s_ord.len() && ri < r_ord.len() {
+            let pair = s_pair(s_ord[si]);
+            match pair.cmp(&r_pair(r_ord[ri])) {
+                Ordering::Less => si += 1,
+                Ordering::Greater => ri += 1,
+                Ordering::Equal => {
+                    let s_end = si + s_ord[si..].partition_point(|&s| s_pair(s) == pair);
+                    let r_end = ri + r_ord[ri..].partition_point(|&r| r_pair(r) == pair);
+                    let (s, r) = (&mut s_ord[si..s_end], &mut r_ord[ri..r_end]);
+                    zip_pair(s, r, &sends.tags, &recvs.tags, |s, r| {
+                        partner[r as usize] = s;
+                        consumed[s as usize] = true;
+                    });
+                    (si, ri) = (s_end, r_end);
+                }
+            }
+        }
+
+        let mut out = Matching::default();
+        for (r, &s) in partner.iter().enumerate() {
+            if s == NONE {
+                out.unmatched_recvs.push(recvs.ids[r]);
+                continue;
+            }
+            let (send, recv, (from, to)) = (sends.ids[s as usize], recvs.ids[r], recvs.pairs[r]);
+            out.messages.push(MessageMatch { send, recv, from, to, bytes: send_bytes[s as usize] });
+        }
+        let unconsumed = sends.ids.iter().zip(&consumed).filter(|(_, &c)| !c);
+        out.unmatched_sends = unconsumed.map(|(&id, _)| id).collect();
+        out
+    }
+}
+
+/// Per-tag FIFO between the sends `s` and receives `r` of one rank pair
+/// (ordinals in feed order into the tag columns), calling
+/// `link(send, recv)` per match.
+fn zip_pair(
+    s: &mut [u32],
+    r: &mut [u32],
+    s_tags: &[u32],
+    r_tags: &[u32],
+    mut link: impl FnMut(u32, u32),
+) {
+    let (tag_s, tag_r) = (|s: u32| s_tags[s as usize], |r: u32| r_tags[r as usize]);
+    // Tag sequences that agree pair up position by position as they stand
+    // (the j-th receive of a tag sits where its j-th send sits); otherwise
+    // bring each tag's sends and receives together first, feed order kept.
+    if s.iter().zip(r.iter()).any(|(&s, &r)| tag_s(s) != tag_r(r)) {
+        s.sort_by_key(|&s| tag_s(s));
+        r.sort_by_key(|&r| tag_r(r));
+    }
+    let (mut a, mut b) = (0, 0);
+    while a < s.len() && b < r.len() {
+        match tag_s(s[a]).cmp(&tag_r(r[b])) {
+            Ordering::Less => a += 1,
+            Ordering::Greater => b += 1,
+            Ordering::Equal => {
+                link(s[a], r[b]);
+                (a, b) = (a + 1, b + 1);
             }
         }
     }
+}
 
-    /// Drain leftover sends into `unmatched_sends` and return the matching.
-    pub fn finish(mut self) -> Matching {
-        for q in self.pending.values() {
-            self.out.unmatched_sends.extend(q.iter().map(|&(id, _)| id));
+/// Rank values compacted, order kept, to table indices bounded by the
+/// record count: ranks below `dense` index themselves, the rest — `sparse`,
+/// sorted — follow. A trace's ranks are normally `0..n` and all dense; a
+/// hostile `Rank(u32::MAX)` costs one `sparse` entry, not a table that big.
+struct RankIds {
+    dense: u32,
+    sparse: Vec<Rank>,
+}
+
+impl RankIds {
+    fn of(sends: &[(Rank, Rank)], recvs: &[(Rank, Rank)]) -> Self {
+        let ends = || sends.iter().chain(recvs).flat_map(|&(from, to)| [from, to]);
+        let above_all = ends().map(|r| u64::from(r.0) + 1).max().unwrap_or(0);
+        let dense = above_all.min(sends.len().max(recvs.len()) as u64) as u32;
+        let mut sparse: Vec<Rank> = ends().filter(|r| r.0 >= dense).collect();
+        sparse.sort_unstable();
+        sparse.dedup();
+        RankIds { dense, sparse }
+    }
+
+    fn index(&self, rank: Rank) -> usize {
+        if rank.0 < self.dense {
+            return rank.idx();
         }
-        self.out.unmatched_sends.sort();
-        self.out
+        self.dense as usize + self.sparse.binary_search(&rank).expect("every rank was collected")
+    }
+
+    /// Ordinals of `pairs` grouped by `(from, to)` in ascending rank order,
+    /// feed order kept inside each group: an LSD pair of stable counting
+    /// passes (`to`, then `from`), each over one table of O(ranks)
+    /// counters — a single pass over a pair table would be O(ranks²).
+    fn group_by_pair(&self, pairs: &[(Rank, Rank)]) -> Vec<u32> {
+        let n_ids = self.dense as usize + self.sparse.len();
+        let pass = |input: &[u32], out: &mut [u32], end: fn(&(Rank, Rank)) -> Rank| {
+            let mut next = vec![0u32; n_ids + 1];
+            for pair in pairs {
+                next[self.index(end(pair)) + 1] += 1;
+            }
+            for k in 0..n_ids {
+                next[k + 1] += next[k];
+            }
+            for &i in input {
+                let slot = &mut next[self.index(end(&pairs[i as usize]))];
+                out[*slot as usize] = i;
+                *slot += 1;
+            }
+        };
+        let mut by_pair: Vec<u32> = (0..pairs.len() as u32).collect();
+        let mut by_to = vec![0u32; pairs.len()];
+        pass(&by_pair, &mut by_to, |pair| pair.1);
+        pass(&by_to, &mut by_pair, |pair| pair.0);
+        by_pair
     }
 }
 
@@ -168,22 +276,10 @@ impl MessageMatcher {
 /// ranks referenced by `Send`/`Recv` events are resolved through each
 /// timeline's location.
 pub fn match_messages(trace: &Trace) -> Matching {
-    // FIFO queues of pending sends per (from, to, tag), collected in
-    // per-timeline order (which is program order, the order MPI's
-    // non-overtaking rule speaks about).
     let mut m = MessageMatcher::new();
-    for p in 0..trace.n_procs() {
-        let from = trace.procs[p].location.rank;
-        for (i, e) in trace.procs[p].events.iter().enumerate() {
-            m.feed_send(from, p, i, &e.kind);
-        }
-    }
-
-    // Second pass: receives consume sends FIFO.
-    for p in 0..trace.n_procs() {
-        let to = trace.procs[p].location.rank;
-        for (i, e) in trace.procs[p].events.iter().enumerate() {
-            m.feed_recv(to, p, i, &e.kind);
+    for (p, pt) in trace.procs.iter().enumerate() {
+        for (i, e) in pt.events.iter().enumerate() {
+            m.feed(pt.location.rank, p, i, &e.kind);
         }
     }
     m.finish()
@@ -241,62 +337,60 @@ pub struct CollCall {
 /// Per-event collective call scanner for one timeline: the streaming face
 /// of [`collect_collective_calls`]. Feed every event of timeline `p` in
 /// program order; [`finish`] yields the per-communicator call lists the
-/// batch scan would have produced, ready for
-/// [`assemble_collective_instances`].
+/// batch scan would have produced, ready for [`group_calls_by_comm`].
 ///
 /// [`finish`]: CollectiveScanner::finish
 #[derive(Debug)]
 pub struct CollectiveScanner {
     p: usize,
     rank: Rank,
-    out: HashMap<CommId, Vec<CollCall>>,
-    // comm -> open call stack position for this proc.
-    open: HashMap<CommId, usize>,
+    /// Per communicator, in first-call order: its calls, and the position
+    /// of the one whose `CollEnd` is still to come.
+    comms: Vec<(CommId, Vec<CollCall>, Option<usize>)>,
+    /// Slot of the previous collective event. A run of calls on one
+    /// communicator — nearly every trace — resolves here without hashing;
+    /// `slot_of` is probed only on a switch, which keeps a hostile stream
+    /// of distinct communicators O(1) per event.
+    last: usize,
+    slot_of: HashMap<CommId, usize>,
 }
 
 impl CollectiveScanner {
     /// Scanner for timeline `p` whose location rank is `rank`.
     pub fn new(p: usize, rank: Rank) -> Self {
-        Self {
-            p,
-            rank,
-            out: HashMap::new(),
-            open: HashMap::new(),
-        }
+        Self { p, rank, comms: Vec::new(), last: 0, slot_of: HashMap::new() }
     }
 
     /// Feed event `i` of the timeline. Errors on a `CollEnd` with no open
     /// `CollBegin` on the same communicator.
     pub fn feed(&mut self, i: usize, kind: &EventKind) -> Result<(), String> {
-        match *kind {
-            EventKind::CollBegin { op, comm, root, .. } => {
-                let list = self.out.entry(comm).or_default();
-                self.open.insert(comm, list.len());
-                list.push(CollCall {
-                    rank: self.rank,
-                    begin: EventId::new(self.p, i),
-                    end: None,
-                    op,
-                    root,
-                });
+        let (EventKind::CollBegin { comm, .. } | EventKind::CollEnd { comm, .. }) = *kind else {
+            return Ok(());
+        };
+        if self.comms.get(self.last).is_none_or(|slot| slot.0 != comm) {
+            self.last = *self.slot_of.entry(comm).or_insert(self.comms.len());
+            if self.last == self.comms.len() {
+                self.comms.push((comm, Vec::new(), None));
             }
-            EventKind::CollEnd { comm, .. } => {
-                let p = self.p;
-                let idx = *self
-                    .open
-                    .get(&comm)
-                    .ok_or_else(|| format!("CollEnd without CollBegin at proc {p}"))?;
-                self.out.get_mut(&comm).expect("open implies list")[idx].end =
-                    Some(EventId::new(self.p, i));
-            }
-            _ => {}
+        }
+        let (_, calls, open) = &mut self.comms[self.last];
+        let id = EventId::new(self.p, i);
+        if let EventKind::CollBegin { op, root, .. } = *kind {
+            *open = Some(calls.len());
+            calls.push(CollCall { rank: self.rank, begin: id, end: None, op, root });
+        } else {
+            // Taking the slot closes the call: a second end is an error,
+            // not a rewrite of the first.
+            let p = self.p;
+            let call = open.take().ok_or_else(|| format!("CollEnd without CollBegin at proc {p}"))?;
+            calls[call].end = Some(id);
         }
         Ok(())
     }
 
-    /// The per-communicator call lists, in call order.
-    pub fn finish(self) -> HashMap<CommId, Vec<CollCall>> {
-        self.out
+    /// The per-communicator call lists, in first-call order.
+    pub fn finish(self) -> Vec<(CommId, Vec<CollCall>)> {
+        self.comms.into_iter().map(|(comm, calls, _)| (comm, calls)).collect()
     }
 }
 
@@ -306,13 +400,29 @@ impl CollectiveScanner {
 pub fn collect_collective_calls(
     trace: &Trace,
     p: usize,
-) -> Result<HashMap<CommId, Vec<CollCall>>, String> {
+) -> Result<Vec<(CommId, Vec<CollCall>)>, String> {
     let pt = &trace.procs[p];
     let mut scanner = CollectiveScanner::new(p, pt.location.rank);
     for (i, e) in pt.events.iter().enumerate() {
         scanner.feed(i, &e.kind)?;
     }
     Ok(scanner.finish())
+}
+
+/// Regroup every timeline's scan result (`per_timeline[p]` is timeline
+/// `p`'s) per communicator, in communicator order, into the `lists`
+/// [`assemble_collective_instances`] takes.
+pub fn group_calls_by_comm(
+    per_timeline: Vec<Vec<(CommId, Vec<CollCall>)>>,
+) -> BTreeMap<CommId, Vec<Vec<CollCall>>> {
+    let n = per_timeline.len();
+    let mut by_comm = BTreeMap::new();
+    for (p, calls) in per_timeline.into_iter().enumerate() {
+        for (comm, list) in calls {
+            by_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
+        }
+    }
+    by_comm
 }
 
 /// Zip the per-timeline call lists of one communicator into instances:
@@ -379,21 +489,12 @@ pub fn assemble_collective_instances(
 /// differs across ranks indicate a malformed trace and are reported via
 /// `Err` with the instance index.
 pub fn match_collectives(trace: &Trace) -> Result<Vec<CollectiveInstance>, String> {
-    let mut per_comm: HashMap<CommId, Vec<Vec<CollCall>>> = HashMap::new();
-    for p in 0..trace.n_procs() {
-        for (comm, list) in collect_collective_calls(trace, p)? {
-            let lists = per_comm
-                .entry(comm)
-                .or_insert_with(|| vec![Vec::new(); trace.n_procs()]);
-            lists[p] = list;
-        }
-    }
-
-    let mut comms: Vec<_> = per_comm.keys().copied().collect();
-    comms.sort();
+    let per_timeline = (0..trace.n_procs())
+        .map(|p| collect_collective_calls(trace, p))
+        .collect::<Result<_, _>>()?;
     let mut out = Vec::new();
-    for comm in comms {
-        out.extend(assemble_collective_instances(comm, &per_comm[&comm])?);
+    for (comm, lists) in group_calls_by_comm(per_timeline) {
+        out.extend(assemble_collective_instances(comm, &lists)?);
     }
     Ok(out)
 }
@@ -530,7 +631,6 @@ pub fn match_parallel_regions(trace: &Trace) -> Result<Vec<ParallelRegion>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Tag;
     use simclock::Time;
 
     fn us(n: i64) -> Time {
@@ -567,29 +667,38 @@ mod tests {
         assert!(!m.is_complete());
     }
 
+    /// Push one complete collective call (begin at 1 µs, end at 2 µs).
+    fn call(t: &mut Trace, p: usize, op: CollOp, comm: CommId, root: Option<Rank>) {
+        t.procs[p].push(us(1), EventKind::CollBegin { op, comm, root, bytes: 8 });
+        t.procs[p].push(us(2), EventKind::CollEnd { op, comm, root, bytes: 8 });
+    }
+
+    #[test]
+    fn coll_end_closes_its_call() {
+        let mut t = Trace::for_ranks(1);
+        let (op, bytes) = (CollOp::Barrier, 0);
+        let end = |comm| EventKind::CollEnd { op, comm, root: None, bytes };
+        // Interleaved communicators each keep their own open call...
+        call(&mut t, 0, op, CommId(0), None);
+        t.procs[0].push(us(3), EventKind::CollBegin { op, comm: CommId(1), root: None, bytes });
+        call(&mut t, 0, op, CommId(0), None);
+        t.procs[0].push(us(4), end(CommId(1)));
+        let insts = match_collectives(&t).unwrap();
+        let ends: Vec<_> = insts.iter().map(|i| (i.comm.0, i.members[0].end.idx)).collect();
+        assert_eq!(ends, [(0, 1), (0, 4), (1, 5)]);
+        // ...and a second end on a closed call is an error, not a rewrite
+        // of the first end.
+        t.procs[0].push(us(5), end(CommId(0)));
+        let err = match_collectives(&t).unwrap_err();
+        assert!(err.contains("CollEnd without CollBegin"), "{err}");
+    }
+
     #[test]
     fn collective_reconstruction_by_call_order() {
         let mut t = Trace::for_ranks(2);
         for p in 0..2 {
             for _ in 0..2 {
-                t.procs[p].push(
-                    us(1),
-                    EventKind::CollBegin {
-                        op: CollOp::Allreduce,
-                        comm: CommId::WORLD,
-                        root: None,
-                        bytes: 8,
-                    },
-                );
-                t.procs[p].push(
-                    us(2),
-                    EventKind::CollEnd {
-                        op: CollOp::Allreduce,
-                        comm: CommId::WORLD,
-                        root: None,
-                        bytes: 8,
-                    },
-                );
+                call(&mut t, p, CollOp::Allreduce, CommId::WORLD, None);
             }
         }
         let insts = match_collectives(&t).unwrap();
@@ -601,22 +710,8 @@ mod tests {
     #[test]
     fn collective_op_mismatch_is_detected() {
         let mut t = Trace::for_ranks(2);
-        t.procs[0].push(
-            us(1),
-            EventKind::CollBegin { op: CollOp::Barrier, comm: CommId::WORLD, root: None, bytes: 0 },
-        );
-        t.procs[0].push(
-            us(2),
-            EventKind::CollEnd { op: CollOp::Barrier, comm: CommId::WORLD, root: None, bytes: 0 },
-        );
-        t.procs[1].push(
-            us(1),
-            EventKind::CollBegin { op: CollOp::Bcast, comm: CommId::WORLD, root: Some(Rank(0)), bytes: 0 },
-        );
-        t.procs[1].push(
-            us(2),
-            EventKind::CollEnd { op: CollOp::Bcast, comm: CommId::WORLD, root: Some(Rank(0)), bytes: 0 },
-        );
+        call(&mut t, 0, CollOp::Barrier, CommId::WORLD, None);
+        call(&mut t, 1, CollOp::Bcast, CommId::WORLD, Some(Rank(0)));
         assert!(match_collectives(&t).is_err());
     }
 
@@ -624,24 +719,7 @@ mod tests {
     fn rooted_collective_finds_root_member() {
         let mut t = Trace::for_ranks(3);
         for p in 0..3 {
-            t.procs[p].push(
-                us(1),
-                EventKind::CollBegin {
-                    op: CollOp::Bcast,
-                    comm: CommId::WORLD,
-                    root: Some(Rank(1)),
-                    bytes: 4,
-                },
-            );
-            t.procs[p].push(
-                us(2),
-                EventKind::CollEnd {
-                    op: CollOp::Bcast,
-                    comm: CommId::WORLD,
-                    root: Some(Rank(1)),
-                    bytes: 4,
-                },
-            );
+            call(&mut t, p, CollOp::Bcast, CommId::WORLD, Some(Rank(1)));
         }
         let insts = match_collectives(&t).unwrap();
         assert_eq!(insts.len(), 1);

@@ -34,10 +34,10 @@ pub mod trace;
 pub mod violation;
 
 pub use analysis::{
-    assemble_collective_instances, collect_collective_calls, collect_sends, consume_recvs,
+    assemble_collective_instances, collect_collective_calls, group_calls_by_comm,
     match_collectives, match_messages, match_parallel_regions, CollCall, CollMember,
     CollectiveInstance, CollectiveScanner, Matching, MessageMatch, MessageMatcher, ParallelRegion,
-    PendingSends, RegionThread, SendKey,
+    RegionThread,
 };
 pub use census::{CensusPlan, PlanBuildError};
 pub use column::{TimeColumn, TimeSource, TraceColumns};

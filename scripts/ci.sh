@@ -3,7 +3,8 @@
 #
 #   ./scripts/ci.sh
 #
-# 1. tier-1 (ROADMAP): release build + full test suite
+# 1. tier-1 (ROADMAP): release build + the root package's test suite,
+#    then every workspace crate's unit tests
 # 2. lint gate: clippy over the whole workspace, warnings are errors
 # 3. ignored stress tests (~1M-event parallel pipeline run) — opt-in via
 #    DRIFT_STRESS=1, they dominate the wall time of the whole script
@@ -31,6 +32,9 @@
 #    and must show >=1 retried job and 0 service crashes in its metrics
 #    exporter; the net_service example must hold every wire-path
 #    invariant over a real loopback socket
+# 7. the frozen end-to-end benchmark's own gate: its tests, then a smoke
+#    run of all four workloads that exits non-zero on any unverified job
+#    or seed-2008 pin mismatch
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +43,9 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> workspace: cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -295,5 +302,14 @@ if [[ -z "$retried" || -z "$crashes" || "$retried" -lt 1 || "$crashes" -ne 0 ]];
     printf '%s\n' "$smoke_out" >&2
     exit 1
 fi
+
+# The frozen benchmark (benchmark/, its own package and lock file) is the
+# judge of every perf PR; a library change that breaks its build, its
+# per-job verification or its pinned fingerprints must fail here first.
+echo "==> benchmark gate: cargo test --release --offline --manifest-path benchmark/Cargo.toml"
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark gate: benchmark run --smoke"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "==> all gates green"

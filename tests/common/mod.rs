@@ -332,3 +332,44 @@ pub fn v3_ingest_differential_matrix() {
     let floor = sizes.len() * models.len() * presyncs.len() * storages.len() * 2;
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
+
+// ------------------------------------------------ message-matching oracle --
+
+/// Message matching as MPI states it, kept as the reference the sort-based
+/// production matcher is compared against: every send queues, in
+/// `(timeline, index)` order, under its `(source, destination, tag)` key;
+/// every receive, in the same order, pops the front of its key's queue.
+pub fn fifo_match_messages(trace: &Trace) -> drift_lab::tracefmt::Matching {
+    use drift_lab::tracefmt::{EventId, Matching, MessageMatch};
+    use std::collections::{HashMap, VecDeque};
+
+    let mut pending: HashMap<(Rank, Rank, u32), VecDeque<(EventId, u64)>> = HashMap::new();
+    for (p, pt) in trace.procs.iter().enumerate() {
+        for (i, e) in pt.events.iter().enumerate() {
+            if let EventKind::Send { to, tag, bytes } = e.kind {
+                pending
+                    .entry((pt.location.rank, to, tag.0))
+                    .or_default()
+                    .push_back((EventId::new(p, i), bytes));
+            }
+        }
+    }
+    let mut out = Matching::default();
+    for (p, pt) in trace.procs.iter().enumerate() {
+        let to = pt.location.rank;
+        for (i, e) in pt.events.iter().enumerate() {
+            if let EventKind::Recv { from, tag, .. } = e.kind {
+                let recv = EventId::new(p, i);
+                match pending.get_mut(&(from, to, tag.0)).and_then(VecDeque::pop_front) {
+                    Some((send, bytes)) => {
+                        out.messages.push(MessageMatch { send, recv, from, to, bytes })
+                    }
+                    None => out.unmatched_recvs.push(recv),
+                }
+            }
+        }
+    }
+    out.unmatched_sends = pending.values().flatten().map(|&(id, _)| id).collect();
+    out.unmatched_sends.sort();
+    out
+}
