@@ -24,7 +24,6 @@
 
 use clocksync::{
     synchronize_stream_incremental, ClcParams, IncrementalReport, PipelineConfig, PreSync,
-    TimestampStorage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,7 +94,6 @@ fn main() {
         presync: PreSync::None,
         clc: Some(ClcParams::default()),
         parallel: None,
-        storage: TimestampStorage::Columnar,
         ..PipelineConfig::default()
     };
     let init = vec![None; PROCS];

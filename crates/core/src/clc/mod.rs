@@ -18,15 +18,16 @@
 //!
 //! The extension of [30] maps collective operations onto point-to-point
 //! semantics (1-to-N, N-to-1, N-to-N) so realistic MPI traces can be
-//! corrected; [`parallel`] holds the replay-based parallel implementation
-//! of [31].
+//! corrected; [`controlled_logical_clock_parallel`] is the replay-based
+//! parallel implementation of [31].
 
 pub(crate) mod columnar;
 pub mod domains;
 pub mod graph;
-pub mod parallel;
 pub mod pomp;
 pub(crate) mod replay;
+
+pub use replay::controlled_logical_clock_parallel;
 
 use simclock::{Dur, Time};
 use tracefmt::{

@@ -1,11 +1,15 @@
-//! Batched lock-free parallel CLC replay over the CSR graph.
+//! Replay-based parallel CLC (paper reference [31]): batched lock-free
+//! replay over the CSR graph.
 //!
-//! The previous parallel implementation re-enacted the trace's
-//! communication literally: one mpsc channel message per send, a
-//! mutex/condvar gather cell per collective. Both cost a synchronization
-//! round-trip *per event*, which is why the sharded pipeline stopped
-//! beating the sequential one. This engine replaces all of it with one
-//! single-producer/single-consumer **ring** per ordered timeline pair:
+//! The forward pass is embarrassingly replayable: each process's corrected
+//! timeline depends on other processes only through the corrected *send*
+//! times of messages it receives and the corrected *begin* times of
+//! collectives it participates in. Re-enacting that communication
+//! literally — one channel message per send, a mutex/condvar gather cell
+//! per collective — costs a synchronization round-trip *per event*. This
+//! engine lowers the whole dependency structure into the flat CSR
+//! [`DepGraph`] first and streams corrected timestamps between workers over
+//! one single-producer/single-consumer **ring** per ordered timeline pair:
 //!
 //! * **sizing** — [`DepGraph::cross_count`]`(q, p)` is the exact number of
 //!   cross-timeline edges from `q` to `p`, so the `q → p` ring is allocated
@@ -41,15 +45,17 @@
 //! safety-net sweep then reuse the serial CSR kernels.
 
 use super::columnar::{
-    backward_amortization_csr, events_moved, flatten_by_gid, forward_pass_csr, validate,
+    backward_amortization_csr, controlled_logical_clock_columnar_csr, events_moved,
+    flatten_by_gid, forward_pass_csr, validate,
 };
 use super::graph::DepGraph;
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
-use tracefmt::{EventId, TraceColumns};
+use tracefmt::{match_collectives, match_messages, EventId, MinLatency, Trace, TraceColumns};
 
 /// Entries appended to a ring before its producer publishes them.
 pub(crate) const BATCH: usize = 256;
@@ -137,6 +143,63 @@ fn drain(ring: &Ring, consumed: &mut usize, acc: &mut [i64], remaining: &mut [u3
     }
     *consumed = avail;
     true
+}
+
+/// The one replay-selection rule: the replay engine runs one thread per
+/// timeline, which pays off only when the caller asked for a real worker
+/// pool *and* the host has a second hardware thread. With one CPU the
+/// workers only time-slice each other and the ring handoffs are pure
+/// overhead (measured 0.45× of serial), so the bit-identical serial CSR
+/// kernel runs instead.
+pub(crate) fn use_replay(workers: usize, cpus: usize) -> bool {
+    workers >= 2 && cpus >= 2
+}
+
+/// Hardware threads available to this process. An unknown count reads as
+/// two, so [`use_replay`] is decided by the worker request alone. Probed
+/// once: `available_parallelism` reads the affinity mask and the cgroup
+/// quota files, which costs more than a small job's whole CLC.
+pub(crate) fn available_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(2, usize::from))
+}
+
+/// The CLC on timestamp columns over a pre-lowered CSR graph: the ring
+/// replay when `replay` (see [`use_replay`]), the serial CSR kernel
+/// otherwise. Bit-identical either way; the `Duration` is the replay
+/// workers' summed stall time (zero for the serial kernel).
+pub(crate) fn controlled_logical_clock_csr(
+    cols: &mut TraceColumns,
+    graph: &DepGraph,
+    params: &ClcParams,
+    replay: bool,
+) -> Result<(ClcReport, Duration), ClcError> {
+    if replay {
+        controlled_logical_clock_replay_csr(cols, graph, params)
+    } else {
+        controlled_logical_clock_columnar_csr(cols, graph, params).map(|r| (r, Duration::ZERO))
+    }
+}
+
+/// Parallel forward pass + (serial-equivalent) backward amortization.
+///
+/// Produces exactly the same corrected trace as
+/// [`super::controlled_logical_clock`]; use it for large traces where the
+/// per-process work dominates. One replay worker runs per timeline (see
+/// [`use_replay`] for when the serial kernel runs instead).
+pub fn controlled_logical_clock_parallel(
+    trace: &mut Trace,
+    lmin: &(dyn MinLatency + Sync),
+    params: &ClcParams,
+) -> Result<ClcReport, ClcError> {
+    let matching = match_messages(trace);
+    let insts = match_collectives(trace).map_err(ClcError::BadCollectives)?;
+    let graph = DepGraph::from_trace(trace, &matching, &insts, lmin);
+    let mut cols = TraceColumns::gather(trace);
+    let replay = use_replay(trace.n_procs(), available_cpus());
+    let (report, _wait) = controlled_logical_clock_csr(&mut cols, &graph, params, replay)?;
+    cols.scatter_into(trace);
+    Ok(report)
 }
 
 /// Parallel CLC on timestamp columns over the CSR graph: batched ring
@@ -330,9 +393,8 @@ fn replay_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clc::columnar::controlled_logical_clock_columnar_csr;
-    use crate::clc::fixtures;
-    use tracefmt::{match_collectives, match_messages, Trace, UniformLatency};
+    use crate::clc::{controlled_logical_clock, fixtures};
+    use tracefmt::{check_collectives, check_p2p, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
 
@@ -340,6 +402,56 @@ mod tests {
         let matching = match_messages(t);
         let insts = match_collectives(t).unwrap();
         DepGraph::from_trace(t, &matching, &insts, &LMIN)
+    }
+
+    #[test]
+    fn replay_selection_table() {
+        // (workers, cpus) -> replay. Only a real pool on a multi-CPU host.
+        for (workers, cpus, want) in [
+            (0, 1, false),
+            (1, 1, false),
+            (2, 1, false),
+            (16, 1, false),
+            (0, 2, false),
+            (1, 8, false),
+            (2, 2, true),
+            (8, 64, true),
+        ] {
+            assert_eq!(use_replay(workers, cpus), want, "workers={workers} cpus={cpus}");
+        }
+        assert!(available_cpus() >= 1);
+    }
+
+    /// The public entry point against the map-based reference CLC, with
+    /// and without backward amortization, down to a single timeline.
+    #[test]
+    fn parallel_matches_map_based_serial_exactly() {
+        for backward in [true, false] {
+            for (procs, rounds) in [(1, 10), (4, 15), (6, 20)] {
+                let base = fixtures::mixed_trace(procs, rounds);
+                let params = ClcParams { backward, ..ClcParams::default() };
+                let mut serial = base.clone();
+                let mut par = base.clone();
+                let rs = controlled_logical_clock(&mut serial, &LMIN, &params).unwrap();
+                let rp = controlled_logical_clock_parallel(&mut par, &LMIN, &params).unwrap();
+                let ctx = format!("{procs}x{rounds} backward={backward}");
+                assert_eq!(rs.n_jumps(), rp.n_jumps(), "{ctx}: jump count");
+                for p in 0..procs {
+                    assert_eq!(serial.procs[p].events, par.procs[p].events, "{ctx}: proc {p}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_restores_clock_condition() {
+        let mut t = fixtures::mixed_trace(8, 30);
+        controlled_logical_clock_parallel(&mut t, &LMIN, &ClcParams::default()).unwrap();
+        let r = check_p2p(&t, &match_messages(&t), &LMIN);
+        assert!(r.violations.is_empty(), "{} p2p violations", r.violations.len());
+        let c = check_collectives(&t, &match_collectives(&t).unwrap(), &LMIN);
+        assert_eq!(c.logical_violated, 0);
+        assert!(t.is_locally_monotone());
     }
 
     #[test]

@@ -134,8 +134,8 @@ impl LinearInterpolation {
     /// ps→seconds divide, slope multiply, `.round()`-ing seconds→ps
     /// conversion — so results are bit-identical to the per-event map.
     /// (The `.round()` is load-bearing: a `trunc(x + 0.5)` rewrite differs
-    /// on values like `0.49999999999999994` and would break the columnar /
-    /// AoS bit-identity guarantee.) The loop body is branchless, so the
+    /// on values like `0.49999999999999994` and would break bit-identity
+    /// with the per-event reference map.) The loop body is branchless, so the
     /// autovectorizer can turn it into packed converts and FMAs without
     /// changing any individual result.
     pub fn map_col(&self, col: &mut [i64]) {

@@ -36,12 +36,14 @@ pub mod vector;
 pub use baselines::{AffineMap, Corridor};
 pub use clc::domains::{controlled_logical_clock_with_domains, domain_misalignment};
 pub use clc::graph::DepGraph;
-pub use clc::parallel::controlled_logical_clock_parallel;
 pub use clc::pomp::{
     controlled_logical_clock_generic, controlled_logical_clock_pomp, pomp_constraints,
     Constraint,
 };
-pub use clc::{controlled_logical_clock, ClcError, ClcParams, ClcReport, Jump};
+pub use clc::{
+    controlled_logical_clock, controlled_logical_clock_parallel, ClcError, ClcParams, ClcReport,
+    Jump,
+};
 pub use condition::{message_slacks, required_accuracy, slack_stats, SlackStats};
 pub use interp::{
     apply_maps, IdentityMap, LinearInterpolation, OffsetAlignment, PiecewiseInterpolation,
@@ -55,7 +57,7 @@ pub use pipeline::{
     synchronize_stream_with_cancel,
     synchronize_with_cancel, CancelProbe, CancelToken, IncrementalReport, OnlineSpec,
     ParallelConfig, PipelineConfig, PipelineError, PipelineReport, PipelineStats,
-    PreSync, StageReport, StageStats, StageTotals, SyncMethod, TimestampStorage, TraceAnalysis,
+    PreSync, StageReport, StageStats, StageTotals, SyncMethod, TraceAnalysis,
 };
 pub use predict::{normal_cdf, safe_run_length, violation_probability, WanderModel};
 pub use vector::{vector_timestamps, VectorStamp};

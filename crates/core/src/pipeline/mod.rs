@@ -8,6 +8,13 @@
 //!
 //! # Execution model
 //!
+//! The stages between the censuses only ever read and write *timestamps*,
+//! so the driver gathers them into dense per-timeline [`TraceColumns`]
+//! once (streaming ingest hands its decoder's columns over directly), runs
+//! pre-synchronisation, the CLC and all censuses over `i64` picosecond
+//! columns, and scatters the corrected times back into the event records
+//! at the end.
+//!
 //! The pipeline runs sequentially by default. Setting
 //! [`PipelineConfig::parallel`] shards the per-rank work — timestamp
 //! mapping and the violation censuses — across a scoped worker pool and
@@ -27,7 +34,6 @@
 //! throughput, shard counts, and the time the merge side spent waiting on
 //! shard results.
 
-mod columnar;
 mod parallel;
 mod stats;
 mod windowed;
@@ -39,6 +45,8 @@ pub use windowed::{
     synchronize_stream_incremental_with_sink, IncrementalReport,
 };
 
+use crate::clc::graph::DepGraph;
+use crate::clc::replay::{available_cpus, controlled_logical_clock_csr, use_replay};
 use crate::clc::{ClcError, ClcParams, ClcReport};
 use crate::interp::{LinearInterpolation, OffsetAlignment, TimestampMap};
 use crate::offset::OffsetMeasurement;
@@ -49,9 +57,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracefmt::io::{CodecError, StreamDecoder, TraceBuilder};
 use tracefmt::{
-    check_collectives_at, check_p2p_messages_at, match_collectives, match_messages, CensusPlan,
-    CollReport, CollectiveInstance, LatencyTable, Matching, MinLatency, P2pReport,
-    Rank, TimeSource, Trace, TraceColumns,
+    match_collectives, match_messages, CensusPlan, CollReport, CollectiveInstance, LatencyTable,
+    Matching, MinLatency, P2pReport, Rank, Trace, TraceColumns,
 };
 
 /// Which pre-synchronisation to apply.
@@ -64,24 +71,6 @@ pub enum PreSync {
     /// Eq. 3 linear interpolation between the init and finalize
     /// measurements (Scalasca's scheme).
     Linear,
-}
-
-/// Which timestamp layout the pipeline's hot stages run on.
-///
-/// Both layouts are guaranteed **bit-identical** in output — corrected
-/// timestamps and every violation census. The columnar engine exists
-/// purely for throughput: the timestamp-touching stages (presync mapping,
-/// CLC amortization, censuses) walk dense `i64` picosecond columns at an
-/// 8-byte stride instead of striding over full event records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimestampStorage {
-    /// Operate on the event records in place (array-of-structs).
-    Aos,
-    /// Gather timestamps into per-timeline [`TraceColumns`], run every
-    /// timestamp stage over dense `&mut [i64]` columns, and scatter the
-    /// corrected times back into the records at the end.
-    #[default]
-    Columnar,
 }
 
 /// Which synchronization *method* rewrites the timestamps — the paper's
@@ -157,9 +146,6 @@ pub struct PipelineConfig {
     /// Parallel execution (None = sequential, the default). The parallel
     /// path is guaranteed bit-identical to the sequential one.
     pub parallel: Option<ParallelConfig>,
-    /// Timestamp storage layout for the hot stages (columnar by default;
-    /// bit-identical either way).
-    pub storage: TimestampStorage,
     /// Synchronization method (postmortem presync + CLC by default).
     pub method: SyncMethod,
 }
@@ -170,7 +156,6 @@ impl Default for PipelineConfig {
             presync: PreSync::Linear,
             clc: Some(ClcParams::default()),
             parallel: None,
-            storage: TimestampStorage::default(),
             method: SyncMethod::default(),
         }
     }
@@ -287,19 +272,6 @@ pub struct StageReport {
 }
 
 impl StageReport {
-    /// Census a timestamp source (either layout) against a cached analysis
-    /// and latency table.
-    fn capture_at<S: TimeSource + ?Sized>(
-        times: &S,
-        analysis: &TraceAnalysis,
-        lmin: &dyn MinLatency,
-    ) -> Self {
-        StageReport {
-            p2p: check_p2p_messages_at(times, &analysis.matching.messages, lmin),
-            coll: check_collectives_at(times, &analysis.instances, lmin),
-        }
-    }
-
     /// Total violated constraints (messages + logical messages).
     pub fn total_violations(&self) -> usize {
         self.p2p.violations.len() + self.coll.logical_violated
@@ -477,41 +449,49 @@ fn build_presync_maps(
     }
 }
 
-/// Census one stage, sequentially or sharded, and record its stats.
-/// Generic over the timestamp layout: `times` is the trace itself on the
-/// AoS path and the gathered [`TraceColumns`] on the columnar path.
-fn census_stage<S: TimeSource + Sync>(
-    name: &'static str,
-    times: &S,
-    analysis: &TraceAnalysis,
-    table: &LatencyTable,
-    par: Option<&ParallelConfig>,
-    stats: &mut PipelineStats,
-) -> StageReport {
-    let t0 = Instant::now();
-    match par {
-        None => {
-            let rep = StageReport::capture_at(times, analysis, table);
-            stats
-                .stages
-                .push(StageStats::sequential(name, analysis.n_items(), t0.elapsed()));
-            rep
+/// The checks every driver makes before touching a timestamp, and the
+/// latency model frozen into the dense table every stage shares. `ranks`
+/// lists the trace's timelines in order.
+///
+/// The table is quadratic in the largest rank id, so that is bounded
+/// first: decoders already reject absurd header ids, but a trace built in
+/// memory can carry any `Rank`, and a sparse id orders of magnitude beyond
+/// the process count is corruption, not topology.
+fn freeze_inputs(
+    ranks: &[Rank],
+    init: &[Option<OffsetMeasurement>],
+    fin: Option<&[Option<OffsetMeasurement>]>,
+    lmin: &dyn MinLatency,
+) -> Result<LatencyTable, PipelineError> {
+    let n = ranks.len();
+    let check_len = |name: &str, len: usize| {
+        if len == n {
+            Ok(())
+        } else {
+            Err(PipelineError::BadMeasurements(format!(
+                "{name} has {len} entries for {n} procs"
+            )))
         }
-        Some(par) => {
-            let (rep, items, shards, wait) = parallel::census_sharded(times, analysis, table, par);
-            stats
-                .stages
-                .push(StageStats::sharded(name, items, t0.elapsed(), shards, wait));
-            rep
-        }
+    };
+    check_len("init", init.len())?;
+    if let Some(f) = fin {
+        check_len("fin", f.len())?;
     }
+    let max_rank = ranks.iter().map(|r| r.idx()).max().unwrap_or(0);
+    if max_rank >= n.saturating_mul(8).max(1 << 12) {
+        return Err(PipelineError::BadTrace(format!(
+            "rank id {max_rank} out of range for a {n}-process trace"
+        )));
+    }
+    Ok(LatencyTable::freeze(lmin, ranks))
 }
 
-/// [`census_stage`] over a frozen [`CensusPlan`]: borrow the columns' slab
-/// as the plan's gather array (zero copies), then run the chunked
-/// branchless census kernels (sequentially or range-sharded). The reports
-/// are bit-identical to the reference `capture_at` path, which the AoS
-/// engine keeps using — the differential tests compare the two end to end.
+/// Census one stage over the frozen [`CensusPlan`] and record its stats:
+/// borrow the columns' slab as the plan's gather array (zero copies), then
+/// run the chunked branchless census kernels, sequentially or
+/// range-sharded. The reports equal the per-item reference checks
+/// (`check_p2p_messages_at` / `check_collectives_at`), which the
+/// differential tests compare end to end.
 fn census_stage_planned(
     name: &'static str,
     plan: &CensusPlan,
@@ -521,36 +501,21 @@ fn census_stage_planned(
 ) -> StageReport {
     let t0 = Instant::now();
     let flat = plan.flat_of(cols);
-    let n_items = plan.n_messages() + plan.n_instances();
-    match par {
+    let (rep, items, shards, wait) = match par {
         None => {
             let rep = StageReport {
                 p2p: plan.p2p_census(flat),
                 coll: plan.collective_census(flat),
             };
-            stats
-                .stages
-                .push(StageStats::sequential(name, n_items, t0.elapsed()));
-            rep
+            (rep, plan.n_messages() + plan.n_instances(), 1, Duration::ZERO)
         }
-        Some(par) => {
-            let (rep, items, shards, wait) = parallel::census_sharded_planned(plan, flat, par);
-            stats
-                .stages
-                .push(StageStats::sharded(name, items, t0.elapsed(), shards, wait));
-            rep
-        }
-    }
+        Some(par) => parallel::census_sharded_planned(plan, flat, par),
+    };
+    stats
+        .stages
+        .push(StageStats::sharded(name, items, t0.elapsed(), shards, wait));
+    rep
 }
-
-/// The stage outputs shared by both storage engines: raw census, presync
-/// census, and the optional CLC census + report.
-type StageOutcomes = (
-    StageReport,
-    StageReport,
-    Option<StageReport>,
-    Option<ClcReport>,
-);
 
 /// Run the pipeline on `trace` in place.
 ///
@@ -589,7 +554,7 @@ pub fn synchronize_with_cancel(
 /// Unlike decode-then-[`synchronize`], the input never has to be resident
 /// as one contiguous buffer: each chunk (any size — a read buffer, a
 /// network packet) is fed to the incremental [`StreamDecoder`], and the
-/// timestamp columns it produces feed the columnar engine directly, so the
+/// timestamp columns it produces feed the timestamp stages directly, so the
 /// gather pass over the materialized records is skipped as well. The
 /// decode cost is recorded as an `"ingest"` stage in
 /// [`PipelineStats`] (items = events decoded, shards = blocks decoded).
@@ -632,11 +597,14 @@ pub fn synchronize_stream_with_cancel<'a>(
     Ok((trace, report))
 }
 
-/// Shared driver behind [`synchronize`] and [`synchronize_stream`]:
+/// The batch driver behind [`synchronize`] and [`synchronize_stream`]:
 /// validate, freeze the latency table, reconstruct the communication
-/// structure, then hand the timestamp-touching stages to the configured
-/// storage engine.
-#[allow(clippy::too_many_arguments)]
+/// structure, then run every timestamp-touching stage on gathered columns.
+///
+/// `ingested` carries the columns streaming ingest produced (with their
+/// `"ingest"` stage); without it a `"gather"` stage builds them from the
+/// trace. The trace's records are only written again by the final
+/// `"scatter"` stage.
 fn synchronize_impl(
     trace: &mut Trace,
     ingested: Option<(TraceColumns, StageStats)>,
@@ -648,98 +616,42 @@ fn synchronize_impl(
 ) -> Result<PipelineReport, PipelineError> {
     let t_total = Instant::now();
     cancel.check()?;
-    let n = trace.n_procs();
-    if init.len() != n {
-        return Err(PipelineError::BadMeasurements(format!(
-            "init has {} entries for {} procs",
-            init.len(),
-            n
-        )));
-    }
-    if let Some(f) = fin {
-        if f.len() != n {
-            return Err(PipelineError::BadMeasurements(format!(
-                "fin has {} entries for {} procs",
-                f.len(),
-                n
-            )));
-        }
-    }
-    let par = cfg.parallel.as_ref();
-    let mut stats = PipelineStats {
-        workers: par.map_or(1, ParallelConfig::effective_workers),
-        ..PipelineStats::default()
-    };
-    let pre_cols = match ingested {
-        Some((cols, ingest_stats)) => {
-            stats.stages.push(ingest_stats);
-            Some(cols)
-        }
-        None => None,
-    };
-    let n_events = trace.n_events();
-
-    // Freeze the latency model into a dense table, shared by every stage.
-    // The table is quadratic in the largest rank id, so bound it first:
-    // decoders already reject absurd header ids, but a trace built in
-    // memory can carry any `Rank`, and a sparse id orders of magnitude
-    // beyond the process count is corruption, not topology.
     let ranks: Vec<Rank> = trace.procs.iter().map(|p| p.location.rank).collect();
-    let max_rank = ranks.iter().map(|r| r.idx()).max().unwrap_or(0);
-    let rank_ceiling = trace.procs.len().saturating_mul(8).max(1 << 12);
-    if max_rank >= rank_ceiling {
-        return Err(PipelineError::BadTrace(format!(
-            "rank id {max_rank} out of range for a {}-process trace",
-            trace.procs.len()
-        )));
-    }
-    let table = LatencyTable::freeze(lmin, &ranks);
+    let table = freeze_inputs(&ranks, init, fin, lmin)?;
+    let par = cfg.parallel.as_ref();
+    let workers = par.map_or(1, ParallelConfig::effective_workers);
+    let mut stats = PipelineStats { workers, ..PipelineStats::default() };
+    let pre_cols = ingested.map(|(cols, ingest_stats)| {
+        stats.stages.push(ingest_stats);
+        cols
+    });
+    let n_events = trace.n_events();
 
     // Reconstruct the communication structure once; every census reuses it
     // (matching is order-based, so timestamp rewrites cannot invalidate
     // it). With a real worker pool the per-rank scans shard over it.
     cancel.check()?;
     let t0 = Instant::now();
-    let sharded_match = par.is_some_and(|p| p.effective_workers() >= 2);
-    let analysis = if sharded_match {
-        let (analysis, shards, wait) =
-            parallel::capture_analysis_sharded(trace, par.expect("sharded implies parallel"))
-                .map_err(PipelineError::BadTrace)?;
-        stats
-            .stages
-            .push(StageStats::sharded("match", n_events, t0.elapsed(), shards, wait));
-        analysis
-    } else {
-        let analysis = TraceAnalysis::capture(trace).map_err(PipelineError::BadTrace)?;
-        stats
-            .stages
-            .push(StageStats::sequential("match", n_events, t0.elapsed()));
-        analysis
-    };
+    let (analysis, shards, wait) = match par {
+        Some(par) if workers >= 2 => parallel::capture_analysis_sharded(trace, par),
+        _ => TraceAnalysis::capture(trace).map(|a| (a, 1, Duration::ZERO)),
+    }
+    .map_err(PipelineError::BadTrace)?;
+    stats
+        .stages
+        .push(StageStats::sharded("match", n_events, t0.elapsed(), shards, wait));
 
-    // Lower the analysis into the CSR dependency graph whenever a CLC
-    // engine that consumes it will run (the columnar kernels and the
-    // batched replay; the sequential AoS path keeps the map-based
-    // reference implementation). The method gates this: Interp and
-    // Online never run a CLC, whatever `cfg.clc` says.
-    let replay = sharded_match;
-    let graph = if cfg.effective_clc().is_some()
-        && (cfg.storage == TimestampStorage::Columnar || replay)
-    {
+    // Lower the analysis into the CSR dependency graph the CLC kernels
+    // walk. The method gates this: Interp and Online never run a CLC,
+    // whatever `cfg.clc` says.
+    let clc_inputs = cfg.effective_clc().map(|params| {
         let t0 = Instant::now();
-        let g = crate::clc::graph::DepGraph::from_trace(
-            trace,
-            &analysis.matching,
-            &analysis.instances,
-            &table,
-        );
+        let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, &table);
         stats
             .stages
             .push(StageStats::sequential("lower", n_events, t0.elapsed()));
-        Some(g)
-    } else {
-        None
-    };
+        (params, graph)
+    });
 
     // The online method replaces presync wholesale; don't demand
     // finalize measurements it will never read.
@@ -750,14 +662,105 @@ fn synchronize_impl(
     };
     cancel.check()?;
 
-    let (raw, after_presync, after_clc, clc) = match cfg.storage {
-        TimestampStorage::Aos => run_aos(
-            trace, maps, &analysis, graph.as_ref(), &table, cfg, cancel, &mut stats,
-        )?,
-        TimestampStorage::Columnar => columnar::run(
-            trace, pre_cols, maps, &analysis, graph.as_ref(), &table, cfg, cancel, &mut stats,
-        )?,
+    let mut cols = pre_cols.unwrap_or_else(|| {
+        let t0 = Instant::now();
+        let cols = TraceColumns::gather(trace);
+        stats
+            .stages
+            .push(StageStats::sequential("gather", n_events, t0.elapsed()));
+        cols
+    });
+    // Batch residency: every timeline's full i64 lane is live at once.
+    stats.peak_resident_column_bytes = 8 * n_events as u64;
+
+    // Freeze the timestamp-independent census state once: event ids
+    // resolved to flat-array offsets, bounds baked into dense lanes,
+    // collectives expanded into logical messages. Every census then runs
+    // the same chunked branchless kernels over snapshots of the columns.
+    let t0 = Instant::now();
+    let plan = CensusPlan::for_columns(
+        &cols,
+        &analysis.matching.messages,
+        &analysis.instances,
+        &table,
+    )
+    .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
+    stats
+        .stages
+        .push(StageStats::sequential("plan", analysis.n_items(), t0.elapsed()));
+
+    let raw = census_stage_planned("census:raw", &plan, &cols, par, &mut stats);
+
+    let (after_presync, after_clc, clc) = if let Some(spec) = cfg.online() {
+        // Online correction replaces presync and the CLC: one stateful
+        // lane per timeline, probes interleaved by worker time, one
+        // timeline after another in event order. Sequential by
+        // construction (filter state); the censuses still shard.
+        cancel.check()?;
+        let t0 = Instant::now();
+        let mut corr = spec.corrector();
+        for (p, col) in cols.iter_mut_slices() {
+            let lane = corr.lane_mut(p);
+            for t in col.iter_mut() {
+                *t = lane.map_next(*t);
+            }
+        }
+        stats
+            .stages
+            .push(StageStats::sequential("online", n_events, t0.elapsed()));
+        let after_online = census_stage_planned("census:online", &plan, &cols, par, &mut stats);
+        (after_online, None, None)
+    } else {
+        // Pre-synchronisation: tight per-column loops.
+        let after_presync = match maps {
+            None => raw.clone(),
+            Some(maps) => {
+                cancel.check()?;
+                let t0 = Instant::now();
+                let (items, shards, wait) = match par {
+                    None => {
+                        for (p, col) in cols.iter_mut_slices() {
+                            maps[p].map_col(col);
+                        }
+                        (n_events, 1, Duration::ZERO)
+                    }
+                    Some(par) => parallel::apply_maps_sharded_cols(&mut cols, &maps, par),
+                };
+                stats
+                    .stages
+                    .push(StageStats::sharded("presync", items, t0.elapsed(), shards, wait));
+                census_stage_planned("census:presync", &plan, &cols, par, &mut stats)
+            }
+        };
+
+        // CLC cleanup (gated on the method: Interp stops after presync).
+        // The replay wait is the workers' summed stall time on remote
+        // bounds.
+        let (after_clc, clc) = match clc_inputs {
+            None => (None, None),
+            Some((params, graph)) => {
+                cancel.check()?;
+                let t0 = Instant::now();
+                let replay = use_replay(workers, available_cpus());
+                let (rep, wait) = controlled_logical_clock_csr(&mut cols, &graph, params, replay)
+                    .map_err(PipelineError::Clc)?;
+                let shards = if replay { trace.n_procs() } else { 1 };
+                stats
+                    .stages
+                    .push(StageStats::sharded("clc", n_events, t0.elapsed(), shards, wait));
+                let census = census_stage_planned("census:clc", &plan, &cols, par, &mut stats);
+                (Some(census), Some(rep))
+            }
+        };
+        (after_presync, after_clc, clc)
     };
+
+    // Write the corrected timestamps back into the event records.
+    let t0 = Instant::now();
+    cols.scatter_into(trace);
+    stats
+        .stages
+        .push(StageStats::sequential("scatter", n_events, t0.elapsed()));
 
     stats.total_seconds = t_total.elapsed().as_secs_f64();
     Ok(PipelineReport {
@@ -767,113 +770,6 @@ fn synchronize_impl(
         clc,
         stats,
     })
-}
-
-/// The array-of-structs engine: every timestamp-touching stage operates on
-/// the event records in place. `graph` is the pre-lowered CSR dependency
-/// graph, present whenever the replay CLC will need it.
-#[allow(clippy::too_many_arguments)]
-fn run_aos(
-    trace: &mut Trace,
-    maps: Option<Vec<PresyncMap>>,
-    analysis: &TraceAnalysis,
-    graph: Option<&crate::clc::graph::DepGraph>,
-    table: &LatencyTable,
-    cfg: &PipelineConfig,
-    cancel: &CancelToken,
-    stats: &mut PipelineStats,
-) -> Result<StageOutcomes, PipelineError> {
-    let par = cfg.parallel.as_ref();
-    let n_events = trace.n_events();
-    let n = trace.n_procs();
-
-    let raw = census_stage("census:raw", &*trace, analysis, table, par, stats);
-
-    // Online correction replaces presync: one stateful lane per timeline,
-    // probes interleaved by worker time. The lanes are inherently
-    // sequential *within* a timeline (filter state), and `map_times`
-    // visits timelines one after another in event order, so this stage
-    // always runs on one thread; the censuses still shard.
-    if let Some(spec) = cfg.online() {
-        cancel.check()?;
-        let t0 = Instant::now();
-        let mut corr = spec.corrector();
-        trace.map_times(|p, t| Time::from_ps(corr.map_next(p, t.as_ps())));
-        stats
-            .stages
-            .push(StageStats::sequential("online", n_events, t0.elapsed()));
-        let after_online = census_stage("census:online", &*trace, analysis, table, par, stats);
-        return Ok((raw, after_online, None, None));
-    }
-
-    // Pre-synchronisation.
-    let after_presync = match maps {
-        None => raw.clone(),
-        Some(maps) => {
-            cancel.check()?;
-            let t0 = Instant::now();
-            match par {
-                None => {
-                    trace.map_times(|p, t| maps[p].map(t));
-                    stats
-                        .stages
-                        .push(StageStats::sequential("presync", n_events, t0.elapsed()));
-                }
-                Some(par) => {
-                    let (items, shards, wait) = parallel::apply_maps_sharded(trace, &maps, par);
-                    stats
-                        .stages
-                        .push(StageStats::sharded("presync", items, t0.elapsed(), shards, wait));
-                }
-            }
-            census_stage("census:presync", &*trace, analysis, table, par, stats)
-        }
-    };
-
-    // CLC cleanup (gated on the method: Interp stops after presync).
-    let (after_clc, clc) = match cfg.effective_clc() {
-        None => (None, None),
-        Some(params) => {
-            cancel.check()?;
-            let t0 = Instant::now();
-            // The replay-based parallel CLC runs one worker per process
-            // timeline over the pre-lowered CSR graph and is bit-identical
-            // to the serial one. With a single-worker pool the replay
-            // threads would only time-slice one core, so the serial
-            // map-based CLC (the reference implementation) runs instead —
-            // same output. The replay wait is the workers' summed stall
-            // time on remote dependencies.
-            let replay = par.is_some_and(|p| p.effective_workers() >= 2);
-            let (rep, wait) = if replay {
-                let graph = graph.expect("graph lowered whenever replay runs");
-                crate::clc::parallel::controlled_logical_clock_parallel_with_graph(
-                    trace, graph, params,
-                )
-                .map_err(PipelineError::Clc)?
-            } else {
-                // Feed the cached analysis into the CLC instead of letting
-                // it re-match the trace (matching is order-based, so the
-                // presync timestamp rewrite cannot have invalidated it).
-                let deps = crate::clc::deps_from_parts(&analysis.matching, &analysis.instances);
-                let rep = crate::clc::controlled_logical_clock_with_deps(
-                    trace, &deps, table, params,
-                )
-                .map_err(PipelineError::Clc)?;
-                (rep, Duration::ZERO)
-            };
-            stats.stages.push(StageStats::sharded(
-                "clc",
-                n_events,
-                t0.elapsed(),
-                if replay { n } else { 1 },
-                wait,
-            ));
-            let census = census_stage("census:clc", &*trace, analysis, table, par, stats);
-            (Some(census), Some(rep))
-        }
-    };
-
-    Ok((raw, after_presync, after_clc, clc))
 }
 
 #[cfg(test)]
@@ -988,11 +884,31 @@ mod tests {
         assert!(matches!(err, Err(PipelineError::BadMeasurements(_))));
     }
 
+    /// The drivers share one preamble (`freeze_inputs`): the same bad input
+    /// is the same error — variant and message — from the batch, the
+    /// streamed and the incremental entry point.
     #[test]
-    fn wrong_measurement_count_is_an_error() {
-        let mut t = skewed_trace();
-        let err = synchronize(&mut t, &[], None, &LMIN, &PipelineConfig::default());
-        assert!(matches!(err, Err(PipelineError::BadMeasurements(_))));
+    fn bad_inputs_fail_identically_from_every_driver() {
+        let mut far = Trace::for_ranks(3);
+        far.procs[2].location.rank = Rank(1 << 20);
+        let cases = [
+            (skewed_trace(), vec![None], "bad measurements: init has 1 entries for 2 procs"),
+            (far, vec![None; 3], "bad trace: rank id 1048576 out of range for a 3-process trace"),
+        ];
+        for (trace, init, message) in cases {
+            let cfg = PipelineConfig { presync: PreSync::AlignOnly, ..Default::default() };
+            let bytes = tracefmt::io::to_binary_columnar_v3_blocked(&trace, 16);
+            let chunks = [&bytes[..]];
+            let errors = [
+                synchronize(&mut trace.clone(), &init, None, &LMIN, &cfg).err(),
+                synchronize_stream(chunks, &init, None, &LMIN, &cfg).err(),
+                synchronize_stream_incremental(&chunks, &init, None, &LMIN, &cfg, 8).err(),
+            ];
+            for (driver, err) in errors.into_iter().enumerate() {
+                let err = err.unwrap_or_else(|| panic!("driver {driver} accepted: {message}"));
+                assert_eq!(err.to_string(), message, "driver {driver}");
+            }
+        }
     }
 
     /// The core differential guarantee, on the canonical small fixture:
@@ -1061,10 +977,12 @@ mod tests {
         assert!(m.shards >= 2, "sharded match ran {} shard(s)", m.shards);
         // CSR lowering runs whenever the CLC does on this path.
         assert_eq!(rep.stats.stage("lower").unwrap().items, n_events);
-        // Replay CLC: one worker per timeline, every event replayed once.
+        // Replay CLC (where the selection rule picks it on this host): one
+        // worker per timeline; either way every event is corrected once.
         let clc = rep.stats.stage("clc").unwrap();
         assert_eq!(clc.items, n_events);
-        assert_eq!(clc.shards, t.n_procs());
+        let replay = use_replay(2, available_cpus());
+        assert_eq!(clc.shards, if replay { t.n_procs() } else { 1 });
         assert!(rep.stats.stage("census:raw").is_some());
         assert!(rep.stats.stage("census:presync").is_some());
         assert!(rep.stats.stage("census:clc").is_some());
@@ -1092,25 +1010,19 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_cancels_both_storage_engines() {
-        for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-            let mut t = skewed_trace();
-            let init = vec![None, measurements(-500, 0)];
-            let fin = vec![None, measurements(-500, 10_000)];
-            let cfg = PipelineConfig { storage, ..PipelineConfig::default() };
-            let err = synchronize_with_cancel(
-                &mut t,
-                &init,
-                Some(&fin),
-                &LMIN,
-                &cfg,
-                &CancelToken::none().with_deadline(Instant::now() - Duration::from_millis(1)),
-            );
-            assert!(
-                matches!(err, Err(PipelineError::Cancelled)),
-                "{storage:?}: expected Cancelled, got {err:?}"
-            );
-        }
+    fn expired_deadline_cancels_the_run() {
+        let mut t = skewed_trace();
+        let init = vec![None, measurements(-500, 0)];
+        let fin = vec![None, measurements(-500, 10_000)];
+        let err = synchronize_with_cancel(
+            &mut t,
+            &init,
+            Some(&fin),
+            &LMIN,
+            &PipelineConfig::default(),
+            &CancelToken::none().with_deadline(Instant::now() - Duration::from_millis(1)),
+        );
+        assert!(matches!(err, Err(PipelineError::Cancelled)), "expected Cancelled, got {err:?}");
     }
 
     #[test]
@@ -1165,59 +1077,66 @@ mod tests {
 
     #[test]
     fn online_method_corrects_through_the_filter() {
-        for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-            let mut t = skewed_trace();
-            let cfg = PipelineConfig {
-                method: SyncMethod::Online(OnlineSpec::new(worker_probes())),
-                storage,
-                ..PipelineConfig::default()
-            };
-            // No init/fin interpolation data at all: the online method
-            // must not demand finalize measurements.
-            let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
-            assert_eq!(rep.raw.p2p.reversed, 10, "{storage:?}");
-            assert_eq!(
-                rep.after_presync.total_violations(),
-                0,
-                "{storage:?}: online census"
-            );
-            assert!(rep.after_clc.is_none() && rep.clc.is_none());
-            assert!(rep.stats.stage("online").is_some());
-            assert!(rep.stats.stage("census:online").is_some());
-            assert!(rep.stats.stage("presync").is_none());
-            assert!(rep.stats.stage("clc").is_none());
-        }
+        let mut t = skewed_trace();
+        let cfg = PipelineConfig {
+            method: SyncMethod::Online(OnlineSpec::new(worker_probes())),
+            ..PipelineConfig::default()
+        };
+        // No init/fin interpolation data at all: the online method
+        // must not demand finalize measurements.
+        let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
+        assert_eq!(rep.raw.p2p.reversed, 10);
+        assert_eq!(rep.after_presync.total_violations(), 0, "online census");
+        assert!(rep.after_clc.is_none() && rep.clc.is_none());
+        assert!(rep.stats.stage("online").is_some());
+        assert!(rep.stats.stage("census:online").is_some());
+        assert!(rep.stats.stage("presync").is_none());
+        assert!(rep.stats.stage("clc").is_none());
     }
 
+    /// The online stage against its reference: every record mapped through
+    /// `OnlineCorrector::map_next` in timeline order, censused by the
+    /// per-item checks on the records. (The integration suites run the same
+    /// composition as `tests/common::reference_synchronize`.)
     #[test]
-    fn online_method_is_bit_identical_across_storages_and_workers() {
-        let run = |storage, workers: Option<usize>| {
-            let mut t = skewed_trace();
-            let cfg = PipelineConfig {
-                method: SyncMethod::Online(OnlineSpec::new(worker_probes())),
-                storage,
-                parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 3 }),
-                ..PipelineConfig::default()
+    fn online_method_matches_the_reference_for_every_worker_count() {
+        use tracefmt::{check_collectives_at, check_p2p_messages_at};
+        let spec = OnlineSpec::new(worker_probes());
+        // Inaccurate probes on purpose, so the online census is non-zero.
+        let mut off = worker_probes();
+        for m in &mut off[1] {
+            m.offset = Dur::from_us(-470);
+        }
+        for (spec, violations) in [(spec, 0), (OnlineSpec::new(off), 10)] {
+            let mut want = skewed_trace();
+            let analysis = TraceAnalysis::capture(&want).unwrap();
+            let census = |t: &Trace| {
+                let p2p = check_p2p_messages_at(t, &analysis.matching.messages, &LMIN);
+                let coll = check_collectives_at(t, &analysis.instances, &LMIN);
+                (p2p.violations, p2p.reversed, coll.logical_violated)
             };
-            let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
-            (t, rep)
-        };
-        let (ref_trace, ref_rep) = run(TimestampStorage::Aos, None);
-        for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-            for workers in [None, Some(2)] {
-                let (t, rep) = run(storage, workers);
-                for (p, (a, b)) in ref_trace.procs.iter().zip(&t.procs).enumerate() {
-                    for (i, (ea, eb)) in a.events.iter().zip(&b.events).enumerate() {
-                        assert_eq!(
-                            ea.time, eb.time,
-                            "proc {p} event {i}: {storage:?} workers={workers:?}"
-                        );
-                    }
+            let want_raw = census(&want);
+            let mut corr = spec.corrector();
+            want.map_times(|p, t| Time::from_ps(corr.map_next(p, t.as_ps())));
+            let want_online = census(&want);
+            assert_eq!(want_online.0.len(), violations, "fixture drifted");
+
+            for workers in [None, Some(1), Some(2)] {
+                let mut t = skewed_trace();
+                let cfg = PipelineConfig {
+                    method: SyncMethod::Online(spec.clone()),
+                    parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 3 }),
+                    ..PipelineConfig::default()
+                };
+                let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
+                for (p, (a, b)) in want.procs.iter().zip(&t.procs).enumerate() {
+                    assert_eq!(a.events, b.events, "proc {p} workers={workers:?}");
                 }
-                assert_eq!(
-                    ref_rep.after_presync.total_violations(),
-                    rep.after_presync.total_violations()
-                );
+                let got = |r: &StageReport| {
+                    (r.p2p.violations.clone(), r.p2p.reversed, r.coll.logical_violated)
+                };
+                assert_eq!(got(&rep.raw), want_raw, "raw census workers={workers:?}");
+                assert_eq!(got(&rep.after_presync), want_online, "online census workers={workers:?}");
             }
         }
     }

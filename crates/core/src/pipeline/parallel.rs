@@ -10,13 +10,10 @@
 //! result channel itself; workers never contend on a lock.
 
 use super::{PresyncMap, StageReport, TraceAnalysis};
-use crate::interp::TimestampMap;
 use std::time::{Duration, Instant};
 use tracefmt::{
-    assemble_collective_instances, check_collectives_at, check_p2p_messages_at,
-    collect_collective_calls, group_calls_by_comm, CensusPlan, CollReport, CollectiveInstance,
-    EventRecord, LatencyTable, MessageMatch, MessageMatcher, P2pReport, TimeSource, Trace,
-    TraceColumns,
+    assemble_collective_instances, collect_collective_calls, group_calls_by_comm, CensusPlan,
+    CollReport, MessageMatcher, P2pReport, Trace, TraceColumns,
 };
 
 /// Worker-pool configuration for the parallel pipeline.
@@ -134,36 +131,11 @@ where
     })
 }
 
-/// Apply the per-process presync maps to `trace`, sharded by timeline
-/// chunks. Returns `(events mapped, shards, merge wait)`; the event count
-/// is summed from per-shard results, so it doubles as the shard-accounting
-/// check.
-pub(super) fn apply_maps_sharded(
-    trace: &mut Trace,
-    maps: &[PresyncMap],
-    cfg: &ParallelConfig,
-) -> (usize, usize, Duration) {
-    let shard_size = cfg.effective_shard_size();
-    let mut jobs: Vec<(usize, &mut [EventRecord])> = Vec::new();
-    for (p, pt) in trace.procs.iter_mut().enumerate() {
-        for chunk in pt.events.chunks_mut(shard_size) {
-            jobs.push((p, chunk));
-        }
-    }
-    let run = run_sharded(jobs, cfg.effective_workers(), |(p, chunk): (usize, &mut [EventRecord])| {
-        let map = &maps[p];
-        for e in chunk.iter_mut() {
-            e.time = map.map(e.time);
-        }
-        chunk.len()
-    });
-    (run.results.iter().sum(), run.shards, run.merge_wait)
-}
-
-/// Columnar counterpart of [`apply_maps_sharded`]: shard the dense
-/// picosecond columns into `&mut [i64]` chunks and map each in place.
-/// Identical sharding geometry (per-timeline chunks of `shard_size`
-/// events), so the shard accounting matches the AoS path exactly.
+/// Apply the per-process presync maps to the dense picosecond columns,
+/// sharded into per-timeline `&mut [i64]` chunks of `shard_size` events,
+/// each mapped in place. Returns `(events mapped, shards, merge wait)`; the
+/// event count is summed from per-shard results, so it doubles as the
+/// shard-accounting check.
 pub(super) fn apply_maps_sharded_cols(
     cols: &mut TraceColumns,
     maps: &[PresyncMap],
@@ -229,65 +201,17 @@ pub(super) fn capture_analysis_sharded(
     Ok((analysis, scans.shards + assembly.shards, scans.merge_wait + assembly.merge_wait))
 }
 
-/// One census work unit: a chunk of either the message list or the
-/// collective-instance list.
-enum CensusJob<'a> {
-    P2p(&'a [MessageMatch]),
-    Coll(&'a [CollectiveInstance]),
-}
-
 enum CensusOut {
     P2p(P2pReport),
     Coll(CollReport),
 }
 
-/// Run both violation censuses sharded. Returns the merged stage report
-/// plus `(items, shards, merge wait)` instrumentation. Shards are merged
-/// in list order, so the report is identical to the sequential census.
-/// Generic over the timestamp layout (trace records or gathered columns).
-pub(super) fn census_sharded<S: TimeSource + Sync>(
-    times: &S,
-    analysis: &TraceAnalysis,
-    table: &LatencyTable,
-    cfg: &ParallelConfig,
-) -> (StageReport, usize, usize, Duration) {
-    let shard_size = cfg.effective_shard_size();
-    let mut jobs: Vec<CensusJob> = Vec::new();
-    for chunk in analysis.matching.messages.chunks(shard_size) {
-        jobs.push(CensusJob::P2p(chunk));
-    }
-    for chunk in analysis.instances.chunks(shard_size) {
-        jobs.push(CensusJob::Coll(chunk));
-    }
-
-    let run = run_sharded(jobs, cfg.effective_workers(), |job| match job {
-        CensusJob::P2p(chunk) => CensusOut::P2p(check_p2p_messages_at(times, chunk, table)),
-        CensusJob::Coll(chunk) => CensusOut::Coll(check_collectives_at(times, chunk, table)),
-    });
-
-    let mut p2p = P2pReport::default();
-    let mut coll = CollReport::default();
-    let mut items = 0usize;
-    for out in run.results {
-        match out {
-            CensusOut::P2p(r) => {
-                items += r.total;
-                p2p.merge(r);
-            }
-            CensusOut::Coll(r) => {
-                items += r.instances;
-                coll.merge(r);
-            }
-        }
-    }
-    (StageReport { p2p, coll }, items, run.shards, run.merge_wait)
-}
-
-/// [`census_sharded`] over a frozen [`CensusPlan`]: shard by index range
-/// into the plan's message and instance lists instead of re-slicing the
-/// analysis, and run the plan's chunked branchless kernels per range.
-/// Identical sharding geometry and shard-order merge, so the report equals
-/// the sequential planned census bit for bit.
+/// Run both violation censuses over a frozen [`CensusPlan`], sharded by
+/// index range into the plan's message and instance lists, with the plan's
+/// chunked branchless kernels per range. Returns the merged stage report
+/// plus `(items, shards, merge wait)` instrumentation. Shards are merged in
+/// list order, so the report equals the sequential planned census bit for
+/// bit.
 pub(super) fn census_sharded_planned(
     plan: &CensusPlan,
     flat: &[i64],

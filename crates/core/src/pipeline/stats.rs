@@ -106,11 +106,10 @@ pub struct PipelineStats {
     /// Wall-clock seconds for the whole pipeline.
     pub total_seconds: f64,
     /// Peak bytes of timestamp column slabs resident at once. The batch
-    /// engines gather every timeline's `i64` lane up front, so this is
+    /// driver gathers every timeline's `i64` lane up front, so this is
     /// `8 × n_events`; the incremental windowed engine retires segments as
     /// their finalization horizon clears and reports its true high-water
-    /// mark, which stays O(window) as the trace grows. 0 on the AoS path,
-    /// which keeps no separate column slabs.
+    /// mark, which stays O(window) as the trace grows.
     pub peak_resident_column_bytes: u64,
 }
 

@@ -47,8 +47,8 @@
 //! covers the `i64` timestamp lanes, which dominate at scale.
 
 use super::{
-    build_presync_maps, CancelToken, PipelineConfig, PipelineError, PipelineStats, PresyncMap,
-    StageStats, TraceAnalysis,
+    build_presync_maps, freeze_inputs, CancelToken, PipelineConfig, PipelineError, PipelineStats,
+    PresyncMap, StageStats, TraceAnalysis,
 };
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
@@ -62,7 +62,7 @@ use tracefmt::io::{
 };
 use tracefmt::{
     assemble_collective_instances, group_calls_by_comm, CollectiveScanner, EventId, EventKind,
-    LatencyTable, MessageMatcher, MinLatency, Rank,
+    MessageMatcher, MinLatency, Rank,
 };
 
 /// A finalized-chunk consumer for the streaming entry point: called with
@@ -986,23 +986,8 @@ fn run_incremental(
     let n = index.locations.len();
     let n_events = index.n_events() as usize;
 
-    // Validation parity with the batch driver.
-    if init.len() != n {
-        return Err(PipelineError::BadMeasurements(format!(
-            "init has {} entries for {} procs",
-            init.len(),
-            n
-        )));
-    }
-    if let Some(f) = fin {
-        if f.len() != n {
-            return Err(PipelineError::BadMeasurements(format!(
-                "fin has {} entries for {} procs",
-                f.len(),
-                n
-            )));
-        }
-    }
+    let ranks: Vec<Rank> = index.locations.iter().map(|l| l.rank).collect();
+    let table = freeze_inputs(&ranks, init, fin, lmin)?;
     // The windowed engine keeps only O(window) timestamps resident; the
     // online corrector's lanes are stateful over a *whole* timeline and
     // its probe schedule, so the method is batch-only for now.
@@ -1016,16 +1001,6 @@ fn run_incremental(
     if let Some(params) = cfg.effective_clc() {
         crate::clc::columnar::validate(params).map_err(PipelineError::Clc)?;
     }
-    let ranks: Vec<Rank> = index.locations.iter().map(|l| l.rank).collect();
-    let max_rank = ranks.iter().map(|r| r.idx()).max().unwrap_or(0);
-    let rank_ceiling = n.saturating_mul(8).max(1 << 12);
-    if max_rank >= rank_ceiling {
-        return Err(PipelineError::BadTrace(format!(
-            "rank id {max_rank} out of range for a {n}-process trace"
-        )));
-    }
-    let table = LatencyTable::freeze(lmin, &ranks);
-
     let mut stats = PipelineStats { workers: 1, ..PipelineStats::default() };
     stats.stages.push(StageStats::sharded(
         "index",
@@ -1115,9 +1090,7 @@ fn run_incremental(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{
-        synchronize, PipelineConfig, PreSync, TimestampStorage,
-    };
+    use super::super::{synchronize, PipelineConfig, PreSync};
     use super::*;
     use crate::clc::fixtures::mixed_trace;
     use simclock::Dur;
@@ -1135,7 +1108,6 @@ mod tests {
             presync: PreSync::None,
             clc,
             parallel: None,
-            storage: TimestampStorage::Columnar,
             ..PipelineConfig::default()
         }
     }

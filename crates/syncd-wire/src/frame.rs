@@ -6,8 +6,7 @@
 //! the field that could not be read — never a panic.
 
 use clocksync::{
-    ClcParams, OffsetMeasurement, OnlineSpec, ParallelConfig, PipelineConfig, PreSync,
-    SyncMethod, TimestampStorage,
+    ClcParams, OffsetMeasurement, OnlineSpec, ParallelConfig, PipelineConfig, PreSync, SyncMethod,
 };
 use onlinesync::KalmanParams;
 use simclock::{Dur, Time};
@@ -329,8 +328,6 @@ pub struct WireJobConfig {
     pub max_retries: u32,
     /// Pre-synchronisation stage: 0 none, 1 align-only, 2 linear.
     pub presync: u8,
-    /// Timestamp storage: 0 AoS, 1 columnar.
-    pub storage: u8,
     /// CLC stage (None = skip).
     pub clc: Option<WireClc>,
     /// Parallel execution (None = sequential).
@@ -362,10 +359,6 @@ impl WireJobConfig {
                 PreSync::None => 0,
                 PreSync::AlignOnly => 1,
                 PreSync::Linear => 2,
-            },
-            storage: match cfg.storage {
-                TimestampStorage::Aos => 0,
-                TimestampStorage::Columnar => 1,
             },
             clc: cfg.clc.as_ref().map(|c| WireClc {
                 mu: c.mu,
@@ -423,11 +416,6 @@ impl WireJobConfig {
                 1 => PreSync::AlignOnly,
                 2 => PreSync::Linear,
                 _ => return Err(WireError::BadPayload("presync")),
-            },
-            storage: match self.storage {
-                0 => TimestampStorage::Aos,
-                1 => TimestampStorage::Columnar,
-                _ => return Err(WireError::BadPayload("storage")),
             },
             clc: self.clc.map(|c| ClcParams {
                 mu: c.mu,
@@ -736,7 +724,6 @@ impl Frame {
                 e.u64(cfg.deadline_us);
                 e.u32(cfg.max_retries);
                 e.u8(cfg.presync);
-                e.u8(cfg.storage);
                 match &cfg.clc {
                     None => e.u8(0),
                     Some(c) => {
@@ -864,7 +851,6 @@ impl Frame {
                 let deadline_us = d.u64("deadline")?;
                 let max_retries = d.u32("max_retries")?;
                 let presync = d.u8("presync")?;
-                let storage = d.u8("storage")?;
                 let clc = match d.u8("clc flag")? {
                     0 => None,
                     1 => Some(WireClc {
@@ -940,7 +926,6 @@ impl Frame {
                     deadline_us,
                     max_retries,
                     presync,
-                    storage,
                     clc,
                     parallel,
                     lmin,
@@ -1034,7 +1019,6 @@ mod tests {
             deadline_us: 12_000,
             max_retries: 3,
             presync: 2,
-            storage: 1,
             clc: Some(WireClc { mu: 0.99, backward: true, backward_window_factor: 50.0 }),
             parallel: Some(WireParallel { workers: 4, shard_size: 512 }),
             lmin: WireLatency::Table { n: 2, entries: vec![0, 4_000_000, 4_000_000, 0] },
@@ -1103,7 +1087,6 @@ mod tests {
         let cfg = config();
         let pipeline = cfg.pipeline_config().expect("valid");
         assert_eq!(pipeline.presync, PreSync::Linear);
-        assert_eq!(pipeline.storage, TimestampStorage::Columnar);
         let clc = pipeline.clc.expect("clc present");
         assert_eq!(clc.mu, 0.99);
         assert!(clc.backward);
@@ -1204,13 +1187,32 @@ mod tests {
         let kind = cfg[4];
         let mut p = cfg[5..].to_vec();
         // lmin tag offset: mode(1+8) prio(1) deadline(8) retries(4)
-        // presync(1) storage(1) clc(1+17) parallel(1+8) = 51.
-        assert_eq!(p[51], 1, "lmin tag expected at offset 51");
-        p[52..56].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        // presync(1) clc(1+17) parallel(1+8) = 50.
+        assert_eq!(p[50], 1, "lmin tag expected at offset 50");
+        p[51..55].copy_from_slice(&0x8000_0000u32.to_le_bytes());
         assert_eq!(
             Frame::decode(kind, &p),
             Err(WireError::BadPayload("lmin table n"))
         );
+    }
+
+    /// Protocol version 2 carried a `storage` byte after `presync`
+    /// (payload offset 23). Such a payload is not a version-3 `JobConfig`:
+    /// every following field is read one byte early and the decode ends
+    /// typed, for either value the byte could take.
+    #[test]
+    fn v2_layout_job_config_fails_typed() {
+        for cfg in [config(), online_config()] {
+            let bytes = Frame::JobConfig(Box::new(cfg)).encode();
+            for storage in [0u8, 1] {
+                let mut p = bytes[5..].to_vec();
+                p.insert(23, storage);
+                assert!(
+                    matches!(Frame::decode(bytes[4], &p), Err(WireError::BadPayload(_))),
+                    "v2 layout (storage={storage}) decoded"
+                );
+            }
+        }
     }
 
     #[test]

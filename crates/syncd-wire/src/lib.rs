@@ -48,8 +48,11 @@ pub use scan::FrameScanner;
 /// version negotiated separately.
 pub const MAGIC: u32 = 0x0057_5344;
 
-/// Protocol version this crate speaks.
-pub const VERSION: u16 = 2;
+/// Protocol version this crate speaks. Version 3 dropped the `storage`
+/// byte from the `JobConfig` payload (the pipeline has one timestamp
+/// layout); a version-2 `Hello` is refused as
+/// [`ErrorCode::VersionMismatch`].
+pub const VERSION: u16 = 3;
 
 /// Upper bound on a frame's declared payload length (kind byte included).
 /// Large objects — trace streams, corrected traces — are chunked into

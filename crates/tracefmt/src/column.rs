@@ -32,8 +32,8 @@ use simclock::Time;
 /// Implemented by [`Trace`] (array-of-structs: reads
 /// `procs[p].events[i].time`) and [`TraceColumns`] (structure-of-arrays:
 /// reads `cols[p][i]`). Census code generic over `TimeSource` runs
-/// identically on both — the foundation of the columnar/AoS differential
-/// guarantee.
+/// identically on both, which is what lets the per-item reference checks
+/// on the records serve as the oracle for the columnar census kernels.
 pub trait TimeSource {
     /// Timestamp of the event `id`.
     fn time_of(&self, id: EventId) -> Time;

@@ -1,96 +1,72 @@
-//! Differential guarantee of the columnar storage engine: for every drift
-//! model, pre-synchronisation variant and worker count, running
-//! [`synchronize`] with [`TimestampStorage::Columnar`] must produce
-//! **bit-identical** corrected timestamps and identical violation reports
-//! to the array-of-structs engine ([`TimestampStorage::Aos`]) — and the
-//! streaming-ingest entry point [`synchronize_stream`] must reproduce the
-//! same results again from the chunked binary encoding, for both wire
-//! versions: the big-endian `DTC2` default and the aligned little-endian
-//! `DTC3` zero-copy variant.
+//! Differential guarantee of the batch driver: for every drift model,
+//! pre-synchronisation variant and worker count, [`synchronize`] must
+//! produce **bit-identical** corrected timestamps and identical violation
+//! reports to the reference chain composed from the public per-stage
+//! functions (`common::reference_synchronize`) — and the streaming-ingest
+//! entry point [`synchronize_stream`] must reproduce the same results again
+//! from the chunked binary encoding, for both wire versions: the big-endian
+//! `DTC2` default and the aligned little-endian `DTC3` zero-copy variant.
 
 mod common;
 
-use common::{assert_identical, drifted_trace};
+use common::{
+    assert_identical, assert_report_matches_reference, drifted_trace, reference_synchronize,
+    totals,
+};
 use drift_lab::clocksync::{
     synchronize, synchronize_stream, ClcParams, ParallelConfig, PipelineConfig, PipelineError,
-    PreSync, TimestampStorage,
+    PreSync,
 };
 use drift_lab::tracefmt::io::to_binary_columnar_blocked;
 
-/// Comparable census totals without requiring PartialEq on reports.
-fn totals(r: &drift_lab::clocksync::StageReport) -> (usize, usize, usize) {
-    (
-        r.p2p.violations.len(),
-        r.p2p.reversed,
-        r.coll.logical_violated,
-    )
-}
-
 /// The full matrix: drift models × PreSync variants × worker counts. The
-/// AoS engine is the reference; the columnar engine must reproduce it bit
-/// for bit — corrected timestamps, violation lists and CLC jumps.
+/// oracle is the reference; the driver must reproduce it bit for bit —
+/// corrected timestamps, violation lists and CLC jumps.
 #[test]
 fn columnar_is_bit_identical_across_the_config_matrix() {
     let sizes: &[(usize, usize)] = &[(3, 60), (5, 400), (8, 1500)];
     let models = ["constant", "sinusoid", "randomwalk"];
     let presyncs = [PreSync::None, PreSync::AlignOnly, PreSync::Linear];
+    let worker_counts = [None, Some(1usize), Some(2), Some(8)];
+    let mut legs = 0usize;
     for (si, &(procs, msgs)) in sizes.iter().enumerate() {
         for (mi, model) in models.iter().enumerate() {
             let seed = 9000 + (si * 10 + mi) as u64;
             let (base, init, fin, lmin) = drifted_trace(procs, msgs, model, seed);
             for presync in presyncs {
-                for workers in [None, Some(1usize), Some(2), Some(8)] {
+                let seq = PipelineConfig {
+                    presync,
+                    clc: Some(ClcParams::default()),
+                    ..PipelineConfig::default()
+                };
+                let mut ref_trace = base.clone();
+                let reference =
+                    reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
+                for workers in worker_counts {
                     let ctx = format!(
                         "{procs}p/{msgs}m {model} {presync:?} workers={workers:?}"
                     );
-                    let parallel =
-                        workers.map(|w| ParallelConfig { workers: w, shard_size: 37 });
-                    let cfg_aos = PipelineConfig {
-                        presync,
-                        clc: Some(ClcParams::default()),
-                        parallel,
-                        storage: TimestampStorage::Aos,
-                        ..PipelineConfig::default()
+                    let cfg = PipelineConfig {
+                        parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 37 }),
+                        ..seq.clone()
                     };
-                    let cfg_col = PipelineConfig {
-                        storage: TimestampStorage::Columnar,
-                        ..cfg_aos.clone()
-                    };
-                    let mut aos_trace = base.clone();
-                    let aos = synchronize(&mut aos_trace, &init, Some(&fin), &lmin, &cfg_aos)
-                        .unwrap_or_else(|e| panic!("{ctx}: AoS pipeline failed: {e}"));
-                    let mut col_trace = base.clone();
-                    let col = synchronize(&mut col_trace, &init, Some(&fin), &lmin, &cfg_col)
-                        .unwrap_or_else(|e| panic!("{ctx}: columnar pipeline failed: {e}"));
+                    let mut trace = base.clone();
+                    let rep = synchronize(&mut trace, &init, Some(&fin), &lmin, &cfg)
+                        .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
 
-                    assert_identical(&aos_trace, &col_trace, &ctx);
-                    assert_eq!(
-                        aos.raw.p2p.violations, col.raw.p2p.violations,
-                        "{ctx}: raw p2p violation lists diverge"
-                    );
-                    assert_eq!(
-                        totals(&aos.after_presync),
-                        totals(&col.after_presync),
-                        "{ctx}: presync census diverges"
-                    );
-                    assert_eq!(
-                        aos.after_clc.as_ref().map(totals),
-                        col.after_clc.as_ref().map(totals),
-                        "{ctx}: post-CLC census diverges"
-                    );
-                    assert_eq!(
-                        aos.clc.as_ref().map(|c| c.n_jumps()),
-                        col.clc.as_ref().map(|c| c.n_jumps()),
-                        "{ctx}: CLC jump counts diverge"
-                    );
-                    // The columnar engine reports its layout conversions.
-                    assert!(col.stats.stage("gather").is_some(), "{ctx}: no gather stage");
-                    assert!(col.stats.stage("scatter").is_some(), "{ctx}: no scatter stage");
-                    assert!(aos.stats.stage("gather").is_none(), "{ctx}: AoS gathered");
+                    assert_identical(&ref_trace, &trace, &ctx);
+                    assert_report_matches_reference(&reference, &rep, &ctx);
+                    // The driver reports its layout conversions.
+                    assert!(rep.stats.stage("gather").is_some(), "{ctx}: no gather stage");
+                    assert!(rep.stats.stage("scatter").is_some(), "{ctx}: no scatter stage");
+                    legs += 1;
                 }
             }
         }
     }
+    // The matrix must not silently collapse after a refactor.
+    let floor = sizes.len() * models.len() * presyncs.len() * worker_counts.len();
+    assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
 
 /// Streaming ingest end-to-end: encode the drifted trace into the blocked
@@ -158,7 +134,7 @@ fn streamed_ingest_rejects_truncated_input() {
 }
 
 /// v3 zero-copy streamed ingest against one-shot v2 decode + synchronize,
-/// across drift models × presync × storage × workers (see
+/// both against the oracle, across drift models × presync × workers (see
 /// `common::v3_ingest_differential_matrix`; widened by `DRIFT_STRESS=1`).
 /// This binary runs the kernels the host CPU offers (AVX2 where present);
 /// `columnar_differential_scalar.rs` repeats it with the scalar kernels.

@@ -11,10 +11,10 @@
 // subset of it.
 #![allow(dead_code)]
 
-use drift_lab::clocksync::OffsetMeasurement;
+use drift_lab::clocksync::{OffsetMeasurement, StageReport};
 use drift_lab::prelude::*;
 use drift_lab::simclock::{ConstantDrift, DriftModel, RandomWalkDrift, SinusoidalDrift};
-use drift_lab::tracefmt::{CollOp, CommId};
+use drift_lab::tracefmt::{CollOp, CommId, MinLatency};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -239,20 +239,127 @@ pub fn graph_edges(
     (via_in, via_out)
 }
 
+// ------------------------------------------------------ pipeline oracle --
+
+/// What [`reference_synchronize`] returns: the raw census, the census after
+/// presync (or after the online correction), and — when the CLC ran — the
+/// census after it and its report.
+pub type Reference = (
+    StageReport,
+    StageReport,
+    Option<StageReport>,
+    Option<drift_lab::clocksync::ClcReport>,
+);
+
+/// The reference the production driver is compared against: the paper's
+/// chain composed from the public per-stage reference functions, one after
+/// another on the event records — boxed [`TimestampMap`]s through
+/// `apply_maps`, the per-item `check_*_at` censuses, the map-based
+/// `controlled_logical_clock`, `OnlineCorrector::map_next`. Sequential; no
+/// `DepGraph`, no `CensusPlan`, no `TraceColumns`, no frozen latency table.
+/// Rewrites `trace` in place like `synchronize` does; panics on input the
+/// pipeline would reject.
+pub fn reference_synchronize(
+    trace: &mut Trace,
+    init: &[Option<OffsetMeasurement>],
+    fin: Option<&[Option<OffsetMeasurement>]>,
+    lmin: &dyn MinLatency,
+    cfg: &PipelineConfig,
+) -> Reference {
+    use drift_lab::clocksync::{apply_maps, IdentityMap, TraceAnalysis};
+    use drift_lab::onlinesync::ProbeFix;
+    use drift_lab::tracefmt::{check_collectives_at, check_p2p_messages_at};
+
+    let analysis = TraceAnalysis::capture(trace).expect("oracle: well-formed trace");
+    let census = |t: &Trace| StageReport {
+        p2p: check_p2p_messages_at(t, &analysis.matching.messages, lmin),
+        coll: check_collectives_at(t, &analysis.instances, lmin),
+    };
+    let raw = census(trace);
+
+    if let SyncMethod::Online(spec) = &cfg.method {
+        let fixes = |ps: &Vec<OffsetMeasurement>| {
+            ps.iter().map(|m| ProbeFix::new(m.worker_time, m.offset, m.rtt)).collect()
+        };
+        let mut corr = OnlineCorrector::new(spec.probes.iter().map(fixes).collect(), spec.kalman);
+        trace.map_times(|p, t| Time::from_ps(corr.map_next(p, t.as_ps())));
+        return (raw, census(trace), None, None);
+    }
+
+    let after_presync = if cfg.presync == PreSync::None {
+        raw.clone()
+    } else {
+        let maps: Vec<Box<dyn TimestampMap>> = (0..trace.n_procs())
+            .map(|p| -> Box<dyn TimestampMap> {
+                let fin = fin.and_then(|f| f[p].as_ref());
+                match (cfg.presync, init[p].as_ref(), fin) {
+                    (PreSync::AlignOnly, Some(a), _) => Box::new(OffsetAlignment::new(a)),
+                    (PreSync::Linear, Some(a), Some(b)) => Box::new(LinearInterpolation::new(a, b)),
+                    _ => Box::new(IdentityMap),
+                }
+            })
+            .collect();
+        apply_maps(trace, &maps);
+        census(trace)
+    };
+
+    match (&cfg.method, &cfg.clc) {
+        (SyncMethod::Clc, Some(params)) => {
+            let clc = controlled_logical_clock(trace, lmin, params).expect("oracle: CLC runs");
+            (raw, after_presync, Some(census(trace)), Some(clc))
+        }
+        _ => (raw, after_presync, None, None),
+    }
+}
+
+/// Census totals of one stage, comparable without `PartialEq` on reports.
+pub fn totals(r: &StageReport) -> (usize, usize, usize) {
+    (r.p2p.violations.len(), r.p2p.reversed, r.coll.logical_violated)
+}
+
+/// Assert a production report equals the oracle's: the raw violation list,
+/// the presync (or online) and post-CLC census totals, and the jump count.
+/// (Corrected timestamps are compared separately, trace against trace.)
+pub fn assert_report_matches_reference(
+    reference: &Reference,
+    got: &drift_lab::clocksync::PipelineReport,
+    ctx: &str,
+) {
+    let (raw, after_presync, after_clc, clc) = reference;
+    assert_eq!(
+        raw.p2p.violations, got.raw.p2p.violations,
+        "{ctx}: raw p2p violation lists diverge"
+    );
+    assert_eq!(totals(raw), totals(&got.raw), "{ctx}: raw census diverges");
+    assert_eq!(
+        totals(after_presync),
+        totals(&got.after_presync),
+        "{ctx}: presync census diverges"
+    );
+    assert_eq!(
+        after_clc.as_ref().map(totals),
+        got.after_clc.as_ref().map(totals),
+        "{ctx}: post-CLC census diverges"
+    );
+    assert_eq!(
+        clc.as_ref().map(|c| c.n_jumps()),
+        got.clc.as_ref().map(|c| c.n_jumps()),
+        "{ctx}: CLC jump counts diverge"
+    );
+}
+
 /// The `DTC2`-v2 vs `DTC3` differential matrix: for every drift model ×
-/// [`PreSync`] × [`TimestampStorage`] × worker count, the v3 zero-copy
-/// streamed ingest must be bit-identical to one-shot v2 decode followed
-/// by [`synchronize`] — corrected timestamps and every stage census.
+/// [`PreSync`] × worker count, one-shot v2 decode followed by
+/// [`synchronize`] and the v3 zero-copy streamed ingest must both be
+/// bit-identical to [`reference_synchronize`] on the decoded trace —
+/// corrected timestamps and every stage census.
 ///
 /// Shared by `columnar_differential.rs` (AVX2 kernels where the host has
 /// them) and `columnar_differential_scalar.rs` (`TRACEFMT_NO_AVX2`
 /// forced before the CPU probe is cached). `DRIFT_STRESS=1` widens the
 /// matrix with a 6000-message trace size.
 pub fn v3_ingest_differential_matrix() {
-    use drift_lab::clocksync::{
-        synchronize, synchronize_stream, ClcParams, ParallelConfig, PipelineConfig, PreSync,
-        TimestampStorage,
-    };
+    use drift_lab::clocksync::{synchronize_stream, ParallelConfig};
     use drift_lab::tracefmt::io::{
         from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
     };
@@ -265,7 +372,6 @@ pub fn v3_ingest_differential_matrix() {
     };
     let models = ["constant", "sinusoid", "randomwalk"];
     let presyncs = [PreSync::None, PreSync::AlignOnly, PreSync::Linear];
-    let storages = [TimestampStorage::Aos, TimestampStorage::Columnar];
     let mut legs = 0usize;
     for (si, &(procs, msgs)) in sizes.iter().enumerate() {
         for (mi, model) in models.iter().enumerate() {
@@ -273,63 +379,45 @@ pub fn v3_ingest_differential_matrix() {
             let (base, init, fin, lmin) = drifted_trace(procs, msgs, model, seed);
             let v2 = to_binary_columnar_blocked(&base, 256);
             let v3 = to_binary_columnar_v3_blocked(&base, 256);
+            let decoded = from_binary_columnar(v2)
+                .unwrap_or_else(|e| panic!("{procs}p/{msgs}m {model}: v2 decode failed: {e}"));
             for presync in presyncs {
-                for storage in storages {
-                    for workers in [None, Some(2usize)] {
-                        let ctx = format!(
-                            "{procs}p/{msgs}m {model} {presync:?} {storage:?} \
-                             workers={workers:?}"
-                        );
-                        let cfg = PipelineConfig {
-                            presync,
-                            clc: Some(ClcParams::default()),
-                            parallel: workers
-                                .map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                            storage,
-                            ..PipelineConfig::default()
-                        };
+                let seq = PipelineConfig {
+                    presync,
+                    clc: Some(ClcParams::default()),
+                    ..PipelineConfig::default()
+                };
+                let mut ref_trace = decoded.clone();
+                let reference =
+                    reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
+                for workers in [None, Some(2usize)] {
+                    let ctx = format!("{procs}p/{msgs}m {model} {presync:?} workers={workers:?}");
+                    let cfg = PipelineConfig {
+                        parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 57 }),
+                        ..seq.clone()
+                    };
 
-                        // Reference: one-shot v2 decode, then synchronize.
-                        let mut ref_trace = from_binary_columnar(v2.clone())
-                            .unwrap_or_else(|e| panic!("{ctx}: v2 decode failed: {e}"));
-                        let reference =
-                            synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg)
-                                .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
+                    // One-shot v2 decode, then synchronize.
+                    let mut v2_trace = decoded.clone();
+                    let v2_rep = synchronize(&mut v2_trace, &init, Some(&fin), &lmin, &cfg)
+                        .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
+                    assert_identical(&ref_trace, &v2_trace, &format!("{ctx} (v2 decode)"));
+                    assert_report_matches_reference(&reference, &v2_rep, &ctx);
 
-                        // Candidate: v3 zero-copy streamed ingest, awkward
-                        // chunk size on purpose.
-                        let (v3_trace, candidate) = synchronize_stream(
-                            v3.chunks(4096),
-                            &init,
-                            Some(&fin),
-                            &lmin,
-                            &cfg,
-                        )
-                        .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
-
-                        assert_identical(&ref_trace, &v3_trace, &ctx);
-                        assert_eq!(
-                            reference.raw.p2p.violations, candidate.raw.p2p.violations,
-                            "{ctx}: raw p2p violation lists diverge"
-                        );
-                        assert_eq!(
-                            reference.after_presync.total_violations(),
-                            candidate.after_presync.total_violations(),
-                            "{ctx}: presync census diverges"
-                        );
-                        assert_eq!(
-                            reference.after_clc.as_ref().map(|r| r.total_violations()),
-                            candidate.after_clc.as_ref().map(|r| r.total_violations()),
-                            "{ctx}: post-CLC census diverges"
-                        );
-                        legs += 1;
-                    }
+                    // v3 zero-copy streamed ingest, awkward chunk size on
+                    // purpose.
+                    let (v3_trace, v3_rep) =
+                        synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
+                            .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
+                    assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
+                    assert_report_matches_reference(&reference, &v3_rep, &ctx);
+                    legs += 1;
                 }
             }
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * storages.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() * 2;
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
 

@@ -4,16 +4,19 @@
 //! message and every collective begin→end constraint, with the correct
 //! `l_min` latency, and nothing else — and the CLC must produce
 //! bit-identical output whether it walks the map-based dependency
-//! structure (serial AoS reference) or the CSR graph (columnar kernels and
-//! batched-ring replay). (The fixture generator lives in
+//! structure (the reference `controlled_logical_clock`, run by
+//! `common::reference_synchronize`) or the CSR graph (the pipeline's serial
+//! kernels and batched-ring replay). (The fixture generator lives in
 //! `tests/common/mod.rs`.)
 
 mod common;
 
-use common::{assert_identical, drifted_trace, graph_edges, reference_edges};
+use common::{
+    assert_identical, assert_report_matches_reference, drifted_trace, graph_edges,
+    reference_edges, reference_synchronize,
+};
 use drift_lab::clocksync::{
-    synchronize, ClcParams, DepGraph, ParallelConfig, PipelineConfig, PreSync,
-    TimestampStorage, TraceAnalysis,
+    synchronize, ClcParams, DepGraph, ParallelConfig, PipelineConfig, PreSync, TraceAnalysis,
 };
 use drift_lab::simclock::Time;
 use drift_lab::tracefmt::{CollOp, CommId, EventKind, Rank, Trace, UniformLatency};
@@ -84,51 +87,40 @@ fn csr_lowers_every_collective_flavour() {
     assert_eq!(graph.n_edges(), 3 + 3 + 12 + 6);
 }
 
-/// The CLC is bit-identical through the map-based reference path (AoS,
-/// sequential) and every CSR-backed path — columnar serial, columnar
-/// replay, and AoS replay — over the full drift-model × PreSync × workers
-/// matrix.
+/// The CLC is bit-identical through the map-based reference (the oracle)
+/// and every CSR-backed path of the pipeline — serial kernels and replay —
+/// over the full drift-model × PreSync × workers matrix.
 #[test]
 fn clc_is_bit_identical_through_maps_and_csr() {
     let models = ["constant", "sinusoid", "randomwalk"];
     let presyncs = [PreSync::None, PreSync::AlignOnly, PreSync::Linear];
+    let worker_counts = [None, Some(1usize), Some(2), Some(4)];
+    let mut legs = 0usize;
     for (mi, model) in models.iter().enumerate() {
         let (base, init, fin, lmin) = drifted_trace(6, 700, model, 7000 + mi as u64);
         for presync in presyncs {
-            let cfg_ref = PipelineConfig {
+            let seq = PipelineConfig {
                 presync,
                 clc: Some(ClcParams::default()),
-                parallel: None,
-                storage: TimestampStorage::Aos,
                 ..PipelineConfig::default()
             };
             let mut ref_trace = base.clone();
-            let rep_ref = synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg_ref)
-                .expect("reference pipeline runs");
-            for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-                for workers in [1usize, 2, 4] {
-                    let ctx = format!("{model} {presync:?} {storage:?} workers={workers}");
-                    let cfg = PipelineConfig {
-                        storage,
-                        parallel: Some(ParallelConfig { workers, shard_size: 64 }),
-                        ..cfg_ref.clone()
-                    };
-                    let mut t = base.clone();
-                    let rep = synchronize(&mut t, &init, Some(&fin), &lmin, &cfg)
-                        .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
-                    assert_identical(&ref_trace, &t, &ctx);
-                    assert_eq!(
-                        rep_ref.clc.as_ref().map(|c| c.n_jumps()),
-                        rep.clc.as_ref().map(|c| c.n_jumps()),
-                        "{ctx}: CLC jump counts diverge"
-                    );
-                    assert_eq!(
-                        rep_ref.after_clc.as_ref().map(|c| c.total_violations()),
-                        rep.after_clc.as_ref().map(|c| c.total_violations()),
-                        "{ctx}: post-CLC census diverges"
-                    );
-                }
+            let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
+            for workers in worker_counts {
+                let ctx = format!("{model} {presync:?} workers={workers:?}");
+                let cfg = PipelineConfig {
+                    parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 64 }),
+                    ..seq.clone()
+                };
+                let mut t = base.clone();
+                let rep = synchronize(&mut t, &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+                assert_identical(&ref_trace, &t, &ctx);
+                assert_report_matches_reference(&reference, &rep, &ctx);
+                legs += 1;
             }
         }
     }
+    let floor = models.len() * presyncs.len() * worker_counts.len();
+    assert!(legs >= floor, "CLC matrix ran only {legs} legs (expected {floor})");
 }

@@ -1,17 +1,18 @@
 //! Differential guarantees for the network layer: a job submitted through
 //! `syncd-client` over a real loopback socket produces **bit-identical**
 //! output — corrected timestamps, jump set, max jump, typed errors — to
-//! the same job run in process, across the storage × workers × presync ×
-//! {batch, incremental} grid, under contention, and around mid-job client
-//! disconnects. The router test pins that placement (including work
-//! stealing) never changes results.
+//! the reference chain (`common::reference_synchronize`) across the
+//! workers × presync grid and for the online method, and to the same job
+//! run in process for incremental mode, under contention, and around
+//! mid-job client disconnects. The router test pins that placement
+//! (including work stealing) never changes results.
 
 mod common;
 
-use common::{assert_identical, drifted_trace};
+use common::{assert_identical, drifted_trace, reference_synchronize};
 use drift_lab::clocksync::{
     synchronize, synchronize_stream_incremental, OffsetMeasurement, ParallelConfig,
-    PipelineConfig, PreSync, TimestampStorage,
+    PipelineConfig, PreSync,
 };
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobInput, JobRouter, JobSpec, NetServer,
@@ -26,20 +27,19 @@ use drift_lab::tracefmt::{MinLatency, UniformLatency};
 use std::sync::Arc;
 use std::time::Duration;
 
+const WORKER_COUNTS: [usize; 2] = [1, 2];
+const PRESYNCS: [PreSync; 2] = [PreSync::AlignOnly, PreSync::Linear];
+
 fn configs() -> Vec<(String, PipelineConfig)> {
     let mut out = Vec::new();
-    for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-        for workers in [1usize, 2] {
-            for presync in [PreSync::AlignOnly, PreSync::Linear] {
-                let cfg = PipelineConfig {
-                    presync,
-                    parallel: (workers > 1)
-                        .then_some(ParallelConfig { workers, shard_size: 64 }),
-                    storage,
-                    ..PipelineConfig::default()
-                };
-                out.push((format!("{storage:?}/w{workers}/{presync:?}"), cfg));
-            }
+    for workers in WORKER_COUNTS {
+        for presync in PRESYNCS {
+            let cfg = PipelineConfig {
+                presync,
+                parallel: (workers > 1).then_some(ParallelConfig { workers, shard_size: 64 }),
+                ..PipelineConfig::default()
+            };
+            out.push((format!("w{workers}/{presync:?}"), cfg));
         }
     }
     out
@@ -75,8 +75,9 @@ fn test_server() -> NetServer {
 }
 
 /// Batch jobs over the socket across the whole grid: the returned stream
-/// decodes to exactly the direct pipeline's corrected trace, and the
-/// summary's census and jump statistics equal the direct report's.
+/// decodes to exactly the oracle's corrected trace, and the summary's
+/// census and jump statistics equal the oracle's (jumps in canonical
+/// order: the reference CLC lists them in its own discovery order).
 #[test]
 fn loopback_batch_matches_direct_across_the_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
@@ -84,10 +85,10 @@ fn loopback_batch_matches_direct_across_the_grid() {
     let server = test_server();
     let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
 
+    let mut legs = 0usize;
     for (label, cfg) in configs() {
         let mut direct = trace.clone();
-        let report = synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg)
-            .unwrap_or_else(|e| panic!("{label}: direct run failed: {e}"));
+        let (raw, _, _, clc) = reference_synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg);
 
         let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![v2.clone()]);
         let out = client
@@ -101,18 +102,26 @@ fn loopback_batch_matches_direct_across_the_grid() {
         assert!(out.summary.census_present, "{label}: batch runs censuses");
         assert_eq!(
             out.summary.raw_violations as usize,
-            report.raw.total_violations(),
+            raw.total_violations(),
             "{label}: raw census"
         );
-        let clc = report.clc.as_ref().expect("default config runs the CLC");
+        let clc = clc.expect("default config runs the CLC");
         assert_eq!(out.summary.n_jumps as usize, clc.jumps.len(), "{label}: jump count");
         assert_eq!(out.summary.max_jump_ps, clc.max_jump.as_ps(), "{label}: max jump");
-        assert_eq!(out.jumps.len(), clc.jumps.len(), "{label}: jump frames");
-        for (w, j) in out.jumps.iter().zip(&clc.jumps) {
-            assert_eq!((w.proc, w.idx), (j.event.proc, j.event.idx), "{label}: jump id");
-            assert_eq!(w.size_ps, j.size.as_ps(), "{label}: jump size");
-        }
+        let canonical = |mut v: Vec<(u32, u32, i64)>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(
+            canonical(out.jumps.iter().map(|w| (w.proc, w.idx, w.size_ps)).collect()),
+            canonical(
+                clc.jumps.iter().map(|j| (j.event.proc, j.event.idx, j.size.as_ps())).collect()
+            ),
+            "{label}: jump frames"
+        );
+        legs += 1;
     }
+    assert_eq!(legs, WORKER_COUNTS.len() * PRESYNCS.len(), "grid collapsed");
     server.shutdown();
 }
 
@@ -405,9 +414,9 @@ fn router_steals_work_and_placement_never_changes_bits() {
 
 /// An online-method job over the socket: the method byte, Kalman tuning
 /// and per-process probe schedules survive the wire round trip, and the
-/// returned stream is bit-identical to the direct `SyncMethod::Online`
-/// run. The online path runs no CLC, so the summary must report zero
-/// jumps.
+/// returned stream is bit-identical to the oracle's `SyncMethod::Online`
+/// run (`OnlineCorrector::map_next` over the records). The online path
+/// runs no CLC, so the summary must report zero jumps.
 #[test]
 fn loopback_online_method_matches_direct() {
     use drift_lab::clocksync::{OnlineSpec, SyncMethod};
@@ -425,8 +434,7 @@ fn loopback_online_method_matches_direct() {
     };
 
     let mut direct = trace.clone();
-    let report =
-        synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct online run");
+    let (raw, ..) = reference_synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg);
 
     let v2 = to_binary_columnar_blocked(&trace, 32).to_vec();
     let server = test_server();
@@ -439,7 +447,7 @@ fn loopback_online_method_matches_direct() {
     assert_identical(&direct, &returned, "online method (over socket)");
     assert_eq!(
         out.summary.raw_violations as usize,
-        report.raw.total_violations(),
+        raw.total_violations(),
         "online: raw census over the wire"
     );
     assert_eq!(out.summary.n_jumps, 0, "online runs no CLC, so no jumps");

@@ -104,8 +104,39 @@ fn scan_chunked(bytes: &[u8], step: usize) -> (Vec<Frame>, Option<WireError>, Fr
     (frames, None, scanner)
 }
 
+/// Re-encode a `JobConfig` frame in the protocol-version-2 layout: one
+/// `storage` byte after `presync`, i.e. at payload offset mode(1+8) +
+/// priority(1) + deadline(8) + retries(4) + presync(1) = 23.
+fn v2_layout(frame: &Frame, storage: u8) -> Vec<u8> {
+    let mut bytes = encode_frame(frame);
+    bytes.insert(4 + 1 + 23, storage);
+    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) + 1;
+    bytes[..4].copy_from_slice(&len.to_le_bytes());
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A version-2 `JobConfig` payload is not a version-3 one: every field
+    /// after `presync` is read one byte early, and the decode ends in a
+    /// typed payload error — never a panic, never a frame — whichever
+    /// value the old byte had and however the bytes arrive.
+    #[test]
+    fn v2_layout_job_configs_fail_typed(
+        seed in 0u64..10_000,
+        storage in 0u8..2,
+        step in 1usize..64,
+    ) {
+        let config = &sample_frames(seed, 0, 0)[2];
+        prop_assert!(matches!(config, Frame::JobConfig(_)));
+        let (decoded, err, _) = scan_chunked(&v2_layout(config, storage), step);
+        prop_assert!(decoded.is_empty(), "v2 layout decoded as {decoded:?}");
+        prop_assert!(
+            matches!(err, Some(WireError::BadPayload(_))),
+            "expected a typed payload error, got {err:?}"
+        );
+    }
 
     /// Every frame kind survives encode → arbitrary-chunked scan → decode
     /// bit-exactly, for any read fragmentation down to one byte.
@@ -393,4 +424,46 @@ proptest! {
         }
         server.shutdown();
     }
+}
+
+/// Version-2 clients are refused typed. One that handshakes first (as
+/// `syncd-client` does) gets `VersionMismatch` for its `Hello`; one that
+/// pipelines its old-layout `JobConfig` behind the `Hello` in the same
+/// burst may instead be told the burst is `Malformed` — the scanner decodes
+/// what it was fed before the driver looks at the first frame. Either way:
+/// one error frame, no `HelloAck`, no admission charge, server still up.
+#[test]
+fn v2_sessions_are_refused_typed() {
+    let (trace, ..) = drifted_trace(3, 20, "constant", 3);
+    let v3_session = session_bytes(&to_binary_columnar_blocked(&trace, 16), WireMode::Batch);
+    let (frames, err, _) = scan_chunked(&v3_session, usize::MAX);
+    assert!(err.is_none());
+    let hello = encode_frame(&Frame::Hello { magic: MAGIC, version: 2, token: "tok".into() });
+    let mut pipelined = hello.clone();
+    pipelined.extend(v2_layout(&frames[1], 1));
+    for f in &frames[2..] {
+        pipelined.extend(encode_frame(f));
+    }
+
+    let server = NetServer::start_loopback(NetServerConfig {
+        tenants: vec![TenantConfig::new("tok")],
+        ingest_window: 1 << 20,
+        service: ServiceConfig { executors: 1, pool_workers: 1, ..ServiceConfig::default() },
+    })
+    .expect("bind");
+    for (session, allowed) in [
+        (hello, &[ErrorCode::VersionMismatch][..]),
+        (pipelined, &[ErrorCode::VersionMismatch, ErrorCode::Malformed][..]),
+    ] {
+        let mut t = ScriptedTransport::new(session).close_after_reply(20_000);
+        server.serve_transport(&mut t);
+        let (replies, err, _) = scan_chunked(t.outbound(), usize::MAX);
+        assert!(err.is_none(), "server wrote malformed frames: {err:?}");
+        assert!(
+            matches!(replies.as_slice(), [Frame::Error { code, .. }] if allowed.contains(code)),
+            "expected exactly one error frame out of {allowed:?}, got {replies:?}"
+        );
+        assert_eq!(server.metrics().admitted_bytes, 0);
+    }
+    server.shutdown();
 }

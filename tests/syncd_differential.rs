@@ -1,15 +1,15 @@
 //! Differential guarantees for the `syncd` service: a job run through the
-//! service — any storage engine, any worker count, any presync, trace or
-//! stream input, alone or in a contended mixed batch with a poisoned
-//! neighbour — produces **bit-identical** timestamps to calling
-//! `clocksync::synchronize` directly with the same configuration.
+//! service — any worker count, any presync, trace or stream input, alone
+//! or in a contended mixed batch with a poisoned neighbour — produces
+//! **bit-identical** timestamps to the reference chain
+//! (`common::reference_synchronize`) across the config grid, and to calling
+//! `clocksync::synchronize` directly with the same configuration under
+//! contention.
 
 mod common;
 
-use common::{assert_identical, drifted_trace};
-use drift_lab::clocksync::{
-    synchronize, ParallelConfig, PipelineConfig, PreSync, TimestampStorage,
-};
+use common::{assert_identical, drifted_trace, reference_synchronize};
+use drift_lab::clocksync::{synchronize, ParallelConfig, PipelineConfig, PreSync};
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobError, JobInput, JobSpec, Priority,
     ServiceConfig, SyncService,
@@ -18,23 +18,19 @@ use drift_lab::tracefmt::io::to_binary_columnar_blocked;
 use drift_lab::tracefmt::{MinLatency, Trace, UniformLatency};
 use std::sync::Arc;
 
+const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+const PRESYNCS: [PreSync; 2] = [PreSync::AlignOnly, PreSync::Linear];
+
 fn configs() -> Vec<(String, PipelineConfig)> {
     let mut out = Vec::new();
-    for storage in [TimestampStorage::Aos, TimestampStorage::Columnar] {
-        for workers in [1usize, 2, 4] {
-            for presync in [PreSync::AlignOnly, PreSync::Linear] {
-                let cfg = PipelineConfig {
-                    presync,
-                    parallel: (workers > 1)
-                        .then_some(ParallelConfig { workers, shard_size: 64 }),
-                    storage,
-                    ..PipelineConfig::default()
-                };
-                out.push((
-                    format!("{storage:?}/w{workers}/{presync:?}"),
-                    cfg,
-                ));
-            }
+    for workers in WORKER_COUNTS {
+        for presync in PRESYNCS {
+            let cfg = PipelineConfig {
+                presync,
+                parallel: (workers > 1).then_some(ParallelConfig { workers, shard_size: 64 }),
+                ..PipelineConfig::default()
+            };
+            out.push((format!("w{workers}/{presync:?}"), cfg));
         }
     }
     out
@@ -60,8 +56,8 @@ fn submit(
         .expect("admission accepts the job")
 }
 
-/// Every storage × workers × presync combination, both input kinds, one
-/// shared service: each job's output must equal its direct-call twin.
+/// Every workers × presync combination, both input kinds, one shared
+/// service: each job's output must equal the oracle's.
 #[test]
 fn service_matches_direct_across_the_config_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
@@ -76,8 +72,7 @@ fn service_matches_direct_across_the_config_grid() {
     let mut jobs = Vec::new();
     for (label, cfg) in configs() {
         let mut direct = trace.clone();
-        synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg)
-            .unwrap_or_else(|e| panic!("{label}: direct run failed: {e}"));
+        reference_synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg);
         let h_trace = submit(
             &service,
             JobInput::Trace(trace.clone()),
@@ -109,8 +104,10 @@ fn service_matches_direct_across_the_config_grid() {
     }
 
     let m = service.metrics();
-    // 2 storage × 3 worker counts × 2 presyncs, each as trace + stream.
-    assert_eq!(m.counter(Counter::Completed), 12 * 2);
+    // Every worker count × presync, each as trace + stream: the grid must
+    // not silently collapse.
+    let grid = (WORKER_COUNTS.len() * PRESYNCS.len()) as u64;
+    assert_eq!(m.counter(Counter::Completed), grid * 2);
     assert_eq!(m.counter(Counter::Failed), 0);
     assert_eq!(m.counter(Counter::ServiceCrashes), 0);
     service.shutdown();

@@ -2,10 +2,11 @@
 //! window size × drift model × pre-synchronisation mode × worker request,
 //! streaming a columnar trace through
 //! [`synchronize_stream_incremental`] and re-decoding the emitted frames
-//! must be *bit-identical* to decoding the whole stream and running the
-//! batch [`synchronize`] — corrected timestamps, the jump set (compared in
-//! canonical order; the batch report lists discovery order), `max_jump`,
-//! and the moved/total event counts.
+//! must be *bit-identical* to the reference chain
+//! (`common::reference_synchronize`) on the whole trace — corrected
+//! timestamps, the jump set (compared in canonical order; the reference
+//! CLC lists discovery order), `max_jump`, and the moved/total event
+//! counts.
 //!
 //! The windowed engine is sequential by design, so the worker dimension
 //! pins that a requested [`ParallelConfig`] is *ignored without changing
@@ -15,10 +16,10 @@
 
 mod common;
 
-use common::drifted_trace;
+use common::{drifted_trace, reference_synchronize};
 use drift_lab::clocksync::{
     synchronize, synchronize_stream_incremental, ClcParams, ParallelConfig, PipelineConfig,
-    PreSync, TimestampStorage,
+    PreSync,
 };
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{
@@ -69,8 +70,8 @@ fn assert_times_match(batch: &Trace, back: &Trace, ctx: &str) {
     }
 }
 
-/// Compare the incremental CLC report against the batch one. Jump order is
-/// schedule-dependent (the batch report lists discovery order, the
+/// Compare the incremental CLC report against the reference one. Jump order
+/// is schedule-dependent (the reference report lists discovery order, the
 /// incremental report canonical (timeline, index) order), so both sides
 /// are sorted before comparison; values must then be bit-identical.
 fn assert_clc_match(
@@ -116,16 +117,12 @@ fn windowed_engine_differential_matrix() {
                         clc: Some(ClcParams::default()),
                         parallel: workers
                             .map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                        storage: TimestampStorage::Columnar,
                         ..PipelineConfig::default()
                     };
                     let mut batch = base.clone();
-                    let report =
-                        synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg)
-                            .unwrap_or_else(|e| {
-                                panic!("{procs}p/{msgs}m {model}: batch failed: {e}")
-                            });
-                    let bclc = report.clc.as_ref().expect("clc configured");
+                    let (.., bclc) =
+                        reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
+                    let bclc = bclc.as_ref().expect("clc configured");
                     for window in windows {
                         let ctx = format!(
                             "{procs}p/{msgs}m {model} {presync:?} workers={workers:?} \
@@ -156,12 +153,11 @@ fn windowed_engine_handles_v2_streams_in_the_matrix() {
             presync: PreSync::Linear,
             clc: Some(ClcParams::default()),
             parallel: None,
-            storage: TimestampStorage::Columnar,
             ..PipelineConfig::default()
         };
         let mut batch = base.clone();
-        let report = synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg).unwrap();
-        let bclc = report.clc.as_ref().expect("clc configured");
+        let (.., bclc) = reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
+        let bclc = bclc.as_ref().expect("clc configured");
         for window in [3usize, 128] {
             let ctx = format!("v2 {model} window={window}");
             let (back, rep) = run_windowed(&v2, &init, &fin, &lmin, &cfg, window, &ctx);
@@ -183,7 +179,6 @@ fn windowed_residency_stays_bounded_while_batch_grows() {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
         parallel: None,
-        storage: TimestampStorage::Columnar,
         ..PipelineConfig::default()
     };
     let mut peaks = Vec::new();
