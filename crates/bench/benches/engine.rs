@@ -1,11 +1,14 @@
 //! Simulator-core performance: event-queue operations and end-to-end MPI
-//! simulation throughput (events per second).
+//! simulation throughput (events per second) — and the collective lowering
+//! of the synchronisation pipeline in isolation (`lower`, `plan`).
 
-use bench::{ring_program, xeon_cluster};
+use bench::{lmin_table, ring_program, xeon_cluster};
+use clocksync::{DepGraph, TraceAnalysis};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mpisim::{run, RunOptions};
 use netsim::EventQueue;
 use simclock::Time;
+use tracefmt::{CensusPlan, CollOp, CommId, EventKind, Rank, Tag, Trace};
 
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
@@ -61,5 +64,80 @@ fn bench_probing(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_event_queue, bench_simulation_throughput, bench_probing);
+/// The communication structure of the POP-like headline run: `ranks`
+/// processes, `steps` time steps of a four-neighbour halo exchange followed
+/// by a world allreduce. Only event order matters to `lower` and `plan`, so
+/// timestamps just count up.
+fn pop_allreduce_trace(ranks: usize, steps: usize) -> Trace {
+    let mut t = Trace::for_ranks(ranks);
+    let mut now = 0i64;
+    for step in 0..steps {
+        for (h, hop) in [1, ranks - 1, 4, ranks - 4].into_iter().enumerate() {
+            let tag = Tag((4 * step + h) as u32);
+            for p in 0..ranks {
+                now += 1;
+                let to = Rank(((p + hop) % ranks) as u32);
+                t.procs[p].push(Time::from_us(now), EventKind::Send { to, tag, bytes: 512 });
+            }
+            for p in 0..ranks {
+                now += 1;
+                let from = Rank(((p + ranks - hop) % ranks) as u32);
+                t.procs[p].push(Time::from_us(now), EventKind::Recv { from, tag, bytes: 512 });
+            }
+        }
+        let (op, comm, root, bytes) = (CollOp::Allreduce, CommId::WORLD, None, 8);
+        for p in 0..ranks {
+            now += 1;
+            t.procs[p].push(Time::from_us(now), EventKind::CollBegin { op, comm, root, bytes });
+        }
+        for p in 0..ranks {
+            now += 1;
+            t.procs[p].push(Time::from_us(now), EventKind::CollEnd { op, comm, root, bytes });
+        }
+    }
+    t
+}
+
+/// `lower` and `plan` on 32 ranks × 600 allreduces under the cluster's
+/// hierarchical per-pair latency: 595 200 of the 672 000 constraints are
+/// collective. Both stages must stay linear in members, not in logical
+/// messages; `-- --test` runs each once.
+fn bench_collective_lowering(c: &mut Criterion) {
+    let (ranks, steps) = (32, 600);
+    let trace = pop_allreduce_trace(ranks, steps);
+    let cluster = xeon_cluster(4, ranks, 30.0, 7);
+    let lmin = lmin_table(&cluster, ranks);
+    let analysis = TraceAnalysis::capture(&trace).expect("well-formed trace");
+    let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
+    let constraints = (steps * (4 * ranks + ranks * (ranks - 1))) as u64;
+
+    let mut g = c.benchmark_group("lower");
+    g.throughput(Throughput::Elements(constraints));
+    g.bench_function("pop_allreduce", |b| {
+        b.iter(|| {
+            let graph = DepGraph::build(&analysis.matching, &analysis.instances, &lens, &lmin);
+            assert_eq!(graph.n_edges() as u64, constraints);
+            graph
+        })
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("plan");
+    g.throughput(Throughput::Elements(constraints));
+    g.bench_function("pop_allreduce", |b| {
+        b.iter(|| {
+            CensusPlan::build(&lens, &analysis.matching.messages, &analysis.instances, &lmin)
+                .expect("plan builds")
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_event_queue,
+    bench_simulation_throughput,
+    bench_probing,
+    bench_collective_lowering
+);
 criterion_main!(benches);

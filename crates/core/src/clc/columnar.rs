@@ -122,8 +122,7 @@ pub(crate) fn forward_pass_csr(
                 // dependency-dispatch order so the pass blocks on the same
                 // first pending producer as the AoS reference.
                 let mut remote: Option<Time> = None;
-                let (srcs, lats) = graph.in_of(gid as u32);
-                for (&src, &lat) in srcs.iter().zip(lats) {
+                for (src, lat) in graph.in_of(gid as u32).iter() {
                     if src >= frontier[graph.proc_of(src)] {
                         break 'events; // producer not yet corrected
                     }
@@ -244,8 +243,7 @@ fn backward_pass_csr(
                 / window.as_ps().max(1) as f64;
             let ramp = delta.scale(frac.clamp(0.0, 1.0));
             let mut cap = Dur::MAX;
-            let (dsts, lats) = graph.out_of(base + i as u32);
-            for (&dst, &lat) in dsts.iter().zip(lats) {
+            for (dst, lat) in graph.out_of(base + i as u32).iter() {
                 cap = cap.min(
                     Time::from_ps(snapshot[dst as usize])
                         .saturating_sub(Dur::from_ps(lat))

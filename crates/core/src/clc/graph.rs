@@ -1,4 +1,5 @@
-//! The compressed-sparse-row (CSR) event-dependency graph.
+//! The event-dependency graph the CLC kernels walk: a compressed-sparse-row
+//! (CSR) graph of message edges plus the trace's collective member table.
 //!
 //! [`super::Deps`] answers "what constrains this event?" through five hash
 //! maps — fine for the reference implementation, but every lookup in the
@@ -9,34 +10,130 @@
 //! is `base[p] + i`, timelines concatenated in proc order — exactly the
 //! layout of a flattened [`tracefmt::TraceColumns`].
 //!
-//! Per event the graph stores both directions of every constraint edge:
+//! # What is stored
 //!
-//! * `in_offsets`/`in_edges` — CSR of *producers*: `in_edges[in_offsets[v]
-//!   .. in_offsets[v+1]]` are the events whose corrected times bound event
-//!   `v` from below (the matched send of a receive; the relevant begins of
-//!   a collective end);
-//! * `out_offsets`/`out_edges` — CSR of *consumers*: the transpose, used
-//!   by backward amortization to clamp shifts and by the replay engine to
-//!   publish corrected times;
-//! * `in_lat_ps`/`out_lat_ps` — the minimum latency of each edge in
-//!   picoseconds, baked in at build time from the frozen latency model, so
-//!   the hot loops never touch a rank pair again. An edge's contribution
-//!   to its consumer is exactly `corrected(producer) + lat`, the same
-//!   `Time + Dur` addition the AoS pass performs.
+//! * **Message edges**, in both directions: `in_offsets`/`in_edges` is the
+//!   CSR of *producers* (`in_edges[in_offsets[v] .. in_offsets[v+1]]` is the
+//!   matched send of receive `v`), `out_offsets`/`out_edges` the transpose
+//!   (the matched receive of a send), and `in_lat_ps`/`out_lat_ps` the
+//!   minimum latency of each edge in picoseconds, baked in at build time
+//!   from the frozen latency model.
+//! * **Collectives**, as a [`CollTable`]: per instance its flavour, root
+//!   position and member rows; per member the gids of its begin and end;
+//!   per communicator one `k × k` `l_min` block and its transpose. Beside
+//!   it, one word per event (`coll_slot`: which member row an event is the
+//!   begin or end of) and one per member row (`row_inst`: its instance).
 //!
-//! Per-consumer in-edge order equals the AoS dispatch order (the single
-//! message edge, or [`super::CollInst::deps_of_end`] order), so a forward
-//! pass walking `in_edges` observes dependencies in the same sequence and
+//! # What is derived
+//!
+//! The `k·(k−1)` logical edges of an N-to-N instance are never stored.
+//! [`DepGraph::in_of`] / [`DepGraph::out_of`] return an [`Edges`] view —
+//! `(gids, lats, skip)`: parallel slices of neighbour gids and latencies,
+//! walked in order with position `skip` left out. For a receive or send the
+//! slices are the CSR run and nothing is skipped. For a collective end at
+//! member position `pos` they are the instance's begin-gid row and row
+//! `pos` of the transposed latency block, restricted by flavour — all of
+//! it but `pos` (N-to-N, the root of an N-to-1), the root alone (a non-root
+//! of a 1-to-N), the prefix below `pos` (scan) — and symmetrically the
+//! end-gid row and row `pos` of the block for a begin. An edge's
+//! contribution to its consumer is exactly `corrected(producer) + lat`, the
+//! same `Time + Dur` addition the reference pass performs.
+//!
+//! Member order is dispatch order: the view of an end walks the begins in
+//! increasing member position, which is [`super::CollInst::deps_of_end`]
+//! order, and a receive has its one message edge. So a forward pass walking
+//! a view observes dependencies in the same sequence as the reference and
 //! blocks on the same first pending producer — the foundation of the
-//! bit-identity guarantee shared by the serial, columnar and replay
-//! engines.
+//! bit-identity guarantee shared by the serial, columnar, replay and
+//! windowed engines (same `max`/`min` over the same `saturating_add`
+//! terms, same jump order).
+//!
+//! Degrees, the logical edge count and the replay engine's ring capacities
+//! follow from flavour and member count: [`Edges::len`] is slice length
+//! minus the skipped position, [`DepGraph::n_edges`] sums
+//! `k·(k−1)` / `k−1` / `k·(k−1)/2` per instance, and
+//! [`DepGraph::cross_count`] adds, per communicator, the number of
+//! instances of each flavour (and root) to every ordered pair of member
+//! timelines once. Stored size is O(events + Σ k² over communicators)
+//! whatever the number of instances.
 
-use super::CollInst;
 use simclock::Dur;
-use tracefmt::{CollectiveInstance, EventId, Matching, MinLatency, Trace};
+use std::sync::Arc;
+use tracefmt::{
+    CollFlavor, CollInstRef, CollTable, CollectiveInstance, EventId, Matching, MinLatency, Trace,
+};
 
-/// Flat CSR dependency graph over the events of one trace. See the module
-/// docs for the encoding.
+/// `skip` of a view that leaves nothing out.
+const NO_SKIP: usize = usize::MAX;
+
+/// The constraint edges of one event in one direction: neighbour gids and
+/// edge latencies as parallel slices, walked in order with position `skip`
+/// left out. Borrowed from the CSR arrays or from the collective table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edges<'a> {
+    gids: &'a [u32],
+    lats: &'a [i64],
+    skip: usize,
+}
+
+impl<'a> Edges<'a> {
+    const EMPTY: Edges<'static> = Edges { gids: &[], lats: &[], skip: NO_SKIP };
+
+    #[inline]
+    fn run(gids: &'a [u32], lats: &'a [i64]) -> Self {
+        Edges { gids, lats, skip: NO_SKIP }
+    }
+
+    #[inline]
+    fn all_but(gids: &'a [u32], lats: &'a [i64], skip: usize) -> Self {
+        Edges { gids, lats, skip }
+    }
+
+    /// Number of edges: the degree of the event in this direction.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.gids.len() - usize::from(self.skip < self.gids.len())
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `(neighbour gid, latency in ps)` per edge, in dispatch order.
+    #[inline(always)]
+    pub(crate) fn iter(&self) -> EdgeIter<'a> {
+        EdgeIter { gids: self.gids, lats: self.lats, next: 0, skip: self.skip }
+    }
+}
+
+/// Iterator over an [`Edges`] view. Hand-written and force-inlined: the
+/// kernels' loops over a message edge must stay what they were over a bare
+/// CSR slice pair (a `Chain` of two zips around `skip` cost the windowed
+/// engine 15 % on a message-only stream, a `Filter` 5 %).
+pub(crate) struct EdgeIter<'a> {
+    gids: &'a [u32],
+    lats: &'a [i64],
+    next: usize,
+    skip: usize,
+}
+
+impl Iterator for EdgeIter<'_> {
+    type Item = (u32, i64);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(u32, i64)> {
+        if self.next == self.skip {
+            self.next += 1;
+        }
+        let edge = (*self.gids.get(self.next)?, *self.lats.get(self.next)?);
+        self.next += 1;
+        Some(edge)
+    }
+}
+
+/// Dependency graph over the events of one trace: message edges in CSR
+/// form, collectives as a member table. See the module docs.
 pub struct DepGraph {
     /// `base[p]` is the gid of event `(p, 0)`; `base[n_procs]` the total
     /// event count. Prefix sums of the timeline lengths.
@@ -47,16 +144,28 @@ pub struct DepGraph {
     proc_of: Vec<u32>,
     /// CSR offsets into `in_edges`, one slot per event plus a terminator.
     in_offsets: Vec<u32>,
-    /// Producer gids, grouped per consumer in dependency-dispatch order.
+    /// Matched send of each receive, grouped per consumer.
     in_edges: Vec<u32>,
     /// Minimum latency of each in-edge, aligned with `in_edges`.
     in_lat_ps: Vec<i64>,
     /// CSR offsets into `out_edges`, one slot per event plus a terminator.
     out_offsets: Vec<u32>,
-    /// Consumer gids, grouped per producer.
+    /// Matched receive of each send, grouped per producer.
     out_edges: Vec<u32>,
     /// Minimum latency of each out-edge, aligned with `out_edges`.
     out_lat_ps: Vec<i64>,
+    /// Every collective instance; the only form collective constraints
+    /// take. Shared with the census plan of the same job.
+    coll: Arc<CollTable>,
+    /// Per event, which member row it opens or closes: 0 for neither,
+    /// else `(row + 1) << 1 | is_end`. Empty when the trace has no
+    /// collectives, so a point-to-point job neither allocates nor reads it.
+    coll_slot: Vec<u32>,
+    /// Instance of each member row.
+    row_inst: Vec<u32>,
+    /// Logical constraint edges: messages plus the flavour-mapped edges of
+    /// every instance. A count, never a capacity.
+    n_edges: usize,
     /// `cross_counts[q * n_procs + p]`: number of edges from a producer on
     /// timeline `q` to a consumer on timeline `p ≠ q` — the exact capacity
     /// of the replay engine's `q → p` ring.
@@ -68,12 +177,28 @@ pub struct DepGraph {
     local_cycle: Option<EventId>,
 }
 
+/// How often each logical edge of one latency block occurs: the instances
+/// using the block, counted by flavour and root.
+struct BlockUse {
+    /// Some instance of the block (all share their members' timelines).
+    first: usize,
+    n_to_n: u32,
+    prefix: u32,
+    /// Per member position: instances it roots as `[1-to-N, N-to-1]`.
+    rooted: Vec<[u32; 2]>,
+}
+
 impl DepGraph {
-    /// Lower a reconstructed communication analysis into CSR form.
+    /// Lower a reconstructed communication analysis.
     ///
     /// `proc_lens[p]` is the event count of timeline `p`; `lmin` is
-    /// queried once per edge (rank pairs come from the matches and the
-    /// collective members) and never again.
+    /// queried once per message and once per ordered rank pair of every
+    /// communicator, and never again.
+    ///
+    /// # Panics
+    /// Panics when the trace has more than `u32::MAX` events, or a
+    /// collective member lies outside the trace shape or belongs to two
+    /// instances.
     pub fn build(
         matching: &Matching,
         instances: &[CollectiveInstance],
@@ -96,52 +221,20 @@ impl DepGraph {
         }
         let gid = |id: EventId| base[id.p()] + id.idx;
 
-        // Gather the edge triples in lowering order: message edges in
-        // matching order, then collective edges in instance order with the
-        // begins of each end in `deps_of_end` order. A consumer is either
-        // a receive (one message edge) or a collective end (only
-        // collective edges), so per-consumer insertion order is exactly
-        // the AoS dispatch order.
-        let insts: Vec<CollInst> = instances
+        // Message edges, in matching order. A receive has one matched
+        // send, so per-consumer order is trivially the dispatch order.
+        let mut local_cycle = None;
+        let triples: Vec<(EventId, EventId, i64)> = matching
+            .messages
             .iter()
-            .map(|inst| {
-                let root_pos = inst
-                    .root
-                    .and_then(|r| inst.members.iter().position(|m| m.rank == r));
-                CollInst {
-                    flavor: inst.op.flavor(),
-                    root_pos,
-                    members: inst.members.iter().map(|m| (m.rank, m.begin, m.end)).collect(),
+            .map(|m| {
+                if m.send.p() == m.recv.p() && m.send.idx >= m.recv.idx && local_cycle.is_none() {
+                    local_cycle = Some(m.recv);
                 }
+                (m.send, m.recv, lmin.l_min(m.from, m.to).as_ps())
             })
             .collect();
-
-        let mut triples: Vec<(EventId, EventId, i64)> = Vec::with_capacity(matching.messages.len());
-        let mut local_cycle = None;
-        let mut note_edge =
-            |triples: &mut Vec<(EventId, EventId, i64)>, src: EventId, dst: EventId, lat: Dur| {
-                if src.p() == dst.p() && src.idx >= dst.idx && local_cycle.is_none() {
-                    local_cycle = Some(dst);
-                }
-                triples.push((src, dst, lat.as_ps()));
-            };
-        for m in &matching.messages {
-            note_edge(&mut triples, m.send, m.recv, lmin.l_min(m.from, m.to));
-        }
-        for inst in &insts {
-            for pos in 0..inst.members.len() {
-                let (my_rank, _, end) = inst.members[pos];
-                for j in inst.deps_of_end(pos) {
-                    let (jrank, jbegin, _) = inst.members[j];
-                    note_edge(&mut triples, jbegin, end, lmin.l_min(jrank, my_rank));
-                }
-            }
-        }
-        let n_edges = triples.len();
-        assert!(
-            u32::try_from(n_edges).is_ok(),
-            "edge count fits u32"
-        );
+        let n_msgs = triples.len();
 
         // Counting sort into both CSR directions: degree count, prefix
         // sum, then a cursor fill that preserves triple order per slot.
@@ -160,10 +253,10 @@ impl DepGraph {
             in_offsets[v + 1] += in_offsets[v];
             out_offsets[v + 1] += out_offsets[v];
         }
-        let mut in_edges = vec![0u32; n_edges];
-        let mut in_lat_ps = vec![0i64; n_edges];
-        let mut out_edges = vec![0u32; n_edges];
-        let mut out_lat_ps = vec![0i64; n_edges];
+        let mut in_edges = vec![0u32; n_msgs];
+        let mut in_lat_ps = vec![0i64; n_msgs];
+        let mut out_edges = vec![0u32; n_msgs];
+        let mut out_lat_ps = vec![0i64; n_msgs];
         let mut in_cursor: Vec<u32> = in_offsets[..total].to_vec();
         let mut out_cursor: Vec<u32> = out_offsets[..total].to_vec();
         for &(src, dst, lat) in &triples {
@@ -178,7 +271,76 @@ impl DepGraph {
             out_cursor[s as usize] += 1;
         }
 
-        DepGraph {
+        let coll = CollTable::build(proc_lens, instances, lmin)
+            .expect("collective members lie inside a trace of at most u32::MAX events");
+        // Collectives: index the member rows by event, count the logical
+        // edges, and tally how often each latency block is used — nothing
+        // here is proportional to the number of logical edges.
+        let mut n_edges = n_msgs;
+        let mut coll_slot = Vec::new();
+        let mut row_inst = Vec::new();
+        let mut uses: Vec<Option<BlockUse>> = (0..coll.n_blocks()).map(|_| None).collect();
+        if coll.n_instances() > 0 {
+            assert!(coll.n_members() < (u32::MAX >> 1) as usize, "member rows fit 31 bits");
+            coll_slot = vec![0u32; total];
+            row_inst = Vec::with_capacity(coll.n_members());
+            for (i, inst) in coll.instances().enumerate() {
+                n_edges += inst.n_logical_by_position();
+                for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate() {
+                    let tag = ((inst.first_row + pos + 1) as u32) << 1;
+                    // An event has one kind: a collective begin (end) opens
+                    // (closes) one call, and is no send (receive).
+                    assert!(
+                        coll_slot[begin as usize] == 0 && coll_slot[end as usize] == 0,
+                        "an event is a member of one collective instance"
+                    );
+                    debug_assert!(out_offsets[begin as usize] == out_offsets[begin as usize + 1]);
+                    debug_assert!(in_offsets[end as usize] == in_offsets[end as usize + 1]);
+                    coll_slot[begin as usize] = tag;
+                    coll_slot[end as usize] = tag | 1;
+                    row_inst.push(i as u32);
+                }
+                let u = uses[coll.block_of(i)].get_or_insert_with(|| BlockUse {
+                    first: i,
+                    n_to_n: 0,
+                    prefix: 0,
+                    rooted: vec![[0, 0]; inst.begins.len()],
+                });
+                match (inst.flavor, inst.root_pos) {
+                    (CollFlavor::OneToN, Some(r)) => u.rooted[r][0] += 1,
+                    (CollFlavor::NToOne, Some(r)) => u.rooted[r][1] += 1,
+                    (CollFlavor::NToN, _) => u.n_to_n += 1,
+                    (CollFlavor::Prefix, _) => u.prefix += 1,
+                    (CollFlavor::OneToN | CollFlavor::NToOne, None) => {}
+                }
+            }
+        }
+
+        // Ring capacities: every instance of a block puts its edges on the
+        // same ordered timeline pairs, so each pair is visited once per
+        // block with the number of instances that have an edge there.
+        let mut same_timeline_blocks = vec![false; uses.len()];
+        for (b, u) in uses.iter().enumerate() {
+            let Some(u) = u else { continue };
+            let inst = coll.instance(u.first);
+            let src: Vec<usize> = inst.begins.iter().map(|&g| proc_of[g as usize] as usize).collect();
+            let dst: Vec<usize> = inst.ends.iter().map(|&g| proc_of[g as usize] as usize).collect();
+            for (a, &q) in src.iter().enumerate() {
+                for (z, &p) in dst.iter().enumerate() {
+                    if a == z {
+                        continue;
+                    }
+                    if q == p {
+                        same_timeline_blocks[b] = true;
+                        continue;
+                    }
+                    let prefix = if a < z { u.prefix } else { 0 };
+                    cross_counts[q * n + p] += u.n_to_n + prefix + u.rooted[a][0] + u.rooted[z][1];
+                }
+            }
+        }
+
+        let mut graph = DepGraph {
             base,
             proc_of,
             in_offsets,
@@ -187,9 +349,37 @@ impl DepGraph {
             out_offsets,
             out_edges,
             out_lat_ps,
+            coll: Arc::new(coll),
+            coll_slot,
+            row_inst,
+            n_edges,
             cross_counts,
             local_cycle,
+        };
+        if graph.local_cycle.is_none() && same_timeline_blocks.contains(&true) {
+            graph.local_cycle = graph.collective_local_cycle(&same_timeline_blocks);
         }
+        graph
+    }
+
+    /// First collective end, in lowering order, that depends on a begin at
+    /// or after it on its own timeline. Only instances of `suspects` blocks
+    /// — those with two members on one timeline, which no reconstructed
+    /// trace has — can hold one, and only those are walked.
+    fn collective_local_cycle(&self, suspects: &[bool]) -> Option<EventId> {
+        for (i, inst) in self.coll.instances().enumerate() {
+            if !suspects[self.coll.block_of(i)] {
+                continue;
+            }
+            for &end in inst.ends {
+                let p = self.proc_of(end);
+                if self.in_of(end).iter().any(|(src, _)| self.proc_of(src) == p && src >= end) {
+                    let (p, idx) = self.locate(end);
+                    return Some(EventId::new(p, idx));
+                }
+            }
+        }
+        None
     }
 
     /// [`DepGraph::build`] with timeline lengths read off the trace.
@@ -213,9 +403,33 @@ impl DepGraph {
         *self.base.last().expect("base non-empty") as usize
     }
 
-    /// Total constraint edges.
+    /// Total constraint edges: matched messages plus the logical messages
+    /// of every collective instance. Computed, not stored — an N-to-N
+    /// instance over `k` timelines counts `k·(k−1)` here and occupies `2k`
+    /// words.
     pub fn n_edges(&self) -> usize {
-        self.in_edges.len()
+        self.n_edges
+    }
+
+    /// The collective table the graph reads collective constraints from,
+    /// for the census plan of the same job to share.
+    pub fn coll_table(&self) -> &Arc<CollTable> {
+        &self.coll
+    }
+
+    /// Heap bytes the graph holds, its collective table included:
+    /// O(events + messages + Σ k² over communicators + timelines²).
+    pub fn heap_bytes(&self) -> usize {
+        let words32 = self.base.len()
+            + self.proc_of.len()
+            + self.in_offsets.len()
+            + self.in_edges.len()
+            + self.out_offsets.len()
+            + self.out_edges.len()
+            + self.coll_slot.len()
+            + self.row_inst.len()
+            + self.cross_counts.len();
+        4 * words32 + 8 * (self.in_lat_ps.len() + self.out_lat_ps.len()) + self.coll.heap_bytes()
     }
 
     /// Global event id of `(p, 0)` — gids of timeline `p` are
@@ -238,28 +452,89 @@ impl DepGraph {
         (p, (gid - self.base[p]) as usize)
     }
 
-    /// In-edges of `gid`: parallel slices of producer gids and edge
-    /// latencies, in dependency-dispatch order.
-    #[inline]
-    pub(crate) fn in_of(&self, gid: u32) -> (&[u32], &[i64]) {
+    /// In-edges of `gid` — producer gids and edge latencies, in
+    /// dependency-dispatch order: the matched send of a receive, or the
+    /// begins a collective end waits on.
+    ///
+    /// Only the CSR path is inlined into the kernels' loops; a graph
+    /// without collectives never leaves it.
+    #[inline(always)]
+    pub(crate) fn in_of(&self, gid: u32) -> Edges<'_> {
         let a = self.in_offsets[gid as usize] as usize;
         let b = self.in_offsets[gid as usize + 1] as usize;
-        (&self.in_edges[a..b], &self.in_lat_ps[a..b])
+        if a != b || self.coll_slot.is_empty() {
+            return Edges::run(&self.in_edges[a..b], &self.in_lat_ps[a..b]);
+        }
+        self.collective_in(gid)
     }
 
-    /// Out-edges of `gid`: parallel slices of consumer gids and edge
-    /// latencies.
-    #[inline]
-    pub(crate) fn out_of(&self, gid: u32) -> (&[u32], &[i64]) {
+    /// Out-edges of `gid` — consumer gids and edge latencies: the matched
+    /// receive of a send, or the ends waiting on a collective begin.
+    #[inline(always)]
+    pub(crate) fn out_of(&self, gid: u32) -> Edges<'_> {
         let a = self.out_offsets[gid as usize] as usize;
         let b = self.out_offsets[gid as usize + 1] as usize;
-        (&self.out_edges[a..b], &self.out_lat_ps[a..b])
+        if a != b || self.coll_slot.is_empty() {
+            return Edges::run(&self.out_edges[a..b], &self.out_lat_ps[a..b]);
+        }
+        self.collective_out(gid)
+    }
+
+    /// The collective member `gid` opens or closes, if any: its instance,
+    /// its position among the members, and whether `gid` is the end.
+    #[inline]
+    fn member_at(&self, gid: u32) -> Option<(CollInstRef<'_>, usize, bool)> {
+        let slot = self.coll_slot[gid as usize];
+        if slot == 0 {
+            return None;
+        }
+        let row = (slot >> 1) as usize - 1;
+        let inst = self.coll.instance(self.row_inst[row] as usize);
+        Some((inst, row - inst.first_row, slot & 1 == 1))
+    }
+
+    /// [`in_of`](DepGraph::in_of) for an event without a message in-edge:
+    /// the begins a collective end waits on, cut out of the member table.
+    #[inline(never)]
+    fn collective_in(&self, gid: u32) -> Edges<'_> {
+        let Some((inst, pos, true)) = self.member_at(gid) else {
+            return Edges::EMPTY; // no collective end
+        };
+        let to_me = inst.block.to_member(pos);
+        match (inst.flavor, inst.root_pos) {
+            (CollFlavor::OneToN, Some(r)) if r != pos => {
+                Edges::run(&inst.begins[r..=r], &to_me[r..=r])
+            }
+            (CollFlavor::NToOne, Some(r)) if r == pos => Edges::all_but(inst.begins, to_me, r),
+            (CollFlavor::NToN, _) => Edges::all_but(inst.begins, to_me, pos),
+            (CollFlavor::Prefix, _) => Edges::run(&inst.begins[..pos], &to_me[..pos]),
+            (CollFlavor::OneToN | CollFlavor::NToOne, _) => Edges::EMPTY,
+        }
+    }
+
+    /// [`out_of`](DepGraph::out_of) for an event without a message
+    /// out-edge: the ends waiting on a collective begin.
+    #[inline(never)]
+    fn collective_out(&self, gid: u32) -> Edges<'_> {
+        let Some((inst, pos, false)) = self.member_at(gid) else {
+            return Edges::EMPTY; // no collective begin
+        };
+        let from_me = inst.block.from_member(pos);
+        match (inst.flavor, inst.root_pos) {
+            (CollFlavor::OneToN, Some(r)) if r == pos => Edges::all_but(inst.ends, from_me, r),
+            (CollFlavor::NToOne, Some(r)) if r != pos => {
+                Edges::run(&inst.ends[r..=r], &from_me[r..=r])
+            }
+            (CollFlavor::NToN, _) => Edges::all_but(inst.ends, from_me, pos),
+            (CollFlavor::Prefix, _) => Edges::run(&inst.ends[pos + 1..], &from_me[pos + 1..]),
+            (CollFlavor::OneToN | CollFlavor::NToOne, _) => Edges::EMPTY,
+        }
     }
 
     /// Exact number of edges from a producer on timeline `q` to a consumer
     /// on timeline `p` (zero when `q == p`) — the replay ring capacity.
     #[inline]
-    pub(crate) fn cross_count(&self, q: usize, p: usize) -> u32 {
+    pub fn cross_count(&self, q: usize, p: usize) -> u32 {
         self.cross_counts[q * self.n_procs() + p]
     }
 
@@ -273,8 +548,7 @@ impl DepGraph {
     /// Events whose corrected times bound `id` from below, with the
     /// minimum latency of each edge, in dependency-dispatch order.
     pub fn in_deps(&self, id: EventId) -> impl Iterator<Item = (EventId, Dur)> + '_ {
-        let (srcs, lats) = self.in_of(self.base(id.p()) + id.idx);
-        srcs.iter().zip(lats).map(|(&s, &lat)| {
+        self.in_of(self.base(id.p()) + id.idx).iter().map(|(s, lat)| {
             let (p, i) = self.locate(s);
             (EventId::new(p, i), Dur::from_ps(lat))
         })
@@ -283,8 +557,7 @@ impl DepGraph {
     /// Events bounded from below by `id`'s corrected time, with the
     /// minimum latency of each edge.
     pub fn out_deps(&self, id: EventId) -> impl Iterator<Item = (EventId, Dur)> + '_ {
-        let (dsts, lats) = self.out_of(self.base(id.p()) + id.idx);
-        dsts.iter().zip(lats).map(|(&d, &lat)| {
+        self.out_of(self.base(id.p()) + id.idx).iter().map(|(d, lat)| {
             let (p, i) = self.locate(d);
             (EventId::new(p, i), Dur::from_ps(lat))
         })
@@ -403,6 +676,89 @@ mod tests {
         );
         let g = graph_of(&t);
         assert_eq!(g.local_cycle(), Some(EventId::new(0, 0)));
+    }
+
+    /// A collective's cost is its members, not its logical messages: a
+    /// 512-timeline communicator running 40 barriers and one collective of
+    /// every other flavour is 44 032 events and 10.6 million logical edges.
+    #[test]
+    fn stored_size_is_linear_in_events_plus_communicator_squared() {
+        use crate::clc::columnar::controlled_logical_clock_columnar_csr;
+        use crate::clc::ClcParams;
+        use tracefmt::{check_collectives_at, CollOp, CommId, TraceColumns};
+
+        let k = 512usize;
+        let mut ops = vec![(CollOp::Barrier, None); 40];
+        ops.extend([
+            (CollOp::Bcast, Some(Rank(7))),
+            (CollOp::Reduce, Some(Rank(300))),
+            (CollOp::Scan, None),
+        ]);
+        let mut t = Trace::for_ranks(k);
+        for (round, &(op, root)) in ops.iter().enumerate() {
+            for p in 0..k {
+                // Per-timeline skew larger than a round: plenty to repair.
+                let at = 1_000 * round as i64 + ((p * 37) % 2_000) as i64;
+                let (comm, bytes) = (CommId::WORLD, 8);
+                t.procs[p].push(
+                    simclock::Time::from_us(at),
+                    EventKind::CollBegin { op, comm, root, bytes },
+                );
+                t.procs[p].push(
+                    simclock::Time::from_us(at + 10),
+                    EventKind::CollEnd { op, comm, root, bytes },
+                );
+            }
+        }
+        let insts = match_collectives(&t).unwrap();
+        let g = DepGraph::from_trace(&t, &match_messages(&t), &insts, &LMIN);
+
+        let events = g.n_events();
+        assert_eq!(events, 2 * k * ops.len());
+        assert_eq!(g.n_edges(), 40 * k * (k - 1) + 2 * (k - 1) + k * (k - 1) / 2);
+        assert!(g.in_edges.is_empty() && g.out_edges.is_empty(), "no collective edge is stored");
+        assert_eq!(g.coll.n_members(), k * ops.len());
+        assert_eq!(g.coll.n_blocks(), 1);
+        let stored_words = g.heap_bytes() / 8;
+        assert!(
+            stored_words <= 4 * (events + k * k),
+            "{stored_words} words stored for {events} events on a {k}-timeline communicator"
+        );
+        assert_eq!(g.cross_count(0, 1), 40 + 1); // barriers + the scan
+        assert_eq!(g.cross_count(1, 0), 40);
+        assert_eq!(g.cross_count(7, 9), 40 + 1 + 1); // + the broadcast from rank 7
+        assert_eq!(g.cross_count(1, 300), 40 + 1 + 1); // + the reduce to rank 300
+
+        let mut cols = TraceColumns::gather(&t);
+        assert!(check_collectives_at(&cols, &insts, &LMIN).logical_violated > 0);
+        let report =
+            controlled_logical_clock_columnar_csr(&mut cols, &g, &ClcParams::default()).unwrap();
+        assert!(report.n_jumps() > 0);
+        assert_eq!(check_collectives_at(&cols, &insts, &LMIN).logical_violated, 0);
+    }
+
+    #[test]
+    fn collective_begin_after_its_own_timelines_end_is_a_local_cycle() {
+        use tracefmt::{CollMember, CollOp, CommId};
+        // A hand-built instance with two members on timeline 0, the second
+        // one's begin (index 2) after the first one's end (index 1): the
+        // end depends on an event behind it in program order.
+        let member = |p, b, e| CollMember {
+            rank: Rank(p as u32),
+            begin: EventId::new(p, b),
+            end: EventId::new(p, e),
+        };
+        let inst = CollectiveInstance {
+            op: CollOp::Barrier,
+            comm: CommId::WORLD,
+            root: None,
+            members: vec![member(0, 0, 1), member(0, 2, 3), member(1, 0, 1)],
+        };
+        let g = DepGraph::build(&Matching::default(), &[inst], &[4, 2], &LMIN);
+        assert_eq!(g.local_cycle(), Some(EventId::new(0, 1)));
+        assert_eq!(g.n_edges(), 6);
+        // Same-timeline edges need no ring slot.
+        assert_eq!((g.cross_count(0, 1), g.cross_count(1, 0), g.cross_count(0, 0)), (2, 2, 0));
     }
 
     #[test]

@@ -291,7 +291,7 @@ fn replay_worker(
     // cover *all* in-edges uniformly.
     let mut acc = vec![i64::MIN; len];
     let mut remaining: Vec<u32> = (0..len)
-        .map(|i| graph.in_of(base + i as u32).0.len() as u32)
+        .map(|i| graph.in_of(base + i as u32).len() as u32)
         .collect();
 
     let mut outbound: Vec<Outbound<'_>> = (0..n)
@@ -305,7 +305,7 @@ fn replay_worker(
     let mut prev_corr = Time::MIN;
 
     for i in 0..len {
-        let has_deps = !graph.in_of(base + i as u32).0.is_empty();
+        let has_deps = !graph.in_of(base + i as u32).is_empty();
         if remaining[i] > 0 {
             // Opportunistic drain first; publish our own rings before
             // spinning so no consumer of ours can be starved by us.
@@ -362,8 +362,7 @@ fn replay_worker(
         prev_corr = corrected;
 
         // Publish the corrected time along every out-edge.
-        let (dsts, lats) = graph.out_of(base + i as u32);
-        for (&dst, &lat) in dsts.iter().zip(lats) {
+        for (dst, lat) in graph.out_of(base + i as u32).iter() {
             let bound = corrected.saturating_add(Dur::from_ps(lat)).as_ps();
             if dst >= base && ((dst - base) as usize) < len {
                 // Same timeline: the local-cycle check guarantees the

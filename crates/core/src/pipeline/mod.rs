@@ -641,9 +641,10 @@ fn synchronize_impl(
         .stages
         .push(StageStats::sharded("match", n_events, t0.elapsed(), shards, wait));
 
-    // Lower the analysis into the CSR dependency graph the CLC kernels
-    // walk. The method gates this: Interp and Online never run a CLC,
-    // whatever `cfg.clc` says.
+    // Lower the analysis into the dependency graph the CLC kernels walk:
+    // message edges in CSR form, collectives as a member table. The method
+    // gates this: Interp and Online never run a CLC, whatever `cfg.clc`
+    // says.
     let clc_inputs = cfg.effective_clc().map(|params| {
         let t0 = Instant::now();
         let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, &table);
@@ -674,16 +675,24 @@ fn synchronize_impl(
     stats.peak_resident_column_bytes = 8 * n_events as u64;
 
     // Freeze the timestamp-independent census state once: event ids
-    // resolved to flat-array offsets, bounds baked into dense lanes,
-    // collectives expanded into logical messages. Every census then runs
-    // the same chunked branchless kernels over snapshots of the columns.
+    // resolved to flat-array offsets, message bounds baked into dense
+    // lanes, collectives as the member table — the graph's when `lower`
+    // built one, so a job lowers its collectives at most once. Every
+    // census then runs the same kernels over snapshots of the columns.
     let t0 = Instant::now();
-    let plan = CensusPlan::for_columns(
-        &cols,
-        &analysis.matching.messages,
-        &analysis.instances,
-        &table,
-    )
+    let plan = match &clc_inputs {
+        Some((_, graph)) => {
+            let lens: Vec<usize> = cols.iter().map(|c| c.len()).collect();
+            let coll = Arc::clone(graph.coll_table());
+            CensusPlan::with_table(&lens, &analysis.matching.messages, coll, &table)
+        }
+        None => CensusPlan::for_columns(
+            &cols,
+            &analysis.matching.messages,
+            &analysis.instances,
+            &table,
+        ),
+    }
     .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
     stats
         .stages

@@ -359,8 +359,8 @@ fn discover_walks(
                 // dependency-dispatch order (same blocking producer as the
                 // batch kernel).
                 let mut remote: Option<Time> = None;
-                let (srcs, lats) = graph.in_of(gid);
-                for (&src, &lat) in srcs.iter().zip(lats) {
+                let srcs = graph.in_of(gid);
+                for (src, lat) in srcs.iter() {
                     let ps = graph.proc_of(src);
                     let si = (src - graph.base(ps)) as u64;
                     if si >= f1[ps] {
@@ -399,14 +399,14 @@ fn discover_walks(
                 };
 
                 corr[p].push(corrected.as_ps(), mem);
-                let out_deg = graph.out_of(gid).0.len() as i64;
+                let out_deg = graph.out_of(gid).len() as i64;
                 if out_deg > 0 {
                     *cnt[p].entry(i / w).or_insert(0) += out_deg;
                 }
                 // The remote reads above are now accountable: exactly one
                 // per in-edge, never repeated (a blocked scan commits
                 // nothing).
-                for &src in srcs {
+                for (src, _) in srcs.iter() {
                     let ps = graph.proc_of(src);
                     let si = (src - graph.base(ps)) as u64;
                     *cnt[ps].entry(si / w).or_insert(0) -= 1;
@@ -453,8 +453,7 @@ fn backward_walk(p: usize, wj: &WJump, graph: &DepGraph, postb: &mut [Lane], sna
             / wj.window.as_ps().max(1) as f64;
         let ramp = wj.delta.scale(frac.clamp(0.0, 1.0));
         let mut cap = Dur::MAX;
-        let (dsts, lats) = graph.out_of(gbase + i as u32);
-        for (&dst, &lat) in dsts.iter().zip(lats) {
+        for (dst, lat) in graph.out_of(gbase + i as u32).iter() {
             let pd = graph.proc_of(dst);
             let di = (dst - graph.base(pd)) as u64;
             cap = cap.min(
@@ -632,8 +631,8 @@ fn apply_and_emit(
                 let orig_t = Time::from_ps(orig[p].get(i));
 
                 let mut remote: Option<Time> = None;
-                let (srcs, lats) = graph.in_of(gid);
-                for (&src, &lat) in srcs.iter().zip(lats) {
+                let srcs = graph.in_of(gid);
+                for (src, lat) in srcs.iter() {
                     let ps = graph.proc_of(src);
                     let si = (src - graph.base(ps)) as u64;
                     if si >= f1[ps] {
@@ -664,13 +663,13 @@ fn apply_and_emit(
                     postb[p].push(corrected.as_ps(), mem);
                 }
                 let gid_u32 = gid;
-                let out_deg = graph.out_of(gid_u32).0.len() as i64;
+                let out_deg = graph.out_of(gid_u32).len() as i64;
                 let in_deg = srcs.len() as i64;
                 let adds = out_deg + if backward { in_deg } else { 0 };
                 if adds > 0 {
                     *cnt_snap[p].entry(i / w).or_insert(0) += adds;
                 }
-                for &src in srcs {
+                for (src, _) in srcs.iter() {
                     let ps = graph.proc_of(src);
                     let si = (src - graph.base(ps)) as u64;
                     *cnt_snap[ps].entry(si / w).or_insert(0) -= 1;
@@ -686,8 +685,7 @@ fn apply_and_emit(
                 // (2) rwalk: prefix of events whose out-edge targets are
                 // all corrected — a walk may clamp through any of them.
                 'rw: while rwalk[p] < f1[p] {
-                    let (dsts, _) = graph.out_of(gbase + rwalk[p] as u32);
-                    for &dst in dsts {
+                    for (dst, _) in graph.out_of(gbase + rwalk[p] as u32).iter() {
                         let pd = graph.proc_of(dst);
                         if ((dst - graph.base(pd)) as u64) >= f1[pd] {
                             break 'rw;
@@ -719,8 +717,7 @@ fn apply_and_emit(
                     i64::MAX
                 };
                 while b[p] < f1[p] && postb[p].get(b[p]) <= cur_sufmin {
-                    let (dsts, _) = graph.out_of(gbase + b[p] as u32);
-                    for &dst in dsts {
+                    for (dst, _) in graph.out_of(gbase + b[p] as u32).iter() {
                         let pd = graph.proc_of(dst);
                         let di = (dst - graph.base(pd)) as u64;
                         *cnt_snap[pd].entry(di / w).or_insert(0) -= 1;
@@ -738,8 +735,8 @@ fn apply_and_emit(
                     let orig_t = Time::from_ps(postb[p].get(i));
 
                     let mut remote: Option<Time> = None;
-                    let (srcs, lats) = graph.in_of(gid);
-                    for (&src, &lat) in srcs.iter().zip(lats) {
+                    let srcs = graph.in_of(gid);
+                    for (src, lat) in srcs.iter() {
                         let ps = graph.proc_of(src);
                         let si = (src - graph.base(ps)) as u64;
                         if si >= f2[ps] {
@@ -762,11 +759,11 @@ fn apply_and_emit(
                     };
 
                     f2v[p].push(corrected.as_ps(), mem);
-                    let out_deg = graph.out_of(gid).0.len() as i64;
+                    let out_deg = graph.out_of(gid).len() as i64;
                     if out_deg > 0 {
                         *cnt_f2[p].entry(i / w).or_insert(0) += out_deg;
                     }
-                    for &src in srcs {
+                    for (src, _) in srcs.iter() {
                         let ps = graph.proc_of(src);
                         let si = (src - graph.base(ps)) as u64;
                         *cnt_f2[ps].entry(si / w).or_insert(0) -= 1;

@@ -31,8 +31,14 @@ pub struct JobCost {
 }
 
 /// Per-event working-set charge: the decoded record itself plus the
-/// columnar timestamp copy, replay scratch, and matching entries the
-/// pipeline allocates per event.
+/// columnar timestamp copy, replay scratch, and the matching,
+/// dependency-graph and census-plan entries the pipeline allocates per
+/// event. The graph and the plan hold a collective as its member rows (a
+/// few words per `CollBegin`/`CollEnd`, whatever the communicator's
+/// width), never as its k·(k−1) logical messages, so a flat per-event rate
+/// covers them. What does not scale with events is one k × k `l_min` block
+/// per communicator — the order of the `LatencyTable` every job freezes,
+/// and bounded with it by the pipeline's rank ceiling.
 const PER_EVENT_OVERHEAD: u64 = 32;
 
 /// Flat charge per job (queue entry, report, per-proc maps).
@@ -62,8 +68,9 @@ pub fn estimate_job_cost(input: &JobInput) -> JobCost {
 /// O(window) timestamp columns resident, but it re-encodes the whole
 /// stream as corrected frames that accumulate until the submitter takes
 /// them, so the job pins roughly input + output bytes. The per-event
-/// record charge stays — message matching and the CSR dependency graph
-/// are O(trace) structural metadata on that path too.
+/// record charge stays — message matching and the dependency graph
+/// (message edges in CSR form, collectives as member rows) are O(events)
+/// structural metadata on that path too.
 fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> JobCost {
     let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     let est = estimate_columnar_stream(chunks.iter().map(|c| c.as_slice()));

@@ -17,21 +17,32 @@
 //!   ([`TraceColumns::flat`]), so the kernels gather straight from live
 //!   pipeline storage with **zero copies** per census round, and a check
 //!   is two indexed loads instead of two two-level lookups;
-//! * `l_min` bounds are frozen per check into a dense `i64` lane;
-//! * collective instances are pre-expanded into their logical messages
-//!   (paper §V flavour mapping), with per-instance ranges retained for the
-//!   `instances_affected` count.
+//! * point-to-point `l_min` bounds are frozen per check into a dense `i64`
+//!   lane;
+//! * collective instances are lowered into a [`CollTable`] — member rows
+//!   plus one `l_min` matrix per communicator — and never expanded into
+//!   their logical messages (paper §V flavour mapping).
 //!
-//! The census kernels then run over struct-of-arrays lanes in fixed-width
-//! chunks, accumulating per-chunk violation bitmasks branchlessly; the
-//! violation *list* is materialized only for chunks whose mask is nonzero,
-//! in message order, so reports are bit-identical to the reference checks
-//! — same counts, same violation order. On x86-64 with AVX2 the mask
-//! kernel additionally uses 4-lane `i64` gathers and packed compares
-//! behind runtime detection; the arithmetic is integer-only, so the
-//! specialization cannot change results.
+//! The point-to-point kernel runs over struct-of-arrays lanes in
+//! fixed-width chunks, accumulating per-chunk violation bitmasks
+//! branchlessly; the violation *list* is materialized only for chunks whose
+//! mask is nonzero, in message order, so reports are bit-identical to the
+//! reference checks — same counts, same violation order. On x86-64 with
+//! AVX2 the mask kernel additionally uses 4-lane `i64` gathers and packed
+//! compares behind runtime detection; the arithmetic is integer-only, so
+//! the specialization cannot change results.
+//!
+//! The collective kernel is dense: per instance it reads the `k` begin and
+//! `k` end times once into two small contiguous buffers and compares them
+//! against the instance's latency matrix row by row — the logical messages
+//! of one begin (or one end) are a contiguous run of ends (begins) against
+//! a contiguous run of bounds, so the inner loop is two sequential streams
+//! and a branchless tally. It counts exactly the pairs the reference check
+//! visits: those whose members differ in **rank**, which is exclusion by
+//! position wherever a communicator's ranks are distinct.
 
 use crate::analysis::{CollectiveInstance, MessageMatch};
+use crate::coll::{CollInstRef, CollTable, LatBlock};
 use crate::column::TraceColumns;
 use crate::event::CollFlavor;
 use crate::ids::EventId;
@@ -39,6 +50,7 @@ use crate::trace::Trace;
 use crate::violation::{CollReport, MinLatency, P2pReport, ViolatedMessage};
 use simclock::Dur;
 use std::fmt;
+use std::sync::Arc;
 
 /// Width of one census chunk: one `u64` violation bitmask per chunk.
 const CHUNK: usize = 64;
@@ -116,21 +128,35 @@ pub struct CensusPlan {
     p2p: CheckLane,
     /// Send/recv ids per message, for violation materialization.
     p2p_ids: Vec<(EventId, EventId)>,
-    /// Logical-message checks expanded from collectives.
-    coll: CheckLane,
-    /// Range of `coll` belonging to each instance.
-    inst_ranges: Vec<(u32, u32)>,
+    /// The collective instances, as member rows and latency blocks.
+    coll: Arc<CollTable>,
 }
 
 impl CensusPlan {
     /// Freeze a plan for a trace shape given as per-timeline event counts.
     ///
-    /// `lmin` is evaluated once per check here and never again; the
-    /// per-instance flavour expansion of `instances` happens here too.
+    /// `lmin` is evaluated once per message and once per rank pair of every
+    /// communicator here and never again.
     pub fn build(
         timeline_lens: &[usize],
         messages: &[MessageMatch],
         instances: &[CollectiveInstance],
+        lmin: &dyn MinLatency,
+    ) -> Result<CensusPlan, PlanBuildError> {
+        let coll = Arc::new(CollTable::build(timeline_lens, instances, lmin)?);
+        CensusPlan::with_table(timeline_lens, messages, coll, lmin)
+    }
+
+    /// [`build`](CensusPlan::build) over an already lowered collective
+    /// table — the one a `DepGraph` of the same trace carries — so a job
+    /// lowers its collectives once for both consumers.
+    ///
+    /// # Panics
+    /// Panics when `coll` was built for a different event count.
+    pub fn with_table(
+        timeline_lens: &[usize],
+        messages: &[MessageMatch],
+        coll: Arc<CollTable>,
         lmin: &dyn MinLatency,
     ) -> Result<CensusPlan, PlanBuildError> {
         let lens: Vec<u32> = timeline_lens.iter().map(|&l| l as u32).collect();
@@ -143,6 +169,7 @@ impl CensusPlan {
         if base > i32::MAX as u64 {
             return Err(PlanBuildError::TraceTooLarge);
         }
+        assert_eq!(coll.n_events() as u64, base, "plan/collective-table event count mismatch");
         let locate = |id: EventId| -> Result<u64, PlanBuildError> {
             if id.p() < lens.len() && id.idx < lens[id.p()] {
                 Ok(proc_base[id.p()] + u64::from(id.idx))
@@ -158,63 +185,7 @@ impl CensusPlan {
             p2p_ids.push((m.send, m.recv));
         }
 
-        // Expand each instance into the same logical-message set the
-        // reference check derives (counts are order-independent, so only
-        // the per-instance multiset must match).
-        let mut coll = CheckLane::default();
-        let mut inst_ranges = Vec::with_capacity(instances.len());
-        for inst in instances {
-            let start = coll.len() as u32;
-            match inst.op.flavor() {
-                CollFlavor::OneToN => {
-                    if let Some(root) = inst.root_member().copied() {
-                        let f = locate(root.begin)?;
-                        for m in &inst.members {
-                            if m.rank != root.rank {
-                                coll.push(f, locate(m.end)?, lmin.l_min(root.rank, m.rank));
-                            }
-                        }
-                    }
-                }
-                CollFlavor::NToOne => {
-                    if let Some(root) = inst.root_member().copied() {
-                        let t = locate(root.end)?;
-                        for m in &inst.members {
-                            if m.rank != root.rank {
-                                coll.push(locate(m.begin)?, t, lmin.l_min(m.rank, root.rank));
-                            }
-                        }
-                    }
-                }
-                CollFlavor::NToN => {
-                    for a in &inst.members {
-                        let f = locate(a.begin)?;
-                        for b in &inst.members {
-                            if a.rank != b.rank {
-                                coll.push(f, locate(b.end)?, lmin.l_min(a.rank, b.rank));
-                            }
-                        }
-                    }
-                }
-                CollFlavor::Prefix => {
-                    for (ai, a) in inst.members.iter().enumerate() {
-                        let f = locate(a.begin)?;
-                        for b in inst.members.iter().skip(ai + 1) {
-                            coll.push(f, locate(b.end)?, lmin.l_min(a.rank, b.rank));
-                        }
-                    }
-                }
-            }
-            inst_ranges.push((start, coll.len() as u32));
-        }
-
-        Ok(CensusPlan {
-            lens,
-            p2p,
-            p2p_ids,
-            coll,
-            inst_ranges,
-        })
+        Ok(CensusPlan { lens, p2p, p2p_ids, coll })
     }
 
     /// [`build`](CensusPlan::build) against the shape of `cols`.
@@ -235,7 +206,15 @@ impl CensusPlan {
 
     /// Number of collective instances in the plan.
     pub fn n_instances(&self) -> usize {
-        self.inst_ranges.len()
+        self.coll.n_instances()
+    }
+
+    /// Heap bytes the plan holds, its collective table included.
+    pub fn heap_bytes(&self) -> usize {
+        4 * self.lens.len()
+            + self.p2p.len() * (4 + 4 + 8)
+            + self.p2p_ids.len() * std::mem::size_of::<(EventId, EventId)>()
+            + self.coll.heap_bytes()
     }
 
     /// Borrow the flat gather array of `cols` — the slab itself. Zero
@@ -311,7 +290,7 @@ impl CensusPlan {
     /// Collective census over all planned instances. `times` is the flat
     /// timeline-major timestamp array ([`flat_of`](CensusPlan::flat_of)).
     pub fn collective_census(&self, times: &[i64]) -> CollReport {
-        self.collective_census_range(times, 0, self.inst_ranges.len())
+        self.collective_census_range(times, 0, self.coll.n_instances())
     }
 
     /// Collective census over the instance range `lo..hi`. Shard reports
@@ -321,22 +300,106 @@ impl CensusPlan {
             instances: hi - lo,
             ..CollReport::default()
         };
-        for &(start, end) in &self.inst_ranges[lo..hi] {
-            let (mut start, end) = (start as usize, end as usize);
-            report.logical_total += end - start;
-            let mut violated_here = 0usize;
-            while start < end {
-                let chunk_end = (start + CHUNK).min(end);
-                let (vmask, rmask) = lane_masks(&self.coll, times, start, chunk_end);
-                violated_here += vmask.count_ones() as usize;
-                report.logical_reversed += (vmask & rmask).count_ones() as usize;
-                start = chunk_end;
-            }
-            report.logical_violated += violated_here;
-            report.instances_affected += usize::from(violated_here > 0);
+        let mut begins: Vec<i64> = Vec::new();
+        let mut ends: Vec<i64> = Vec::new();
+        for i in lo..hi {
+            let inst = self.coll.instance(i);
+            begins.clear();
+            begins.extend(inst.begins.iter().map(|&g| times[g as usize]));
+            ends.clear();
+            ends.extend(inst.ends.iter().map(|&g| times[g as usize]));
+            let tally = instance_tally(&inst, &begins, &ends);
+            report.logical_total += tally.total;
+            report.logical_violated += tally.violated;
+            report.logical_reversed += tally.reversed;
+            report.instances_affected += usize::from(tally.violated > 0);
         }
         report
     }
+}
+
+/// Logical-message counts of one collective instance.
+#[derive(Default)]
+struct Tally {
+    total: usize,
+    violated: usize,
+    reversed: usize,
+}
+
+impl Tally {
+    /// The logical messages between one fixed event and a run of others,
+    /// `bounds[j]` being the `l_min` of the pair `(fixed, others[j])`:
+    /// from `fixed` to each of `others` when `outgoing`, the other way
+    /// round otherwise. Wrapping subtraction equals the reference's plain
+    /// one wherever that does not overflow.
+    #[inline]
+    fn run(&mut self, fixed: i64, others: &[i64], bounds: &[i64], outgoing: bool) {
+        self.total += others.len();
+        for (&other, &bound) in others.iter().zip(bounds) {
+            let transfer =
+                if outgoing { other.wrapping_sub(fixed) } else { fixed.wrapping_sub(other) };
+            let violated = transfer < bound;
+            self.violated += usize::from(violated);
+            self.reversed += usize::from(violated & (transfer < 0));
+        }
+    }
+
+    /// [`run`](Tally::run) over every member but those sharing the rank of
+    /// member `x` (the member `fixed` belongs to) — the census's exclusion
+    /// rule. With distinct ranks that is every position but `x`: two
+    /// contiguous runs.
+    #[inline]
+    fn run_excluding_rank_of(
+        &mut self,
+        x: usize,
+        block: &LatBlock,
+        fixed: i64,
+        others: &[i64],
+        bounds: &[i64],
+        outgoing: bool,
+    ) {
+        if block.ranks_distinct() {
+            self.run(fixed, &others[..x], &bounds[..x], outgoing);
+            self.run(fixed, &others[x + 1..], &bounds[x + 1..], outgoing);
+        } else {
+            let ranks = block.ranks();
+            for j in (0..others.len()).filter(|&j| ranks[j] != ranks[x]) {
+                self.run(fixed, &others[j..=j], &bounds[j..=j], outgoing);
+            }
+        }
+    }
+}
+
+/// Census one instance from its gathered begin and end times (by member
+/// position): the logical messages of the §V flavour mapping, as the
+/// reference [`check_collectives_at`](crate::violation::check_collectives_at)
+/// enumerates them.
+fn instance_tally(inst: &CollInstRef<'_>, begins: &[i64], ends: &[i64]) -> Tally {
+    let block = inst.block;
+    let mut tally = Tally::default();
+    match (inst.flavor, inst.root_pos) {
+        (CollFlavor::OneToN, Some(r)) => {
+            tally.run_excluding_rank_of(r, block, begins[r], ends, block.from_member(r), true);
+        }
+        (CollFlavor::NToOne, Some(r)) => {
+            tally.run_excluding_rank_of(r, block, ends[r], begins, block.to_member(r), false);
+        }
+        // A rooted instance whose root takes no part constrains nothing.
+        (CollFlavor::OneToN | CollFlavor::NToOne, None) => {}
+        (CollFlavor::NToN, _) => {
+            for (a, &begin) in begins.iter().enumerate() {
+                tally.run_excluding_rank_of(a, block, begin, ends, block.from_member(a), true);
+            }
+        }
+        // Every lower member's begin against every higher member's end; no
+        // rank exclusion.
+        (CollFlavor::Prefix, _) => {
+            for (a, &begin) in begins.iter().enumerate() {
+                tally.run(begin, &ends[a + 1..], &block.from_member(a)[a + 1..], true);
+            }
+        }
+    }
+    tally
 }
 
 /// Violation and reversal bitmasks for checks `lo..hi` of a lane

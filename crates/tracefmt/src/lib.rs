@@ -11,6 +11,8 @@
 //! * [`violation`] — clock-condition checks (paper Eq. 1) for point-to-point
 //!   messages, logical messages derived from collectives, and the POMP
 //!   shared-memory rules of Fig. 8;
+//! * [`coll`] — the collective member table both the CLC's dependency graph
+//!   and the plan-based census ([`census`]) read collectives from;
 //! * [`stats`] — Welford summaries, line fits and percentiles for the
 //!   experiment tables;
 //! * [`io`] — text and binary trace codecs.
@@ -21,6 +23,7 @@ pub mod analysis;
 pub mod archive;
 pub mod cast;
 pub mod census;
+pub mod coll;
 pub mod column;
 pub mod diff;
 pub mod event;
@@ -40,6 +43,7 @@ pub use analysis::{
     RegionThread,
 };
 pub use census::{CensusPlan, PlanBuildError};
+pub use coll::{CollInstRef, CollTable, LatBlock};
 pub use column::{TimeColumn, TimeSource, TraceColumns};
 pub use event::{CollFlavor, CollOp, EventKind, EventRecord};
 pub use ids::{CommId, EventId, Location, Rank, RegionId, Tag, ThreadId};

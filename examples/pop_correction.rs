@@ -7,9 +7,10 @@
 //! cargo run --release --example pop_correction
 //! ```
 
-use drift_lab::clocksync::{ClcParams, PipelineConfig, PreSync};
+use drift_lab::clocksync::{ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use drift_lab::experiments::fig7::{pop_program, traced_run};
 use drift_lab::prelude::*;
+use drift_lab::tracefmt::CensusPlan;
 
 fn main() {
     // A scaled-down mref-like POP run (time compression keeps the drift
@@ -37,6 +38,24 @@ fn main() {
         })
         .collect();
     let lmin = move |a: Rank, b: Rank| lmin_table[a.idx()][b.idx()];
+
+    // What the pipeline will hold for this trace's communication structure:
+    // message edges are stored, an allreduce is 32 member rows however many
+    // logical messages (32 x 31) the paper's mapping derives from it.
+    let analysis = TraceAnalysis::capture(&tr.trace).expect("well-formed trace");
+    let lens: Vec<usize> = tr.trace.procs.iter().map(|p| p.events.len()).collect();
+    let graph = DepGraph::build(&analysis.matching, &analysis.instances, &lens, &lmin);
+    let plan = CensusPlan::build(&lens, &analysis.matching.messages, &analysis.instances, &lmin)
+        .expect("plan builds");
+    println!(
+        "{} constraints lowered as {} message edges + {} collective member rows: \
+         graph {} KiB, census plan {} KiB",
+        graph.n_edges(),
+        analysis.matching.messages.len(),
+        graph.coll_table().n_members(),
+        graph.heap_bytes() / 1024,
+        plan.heap_bytes() / 1024,
+    );
 
     // Scalasca's pipeline: Eq. 3 interpolation, then the CLC, sharded
     // across the machine's cores (bit-identical to the sequential path).

@@ -14,7 +14,9 @@
 #    the >=2x v3 zero-copy ingest speedup and refreshes BENCH_ingest.json,
 #    the pipeline smoke run refreshes BENCH_pipeline.json and the perf
 #    gates below fail the script if the parallel-CLC speedup over serial
-#    or the SIMD census-kernel / v3-ingest throughput regresses; the
+#    or the SIMD census-kernel / v3-ingest throughput regresses, and the
+#    stage-share gate runs the POP example and fails unless `lower` runs
+#    at >= 3x the event rate of `clc`; the
 #    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
 #    its report; the incremental smoke run refreshes
 #    BENCH_incremental.json and the residency gate fails the script if
@@ -164,6 +166,29 @@ kernel_throughput_gate() {
     fi
 }
 gate "kernel throughput from BENCH_pipeline.json / BENCH_ingest.json" kernel_throughput_gate
+
+# Stage-share gate: on the POP example (32 ranks, 600 allreduces — 98 % of
+# its 608 000 constraints are collective) `lower` must run at >= 3x the
+# event rate of `clc`. Both rows come from one run on one host, so the
+# ratio is machine-independent: it was 1.66x while `lower` expanded every
+# allreduce into its 32 x 31 logical edges and is > 10x with collectives
+# lowered as member rows, so a re-expansion cannot land silently.
+stage_share_gate() {
+    local out lower clc
+    out=$(cargo run --release -q --example pop_correction) || return 1
+    lower=$(awk '$1 == "lower" { print $6 }' <<<"$out")
+    clc=$(awk '$1 == "clc" { print $6 }' <<<"$out")
+    if [[ -z "$lower" || -z "$clc" ]]; then
+        echo "stage-share gate: no lower/clc rows in the example's stage table" >&2
+        return 1
+    fi
+    echo "    lower ${lower} items/s, clc ${clc} items/s"
+    if ! awk -v l="$lower" -v c="$clc" 'BEGIN { exit !(l >= 3 * c) }'; then
+        echo "stage-share gate: lower at ${lower} items/s is under 3x clc's ${clc}" >&2
+        return 1
+    fi
+}
+gate "stage shares: pop_correction" stage_share_gate
 
 # Residency gate: the incremental windowed engine's whole contract is
 # that its resident timestamp columns are O(window), not O(trace). The

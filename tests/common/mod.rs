@@ -131,8 +131,18 @@ pub fn drifted_trace(
         }
     }
     let end = *now.iter().max().expect("non-empty") + 100;
-    // Offset probes at init and finalize: `offset` is master − worker at
-    // the probe instant, deliberately off by a few µs of asymmetry error.
+    let (init, fin) = probe_measurements(&cl, end, &mut rng);
+    (trace, init, fin, UniformLatency(Dur::from_us(lmin_us)))
+}
+
+/// Offset probes of every clock at init (true time 0) and finalize (`end`):
+/// `offset` is master − worker at the probe instant, deliberately off by a
+/// few µs of asymmetry error.
+fn probe_measurements(
+    cl: &[ProcClock],
+    end: i64,
+    rng: &mut StdRng,
+) -> (Vec<Option<OffsetMeasurement>>, Vec<Option<OffsetMeasurement>>) {
     let measure = |p: usize, true_us: i64, err_us: i64| -> Option<OffsetMeasurement> {
         if p == 0 {
             return None;
@@ -144,10 +154,146 @@ pub fn drifted_trace(
             rtt: Dur::from_us(12),
         })
     };
-    let errs: Vec<i64> = (0..procs).map(|_| rng.gen_range(-6i64..6)).collect();
-    let init: Vec<_> = (0..procs).map(|p| measure(p, 0, errs[p])).collect();
-    let fin: Vec<_> = (0..procs).map(|p| measure(p, end, -errs[p])).collect();
-    (trace, init, fin, UniformLatency(Dur::from_us(lmin_us)))
+    let errs: Vec<i64> = (0..cl.len()).map(|_| rng.gen_range(-6i64..6)).collect();
+    let init = (0..cl.len()).map(|p| measure(p, 0, errs[p])).collect();
+    let fin = (0..cl.len()).map(|p| measure(p, end, -errs[p])).collect();
+    (init, fin)
+}
+
+// ------------------------------------------------------- collective zoo --
+
+/// A per-pair latency model that is nowhere symmetric and, below rank 7,
+/// nowhere equal for two different rank pairs — by whole microseconds, the
+/// granularity of the fixtures' timestamps: under it a transposed latency
+/// matrix, a wrong matrix, or `l_min(b, a)` for `l_min(a, b)` all change
+/// results, which [`UniformLatency`] hides.
+pub fn directed_latency(base_us: i64) -> impl Fn(Rank, Rank) -> Dur + Sync {
+    move |from: Rank, to: Rank| {
+        Dur::from_us(base_us + 7 * i64::from(from.0 % 8) + i64::from(to.0 % 8))
+    }
+}
+
+/// A causally valid trace exercising everything the collective lowering
+/// distinguishes, recorded through `local_at(timeline, true_us)`:
+///
+/// * `procs ≥ 3` timelines with ranks `0..procs` exchanging point-to-point
+///   messages, one *empty* timeline (index 1, so it shifts every later
+///   timeline's flat offsets) and one extra timeline sharing rank 1 (a
+///   second thread; it takes part in collectives only);
+/// * collectives of all four data-flow flavours with the root rotating
+///   over the member *ranks* — so the shared rank is the root at times —
+///   on `WORLD` and on two overlapping sub-communicators.
+///
+/// On the true timeline every constraint holds with only a few µs to spare
+/// over `lmin`, so small clock errors already violate it.
+pub fn collective_zoo_trace(
+    procs: usize,
+    rounds: usize,
+    seed: u64,
+    lmin: &dyn MinLatency,
+    local_at: &dyn Fn(usize, i64) -> i64,
+) -> Trace {
+    use drift_lab::tracefmt::{Location, ProcessTrace, ThreadId};
+    assert!(procs >= 3);
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Timeline → rank: 0, the empty one, 1..procs, then rank 1 again.
+    let mut ranks: Vec<u32> = vec![0, procs as u32];
+    ranks.extend(1..procs as u32);
+    ranks.push(1);
+    let n = ranks.len();
+    let mut trace = Trace {
+        procs: (0..n)
+            .map(|p| {
+                ProcessTrace::new(Location { rank: Rank(ranks[p]), thread: ThreadId((p == n - 1) as u32) })
+            })
+            .collect(),
+    };
+    let live: Vec<usize> = (0..n).filter(|&p| p != 1).collect();
+    let p2p: Vec<usize> = live[..live.len() - 1].to_vec();
+    // Every other live timeline plus both holders of rank 1.
+    let mut evens: Vec<usize> = live.iter().copied().step_by(2).chain([2, n - 1]).collect();
+    evens.sort_unstable();
+    evens.dedup();
+    let comms: [(CommId, Vec<usize>); 3] = [
+        (CommId::WORLD, live.clone()),
+        (CommId(1), evens),
+        (CommId(2), live[live.len() / 3..].to_vec()),
+    ];
+    let ops = [
+        CollOp::Barrier,
+        CollOp::Bcast,
+        CollOp::Reduce,
+        CollOp::Scan,
+        CollOp::Allreduce,
+        CollOp::Gather,
+        CollOp::Scatter,
+        CollOp::Alltoall,
+    ];
+    let mut now = vec![0i64; n];
+    let mut n_colls = 0usize;
+    for m in 0..rounds {
+        let from = p2p[rng.gen_range(0usize..p2p.len())];
+        let to = p2p[(p2p.iter().position(|&p| p == from).expect("member")
+            + rng.gen_range(1usize..p2p.len()))
+            % p2p.len()];
+        let send_true = now[from] + rng.gen_range(5i64..80);
+        now[from] = send_true;
+        let l_us = |a: usize, b: usize| lmin.l_min(Rank(ranks[a]), Rank(ranks[b])).as_ps() / 1_000_000 + 1;
+        let recv_true = (send_true + l_us(from, to)).max(now[to] + 1) + rng.gen_range(0i64..8);
+        now[to] = recv_true;
+        trace.procs[from].push(
+            Time::from_us(local_at(from, send_true)),
+            EventKind::Send { to: Rank(ranks[to]), tag: Tag(m as u32), bytes: 64 },
+        );
+        trace.procs[to].push(
+            Time::from_us(local_at(to, recv_true)),
+            EventKind::Recv { from: Rank(ranks[from]), tag: Tag(m as u32), bytes: 64 },
+        );
+        if m % 5 == 4 {
+            let op = ops[n_colls % ops.len()];
+            let (comm, members) = &comms[n_colls % comms.len()];
+            let root = op
+                .has_root()
+                .then(|| Rank(ranks[members[(n_colls / 3) % members.len()]]));
+            n_colls += 1;
+            let enters: Vec<i64> =
+                members.iter().map(|&p| now[p] + rng.gen_range(1i64..30)).collect();
+            for (&p, &my_enter) in members.iter().zip(&enters) {
+                // Out no sooner than every member's begin has reached us.
+                let reached = members.iter().zip(&enters).map(|(&q, &t)| t + l_us(q, p));
+                let exit = reached.max().expect("non-empty").max(my_enter + 1)
+                    + rng.gen_range(0i64..5);
+                trace.procs[p].push(
+                    Time::from_us(local_at(p, my_enter)),
+                    EventKind::CollBegin { op, comm: *comm, root, bytes: 8 },
+                );
+                trace.procs[p].push(
+                    Time::from_us(local_at(p, exit)),
+                    EventKind::CollEnd { op, comm: *comm, root, bytes: 8 },
+                );
+                now[p] = exit;
+            }
+        }
+    }
+    trace
+}
+
+/// [`collective_zoo_trace`] recorded through drifting clocks, with probe
+/// measurements for the pre-synchronisation stage — the zoo counterpart of
+/// [`drifted_trace`].
+pub fn drifted_zoo_trace(
+    procs: usize,
+    rounds: usize,
+    model: &str,
+    seed: u64,
+    lmin: &dyn MinLatency,
+) -> (Trace, Vec<Option<OffsetMeasurement>>, Vec<Option<OffsetMeasurement>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cl = clocks(procs + 2, model, &mut rng);
+    let trace = collective_zoo_trace(procs, rounds, seed, lmin, &|p, t| cl[p].local_at(t));
+    let end = 100 + 400 * rounds as i64;
+    let (init, fin) = probe_measurements(&cl, end, &mut rng);
+    (trace, init, fin)
 }
 
 /// Assert two traces agree event-for-event (timestamps and kinds).
@@ -416,8 +562,37 @@ pub fn v3_ingest_differential_matrix() {
             }
         }
     }
+    // The collective zoo under the directed latency model: every flavour,
+    // overlapping communicators, a shared rank and an empty timeline, where
+    // a transposed or misplaced latency block changes censuses and jumps.
+    let lmin = directed_latency(3);
+    for (mi, model) in models.iter().enumerate() {
+        let (base, init, fin) = drifted_zoo_trace(6, 400, model, 42_000 + mi as u64, &lmin);
+        let v3 = to_binary_columnar_v3_blocked(&base, 256);
+        let seq = PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+        let mut ref_trace = base.clone();
+        let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
+        for workers in [None, Some(2usize)] {
+            let ctx = format!("zoo {model} workers={workers:?}");
+            let cfg = PipelineConfig {
+                parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 57 }),
+                ..seq.clone()
+            };
+            let mut trace = base.clone();
+            let rep = synchronize(&mut trace, &init, Some(&fin), &lmin, &cfg)
+                .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+            assert_identical(&ref_trace, &trace, &ctx);
+            assert_report_matches_reference(&reference, &rep, &ctx);
+            let (v3_trace, v3_rep) =
+                synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
+            assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
+            assert_report_matches_reference(&reference, &v3_rep, &ctx);
+            legs += 1;
+        }
+    }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() * 2 + models.len() * 2;
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
 

@@ -12,14 +12,17 @@
 mod common;
 
 use common::{
-    assert_identical, assert_report_matches_reference, drifted_trace, graph_edges,
-    reference_edges, reference_synchronize,
+    assert_identical, assert_report_matches_reference, directed_latency, drifted_trace,
+    drifted_zoo_trace, graph_edges, reference_edges, reference_synchronize,
 };
 use drift_lab::clocksync::{
     synchronize, ClcParams, DepGraph, ParallelConfig, PipelineConfig, PreSync, TraceAnalysis,
 };
 use drift_lab::simclock::Time;
-use drift_lab::tracefmt::{CollOp, CommId, EventKind, Rank, Trace, UniformLatency};
+use drift_lab::tracefmt::{
+    check_collectives_at, CensusPlan, CollOp, CommId, EventKind, Location, ProcessTrace, Rank,
+    ThreadId, Trace, TraceColumns, UniformLatency,
+};
 
 // ----------------------------------------------------------------- tests --
 
@@ -87,9 +90,69 @@ fn csr_lowers_every_collective_flavour() {
     assert_eq!(graph.n_edges(), 3 + 3 + 12 + 6);
 }
 
+/// The CLC excludes a member's own begin by *position*, the census
+/// excludes pairs of equal *rank*; the two read one member table and must
+/// not borrow each other's rule. Three timelines, two of them threads of
+/// rank 1, in one communicator: a barrier is 3·2 = 6 edges for the CLC
+/// (each end waits on both other begins, the same-rank one included) but
+/// 4 logical messages for the census (the 1↔1 pairs are no messages), and
+/// a broadcast from rank 1 — rooted at its first holder — is 2 edges but
+/// 1 logical message.
+#[test]
+fn shared_rank_timelines_keep_position_and_rank_rules_apart() {
+    let mut t = Trace {
+        procs: [(0, 0), (1, 0), (1, 1)]
+            .map(|(rank, thread)| {
+                ProcessTrace::new(Location { rank: Rank(rank), thread: ThreadId(thread) })
+            })
+            .into(),
+    };
+    for (round, (op, root)) in
+        [(CollOp::Barrier, None), (CollOp::Bcast, Some(Rank(1))), (CollOp::Reduce, Some(Rank(1)))]
+            .into_iter()
+            .enumerate()
+    {
+        for p in 0..3 {
+            let at = 100 * round as i64 + 7 * p as i64;
+            t.procs[p].push(
+                Time::from_us(at),
+                EventKind::CollBegin { op, comm: CommId::WORLD, root, bytes: 8 },
+            );
+            t.procs[p].push(
+                Time::from_us(at + 2),
+                EventKind::CollEnd { op, comm: CommId::WORLD, root, bytes: 8 },
+            );
+        }
+    }
+    let lmin = directed_latency(3);
+    let analysis = TraceAnalysis::capture(&t).expect("well-formed trace");
+
+    // Position rule, against the edge oracle.
+    let graph = DepGraph::from_trace(&t, &analysis.matching, &analysis.instances, &lmin);
+    let want = reference_edges(&analysis, &lmin);
+    let (via_in, via_out) = graph_edges(&t, &graph);
+    assert_eq!(via_in, want);
+    assert_eq!(via_out, want);
+    assert_eq!(graph.n_edges(), 6 + 2 + 2);
+
+    // Rank rule, against the reference check.
+    let cols = TraceColumns::gather(&t);
+    let plan = CensusPlan::for_columns(&cols, &[], &analysis.instances, &lmin).expect("plan");
+    let got = plan.collective_census(plan.flat_of(&cols));
+    let reference = check_collectives_at(&cols, &analysis.instances, &lmin);
+    assert_eq!(got.logical_total, 4 + 1 + 1);
+    assert_eq!(got.logical_total, reference.logical_total);
+    assert_eq!(got.logical_violated, reference.logical_violated);
+    assert_eq!(got.logical_reversed, reference.logical_reversed);
+    assert_eq!(got.instances_affected, reference.instances_affected);
+    assert!(reference.logical_violated > 0, "the fixture should violate");
+    assert_ne!(graph.n_edges(), got.logical_total, "the two rules must differ here");
+}
+
 /// The CLC is bit-identical through the map-based reference (the oracle)
 /// and every CSR-backed path of the pipeline — serial kernels and replay —
-/// over the full drift-model × PreSync × workers matrix.
+/// over the full drift-model × PreSync × workers matrix, and again on the
+/// collective zoo under a direction-dependent latency model.
 #[test]
 fn clc_is_bit_identical_through_maps_and_csr() {
     let models = ["constant", "sinusoid", "randomwalk"];
@@ -121,6 +184,36 @@ fn clc_is_bit_identical_through_maps_and_csr() {
             }
         }
     }
-    let floor = models.len() * presyncs.len() * worker_counts.len();
+    // The asymmetric-latency leg: all four flavours, rotating roots,
+    // overlapping communicators, a shared rank, an empty timeline. A
+    // transposed or misplaced latency block moves jumps and censuses here.
+    let lmin = directed_latency(3);
+    let (base, init, fin) = drifted_zoo_trace(6, 600, "sinusoid", 7100, &lmin);
+    for presync in presyncs {
+        let seq = PipelineConfig {
+            presync,
+            clc: Some(ClcParams::default()),
+            ..PipelineConfig::default()
+        };
+        let mut ref_trace = base.clone();
+        let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
+        let (raw, .., clc) = &reference;
+        assert!(raw.coll.logical_violated > 0, "zoo {presync:?}: nothing to census");
+        assert!(clc.as_ref().is_some_and(|c| c.n_jumps() > 0), "zoo {presync:?}: nothing to fix");
+        for workers in worker_counts {
+            let ctx = format!("zoo {presync:?} workers={workers:?}");
+            let cfg = PipelineConfig {
+                parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 64 }),
+                ..seq.clone()
+            };
+            let mut t = base.clone();
+            let rep = synchronize(&mut t, &init, Some(&fin), &lmin, &cfg)
+                .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+            assert_identical(&ref_trace, &t, &ctx);
+            assert_report_matches_reference(&reference, &rep, &ctx);
+            legs += 1;
+        }
+    }
+    let floor = (models.len() + 1) * presyncs.len() * worker_counts.len();
     assert!(legs >= floor, "CLC matrix ran only {legs} legs (expected {floor})");
 }

@@ -1,16 +1,27 @@
-//! Property-based round-trip guarantees for the CSR dependency-graph
-//! lowering: over random traces — including traces rebuilt from chunked
-//! *and truncated* streamed ingest — every edge the communication analysis
-//! implies must come back out of the flat offsets/edges arrays with its
-//! correct `l_min` latency, and no phantom edge may appear.
+//! Property-based round-trip guarantees for the dependency-graph lowering
+//! and its census twin: over random traces — including traces rebuilt from
+//! chunked *and truncated* streamed ingest — every edge the communication
+//! analysis implies must come back out of the graph's views with its
+//! correct `l_min` latency, no phantom edge may appear, the logical edge
+//! count and the replay ring capacities must be the ones the edge set
+//! implies, and the plan-based collective census must report what the
+//! reference check reports.
+//!
+//! Two trace families: world collectives of one flavour under a uniform
+//! latency (where a truncated stream still analyses), and the collective
+//! zoo of `tests/common` — all four flavours with rotating roots on three
+//! overlapping communicators, two timelines sharing a rank, an empty
+//! timeline — under a per-pair latency model that is nowhere symmetric, so
+//! a transposed latency block or a block taken from the wrong communicator
+//! cannot hide.
 
 mod common;
 
-use common::{graph_edges, reference_edges};
+use common::{collective_zoo_trace, directed_latency, graph_edges, reference_edges};
 use drift_lab::clocksync::{DepGraph, TraceAnalysis};
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{to_binary_columnar, StreamDecoder, TraceBuilder};
-use drift_lab::tracefmt::CollOp;
+use drift_lab::tracefmt::{check_collectives_at, CensusPlan, CollOp, MinLatency, TraceColumns};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------ strategies --
@@ -74,25 +85,66 @@ fn arb_mixed_trace() -> impl Strategy<Value = (Trace, i64)> {
         })
 }
 
-/// Edge-set equality between the CSR lowering and the analysis-implied
-/// reference on `trace`; also checks the in/out views against each other.
-/// Panics on any divergence; silently returns when the trace does not
-/// analyse (a truncated trace can legitimately cut a collective in half —
-/// the pipeline rejects it before any lowering would run).
-fn assert_round_trip(trace: &Trace, lmin_us: i64) {
-    let lmin = UniformLatency(Dur::from_us(lmin_us));
+/// The collective zoo recorded through static per-timeline skews, with the
+/// base of its directed latency model.
+fn arb_zoo_trace() -> impl Strategy<Value = (Trace, i64)> {
+    (3usize..7, 5usize..70, 0u64..1_000_000, prop::collection::vec(-200i64..200, 9), 1i64..15)
+        .prop_map(|(procs, rounds, seed, skews, base_us)| {
+            let lmin = directed_latency(base_us);
+            (collective_zoo_trace(procs, rounds, seed, &lmin, &|p, t| t + skews[p]), base_us)
+        })
+}
+
+/// Edge-set equality between the lowering and the analysis-implied
+/// reference on `trace`; also checks the in/out views against each other,
+/// the logical edge count, and every ring capacity. Panics on any
+/// divergence; silently returns when the trace does not analyse (a
+/// truncated trace can legitimately cut a collective in half — the
+/// pipeline rejects it before any lowering would run).
+fn assert_round_trip(trace: &Trace, lmin: &dyn MinLatency) {
     let analysis = match TraceAnalysis::capture(trace) {
         Ok(a) => a,
         Err(_) => return,
     };
-    let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, &lmin);
-    let want = reference_edges(&analysis, &lmin);
+    let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, lmin);
+    let want = reference_edges(&analysis, lmin);
     let (via_in, via_out) = graph_edges(trace, &graph);
     assert_eq!(via_in, want, "in-edge view diverges from the analysis");
     assert_eq!(via_out, want, "out-edge view diverges from the analysis");
     assert_eq!(graph.n_edges(), want.len(), "edge count diverges");
     assert_eq!(graph.n_events(), trace.n_events());
     assert!(graph.local_cycle().is_none(), "spurious local cycle");
+    let n = trace.n_procs();
+    let mut cross = vec![0u32; n * n];
+    for &(q, _, p, _, _) in &want {
+        if q != p {
+            cross[q as usize * n + p as usize] += 1;
+        }
+    }
+    for q in 0..n {
+        for p in 0..n {
+            assert_eq!(graph.cross_count(q, p), cross[q * n + p], "ring capacity {q}->{p}");
+        }
+    }
+}
+
+/// The plan-based collective census against the reference check, whole
+/// and instance-sharded, on the trace's recorded timestamps.
+fn assert_collective_census(trace: &Trace, lmin: &dyn MinLatency) {
+    let analysis = TraceAnalysis::capture(trace).expect("zoo traces analyse");
+    let cols = TraceColumns::gather(trace);
+    let plan = CensusPlan::for_columns(&cols, &[], &analysis.instances, lmin).expect("plan builds");
+    let want = check_collectives_at(&cols, &analysis.instances, lmin);
+    let fields = |r: &drift_lab::tracefmt::CollReport| {
+        (r.instances, r.logical_total, r.logical_violated, r.logical_reversed, r.instances_affected)
+    };
+    let flat = plan.flat_of(&cols);
+    assert_eq!(fields(&plan.collective_census(flat)), fields(&want), "whole census");
+    let mut sharded = drift_lab::tracefmt::CollReport::default();
+    for lo in (0..plan.n_instances()).step_by(3) {
+        sharded.merge(plan.collective_census_range(flat, lo, (lo + 3).min(plan.n_instances())));
+    }
+    assert_eq!(fields(&sharded), fields(&want), "sharded census");
 }
 
 proptest! {
@@ -101,8 +153,21 @@ proptest! {
     /// Direct round trip: lower a random trace into CSR and read every
     /// edge back out — nothing dropped, nothing invented.
     #[test]
-    fn csr_recovers_every_edge_and_no_phantoms((trace, lmin_us) in arb_mixed_trace()) {
-        assert_round_trip(&trace, lmin_us);
+    fn csr_recovers_every_edge_and_no_phantoms(
+        (trace, lmin_us) in arb_mixed_trace(),
+        (zoo, base_us) in arb_zoo_trace(),
+    ) {
+        assert_round_trip(&trace, &UniformLatency(Dur::from_us(lmin_us)));
+        assert_round_trip(&zoo, &directed_latency(base_us));
+    }
+
+    /// The census twin of the round trip: the dense collective kernel
+    /// counts exactly the logical messages the reference check visits —
+    /// pairs of different *rank* — with the bound of the right direction,
+    /// and the skews leave plenty of them violated and reversed.
+    #[test]
+    fn collective_census_equals_the_reference_check((zoo, base_us) in arb_zoo_trace()) {
+        assert_collective_census(&zoo, &directed_latency(base_us));
     }
 
     /// The same round trip on a trace rebuilt from *streamed* ingest fed
@@ -127,7 +192,8 @@ proptest! {
         dec.finish().expect("stream complete");
         let (streamed, _cols) = builder.finish_parts();
         prop_assert_eq!(streamed.n_events(), trace.n_events());
-        assert_round_trip(&streamed, lmin_us);
+        let lmin = UniformLatency(Dur::from_us(lmin_us));
+        assert_round_trip(&streamed, &lmin);
 
         // Truncated prefix: frames that arrived in full still decode; the
         // partial tail is simply never delivered.
@@ -146,7 +212,7 @@ proptest! {
         if parse_ok {
             let (truncated, _cols) = builder.finish_parts();
             prop_assert!(truncated.n_events() <= trace.n_events());
-            assert_round_trip(&truncated, lmin_us);
+            assert_round_trip(&truncated, &lmin);
         }
     }
 }

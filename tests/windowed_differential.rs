@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{drifted_trace, reference_synchronize};
+use common::{directed_latency, drifted_trace, drifted_zoo_trace, reference_synchronize};
 use drift_lab::clocksync::{
     synchronize, synchronize_stream_incremental, ClcParams, ParallelConfig, PipelineConfig,
     PreSync,
@@ -25,6 +25,7 @@ use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{
     from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
 };
+use drift_lab::tracefmt::MinLatency;
 
 /// Run the incremental engine over `bytes` in awkward 4096-byte chunks and
 /// re-decode the concatenated output frames.
@@ -32,7 +33,7 @@ fn run_windowed(
     bytes: &[u8],
     init: &[Option<OffsetMeasurement>],
     fin: &[Option<OffsetMeasurement>],
-    lmin: &UniformLatency,
+    lmin: &dyn MinLatency,
     cfg: &PipelineConfig,
     window: usize,
     ctx: &str,
@@ -139,8 +140,28 @@ fn windowed_engine_differential_matrix() {
             }
         }
     }
+    // The collective zoo under a direction-dependent latency model, at the
+    // two extreme windows: every flavour's view, on three communicators,
+    // walked one event per epoch and in one epoch.
+    let lmin = directed_latency(3);
+    for (mi, model) in models.iter().enumerate() {
+        let (base, init, fin) = drifted_zoo_trace(6, 400, model, 73_500 + mi as u64, &lmin);
+        let v3 = to_binary_columnar_v3_blocked(&base, 256);
+        let cfg = PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+        let mut batch = base.clone();
+        let (.., bclc) = reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
+        let bclc = bclc.as_ref().expect("clc configured");
+        assert!(bclc.n_jumps() > 0, "zoo {model}: nothing to fix");
+        for window in [1usize, base.n_events()] {
+            let ctx = format!("zoo {model} window={window}");
+            let (back, rep) = run_windowed(&v3, &init, &fin, &lmin, &cfg, window, &ctx);
+            assert_times_match(&batch, &back, &ctx);
+            assert_clc_match(bclc, rep.clc.as_ref().expect("clc ran"), &ctx);
+            legs += 1;
+        }
+    }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2 * 4;
+    let floor = sizes.len() * models.len() * presyncs.len() * 2 * 4 + models.len() * 2;
     assert!(legs >= floor, "windowed matrix ran only {legs} legs (expected {floor})");
 }
 
