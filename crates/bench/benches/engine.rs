@@ -1,13 +1,14 @@
 //! Simulator-core performance: event-queue operations and end-to-end MPI
-//! simulation throughput (events per second) — and the collective lowering
-//! of the synchronisation pipeline in isolation (`lower`, `plan`).
+//! simulation throughput (events per second) — and the collective side of
+//! the synchronisation pipeline in isolation (`lower`, `plan`, `clc`).
 
 use bench::{lmin_table, ring_program, xeon_cluster};
-use clocksync::{DepGraph, TraceAnalysis};
+use clocksync::{synchronize, ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mpisim::{run, RunOptions};
 use netsim::EventQueue;
 use simclock::Time;
+use std::time::Duration;
 use tracefmt::{CensusPlan, CollOp, CommId, EventKind, Rank, Tag, Trace};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -65,10 +66,11 @@ fn bench_probing(c: &mut Criterion) {
 }
 
 /// The communication structure of the POP-like headline run: `ranks`
-/// processes, `steps` time steps of a four-neighbour halo exchange followed
-/// by a world allreduce. Only event order matters to `lower` and `plan`, so
-/// timestamps just count up.
-fn pop_allreduce_trace(ranks: usize, steps: usize) -> Trace {
+/// processes, `steps` time steps of a four-neighbour halo exchange, each
+/// followed by a world allreduce when `allreduces`. Only event order
+/// matters to `lower`, `plan` and the cost of a CLC pass, so timestamps
+/// just count up.
+fn pop_trace(ranks: usize, steps: usize, allreduces: bool) -> Trace {
     let mut t = Trace::for_ranks(ranks);
     let mut now = 0i64;
     for step in 0..steps {
@@ -84,6 +86,9 @@ fn pop_allreduce_trace(ranks: usize, steps: usize) -> Trace {
                 let from = Rank(((p + ranks - hop) % ranks) as u32);
                 t.procs[p].push(Time::from_us(now), EventKind::Recv { from, tag, bytes: 512 });
             }
+        }
+        if !allreduces {
+            continue;
         }
         let (op, comm, root, bytes) = (CollOp::Allreduce, CommId::WORLD, None, 8);
         for p in 0..ranks {
@@ -104,7 +109,7 @@ fn pop_allreduce_trace(ranks: usize, steps: usize) -> Trace {
 /// messages; `-- --test` runs each once.
 fn bench_collective_lowering(c: &mut Criterion) {
     let (ranks, steps) = (32, 600);
-    let trace = pop_allreduce_trace(ranks, steps);
+    let trace = pop_trace(ranks, steps, true);
     let cluster = xeon_cluster(4, ranks, 30.0, 7);
     let lmin = lmin_table(&cluster, ranks);
     let analysis = TraceAnalysis::capture(&trace).expect("well-formed trace");
@@ -133,11 +138,49 @@ fn bench_collective_lowering(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `clc` stage of the serial pipeline, per event, on the POP program
+/// with and without its allreduces (`scripts/ci.sh` gates the ratio). An
+/// allreduce end is bounded by 31 begins; evaluated per logical edge that
+/// makes the program with allreduces several times dearer per event than
+/// its halo exchange alone, evaluated per instance it costs about the same.
+/// Only the stage's own time counts (`iter_custom` sums it from the
+/// pipeline's stage table).
+fn bench_clc_collectives(c: &mut Criterion) {
+    let (ranks, steps) = (32, 600);
+    let cluster = xeon_cluster(4, ranks, 30.0, 7);
+    let lmin = lmin_table(&cluster, ranks);
+    let cfg = PipelineConfig {
+        presync: PreSync::None,
+        clc: Some(ClcParams::default()),
+        parallel: None,
+        ..PipelineConfig::default()
+    };
+    let init = vec![None; ranks];
+    let mut g = c.benchmark_group("clc");
+    for (name, allreduces) in [("pop_allreduce", true), ("pop_halo_only", false)] {
+        let trace = pop_trace(ranks, steps, allreduces);
+        g.throughput(Throughput::Elements(trace.n_events() as u64));
+        g.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut in_clc = 0.0;
+                for _ in 0..iters {
+                    let mut t = trace.clone();
+                    let report = synchronize(&mut t, &init, None, &lmin, &cfg).expect("pipeline");
+                    in_clc += report.stats.stages.iter().find(|s| s.name == "clc").expect("clc ran").seconds;
+                }
+                Duration::from_secs_f64(in_clc)
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_queue,
     bench_simulation_throughput,
     bench_probing,
-    bench_collective_lowering
+    bench_collective_lowering,
+    bench_clc_collectives
 );
 criterion_main!(benches);

@@ -24,14 +24,15 @@
 //! reference and by the differential matrices in
 //! `tests/columnar_differential.rs` and `tests/csr_differential.rs`.
 
-use super::graph::DepGraph;
+use super::graph::{CollPass, DepGraph};
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
 use tracefmt::{EventId, TraceColumns};
 
 /// Serial CLC on timestamp columns over the CSR graph: the columnar twin
 /// of [`super::controlled_logical_clock_with_deps`]. Latencies live on the
-/// graph edges, so no latency model is consulted here.
+/// graph edges, so no latency model is consulted here. On error the
+/// columns are left as they were.
 pub(crate) fn controlled_logical_clock_columnar_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -39,12 +40,15 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
 ) -> Result<ClcReport, ClcError> {
     validate(params)?;
     let originals = flatten_by_gid(cols);
-    let mut report = forward_pass_csr(cols, graph, &originals, params.mu)?;
-    if params.backward {
-        backward_amortization_csr(cols, graph, params, &report.jumps, false);
-        let post = flatten_by_gid(cols);
-        let _ = forward_pass_csr(cols, graph, &post, 1.0)?;
-    }
+    let passes = |cols: &mut TraceColumns| {
+        let report = forward_pass_csr(cols, graph, params.mu)?;
+        if params.backward {
+            backward_amortization_csr(cols, graph, params, &report.jumps, false);
+            forward_pass_csr(cols, graph, 1.0)?;
+        }
+        Ok(report)
+    };
+    let mut report = passes(cols).inspect_err(|_| cols.flat_mut().copy_from_slice(&originals))?;
     report.events_total = cols.n_events();
     report.events_moved = events_moved(cols, &originals);
     Ok(report)
@@ -83,23 +87,29 @@ pub(crate) fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
 /// dependency order, round-robin across timelines, exactly like
 /// [`super::forward_pass`].
 ///
-/// `originals` is the pre-pass trace flattened by gid
-/// ([`flatten_by_gid`]); corrected times accumulate in a flat slab of the
-/// same shape so the hot loop touches exactly two dense `i64` arrays — no
-/// column indirection, no binary-search `locate` (the producer-pending
-/// check compares raw gids against a per-timeline frontier). Columns are
-/// overwritten from the slab once the pass completes; on
-/// [`ClcError::CyclicTrace`] they are left untouched. The arithmetic is
+/// The pass runs **in place** over the columns' flat slab: an event's
+/// pre-pass time is read exactly once, at its visit, before the corrected
+/// time overwrites it; every other read is of a producer below its
+/// timeline's frontier, which already holds its corrected time. So the hot
+/// loop touches one dense `i64` array — no column indirection, no
+/// binary-search `locate` (the producer-pending check compares raw gids
+/// against a per-timeline frontier). On [`ClcError::CyclicTrace`] the slab
+/// holds a partial pass; a caller that promises untouched columns restores
+/// them from its own copy.
+///
+/// A collective end of an aggregated N-to-N instance takes its bound from
+/// the pass's [`CollPass`] instead of walking its view — the same maximum,
+/// blocking at the same events (argued there). Otherwise the arithmetic is
 /// statement-identical to the AoS reference.
 pub(crate) fn forward_pass_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
-    originals: &[i64],
     mu: f64,
 ) -> Result<ClcReport, ClcError> {
     let n = cols.n_procs();
     let lens: Vec<usize> = (0..n).map(|p| cols.col(p).len()).collect();
-    let mut corr: Vec<i64> = vec![0; originals.len()];
+    let flat = cols.flat_mut();
+    let mut coll = CollPass::new(graph);
     // frontier[p]: gid of the next uncorrected event of timeline p. A
     // producer gid is corrected iff it is below its timeline's frontier —
     // the same predicate as the AoS `j >= pc[q]` check, without locate.
@@ -116,17 +126,26 @@ pub(crate) fn forward_pass_csr(
             'events: while (frontier[p] as usize) < end {
                 let gid = frontier[p] as usize;
                 let i = gid - base;
-                let orig = Time::from_ps(originals[gid]);
+                let orig = Time::from_ps(flat[gid]);
 
                 // Remote constraint: max over in-edge producers, walked in
                 // dependency-dispatch order so the pass blocks on the same
                 // first pending producer as the AoS reference.
                 let mut remote: Option<Time> = None;
-                for (src, lat) in graph.in_of(gid as u32).iter() {
+                let slot = graph.member_slot(gid as u32);
+                let mut view = graph.message_in(gid as u32);
+                if slot & 1 == 1 && view.is_empty() {
+                    match coll.pending(graph, slot) {
+                        Some(0) => remote = Some(Time::from_ps(coll.bound(slot))),
+                        Some(_) => break 'events, // a begin not yet corrected
+                        None => view = graph.collective_in(gid as u32),
+                    }
+                }
+                for (src, lat) in view.iter() {
                     if src >= frontier[graph.proc_of(src)] {
                         break 'events; // producer not yet corrected
                     }
-                    let c = Time::from_ps(corr[src as usize]).saturating_add(Dur::from_ps(lat));
+                    let c = Time::from_ps(flat[src as usize]).saturating_add(Dur::from_ps(lat));
                     remote = Some(remote.map_or(c, |b: Time| b.max(c)));
                 }
 
@@ -150,7 +169,10 @@ pub(crate) fn forward_pass_csr(
                     }
                     _ => candidate,
                 };
-                corr[gid] = corrected.as_ps();
+                flat[gid] = corrected.as_ps();
+                if slot != 0 && slot & 1 == 0 {
+                    coll.begin_corrected(graph, slot, flat);
+                }
                 prev_orig[p] = orig;
                 prev_corr[p] = corrected;
                 frontier[p] += 1;
@@ -158,9 +180,6 @@ pub(crate) fn forward_pass_csr(
             }
         }
         if (0..n).all(|p| frontier[p] as usize == graph.base(p) as usize + lens[p]) {
-            // `corr` is gid-indexed and the slab is timeline-major in gid
-            // order, so the writeback is one bulk copy.
-            cols.flat_mut().copy_from_slice(&corr);
             return Ok(report);
         }
         if !progressed {
@@ -264,7 +283,7 @@ fn backward_pass_csr(
 mod tests {
     use super::*;
     use crate::clc::{controlled_logical_clock, fixtures, ClcParams};
-    use tracefmt::{match_collectives, match_messages, Trace, UniformLatency};
+    use tracefmt::{match_collectives, match_messages, MinLatency, Trace, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
 
@@ -380,6 +399,133 @@ mod tests {
             assert_eq!(cols.time(id), e.time, "columnar vs aos at {id:?}");
             assert_eq!(rep_cols.time(id), e.time, "replay vs aos at {id:?}");
         }
+    }
+
+    /// Ranks on nodes of `node`, nodes under switches of `switch` ranks;
+    /// between switches the latency depends on the direction. Longer than
+    /// the fixtures' collectives last, so an end bounded by its *own*
+    /// begin would jump.
+    fn tree_latency(node: u32, switch: u32) -> impl Fn(tracefmt::Rank, tracefmt::Rank) -> Dur {
+        move |from, to| {
+            let (a, b) = (from.0, to.0);
+            Dur::from_us(match (a / node == b / node, a / switch == b / switch) {
+                (true, _) => 25,
+                (_, true) => 50,
+                _ => 90 + i64::from(a / switch > b / switch),
+            })
+        }
+    }
+
+    fn assert_same_run(
+        (a, ra): (&TraceColumns, &ClcReport),
+        (b, rb): (&TraceColumns, &ClcReport),
+        ctx: &str,
+    ) {
+        assert_eq!(a.flat(), b.flat(), "{ctx}: timestamps");
+        let jumps = |r: &ClcReport| r.jumps.iter().map(|j| (j.event, j.size)).collect::<Vec<_>>();
+        assert_eq!(jumps(ra), jumps(rb), "{ctx}: jump sequence");
+        assert_eq!((ra.max_jump, ra.events_moved), (rb.max_jump, rb.events_moved), "{ctx}");
+    }
+
+    /// The aggregated N-to-N ends against the view walk of the same graph
+    /// and against the map-based reference: timestamps, jumps and the order
+    /// the jumps are found in.
+    #[test]
+    fn aggregated_ends_equal_the_view_walk_and_the_reference() {
+        let flat = |_: tracefmt::Rank, _: tracefmt::Rank| Dur::from_us(40);
+        let cases: [(usize, usize, &dyn MinLatency); 4] = [
+            (2, 9, &flat),
+            (6, 21, &tree_latency(2, 4)),
+            (9, 30, &tree_latency(3, 6)),
+            (24, 13, &tree_latency(4, 8)),
+        ];
+        for (procs, rounds, lmin) in cases {
+            let ctx = format!("{procs}x{rounds}");
+            let base = fixtures::mixed_trace(procs, rounds);
+            let matching = match_messages(&base);
+            let insts = match_collectives(&base).unwrap();
+            for backward in [true, false] {
+                let params = ClcParams { backward, ..ClcParams::default() };
+                let graph = DepGraph::from_trace(&base, &matching, &insts, lmin);
+                assert_eq!(graph.n_aggregated(), insts.len(), "{ctx}: every allreduce is classed");
+                let mut classed = TraceColumns::gather(&base);
+                let rc = controlled_logical_clock_columnar_csr(&mut classed, &graph, &params).unwrap();
+                assert!(rc.n_jumps() > 0, "{ctx}: nothing to correct");
+
+                let walk_graph = graph.without_aggregation();
+                let mut walked = TraceColumns::gather(&base);
+                let rw =
+                    controlled_logical_clock_columnar_csr(&mut walked, &walk_graph, &params).unwrap();
+                assert_same_run((&classed, &rc), (&walked, &rw), &format!("{ctx} vs walk"));
+
+                let mut aos = base.clone();
+                let ra = controlled_logical_clock(&mut aos, lmin, &params).unwrap();
+                let reference = TraceColumns::gather(&aos);
+                assert_same_run((&classed, &rc), (&reference, &ra), &format!("{ctx} vs reference"));
+            }
+        }
+    }
+
+    /// Collective begins within 1 % of the `i64` edges: the class maximum
+    /// plus latency saturates exactly where the per-edge terms do.
+    #[test]
+    fn aggregated_ends_saturate_like_the_reference() {
+        use tracefmt::{CollOp, CommId, EventKind};
+        let near = i64::MAX / 100;
+        let begins = [i64::MAX - 3, i64::MIN + near, i64::MAX - near, i64::MIN + 1, 17];
+        let mut t = Trace::for_ranks(begins.len());
+        for (p, &at) in begins.iter().enumerate() {
+            let (op, comm, root) = (CollOp::Alltoall, CommId::WORLD, None);
+            t.procs[p].push(Time::from_ps(at), EventKind::CollBegin { op, comm, root, bytes: 0 });
+            t.procs[p].push(
+                Time::from_ps(at.saturating_add(5)),
+                EventKind::CollEnd { op, comm, root, bytes: 0 },
+            );
+        }
+        let lmin = tree_latency(2, 4);
+        let matching = match_messages(&t);
+        let insts = match_collectives(&t).unwrap();
+        let graph = DepGraph::from_trace(&t, &matching, &insts, &lmin);
+        assert_eq!(graph.n_aggregated(), 1);
+        for backward in [true, false] {
+            let params = ClcParams { backward, ..ClcParams::default() };
+            let mut aos = t.clone();
+            let ra = controlled_logical_clock(&mut aos, &lmin, &params).unwrap();
+            let mut cols = TraceColumns::gather(&t);
+            let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
+            assert_same_run((&cols, &rc), (&TraceColumns::gather(&aos), &ra), "i64 edges");
+            assert_eq!(cols.col(4)[1], i64::MAX, "the late begins saturate the early end");
+        }
+    }
+
+    /// The pass is in place, so a cycle is found with part of the slab
+    /// already rewritten: the driver must hand the columns back as they
+    /// were, bit for bit.
+    #[test]
+    fn cyclic_trace_leaves_the_columns_untouched() {
+        use tracefmt::{EventKind, Rank, Tag};
+        let send = |to, tag| EventKind::Send { to: Rank(to), tag: Tag(tag), bytes: 0 };
+        let recv = |from, tag| EventKind::Recv { from: Rank(from), tag: Tag(tag), bytes: 0 };
+        let mut t = Trace::for_ranks(2);
+        // A late send forces a jump on timeline 1 before each timeline
+        // blocks on a receive whose send lies behind the other's receive.
+        t.procs[0].push(Time::from_us(100), send(1, 0));
+        t.procs[0].push(Time::from_us(110), recv(1, 1));
+        t.procs[0].push(Time::from_us(120), send(1, 2));
+        t.procs[1].push(Time::from_us(50), recv(0, 0));
+        t.procs[1].push(Time::from_us(60), recv(0, 2));
+        t.procs[1].push(Time::from_us(70), send(0, 1));
+        let graph = graph_of(&t);
+        let mut cols = TraceColumns::gather(&t);
+        let before = cols.flat().to_vec();
+
+        let mut scratch = TraceColumns::gather(&t);
+        assert!(matches!(forward_pass_csr(&mut scratch, &graph, 0.99), Err(ClcError::CyclicTrace)));
+        assert_ne!(scratch.flat(), &before[..], "the fixture must fail after a correction");
+
+        let err = controlled_logical_clock_columnar_csr(&mut cols, &graph, &ClcParams::default());
+        assert!(matches!(err, Err(ClcError::CyclicTrace)));
+        assert_eq!(cols.flat(), &before[..]);
     }
 
     #[test]

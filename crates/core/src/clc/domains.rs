@@ -159,8 +159,7 @@ pub fn controlled_logical_clock_with_domains(
     let insts = match_collectives(trace).map_err(ClcError::BadCollectives)?;
     let graph = DepGraph::from_trace(trace, &matching, &insts, lmin);
     let mut cols = TraceColumns::gather(trace);
-    let post = super::columnar::flatten_by_gid(&cols);
-    let fixup = forward_pass_csr(&mut cols, &graph, &post, 1.0)?;
+    let fixup = forward_pass_csr(&mut cols, &graph, 1.0)?;
     cols.scatter_into(trace);
     report.jumps.extend(fixup.jumps);
     report.max_jump = report.max_jump.max(fixup.max_jump);

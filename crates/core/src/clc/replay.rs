@@ -259,8 +259,7 @@ pub(crate) fn controlled_logical_clock_replay_csr(
 
     if params.backward {
         backward_amortization_csr(cols, graph, params, &jumps, true);
-        let post = flatten_by_gid(cols);
-        forward_pass_csr(cols, graph, &post, 1.0)?;
+        forward_pass_csr(cols, graph, 1.0)?;
     }
 
     let report = ClcReport {

@@ -645,14 +645,21 @@ fn synchronize_impl(
     // message edges in CSR form, collectives as a member table. The method
     // gates this: Interp and Online never run a CLC, whatever `cfg.clc`
     // says.
-    let clc_inputs = cfg.effective_clc().map(|params| {
-        let t0 = Instant::now();
-        let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, &table);
-        stats
-            .stages
-            .push(StageStats::sequential("lower", n_events, t0.elapsed()));
-        (params, graph)
-    });
+    // An analysis that does not fit the trace shape is the tenant's bytes,
+    // not a bug here: a typed error, never the panic of `DepGraph::build`.
+    let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
+    let clc_inputs = match cfg.effective_clc() {
+        None => None,
+        Some(params) => {
+            let t0 = Instant::now();
+            let graph = DepGraph::try_build(&analysis.matching, &analysis.instances, &lens, &table)
+                .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
+            stats
+                .stages
+                .push(StageStats::sequential("lower", n_events, t0.elapsed()));
+            Some((params, graph))
+        }
+    };
 
     // The online method replaces presync wholesale; don't demand
     // finalize measurements it will never read.
@@ -682,7 +689,6 @@ fn synchronize_impl(
     let t0 = Instant::now();
     let plan = match &clc_inputs {
         Some((_, graph)) => {
-            let lens: Vec<usize> = cols.iter().map(|c| c.len()).collect();
             let coll = Arc::clone(graph.coll_table());
             CensusPlan::with_table(&lens, &analysis.matching.messages, coll, &table)
         }

@@ -54,7 +54,7 @@ use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tracefmt::io::{
     decode_block_kinds, decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter,
@@ -192,15 +192,42 @@ impl Lane {
     }
 }
 
+/// Reads still pending on each resident segment of one lane: a deque
+/// aligned with the lane's segments, `reads[seg − first_seg]`. Running
+/// sums — a read may be released before the segment it targets is pushed
+/// (the deque grows ahead of the lane) or before the segment's own
+/// additions land (an entry may dip negative until its frontier passes).
+#[derive(Clone, Default)]
+struct SegReads {
+    first_seg: u64,
+    reads: VecDeque<i64>,
+}
+
+impl SegReads {
+    #[inline]
+    fn add(&mut self, seg: u64, delta: i64) {
+        // A segment retires only after its last read, so nothing is ever
+        // accounted to one that is gone.
+        let Some(at) = seg.checked_sub(self.first_seg) else {
+            debug_assert!(false, "read accounted to a retired segment");
+            return;
+        };
+        let at = at as usize;
+        if at >= self.reads.len() {
+            self.reads.resize(at + 1, 0);
+        }
+        self.reads[at] += delta;
+    }
+}
+
 /// Retire head segments up to `upto` once their outstanding-read counter
-/// clears. `cnt` maps segment index → reads still pending (running sums;
-/// early decrements may drive an entry negative until the segment's own
-/// frontier passes and its additions land).
-fn retire_counted(lane: &mut Lane, upto: u64, cnt: &mut HashMap<u64, i64>, mem: &mut MemGauge) {
+/// clears.
+fn retire_counted(lane: &mut Lane, upto: u64, cnt: &mut SegReads, mem: &mut MemGauge) {
     while let Some(end) = lane.head_end() {
-        let seg = lane.first_seg;
-        if end <= upto && cnt.get(&seg).copied().unwrap_or(0) == 0 {
-            cnt.remove(&seg);
+        debug_assert_eq!(cnt.first_seg, lane.first_seg);
+        if end <= upto && cnt.reads.front().is_none_or(|&pending| pending == 0) {
+            cnt.reads.pop_front();
+            cnt.first_seg += 1;
             lane.pop_head(mem);
         } else {
             break;
@@ -329,7 +356,7 @@ fn discover_walks(
     let mut next_block = vec![0usize; n];
     let mut prev_orig = vec![Time::MIN; n];
     let mut prev_corr = vec![Time::MIN; n];
-    let mut cnt: Vec<HashMap<u64, i64>> = vec![HashMap::new(); n];
+    let mut cnt = vec![SegReads::default(); n];
     let mut walks: Vec<Vec<WJump>> = vec![Vec::new(); n];
     let mut scratch = Vec::new();
     let mut tmp = Vec::new();
@@ -401,7 +428,7 @@ fn discover_walks(
                 corr[p].push(corrected.as_ps(), mem);
                 let out_deg = graph.out_of(gid).len() as i64;
                 if out_deg > 0 {
-                    *cnt[p].entry(i / w).or_insert(0) += out_deg;
+                    cnt[p].add(i / w, out_deg);
                 }
                 // The remote reads above are now accountable: exactly one
                 // per in-edge, never repeated (a blocked scan commits
@@ -409,7 +436,7 @@ fn discover_walks(
                 for (src, _) in srcs.iter() {
                     let ps = graph.proc_of(src);
                     let si = (src - graph.base(ps)) as u64;
-                    *cnt[ps].entry(si / w).or_insert(0) -= 1;
+                    cnt[ps].add(si / w, -1);
                 }
                 prev_orig[p] = orig_t;
                 prev_corr[p] = corrected;
@@ -559,7 +586,7 @@ fn apply_and_emit(
     let mut next_block = vec![0usize; n];
     let mut prev_orig = vec![Time::MIN; n];
     let mut prev_corr = vec![Time::MIN; n];
-    let mut cnt_snap: Vec<HashMap<u64, i64>> = vec![HashMap::new(); n];
+    let mut cnt_snap = vec![SegReads::default(); n];
     // Backward-path frontiers.
     let mut rwalk = vec![0u64; n];
     let mut next_walk = vec![0usize; n];
@@ -567,7 +594,7 @@ fn apply_and_emit(
     let mut f2 = vec![0u64; n];
     let mut prev_post = vec![Time::MIN; n];
     let mut prev_f2 = vec![Time::MIN; n];
-    let mut cnt_f2: Vec<HashMap<u64, i64>> = vec![HashMap::new(); n];
+    let mut cnt_f2 = vec![SegReads::default(); n];
     // Emission state.
     let mut emit_block = vec![0usize; n];
     let mut emitted = vec![0u64; n];
@@ -667,12 +694,12 @@ fn apply_and_emit(
                 let in_deg = srcs.len() as i64;
                 let adds = out_deg + if backward { in_deg } else { 0 };
                 if adds > 0 {
-                    *cnt_snap[p].entry(i / w).or_insert(0) += adds;
+                    cnt_snap[p].add(i / w, adds);
                 }
                 for (src, _) in srcs.iter() {
                     let ps = graph.proc_of(src);
                     let si = (src - graph.base(ps)) as u64;
-                    *cnt_snap[ps].entry(si / w).or_insert(0) -= 1;
+                    cnt_snap[ps].add(si / w, -1);
                 }
                 prev_orig[p] = orig_t;
                 prev_corr[p] = corrected;
@@ -720,7 +747,7 @@ fn apply_and_emit(
                     for (dst, _) in graph.out_of(gbase + b[p] as u32).iter() {
                         let pd = graph.proc_of(dst);
                         let di = (dst - graph.base(pd)) as u64;
-                        *cnt_snap[pd].entry(di / w).or_insert(0) -= 1;
+                        cnt_snap[pd].add(di / w, -1);
                     }
                     b[p] += 1;
                     progressed = true;
@@ -761,12 +788,12 @@ fn apply_and_emit(
                     f2v[p].push(corrected.as_ps(), mem);
                     let out_deg = graph.out_of(gid).len() as i64;
                     if out_deg > 0 {
-                        *cnt_f2[p].entry(i / w).or_insert(0) += out_deg;
+                        cnt_f2[p].add(i / w, out_deg);
                     }
                     for (src, _) in srcs.iter() {
                         let ps = graph.proc_of(src);
                         let si = (src - graph.base(ps)) as u64;
-                        *cnt_f2[ps].entry(si / w).or_insert(0) -= 1;
+                        cnt_f2[ps].add(si / w, -1);
                     }
                     prev_post[p] = orig_t;
                     prev_f2[p] = corrected;
@@ -1035,7 +1062,8 @@ fn run_incremental(
             let t0 = Instant::now();
             let proc_lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
             let graph =
-                DepGraph::build(&analysis.matching, &analysis.instances, &proc_lens, &table);
+                DepGraph::try_build(&analysis.matching, &analysis.instances, &proc_lens, &table)
+                    .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
             stats
                 .stages
                 .push(StageStats::sequential("lower", n_events, t0.elapsed()));

@@ -1,8 +1,9 @@
 //! Offline shim for the `criterion` API surface used by drift-lab's benches.
 //!
 //! Provides [`Criterion`], [`BenchmarkGroup`], [`Bencher::iter`],
-//! [`BenchmarkId`], [`Throughput`], [`black_box`] and the
-//! `criterion_group!`/`criterion_main!` macros. Measurement is a plain
+//! [`Bencher::iter_custom`], [`BenchmarkId`], [`Throughput`], [`black_box`]
+//! and the `criterion_group!`/`criterion_main!` macros. A positional
+//! argument filters benchmarks by `group/name` substring. Measurement is a plain
 //! wall-clock loop (short warm-up, then `sample_size` timed samples) that
 //! prints median time per iteration and derived throughput. Under
 //! `--test` (as in `cargo bench -- --test`) each benchmark body runs exactly
@@ -83,8 +84,23 @@ impl Bencher {
     /// In `--test` mode the routine runs exactly once and no timing is
     /// recorded.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
+        self.iter_custom(|iters| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                black_box(routine());
+            }
+            t0.elapsed()
+        });
+    }
+
+    /// Like [`Bencher::iter`] for a routine that times itself: it is
+    /// called with an iteration count and returns the time those
+    /// iterations took — the part of them the benchmark is about (mirrors
+    /// `criterion::Bencher::iter_custom`). In `--test` mode it is called
+    /// once, for one iteration.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
         if self.test_mode {
-            black_box(routine());
+            black_box(routine(1));
             self.last_ns_per_iter = 0.0;
             return;
         }
@@ -94,21 +110,18 @@ impl Bencher {
         let warmup_budget = Duration::from_millis(50);
         let warmup_start = Instant::now();
         let mut warmup_iters: u64 = 0;
+        let mut warmup_measured = Duration::ZERO;
         while warmup_start.elapsed() < warmup_budget {
-            black_box(routine());
+            warmup_measured += routine(1);
             warmup_iters += 1;
         }
-        let ns_est = warmup_start.elapsed().as_nanos() as f64 / warmup_iters as f64;
+        let ns_est = (warmup_measured.as_nanos() as f64 / warmup_iters as f64).max(1.0);
 
         // Aim each sample at ~20ms of work, at least one iteration.
         let iters_per_sample = ((20_000_000.0 / ns_est).ceil() as u64).max(1);
         let mut samples: Vec<f64> = Vec::with_capacity(self.sample_size);
         for _ in 0..self.sample_size {
-            let t0 = Instant::now();
-            for _ in 0..iters_per_sample {
-                black_box(routine());
-            }
-            samples.push(t0.elapsed().as_nanos() as f64 / iters_per_sample as f64);
+            samples.push(routine(iters_per_sample).as_nanos() as f64 / iters_per_sample as f64);
         }
         samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
         self.last_ns_per_iter = samples[samples.len() / 2];
@@ -173,6 +186,9 @@ impl BenchmarkGroup<'_> {
     }
 
     fn run(&self, name: String, mut f: impl FnMut(&mut Bencher)) {
+        if !self.criterion.matches(&format!("{}/{}", self.name, name)) {
+            return;
+        }
         let mut b = Bencher {
             test_mode: self.criterion.test_mode,
             sample_size: self.sample_size,
@@ -242,15 +258,13 @@ impl Criterion {
 
     /// Run one stand-alone benchmark (group of its own name).
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, name: &str, mut f: F) -> &mut Self {
-        if self.matches(name) {
-            let g = BenchmarkGroup {
-                criterion: self,
-                name: name.to_owned(),
-                throughput: None,
-                sample_size: 30,
-            };
-            g.run("single".to_owned(), |b| f(b));
-        }
+        let g = BenchmarkGroup {
+            criterion: self,
+            name: name.to_owned(),
+            throughput: None,
+            sample_size: 30,
+        };
+        g.run("single".to_owned(), |b| f(b));
         self
     }
 

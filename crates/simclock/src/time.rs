@@ -243,10 +243,34 @@ impl Dur {
         Dur(self.0.min(other.0))
     }
 
-    /// Multiply by a dimensionless factor, rounding to the nearest ps.
+    /// Multiply by a dimensionless factor, rounding to the nearest ps, ties
+    /// away from zero, saturating at the `i64` edges — bit for bit
+    /// `(ps as f64 * f).round() as i64`. `f64::round` is a libm call on
+    /// baseline x86-64 and this sits on the CLC's per-event path, so the
+    /// rounding is one addition and the truncating cast instead.
+    ///
+    /// Why `(y + h.copysign(y)) as i64`, with `h = ½ − 2⁻⁵⁴` the double just
+    /// below one half, is that rounding — for `y ≥ 0` (signs mirror) with
+    /// integer part `n` and `u` the spacing of doubles at `y`:
+    ///
+    /// * `y < ½`: the exact sum is at most `2h`, the double just below 1,
+    ///   and float rounding is monotone — it truncates to 0;
+    /// * fraction below ½, `y ≥ 1`: the fraction is at most `½ − u` (zero
+    ///   once `u ≥ ½`), so the exact sum lies below `n + 1 − u`, itself a
+    ///   double; the rounded sum stays below `n + 1` and truncates to `n`.
+    ///   From `2⁵²` on `y` is an integer and `+ h` rounds straight back;
+    /// * fraction at least ½: the exact sum is at least `n + 1 − 2⁻⁵⁴`,
+    ///   nearer to `n + 1` than to any double below it (for `n = 0` a tie,
+    ///   which round-to-even gives to `1.0`) and below `n + 2`: it
+    ///   truncates to `n + 1`. (A plain `+ 0.5` fails the first case: it
+    ///   carries `h` itself up to 1.)
+    ///
+    /// NaN casts to 0 and ±∞ saturate either way. Pinned against
+    /// `f64::round` over the full range by this module's tests.
     #[inline]
     pub fn scale(self, f: f64) -> Dur {
-        Dur((self.0 as f64 * f).round() as i64)
+        let y = self.0 as f64 * f;
+        Dur((y + 0.499_999_999_999_999_94_f64.copysign(y)) as i64)
     }
 
     /// Saturating addition.
@@ -438,6 +462,65 @@ mod tests {
         let d = Dur::from_us(10);
         assert_eq!(d.scale(0.5), Dur::from_us(5));
         assert_eq!(d.scale(1e-6), Dur::from_ps(10));
+    }
+
+    /// What `scale` must equal, bit for bit: the libm rounding it replaced.
+    fn scale_by_round(d: i64, f: f64) -> i64 {
+        (d as f64 * f).round() as i64
+    }
+
+    #[test]
+    fn scale_equals_libm_round_on_the_hard_cases() {
+        let p52 = 1i64 << 52;
+        let mut spans = vec![0, 1, -1, 2, 3, 5, 7, 999_999, i64::MAX, i64::MIN, i64::MAX - 1];
+        for e in [51, 52, 53, 62] {
+            let p = 1i64 << e;
+            spans.extend([p - 3, p - 1, p, p + 1, p + 3, -p - 1, -p, -p + 1]);
+        }
+        // Odd spans × 0.5 are exact halves up to 2⁵³; around 2⁵¹ and 2⁵²
+        // the spacing of doubles passes through ½ and 1.
+        spans.extend((0..64).map(|j| 2 * j + 1));
+        spans.extend((0..64).flat_map(|j| [p52 - 1 - 2 * j, 2 * p52 - 1 - 2 * j, p52 / 2 + 1 + 2 * j]));
+        let below_half = 0.499_999_999_999_999_94_f64;
+        let factors = [
+            0.5, 0.99, 1.0, 50.0, 0.0, -0.0, -0.5, -1.0, 0.25, 0.75, 1e-6, 1e-18, 1e18, below_half,
+            f64::EPSILON, f64::MIN_POSITIVE, f64::MAX, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
+        ];
+        for &d in &spans {
+            for &f in &factors {
+                let got = Dur::from_ps(d).scale(f).as_ps();
+                assert_eq!(got, scale_by_round(d, f), "{d} ps × {f:e}");
+            }
+        }
+        // The one double a plain `+ 0.5` gets wrong, reached exactly.
+        assert_eq!(Dur::from_ps(1).scale(below_half), Dur::ZERO);
+        assert_eq!(Dur::from_ps(-1).scale(below_half), Dur::ZERO);
+        assert_eq!(Dur::from_ps(1).scale(0.5), Dur::from_ps(1));
+        assert_eq!(Dur::from_ps(-1).scale(0.5), Dur::from_ps(-1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// Full-range spans against the factors the CLC uses (`mu`, the
+        /// literal 1.0 of the re-forward pass, the backward window factor,
+        /// a clamped ramp fraction) and arbitrary ones.
+        #[test]
+        fn scale_equals_libm_round(
+            d in i64::MIN..i64::MAX,
+            shift in 0u32..64,
+            frac in 0.0f64..1.0,
+            wide in -1e6f64..1e6,
+        ) {
+            // Uniform draws are nearly all above 2⁶²: shift some down so
+            // every magnitude — every double spacing — is covered.
+            let d = d >> shift;
+            for f in [0.99, 1.0, 50.0, 0.5, 1.0 - frac, frac.clamp(0.0, 1.0), wide] {
+                proptest::prop_assert_eq!(Dur::from_ps(d).scale(f).as_ps(), scale_by_round(d, f));
+            }
+            let odd = d | 1;
+            proptest::prop_assert_eq!(Dur::from_ps(odd).scale(0.5).as_ps(), scale_by_round(odd, 0.5));
+        }
     }
 
     #[test]

@@ -55,12 +55,17 @@ use std::sync::Arc;
 /// Width of one census chunk: one `u64` violation bitmask per chunk.
 const CHUNK: usize = 64;
 
-/// An event coordinate in a plan referred to a timeline the trace does not
-/// have, or an event index past the end of its timeline.
+/// Why an analysis could not be lowered for a trace shape: an event
+/// coordinate referred to a timeline the trace does not have or an event
+/// index past the end of its timeline, one event was claimed by two
+/// collective instances, or the trace is too large to address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanBuildError {
     /// The offending event id.
     EventOutOfRange(EventId),
+    /// An event that two collective instances (or two members of one) list
+    /// as their begin or end; an event opens or closes one call.
+    SharedMember(EventId),
     /// The trace has more events than the plan's 32-bit flat offsets (and
     /// the AVX2 gather's signed-index form) can address.
     TraceTooLarge,
@@ -71,6 +76,9 @@ impl fmt::Display for PlanBuildError {
         match self {
             PlanBuildError::EventOutOfRange(id) => {
                 write!(f, "event {id} is outside the trace shape the plan was built for")
+            }
+            PlanBuildError::SharedMember(id) => {
+                write!(f, "event {id} is a member of two collective instances")
             }
             PlanBuildError::TraceTooLarge => {
                 write!(f, "trace exceeds the plan's 2^31-event addressing limit")

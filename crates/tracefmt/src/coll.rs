@@ -18,7 +18,10 @@
 //!   per communicator — the member ranks and `l_min` for every ordered
 //!   rank pair, row-major and transposed, so both "one begin against every
 //!   end" and "one end against every begin" read a contiguous row. `l_min`
-//!   is queried once per rank pair per block, never per instance.
+//!   is queried once per rank pair per block, never per instance. A block
+//!   whose latencies depend only on a few member classes also carries that
+//!   class table ([`BlockClasses`]), found once at build and verified pair
+//!   by pair.
 //!
 //! The two consumers derive the logical messages on the fly and apply
 //! their own exclusion rule, which is why the table stores ranks *and*
@@ -35,6 +38,97 @@ use crate::ids::{EventId, Rank};
 use crate::violation::MinLatency;
 use std::collections::HashMap;
 
+/// Most classes a [`BlockClasses`] may have: the per-instance cost of a
+/// consumer is O(k + classes²), so this keeps it O(k).
+const MAX_CLASSES: usize = 8;
+
+/// A [`LatBlock`] whose off-diagonal latencies depend only on which of a
+/// few *classes* the two members fall in — same node, same switch, remote —
+/// so that `l_min(i → j) == lat(class_of[i], class_of[j])` for every
+/// `i ≠ j`. Uniform latency is the one-class case. Present only when that
+/// identity was verified over all `k·(k−1)` ordered pairs.
+#[derive(Debug, Clone)]
+pub struct BlockClasses {
+    class_of: Vec<u8>,
+    n: usize,
+    /// `lat[a * n + b]` = `l_min` from any member of class `a` to any
+    /// *other* member of class `b`. The diagonal entry of a one-member
+    /// class stands for no pair and is never read through `i ≠ j`.
+    lat: Vec<i64>,
+}
+
+impl BlockClasses {
+    /// Group the members of a `k × k` row-major latency matrix: each member
+    /// joins the first class whose first member has the same latency to and
+    /// from every third member (and a symmetric latency to the candidate),
+    /// else opens a class. The grouping is a guess; the exhaustive check at
+    /// the end is what makes a returned table exact. `None` when that check
+    /// fails, when more than [`MAX_CLASSES`] classes would be needed, or
+    /// when the table would have a class per member and so compress nothing.
+    fn find(k: usize, lat: &[i64]) -> Option<BlockClasses> {
+        let limit = MAX_CLASSES.min(k.saturating_sub(1));
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut class_of = vec![0u8; k];
+        for j in 0..k {
+            let alike = |&r: &usize| {
+                lat[j * k + r] == lat[r * k + j]
+                    && (0..k).all(|m| {
+                        m == j
+                            || m == r
+                            || (lat[j * k + m] == lat[r * k + m] && lat[m * k + j] == lat[m * k + r])
+                    })
+            };
+            let class = match firsts.iter().position(alike) {
+                Some(c) => c,
+                None if firsts.len() == limit => return None,
+                None => {
+                    firsts.push(j);
+                    firsts.len() - 1
+                }
+            };
+            class_of[j] = class as u8;
+        }
+        let n = firsts.len();
+        let mut table = vec![0i64; n * n];
+        for (a, &i) in firsts.iter().enumerate() {
+            for b in 0..n {
+                // Any member of `b` other than `i` itself.
+                if let Some(j) = (0..k).find(|&j| j != i && usize::from(class_of[j]) == b) {
+                    table[a * n + b] = lat[i * k + j];
+                }
+            }
+        }
+        let classes = BlockClasses { class_of, n, lat: table };
+        let exact = (0..k).all(|i| {
+            (0..k).all(|j| i == j || lat[i * k + j] == classes.lat(classes.of(i), classes.of(j)))
+        });
+        exact.then_some(classes)
+    }
+
+    /// Number of classes, at most 8 and fewer than the block has members.
+    #[inline]
+    pub fn n_classes(&self) -> usize {
+        self.n
+    }
+
+    /// Class of member `i`, in `0..n_classes()`.
+    #[inline]
+    pub fn of(&self, i: usize) -> usize {
+        usize::from(self.class_of[i])
+    }
+
+    /// `l_min` in picoseconds from a member of class `from` to another
+    /// member of class `to`.
+    #[inline]
+    pub fn lat(&self, from: usize, to: usize) -> i64 {
+        self.lat[from * self.n + to]
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.class_of.len() + 8 * self.lat.len()
+    }
+}
+
 /// `l_min` between every ordered pair of one member sequence.
 #[derive(Debug, Clone)]
 pub struct LatBlock {
@@ -44,6 +138,7 @@ pub struct LatBlock {
     /// The transpose: `lat_t[j * k + i]` = `lat[i * k + j]`.
     lat_t: Vec<i64>,
     ranks_distinct: bool,
+    classes: Option<BlockClasses>,
 }
 
 impl LatBlock {
@@ -61,7 +156,8 @@ impl LatBlock {
         let mut sorted = ranks.clone();
         sorted.sort_unstable();
         let ranks_distinct = sorted.windows(2).all(|w| w[0] != w[1]);
-        LatBlock { ranks, lat, lat_t, ranks_distinct }
+        let classes = BlockClasses::find(k, &lat);
+        LatBlock { ranks, lat, lat_t, ranks_distinct, classes }
     }
 
     /// Number of members.
@@ -97,8 +193,18 @@ impl LatBlock {
         &self.lat_t[j * k..(j + 1) * k]
     }
 
+    /// The block's latencies as a class table, when they have that shape:
+    /// what lets a consumer evaluate an N-to-N instance in O(k) instead of
+    /// walking `k` rows of `k`.
+    #[inline]
+    pub fn classes(&self) -> Option<&BlockClasses> {
+        self.classes.as_ref()
+    }
+
     fn heap_bytes(&self) -> usize {
-        4 * self.ranks.len() + 8 * (self.lat.len() + self.lat_t.len())
+        4 * self.ranks.len()
+            + 8 * (self.lat.len() + self.lat_t.len())
+            + self.classes.as_ref().map_or(0, BlockClasses::heap_bytes)
     }
 }
 
@@ -398,6 +504,70 @@ mod tests {
         );
         let bad = inst(CollOp::Barrier, None, &[(0, 3, 0)]);
         assert!(CollTable::build(&lens, &[bad], &Directed).is_err());
+    }
+
+    /// Latency by rank through a fixed matrix.
+    struct ByMatrix(usize, Vec<i64>);
+    impl MinLatency for ByMatrix {
+        fn l_min(&self, from: Rank, to: Rank) -> Dur {
+            Dur::from_ps(self.1[from.idx() * self.0 + to.idx()])
+        }
+    }
+
+    fn block_of(k: usize, cell: impl Fn(usize, usize) -> i64) -> LatBlock {
+        let lat = (0..k * k).map(|at| cell(at / k, at % k)).collect();
+        LatBlock::new((0..k as u32).map(Rank).collect(), &ByMatrix(k, lat))
+    }
+
+    /// A class table, when there is one, is the matrix off the diagonal.
+    fn assert_exact(block: &LatBlock) {
+        let Some(classes) = block.classes() else { return };
+        assert!(classes.n_classes() <= MAX_CLASSES && classes.n_classes() < block.k());
+        for i in 0..block.k() {
+            for j in (0..block.k()).filter(|&j| j != i) {
+                let got = classes.lat(classes.of(i), classes.of(j));
+                assert_eq!(got, block.from_member(i)[j], "{i} -> {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn latency_classes_are_found_exactly_or_not_at_all() {
+        // Uniform off the diagonal, anything on it: one class.
+        let uniform = block_of(5, |i, j| if i == j { 77 } else { 4 });
+        assert_eq!(uniform.classes().map(BlockClasses::n_classes), Some(1));
+        assert_exact(&uniform);
+
+        // Nodes of 4 under switches of 8, direction-dependent between
+        // switches: a class per node.
+        let level = |i: usize, j: usize| match (i / 4 == j / 4, i / 8 == j / 8) {
+            (true, _) => 1,
+            (_, true) => 10,
+            _ => 100 + (i / 8) as i64,
+        };
+        let tree = block_of(24, level);
+        assert_eq!(tree.classes().map(BlockClasses::n_classes), Some(6));
+        assert_eq!(tree.classes().map(|c| (c.of(3), c.of(4), c.of(23))), Some((0, 1, 5)));
+        assert_exact(&tree);
+
+        // One cell off: its row's and its column's member leave their
+        // class — still exact — and with the classes used up, nothing.
+        let dented = block_of(24, |i, j| level(i, j) + i64::from((i, j) == (5, 17)));
+        assert_eq!(dented.classes().map(BlockClasses::n_classes), Some(8));
+        assert_exact(&dented);
+        let twice = block_of(24, |i, j| level(i, j) + i64::from((i, j) == (5, 17) || (i, j) == (9, 2)));
+        assert!(twice.classes().is_none());
+
+        // Asymmetric inside a would-be class, a class per member, nine
+        // nodes, a lone member: no table.
+        assert!(block_of(2, |i, _| 5 + i as i64).classes().is_none());
+        assert!(block_of(6, |i, j| 10 * i as i64 + j as i64).classes().is_none());
+        assert!(block_of(18, |i, j| 1 + i64::from(i / 2 != j / 2)).classes().is_none());
+        assert!(block_of(1, |_, _| 3).classes().is_none());
+        // Eight nodes of two are fine; the diagonal is never consulted.
+        let pairs = block_of(16, |i, j| if i == j { -1 } else { 1 + i64::from(i / 2 != j / 2) });
+        assert_eq!(pairs.classes().map(BlockClasses::n_classes), Some(8));
+        assert_exact(&pairs);
     }
 
     #[test]

@@ -173,6 +173,28 @@ pub fn directed_latency(base_us: i64) -> impl Fn(Rank, Rank) -> Dur + Sync {
     }
 }
 
+/// The latency model of a machine: ranks on nodes of `node`, nodes under
+/// switches of `switch` ranks, one latency per level — except between
+/// switches, where it depends on the direction. What [`directed_latency`]
+/// is not: a few classes of members explain every pair, so the lowering
+/// finds a class table and N-to-N ends are evaluated in aggregate.
+pub fn hierarchical_latency(node: u32, switch: u32, base_us: i64) -> impl Fn(Rank, Rank) -> Dur + Sync {
+    move |from: Rank, to: Rank| {
+        let (a, b) = (from.0, to.0);
+        Dur::from_us(base_us + match (a / node == b / node, a / switch == b / switch) {
+            (true, _) => 0,
+            (_, true) => 4,
+            _ => 9 + i64::from(a / switch > b / switch),
+        })
+    }
+}
+
+/// The latency models every collective-zoo leg runs under: one that admits
+/// no class table (the view walk) and one that does (the aggregate).
+pub fn zoo_latencies() -> [(&'static str, Box<dyn MinLatency + Sync>); 2] {
+    [("directed", Box::new(directed_latency(3))), ("tree", Box::new(hierarchical_latency(2, 4, 3)))]
+}
+
 /// A causally valid trace exercising everything the collective lowering
 /// distinguishes, recorded through `local_at(timeline, true_us)`:
 ///
@@ -565,34 +587,40 @@ pub fn v3_ingest_differential_matrix() {
     // The collective zoo under the directed latency model: every flavour,
     // overlapping communicators, a shared rank and an empty timeline, where
     // a transposed or misplaced latency block changes censuses and jumps.
-    let lmin = directed_latency(3);
-    for (mi, model) in models.iter().enumerate() {
-        let (base, init, fin) = drifted_zoo_trace(6, 400, model, 42_000 + mi as u64, &lmin);
-        let v3 = to_binary_columnar_v3_blocked(&base, 256);
-        let seq = PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
-        let mut ref_trace = base.clone();
-        let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
-        for workers in [None, Some(2usize)] {
-            let ctx = format!("zoo {model} workers={workers:?}");
-            let cfg = PipelineConfig {
-                parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                ..seq.clone()
-            };
-            let mut trace = base.clone();
-            let rep = synchronize(&mut trace, &init, Some(&fin), &lmin, &cfg)
-                .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
-            assert_identical(&ref_trace, &trace, &ctx);
-            assert_report_matches_reference(&reference, &rep, &ctx);
-            let (v3_trace, v3_rep) =
-                synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
-                    .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
-            assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
-            assert_report_matches_reference(&reference, &v3_rep, &ctx);
-            legs += 1;
+    // Once with no class table (N-to-N ends walk their views), once with a
+    // node/switch tree (they are evaluated in aggregate).
+    for (li, (lname, lmin)) in zoo_latencies().iter().enumerate() {
+        let lmin: &dyn MinLatency = &**lmin;
+        for (mi, model) in models.iter().enumerate() {
+            let seed = 42_000 + (li * 10 + mi) as u64;
+            let (base, init, fin) = drifted_zoo_trace(6, 400, model, seed, lmin);
+            let v3 = to_binary_columnar_v3_blocked(&base, 256);
+            let seq =
+                PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+            let mut ref_trace = base.clone();
+            let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), lmin, &seq);
+            for workers in [None, Some(2usize)] {
+                let ctx = format!("zoo/{lname} {model} workers={workers:?}");
+                let cfg = PipelineConfig {
+                    parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 57 }),
+                    ..seq.clone()
+                };
+                let mut trace = base.clone();
+                let rep = synchronize(&mut trace, &init, Some(&fin), lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+                assert_identical(&ref_trace, &trace, &ctx);
+                assert_report_matches_reference(&reference, &rep, &ctx);
+                let (v3_trace, v3_rep) =
+                    synchronize_stream(v3.chunks(4096), &init, Some(&fin), lmin, &cfg)
+                        .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
+                assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
+                assert_report_matches_reference(&reference, &v3_rep, &ctx);
+                legs += 1;
+            }
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2 + models.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() * 2 + 2 * models.len() * 2;
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
 

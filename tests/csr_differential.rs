@@ -13,15 +13,15 @@ mod common;
 
 use common::{
     assert_identical, assert_report_matches_reference, directed_latency, drifted_trace,
-    drifted_zoo_trace, graph_edges, reference_edges, reference_synchronize,
+    drifted_zoo_trace, graph_edges, reference_edges, reference_synchronize, zoo_latencies,
 };
 use drift_lab::clocksync::{
     synchronize, ClcParams, DepGraph, ParallelConfig, PipelineConfig, PreSync, TraceAnalysis,
 };
 use drift_lab::simclock::Time;
 use drift_lab::tracefmt::{
-    check_collectives_at, CensusPlan, CollOp, CommId, EventKind, Location, ProcessTrace, Rank,
-    ThreadId, Trace, TraceColumns, UniformLatency,
+    check_collectives_at, CensusPlan, CollOp, CommId, EventKind, Location, MinLatency,
+    ProcessTrace, Rank, ThreadId, Trace, TraceColumns, UniformLatency,
 };
 
 // ----------------------------------------------------------------- tests --
@@ -184,36 +184,65 @@ fn clc_is_bit_identical_through_maps_and_csr() {
             }
         }
     }
-    // The asymmetric-latency leg: all four flavours, rotating roots,
-    // overlapping communicators, a shared rank, an empty timeline. A
-    // transposed or misplaced latency block moves jumps and censuses here.
-    let lmin = directed_latency(3);
-    let (base, init, fin) = drifted_zoo_trace(6, 600, "sinusoid", 7100, &lmin);
-    for presync in presyncs {
-        let seq = PipelineConfig {
-            presync,
-            clc: Some(ClcParams::default()),
-            ..PipelineConfig::default()
-        };
-        let mut ref_trace = base.clone();
-        let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
-        let (raw, .., clc) = &reference;
-        assert!(raw.coll.logical_violated > 0, "zoo {presync:?}: nothing to census");
-        assert!(clc.as_ref().is_some_and(|c| c.n_jumps() > 0), "zoo {presync:?}: nothing to fix");
-        for workers in worker_counts {
-            let ctx = format!("zoo {presync:?} workers={workers:?}");
-            let cfg = PipelineConfig {
-                parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 64 }),
-                ..seq.clone()
+    // The zoo legs: all four flavours, rotating roots, overlapping
+    // communicators, a shared rank, an empty timeline — under a latency
+    // model that is nowhere symmetric (a transposed or misplaced latency
+    // block moves jumps and censuses; no class table, every N-to-N end
+    // walks its view) and under a node/switch tree (class tables, N-to-N
+    // ends evaluated in aggregate).
+    for (li, (lname, lmin)) in zoo_latencies().iter().enumerate() {
+        let lmin: &dyn MinLatency = &**lmin;
+        let (base, init, fin) = drifted_zoo_trace(6, 600, "sinusoid", 7100 + li as u64, lmin);
+        let analysis = TraceAnalysis::capture(&base).expect("well-formed trace");
+        let graph = DepGraph::from_trace(&base, &analysis.matching, &analysis.instances, lmin);
+        let classed = graph.coll_table().instances().filter(|i| i.block.classes().is_some()).count();
+        match *lname {
+            "tree" => assert_eq!(classed, analysis.instances.len(), "every block is classed"),
+            // Two timelines of one rank are one class; the sub-communicator
+            // of distinct ranks has none.
+            _ => assert!(classed < analysis.instances.len(), "a block must stay unclassed"),
+        }
+        for presync in presyncs {
+            let seq = PipelineConfig {
+                presync,
+                clc: Some(ClcParams::default()),
+                ..PipelineConfig::default()
             };
-            let mut t = base.clone();
-            let rep = synchronize(&mut t, &init, Some(&fin), &lmin, &cfg)
-                .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
-            assert_identical(&ref_trace, &t, &ctx);
-            assert_report_matches_reference(&reference, &rep, &ctx);
-            legs += 1;
+            let mut ref_trace = base.clone();
+            let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), lmin, &seq);
+            let (raw, .., clc) = &reference;
+            assert!(raw.coll.logical_violated > 0, "zoo/{lname} {presync:?}: nothing to census");
+            assert!(
+                clc.as_ref().is_some_and(|c| c.n_jumps() > 0),
+                "zoo/{lname} {presync:?}: nothing to fix"
+            );
+            for workers in worker_counts {
+                let ctx = format!("zoo/{lname} {presync:?} workers={workers:?}");
+                let cfg = PipelineConfig {
+                    parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 64 }),
+                    ..seq.clone()
+                };
+                let mut t = base.clone();
+                let rep = synchronize(&mut t, &init, Some(&fin), lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+                assert_identical(&ref_trace, &t, &ctx);
+                assert_report_matches_reference(&reference, &rep, &ctx);
+                if workers.is_none() {
+                    // The serial kernel finds the jumps in the reference's
+                    // order, aggregated ends or not.
+                    let order = |c: &drift_lab::clocksync::ClcReport| {
+                        c.jumps.iter().map(|j| (j.event, j.size)).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        rep.clc.as_ref().map(order),
+                        clc.as_ref().map(order),
+                        "{ctx}: jump order"
+                    );
+                }
+                legs += 1;
+            }
         }
     }
-    let floor = (models.len() + 1) * presyncs.len() * worker_counts.len();
+    let floor = (models.len() + 2) * presyncs.len() * worker_counts.len();
     assert!(legs >= floor, "CLC matrix ran only {legs} legs (expected {floor})");
 }

@@ -17,8 +17,11 @@
 
 mod common;
 
-use common::{collective_zoo_trace, directed_latency, graph_edges, reference_edges};
-use drift_lab::clocksync::{DepGraph, TraceAnalysis};
+use common::{
+    assert_identical, collective_zoo_trace, directed_latency, graph_edges, hierarchical_latency,
+    reference_edges, reference_synchronize,
+};
+use drift_lab::clocksync::{ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{to_binary_columnar, StreamDecoder, TraceBuilder};
 use drift_lab::tracefmt::{check_collectives_at, CensusPlan, CollOp, MinLatency, TraceColumns};
@@ -147,8 +150,120 @@ fn assert_collective_census(trace: &Trace, lmin: &dyn MinLatency) {
     assert_eq!(fields(&sharded), fields(&want), "sharded census");
 }
 
+/// The latency families of the class-table property, by `kind`: uniform,
+/// two levels, three levels (direction-dependent on top), three levels
+/// with one cell off, and the nowhere-symmetric [`directed_latency`].
+fn latency_family(kind: u8, node: u32, fan: u32, base_us: i64, dent: (u32, u32)) -> Box<dyn MinLatency + Sync> {
+    let tree = hierarchical_latency(node, node * fan, base_us);
+    match kind {
+        0 => Box::new(UniformLatency(Dur::from_us(base_us))),
+        1 => Box::new(hierarchical_latency(node, u32::MAX, base_us)),
+        2 => Box::new(tree),
+        3 => Box::new(move |from: Rank, to: Rank| {
+            tree(from, to) + Dur::from_us(i64::from((from.0, to.0) == dent))
+        }),
+        _ => Box::new(directed_latency(base_us)),
+    }
+}
+
+/// Aggregated N-to-N ends ≡ the view walk ≡ the map-based reference: the
+/// batch pipeline (serial CSR kernels, which aggregate wherever a block is
+/// classed), the windowed engine (which always walks views) and
+/// `reference_synchronize` on one zoo trace under `lmin`. Timestamps, the
+/// jump set, and — batch against reference — the order jumps are found in.
+fn assert_classed_walked_and_reference_agree(
+    trace: &Trace,
+    lmin: &dyn MinLatency,
+    expect_classed: &dyn Fn(&drift_lab::tracefmt::LatBlock) -> Option<bool>,
+) {
+    use drift_lab::clocksync::{synchronize, synchronize_stream_incremental, ClcReport};
+    use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
+
+    // A class table, when a block has one, is the matrix off the diagonal.
+    let analysis = TraceAnalysis::capture(trace).expect("zoo traces analyse");
+    let graph = DepGraph::from_trace(trace, &analysis.matching, &analysis.instances, lmin);
+    for inst in graph.coll_table().instances() {
+        let (block, k) = (inst.block, inst.block.k());
+        if let Some(want) = expect_classed(block) {
+            assert_eq!(block.classes().is_some(), want, "block of ranks {:?}", block.ranks());
+        }
+        let Some(classes) = block.classes() else { continue };
+        assert!(classes.n_classes() < k && classes.n_classes() <= 8);
+        for i in 0..k {
+            for j in (0..k).filter(|&j| j != i) {
+                assert_eq!(
+                    classes.lat(classes.of(i), classes.of(j)),
+                    block.from_member(i)[j],
+                    "class table cell {i} -> {j} of a {k}-member block"
+                );
+            }
+        }
+    }
+
+    let cfg = PipelineConfig {
+        presync: PreSync::None,
+        clc: Some(ClcParams::default()),
+        ..PipelineConfig::default()
+    };
+    let init = vec![None; trace.n_procs()];
+    let mut want = trace.clone();
+    let (.., reference) = reference_synchronize(&mut want, &init, None, lmin, &cfg);
+    let reference = reference.expect("clc configured");
+
+    let in_order = |c: &ClcReport| c.jumps.iter().map(|j| (j.event, j.size)).collect::<Vec<_>>();
+    let mut batch = trace.clone();
+    let rep = synchronize(&mut batch, &init, None, lmin, &cfg).expect("batch pipeline");
+    assert_identical(&want, &batch, "batch vs reference");
+    assert_eq!(in_order(rep.clc.as_ref().expect("clc ran")), in_order(&reference), "jump order");
+
+    let v3 = to_binary_columnar_v3_blocked(trace, 64);
+    let chunks: Vec<&[u8]> = v3.chunks(4096).collect();
+    let (out, wrep) =
+        synchronize_stream_incremental(&chunks, &init, None, lmin, &cfg, trace.n_events().max(1))
+            .expect("windowed engine");
+    let back = from_binary_columnar(out.concat().into()).expect("emitted frames decode");
+    for p in &want.procs {
+        let q = back.procs.iter().find(|q| q.location == p.location).expect("timeline emitted");
+        assert_eq!(p.events, q.events, "windowed vs reference at {:?}", p.location);
+    }
+    let mut sorted = in_order(&reference);
+    sorted.sort_by_key(|(event, _)| (event.p(), event.i()));
+    assert_eq!(in_order(wrep.clc.as_ref().expect("clc ran")), sorted, "windowed jump set");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random communicator widths up to 24 ranks, latency matrices of every
+    /// family: whatever the lowering classes is exact, what it cannot class
+    /// it leaves to the view walk, and all three engines agree either way.
+    #[test]
+    fn aggregated_collectives_equal_the_view_walk_and_the_reference(
+        procs in 3usize..25,
+        rounds in 5usize..60,
+        seed in 0u64..1_000_000,
+        skews in prop::collection::vec(-200i64..200, 26),
+        (kind, node, fan, base_us) in (0u8..5, 3u32..7, 2u32..4, 1i64..15),
+        dent in (0u32..24, 0u32..24),
+    ) {
+        // The directed model repeats itself every 8 ranks: keep it where
+        // it is nowhere symmetric.
+        let procs = if kind == 4 { procs.min(7) } else { procs };
+        let lmin = latency_family(kind, node, fan, base_us, dent);
+        let lmin: &dyn MinLatency = &*lmin;
+        let trace = collective_zoo_trace(procs, rounds, seed, lmin, &|p, t| t + skews[p]);
+        // Uniform latency classes every block; a tree over nodes of ≥ 3
+        // at least WORLD (a member per rank, rank 1 twice); one dented
+        // cell may cost a block its table; the directed model classes
+        // nothing but what the shared rank makes alike.
+        let expect = |block: &drift_lab::tracefmt::LatBlock| match kind {
+            0 => Some(block.k() >= 2),
+            1 | 2 => (block.k() == procs + 1).then_some(true),
+            3 => None,
+            _ => block.ranks_distinct().then_some(false),
+        };
+        assert_classed_walked_and_reference_agree(&trace, lmin, &expect);
+    }
 
     /// Direct round trip: lower a random trace into CSR and read every
     /// edge back out — nothing dropped, nothing invented.

@@ -94,6 +94,62 @@ proptest! {
         run_stream(&mutated, seed);
     }
 
+    /// Well-formed bytes, hostile *structure*: every timeline carries a
+    /// random sequence of collective begins and ends over three
+    /// communicators — unbalanced, doubled, crossed, ops and roots that
+    /// disagree between timelines. The analysis rejects most of these and
+    /// the lowering (`DepGraph::try_build`) whatever is left that does not
+    /// fit the trace shape; what analyses runs. Batch, streamed and
+    /// windowed drivers must all come back typed — the lowering's panics
+    /// for hand-built analyses are out of a tenant's reach.
+    #[test]
+    fn hostile_collective_structure_never_panics(
+        timelines in 1usize..5,
+        events in prop::collection::vec((0usize..5, 0u8..12, 0u32..3, 0u32..6, 0i64..50), 0..60),
+        sane_prefix in 0usize..4,
+    ) {
+        use drift_lab::clocksync::synchronize_stream_incremental;
+        use drift_lab::prelude::*;
+        use drift_lab::tracefmt::CollOp;
+        let ops = [CollOp::Barrier, CollOp::Bcast, CollOp::Reduce, CollOp::Scan, CollOp::Allreduce, CollOp::Alltoall];
+        let mut trace = Trace::for_ranks(timelines);
+        let mut at = vec![0i64; timelines];
+        // A few sane world barriers first, so that instances exist when
+        // the scrambled tail confuses the per-communicator call lists.
+        for _ in 0..sane_prefix {
+            for (p, at) in at.iter_mut().enumerate() {
+                let (op, comm, root) = (CollOp::Barrier, CommId(0), None);
+                trace.procs[p].push(Time::from_us(*at), EventKind::CollBegin { op, comm, root, bytes: 0 });
+                *at += 3;
+                trace.procs[p].push(Time::from_us(*at), EventKind::CollEnd { op, comm, root, bytes: 0 });
+            }
+        }
+        for (p, kind, comm, op, dt) in events {
+            let p = p % timelines;
+            at[p] += dt - 10; // timestamps may run backwards, too
+            let op = ops[op as usize % ops.len()];
+            let root = op.has_root().then_some(Rank(u32::from(kind) % 7));
+            let comm = CommId(comm);
+            let kind = match kind % 4 {
+                0 | 1 => EventKind::CollBegin { op, comm, root, bytes: 8 },
+                2 => EventKind::CollEnd { op, comm, root, bytes: 8 },
+                _ => EventKind::Send { to: Rank(comm.0), tag: Tag(0), bytes: 1 },
+            };
+            trace.procs[p].push(Time::from_us(at[p]), kind);
+        }
+        let init = vec![None; timelines];
+        let lmin = UniformLatency(Dur::from_us(2));
+        let cfg = PipelineConfig { presync: PreSync::None, ..PipelineConfig::default() };
+        let bytes = to_binary_columnar_blocked(&trace, 8);
+        let chunks: Vec<&[u8]> = bytes.chunks(64).collect();
+        let batch = synchronize(&mut trace.clone(), &init, None, &lmin, &cfg);
+        let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg);
+        let windowed = synchronize_stream_incremental(&chunks, &init, None, &lmin, &cfg, 4);
+        // One analysis, one lowering: the drivers agree on the verdict.
+        prop_assert_eq!(batch.is_ok(), streamed.is_ok());
+        prop_assert_eq!(batch.is_ok(), windowed.is_ok());
+    }
+
     /// Pure garbage — no magic, no structure — fails typed at any
     /// chunking, and its admission estimate is never zero-cost.
     #[test]

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{directed_latency, drifted_trace, drifted_zoo_trace, reference_synchronize};
+use common::{drifted_trace, drifted_zoo_trace, reference_synchronize, zoo_latencies};
 use drift_lab::clocksync::{
     synchronize, synchronize_stream_incremental, ClcParams, ParallelConfig, PipelineConfig,
     PreSync,
@@ -140,28 +140,37 @@ fn windowed_engine_differential_matrix() {
             }
         }
     }
-    // The collective zoo under a direction-dependent latency model, at the
-    // two extreme windows: every flavour's view, on three communicators,
-    // walked one event per epoch and in one epoch.
-    let lmin = directed_latency(3);
-    for (mi, model) in models.iter().enumerate() {
-        let (base, init, fin) = drifted_zoo_trace(6, 400, model, 73_500 + mi as u64, &lmin);
-        let v3 = to_binary_columnar_v3_blocked(&base, 256);
-        let cfg = PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
-        let mut batch = base.clone();
-        let (.., bclc) = reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
-        let bclc = bclc.as_ref().expect("clc configured");
-        assert!(bclc.n_jumps() > 0, "zoo {model}: nothing to fix");
-        for window in [1usize, base.n_events()] {
-            let ctx = format!("zoo {model} window={window}");
-            let (back, rep) = run_windowed(&v3, &init, &fin, &lmin, &cfg, window, &ctx);
-            assert_times_match(&batch, &back, &ctx);
-            assert_clc_match(bclc, rep.clc.as_ref().expect("clc ran"), &ctx);
-            legs += 1;
+    // The collective zoo at the two extreme windows: every flavour's view,
+    // on three communicators, walked one event per epoch and in one epoch —
+    // under a latency model with no class table, and under a node/switch
+    // tree, where the reference the windowed walk must equal was produced
+    // by the batch engine's aggregated N-to-N ends.
+    for (li, (lname, lmin)) in zoo_latencies().iter().enumerate() {
+        let lmin: &dyn MinLatency = &**lmin;
+        for (mi, model) in models.iter().enumerate() {
+            let seed = 73_500 + (li * 10 + mi) as u64;
+            let (base, init, fin) = drifted_zoo_trace(6, 400, model, seed, lmin);
+            let v3 = to_binary_columnar_v3_blocked(&base, 256);
+            let cfg =
+                PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+            let mut batch = base.clone();
+            let (.., bclc) = reference_synchronize(&mut batch, &init, Some(&fin), lmin, &cfg);
+            let bclc = bclc.as_ref().expect("clc configured");
+            assert!(bclc.n_jumps() > 0, "zoo/{lname} {model}: nothing to fix");
+            let mut aggregated = base.clone();
+            synchronize(&mut aggregated, &init, Some(&fin), lmin, &cfg).expect("batch engine");
+            assert_times_match(&batch, &aggregated, &format!("zoo/{lname} {model} batch"));
+            for window in [1usize, base.n_events()] {
+                let ctx = format!("zoo/{lname} {model} window={window}");
+                let (back, rep) = run_windowed(&v3, &init, &fin, lmin, &cfg, window, &ctx);
+                assert_times_match(&batch, &back, &ctx);
+                assert_clc_match(bclc, rep.clc.as_ref().expect("clc ran"), &ctx);
+                legs += 1;
+            }
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2 * 4 + models.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() * 2 * 4 + 2 * models.len() * 2;
     assert!(legs >= floor, "windowed matrix ran only {legs} legs (expected {floor})");
 }
 
