@@ -1,14 +1,13 @@
 //! Performance and ablation benches for the timestamp-correction
-//! algorithms: CLC serial vs. parallel replay across trace sizes, forward
-//! amortization factor, backward amortization on/off, and the classic
-//! baselines on the same corpus.
+//! algorithms: the CLC across trace sizes, forward amortization factor,
+//! backward amortization on/off, and the classic baselines on the same
+//! corpus.
 
 use bench::{lmin_table, skewed_trace};
 use clocksync::baselines::babaoglu::{full_exchange_maps, FullExchangeFit};
 use clocksync::baselines::jezequel::spanning_tree_maps;
 use clocksync::{
-    controlled_logical_clock, controlled_logical_clock_parallel,
-    controlled_logical_clock_with_domains, ClcParams,
+    controlled_logical_clock, controlled_logical_clock_with_domains, ClcParams,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -27,17 +26,6 @@ fn bench_clc_scaling(c: &mut Criterion) {
                 b.iter(|| {
                     let mut t = t.clone();
                     controlled_logical_clock(&mut t, &lmin, &ClcParams::default()).unwrap()
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("parallel_replay", format!("{ranks}r_{events}ev")),
-            &trace,
-            |b, t| {
-                b.iter(|| {
-                    let mut t = t.clone();
-                    controlled_logical_clock_parallel(&mut t, &lmin, &ClcParams::default())
-                        .unwrap()
                 })
             },
         );

@@ -152,7 +152,6 @@ fn bench_clc_collectives(c: &mut Criterion) {
     let cfg = PipelineConfig {
         presync: PreSync::None,
         clc: Some(ClcParams::default()),
-        parallel: None,
         ..PipelineConfig::default()
     };
     let init = vec![None; ranks];

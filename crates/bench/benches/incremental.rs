@@ -93,7 +93,6 @@ fn main() {
     let cfg = PipelineConfig {
         presync: PreSync::None,
         clc: Some(ClcParams::default()),
-        parallel: None,
         ..PipelineConfig::default()
     };
     let init = vec![None; PROCS];

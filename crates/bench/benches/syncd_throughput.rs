@@ -247,7 +247,7 @@ fn main() {
     assert!(p50 <= p99, "p50 {p50} above p99 {p99}");
     assert!(p99 > 0.0, "histogram recorded nothing");
 
-    // CPU-aware overhead gate (mirrors the pipeline_parallel convention).
+    // CPU-aware overhead gate.
     if cpus >= 4 {
         assert!(
             speedup >= 1.2,

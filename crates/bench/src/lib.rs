@@ -6,6 +6,8 @@
 //! `experiments` binary; these benches prove the code paths and give
 //! stable performance baselines.
 
+#![forbid(unsafe_code)]
+
 use mpisim::{run, Cluster, Program, RankProgram, RunOptions};
 use netsim::{HierarchicalLatency, Placement, Topology};
 use simclock::{ClockDomain, ClockEnsemble, Dur, Platform, TimerKind};

@@ -43,7 +43,7 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     let passes = |cols: &mut TraceColumns| {
         let report = forward_pass_csr(cols, graph, params.mu)?;
         if params.backward {
-            backward_amortization_csr(cols, graph, params, &report.jumps, false);
+            backward_amortization_csr(cols, graph, params, &report.jumps);
             forward_pass_csr(cols, graph, 1.0)?;
         }
         Ok(report)
@@ -58,7 +58,7 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
 /// layout every CSR kernel reads its snapshots and originals in. The
 /// columns' own slab is already timeline-major in gid order, so this is a
 /// single `memcpy` of live storage.
-pub(crate) fn flatten_by_gid(cols: &TraceColumns) -> Vec<i64> {
+fn flatten_by_gid(cols: &TraceColumns) -> Vec<i64> {
     cols.flat().to_vec()
 }
 
@@ -75,7 +75,7 @@ pub(crate) fn validate(params: &ClcParams) -> Result<(), ClcError> {
 /// Count events whose corrected time differs from the original. Branchless
 /// compare-and-sum over two dense `i64` runs — the autovectorizer turns
 /// each timeline into packed compares.
-pub(crate) fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
+fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
     cols.flat()
         .iter()
         .zip(originals)
@@ -190,20 +190,16 @@ pub(crate) fn forward_pass_csr(
 
 /// Backward amortization over columns and CSR out-edges: smooth each jump
 /// over a window of preceding events, clamped against a snapshot — the CSR
-/// twin of the serial `backward_amortization`. With `threaded` the
-/// per-timeline kernels run on scoped threads (timelines are independent
-/// here, so threading cannot change the result).
-pub(crate) fn backward_amortization_csr(
+/// twin of the serial `backward_amortization`.
+fn backward_amortization_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
     params: &ClcParams,
     jumps: &[Jump],
-    threaded: bool,
 ) {
     // Flatten the snapshot by gid: backward clamping reads remote times by
     // out-edge target, which is already a gid.
     let snapshot = flatten_by_gid(cols);
-    let snapshot_ref = &snapshot;
     let mut per_proc: Vec<Vec<Jump>> = vec![Vec::new(); cols.n_procs()];
     for j in jumps {
         per_proc[j.event.p()].push(*j);
@@ -211,22 +207,8 @@ pub(crate) fn backward_amortization_csr(
     for list in per_proc.iter_mut() {
         list.sort_by_key(|j| j.event.i());
     }
-    if threaded {
-        std::thread::scope(|scope| {
-            for (p, col) in cols.iter_mut_slices() {
-                let my_jumps = std::mem::take(&mut per_proc[p]);
-                if my_jumps.is_empty() {
-                    continue;
-                }
-                scope.spawn(move || {
-                    backward_pass_csr(p, col, &my_jumps, graph, params, snapshot_ref);
-                });
-            }
-        });
-    } else {
-        for (p, col) in cols.iter_mut_slices() {
-            backward_pass_csr(p, col, &per_proc[p], graph, params, snapshot_ref);
-        }
+    for (p, col) in cols.iter_mut_slices() {
+        backward_pass_csr(p, col, &per_proc[p], graph, params, &snapshot);
     }
 }
 
@@ -362,7 +344,7 @@ mod tests {
         // Timestamps pinned to the i64 edges: the remote bound, the
         // amortized-gap arithmetic and the backward-window extrapolation
         // all overflow plain i64 ops here. Saturating kernels must accept
-        // the trace, and every engine must agree bit for bit.
+        // the trace, and both engines must agree bit for bit.
         let mut t = Trace::for_ranks(2);
         t.procs[0].push(Time::from_ps(i64::MIN + 3), EventKind::Enter { region: RegionId(0) });
         t.procs[0].push(
@@ -384,20 +366,10 @@ mod tests {
         let mut cols = TraceColumns::gather(&t);
         let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
 
-        let mut rep_cols = TraceColumns::gather(&t);
-        let (rr, _) = crate::clc::replay::controlled_logical_clock_replay_csr(
-            &mut rep_cols,
-            &graph,
-            &params,
-        )
-        .unwrap();
-
         assert_eq!(ra.n_jumps(), rc.n_jumps());
-        assert_eq!(rc.n_jumps(), rr.n_jumps());
         assert_eq!(ra.max_jump, rc.max_jump);
         for (id, e) in aos.iter_events() {
             assert_eq!(cols.time(id), e.time, "columnar vs aos at {id:?}");
-            assert_eq!(rep_cols.time(id), e.time, "replay vs aos at {id:?}");
         }
     }
 

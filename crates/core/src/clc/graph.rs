@@ -44,9 +44,9 @@
 //! order, and a receive has its one message edge. So a forward pass walking
 //! a view observes dependencies in the same sequence as the reference and
 //! blocks on the same first pending producer — the foundation of the
-//! bit-identity guarantee shared by the serial, columnar, replay and
-//! windowed engines (same `max`/`min` over the same `saturating_add`
-//! terms, same jump order).
+//! bit-identity guarantee shared by the serial, columnar and windowed
+//! engines (same `max`/`min` over the same `saturating_add` terms, same
+//! jump order).
 //!
 //! The serial forward pass goes one step further for an N-to-N instance
 //! whose latency block is classed ([`tracefmt::BlockClasses`]): it does not
@@ -55,14 +55,11 @@
 //! [`CollPass`], which also argues why that blocks at the same events and
 //! takes the same maximum. Every other consumer walks the views.
 //!
-//! Degrees, the logical edge count and the replay engine's ring capacities
-//! follow from flavour and member count: [`Edges::len`] is slice length
-//! minus the skipped position, [`DepGraph::n_edges`] sums
-//! `k·(k−1)` / `k−1` / `k·(k−1)/2` per instance, and
-//! [`DepGraph::cross_count`] adds, per communicator, the number of
-//! instances of each flavour (and root) to every ordered pair of member
-//! timelines once. Stored size is O(events + Σ k² over communicators)
-//! whatever the number of instances.
+//! Degrees and the logical edge count follow from flavour and member
+//! count: [`Edges::len`] is slice length minus the skipped position and
+//! [`DepGraph::n_edges`] sums `k·(k−1)` / `k−1` / `k·(k−1)/2` per
+//! instance. Stored size is O(events + Σ k² over communicators) whatever
+//! the number of instances.
 
 use simclock::Dur;
 use std::sync::Arc;
@@ -182,26 +179,6 @@ pub struct DepGraph {
     /// Logical constraint edges: messages plus the flavour-mapped edges of
     /// every instance. A count, never a capacity.
     n_edges: usize,
-    /// `cross_counts[q * n_procs + p]`: number of edges from a producer on
-    /// timeline `q` to a consumer on timeline `p ≠ q` — the exact capacity
-    /// of the replay engine's `q → p` ring.
-    cross_counts: Vec<u32>,
-    /// First consumer of a same-timeline edge whose producer does not
-    /// precede it in program order, if any. Such an edge makes the serial
-    /// forward pass report [`super::ClcError::CyclicTrace`]; the replay
-    /// engine checks this up front instead of deadlocking.
-    local_cycle: Option<EventId>,
-}
-
-/// How often each logical edge of one latency block occurs: the instances
-/// using the block, counted by flavour and root.
-struct BlockUse {
-    /// Some instance of the block (all share their members' timelines).
-    first: usize,
-    n_to_n: u32,
-    prefix: u32,
-    /// Per member position: instances it roots as `[1-to-N, N-to-1]`.
-    rooted: Vec<[u32; 2]>,
 }
 
 impl DepGraph {
@@ -255,16 +232,10 @@ impl DepGraph {
 
         // Message edges, in matching order. A receive has one matched
         // send, so per-consumer order is trivially the dispatch order.
-        let mut local_cycle = None;
         let triples: Vec<(EventId, EventId, i64)> = matching
             .messages
             .iter()
-            .map(|m| {
-                if m.send.p() == m.recv.p() && m.send.idx >= m.recv.idx && local_cycle.is_none() {
-                    local_cycle = Some(m.recv);
-                }
-                (m.send, m.recv, lmin.l_min(m.from, m.to).as_ps())
-            })
+            .map(|m| (m.send, m.recv, lmin.l_min(m.from, m.to).as_ps()))
             .collect();
         let n_msgs = triples.len();
 
@@ -278,13 +249,9 @@ impl DepGraph {
         let total = total as usize;
         let mut in_offsets = vec![0u32; total + 2];
         let mut out_offsets = vec![0u32; total + 2];
-        let mut cross_counts = vec![0u32; n * n];
         for &(src, dst, _) in &triples {
             in_offsets[gid(dst) as usize + 2] += 1;
             out_offsets[gid(src) as usize + 2] += 1;
-            if src.p() != dst.p() {
-                cross_counts[src.p() * n + dst.p()] += 1;
-            }
         }
         for v in 1..=total {
             in_offsets[v + 1] += in_offsets[v];
@@ -309,14 +276,12 @@ impl DepGraph {
         out_offsets.truncate(total + 1);
 
         let coll = CollTable::build(proc_lens, instances, lmin)?;
-        // Collectives: index the member rows by event, count the logical
-        // edges, and tally how often each latency block is used — nothing
-        // here is proportional to the number of logical edges.
+        // Collectives: index the member rows by event and count the logical
+        // edges — nothing here is proportional to their number.
         let mut n_edges = n_msgs;
         let mut coll_slot = Vec::new();
         let mut row_inst = Vec::new();
         let mut pending_init = Vec::new();
-        let mut uses: Vec<Option<BlockUse>> = (0..coll.n_blocks()).map(|_| None).collect();
         if coll.n_instances() > 0 {
             // Member rows are tagged into 31 bits of `coll_slot`.
             if coll.n_members() >= (u32::MAX >> 1) as usize {
@@ -325,12 +290,14 @@ impl DepGraph {
             coll_slot = vec![0u32; total];
             row_inst = Vec::with_capacity(coll.n_members());
             pending_init = Vec::with_capacity(coll.n_instances());
+            // member_of[p]: the last instance (+ 1) with a member on
+            // timeline p.
+            let mut member_of = vec![0u32; n];
             for (i, inst) in coll.instances().enumerate() {
                 n_edges += inst.n_logical_by_position();
                 // Aggregated (see `CollPass`) when the latencies are
-                // classed and every member's begin precedes its end on one
-                // timeline; blocks with two members on one timeline are
-                // struck out below.
+                // classed and every member's begin precedes its end on a
+                // timeline no other member is on.
                 let mut aggregate = inst.flavor == CollFlavor::NToN && inst.block.classes().is_some();
                 for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate() {
                     let tag = ((inst.first_row + pos + 1) as u32) << 1;
@@ -347,58 +314,15 @@ impl DepGraph {
                     debug_assert!(out_offsets[begin as usize] == out_offsets[begin as usize + 1]);
                     debug_assert!(in_offsets[end as usize] == in_offsets[end as usize + 1]);
                     row_inst.push(i as u32);
-                    aggregate &= begin < end && proc_of[begin as usize] == proc_of[end as usize];
+                    let p = proc_of[begin as usize];
+                    let alone = std::mem::replace(&mut member_of[p as usize], i as u32 + 1) <= i as u32;
+                    aggregate &= alone && begin < end && p == proc_of[end as usize];
                 }
                 pending_init.push(if aggregate { inst.begins.len() as u32 } else { NOT_AGGREGATED });
-                let u = uses[coll.block_of(i)].get_or_insert_with(|| BlockUse {
-                    first: i,
-                    n_to_n: 0,
-                    prefix: 0,
-                    rooted: vec![[0, 0]; inst.begins.len()],
-                });
-                match (inst.flavor, inst.root_pos) {
-                    (CollFlavor::OneToN, Some(r)) => u.rooted[r][0] += 1,
-                    (CollFlavor::NToOne, Some(r)) => u.rooted[r][1] += 1,
-                    (CollFlavor::NToN, _) => u.n_to_n += 1,
-                    (CollFlavor::Prefix, _) => u.prefix += 1,
-                    (CollFlavor::OneToN | CollFlavor::NToOne, None) => {}
-                }
             }
         }
 
-        // Ring capacities: every instance of a block puts its edges on the
-        // same ordered timeline pairs, so each pair is visited once per
-        // block with the number of instances that have an edge there.
-        let mut same_timeline_blocks = vec![false; uses.len()];
-        for (b, u) in uses.iter().enumerate() {
-            let Some(u) = u else { continue };
-            let inst = coll.instance(u.first);
-            let src: Vec<usize> = inst.begins.iter().map(|&g| proc_of[g as usize] as usize).collect();
-            let dst: Vec<usize> = inst.ends.iter().map(|&g| proc_of[g as usize] as usize).collect();
-            for (a, &q) in src.iter().enumerate() {
-                for (z, &p) in dst.iter().enumerate() {
-                    if a == z {
-                        continue;
-                    }
-                    if q == p {
-                        same_timeline_blocks[b] = true;
-                        continue;
-                    }
-                    let prefix = if a < z { u.prefix } else { 0 };
-                    cross_counts[q * n + p] += u.n_to_n + prefix + u.rooted[a][0] + u.rooted[z][1];
-                }
-            }
-        }
-
-        if same_timeline_blocks.contains(&true) {
-            for (i, pending) in pending_init.iter_mut().enumerate() {
-                if same_timeline_blocks[coll.block_of(i)] {
-                    *pending = NOT_AGGREGATED;
-                }
-            }
-        }
-
-        let mut graph = DepGraph {
+        Ok(DepGraph {
             base,
             proc_of,
             in_offsets,
@@ -412,33 +336,7 @@ impl DepGraph {
             row_inst,
             pending_init,
             n_edges,
-            cross_counts,
-            local_cycle,
-        };
-        if graph.local_cycle.is_none() && same_timeline_blocks.contains(&true) {
-            graph.local_cycle = graph.collective_local_cycle(&same_timeline_blocks);
-        }
-        Ok(graph)
-    }
-
-    /// First collective end, in lowering order, that depends on a begin at
-    /// or after it on its own timeline. Only instances of `suspects` blocks
-    /// — those with two members on one timeline, which no reconstructed
-    /// trace has — can hold one, and only those are walked.
-    fn collective_local_cycle(&self, suspects: &[bool]) -> Option<EventId> {
-        for (i, inst) in self.coll.instances().enumerate() {
-            if !suspects[self.coll.block_of(i)] {
-                continue;
-            }
-            for &end in inst.ends {
-                let p = self.proc_of(end);
-                if self.in_of(end).iter().any(|(src, _)| self.proc_of(src) == p && src >= end) {
-                    let (p, idx) = self.locate(end);
-                    return Some(EventId::new(p, idx));
-                }
-            }
-        }
-        None
+        })
     }
 
     /// [`DepGraph::build`] with timeline lengths read off the trace.
@@ -480,7 +378,7 @@ impl DepGraph {
     }
 
     /// Heap bytes the graph holds, its collective table included:
-    /// O(events + messages + Σ k² over communicators + timelines²).
+    /// O(events + messages + Σ k² over communicators).
     pub fn heap_bytes(&self) -> usize {
         let words32 = self.base.len()
             + self.proc_of.len()
@@ -490,8 +388,7 @@ impl DepGraph {
             + self.out_edges.len()
             + self.coll_slot.len()
             + self.row_inst.len()
-            + self.pending_init.len()
-            + self.cross_counts.len();
+            + self.pending_init.len();
         4 * words32 + 8 * (self.in_lat_ps.len() + self.out_lat_ps.len()) + self.coll.heap_bytes()
     }
 
@@ -621,20 +518,6 @@ impl DepGraph {
     #[cfg(test)]
     pub(crate) fn n_aggregated(&self) -> usize {
         self.pending_init.iter().filter(|&&k| k != NOT_AGGREGATED).count()
-    }
-
-    /// Exact number of edges from a producer on timeline `q` to a consumer
-    /// on timeline `p` (zero when `q == p`) — the replay ring capacity.
-    #[inline]
-    pub fn cross_count(&self, q: usize, p: usize) -> u32 {
-        self.cross_counts[q * self.n_procs() + p]
-    }
-
-    /// First consumer of a same-timeline edge that does not respect
-    /// program order, if any (a malformed trace the serial pass reports as
-    /// [`super::ClcError::CyclicTrace`]).
-    pub fn local_cycle(&self) -> Option<EventId> {
-        self.local_cycle
     }
 
     /// Events whose corrected times bound `id` from below, with the
@@ -844,7 +727,6 @@ mod tests {
             }
             assert_eq!(out_edges, want, "{procs}x{rounds} out-edge set");
             assert_eq!(g.n_edges(), want.len());
-            assert!(g.local_cycle().is_none());
         }
     }
 
@@ -858,44 +740,6 @@ mod tests {
             let gid = g.base(id.p()) + id.idx;
             assert_eq!(g.locate(gid), (id.p(), id.i()));
         }
-    }
-
-    #[test]
-    fn cross_counts_are_exact_ring_capacities() {
-        let t = fixtures::mixed_trace(4, 10);
-        let g = graph_of(&t);
-        let n = g.n_procs();
-        let mut want = vec![0u32; n * n];
-        for (id, _) in t.iter_events() {
-            for (src, _) in g.in_deps(id) {
-                if src.p() != id.p() {
-                    want[src.p() * n + id.p()] += 1;
-                }
-            }
-        }
-        for q in 0..n {
-            for p in 0..n {
-                assert_eq!(g.cross_count(q, p), want[q * n + p], "ring {q}->{p}");
-            }
-            assert_eq!(g.cross_count(q, q), 0);
-        }
-    }
-
-    #[test]
-    fn self_message_cycle_is_flagged() {
-        // A timeline that receives its own later send: the recv (idx 0)
-        // depends on the send (idx 1) — impossible program order.
-        let mut t = Trace::for_ranks(1);
-        t.procs[0].push(
-            simclock::Time::from_us(5),
-            EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
-        );
-        t.procs[0].push(
-            simclock::Time::from_us(10),
-            EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 },
-        );
-        let g = graph_of(&t);
-        assert_eq!(g.local_cycle(), Some(EventId::new(0, 0)));
     }
 
     /// A collective's cost is its members, not its logical messages: a
@@ -945,10 +789,6 @@ mod tests {
             stored_words <= 4 * (events + k * k),
             "{stored_words} words stored for {events} events on a {k}-timeline communicator"
         );
-        assert_eq!(g.cross_count(0, 1), 40 + 1); // barriers + the scan
-        assert_eq!(g.cross_count(1, 0), 40);
-        assert_eq!(g.cross_count(7, 9), 40 + 1 + 1); // + the broadcast from rank 7
-        assert_eq!(g.cross_count(1, 300), 40 + 1 + 1); // + the reduce to rank 300
 
         let mut cols = TraceColumns::gather(&t);
         assert!(check_collectives_at(&cols, &insts, &LMIN).logical_violated > 0);
@@ -981,12 +821,15 @@ mod tests {
         assert!(fast * 4 < slow, "aggregated {fast:?} vs view walk {slow:?} on {k} timelines");
     }
 
+    /// A hand-built instance with two members on timeline 0, the second
+    /// one's begin (index 2) after the first one's end (index 1): the end
+    /// depends on an event behind it in program order. Never aggregated —
+    /// its ends walk their views — and the forward pass reports the cycle.
     #[test]
-    fn collective_begin_after_its_own_timelines_end_is_a_local_cycle() {
-        use tracefmt::{CollMember, CollOp, CommId};
-        // A hand-built instance with two members on timeline 0, the second
-        // one's begin (index 2) after the first one's end (index 1): the
-        // end depends on an event behind it in program order.
+    fn collective_begin_after_its_own_timelines_end_is_a_cycle() {
+        use crate::clc::columnar::forward_pass_csr;
+        use crate::clc::ClcError;
+        use tracefmt::{CollMember, CollOp, CommId, TraceColumns};
         let member = |p, b, e| CollMember {
             rank: Rank(p as u32),
             begin: EventId::new(p, b),
@@ -999,10 +842,16 @@ mod tests {
             members: vec![member(0, 0, 1), member(0, 2, 3), member(1, 0, 1)],
         };
         let g = DepGraph::build(&Matching::default(), &[inst], &[4, 2], &LMIN);
-        assert_eq!(g.local_cycle(), Some(EventId::new(0, 1)));
         assert_eq!(g.n_edges(), 6);
-        // Same-timeline edges need no ring slot.
-        assert_eq!((g.cross_count(0, 1), g.cross_count(1, 0), g.cross_count(0, 0)), (2, 2, 0));
+        assert_eq!(g.n_aggregated(), 0);
+        let mut t = Trace::for_ranks(2);
+        for (p, len) in [(0, 4), (1, 2)] {
+            for i in 0..len {
+                t.procs[p].push(simclock::Time::from_us(i), EventKind::Enter { region: tracefmt::RegionId(0) });
+            }
+        }
+        let mut cols = TraceColumns::gather(&t);
+        assert!(matches!(forward_pass_csr(&mut cols, &g, 0.99), Err(ClcError::CyclicTrace)));
     }
 
     /// What no decoded trace can hold but a hand-built analysis can: the

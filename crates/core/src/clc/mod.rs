@@ -18,16 +18,13 @@
 //!
 //! The extension of [30] maps collective operations onto point-to-point
 //! semantics (1-to-N, N-to-1, N-to-N) so realistic MPI traces can be
-//! corrected; [`controlled_logical_clock_parallel`] is the replay-based
-//! parallel implementation of [31].
+//! corrected. The replay-based parallel implementation the paper cites
+//! as [31] is not part of this crate (DESIGN §9.2).
 
 pub(crate) mod columnar;
 pub mod domains;
 pub mod graph;
 pub mod pomp;
-pub(crate) mod replay;
-
-pub use replay::controlled_logical_clock_parallel;
 
 use simclock::{Dur, Time};
 use tracefmt::{
@@ -112,8 +109,7 @@ impl std::fmt::Display for ClcError {
 
 impl std::error::Error for ClcError {}
 
-/// Pre-extracted dependency structure of a trace, shared by the serial and
-/// parallel implementations.
+/// Pre-extracted dependency structure of a trace.
 pub(crate) struct Deps {
     /// recv event -> (send event, sender rank).
     pub send_of: std::collections::HashMap<EventId, (EventId, Rank)>,
@@ -435,8 +431,7 @@ pub(crate) fn forward_pass(
 /// depending on collective begins) are read from a **snapshot** taken after
 /// the forward pass: the result is independent of process order, and since
 /// backward shifts only ever move events *forward*, snapshot-based slacks
-/// are conservative. The parallel implementation shares the per-process
-/// kernel, so both produce bit-identical traces.
+/// are conservative.
 fn backward_amortization(
     trace: &mut Trace,
     deps: &Deps,
@@ -462,9 +457,9 @@ fn backward_amortization(
     }
 }
 
-/// The per-process backward kernel shared by the serial and parallel
-/// implementations. `snapshot` supplies remote times for slack clamping.
-pub(crate) fn backward_pass_proc(
+/// The per-process backward kernel. `snapshot` supplies remote times for
+/// slack clamping.
+fn backward_pass_proc(
     p: usize,
     pt: &mut tracefmt::ProcessTrace,
     jumps: &[Jump],

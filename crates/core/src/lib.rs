@@ -11,8 +11,7 @@
 //! * [`condition`] — clock-condition slack diagnostics (Eq. 1);
 //! * [`lamport`] / [`vector`] — the classic logical clocks (§V);
 //! * [`clc`] — the Controlled Logical Clock with forward and backward
-//!   amortization, the collective → point-to-point mapping extension, and a
-//!   replay-based parallel implementation;
+//!   amortization and the collective → point-to-point mapping extension;
 //! * [`baselines`] — Duda regression & convex hull, Hofmann min/max,
 //!   Jézéquel spanning trees, Babaoğlu/Drummond full-exchange bounds;
 //! * [`pipeline`] — the recommended chain: linear interpolation for weak
@@ -21,6 +20,7 @@
 //!   residuals of interpolated random-walk wander), validated against the
 //!   simulator.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -41,8 +41,7 @@ pub use clc::pomp::{
     Constraint,
 };
 pub use clc::{
-    controlled_logical_clock, controlled_logical_clock_parallel, ClcError, ClcParams, ClcReport,
-    Jump,
+    controlled_logical_clock, ClcError, ClcParams, ClcReport, Jump,
 };
 pub use condition::{message_slacks, required_accuracy, slack_stats, SlackStats};
 pub use interp::{
@@ -56,7 +55,7 @@ pub use pipeline::{
     synchronize_stream_incremental_with_cancel, synchronize_stream_incremental_with_sink,
     synchronize_stream_with_cancel,
     synchronize_with_cancel, CancelProbe, CancelToken, IncrementalReport, OnlineSpec,
-    ParallelConfig, PipelineConfig, PipelineError, PipelineReport, PipelineStats,
+    PipelineConfig, PipelineError, PipelineReport, PipelineStats,
     PreSync, StageReport, StageStats, StageTotals, SyncMethod, TraceAnalysis,
 };
 pub use predict::{normal_cdf, safe_run_length, violation_probability, WanderModel};

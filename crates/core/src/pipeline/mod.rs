@@ -15,14 +15,9 @@
 //! columns, and scatters the corrected times back into the event records
 //! at the end.
 //!
-//! The pipeline runs sequentially by default. Setting
-//! [`PipelineConfig::parallel`] shards the per-rank work — timestamp
-//! mapping and the violation censuses — across a scoped worker pool and
-//! replaces the serial CLC with the replay-based parallel CLC
-//! ([`crate::controlled_logical_clock_parallel`]). Both paths produce
-//! **bit-identical** corrected timestamps and reports: the shard merge
-//! preserves sequential order, and the parallel CLC re-enacts the serial
-//! forward pass exactly.
+//! A run is single-threaded: one job, one thread, every stage one body.
+//! Parallelism lives a level up, as independent jobs on the executors of
+//! a `syncd` service (DESIGN §9.2 has the measurements behind that).
 //!
 //! Cross-stage work is computed once and cached: message matching and
 //! collective reconstruction are order-based (timestamps never enter
@@ -31,22 +26,19 @@
 //! re-query a potentially expensive model.
 //!
 //! Every run also returns [`PipelineStats`]: per-stage item counts and
-//! throughput, shard counts, and the time the merge side spent waiting on
-//! shard results.
+//! throughput.
 
-mod parallel;
 mod stats;
 mod windowed;
 
-pub use parallel::ParallelConfig;
 pub use stats::{PipelineStats, StageStats, StageTotals};
 pub use windowed::{
     synchronize_stream_incremental, synchronize_stream_incremental_with_cancel,
     synchronize_stream_incremental_with_sink, IncrementalReport,
 };
 
+use crate::clc::columnar::controlled_logical_clock_columnar_csr;
 use crate::clc::graph::DepGraph;
-use crate::clc::replay::{available_cpus, controlled_logical_clock_csr, use_replay};
 use crate::clc::{ClcError, ClcParams, ClcReport};
 use crate::interp::{LinearInterpolation, OffsetAlignment, TimestampMap};
 use crate::offset::OffsetMeasurement;
@@ -54,7 +46,7 @@ use onlinesync::{KalmanParams, OnlineCorrector, ProbeFix};
 use simclock::Time;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tracefmt::io::{CodecError, StreamDecoder, TraceBuilder};
 use tracefmt::{
     match_collectives, match_messages, CensusPlan, CollReport, CollectiveInstance, LatencyTable,
@@ -143,9 +135,10 @@ pub struct PipelineConfig {
     pub presync: PreSync,
     /// CLC stage (None = skip).
     pub clc: Option<ClcParams>,
-    /// Parallel execution (None = sequential, the default). The parallel
-    /// path is guaranteed bit-identical to the sequential one.
-    pub parallel: Option<ParallelConfig>,
+    /// Always `None`, read by nothing: the frozen `benchmark/src/drive.rs`
+    /// spells the field in its struct literals. Goes with its next edit.
+    #[doc(hidden)]
+    pub parallel: Option<std::convert::Infallible>,
     /// Synchronization method (postmortem presync + CLC by default).
     pub method: SyncMethod,
 }
@@ -203,13 +196,6 @@ impl TraceAnalysis {
         })
     }
 
-    /// [`capture`](Self::capture) with the per-timeline scans and the
-    /// per-communicator assembly sharded over `par`'s worker pool. Same
-    /// result and error for every worker count.
-    pub fn capture_sharded(trace: &Trace, par: &ParallelConfig) -> Result<Self, String> {
-        parallel::capture_analysis_sharded(trace, par).map(|(analysis, ..)| analysis)
-    }
-
     /// [`capture`](Self::capture) straight from a `DTC2`/`DTC3` stream
     /// presented as byte chunks, decoding block by block without
     /// materializing the trace. Same result as capturing the decoded trace.
@@ -226,8 +212,8 @@ impl TraceAnalysis {
 }
 
 /// Concrete per-process pre-synchronisation map. An enum rather than a
-/// boxed trait object so a slice of maps is `Sync` and can be shared by
-/// the worker pool without locking.
+/// boxed trait object so each variant's columnar kernel is called
+/// directly.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum PresyncMap {
     Identity,
@@ -290,7 +276,7 @@ pub struct PipelineReport {
     pub after_clc: Option<StageReport>,
     /// CLC statistics (None when skipped).
     pub clc: Option<ClcReport>,
-    /// Per-stage throughput and shard instrumentation.
+    /// Per-stage throughput instrumentation.
     pub stats: PipelineStats,
 }
 
@@ -488,32 +474,26 @@ fn freeze_inputs(
 
 /// Census one stage over the frozen [`CensusPlan`] and record its stats:
 /// borrow the columns' slab as the plan's gather array (zero copies), then
-/// run the chunked branchless census kernels, sequentially or
-/// range-sharded. The reports equal the per-item reference checks
-/// (`check_p2p_messages_at` / `check_collectives_at`), which the
-/// differential tests compare end to end.
+/// run the chunked branchless census kernels. The reports equal the
+/// per-item reference checks (`check_p2p_messages_at` /
+/// `check_collectives_at`), which the differential tests compare end to
+/// end.
 fn census_stage_planned(
     name: &'static str,
     plan: &CensusPlan,
     cols: &TraceColumns,
-    par: Option<&ParallelConfig>,
     stats: &mut PipelineStats,
 ) -> StageReport {
     let t0 = Instant::now();
     let flat = plan.flat_of(cols);
-    let (rep, items, shards, wait) = match par {
-        None => {
-            let rep = StageReport {
-                p2p: plan.p2p_census(flat),
-                coll: plan.collective_census(flat),
-            };
-            (rep, plan.n_messages() + plan.n_instances(), 1, Duration::ZERO)
-        }
-        Some(par) => parallel::census_sharded_planned(plan, flat, par),
+    let rep = StageReport {
+        p2p: plan.p2p_census(flat),
+        coll: plan.collective_census(flat),
     };
+    let items = plan.n_messages() + plan.n_instances();
     stats
         .stages
-        .push(StageStats::sharded(name, items, t0.elapsed(), shards, wait));
+        .push(StageStats::new(name, items, t0.elapsed()));
     rep
 }
 
@@ -592,7 +572,8 @@ pub fn synchronize_stream_with_cancel<'a>(
     let blocks = decoder.blocks_decoded() as usize;
     decoder.finish().map_err(PipelineError::Codec)?;
     let (mut trace, cols) = builder.finish_parts();
-    let ingest = StageStats::sharded("ingest", cols.n_events(), t0.elapsed(), blocks, Duration::ZERO);
+    let ingest =
+        StageStats { shards: blocks, ..StageStats::new("ingest", cols.n_events(), t0.elapsed()) };
     let report = synchronize_impl(&mut trace, Some((cols, ingest)), init, fin, lmin, cfg, cancel)?;
     Ok((trace, report))
 }
@@ -618,9 +599,7 @@ fn synchronize_impl(
     cancel.check()?;
     let ranks: Vec<Rank> = trace.procs.iter().map(|p| p.location.rank).collect();
     let table = freeze_inputs(&ranks, init, fin, lmin)?;
-    let par = cfg.parallel.as_ref();
-    let workers = par.map_or(1, ParallelConfig::effective_workers);
-    let mut stats = PipelineStats { workers, ..PipelineStats::default() };
+    let mut stats = PipelineStats::default();
     let pre_cols = ingested.map(|(cols, ingest_stats)| {
         stats.stages.push(ingest_stats);
         cols
@@ -629,17 +608,13 @@ fn synchronize_impl(
 
     // Reconstruct the communication structure once; every census reuses it
     // (matching is order-based, so timestamp rewrites cannot invalidate
-    // it). With a real worker pool the per-rank scans shard over it.
+    // it).
     cancel.check()?;
     let t0 = Instant::now();
-    let (analysis, shards, wait) = match par {
-        Some(par) if workers >= 2 => parallel::capture_analysis_sharded(trace, par),
-        _ => TraceAnalysis::capture(trace).map(|a| (a, 1, Duration::ZERO)),
-    }
-    .map_err(PipelineError::BadTrace)?;
+    let analysis = TraceAnalysis::capture(trace).map_err(PipelineError::BadTrace)?;
     stats
         .stages
-        .push(StageStats::sharded("match", n_events, t0.elapsed(), shards, wait));
+        .push(StageStats::new("match", n_events, t0.elapsed()));
 
     // Lower the analysis into the dependency graph the CLC kernels walk:
     // message edges in CSR form, collectives as a member table. The method
@@ -656,7 +631,7 @@ fn synchronize_impl(
                 .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
             stats
                 .stages
-                .push(StageStats::sequential("lower", n_events, t0.elapsed()));
+                .push(StageStats::new("lower", n_events, t0.elapsed()));
             Some((params, graph))
         }
     };
@@ -675,7 +650,7 @@ fn synchronize_impl(
         let cols = TraceColumns::gather(trace);
         stats
             .stages
-            .push(StageStats::sequential("gather", n_events, t0.elapsed()));
+            .push(StageStats::new("gather", n_events, t0.elapsed()));
         cols
     });
     // Batch residency: every timeline's full i64 lane is live at once.
@@ -702,15 +677,14 @@ fn synchronize_impl(
     .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
     stats
         .stages
-        .push(StageStats::sequential("plan", analysis.n_items(), t0.elapsed()));
+        .push(StageStats::new("plan", analysis.n_items(), t0.elapsed()));
 
-    let raw = census_stage_planned("census:raw", &plan, &cols, par, &mut stats);
+    let raw = census_stage_planned("census:raw", &plan, &cols, &mut stats);
 
     let (after_presync, after_clc, clc) = if let Some(spec) = cfg.online() {
         // Online correction replaces presync and the CLC: one stateful
         // lane per timeline, probes interleaved by worker time, one
-        // timeline after another in event order. Sequential by
-        // construction (filter state); the censuses still shard.
+        // timeline after another in event order.
         cancel.check()?;
         let t0 = Instant::now();
         let mut corr = spec.corrector();
@@ -722,8 +696,8 @@ fn synchronize_impl(
         }
         stats
             .stages
-            .push(StageStats::sequential("online", n_events, t0.elapsed()));
-        let after_online = census_stage_planned("census:online", &plan, &cols, par, &mut stats);
+            .push(StageStats::new("online", n_events, t0.elapsed()));
+        let after_online = census_stage_planned("census:online", &plan, &cols, &mut stats);
         (after_online, None, None)
     } else {
         // Pre-synchronisation: tight per-column loops.
@@ -732,38 +706,28 @@ fn synchronize_impl(
             Some(maps) => {
                 cancel.check()?;
                 let t0 = Instant::now();
-                let (items, shards, wait) = match par {
-                    None => {
-                        for (p, col) in cols.iter_mut_slices() {
-                            maps[p].map_col(col);
-                        }
-                        (n_events, 1, Duration::ZERO)
-                    }
-                    Some(par) => parallel::apply_maps_sharded_cols(&mut cols, &maps, par),
-                };
+                for (p, col) in cols.iter_mut_slices() {
+                    maps[p].map_col(col);
+                }
                 stats
                     .stages
-                    .push(StageStats::sharded("presync", items, t0.elapsed(), shards, wait));
-                census_stage_planned("census:presync", &plan, &cols, par, &mut stats)
+                    .push(StageStats::new("presync", n_events, t0.elapsed()));
+                census_stage_planned("census:presync", &plan, &cols, &mut stats)
             }
         };
 
         // CLC cleanup (gated on the method: Interp stops after presync).
-        // The replay wait is the workers' summed stall time on remote
-        // bounds.
         let (after_clc, clc) = match clc_inputs {
             None => (None, None),
             Some((params, graph)) => {
                 cancel.check()?;
                 let t0 = Instant::now();
-                let replay = use_replay(workers, available_cpus());
-                let (rep, wait) = controlled_logical_clock_csr(&mut cols, &graph, params, replay)
+                let rep = controlled_logical_clock_columnar_csr(&mut cols, &graph, params)
                     .map_err(PipelineError::Clc)?;
-                let shards = if replay { trace.n_procs() } else { 1 };
                 stats
                     .stages
-                    .push(StageStats::sharded("clc", n_events, t0.elapsed(), shards, wait));
-                let census = census_stage_planned("census:clc", &plan, &cols, par, &mut stats);
+                    .push(StageStats::new("clc", n_events, t0.elapsed()));
+                let census = census_stage_planned("census:clc", &plan, &cols, &mut stats);
                 (Some(census), Some(rep))
             }
         };
@@ -775,7 +739,7 @@ fn synchronize_impl(
     cols.scatter_into(trace);
     stats
         .stages
-        .push(StageStats::sequential("scatter", n_events, t0.elapsed()));
+        .push(StageStats::new("scatter", n_events, t0.elapsed()));
 
     stats.total_seconds = t_total.elapsed().as_secs_f64();
     Ok(PipelineReport {
@@ -791,6 +755,7 @@ fn synchronize_impl(
 mod tests {
     use super::*;
     use simclock::{Dur, Time};
+    use std::time::Duration;
     use tracefmt::{EventKind, Rank, Tag, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -883,7 +848,6 @@ mod tests {
         let cfg = PipelineConfig {
             presync: PreSync::AlignOnly,
             clc: None,
-            parallel: None,
             ..Default::default()
         };
         let rep = synchronize(&mut t, &init, None, &LMIN, &cfg).unwrap();
@@ -926,81 +890,23 @@ mod tests {
         }
     }
 
-    /// The core differential guarantee, on the canonical small fixture:
-    /// the parallel path must be bit-identical to the sequential one.
-    #[test]
-    fn parallel_path_is_bit_identical() {
-        for workers in [1, 2, 4] {
-            let init = vec![None, measurements(-530, 0)];
-            let fin = vec![None, measurements(-530, 10_000)];
-
-            let mut seq_trace = skewed_trace();
-            let seq = synchronize(
-                &mut seq_trace,
-                &init,
-                Some(&fin),
-                &LMIN,
-                &PipelineConfig::default(),
-            )
-            .unwrap();
-
-            let mut par_trace = skewed_trace();
-            let cfg = PipelineConfig {
-                parallel: Some(ParallelConfig { workers, shard_size: 3 }),
-                ..PipelineConfig::default()
-            };
-            let par = synchronize(&mut par_trace, &init, Some(&fin), &LMIN, &cfg).unwrap();
-
-            for (p, (a, b)) in seq_trace.procs.iter().zip(&par_trace.procs).enumerate() {
-                for (i, (ea, eb)) in a.events.iter().zip(&b.events).enumerate() {
-                    assert_eq!(ea.time, eb.time, "proc {p} event {i} with {workers} workers");
-                }
-            }
-            assert_eq!(seq.raw.p2p.reversed, par.raw.p2p.reversed);
-            assert_eq!(
-                seq.after_presync.total_violations(),
-                par.after_presync.total_violations()
-            );
-            assert_eq!(
-                seq.after_clc.unwrap().total_violations(),
-                par.after_clc.unwrap().total_violations()
-            );
-            assert_eq!(par.stats.workers, workers.max(1));
-        }
-    }
-
     #[test]
     fn stats_account_for_all_events() {
         let mut t = skewed_trace();
         let n_events = t.n_events();
         let init = vec![None, measurements(-500, 0)];
         let fin = vec![None, measurements(-500, 10_000)];
-        let cfg = PipelineConfig {
-            parallel: Some(ParallelConfig { workers: 2, shard_size: 4 }),
-            ..PipelineConfig::default()
-        };
+        let cfg = PipelineConfig::default();
         let rep = synchronize(&mut t, &init, Some(&fin), &LMIN, &cfg).unwrap();
-        let presync = rep.stats.stage("presync").unwrap();
-        // Shard accounting: per-shard counts must sum to the event total.
-        assert_eq!(presync.items, n_events);
-        // 40 events over 2 procs in shards of 4 → 10 shards.
-        assert_eq!(presync.shards, 10);
-        // Sharded analysis: the match stage scans every event and reports
-        // the shard count of its parallel rounds.
-        let m = rep.stats.stage("match").unwrap();
-        assert_eq!(m.items, n_events);
-        assert!(m.shards >= 2, "sharded match ran {} shard(s)", m.shards);
-        // CSR lowering runs whenever the CLC does on this path.
-        assert_eq!(rep.stats.stage("lower").unwrap().items, n_events);
-        // Replay CLC (where the selection rule picks it on this host): one
-        // worker per timeline; either way every event is corrected once.
-        let clc = rep.stats.stage("clc").unwrap();
-        assert_eq!(clc.items, n_events);
-        let replay = use_replay(2, available_cpus());
-        assert_eq!(clc.shards, if replay { t.n_procs() } else { 1 });
-        assert!(rep.stats.stage("census:raw").is_some());
-        assert!(rep.stats.stage("census:presync").is_some());
-        assert!(rep.stats.stage("census:clc").is_some());
+        // Every event-mapping stage sees every event exactly once; CSR
+        // lowering runs whenever the CLC does.
+        for stage in ["match", "lower", "gather", "presync", "clc", "scatter"] {
+            assert_eq!(rep.stats.stage(stage).unwrap().items, n_events, "{stage}");
+        }
+        // The censuses count constraints: 20 messages, no collectives.
+        for stage in ["census:raw", "census:presync", "census:clc"] {
+            assert_eq!(rep.stats.stage(stage).unwrap().items, 20, "{stage}");
+        }
     }
 
     #[test]
@@ -1114,7 +1020,7 @@ mod tests {
     /// per-item checks on the records. (The integration suites run the same
     /// composition as `tests/common::reference_synchronize`.)
     #[test]
-    fn online_method_matches_the_reference_for_every_worker_count() {
+    fn online_method_matches_the_reference() {
         use tracefmt::{check_collectives_at, check_p2p_messages_at};
         let spec = OnlineSpec::new(worker_probes());
         // Inaccurate probes on purpose, so the online census is non-zero.
@@ -1136,23 +1042,20 @@ mod tests {
             let want_online = census(&want);
             assert_eq!(want_online.0.len(), violations, "fixture drifted");
 
-            for workers in [None, Some(1), Some(2)] {
-                let mut t = skewed_trace();
-                let cfg = PipelineConfig {
-                    method: SyncMethod::Online(spec.clone()),
-                    parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 3 }),
-                    ..PipelineConfig::default()
-                };
-                let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
-                for (p, (a, b)) in want.procs.iter().zip(&t.procs).enumerate() {
-                    assert_eq!(a.events, b.events, "proc {p} workers={workers:?}");
-                }
-                let got = |r: &StageReport| {
-                    (r.p2p.violations.clone(), r.p2p.reversed, r.coll.logical_violated)
-                };
-                assert_eq!(got(&rep.raw), want_raw, "raw census workers={workers:?}");
-                assert_eq!(got(&rep.after_presync), want_online, "online census workers={workers:?}");
+            let mut t = skewed_trace();
+            let cfg = PipelineConfig {
+                method: SyncMethod::Online(spec.clone()),
+                ..PipelineConfig::default()
+            };
+            let rep = synchronize(&mut t, &[None, None], None, &LMIN, &cfg).unwrap();
+            for (p, (a, b)) in want.procs.iter().zip(&t.procs).enumerate() {
+                assert_eq!(a.events, b.events, "proc {p}");
             }
+            let got = |r: &StageReport| {
+                (r.p2p.violations.clone(), r.p2p.reversed, r.coll.logical_violated)
+            };
+            assert_eq!(got(&rep.raw), want_raw, "raw census");
+            assert_eq!(got(&rep.after_presync), want_online, "online census");
         }
     }
 
@@ -1191,7 +1094,6 @@ mod tests {
         let cfg = PipelineConfig {
             presync: PreSync::None,
             clc: None,
-            parallel: None,
             ..Default::default()
         };
         let rep = synchronize(&mut t, &init, None, &LMIN, &cfg).unwrap();

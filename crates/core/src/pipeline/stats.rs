@@ -1,5 +1,4 @@
-//! Pipeline instrumentation: per-stage throughput, shard accounting, and
-//! merge wait times.
+//! Pipeline instrumentation: per-stage item counts and throughput.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -11,52 +10,24 @@ pub struct StageStats {
     pub name: &'static str,
     /// Work items the stage processed — events for the mapping stages
     /// (`"match"`, `"lower"`, `"presync"`, `"clc"`, `"gather"`/`"ingest"`,
-    /// `"scatter"`), messages + logical messages for the censuses. For
-    /// sharded stages this is the *sum of per-shard counts*, so it doubles
-    /// as the shard accounting check: it must equal the sequential item
-    /// count. Streamed runs replace `"gather"` with the `"ingest"` stage
-    /// recorded during parsing; both count every event exactly once.
+    /// `"scatter"`), messages + logical messages for the censuses.
+    /// Streamed runs replace `"gather"` with the `"ingest"` stage recorded
+    /// during parsing; both count every event exactly once.
     pub items: usize,
     /// Wall-clock seconds the stage took.
     pub seconds: f64,
-    /// Number of shards the work was split into (1 when run sequentially).
-    /// For the replay `"clc"` stage this is the worker count — one worker
-    /// per process timeline.
+    /// Stream blocks the `"ingest"` stage decoded; 1 for every other
+    /// stage.
     pub shards: usize,
-    /// Seconds spent blocked on cross-shard coordination (0 when run
-    /// sequentially). For fork/join stages (`"match"`, `"presync"`, the
-    /// censuses) this is the time the merging thread waited on shard
-    /// results. For the replay `"clc"` stage it is the workers' *summed*
-    /// stall time waiting on remote bounds from peer timelines — summed
-    /// across concurrent workers, so it can legitimately exceed
-    /// [`seconds`](Self::seconds).
-    pub merge_wait_seconds: f64,
 }
 
 impl StageStats {
-    pub(crate) fn sequential(name: &'static str, items: usize, took: Duration) -> Self {
+    pub(crate) fn new(name: &'static str, items: usize, took: Duration) -> Self {
         StageStats {
             name,
             items,
             seconds: took.as_secs_f64(),
             shards: 1,
-            merge_wait_seconds: 0.0,
-        }
-    }
-
-    pub(crate) fn sharded(
-        name: &'static str,
-        items: usize,
-        took: Duration,
-        shards: usize,
-        merge_wait: Duration,
-    ) -> Self {
-        StageStats {
-            name,
-            items,
-            seconds: took.as_secs_f64(),
-            shards,
-            merge_wait_seconds: merge_wait.as_secs_f64(),
         }
     }
 
@@ -93,14 +64,8 @@ impl StageTotals {
 }
 
 /// Instrumentation of a whole [`synchronize`](crate::synchronize) run.
-///
-/// Collected on both the sequential and the parallel path, so the two can
-/// be compared directly; on the sequential path every stage reports one
-/// shard and zero merge wait.
 #[derive(Debug, Clone, Default)]
 pub struct PipelineStats {
-    /// Worker threads used (1 = sequential).
-    pub workers: usize,
     /// Per-stage instrumentation, in execution order.
     pub stages: Vec<StageStats>,
     /// Wall-clock seconds for the whole pipeline.
@@ -119,11 +84,6 @@ impl PipelineStats {
         self.stages.iter().find(|s| s.name == name)
     }
 
-    /// Total shards across all stages.
-    pub fn total_shards(&self) -> usize {
-        self.stages.iter().map(|s| s.shards).sum()
-    }
-
     /// Fold this run's stages into cumulative per-stage totals, keyed by
     /// stage name. A long-running service calls this once per completed
     /// job to maintain aggregate per-stage throughput (events/sec over the
@@ -139,13 +99,13 @@ impl PipelineStats {
     /// Render a compact per-stage table (used by the experiments binary).
     pub fn render(&self) -> String {
         let mut out = format!(
-            "pipeline: {} worker(s), {:.3}s total, peak columns {} B\n",
-            self.workers, self.total_seconds, self.peak_resident_column_bytes
+            "pipeline: {:.3}s total, peak columns {} B\n",
+            self.total_seconds, self.peak_resident_column_bytes
         );
         for s in &self.stages {
             out.push_str(&format!(
-                "  {:<16} {:>10} items  {:>8} shards  {:>12.0} items/s  merge wait {:.4}s\n",
-                s.name, s.items, s.shards, s.items_per_sec(), s.merge_wait_seconds
+                "  {:<16} {:>10} items  {:>12.0} items/s\n",
+                s.name, s.items, s.items_per_sec()
             ));
         }
         out
@@ -158,29 +118,23 @@ mod tests {
 
     #[test]
     fn throughput_and_lookup() {
-        let mut stats = PipelineStats {
-            workers: 4,
-            ..PipelineStats::default()
-        };
-        stats.stages.push(StageStats::sequential("match", 1000, Duration::from_millis(10)));
-        stats.stages.push(StageStats::sharded(
-            "presync",
-            5000,
-            Duration::from_millis(20),
-            8,
-            Duration::from_millis(2),
-        ));
+        let mut stats = PipelineStats::default();
+        stats.stages.push(StageStats::new("match", 1000, Duration::from_millis(10)));
+        stats.stages.push(StageStats::new("presync", 5000, Duration::from_millis(20)));
         let m = stats.stage("match").unwrap();
         assert!((m.items_per_sec() - 100_000.0).abs() < 1.0);
-        assert_eq!(stats.stage("presync").unwrap().shards, 8);
-        assert_eq!(stats.total_shards(), 9);
+        assert_eq!(stats.stage("presync").unwrap().items, 5000);
         assert!(stats.stage("nope").is_none());
-        assert!(stats.render().contains("presync"));
+        // The rate is the fourth field of a stage row; scripts/ci.sh reads
+        // it there.
+        let table = stats.render();
+        let row = table.lines().find(|l| l.contains("presync")).unwrap();
+        assert_eq!(row.split_whitespace().nth(3), Some("250000"));
     }
 
     #[test]
     fn zero_time_stage_reports_zero_throughput() {
-        let s = StageStats::sequential("census:raw", 10, Duration::ZERO);
+        let s = StageStats::new("census:raw", 10, Duration::ZERO);
         assert_eq!(s.items_per_sec(), 0.0);
     }
 }

@@ -39,8 +39,7 @@
 //! # Scope
 //!
 //! The violation censuses are skipped (they are whole-trace diagnostics;
-//! run the batch pipeline when they are needed) and the engine is
-//! sequential — [`PipelineConfig::parallel`] is ignored. Message matching
+//! run the batch pipeline when they are needed). Message matching
 //! and the CSR dependency graph remain O(trace) *structural* metadata, as
 //! do the discovered walk windows; the O(window) bound — and the
 //! [`PipelineStats::peak_resident_column_bytes`] gauge enforcing it in CI —
@@ -55,7 +54,7 @@ use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use tracefmt::io::{
     decode_block_kinds, decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter,
     StreamIndex,
@@ -925,7 +924,7 @@ fn passthrough_emit(
 /// bit-identical to the batch pipeline's for **every** `window_events ≥ 1`;
 /// the window only bounds how much column state stays resident
 /// ([`PipelineStats::peak_resident_column_bytes`]). See the module docs
-/// for what the incremental engine skips (censuses, parallelism).
+/// for what the incremental engine skips (the censuses).
 ///
 /// [`synchronize_stream`]: super::synchronize_stream
 pub fn synchronize_stream_incremental(
@@ -1025,14 +1024,8 @@ fn run_incremental(
     if let Some(params) = cfg.effective_clc() {
         crate::clc::columnar::validate(params).map_err(PipelineError::Clc)?;
     }
-    let mut stats = PipelineStats { workers: 1, ..PipelineStats::default() };
-    stats.stages.push(StageStats::sharded(
-        "index",
-        n_events,
-        t0.elapsed(),
-        index.blocks.len().max(1),
-        Duration::ZERO,
-    ));
+    let mut stats = PipelineStats::default();
+    stats.stages.push(StageStats::new("index", n_events, t0.elapsed()));
     let maps = build_presync_maps(cfg.presync, init, fin)?;
     let maps = maps.as_deref();
     cancel.check()?;
@@ -1043,13 +1036,7 @@ fn run_incremental(
             let t0 = Instant::now();
             let (out, frames, events) =
                 passthrough_emit(&index, &store, maps, cancel, &mut mem, sink)?;
-            stats.stages.push(StageStats::sharded(
-                "emit",
-                events as usize,
-                t0.elapsed(),
-                frames.max(1),
-                Duration::ZERO,
-            ));
+            stats.stages.push(StageStats::new("emit", events as usize, t0.elapsed()));
             (out, None, frames, events)
         }
         Some(params) => {
@@ -1057,7 +1044,7 @@ fn run_incremental(
             let analysis = capture_analysis_streamed(&index, &store)?;
             stats
                 .stages
-                .push(StageStats::sequential("match", n_events, t0.elapsed()));
+                .push(StageStats::new("match", n_events, t0.elapsed()));
 
             let t0 = Instant::now();
             let proc_lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
@@ -1066,7 +1053,7 @@ fn run_incremental(
                     .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
             stats
                 .stages
-                .push(StageStats::sequential("lower", n_events, t0.elapsed()));
+                .push(StageStats::new("lower", n_events, t0.elapsed()));
 
             let walks = if params.backward {
                 let t0 = Instant::now();
@@ -1075,7 +1062,7 @@ fn run_incremental(
                 )?;
                 stats
                     .stages
-                    .push(StageStats::sequential("clc:discover", n_events, t0.elapsed()));
+                    .push(StageStats::new("clc:discover", n_events, t0.elapsed()));
                 walks
             } else {
                 vec![Vec::new(); n]
@@ -1091,14 +1078,12 @@ fn run_incremental(
                 items: n_events,
                 seconds: (t0.elapsed().as_secs_f64() - oc.emit_seconds).max(0.0),
                 shards: 1,
-                merge_wait_seconds: 0.0,
             });
             stats.stages.push(StageStats {
                 name: "emit",
                 items: oc.events as usize,
                 seconds: oc.emit_seconds,
-                shards: oc.frames.max(1),
-                merge_wait_seconds: 0.0,
+                shards: 1,
             });
             (oc.out, Some(oc.report), oc.frames, oc.events)
         }
@@ -1132,7 +1117,6 @@ mod tests {
         PipelineConfig {
             presync: PreSync::None,
             clc,
-            parallel: None,
             ..PipelineConfig::default()
         }
     }

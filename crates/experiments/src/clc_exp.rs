@@ -2,9 +2,9 @@
 //!
 //! Takes a POP-like traced run and pushes it through every synchronisation
 //! method the paper surveys — offset alignment, linear interpolation (Eq. 3),
-//! the CLC (serial and replay-parallel) on top of interpolation, and the
-//! classic baselines (Duda via Jézéquel spanning trees, Babaoğlu
-//! full-exchange bounds) — then reports residual violations and wall time.
+//! the CLC on top of interpolation, and the classic baselines (Duda via
+//! Jézéquel spanning trees, Babaoğlu full-exchange bounds) — then reports
+//! residual violations and wall time.
 
 use crate::fig7::{pop_program, traced_run, TracedRun};
 use clocksync::baselines::babaoglu::{full_exchange_maps, FullExchangeFit};
@@ -100,52 +100,16 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
     };
     out.push(pipeline_method(
         "offset alignment",
-        PipelineConfig { presync: PreSync::AlignOnly, clc: None, parallel: None, ..Default::default() },
+        PipelineConfig { presync: PreSync::AlignOnly, clc: None, ..Default::default() },
     ));
     out.push(pipeline_method(
         "linear interpolation (Eq. 3)",
-        PipelineConfig { presync: PreSync::Linear, clc: None, parallel: None, ..Default::default() },
+        PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() },
     ));
     out.push(pipeline_method(
         "interpolation + CLC",
-        PipelineConfig { presync: PreSync::Linear, clc: Some(ClcParams::default()), parallel: None, ..Default::default() },
+        PipelineConfig { presync: PreSync::Linear, clc: Some(ClcParams::default()), ..Default::default() },
     ));
-    // The same chain through the sharded worker pool: results are
-    // bit-identical, only wall-clock differs.
-    out.push(pipeline_method(
-        "interpolation + CLC (parallel pipeline)",
-        PipelineConfig {
-            presync: PreSync::Linear,
-            clc: Some(ClcParams::default()),
-            parallel: Some(clocksync::ParallelConfig::default()),
-            ..Default::default()
-},
-    ));
-
-    // Parallel CLC.
-    {
-        let mut t = base.trace.clone();
-        synchronize(
-            &mut t,
-            &base.init,
-            Some(&base.fin),
-            &lmin_owned,
-            &PipelineConfig { presync: PreSync::Linear, clc: None, parallel: None, ..Default::default() },
-        )
-        .expect("pipeline runs");
-        let start = Instant::now();
-        clocksync::controlled_logical_clock_parallel(&mut t, &lmin_owned, &ClcParams::default())
-            .expect("parallel CLC runs");
-        let millis = start.elapsed().as_secs_f64() * 1e3;
-        let (v, p) = census(&t, &lmin_owned);
-        out.push(MethodResult {
-            method: "interpolation + CLC (parallel replay)",
-            violations: v,
-            violated_pct: p,
-            millis,
-            interval_distortion_pct: distortion(&base.trace, &t),
-        });
-    }
 
     // Doleschal-style periodic internal synchronisation (paper [17]):
     // piecewise-linear interpolation through init + eight mid-run + finalize
@@ -196,7 +160,7 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
             &base.init,
             Some(&base.fin),
             &lmin_owned,
-            &PipelineConfig { presync: PreSync::Linear, clc: None, parallel: None, ..Default::default() },
+            &PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() },
         )
         .expect("pipeline runs");
         let start = Instant::now();
@@ -311,7 +275,6 @@ mod tests {
         let raw = get("uncorrected");
         let interp = get("linear interpolation (Eq. 3)");
         let clc = get("interpolation + CLC");
-        let clc_par = get("interpolation + CLC (parallel replay)");
         assert!(raw.violations > 0, "raw trace should violate");
         assert!(
             interp.violations < raw.violations,
@@ -319,6 +282,5 @@ mod tests {
         );
         assert!(interp.violations > 0, "but not fully (the paper's point)");
         assert_eq!(clc.violations, 0, "CLC must restore the clock condition");
-        assert_eq!(clc_par.violations, 0, "parallel CLC too");
     }
 }

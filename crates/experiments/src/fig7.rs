@@ -158,24 +158,11 @@ pub struct ViolationCensus {
     pub message_event_pct: f64,
 }
 
-/// Event-count threshold above which the fig. 7 censuses switch to the
-/// sharded parallel pipeline. Safe at any size (the parallel path is
-/// bit-identical); below this the pool's spawn cost isn't worth it.
-const PARALLEL_EVENT_THRESHOLD: usize = 100_000;
-
 /// Apply linear interpolation to a traced run and count violations.
-///
-/// Large runs (≥ [`PARALLEL_EVENT_THRESHOLD`] events) go through the
-/// sharded parallel pipeline automatically.
 pub fn census_after_interpolation(run: &mut TracedRun) -> ViolationCensus {
     let cfg = PipelineConfig {
         presync: PreSync::Linear,
         clc: None,
-        parallel: if run.trace.n_events() >= PARALLEL_EVENT_THRESHOLD {
-            Some(clocksync::ParallelConfig::default())
-        } else {
-            None
-        },
         ..Default::default()
     };
     let lmin = run.cluster.l_min_model();

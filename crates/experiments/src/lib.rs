@@ -17,6 +17,7 @@
 //! | [`predict_exp`] | analytical residual model vs. simulation |
 //! | [`csvout`] | CSV export (`--csv <dir>`) |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;

@@ -5,6 +5,8 @@
 //! application workloads so the whole campaign completes in well under a
 //! minute; without it the runs use the paper's full durations.
 
+#![forbid(unsafe_code)]
+
 use experiments::*;
 use std::path::PathBuf;
 

@@ -14,6 +14,7 @@
 //!   (paper Eq. 2);
 //! * [`shmem`] — the OpenMP/POMP parallel-for model behind Figs. 3 and 8.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod collective;

@@ -11,6 +11,7 @@
 //!   0.47 µs on the Xeon cluster),
 //! * [`rng`] — deterministic per-component RNG streams.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod engine;

@@ -28,6 +28,7 @@
 //! `SyncMethod::Online`; the `workloads` crate turns [`ClockNetwork`]
 //! scenarios into ordinary traces every engine can chew on.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corrector;

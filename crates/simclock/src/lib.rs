@@ -25,6 +25,7 @@
 //! assert!(reading > Time::ZERO || reading <= Time::ZERO); // some local time
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aging;

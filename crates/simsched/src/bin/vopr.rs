@@ -15,6 +15,8 @@
 //! Exit code 0 = every seed passed; 1 = at least one invariant broke
 //! (the failing seed and a copy-pasteable repro command are printed).
 
+#![forbid(unsafe_code)]
+
 use simsched::{
     decode_trace, encode_trace, replay, run_net_chaos, run_random, shrink_prefix,
     NetChaosConfig, SimConfig, SimReport,

@@ -41,8 +41,6 @@ const SCHED_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 pub struct SimConfig {
     /// Logical executors.
     pub executors: usize,
-    /// Pipeline worker pool the fair-share clamp divides up.
-    pub pool_workers: usize,
     /// Submission queue capacity (small, so QueueFull is reachable).
     pub queue_capacity: usize,
     /// Memory budget (small, so OverBudget is reachable).
@@ -61,7 +59,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             executors: 3,
-            pool_workers: 6,
             queue_capacity: 6,
             memory_budget_bytes: 192 * 1024,
             max_retries: 3,
@@ -76,18 +73,12 @@ impl SimConfig {
     fn service_config(&self) -> ServiceConfig {
         ServiceConfig {
             executors: self.executors,
-            pool_workers: self.pool_workers,
             queue_capacity: self.queue_capacity,
             memory_budget_bytes: self.memory_budget_bytes,
             max_retries: self.max_retries,
             retry_backoff: self.retry_backoff,
             default_deadline: None,
         }
-    }
-
-    /// The worker count the service clamps each job to.
-    pub fn fair_share(&self) -> usize {
-        (self.pool_workers / self.executors.max(1)).max(1)
     }
 }
 
@@ -483,7 +474,6 @@ impl Sim {
             self.fail(msg);
             return;
         }
-        let fair_share = self.cfg.fair_share();
         for i in 0..self.tracked.len() {
             let t = &self.tracked[i];
             let outcome = TrackedOutcome {
@@ -493,7 +483,7 @@ impl Sim {
                 cancel_requested: t.cancel_requested,
                 crashes: t.crashes,
             };
-            if let Some(msg) = check_job(t.handle.id().0, &outcome, fair_share) {
+            if let Some(msg) = check_job(t.handle.id().0, &outcome) {
                 self.fail(msg);
                 return;
             }

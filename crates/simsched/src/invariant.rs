@@ -147,20 +147,16 @@ pub fn error_kind(e: &PipelineError) -> &'static str {
 }
 
 /// Run the job's input through the pipeline directly — no service, no
-/// faults, no cancellation — with the worker count clamped exactly as the
-/// service clamps it.
-pub fn run_oracle(spec: &JobSpec, fair_share: usize) -> Oracle {
-    let mut pipeline = spec.pipeline.clone();
-    if let Some(par) = pipeline.parallel.as_mut() {
-        par.workers = par.workers.clamp(1, fair_share.max(1));
-    }
+/// faults, no cancellation.
+pub fn run_oracle(spec: &JobSpec) -> Oracle {
+    let pipeline = &spec.pipeline;
     let fin = spec.fin.as_deref();
     let lmin = &*spec.lmin;
     let cancel = CancelToken::none();
     let result = match &spec.input {
         JobInput::Trace(trace) => {
             let mut work = trace.clone();
-            synchronize_with_cancel(&mut work, &spec.init, fin, lmin, &pipeline, &cancel)
+            synchronize_with_cancel(&mut work, &spec.init, fin, lmin, pipeline, &cancel)
                 .map(|_| work)
         }
         JobInput::Stream(chunks) => synchronize_stream_with_cancel(
@@ -168,7 +164,7 @@ pub fn run_oracle(spec: &JobSpec, fair_share: usize) -> Oracle {
             &spec.init,
             fin,
             lmin,
-            &pipeline,
+            pipeline,
             &cancel,
         )
         .map(|(trace, _)| trace),
@@ -182,7 +178,7 @@ pub fn run_oracle(spec: &JobSpec, fair_share: usize) -> Oracle {
                 &spec.init,
                 fin,
                 lmin,
-                &pipeline,
+                pipeline,
                 *window_events,
                 &cancel,
             )
@@ -210,7 +206,7 @@ pub(crate) fn traces_identical(a: &Trace, b: &Trace) -> bool {
 
 /// Check one resolved job against its oracle and its fault history.
 /// Returns the first broken invariant.
-pub fn check_job(id: u64, t: &TrackedOutcome<'_>, fair_share: usize) -> Option<String> {
+pub fn check_job(id: u64, t: &TrackedOutcome<'_>) -> Option<String> {
     let outcome = match &t.outcome {
         Some(o) => o,
         None => return Some(format!("job {id} lost: submitted but never resolved")),
@@ -235,7 +231,7 @@ pub fn check_job(id: u64, t: &TrackedOutcome<'_>, fair_share: usize) -> Option<S
                 }
                 _ => success.trace.clone(),
             };
-            match run_oracle(&t.item.spec, fair_share) {
+            match run_oracle(&t.item.spec) {
                 Oracle::Success(direct) => {
                     if !traces_identical(&got, &direct) {
                         return Some(format!(
@@ -253,7 +249,7 @@ pub fn check_job(id: u64, t: &TrackedOutcome<'_>, fair_share: usize) -> Option<S
         Err(failure) => match &failure.error {
             JobError::Pipeline(e) => {
                 let got = error_kind(e);
-                match run_oracle(&t.item.spec, fair_share) {
+                match run_oracle(&t.item.spec) {
                     Oracle::Error(want) if want == got => {}
                     Oracle::Error(want) => {
                         return Some(format!(

@@ -38,6 +38,7 @@
 //! assert_eq!(rep.fingerprint, rec.fingerprint);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod decision;

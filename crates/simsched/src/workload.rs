@@ -7,7 +7,7 @@
 //! [`harness`](crate::harness)), so shrinking a failing schedule never
 //! changes which jobs exist.
 
-use clocksync::{OffsetMeasurement, OnlineSpec, ParallelConfig, PipelineConfig, SyncMethod};
+use clocksync::{OffsetMeasurement, OnlineSpec, PipelineConfig, SyncMethod};
 use onlinesync::NetworkConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -105,8 +105,7 @@ fn churn_job(
 /// a fifth of the traces come from the dynamic-membership churn scenario
 /// (NTP islands, joins/leaves, probe schedules), and a quarter of the
 /// non-incremental jobs run the online sync method instead of the CLC;
-/// jobs carry a mix of priorities, deadlines, retry-budget overrides, and
-/// parallel pipeline configs.
+/// jobs carry a mix of priorities, deadlines and retry-budget overrides.
 pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
     let mut rng = StdRng::seed_from_u64(seed);
     let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(UniformLatency(Dur::from_us(4)));
@@ -167,12 +166,6 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
             };
 
             let mut pipeline = PipelineConfig::default();
-            if rng.gen_bool(0.25) {
-                pipeline.parallel = Some(ParallelConfig {
-                    workers: rng.gen_range(1usize..8),
-                    shard_size: rng.gen_range(8usize..64),
-                });
-            }
             // The online method is batch-only (the windowed engine rejects
             // it), so keep it off incremental jobs.
             if !matches!(input, JobInput::StreamIncremental { .. }) && rng.gen_bool(0.25) {

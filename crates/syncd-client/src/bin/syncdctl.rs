@@ -5,7 +5,7 @@
 //! syncdctl submit --addr HOST:PORT --token TOKEN [--procs N] [--msgs N]
 //!                 [--seed N] [--incremental WINDOW] [--presync none|align|linear]
 //!                 [--method interp|clc|online] [--churn]
-//!                 [--workers N] [--v3] [--priority high|normal|low]
+//!                 [--v3] [--priority high|normal|low]
 //! ```
 //!
 //! `submit` generates a synthetic drifted trace (the same construction the
@@ -20,6 +20,8 @@
 //! the static fixture for a dynamic-membership scenario: NTP islands behind
 //! WAN links, nodes joining and leaving mid-trace, and probe noise composed
 //! along an evolving sync spanning tree.
+
+#![forbid(unsafe_code)]
 
 use clocksync::OffsetMeasurement;
 use onlinesync::NetworkConfig;
@@ -250,12 +252,6 @@ fn main() {
                     .iter()
                     .map(|ps| ps.iter().map(WireMeasurement::from_measurement).collect())
                     .collect();
-            }
-            if let Some(w) = args.get("workers") {
-                config.parallel = Some(syncd_wire::WireParallel {
-                    workers: w.parse().unwrap_or_else(|_| die("bad --workers")),
-                    shard_size: 512,
-                });
             }
             config = config.with_measurements(&fixture.init, Some(&fixture.fin));
             let mut client = SyncClient::connect(&addr, &token)

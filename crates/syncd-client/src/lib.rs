@@ -1,5 +1,6 @@
 //! Blocking client for the `syncd` network protocol.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod client;

@@ -6,7 +6,7 @@
 //! the field that could not be read — never a panic.
 
 use clocksync::{
-    ClcParams, OffsetMeasurement, OnlineSpec, ParallelConfig, PipelineConfig, PreSync, SyncMethod,
+    ClcParams, OffsetMeasurement, OnlineSpec, PipelineConfig, PreSync, SyncMethod,
 };
 use onlinesync::KalmanParams;
 use simclock::{Dur, Time};
@@ -262,15 +262,6 @@ pub struct WireClc {
     pub backward_window_factor: f64,
 }
 
-/// Parallel pipeline execution on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireParallel {
-    /// Requested worker count (the service clamps it to its fair share).
-    pub workers: u32,
-    /// Shard size in events.
-    pub shard_size: u32,
-}
-
 /// Online drift-filter tuning on the wire (read when the method byte
 /// selects the online method; carried — at 24 bytes — either way).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -330,8 +321,6 @@ pub struct WireJobConfig {
     pub presync: u8,
     /// CLC stage (None = skip).
     pub clc: Option<WireClc>,
-    /// Parallel execution (None = sequential).
-    pub parallel: Option<WireParallel>,
     /// Minimum-latency model.
     pub lmin: WireLatency,
     /// Init offset measurements, one slot per process.
@@ -364,10 +353,6 @@ impl WireJobConfig {
                 mu: c.mu,
                 backward: c.backward,
                 backward_window_factor: c.backward_window_factor,
-            }),
-            parallel: cfg.parallel.as_ref().map(|p| WireParallel {
-                workers: p.workers as u32,
-                shard_size: p.shard_size as u32,
             }),
             lmin,
             init: Vec::new(),
@@ -422,10 +407,6 @@ impl WireJobConfig {
                 backward: c.backward,
                 backward_window_factor: c.backward_window_factor,
             }),
-            parallel: self.parallel.map(|p| ParallelConfig {
-                workers: p.workers as usize,
-                shard_size: (p.shard_size as usize).max(1),
-            }),
             method: match self.method {
                 0 => SyncMethod::Interp,
                 1 => SyncMethod::Clc,
@@ -444,6 +425,7 @@ impl WireJobConfig {
                 }),
                 _ => return Err(WireError::BadPayload("method")),
             },
+            ..PipelineConfig::default()
         })
     }
 
@@ -733,14 +715,6 @@ impl Frame {
                         e.f64(c.backward_window_factor);
                     }
                 }
-                match &cfg.parallel {
-                    None => e.u8(0),
-                    Some(p) => {
-                        e.u8(1);
-                        e.u32(p.workers);
-                        e.u32(p.shard_size);
-                    }
-                }
                 match &cfg.lmin {
                     WireLatency::Uniform(ps) => {
                         e.u8(0);
@@ -860,14 +834,6 @@ impl Frame {
                     }),
                     _ => return Err(WireError::BadPayload("clc flag")),
                 };
-                let parallel = match d.u8("parallel flag")? {
-                    0 => None,
-                    1 => Some(WireParallel {
-                        workers: d.u32("parallel workers")?,
-                        shard_size: d.u32("parallel shard")?,
-                    }),
-                    _ => return Err(WireError::BadPayload("parallel flag")),
-                };
                 let lmin = match d.u8("lmin tag")? {
                     0 => WireLatency::Uniform(d.i64("lmin uniform")?),
                     1 => {
@@ -927,7 +893,6 @@ impl Frame {
                     max_retries,
                     presync,
                     clc,
-                    parallel,
                     lmin,
                     init,
                     fin,
@@ -1020,7 +985,6 @@ mod tests {
             max_retries: 3,
             presync: 2,
             clc: Some(WireClc { mu: 0.99, backward: true, backward_window_factor: 50.0 }),
-            parallel: Some(WireParallel { workers: 4, shard_size: 512 }),
             lmin: WireLatency::Table { n: 2, entries: vec![0, 4_000_000, 4_000_000, 0] },
             init: vec![None, Some(WireMeasurement { worker_time_ps: 1, offset_ps: -2, rtt_ps: 3 })],
             fin: Some(vec![None, None]),
@@ -1090,8 +1054,6 @@ mod tests {
         let clc = pipeline.clc.expect("clc present");
         assert_eq!(clc.mu, 0.99);
         assert!(clc.backward);
-        let par = pipeline.parallel.expect("parallel present");
-        assert_eq!(par.workers, 4);
         let (init, fin) = cfg.measurements();
         assert_eq!(init.len(), 2);
         assert!(init[0].is_none() && init[1].is_some());
@@ -1187,9 +1149,9 @@ mod tests {
         let kind = cfg[4];
         let mut p = cfg[5..].to_vec();
         // lmin tag offset: mode(1+8) prio(1) deadline(8) retries(4)
-        // presync(1) clc(1+17) parallel(1+8) = 50.
-        assert_eq!(p[50], 1, "lmin tag expected at offset 50");
-        p[51..55].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        // presync(1) clc(1+17) = 41.
+        assert_eq!(p[41], 1, "lmin tag expected at offset 41");
+        p[42..46].copy_from_slice(&0x8000_0000u32.to_le_bytes());
         assert_eq!(
             Frame::decode(kind, &p),
             Err(WireError::BadPayload("lmin table n"))
@@ -1197,7 +1159,7 @@ mod tests {
     }
 
     /// Protocol version 2 carried a `storage` byte after `presync`
-    /// (payload offset 23). Such a payload is not a version-3 `JobConfig`:
+    /// (payload offset 23). Such a payload is not a current `JobConfig`:
     /// every following field is read one byte early and the decode ends
     /// typed, for either value the byte could take.
     #[test]
@@ -1213,6 +1175,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Protocol version 3 carried a `parallel` section between `clc` and
+    /// `lmin` (payload offset 41 of these configs): a flag byte, plus
+    /// workers and shard size when set. Neither layout decodes as a
+    /// version-4 `JobConfig`.
+    #[test]
+    fn v3_layout_job_config_fails_typed() {
+        for cfg in [config(), online_config()] {
+            let bytes = Frame::JobConfig(Box::new(cfg)).encode();
+            let sharded = [&[1u8][..], &2u32.to_le_bytes(), &8192u32.to_le_bytes()].concat();
+            for section in [vec![0u8], sharded] {
+                let mut p = bytes[5..].to_vec();
+                p.splice(41..41, section.iter().copied());
+                assert!(
+                    matches!(Frame::decode(bytes[4], &p), Err(WireError::BadPayload(_))),
+                    "v3 layout ({} section bytes) decoded",
+                    section.len()
+                );
+            }
+        }
+    }
+
+    /// A `JobConfig` payload is its fixed fields plus its measurement,
+    /// table and probe lists, byte for byte — no section left over from an
+    /// earlier protocol version.
+    #[test]
+    fn job_config_size_arithmetic() {
+        let payload = |cfg: WireJobConfig| Frame::JobConfig(Box::new(cfg)).encode().len() - 5;
+        // mode(1+8) prio(1) deadline(8) retries(4) presync(1) clc(1+17)
+        // lmin table(1+4+4×8) init(4 + 1 + 1+24) fin(1 + 4 + 1 + 1)
+        // method(1) kalman(24) probe lists(4).
+        assert_eq!(payload(config()), 41 + 37 + 30 + 7 + 29);
+        // Two probe lists: an empty one and one of two 24-byte probes.
+        assert_eq!(payload(online_config()), payload(config()) + 2 * 4 + 2 * 24);
+        let minimal = WireJobConfig {
+            clc: None,
+            lmin: WireLatency::Uniform(1),
+            init: Vec::new(),
+            fin: None,
+            ..config()
+        };
+        assert_eq!(payload(minimal), 24 + 9 + 4 + 1 + 29);
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! in-memory transports the simulation harness uses to inject
 //! connection-level faults.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod frame;
@@ -40,7 +41,7 @@ mod scan;
 
 pub use frame::{
     ErrorCode, Frame, FrameKind, WireClc, WireError, WireJobConfig, WireJobResult, WireJump,
-    WireLatency, WireMeasurement, WireMode, WireParallel, HELLO_SIZE_HINT,
+    WireLatency, WireMeasurement, WireMode, HELLO_SIZE_HINT,
 };
 pub use scan::FrameScanner;
 
@@ -50,9 +51,10 @@ pub const MAGIC: u32 = 0x0057_5344;
 
 /// Protocol version this crate speaks. Version 3 dropped the `storage`
 /// byte from the `JobConfig` payload (the pipeline has one timestamp
-/// layout); a version-2 `Hello` is refused as
+/// layout), version 4 its `parallel` section (a job is single-threaded);
+/// a `Hello` of any other version is refused as
 /// [`ErrorCode::VersionMismatch`].
-pub const VERSION: u16 = 3;
+pub const VERSION: u16 = 4;
 
 /// Upper bound on a frame's declared payload length (kind byte included).
 /// Large objects — trace streams, corrected traces — are chunked into

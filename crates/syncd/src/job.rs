@@ -105,8 +105,7 @@ pub struct JobSpec {
     pub fin: Option<Vec<Option<OffsetMeasurement>>>,
     /// Minimum-latency model for violation checks and the CLC.
     pub lmin: Arc<dyn MinLatency + Send + Sync>,
-    /// Pipeline configuration. A requested worker count is *clamped* to
-    /// the job's fair share of the service pool, never raised.
+    /// Pipeline configuration, handed to the pipeline as submitted.
     pub pipeline: PipelineConfig,
     /// Scheduling class.
     pub priority: Priority,

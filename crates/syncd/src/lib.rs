@@ -11,11 +11,8 @@
 //!   ([`tracefmt::io::estimate_columnar_stream`]), so an over-budget
 //!   stream is bounced in microseconds without allocating for it.
 //! * **Scheduling** — three strict [`Priority`] classes, FIFO within a
-//!   class, dispatched to a fixed pool of executor threads. Each job's
-//!   requested pipeline worker count is clamped to its fair share of the
-//!   pool (`pool_workers / executors`), so a saturated service never
-//!   oversubscribes the machine — and since the pipeline is bit-identical
-//!   for every worker count, the clamp never changes results.
+//!   class, dispatched to a fixed pool of executor threads, one job per
+//!   thread: `executors` bounds what the service asks of the machine.
 //! * **Fault isolation** — every attempt runs under `catch_unwind`; a
 //!   poisoned input fails *typed* ([`JobError`]), is retried with
 //!   exponential backoff up to a budget, and cannot take down an executor
@@ -61,6 +58,7 @@
 //! service.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod admission;

@@ -17,9 +17,9 @@
 //! the ticket, wherever it runs), so stealing is invisible to submitters.
 //!
 //! **Bit-identity.** Every node runs the identical [`ServiceConfig`] on
-//! one shared [`Runtime`], and the pipeline itself is bit-identical for
-//! every worker count — so a job's corrected output does not depend on
-//! which node executes it. The router test pins this.
+//! one shared [`Runtime`] and the pipeline is deterministic, so a job's
+//! corrected output does not depend on which node executes it. The router
+//! test pins this.
 //!
 //! [`Shared::steal`]: crate::service::Shared
 //! [`Shared::inject`]: crate::service::Shared
@@ -246,7 +246,6 @@ mod tests {
             nodes: 4,
             node: ServiceConfig {
                 executors: 1,
-                pool_workers: 1,
                 ..ServiceConfig::default()
             },
             ..RouterConfig::default()
@@ -269,7 +268,6 @@ mod tests {
             nodes: 8,
             node: ServiceConfig {
                 executors: 1,
-                pool_workers: 1,
                 ..ServiceConfig::default()
             },
             ..RouterConfig::default()

@@ -13,11 +13,10 @@
 //!
 //! # Determinism
 //!
-//! The service never alters the pipeline's arithmetic — it only clamps a
-//! job's *worker count* to its fair share of the pool, and the pipeline
-//! guarantees bit-identical results for every worker count. A job run
-//! through the service therefore produces exactly the bytes a direct
-//! [`clocksync::synchronize`] call would.
+//! The service hands a job's configuration to the pipeline as submitted:
+//! a job run through the service produces exactly the bytes a direct
+//! [`clocksync::synchronize`] call would. A job runs on one thread, its
+//! executor's; concurrency is jobs side by side.
 //!
 //! # Execution seam
 //!
@@ -53,12 +52,9 @@ use std::time::Duration;
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Executor threads — the number of jobs that run concurrently.
+    /// Executor threads — the number of jobs that run concurrently, one
+    /// thread each.
     pub executors: usize,
-    /// Total pipeline worker threads the service may hand out. Each
-    /// running job gets `max(1, pool_workers / executors)` as its worker
-    /// ceiling, so a full service never oversubscribes the machine.
-    pub pool_workers: usize,
     /// Bounded submission-queue capacity (jobs, across all classes).
     pub queue_capacity: usize,
     /// Memory budget in bytes; admission rejects jobs whose estimated
@@ -77,7 +73,6 @@ impl Default for ServiceConfig {
         let cpus = std::thread::available_parallelism().map_or(1, usize::from);
         ServiceConfig {
             executors: cpus.min(4),
-            pool_workers: cpus,
             queue_capacity: 64,
             memory_budget_bytes: 512 << 20,
             max_retries: 2,
@@ -495,7 +490,6 @@ pub(crate) enum RunStep {
 pub(crate) struct JobRun {
     ticket: Ticket,
     cost: u64,
-    pipeline: clocksync::PipelineConfig,
     queue_wait: Duration,
     attempts: u32,
     max_attempts: u32,
@@ -503,7 +497,7 @@ pub(crate) struct JobRun {
 
 impl JobRun {
     /// Take ownership of a popped ticket: record queue wait, mark the job
-    /// running, clamp its worker request to the fair share of the pool.
+    /// running.
     pub(crate) fn begin(shared: &Shared, ticket: Ticket, cost: u64) -> Self {
         let metrics = &shared.metrics;
         let queue_wait = shared
@@ -514,17 +508,9 @@ impl JobRun {
         metrics.running_add(1);
 
         let max_attempts = ticket.spec.max_retries.unwrap_or(shared.cfg.max_retries) + 1;
-        // A job's fair share of the worker pool; the requested count is
-        // only ever clamped down to it, never raised.
-        let fair_share = (shared.cfg.pool_workers / shared.cfg.executors.max(1)).max(1);
-        let mut pipeline = ticket.spec.pipeline.clone();
-        if let Some(par) = pipeline.parallel.as_mut() {
-            par.workers = par.workers.clamp(1, fair_share);
-        }
         JobRun {
             ticket,
             cost,
-            pipeline,
             queue_wait,
             attempts: 0,
             max_attempts,
@@ -648,7 +634,7 @@ impl JobRun {
         let init = &spec.init;
         let fin = spec.fin.as_deref();
         let lmin = &*spec.lmin;
-        let pipeline = &self.pipeline;
+        let pipeline = &spec.pipeline;
         let frame_sink = spec.frame_sink.clone();
         let input = &mut spec.input;
         let result = catch_unwind(AssertUnwindSafe(|| match input {
@@ -1031,7 +1017,6 @@ mod tests {
     fn busy_service(queue_capacity: usize) -> (SyncService, JobHandle) {
         let service = SyncService::start(ServiceConfig {
             executors: 1,
-            pool_workers: 1,
             queue_capacity,
             max_retries: 1,
             retry_backoff: Duration::from_millis(200),
@@ -1127,47 +1112,6 @@ mod tests {
         // Single executor: the high job must have been picked first, i.e.
         // it waited strictly less than the later-submitted low job.
         assert!(high_out.queue_wait <= low_out.queue_wait);
-        service.shutdown();
-    }
-
-    #[test]
-    fn worker_clamp_keeps_results_bit_identical() {
-        let (trace, init, fin) = fixture(60);
-        let mut direct = trace.clone();
-        // Ask for absurd parallelism; the service clamps it to the pool.
-        let cfg = PipelineConfig {
-            parallel: Some(clocksync::ParallelConfig { workers: 64, shard_size: 16 }),
-            ..PipelineConfig::default()
-        };
-        synchronize(
-            &mut direct,
-            &init,
-            Some(&fin),
-            &UniformLatency(Dur::from_us(1)),
-            &cfg,
-        )
-        .unwrap();
-
-        let service = SyncService::start(ServiceConfig {
-            executors: 2,
-            pool_workers: 2,
-            ..ServiceConfig::default()
-        });
-        let handle = service
-            .submit(JobSpec::new(
-                JobInput::Trace(trace),
-                init,
-                Some(fin),
-                lmin(),
-                cfg,
-            ))
-            .unwrap();
-        let success = handle.wait().expect("job succeeds");
-        for (got, want) in success.trace.procs.iter().zip(&direct.procs) {
-            for (g, w) in got.events.iter().zip(&want.events) {
-                assert_eq!(g.time, w.time);
-            }
-        }
         service.shutdown();
     }
 }

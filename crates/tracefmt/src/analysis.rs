@@ -66,21 +66,14 @@ impl MsgRecords {
         self.pairs.push((from, to));
         self.tags.push(tag.0);
     }
-
-    fn append(&mut self, later: &mut MsgRecords) {
-        self.ids.append(&mut later.ids);
-        self.pairs.append(&mut later.pairs);
-        self.tags.append(&mut later.tags);
-    }
 }
 
 /// "No partner" in the ordinal tables; record counts stay below it.
 const NONE: u32 = u32::MAX;
 
 /// Per-event message matcher: the streaming face of [`match_messages`].
-/// [`feed`] it every event once, in `(timeline, index)` order (per-timeline
-/// shards are [`append`]ed in timeline order); [`finish`] yields the
-/// [`Matching`] of the whole.
+/// [`feed`] it every event once, in `(timeline, index)` order; [`finish`]
+/// yields the [`Matching`] of the whole.
 ///
 /// Sort-based and hash-free: both sides are grouped by `(from, to)` with a
 /// stable counting sort over compacted ranks, so every table is sized by
@@ -91,7 +84,6 @@ const NONE: u32 = u32::MAX;
 /// sorted by tag first and zip per tag.
 ///
 /// [`feed`]: MessageMatcher::feed
-/// [`append`]: MessageMatcher::append
 /// [`finish`]: MessageMatcher::finish
 #[derive(Debug, Default)]
 pub struct MessageMatcher {
@@ -121,14 +113,6 @@ impl MessageMatcher {
             }
             _ => {}
         }
-    }
-
-    /// Concatenate the records of `later`, a matcher fed only timelines
-    /// that follow every timeline fed to this one.
-    pub fn append(&mut self, mut later: MessageMatcher) {
-        self.sends.append(&mut later.sends);
-        self.send_bytes.append(&mut later.send_bytes);
-        self.recvs.append(&mut later.recvs);
     }
 
     /// Match the records fed so far. Partners are written into per-record
@@ -317,9 +301,9 @@ impl CollectiveInstance {
     }
 }
 
-/// One collective call of one timeline, in call order — the unit
-/// [`collect_collective_calls`] scans out and
-/// [`assemble_collective_instances`] zips into instances.
+/// One collective call of one timeline, in call order — the unit a
+/// [`CollectiveScanner`] scans out and [`assemble_collective_instances`]
+/// zips into instances.
 #[derive(Debug, Clone, Copy)]
 pub struct CollCall {
     /// Rank of the calling timeline.
@@ -335,9 +319,9 @@ pub struct CollCall {
 }
 
 /// Per-event collective call scanner for one timeline: the streaming face
-/// of [`collect_collective_calls`]. Feed every event of timeline `p` in
-/// program order; [`finish`] yields the per-communicator call lists the
-/// batch scan would have produced, ready for [`group_calls_by_comm`].
+/// of [`match_collectives`]' scan pass. Feed every event of timeline `p` in
+/// program order; [`finish`] yields the per-communicator call lists, ready
+/// for [`group_calls_by_comm`].
 ///
 /// [`finish`]: CollectiveScanner::finish
 #[derive(Debug)]
@@ -395,9 +379,9 @@ impl CollectiveScanner {
 }
 
 /// Scan timeline `p` for collective calls, grouped per communicator in
-/// call order. One shard of [`match_collectives`]'s scan pass. Errors on a
-/// `CollEnd` with no open `CollBegin` on the same communicator.
-pub fn collect_collective_calls(
+/// call order. Errors on a `CollEnd` with no open `CollBegin` on the same
+/// communicator.
+fn collect_collective_calls(
     trace: &Trace,
     p: usize,
 ) -> Result<Vec<(CommId, Vec<CollCall>)>, String> {
@@ -428,8 +412,6 @@ pub fn group_calls_by_comm(
 /// Zip the per-timeline call lists of one communicator into instances:
 /// the k-th call of every participating timeline belongs to instance k.
 /// `lists[p]` is timeline `p`'s call list (empty for non-participants).
-/// One shard of [`match_collectives`]'s assembly pass — communicators are
-/// independent, so they parallelise freely.
 pub fn assemble_collective_instances(
     comm: CommId,
     lists: &[Vec<CollCall>],

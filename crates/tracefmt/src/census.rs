@@ -258,18 +258,12 @@ impl CensusPlan {
     /// flat timeline-major timestamp array
     /// ([`flat_of`](CensusPlan::flat_of)).
     pub fn p2p_census(&self, times: &[i64]) -> P2pReport {
-        self.p2p_census_range(times, 0, self.p2p.len())
-    }
-
-    /// Point-to-point census over the message range `lo..hi` — the shard
-    /// unit of the parallel pipeline. Shard reports merged in shard order
-    /// equal the full census bit for bit.
-    pub fn p2p_census_range(&self, times: &[i64], lo: usize, hi: usize) -> P2pReport {
+        let hi = self.p2p.len();
         let mut report = P2pReport {
-            total: hi - lo,
+            total: hi,
             ..P2pReport::default()
         };
-        let mut k = lo;
+        let mut k = 0;
         while k < hi {
             let end = (k + CHUNK).min(hi);
             let (vmask, rmask) = lane_masks(&self.p2p, times, k, end);
@@ -298,20 +292,13 @@ impl CensusPlan {
     /// Collective census over all planned instances. `times` is the flat
     /// timeline-major timestamp array ([`flat_of`](CensusPlan::flat_of)).
     pub fn collective_census(&self, times: &[i64]) -> CollReport {
-        self.collective_census_range(times, 0, self.coll.n_instances())
-    }
-
-    /// Collective census over the instance range `lo..hi`. Shard reports
-    /// merged in shard order equal the full census bit for bit.
-    pub fn collective_census_range(&self, times: &[i64], lo: usize, hi: usize) -> CollReport {
         let mut report = CollReport {
-            instances: hi - lo,
+            instances: self.coll.n_instances(),
             ..CollReport::default()
         };
         let mut begins: Vec<i64> = Vec::new();
         let mut ends: Vec<i64> = Vec::new();
-        for i in lo..hi {
-            let inst = self.coll.instance(i);
+        for inst in self.coll.instances() {
             begins.clear();
             begins.extend(inst.begins.iter().map(|&g| times[g as usize]));
             ends.clear();
@@ -613,41 +600,6 @@ mod tests {
         assert_eq!(got.logical_reversed, want.logical_reversed);
         assert_eq!(got.instances_affected, want.instances_affected);
         assert!(want.logical_violated > 0, "test trace should violate");
-    }
-
-    #[test]
-    fn sharded_ranges_merge_to_full_census() {
-        let t = mixed_trace(4, 150);
-        let m = match_messages(&t);
-        let insts = match_collectives(&t).unwrap();
-        let lmin = UniformLatency(Dur::from_us(4));
-        let plan = CensusPlan::build(&lens(&t), &m.messages, &insts, &lmin).unwrap();
-        let cols = TraceColumns::gather(&t);
-        let flat = plan.flat_of(&cols);
-        let full_p2p = plan.p2p_census(flat);
-        let full_coll = plan.collective_census(flat);
-        for shard in [1usize, 3, 17, 64, 1000] {
-            let mut p2p = P2pReport::default();
-            let mut lo = 0;
-            while lo < plan.n_messages() {
-                let hi = (lo + shard).min(plan.n_messages());
-                p2p.merge(plan.p2p_census_range(flat, lo, hi));
-                lo = hi;
-            }
-            assert_eq!(p2p.total, full_p2p.total);
-            assert_eq!(p2p.reversed, full_p2p.reversed);
-            assert_eq!(p2p.violations, full_p2p.violations);
-            let mut coll = CollReport::default();
-            let mut lo = 0;
-            while lo < plan.n_instances() {
-                let hi = (lo + shard).min(plan.n_instances());
-                coll.merge(plan.collective_census_range(flat, lo, hi));
-                lo = hi;
-            }
-            assert_eq!(coll.logical_total, full_coll.logical_total);
-            assert_eq!(coll.logical_violated, full_coll.logical_violated);
-            assert_eq!(coll.instances_affected, full_coll.instances_affected);
-        }
     }
 
     #[test]

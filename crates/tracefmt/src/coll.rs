@@ -373,7 +373,8 @@ impl CollTable {
     }
 
     /// Id of instance `i`'s latency block, in `0..n_blocks()`.
-    pub fn block_of(&self, i: usize) -> usize {
+    #[cfg(test)]
+    fn block_of(&self, i: usize) -> usize {
         self.entries[i].block as usize
     }
 

@@ -37,8 +37,7 @@ pub mod trace;
 pub mod violation;
 
 pub use analysis::{
-    assemble_collective_instances, collect_collective_calls, group_calls_by_comm,
-    match_collectives, match_messages, match_parallel_regions, CollCall, CollMember,
+    assemble_collective_instances, group_calls_by_comm, match_collectives, match_messages, match_parallel_regions, CollCall, CollMember,
     CollectiveInstance, CollectiveScanner, Matching, MessageMatch, MessageMatcher, ParallelRegion,
     RegionThread,
 };
@@ -55,7 +54,6 @@ pub use render::{render_timeline, RenderOptions};
 pub use stats::{fit_line, percentile, LineFit, Summary};
 pub use trace::{ProcessTrace, Trace};
 pub use violation::{
-    check_collectives, check_collectives_at, check_p2p, check_p2p_messages,
-    check_p2p_messages_at, check_pomp, check_pomp_at, CollReport, LatencyTable, MinLatency,
+    check_collectives, check_collectives_at, check_p2p, check_p2p_messages_at, check_pomp, check_pomp_at, CollReport, LatencyTable, MinLatency,
     P2pReport, PompReport, UniformLatency, ViolatedMessage,
 };

@@ -120,35 +120,15 @@ impl P2pReport {
     pub fn reversed_pct(&self) -> f64 {
         pct(self.reversed, self.total)
     }
-
-    /// Fold another report into this one, preserving violation order:
-    /// appending shard reports in shard order reproduces the sequential
-    /// report bit for bit.
-    pub fn merge(&mut self, other: P2pReport) {
-        self.total += other.total;
-        self.reversed += other.reversed;
-        self.violations.extend(other.violations);
-    }
 }
 
 /// Check the clock condition on all matched messages.
 pub fn check_p2p(trace: &Trace, matching: &Matching, lmin: &dyn MinLatency) -> P2pReport {
-    check_p2p_messages(trace, &matching.messages, lmin)
+    check_p2p_messages_at(trace, &matching.messages, lmin)
 }
 
-/// Check the clock condition on a slice of matched messages — the shard
-/// unit of the parallel pipeline. Equivalent to [`check_p2p`] when handed
-/// the full message list.
-pub fn check_p2p_messages(
-    trace: &Trace,
-    messages: &[MessageMatch],
-    lmin: &dyn MinLatency,
-) -> P2pReport {
-    check_p2p_messages_at(trace, messages, lmin)
-}
-
-/// [`check_p2p_messages`] over any timestamp layout — the same census runs
-/// on an AoS [`Trace`] or a columnar
+/// [`check_p2p`] on a slice of matched messages over any timestamp layout
+/// — the same census runs on an AoS [`Trace`] or a columnar
 /// [`TraceColumns`](crate::column::TraceColumns), producing bit-identical
 /// reports.
 pub fn check_p2p_messages_at<S: TimeSource + ?Sized>(
@@ -204,16 +184,6 @@ impl CollReport {
     /// Percentage of logical messages reversed.
     pub fn reversed_pct(&self) -> f64 {
         pct(self.logical_reversed, self.logical_total)
-    }
-
-    /// Fold another report into this one. [`check_collectives`] over
-    /// instance shards, merged in shard order, equals the sequential run.
-    pub fn merge(&mut self, other: CollReport) {
-        self.instances += other.instances;
-        self.logical_total += other.logical_total;
-        self.logical_violated += other.logical_violated;
-        self.logical_reversed += other.logical_reversed;
-        self.instances_affected += other.instances_affected;
     }
 }
 
@@ -596,85 +566,6 @@ mod tests {
     fn latency_table_empty_ranks() {
         let table = LatencyTable::freeze(&UniformLatency(Dur::from_us(1)), &[]);
         assert_eq!(table.n_ranks(), 0);
-    }
-
-    /// Sharded checks, merged in shard order, must equal the sequential run
-    /// bit for bit — the invariant the parallel pipeline's censuses rest on.
-    #[test]
-    fn sharded_p2p_check_equals_sequential() {
-        let mut t = Trace::for_ranks(4);
-        // Mix of fine, sub-latency, and reversed messages.
-        for k in 0..20i64 {
-            let (from, to) = ((k % 4) as usize, ((k + 1) % 4) as usize);
-            let skew = (k % 5) * 3 - 6; // some negative transfers
-            t.procs[from].push(
-                us(10 * k),
-                EventKind::Send { to: Rank(to as u32), tag: Tag(k as u32), bytes: 8 },
-            );
-            t.procs[to].push(
-                us(10 * k + skew),
-                EventKind::Recv { from: Rank(from as u32), tag: Tag(k as u32), bytes: 8 },
-            );
-        }
-        let m = match_messages(&t);
-        let lmin = UniformLatency(Dur::from_us(2));
-        let seq = check_p2p(&t, &m, &lmin);
-        for shard_size in [1, 3, 7, 100] {
-            let mut merged = P2pReport::default();
-            for chunk in m.messages.chunks(shard_size) {
-                merged.merge(check_p2p_messages(&t, chunk, &lmin));
-            }
-            assert_eq!(merged.total, seq.total);
-            assert_eq!(merged.reversed, seq.reversed);
-            assert_eq!(merged.violations.len(), seq.violations.len());
-            for (a, b) in merged.violations.iter().zip(&seq.violations) {
-                assert_eq!(a.send, b.send);
-                assert_eq!(a.recv, b.recv);
-                assert_eq!(a.measured_transfer, b.measured_transfer);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_collective_check_equals_sequential() {
-        let mut t = Trace::for_ranks(3);
-        for k in 0..9i64 {
-            let jitter = [0, 4, -3][(k % 3) as usize];
-            for p in 0..3usize {
-                t.procs[p].push(
-                    us(100 * k + p as i64 + jitter),
-                    EventKind::CollBegin {
-                        op: CollOp::Barrier,
-                        comm: CommId::WORLD,
-                        root: None,
-                        bytes: 8,
-                    },
-                );
-                t.procs[p].push(
-                    us(100 * k + 10 + p as i64 - jitter),
-                    EventKind::CollEnd {
-                        op: CollOp::Barrier,
-                        comm: CommId::WORLD,
-                        root: None,
-                        bytes: 8,
-                    },
-                );
-            }
-        }
-        let insts = match_collectives(&t).unwrap();
-        let lmin = UniformLatency(Dur::from_us(3));
-        let seq = check_collectives(&t, &insts, &lmin);
-        for shard_size in [1, 2, 4, 50] {
-            let mut merged = CollReport::default();
-            for chunk in insts.chunks(shard_size) {
-                merged.merge(check_collectives(&t, chunk, &lmin));
-            }
-            assert_eq!(merged.instances, seq.instances);
-            assert_eq!(merged.logical_total, seq.logical_total);
-            assert_eq!(merged.logical_violated, seq.logical_violated);
-            assert_eq!(merged.logical_reversed, seq.logical_reversed);
-            assert_eq!(merged.instances_affected, seq.instances_affected);
-        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //!   [`ClockNetwork`](onlinesync::ClockNetwork): NTP islands, WAN links,
 //!   join/leave churn, and per-node Cristian probe schedules.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod churn;

@@ -57,12 +57,10 @@ fn main() {
         plan.heap_bytes() / 1024,
     );
 
-    // Scalasca's pipeline: Eq. 3 interpolation, then the CLC, sharded
-    // across the machine's cores (bit-identical to the sequential path).
+    // Scalasca's pipeline: Eq. 3 interpolation, then the CLC.
     let cfg = PipelineConfig {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
-        parallel: Some(drift_lab::clocksync::ParallelConfig::default()),
         ..Default::default()
     };
     let report = drift_lab::clocksync::synchronize(

@@ -7,18 +7,19 @@
 #    then every workspace crate's unit tests — and the number of test
 #    binaries that reported must not drop below the floor checked in here
 # 2. lint gate: clippy over the whole workspace, warnings are errors
-# 3. ignored stress tests (~1M-event parallel pipeline run) — opt-in via
-#    DRIFT_STRESS=1, they dominate the wall time of the whole script
+# 3. the wide v2/v3 differential matrix (a 6000-message trace size on
+#    top) — opt-in via DRIFT_STRESS=1
 # 4. bench harnesses in check mode (each bench body runs once); the
 #    ingest smoke run also enforces the >=1.5x chunked-ingest speedup and
 #    the >=2x v3 zero-copy ingest speedup and refreshes BENCH_ingest.json,
-#    the pipeline smoke run refreshes BENCH_pipeline.json and the perf
-#    gates below fail the script if the parallel-CLC speedup over serial
-#    or the SIMD census-kernel / v3-ingest throughput regresses, the
-#    stage-share gate runs the POP example and fails unless `lower` runs
-#    at >= 1.5x the event rate of the serial `clc`, the collective-cost
-#    gate bounds what an allreduce adds to `clc`'s time per event, and the
-#    inlining gate looks for the graph accessors among the symbols; the
+#    the census smoke run refreshes BENCH_census.json and the perf gate
+#    below fails the script if the SIMD census-kernel / v3-ingest
+#    throughput regresses, the stage-share gate runs the POP example and
+#    fails unless `lower` runs at >= 1.5x the event rate of `clc`, the
+#    collective-cost gate bounds what an allreduce adds to `clc`'s time
+#    per event, the inlining gate looks for the graph accessors among the
+#    symbols, and a grep gate keeps the deleted intra-job parallelism from
+#    coming back under its old names; the
 #    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
 #    its report; the incremental smoke run refreshes
 #    BENCH_incremental.json and the residency gate fails the script if
@@ -43,20 +44,24 @@
 #
 # Steps 1-3 stop the script at the first failure. Everything from step 4
 # on runs through `gate`, which records a failing gate's name and goes on:
-# several of those gates compare wall-clock ratios that depend on the host
-# (the parallel-CLC speedup is below its floor on a box with two contended
-# vCPUs), and one of them failing must not hide the verdict of the
-# campaigns, smokes and the frozen benchmark after it. The script exits
-# non-zero at the end with the list of failed gates.
+# some of those gates compare wall-clock ratios that depend on the host
+# (the socket path is below its floor on a box with two contended vCPUs),
+# and one of them failing must not hide the verdict of the campaigns,
+# smokes and the frozen benchmark after it. The script exits non-zero at
+# the end with the list of failed gates.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # `test result:` lines `cargo test -q --workspace` printed when this floor
 # was last set (one per test binary and doc-test target). Raise it when a
 # PR adds a test target; a drop means a target silently stopped running.
-WORKSPACE_TEST_BINARIES_FLOOR=49
+# Last reset downwards when intra-job parallelism was deleted: one binary
+# (`parallel_differential`) and the tests of the sharded stages, the replay
+# CLC, its ring capacities and the worker-count axes went with their
+# subject.
+WORKSPACE_TEST_BINARIES_FLOOR=48
 # Tests those binaries passed between them when the floor was last set.
-WORKSPACE_TESTS_FLOOR=640
+WORKSPACE_TESTS_FLOOR=625
 
 failed_gates=()
 
@@ -100,61 +105,33 @@ echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${DRIFT_STRESS:-0}" == "1" ]]; then
-    echo "==> stress: cargo test -q -- --ignored (DRIFT_STRESS=1)"
-    cargo test -q -- --ignored
     # The v2↔v3 differential matrix widens itself under DRIFT_STRESS=1
     # (adds a 6000-message trace size) in both the AVX2 and the
     # forced-scalar test binary.
-    echo "==> stress: v2/v3 differential matrix (wide)"
+    echo "==> stress: v2/v3 differential matrix (wide, DRIFT_STRESS=1)"
     cargo test -q --test columnar_differential --test columnar_differential_scalar
 else
-    echo "==> stress: skipped (set DRIFT_STRESS=1 to run the ~1M-event tests)"
+    echo "==> stress: skipped (set DRIFT_STRESS=1 to run the wide matrix)"
 fi
 
 gate "bench check: engine" cargo bench -p bench --bench engine -- --test
-gate "bench check: pipeline_parallel" cargo bench -p bench --bench pipeline_parallel -- --test
+gate "bench check: census" cargo bench -p bench --bench census -- --test
 gate "bench check: ingest" cargo bench -p bench --bench ingest -- --test
 gate "bench check: syncd_throughput" cargo bench -p bench --bench syncd_throughput -- --test
 gate "bench check: incremental" cargo bench -p bench --bench incremental -- --test
 gate "bench check: syncd_net" cargo bench -p bench --bench syncd_net -- --test
 gate "bench check: online" cargo bench -p bench --bench online -- --test
 
-# Perf smoke gate: the replay CLC must not fall behind serial where real
-# cores exist. One worker runs per process timeline, so on a single-core
-# host the workers only time-slice — wall-clock speedup is impossible
-# there and the bench's own sanity floor (>=0.25x) is the only check.
-clc_speedup_gate() {
-    local speedup cpus
-    speedup=$(sed -n 's/.*"clc_parallel_over_serial_speedup": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
-    cpus=$(nproc 2>/dev/null || echo 1)
-    if [[ -z "$speedup" ]]; then
-        echo "perf gate: could not read speedup from BENCH_pipeline.json" >&2
-        return 1
-    fi
-    echo "    clc speedup ${speedup}x on ${cpus} cpu(s)"
-    if [[ "$cpus" -ge 2 ]]; then
-        # Small tolerance below 1.0x for scheduler noise.
-        if ! awk -v s="$speedup" 'BEGIN { exit !(s >= 0.95) }'; then
-            echo "perf gate: parallel CLC speedup ${speedup}x < 0.95x on ${cpus} cpus" >&2
-            return 1
-        fi
-    else
-        echo "    (single cpu: wall-clock gate not applicable, bench sanity floor applies)"
-    fi
-}
-gate "parallel-CLC speedup from BENCH_pipeline.json" clc_speedup_gate
-
 # Kernel-throughput gate: the SIMD-width census kernels and the v3
 # zero-copy ingest lane are single-thread-vs-single-thread ratios on the
-# same host, so unlike the parallel-CLC gate they hold at every CPU
-# count. Floors sit well under the measured margins (census ~5.5x,
+# same host, so they hold at every CPU count. Floors sit well under the measured margins (census ~5.5x,
 # v3 ingest ~17x on the reference host) to absorb scheduler noise.
 kernel_throughput_gate() {
     local census_speedup census_eps v3_speedup v3_times_eps v3_streamed_eps
-    census_speedup=$(sed -n 's/.*"census_kernel_over_reference_speedup": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
-    census_eps=$(sed -n 's/.*"census_events_per_sec": \([0-9.]*\).*/\1/p' BENCH_pipeline.json)
+    census_speedup=$(sed -n 's/.*"census_kernel_over_reference_speedup": \([0-9.]*\).*/\1/p' BENCH_census.json)
+    census_eps=$(sed -n 's/.*"census_events_per_sec": \([0-9.]*\).*/\1/p' BENCH_census.json)
     if [[ -z "$census_speedup" || -z "$census_eps" ]]; then
-        echo "perf gate: could not read census kernel fields from BENCH_pipeline.json" >&2
+        echo "perf gate: could not read census kernel fields from BENCH_census.json" >&2
         return 1
     fi
     echo "    census kernel ${census_eps} events/s, ${census_speedup}x over reference walk"
@@ -175,29 +152,24 @@ kernel_throughput_gate() {
         return 1
     fi
 }
-gate "kernel throughput from BENCH_pipeline.json / BENCH_ingest.json" kernel_throughput_gate
+gate "kernel throughput from BENCH_census.json / BENCH_ingest.json" kernel_throughput_gate
 
 # Stage-share gate: on the POP example (32 ranks, 600 allreduces — 98 % of
 # its 608 000 constraints are collective) `lower` must run at >= 1.5x the
 # event rate of `clc`. Both rows come from one run on one host, so the
-# ratio is machine-independent. Pinned to one cpu where `taskset` exists,
-# so that `clc` is the serial kernel: `lower` ran at 12.5 M items/s while
-# it expanded every allreduce into its 32 x 31 logical edges and runs at
-# 40-65 M items/s with collectives lowered as member rows; the serial
-# `clc` ran at 5-7 M items/s while it evaluated those edges one by one and
-# runs at 17-18 M items/s evaluating each allreduce once — a ratio of
-# 2.3-4x now, 0.7x should `lower` re-expand. (Unpinned on >= 2 cpus the
-# example's `clc` row is the 32-thread replay, ~2 M items/s here, and the
-# gate only catches a collapse of `lower`.)
+# ratio is machine-independent: `lower` ran at 12.5 M items/s while it
+# expanded every allreduce into its 32 x 31 logical edges and runs at
+# 40-65 M items/s with collectives lowered as member rows; `clc` ran at
+# 5-7 M items/s while it evaluated those edges one by one and runs at
+# 17-18 M items/s evaluating each allreduce once — a ratio of 2.3-4x now,
+# 0.7x should `lower` re-expand. The rate is the fourth field of a stage
+# row (`PipelineStats::render`: name, items, "items", rate, "items/s").
 stage_share_gate() {
-    local out lower clc pin=""
-    if command -v taskset >/dev/null; then
-        pin="taskset -c 0"
-    fi
+    local out lower clc
     cargo build --release -q --example pop_correction || return 1
-    out=$($pin target/release/examples/pop_correction) || return 1
-    lower=$(awk '$1 == "lower" { print $6 }' <<<"$out")
-    clc=$(awk '$1 == "clc" { print $6 }' <<<"$out")
+    out=$(target/release/examples/pop_correction) || return 1
+    lower=$(awk '$1 == "lower" { print $4 }' <<<"$out")
+    clc=$(awk '$1 == "clc" { print $4 }' <<<"$out")
     if [[ -z "$lower" || -z "$clc" ]]; then
         echo "stage-share gate: no lower/clc rows in the example's stage table" >&2
         return 1
@@ -252,6 +224,11 @@ inlining_gate() {
     fi
 }
 gate "inlined graph accessors: nm pop_correction" inlining_gate
+
+# A job is single-threaded (DESIGN §9); none of the names its parallel
+# paths went by may come back.
+gate "no intra-job parallelism" bash -c \
+    "! grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded' crates src tests examples"
 
 # Residency gate: the incremental windowed engine's whole contract is
 # that its resident timestamp columns are O(window), not O(trace). The

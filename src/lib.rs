@@ -64,6 +64,7 @@
 //! assert!(check_p2p(&trace, &matching, &lmin).violations.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use clocksync;
@@ -81,8 +82,7 @@ pub use workloads;
 /// The most commonly used types across the workspace.
 pub mod prelude {
     pub use clocksync::{
-        controlled_logical_clock, controlled_logical_clock_parallel, estimate_offset,
-        synchronize, ClcParams, LinearInterpolation, OffsetAlignment, OffsetMeasurement,
+        controlled_logical_clock, estimate_offset, synchronize, ClcParams, LinearInterpolation, OffsetAlignment, OffsetMeasurement,
         PipelineConfig, PreSync, ProbeSample, SyncMethod, TimestampMap,
     };
     pub use onlinesync::{ClockNetwork, DriftKalman, NetworkConfig, OnlineCorrector};

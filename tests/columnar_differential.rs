@@ -1,6 +1,5 @@
-//! Differential guarantee of the batch driver: for every drift model,
-//! pre-synchronisation variant and worker count, [`synchronize`] must
-//! produce **bit-identical** corrected timestamps and identical violation
+//! Differential guarantee of the batch driver: for every drift model and
+//! pre-synchronisation variant, [`synchronize`] must produce **bit-identical** corrected timestamps and identical violation
 //! reports to the reference chain composed from the public per-stage
 //! functions (`common::reference_synchronize`) — and the streaming-ingest
 //! entry point [`synchronize_stream`] must reproduce the same results again
@@ -14,12 +13,11 @@ use common::{
     totals,
 };
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream, ClcParams, ParallelConfig, PipelineConfig, PipelineError,
-    PreSync,
+    synchronize, synchronize_stream, ClcParams, PipelineConfig, PipelineError, PreSync,
 };
 use drift_lab::tracefmt::io::to_binary_columnar_blocked;
 
-/// The full matrix: drift models × PreSync variants × worker counts. The
+/// The full matrix: trace sizes × drift models × PreSync variants. The
 /// oracle is the reference; the driver must reproduce it bit for bit —
 /// corrected timestamps, violation lists and CLC jumps.
 #[test]
@@ -27,45 +25,36 @@ fn columnar_is_bit_identical_across_the_config_matrix() {
     let sizes: &[(usize, usize)] = &[(3, 60), (5, 400), (8, 1500)];
     let models = ["constant", "sinusoid", "randomwalk"];
     let presyncs = [PreSync::None, PreSync::AlignOnly, PreSync::Linear];
-    let worker_counts = [None, Some(1usize), Some(2), Some(8)];
     let mut legs = 0usize;
     for (si, &(procs, msgs)) in sizes.iter().enumerate() {
         for (mi, model) in models.iter().enumerate() {
             let seed = 9000 + (si * 10 + mi) as u64;
             let (base, init, fin, lmin) = drifted_trace(procs, msgs, model, seed);
             for presync in presyncs {
-                let seq = PipelineConfig {
+                let ctx = format!("{procs}p/{msgs}m {model} {presync:?}");
+                let cfg = PipelineConfig {
                     presync,
                     clc: Some(ClcParams::default()),
                     ..PipelineConfig::default()
                 };
                 let mut ref_trace = base.clone();
                 let reference =
-                    reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
-                for workers in worker_counts {
-                    let ctx = format!(
-                        "{procs}p/{msgs}m {model} {presync:?} workers={workers:?}"
-                    );
-                    let cfg = PipelineConfig {
-                        parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 37 }),
-                        ..seq.clone()
-                    };
-                    let mut trace = base.clone();
-                    let rep = synchronize(&mut trace, &init, Some(&fin), &lmin, &cfg)
-                        .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+                    reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg);
+                let mut trace = base.clone();
+                let rep = synchronize(&mut trace, &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
 
-                    assert_identical(&ref_trace, &trace, &ctx);
-                    assert_report_matches_reference(&reference, &rep, &ctx);
-                    // The driver reports its layout conversions.
-                    assert!(rep.stats.stage("gather").is_some(), "{ctx}: no gather stage");
-                    assert!(rep.stats.stage("scatter").is_some(), "{ctx}: no scatter stage");
-                    legs += 1;
-                }
+                assert_identical(&ref_trace, &trace, &ctx);
+                assert_report_matches_reference(&reference, &rep, &ctx);
+                // The driver reports its layout conversions.
+                assert!(rep.stats.stage("gather").is_some(), "{ctx}: no gather stage");
+                assert!(rep.stats.stage("scatter").is_some(), "{ctx}: no scatter stage");
+                legs += 1;
             }
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * worker_counts.len();
+    let floor = sizes.len() * models.len() * presyncs.len();
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
 
@@ -78,10 +67,7 @@ fn columnar_is_bit_identical_across_the_config_matrix() {
 fn streamed_ingest_matches_in_memory_pipeline() {
     for (model, chunk) in [("constant", 7usize), ("sinusoid", 64), ("randomwalk", 4096)] {
         let (base, init, fin, lmin) = drifted_trace(6, 900, model, 31337);
-        let cfg = PipelineConfig {
-            parallel: Some(ParallelConfig { workers: 4, shard_size: 128 }),
-            ..PipelineConfig::default()
-        };
+        let cfg = PipelineConfig::default();
         let mut mem_trace = base.clone();
         let mem = synchronize(&mut mem_trace, &init, Some(&fin), &lmin, &cfg)
             .expect("in-memory pipeline runs");
@@ -134,7 +120,7 @@ fn streamed_ingest_rejects_truncated_input() {
 }
 
 /// v3 zero-copy streamed ingest against one-shot v2 decode + synchronize,
-/// both against the oracle, across drift models × presync × workers (see
+/// both against the oracle, across drift models × presync (see
 /// `common::v3_ingest_differential_matrix`; widened by `DRIFT_STRESS=1`).
 /// This binary runs the kernels the host CPU offers (AVX2 where present);
 /// `columnar_differential_scalar.rs` repeats it with the scalar kernels.

@@ -517,7 +517,7 @@ pub fn assert_report_matches_reference(
 }
 
 /// The `DTC2`-v2 vs `DTC3` differential matrix: for every drift model ×
-/// [`PreSync`] × worker count, one-shot v2 decode followed by
+/// [`PreSync`], one-shot v2 decode followed by
 /// [`synchronize`] and the v3 zero-copy streamed ingest must both be
 /// bit-identical to [`reference_synchronize`] on the decoded trace —
 /// corrected timestamps and every stage census.
@@ -527,7 +527,7 @@ pub fn assert_report_matches_reference(
 /// forced before the CPU probe is cached). `DRIFT_STRESS=1` widens the
 /// matrix with a 6000-message trace size.
 pub fn v3_ingest_differential_matrix() {
-    use drift_lab::clocksync::{synchronize_stream, ParallelConfig};
+    use drift_lab::clocksync::synchronize_stream;
     use drift_lab::tracefmt::io::{
         from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
     };
@@ -550,37 +550,31 @@ pub fn v3_ingest_differential_matrix() {
             let decoded = from_binary_columnar(v2)
                 .unwrap_or_else(|e| panic!("{procs}p/{msgs}m {model}: v2 decode failed: {e}"));
             for presync in presyncs {
-                let seq = PipelineConfig {
+                let ctx = format!("{procs}p/{msgs}m {model} {presync:?}");
+                let cfg = PipelineConfig {
                     presync,
                     clc: Some(ClcParams::default()),
                     ..PipelineConfig::default()
                 };
                 let mut ref_trace = decoded.clone();
                 let reference =
-                    reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &seq);
-                for workers in [None, Some(2usize)] {
-                    let ctx = format!("{procs}p/{msgs}m {model} {presync:?} workers={workers:?}");
-                    let cfg = PipelineConfig {
-                        parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                        ..seq.clone()
-                    };
+                    reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg);
 
-                    // One-shot v2 decode, then synchronize.
-                    let mut v2_trace = decoded.clone();
-                    let v2_rep = synchronize(&mut v2_trace, &init, Some(&fin), &lmin, &cfg)
-                        .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
-                    assert_identical(&ref_trace, &v2_trace, &format!("{ctx} (v2 decode)"));
-                    assert_report_matches_reference(&reference, &v2_rep, &ctx);
+                // One-shot v2 decode, then synchronize.
+                let mut v2_trace = decoded.clone();
+                let v2_rep = synchronize(&mut v2_trace, &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
+                assert_identical(&ref_trace, &v2_trace, &format!("{ctx} (v2 decode)"));
+                assert_report_matches_reference(&reference, &v2_rep, &ctx);
 
-                    // v3 zero-copy streamed ingest, awkward chunk size on
-                    // purpose.
-                    let (v3_trace, v3_rep) =
-                        synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
-                            .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
-                    assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
-                    assert_report_matches_reference(&reference, &v3_rep, &ctx);
-                    legs += 1;
-                }
+                // v3 zero-copy streamed ingest, awkward chunk size on
+                // purpose.
+                let (v3_trace, v3_rep) =
+                    synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
+                        .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
+                assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
+                assert_report_matches_reference(&reference, &v3_rep, &ctx);
+                legs += 1;
             }
         }
     }
@@ -595,32 +589,26 @@ pub fn v3_ingest_differential_matrix() {
             let seed = 42_000 + (li * 10 + mi) as u64;
             let (base, init, fin) = drifted_zoo_trace(6, 400, model, seed, lmin);
             let v3 = to_binary_columnar_v3_blocked(&base, 256);
-            let seq =
+            let ctx = format!("zoo/{lname} {model}");
+            let cfg =
                 PipelineConfig { clc: Some(ClcParams::default()), ..PipelineConfig::default() };
             let mut ref_trace = base.clone();
-            let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), lmin, &seq);
-            for workers in [None, Some(2usize)] {
-                let ctx = format!("zoo/{lname} {model} workers={workers:?}");
-                let cfg = PipelineConfig {
-                    parallel: workers.map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                    ..seq.clone()
-                };
-                let mut trace = base.clone();
-                let rep = synchronize(&mut trace, &init, Some(&fin), lmin, &cfg)
-                    .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
-                assert_identical(&ref_trace, &trace, &ctx);
-                assert_report_matches_reference(&reference, &rep, &ctx);
-                let (v3_trace, v3_rep) =
-                    synchronize_stream(v3.chunks(4096), &init, Some(&fin), lmin, &cfg)
-                        .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
-                assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
-                assert_report_matches_reference(&reference, &v3_rep, &ctx);
-                legs += 1;
-            }
+            let reference = reference_synchronize(&mut ref_trace, &init, Some(&fin), lmin, &cfg);
+            let mut trace = base.clone();
+            let rep = synchronize(&mut trace, &init, Some(&fin), lmin, &cfg)
+                .unwrap_or_else(|e| panic!("{ctx}: pipeline failed: {e}"));
+            assert_identical(&ref_trace, &trace, &ctx);
+            assert_report_matches_reference(&reference, &rep, &ctx);
+            let (v3_trace, v3_rep) =
+                synchronize_stream(v3.chunks(4096), &init, Some(&fin), lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
+            assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
+            assert_report_matches_reference(&reference, &v3_rep, &ctx);
+            legs += 1;
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2 + 2 * models.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() + 2 * models.len();
     assert!(legs >= floor, "differential matrix ran only {legs} legs (expected {floor})");
 }
 

@@ -98,9 +98,8 @@ fn full_pipeline_on_probed_measurements() {
         &PipelineConfig {
             presync: PreSync::Linear,
             clc: Some(ClcParams::default()),
-            parallel: None,
             ..Default::default()
-},
+        },
     )
     .unwrap();
 

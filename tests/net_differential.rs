@@ -2,7 +2,7 @@
 //! `syncd-client` over a real loopback socket produces **bit-identical**
 //! output — corrected timestamps, jump set, max jump, typed errors — to
 //! the reference chain (`common::reference_synchronize`) across the
-//! workers × presync grid and for the online method, and to the same job
+//! presync grid and for the online method, and to the same job
 //! run in process for incremental mode, under contention, and around
 //! mid-job client disconnects. The router test pins that placement
 //! (including work stealing) never changes results.
@@ -11,8 +11,7 @@ mod common;
 
 use common::{assert_identical, drifted_trace, reference_synchronize};
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream_incremental, OffsetMeasurement, ParallelConfig,
-    PipelineConfig, PreSync,
+    synchronize, synchronize_stream_incremental, OffsetMeasurement, PipelineConfig, PreSync,
 };
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobInput, JobRouter, JobSpec, NetServer,
@@ -27,22 +26,15 @@ use drift_lab::tracefmt::{MinLatency, UniformLatency};
 use std::sync::Arc;
 use std::time::Duration;
 
-const WORKER_COUNTS: [usize; 2] = [1, 2];
 const PRESYNCS: [PreSync; 2] = [PreSync::AlignOnly, PreSync::Linear];
 
 fn configs() -> Vec<(String, PipelineConfig)> {
-    let mut out = Vec::new();
-    for workers in WORKER_COUNTS {
-        for presync in PRESYNCS {
-            let cfg = PipelineConfig {
-                presync,
-                parallel: (workers > 1).then_some(ParallelConfig { workers, shard_size: 64 }),
-                ..PipelineConfig::default()
-            };
-            out.push((format!("w{workers}/{presync:?}"), cfg));
-        }
-    }
-    out
+    PRESYNCS
+        .iter()
+        .map(|&presync| {
+            (format!("{presync:?}"), PipelineConfig { presync, ..PipelineConfig::default() })
+        })
+        .collect()
 }
 
 fn request(
@@ -67,7 +59,6 @@ fn test_server() -> NetServer {
         ingest_window: 1 << 20,
         service: ServiceConfig {
             executors: 2,
-            pool_workers: 4,
             ..ServiceConfig::default()
         },
     })
@@ -121,7 +112,7 @@ fn loopback_batch_matches_direct_across_the_grid() {
         );
         legs += 1;
     }
-    assert_eq!(legs, WORKER_COUNTS.len() * PRESYNCS.len(), "grid collapsed");
+    assert_eq!(legs, PRESYNCS.len(), "grid collapsed");
     server.shutdown();
 }
 
@@ -367,7 +358,6 @@ fn router_steals_work_and_placement_never_changes_bits() {
         steal_threshold: 2,
         node: ServiceConfig {
             executors: 1,
-            pool_workers: 1,
             queue_capacity: 64,
             ..ServiceConfig::default()
         },

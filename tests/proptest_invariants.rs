@@ -91,17 +91,24 @@ proptest! {
         }
     }
 
+    /// The map-based CLC is the oracle of the pipeline's CSR kernel: on a
+    /// random trace both leave the same timestamps.
     #[test]
-    fn parallel_clc_equals_serial((trace, lmin_us) in arb_skewed_trace()) {
+    fn pipeline_clc_equals_the_map_oracle((trace, lmin_us) in arb_skewed_trace()) {
         let lmin = UniformLatency(Dur::from_us(lmin_us));
         let params = ClcParams::default();
-        let mut serial = trace.clone();
-        let mut par = trace;
-        controlled_logical_clock(&mut serial, &lmin, &params).unwrap();
-        drift_lab::clocksync::controlled_logical_clock_parallel(&mut par, &lmin, &params)
-            .unwrap();
-        for p in 0..serial.n_procs() {
-            prop_assert_eq!(&serial.procs[p].events, &par.procs[p].events);
+        let n = trace.n_procs();
+        let mut oracle = trace.clone();
+        let mut piped = trace;
+        controlled_logical_clock(&mut oracle, &lmin, &params).unwrap();
+        let cfg = drift_lab::clocksync::PipelineConfig {
+            presync: PreSync::None,
+            clc: Some(params),
+            ..Default::default()
+        };
+        drift_lab::clocksync::synchronize(&mut piped, &vec![None; n], None, &lmin, &cfg).unwrap();
+        for p in 0..n {
+            prop_assert_eq!(&oracle.procs[p].events, &piped.procs[p].events);
         }
     }
 
@@ -232,7 +239,6 @@ proptest! {
     #[test]
     fn pipeline_clc_leaves_no_latency_violations(
         (trace, lmin_us) in arb_skewed_trace(),
-        workers in 1usize..5,
     ) {
         let n = trace.n_procs();
         let mut t = trace;
@@ -240,10 +246,6 @@ proptest! {
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: Some(ClcParams::default()),
-            parallel: Some(drift_lab::clocksync::ParallelConfig {
-                workers,
-                shard_size: 16,
-            }),
             ..Default::default()
         };
         let rep = drift_lab::clocksync::synchronize(
@@ -269,7 +271,6 @@ proptest! {
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: Some(ClcParams::default()),
-            parallel: Some(drift_lab::clocksync::ParallelConfig::default()),
             ..Default::default()
         };
         drift_lab::clocksync::synchronize(
@@ -284,11 +285,10 @@ proptest! {
     }
 
     /// The identity configuration — no pre-synchronisation, no CLC — must
-    /// leave every timestamp untouched, sequentially and sharded.
+    /// leave every timestamp untouched.
     #[test]
     fn identity_pipeline_leaves_trace_unchanged(
         (trace, lmin_us) in arb_skewed_trace(),
-        par_flag in 0usize..2,
     ) {
         let n = trace.n_procs();
         let before = trace.clone();
@@ -296,10 +296,6 @@ proptest! {
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: None,
-            parallel: (par_flag == 1).then_some(drift_lab::clocksync::ParallelConfig {
-                workers: 3,
-                shard_size: 8,
-            }),
             ..Default::default()
         };
         let rep = drift_lab::clocksync::synchronize(

@@ -2,14 +2,14 @@
 //! matcher against the FIFO-queue oracle in `tests/common`, on traces no
 //! tracer would write — timelines sharing a rank, tags reordered inside a
 //! rank pair, dangling sends and receives, ranks no timeline carries,
-//! empty timelines, sparse rank ids — and the three capture paths (batch,
-//! sharded, streamed) against each other. Everything is compared in exact
-//! order: `messages`, `unmatched_sends`, `unmatched_recvs`.
+//! empty timelines, sparse rank ids — and the two capture paths (batch,
+//! streamed) against each other. Everything is compared in exact order:
+//! `messages`, `unmatched_sends`, `unmatched_recvs`.
 
 mod common;
 
 use common::fifo_match_messages;
-use drift_lab::clocksync::{ParallelConfig, TraceAnalysis};
+use drift_lab::clocksync::TraceAnalysis;
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 use drift_lab::tracefmt::{
@@ -157,16 +157,11 @@ proptest! {
         assert_same_matching(&match_messages(&trace), &fifo_match_messages(&trace), "batch");
     }
 
-    /// One matcher behind three capture paths: batch, sharded at every
-    /// worker count, streamed at every block size.
+    /// One matcher behind both capture paths: batch, and streamed at every
+    /// block size.
     #[test]
-    fn batch_sharded_and_streamed_capture_agree(trace in arb_message_trace()) {
+    fn batch_and_streamed_capture_agree(trace in arb_message_trace()) {
         let batch = TraceAnalysis::capture(&trace).expect("barriers are well-formed");
-        for workers in [1usize, 2, 8] {
-            let sharded = TraceAnalysis::capture_sharded(&trace, &ParallelConfig::with_workers(workers))
-                .expect("same trace, same verdict");
-            assert_same_analysis(&sharded, &batch, &format!("sharded, {workers} workers"));
-        }
         for block in [1usize, 7, 1024] {
             let bytes = to_binary_columnar_v3_blocked(&trace, block);
             let chunks: Vec<&[u8]> = bytes.chunks(61).collect();

@@ -7,15 +7,32 @@
 //! dropped chunks, injected garbage, and pure garbage) through the full
 //! pipeline under random chunkings, and also pin down that the header-only
 //! cost estimator used by admission control never overstates a valid
-//! stream and never panics on a corrupt one.
+//! stream and never panics on a corrupt one. Two named inputs add what no
+//! run can record but bytes can claim: a dependency cycle across
+//! timelines, which every driver, the service and the server must answer
+//! typed instead of waiting on it.
 
 mod common;
 
 use common::{assert_identical, drifted_trace};
-use drift_lab::clocksync::{synchronize, synchronize_stream, PipelineConfig};
-use drift_lab::syncd::{chunked, Fault, FaultInjector};
-use drift_lab::tracefmt::io::{estimate_columnar_stream, to_binary_columnar_blocked};
+use drift_lab::clocksync::{
+    synchronize, synchronize_stream, synchronize_stream_incremental, ClcError, PipelineConfig,
+    PipelineError,
+};
+use drift_lab::prelude::*;
+use drift_lab::syncd::{
+    chunked, Fault, FaultInjector, JobError, JobInput, JobSpec, NetServer, NetServerConfig,
+    ServiceConfig, SyncService, TenantConfig,
+};
+use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
+use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency};
+use drift_lab::tracefmt::io::{
+    estimate_columnar_stream, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
+};
+use drift_lab::tracefmt::MinLatency;
 use proptest::prelude::*;
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Feed a (possibly corrupt) chunked stream through the whole pipeline.
 /// The property under test is simply that this returns — `Ok` for intact
@@ -34,6 +51,117 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64) {
     );
     // Either outcome is fine; reaching here without a panic is the test.
     let _ = result.map(|(t, _)| t.n_events());
+}
+
+/// Two ranks, each receiving before the send the other waits for: four
+/// well-formed events whose dependencies form a cycle across timelines.
+fn p2p_cycle() -> Trace {
+    let mut t = Trace::for_ranks(2);
+    for (p, peer) in [(0, Rank(1)), (1, Rank(0))] {
+        t.procs[p].push(Time::from_us(10), EventKind::Recv { from: peer, tag: Tag(0), bytes: 8 });
+        t.procs[p].push(Time::from_us(20), EventKind::Send { to: peer, tag: Tag(0), bytes: 8 });
+    }
+    t
+}
+
+/// The collective twin, the classic MPI deadlock: two barriers on two
+/// communicators over the same two ranks, entered in opposite order.
+fn barrier_cycle() -> Trace {
+    let mut t = Trace::for_ranks(2);
+    for (p, comms) in [(0, [CommId(1), CommId(2)]), (1, [CommId(2), CommId(1)])] {
+        for (k, comm) in comms.into_iter().enumerate() {
+            let (op, root, at) = (CollOp::Barrier, None, 20 * k as i64);
+            t.procs[p].push(Time::from_us(at), EventKind::CollBegin { op, comm, root, bytes: 0 });
+            t.procs[p].push(Time::from_us(at + 5), EventKind::CollEnd { op, comm, root, bytes: 0 });
+        }
+    }
+    t
+}
+
+/// `body` on a thread of its own, failing the test when it has not
+/// returned after five seconds (a job waiting on a cycle never does).
+fn within_deadline<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(body()));
+    rx.recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|_| panic!("{what}: no answer within 5 s"))
+}
+
+#[test]
+fn cyclic_traces_fail_typed_from_every_driver_service_and_server() {
+    let cyclic = |r: Result<(), PipelineError>, ctx: &str| {
+        assert!(matches!(r, Err(PipelineError::Clc(ClcError::CyclicTrace))), "{ctx}: got {r:?}");
+    };
+    let lmin = UniformLatency(Dur::from_us(2));
+    let cfg = PipelineConfig { presync: PreSync::None, ..PipelineConfig::default() };
+    let init = vec![None; 2];
+    let (healthy, ..) = drifted_trace(2, 20, "constant", 3);
+    for (name, trace) in [("p2p cycle", p2p_cycle()), ("barrier cycle", barrier_cycle())] {
+        let bytes = to_binary_columnar_v3_blocked(&trace, 2).to_vec();
+        let chunks: Vec<&[u8]> = bytes.chunks(32).collect();
+
+        let mut batch = trace.clone();
+        cyclic(synchronize(&mut batch, &init, None, &lmin, &cfg).map(drop), name);
+        assert_identical(&trace, &batch, &format!("{name}: timestamps as submitted"));
+        let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg);
+        cyclic(streamed.map(drop), &format!("{name}, streamed"));
+        for window in [1, 64] {
+            let windowed = synchronize_stream_incremental(&chunks, &init, None, &lmin, &cfg, window);
+            cyclic(windowed.map(drop), &format!("{name}, window {window}"));
+        }
+
+        // One executor, no retries: the job after the cyclic one is served
+        // by the thread that answered it.
+        let service_cfg = ServiceConfig { executors: 1, max_retries: 0, ..ServiceConfig::default() };
+        let spec = move |input, cfg: &PipelineConfig| {
+            let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
+            JobSpec::new(input, vec![None; 2], None, lmin, cfg.clone())
+        };
+        let (stream, next, pipeline) = (chunked(&bytes, 32), healthy.clone(), cfg.clone());
+        let service = SyncService::start(service_cfg.clone());
+        within_deadline(&format!("{name}, in-process service"), move || {
+            let failure = service
+                .submit(spec(JobInput::Stream(stream), &pipeline))
+                .expect("admitted")
+                .wait()
+                .expect_err("a cyclic trace cannot succeed");
+            let is_cyclic = matches!(
+                failure.error,
+                JobError::Pipeline(PipelineError::Clc(ClcError::CyclicTrace))
+            );
+            assert!(is_cyclic, "got {:?}", failure.error);
+            let served = service.submit(spec(JobInput::Trace(next), &pipeline)).expect("admitted");
+            served.wait().expect("the executor serves the next job");
+            service.shutdown();
+        });
+
+        let config = WireJobConfig::new(&cfg, WireLatency::Uniform(lmin.0.as_ps()))
+            .with_measurements(&init, None);
+        let request = |chunks| JobRequest { config: config.clone(), chunks };
+        let (cyclic_req, next_req) = (
+            request(vec![bytes.clone()]),
+            request(vec![to_binary_columnar_v3_blocked(&healthy, 16).to_vec()]),
+        );
+        within_deadline(&format!("{name}, loopback server"), move || {
+            let server = NetServer::start_loopback(NetServerConfig {
+                tenants: vec![TenantConfig::new("tok")],
+                ingest_window: 1 << 20,
+                service: service_cfg,
+            })
+            .expect("bind loopback");
+            let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
+            match client.submit(&cyclic_req) {
+                Err(ClientError::Remote { code, detail }) => {
+                    assert_eq!(code, ErrorCode::Pipeline, "{detail}");
+                    assert!(detail.contains("cyclic"), "{detail}");
+                }
+                other => panic!("expected a typed error frame, got {other:?}"),
+            }
+            let mut client = SyncClient::connect(server.local_addr(), "tok").expect("reconnect");
+            client.submit(&next_req).expect("the executor serves the next job");
+            server.shutdown();
+        });
+    }
 }
 
 proptest! {
@@ -108,9 +236,6 @@ proptest! {
         events in prop::collection::vec((0usize..5, 0u8..12, 0u32..3, 0u32..6, 0i64..50), 0..60),
         sane_prefix in 0usize..4,
     ) {
-        use drift_lab::clocksync::synchronize_stream_incremental;
-        use drift_lab::prelude::*;
-        use drift_lab::tracefmt::CollOp;
         let ops = [CollOp::Barrier, CollOp::Bcast, CollOp::Reduce, CollOp::Scan, CollOp::Allreduce, CollOp::Alltoall];
         let mut trace = Trace::for_ranks(timelines);
         let mut at = vec![0i64; timelines];

@@ -104,21 +104,39 @@ fn scan_chunked(bytes: &[u8], step: usize) -> (Vec<Frame>, Option<WireError>, Fr
     (frames, None, scanner)
 }
 
+/// Re-encode a frame with `extra` spliced in at payload offset `at`.
+fn with_payload_bytes(frame: &Frame, at: usize, extra: &[u8]) -> Vec<u8> {
+    let mut bytes = encode_frame(frame);
+    bytes.splice(4 + 1 + at..4 + 1 + at, extra.iter().copied());
+    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) + extra.len() as u32;
+    bytes[..4].copy_from_slice(&len.to_le_bytes());
+    bytes
+}
+
 /// Re-encode a `JobConfig` frame in the protocol-version-2 layout: one
 /// `storage` byte after `presync`, i.e. at payload offset mode(1+8) +
 /// priority(1) + deadline(8) + retries(4) + presync(1) = 23.
 fn v2_layout(frame: &Frame, storage: u8) -> Vec<u8> {
-    let mut bytes = encode_frame(frame);
-    bytes.insert(4 + 1 + 23, storage);
-    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) + 1;
-    bytes[..4].copy_from_slice(&len.to_le_bytes());
-    bytes
+    with_payload_bytes(frame, 23, &[storage])
+}
+
+/// Re-encode a `JobConfig` frame that runs a CLC in the protocol-version-3
+/// layout: a `parallel` section after `clc`, i.e. at payload offset
+/// 23 + clc(1+17) = 41 — a zero flag byte, or a one and `workers` and
+/// `shard_size` as `u32`s.
+fn v3_layout(frame: &Frame, workers: Option<u32>) -> Vec<u8> {
+    let mut section = vec![u8::from(workers.is_some())];
+    if let Some(w) = workers {
+        section.extend(w.to_le_bytes());
+        section.extend(8192u32.to_le_bytes());
+    }
+    with_payload_bytes(frame, 41, &section)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A version-2 `JobConfig` payload is not a version-3 one: every field
+    /// A version-2 `JobConfig` payload is not a current one: every field
     /// after `presync` is read one byte early, and the decode ends in a
     /// typed payload error — never a panic, never a frame — whichever
     /// value the old byte had and however the bytes arrive.
@@ -140,6 +158,26 @@ proptest! {
 
     /// Every frame kind survives encode → arbitrary-chunked scan → decode
     /// bit-exactly, for any read fragmentation down to one byte.
+    /// Nor is a version-3 one, with or without its `parallel` section set:
+    /// the latency model is read from the old flag byte on.
+    #[test]
+    fn v3_layout_job_configs_fail_typed(
+        seed in 0u64..10_000,
+        workers in 0u32..64,
+        step in 1usize..64,
+    ) {
+        let config = &sample_frames(seed, 0, 0)[2];
+        prop_assert!(matches!(config, Frame::JobConfig(c) if c.clc.is_some()));
+        // Zero stands for "section not set": the flag byte alone.
+        let workers = (workers > 0).then_some(workers);
+        let (decoded, err, _) = scan_chunked(&v3_layout(config, workers), step);
+        prop_assert!(decoded.is_empty(), "v3 layout decoded as {decoded:?}");
+        prop_assert!(
+            matches!(err, Some(WireError::BadPayload(_))),
+            "expected a typed payload error, got {err:?}"
+        );
+    }
+
     #[test]
     fn frames_roundtrip_under_any_chunking(
         seed in 0u64..10_000,
@@ -287,7 +325,6 @@ fn assert_no_leak(hostile: Vec<u8>, read_limit: usize, write_quota: Option<u64>)
         ingest_window: 1 << 20,
         service: ServiceConfig {
             executors: 1,
-            pool_workers: 1,
             max_retries: 1,
             retry_backoff: Duration::from_millis(1),
             ..ServiceConfig::default()
@@ -391,7 +428,6 @@ proptest! {
             ingest_window: 1 << 20,
             service: ServiceConfig {
                 executors: 1,
-                pool_workers: 1,
                 max_retries: 1,
                 retry_backoff: Duration::from_millis(1),
                 ..ServiceConfig::default()
@@ -426,21 +462,21 @@ proptest! {
     }
 }
 
-/// Version-2 clients are refused typed. One that handshakes first (as
-/// `syncd-client` does) gets `VersionMismatch` for its `Hello`; one that
-/// pipelines its old-layout `JobConfig` behind the `Hello` in the same
-/// burst may instead be told the burst is `Malformed` — the scanner decodes
-/// what it was fed before the driver looks at the first frame. Either way:
-/// one error frame, no `HelloAck`, no admission charge, server still up.
-#[test]
-fn v2_sessions_are_refused_typed() {
+/// Clients of an earlier protocol version are refused typed. One that
+/// handshakes first (as `syncd-client` does) gets `VersionMismatch` for its
+/// `Hello`; one that pipelines its old-layout `JobConfig` behind the
+/// `Hello` in the same burst may instead be told the burst is `Malformed` —
+/// the scanner decodes what it was fed before the driver looks at the
+/// first frame. Either way: one error frame, no `HelloAck`, no admission
+/// charge, server still up.
+fn assert_old_sessions_refused(version: u16, old_layout: impl Fn(&Frame) -> Vec<u8>) {
     let (trace, ..) = drifted_trace(3, 20, "constant", 3);
-    let v3_session = session_bytes(&to_binary_columnar_blocked(&trace, 16), WireMode::Batch);
-    let (frames, err, _) = scan_chunked(&v3_session, usize::MAX);
+    let session = session_bytes(&to_binary_columnar_blocked(&trace, 16), WireMode::Batch);
+    let (frames, err, _) = scan_chunked(&session, usize::MAX);
     assert!(err.is_none());
-    let hello = encode_frame(&Frame::Hello { magic: MAGIC, version: 2, token: "tok".into() });
+    let hello = encode_frame(&Frame::Hello { magic: MAGIC, version, token: "tok".into() });
     let mut pipelined = hello.clone();
-    pipelined.extend(v2_layout(&frames[1], 1));
+    pipelined.extend(old_layout(&frames[1]));
     for f in &frames[2..] {
         pipelined.extend(encode_frame(f));
     }
@@ -448,7 +484,7 @@ fn v2_sessions_are_refused_typed() {
     let server = NetServer::start_loopback(NetServerConfig {
         tenants: vec![TenantConfig::new("tok")],
         ingest_window: 1 << 20,
-        service: ServiceConfig { executors: 1, pool_workers: 1, ..ServiceConfig::default() },
+        service: ServiceConfig { executors: 1, ..ServiceConfig::default() },
     })
     .expect("bind");
     for (session, allowed) in [
@@ -466,4 +502,15 @@ fn v2_sessions_are_refused_typed() {
         assert_eq!(server.metrics().admitted_bytes, 0);
     }
     server.shutdown();
+}
+
+#[test]
+fn v2_sessions_are_refused_typed() {
+    assert_old_sessions_refused(2, |config| v2_layout(config, 1));
+}
+
+#[test]
+fn v3_sessions_are_refused_typed() {
+    assert_old_sessions_refused(3, |config| v3_layout(config, None));
+    assert_old_sessions_refused(3, |config| v3_layout(config, Some(2)));
 }

@@ -1,5 +1,5 @@
 //! Differential guarantees for the `syncd` service: a job run through the
-//! service — any worker count, any presync, trace or stream input, alone
+//! service — any presync, trace or stream input, alone
 //! or in a contended mixed batch with a poisoned neighbour — produces
 //! **bit-identical** timestamps to the reference chain
 //! (`common::reference_synchronize`) across the config grid, and to calling
@@ -9,7 +9,7 @@
 mod common;
 
 use common::{assert_identical, drifted_trace, reference_synchronize};
-use drift_lab::clocksync::{synchronize, ParallelConfig, PipelineConfig, PreSync};
+use drift_lab::clocksync::{synchronize, PipelineConfig, PreSync};
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobError, JobInput, JobSpec, Priority,
     ServiceConfig, SyncService,
@@ -18,22 +18,15 @@ use drift_lab::tracefmt::io::to_binary_columnar_blocked;
 use drift_lab::tracefmt::{MinLatency, Trace, UniformLatency};
 use std::sync::Arc;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 const PRESYNCS: [PreSync; 2] = [PreSync::AlignOnly, PreSync::Linear];
 
 fn configs() -> Vec<(String, PipelineConfig)> {
-    let mut out = Vec::new();
-    for workers in WORKER_COUNTS {
-        for presync in PRESYNCS {
-            let cfg = PipelineConfig {
-                presync,
-                parallel: (workers > 1).then_some(ParallelConfig { workers, shard_size: 64 }),
-                ..PipelineConfig::default()
-            };
-            out.push((format!("w{workers}/{presync:?}"), cfg));
-        }
-    }
-    out
+    PRESYNCS
+        .iter()
+        .map(|&presync| {
+            (format!("{presync:?}"), PipelineConfig { presync, ..PipelineConfig::default() })
+        })
+        .collect()
 }
 
 fn submit(
@@ -56,15 +49,13 @@ fn submit(
         .expect("admission accepts the job")
 }
 
-/// Every workers × presync combination, both input kinds, one shared
-/// service: each job's output must equal the oracle's.
+/// Every presync, both input kinds, one shared service: each job's output must equal the oracle's.
 #[test]
 fn service_matches_direct_across_the_config_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
     let bytes = to_binary_columnar_blocked(&trace, 32);
     let service = SyncService::start(ServiceConfig {
         executors: 2,
-        pool_workers: 8,
         ..ServiceConfig::default()
     });
 
@@ -104,9 +95,9 @@ fn service_matches_direct_across_the_config_grid() {
     }
 
     let m = service.metrics();
-    // Every worker count × presync, each as trace + stream: the grid must
-    // not silently collapse.
-    let grid = (WORKER_COUNTS.len() * PRESYNCS.len()) as u64;
+    // Every presync, each as trace + stream: the grid must not silently
+    // collapse.
+    let grid = PRESYNCS.len() as u64;
     assert_eq!(m.counter(Counter::Completed), grid * 2);
     assert_eq!(m.counter(Counter::Failed), 0);
     assert_eq!(m.counter(Counter::ServiceCrashes), 0);
@@ -171,16 +162,12 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
 #[test]
 fn priorities_and_contention_do_not_change_bits() {
     let (trace, init, fin, lmin) = drifted_trace(4, 150, "constant", 99);
-    let cfg = PipelineConfig {
-        parallel: Some(ParallelConfig { workers: 4, shard_size: 32 }),
-        ..PipelineConfig::default()
-    };
+    let cfg = PipelineConfig::default();
     let mut direct = trace.clone();
     synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct run");
 
     let service = SyncService::start(ServiceConfig {
         executors: 1, // force strict queueing so priority order matters
-        pool_workers: 4,
         ..ServiceConfig::default()
     });
     let mut handles = Vec::new();

@@ -1,6 +1,5 @@
 //! Differential matrix for the incremental windowed engine: for every
-//! window size × drift model × pre-synchronisation mode × worker request,
-//! streaming a columnar trace through
+//! window size × drift model × pre-synchronisation mode, streaming a columnar trace through
 //! [`synchronize_stream_incremental`] and re-decoding the emitted frames
 //! must be *bit-identical* to the reference chain
 //! (`common::reference_synchronize`) on the whole trace — corrected
@@ -8,18 +7,13 @@
 //! CLC lists discovery order), `max_jump`, and the moved/total event
 //! counts.
 //!
-//! The windowed engine is sequential by design, so the worker dimension
-//! pins that a requested [`ParallelConfig`] is *ignored without changing
-//! results*, mirroring the batch engine's any-worker-count guarantee.
-//!
 //! `DRIFT_STRESS=1` widens the matrix with a 6000-message trace size.
 
 mod common;
 
 use common::{drifted_trace, drifted_zoo_trace, reference_synchronize, zoo_latencies};
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream_incremental, ClcParams, ParallelConfig, PipelineConfig,
-    PreSync,
+    synchronize, synchronize_stream_incremental, ClcParams, PipelineConfig, PreSync,
 };
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{
@@ -112,30 +106,21 @@ fn windowed_engine_differential_matrix() {
             // One sub-block window, two mid windows, one ≥ whole trace.
             let windows = [1usize, 64, 4096, n.max(1)];
             for presync in presyncs {
-                for workers in [None, Some(2usize)] {
-                    let cfg = PipelineConfig {
-                        presync,
-                        clc: Some(ClcParams::default()),
-                        parallel: workers
-                            .map(|w| ParallelConfig { workers: w, shard_size: 57 }),
-                        ..PipelineConfig::default()
-                    };
-                    let mut batch = base.clone();
-                    let (.., bclc) =
-                        reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
-                    let bclc = bclc.as_ref().expect("clc configured");
-                    for window in windows {
-                        let ctx = format!(
-                            "{procs}p/{msgs}m {model} {presync:?} workers={workers:?} \
-                             window={window}"
-                        );
-                        let (back, rep) =
-                            run_windowed(&v3, &init, &fin, &lmin, &cfg, window, &ctx);
-                        assert_times_match(&batch, &back, &ctx);
-                        let iclc = rep.clc.as_ref().expect("clc ran");
-                        assert_clc_match(bclc, iclc, &ctx);
-                        legs += 1;
-                    }
+                let cfg = PipelineConfig {
+                    presync,
+                    clc: Some(ClcParams::default()),
+                    ..PipelineConfig::default()
+                };
+                let mut batch = base.clone();
+                let (.., bclc) = reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
+                let bclc = bclc.as_ref().expect("clc configured");
+                for window in windows {
+                    let ctx = format!("{procs}p/{msgs}m {model} {presync:?} window={window}");
+                    let (back, rep) = run_windowed(&v3, &init, &fin, &lmin, &cfg, window, &ctx);
+                    assert_times_match(&batch, &back, &ctx);
+                    let iclc = rep.clc.as_ref().expect("clc ran");
+                    assert_clc_match(bclc, iclc, &ctx);
+                    legs += 1;
                 }
             }
         }
@@ -170,7 +155,7 @@ fn windowed_engine_differential_matrix() {
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 2 * 4 + 2 * models.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() * 4 + 2 * models.len() * 2;
     assert!(legs >= floor, "windowed matrix ran only {legs} legs (expected {floor})");
 }
 
@@ -182,7 +167,6 @@ fn windowed_engine_handles_v2_streams_in_the_matrix() {
         let cfg = PipelineConfig {
             presync: PreSync::Linear,
             clc: Some(ClcParams::default()),
-            parallel: None,
             ..PipelineConfig::default()
         };
         let mut batch = base.clone();
@@ -208,7 +192,6 @@ fn windowed_residency_stays_bounded_while_batch_grows() {
     let cfg = PipelineConfig {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
-        parallel: None,
         ..PipelineConfig::default()
     };
     let mut peaks = Vec::new();
