@@ -10,6 +10,20 @@
 //! and the report also carries the *minimum* ratio across rounds so a
 //! regression cannot hide behind one lucky round.
 //!
+//! Two job classes. The small one (1 600 events in test mode, DTC2) is
+//! the gated one, and it is blind to anything that happens *between the
+//! reads of one frame*: its whole stream is one `Chunk` frame of ~52 KB,
+//! which arrives in a single 64 KiB socket read, so no read of it ever
+//! ends mid-frame. The connection driver once backed off 500 µs after
+//! every such read — 64 KiB per 0.55 ms, a 115 MB/s ceiling on ingest —
+//! and this bench could not see it. The large class (40 000 events, DTC3,
+//! 1.3 MB: five 256 KiB frames of at least four reads each, and past the
+//! default 1 MiB `ingest_window`, so it also waits for a credit re-grant)
+//! is where read granularity shows. It is report-only:
+//! `large_socket_over_inproc_ratio`, and `large_upload_mb_per_s` from an
+//! upload-only probe (see [`upload_mb_per_s`]); what gates the behaviour
+//! is a count (`NetIdleSleeps <= NetIdleReads`, `scripts/ci.sh`).
+//!
 //! Run with `cargo bench -p bench --bench syncd_net` (add `-- --test`
 //! for the CI smoke run). Writes `BENCH_syncd_net.json` at the repo
 //! root; `scripts/ci.sh` gates on `socket_over_inproc_ratio >= 0.7`.
@@ -26,7 +40,7 @@ use syncd::{
 };
 use syncd_client::{JobRequest, SyncClient};
 use syncd_wire::{WireJobConfig, WireLatency};
-use tracefmt::io::to_binary_columnar_blocked;
+use tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
 use tracefmt::{EventKind, MinLatency, Rank, Tag, Trace, UniformLatency};
 
 const PROCS: usize = 8;
@@ -79,17 +93,28 @@ struct BenchJob {
     bytes: Vec<u8>,
 }
 
-fn job_set(jobs: usize, msgs: usize) -> (Vec<BenchJob>, usize) {
+fn job_set(jobs: usize, msgs: usize, v3: bool) -> (Vec<BenchJob>, usize) {
     let mut events = 0;
     let set = (0..jobs)
         .map(|j| {
             let (trace, init, fin) = job_trace(2000 + j as u64, msgs);
             events += trace.n_events();
-            let bytes = to_binary_columnar_blocked(&trace, 1024).to_vec();
+            let bytes = if v3 {
+                to_binary_columnar_v3_blocked(&trace, 1024).to_vec()
+            } else {
+                to_binary_columnar_blocked(&trace, 1024).to_vec()
+            };
             BenchJob { init, fin, bytes }
         })
         .collect();
     (set, events)
+}
+
+fn wire_request(j: &BenchJob, lmin: UniformLatency) -> JobRequest {
+    let config =
+        WireJobConfig::new(&PipelineConfig::default(), WireLatency::Uniform(lmin.0.as_ps()))
+            .with_measurements(&j.init, Some(&j.fin));
+    JobRequest { config, chunks: vec![j.bytes.clone()] }
 }
 
 /// In-process side: submit every job to a fresh service as a stream
@@ -123,10 +148,15 @@ fn run_inproc(set: &[BenchJob], lmin: &Arc<dyn MinLatency + Send + Sync>) -> f64
 
 /// Socket side: `clients` connections submit the job set round-robin
 /// through the framed protocol against a fresh loopback server.
-fn run_socket(set: &[BenchJob], lmin: UniformLatency, clients: usize) -> f64 {
+fn run_socket(
+    set: &[BenchJob],
+    lmin: UniformLatency,
+    clients: usize,
+    ingest_window: u64,
+) -> f64 {
     let server = NetServer::start_loopback(NetServerConfig {
         tenants: vec![TenantConfig::new("bench")],
-        ingest_window: 4 << 20,
+        ingest_window,
         service: ServiceConfig {
             queue_capacity: set.len().max(64),
             ..ServiceConfig::default()
@@ -142,12 +172,7 @@ fn run_socket(set: &[BenchJob], lmin: UniformLatency, clients: usize) -> f64 {
             scope.spawn(move || {
                 let mut client = SyncClient::connect(addr, "bench").expect("connect");
                 for j in set.iter().skip(c).step_by(clients) {
-                    let config = WireJobConfig::new(
-                        &PipelineConfig::default(),
-                        WireLatency::Uniform(lmin.0.as_ps()),
-                    )
-                    .with_measurements(&j.init, Some(&j.fin));
-                    let req = JobRequest { config, chunks: vec![j.bytes.clone()] };
+                    let req = wire_request(j, lmin);
                     let out = client.submit(&req).expect("socket job succeeds");
                     assert!(!out.stream.is_empty(), "corrected stream came back");
                     std::hint::black_box(&out);
@@ -160,31 +185,68 @@ fn run_socket(set: &[BenchJob], lmin: UniformLatency, clients: usize) -> f64 {
     elapsed
 }
 
+/// Ingest rate of the upload path alone, in MB/s of stream bytes: the job
+/// goes up `samples` times through a tenant whose per-job quota its *last*
+/// chunk busts. The server answers `QuotaExceeded` the moment it has read
+/// that chunk — the whole stream — so one round trip times credit, framing
+/// and the reads, with no admission, no job and no reply stream in it. The
+/// error ends the connection, so every sample connects afresh (outside the
+/// timed part).
+fn upload_mb_per_s(
+    job: &BenchJob,
+    samples: usize,
+    lmin: UniformLatency,
+    ingest_window: u64,
+) -> f64 {
+    let len = job.bytes.len();
+    let req = wire_request(job, lmin);
+    let server = NetServerConfig {
+        tenants: vec![TenantConfig {
+            max_job_bytes: len as u64 - 1,
+            ..TenantConfig::new("bench")
+        }],
+        ingest_window,
+        service: ServiceConfig::default(),
+    };
+    let server = NetServer::start_loopback(server).expect("bind loopback");
+    let mut secs: Vec<f64> = (0..samples)
+        .map(|_| {
+            let mut client = SyncClient::connect(server.local_addr(), "bench").expect("connect");
+            let t0 = Instant::now();
+            // Typed, unless the server's close overtakes the error frame.
+            assert!(client.submit(&req).is_err(), "the quota must refuse the job");
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    server.shutdown();
+    len as f64 / 1e6 / median(&mut secs)
+}
+
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
     xs[xs.len() / 2]
 }
 
-fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let (jobs, msgs) = if test_mode { (24, 800) } else { (96, 2500) };
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let clients = cpus.clamp(1, 4);
-    let lmin = UniformLatency(Dur::from_us(4));
+const ROUNDS: usize = 3;
+
+/// One job set raced in process against the socket over [`ROUNDS`]
+/// strictly alternating rounds: median seconds of each side, and the
+/// median and minimum of the per-round in-process/socket ratios.
+struct Race {
+    inproc_s: f64,
+    socket_s: f64,
+    ratio: f64,
+    ratio_min: f64,
+}
+
+fn race(set: &[BenchJob], lmin: UniformLatency, clients: usize, ingest_window: u64) -> Race {
     let lmin_arc: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
-
-    let (set, events) = job_set(jobs, msgs);
-    println!(
-        "syncd_net: {jobs} jobs, {events} events total, {clients} client(s), {cpus} cpu(s)"
-    );
-
-    const ROUNDS: usize = 3;
     let mut inproc_times = Vec::with_capacity(ROUNDS);
     let mut socket_times = Vec::with_capacity(ROUNDS);
     let mut ratios = Vec::with_capacity(ROUNDS);
     for round in 0..ROUNDS {
-        let i = run_inproc(&set, &lmin_arc);
-        let s = run_socket(&set, lmin, clients);
+        let i = run_inproc(set, &lmin_arc);
+        let s = run_socket(set, lmin, clients, ingest_window);
         println!(
             "  round {}: in-process {i:.3}s, socket {s:.3}s, ratio {:.3}x",
             round + 1,
@@ -194,16 +256,55 @@ fn main() {
         socket_times.push(s);
         ratios.push(i / s);
     }
-    let t_inproc = median(&mut inproc_times);
-    let t_socket = median(&mut socket_times);
     let ratio = median(&mut ratios);
     let ratio_min = ratios.first().copied().expect("rounds ran"); // sorted by median()
+    Race {
+        inproc_s: median(&mut inproc_times),
+        socket_s: median(&mut socket_times),
+        ratio,
+        ratio_min,
+    }
+}
+
+fn main() {
+    let test_mode = std::env::args().any(|a| a == "--test");
+    let (jobs, msgs) = if test_mode { (24, 800) } else { (96, 2500) };
+    let large_jobs = if test_mode { 8 } else { 24 };
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let clients = cpus.clamp(1, 4);
+    let lmin = UniformLatency(Dur::from_us(4));
+
+    let (set, events) = job_set(jobs, msgs, false);
+    println!(
+        "syncd_net: {jobs} jobs, {events} events total, {clients} client(s), {cpus} cpu(s)"
+    );
+    let Race { inproc_s: t_inproc, socket_s: t_socket, ratio, ratio_min } =
+        race(&set, lmin, clients, 4 << 20);
+
+    // The large class runs against the default 1 MiB window, like any
+    // server nobody tuned: its stream does not fit one grant.
+    let window = NetServerConfig::default().ingest_window;
+    let (large_set, large_events) = job_set(large_jobs, 20_000, true);
+    let large_bytes = large_set[0].bytes.len();
+    assert!(large_bytes as u64 > window, "large class must outgrow one credit window");
+    println!(
+        "syncd_net large class: {large_jobs} jobs, {large_events} events total, \
+         {large_bytes} B each"
+    );
+    let large = race(&large_set, lmin, clients, window);
+    let large_ratio = large.ratio;
+    let large_upload = upload_mb_per_s(&large_set[0], large_jobs, lmin, window);
 
     let inproc_jps = jobs as f64 / t_inproc;
     let socket_jps = jobs as f64 / t_socket;
     println!("  in-process  {inproc_jps:>9.1} jobs/s  (median {t_inproc:.3}s)");
     println!("  socket      {socket_jps:>9.1} jobs/s  (median {t_socket:.3}s)");
     println!("  socket/in-process ratio: median {ratio:.3}x, min {ratio_min:.3}x");
+    let large_socket_ms = large.socket_s / large_jobs as f64 * 1e3;
+    println!(
+        "  large class: socket {large_socket_ms:.2} ms/job, ratio {large_ratio:.3}x, \
+         upload {large_upload:.0} MB/s"
+    );
 
     let json = format!(
         "{{\n  \"jobs\": {jobs},\n  \"events\": {events},\n  \"cpus\": {cpus},\n  \
@@ -211,7 +312,11 @@ fn main() {
          \"inproc_jobs_per_sec\": {inproc_jps:.2},\n  \
          \"socket_jobs_per_sec\": {socket_jps:.2},\n  \
          \"socket_over_inproc_ratio\": {ratio:.3},\n  \
-         \"socket_over_inproc_ratio_min\": {ratio_min:.3}\n}}\n"
+         \"socket_over_inproc_ratio_min\": {ratio_min:.3},\n  \
+         \"large_jobs\": {large_jobs},\n  \"large_job_bytes\": {large_bytes},\n  \
+         \"large_socket_ms_per_job\": {large_socket_ms:.2},\n  \
+         \"large_socket_over_inproc_ratio\": {large_ratio:.3},\n  \
+         \"large_upload_mb_per_s\": {large_upload:.1}\n}}\n"
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_syncd_net.json");
     std::fs::write(out, json).expect("write BENCH_syncd_net.json");

@@ -28,7 +28,11 @@
 //!    typed `Error` or a silent disconnect — never garbage bytes);
 //! 4. **bit-identity survives chaos** — clean sessions interleaved with
 //!    the hostile ones return exactly the direct pipeline's corrected
-//!    trace.
+//!    trace;
+//! 5. **no sleep on progress** — the connections' idle back-offs never
+//!    outnumber the reads on which the transport had nothing
+//!    (`NetIdleSleeps <= NetIdleReads`): a read that consumed bytes,
+//!    however few, is followed by the next read.
 
 use crate::invariant::traces_identical;
 use crate::workload::job_trace;
@@ -48,11 +52,14 @@ pub struct NetChaosConfig {
     pub connections: usize,
     /// Server-side per-connection upload credit window.
     pub ingest_window: u64,
+    /// Bytes per read of every session; `None` draws one per session
+    /// from the seed.
+    pub read_limit: Option<usize>,
 }
 
 impl Default for NetChaosConfig {
     fn default() -> Self {
-        NetChaosConfig { connections: 12, ingest_window: 1 << 20 }
+        NetChaosConfig { connections: 12, ingest_window: 1 << 20, read_limit: None }
     }
 }
 
@@ -152,8 +159,11 @@ pub fn run_net_chaos(seed: u64, cfg: &NetChaosConfig) -> NetChaosReport {
         }
 
         // Every session gets fragmented reads and a randomly slow sender.
+        // The limit is drawn even when the campaign fixes it, so a seed
+        // means the same sessions either way.
+        let drawn_limit = [3usize, 17, 256, 4096, usize::MAX][rng.gen_range(0usize..5)];
         let mut t = ScriptedTransport::new(session)
-            .read_limit([3usize, 17, 256, 4096, usize::MAX][rng.gen_range(0usize..5)])
+            .read_limit(cfg.read_limit.unwrap_or(drawn_limit))
             .idle_every([0usize, 2, 5][rng.gen_range(0usize..3)]);
         match fault {
             // A clean or corrupted-but-connected peer waits for its
@@ -227,6 +237,19 @@ pub fn run_net_chaos(seed: u64, cfg: &NetChaosConfig) -> NetChaosReport {
         }
     }
 
+    // Invariant 5: every back-off followed a read that had nothing.
+    if report.violation.is_none() {
+        let m = server.metrics();
+        let (sleeps, idle) =
+            (m.counter(Counter::NetIdleSleeps), m.counter(Counter::NetIdleReads));
+        if sleeps > idle {
+            report.violation = Some(format!(
+                "seed {seed}: {sleeps} idle back-offs on {idle} idle reads: \
+                 a connection slept on a read that made progress"
+            ));
+        }
+    }
+
     // Invariants 1 and 2 at quiescence: nothing admitted, nothing crashed.
     if report.violation.is_none() {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
@@ -287,10 +310,15 @@ mod tests {
     fn tiny_window_starves_but_never_leaks() {
         // A window far below one chunk forces the credit path into its
         // halving fallback; jobs may fail typed, but nothing may leak.
-        let rep = run_net_chaos(
-            1,
-            &NetChaosConfig { connections: 4, ingest_window: 64 * 1024 },
-        );
-        assert!(rep.violation.is_none(), "{}", rep.violation.unwrap());
+        // Fed byte by byte as well: every read is a partial one, and the
+        // per-read checks of the upload loop still run on each.
+        for read_limit in [None, Some(1)] {
+            let rep = run_net_chaos(
+                1,
+                &NetChaosConfig { connections: 4, ingest_window: 64 * 1024, read_limit },
+            );
+            assert!(rep.violation.is_none(), "{}", rep.violation.unwrap());
+            assert_eq!(rep.connections, 4);
+        }
     }
 }

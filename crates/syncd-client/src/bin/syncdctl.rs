@@ -11,7 +11,11 @@
 //! `submit` generates a synthetic drifted trace (the same construction the
 //! integration fixtures use: true-timeline messages recorded through
 //! drifting clocks), uploads it, and prints the job summary — a one-command
-//! end-to-end smoke of the wire path.
+//! end-to-end smoke of the wire path. Beside the server's `queue_wait_us`
+//! and `run_time_us` it prints `wall_us`, timed around the submission on
+//! this side, and `transfer_us = wall − queue_wait − run_time`: what the
+//! wire cost (upload, reply re-encode, download), most visible on a job of
+//! several 256 KiB frames (`--msgs 20000 --v3`: 1.3 MB up).
 //!
 //! `--method` selects the synchronization method the service runs: `interp`
 //! (offset interpolation only), `clc` (presync + controlled logical clock,
@@ -256,17 +260,25 @@ fn main() {
             config = config.with_measurements(&fixture.init, Some(&fixture.fin));
             let mut client = SyncClient::connect(&addr, &token)
                 .unwrap_or_else(|e| die(&format!("connect {addr}: {e}")));
+            let upload_bytes = stream.len();
             let req = JobRequest { config, chunks: vec![stream] };
-            match client.submit(&req) {
+            let t0 = std::time::Instant::now();
+            let submitted = client.submit(&req);
+            let wall_us = t0.elapsed().as_micros() as u64;
+            match submitted {
                 Ok(outcome) => {
                     let s = outcome.summary;
                     println!(
-                        "job ok: attempts={} queue_wait_us={} run_time_us={} \
+                        "job ok: attempts={} wall_us={} queue_wait_us={} run_time_us={} \
+                         transfer_us={} upload_bytes={} \
                          jumps={} max_jump_ps={} moved={}/{} frames={} \
                          out_chunks={} out_bytes={}",
                         s.attempts,
+                        wall_us,
                         s.queue_wait_us,
                         s.run_time_us,
+                        wall_us.saturating_sub(s.queue_wait_us + s.run_time_us),
+                        upload_bytes,
                         s.n_jumps,
                         s.max_jump_ps,
                         s.events_moved,

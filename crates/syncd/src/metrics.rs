@@ -54,13 +54,25 @@ pub enum Counter {
     /// Connections that ended with a protocol violation or a mid-job
     /// client disconnect (every admission charge they held was released).
     NetDisconnects,
+    /// Connection reads that consumed bytes without completing a frame
+    /// (a frame larger than one read, or a peer that trickles).
+    NetPartialReads,
+    /// Connection reads on which the transport had no byte to give
+    /// ([`ReadOutcome::Idle`]).
+    ///
+    /// [`ReadOutcome::Idle`]: crate::net::ReadOutcome::Idle
+    NetIdleReads,
+    /// Idle back-offs connections took (a sleep, or a park on the running
+    /// job's handle). Only an idle read may be followed by one, so
+    /// `NetIdleSleeps <= NetIdleReads` always.
+    NetIdleSleeps,
     /// Queued jobs the router's balancer moved between nodes.
     RouterSteals,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 19] = [
         Counter::Accepted,
         Counter::RejectedQueueFull,
         Counter::RejectedOverBudget,
@@ -76,6 +88,9 @@ impl Counter {
         Counter::NetAuthFailures,
         Counter::NetJobs,
         Counter::NetDisconnects,
+        Counter::NetPartialReads,
+        Counter::NetIdleReads,
+        Counter::NetIdleSleeps,
         Counter::RouterSteals,
     ];
 
@@ -97,6 +112,9 @@ impl Counter {
             Counter::NetAuthFailures => "syncd_net_auth_failures_total",
             Counter::NetJobs => "syncd_net_jobs_total",
             Counter::NetDisconnects => "syncd_net_disconnects_total",
+            Counter::NetPartialReads => "syncd_net_partial_reads_total",
+            Counter::NetIdleReads => "syncd_net_idle_reads_total",
+            Counter::NetIdleSleeps => "syncd_net_idle_sleeps_total",
             Counter::RouterSteals => "syncd_router_steals_total",
         }
     }

@@ -111,9 +111,14 @@ pub fn serve_transport<T: Transport>(server: &super::NetServer, transport: &mut 
     server.serve_transport(transport);
 }
 
-/// One step of the non-blocking frame reader.
+/// One step of the frame reader: at most one transport read.
 enum Step {
     Frame(Frame),
+    /// The read's bytes went to the scanner and completed no frame yet.
+    /// Progress: the driver reads again without backing off.
+    Partial,
+    /// The transport had no byte to give ([`ReadOutcome::Idle`]): the
+    /// only outcome a driver loop may sleep or park on.
     Idle,
     Eof,
 }
@@ -143,7 +148,7 @@ impl FrameReader {
                     .extend(self.scanner.feed(&buf[..n]).map_err(Close::Wire)?);
                 match self.pending.pop_front() {
                     Some(f) => Ok(Step::Frame(f)),
-                    None => Ok(Step::Idle),
+                    None => Ok(Step::Partial),
                 }
             }
             Ok(ReadOutcome::Idle) => Ok(Step::Idle),
@@ -174,17 +179,45 @@ impl<T: Transport> Conn<'_, T> {
         self.t.write_all(&frame.encode()).map_err(|_| Close::Gone)
     }
 
+    /// One reader step, with the reads that completed no frame counted by
+    /// kind. Every driver loop goes through here and makes its
+    /// per-iteration checks once per read, not once per frame, so a peer
+    /// that trickles single bytes cannot starve them.
+    fn poll(&mut self) -> Result<Step, Close> {
+        let step = self.reader.poll(self.t)?;
+        match step {
+            Step::Partial => count(self.net, Counter::NetPartialReads),
+            Step::Idle => count(self.net, Counter::NetIdleReads),
+            Step::Frame(_) | Step::Eof => {}
+        }
+        Ok(step)
+    }
+
+    fn check_stop(&self) -> Result<(), Close> {
+        if self.net.stop.load(Ordering::SeqCst) {
+            return Err(Close::Shutdown);
+        }
+        Ok(())
+    }
+
+    /// Back off after an idle read. A blocking transport has already
+    /// waited out its poll timeout by then; this paces the ones that
+    /// never block.
+    fn idle_backoff(&self) {
+        count(self.net, Counter::NetIdleSleeps);
+        std::thread::sleep(Duration::from_micros(500));
+    }
+
     /// Block for the next frame; `Ok(None)` is orderly EOF.
     fn wait_frame(&mut self) -> Result<Option<Frame>, Close> {
         loop {
-            match self.reader.poll(self.t)? {
+            match self.poll()? {
                 Step::Frame(f) => return Ok(Some(f)),
                 Step::Eof => return Ok(None),
+                Step::Partial => self.check_stop()?,
                 Step::Idle => {
-                    if self.net.stop.load(Ordering::SeqCst) {
-                        return Err(Close::Shutdown);
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
+                    self.check_stop()?;
+                    self.idle_backoff();
                 }
             }
         }
@@ -307,12 +340,11 @@ impl<T: Transport> Conn<'_, T> {
             } else {
                 starved_since = None;
             }
-            match self.reader.poll(self.t)? {
+            match self.poll()? {
+                Step::Partial => self.check_stop()?,
                 Step::Idle => {
-                    if self.net.stop.load(Ordering::SeqCst) {
-                        return Err(Close::Shutdown);
-                    }
-                    std::thread::sleep(Duration::from_micros(500));
+                    self.check_stop()?;
+                    self.idle_backoff();
                 }
                 Step::Eof => return Err(Close::Gone),
                 Step::Frame(Frame::Chunk(bytes)) => {
@@ -446,19 +478,24 @@ impl<T: Transport> Conn<'_, T> {
                 }
                 break out;
             }
-            match self.reader.poll(self.t) {
+            match self.poll() {
                 Ok(Step::Frame(Frame::Cancel)) => h.cancel(),
                 Ok(Step::Frame(_)) => {
                     self.t.set_poll_blocking(true);
                     abort_job(handle.take().expect("handle live"), sink.as_deref());
                     return Err(Close::Proto("unexpected frame while job running"));
                 }
-                Ok(Step::Idle) => {
+                Ok(step @ (Step::Partial | Step::Idle)) => {
                     if self.net.stop.load(Ordering::SeqCst) && !stop_cancel {
                         stop_cancel = true;
                         h.cancel();
                     }
-                    h.wait_for(Duration::from_millis(5));
+                    // Part of a frame (a split `Cancel`, say) is followed
+                    // by a read of its rest, not by a park.
+                    if matches!(step, Step::Idle) {
+                        count(self.net, Counter::NetIdleSleeps);
+                        h.wait_for(Duration::from_millis(5));
+                    }
                 }
                 Ok(Step::Eof) | Err(_) => {
                     self.t.set_poll_blocking(true);
@@ -660,5 +697,193 @@ impl SinkState {
         q.closed = true;
         drop(q);
         self.space.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{NetServer, NetServerConfig, ScriptedTransport, TenantConfig};
+    use super::*;
+    use crate::job::JobInput;
+    use crate::service::ServiceConfig;
+    use clocksync::{OffsetMeasurement, PipelineConfig};
+    use simclock::Dur;
+    use std::io;
+    use std::sync::mpsc;
+    use syncd_wire::{encode_frame, WireLatency};
+    use tracefmt::io::to_binary_columnar_blocked;
+    use tracefmt::UniformLatency;
+
+    type Measurements = Vec<Option<OffsetMeasurement>>;
+
+    /// The service tests' 2-rank trace of `msgs` messages, as a DTC2
+    /// stream, and its measurements.
+    fn fixture(msgs: usize) -> (Vec<u8>, Measurements, Measurements) {
+        let (trace, init, fin) = crate::service::tests::fixture(msgs);
+        (to_binary_columnar_blocked(&trace, 16).to_vec(), init, fin)
+    }
+
+    fn server() -> NetServer {
+        NetServer::start_loopback(NetServerConfig {
+            tenants: vec![TenantConfig::new("tok")],
+            ingest_window: 1 << 20,
+            service: ServiceConfig { executors: 1, ..ServiceConfig::default() },
+        })
+        .expect("bind loopback")
+    }
+
+    /// Handshake and job header of a batch job over `fixture(msgs)`.
+    fn session_head(init: &Measurements, fin: &Measurements) -> Vec<u8> {
+        let config = WireJobConfig::new(&PipelineConfig::default(), WireLatency::Uniform(1_000_000))
+            .with_measurements(init, Some(fin));
+        let mut out = encode_frame(&Frame::Hello {
+            magic: MAGIC,
+            version: VERSION,
+            token: "tok".into(),
+        });
+        out.extend(encode_frame(&Frame::JobConfig(Box::new(config))));
+        out
+    }
+
+    fn reply_frames(t: &ScriptedTransport) -> Vec<Frame> {
+        FrameScanner::new().feed(t.outbound()).expect("server writes well-formed frames")
+    }
+
+    /// A [`ScriptedTransport`] whose reads also end at the stream offsets
+    /// in `cuts`, and which runs `before_read(bytes served so far)` ahead
+    /// of every read — so a test can act between two reads of its choice.
+    struct Staged<'a> {
+        inner: ScriptedTransport,
+        cuts: Vec<usize>,
+        served: usize,
+        reads: usize,
+        before_read: Box<dyn FnMut(usize) + 'a>,
+    }
+
+    impl Transport for Staged<'_> {
+        fn read_some(&mut self, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+            (self.before_read)(self.served);
+            self.reads += 1;
+            let cap = self
+                .cuts
+                .iter()
+                .find(|&&c| c > self.served)
+                .map_or(buf.len(), |c| (c - self.served).min(buf.len()));
+            let out = self.inner.read_some(&mut buf[..cap])?;
+            if let ReadOutcome::Data(n) = out {
+                self.served += n;
+            }
+            Ok(out)
+        }
+
+        fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+            self.inner.write_all(buf)
+        }
+    }
+
+    /// The shutdown check runs once per read, not once per frame: a peer
+    /// that trickles single bytes of a frame it never completes — in the
+    /// handshake or in the upload — is told `Shutdown` on the first read
+    /// after the flag went up, and no partial read costs a back-off.
+    #[test]
+    fn stop_flag_is_seen_on_the_next_read_of_a_trickled_frame() {
+        let (_, init, fin) = fixture(4);
+        let never_completed = &encode_frame(&Frame::Chunk(vec![0; 4096]))[..1000];
+        for (phase, head) in [("handshake", Vec::new()), ("upload", session_head(&init, &fin))] {
+            let server = server();
+            let raise_at = head.len() + 300;
+            let mut inbound = head;
+            inbound.extend_from_slice(never_completed);
+            let stop = &server.net.stop;
+            let mut t = Staged {
+                inner: ScriptedTransport::new(inbound).read_limit(1),
+                cuts: Vec::new(),
+                served: 0,
+                reads: 0,
+                before_read: Box::new(move |served| {
+                    if served == raise_at {
+                        stop.store(true, Ordering::SeqCst);
+                    }
+                }),
+            };
+            server.serve_transport(&mut t);
+
+            assert!(t.reads <= raise_at + 1, "{phase}: {} reads, flag up at {raise_at}", t.reads);
+            assert!(
+                matches!(
+                    reply_frames(&t.inner).last(),
+                    Some(Frame::Error { code: ErrorCode::Shutdown, .. })
+                ),
+                "{phase}: connection must end with the Shutdown error frame"
+            );
+            let m = server.metrics();
+            assert!(m.counter(Counter::NetPartialReads) >= 300, "{phase}");
+            assert_eq!(m.counter(Counter::NetIdleSleeps), 0, "{phase}: slept on progress");
+            drop(t);
+            server.shutdown();
+        }
+    }
+
+    /// Run phase: a `Cancel` frame split across two reads is honoured —
+    /// the first part is neither an unexpected frame nor a reason to park
+    /// before reading the rest. The one executor is held by a job whose
+    /// sink waits on a channel, released by the first read after the
+    /// `Cancel` was delivered in full, so the cancelled job cannot have
+    /// finished first. (The wait's timeout only turns a driver that stops
+    /// reading into a failure instead of a hang.)
+    #[test]
+    fn cancel_split_across_two_run_phase_reads_is_honoured() {
+        let (bytes, init, fin) = fixture(40);
+        let server = server();
+
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let blocker = JobSpec::new(
+            JobInput::StreamIncremental { chunks: vec![bytes.clone()], window_events: 16 },
+            init.clone(),
+            Some(fin.clone()),
+            Arc::new(UniformLatency(Dur::from_us(1))),
+            PipelineConfig::default(),
+        )
+        .with_frame_sink(Arc::new(move |idx, _| {
+            if idx == 0 {
+                let _ = gate.lock().expect("gate lock").recv_timeout(Duration::from_secs(10));
+            }
+            true
+        }));
+        let blocker = server.net.service.submit(blocker).expect("blocker admitted");
+
+        let mut inbound = session_head(&init, &fin);
+        inbound.extend(encode_frame(&Frame::Chunk(bytes)));
+        inbound.extend(encode_frame(&Frame::ChunkEnd));
+        let upload_end = inbound.len();
+        inbound.extend(encode_frame(&Frame::Cancel));
+        let all = inbound.len();
+        let mut release = Some(release);
+        let mut t = Staged {
+            inner: ScriptedTransport::new(inbound).close_after_reply(20_000),
+            cuts: vec![upload_end, upload_end + 3],
+            served: 0,
+            reads: 0,
+            before_read: Box::new(move |served| {
+                if served == all {
+                    release.take();
+                }
+            }),
+        };
+        server.serve_transport(&mut t);
+
+        let replies = reply_frames(&t.inner);
+        assert!(
+            matches!(replies.last(), Some(Frame::Error { code: ErrorCode::Cancelled, .. })),
+            "split Cancel must cancel the job, got {:?}",
+            replies.last()
+        );
+        blocker.wait().expect("blocker finishes once released");
+        let m = server.metrics();
+        assert!(m.counter(Counter::NetPartialReads) >= 1, "the first part of Cancel is a partial read");
+        assert!(m.counter(Counter::NetIdleSleeps) <= m.counter(Counter::NetIdleReads));
+        assert_eq!(m.counter(Counter::Cancelled), 1);
+        server.shutdown();
     }
 }

@@ -109,12 +109,15 @@ pub(crate) struct TenantState {
     pub(crate) active: AtomicUsize,
 }
 
-/// What one blocking read produced.
+/// What one read produced.
 #[derive(Debug)]
 pub enum ReadOutcome {
-    /// `n` bytes were read into the buffer prefix.
+    /// `n` bytes were read into the buffer prefix. Progress, whether or
+    /// not they complete a frame: the driver reads again at once.
     Data(usize),
-    /// Nothing right now (timeout); the connection is still alive.
+    /// No byte was available (a blocking read timed out, a non-blocking
+    /// one would block); the connection is still alive. The driver sleeps
+    /// or parks only then — never after a read that returned bytes.
     Idle,
     /// Orderly end of stream.
     Eof,
@@ -126,7 +129,11 @@ pub enum ReadOutcome {
 pub trait Transport {
     /// Read some bytes; must bound its own blocking (return
     /// [`ReadOutcome::Idle`] periodically) so the driver can poll cancel
-    /// and shutdown.
+    /// and shutdown. `Idle` means no byte was available: it is the one
+    /// outcome the driver backs off on, so a transport must not report it
+    /// for a read that consumed input. While reads block, that wait is
+    /// what paces the connection thread; a transport that never blocks is
+    /// paced by the driver's 500 µs back-off per `Idle`.
     fn read_some(&mut self, buf: &mut [u8]) -> io::Result<ReadOutcome>;
     /// Write the whole buffer or fail.
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
@@ -427,8 +434,10 @@ impl NetServer {
     }
 
     /// Stop accepting, close the listener, join every connection thread,
-    /// and drain-shutdown the owned service.
-    pub fn shutdown(mut self) {
+    /// and drain-shutdown the owned service. Returns the final metrics:
+    /// unlike a [`Self::metrics`] snapshot they are read with no
+    /// connection thread left to count between two of them.
+    pub fn shutdown(mut self) -> crate::metrics::MetricsSnapshot {
         self.net.stop.store(true, Ordering::SeqCst);
         // Poke the blocking accept() awake with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
@@ -445,7 +454,11 @@ impl NetServer {
         // The service is inside an Arc; by now every thread that shared
         // it is joined, so this unwrap cannot race.
         match Arc::try_unwrap(self.net) {
-            Ok(net) => net.service.shutdown(),
+            Ok(net) => {
+                let metrics = Arc::clone(&net.service.shared().metrics);
+                net.service.shutdown();
+                metrics.snapshot()
+            }
             Err(_) => unreachable!("net shared state still referenced after join"),
         }
     }

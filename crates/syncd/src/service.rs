@@ -778,7 +778,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fault::{chunked, Fault, FaultInjector};
     use crate::job::{JobInput, Priority};
@@ -790,7 +790,7 @@ mod tests {
 
     /// A 2-rank trace with messages 0 → 1, rank 1's clock skewed by
     /// +500 µs, plus the matching init/finalize measurements.
-    fn fixture(
+    pub(crate) fn fixture(
         msgs: usize,
     ) -> (
         Trace,

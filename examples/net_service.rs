@@ -96,7 +96,8 @@ fn main() {
     let lmin = UniformLatency(Dur::from_us(4));
     let lmin_arc: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
     let cfg = PipelineConfig::default();
-    let (trace, init, fin) = drifted_fixture(7, 600);
+    // Large enough that the upload is more than one 256 KiB `Chunk` frame.
+    let (trace, init, fin) = drifted_fixture(7, 6000);
     let bytes = to_binary_columnar_blocked(&trace, 1024).to_vec();
     println!(
         "fixture: {} ranks, {} events, {} DTC2 bytes",
@@ -160,11 +161,20 @@ fn main() {
         Err(other) => panic!("expected a typed AuthFailed, got {other}"),
         Ok(_) => panic!("the server accepted an unknown tenant"),
     }
-    let snapshot = server.metrics();
-    server.shutdown();
+    let snapshot = server.shutdown();
     assert_eq!(snapshot.counter(Counter::NetJobs), 2);
     assert_eq!(snapshot.counter(Counter::NetAuthFailures), 1);
     assert_eq!(snapshot.counter(Counter::ServiceCrashes), 0);
+    // How the sessions' bytes arrived, and what the connections did about
+    // it: they back off only after a read that had nothing to give.
+    let (partial, idle, sleeps) = (
+        snapshot.counter(Counter::NetPartialReads),
+        snapshot.counter(Counter::NetIdleReads),
+        snapshot.counter(Counter::NetIdleSleeps),
+    );
+    println!("reads:          {partial} partial, {idle} idle, {sleeps} idle back-offs");
+    assert!(partial > 0, "a 256 KiB frame cannot arrive in one 64 KiB read");
+    assert!(sleeps <= idle, "a connection slept on a read that made progress");
 
     // ---- act 4: consistent-hash routing over two nodes ---------------
     let router = JobRouter::start(RouterConfig {

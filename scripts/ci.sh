@@ -25,7 +25,10 @@
 #    BENCH_incremental.json and the residency gate fails the script if
 #    the windowed engine's resident columns stop being O(window); the
 #    syncd_net smoke run refreshes BENCH_syncd_net.json and the wire
-#    gate bounds socket-vs-in-process overhead; the online smoke run
+#    gate bounds socket-vs-in-process overhead, and the "upload never
+#    sleeps on progress" gate runs the count-based reader tests in release
+#    (idle back-offs <= idle reads, on scripted, byte-by-byte and real
+#    loopback sessions); the online smoke run
 #    refreshes BENCH_online.json and the online gate fails the script
 #    unless the no-lookahead filter strictly undercuts endpoint
 #    interpolation's violation census on every non-constant drift model
@@ -60,8 +63,10 @@ cd "$(dirname "$0")/.."
 # CLC, its ring capacities and the worker-count axes went with their
 # subject.
 WORKSPACE_TEST_BINARIES_FLOOR=48
-# Tests those binaries passed between them when the floor was last set.
-WORKSPACE_TESTS_FLOOR=625
+# Tests those binaries passed between them when the floor was last set
+# (last raised for the four count-based reader tests of the "upload never
+# sleeps on progress" gate below, which live in existing binaries).
+WORKSPACE_TESTS_FLOOR=629
 
 failed_gates=()
 
@@ -389,6 +394,32 @@ wire_overhead_gate() {
     fi
 }
 gate "wire overhead from BENCH_syncd_net.json" wire_overhead_gate
+
+# Read-granularity gate: a connection backs off only after a read on which
+# the transport had nothing (`NetIdleSleeps <= NetIdleReads`), never after
+# one that consumed bytes without completing a frame — which once capped
+# ingest at 64 KiB per 0.55 ms and which the ratio above cannot see (its
+# jobs are one frame, one read). Counts, so it holds on any host: the
+# scripted read_limit x idle_every grid, the 1.3 MB loopback job, the
+# per-read stop check and split Cancel of the driver's unit tests, and the
+# byte-by-byte netchaos leg. A filter that stops matching must fail the
+# gate, hence the count of tests that ran.
+upload_progress_gate() {
+    local out ran
+    out=$(
+        cargo test --release -q --test proptest_wire --test net_differential \
+            never_sleeps_on_progress 2>&1 &&
+        cargo test --release -q -p syncd --lib net::conn::tests 2>&1 &&
+        cargo test --release -q -p simsched --lib tiny_window_starves 2>&1
+    ) || { printf '%s\n' "$out" >&2; return 1; }
+    ran=$(awk '/^test result: ok/ { n += $4 } END { print n + 0 }' <<<"$out")
+    echo "    ${ran} count-based reader tests passed"
+    if [[ "$ran" -lt 5 ]]; then
+        echo "upload-progress gate: only ${ran} of its 5 tests ran" >&2
+        return 1
+    fi
+}
+gate "upload never sleeps on progress" upload_progress_gate
 
 # Network smoke: client -> TCP server -> client round trip, headless.
 # The example asserts bit-identity with the in-process pipeline, typed

@@ -216,6 +216,40 @@ fn loopback_contention_and_connection_reuse() {
     server.shutdown();
 }
 
+/// A job of several full-size `Chunk` frames over a real socket: each
+/// 256 KiB frame straddles the server's 64 KiB reads, so the upload is
+/// mostly reads that complete no frame — and none of them may cost a
+/// back-off (`NetIdleSleeps <= NetIdleReads`; a driver that sleeps on a
+/// partial read takes ≥ 14 of them here on no idle read at all). Counts,
+/// not times: they hold however the kernel slices the stream. The reply
+/// is still the direct call's bits.
+#[test]
+fn loopback_upload_never_sleeps_on_progress() {
+    let (trace, init, fin, lmin) = drifted_trace(8, 18_000, "sinusoid", 5);
+    let bytes = to_binary_columnar_v3_blocked(&trace, 1024).to_vec();
+    assert!(bytes.len() > 1_250_000, "stream is only {} bytes", bytes.len());
+    let cfg = PipelineConfig::default();
+    let mut direct = trace.clone();
+    synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct");
+    // Built before connecting: the upload is not paced by the encoder.
+    let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![bytes]);
+
+    let server = test_server();
+    let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
+    let out = client.submit(&req).expect("socket job");
+    let returned = from_binary_columnar(out.stream.concat().into()).expect("reply decodes");
+    assert_identical(&direct, &returned, "large job over socket");
+
+    let m = server.shutdown();
+    let (partial, idle, sleeps) = (
+        m.counter(Counter::NetPartialReads),
+        m.counter(Counter::NetIdleReads),
+        m.counter(Counter::NetIdleSleeps),
+    );
+    assert!(partial >= 4, "only {partial} partial reads on a multi-frame upload");
+    assert!(sleeps <= idle, "{sleeps} back-offs on {idle} idle reads ({partial} partial reads)");
+}
+
 /// Typed failures cross the wire as typed error frames: auth, malformed
 /// input (a poisoned stream fails its retry budget), and tenant quotas.
 #[test]

@@ -16,12 +16,13 @@ mod common;
 
 use common::drifted_trace;
 use drift_lab::syncd::{
-    NetServer, NetServerConfig, ScriptedTransport, ServiceConfig, TenantConfig,
+    Counter, MetricsSnapshot, NetServer, NetServerConfig, ScriptedTransport, ServiceConfig,
+    TenantConfig,
 };
 use drift_lab::syncd_client::{JobRequest, SyncClient};
 use drift_lab::syncd_wire::{
     encode_frame, ErrorCode, Frame, FrameScanner, WireError, WireJobConfig, WireJump,
-    WireLatency, WireMode, MAGIC, MAX_FRAME_PAYLOAD, VERSION,
+    WireLatency, WireMode, CHUNK_PAYLOAD, MAGIC, MAX_FRAME_PAYLOAD, VERSION,
 };
 use drift_lab::tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
 use drift_lab::clocksync::PipelineConfig;
@@ -294,6 +295,11 @@ proptest! {
 /// Encode a complete valid client session: handshake, job config, the
 /// trace stream as chunk frames, end-of-stream.
 fn session_bytes(trace_bytes: &[u8], mode: WireMode) -> Vec<u8> {
+    session_bytes_chunked(trace_bytes, mode, 4096)
+}
+
+/// [`session_bytes`] with `chunk` stream bytes per `Chunk` frame.
+fn session_bytes_chunked(trace_bytes: &[u8], mode: WireMode, chunk: usize) -> Vec<u8> {
     let (_, init, fin, lmin) = drifted_trace(3, 20, "constant", 3);
     let config = WireJobConfig {
         mode,
@@ -309,7 +315,7 @@ fn session_bytes(trace_bytes: &[u8], mode: WireMode) -> Vec<u8> {
         token: "tok".into(),
     });
     out.extend(encode_frame(&Frame::JobConfig(Box::new(config))));
-    for chunk in trace_bytes.chunks(4096) {
+    for chunk in trace_bytes.chunks(chunk) {
         out.extend(encode_frame(&Frame::Chunk(chunk.to_vec())));
     }
     out.extend(encode_frame(&Frame::ChunkEnd));
@@ -513,4 +519,104 @@ fn v2_sessions_are_refused_typed() {
 fn v3_sessions_are_refused_typed() {
     assert_old_sessions_refused(3, |config| v3_layout(config, None));
     assert_old_sessions_refused(3, |config| v3_layout(config, Some(2)));
+}
+
+// ---------------------------------------------------------------------
+// The driver sleeps on idle reads only, however the bytes arrive.
+// ---------------------------------------------------------------------
+
+/// Replay a healthy session on a fresh server: its reply frames (the two
+/// clock readings of the summary zeroed: they are the only bytes that may
+/// differ between two runs of one job) and its final metrics.
+fn replay(session: &[u8], read_limit: usize, idle_every: usize) -> (Vec<Frame>, MetricsSnapshot) {
+    let server = NetServer::start_loopback(NetServerConfig {
+        tenants: vec![TenantConfig::new("tok")],
+        ingest_window: 1 << 20,
+        service: ServiceConfig { executors: 1, ..ServiceConfig::default() },
+    })
+    .expect("bind");
+    let mut t = ScriptedTransport::new(session.to_vec())
+        .read_limit(read_limit)
+        .idle_every(idle_every)
+        .close_after_reply(20_000);
+    server.serve_transport(&mut t);
+    let metrics = server.shutdown();
+
+    let (mut frames, err, _) = scan_chunked(t.outbound(), usize::MAX);
+    assert!(err.is_none(), "server wrote malformed frames: {err:?}");
+    match frames.last_mut() {
+        Some(Frame::JobResult(r)) => (r.queue_wait_us, r.run_time_us) = (0, 0),
+        other => panic!("healthy session must end in JobResult, got {other:?}"),
+    }
+    (frames, metrics)
+}
+
+/// One healthy session replayed under every fragmentation and sender
+/// pace: the reply never depends on how the bytes arrived, a back-off is
+/// taken only after a read that had nothing (`NetIdleSleeps <=
+/// NetIdleReads`), and a read limit below the frame size shows up as
+/// partial reads. Sleeping on a partial read, as the driver once did,
+/// breaks the inequality on every leg with a partial read in it.
+#[test]
+fn scripted_upload_never_sleeps_on_progress() {
+    const LIMITS: [usize; 5] = [1, 7, 4096, 65_536, usize::MAX];
+    const IDLE_EVERY: [usize; 3] = [0, 2, 5];
+
+    // Several full-size `Chunk` frames, as `syncd-client` frames a stream.
+    let (trace, ..) = drifted_trace(3, 4500, "sinusoid", 11);
+    let stream = to_binary_columnar_v3_blocked(&trace, 1024);
+    assert!(stream.len() >= 300 * 1024, "stream is only {} bytes", stream.len());
+    let large = session_bytes_chunked(&stream, WireMode::Batch, CHUNK_PAYLOAD);
+    // The same shape at a few KiB, where even a one-byte read limit under
+    // the slowest sender is a fraction of a second of back-offs.
+    let (trace, ..) = drifted_trace(3, 30, "sinusoid", 11);
+    let small = session_bytes(&to_binary_columnar_v3_blocked(&trace, 16), WireMode::Batch);
+
+    // The small session runs the whole grid; the large one the eleven
+    // legs the rule below leaves it.
+    for (label, session, want_legs) in [("small", &small, 15), ("large", &large, 11)] {
+        let largest_frame = scan_chunked(session, usize::MAX)
+            .0
+            .iter()
+            .map(|f| encode_frame(f).len())
+            .max()
+            .expect("session has frames");
+        let mut reference: Option<Vec<Frame>> = None;
+        let mut legs = 0usize;
+        for read_limit in LIMITS {
+            for idle_every in IDLE_EVERY {
+                // A slow sender idles once per `idle_every` polls and each
+                // idle read costs the 500 µs back-off: minutes for the
+                // large session in reads of a few bytes. (The driver reads
+                // at most 64 KiB at a time whatever the limit.)
+                let reads = session.len() / read_limit.min(64 * 1024);
+                if idle_every > 0 && reads > 4096 {
+                    continue;
+                }
+                let leg = format!("{label}: read_limit {read_limit}, idle_every {idle_every}");
+                let (frames, m) = replay(session, read_limit, idle_every);
+                let (partial, idle, sleeps) = (
+                    m.counter(Counter::NetPartialReads),
+                    m.counter(Counter::NetIdleReads),
+                    m.counter(Counter::NetIdleSleeps),
+                );
+                assert!(
+                    sleeps <= idle,
+                    "{leg}: {sleeps} back-offs on {idle} idle reads ({partial} partial reads)"
+                );
+                if read_limit < largest_frame {
+                    assert!(partial > 0, "{leg}: no partial read counted");
+                }
+                if idle_every > 0 {
+                    assert!(idle > 0, "{leg}: no idle read counted");
+                }
+                match &reference {
+                    None => reference = Some(frames),
+                    Some(want) => assert!(*want == frames, "{leg}: reply differs"),
+                }
+                legs += 1;
+            }
+        }
+        assert_eq!(legs, want_legs, "{label}: grid collapsed");
+    }
 }
