@@ -2,6 +2,11 @@
 //! algorithms: the CLC across trace sizes, forward amortization factor,
 //! backward amortization on/off, and the classic baselines on the same
 //! corpus.
+//!
+//! `clc_scaling/serial`, `clc_ablations` and `clc_variants` call the public
+//! `controlled_logical_clock*` functions, so each iteration times the whole
+//! lowering — match, lower, gather, the CSR kernel, scatter — not the
+//! kernel alone (`engine`'s `clc/` group times the pipeline stage).
 
 use bench::{lmin_table, skewed_trace};
 use clocksync::baselines::babaoglu::{full_exchange_maps, FullExchangeFit};

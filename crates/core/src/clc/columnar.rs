@@ -1,37 +1,40 @@
-//! CLC kernels over columnar timestamp storage and the CSR graph.
+//! The CLC kernels: the forward and backward passes over columnar
+//! timestamp storage and the CSR graph. Every batch CLC of this crate —
+//! the pipeline's `clc` stage, [`super::controlled_logical_clock`], the
+//! POMP and clock-domain variants — is a lowering that ends here.
 //!
-//! These re-implement the serial forward/backward passes of [`super`] as
-//! tight loops over dense `i64` picosecond columns ([`TraceColumns`])
-//! driven by the flat [`DepGraph`] instead of per-record struct walks and
-//! hash-map probes. The arithmetic is copied statement for statement, and
-//! the structural differences cannot change behaviour:
+//! The passes are tight loops over dense `i64` picosecond columns
+//! ([`TraceColumns`]) driven by the flat [`DepGraph`]:
 //!
-//! * the AoS passes dispatch on `EventKind` before consulting the
-//!   dependency maps; the CSR passes consult `in_of`/`out_of` directly.
-//!   Only matched receives and collective ends have in-edges, only matched
-//!   sends and collective begins out-edges, so a non-empty edge slice
-//!   implies exactly the kind the AoS match required and an empty one
-//!   leaves the event unconstrained in both versions;
-//! * the remote bound is a `max` over the same contribution set (edge
-//!   latencies are baked in at build, equal in both directions of every
-//!   edge), and `max` is order-independent — though the CSR in-edge order
-//!   equals the AoS dispatch order anyway, so even the round-robin blocking
-//!   schedule (break at the first pending producer) is preserved;
-//! * backward clamping takes a `min` over the same out-edge set against
-//!   the same post-forward snapshot.
+//! * an event's constraints are its `in_of` / `out_of` edges, never its
+//!   kind: only matched receives, collective ends and constrained events
+//!   have in-edges, only matched sends, collective begins and constraining
+//!   events out-edges, and an empty edge slice leaves the event bound by
+//!   its own timeline alone;
+//! * the remote bound is a `max` over `corrected(producer) + latency` in
+//!   saturating arithmetic, latencies baked into the edges at build and
+//!   equal in both directions of an edge. In-edges are walked in dispatch
+//!   order (the module docs of [`super`]) and the pass leaves a timeline at
+//!   the first pending producer — the round-robin blocking schedule that
+//!   fixes the order jumps are reported in;
+//! * backward clamping takes a `min` over the out-edge set against a
+//!   snapshot taken after the forward pass, so the result does not depend
+//!   on timeline order.
 //!
-//! Bit-identity is enforced by this module's tests against the AoS
-//! reference and by the differential matrices in
-//! `tests/columnar_differential.rs` and `tests/csr_differential.rs`.
+//! Bit-identity with the map-based reference implementation of the same
+//! algorithm (`tests/common/clc_reference.rs`, which shares no code with
+//! this module) is enforced by `tests/csr_differential.rs`,
+//! `tests/columnar_differential.rs` and the property tests.
 
 use super::graph::{CollPass, DepGraph};
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
 use tracefmt::{EventId, TraceColumns};
 
-/// Serial CLC on timestamp columns over the CSR graph: the columnar twin
-/// of [`super::controlled_logical_clock_with_deps`]. Latencies live on the
-/// graph edges, so no latency model is consulted here. On error the
+/// The CLC on timestamp columns over the CSR graph: forward pass, then —
+/// when configured — backward amortization and a μ = 1 forward sweep that
+/// guarantees the postcondition whatever the clamping left. Latencies live
+/// on the graph edges, so no latency model is consulted here. On error the
 /// columns are left as they were.
 pub(crate) fn controlled_logical_clock_columnar_csr(
     cols: &mut TraceColumns,
@@ -62,10 +65,15 @@ fn flatten_by_gid(cols: &TraceColumns) -> Vec<i64> {
     cols.flat().to_vec()
 }
 
-pub(crate) fn validate(params: &ClcParams) -> Result<(), ClcError> {
-    if !(params.mu > 0.0 && params.mu <= 1.0) {
-        return Err(ClcError::BadParams(format!("mu = {}", params.mu)));
+pub(crate) fn check_mu(mu: f64) -> Result<(), ClcError> {
+    if !(mu > 0.0 && mu <= 1.0) {
+        return Err(ClcError::BadParams(format!("mu = {mu}")));
     }
+    Ok(())
+}
+
+pub(crate) fn validate(params: &ClcParams) -> Result<(), ClcError> {
+    check_mu(params.mu)?;
     if params.backward && params.backward_window_factor <= 0.0 {
         return Err(ClcError::BadParams("non-positive backward window".into()));
     }
@@ -84,8 +92,7 @@ fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
 }
 
 /// The forward pass over CSR in-edges: assign corrected times in
-/// dependency order, round-robin across timelines, exactly like
-/// [`super::forward_pass`].
+/// dependency order, round-robin across timelines.
 ///
 /// The pass runs **in place** over the columns' flat slab: an event's
 /// pre-pass time is read exactly once, at its visit, before the corrected
@@ -99,8 +106,7 @@ fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
 ///
 /// A collective end of an aggregated N-to-N instance takes its bound from
 /// the pass's [`CollPass`] instead of walking its view — the same maximum,
-/// blocking at the same events (argued there). Otherwise the arithmetic is
-/// statement-identical to the AoS reference.
+/// blocking at the same events (argued there).
 pub(crate) fn forward_pass_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -111,8 +117,7 @@ pub(crate) fn forward_pass_csr(
     let flat = cols.flat_mut();
     let mut coll = CollPass::new(graph);
     // frontier[p]: gid of the next uncorrected event of timeline p. A
-    // producer gid is corrected iff it is below its timeline's frontier —
-    // the same predicate as the AoS `j >= pc[q]` check, without locate.
+    // producer gid is corrected iff it is below its timeline's frontier.
     let mut frontier: Vec<u32> = (0..n).map(|p| graph.base(p)).collect();
     let mut prev_orig = vec![Time::MIN; n];
     let mut prev_corr = vec![Time::MIN; n];
@@ -129,8 +134,7 @@ pub(crate) fn forward_pass_csr(
                 let orig = Time::from_ps(flat[gid]);
 
                 // Remote constraint: max over in-edge producers, walked in
-                // dependency-dispatch order so the pass blocks on the same
-                // first pending producer as the AoS reference.
+                // dispatch order; the pass blocks on the first pending one.
                 let mut remote: Option<Time> = None;
                 let slot = graph.member_slot(gid as u32);
                 let mut view = graph.message_in(gid as u32);
@@ -152,8 +156,7 @@ pub(crate) fn forward_pass_csr(
                 // Amortized local candidate. Saturating arithmetic: tenant
                 // streams may carry timestamps at the `i64` edges, where
                 // plain ops debug-panic; saturation equals the plain result
-                // whenever no overflow occurs, so bit-identity across the
-                // engines is preserved.
+                // whenever no overflow occurs.
                 let candidate = if i == 0 {
                     orig
                 } else {
@@ -189,8 +192,13 @@ pub(crate) fn forward_pass_csr(
 }
 
 /// Backward amortization over columns and CSR out-edges: smooth each jump
-/// over a window of preceding events, clamped against a snapshot — the CSR
-/// twin of the serial `backward_amortization`.
+/// over a window of preceding events with a linear ramp, clamped so no
+/// outgoing message or collective contribution becomes violated.
+///
+/// Remote constraint times are read from a **snapshot** taken after the
+/// forward pass: the result is independent of timeline order, and since
+/// backward shifts only ever move events *forward*, snapshot-based slacks
+/// are conservative.
 fn backward_amortization_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -213,8 +221,7 @@ fn backward_amortization_csr(
 }
 
 /// The per-timeline backward kernel over a raw picosecond slice and CSR
-/// out-edges — the twin of [`super::backward_pass_proc`], statement for
-/// statement. `snapshot` is the post-forward trace flattened by gid.
+/// out-edges. `snapshot` is the post-forward trace flattened by gid.
 fn backward_pass_csr(
     p: usize,
     col: &mut [i64],
@@ -264,7 +271,7 @@ fn backward_pass_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clc::{controlled_logical_clock, fixtures, ClcParams};
+    use crate::clc::{fixtures, ClcParams};
     use tracefmt::{match_collectives, match_messages, MinLatency, Trace, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -273,49 +280,6 @@ mod tests {
         let matching = match_messages(t);
         let insts = match_collectives(t).unwrap();
         DepGraph::from_trace(t, &matching, &insts, &LMIN)
-    }
-
-    #[test]
-    fn columnar_csr_serial_matches_aos_serial() {
-        for (procs, rounds) in [(2, 8), (5, 17), (8, 25)] {
-            let base = fixtures::mixed_trace(procs, rounds);
-            let params = ClcParams::default();
-
-            let mut aos = base.clone();
-            let ra = controlled_logical_clock(&mut aos, &LMIN, &params).unwrap();
-
-            let graph = graph_of(&base);
-            let mut cols = TraceColumns::gather(&base);
-            let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-
-            assert_eq!(ra.n_jumps(), rc.n_jumps());
-            assert_eq!(ra.max_jump, rc.max_jump);
-            assert_eq!(ra.events_moved, rc.events_moved);
-            for (ja, jc) in ra.jumps.iter().zip(&rc.jumps) {
-                assert_eq!(ja.event, jc.event);
-                assert_eq!(ja.size, jc.size);
-            }
-            for (id, e) in aos.iter_events() {
-                assert_eq!(cols.time(id), e.time, "{procs}x{rounds} event {id:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn forward_only_variants_match() {
-        let base = fixtures::mixed_trace(4, 12);
-        let params = ClcParams { backward: false, ..ClcParams::default() };
-
-        let mut aos = base.clone();
-        controlled_logical_clock(&mut aos, &LMIN, &params).unwrap();
-
-        let graph = graph_of(&base);
-        let mut cols = TraceColumns::gather(&base);
-        controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-
-        for (id, e) in aos.iter_events() {
-            assert_eq!(cols.time(id), e.time);
-        }
     }
 
     #[test]
@@ -335,42 +299,6 @@ mod tests {
         let mut cols = TraceColumns::gather(&t);
         let err = controlled_logical_clock_columnar_csr(&mut cols, &graph, &ClcParams::default());
         assert!(matches!(err, Err(ClcError::CyclicTrace)));
-    }
-
-    #[test]
-    fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
-        use simclock::Time;
-        use tracefmt::{EventKind, Rank, RegionId, Tag};
-        // Timestamps pinned to the i64 edges: the remote bound, the
-        // amortized-gap arithmetic and the backward-window extrapolation
-        // all overflow plain i64 ops here. Saturating kernels must accept
-        // the trace, and both engines must agree bit for bit.
-        let mut t = Trace::for_ranks(2);
-        t.procs[0].push(Time::from_ps(i64::MIN + 3), EventKind::Enter { region: RegionId(0) });
-        t.procs[0].push(
-            Time::from_ps(i64::MAX - 2),
-            EventKind::Send { to: Rank(1), tag: Tag(0), bytes: 0 },
-        );
-        t.procs[1].push(Time::from_ps(i64::MIN), EventKind::Enter { region: RegionId(0) });
-        t.procs[1].push(
-            Time::from_ps(i64::MIN + 10),
-            EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
-        );
-        t.procs[1].push(Time::from_ps(i64::MAX - 1), EventKind::Exit { region: RegionId(0) });
-        let params = ClcParams::default();
-
-        let mut aos = t.clone();
-        let ra = controlled_logical_clock(&mut aos, &LMIN, &params).unwrap();
-
-        let graph = graph_of(&t);
-        let mut cols = TraceColumns::gather(&t);
-        let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-
-        assert_eq!(ra.n_jumps(), rc.n_jumps());
-        assert_eq!(ra.max_jump, rc.max_jump);
-        for (id, e) in aos.iter_events() {
-            assert_eq!(cols.time(id), e.time, "columnar vs aos at {id:?}");
-        }
     }
 
     /// Ranks on nodes of `node`, nodes under switches of `switch` ranks;
@@ -399,11 +327,11 @@ mod tests {
         assert_eq!((ra.max_jump, ra.events_moved), (rb.max_jump, rb.events_moved), "{ctx}");
     }
 
-    /// The aggregated N-to-N ends against the view walk of the same graph
-    /// and against the map-based reference: timestamps, jumps and the order
-    /// the jumps are found in.
+    /// The aggregated N-to-N ends against the view walk of the same graph:
+    /// timestamps, jumps and the order the jumps are found in. (Against the
+    /// map-based reference: `tests/csr_differential.rs`, same cases.)
     #[test]
-    fn aggregated_ends_equal_the_view_walk_and_the_reference() {
+    fn aggregated_ends_equal_the_view_walk() {
         let flat = |_: tracefmt::Rank, _: tracefmt::Rank| Dur::from_us(40);
         let cases: [(usize, usize, &dyn MinLatency); 4] = [
             (2, 9, &flat),
@@ -429,44 +357,7 @@ mod tests {
                 let rw =
                     controlled_logical_clock_columnar_csr(&mut walked, &walk_graph, &params).unwrap();
                 assert_same_run((&classed, &rc), (&walked, &rw), &format!("{ctx} vs walk"));
-
-                let mut aos = base.clone();
-                let ra = controlled_logical_clock(&mut aos, lmin, &params).unwrap();
-                let reference = TraceColumns::gather(&aos);
-                assert_same_run((&classed, &rc), (&reference, &ra), &format!("{ctx} vs reference"));
             }
-        }
-    }
-
-    /// Collective begins within 1 % of the `i64` edges: the class maximum
-    /// plus latency saturates exactly where the per-edge terms do.
-    #[test]
-    fn aggregated_ends_saturate_like_the_reference() {
-        use tracefmt::{CollOp, CommId, EventKind};
-        let near = i64::MAX / 100;
-        let begins = [i64::MAX - 3, i64::MIN + near, i64::MAX - near, i64::MIN + 1, 17];
-        let mut t = Trace::for_ranks(begins.len());
-        for (p, &at) in begins.iter().enumerate() {
-            let (op, comm, root) = (CollOp::Alltoall, CommId::WORLD, None);
-            t.procs[p].push(Time::from_ps(at), EventKind::CollBegin { op, comm, root, bytes: 0 });
-            t.procs[p].push(
-                Time::from_ps(at.saturating_add(5)),
-                EventKind::CollEnd { op, comm, root, bytes: 0 },
-            );
-        }
-        let lmin = tree_latency(2, 4);
-        let matching = match_messages(&t);
-        let insts = match_collectives(&t).unwrap();
-        let graph = DepGraph::from_trace(&t, &matching, &insts, &lmin);
-        assert_eq!(graph.n_aggregated(), 1);
-        for backward in [true, false] {
-            let params = ClcParams { backward, ..ClcParams::default() };
-            let mut aos = t.clone();
-            let ra = controlled_logical_clock(&mut aos, &lmin, &params).unwrap();
-            let mut cols = TraceColumns::gather(&t);
-            let rc = controlled_logical_clock_columnar_csr(&mut cols, &graph, &params).unwrap();
-            assert_same_run((&cols, &rc), (&TraceColumns::gather(&aos), &ra), "i64 edges");
-            assert_eq!(cols.col(4)[1], i64::MAX, "the late begins saturate the early end");
         }
     }
 
@@ -475,18 +366,7 @@ mod tests {
     /// were, bit for bit.
     #[test]
     fn cyclic_trace_leaves_the_columns_untouched() {
-        use tracefmt::{EventKind, Rank, Tag};
-        let send = |to, tag| EventKind::Send { to: Rank(to), tag: Tag(tag), bytes: 0 };
-        let recv = |from, tag| EventKind::Recv { from: Rank(from), tag: Tag(tag), bytes: 0 };
-        let mut t = Trace::for_ranks(2);
-        // A late send forces a jump on timeline 1 before each timeline
-        // blocks on a receive whose send lies behind the other's receive.
-        t.procs[0].push(Time::from_us(100), send(1, 0));
-        t.procs[0].push(Time::from_us(110), recv(1, 1));
-        t.procs[0].push(Time::from_us(120), send(1, 2));
-        t.procs[1].push(Time::from_us(50), recv(0, 0));
-        t.procs[1].push(Time::from_us(60), recv(0, 2));
-        t.procs[1].push(Time::from_us(70), send(0, 1));
+        let t = fixtures::cyclic_after_a_jump();
         let graph = graph_of(&t);
         let mut cols = TraceColumns::gather(&t);
         let before = cols.flat().to_vec();

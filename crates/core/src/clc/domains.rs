@@ -13,13 +13,13 @@
 //! broadcast to the jumping process's clock domain as a decaying shift
 //! function (the same `(1−μ)` decay the forward amortization uses), so
 //! domain members move *together*; a final μ=1 forward sweep restores any
-//! constraint the broadcast disturbed.
+//! constraint the broadcast disturbed. All three phases run the batch
+//! kernels on one set of columns over one lowered graph.
 
-use super::columnar::forward_pass_csr;
-use super::graph::DepGraph;
-use super::{controlled_logical_clock, ClcError, ClcParams, ClcReport};
+use super::columnar::{controlled_logical_clock_columnar_csr, forward_pass_csr};
+use super::{commit, lower, ClcError, ClcParams, ClcReport};
 use simclock::{Dur, Time};
-use tracefmt::{match_collectives, match_messages, MinLatency, Trace, TraceColumns};
+use tracefmt::{MinLatency, Trace, TraceColumns};
 
 /// A decaying shift contribution: `Δ` at local time `t0`, fading at rate
 /// `decay` per second of local time.
@@ -90,7 +90,7 @@ impl DomainPulses {
 /// `domain_of_proc[p]` assigns each process to a clock domain (e.g. its SMP
 /// node when node clocks are synchronised, or its chip). Processes alone in
 /// their domain behave exactly as under
-/// [`controlled_logical_clock`].
+/// [`controlled_logical_clock`](super::controlled_logical_clock).
 pub fn controlled_logical_clock_with_domains(
     trace: &mut Trace,
     lmin: &dyn MinLatency,
@@ -104,14 +104,13 @@ pub fn controlled_logical_clock_with_domains(
             trace.n_procs()
         )));
     }
-    let originals: Vec<Vec<Time>> = trace
-        .procs
-        .iter()
-        .map(|p| p.events.iter().map(|e| e.time).collect())
-        .collect();
+    // One analysis, lowered once, and one set of columns for all three
+    // phases; the trace keeps the original timestamps until the commit.
+    let graph = lower(trace, lmin)?;
+    let mut cols = TraceColumns::gather(trace);
 
     // Phase 1: the ordinary CLC (forward + optional backward).
-    let mut report = controlled_logical_clock(trace, lmin, params)?;
+    let mut report = controlled_logical_clock_columnar_csr(&mut cols, &graph, params)?;
 
     // Phase 2: broadcast each jump to its domain as a decaying pulse.
     // The decay rate matches the forward amortization: a μ-amortized
@@ -124,15 +123,9 @@ pub fn controlled_logical_clock_with_domains(
     for j in &report.jumps {
         let p = j.event.p();
         // Pulse anchored at the *original* local time of the jumped event.
-        pulses[domain_of_proc[p]].push((
-            p,
-            ShiftPulse {
-                t0: originals[p][j.event.i()],
-                delta: j.size,
-            },
-        ));
+        pulses[domain_of_proc[p]].push((p, ShiftPulse { t0: trace.time(j.event), delta: j.size }));
     }
-    for (p, pt) in trace.procs.iter_mut().enumerate() {
+    for (p, col) in cols.iter_mut_slices() {
         let dp = DomainPulses::new(
             pulses[domain_of_proc[p]]
                 .iter()
@@ -144,39 +137,19 @@ pub fn controlled_logical_clock_with_domains(
         if dp.is_empty() {
             continue;
         }
-        for (i, e) in pt.events.iter_mut().enumerate() {
-            let target = originals[p][i] + dp.shift_at(originals[p][i]);
-            if target > e.time {
-                e.time = target;
-            }
+        for (t, e) in col.iter_mut().zip(&trace.procs[p].events) {
+            let target = e.time.saturating_add(dp.shift_at(e.time)).as_ps();
+            *t = (*t).max(target);
         }
     }
 
     // Phase 3: the broadcast may have advanced send events past their
-    // receives — a μ=1 forward sweep over the CSR graph restores every
+    // receives — a μ=1 forward sweep over the same graph restores every
     // constraint.
-    let matching = match_messages(trace);
-    let insts = match_collectives(trace).map_err(ClcError::BadCollectives)?;
-    let graph = DepGraph::from_trace(trace, &matching, &insts, lmin);
-    let mut cols = TraceColumns::gather(trace);
     let fixup = forward_pass_csr(&mut cols, &graph, 1.0)?;
-    cols.scatter_into(trace);
     report.jumps.extend(fixup.jumps);
     report.max_jump = report.max_jump.max(fixup.max_jump);
-    report.events_moved = trace
-        .procs
-        .iter()
-        .zip(&originals)
-        .map(|(p, orig)| {
-            p.events
-                .iter()
-                .zip(orig)
-                .filter(|(e, &o)| e.time != o)
-                .count()
-        })
-        .sum();
-    report.events_total = trace.n_events();
-    Ok(report)
+    Ok(commit(&cols, trace, report))
 }
 
 /// Intra-domain misalignment diagnostic: the largest difference between the
@@ -215,6 +188,7 @@ pub fn domain_misalignment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clc::{controlled_logical_clock, fixtures};
     use tracefmt::{EventKind, Rank, RegionId, Tag, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -361,5 +335,16 @@ mod tests {
         // At t=3.5 ms: first fully faded (35 > 30/0.01·...), second at 0? →
         // first: 30-35=-5→0; second: 15-25=-10→0.
         assert_eq!(dp.shift_at(us(3500)), Dur::ZERO);
+    }
+
+    /// A cycle found in phase 1 — after its forward pass rewrote part of
+    /// the columns — leaves the trace as it was.
+    #[test]
+    fn error_leaves_the_trace_untouched() {
+        let mut t = fixtures::cyclic_after_a_jump();
+        let before = t.clone();
+        let err = controlled_logical_clock_with_domains(&mut t, &LMIN, &ClcParams::default(), &[0, 0]);
+        assert_eq!(err.unwrap_err(), ClcError::CyclicTrace);
+        fixtures::assert_untouched(&t, &before);
     }
 }

@@ -1,23 +1,25 @@
 //! The event-dependency graph the CLC kernels walk: a compressed-sparse-row
-//! (CSR) graph of message edges plus the trace's collective member table.
+//! (CSR) graph of stored edges plus the trace's collective member table.
 //!
-//! [`super::Deps`] answers "what constrains this event?" through five hash
-//! maps — fine for the reference implementation, but every lookup in the
-//! CLC's hot loops is a hash + probe over scattered heap nodes. This
-//! module lowers the same structure ([`Matching`] message edges plus the
-//! collective → point-to-point mapped edges of the paper's [30] extension)
-//! into flat arrays indexed by a *global event id* (`gid`): event `(p, i)`
-//! is `base[p] + i`, timelines concatenated in proc order — exactly the
+//! "What constrains this event?" is asked in the innermost loop of every
+//! CLC pass, so the answer must be an index, not a hash probe over
+//! scattered heap nodes. This module lowers a constraint set — [`Matching`]
+//! message edges plus the collective → point-to-point mapped edges of the
+//! paper's [30] extension ([`DepGraph::try_build`]), or an explicit
+//! `(from, to, bound)` list ([`DepGraph::try_from_edges`]) — into flat
+//! arrays indexed by a *global event id* (`gid`): event `(p, i)` is
+//! `base[p] + i`, timelines concatenated in proc order — exactly the
 //! layout of a flattened [`tracefmt::TraceColumns`].
 //!
 //! # What is stored
 //!
-//! * **Message edges**, in both directions: `in_offsets`/`in_edges` is the
+//! * **Stored edges**, in both directions: `in_offsets`/`in_edges` is the
 //!   CSR of *producers* (`in_edges[in_offsets[v] .. in_offsets[v+1]]` is the
-//!   matched send of receive `v`), `out_offsets`/`out_edges` the transpose
-//!   (the matched receive of a send), and `in_lat_ps`/`out_lat_ps` the
-//!   minimum latency of each edge in picoseconds, baked in at build time
-//!   from the frozen latency model.
+//!   matched send of receive `v`, or the `from` events of the constraints
+//!   on `v` in list order), `out_offsets`/`out_edges` the transpose (the
+//!   matched receive of a send), and `in_lat_ps`/`out_lat_ps` the minimum
+//!   latency of each edge in picoseconds, baked in at build time from the
+//!   frozen latency model or the constraint's bound.
 //! * **Collectives**, as a [`CollTable`]: per instance its flavour, root
 //!   position and member rows; per member the gids of its begin and end;
 //!   per communicator one `k × k` `l_min` block and its transpose. Beside
@@ -36,17 +38,18 @@
 //! it but `pos` (N-to-N, the root of an N-to-1), the root alone (a non-root
 //! of a 1-to-N), the prefix below `pos` (scan) — and symmetrically the
 //! end-gid row and row `pos` of the block for a begin. An edge's
-//! contribution to its consumer is exactly `corrected(producer) + lat`, the
-//! same `Time + Dur` addition the reference pass performs.
+//! contribution to its consumer is exactly `corrected(producer) + lat`, one
+//! saturating `Time + Dur` addition.
 //!
-//! Member order is dispatch order: the view of an end walks the begins in
-//! increasing member position, which is [`super::CollInst::deps_of_end`]
-//! order, and a receive has its one message edge. So a forward pass walking
-//! a view observes dependencies in the same sequence as the reference and
-//! blocks on the same first pending producer — the foundation of the
-//! bit-identity guarantee shared by the serial, columnar and windowed
-//! engines (same `max`/`min` over the same `saturating_add` terms, same
-//! jump order).
+//! View order is dispatch order (the module docs of [`super`]): the view of
+//! a collective end walks the begins of the other members in increasing
+//! member position, a receive has its one message edge, a constrained event
+//! its constraints in list order (the counting sort of the lowering keeps
+//! triple order per consumer). A forward pass walking a view blocks on the
+//! first pending producer in that order — the foundation of the
+//! bit-identity guarantee shared by the batch kernel, the windowed engine
+//! and the map-based reference under `tests/common/` (same `max`/`min`
+//! over the same `saturating_add` terms, same jump order).
 //!
 //! The serial forward pass goes one step further for an N-to-N instance
 //! whose latency block is classed ([`tracefmt::BlockClasses`]): it does not
@@ -152,13 +155,14 @@ pub struct DepGraph {
     proc_of: Vec<u32>,
     /// CSR offsets into `in_edges`, one slot per event plus a terminator.
     in_offsets: Vec<u32>,
-    /// Matched send of each receive, grouped per consumer.
+    /// Producers of each stored edge — the matched send of a receive, the
+    /// `from` of a constraint — grouped per consumer.
     in_edges: Vec<u32>,
     /// Minimum latency of each in-edge, aligned with `in_edges`.
     in_lat_ps: Vec<i64>,
     /// CSR offsets into `out_edges`, one slot per event plus a terminator.
     out_offsets: Vec<u32>,
-    /// Matched receive of each send, grouped per producer.
+    /// Consumers of each stored edge, grouped per producer.
     out_edges: Vec<u32>,
     /// Minimum latency of each out-edge, aligned with `out_edges`.
     out_lat_ps: Vec<i64>,
@@ -213,6 +217,47 @@ impl DepGraph {
         proc_lens: &[usize],
         lmin: &dyn MinLatency,
     ) -> Result<DepGraph, PlanBuildError> {
+        // Message edges, in matching order. A receive has one matched
+        // send, so per-consumer order is trivially the dispatch order.
+        let triples: Vec<(EventId, EventId, i64)> = matching
+            .messages
+            .iter()
+            .map(|m| (m.send, m.recv, lmin.l_min(m.from, m.to).as_ps()))
+            .collect();
+        DepGraph::lower(&triples, instances, proc_lens, lmin)
+    }
+
+    /// Lower an explicit constraint list: one stored edge per
+    /// `(from, to, bound)` — `time(to) ≥ time(from) + bound` — and no
+    /// collectives. The in-edges of an event keep the order its constraints
+    /// have in `edges`, so a forward pass blocks on the first pending one
+    /// in list order. Endpoints are the caller's: one outside `proc_lens`
+    /// is [`PlanBuildError::EventOutOfRange`].
+    pub fn try_from_edges(
+        edges: impl IntoIterator<Item = (EventId, EventId, Dur)>,
+        proc_lens: &[usize],
+    ) -> Result<DepGraph, PlanBuildError> {
+        let in_range = |id: EventId| proc_lens.get(id.p()).is_some_and(|&len| id.i() < len);
+        let triples = edges
+            .into_iter()
+            .map(|(from, to, bound)| match [from, to].into_iter().find(|&id| !in_range(id)) {
+                Some(id) => Err(PlanBuildError::EventOutOfRange(id)),
+                None => Ok((from, to, bound.as_ps())),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        // No instances: the latency model is never queried.
+        DepGraph::lower(&triples, &[], proc_lens, &tracefmt::UniformLatency(Dur::ZERO))
+    }
+
+    /// The lowering behind both constructors: `(src, dst, latency)` triples
+    /// with endpoints inside `proc_lens` into both CSR directions, and
+    /// `instances` into the member table.
+    fn lower(
+        triples: &[(EventId, EventId, i64)],
+        instances: &[CollectiveInstance],
+        proc_lens: &[usize],
+        lmin: &dyn MinLatency,
+    ) -> Result<DepGraph, PlanBuildError> {
         let n = proc_lens.len();
         let mut base = Vec::with_capacity(n + 1);
         let mut total: u32 = 0;
@@ -229,14 +274,6 @@ impl DepGraph {
             proc_of.extend(std::iter::repeat_n(p as u32, len));
         }
         let gid = |id: EventId| base[id.p()] + id.idx;
-
-        // Message edges, in matching order. A receive has one matched
-        // send, so per-consumer order is trivially the dispatch order.
-        let triples: Vec<(EventId, EventId, i64)> = matching
-            .messages
-            .iter()
-            .map(|m| (m.send, m.recv, lmin.l_min(m.from, m.to).as_ps()))
-            .collect();
         let n_msgs = triples.len();
 
         // Counting sort into both CSR directions: degree count, prefix
@@ -249,7 +286,7 @@ impl DepGraph {
         let total = total as usize;
         let mut in_offsets = vec![0u32; total + 2];
         let mut out_offsets = vec![0u32; total + 2];
-        for &(src, dst, _) in &triples {
+        for &(src, dst, _) in triples {
             in_offsets[gid(dst) as usize + 2] += 1;
             out_offsets[gid(src) as usize + 2] += 1;
         }
@@ -261,7 +298,7 @@ impl DepGraph {
         let mut in_lat_ps = vec![0i64; n_msgs];
         let mut out_edges = vec![0u32; n_msgs];
         let mut out_lat_ps = vec![0i64; n_msgs];
-        for &(src, dst, lat) in &triples {
+        for &(src, dst, lat) in triples {
             let (s, d) = (gid(src), gid(dst));
             let c = in_offsets[d as usize + 1] as usize;
             in_edges[c] = s;
@@ -349,8 +386,7 @@ impl DepGraph {
         instances: &[CollectiveInstance],
         lmin: &dyn MinLatency,
     ) -> DepGraph {
-        let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
-        DepGraph::build(matching, instances, &lens, lmin)
+        DepGraph::build(matching, instances, &super::proc_lens(trace), lmin)
     }
 
     /// Number of timelines.
@@ -669,9 +705,8 @@ impl CollPass {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{deps_from_parts, fixtures};
+    use super::super::fixtures;
     use super::*;
-    use std::collections::HashSet;
     use tracefmt::{match_collectives, match_messages, EventKind, Rank, Tag, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -680,54 +715,6 @@ mod tests {
         let matching = match_messages(trace);
         let insts = match_collectives(trace).unwrap();
         DepGraph::from_trace(trace, &matching, &insts, &LMIN)
-    }
-
-    /// Expected edge set from the reference `Deps` maps: each recv's
-    /// message edge plus each collective end's `deps_of_end` begins.
-    fn reference_edges(trace: &Trace) -> HashSet<(EventId, EventId, i64)> {
-        let matching = match_messages(trace);
-        let insts = match_collectives(trace).unwrap();
-        let deps = deps_from_parts(&matching, &insts);
-        let ranks: Vec<_> = trace.procs.iter().map(|p| p.location.rank).collect();
-        let mut edges = HashSet::new();
-        for (&recv, &(send, from)) in &deps.send_of {
-            let lat = LMIN.l_min(from, ranks[recv.p()]).as_ps();
-            edges.insert((send, recv, lat));
-        }
-        for (&end, &(inst_idx, pos)) in &deps.end_info {
-            let inst = &deps.insts[inst_idx];
-            for j in inst.deps_of_end(pos) {
-                let (jrank, jbegin, _) = inst.members[j];
-                let lat = LMIN.l_min(jrank, ranks[end.p()]).as_ps();
-                edges.insert((jbegin, end, lat));
-            }
-        }
-        edges
-    }
-
-    #[test]
-    fn csr_edges_match_deps_reference() {
-        for (procs, rounds) in [(2, 5), (4, 12), (7, 21)] {
-            let t = fixtures::mixed_trace(procs, rounds);
-            let g = graph_of(&t);
-            let want = reference_edges(&t);
-            let mut got = HashSet::new();
-            for (id, _) in t.iter_events() {
-                for (src, lat) in g.in_deps(id) {
-                    got.insert((src, id, lat.as_ps()));
-                }
-            }
-            assert_eq!(got, want, "{procs}x{rounds} in-edge set");
-            // The transpose carries exactly the same edges.
-            let mut out_edges = HashSet::new();
-            for (id, _) in t.iter_events() {
-                for (dst, lat) in g.out_deps(id) {
-                    out_edges.insert((id, dst, lat.as_ps()));
-                }
-            }
-            assert_eq!(out_edges, want, "{procs}x{rounds} out-edge set");
-            assert_eq!(g.n_edges(), want.len());
-        }
     }
 
     #[test]
@@ -893,6 +880,35 @@ mod tests {
             DepGraph::build(&Matching::default(), &[barrier(&[(0, 2, 2)])], &[4, 4], &LMIN)
         });
         assert!(built.is_err());
+    }
+
+    /// The constraint constructor: an event's in-edges come back in list
+    /// order (the forward pass blocks on the first pending one), and an
+    /// endpoint outside the shape is named, whichever end it is.
+    #[test]
+    fn explicit_edges_keep_list_order_and_check_their_range() {
+        let (e, d) = (EventId::new, Dur::from_ps);
+        let lens = [2, 1, 2];
+        let edges = [
+            (e(1, 0), e(0, 1), d(5)),
+            (e(0, 1), e(2, 1), d(1)),
+            (e(2, 0), e(0, 1), d(3)),
+            (e(0, 0), e(0, 1), d(9)),
+        ];
+        let g = DepGraph::try_from_edges(edges, &lens).expect("in range");
+        assert_eq!((g.n_events(), g.n_edges()), (5, 4));
+        assert_eq!(
+            g.in_deps(e(0, 1)).collect::<Vec<_>>(),
+            vec![(e(1, 0), d(5)), (e(2, 0), d(3)), (e(0, 0), d(9))]
+        );
+        assert_eq!(g.out_deps(e(0, 1)).collect::<Vec<_>>(), vec![(e(2, 1), d(1))]);
+        assert_eq!(g.in_deps(e(1, 0)).count() + g.out_deps(e(2, 1)).count(), 0);
+        for bad in [e(1, 1), e(3, 0)] {
+            for edge in [(e(0, 0), bad, d(1)), (bad, e(0, 0), d(1))] {
+                let lowered = DepGraph::try_from_edges([edges[0], edge], &lens).map(|g| g.n_edges());
+                assert_eq!(lowered, Err(PlanBuildError::EventOutOfRange(bad)));
+            }
+        }
     }
 
     #[test]

@@ -20,16 +20,43 @@
 //! semantics (1-to-N, N-to-1, N-to-N) so realistic MPI traces can be
 //! corrected. The replay-based parallel implementation the paper cites
 //! as [31] is not part of this crate (DESIGN §9.2).
+//!
+//! # One walker, several lowerings
+//!
+//! How a constraint set becomes corrected timestamps is decided in one
+//! place: the kernels of `columnar` over a [`graph::DepGraph`]. The
+//! variants of the algorithm differ only in *which happened-before edges
+//! carry which minimum latency*, so each is a lowering onto that graph:
+//!
+//! * [`controlled_logical_clock`] — matched messages as stored edges,
+//!   collectives as the member table the §V flavour mapping is derived from;
+//! * [`pomp`] — fork/join/barrier rules of a thread team as an explicit
+//!   [`pomp::Constraint`] list, forward pass only;
+//! * [`domains`] — the message/collective graph again, with a jump
+//!   broadcast between two runs of the forward pass.
+//!
+//! **Dispatch order.** The forward pass visits timelines round-robin and,
+//! on each, corrects events in program order until one must wait. An event
+//! waits on its in-edges in a fixed order — a receive on its one matched
+//! send, a collective end on the begins of the other members in increasing
+//! member position (restricted by flavour), a constrained event on its
+//! constraints in list order — and the pass leaves the timeline at the
+//! *first* producer not yet corrected. That schedule fixes the order jumps
+//! are discovered in, so every engine that keeps it (the batch kernel, the
+//! windowed engine, the map-based reference under `tests/common/`) reports
+//! the same [`Jump`] sequence, not just the same timestamps. A round in
+//! which no timeline advances is a dependency cycle:
+//! [`ClcError::CyclicTrace`].
+//!
+//! Every function here rewrites its trace only when it returns `Ok`.
 
 pub(crate) mod columnar;
 pub mod domains;
 pub mod graph;
 pub mod pomp;
 
-use simclock::{Dur, Time};
-use tracefmt::{
-    match_collectives, match_messages, CollFlavor, EventId, EventKind, MinLatency, Rank, Trace,
-};
+use simclock::Dur;
+use tracefmt::{match_collectives, match_messages, EventId, MinLatency, Trace, TraceColumns};
 
 /// Tuning of the CLC.
 #[derive(Debug, Clone, Copy)]
@@ -109,146 +136,6 @@ impl std::fmt::Display for ClcError {
 
 impl std::error::Error for ClcError {}
 
-/// Pre-extracted dependency structure of a trace.
-pub(crate) struct Deps {
-    /// recv event -> (send event, sender rank).
-    pub send_of: std::collections::HashMap<EventId, (EventId, Rank)>,
-    /// Collective instances.
-    pub insts: Vec<CollInst>,
-    /// CollEnd event -> (instance index, member position).
-    pub end_info: std::collections::HashMap<EventId, (usize, usize)>,
-    /// CollBegin event -> (instance index, member position).
-    pub begin_info: std::collections::HashMap<EventId, (usize, usize)>,
-    /// send event -> recv event (for backward clamping).
-    pub recv_of: std::collections::HashMap<EventId, (EventId, Rank)>,
-}
-
-/// One collective instance in dependency form.
-pub(crate) struct CollInst {
-    pub flavor: CollFlavor,
-    pub root_pos: Option<usize>,
-    /// (rank, begin, end) per member.
-    pub members: Vec<(Rank, EventId, EventId)>,
-}
-
-impl CollInst {
-    /// Member positions whose *begin* the end at `pos` depends on.
-    pub fn deps_of_end(&self, pos: usize) -> DepsOfEnd<'_> {
-        DepsOfEnd { inst: self, pos, cur: 0 }
-    }
-
-    /// Member positions whose *end* depends on the begin at `pos`.
-    pub fn dependents_of_begin(&self, pos: usize) -> Vec<usize> {
-        match self.flavor {
-            CollFlavor::OneToN => {
-                if Some(pos) == self.root_pos {
-                    (0..self.members.len()).filter(|&j| j != pos).collect()
-                } else {
-                    Vec::new()
-                }
-            }
-            CollFlavor::NToOne => {
-                if Some(pos) == self.root_pos {
-                    Vec::new()
-                } else {
-                    vec![self.root_pos.expect("rooted flavour")]
-                }
-            }
-            CollFlavor::NToN => (0..self.members.len()).filter(|&j| j != pos).collect(),
-            // Prefix: begin at pos feeds every higher member's end.
-            CollFlavor::Prefix => (pos + 1..self.members.len()).collect(),
-        }
-    }
-}
-
-/// Iterator over the begin-dependencies of one member's end event.
-pub(crate) struct DepsOfEnd<'a> {
-    inst: &'a CollInst,
-    pos: usize,
-    cur: usize,
-}
-
-impl Iterator for DepsOfEnd<'_> {
-    type Item = usize;
-    fn next(&mut self) -> Option<usize> {
-        let n = self.inst.members.len();
-        loop {
-            if self.cur >= n {
-                return None;
-            }
-            let j = self.cur;
-            self.cur += 1;
-            let dep = match self.inst.flavor {
-                // Non-root ends depend on the root's begin only.
-                CollFlavor::OneToN => {
-                    Some(self.pos) != self.inst.root_pos && Some(j) == self.inst.root_pos
-                }
-                // The root's end depends on every non-root begin.
-                CollFlavor::NToOne => {
-                    Some(self.pos) == self.inst.root_pos && Some(j) != self.inst.root_pos
-                }
-                // Every end depends on every other begin.
-                CollFlavor::NToN => j != self.pos,
-                // Prefix: end at pos depends on every lower begin.
-                CollFlavor::Prefix => j < self.pos,
-            };
-            if dep {
-                return Some(j);
-            }
-        }
-    }
-}
-
-pub(crate) fn extract_deps(trace: &Trace) -> Result<Deps, ClcError> {
-    let matching = match_messages(trace);
-    let raw = match_collectives(trace).map_err(ClcError::BadCollectives)?;
-    Ok(deps_from_parts(&matching, &raw))
-}
-
-/// Build the dependency structure from an already-reconstructed
-/// communication analysis (the pipeline computes matching once and shares
-/// it across every stage, including the CLC).
-pub(crate) fn deps_from_parts(
-    matching: &tracefmt::Matching,
-    raw: &[tracefmt::CollectiveInstance],
-) -> Deps {
-    let mut send_of = std::collections::HashMap::with_capacity(matching.messages.len());
-    let mut recv_of = std::collections::HashMap::with_capacity(matching.messages.len());
-    for m in &matching.messages {
-        send_of.insert(m.recv, (m.send, m.from));
-        recv_of.insert(m.send, (m.recv, m.to));
-    }
-    let mut insts = Vec::with_capacity(raw.len());
-    let mut end_info = std::collections::HashMap::new();
-    let mut begin_info = std::collections::HashMap::new();
-    for (idx, inst) in raw.iter().enumerate() {
-        let root_pos = inst
-            .root
-            .and_then(|r| inst.members.iter().position(|m| m.rank == r));
-        let members: Vec<(Rank, EventId, EventId)> = inst
-            .members
-            .iter()
-            .map(|m| (m.rank, m.begin, m.end))
-            .collect();
-        for (pos, m) in members.iter().enumerate() {
-            begin_info.insert(m.1, (idx, pos));
-            end_info.insert(m.2, (idx, pos));
-        }
-        insts.push(CollInst {
-            flavor: inst.op.flavor(),
-            root_pos,
-            members,
-        });
-    }
-    Deps {
-        send_of,
-        insts,
-        end_info,
-        begin_info,
-        recv_of,
-    }
-}
-
 /// Apply the CLC to `trace` in place, returning correction statistics.
 ///
 /// `lmin` supplies the minimum latency between rank pairs (the paper's
@@ -279,243 +166,38 @@ pub fn controlled_logical_clock(
     lmin: &dyn MinLatency,
     params: &ClcParams,
 ) -> Result<ClcReport, ClcError> {
-    let deps = extract_deps(trace)?;
-    controlled_logical_clock_with_deps(trace, &deps, lmin, params)
-}
-
-/// [`controlled_logical_clock`] on a pre-extracted dependency structure,
-/// so callers that already reconstructed the communication analysis (the
-/// pipeline) skip the re-matching pass.
-pub(crate) fn controlled_logical_clock_with_deps(
-    trace: &mut Trace,
-    deps: &Deps,
-    lmin: &dyn MinLatency,
-    params: &ClcParams,
-) -> Result<ClcReport, ClcError> {
-    if !(params.mu > 0.0 && params.mu <= 1.0) {
-        return Err(ClcError::BadParams(format!("mu = {}", params.mu)));
-    }
-    if params.backward && params.backward_window_factor <= 0.0 {
-        return Err(ClcError::BadParams("non-positive backward window".into()));
-    }
-    let originals: Vec<Vec<Time>> = trace
-        .procs
-        .iter()
-        .map(|p| p.events.iter().map(|e| e.time).collect())
-        .collect();
-    let mut report = forward_pass(trace, &originals, deps, lmin, params.mu)?;
-    if params.backward {
-        backward_amortization(trace, deps, lmin, params, &report.jumps);
-        // Safety net: backward clamping is designed to preserve every
-        // constraint, but a final μ=1 forward sweep guarantees the
-        // postcondition even if future latency models interact badly.
-        let post: Vec<Vec<Time>> = trace
-            .procs
-            .iter()
-            .map(|p| p.events.iter().map(|e| e.time).collect())
-            .collect();
-        let _ = forward_pass(trace, &post, deps, lmin, 1.0)?;
-    }
-    report.events_total = trace.n_events();
-    report.events_moved = trace
-        .procs
-        .iter()
-        .zip(&originals)
-        .map(|(p, orig)| {
-            p.events
-                .iter()
-                .zip(orig)
-                .filter(|(e, &o)| e.time != o)
-                .count()
-        })
-        .sum();
+    let graph = lower(trace, lmin)?;
+    let mut cols = TraceColumns::gather(trace);
+    let report = columnar::controlled_logical_clock_columnar_csr(&mut cols, &graph, params)?;
+    cols.scatter_into(trace);
     Ok(report)
 }
 
-/// The forward pass: assign corrected times in dependency order.
-pub(crate) fn forward_pass(
-    trace: &mut Trace,
-    originals: &[Vec<Time>],
-    deps: &Deps,
-    lmin: &dyn MinLatency,
-    mu: f64,
-) -> Result<ClcReport, ClcError> {
-    let n = trace.n_procs();
-    let mut pc = vec![0usize; n];
-    let mut prev_orig = vec![Time::MIN; n];
-    let mut prev_corr = vec![Time::MIN; n];
-    let mut report = ClcReport::default();
-
-    loop {
-        let mut progressed = false;
-        for p in 0..n {
-            'events: while pc[p] < trace.procs[p].events.len() {
-                let i = pc[p];
-                let id = EventId::new(p, i);
-                let orig = originals[p][i];
-                let my_rank = trace.procs[p].location.rank;
-
-                // Remote constraint, if any.
-                let mut remote: Option<Time> = None;
-                match trace.procs[p].events[i].kind {
-                    EventKind::Recv { .. } => {
-                        if let Some(&(send, from)) = deps.send_of.get(&id) {
-                            if send.i() >= pc[send.p()] {
-                                break 'events; // send not yet corrected
-                            }
-                            remote = Some(
-                                trace.time(send).saturating_add(lmin.l_min(from, my_rank)),
-                            );
-                        }
-                    }
-                    EventKind::CollEnd { .. } => {
-                        if let Some(&(inst_idx, pos)) = deps.end_info.get(&id) {
-                            let inst = &deps.insts[inst_idx];
-                            let mut bound: Option<Time> = None;
-                            for j in inst.deps_of_end(pos) {
-                                let (jrank, jbegin, _) = inst.members[j];
-                                if jbegin.i() >= pc[jbegin.p()] {
-                                    break 'events; // dependency pending
-                                }
-                                let c = trace
-                                    .time(jbegin)
-                                    .saturating_add(lmin.l_min(jrank, my_rank));
-                                bound = Some(bound.map_or(c, |b: Time| b.max(c)));
-                            }
-                            remote = bound;
-                        }
-                    }
-                    _ => {}
-                }
-
-                // Amortized local candidate. Saturating arithmetic: traces
-                // may carry timestamps at the `i64` edges, where plain ops
-                // debug-panic; saturation equals the plain result whenever
-                // no overflow occurs.
-                let candidate = if i == 0 {
-                    orig
-                } else {
-                    let gap = orig.saturating_since(prev_orig[p]).max(Dur::ZERO);
-                    orig.max(prev_corr[p].saturating_add(gap.scale(mu)))
-                };
-                let corrected = match remote {
-                    Some(r) if r > candidate => {
-                        let size = r.saturating_since(candidate);
-                        report.jumps.push(Jump { event: id, size });
-                        report.max_jump = report.max_jump.max(size);
-                        r
-                    }
-                    _ => candidate,
-                };
-                trace.procs[p].events[i].time = corrected;
-                prev_orig[p] = orig;
-                prev_corr[p] = corrected;
-                pc[p] += 1;
-                progressed = true;
-            }
-        }
-        if (0..n).all(|p| pc[p] == trace.procs[p].events.len()) {
-            return Ok(report);
-        }
-        if !progressed {
-            return Err(ClcError::CyclicTrace);
-        }
-    }
+/// Reconstruct the trace's messages and collectives and lower them into
+/// the graph the kernels walk, `lmin` baked into its edges. Matching reads
+/// event order and kinds only, so the graph outlives any timestamp rewrite.
+pub(crate) fn lower(trace: &Trace, lmin: &dyn MinLatency) -> Result<graph::DepGraph, ClcError> {
+    let matching = match_messages(trace);
+    let instances = match_collectives(trace).map_err(ClcError::BadCollectives)?;
+    graph::DepGraph::try_build(&matching, &instances, &proc_lens(trace), lmin)
+        .map_err(|e| ClcError::BadCollectives(e.to_string()))
 }
 
-/// Backward amortization: smooth each jump over a window of preceding
-/// events with a linear ramp, clamped so no outgoing message or collective
-/// contribution becomes violated.
-///
-/// Remote constraint times (the receives of outgoing messages, the ends
-/// depending on collective begins) are read from a **snapshot** taken after
-/// the forward pass: the result is independent of process order, and since
-/// backward shifts only ever move events *forward*, snapshot-based slacks
-/// are conservative.
-fn backward_amortization(
-    trace: &mut Trace,
-    deps: &Deps,
-    lmin: &dyn MinLatency,
-    params: &ClcParams,
-    jumps: &[Jump],
-) {
-    let snapshot: Vec<Vec<Time>> = trace
-        .procs
-        .iter()
-        .map(|p| p.events.iter().map(|e| e.time).collect())
-        .collect();
-    // Group jumps per process, in event order.
-    let mut per_proc: Vec<Vec<Jump>> = vec![Vec::new(); trace.n_procs()];
-    for j in jumps {
-        per_proc[j.event.p()].push(*j);
-    }
-    for list in per_proc.iter_mut() {
-        list.sort_by_key(|j| j.event.i());
-    }
-    for (p, pt) in trace.procs.iter_mut().enumerate() {
-        backward_pass_proc(p, pt, &per_proc[p], deps, lmin, params, &snapshot);
-    }
+pub(crate) fn proc_lens(trace: &Trace) -> Vec<usize> {
+    trace.procs.iter().map(|p| p.events.len()).collect()
 }
 
-/// The per-process backward kernel. `snapshot` supplies remote times for
-/// slack clamping.
-fn backward_pass_proc(
-    p: usize,
-    pt: &mut tracefmt::ProcessTrace,
-    jumps: &[Jump],
-    deps: &Deps,
-    lmin: &dyn MinLatency,
-    params: &ClcParams,
-    snapshot: &[Vec<Time>],
-) {
-    let my_rank = pt.location.rank;
-    for jump in jumps {
-        let k = jump.event.i();
-        if k == 0 {
-            continue;
-        }
-        let delta = jump.size;
-        let t_pre = pt.events[k].time.saturating_sub(delta);
-        let window = delta.scale(params.backward_window_factor);
-        let w_start = t_pre.saturating_sub(window);
-        // Walk backward applying min(ramp, cap, shift_of_successor).
-        let mut shift_above = delta;
-        for i in (0..k).rev() {
-            let t_i = pt.events[i].time;
-            if t_i <= w_start {
-                break;
-            }
-            let frac = t_i.saturating_since(w_start).as_ps() as f64
-                / window.as_ps().max(1) as f64;
-            let ramp = delta.scale(frac.clamp(0.0, 1.0));
-            let id = EventId::new(p, i);
-            let mut cap = Dur::MAX;
-            if let Some(&(recv, to)) = deps.recv_of.get(&id) {
-                cap = cap.min(
-                    snapshot[recv.p()][recv.i()]
-                        .saturating_sub(lmin.l_min(my_rank, to))
-                        .saturating_since(t_i),
-                );
-            }
-            if let Some(&(inst_idx, pos)) = deps.begin_info.get(&id) {
-                let inst = &deps.insts[inst_idx];
-                for j in inst.dependents_of_begin(pos) {
-                    let (jrank, _, jend) = inst.members[j];
-                    cap = cap.min(
-                        snapshot[jend.p()][jend.i()]
-                            .saturating_sub(lmin.l_min(my_rank, jrank))
-                            .saturating_since(t_i),
-                    );
-                }
-            }
-            let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
-            pt.events[i].time = t_i.saturating_add(shift);
-            shift_above = shift;
-            if shift == Dur::ZERO {
-                break;
-            }
-        }
-    }
+/// Write corrected columns back into the trace — until here still holding
+/// the timestamps the run started from — and count against those.
+pub(crate) fn commit(cols: &TraceColumns, trace: &mut Trace, mut report: ClcReport) -> ClcReport {
+    report.events_total = cols.n_events();
+    report.events_moved = trace
+        .iter_events()
+        .zip(cols.flat())
+        .filter(|((_, e), &corrected)| e.time.as_ps() != corrected)
+        .count();
+    cols.scatter_into(trace);
+    report
 }
 
 /// Deterministic test traces shared by the CLC engine test suites.
@@ -523,6 +205,29 @@ fn backward_pass_proc(
 pub(crate) mod fixtures {
     use simclock::Time;
     use tracefmt::{CollOp, CommId, EventKind, Rank, Tag, Trace};
+
+    /// Two timelines whose receives wait on each other's later sends, behind
+    /// a late send that forces a jump on timeline 1 first: a forward pass
+    /// finds the cycle with a correction already written.
+    pub(crate) fn cyclic_after_a_jump() -> Trace {
+        let send = |to, tag| EventKind::Send { to: Rank(to), tag: Tag(tag), bytes: 0 };
+        let recv = |from, tag| EventKind::Recv { from: Rank(from), tag: Tag(tag), bytes: 0 };
+        let mut t = Trace::for_ranks(2);
+        t.procs[0].push(Time::from_us(100), send(1, 0));
+        t.procs[0].push(Time::from_us(110), recv(1, 1));
+        t.procs[0].push(Time::from_us(120), send(1, 2));
+        t.procs[1].push(Time::from_us(50), recv(0, 0));
+        t.procs[1].push(Time::from_us(60), recv(0, 2));
+        t.procs[1].push(Time::from_us(70), send(0, 1));
+        t
+    }
+
+    /// Every event record of `t` is what it is in `before`.
+    pub(crate) fn assert_untouched(t: &Trace, before: &Trace) {
+        for (got, was) in t.procs.iter().zip(&before.procs) {
+            assert_eq!(got.events, was.events);
+        }
+    }
 
     /// Mixed p2p + collective ring trace with injected per-proc skew:
     /// each round every proc sends to its right neighbour then receives
@@ -586,7 +291,7 @@ mod tests {
     use simclock::Time;
     use tracefmt::{
         check_collectives, check_p2p, match_collectives as mc, match_messages as mm, CollOp,
-        CommId, Rank, RegionId, Tag, UniformLatency,
+        CommId, EventKind, Rank, RegionId, Tag, UniformLatency,
     };
 
     fn us(n: i64) -> Time {

@@ -9,15 +9,17 @@
 //! * the **join** happens after every event of the region,
 //! * every barrier **exit** happens after every barrier **enter**,
 //!
-//! — and a generalized forward pass (same amortized arithmetic as the
-//! message CLC) enforces them. Because threads of one SMP node communicate
-//! through shared memory, the minimum "latency" of these constraints is the
-//! synchronisation cost `d_min`, typically tens to hundreds of
-//! nanoseconds.
+//! — and lowered as the edges of the graph the message CLC's forward
+//! kernel walks, which enforces them. Because threads of one SMP node
+//! communicate through shared memory, the minimum "latency" of these
+//! constraints is the synchronisation cost `d_min`, typically tens to
+//! hundreds of nanoseconds.
 
-use super::{ClcError, ClcParams, ClcReport, Jump};
-use simclock::{Dur, Time};
-use tracefmt::{match_parallel_regions, EventId, Trace};
+use super::columnar::{check_mu, forward_pass_csr};
+use super::graph::DepGraph;
+use super::{commit, proc_lens, ClcError, ClcParams, ClcReport};
+use simclock::Dur;
+use tracefmt::{match_parallel_regions, EventId, Trace, TraceColumns};
 
 /// One happened-before constraint: `time(to) ≥ time(from) + bound`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,106 +75,32 @@ pub fn pomp_constraints(trace: &Trace, d_min: Dur) -> Result<Vec<Constraint>, Cl
 
 /// Apply the CLC forward pass to an arbitrary constraint set.
 ///
+/// The constraints are lowered as the edges of a [`DepGraph`] — an event's
+/// in-edges in list order — and corrected by the forward kernel the message
+/// CLC runs, in saturating arithmetic. Forward amortization only:
+/// `params.backward` and `params.backward_window_factor` are not read.
+///
 /// Constraints must be acyclic when combined with per-timeline program
 /// order (true for POMP rules and any happened-before relation); a cycle
-/// yields [`ClcError::CyclicTrace`].
+/// yields [`ClcError::CyclicTrace`], an endpoint that is no event of
+/// `trace` [`ClcError::BadParams`].
 pub fn controlled_logical_clock_generic(
     trace: &mut Trace,
     constraints: &[Constraint],
     params: &ClcParams,
 ) -> Result<ClcReport, ClcError> {
-    if !(params.mu > 0.0 && params.mu <= 1.0) {
-        return Err(ClcError::BadParams(format!("mu = {}", params.mu)));
-    }
-    // Index constraints by target event.
-    let mut incoming: std::collections::HashMap<EventId, Vec<(EventId, Dur)>> =
-        std::collections::HashMap::new();
-    for c in constraints {
-        incoming.entry(c.to).or_default().push((c.from, c.bound));
-    }
-
-    let originals: Vec<Vec<Time>> = trace
-        .procs
-        .iter()
-        .map(|p| p.events.iter().map(|e| e.time).collect())
-        .collect();
-    let n = trace.n_procs();
-    let mut pc = vec![0usize; n];
-    let mut prev_orig = vec![Time::MIN; n];
-    let mut prev_corr = vec![Time::MIN; n];
-    let mut report = ClcReport::default();
-
-    loop {
-        let mut progressed = false;
-        for p in 0..n {
-            'events: while pc[p] < trace.procs[p].events.len() {
-                let i = pc[p];
-                let id = EventId::new(p, i);
-                let orig = originals[p][i];
-                let mut remote: Option<Time> = None;
-                if let Some(deps) = incoming.get(&id) {
-                    let mut bound: Option<Time> = None;
-                    for &(from, d) in deps {
-                        // Same-timeline constraints are satisfied by
-                        // program order; only remote ones can block.
-                        if from.p() == p {
-                            if from.i() >= i {
-                                return Err(ClcError::CyclicTrace);
-                            }
-                        } else if from.i() >= pc[from.p()] {
-                            break 'events;
-                        }
-                        let c = trace.time(from) + d;
-                        bound = Some(bound.map_or(c, |b: Time| b.max(c)));
-                    }
-                    remote = bound;
-                }
-                let candidate = if i == 0 {
-                    orig
-                } else {
-                    let gap = (orig - prev_orig[p]).max(Dur::ZERO);
-                    orig.max(prev_corr[p] + gap.scale(params.mu))
-                };
-                let corrected = match remote {
-                    Some(r) if r > candidate => {
-                        let size = r - candidate;
-                        report.jumps.push(Jump { event: id, size });
-                        report.max_jump = report.max_jump.max(size);
-                        r
-                    }
-                    _ => candidate,
-                };
-                trace.procs[p].events[i].time = corrected;
-                prev_orig[p] = orig;
-                prev_corr[p] = corrected;
-                pc[p] += 1;
-                progressed = true;
-            }
-        }
-        if (0..n).all(|p| pc[p] == trace.procs[p].events.len()) {
-            break;
-        }
-        if !progressed {
-            return Err(ClcError::CyclicTrace);
-        }
-    }
-    report.events_total = trace.n_events();
-    report.events_moved = trace
-        .procs
-        .iter()
-        .zip(&originals)
-        .map(|(p, orig)| {
-            p.events
-                .iter()
-                .zip(orig)
-                .filter(|(e, &o)| e.time != o)
-                .count()
-        })
-        .sum();
-    Ok(report)
+    check_mu(params.mu)?;
+    let edges = constraints.iter().map(|c| (c.from, c.to, c.bound));
+    let graph = DepGraph::try_from_edges(edges, &proc_lens(trace))
+        .map_err(|e| ClcError::BadParams(format!("constraint list: {e}")))?;
+    let mut cols = TraceColumns::gather(trace);
+    let report = forward_pass_csr(&mut cols, &graph, params.mu)?;
+    Ok(commit(&cols, trace, report))
 }
 
-/// Restore the POMP shared-memory clock conditions in an OpenMP trace.
+/// Restore the POMP shared-memory clock conditions in an OpenMP trace:
+/// [`pomp_constraints`] through [`controlled_logical_clock_generic`], so
+/// forward amortization only.
 pub fn controlled_logical_clock_pomp(
     trace: &mut Trace,
     d_min: Dur,
@@ -185,6 +113,7 @@ pub fn controlled_logical_clock_pomp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clc::fixtures::assert_untouched;
     use simclock::Time;
     use tracefmt::{check_pomp, EventKind, RegionId};
 
@@ -309,19 +238,73 @@ mod tests {
         assert_eq!(after.any_violations, 0, "{after:?}");
     }
 
+    fn local_events(times: &[&[i64]]) -> Trace {
+        let mut t = Trace::for_ranks(times.len());
+        for (p, col) in times.iter().enumerate() {
+            for &ps in *col {
+                t.procs[p].push(Time::from_ps(ps), EventKind::Enter { region: RegionId(0) });
+            }
+        }
+        t
+    }
+
+    /// A cycle between two timelines, found after the first constraint has
+    /// already moved `(1, 0)`: the error is typed and the trace is written
+    /// on `Ok` only.
     #[test]
     fn cyclic_constraints_detected() {
-        let mut t = Trace::for_ranks(2);
-        t.procs[0].push(us(0), EventKind::Enter { region: RegionId(0) });
-        t.procs[1].push(us(0), EventKind::Enter { region: RegionId(0) });
-        let a = EventId::new(0, 0);
-        let b = EventId::new(1, 0);
-        let cs = vec![
-            Constraint { from: a, to: b, bound: Dur::from_us(1) },
-            Constraint { from: b, to: a, bound: Dur::from_us(1) },
-        ];
-        let err =
-            controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default()).unwrap_err();
-        assert_eq!(err, ClcError::CyclicTrace);
+        let mut t = local_events(&[&[100, 110], &[50, 60]]);
+        let before = t.clone();
+        let c = |from: (usize, usize), to: (usize, usize)| Constraint {
+            from: EventId::new(from.0, from.1),
+            to: EventId::new(to.0, to.1),
+            bound: Dur::from_ps(7),
+        };
+        let cs = [c((0, 0), (1, 0)), c((1, 1), (0, 1)), c((0, 1), (1, 1))];
+        let err = controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default());
+        assert_eq!(err.unwrap_err(), ClcError::CyclicTrace);
+        assert_untouched(&t, &before);
+        // Without the cycle the same list does move (1, 0).
+        controlled_logical_clock_generic(&mut t, &cs[..1], &ClcParams::default()).unwrap();
+        assert_eq!(t.procs[1].events[0].time, Time::from_ps(107));
+    }
+
+    /// Timestamps at the `i64` edges: the local gap, the remote bound and
+    /// the jump size all overflow plain `i64` arithmetic. The kernel
+    /// saturates; nothing panics, nothing wraps.
+    #[test]
+    fn i64_edge_timestamps_saturate() {
+        let mut t = local_events(&[&[i64::MIN + 5, i64::MAX - 5], &[i64::MIN + 5, i64::MAX - 5]]);
+        let cs = [Constraint {
+            from: EventId::new(0, 1),
+            to: EventId::new(1, 0),
+            bound: Dur::from_ns(100),
+        }];
+        let rep = controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default()).unwrap();
+        assert_eq!(rep.n_jumps(), 1);
+        assert_eq!(rep.max_jump, Dur::MAX);
+        assert_eq!(t.procs[0].events[1].time, Time::from_ps(i64::MAX - 5));
+        assert_eq!(t.procs[1].events[0].time, Time::MAX);
+        assert_eq!(t.procs[1].events[1].time, Time::MAX);
+        assert!(t.is_locally_monotone());
+    }
+
+    /// A constraint naming an event the trace does not have — past its
+    /// timeline's end, or on a timeline that does not exist — is the
+    /// caller's mistake, reported as such: not a cycle, not a panic.
+    #[test]
+    fn out_of_range_endpoints_are_a_typed_error() {
+        let mut t = local_events(&[&[10, 20], &[10, 20]]);
+        let before = t.clone();
+        for (from, to) in [((0, 2), (1, 0)), ((1, 0), (0, 2)), ((2, 0), (1, 0)), ((1, 0), (7, 0))] {
+            let cs = [Constraint {
+                from: EventId::new(from.0, from.1),
+                to: EventId::new(to.0, to.1),
+                bound: Dur::from_ns(1),
+            }];
+            let err = controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default());
+            assert!(matches!(err, Err(ClcError::BadParams(_))), "{from:?} -> {to:?}: {err:?}");
+            assert_untouched(&t, &before);
+        }
     }
 }

@@ -163,29 +163,6 @@ impl<T> PriorityQueue<T> {
         None
     }
 
-    /// Remove up to `n` entries from the *back* of the *lowest* non-empty
-    /// class first — the inverse of [`PriorityQueue::pop`], so work
-    /// stealing takes the jobs this node would run last and leaves its
-    /// urgent head-of-line work alone.
-    pub(crate) fn steal_back(&mut self, n: usize) -> Vec<Queued<T>> {
-        let mut out = Vec::new();
-        for class in self.classes.iter_mut().rev() {
-            while out.len() < n {
-                match class.pop_back() {
-                    Some(entry) => {
-                        self.len -= 1;
-                        out.push(entry);
-                    }
-                    None => break,
-                }
-            }
-            if out.len() >= n {
-                break;
-            }
-        }
-        out
-    }
-
     /// Drain everything (used at shutdown to fail queued jobs typed).
     pub(crate) fn drain(&mut self) -> Vec<Queued<T>> {
         let mut out = Vec::with_capacity(self.len);

@@ -66,7 +66,6 @@ pub mod fault;
 pub mod job;
 pub mod metrics;
 pub mod net;
-pub mod router;
 pub mod runtime;
 pub mod service;
 pub mod step;
@@ -82,7 +81,6 @@ pub use net::{
     NetServer, NetServerConfig, ReadOutcome, ScriptedTransport, TcpTransport, TenantConfig,
     Transport,
 };
-pub use router::{JobRouter, RouterConfig};
 pub use runtime::{AttemptProbe, RealRuntime, Runtime};
 pub use service::{ServiceConfig, SyncService};
 pub use step::{StepEvent, StepService};

@@ -66,13 +66,11 @@ pub enum Counter {
     /// job's handle). Only an idle read may be followed by one, so
     /// `NetIdleSleeps <= NetIdleReads` always.
     NetIdleSleeps,
-    /// Queued jobs the router's balancer moved between nodes.
-    RouterSteals,
 }
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::Accepted,
         Counter::RejectedQueueFull,
         Counter::RejectedOverBudget,
@@ -91,7 +89,6 @@ impl Counter {
         Counter::NetPartialReads,
         Counter::NetIdleReads,
         Counter::NetIdleSleeps,
-        Counter::RouterSteals,
     ];
 
     /// The exporter name of this counter.
@@ -115,7 +112,6 @@ impl Counter {
             Counter::NetPartialReads => "syncd_net_partial_reads_total",
             Counter::NetIdleReads => "syncd_net_idle_reads_total",
             Counter::NetIdleSleeps => "syncd_net_idle_sleeps_total",
-            Counter::RouterSteals => "syncd_router_steals_total",
         }
     }
 

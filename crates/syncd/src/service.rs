@@ -245,45 +245,6 @@ impl Shared {
         true
     }
 
-    /// Remove up to `n` queued tickets from the *back* of the lowest
-    /// classes — the work-stealing donor side. The tickets leave this
-    /// node's accounting entirely (queue gauge and admission charge); the
-    /// router re-charges them on the recipient via [`Shared::inject`].
-    pub(crate) fn steal(&self, n: usize) -> Vec<Queued<Ticket>> {
-        let mut inner = self.lock();
-        let stolen = inner.queue.steal_back(n);
-        for entry in &stolen {
-            inner.admitted -= entry.cost;
-            self.metrics.queue_depth_add(-1);
-            self.metrics.admitted_bytes_add(-(entry.cost as i64));
-        }
-        stolen
-    }
-
-    /// Accept a ticket stolen from another node: re-charge its cost here
-    /// and queue it. Refused (ticket handed back, boxed to keep the Err
-    /// small) when this node is shut down, its queue is full, or the
-    /// charge does not fit its budget — the balancer then returns the
-    /// ticket to its donor.
-    pub(crate) fn inject(&self, entry: Queued<Ticket>) -> Result<(), Box<Queued<Ticket>>> {
-        {
-            let mut inner = self.lock();
-            if inner.shutdown
-                || inner.queue.is_full()
-                || inner.admitted.saturating_add(entry.cost) > self.cfg.memory_budget_bytes
-            {
-                return Err(Box::new(entry));
-            }
-            inner.admitted += entry.cost;
-            self.metrics.queue_depth_add(1);
-            self.metrics.admitted_bytes_add(entry.cost as i64);
-            let priority = entry.job.spec.priority;
-            inner.queue.push(priority, entry);
-        }
-        self.cv.notify_one();
-        Ok(())
-    }
-
     /// Fail everything still queued with [`JobError::Shutdown`] (the
     /// abandon-queue shutdown path). Returns how many jobs were failed.
     pub(crate) fn drain_shutdown(&self) -> usize {
@@ -392,8 +353,7 @@ impl SyncService {
         self.shared.metrics.snapshot()
     }
 
-    /// The shared core — the seam the network front end and the job
-    /// router build on.
+    /// The shared core — the seam the network front end builds on.
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }
@@ -755,16 +715,6 @@ fn restore_times(trace: &mut tracefmt::Trace, snap: &[Vec<Time>]) {
             event.time = t;
         }
     }
-}
-
-/// Last resort for a stolen ticket no node would take back (every queue
-/// filled up mid-flight): resolve its handle typed instead of dropping
-/// the submitter into an eternal `wait`.
-pub(crate) fn fail_stolen(entry: Queued<Ticket>) {
-    entry.job.state.finish(Err(JobFailure {
-        error: JobError::Shutdown,
-        attempts: 0,
-    }));
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

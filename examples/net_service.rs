@@ -1,12 +1,11 @@
-//! `syncd` over the wire: a loopback network server, a client speaking
-//! the framed protocol, and a consistent-hash router spreading keyed
-//! jobs over two nodes.
+//! `syncd` over the wire: a loopback network server and a client speaking
+//! the framed protocol.
 //!
 //! ```sh
 //! cargo run --release --example net_service
 //! ```
 //!
-//! Four acts, each asserting what it demonstrates:
+//! Three acts, each asserting what it demonstrates:
 //!
 //! 1. **batch over TCP** — upload a drifted trace as a DTC2 stream,
 //!    get the corrected trace back, and check it is *bit-identical* to
@@ -14,26 +13,19 @@
 //! 2. **incremental streaming** — the same job in windowed mode, with
 //!    corrected frames arriving while the job runs;
 //! 3. **typed rejection** — a wrong token fails the handshake with
-//!    `AuthFailed`, not a dropped connection;
-//! 4. **routed placement** — keyed submissions land on ring-chosen
-//!    nodes, and every node returns the same bits for the same job.
+//!    `AuthFailed`, not a dropped connection.
 //!
 //! The CI smoke step runs this binary headless; a non-zero exit fails
 //! the gate.
 
 use clocksync::{OffsetMeasurement, PipelineConfig};
 use drift_lab::prelude::*;
-use drift_lab::syncd::{
-    Counter, JobInput, JobSpec, JobRouter, NetServer, NetServerConfig, RouterConfig,
-    ServiceConfig, TenantConfig,
-};
+use drift_lab::syncd::{Counter, NetServer, NetServerConfig, TenantConfig};
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency, WireMode};
 use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_blocked};
-use drift_lab::tracefmt::MinLatency;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
 
 const PROCS: usize = 6;
 
@@ -94,7 +86,6 @@ fn same_bits(a: &Trace, b: &Trace) -> bool {
 
 fn main() {
     let lmin = UniformLatency(Dur::from_us(4));
-    let lmin_arc: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
     let cfg = PipelineConfig::default();
     // Large enough that the upload is more than one 256 KiB `Chunk` frame.
     let (trace, init, fin) = drifted_fixture(7, 6000);
@@ -175,43 +166,5 @@ fn main() {
     println!("reads:          {partial} partial, {idle} idle, {sleeps} idle back-offs");
     assert!(partial > 0, "a 256 KiB frame cannot arrive in one 64 KiB read");
     assert!(sleeps <= idle, "a connection slept on a read that made progress");
-
-    // ---- act 4: consistent-hash routing over two nodes ---------------
-    let router = JobRouter::start(RouterConfig {
-        nodes: 2,
-        node: ServiceConfig::default(),
-        ..RouterConfig::default()
-    });
-    let keys = ["pop/run-1", "pop/run-2", "smg/run-1", "smg/run-2", "smg/run-3"];
-    let mut per_node = [0usize; 2];
-    let handles: Vec<_> = keys
-        .iter()
-        .map(|key| {
-            let node = router.node_for(key);
-            per_node[node] += 1;
-            let spec = JobSpec::new(
-                JobInput::Trace(trace.clone()),
-                init.clone(),
-                Some(fin.clone()),
-                Arc::clone(&lmin_arc),
-                cfg.clone(),
-            );
-            (key, router.submit_keyed(key, spec).expect("routed submit"))
-        })
-        .collect();
-    for (key, handle) in handles {
-        let out = handle.wait().expect("routed job succeeds");
-        assert!(
-            same_bits(&out.trace, &direct),
-            "job {key} must return the same bits regardless of placement"
-        );
-    }
-    println!(
-        "router:         {} keys placed {}/{} across 2 nodes, all outputs bit-identical",
-        keys.len(),
-        per_node[0],
-        per_node[1]
-    );
-    router.shutdown();
     println!("\nall network-path invariants held");
 }

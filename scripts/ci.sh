@@ -18,8 +18,10 @@
 #    fails unless `lower` runs at >= 1.5x the event rate of `clc`, the
 #    collective-cost gate bounds what an allreduce adds to `clc`'s time
 #    per event, the inlining gate looks for the graph accessors among the
-#    symbols, and a grep gate keeps the deleted intra-job parallelism from
-#    coming back under its old names; the
+#    symbols, two grep gates keep the deleted intra-job parallelism, the
+#    second CLC walker and the in-process router from coming back under
+#    their old names, and a size ratchet holds the line count of the three
+#    production crates under a ceiling that only goes down; the
 #    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
 #    its report; the incremental smoke run refreshes
 #    BENCH_incremental.json and the residency gate fails the script if
@@ -63,10 +65,16 @@ cd "$(dirname "$0")/.."
 # CLC, its ring capacities and the worker-count axes went with their
 # subject.
 WORKSPACE_TEST_BINARIES_FLOOR=48
-# Tests those binaries passed between them when the floor was last set
-# (last raised for the four count-based reader tests of the "upload never
-# sleeps on progress" gate below, which live in existing binaries).
-WORKSPACE_TESTS_FLOOR=629
+# Tests those binaries passed between them when the floor was last set.
+# Last reset when the map-based CLC walker moved under tests/ as the oracle
+# and the in-process router was deleted: five comparisons against the
+# walker left `clocksync`'s unit tests for `tests/csr_differential.rs`
+# (ten tests there now: the moved ones, the recorded-output pins of the
+# POMP and clock-domain lowerings, `pop_batch`'s input), the lowerings
+# brought five unit tests (four in `clocksync`, one in `bench`), and the
+# router's two unit tests and its differential test went with their
+# subject. The binary floor did not move.
+WORKSPACE_TESTS_FLOOR=636
 
 failed_gates=()
 
@@ -234,6 +242,33 @@ gate "inlined graph accessors: nm pop_correction" inlining_gate
 # paths went by may come back.
 gate "no intra-job parallelism" bash -c \
     "! grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded' crates src tests examples"
+
+# One CLC walker (the CSR kernel; the map-based one is the tests' oracle
+# under tests/common/) and one service tier (DESIGN §16.5): no hash map
+# under the CLC or the pipeline, none of the second walker's or the
+# in-process router's names outside tests/.
+gate "one CLC walker, one service tier" bash -c \
+    "! grep -rn HashMap crates/core/src/clc crates/core/src/pipeline \
+     && ! grep -rnE 'JobRouter|RouterConfig|steal_back|deps_from_parts|extract_deps' crates src examples"
+
+# Size ratchet (ROADMAP item 2): lines under the three production crates'
+# src/ against a ceiling that only ever goes down — lower it to the printed
+# count whenever a PR shrinks them; a PR that needs to raise it says why.
+# The public-item counts are reported beside it, not gated.
+SRC_LINES_CEILING=19745
+size_ratchet_gate() {
+    local lines
+    lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
+    echo "    crates/{core,tracefmt,syncd}/src: ${lines} lines (ceiling ${SRC_LINES_CEILING})"
+    for crate in core tracefmt; do
+        echo "    crates/${crate}/src public items: $(grep -rhE '^\s*pub (fn|struct|enum|type|const|trait) ' "crates/${crate}/src" | wc -l)"
+    done
+    if [[ "$lines" -gt "$SRC_LINES_CEILING" ]]; then
+        echo "size ratchet: ${lines} lines, ceiling is ${SRC_LINES_CEILING}" >&2
+        return 1
+    fi
+}
+gate "size ratchet: core + tracefmt + syncd" size_ratchet_gate
 
 # Residency gate: the incremental windowed engine's whole contract is
 # that its resident timestamp columns are O(window), not O(trace). The
@@ -423,8 +458,8 @@ gate "upload never sleeps on progress" upload_progress_gate
 
 # Network smoke: client -> TCP server -> client round trip, headless.
 # The example asserts bit-identity with the in-process pipeline, typed
-# auth rejection, incremental streaming, and router placement; any
-# broken invariant panics and fails the gate.
+# auth rejection and incremental streaming; any broken invariant panics
+# and fails the gate.
 gate "network smoke: net_service example" cargo run --release --example net_service
 
 # Service smoke: the multi-tenant example must survive a poisoned stream —

@@ -11,6 +11,8 @@
 // subset of it.
 #![allow(dead_code)]
 
+pub mod clc_reference;
+
 use drift_lab::clocksync::{OffsetMeasurement, StageReport};
 use drift_lab::prelude::*;
 use drift_lab::simclock::{ConstantDrift, DriftModel, RandomWalkDrift, SinusoidalDrift};
@@ -318,6 +320,62 @@ pub fn drifted_zoo_trace(
     (trace, init, fin)
 }
 
+/// Mixed p2p + collective ring trace with injected per-proc skew (the
+/// fixture of `clocksync`'s own CLC unit tests, `clc::fixtures::mixed_trace`):
+/// each round every proc sends to its right neighbour then receives
+/// from its left one, and every fourth round ends in an Allreduce.
+pub fn mixed_trace(procs: usize, rounds: usize) -> Trace {
+    let mut t = Trace::for_ranks(procs);
+    let mut now = vec![0i64; procs];
+    for round in 0..rounds {
+        for (p, now_p) in now.iter_mut().enumerate() {
+            let next = (p + 1) % procs;
+            *now_p += 7 + ((round * 13 + p * 5) % 40) as i64;
+            let skew = ((p * 37) % 90) as i64 - 45;
+            t.procs[p].push(
+                Time::from_us(*now_p + skew),
+                EventKind::Send { to: Rank(next as u32), tag: Tag(round as u32), bytes: 8 },
+            );
+        }
+        for (p, now_p) in now.iter_mut().enumerate() {
+            let prev = (p + procs - 1) % procs;
+            *now_p += 6 + ((round * 11 + p * 3) % 30) as i64;
+            let skew = ((p * 37) % 90) as i64 - 45;
+            t.procs[p].push(
+                Time::from_us(*now_p + skew),
+                EventKind::Recv { from: Rank(prev as u32), tag: Tag(round as u32), bytes: 8 },
+            );
+        }
+        if round % 4 == 0 {
+            let base = *now.iter().max().unwrap();
+            for (p, now_p) in now.iter_mut().enumerate() {
+                let skew = ((p * 37) % 90) as i64 - 45;
+                *now_p = base + ((p * 3) % 10) as i64;
+                t.procs[p].push(
+                    Time::from_us(*now_p + skew),
+                    EventKind::CollBegin {
+                        op: CollOp::Allreduce,
+                        comm: CommId::WORLD,
+                        root: None,
+                        bytes: 8,
+                    },
+                );
+                *now_p += 12 + ((p * 7) % 9) as i64;
+                t.procs[p].push(
+                    Time::from_us(*now_p + skew),
+                    EventKind::CollEnd {
+                        op: CollOp::Allreduce,
+                        comm: CommId::WORLD,
+                        root: None,
+                        bytes: 8,
+                    },
+                );
+            }
+        }
+    }
+    t
+}
+
 /// Assert two traces agree event-for-event (timestamps and kinds).
 pub fn assert_identical(seq: &Trace, par: &Trace, ctx: &str) {
     assert_eq!(seq.n_procs(), par.n_procs(), "{ctx}: proc count");
@@ -420,11 +478,13 @@ pub type Reference = (
 );
 
 /// The reference the production driver is compared against: the paper's
-/// chain composed from the public per-stage reference functions, one after
-/// another on the event records — boxed [`TimestampMap`]s through
-/// `apply_maps`, the per-item `check_*_at` censuses, the map-based
-/// `controlled_logical_clock`, `OnlineCorrector::map_next`. Sequential; no
-/// `DepGraph`, no `CensusPlan`, no `TraceColumns`, no frozen latency table.
+/// chain composed from per-stage reference functions, one after another on
+/// the event records — boxed [`TimestampMap`]s through `apply_maps`, the
+/// per-item `check_*_at` censuses, `OnlineCorrector::map_next`, all public
+/// library functions, and the map-based CLC of [`clc_reference`] (the
+/// library's own `controlled_logical_clock` runs the kernel under test).
+/// Sequential; no `DepGraph`, no `CensusPlan`, no `TraceColumns`, no frozen
+/// latency table.
 /// Rewrites `trace` in place like `synchronize` does; panics on input the
 /// pipeline would reject.
 pub fn reference_synchronize(
@@ -473,11 +533,50 @@ pub fn reference_synchronize(
 
     match (&cfg.method, &cfg.clc) {
         (SyncMethod::Clc, Some(params)) => {
-            let clc = controlled_logical_clock(trace, lmin, params).expect("oracle: CLC runs");
+            let clc = clc_reference::controlled_logical_clock_reference(trace, lmin, params)
+                .expect("oracle: CLC runs");
             (raw, after_presync, Some(census(trace)), Some(clc))
         }
         _ => (raw, after_presync, None, None),
     }
+}
+
+/// Run the library's CLC — the CSR kernel behind its public adapter — and
+/// the map-based oracle on clones of `base` and assert they agree: on the
+/// error, or on every timestamp, the jump sequence in discovery order,
+/// `max_jump`, `events_moved` and `events_total`. On an error the adapter
+/// must also hand its trace back untouched (the oracle does not). Returns
+/// the adapter's result.
+pub fn assert_adapter_matches_oracle(
+    base: &Trace,
+    lmin: &dyn MinLatency,
+    params: &ClcParams,
+    ctx: &str,
+) -> Result<drift_lab::clocksync::ClcReport, drift_lab::clocksync::ClcError> {
+    let mut adapted = base.clone();
+    let got = controlled_logical_clock(&mut adapted, lmin, params);
+    let mut oracle = base.clone();
+    let want = clc_reference::controlled_logical_clock_reference(&mut oracle, lmin, params);
+    match (&got, &want) {
+        (Ok(got), Ok(want)) => {
+            assert_identical(&oracle, &adapted, ctx);
+            let jumps = |r: &drift_lab::clocksync::ClcReport| {
+                r.jumps.iter().map(|j| (j.event, j.size)).collect::<Vec<_>>()
+            };
+            assert_eq!(jumps(got), jumps(want), "{ctx}: jump sequence");
+            assert_eq!(
+                (got.max_jump, got.events_moved, got.events_total),
+                (want.max_jump, want.events_moved, want.events_total),
+                "{ctx}: report"
+            );
+        }
+        (Err(got), Err(want)) => {
+            assert_eq!(got, want, "{ctx}: error");
+            assert_identical(base, &adapted, &format!("{ctx}: trace after {got}"));
+        }
+        _ => panic!("{ctx}: adapter {got:?}, oracle {want:?}"),
+    }
+    got
 }
 
 /// Census totals of one stage, comparable without `PartialEq` on reports.
@@ -651,4 +750,28 @@ pub fn fifo_match_messages(trace: &Trace) -> drift_lab::tracefmt::Matching {
     out.unmatched_sends = pending.values().flatten().map(|&(id, _)| id).collect();
     out.unmatched_sends.sort();
     out
+}
+
+// ------------------------------------------------------------ fingerprints --
+
+/// 64-bit FNV-1a over little-endian `i64` words: the fingerprint the
+/// recorded-output pins are stated in.
+pub fn fnv1a(words: impl IntoIterator<Item = i64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Fingerprints of a CLC run: every timestamp in timeline order, and the
+/// jump sequence (timeline, index, size) in discovery order.
+pub fn clc_fingerprints(trace: &Trace, report: &drift_lab::clocksync::ClcReport) -> (u64, u64) {
+    let times = fnv1a(trace.iter_events().map(|(_, e)| e.time.as_ps()));
+    let jumps = fnv1a(report.jumps.iter().flat_map(|j| {
+        [i64::from(j.event.proc), i64::from(j.event.idx), j.size.as_ps()]
+    }));
+    (times, jumps)
 }

@@ -4,21 +4,24 @@
 //! message and every collective begin→end constraint, with the correct
 //! `l_min` latency, and nothing else — and the CLC must produce
 //! bit-identical output whether it walks the map-based dependency
-//! structure (the reference `controlled_logical_clock`, run by
-//! `common::reference_synchronize`) or the CSR graph (the pipeline's serial
-//! kernels and batched-ring replay). (The fixture generator lives in
-//! `tests/common/mod.rs`.)
+//! structure (the oracle of `tests/common/clc_reference.rs`, run by
+//! `common::reference_synchronize`) or the CSR graph: the kernel inside the
+//! pipeline, and the same kernel behind the public
+//! `controlled_logical_clock`, `_pomp` and `_with_domains` lowerings. (The
+//! fixture generators live in `tests/common/mod.rs`.)
 
 mod common;
 
 use common::{
-    assert_identical, assert_report_matches_reference, directed_latency, drifted_trace,
-    drifted_zoo_trace, graph_edges, reference_edges, reference_synchronize, zoo_latencies,
+    assert_adapter_matches_oracle, assert_identical, assert_report_matches_reference,
+    clc_fingerprints, clc_reference, directed_latency, drifted_trace, drifted_zoo_trace,
+    graph_edges, mixed_trace, reference_edges, reference_synchronize, zoo_latencies,
 };
 use drift_lab::clocksync::{
-    synchronize, ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis,
+    controlled_logical_clock, synchronize, ClcError, ClcParams, DepGraph, PipelineConfig, PreSync,
+    TraceAnalysis,
 };
-use drift_lab::simclock::Time;
+use drift_lab::simclock::{Dur, Time};
 use drift_lab::tracefmt::{
     check_collectives_at, CensusPlan, CollOp, CommId, EventKind, Location, MinLatency,
     ProcessTrace, Rank, ThreadId, Trace, TraceColumns, UniformLatency,
@@ -77,7 +80,7 @@ fn csr_lowers_every_collective_flavour() {
             );
         }
     }
-    let lmin = UniformLatency(drift_lab::simclock::Dur::from_us(3));
+    let lmin = UniformLatency(Dur::from_us(3));
     let analysis = TraceAnalysis::capture(&t).expect("well-formed trace");
     let graph = DepGraph::from_trace(&t, &analysis.matching, &analysis.instances, &lmin);
     let want = reference_edges(&analysis, &lmin);
@@ -222,4 +225,315 @@ fn clc_is_bit_identical_through_maps_and_csr() {
     }
     let floor = (models.len() + 2) * presyncs.len();
     assert!(legs >= floor, "CLC matrix ran only {legs} legs (expected {floor})");
+}
+
+// ------------------------------------- the kernel against the map oracle --
+//
+// `controlled_logical_clock` is match → lower → CSR kernel → scatter; the
+// oracle is the map walker of `common::clc_reference`. These ran inside
+// `clocksync` while it shipped both.
+
+/// Ranks on nodes of `node`, nodes under switches of `switch` ranks; between
+/// switches the latency depends on the direction. Longer than the fixtures'
+/// collectives last, so an end bounded by its *own* begin would jump.
+fn tree_latency(node: u32, switch: u32) -> impl Fn(Rank, Rank) -> Dur {
+    move |from, to| {
+        let (a, b) = (from.0, to.0);
+        Dur::from_us(match (a / node == b / node, a / switch == b / switch) {
+            (true, _) => 25,
+            (_, true) => 50,
+            _ => 90 + i64::from(a / switch > b / switch),
+        })
+    }
+}
+
+const LMIN_4US: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
+
+#[test]
+fn adapter_matches_the_oracle_on_mixed_traces() {
+    for (procs, rounds) in [(2, 8), (5, 17), (8, 25)] {
+        let base = mixed_trace(procs, rounds);
+        let ctx = format!("{procs}x{rounds}");
+        let rep = assert_adapter_matches_oracle(&base, &LMIN_4US, &ClcParams::default(), &ctx);
+        assert!(rep.expect("mixed traces are acyclic").n_jumps() > 0, "{ctx}: nothing to correct");
+    }
+}
+
+#[test]
+fn adapter_matches_the_oracle_forward_only() {
+    let params = ClcParams { backward: false, ..ClcParams::default() };
+    assert_adapter_matches_oracle(&mixed_trace(4, 12), &LMIN_4US, &params, "4x12 forward only")
+        .expect("acyclic");
+}
+
+/// Timestamps pinned to the `i64` edges: the remote bound, the
+/// amortized-gap arithmetic and the backward-window extrapolation all
+/// overflow plain `i64` ops here. Both engines saturate, and agree.
+#[test]
+fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
+    use drift_lab::tracefmt::{RegionId, Tag};
+    let enter = EventKind::Enter { region: RegionId(0) };
+    let mut t = Trace::for_ranks(2);
+    t.procs[0].push(Time::from_ps(i64::MIN + 3), enter);
+    t.procs[0].push(Time::from_ps(i64::MAX - 2), EventKind::Send { to: Rank(1), tag: Tag(0), bytes: 0 });
+    t.procs[1].push(Time::from_ps(i64::MIN), enter);
+    t.procs[1].push(
+        Time::from_ps(i64::MIN + 10),
+        EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
+    );
+    t.procs[1].push(Time::from_ps(i64::MAX - 1), EventKind::Exit { region: RegionId(0) });
+    let rep = assert_adapter_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "i64 edges");
+    assert_eq!(rep.expect("acyclic").n_jumps(), 1);
+}
+
+/// Every allreduce of these cases is evaluated in aggregate by the kernel
+/// (the in-crate twin of this test compares that against the view walk);
+/// the oracle dispatches each end over `deps_of_end`.
+#[test]
+fn aggregated_ends_equal_the_reference() {
+    let flat = |_: Rank, _: Rank| Dur::from_us(40);
+    let cases: [(usize, usize, &dyn MinLatency); 4] = [
+        (2, 9, &flat),
+        (6, 21, &tree_latency(2, 4)),
+        (9, 30, &tree_latency(3, 6)),
+        (24, 13, &tree_latency(4, 8)),
+    ];
+    for (procs, rounds, lmin) in cases {
+        let base = mixed_trace(procs, rounds);
+        let analysis = TraceAnalysis::capture(&base).expect("well-formed trace");
+        let graph = DepGraph::from_trace(&base, &analysis.matching, &analysis.instances, lmin);
+        let classed = graph.coll_table().instances().filter(|i| i.block.classes().is_some()).count();
+        assert_eq!(classed, analysis.instances.len(), "{procs}x{rounds}: every allreduce is classed");
+        for backward in [true, false] {
+            let params = ClcParams { backward, ..ClcParams::default() };
+            let ctx = format!("{procs}x{rounds} backward {backward}");
+            let rep = assert_adapter_matches_oracle(&base, lmin, &params, &ctx).expect("acyclic");
+            assert!(rep.n_jumps() > 0, "{ctx}: nothing to correct");
+        }
+    }
+}
+
+/// Collective begins within 1 % of the `i64` edges: the class maximum plus
+/// latency saturates exactly where the oracle's per-edge terms do.
+#[test]
+fn aggregated_ends_saturate_like_the_reference() {
+    let near = i64::MAX / 100;
+    let begins = [i64::MAX - 3, i64::MIN + near, i64::MAX - near, i64::MIN + 1, 17];
+    let mut t = Trace::for_ranks(begins.len());
+    for (p, &at) in begins.iter().enumerate() {
+        let (op, comm, root) = (CollOp::Alltoall, CommId::WORLD, None);
+        t.procs[p].push(Time::from_ps(at), EventKind::CollBegin { op, comm, root, bytes: 0 });
+        t.procs[p].push(
+            Time::from_ps(at.saturating_add(5)),
+            EventKind::CollEnd { op, comm, root, bytes: 0 },
+        );
+    }
+    let lmin = tree_latency(2, 4);
+    for backward in [true, false] {
+        let params = ClcParams { backward, ..ClcParams::default() };
+        assert_adapter_matches_oracle(&t, &lmin, &params, "i64 edges").expect("acyclic");
+        let mut fixed = t.clone();
+        controlled_logical_clock(&mut fixed, &lmin, &params).expect("acyclic");
+        assert_eq!(fixed.procs[4].events[1].time, Time::MAX, "the late begins saturate the early end");
+    }
+}
+
+/// A cycle is the same error from both; the adapter's trace comes back
+/// untouched (asserted by the helper), the oracle's half-corrected.
+#[test]
+fn cyclic_trace_is_the_same_error_from_adapter_and_oracle() {
+    use drift_lab::tracefmt::Tag;
+    let send = |to, tag| EventKind::Send { to: Rank(to), tag: Tag(tag), bytes: 0 };
+    let recv = |from, tag| EventKind::Recv { from: Rank(from), tag: Tag(tag), bytes: 0 };
+    let mut t = Trace::for_ranks(2);
+    for (p, at, kind) in [
+        (0, 100, send(1, 0)),
+        (0, 110, recv(1, 1)),
+        (0, 120, send(1, 2)),
+        (1, 50, recv(0, 0)),
+        (1, 60, recv(0, 2)),
+        (1, 70, send(0, 1)),
+    ] {
+        t.procs[p].push(Time::from_us(at), kind);
+    }
+    let err = assert_adapter_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "cycle");
+    assert_eq!(err.unwrap_err(), ClcError::CyclicTrace);
+}
+
+/// The graph's public views against the edges the oracle's dependency maps
+/// imply: each receive's message edge plus each collective end's
+/// `deps_of_end` begins — in-edge view, out-edge view and edge count.
+#[test]
+fn csr_edges_match_deps_reference() {
+    use std::collections::BTreeSet;
+    for (procs, rounds) in [(2, 5), (4, 12), (7, 21)] {
+        let t = mixed_trace(procs, rounds);
+        let analysis = TraceAnalysis::capture(&t).expect("well-formed trace");
+        let graph = DepGraph::from_trace(&t, &analysis.matching, &analysis.instances, &LMIN_4US);
+        let deps = clc_reference::deps_from_parts(&analysis.matching, &analysis.instances);
+        let rank_of = |id: drift_lab::tracefmt::EventId| t.procs[id.p()].location.rank;
+        let mut want: BTreeSet<common::Edge> = BTreeSet::new();
+        for (&recv, &(send, from)) in &deps.send_of {
+            let lat = LMIN_4US.l_min(from, rank_of(recv)).as_ps();
+            want.insert((send.proc, send.idx, recv.proc, recv.idx, lat));
+        }
+        for (&end, &(inst, pos)) in &deps.end_info {
+            let inst = &deps.insts[inst];
+            for j in inst.deps_of_end(pos) {
+                let (jrank, jbegin, _) = inst.members[j];
+                let lat = LMIN_4US.l_min(jrank, rank_of(end)).as_ps();
+                want.insert((jbegin.proc, jbegin.idx, end.proc, end.idx, lat));
+            }
+        }
+        let (via_in, via_out) = graph_edges(&t, &graph);
+        assert_eq!(via_in, want, "{procs}x{rounds} in-edge set");
+        assert_eq!(via_out, want, "{procs}x{rounds} out-edge set");
+        assert_eq!(graph.n_edges(), want.len());
+    }
+}
+
+/// `pop_batch`'s own input (the benchmark's seed-2008 POP run, linearly
+/// presynced; 166 400 events) under the three parameter sets the callers
+/// outside the pipeline use.
+#[test]
+fn adapter_matches_the_oracle_on_the_pop_batch_input() {
+    use drift_lab::clocksync::{apply_maps, LinearInterpolation, TimestampMap};
+    use drift_lab::experiments::fig7::{pop_program, traced_run};
+    // `benchmark/src/workloads.rs::derive(2008, 1)`.
+    let seed = {
+        let golden = 0x9E37_79B9_7F4A_7C15u64;
+        let mut z = (2008 ^ golden).wrapping_add(golden);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let (program, duration, compression) = pop_program(20);
+    let run = traced_run(&program, duration, compression, seed);
+    let cluster = &run.cluster;
+    let lmin = |a: Rank, b: Rank| cluster.l_min(a, b, 0);
+    let maps: Vec<Box<dyn TimestampMap>> = run
+        .init
+        .iter()
+        .zip(&run.fin)
+        .map(|pair| -> Box<dyn TimestampMap> {
+            match pair {
+                (Some(a), Some(b)) => Box::new(LinearInterpolation::new(a, b)),
+                _ => Box::new(drift_lab::clocksync::IdentityMap),
+            }
+        })
+        .collect();
+    let mut presynced = run.trace;
+    apply_maps(&mut presynced, &maps);
+    assert_eq!(presynced.n_events(), 166_400);
+    // 8 407 is also the benchmark's `clc.jumps` for this workload.
+    for (name, params, jumps) in [
+        ("default", ClcParams::default(), 8_407),
+        ("forward only", ClcParams { backward: false, ..ClcParams::default() }, 8_407),
+        ("mu 1", ClcParams { mu: 1.0, ..ClcParams::default() }, 935),
+    ] {
+        let rep = assert_adapter_matches_oracle(&presynced, &lmin, &params, name).expect("acyclic");
+        assert_eq!(rep.n_jumps(), jumps, "{name}");
+    }
+}
+
+// -------------------------------- outputs recorded before the lowerings --
+
+/// `controlled_logical_clock_pomp` lowers its constraint list onto the CSR
+/// forward kernel. What it must reproduce is the output of the hash-map
+/// walker it replaced, recorded at the last commit that had it: FNV-1a
+/// fingerprints of every corrected timestamp and of the jump sequence, and
+/// the report's counts, for three OpenMP benchmark runs × two μ.
+#[test]
+fn pomp_lowering_reproduces_the_recorded_walker_output() {
+    use drift_lab::clocksync::{controlled_logical_clock_pomp, pomp_constraints};
+    /// Per μ ∈ {0.99, 0.9}: (times, jumps, n_jumps, max_jump ps, moved).
+    type Pin = (u64, u64, usize, i64, usize);
+    struct Run {
+        input: (usize, usize, u64),
+        events: usize,
+        constraints: usize,
+        per_mu: [Pin; 2],
+    }
+    let pins = [
+        Run {
+            input: (4, 300, 42),
+            events: 5_400,
+            constraints: 6_000,
+            per_mu: [
+                (0xa05d_2602_8748_f058, 0x3ff9_7703_9dd1_9caf, 177, 1_170_000, 397),
+                (0x60ec_1908_66f9_05be, 0x2fbb_1127_c1b7_0456, 178, 1_170_000, 185),
+            ],
+        },
+        Run {
+            input: (8, 300, 7),
+            events: 10_200,
+            constraints: 21_600,
+            per_mu: [
+                (0xf1b3_a78e_f5fe_ed51, 0x9985_298a_7e91_aefd, 65, 1_435_000, 161),
+                (0x0e9a_4ead_e488_ad09, 0x9985_298a_7e91_aefd, 65, 1_435_000, 67),
+            ],
+        },
+        Run {
+            input: (16, 2000, 2008),
+            events: 132_000,
+            constraints: 544_000,
+            per_mu: [
+                (0x0923_0205_0deb_21c0, 0x1800_37d9_f709_7bdb, 86, 1_305_000, 103),
+                (0x0905_c61a_d33e_4278, 0x1800_37d9_f709_7bdb, 86, 1_305_000, 86),
+            ],
+        },
+    ];
+    let d_min = Dur::from_ns(100);
+    for Run { input: (threads, regions, seed), events, constraints, per_mu } in pins {
+        let base = drift_lab::workloads::run_benchmark(threads, regions, seed);
+        assert_eq!(base.n_events(), events);
+        assert_eq!(pomp_constraints(&base, d_min).expect("well-formed").len(), constraints);
+        for (mu, (times, jumps, n_jumps, max_jump, moved)) in [0.99, 0.9].into_iter().zip(per_mu) {
+            let ctx = format!("run_benchmark({threads}, {regions}, {seed}), mu {mu}");
+            let mut t = base.clone();
+            let params = ClcParams { mu, ..ClcParams::default() };
+            let rep = controlled_logical_clock_pomp(&mut t, d_min, &params).expect("acyclic");
+            assert_eq!(clc_fingerprints(&t, &rep), (times, jumps), "{ctx}");
+            assert_eq!(
+                (rep.n_jumps(), rep.max_jump.as_ps(), rep.events_moved, rep.events_total),
+                (n_jumps, max_jump, moved, events),
+                "{ctx}"
+            );
+        }
+    }
+}
+
+/// `controlled_logical_clock_with_domains` on the fixture of its unit tests
+/// (clock-mates 0 and 1 with parallel local activity, a violated message
+/// from the remote timeline 2 landing mid-stream on 0), recorded while its
+/// phase 1 ran the map walker and its phase 3 re-matched and re-lowered
+/// the trace. (The same pin on the `clc_variants/domain_aware` bench corpus
+/// lives beside that fixture, in `crates/bench/src/lib.rs`.)
+#[test]
+fn domain_clc_reproduces_its_recorded_output() {
+    use drift_lab::clocksync::controlled_logical_clock_with_domains;
+    use drift_lab::tracefmt::{RegionId, Tag};
+    let enter = EventKind::Enter { region: RegionId(0) };
+    let mut base = Trace::for_ranks(3);
+    for k in (0..10i64).chain(11..40) {
+        if k == 11 {
+            base.procs[2]
+                .push(Time::from_us(250), EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 });
+            base.procs[0]
+                .push(Time::from_us(100), EventKind::Recv { from: Rank(2), tag: Tag(0), bytes: 0 });
+        }
+        base.procs[0].push(Time::from_us(k * 10), enter);
+        base.procs[1].push(Time::from_us(k * 10), enter);
+    }
+    let forward_only = ClcParams { backward: false, ..ClcParams::default() };
+    for (params, times, moved) in [
+        (ClcParams::default(), 0x2e7c_d9b5_fdfc_9b8e_u64, 69),
+        (forward_only, 0x5c25_9aa6_4ec5_afbc, 59),
+    ] {
+        let mut t = base.clone();
+        let rep = controlled_logical_clock_with_domains(&mut t, &LMIN_4US, &params, &[0, 0, 1])
+            .expect("acyclic");
+        assert_eq!(clc_fingerprints(&t, &rep), (times, 0xd196_bf93_7ec8_64d3));
+        assert_eq!((rep.n_jumps(), rep.max_jump, rep.events_moved), (1, Dur::from_us(154), moved));
+    }
 }

@@ -4,8 +4,7 @@
 //! the reference chain (`common::reference_synchronize`) across the
 //! presync grid and for the online method, and to the same job
 //! run in process for incremental mode, under contention, and around
-//! mid-job client disconnects. The router test pins that placement
-//! (including work stealing) never changes results.
+//! mid-job client disconnects.
 
 mod common;
 
@@ -14,16 +13,15 @@ use drift_lab::clocksync::{
     synchronize, synchronize_stream_incremental, OffsetMeasurement, PipelineConfig, PreSync,
 };
 use drift_lab::syncd::{
-    chunked, Counter, Fault, FaultInjector, JobInput, JobRouter, JobSpec, NetServer,
-    NetServerConfig, RouterConfig, ServiceConfig, TenantConfig,
+    chunked, Counter, Fault, FaultInjector, NetServer, NetServerConfig, ServiceConfig,
+    TenantConfig,
 };
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency, WireMode};
 use drift_lab::tracefmt::io::{
     from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
 };
-use drift_lab::tracefmt::{MinLatency, UniformLatency};
-use std::sync::Arc;
+use drift_lab::tracefmt::UniformLatency;
 use std::time::Duration;
 
 const PRESYNCS: [PreSync; 2] = [PreSync::AlignOnly, PreSync::Linear];
@@ -373,67 +371,6 @@ fn loopback_mid_job_disconnects_release_everything() {
     let returned = from_binary_columnar(out.stream.concat().into()).expect("decode");
     assert_identical(&direct, &returned, "job after disconnects");
     server.shutdown();
-}
-
-/// Pile every job onto one hash-ring node with a single hot key: the
-/// balancer must move work to the idle node, and every result must be
-/// bit-identical to the direct run regardless of where it executed.
-#[test]
-fn router_steals_work_and_placement_never_changes_bits() {
-    let (trace, init, fin, lmin) = drifted_trace(3, 400, "randomwalk", 21);
-    let cfg = PipelineConfig::default();
-    let mut direct = trace.clone();
-    synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct");
-
-    let router = JobRouter::start(RouterConfig {
-        nodes: 2,
-        replicas: 64,
-        steal_interval: Duration::from_millis(1),
-        steal_threshold: 2,
-        node: ServiceConfig {
-            executors: 1,
-            queue_capacity: 64,
-            ..ServiceConfig::default()
-        },
-    });
-    // A key pinned to node 0 — all jobs hash there; only stealing can
-    // move any of them to node 1.
-    let hot = (0..)
-        .map(|i| format!("hot-{i}"))
-        .find(|k| router.node_for(k) == 0)
-        .expect("some key lands on node 0");
-
-    let lmin_arc: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
-    let handles: Vec<_> = (0..24)
-        .map(|_| {
-            router
-                .submit_keyed(
-                    &hot,
-                    JobSpec::new(
-                        JobInput::Trace(trace.clone()),
-                        init.clone(),
-                        Some(fin.clone()),
-                        Arc::clone(&lmin_arc),
-                        cfg.clone(),
-                    ),
-                )
-                .expect("router admits the job")
-        })
-        .collect();
-
-    for (i, h) in handles.into_iter().enumerate() {
-        let ok = h
-            .wait()
-            .unwrap_or_else(|f| panic!("routed job {i} failed: {}", f.error));
-        assert_identical(&direct, &ok.trace, &format!("routed job {i}"));
-    }
-    assert!(
-        router.rebalances() > 0,
-        "a 24-deep queue next to an idle node must trigger stealing"
-    );
-    let stolen = router.metrics(1).counter(Counter::RouterSteals);
-    assert!(stolen > 0, "node 1 should have received stolen tickets");
-    router.shutdown();
 }
 
 /// An online-method job over the socket: the method byte, Kalman tuning

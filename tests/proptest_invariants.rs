@@ -1,5 +1,7 @@
 //! Property-based invariants on the core data structures and algorithms.
 
+mod common;
+
 use drift_lab::clocksync::{controlled_logical_clock, ClcParams, LinearInterpolation,
     OffsetMeasurement, PreSync, TimestampMap};
 use drift_lab::prelude::*;
@@ -15,13 +17,21 @@ use std::sync::Arc;
 /// are generated on a true timeline, then per-process clock skews corrupt
 /// the recorded timestamps (which is exactly how real violations arise).
 fn arb_skewed_trace() -> impl Strategy<Value = (Trace, i64)> {
+    arb_skewed_trace_with_barriers(None)
+}
+
+/// [`arb_skewed_trace`] with a world barrier after every `barrier_every`-th
+/// message, entered and left on the same true timeline.
+fn arb_skewed_trace_with_barriers(
+    barrier_every: Option<usize>,
+) -> impl Strategy<Value = (Trace, i64)> {
     (
         2usize..6,
         5usize..40,
         prop::collection::vec(-300i64..300, 6),
         1i64..20,
     )
-        .prop_map(|(procs, msgs, skews, lmin_us)| {
+        .prop_map(move |(procs, msgs, skews, lmin_us)| {
             let mut trace = Trace::for_ranks(procs);
             let mut now = vec![0i64; procs];
             for m in 0..msgs {
@@ -42,6 +52,22 @@ fn arb_skewed_trace() -> impl Strategy<Value = (Trace, i64)> {
                     Time::from_us(recv_true + skews[to]),
                     EventKind::Recv { from: Rank(from as u32), tag: Tag(m as u32), bytes: 8 },
                 );
+                if barrier_every.is_some_and(|every| m % every == every - 1) {
+                    let (op, comm, root, bytes) = (CollOp::Barrier, CommId::WORLD, None, 0);
+                    let last_in = *now.iter().max().expect("non-empty") + 1 + (m as i64 * 3) % 7;
+                    for (p, now_p) in now.iter_mut().enumerate() {
+                        let begin = (*now_p + 1).max(last_in - (p as i64 * 11) % 9);
+                        *now_p = last_in + lmin_us + (p as i64 * 5) % 4;
+                        trace.procs[p].push(
+                            Time::from_us(begin + skews[p]),
+                            EventKind::CollBegin { op, comm, root, bytes },
+                        );
+                        trace.procs[p].push(
+                            Time::from_us(*now_p + skews[p]),
+                            EventKind::CollEnd { op, comm, root, bytes },
+                        );
+                    }
+                }
             }
             (trace, lmin_us)
         })
@@ -91,16 +117,23 @@ proptest! {
         }
     }
 
-    /// The map-based CLC is the oracle of the pipeline's CSR kernel: on a
-    /// random trace both leave the same timestamps.
+    /// Adapter ≡ oracle ≡ pipeline: the map-based CLC of `tests/common` is
+    /// the oracle of the CSR kernel, which runs behind the public
+    /// `controlled_logical_clock` and inside `synchronize`. On a random
+    /// trace with barriers all three leave the same timestamps, and the
+    /// first two the same report.
     #[test]
-    fn pipeline_clc_equals_the_map_oracle((trace, lmin_us) in arb_skewed_trace()) {
+    fn pipeline_clc_equals_the_map_oracle(
+        (trace, lmin_us) in arb_skewed_trace_with_barriers(Some(4)),
+    ) {
         let lmin = UniformLatency(Dur::from_us(lmin_us));
         let params = ClcParams::default();
         let n = trace.n_procs();
-        let mut oracle = trace.clone();
+        let rep = common::assert_adapter_matches_oracle(&trace, &lmin, &params, "adapter vs oracle");
+        prop_assert!(rep.is_ok(), "a causally valid trace is acyclic: {rep:?}");
+        let mut adapted = trace.clone();
+        controlled_logical_clock(&mut adapted, &lmin, &params).unwrap();
         let mut piped = trace;
-        controlled_logical_clock(&mut oracle, &lmin, &params).unwrap();
         let cfg = drift_lab::clocksync::PipelineConfig {
             presync: PreSync::None,
             clc: Some(params),
@@ -108,7 +141,7 @@ proptest! {
         };
         drift_lab::clocksync::synchronize(&mut piped, &vec![None; n], None, &lmin, &cfg).unwrap();
         for p in 0..n {
-            prop_assert_eq!(&oracle.procs[p].events, &piped.procs[p].events);
+            prop_assert_eq!(&adapted.procs[p].events, &piped.procs[p].events);
         }
     }
 
