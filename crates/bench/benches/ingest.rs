@@ -1,38 +1,30 @@
 //! Ingest throughput: how fast trace bytes become a pipeline-ready trace.
 //!
-//! Three decoders are measured over the same ≥100k-event trace, each ending
-//! in the state the columnar pipeline starts from (a [`Trace`] plus its
-//! gathered timestamp [`TraceColumns`]):
+//! Both layouts of the columnar format are decoded from the same
+//! ≥100k-event trace, each run ending in the state the pipeline starts
+//! from (a [`Trace`] plus its gathered timestamp [`TraceColumns`]):
 //!
-//! * `v1_full` — the v1 record-stream binary: materialize the whole
-//!   `Vec<EventRecord>` trace from one contiguous buffer, then gather the
-//!   timestamp columns;
-//! * `v2_full` — the blocked columnar binary decoded in one call;
-//! * `v2_streamed` — the same bytes fed to the incremental
+//! * `v2_full` / `v3_full` — one call over one contiguous buffer;
+//! * `v2_streamed` / `v3_streamed` — the same bytes fed to the incremental
 //!   [`StreamDecoder`] in bounded chunks, the way `synchronize_stream`
-//!   ingests: timestamp columns fall out of the block frames directly;
-//! * `v3_full` / `v3_streamed` — the `DTC3` variant through the same two
-//!   paths: 8-aligned little-endian timestamp segments reinterpreted in
-//!   bulk and a fixed-stride payload decoded without per-field bounds
-//!   checks;
-//! * `v2_times` / `v3_times` — the re-ingest lane ([`TimesBuilder`]):
-//!   only the timestamp columns are decoded, the path a consumer takes
-//!   over stored bytes whose order-based analysis is already cached. On
-//!   v3 this is zero-copy end to end (aligned segments bulk-cast into
-//!   columns, payloads skipped) and gates the format: it must ingest at
-//!   least 2x as fast as the full `v2_streamed` decode.
+//!   ingests: timestamp columns fall out of the block frames directly.
+//!
+//! The rates are report-only: what they feed is the facts table of
+//! DESIGN.md §14 (which layout stays is an open question there), and the
+//! end-to-end benchmark judges the decoder where it sits in a job. What
+//! this run *asserts* holds on any host: every decode path returns the
+//! source trace and its columns, and v3 costs 25–40 % more bytes than v2.
 //!
 //! Run with `cargo bench -p bench --bench ingest` (add `-- --test` for the
-//! CI smoke run: fewer repetitions, same report). Either way the events/sec
-//! summary is written to `BENCH_ingest.json` at the repository root.
+//! CI smoke run: fewer repetitions, same report). Either way the summary is
+//! written to `BENCH_ingest.json` at the repository root.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simclock::Time;
 use std::time::{Duration, Instant};
 use tracefmt::io::{
-    from_binary, from_binary_columnar, to_binary, to_binary_columnar, to_binary_columnar_v3,
-    StreamDecoder, TimesBuilder, TraceBuilder,
+    from_binary_columnar, to_binary_columnar, to_binary_columnar_v3, StreamDecoder, TraceBuilder,
 };
 use tracefmt::{EventKind, Rank, Tag, Trace, TraceColumns};
 
@@ -88,6 +80,25 @@ fn events_per_sec(n_events: usize, took: Duration) -> f64 {
     n_events as f64 / took.as_secs_f64()
 }
 
+fn same_trace(a: &Trace, b: &Trace) -> bool {
+    a.procs.len() == b.procs.len()
+        && a.procs.iter().zip(&b.procs).all(|(x, y)| {
+            x.location == y.location && x.events == y.events
+        })
+}
+
+/// The streamed decode path: bounded chunks through the incremental
+/// decoder; the timestamp columns come straight out of the block frames.
+fn streamed(bytes: &[u8]) -> (Trace, TraceColumns) {
+    let mut dec = StreamDecoder::new();
+    let mut builder = TraceBuilder::new();
+    for chunk in bytes.chunks(STREAM_CHUNK) {
+        dec.feed_into(chunk, &mut builder).expect("stream decodes");
+    }
+    dec.finish().expect("stream complete");
+    builder.finish_parts()
+}
+
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let iters = if test_mode { 3 } else { 15 };
@@ -95,121 +106,53 @@ fn main() {
     let trace = big_trace(7);
     let n_events = trace.n_events();
     assert!(n_events >= 100_000, "bench trace too small: {n_events}");
-    let v1_bytes = to_binary(&trace);
+    let columns = TraceColumns::gather(&trace);
     let v2_bytes = to_binary_columnar(&trace);
     let v3_bytes = to_binary_columnar_v3(&trace);
 
-    // v1: full materialization from one contiguous buffer, then gather.
-    let t_v1 = best_of(iters, || {
-        let t = from_binary(v1_bytes.clone()).expect("v1 decodes");
-        let cols = TraceColumns::gather(&t);
-        (t, cols)
-    });
+    // Machine-independent facts first: every path decodes to the source.
+    for (layout, bytes) in [("v2", &v2_bytes), ("v3", &v3_bytes)] {
+        let full = from_binary_columnar(bytes.clone()).expect("columnar decodes");
+        assert!(same_trace(&full, &trace), "{layout} full decode differs from the source trace");
+        let (chunked, cols) = streamed(bytes);
+        assert!(same_trace(&chunked, &trace), "{layout} streamed decode differs from the source");
+        assert!(cols == columns, "{layout} streamed columns differ from a gather of the source");
+    }
+    let byte_ratio = v3_bytes.len() as f64 / v2_bytes.len() as f64;
+    assert!(
+        (1.25..=1.40).contains(&byte_ratio),
+        "v3 must cost 25-40 % more bytes than v2 on a message trace, got {byte_ratio:.3}x"
+    );
 
-    // v2: one-shot decode of the blocked columnar format.
-    let t_v2_full = best_of(iters, || {
-        from_binary_columnar(v2_bytes.clone()).expect("columnar decodes")
-    });
+    let full = |bytes: &_| {
+        let took = best_of(iters, || from_binary_columnar(Clone::clone(bytes)).expect("decodes"));
+        events_per_sec(n_events, took)
+    };
+    let chunked = |bytes: &[u8]| events_per_sec(n_events, best_of(iters, || streamed(bytes)));
+    let (eps_v2_full, eps_v2_stream) = (full(&v2_bytes), chunked(&v2_bytes));
+    let (eps_v3_full, eps_v3_stream) = (full(&v3_bytes), chunked(&v3_bytes));
 
-    // v2 streamed: bounded chunks through the incremental decoder; the
-    // timestamp columns come straight out of the block frames.
-    let t_v2_stream = best_of(iters, || {
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for chunk in v2_bytes.chunks(STREAM_CHUNK) {
-            dec.feed_into(chunk, &mut builder).expect("stream decodes");
-        }
-        dec.finish().expect("stream complete");
-        builder.finish_parts()
-    });
-
-    // v3: the same two decode paths over the aligned little-endian frames.
-    let t_v3_full = best_of(iters, || {
-        from_binary_columnar(v3_bytes.clone()).expect("v3 decodes")
-    });
-    let t_v3_stream = best_of(iters, || {
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for chunk in v3_bytes.chunks(STREAM_CHUNK) {
-            dec.feed_into(chunk, &mut builder).expect("v3 stream decodes");
-        }
-        dec.finish().expect("v3 stream complete");
-        builder.finish_parts()
-    });
-
-    // Times-only re-ingest: the decoder skips every payload segment and
-    // builds just the columns. v2 still byteswaps each big-endian
-    // timestamp; v3 bulk-reinterprets its aligned little-endian runs.
-    let t_v2_times = best_of(iters, || {
-        let mut dec = StreamDecoder::new();
-        let mut builder = TimesBuilder::new();
-        for chunk in v2_bytes.chunks(STREAM_CHUNK) {
-            dec.feed_times_into(chunk, &mut builder).expect("v2 times decode");
-        }
-        dec.finish().expect("v2 times complete");
-        builder.finish()
-    });
-    let t_v3_times = best_of(iters, || {
-        let mut dec = StreamDecoder::new();
-        let mut builder = TimesBuilder::new();
-        for chunk in v3_bytes.chunks(STREAM_CHUNK) {
-            dec.feed_times_into(chunk, &mut builder).expect("v3 times decode");
-        }
-        dec.finish().expect("v3 times complete");
-        builder.finish()
-    });
-
-    let eps_v1 = events_per_sec(n_events, t_v1);
-    let eps_v2_full = events_per_sec(n_events, t_v2_full);
-    let eps_v2_stream = events_per_sec(n_events, t_v2_stream);
-    let eps_v3_full = events_per_sec(n_events, t_v3_full);
-    let eps_v3_stream = events_per_sec(n_events, t_v3_stream);
-    let eps_v2_times = events_per_sec(n_events, t_v2_times);
-    let eps_v3_times = events_per_sec(n_events, t_v3_times);
-    let speedup = eps_v2_stream / eps_v1;
-    let v3_speedup = eps_v3_times / eps_v2_stream;
-
-    println!("ingest: {n_events} events, v1 {} bytes, v2 {} bytes", v1_bytes.len(), v2_bytes.len());
-    println!("  v1_full      {:>12.0} events/s  ({t_v1:?})", eps_v1);
-    println!("  v2_full      {:>12.0} events/s  ({t_v2_full:?})", eps_v2_full);
-    println!("  v2_streamed  {:>12.0} events/s  ({t_v2_stream:?})", eps_v2_stream);
-    println!("  v3_full      {:>12.0} events/s  ({t_v3_full:?})", eps_v3_full);
-    println!("  v3_streamed  {:>12.0} events/s  ({t_v3_stream:?})", eps_v3_stream);
-    println!("  v2_times     {:>12.0} events/s  ({t_v2_times:?})", eps_v2_times);
-    println!("  v3_times     {:>12.0} events/s  ({t_v3_times:?})", eps_v3_times);
-    println!("  streamed/v1 speedup: {speedup:.2}x");
-    println!("  v3 zero-copy ingest / v2 streamed decode speedup: {v3_speedup:.2}x");
+    println!(
+        "ingest: {n_events} events, v2 {} bytes, v3 {} bytes ({byte_ratio:.3}x)",
+        v2_bytes.len(),
+        v3_bytes.len()
+    );
+    println!("  v2_full      {eps_v2_full:>12.0} events/s");
+    println!("  v2_streamed  {eps_v2_stream:>12.0} events/s");
+    println!("  v3_full      {eps_v3_full:>12.0} events/s");
+    println!("  v3_streamed  {eps_v3_stream:>12.0} events/s");
 
     let json = format!(
-        "{{\n  \"n_events\": {n_events},\n  \"v1_bytes\": {},\n  \"v2_bytes\": {},\n  \
-         \"v3_bytes\": {},\n  \
-         \"v1_full_events_per_sec\": {eps_v1:.0},\n  \
+        "{{\n  \"n_events\": {n_events},\n  \"v2_bytes\": {},\n  \"v3_bytes\": {},\n  \
+         \"v3_over_v2_bytes\": {byte_ratio:.3},\n  \
          \"v2_full_events_per_sec\": {eps_v2_full:.0},\n  \
          \"v2_streamed_events_per_sec\": {eps_v2_stream:.0},\n  \
          \"v3_full_events_per_sec\": {eps_v3_full:.0},\n  \
-         \"v3_streamed_events_per_sec\": {eps_v3_stream:.0},\n  \
-         \"v2_times_events_per_sec\": {eps_v2_times:.0},\n  \
-         \"v3_times_events_per_sec\": {eps_v3_times:.0},\n  \
-         \"streamed_over_v1_speedup\": {speedup:.3},\n  \
-         \"v3_ingest_over_v2_streamed_speedup\": {v3_speedup:.3}\n}}\n",
-        v1_bytes.len(),
+         \"v3_streamed_events_per_sec\": {eps_v3_stream:.0}\n}}\n",
         v2_bytes.len(),
         v3_bytes.len(),
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
     std::fs::write(out, json).expect("write BENCH_ingest.json");
     println!("wrote {out}");
-
-    assert!(
-        speedup >= 1.5,
-        "chunked columnar ingest must be >= 1.5x v1 full decode, got {speedup:.2}x"
-    );
-    assert!(
-        v3_speedup >= 2.0,
-        "zero-copy v3 ingest must be >= 2x the full v2 streamed decode, got {v3_speedup:.2}x"
-    );
-    assert!(
-        eps_v3_times > eps_v2_times,
-        "v3's aligned bulk cast must beat v2's per-element byteswap on the times-only lane"
-    );
 }

@@ -1,8 +1,8 @@
-//! Trace I/O throughput: text/binary codecs and on-disk archives.
+//! Trace I/O throughput: text and columnar codecs and on-disk archives.
 
 use bench::skewed_trace;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tracefmt::io::{from_binary, from_text, to_binary, to_text};
+use tracefmt::io::{from_binary_columnar, from_text, to_binary_columnar_v3, to_text};
 use tracefmt::{EventKind, Tag};
 
 fn bench_codecs(c: &mut Criterion) {
@@ -13,10 +13,10 @@ fn bench_codecs(c: &mut Criterion) {
     g.bench_function("text_encode", |b| b.iter(|| to_text(&trace).len()));
     let text = to_text(&trace);
     g.bench_function("text_decode", |b| b.iter(|| from_text(&text).unwrap().n_events()));
-    g.bench_function("binary_encode", |b| b.iter(|| to_binary(&trace).len()));
-    let bin = to_binary(&trace);
-    g.bench_function("binary_decode", |b| {
-        b.iter(|| from_binary(bin.clone()).unwrap().n_events())
+    g.bench_function("columnar_encode", |b| b.iter(|| to_binary_columnar_v3(&trace).len()));
+    let bin = to_binary_columnar_v3(&trace);
+    g.bench_function("columnar_decode", |b| {
+        b.iter(|| from_binary_columnar(bin.clone()).unwrap().n_events())
     });
     g.finish();
 }

@@ -615,7 +615,8 @@ fn apply_and_emit(
         .collect();
 
     let mut report = ClcReport::default();
-    let (mut writer, magic) = FrameWriter::new(index.version);
+    let mut magic = Vec::new();
+    let mut writer = FrameWriter::new(index.version, &mut magic);
     let mut out = match sink {
         Some(sink) => Emit::Sink { sink, next: 0 },
         None => Emit::Collect(Vec::new()),
@@ -821,7 +822,8 @@ fn apply_and_emit(
                     times.push(v);
                 }
                 let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-                let frame = writer.frame(index.locations[p], &times, payload);
+                let mut frame = Vec::new();
+                writer.frame(&mut frame, index.locations[p], &times, payload);
                 frames += 1;
                 events += bm.n_events as u64;
                 emitted[p] = end;
@@ -858,7 +860,9 @@ fn apply_and_emit(
         }
     }
 
-    out.push(writer.finish())?;
+    let mut trailer = Vec::new();
+    writer.finish(&mut trailer);
+    out.push(trailer)?;
     for p in 0..n {
         orig[p].drain(mem);
         snap[p].drain(mem);
@@ -880,7 +884,8 @@ fn passthrough_emit(
     mem: &mut MemGauge,
     sink: Option<&FrameSink<'_>>,
 ) -> Result<(Vec<Vec<u8>>, usize, u64), PipelineError> {
-    let (mut writer, magic) = FrameWriter::new(index.version);
+    let mut magic = Vec::new();
+    let mut writer = FrameWriter::new(index.version, &mut magic);
     let mut out = match sink {
         Some(sink) => Emit::Sink { sink, next: 0 },
         None => Emit::Collect(Vec::new()),
@@ -902,13 +907,16 @@ fn passthrough_emit(
             maps[p].map_col(&mut times);
         }
         let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-        let frame = writer.frame(index.locations[p], &times, payload);
+        let mut frame = Vec::new();
+        writer.frame(&mut frame, index.locations[p], &times, payload);
         frames += 1;
         events += bm.n_events as u64;
         mem.free(bytes);
         out.push(frame)?;
     }
-    out.push(writer.finish())?;
+    let mut trailer = Vec::new();
+    writer.finish(&mut trailer);
+    out.push(trailer)?;
     Ok((out.into_chunks(), frames, events))
 }
 

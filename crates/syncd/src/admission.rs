@@ -2,14 +2,14 @@
 //! queue.
 //!
 //! Cost estimation is deliberately cheap. For an in-memory trace the
-//! event count is already known; for a DTC2 stream the estimator runs
+//! event count is already known; for a columnar stream the estimator runs
 //! [`estimate_columnar_stream`] — a header-only scan that reads 16 bytes
 //! per block and skips every payload — so admission never decodes (or
 //! allocates for) a stream it is about to reject.
 
 use crate::job::{JobInput, Priority};
 use std::collections::VecDeque;
-use tracefmt::io::estimate_columnar_stream;
+use tracefmt::io::{estimate_columnar_stream, CodecError, ColumnarVersion};
 use tracefmt::EventRecord;
 
 /// Working-set estimate of one job.
@@ -22,12 +22,10 @@ pub struct JobCost {
     /// Whether the estimate saw the whole input (a truncated stream scan
     /// yields a lower bound; the run itself will then fail typed).
     pub complete: bool,
-    /// The stream glues two incompatible wire versions together (a `DTC3`
-    /// magic after a `DTC2` trailer or vice versa). Such input can never
-    /// decode; the service rejects it at submit with a typed
-    /// [`CodecError::MixedVersions`](tracefmt::io::CodecError) instead of
-    /// admitting a job that is guaranteed to burn its whole retry budget.
-    pub mixed: bool,
+    /// The wire version the header scan negotiated from a stream's magic —
+    /// the version a reply to the submitter is encoded in. `None` for an
+    /// in-memory trace (and for bytes that open with no known magic).
+    pub version: Option<ColumnarVersion>,
 }
 
 /// Per-event working-set charge: the decoded record itself plus the
@@ -45,17 +43,23 @@ const PER_EVENT_OVERHEAD: u64 = 32;
 const PER_JOB_BASE: u64 = 16 * 1024;
 
 /// Estimate what admitting `input` will cost, without decoding it.
-pub fn estimate_job_cost(input: &JobInput) -> JobCost {
+///
+/// `Err` is the header scan's verdict on a stream that glues two
+/// incompatible wire versions together ([`CodecError::MixedVersions`]).
+/// Such input can never decode; the service refuses it at submit, typed,
+/// instead of admitting a job that is guaranteed to burn its whole retry
+/// budget. Every other defect is priced — the run answers it.
+pub fn estimate_job_cost(input: &JobInput) -> Result<JobCost, CodecError> {
     let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     match input {
         JobInput::Trace(trace) => {
             let events = trace.n_events() as u64;
-            JobCost {
+            Ok(JobCost {
                 bytes: PER_JOB_BASE + events * record,
                 events,
                 complete: true,
-                mixed: false,
-            }
+                version: None,
+            })
         }
         JobInput::Stream(chunks) => stream_cost(chunks, false),
         JobInput::StreamIncremental { chunks, .. } => stream_cost(chunks, true),
@@ -71,9 +75,12 @@ pub fn estimate_job_cost(input: &JobInput) -> JobCost {
 /// record charge stays — message matching and the dependency graph
 /// (message edges in CSR form, collectives as member rows) are O(events)
 /// structural metadata on that path too.
-fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> JobCost {
+fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> Result<JobCost, CodecError> {
     let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     let est = estimate_columnar_stream(chunks.iter().map(|c| c.as_slice()));
+    if let Some(glued @ CodecError::MixedVersions) = est.error {
+        return Err(glued);
+    }
     // A stream whose headers were unreadable (or cut off) still occupies
     // its own bytes; floor the event estimate on the encoded size so
     // garbage input cannot claim to be free. A *clean* complete scan is
@@ -92,12 +99,12 @@ fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> JobCost {
     } else {
         est.bytes
     };
-    JobCost {
+    Ok(JobCost {
         bytes: PER_JOB_BASE + stream_bytes + events * record,
         events,
         complete: est.complete,
-        mixed: est.mixed,
-    }
+        version: est.version,
+    })
 }
 
 /// One queued entry: the job plus its admission cost (generic so the
@@ -193,10 +200,14 @@ mod tests {
         t
     }
 
+    fn cost_of(input: JobInput) -> JobCost {
+        estimate_job_cost(&input).expect("one wire version")
+    }
+
     #[test]
     fn trace_cost_scales_with_events() {
-        let small = estimate_job_cost(&JobInput::Trace(tiny_trace(10)));
-        let large = estimate_job_cost(&JobInput::Trace(tiny_trace(1000)));
+        let small = cost_of(JobInput::Trace(tiny_trace(10)));
+        let large = cost_of(JobInput::Trace(tiny_trace(1000)));
         assert_eq!(small.events, 20);
         assert_eq!(large.events, 2000);
         assert!(large.bytes > small.bytes);
@@ -207,12 +218,12 @@ mod tests {
     fn stream_cost_comes_from_headers_and_flags_truncation() {
         let trace = tiny_trace(64);
         let bytes = to_binary_columnar_blocked(&trace, 16);
-        let whole = estimate_job_cost(&JobInput::Stream(vec![bytes.to_vec()]));
+        let whole = cost_of(JobInput::Stream(vec![bytes.to_vec()]));
         assert_eq!(whole.events, 128);
         assert!(whole.complete);
 
         let cut = bytes.len() / 2;
-        let truncated = estimate_job_cost(&JobInput::Stream(vec![bytes[..cut].to_vec()]));
+        let truncated = cost_of(JobInput::Stream(vec![bytes[..cut].to_vec()]));
         assert!(!truncated.complete);
         assert!(truncated.bytes > 0);
     }
@@ -221,33 +232,31 @@ mod tests {
     fn v3_stream_cost_comes_from_headers_too() {
         let trace = tiny_trace(64);
         let bytes = to_binary_columnar_v3_blocked(&trace, 16);
-        let cost = estimate_job_cost(&JobInput::Stream(vec![bytes.to_vec()]));
+        let cost = cost_of(JobInput::Stream(vec![bytes.to_vec()]));
         assert_eq!(cost.events, 128);
         assert!(cost.complete);
-        assert!(!cost.mixed);
+        assert_eq!(cost.version, Some(ColumnarVersion::V3));
     }
 
     #[test]
-    fn concatenated_v2_and_v3_streams_are_flagged_mixed() {
+    fn concatenated_v2_and_v3_streams_are_refused() {
         let trace = tiny_trace(8);
-        let mut glued = to_binary_columnar_blocked(&trace, 16).to_vec();
-        glued.extend_from_slice(&to_binary_columnar_v3_blocked(&trace, 16));
-        let cost = estimate_job_cost(&JobInput::Stream(vec![glued]));
-        assert!(cost.mixed);
-        // The other order is just as mixed.
-        let mut glued = to_binary_columnar_v3_blocked(&trace, 16).to_vec();
-        glued.extend_from_slice(&to_binary_columnar_blocked(&trace, 16));
-        assert!(estimate_job_cost(&JobInput::Stream(vec![glued])).mixed);
-        // Same-version self-concatenation is odd but not *mixed*.
         let v2 = to_binary_columnar_blocked(&trace, 16).to_vec();
+        let v3 = to_binary_columnar_v3_blocked(&trace, 16).to_vec();
+        for glued in [[v2.clone(), v3.clone()].concat(), [v3, v2.clone()].concat()] {
+            let refused = estimate_job_cost(&JobInput::Stream(vec![glued]));
+            assert_eq!(refused, Err(CodecError::MixedVersions));
+        }
+        // Same-version self-concatenation is malformed but not *mixed*: it
+        // is priced, and fails in the run.
         let doubled = [v2.clone(), v2].concat();
-        assert!(!estimate_job_cost(&JobInput::Stream(vec![doubled])).mixed);
+        assert!(estimate_job_cost(&JobInput::Stream(vec![doubled])).is_ok());
     }
 
     #[test]
     fn garbage_streams_are_never_free() {
         let garbage = vec![vec![0xAB; 4096]];
-        let cost = estimate_job_cost(&JobInput::Stream(garbage));
+        let cost = cost_of(JobInput::Stream(garbage));
         assert!(!cost.complete);
         assert!(cost.events >= 4096 / 24);
         assert!(cost.bytes > 4096);
@@ -264,7 +273,7 @@ mod tests {
         let mut dirty = valid.clone();
         dirty.extend(std::iter::repeat_n(0xA5u8, 64 * 1024));
         let total = dirty.len() as u64;
-        let cost = estimate_job_cost(&JobInput::Stream(vec![dirty]));
+        let cost = cost_of(JobInput::Stream(vec![dirty]));
         assert!(cost.complete, "trailer was present, scan is complete");
         assert!(
             cost.events >= total / 24,
@@ -273,7 +282,7 @@ mod tests {
             total
         );
         // And it must charge strictly more than the clean stream alone.
-        let clean = estimate_job_cost(&JobInput::Stream(vec![valid]));
+        let clean = cost_of(JobInput::Stream(vec![valid]));
         assert!(cost.bytes > clean.bytes + 64 * 1024);
     }
 
@@ -281,13 +290,13 @@ mod tests {
     fn incremental_job_cost_covers_input_and_output() {
         let trace = tiny_trace(64);
         let chunks = vec![to_binary_columnar_v3_blocked(&trace, 16).to_vec()];
-        let stream = estimate_job_cost(&JobInput::Stream(chunks.clone()));
-        let incremental = estimate_job_cost(&JobInput::StreamIncremental {
+        let stream = cost_of(JobInput::Stream(chunks.clone()));
+        let incremental = cost_of(JobInput::StreamIncremental {
             chunks,
             window_events: 32,
         });
         assert_eq!(incremental.events, stream.events);
-        assert!(incremental.complete && !incremental.mixed);
+        assert!(incremental.complete);
         // The incremental job accumulates corrected output frames on top
         // of its pinned input, so it must be priced above the plain
         // stream job.

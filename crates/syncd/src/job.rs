@@ -259,6 +259,11 @@ pub struct JobSuccess {
     /// job: concatenated, they are a well-formed `DTC2`/`DTC3` stream.
     /// Empty for the other job modes.
     pub frames: Vec<Vec<u8>>,
+    /// The wire version of a stream input, as admission's header scan
+    /// negotiated it from the magic (the run decoded the same bytes by the
+    /// same grammar) — what a reply that re-encodes [`trace`](Self::trace)
+    /// echoes. `None` for a [`JobInput::Trace`] job.
+    pub input_version: Option<tracefmt::io::ColumnarVersion>,
     /// Attempts it took (1 = no retry).
     pub attempts: u32,
     /// Time spent queued before the first attempt.

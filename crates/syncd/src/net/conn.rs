@@ -18,7 +18,9 @@ use syncd_wire::{
     ErrorCode, Frame, FrameScanner, WireError, WireJobConfig, WireJobResult, WireJump,
     WireMode, CHUNK_PAYLOAD, MAGIC, VERSION,
 };
-use tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
+use tracefmt::io::{
+    to_binary_columnar_blocked, to_binary_columnar_v3_blocked, ColumnarVersion,
+};
 
 /// Smallest credit grant worth issuing: below this the per-chunk protocol
 /// overhead dominates and the client would crawl.
@@ -386,7 +388,6 @@ impl<T: Transport> Conn<'_, T> {
         self.shared.release(uploaded);
 
         // ---- build and submit the spec -------------------------------
-        let v3 = chunks.first().is_some_and(|c| c.starts_with(b"DTC3"));
         let pipeline = cfg
             .pipeline_config()
             .map_err(|e| Close::App(ErrorCode::Malformed, e.to_string()))?;
@@ -512,10 +513,10 @@ impl<T: Transport> Conn<'_, T> {
                 if stop_cancel {
                     // The job happened to finish despite the shutdown
                     // cancel; deliver its result, then close.
-                    self.send_success(&success, incremental, v3, sent_frames)?;
+                    self.send_success(&success, incremental, sent_frames)?;
                     Err(Close::Shutdown)
                 } else {
-                    self.send_success(&success, incremental, v3, sent_frames)
+                    self.send_success(&success, incremental, sent_frames)
                 }
             }
             Err(failure) => {
@@ -539,14 +540,15 @@ impl<T: Transport> Conn<'_, T> {
         &mut self,
         success: &JobSuccess,
         incremental: bool,
-        v3: bool,
         sent_frames: u64,
     ) -> Result<(), Close> {
         if !incremental {
-            let bytes = if v3 {
-                to_binary_columnar_v3_blocked(&success.trace, OUT_BLOCK_EVENTS)
-            } else {
-                to_binary_columnar_blocked(&success.trace, OUT_BLOCK_EVENTS)
+            // The reply echoes the version the upload was decoded as.
+            let bytes = match success.input_version {
+                Some(ColumnarVersion::V3) => {
+                    to_binary_columnar_v3_blocked(&success.trace, OUT_BLOCK_EVENTS)
+                }
+                _ => to_binary_columnar_blocked(&success.trace, OUT_BLOCK_EVENTS),
             };
             for slice in bytes.chunks(CHUNK_PAYLOAD.max(1)) {
                 self.send(&Frame::Chunk(slice.to_vec()))?;

@@ -48,6 +48,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use tracefmt::io::ColumnarVersion;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -89,6 +90,8 @@ pub(crate) struct Ticket {
     state: Arc<JobState>,
     submitted: Duration,
     deadline: Option<Duration>,
+    /// What admission's header scan negotiated from the input's magic.
+    input_version: Option<ColumnarVersion>,
 }
 
 pub(crate) struct QueueInner {
@@ -146,13 +149,10 @@ impl Shared {
     /// (or a negative transient between the two).
     pub(crate) fn submit(self: &Arc<Self>, spec: JobSpec) -> Result<JobHandle, SubmitError> {
         let metrics = &self.metrics;
-        let estimate = estimate_job_cost(&spec.input);
-        if estimate.mixed {
+        let estimate = estimate_job_cost(&spec.input).map_err(|refused| {
             metrics.inc(Counter::RejectedMalformed);
-            return Err(SubmitError::MalformedStream(
-                tracefmt::io::CodecError::MixedVersions,
-            ));
-        }
+            SubmitError::MalformedStream(refused)
+        })?;
         let cost = estimate.bytes;
         let budget = self.cfg.memory_budget_bytes;
         let mut inner = self.lock();
@@ -189,6 +189,7 @@ impl Shared {
                     state: Arc::clone(&state),
                     submitted: now,
                     deadline,
+                    input_version: estimate.version,
                 },
                 cost,
             },
@@ -660,6 +661,7 @@ impl JobRun {
                 trace,
                 report,
                 frames,
+                input_version: self.ticket.input_version,
                 attempts: self.attempts,
                 queue_wait: self.queue_wait,
                 run_time: shared.runtime.now().saturating_sub(t0),

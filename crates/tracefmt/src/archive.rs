@@ -7,20 +7,22 @@
 //!
 //! ```text
 //! <dir>/metadata.txt      # version, timeline count, locations
-//! <dir>/timeline_<k>.dtl  # binary event stream of timeline k
+//! <dir>/timeline_<k>.dtc  # binary event stream of timeline k
 //! ```
 //!
-//! Each timeline file is the compact binary codec of [`crate::io`], so the
-//! archive inherits its round-trip and truncation-detection guarantees.
+//! Each timeline file is a complete `DTC3` stream of [`crate::io`] holding
+//! that one timeline, so the archive inherits the codec's round-trip and
+//! truncation-detection guarantees and any of its readers opens a file.
 
-use crate::io::{from_binary, to_binary, CodecError};
+use crate::io::{encode_timeline, from_binary_columnar, CodecError};
 use crate::trace::{ProcessTrace, Trace};
 use std::fs;
-use std::io::{Read, Write};
 use std::path::Path;
 
-/// Archive format version tag.
-const VERSION: u32 = 1;
+/// Archive format version tag. Version 1 stored each timeline as a `DTL1`
+/// record stream, a codec that no longer exists; such directories are
+/// refused by their metadata, not misread.
+const VERSION: u32 = 2;
 
 /// Errors while reading or writing an archive.
 #[derive(Debug)]
@@ -65,13 +67,8 @@ pub fn write_archive(dir: &Path, trace: &Trace) -> Result<(), ArchiveError> {
             pt.location.thread.0,
             pt.events.len()
         ));
-        // One single-timeline trace per file, reusing the binary codec.
-        let single = Trace {
-            procs: vec![pt.clone()],
-        };
-        let bytes = to_binary(&single);
-        let mut f = fs::File::create(dir.join(format!("timeline_{k}.dtl")))?;
-        f.write_all(&bytes)?;
+        let bytes = encode_timeline(pt.location, &pt.events);
+        fs::write(dir.join(format!("timeline_{k}.dtc")), bytes)?;
     }
     fs::write(dir.join("metadata.txt"), meta)?;
     Ok(())
@@ -111,10 +108,9 @@ pub fn read_archive(dir: &Path) -> Result<Trace, ArchiveError> {
         let declared_events: usize = fields[7]
             .parse()
             .map_err(|_| ArchiveError::BadMetadata(format!("line {k}: bad event count")))?;
-        let mut buf = Vec::new();
-        fs::File::open(dir.join(format!("timeline_{k}.dtl")))?.read_to_end(&mut buf)?;
+        let buf = fs::read(dir.join(format!("timeline_{k}.dtc")))?;
         let single =
-            from_binary(buf.into()).map_err(|e| ArchiveError::Codec(k, e))?;
+            from_binary_columnar(buf.into()).map_err(|e| ArchiveError::Codec(k, e))?;
         let pt = single
             .procs
             .into_iter()
@@ -188,7 +184,7 @@ mod tests {
         write_archive(&dir, &sample()).unwrap();
         assert!(dir.join("metadata.txt").exists());
         for k in 0..3 {
-            assert!(dir.join(format!("timeline_{k}.dtl")).exists());
+            assert!(dir.join(format!("timeline_{k}.dtc")).exists());
         }
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -198,7 +194,7 @@ mod tests {
         let dir = scratch_dir("corrupt");
         write_archive(&dir, &sample()).unwrap();
         // Truncate one timeline file.
-        let path = dir.join("timeline_1.dtl");
+        let path = dir.join("timeline_1.dtc");
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..data.len() / 2]).unwrap();
         let err = read_archive(&dir).unwrap_err();
@@ -215,6 +211,31 @@ mod tests {
         fs::write(dir.join("metadata.txt"), tampered).unwrap();
         let err = read_archive(&dir).unwrap_err();
         assert!(matches!(err, ArchiveError::BadMetadata(_)), "{err}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn version_1_directories_are_refused_by_their_metadata() {
+        let dir = scratch_dir("v1");
+        write_archive(&dir, &sample()).unwrap();
+        let meta = fs::read_to_string(dir.join("metadata.txt")).unwrap();
+        fs::write(dir.join("metadata.txt"), meta.replace("version 2", "version 1")).unwrap();
+        match read_archive(&dir).unwrap_err() {
+            ArchiveError::BadMetadata(why) => assert_eq!(why, "unsupported version 1"),
+            other => panic!("want BadMetadata, got {other}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn empty_timelines_survive() {
+        let dir = scratch_dir("empty");
+        let mut t = sample();
+        t.procs[1].events.clear();
+        write_archive(&dir, &t).unwrap();
+        let back = read_archive(&dir).unwrap();
+        assert_eq!(back.procs[1].location, t.procs[1].location);
+        assert!(back.procs[1].events.is_empty());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -8,12 +8,11 @@
 //! *times*. Walking 40-byte records to read 8-byte timestamps wastes most
 //! of every cache line.
 //!
-//! This module splits the timestamp column out. [`TimeColumn`] is a
-//! growable `Vec<i64>` (picoseconds) of one timeline — the codec's decode
-//! buffer, where columns grow block by block in arrival order.
-//! [`TraceColumns`] is the frozen pipeline form: every timeline's
-//! timestamps in **one contiguous slab**, timeline-major, with a bounds
-//! table marking where each column starts. The slab layout is what makes
+//! This module splits the timestamp column out. [`TraceColumns`] holds
+//! every timeline's timestamps (picoseconds) in **one contiguous slab**,
+//! timeline-major, with a bounds table marking where each column starts
+//! (the codec decodes one `Vec<i64>` per timeline, block by block, and
+//! concatenates them once). The slab layout is what makes
 //! the census kernels zero-copy: the flat gather array they index is the
 //! slab itself ([`TraceColumns::flat`]), not a per-round copy, and the CLC
 //! kernels snapshot it with a single `memcpy`. Columns are gathered from a
@@ -43,122 +42,6 @@ impl TimeSource for Trace {
     #[inline]
     fn time_of(&self, id: EventId) -> Time {
         self.time(id)
-    }
-}
-
-/// The dense timestamp column of one timeline, in picoseconds — the
-/// codec-side decode buffer (a [`TraceColumns`] slab is assembled from
-/// these once decoding completes).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TimeColumn {
-    ps: Vec<i64>,
-}
-
-impl TimeColumn {
-    /// Empty column.
-    pub fn new() -> Self {
-        TimeColumn::default()
-    }
-
-    /// Column with `cap` slots pre-allocated.
-    pub fn with_capacity(cap: usize) -> Self {
-        TimeColumn {
-            ps: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Number of timestamps.
-    pub fn len(&self) -> usize {
-        self.ps.len()
-    }
-
-    /// True when the column holds no timestamps.
-    pub fn is_empty(&self) -> bool {
-        self.ps.is_empty()
-    }
-
-    /// Append a timestamp.
-    pub fn push(&mut self, t: Time) {
-        self.ps.push(t.as_ps());
-    }
-
-    /// Append a raw picosecond value (codec path).
-    pub fn push_ps(&mut self, ps: i64) {
-        self.ps.push(ps);
-    }
-
-    /// Reserve room for at least `n` more timestamps.
-    pub fn reserve(&mut self, n: usize) {
-        self.ps.reserve(n);
-    }
-
-    /// Append raw picosecond values in bulk (codec path).
-    pub fn extend_from_ps(&mut self, ps: &[i64]) {
-        self.ps.extend_from_slice(ps);
-    }
-
-    /// Append timestamps decoded from a run of big-endian `i64` bytes —
-    /// the wire layout of a columnar block frame's timestamp segment.
-    /// `bytes.len()` must be a multiple of 8.
-    pub fn extend_from_be_bytes(&mut self, bytes: &[u8]) {
-        debug_assert_eq!(bytes.len() % 8, 0);
-        self.ps.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|c| i64::from_be_bytes(c.try_into().unwrap())),
-        );
-    }
-
-    /// Append timestamps from a run of little-endian `i64` bytes — the
-    /// wire layout of a DTC3 block frame's timestamp segment. When the run
-    /// is 8-aligned on a little-endian target this is a single bulk copy
-    /// (see [`crate::cast`]); otherwise it decodes element-wise.
-    /// `bytes.len()` must be a multiple of 8.
-    pub fn extend_from_le_bytes(&mut self, bytes: &[u8]) {
-        crate::cast::extend_i64_from_le_bytes(&mut self.ps, bytes);
-    }
-
-    /// Timestamp at `i`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Time {
-        Time::from_ps(self.ps[i])
-    }
-
-    /// Overwrite the timestamp at `i`.
-    #[inline]
-    pub fn set(&mut self, i: usize, t: Time) {
-        self.ps[i] = t.as_ps();
-    }
-
-    /// The column as a dense picosecond slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[i64] {
-        &self.ps
-    }
-
-    /// The column as a mutable picosecond slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [i64] {
-        &mut self.ps
-    }
-
-    /// Are the timestamps non-decreasing?
-    pub fn is_monotone(&self) -> bool {
-        self.ps.windows(2).all(|w| w[0] <= w[1])
-    }
-}
-
-impl From<Vec<i64>> for TimeColumn {
-    fn from(ps: Vec<i64>) -> Self {
-        TimeColumn { ps }
-    }
-}
-
-impl FromIterator<Time> for TimeColumn {
-    fn from_iter<I: IntoIterator<Item = Time>>(iter: I) -> Self {
-        TimeColumn {
-            ps: iter.into_iter().map(Time::as_ps).collect(),
-        }
     }
 }
 
@@ -192,15 +75,15 @@ impl TraceColumns {
         TraceColumns { slab, bounds }
     }
 
-    /// Build from per-timeline decode columns (codec path): one
-    /// concatenating copy replaces the gather pass the pipeline would
-    /// otherwise run.
-    pub fn from_columns(cols: Vec<TimeColumn>) -> Self {
-        let mut slab = Vec::with_capacity(cols.iter().map(TimeColumn::len).sum());
+    /// Build from per-timeline picosecond columns (the codec's decode
+    /// buffers, grown block by block in arrival order): one concatenating
+    /// copy replaces the gather pass the pipeline would otherwise run.
+    pub fn from_columns(cols: &[Vec<i64>]) -> Self {
+        let mut slab = Vec::with_capacity(cols.iter().map(Vec::len).sum());
         let mut bounds = Vec::with_capacity(cols.len() + 1);
         bounds.push(0);
-        for c in &cols {
-            slab.extend_from_slice(c.as_slice());
+        for c in cols {
+            slab.extend_from_slice(c);
             bounds.push(slab.len());
         }
         TraceColumns { slab, bounds }
@@ -372,21 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn column_accessors() {
-        let mut c = TimeColumn::with_capacity(4);
-        assert!(c.is_empty());
-        c.push(Time::from_us(3));
-        c.push_ps(Time::from_us(7).as_ps());
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(1), Time::from_us(7));
-        c.set(0, Time::from_us(9));
-        assert!(!c.is_monotone());
-        assert_eq!(c.as_slice(), &[Time::from_us(9).as_ps(), Time::from_us(7).as_ps()]);
-        let from_vec = TimeColumn::from(vec![1i64, 2]);
-        assert!(from_vec.is_monotone());
-    }
-
-    #[test]
     fn slab_is_timeline_major_and_flat_indexed() {
         let t = sample();
         let cols = TraceColumns::gather(&t);
@@ -396,10 +264,7 @@ mod tests {
         assert_eq!(cols.col(1), &cols.flat()[2..]);
         assert_eq!(cols.flat()[2], Time::from_us(5).as_ps());
         // from_columns concatenates in the same order.
-        let rebuilt = TraceColumns::from_columns(vec![
-            TimeColumn::from(cols.col(0).to_vec()),
-            TimeColumn::from(cols.col(1).to_vec()),
-        ]);
+        let rebuilt = TraceColumns::from_columns(&[cols.col(0).to_vec(), cols.col(1).to_vec()]);
         assert_eq!(rebuilt, cols);
     }
 

@@ -1,0 +1,698 @@
+use super::*;
+use crate::event::{CollOp, EventKind, EventRecord};
+use crate::ids::{CommId, Rank, RegionId, Tag};
+use crate::trace::{ProcessTrace, Trace};
+use bytes::{BufMut, BytesMut};
+use simclock::Time;
+
+pub(super) fn sample_trace() -> Trace {
+    let mut t = Trace::for_ranks(2);
+    t.procs[0].push(Time::from_ns(100), EventKind::Enter { region: RegionId(1) });
+    t.procs[0].push(
+        Time::from_ns(200),
+        EventKind::Send { to: Rank(1), tag: Tag(3), bytes: 1024 },
+    );
+    t.procs[0].push(
+        Time::from_ns(300),
+        EventKind::CollBegin {
+            op: CollOp::Allreduce,
+            comm: CommId::WORLD,
+            root: None,
+            bytes: 8,
+        },
+    );
+    t.procs[0].push(
+        Time::from_ns(400),
+        EventKind::CollEnd {
+            op: CollOp::Allreduce,
+            comm: CommId::WORLD,
+            root: None,
+            bytes: 8,
+        },
+    );
+    t.procs[0].push(Time::from_ns(500), EventKind::Exit { region: RegionId(1) });
+    t.procs[1].push(
+        Time::from_ns(250),
+        EventKind::Recv { from: Rank(0), tag: Tag(3), bytes: 1024 },
+    );
+    t.procs[1].push(
+        Time::from_ns(260),
+        EventKind::CollBegin {
+            op: CollOp::Bcast,
+            comm: CommId(1),
+            root: Some(Rank(0)),
+            bytes: 64,
+        },
+    );
+    t.procs[1].push(
+        Time::from_ns(270),
+        EventKind::CollEnd {
+            op: CollOp::Bcast,
+            comm: CommId(1),
+            root: Some(Rank(0)),
+            bytes: 64,
+        },
+    );
+    t
+}
+
+/// Feed `bytes` to `dec`, decoded frames discarded: for tests whose subject
+/// is the decoder's verdict.
+fn feed(dec: &mut StreamDecoder, bytes: &[u8]) -> Result<(), CodecError> {
+    dec.feed_into(bytes, &mut TraceBuilder::new())
+}
+
+fn traces_equal(a: &Trace, b: &Trace) -> bool {
+    a.procs.len() == b.procs.len()
+        && a.procs.iter().zip(&b.procs).all(|(x, y)| {
+            x.location == y.location && x.events == y.events
+        })
+}
+
+#[test]
+fn text_round_trip() {
+    let t = sample_trace();
+    let s = to_text(&t);
+    let back = from_text(&s).unwrap();
+    assert!(traces_equal(&t, &back), "text round-trip mismatch:\n{s}");
+}
+
+#[test]
+fn text_ignores_comments_and_blanks() {
+    let t = sample_trace();
+    let s = format!("# header\n\n{}\n# trailer\n", to_text(&t));
+    let back = from_text(&s).unwrap();
+    assert!(traces_equal(&t, &back));
+}
+
+#[test]
+fn text_rejects_unknown_mnemonic() {
+    assert!(matches!(
+        from_text("0:0 100 BOGUS 1"),
+        Err(CodecError::UnknownKind(_))
+    ));
+}
+
+#[test]
+fn columnar_round_trip_various_block_sizes() {
+    let t = sample_trace();
+    for block in [1, 2, 3, 8192] {
+        let b = to_binary_columnar_blocked(&t, block);
+        let back = from_binary_columnar(b).unwrap();
+        assert!(traces_equal(&t, &back), "block size {block}");
+    }
+}
+
+#[test]
+fn columnar_preserves_empty_timelines() {
+    let mut t = Trace::for_ranks(3);
+    t.procs[1].push(Time::from_ns(10), EventKind::Enter { region: RegionId(0) });
+    let back = from_binary_columnar(to_binary_columnar(&t)).unwrap();
+    assert!(traces_equal(&t, &back));
+}
+
+#[test]
+fn streaming_decode_equals_full_decode_any_chunk_size() {
+    let t = sample_trace();
+    let b = to_binary_columnar_blocked(&t, 2);
+    for chunk_size in [1, 3, 7, 16, 64, b.len()] {
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        for chunk in b.chunks(chunk_size) {
+            dec.feed_into(chunk, &mut builder).unwrap();
+        }
+        dec.finish().unwrap();
+        let (back, cols) = builder.finish_parts();
+        assert!(traces_equal(&t, &back), "chunk size {chunk_size}");
+        assert_eq!(cols.n_events(), t.n_events());
+        for (id, e) in t.iter_events() {
+            assert_eq!(cols.time(id), e.time);
+        }
+    }
+}
+
+#[test]
+fn columnar_detects_truncation_at_every_boundary() {
+    let t = sample_trace();
+    let b = to_binary_columnar_blocked(&t, 2);
+    // Any proper prefix must fail with Truncated (never panic): either
+    // feed() trips over a broken frame or finish() reports the stub.
+    for cut in 0..b.len() {
+        let mut dec = StreamDecoder::new();
+        let outcome = feed(&mut dec, &b[..cut]).and_then(|()| dec.finish());
+        assert_eq!(
+            outcome,
+            Err(CodecError::Truncated),
+            "cut at {cut}/{} not detected",
+            b.len()
+        );
+    }
+}
+
+#[test]
+fn columnar_rejects_bad_magic() {
+    let mut buf = BytesMut::new();
+    buf.put_u32(0xdeadbeef);
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(
+        feed(&mut dec, &buf.freeze()),
+        Err(CodecError::BadField(_))
+    ));
+}
+
+#[test]
+fn columnar_rejects_unknown_kind_code() {
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4332);
+    // One block, one event, payload = bogus kind code + 4 arg bytes.
+    buf.put_u32(0); // rank
+    buf.put_u32(0); // thread
+    buf.put_u32(1); // n_events
+    buf.put_u32(5); // payload_len
+    buf.put_i64(42); // timestamp column
+    buf.put_u8(200); // unknown kind code
+    buf.put_u32(0);
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(
+        feed(&mut dec, &buf.freeze()),
+        Err(CodecError::UnknownKind(_))
+    ));
+}
+
+#[test]
+fn columnar_rejects_unknown_coll_code() {
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4332);
+    buf.put_u32(0);
+    buf.put_u32(0);
+    buf.put_u32(1);
+    buf.put_u32(22); // CollBegin payload size
+    buf.put_i64(42);
+    buf.put_u8(4); // CollBegin
+    buf.put_u8(99); // unknown collective op
+    buf.put_u32(0);
+    buf.put_i64(-1);
+    buf.put_u64(8);
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(
+        feed(&mut dec, &buf.freeze()),
+        Err(CodecError::UnknownKind(_))
+    ));
+}
+
+#[test]
+fn columnar_rejects_payload_length_mismatch() {
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4332);
+    buf.put_u32(0);
+    buf.put_u32(0);
+    buf.put_u32(1);
+    buf.put_u32(7); // too long for one Enter record (5 bytes)
+    buf.put_i64(42);
+    buf.put_u8(0); // Enter
+    buf.put_u32(1); // region
+    buf.put_u8(0); // 2 bytes of trailing garbage
+    buf.put_u8(0);
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(
+        feed(&mut dec, &buf.freeze()),
+        Err(CodecError::BadField(_))
+    ));
+}
+
+#[test]
+fn columnar_rejects_oversized_block_header() {
+    // A frame header claiming 2^31 events would make a naive reader
+    // wait for ~16 GiB; the decoder must reject it immediately.
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4332);
+    buf.put_u32(0); // rank
+    buf.put_u32(0); // thread
+    buf.put_u32(1 << 31); // n_events far beyond MAX_BLOCK_EVENTS
+    buf.put_u32(64); // payload_len
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
+}
+
+#[test]
+fn columnar_rejects_corrupt_rank_in_block_header() {
+    // A flipped high byte in a header's rank id must fail typed at
+    // parse time — the id would otherwise reach dense per-rank
+    // structures downstream (the l_min table is quadratic in it).
+    let encoded = to_binary_columnar(&sample_trace());
+    let mut corrupt = encoded.to_vec();
+    corrupt[4] ^= 0xF0; // rank field of the first frame header
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(feed(&mut dec, &corrupt), Err(CodecError::BadField(_))));
+}
+
+#[test]
+fn columnar_rejects_inconsistent_block_header() {
+    // 8 events cannot fit in a 10-byte payload (records are >= 5 bytes).
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4332);
+    buf.put_u32(0);
+    buf.put_u32(0);
+    buf.put_u32(8);
+    buf.put_u32(10);
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
+}
+
+#[test]
+fn stream_estimate_matches_encoder_totals() {
+    let t = sample_trace();
+    let b = to_binary_columnar_blocked(&t, 2);
+    for chunk_size in [1, 3, 7, 64, b.len()] {
+        let est = estimate_columnar_stream(b.chunks(chunk_size));
+        assert_eq!(est.events, t.n_events() as u64, "chunks of {chunk_size}");
+        assert!(est.complete, "chunks of {chunk_size}");
+        assert_eq!(est.bytes, b.len() as u64);
+        assert!(est.blocks >= 4, "blocks of 2 events over 8 events");
+    }
+}
+
+#[test]
+fn stream_estimate_tolerates_truncation_and_garbage() {
+    let t = sample_trace();
+    let b = to_binary_columnar_blocked(&t, 2);
+    // Truncated stream: a lower bound, flagged incomplete.
+    let est = estimate_columnar_stream(std::iter::once(&b[..b.len() / 2]));
+    assert!(!est.complete);
+    assert!(est.events <= t.n_events() as u64);
+    // Garbage: no panic, nothing counted past the bad magic.
+    let est = estimate_columnar_stream(std::iter::once(&[0xde, 0xad, 0xbe, 0xef][..]));
+    assert!(!est.complete);
+    assert_eq!(est.events, 0);
+}
+
+#[test]
+fn v3_round_trip_various_block_sizes() {
+    let t = sample_trace();
+    for block in [1, 2, 3, 8192] {
+        let b = to_binary_columnar_v3_blocked(&t, block);
+        let back = from_binary_columnar(b).unwrap();
+        assert!(traces_equal(&t, &back), "block size {block}");
+    }
+}
+
+#[test]
+fn v3_decode_is_bit_identical_to_v2() {
+    let t = sample_trace();
+    let v2 = from_binary_columnar(to_binary_columnar_blocked(&t, 3)).unwrap();
+    let v3 = from_binary_columnar(to_binary_columnar_v3_blocked(&t, 3)).unwrap();
+    assert!(traces_equal(&v2, &v3));
+}
+
+#[test]
+fn v3_preserves_empty_timelines_and_negative_times() {
+    let mut t = Trace::for_ranks(3);
+    t.procs[1].push(Time::from_ns(-5000), EventKind::Enter { region: RegionId(0) });
+    let back = from_binary_columnar(to_binary_columnar_v3(&t)).unwrap();
+    assert!(traces_equal(&t, &back));
+}
+
+#[test]
+fn v3_streaming_decode_equals_full_decode_any_chunk_size() {
+    let t = sample_trace();
+    let b = to_binary_columnar_v3_blocked(&t, 2);
+    for chunk_size in [1, 3, 7, 16, 64, b.len()] {
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        for chunk in b.chunks(chunk_size) {
+            dec.feed_into(chunk, &mut builder).unwrap();
+        }
+        assert_eq!(dec.version(), Some(ColumnarVersion::V3));
+        dec.finish().unwrap();
+        let (back, cols) = builder.finish_parts();
+        assert!(traces_equal(&t, &back), "chunk size {chunk_size}");
+        assert_eq!(cols.n_events(), t.n_events());
+        for (id, e) in t.iter_events() {
+            assert_eq!(cols.time(id), e.time);
+        }
+    }
+}
+
+#[test]
+fn v3_detects_truncation_at_every_boundary() {
+    let t = sample_trace();
+    let b = to_binary_columnar_v3_blocked(&t, 2);
+    for cut in 0..b.len() {
+        let mut dec = StreamDecoder::new();
+        let outcome = feed(&mut dec, &b[..cut]).and_then(|()| dec.finish());
+        assert_eq!(
+            outcome,
+            Err(CodecError::Truncated),
+            "cut at {cut}/{} not detected",
+            b.len()
+        );
+    }
+}
+
+#[test]
+fn v3_rejects_inconsistent_payload_length() {
+    // v3 records are fixed-stride: payload_len must be exactly 25·n.
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4333);
+    buf.put_u32(0); // rank
+    buf.put_u32(0); // thread
+    buf.put_u32(1); // n_events
+    buf.put_u32(24); // should be 25
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
+}
+
+#[test]
+fn v3_rejects_corrupt_rank_and_oversized_headers() {
+    let encoded = to_binary_columnar_v3(&sample_trace());
+    let mut corrupt = encoded.to_vec();
+    corrupt[4] ^= 0xF0; // rank field of the first frame header
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(feed(&mut dec, &corrupt), Err(CodecError::BadField(_))));
+
+    let mut buf = BytesMut::new();
+    buf.put_u32(0x4454_4333);
+    buf.put_u32(0);
+    buf.put_u32(0);
+    buf.put_u32(1 << 31); // n_events far beyond MAX_BLOCK_EVENTS
+    buf.put_u32(64);
+    let mut dec = StreamDecoder::new();
+    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
+}
+
+#[test]
+fn stream_estimate_prices_v3_and_reports_version() {
+    let t = sample_trace();
+    let b = to_binary_columnar_v3_blocked(&t, 2);
+    for chunk_size in [1, 3, 7, 64, b.len()] {
+        let est = estimate_columnar_stream(b.chunks(chunk_size));
+        assert_eq!(est.events, t.n_events() as u64, "chunks of {chunk_size}");
+        assert!(est.complete, "chunks of {chunk_size}");
+        assert_eq!(est.bytes, b.len() as u64);
+        assert_eq!(est.version, Some(ColumnarVersion::V3));
+        assert_eq!(est.error, None);
+    }
+    let est = estimate_columnar_stream(std::iter::once(&to_binary_columnar(&t)[..]));
+    assert_eq!(est.version, Some(ColumnarVersion::V2));
+}
+
+/// What `chunks` is to each of the three readers: the decoder fed chunk
+/// by chunk, the indexer, the admission estimator.
+fn verdicts(chunks: &[&[u8]]) -> [Result<(), CodecError>; 3] {
+    let mut dec = StreamDecoder::new();
+    let decoded = chunks.iter().try_for_each(|c| feed(&mut dec, c)).and_then(|()| dec.finish());
+    let estimated = estimate_columnar_stream(chunks.iter().copied()).error.map_or(Ok(()), Err);
+    [decoded, index_columnar_chunks(chunks).map(drop), estimated]
+}
+
+#[test]
+fn every_reader_gives_one_verdict_on_bytes_after_the_trailer() {
+    let t = sample_trace();
+    let (v2, v3) = (to_binary_columnar(&t), to_binary_columnar_v3(&t));
+    type Verdict = Result<(), CodecError>;
+    let after = || Err(CodecError::BadField("data after end-of-stream trailer".into()));
+    let cases: [(&[u8], &[u8], Verdict); 9] = [
+        (&v2, &[], Ok(())),
+        (&v3, &[], Ok(())),
+        // The other version's stream — or just its magic — is a glued input.
+        (&v2, &v3, Err(CodecError::MixedVersions)),
+        (&v3, &v2, Err(CodecError::MixedVersions)),
+        (&v2, &v3[..4], Err(CodecError::MixedVersions)),
+        // Same-version concatenation is malformed but not *mixed*; neither
+        // is garbage, nor a tail too short to be a magic.
+        (&v2, &v2, after()),
+        (&v3, &v3, after()),
+        (&v3, &[0xA5; 17], after()),
+        (&v2, &v3[..3], after()),
+    ];
+    for (stream, tail, want) in cases {
+        let glued = [stream, tail].concat();
+        for chunk_size in [1, 2, 5, 64, glued.len()] {
+            let chunks: Vec<&[u8]> = glued.chunks(chunk_size).collect();
+            for (reader, got) in ["decoder", "indexer", "estimator"].iter().zip(verdicts(&chunks)) {
+                assert_eq!(got, want, "{reader}, tail of {}, chunks of {chunk_size}", tail.len());
+            }
+        }
+        let est = estimate_columnar_stream(std::iter::once(&glued[..]));
+        assert!(est.complete, "the trailer was seen");
+        assert_eq!(est.trailing_bytes, tail.len() as u64);
+    }
+}
+
+#[test]
+fn stream_estimate_reports_trailing_bytes() {
+    let t = sample_trace();
+    for bytes in [to_binary_columnar_blocked(&t, 2), to_binary_columnar_v3_blocked(&t, 2)] {
+        // Clean stream: no trailing bytes, at any chunking.
+        for chunk_size in [1, 3, 7, bytes.len()] {
+            let est = estimate_columnar_stream(bytes.chunks(chunk_size));
+            assert!(est.complete);
+            assert_eq!(est.trailing_bytes, 0, "chunks of {chunk_size}");
+        }
+        // Trailing garbage after a valid trailer: still `complete`
+        // (the trailer WAS seen), but the tail is reported so
+        // admission can refuse to trust the header-announced totals —
+        // the decoder proper will reject this stream.
+        for garbage_len in [1usize, 3, 4, 17] {
+            let mut dirty = bytes.to_vec();
+            dirty.extend(std::iter::repeat_n(0xA5u8, garbage_len));
+            for chunk_size in [1, 5, dirty.len()] {
+                let est = estimate_columnar_stream(dirty.chunks(chunk_size));
+                assert!(est.complete);
+                assert_eq!(est.bytes, dirty.len() as u64);
+                assert_eq!(
+                    est.trailing_bytes, garbage_len as u64,
+                    "garbage {garbage_len}, chunks of {chunk_size}"
+                );
+            }
+        }
+        // Same-version concatenation: the whole second stream is
+        // trailing — admission must not price this as the first
+        // stream's totals alone.
+        let mut glued = bytes.to_vec();
+        glued.extend_from_slice(&bytes);
+        let est = estimate_columnar_stream(std::iter::once(&glued[..]));
+        assert!(est.complete);
+        assert_eq!(est.trailing_bytes, bytes.len() as u64);
+        // Truncated stream: no trailer, so no trailing bytes.
+        let est = estimate_columnar_stream(std::iter::once(&bytes[..bytes.len() - 1]));
+        assert!(!est.complete);
+        assert_eq!(est.trailing_bytes, 0);
+    }
+}
+
+#[test]
+fn chunk_store_reads_across_boundaries() {
+    let data: Vec<u8> = (0..=255u8).collect();
+    let pieces: Vec<&[u8]> = vec![&data[..7], &data[7..7], &data[7..100], &data[100..]];
+    let store = ChunkStore::new(&pieces);
+    assert_eq!(store.len(), 256);
+    let mut scratch = Vec::new();
+    for off in [0usize, 3, 6, 7, 50, 99, 100, 255] {
+        for len in [0usize, 1, 2, 8, 100] {
+            if off + len > 256 {
+                continue;
+            }
+            let got = store.read(off as u64, len, &mut scratch).to_vec();
+            assert_eq!(got, &data[off..off + len], "read {off}+{len}");
+        }
+    }
+}
+
+#[test]
+fn index_agrees_with_streaming_decode() {
+    let t = sample_trace();
+    for (bytes, version) in [
+        (to_binary_columnar_blocked(&t, 3), ColumnarVersion::V2),
+        (to_binary_columnar_v3_blocked(&t, 3), ColumnarVersion::V3),
+    ] {
+        for chunk_size in [1usize, 7, 16, bytes.len()] {
+            let pieces: Vec<&[u8]> = bytes.chunks(chunk_size).collect();
+            let idx = index_columnar_chunks(&pieces).unwrap();
+            assert_eq!(idx.version, version);
+            assert_eq!(idx.total_bytes, bytes.len() as u64);
+            assert_eq!(idx.n_events(), t.n_events() as u64);
+            assert_eq!(idx.locations.len(), t.n_procs());
+            // Rebuild the whole trace through the random-access lane
+            // and compare with the reference decoder.
+            let store = ChunkStore::new(&pieces);
+            let mut scratch = Vec::new();
+            let timelines = idx.locations.iter().map(|&loc| ProcessTrace::new(loc));
+            let mut back = Trace { procs: timelines.collect() };
+            for b in &idx.blocks {
+                let mut times = Vec::new();
+                let seg =
+                    store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
+                decode_block_times(version, seg, &mut times);
+                let mut kinds = Vec::new();
+                let payload =
+                    store.read(b.payload_off, b.payload_len as usize, &mut scratch);
+                decode_block_kinds(version, payload, b.n_events as usize, &mut kinds)
+                    .unwrap();
+                let events =
+                    times.iter().zip(kinds).map(|(&ps, k)| EventRecord::new(Time::from_ps(ps), k));
+                back.procs[b.timeline as usize].events.extend(events);
+            }
+            assert!(traces_equal(&t, &back), "chunks of {chunk_size}");
+        }
+    }
+}
+
+#[test]
+fn index_is_strict_about_malformed_streams() {
+    let t = sample_trace();
+    let bytes = to_binary_columnar_v3_blocked(&t, 2);
+    // Every truncation is typed.
+    for cut in 0..bytes.len() {
+        let pieces: Vec<&[u8]> = vec![&bytes[..cut]];
+        assert!(
+            matches!(
+                index_columnar_chunks(&pieces),
+                Err(CodecError::Truncated) | Err(CodecError::BadField(_))
+            ),
+            "cut at {cut} accepted"
+        );
+    }
+    // Data after the trailer is rejected (the decoder's rule).
+    let mut dirty = bytes.to_vec();
+    dirty.push(0);
+    let pieces: Vec<&[u8]> = vec![&dirty];
+    assert!(matches!(index_columnar_chunks(&pieces), Err(CodecError::BadField(_))));
+    // Bad magic.
+    let pieces: Vec<&[u8]> = vec![&[0xde, 0xad, 0xbe, 0xef]];
+    assert!(matches!(index_columnar_chunks(&pieces), Err(CodecError::BadField(_))));
+    // Corrupted trailer counter.
+    let mut corrupt = bytes.to_vec();
+    let at = corrupt.len() - 8; // events-low32 field of the trailer
+    corrupt[at] ^= 1;
+    let pieces: Vec<&[u8]> = vec![&corrupt];
+    assert!(matches!(index_columnar_chunks(&pieces), Err(CodecError::BadField(_))));
+}
+
+#[test]
+fn frame_writer_reemits_bit_identically() {
+    let t = sample_trace();
+    for (bytes, version) in [
+        (to_binary_columnar_blocked(&t, 3), ColumnarVersion::V2),
+        (to_binary_columnar_v3_blocked(&t, 3), ColumnarVersion::V3),
+    ] {
+        let pieces: Vec<&[u8]> = bytes.chunks(13).collect();
+        let idx = index_columnar_chunks(&pieces).unwrap();
+        let store = ChunkStore::new(&pieces);
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        let mut writer = FrameWriter::new(version, &mut out);
+        for b in &idx.blocks {
+            let loc = idx.locations[b.timeline as usize];
+            let mut times = Vec::new();
+            let seg = store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
+            decode_block_times(version, seg, &mut times);
+            let payload = store
+                .read(b.payload_off, b.payload_len as usize, &mut scratch)
+                .to_vec();
+            writer.frame(&mut out, loc, &times, &payload);
+        }
+        writer.finish(&mut out);
+        assert_eq!(&out[..], &bytes[..], "{version:?} re-emission diverged");
+    }
+}
+
+/// Satellite pin for the partial-frame buffering paths: splitting the
+/// stream into exactly two pieces at *every* byte boundary — including
+/// every split inside a v3 alignment pad and every split landing
+/// exactly on an 8-byte timestamp-segment boundary — must decode
+/// identically to the one-shot decode.
+#[test]
+fn two_piece_split_at_every_boundary_decodes_identically() {
+    // Block size 1 and an odd trace shape maximize pad-phase variety:
+    // consecutive v3 frames land on different (mod 8) offsets.
+    let t = sample_trace();
+    for bytes in [
+        to_binary_columnar_blocked(&t, 1),
+        to_binary_columnar_v3_blocked(&t, 1),
+        to_binary_columnar_v3_blocked(&t, 3),
+    ] {
+        let reference = from_binary_columnar(bytes.clone()).unwrap();
+        for cut in 0..=bytes.len() {
+            let mut dec = StreamDecoder::new();
+            let mut builder = TraceBuilder::new();
+            dec.feed_into(&bytes[..cut], &mut builder).unwrap();
+            dec.feed_into(&bytes[cut..], &mut builder).unwrap();
+            dec.finish().unwrap();
+            let (back, cols) = builder.finish_parts();
+            assert!(traces_equal(&reference, &back), "split at {cut}");
+            assert_eq!(cols.n_events(), reference.n_events(), "split at {cut}");
+        }
+        // Chunks of exactly 8 bytes: every timestamp element boundary
+        // in a v3 segment is also a chunk boundary.
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        for piece in bytes.chunks(8) {
+            dec.feed_into(piece, &mut builder).unwrap();
+        }
+        dec.finish().unwrap();
+        assert!(traces_equal(&reference, &builder.finish()), "8-byte chunking");
+    }
+}
+
+#[test]
+fn negative_timestamps_survive() {
+    // Workers behind the master legitimately produce negative local
+    // times after alignment.
+    let mut t = Trace::for_ranks(1);
+    t.procs[0].push(Time::from_ns(-5000), EventKind::Enter { region: RegionId(0) });
+    let round = from_text(&to_text(&t)).unwrap();
+    assert_eq!(round.procs[0].events[0].time, Time::from_ns(-5000));
+    let round = from_binary_columnar(to_binary_columnar(&t)).unwrap();
+    assert_eq!(round.procs[0].events[0].time, Time::from_ns(-5000));
+}
+
+/// Three timelines, the middle one empty, timestamps negative and at the
+/// `i64` edge, field values at their `u32`/`u64` edges.
+fn sparse_trace() -> Trace {
+    let mut t = Trace::for_ranks(3);
+    t.procs[0].push(Time::from_ns(-5000), EventKind::Enter { region: RegionId(7) });
+    t.procs[0].push(
+        Time::from_ps(-1),
+        EventKind::Send { to: Rank(2), tag: Tag(9), bytes: u64::MAX },
+    );
+    t.procs[0].push(Time::from_ps(i64::MIN + 1), EventKind::Fork { region: RegionId(u32::MAX) });
+    for (i, op) in [CollOp::Scan, CollOp::Gather, CollOp::Alltoall].into_iter().enumerate() {
+        let (comm, root, bytes) = (CommId(i as u32), (i == 1).then_some(Rank(2)), 1 << (20 * i));
+        let (begin, end) = (Time::from_ns(-40 + i as i64), Time::from_ns(i as i64 * 1000));
+        t.procs[2].push(begin, EventKind::CollBegin { op, comm, root, bytes });
+        t.procs[2].push(end, EventKind::CollEnd { op, comm, root, bytes });
+    }
+    t.procs[2].push(Time::from_ns(-3), EventKind::Recv { from: Rank(0), tag: Tag(9), bytes: 0 });
+    t.procs[2].push(Time::from_ns(9), EventKind::BarrierExit { region: RegionId(1) });
+    t
+}
+
+/// Wire bytes are a contract with stored streams and with the server's
+/// peers: length and FNV-1a of both encoders' output, recorded before the
+/// encoders became clients of one frame writer.
+#[test]
+fn encoder_output_is_byte_stable() {
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    // (trace, block size, v2 length, v2 hash, v3 length, v3 hash)
+    let golden = [
+        ("sample", 1, 344, 0x1084faf8cb96f045, 465, 0x851ee8ae3e9a4074u64),
+        ("sample", 4, 264, 0xcb1588a6bc3bc0b0, 347, 0x531b76389bae3fa1),
+        ("sample", 2048, 248, 0xf05f10f87d4ce803, 323, 0xb668bb498eb5e880),
+        ("sparse", 1, 481, 0x716750e7c804343f, 649, 0xcc65deaea386b2f2),
+        ("sparse", 4, 353, 0x499134ca8acf4ff7, 460, 0x52be1d014b6cda60),
+        ("sparse", 2048, 337, 0x08f0e8abe0fe7374, 440, 0x7b3924bf46043e33),
+    ];
+    for (name, block, v2_len, v2_hash, v3_len, v3_hash) in golden {
+        let t = if name == "sample" { sample_trace() } else { sparse_trace() };
+        let v2 = to_binary_columnar_blocked(&t, block);
+        let v3 = to_binary_columnar_v3_blocked(&t, block);
+        assert_eq!((v2.len(), fnv1a(&v2)), (v2_len, v2_hash), "{name}, v2, blocks of {block}");
+        assert_eq!((v3.len(), fnv1a(&v3)), (v3_len, v3_hash), "{name}, v3, blocks of {block}");
+        assert!(traces_equal(&t, &from_binary_columnar(v3).unwrap()), "{name} round trip");
+    }
+}

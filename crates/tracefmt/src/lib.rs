@@ -43,7 +43,7 @@ pub use analysis::{
 };
 pub use census::{CensusPlan, PlanBuildError};
 pub use coll::{BlockClasses, CollInstRef, CollTable, LatBlock};
-pub use column::{TimeColumn, TimeSource, TraceColumns};
+pub use column::{TimeSource, TraceColumns};
 pub use event::{CollFlavor, CollOp, EventKind, EventRecord};
 pub use ids::{CommId, EventId, Location, Rank, RegionId, Tag, ThreadId};
 pub use profile::{profile, KindCounts, TraceProfile};

@@ -10,18 +10,20 @@
 # 3. the wide v2/v3 differential matrix (a 6000-message trace size on
 #    top) — opt-in via DRIFT_STRESS=1
 # 4. bench harnesses in check mode (each bench body runs once); the
-#    ingest smoke run also enforces the >=1.5x chunked-ingest speedup and
-#    the >=2x v3 zero-copy ingest speedup and refreshes BENCH_ingest.json,
-#    the census smoke run refreshes BENCH_census.json and the perf gate
-#    below fails the script if the SIMD census-kernel / v3-ingest
-#    throughput regresses, the stage-share gate runs the POP example and
-#    fails unless `lower` runs at >= 1.5x the event rate of `clc`, the
-#    collective-cost gate bounds what an allreduce adds to `clc`'s time
-#    per event, the inlining gate looks for the graph accessors among the
-#    symbols, two grep gates keep the deleted intra-job parallelism, the
-#    second CLC walker and the in-process router from coming back under
-#    their old names, and a size ratchet holds the line count of the three
-#    production crates under a ceiling that only goes down; the
+#    ingest smoke run asserts what holds on any host (every decode path
+#    returns the source trace, v3 costs 25-40 % more bytes than v2) and
+#    refreshes BENCH_ingest.json with report-only rates, the census smoke
+#    run refreshes BENCH_census.json and the perf gate below fails the
+#    script if the SIMD census-kernel throughput regresses, the
+#    stage-share gate runs the POP example and fails unless `lower` runs
+#    at >= 1.5x the event rate of `clc`, the collective-cost gate bounds
+#    what an allreduce adds to `clc`'s time per event, the inlining gate
+#    looks for the graph accessors among the symbols, three grep gates
+#    keep the deleted intra-job parallelism, the second CLC walker and
+#    the in-process router from coming back under their old names and the
+#    codec's frame grammar in its one file, and a size ratchet holds the
+#    line count of the three production crates under a ceiling that only
+#    goes down; the
 #    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
 #    its report; the incremental smoke run refreshes
 #    BENCH_incremental.json and the residency gate fails the script if
@@ -73,8 +75,15 @@ WORKSPACE_TEST_BINARIES_FLOOR=48
 # POMP and clock-domain lowerings, `pop_batch`'s input), the lowerings
 # brought five unit tests (four in `clocksync`, one in `bench`), and the
 # router's two unit tests and its differential test went with their
-# subject. The binary floor did not move.
-WORKSPACE_TESTS_FLOOR=636
+# subject. Then the `DTL1` codec, the times-only decode lane, the text
+# writer and the `TimeColumn` wrapper took their eleven tests with them
+# (nine unit tests of `tracefmt::io`, one of `tracefmt::column`, the v1
+# property of `tests/codec_roundtrip.rs`) while the one frame grammar
+# brought five (the encoders' byte-stability golden, two archive tests, the
+# split-magic reply of `tests/net_differential.rs`, the readers-agree
+# property of `tests/proptest_stream_faults.rs`). The binary floor did not
+# move.
+WORKSPACE_TESTS_FLOOR=630
 
 failed_gates=()
 
@@ -135,12 +144,12 @@ gate "bench check: incremental" cargo bench -p bench --bench incremental -- --te
 gate "bench check: syncd_net" cargo bench -p bench --bench syncd_net -- --test
 gate "bench check: online" cargo bench -p bench --bench online -- --test
 
-# Kernel-throughput gate: the SIMD-width census kernels and the v3
-# zero-copy ingest lane are single-thread-vs-single-thread ratios on the
-# same host, so they hold at every CPU count. Floors sit well under the measured margins (census ~5.5x,
-# v3 ingest ~17x on the reference host) to absorb scheduler noise.
+# Kernel-throughput gate: the SIMD-width census kernels against the
+# reference walk — a single-thread-vs-single-thread ratio on the same
+# host, so it holds at every CPU count. The floor sits well under the
+# measured margin (~5.5x on the reference host) to absorb scheduler noise.
 kernel_throughput_gate() {
-    local census_speedup census_eps v3_speedup v3_times_eps v3_streamed_eps
+    local census_speedup census_eps
     census_speedup=$(sed -n 's/.*"census_kernel_over_reference_speedup": \([0-9.]*\).*/\1/p' BENCH_census.json)
     census_eps=$(sed -n 's/.*"census_events_per_sec": \([0-9.]*\).*/\1/p' BENCH_census.json)
     if [[ -z "$census_speedup" || -z "$census_eps" ]]; then
@@ -152,20 +161,8 @@ kernel_throughput_gate() {
         echo "perf gate: census kernel speedup ${census_speedup}x < 3.0x over the reference walk" >&2
         return 1
     fi
-    v3_speedup=$(sed -n 's/.*"v3_ingest_over_v2_streamed_speedup": \([0-9.]*\).*/\1/p' BENCH_ingest.json)
-    v3_times_eps=$(sed -n 's/.*"v3_times_events_per_sec": \([0-9.]*\).*/\1/p' BENCH_ingest.json)
-    v3_streamed_eps=$(sed -n 's/.*"v3_streamed_events_per_sec": \([0-9.]*\).*/\1/p' BENCH_ingest.json)
-    if [[ -z "$v3_speedup" || -z "$v3_times_eps" || -z "$v3_streamed_eps" ]]; then
-        echo "perf gate: could not read v3 ingest fields from BENCH_ingest.json" >&2
-        return 1
-    fi
-    echo "    v3 ingest ${v3_times_eps} events/s (full streamed decode ${v3_streamed_eps}), ${v3_speedup}x over v2 streamed"
-    if ! awk -v s="$v3_speedup" 'BEGIN { exit !(s >= 2.0) }'; then
-        echo "perf gate: v3 zero-copy ingest ${v3_speedup}x < 2.0x over v2 streamed decode" >&2
-        return 1
-    fi
 }
-gate "kernel throughput from BENCH_census.json / BENCH_ingest.json" kernel_throughput_gate
+gate "kernel throughput from BENCH_census.json" kernel_throughput_gate
 
 # Stage-share gate: on the POP example (32 ranks, 600 allreduces — 98 % of
 # its 608 000 constraints are collective) `lower` must run at >= 1.5x the
@@ -251,16 +248,33 @@ gate "one CLC walker, one service tier" bash -c \
     "! grep -rn HashMap crates/core/src/clc crates/core/src/pipeline \
      && ! grep -rnE 'JobRouter|RouterConfig|steal_back|deps_from_parts|extract_deps' crates src examples"
 
+# One frame grammar (DESIGN §14): magic negotiation, the header checks, the
+# v3 pad, the trailer and the after-trailer rule live in one private file
+# of `tracefmt::io`, every reader and writer goes through it, and nobody
+# sniffs a stream's version from its first bytes (the one literal left is
+# `simsched`'s workload test, which counts what it generated).
+one_frame_grammar_gate() {
+    local owners sniffers
+    owners=$(grep -rlE 'v3_pad|check_block_header|MAGIC_COLUMNAR' crates)
+    sniffers=$(grep -rlE 'b"DT[CL]' crates/*/src | grep -v '^crates/simsched/src/workload.rs$' || true)
+    if [[ "$owners" != "crates/tracefmt/src/io/frame.rs" || -n "$sniffers" ]]; then
+        echo "one frame grammar: the grammar's names are in [${owners//$'\n'/ }]," \
+            "magic literals in [${sniffers//$'\n'/ }]" >&2
+        return 1
+    fi
+}
+gate "one frame grammar" one_frame_grammar_gate
+
 # Size ratchet (ROADMAP item 2): lines under the three production crates'
 # src/ against a ceiling that only ever goes down — lower it to the printed
 # count whenever a PR shrinks them; a PR that needs to raise it says why.
 # The public-item counts are reported beside it, not gated.
-SRC_LINES_CEILING=19745
+SRC_LINES_CEILING=19151
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
     echo "    crates/{core,tracefmt,syncd}/src: ${lines} lines (ceiling ${SRC_LINES_CEILING})"
-    for crate in core tracefmt; do
+    for crate in core tracefmt syncd; do
         echo "    crates/${crate}/src public items: $(grep -rhE '^\s*pub (fn|struct|enum|type|const|trait) ' "crates/${crate}/src" | wc -l)"
     done
     if [[ "$lines" -gt "$SRC_LINES_CEILING" ]]; then

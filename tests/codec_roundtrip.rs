@@ -1,16 +1,15 @@
 //! Property-based round-trip guarantees for the trace codecs: arbitrary
 //! traces — every event kind, negative timestamps, uneven timelines —
-//! must survive the text format, the v1 record-stream binary format and
-//! the v2 blocked columnar format bit-identically, in any chaining order,
-//! and the incremental [`StreamDecoder`] must agree with the one-shot
-//! decoder for every chunking of the byte stream.
+//! must survive the text format and both layouts of the blocked columnar
+//! format bit-identically, in any chaining order, and the incremental
+//! [`StreamDecoder`] must agree with the one-shot decoder for every
+//! chunking of the byte stream.
 //!
 //! [`StreamDecoder`]: drift_lab::tracefmt::io::StreamDecoder
 
 use drift_lab::tracefmt::io::{
-    from_binary, from_binary_columnar, from_text, index_columnar_chunks, to_binary,
-    to_binary_columnar_blocked, to_binary_columnar_v3_blocked, to_text, to_text_writer,
-    CodecError, StreamDecoder, TimesBuilder, TraceBuilder,
+    from_binary_columnar, from_text, index_columnar_chunks, to_binary_columnar_blocked,
+    to_binary_columnar_v3_blocked, to_text, CodecError, StreamDecoder, TraceBuilder,
 };
 use drift_lab::tracefmt::{CollOp, CommId, EventKind, Rank, RegionId, Tag, Trace, TraceColumns};
 use drift_lab::simclock::Time;
@@ -153,17 +152,6 @@ proptest! {
         let back = from_text(&text).expect("text decodes");
         prop_assert!(first_difference(&trace, &back).is_none(),
             "text round trip diverged: {:?}", first_difference(&trace, &back));
-        // The streaming writer emits byte-identical text.
-        let mut streamed = Vec::new();
-        to_text_writer(&trace, &mut streamed).expect("write to Vec");
-        prop_assert_eq!(text.as_bytes(), &streamed[..]);
-    }
-
-    #[test]
-    fn binary_v1_round_trip_is_lossless(trace in arb_trace()) {
-        let back = from_binary(to_binary(&trace)).expect("v1 decodes");
-        prop_assert!(first_difference(&trace, &back).is_none(),
-            "v1 round trip diverged: {:?}", first_difference(&trace, &back));
     }
 
     #[test]
@@ -181,16 +169,14 @@ proptest! {
 
     #[test]
     fn chained_formats_are_lossless(trace in arb_trace(), block in 1usize..32) {
-        // text -> v1 binary -> v2 columnar -> v3 columnar, re-decoding at
-        // every hop.
+        // text -> v2 columnar -> v3 columnar, re-decoding at every hop.
         let hop1 = from_text(&to_text(&trace)).expect("text decodes");
-        let hop2 = from_binary(to_binary(&hop1)).expect("v1 decodes");
-        let hop3 = from_binary_columnar(to_binary_columnar_blocked(&hop2, block))
+        let hop2 = from_binary_columnar(to_binary_columnar_blocked(&hop1, block))
             .expect("columnar decodes");
-        let hop4 = from_binary_columnar(to_binary_columnar_v3_blocked(&hop3, block))
+        let hop3 = from_binary_columnar(to_binary_columnar_v3_blocked(&hop2, block))
             .expect("v3 columnar decodes");
-        prop_assert!(first_difference(&trace, &hop4).is_none(),
-            "format chain diverged: {:?}", first_difference(&trace, &hop4));
+        prop_assert!(first_difference(&trace, &hop3).is_none(),
+            "format chain diverged: {:?}", first_difference(&trace, &hop3));
     }
 
     #[test]
@@ -206,9 +192,7 @@ proptest! {
             let mut dec = StreamDecoder::new();
             let mut builder = TraceBuilder::new();
             for piece in bytes.chunks(chunk) {
-                for b in dec.feed(piece).expect("stream decodes") {
-                    builder.push_block(b);
-                }
+                dec.feed_into(piece, &mut builder).expect("stream decodes");
             }
             dec.finish().expect("stream complete");
             let (back, cols) = builder.finish_parts();
@@ -217,16 +201,6 @@ proptest! {
             // The decoder's columns are exactly what a gather would produce.
             prop_assert!(cols == TraceColumns::gather(&back),
                 "decoder columns differ from gathered columns");
-
-            // The times-only re-ingest lane (zero-copy on v3) must see the
-            // identical columns, for the same chunking.
-            let mut dec = StreamDecoder::new();
-            let mut times = TimesBuilder::new();
-            for piece in bytes.chunks(chunk) {
-                dec.feed_times_into(piece, &mut times).expect("times-only decodes");
-            }
-            let (_locs, tcols) = times.finish();
-            prop_assert!(tcols == cols, "times-only lane columns diverge");
         }
     }
 }
@@ -305,9 +279,7 @@ proptest! {
             let mut dec = StreamDecoder::new();
             let mut builder = TraceBuilder::new();
             for piece in [&bytes[..cut], &bytes[cut..]] {
-                for blk in dec.feed(piece).expect("split stream decodes") {
-                    builder.push_block(blk);
-                }
+                dec.feed_into(piece, &mut builder).expect("split stream decodes");
             }
             dec.finish().expect("split stream complete");
             let (back, _) = builder.finish_parts();

@@ -120,8 +120,8 @@ fn codecs_round_trip_a_real_simulation_trace() {
     let text = drift_lab::tracefmt::io::to_text(&out.trace);
     let from_text = drift_lab::tracefmt::io::from_text(&text).unwrap();
     assert_eq!(from_text.n_events(), out.trace.n_events());
-    let bin = drift_lab::tracefmt::io::to_binary(&out.trace);
-    let from_bin = drift_lab::tracefmt::io::from_binary(bin).unwrap();
+    let bin = drift_lab::tracefmt::io::to_binary_columnar_v3(&out.trace);
+    let from_bin = drift_lab::tracefmt::io::from_binary_columnar(bin).unwrap();
     assert_eq!(from_bin.n_events(), out.trace.n_events());
     for p in 0..8 {
         assert_eq!(out.trace.procs[p].events, from_bin.procs[p].events);
@@ -134,7 +134,7 @@ fn determinism_across_identical_runs() {
     let run_once = |seed: u64| {
         let mut c = cluster(seed, 30.0);
         let out = run(&mut c, &ring_program(40), &RunOptions::default()).unwrap();
-        drift_lab::tracefmt::io::to_binary(&out.trace)
+        drift_lab::tracefmt::io::to_binary_columnar_v3(&out.trace)
     };
     assert_eq!(run_once(9), run_once(9), "same seed must give identical traces");
     assert_ne!(run_once(9), run_once(10), "different seeds should differ");

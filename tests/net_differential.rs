@@ -114,6 +114,32 @@ fn loopback_batch_matches_direct_across_the_grid() {
     server.shutdown();
 }
 
+/// The reply echoes the upload's wire version however the upload was
+/// framed: a `DTC3` stream whose first `Chunk` carries two bytes — too few
+/// to hold a magic — is answered in `DTC3`, with the bytes the one-chunk
+/// upload gets.
+#[test]
+fn loopback_reply_version_survives_a_split_magic() {
+    let (trace, init, fin, lmin) = drifted_trace(3, 120, "sinusoid", 17);
+    let v3 = to_binary_columnar_v3_blocked(&trace, 32).to_vec();
+    let cfg = PipelineConfig::default();
+    let server = test_server();
+    let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
+    let mut reply = |chunks: Vec<Vec<u8>>| {
+        let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, chunks);
+        client.submit(&req).expect("socket job").stream.concat()
+    };
+    let whole = reply(vec![v3.clone()]);
+    let split = reply(vec![v3[..2].to_vec(), v3[2..].to_vec()]);
+    assert!(split.starts_with(b"DTC3"), "a DTC3 upload answered as {:?}", &split[..4]);
+    assert_eq!(split, whole, "the reply depends on how the upload was chunked");
+    let mut direct = trace.clone();
+    synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct run");
+    let returned = from_binary_columnar(split.into()).expect("the reply decodes");
+    assert_identical(&direct, &returned, "split-magic upload (over socket)");
+    server.shutdown();
+}
+
 /// Incremental jobs stream corrected frames back while running; their
 /// concatenation must be byte-identical to the in-process incremental
 /// engine's output, for both DTC2 and DTC3 inputs.

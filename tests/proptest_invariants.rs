@@ -152,8 +152,8 @@ proptest! {
         let text = io::to_text(&trace);
         let back = io::from_text(&text).unwrap();
         prop_assert_eq!(back.n_events(), trace.n_events());
-        let bin = io::to_binary(&trace);
-        let back = io::from_binary(bin).unwrap();
+        let bin = io::to_binary_columnar_v3(&trace);
+        let back = io::from_binary_columnar(bin).unwrap();
         for p in 0..trace.n_procs() {
             prop_assert_eq!(&back.procs[p].events, &trace.procs[p].events);
         }

@@ -7,7 +7,9 @@
 //! dropped chunks, injected garbage, and pure garbage) through the full
 //! pipeline under random chunkings, and also pin down that the header-only
 //! cost estimator used by admission control never overstates a valid
-//! stream and never panics on a corrupt one. Two named inputs add what no
+//! stream and never panics on a corrupt one, and that the three readers of
+//! the frame grammar — decoder, indexer, estimator — answer one typed
+//! verdict for one input. Two named inputs add what no
 //! run can record but bytes can claim: a dependency cycle across
 //! timelines, which every driver, the service and the server must answer
 //! typed instead of waiting on it.
@@ -27,7 +29,9 @@ use drift_lab::syncd::{
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency};
 use drift_lab::tracefmt::io::{
-    estimate_columnar_stream, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
+    estimate_columnar_stream, from_binary_columnar, index_columnar_chunks,
+    to_binary_columnar_blocked, to_binary_columnar_v3_blocked, CodecError, StreamDecoder,
+    TraceBuilder,
 };
 use drift_lab::tracefmt::MinLatency;
 use proptest::prelude::*;
@@ -193,6 +197,94 @@ proptest! {
         // The admission estimator must also survive the same bytes.
         let est = estimate_columnar_stream(mutated.iter().map(|c| c.as_slice()));
         prop_assert!(est.bytes <= bytes.len() as u64);
+    }
+
+    /// One frame grammar, one verdict: for an intact, truncated,
+    /// bit-flipped, glued or garbage-tailed stream of either version the
+    /// indexer and the admission estimator answer what the decoder
+    /// answers, at any chunking — `Ok` together, the same typed error
+    /// together — and a stream all three accept is priced from exactly the
+    /// events and blocks it decodes to. The decoder alone reads payloads,
+    /// so a flipped record byte is its to report, inside a block whose
+    /// header the others accepted.
+    #[test]
+    fn readers_agree_on_every_single_fault_stream(
+        seed in 0u64..1000,
+        msgs in 8usize..80,
+        block in 1usize..48,
+        chunk in 1usize..200,
+        // Seven mutations × two wire versions.
+        case in 0usize..14,
+        at_per_mille in 0u32..1000,
+        xor in 1u8..255,
+        garbage in prop::collection::vec(0u8..255, 1..40),
+    ) {
+        let (trace, ..) = drifted_trace(3, msgs, "sinusoid", seed);
+        let encode = |v3: bool| if v3 {
+            to_binary_columnar_v3_blocked(&trace, block).to_vec()
+        } else {
+            to_binary_columnar_blocked(&trace, block).to_vec()
+        };
+        let (which, v3) = (case / 2, case % 2 == 1);
+        let (bytes, other) = (encode(v3), encode(!v3));
+        let at = (bytes.len() as u64 * u64::from(at_per_mille) / 1000) as usize;
+        // The grammar's rule for bytes after the trailer, stated apart from
+        // its implementation: the other version's magic is a glued stream,
+        // anything else is trailing data.
+        let after = |tail: &[u8]| if tail.starts_with(&other[..4]) {
+            CodecError::MixedVersions
+        } else {
+            CodecError::BadField("data after end-of-stream trailer".into())
+        };
+        let tailed = |tail: &[u8]| {
+            (chunked(&[&bytes[..], tail].concat(), chunk), Some(Err(after(tail))))
+        };
+        let inject = |fault| FaultInjector::new().with(fault).apply(&chunked(&bytes, chunk));
+        // The mutated stream and, where the mutation fixes it, the verdict.
+        let (chunks, want) = match which {
+            0 => (chunked(&bytes, chunk), Some(Ok(()))),
+            1 => (inject(Fault::Truncate { at }), Some(Err(CodecError::Truncated))),
+            2 => (inject(Fault::FlipByte { at, xor }), None),
+            3 => tailed(&other),
+            4 => tailed(&bytes),
+            5 => tailed(&other[..garbage.len().min(4)]),
+            _ => tailed(&garbage),
+        };
+        let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+
+        let est = estimate_columnar_stream(refs.iter().copied());
+        let indexed = index_columnar_chunks(&refs);
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        let fed = refs.iter().try_for_each(|c| dec.feed_into(c, &mut builder));
+        let blocks_decoded = dec.blocks_decoded();
+        let streamed = fed.and_then(|()| dec.finish());
+        let one_shot = from_binary_columnar(refs.concat().into()).map(drop);
+
+        prop_assert_eq!(&one_shot, &streamed, "chunking changed the decoder's verdict");
+        prop_assert_eq!(indexed.as_ref().err(), est.error.as_ref(), "indexer vs estimator");
+        if let Some(want) = want {
+            prop_assert_eq!(&streamed, &want, "decoder, mutation {}", which);
+            prop_assert_eq!(indexed.as_ref().map(drop).map_err(Clone::clone), want, "indexer");
+        }
+        match (&streamed, &est.error) {
+            (Ok(()), None) => {
+                prop_assert!(est.complete && est.trailing_bytes == 0);
+                prop_assert_eq!(est.events, builder.finish().n_events() as u64);
+                prop_assert_eq!(est.blocks, blocks_decoded);
+            }
+            (Err(decoder), Some(walk)) if decoder == walk => {}
+            (Err(decoder), _) => {
+                prop_assert!(
+                    blocks_decoded < est.blocks,
+                    "decoder says {:?} at a unit where the header walk says {:?}",
+                    decoder, est.error
+                );
+            }
+            (Ok(()), Some(walk)) => {
+                prop_assert!(false, "decoder accepted what the walk calls {:?}", walk)
+            }
+        }
     }
 
     /// Stacked faults plus injected garbage chunks: still no panic.
