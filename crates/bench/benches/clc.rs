@@ -77,10 +77,10 @@ fn bench_baselines(c: &mut Criterion) {
         })
     });
     g.bench_function("lamport_stamps", |b| {
-        b.iter(|| clocksync::lamport_timestamps(&trace))
+        b.iter(|| clocksync::lamport_timestamps(&trace).expect("acyclic"))
     });
     g.bench_function("vector_stamps", |b| {
-        b.iter(|| clocksync::vector_timestamps(&trace))
+        b.iter(|| clocksync::vector_timestamps(&trace).expect("acyclic"))
     });
     g.finish();
 }

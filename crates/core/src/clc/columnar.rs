@@ -21,12 +21,26 @@
 //!   snapshot taken after the forward pass, so the result does not depend
 //!   on timeline order.
 //!
+//! # One step, one walk, two schedules
+//!
+//! The arithmetic of the paper's §V algorithm is written once, here:
+//! [`forward_step`] (remote bound → amortized local candidate → jump),
+//! [`Walk::new`] (a jump's window and window start, with their saturation
+//! order) and [`backward_walk`]. The batch passes below and the windowed
+//! engine ([`crate::pipeline`]'s incremental entry points) both call them,
+//! so the two engines cannot disagree on a timestamp. What each keeps to
+//! itself is everything *around* the step: the schedule (run-to-block here,
+//! bounded bursts with a safety frontier there), the storage (in place
+//! over one slab here, segment lanes behind [`Timeline`] there) and the
+//! aggregated evaluation of classed N-to-N collectives ([`CollPass`], batch
+//! only — an aggregate would outlive the lanes' retired segments).
+//!
 //! Bit-identity with the map-based reference implementation of the same
 //! algorithm (`tests/common/clc_reference.rs`, which shares no code with
 //! this module) is enforced by `tests/csr_differential.rs`,
 //! `tests/columnar_differential.rs` and the property tests.
 
-use super::graph::{CollPass, DepGraph};
+use super::graph::{CollPass, DepGraph, Edges};
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
 use tracefmt::{EventId, TraceColumns};
@@ -42,7 +56,7 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     params: &ClcParams,
 ) -> Result<ClcReport, ClcError> {
     validate(params)?;
-    let originals = flatten_by_gid(cols);
+    let originals = cols.flat().to_vec();
     let passes = |cols: &mut TraceColumns| {
         let report = forward_pass_csr(cols, graph, params.mu)?;
         if params.backward {
@@ -55,14 +69,6 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     report.events_total = cols.n_events();
     report.events_moved = events_moved(cols, &originals);
     Ok(report)
-}
-
-/// Snapshot the columns as one dense `i64` slab indexed by gid — the
-/// layout every CSR kernel reads its snapshots and originals in. The
-/// columns' own slab is already timeline-major in gid order, so this is a
-/// single `memcpy` of live storage.
-fn flatten_by_gid(cols: &TraceColumns) -> Vec<i64> {
-    cols.flat().to_vec()
 }
 
 pub(crate) fn check_mu(mu: f64) -> Result<(), ClcError> {
@@ -89,6 +95,137 @@ fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
         .zip(originals)
         .map(|(&a, &b)| usize::from(a != b))
         .sum()
+}
+
+/// One forward step of the CLC — the only place its arithmetic is written;
+/// the batch pass below and the windowed engine's sweeps both call it.
+///
+/// Folds the remote bound `max(corrected(producer) + latency)` over `view`
+/// in dispatch order, starting from `known` (a bound the caller already
+/// holds: an aggregated collective end's). `corrected` answers a producer's
+/// corrected time, or `None` while it is pending — the step then returns
+/// `None` having decided nothing, and the caller leaves the timeline there.
+/// `prev` is the predecessor's (pre-pass, corrected) pair, `None` for a
+/// timeline's first event: the local candidate keeps `mu` of the original
+/// gap behind the predecessor's corrected time. Returns the corrected time;
+/// when the remote bound won, `on_jump` is first handed the size of the
+/// jump (a callback, not a returned option: the no-jump path stays
+/// branch-free in the batch loop, worth 8 % of its `clc` stage).
+///
+/// Saturating arithmetic throughout: tenant streams may carry timestamps at
+/// the `i64` edges, where plain ops debug-panic; saturation equals the
+/// plain result whenever no overflow occurs.
+#[inline(always)]
+pub(crate) fn forward_step(
+    orig: Time,
+    prev: Option<(Time, Time)>,
+    mu: f64,
+    known: Option<Time>,
+    view: Edges<'_>,
+    corrected: impl Fn(u32) -> Option<i64>,
+    on_jump: impl FnOnce(Dur),
+) -> Option<Time> {
+    let mut remote = known;
+    for (src, lat) in view.iter() {
+        let c = Time::from_ps(corrected(src)?).saturating_add(Dur::from_ps(lat));
+        remote = Some(remote.map_or(c, |b: Time| b.max(c)));
+    }
+    let candidate = match prev {
+        None => orig,
+        Some((prev_orig, prev_corr)) => {
+            let gap = orig.saturating_since(prev_orig).max(Dur::ZERO);
+            orig.max(prev_corr.saturating_add(gap.scale(mu)))
+        }
+    };
+    Some(match remote {
+        Some(r) if r > candidate => {
+            on_jump(r.saturating_since(candidate));
+            r
+        }
+        _ => candidate,
+    })
+}
+
+/// The backward walk one jump asks for, derived once from the forward
+/// value the jump event took. Events at or below `w_start` are never
+/// written by the walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Walk {
+    /// Timeline-local index of the jump event (> 0: an index-0 jump has
+    /// nothing before it to smooth).
+    pub(crate) k: u64,
+    /// Jump size.
+    pub(crate) delta: Dur,
+    /// Amortization window, `delta × backward_window_factor`.
+    window: Dur,
+    /// `(at − delta) − window`, in this saturation order.
+    pub(crate) w_start: Time,
+}
+
+impl Walk {
+    /// The walk of a jump of `delta` that left event `k` at `at`.
+    pub(crate) fn new(k: u64, at: Time, delta: Dur, window_factor: f64) -> Walk {
+        let window = delta.scale(window_factor);
+        Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window) }
+    }
+}
+
+/// What the backward walk needs of the timeline it rewrites: the batch
+/// pass hands it a column slice, the windowed engine a segment lane.
+pub(crate) trait Timeline {
+    fn get(&self, i: u64) -> i64;
+    fn set(&mut self, i: u64, v: i64);
+}
+
+impl Timeline for [i64] {
+    #[inline(always)]
+    fn get(&self, i: u64) -> i64 {
+        self[i as usize]
+    }
+    #[inline(always)]
+    fn set(&mut self, i: u64, v: i64) {
+        self[i as usize] = v;
+    }
+}
+
+/// One backward walk — written once, like [`forward_step`]: shift the
+/// events before the jump forward by `min(ramp, cap, shift of successor)`,
+/// the ramp linear over the window, the cap what each out-edge's consumer
+/// leaves (read through `snapshot`, the post-forward time of a gid), and
+/// stop at the window start or the first event that cannot move. `base` is
+/// the gid of the timeline's first event.
+#[inline(always)]
+pub(crate) fn backward_walk<L: Timeline + ?Sized>(
+    walk: &Walk,
+    graph: &DepGraph,
+    base: u32,
+    line: &mut L,
+    snapshot: impl Fn(u32) -> i64,
+) {
+    let mut shift_above = walk.delta;
+    for i in (0..walk.k).rev() {
+        let t_i = Time::from_ps(line.get(i));
+        if t_i <= walk.w_start {
+            break;
+        }
+        let frac = t_i.saturating_since(walk.w_start).as_ps() as f64
+            / walk.window.as_ps().max(1) as f64;
+        let ramp = walk.delta.scale(frac.clamp(0.0, 1.0));
+        let mut cap = Dur::MAX;
+        for (dst, lat) in graph.out_of(base + i as u32).iter() {
+            cap = cap.min(
+                Time::from_ps(snapshot(dst))
+                    .saturating_sub(Dur::from_ps(lat))
+                    .saturating_since(t_i),
+            );
+        }
+        let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
+        line.set(i, t_i.saturating_add(shift).as_ps());
+        shift_above = shift;
+        if shift == Dur::ZERO {
+            break;
+        }
+    }
 }
 
 /// The forward pass over CSR in-edges: assign corrected times in
@@ -119,8 +256,8 @@ pub(crate) fn forward_pass_csr(
     // frontier[p]: gid of the next uncorrected event of timeline p. A
     // producer gid is corrected iff it is below its timeline's frontier.
     let mut frontier: Vec<u32> = (0..n).map(|p| graph.base(p)).collect();
-    let mut prev_orig = vec![Time::MIN; n];
-    let mut prev_corr = vec![Time::MIN; n];
+    // Per timeline: the last corrected event's (pre-pass, corrected) pair.
+    let mut prev: Vec<Option<(Time, Time)>> = vec![None; n];
     let mut report = ClcReport::default();
 
     loop {
@@ -128,59 +265,41 @@ pub(crate) fn forward_pass_csr(
         for p in 0..n {
             let base = graph.base(p) as usize;
             let end = base + lens[p];
+            let mut last = prev[p];
             'events: while (frontier[p] as usize) < end {
                 let gid = frontier[p] as usize;
                 let i = gid - base;
                 let orig = Time::from_ps(flat[gid]);
 
-                // Remote constraint: max over in-edge producers, walked in
-                // dispatch order; the pass blocks on the first pending one.
-                let mut remote: Option<Time> = None;
+                // An aggregated collective end takes its bound from the
+                // pass's `CollPass` and walks nothing; every other event
+                // walks its view.
+                let mut known: Option<Time> = None;
                 let slot = graph.member_slot(gid as u32);
                 let mut view = graph.message_in(gid as u32);
                 if slot & 1 == 1 && view.is_empty() {
                     match coll.pending(graph, slot) {
-                        Some(0) => remote = Some(Time::from_ps(coll.bound(slot))),
+                        Some(0) => known = Some(Time::from_ps(coll.bound(slot))),
                         Some(_) => break 'events, // a begin not yet corrected
                         None => view = graph.collective_in(gid as u32),
                     }
                 }
-                for (src, lat) in view.iter() {
-                    if src >= frontier[graph.proc_of(src)] {
-                        break 'events; // producer not yet corrected
-                    }
-                    let c = Time::from_ps(flat[src as usize]).saturating_add(Dur::from_ps(lat));
-                    remote = Some(remote.map_or(c, |b: Time| b.max(c)));
-                }
-
-                // Amortized local candidate. Saturating arithmetic: tenant
-                // streams may carry timestamps at the `i64` edges, where
-                // plain ops debug-panic; saturation equals the plain result
-                // whenever no overflow occurs.
-                let candidate = if i == 0 {
-                    orig
-                } else {
-                    let gap = orig.saturating_since(prev_orig[p]).max(Dur::ZERO);
-                    orig.max(prev_corr[p].saturating_add(gap.scale(mu)))
-                };
-                let corrected = match remote {
-                    Some(r) if r > candidate => {
-                        let size = r.saturating_since(candidate);
-                        report.jumps.push(Jump { event: EventId::new(p, i), size });
-                        report.max_jump = report.max_jump.max(size);
-                        r
-                    }
-                    _ => candidate,
+                let ready = |src| (src < frontier[graph.proc_of(src)]).then(|| flat[src as usize]);
+                let Some(corrected) = forward_step(orig, last, mu, known, view, ready, |size| {
+                    report.jumps.push(Jump { event: EventId::new(p, i), size });
+                    report.max_jump = report.max_jump.max(size);
+                }) else {
+                    break 'events; // producer not yet corrected
                 };
                 flat[gid] = corrected.as_ps();
                 if slot != 0 && slot & 1 == 0 {
                     coll.begin_corrected(graph, slot, flat);
                 }
-                prev_orig[p] = orig;
-                prev_corr[p] = corrected;
+                last = Some((orig, corrected));
                 frontier[p] += 1;
                 progressed = true;
             }
+            prev[p] = last;
         }
         if (0..n).all(|p| frontier[p] as usize == graph.base(p) as usize + lens[p]) {
             return Ok(report);
@@ -205,9 +324,9 @@ fn backward_amortization_csr(
     params: &ClcParams,
     jumps: &[Jump],
 ) {
-    // Flatten the snapshot by gid: backward clamping reads remote times by
-    // out-edge target, which is already a gid.
-    let snapshot = flatten_by_gid(cols);
+    // The columns' slab is timeline-major in gid order: one `memcpy` gives
+    // the snapshot indexed the way out-edge targets are named.
+    let snapshot = cols.flat().to_vec();
     let mut per_proc: Vec<Vec<Jump>> = vec![Vec::new(); cols.n_procs()];
     for j in jumps {
         per_proc[j.event.p()].push(*j);
@@ -220,8 +339,10 @@ fn backward_amortization_csr(
     }
 }
 
-/// The per-timeline backward kernel over a raw picosecond slice and CSR
-/// out-edges. `snapshot` is the post-forward trace flattened by gid.
+/// The per-timeline backward kernel over a raw picosecond slice: one
+/// [`backward_walk`] per jump, ascending. `snapshot` is the post-forward
+/// trace flattened by gid. At walk time `col[k]` still holds the forward
+/// value the jump left — earlier walks write below earlier jumps only.
 fn backward_pass_csr(
     p: usize,
     col: &mut [i64],
@@ -230,41 +351,13 @@ fn backward_pass_csr(
     params: &ClcParams,
     snapshot: &[i64],
 ) {
-    let base = graph.base(p);
     for jump in jumps {
         let k = jump.event.i();
         if k == 0 {
             continue;
         }
-        let delta = jump.size;
-        let t_pre = Time::from_ps(col[k]).saturating_sub(delta);
-        let window = delta.scale(params.backward_window_factor);
-        let w_start = t_pre.saturating_sub(window);
-        // Walk backward applying min(ramp, cap, shift_of_successor).
-        let mut shift_above = delta;
-        for i in (0..k).rev() {
-            let t_i = Time::from_ps(col[i]);
-            if t_i <= w_start {
-                break;
-            }
-            let frac = t_i.saturating_since(w_start).as_ps() as f64
-                / window.as_ps().max(1) as f64;
-            let ramp = delta.scale(frac.clamp(0.0, 1.0));
-            let mut cap = Dur::MAX;
-            for (dst, lat) in graph.out_of(base + i as u32).iter() {
-                cap = cap.min(
-                    Time::from_ps(snapshot[dst as usize])
-                        .saturating_sub(Dur::from_ps(lat))
-                        .saturating_since(t_i),
-                );
-            }
-            let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
-            col[i] = t_i.saturating_add(shift).as_ps();
-            shift_above = shift;
-            if shift == Dur::ZERO {
-                break;
-            }
-        }
+        let walk = Walk::new(k as u64, Time::from_ps(col[k]), jump.size, params.backward_window_factor);
+        backward_walk(&walk, graph, graph.base(p), col, |dst| snapshot[dst as usize]);
     }
 }
 

@@ -7,66 +7,16 @@
 //! lengths entirely, which is why the paper ultimately advocates the
 //! controlled logical clock instead.
 
-use tracefmt::{match_messages, EventKind, Trace};
+use crate::clc::ClcError;
+use crate::stamp::stamp_events;
+use tracefmt::{match_messages, Trace};
 
 /// Lamport timestamps parallel to the trace layout: `out[p][i]` is the
-/// logical time of event `i` on process `p`.
-pub fn lamport_timestamps(trace: &Trace) -> Vec<Vec<u64>> {
-    let matching = match_messages(trace);
-    // recv event -> its send event.
-    let mut send_of = std::collections::HashMap::new();
-    for m in &matching.messages {
-        send_of.insert(m.recv, m.send);
-    }
-
-    let mut out: Vec<Vec<u64>> = trace
-        .procs
-        .iter()
-        .map(|p| vec![0u64; p.events.len()])
-        .collect();
-    let mut pc = vec![0usize; trace.n_procs()]; // next unprocessed event
-    let mut counter = vec![0u64; trace.n_procs()];
-
-    // Conservative sweeps: a receive waits for its send to be stamped.
-    loop {
-        let mut progressed = false;
-        for p in 0..trace.n_procs() {
-            while pc[p] < trace.procs[p].events.len() {
-                let i = pc[p];
-                let ev = &trace.procs[p].events[i];
-                let stamp = match ev.kind {
-                    EventKind::Recv { .. } => {
-                        match send_of.get(&tracefmt::EventId::new(p, i)) {
-                            Some(s) => {
-                                let sp = s.p();
-                                let si = s.i();
-                                if si >= pc[sp] && (sp != p) {
-                                    // Send not stamped yet; block this proc.
-                                    break;
-                                }
-                                counter[p].max(out[sp][si]) + 1
-                            }
-                            // Unmatched receive: treat as local event.
-                            None => counter[p] + 1,
-                        }
-                    }
-                    _ => counter[p] + 1,
-                };
-                counter[p] = stamp;
-                out[p][i] = stamp;
-                pc[p] += 1;
-                progressed = true;
-            }
-        }
-        if pc
-            .iter()
-            .enumerate()
-            .all(|(p, &c)| c == trace.procs[p].events.len())
-        {
-            return out;
-        }
-        assert!(progressed, "cyclic message structure in trace");
-    }
+/// logical time of event `i` on process `p`. A trace whose messages cannot
+/// be ordered — a receive before its own timeline's send included — is
+/// [`ClcError::CyclicTrace`].
+pub fn lamport_timestamps(trace: &Trace) -> Result<Vec<Vec<u64>>, ClcError> {
+    stamp_events(trace, |_| 0u64, |clock, sent| *clock = (*clock).max(*sent), |clock, _| *clock += 1)
 }
 
 /// Check the Lamport clock condition on the stamped trace: every receive's
@@ -83,7 +33,7 @@ pub fn satisfies_lamport_condition(trace: &Trace, stamps: &[Vec<u64>]) -> bool {
 mod tests {
     use super::*;
     use simclock::Time;
-    use tracefmt::{Rank, RegionId, Tag};
+    use tracefmt::{EventKind, Rank, RegionId, Tag};
 
     #[test]
     fn local_events_count_up() {
@@ -91,7 +41,7 @@ mod tests {
         for i in 0..5 {
             t.procs[0].push(Time::from_us(i), EventKind::Enter { region: RegionId(0) });
         }
-        let s = lamport_timestamps(&t);
+        let s = lamport_timestamps(&t).unwrap();
         assert_eq!(s[0], vec![1, 2, 3, 4, 5]);
     }
 
@@ -112,7 +62,7 @@ mod tests {
             Time::from_us(50),
             EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
         );
-        let s = lamport_timestamps(&t);
+        let s = lamport_timestamps(&t).unwrap();
         assert_eq!(s[0][9], 10);
         assert_eq!(s[1][0], 11);
         assert!(satisfies_lamport_condition(&t, &s));
@@ -126,7 +76,7 @@ mod tests {
         t.procs[1].push(Time::from_us(1), EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 });
         t.procs[1].push(Time::from_us(2), EventKind::Send { to: Rank(2), tag: Tag(0), bytes: 0 });
         t.procs[2].push(Time::from_us(3), EventKind::Recv { from: Rank(1), tag: Tag(0), bytes: 0 });
-        let s = lamport_timestamps(&t);
+        let s = lamport_timestamps(&t).unwrap();
         assert!(s[0][0] < s[1][0]);
         assert!(s[1][1] < s[2][0]);
     }
@@ -135,7 +85,7 @@ mod tests {
     fn unmatched_recv_does_not_hang() {
         let mut t = Trace::for_ranks(2);
         t.procs[1].push(Time::from_us(1), EventKind::Recv { from: Rank(0), tag: Tag(9), bytes: 0 });
-        let s = lamport_timestamps(&t);
+        let s = lamport_timestamps(&t).unwrap();
         assert_eq!(s[1][0], 1);
     }
 }

@@ -31,6 +31,7 @@ pub mod lamport;
 pub mod offset;
 pub mod pipeline;
 pub mod predict;
+mod stamp;
 pub mod vector;
 
 pub use baselines::{AffineMap, Corridor};

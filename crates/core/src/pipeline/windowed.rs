@@ -10,7 +10,9 @@
 //!   zero-copy [`ChunkStore`]; the trace is never materialized;
 //! * the forward pass advances each timeline at most `window_events` per
 //!   round-robin epoch, ingesting blocks lazily and appending corrected
-//!   times to fixed-width lane segments;
+//!   times to fixed-width lane segments — `window_events` wide, but never
+//!   wider than the timeline itself, so the window (a number off the wire)
+//!   can ask for no more memory than the input stream paid for;
 //! * a *carry frontier* of per-segment read counters tracks which corrected
 //!   values remote consumers still need; a segment is retired (freed) the
 //!   moment its frontier clears, so steady-state residency is
@@ -26,9 +28,14 @@
 //!
 //! # Bit-identity with the batch engine
 //!
-//! The forward, backward and re-forward kernels are statement-level copies
-//! of [`crate::clc::columnar`]'s; only the schedule differs (bounded
-//! per-epoch bursts instead of run-to-block). The forward pass is
+//! The arithmetic is the batch engine's own: every sweep here steps through
+//! [`forward_step`], every walk is a [`backward_walk`] over a [`Walk`]
+//! derived by the same constructor, all of [`crate::clc::columnar`]. What
+//! this module owns is what differs — the schedule (bounded per-epoch
+//! bursts and a safety frontier instead of run-to-block), the storage
+//! (lanes that retire, behind the [`Timeline`] seam, instead of one slab in
+//! place) and views walked for every collective end (no `CollPass`: an
+//! aggregate would outlive retired segments). The forward pass is
 //! confluent — every event's corrected time is a function of its already
 //! corrected dependencies, not of visit order — so corrected timestamps,
 //! `max_jump`, `events_moved` and the jump *set* are bit-identical for
@@ -49,19 +56,21 @@ use super::{
     build_presync_maps, freeze_inputs, CancelToken, PipelineConfig, PipelineError, PipelineStats,
     PresyncMap, StageStats, TraceAnalysis,
 };
+use crate::clc::columnar::{backward_walk, forward_step, Timeline, Walk};
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use tracefmt::io::{
     decode_block_kinds, decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter,
     StreamIndex,
 };
 use tracefmt::{
     assemble_collective_instances, group_calls_by_comm, CollectiveScanner, EventId, EventKind,
-    MessageMatcher, MinLatency, Rank,
+    Location, MessageMatcher, MinLatency, Rank,
 };
 
 /// A finalized-chunk consumer for the streaming entry point: called with
@@ -110,23 +119,22 @@ impl IncrementalReport {
     }
 }
 
-/// High-water gauge over the lane segments' allocations.
+/// High-water gauge over the lane segments' allocations, shared by every
+/// lane of a run (a job is single-threaded: plain cells).
 #[derive(Default)]
 struct MemGauge {
-    cur: u64,
-    peak: u64,
+    cur: Cell<u64>,
+    peak: Cell<u64>,
 }
 
 impl MemGauge {
-    fn alloc(&mut self, bytes: u64) {
-        self.cur += bytes;
-        if self.cur > self.peak {
-            self.peak = self.cur;
-        }
+    fn alloc(&self, bytes: u64) {
+        self.cur.set(self.cur.get() + bytes);
+        self.peak.set(self.peak.get().max(self.cur.get()));
     }
 
-    fn free(&mut self, bytes: u64) {
-        self.cur -= bytes;
+    fn free(&self, bytes: u64) {
+        self.cur.set(self.cur.get() - bytes);
     }
 }
 
@@ -134,80 +142,57 @@ impl MemGauge {
 /// retired from the front once no frontier needs them. Indices are
 /// *logical* (stable across retirement); reading a retired index is a bug
 /// caught by the debug assert.
-struct Lane {
+///
+/// A lane other timelines read from also counts the reads each resident
+/// segment still owes: `reads[seg − first_seg]`, running sums — a read may
+/// be released before the segment it targets is pushed (the deque grows
+/// ahead of the lane) or before the segment's own additions land (an entry
+/// may dip negative until its frontier passes).
+struct Lane<'m> {
+    mem: &'m MemGauge,
     w: u64,
     first_seg: u64,
     segs: VecDeque<Box<[i64]>>,
+    reads: VecDeque<i64>,
     /// Logical length: total values ever pushed.
     len: u64,
 }
 
-impl Lane {
-    fn new(window: usize) -> Lane {
-        Lane { w: window as u64, first_seg: 0, segs: VecDeque::new(), len: 0 }
+impl<'m> Lane<'m> {
+    /// One lane per timeline of the stream. A segment is `window` values
+    /// wide but never wider than its own timeline: the window comes from
+    /// the caller (off the wire, for a served job), the timeline lengths
+    /// from bytes the caller actually sent, so an absurd window allocates
+    /// nothing the input did not pay for — and a timeline that fits one
+    /// segment is scheduled the same whatever the window says.
+    fn per_timeline(index: &StreamIndex, window: usize, mem: &'m MemGauge) -> Vec<Lane<'m>> {
+        let lane = |&len: &u64| Lane {
+            mem,
+            w: (window as u64).min(len.max(1)),
+            first_seg: 0,
+            segs: VecDeque::new(),
+            reads: VecDeque::new(),
+            len: 0,
+        };
+        index.proc_lens.iter().map(lane).collect()
     }
 
-    fn push(&mut self, v: i64, mem: &mut MemGauge) {
+    fn push(&mut self, v: i64) {
         if self.len.is_multiple_of(self.w) {
             self.segs.push_back(vec![0i64; self.w as usize].into_boxed_slice());
-            mem.alloc(8 * self.w);
+            self.mem.alloc(8 * self.w);
         }
         let seg = (self.len / self.w - self.first_seg) as usize;
         self.segs[seg][(self.len % self.w) as usize] = v;
         self.len += 1;
     }
 
-    fn get(&self, i: u64) -> i64 {
-        debug_assert!(i < self.len, "lane read past frontier");
-        debug_assert!(i / self.w >= self.first_seg, "lane read of retired segment");
-        self.segs[(i / self.w - self.first_seg) as usize][(i % self.w) as usize]
-    }
-
-    fn set(&mut self, i: u64, v: i64) {
-        debug_assert!(i < self.len, "lane write past frontier");
-        debug_assert!(i / self.w >= self.first_seg, "lane write to retired segment");
-        self.segs[(i / self.w - self.first_seg) as usize][(i % self.w) as usize] = v;
-    }
-
-    /// Logical end index of the head (oldest retained) segment.
-    fn head_end(&self) -> Option<u64> {
-        if self.segs.is_empty() {
-            None
-        } else {
-            Some((self.first_seg + 1) * self.w)
-        }
-    }
-
-    fn pop_head(&mut self, mem: &mut MemGauge) {
-        self.segs.pop_front().expect("pop of empty lane");
-        self.first_seg += 1;
-        mem.free(8 * self.w);
-    }
-
-    fn drain(&mut self, mem: &mut MemGauge) {
-        while !self.segs.is_empty() {
-            self.pop_head(mem);
-        }
-    }
-}
-
-/// Reads still pending on each resident segment of one lane: a deque
-/// aligned with the lane's segments, `reads[seg − first_seg]`. Running
-/// sums — a read may be released before the segment it targets is pushed
-/// (the deque grows ahead of the lane) or before the segment's own
-/// additions land (an entry may dip negative until its frontier passes).
-#[derive(Clone, Default)]
-struct SegReads {
-    first_seg: u64,
-    reads: VecDeque<i64>,
-}
-
-impl SegReads {
+    /// Account `delta` pending reads of value `i`.
     #[inline]
-    fn add(&mut self, seg: u64, delta: i64) {
+    fn owe(&mut self, i: u64, delta: i64) {
         // A segment retires only after its last read, so nothing is ever
         // accounted to one that is gone.
-        let Some(at) = seg.checked_sub(self.first_seg) else {
+        let Some(at) = (i / self.w).checked_sub(self.first_seg) else {
             debug_assert!(false, "read accounted to a retired segment");
             return;
         };
@@ -217,77 +202,86 @@ impl SegReads {
         }
         self.reads[at] += delta;
     }
-}
 
-/// Retire head segments up to `upto` once their outstanding-read counter
-/// clears.
-fn retire_counted(lane: &mut Lane, upto: u64, cnt: &mut SegReads, mem: &mut MemGauge) {
-    while let Some(end) = lane.head_end() {
-        debug_assert_eq!(cnt.first_seg, lane.first_seg);
-        if end <= upto && cnt.reads.front().is_none_or(|&pending| pending == 0) {
-            cnt.reads.pop_front();
-            cnt.first_seg += 1;
-            lane.pop_head(mem);
-        } else {
-            break;
+    /// Retire head segments wholly below `upto` that owe no read.
+    #[inline(always)]
+    fn retire(&mut self, upto: u64) {
+        while !self.segs.is_empty()
+            && (self.first_seg + 1) * self.w <= upto
+            && self.reads.front().is_none_or(|&pending| pending == 0)
+        {
+            self.reads.pop_front();
+            self.segs.pop_front();
+            self.first_seg += 1;
+            self.mem.free(8 * self.w);
         }
     }
 }
 
-/// Retire head segments wholly below `upto` (no read accounting).
-fn retire_plain(lane: &mut Lane, upto: u64, mem: &mut MemGauge) {
-    while lane.head_end().is_some_and(|end| end <= upto) {
-        lane.pop_head(mem);
+impl Drop for Lane<'_> {
+    fn drop(&mut self) {
+        self.mem.free(8 * self.w * self.segs.len() as u64);
     }
 }
 
-/// One backward walk discovered by the first sweep: everything the second
-/// sweep needs to run [`backward_pass`] for a jump without re-deriving it.
-#[derive(Debug, Clone, Copy)]
-struct WJump {
-    /// Timeline-local index of the jump event (always > 0; index-0 jumps
-    /// have no walk).
-    k: u64,
-    /// Jump size.
-    delta: Dur,
-    /// Amortization window (`delta × backward_window_factor`).
-    window: Dur,
-    /// Window start in ps: `r − delta − window` with the batch kernel's
-    /// exact saturation sequence. Events at or below this time are never
-    /// written by the walk.
-    w_start: i64,
+/// Reads and in-place writes by logical index: the seam the shared
+/// backward walk rewrites a lane through.
+impl Timeline for Lane<'_> {
+    #[inline(always)]
+    fn get(&self, i: u64) -> i64 {
+        debug_assert!(i < self.len, "lane read past frontier");
+        debug_assert!(i / self.w >= self.first_seg, "lane read of retired segment");
+        self.segs[(i / self.w - self.first_seg) as usize][(i % self.w) as usize]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, i: u64, v: i64) {
+        debug_assert!(i < self.len, "lane write past frontier");
+        debug_assert!(i / self.w >= self.first_seg, "lane write to retired segment");
+        self.segs[(i / self.w - self.first_seg) as usize][(i % self.w) as usize] = v;
+    }
 }
 
-/// Decode timeline `p`'s next block, apply its presync map, and append the
-/// times to `orig`. Returns false when the timeline has no blocks left.
-#[allow(clippy::too_many_arguments)]
-fn ingest_block(
-    index: &StreamIndex,
-    store: &ChunkStore,
-    maps: Option<&[PresyncMap]>,
-    p: usize,
-    next_block: &mut usize,
-    orig: &mut Lane,
-    mem: &mut MemGauge,
-    scratch: &mut Vec<u8>,
-    tmp: &mut Vec<i64>,
-) -> bool {
-    let list = &index.proc_blocks[p];
-    if *next_block >= list.len() {
-        return false;
+/// The pre-CLC side of a sweep: the presynchronized input times, decoded
+/// from the indexed stream one block at a time as a frontier reaches them.
+struct Source<'a> {
+    index: &'a StreamIndex,
+    store: &'a ChunkStore<'a>,
+    maps: Option<&'a [PresyncMap]>,
+    orig: Vec<Lane<'a>>,
+    next_block: Vec<usize>,
+    scratch: Vec<u8>,
+    tmp: Vec<i64>,
+}
+
+impl Source<'_> {
+    /// The input time of event `i` of timeline `p`, at most one past what
+    /// is decoded: that read ingests the timeline's next block.
+    #[inline(always)]
+    fn get(&mut self, p: usize, i: u64) -> i64 {
+        if i == self.orig[p].len {
+            self.ingest_block(p);
+        }
+        self.orig[p].get(i)
     }
-    let bm = &index.blocks[list[*next_block] as usize];
-    *next_block += 1;
-    tmp.clear();
-    let seg = store.read(bm.times_off, bm.n_events as usize * 8, scratch);
-    decode_block_times(index.version, seg, tmp);
-    if let Some(maps) = maps {
-        maps[p].map_col(tmp);
+
+    /// Decode timeline `p`'s next block, apply its presync map, and append
+    /// the times to its lane.
+    fn ingest_block(&mut self, p: usize) {
+        let list = &self.index.proc_blocks[p];
+        debug_assert!(self.next_block[p] < list.len(), "index accounts for every event");
+        let bm = &self.index.blocks[list[self.next_block[p]] as usize];
+        self.next_block[p] += 1;
+        self.tmp.clear();
+        let seg = self.store.read(bm.times_off, bm.n_events as usize * 8, &mut self.scratch);
+        decode_block_times(self.index.version, seg, &mut self.tmp);
+        if let Some(maps) = self.maps {
+            maps[p].map_col(&mut self.tmp);
+        }
+        for &v in &self.tmp {
+            self.orig[p].push(v);
+        }
     }
-    for &v in tmp.iter() {
-        orig.push(v, mem);
-    }
-    true
 }
 
 /// Reconstruct the communication structure straight from the indexed
@@ -331,281 +325,256 @@ pub(super) fn capture_analysis_streamed(
     Ok(TraceAnalysis { matching: matcher.finish(), instances })
 }
 
+/// One forward sweep of the windowed engine: per-timeline frontiers over
+/// output lanes that other timelines read their remote bounds from. The
+/// engine runs three — discovery, the forward pass proper, the μ = 1
+/// re-sweep — that differ in where an event's input comes from and what is
+/// done with its outcome, never in the step, which is [`forward_step`].
+struct Sweep<'a> {
+    mu: f64,
+    /// Whether an event's value also owes one read per *in*-edge: the
+    /// clamp of a backward walk visiting the producer.
+    arm_in_edges: bool,
+    /// Per timeline: events corrected so far.
+    frontier: Vec<u64>,
+    /// Per timeline: the last corrected event's (input, corrected) pair.
+    prev: Vec<Option<(Time, Time)>>,
+    /// Corrected values, kept while a reader still needs them.
+    out: Vec<Lane<'a>>,
+}
+
+impl<'a> Sweep<'a> {
+    fn new(mu: f64, arm_in_edges: bool, out: Vec<Lane<'a>>) -> Sweep<'a> {
+        let n = out.len();
+        Sweep { mu, arm_in_edges, frontier: vec![0; n], prev: vec![None; n], out }
+    }
+
+    /// Account `delta` pending reads of the corrected value of `gid`.
+    #[inline(always)]
+    fn owe(&mut self, graph: &DepGraph, gid: u32, delta: i64) {
+        let (p, i) = graph.locate(gid);
+        self.out[p].owe(i as u64, delta);
+    }
+
+    /// Whether `gid` is corrected: its timeline's frontier has passed it.
+    #[inline(always)]
+    fn passed(&self, graph: &DepGraph, gid: u32) -> bool {
+        let (p, i) = graph.locate(gid);
+        (i as u64) < self.frontier[p]
+    }
+
+    /// The corrected value of `gid`.
+    #[inline(always)]
+    fn value(&self, graph: &DepGraph, gid: u32) -> i64 {
+        let (p, i) = graph.locate(gid);
+        self.out[p].get(i as u64)
+    }
+
+    /// Correct timeline `p`'s next event, whose input time is `orig` and
+    /// whose predecessor left `prev` (as [`forward_step`] takes it); `None`
+    /// — nothing changed — while one of its producers is pending.
+    /// The event's value now owes one read per out-edge (its consumers'
+    /// remote bounds); the producers' values are paid the read just made —
+    /// exactly one per in-edge, never repeated, since a blocked step
+    /// commits nothing.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        graph: &DepGraph,
+        p: usize,
+        orig: Time,
+        prev: Option<(Time, Time)>,
+    ) -> Option<(Time, Option<Dur>)> {
+        let i = self.frontier[p];
+        let gid = graph.base(p) + i as u32;
+        let srcs = graph.in_of(gid);
+        let mut jump = None;
+        let ready = |src| self.passed(graph, src).then(|| self.value(graph, src));
+        let corrected =
+            forward_step(orig, prev, self.mu, None, srcs, ready, |size| jump = Some(size))?;
+        self.out[p].push(corrected.as_ps());
+        let owed = graph.out_of(gid).len() + if self.arm_in_edges { srcs.len() } else { 0 };
+        if owed > 0 {
+            self.out[p].owe(i, owed as i64);
+        }
+        for (src, _) in srcs.iter() {
+            self.owe(graph, src, -1);
+        }
+        self.frontier[p] += 1;
+        Some((corrected, jump))
+    }
+
+    /// Advance timeline `p` until it blocks, reaches `upto` or has taken
+    /// `limit` steps: `input(i)` supplies event `i`'s input time,
+    /// `on_event(i, corrected, jump)` sees each outcome. Whether it moved.
+    #[inline(always)]
+    fn advance(
+        &mut self,
+        graph: &DepGraph,
+        p: usize,
+        upto: u64,
+        limit: u64,
+        mut input: impl FnMut(u64) -> i64,
+        mut on_event: impl FnMut(u64, Time, Option<Dur>),
+    ) -> bool {
+        let start = self.frontier[p];
+        let stop = upto.min(start.saturating_add(limit));
+        let mut last = self.prev[p];
+        while self.frontier[p] < stop {
+            let i = self.frontier[p];
+            let orig = Time::from_ps(input(i));
+            let Some((corrected, jump)) = self.step(graph, p, orig, last) else {
+                break;
+            };
+            last = Some((orig, corrected));
+            on_event(i, corrected, jump);
+        }
+        self.prev[p] = last;
+        self.frontier[p] != start
+    }
+}
+
 /// Sweep 1 (backward path only): run the forward pass once, with bounded
 /// lookback, purely to *discover* every jump's backward walk. Corrected
 /// values are kept only while a remote consumer still needs them (the
 /// per-segment read counters); nothing is emitted.
-#[allow(clippy::too_many_arguments)]
 fn discover_walks(
-    index: &StreamIndex,
-    store: &ChunkStore,
-    maps: Option<&[PresyncMap]>,
+    mut src: Source<'_>,
+    mut fwd: Sweep<'_>,
     graph: &DepGraph,
     params: &ClcParams,
-    window: usize,
     cancel: &CancelToken,
-    mem: &mut MemGauge,
-) -> Result<Vec<Vec<WJump>>, PipelineError> {
-    let n = index.locations.len();
-    let w = window as u64;
-    let lens = &index.proc_lens;
-    let mut orig: Vec<Lane> = (0..n).map(|_| Lane::new(window)).collect();
-    let mut corr: Vec<Lane> = (0..n).map(|_| Lane::new(window)).collect();
-    let mut f1 = vec![0u64; n];
-    let mut next_block = vec![0usize; n];
-    let mut prev_orig = vec![Time::MIN; n];
-    let mut prev_corr = vec![Time::MIN; n];
-    let mut cnt = vec![SegReads::default(); n];
-    let mut walks: Vec<Vec<WJump>> = vec![Vec::new(); n];
-    let mut scratch = Vec::new();
-    let mut tmp = Vec::new();
+) -> Result<Vec<Vec<Walk>>, PipelineError> {
+    let lens = &src.index.proc_lens;
+    let n = lens.len();
+    let mut walks: Vec<Vec<Walk>> = vec![Vec::new(); n];
 
-    loop {
+    while (0..n).any(|p| fwd.frontier[p] < lens[p]) {
         cancel.check()?;
         let mut progressed = false;
         for p in 0..n {
-            let gbase = graph.base(p);
-            let mut burst = 0u64;
-            'events: while f1[p] < lens[p] && burst < w {
-                if f1[p] == orig[p].len {
-                    let ok = ingest_block(
-                        index, store, maps, p, &mut next_block[p], &mut orig[p], mem,
-                        &mut scratch, &mut tmp,
-                    );
-                    debug_assert!(ok, "index accounts for every event");
-                    if !ok {
-                        break 'events;
-                    }
+            let burst = fwd.out[p].w;
+            let record = |i, at, jump| {
+                if let (Some(delta), true) = (jump, i > 0) {
+                    walks[p].push(Walk::new(i, at, delta, params.backward_window_factor));
                 }
-                let i = f1[p];
-                let gid = gbase + i as u32;
-                let orig_t = Time::from_ps(orig[p].get(i));
-
-                // Remote constraint: max over in-edge producers, in
-                // dependency-dispatch order (same blocking producer as the
-                // batch kernel).
-                let mut remote: Option<Time> = None;
-                let srcs = graph.in_of(gid);
-                for (src, lat) in srcs.iter() {
-                    let ps = graph.proc_of(src);
-                    let si = (src - graph.base(ps)) as u64;
-                    if si >= f1[ps] {
-                        break 'events; // producer not yet corrected
-                    }
-                    let c = Time::from_ps(corr[ps].get(si)).saturating_add(Dur::from_ps(lat));
-                    remote = Some(remote.map_or(c, |b: Time| b.max(c)));
-                }
-
-                let candidate = if i == 0 {
-                    orig_t
-                } else {
-                    let gap = orig_t.saturating_since(prev_orig[p]).max(Dur::ZERO);
-                    orig_t.max(prev_corr[p].saturating_add(gap.scale(params.mu)))
-                };
-                let corrected = match remote {
-                    Some(r) if r > candidate => {
-                        let size = r.saturating_since(candidate);
-                        if i > 0 {
-                            // Precompute the walk window with the batch
-                            // kernel's exact saturation sequence: at walk
-                            // time `col[k]` still holds this forward value
-                            // `r`, so `w_start = (r − delta) − window`.
-                            let wdur = size.scale(params.backward_window_factor);
-                            let w_start = r.saturating_sub(size).saturating_sub(wdur);
-                            walks[p].push(WJump {
-                                k: i,
-                                delta: size,
-                                window: wdur,
-                                w_start: w_start.as_ps(),
-                            });
-                        }
-                        r
-                    }
-                    _ => candidate,
-                };
-
-                corr[p].push(corrected.as_ps(), mem);
-                let out_deg = graph.out_of(gid).len() as i64;
-                if out_deg > 0 {
-                    cnt[p].add(i / w, out_deg);
-                }
-                // The remote reads above are now accountable: exactly one
-                // per in-edge, never repeated (a blocked scan commits
-                // nothing).
-                for (src, _) in srcs.iter() {
-                    let ps = graph.proc_of(src);
-                    let si = (src - graph.base(ps)) as u64;
-                    cnt[ps].add(si / w, -1);
-                }
-                prev_orig[p] = orig_t;
-                prev_corr[p] = corrected;
-                f1[p] += 1;
-                burst += 1;
-                progressed = true;
-            }
-            retire_plain(&mut orig[p], f1[p], mem);
-            retire_counted(&mut corr[p], f1[p], &mut cnt[p], mem);
-        }
-        if (0..n).all(|p| f1[p] == lens[p]) {
-            break;
+            };
+            progressed |= fwd.advance(graph, p, lens[p], burst, |i| src.get(p, i), record);
+            src.orig[p].retire(fwd.frontier[p]);
+            fwd.out[p].retire(fwd.frontier[p]);
         }
         if !progressed {
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
-    for p in 0..n {
-        orig[p].drain(mem);
-        corr[p].drain(mem);
-    }
     Ok(walks)
 }
 
-/// One backward walk over the lanes: the statement-level twin of the batch
-/// `backward_pass_csr` body for a single jump. `postb` is the timeline's
-/// mutable post-forward lane; `snap` holds every timeline's immutable
-/// forward snapshot for the clamp reads.
-fn backward_walk(p: usize, wj: &WJump, graph: &DepGraph, postb: &mut [Lane], snap: &[Lane]) {
-    let gbase = graph.base(p);
-    let w_start = Time::from_ps(wj.w_start);
-    let mut shift_above = wj.delta;
-    let mut i = wj.k;
-    while i > 0 {
-        i -= 1;
-        let t_i = Time::from_ps(postb[p].get(i));
-        if t_i <= w_start {
-            break;
-        }
-        let frac = t_i.saturating_since(w_start).as_ps() as f64
-            / wj.window.as_ps().max(1) as f64;
-        let ramp = wj.delta.scale(frac.clamp(0.0, 1.0));
-        let mut cap = Dur::MAX;
-        for (dst, lat) in graph.out_of(gbase + i as u32).iter() {
-            let pd = graph.proc_of(dst);
-            let di = (dst - graph.base(pd)) as u64;
-            cap = cap.min(
-                Time::from_ps(snap[pd].get(di))
-                    .saturating_sub(Dur::from_ps(lat))
-                    .saturating_since(t_i),
-            );
-        }
-        let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
-        postb[p].set(i, t_i.saturating_add(shift).as_ps());
-        shift_above = shift;
-        if shift == Dur::ZERO {
-            break;
-        }
-    }
-}
-
-/// Where corrected output chunks go: accumulated in memory (the default),
-/// or handed to a caller sink chunk by chunk *while the run progresses* —
-/// the seam the network service streams `CorrectedFrame`s through. Chunk
-/// indices are dense from 0 (the magic chunk) through the trailer, and the
-/// sequence is deterministic for a given input, so a retried run re-emits
-/// identical chunks at identical indices and the sink can deduplicate with
-/// a high-water mark. A sink returning `false` aborts the run with
-/// [`PipelineError::Cancelled`] (a stalled consumer cancels *its own* job,
-/// never wedges the engine).
-enum Emit<'a> {
-    Collect(Vec<Vec<u8>>),
-    Sink {
-        sink: &'a (dyn Fn(u64, &[u8]) -> bool + 'a),
-        next: u64,
-    },
-}
-
-impl Emit<'_> {
-    fn push(&mut self, chunk: Vec<u8>) -> Result<(), PipelineError> {
-        match self {
-            Emit::Collect(out) => out.push(chunk),
-            Emit::Sink { sink, next } => {
-                if !sink(*next, &chunk) {
-                    return Err(PipelineError::Cancelled);
-                }
-                *next += 1;
-            }
-        }
-        Ok(())
-    }
-
-    fn into_chunks(self) -> Vec<Vec<u8>> {
-        match self {
-            Emit::Collect(out) => out,
-            Emit::Sink { .. } => Vec::new(),
-        }
-    }
-}
-
-/// Everything [`apply_and_emit`] returns besides the stats its caller
-/// records.
-struct ApplyOutcome {
-    out: Vec<Vec<u8>>,
-    report: ClcReport,
+/// Where corrected output chunks go: a consumer called with each chunk, in
+/// order, *while the run progresses* — the collecting entry points push to
+/// a `Vec`, the streaming one numbers the chunks for the caller's sink (the
+/// seam the network service streams `CorrectedFrame`s through). The
+/// sequence — magic chunk, one chunk per block frame, trailer — is
+/// deterministic for a given input. A consumer returning `false` aborts the
+/// run with [`PipelineError::Cancelled`] (a stalled consumer cancels *its
+/// own* job, never wedges the engine).
+struct Emitter<'a> {
+    writer: FrameWriter,
+    consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
     frames: usize,
     events: u64,
-    emit_seconds: f64,
+}
+
+impl<'a> Emitter<'a> {
+    /// Open the output stream: emits the magic chunk.
+    fn open(
+        index: &StreamIndex,
+        consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
+    ) -> Result<Emitter<'a>, PipelineError> {
+        let mut magic = Vec::new();
+        let writer = FrameWriter::new(index.version, &mut magic);
+        let mut emit = Emitter { writer, consume, frames: 0, events: 0 };
+        emit.push(magic)?;
+        Ok(emit)
+    }
+
+    fn push(&mut self, chunk: Vec<u8>) -> Result<(), PipelineError> {
+        if (self.consume)(chunk) {
+            Ok(())
+        } else {
+            Err(PipelineError::Cancelled)
+        }
+    }
+
+    /// Re-encode one block with its corrected times, payload bytes verbatim.
+    fn frame(&mut self, location: Location, times: &[i64], payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        self.writer.frame(&mut frame, location, times, payload);
+        self.frames += 1;
+        self.events += times.len() as u64;
+        frame
+    }
+
+    /// Close the stream: emits the trailer. Returns (frames, events).
+    fn close(self) -> Result<(usize, u64), PipelineError> {
+        let Emitter { writer, consume, frames, events } = self;
+        let mut trailer = Vec::new();
+        writer.finish(&mut trailer);
+        if consume(trailer) {
+            Ok((frames, events))
+        } else {
+            Err(PipelineError::Cancelled)
+        }
+    }
 }
 
 /// Sweep 2: the full windowed CLC with emission. Per epoch and timeline,
-/// in order: (1) advance the forward frontier `f1` (into the snapshot
-/// lane, duplicated into the walk lane on the backward path); (2) advance
+/// in order: (1) advance the forward sweep `fwd` (into the snapshot lane,
+/// duplicated into the walk lane on the backward path); (2) advance
 /// `rwalk`, the prefix whose out-edge targets are all corrected (a walk
 /// for jump `k` may clamp against any of them); (3) apply every walk whose
 /// preconditions cleared, ascending; (4) advance the safety frontier `b`
 /// past events at or below every *remaining* walk's window start — final
-/// values no walk will touch again; (5) re-run the forward pass `f2` with
-/// `mu = 1` over the walked values behind `b`; (6) emit blocks wholly
-/// behind the finalization horizon; (7) retire cleared segments.
+/// values no walk will touch again; (5) advance the μ = 1 re-sweep `refwd`
+/// over the walked values behind `b`; (6) emit blocks wholly behind the
+/// finalization horizon; (7) retire cleared segments.
 ///
-/// Without backward amortization, steps 2–5 vanish and the horizon is `f1`
-/// itself.
+/// Without backward amortization, steps 2–5 vanish and the horizon is the
+/// forward frontier itself. Returns the CLC report and the time spent
+/// building frames.
 #[allow(clippy::too_many_arguments)]
-fn apply_and_emit(
-    index: &StreamIndex,
-    store: &ChunkStore,
-    maps: Option<&[PresyncMap]>,
+fn apply_and_emit<'a>(
+    mut src: Source<'a>,
+    mut fwd: Sweep<'a>,
+    mut walked: Vec<Lane<'a>>,
+    mut refwd: Sweep<'a>,
     graph: &DepGraph,
-    params: &ClcParams,
-    walks: &[Vec<WJump>],
-    window: usize,
+    walks: &[Vec<Walk>],
     cancel: &CancelToken,
-    mem: &mut MemGauge,
-    sink: Option<&FrameSink<'_>>,
-) -> Result<ApplyOutcome, PipelineError> {
-    let n = index.locations.len();
-    let w = window as u64;
-    let backward = params.backward;
+    emit: &mut Emitter<'_>,
+) -> Result<(ClcReport, Duration), PipelineError> {
+    let (index, store) = (src.index, src.store);
     let lens = &index.proc_lens;
+    let n = lens.len();
+    // The forward sweep arms in-edge reads exactly when walks will clamp
+    // through them.
+    let backward = fwd.arm_in_edges;
 
-    let mut orig: Vec<Lane> = (0..n).map(|_| Lane::new(window)).collect();
-    let mut snap: Vec<Lane> = (0..n).map(|_| Lane::new(window)).collect();
-    let mut postb: Vec<Lane> = (0..n).map(|_| Lane::new(window)).collect();
-    let mut f2v: Vec<Lane> = (0..n).map(|_| Lane::new(window)).collect();
-    let mut f1 = vec![0u64; n];
-    let mut next_block = vec![0usize; n];
-    let mut prev_orig = vec![Time::MIN; n];
-    let mut prev_corr = vec![Time::MIN; n];
-    let mut cnt_snap = vec![SegReads::default(); n];
-    // Backward-path frontiers.
+    // Backward-path frontiers of steps 2–4, then emission state.
     let mut rwalk = vec![0u64; n];
     let mut next_walk = vec![0usize; n];
     let mut b = vec![0u64; n];
-    let mut f2 = vec![0u64; n];
-    let mut prev_post = vec![Time::MIN; n];
-    let mut prev_f2 = vec![Time::MIN; n];
-    let mut cnt_f2 = vec![SegReads::default(); n];
-    // Emission state.
     let mut emit_block = vec![0usize; n];
     let mut emitted = vec![0u64; n];
 
     // sufmin[p][j] = min window start over walks[p][j..]: while walk j is
     // the next unapplied one, every event at or below sufmin[p][j] is
     // final (no remaining walk writes it or clamps through its out-edges).
-    let sufmin: Vec<Vec<i64>> = walks
+    let sufmin: Vec<Vec<Time>> = walks
         .iter()
         .map(|ws| {
-            let mut m = vec![0i64; ws.len()];
-            let mut cur = i64::MAX;
+            let mut m = vec![Time::MAX; ws.len()];
+            let mut cur = Time::MAX;
             for j in (0..ws.len()).rev() {
                 cur = cur.min(ws[j].w_start);
                 m[j] = cur;
@@ -615,18 +584,8 @@ fn apply_and_emit(
         .collect();
 
     let mut report = ClcReport::default();
-    let mut magic = Vec::new();
-    let mut writer = FrameWriter::new(index.version, &mut magic);
-    let mut out = match sink {
-        Some(sink) => Emit::Sink { sink, next: 0 },
-        None => Emit::Collect(Vec::new()),
-    };
-    out.push(magic)?;
-    let mut frames = 0usize;
-    let mut events = 0u64;
-    let mut emit_seconds = 0f64;
+    let mut emit_time = Duration::ZERO;
     let mut scratch = Vec::new();
-    let mut tmp = Vec::new();
     let mut times: Vec<i64> = Vec::new();
 
     loop {
@@ -635,101 +594,38 @@ fn apply_and_emit(
         for p in 0..n {
             let gbase = graph.base(p);
 
-            // (1) Forward frontier — the same kernel as sweep 1, writing
-            // the snapshot lane (and its walk copy). On the backward path
-            // each event also arms one potential clamp read per in-edge,
-            // released when the safety frontier passes the *source* (step
-            // 4): a walk visiting the source would read this event's
-            // snapshot value.
-            let mut burst = 0u64;
-            'events: while f1[p] < lens[p] && burst < w {
-                if f1[p] == orig[p].len {
-                    let ok = ingest_block(
-                        index, store, maps, p, &mut next_block[p], &mut orig[p], mem,
-                        &mut scratch, &mut tmp,
-                    );
-                    debug_assert!(ok, "index accounts for every event");
-                    if !ok {
-                        break 'events;
-                    }
+            // (1) Forward frontier. On the backward path each event also
+            // arms one potential clamp read per in-edge, released when the
+            // safety frontier passes the *source* (step 4): a walk visiting
+            // the source would read this event's snapshot value.
+            let burst = fwd.out[p].w;
+            progressed |= fwd.advance(graph, p, lens[p], burst, |i| src.get(p, i), |i, at, jump| {
+                if let Some(size) = jump {
+                    report.jumps.push(Jump { event: EventId::new(p, i as usize), size });
+                    report.max_jump = report.max_jump.max(size);
                 }
-                let i = f1[p];
-                let gid = gbase + i as u32;
-                let orig_t = Time::from_ps(orig[p].get(i));
-
-                let mut remote: Option<Time> = None;
-                let srcs = graph.in_of(gid);
-                for (src, lat) in srcs.iter() {
-                    let ps = graph.proc_of(src);
-                    let si = (src - graph.base(ps)) as u64;
-                    if si >= f1[ps] {
-                        break 'events;
-                    }
-                    let c = Time::from_ps(snap[ps].get(si)).saturating_add(Dur::from_ps(lat));
-                    remote = Some(remote.map_or(c, |b: Time| b.max(c)));
-                }
-
-                let candidate = if i == 0 {
-                    orig_t
-                } else {
-                    let gap = orig_t.saturating_since(prev_orig[p]).max(Dur::ZERO);
-                    orig_t.max(prev_corr[p].saturating_add(gap.scale(params.mu)))
-                };
-                let corrected = match remote {
-                    Some(r) if r > candidate => {
-                        let size = r.saturating_since(candidate);
-                        report.jumps.push(Jump { event: EventId::new(p, i as usize), size });
-                        report.max_jump = report.max_jump.max(size);
-                        r
-                    }
-                    _ => candidate,
-                };
-
-                snap[p].push(corrected.as_ps(), mem);
                 if backward {
-                    postb[p].push(corrected.as_ps(), mem);
+                    walked[p].push(at.as_ps());
                 }
-                let gid_u32 = gid;
-                let out_deg = graph.out_of(gid_u32).len() as i64;
-                let in_deg = srcs.len() as i64;
-                let adds = out_deg + if backward { in_deg } else { 0 };
-                if adds > 0 {
-                    cnt_snap[p].add(i / w, adds);
-                }
-                for (src, _) in srcs.iter() {
-                    let ps = graph.proc_of(src);
-                    let si = (src - graph.base(ps)) as u64;
-                    cnt_snap[ps].add(si / w, -1);
-                }
-                prev_orig[p] = orig_t;
-                prev_corr[p] = corrected;
-                f1[p] += 1;
-                burst += 1;
-                progressed = true;
-            }
+            });
 
             if backward {
                 // (2) rwalk: prefix of events whose out-edge targets are
                 // all corrected — a walk may clamp through any of them.
-                'rw: while rwalk[p] < f1[p] {
-                    for (dst, _) in graph.out_of(gbase + rwalk[p] as u32).iter() {
-                        let pd = graph.proc_of(dst);
-                        if ((dst - graph.base(pd)) as u64) >= f1[pd] {
-                            break 'rw;
-                        }
-                    }
+                while rwalk[p] < fwd.frontier[p]
+                    && graph.out_of(gbase + rwalk[p] as u32).iter().all(|(dst, _)| fwd.passed(graph, dst))
+                {
                     rwalk[p] += 1;
                     progressed = true;
                 }
 
                 // (3) Apply ready walks, ascending by jump index — the
                 // batch per-timeline application order.
-                while next_walk[p] < walks[p].len() {
-                    let wj = walks[p][next_walk[p]];
-                    if !(f1[p] > wj.k && rwalk[p] >= wj.k) {
+                while let Some(wj) = walks[p].get(next_walk[p]) {
+                    if !(fwd.frontier[p] > wj.k && rwalk[p] >= wj.k) {
                         break;
                     }
-                    backward_walk(p, &wj, graph, &mut postb, &snap);
+                    backward_walk(wj, graph, gbase, &mut walked[p], |dst| fwd.value(graph, dst));
                     next_walk[p] += 1;
                     progressed = true;
                 }
@@ -738,98 +634,44 @@ fn apply_and_emit(
                 // remaining walk's window start is never written again and
                 // never visited, so its pending clamp reads (one per
                 // out-edge) will not happen — release them.
-                let cur_sufmin = if next_walk[p] < walks[p].len() {
-                    sufmin[p][next_walk[p]]
-                } else {
-                    i64::MAX
-                };
-                while b[p] < f1[p] && postb[p].get(b[p]) <= cur_sufmin {
+                let cur_sufmin = sufmin[p].get(next_walk[p]).copied().unwrap_or(Time::MAX);
+                while b[p] < fwd.frontier[p] && Time::from_ps(walked[p].get(b[p])) <= cur_sufmin {
                     for (dst, _) in graph.out_of(gbase + b[p] as u32).iter() {
-                        let pd = graph.proc_of(dst);
-                        let di = (dst - graph.base(pd)) as u64;
-                        cnt_snap[pd].add(di / w, -1);
+                        fwd.owe(graph, dst, -1);
                     }
                     b[p] += 1;
                     progressed = true;
                 }
 
-                // (5) Second forward pass behind the safety frontier:
-                // originals are the walked values, mu = 1 (the literal
-                // `scale(1.0)` of the batch kernel, for float identity).
-                'f2: while f2[p] < b[p] {
-                    let i = f2[p];
-                    let gid = gbase + i as u32;
-                    let orig_t = Time::from_ps(postb[p].get(i));
-
-                    let mut remote: Option<Time> = None;
-                    let srcs = graph.in_of(gid);
-                    for (src, lat) in srcs.iter() {
-                        let ps = graph.proc_of(src);
-                        let si = (src - graph.base(ps)) as u64;
-                        if si >= f2[ps] {
-                            break 'f2;
-                        }
-                        let c =
-                            Time::from_ps(f2v[ps].get(si)).saturating_add(Dur::from_ps(lat));
-                        remote = Some(remote.map_or(c, |bnd: Time| bnd.max(c)));
-                    }
-
-                    let candidate = if i == 0 {
-                        orig_t
-                    } else {
-                        let gap = orig_t.saturating_since(prev_post[p]).max(Dur::ZERO);
-                        orig_t.max(prev_f2[p].saturating_add(gap.scale(1.0)))
-                    };
-                    let corrected = match remote {
-                        Some(r) if r > candidate => r,
-                        _ => candidate,
-                    };
-
-                    f2v[p].push(corrected.as_ps(), mem);
-                    let out_deg = graph.out_of(gid).len() as i64;
-                    if out_deg > 0 {
-                        cnt_f2[p].add(i / w, out_deg);
-                    }
-                    for (src, _) in srcs.iter() {
-                        let ps = graph.proc_of(src);
-                        let si = (src - graph.base(ps)) as u64;
-                        cnt_f2[ps].add(si / w, -1);
-                    }
-                    prev_post[p] = orig_t;
-                    prev_f2[p] = corrected;
-                    f2[p] += 1;
-                    progressed = true;
-                }
+                // (5) Second forward pass behind the safety frontier: its
+                // inputs are the walked values, mu = 1.
+                progressed |=
+                    refwd.advance(graph, p, b[p], u64::MAX, |i| walked[p].get(i), |_, _, _| {});
             }
 
-            // (6) Emit blocks wholly behind the finalization horizon,
-            // payload bytes verbatim.
-            let done = if backward { f2[p] } else { f1[p] };
-            while emit_block[p] < index.proc_blocks[p].len() {
-                let bm = &index.blocks[index.proc_blocks[p][emit_block[p]] as usize];
+            // (6) Emit blocks wholly behind the finalization horizon.
+            let done = if backward { &refwd } else { &fwd };
+            while let Some(&bidx) = index.proc_blocks[p].get(emit_block[p]) {
+                let bm = &index.blocks[bidx as usize];
                 let end = bm.first_idx + bm.n_events as u64;
-                if end > done {
+                if end > done.frontier[p] {
                     break;
                 }
                 let te = Instant::now();
                 times.clear();
-                let lane = if backward { &f2v[p] } else { &snap[p] };
                 for j in bm.first_idx..end {
-                    let v = lane.get(j);
-                    if v != orig[p].get(j) {
+                    let v = done.out[p].get(j);
+                    if v != src.orig[p].get(j) {
                         report.events_moved += 1;
                     }
                     times.push(v);
                 }
                 let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-                let mut frame = Vec::new();
-                writer.frame(&mut frame, index.locations[p], &times, payload);
-                frames += 1;
-                events += bm.n_events as u64;
+                let frame = emit.frame(index.locations[p], &times, payload);
                 emitted[p] = end;
                 emit_block[p] += 1;
-                emit_seconds += te.elapsed().as_secs_f64();
-                out.push(frame)?;
+                emit_time += te.elapsed();
+                emit.push(frame)?;
                 progressed = true;
             }
 
@@ -839,13 +681,13 @@ fn apply_and_emit(
             // the backward path, once emitted — it is the emission lane);
             // the walk lane once re-forwarded and strictly behind the
             // safety frontier (a walk may still *read* its break element);
-            // the f2 lane once emitted and drained by remote consumers.
-            retire_plain(&mut orig[p], emitted[p], mem);
-            let snap_upto = if backward { f1[p] } else { emitted[p] };
-            retire_counted(&mut snap[p], snap_upto, &mut cnt_snap[p], mem);
+            // the re-sweep's lane once emitted and drained by remote
+            // consumers.
+            src.orig[p].retire(emitted[p]);
+            fwd.out[p].retire(if backward { fwd.frontier[p] } else { emitted[p] });
             if backward {
-                retire_plain(&mut postb[p], f2[p].min(b[p].saturating_sub(1)), mem);
-                retire_counted(&mut f2v[p], emitted[p], &mut cnt_f2[p], mem);
+                walked[p].retire(refwd.frontier[p].min(b[p].saturating_sub(1)));
+                refwd.out[p].retire(emitted[p]);
             }
         }
 
@@ -855,23 +697,14 @@ fn apply_and_emit(
         if !progressed {
             // Only an unsatisfiable forward dependency can wedge every
             // frontier at once: the walk/safety/re-forward/emission chain
-            // always drains once `f1` completes.
+            // always drains once the forward sweep completes.
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
 
-    let mut trailer = Vec::new();
-    writer.finish(&mut trailer);
-    out.push(trailer)?;
-    for p in 0..n {
-        orig[p].drain(mem);
-        snap[p].drain(mem);
-        postb[p].drain(mem);
-        f2v[p].drain(mem);
-    }
     report.events_total = index.n_events() as usize;
     report.jumps.sort_by_key(|j| (j.event.p(), j.event.i()));
-    Ok(ApplyOutcome { out: out.into_chunks(), report, frames, events, emit_seconds })
+    Ok((report, emit_time))
 }
 
 /// The CLC-less path: re-emit every block in stream order with its presync
@@ -881,18 +714,9 @@ fn passthrough_emit(
     store: &ChunkStore,
     maps: Option<&[PresyncMap]>,
     cancel: &CancelToken,
-    mem: &mut MemGauge,
-    sink: Option<&FrameSink<'_>>,
-) -> Result<(Vec<Vec<u8>>, usize, u64), PipelineError> {
-    let mut magic = Vec::new();
-    let mut writer = FrameWriter::new(index.version, &mut magic);
-    let mut out = match sink {
-        Some(sink) => Emit::Sink { sink, next: 0 },
-        None => Emit::Collect(Vec::new()),
-    };
-    out.push(magic)?;
-    let mut frames = 0usize;
-    let mut events = 0u64;
+    mem: &MemGauge,
+    emit: &mut Emitter<'_>,
+) -> Result<(), PipelineError> {
     let mut scratch = Vec::new();
     let mut times: Vec<i64> = Vec::new();
     for bm in &index.blocks {
@@ -907,17 +731,11 @@ fn passthrough_emit(
             maps[p].map_col(&mut times);
         }
         let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-        let mut frame = Vec::new();
-        writer.frame(&mut frame, index.locations[p], &times, payload);
-        frames += 1;
-        events += bm.n_events as u64;
+        let frame = emit.frame(index.locations[p], &times, payload);
         mem.free(bytes);
-        out.push(frame)?;
+        emit.push(frame)?;
     }
-    let mut trailer = Vec::new();
-    writer.finish(&mut trailer);
-    out.push(trailer)?;
-    Ok((out.into_chunks(), frames, events))
+    Ok(())
 }
 
 /// Run the pipeline incrementally over a chunked columnar stream and
@@ -931,7 +749,8 @@ fn passthrough_emit(
 /// preserved, which is all the format requires). Corrected timestamps are
 /// bit-identical to the batch pipeline's for **every** `window_events ≥ 1`;
 /// the window only bounds how much column state stays resident
-/// ([`PipelineStats::peak_resident_column_bytes`]). See the module docs
+/// ([`PipelineStats::peak_resident_column_bytes`]), and a window wider
+/// than a timeline holds no more than that timeline. See the module docs
 /// for what the incremental engine skips (the censuses).
 ///
 /// [`synchronize_stream`]: super::synchronize_stream
@@ -966,7 +785,13 @@ pub fn synchronize_stream_incremental_with_cancel(
     window_events: usize,
     cancel: &CancelToken,
 ) -> Result<(Vec<Vec<u8>>, IncrementalReport), PipelineError> {
-    run_incremental(chunks, init, fin, lmin, cfg, window_events, cancel, None)
+    let mut out = Vec::new();
+    let mut collect = |chunk| {
+        out.push(chunk);
+        true
+    };
+    let report = run_incremental(chunks, init, fin, lmin, cfg, window_events, cancel, &mut collect)?;
+    Ok((out, report))
 }
 
 /// [`synchronize_stream_incremental_with_cancel`] that *streams* the
@@ -989,8 +814,13 @@ pub fn synchronize_stream_incremental_with_sink(
     cancel: &CancelToken,
     sink: &FrameSink<'_>,
 ) -> Result<IncrementalReport, PipelineError> {
-    run_incremental(chunks, init, fin, lmin, cfg, window_events, cancel, Some(sink))
-        .map(|(_, report)| report)
+    let mut next = 0u64;
+    let mut numbered = |chunk: Vec<u8>| {
+        let taken = sink(next, &chunk);
+        next += 1;
+        taken
+    };
+    run_incremental(chunks, init, fin, lmin, cfg, window_events, cancel, &mut numbered)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1002,8 +832,8 @@ fn run_incremental(
     cfg: &PipelineConfig,
     window_events: usize,
     cancel: &CancelToken,
-    sink: Option<&FrameSink<'_>>,
-) -> Result<(Vec<Vec<u8>>, IncrementalReport), PipelineError> {
+    consume: &mut dyn FnMut(Vec<u8>) -> bool,
+) -> Result<IncrementalReport, PipelineError> {
     let t_total = Instant::now();
     cancel.check()?;
     if window_events == 0 {
@@ -1038,14 +868,15 @@ fn run_incremental(
     let maps = maps.as_deref();
     cancel.check()?;
 
-    let mut mem = MemGauge::default();
-    let (out, clc, frames, events) = match cfg.effective_clc() {
+    let mem = MemGauge::default();
+    let (clc, (frames, events)) = match cfg.effective_clc() {
         None => {
             let t0 = Instant::now();
-            let (out, frames, events) =
-                passthrough_emit(&index, &store, maps, cancel, &mut mem, sink)?;
-            stats.stages.push(StageStats::new("emit", events as usize, t0.elapsed()));
-            (out, None, frames, events)
+            let mut emit = Emitter::open(&index, consume)?;
+            passthrough_emit(&index, &store, maps, cancel, &mem, &mut emit)?;
+            let counts = emit.close()?;
+            stats.stages.push(StageStats::new("emit", counts.1 as usize, t0.elapsed()));
+            (None, counts)
         }
         Some(params) => {
             let t0 = Instant::now();
@@ -1063,11 +894,20 @@ fn run_incremental(
                 .stages
                 .push(StageStats::new("lower", n_events, t0.elapsed()));
 
+            let lanes = || Lane::per_timeline(&index, window_events, &mem);
+            let source = || Source {
+                index: &index,
+                store: &store,
+                maps,
+                orig: lanes(),
+                next_block: vec![0; n],
+                scratch: Vec::new(),
+                tmp: Vec::new(),
+            };
             let walks = if params.backward {
                 let t0 = Instant::now();
-                let walks = discover_walks(
-                    &index, &store, maps, &graph, params, window_events, cancel, &mut mem,
-                )?;
+                let fwd = Sweep::new(params.mu, false, lanes());
+                let walks = discover_walks(source(), fwd, &graph, params, cancel)?;
                 stats
                     .stages
                     .push(StageStats::new("clc:discover", n_events, t0.elapsed()));
@@ -1077,33 +917,23 @@ fn run_incremental(
             };
 
             let t0 = Instant::now();
-            let oc = apply_and_emit(
-                &index, &store, maps, &graph, params, &walks, window_events, cancel, &mut mem,
-                sink,
-            )?;
-            stats.stages.push(StageStats {
-                name: "clc:apply",
-                items: n_events,
-                seconds: (t0.elapsed().as_secs_f64() - oc.emit_seconds).max(0.0),
-                shards: 1,
-            });
-            stats.stages.push(StageStats {
-                name: "emit",
-                items: oc.events as usize,
-                seconds: oc.emit_seconds,
-                shards: 1,
-            });
-            (oc.out, Some(oc.report), oc.frames, oc.events)
+            let mut emit = Emitter::open(&index, consume)?;
+            let fwd = Sweep::new(params.mu, params.backward, lanes());
+            let refwd = Sweep::new(1.0, false, lanes());
+            let (report, emit_time) =
+                apply_and_emit(source(), fwd, lanes(), refwd, &graph, &walks, cancel, &mut emit)?;
+            let counts = emit.close()?;
+            let apply_time = t0.elapsed().saturating_sub(emit_time);
+            stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
+            stats.stages.push(StageStats::new("emit", counts.1 as usize, emit_time));
+            (Some(report), counts)
         }
     };
 
-    debug_assert_eq!(mem.cur, 0, "every lane segment returned to the gauge");
-    stats.peak_resident_column_bytes = mem.peak;
+    debug_assert_eq!(mem.cur.get(), 0, "every lane segment returned to the gauge");
+    stats.peak_resident_column_bytes = mem.peak.get();
     stats.total_seconds = t_total.elapsed().as_secs_f64();
-    Ok((
-        out,
-        IncrementalReport { clc, stats, frames, events: events as usize },
-    ))
+    Ok(IncrementalReport { clc, stats, frames, events: events as usize })
 }
 
 #[cfg(test)]

@@ -7,7 +7,9 @@
 //! decide concurrency, which makes them the reference oracle for validating
 //! happened-before-based corrections.
 
-use tracefmt::{match_messages, EventKind, EventId, Trace};
+use crate::clc::ClcError;
+use crate::stamp::stamp_events;
+use tracefmt::Trace;
 
 /// A vector timestamp.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,57 +37,23 @@ impl VectorStamp {
 }
 
 /// Vector timestamps for every event: `out[p][i]` stamps event `i` of
-/// process `p`.
-pub fn vector_timestamps(trace: &Trace) -> Vec<Vec<VectorStamp>> {
-    let matching = match_messages(trace);
-    let mut send_of = std::collections::HashMap::new();
-    for m in &matching.messages {
-        send_of.insert(m.recv, m.send);
-    }
+/// process `p`. A trace whose messages cannot be ordered is
+/// [`ClcError::CyclicTrace`].
+pub fn vector_timestamps(trace: &Trace) -> Result<Vec<Vec<VectorStamp>>, ClcError> {
     let n = trace.n_procs();
-    let mut out: Vec<Vec<VectorStamp>> = trace
-        .procs
-        .iter()
-        .map(|p| Vec::with_capacity(p.events.len()))
-        .collect();
-    let mut current: Vec<Vec<u32>> = vec![vec![0; n]; n];
-    let mut pc = vec![0usize; n];
-
-    loop {
-        let mut progressed = false;
-        for p in 0..n {
-            while pc[p] < trace.procs[p].events.len() {
-                let i = pc[p];
-                let ev = &trace.procs[p].events[i];
-                if let EventKind::Recv { .. } = ev.kind {
-                    if let Some(s) = send_of.get(&EventId::new(p, i)) {
-                        if s.i() >= pc[s.p()] {
-                            break; // wait for the send to be stamped
-                        }
-                        let sender = out[s.p()][s.i()].0.clone();
-                        for (c, m) in current[p].iter_mut().zip(&sender) {
-                            *c = (*c).max(*m);
-                        }
-                    }
-                }
-                current[p][p] += 1;
-                out[p].push(VectorStamp(current[p].clone()));
-                pc[p] += 1;
-                progressed = true;
-            }
-        }
-        if (0..n).all(|p| pc[p] == trace.procs[p].events.len()) {
-            return out;
-        }
-        assert!(progressed, "cyclic message structure in trace");
-    }
+    stamp_events(
+        trace,
+        |_| VectorStamp(vec![0; n]),
+        |clock, sent| clock.0.iter_mut().zip(&sent.0).for_each(|(c, m)| *c = (*c).max(*m)),
+        |clock, p| clock.0[p] += 1,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simclock::Time;
-    use tracefmt::{Rank, RegionId, Tag};
+    use tracefmt::{match_messages, EventKind, Rank, RegionId, Tag};
 
     fn msg_trace() -> Trace {
         // p0: local, send     p1: local, recv, local
@@ -101,7 +69,7 @@ mod tests {
     #[test]
     fn components_advance_locally() {
         let t = msg_trace();
-        let v = vector_timestamps(&t);
+        let v = vector_timestamps(&t).unwrap();
         assert_eq!(v[0][0].0, vec![1, 0]);
         assert_eq!(v[0][1].0, vec![2, 0]);
         assert_eq!(v[1][0].0, vec![0, 1]);
@@ -113,7 +81,7 @@ mod tests {
     #[test]
     fn happened_before_iff_path() {
         let t = msg_trace();
-        let v = vector_timestamps(&t);
+        let v = vector_timestamps(&t).unwrap();
         // send happened-before recv and its successors.
         assert!(v[0][1].happened_before(&v[1][1]));
         assert!(v[0][1].happened_before(&v[1][2]));
@@ -128,7 +96,7 @@ mod tests {
     #[test]
     fn concurrency_is_symmetric() {
         let t = msg_trace();
-        let v = vector_timestamps(&t);
+        let v = vector_timestamps(&t).unwrap();
         assert_eq!(
             v[1][0].concurrent_with(&v[0][1]),
             v[0][1].concurrent_with(&v[1][0])
@@ -140,7 +108,7 @@ mod tests {
         // Every message in a consistent or inconsistent trace must yield
         // send happened-before recv in the vector order.
         let t = msg_trace();
-        let v = vector_timestamps(&t);
+        let v = vector_timestamps(&t).unwrap();
         let m = match_messages(&t);
         for msg in &m.messages {
             assert!(v[msg.send.p()][msg.send.i()].happened_before(&v[msg.recv.p()][msg.recv.i()]));

@@ -52,9 +52,6 @@ fn main() {
     if has("table1") {
         tables::print_table1();
     }
-    if all {
-        tables::print_timer_taxonomy(seed);
-    }
     if has("table2") {
         tables::print_table2(if fast { 500 } else { 5000 }, seed);
         tables::print_table2_platforms(if fast { 300 } else { 2000 }, seed);

@@ -863,37 +863,44 @@ pub(crate) mod tests {
 
         let bytes = to_binary_columnar_blocked(&trace, 16);
         let service = SyncService::start_default();
-        let handle = service
-            .submit(JobSpec::new(
-                JobInput::StreamIncremental {
-                    chunks: chunked(&bytes, 64),
-                    window_events: 8,
-                },
-                init,
-                Some(fin),
-                lmin(),
-                PipelineConfig::default(),
-            ))
-            .unwrap();
-        let success = handle.wait().expect("incremental job succeeds");
-        // The corrected trace comes back as stream frames, not records.
-        assert_eq!(success.trace.n_procs(), 0);
-        assert!(!success.frames.is_empty());
-        assert!(success.report.stats.peak_resident_column_bytes > 0);
-        let back =
-            tracefmt::io::from_binary_columnar(success.frames.concat().into()).unwrap();
-        for dp in &direct.procs {
-            let wp = back
-                .procs
-                .iter()
-                .find(|p| p.location == dp.location)
-                .expect("timeline present in re-decoded output");
-            assert_eq!(dp.events.len(), wp.events.len());
-            for (d, w) in dp.events.iter().zip(&wp.events) {
-                assert_eq!(d.time, w.time);
+        // The last window is what a hostile `JobConfig` can ask for: a lane
+        // segment is never wider than its timeline, so it runs like any
+        // window the timelines fit in.
+        let mut frames_by_window = Vec::new();
+        for window_events in [8, 64, usize::MAX] {
+            let handle = service
+                .submit(JobSpec::new(
+                    JobInput::StreamIncremental { chunks: chunked(&bytes, 64), window_events },
+                    init.clone(),
+                    Some(fin.clone()),
+                    lmin(),
+                    PipelineConfig::default(),
+                ))
+                .unwrap();
+            let success = handle.wait().expect("incremental job succeeds");
+            // The corrected trace comes back as stream frames, not records.
+            assert_eq!(success.trace.n_procs(), 0);
+            assert!(!success.frames.is_empty());
+            // At most four lanes of 8-byte values, none longer than its timeline.
+            let peak = success.report.stats.peak_resident_column_bytes;
+            assert!(peak > 0 && peak <= 4 * 8 * trace.n_events() as u64, "window {window_events}: {peak} B");
+            let back =
+                tracefmt::io::from_binary_columnar(success.frames.concat().into()).unwrap();
+            for dp in &direct.procs {
+                let wp = back
+                    .procs
+                    .iter()
+                    .find(|p| p.location == dp.location)
+                    .expect("timeline present in re-decoded output");
+                assert_eq!(dp.events.len(), wp.events.len());
+                for (d, w) in dp.events.iter().zip(&wp.events) {
+                    assert_eq!(d.time, w.time);
+                }
             }
+            frames_by_window.push(success.frames);
         }
-        assert_eq!(service.metrics().counter(Counter::Completed), 1);
+        assert_eq!(frames_by_window[2], frames_by_window[1], "usize::MAX vs window 64");
+        assert_eq!(service.metrics().counter(Counter::Completed), 3);
         service.shutdown();
     }
 

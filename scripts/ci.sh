@@ -18,10 +18,11 @@
 #    stage-share gate runs the POP example and fails unless `lower` runs
 #    at >= 1.5x the event rate of `clc`, the collective-cost gate bounds
 #    what an allreduce adds to `clc`'s time per event, the inlining gate
-#    looks for the graph accessors among the symbols, three grep gates
-#    keep the deleted intra-job parallelism, the second CLC walker and
-#    the in-process router from coming back under their old names and the
-#    codec's frame grammar in its one file, and a size ratchet holds the
+#    looks for the graph accessors and the shared CLC step among the
+#    symbols, four grep gates keep the deleted intra-job parallelism, the
+#    second CLC walker and the in-process router from coming back under
+#    their old names, the codec's frame grammar in its one file and the
+#    CLC arithmetic in its one step, and a size ratchet holds the
 #    line count of the three production crates under a ceiling that only
 #    goes down; the
 #    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
@@ -44,7 +45,8 @@
 # 6. service + network smokes: the sync_service example runs headless
 #    and must show >=1 retried job and 0 service crashes in its metrics
 #    exporter; the net_service example must hold every wire-path
-#    invariant over a real loopback socket
+#    invariant over a real loopback socket; `experiments all --fast` must
+#    exit 0 and print every section once
 # 7. the frozen end-to-end benchmark's own gate: its tests, then a smoke
 #    run of all four workloads that exits non-zero on any unverified job
 #    or seed-2008 pin mismatch
@@ -82,8 +84,11 @@ WORKSPACE_TEST_BINARIES_FLOOR=48
 # brought five (the encoders' byte-stability golden, two archive tests, the
 # split-magic reply of `tests/net_differential.rs`, the readers-agree
 # property of `tests/proptest_stream_faults.rs`). The binary floor did not
-# move.
-WORKSPACE_TESTS_FLOOR=630
+# move. Raised by four when the CLC step was written once: the two
+# oracle-free equivariances of `tests/proptest_invariants.rs`, the
+# oversized-window pin of `tests/windowed_differential.rs` and the
+# self-message pin of `tests/end_to_end.rs`.
+WORKSPACE_TESTS_FLOOR=634
 
 failed_gates=()
 
@@ -217,23 +222,29 @@ clc_collective_gate() {
 }
 gate "collective cost: clc/pop_allreduce vs clc/pop_halo_only" clc_collective_gate
 
-# Inlining gate: the per-edge accessors of the dependency graph must stay
-# inlined into the CLC kernels. The windowed loops are large, so an
-# accessor that grows is outlined silently, which cost the message-only
-# `stream_windowed` workload 10-15 % when it happened (PR 15). Outlined,
-# they would show up as symbols of their own.
+# Inlining gate: the per-edge accessors of the dependency graph and the
+# shared CLC step must stay inlined into the CLC kernels. The windowed loops
+# are large, so an accessor that grows is outlined silently, which cost the
+# message-only `stream_windowed` workload 10-15 % when it happened (PR 15);
+# the step, the walk and the sweep's `step` / `advance` are `inline(always)`
+# for the same reason. Outlined, they would show up as symbols of their
+# own: in `pop_correction` (the batch kernel) or in `net_service` (the one
+# example that runs the windowed engine).
 inlining_gate() {
-    local syms
+    local example syms
     command -v nm >/dev/null || { echo "    (no nm on this host: skipped)"; return 0; }
-    cargo build --release -q --example pop_correction || return 1
-    syms=$(nm -C target/release/examples/pop_correction | grep -E 'DepGraph::(in_of|out_of|message_in|member_slot)|EdgeIter.*::next' || true)
-    if [[ -n "$syms" ]]; then
-        echo "inlining gate: graph accessors were outlined:" >&2
-        echo "$syms" >&2
-        return 1
-    fi
+    for example in pop_correction net_service; do
+        cargo build --release -q --example "$example" || return 1
+        syms=$(nm -C "target/release/examples/${example}" | grep -E \
+            'DepGraph::(in_of|out_of|message_in|member_slot)|EdgeIter.*::next|columnar::(forward_step|backward_walk)|Sweep.*::(step|advance)|Timeline.*::[gs]et' || true)
+        if [[ -n "$syms" ]]; then
+            echo "inlining gate: outlined in ${example}:" >&2
+            echo "$syms" >&2
+            return 1
+        fi
+    done
 }
-gate "inlined graph accessors: nm pop_correction" inlining_gate
+gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inlining_gate
 
 # A job is single-threaded (DESIGN §9); none of the names its parallel
 # paths went by may come back.
@@ -265,11 +276,28 @@ one_frame_grammar_gate() {
 }
 gate "one frame grammar" one_frame_grammar_gate
 
+# One CLC step (DESIGN §15.2): the forward step's amortized candidate and
+# the backward walk's ramp are each written once under `crates/core/src`, in
+# `clc/columnar.rs`; the batch passes and the windowed sweeps call them. A
+# second `gap.scale(` or `scale(frac` is a second copy of the arithmetic.
+one_clc_step_gate() {
+    local pattern hits
+    for pattern in 'gap\.scale(' 'scale(frac'; do
+        hits=$(grep -rn "$pattern" crates/core/src || true)
+        if [[ $(grep -c . <<<"$hits") -ne 1 || "$hits" != crates/core/src/clc/columnar.rs:* ]]; then
+            echo "one CLC step: '${pattern}' must appear once, in clc/columnar.rs; found:" >&2
+            echo "${hits:-    (nowhere)}" >&2
+            return 1
+        fi
+    done
+}
+gate "one CLC step" one_clc_step_gate
+
 # Size ratchet (ROADMAP item 2): lines under the three production crates'
 # src/ against a ceiling that only ever goes down — lower it to the printed
 # count whenever a PR shrinks them; a PR that needs to raise it says why.
 # The public-item counts are reported beside it, not gated.
-SRC_LINES_CEILING=19151
+SRC_LINES_CEILING=19052
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -491,6 +519,23 @@ service_smoke_gate() {
     fi
 }
 gate "service smoke: sync_service example" service_smoke_gate
+
+# The paper's figures as a smoke run (ROADMAP item 3's entry point): the
+# whole campaign in its short form must run to the end in release, and no
+# section may be printed twice (`all` once ran the timer taxonomy under two
+# names).
+experiments_gate() {
+    local out dup
+    out=$(cargo run --release -q -p experiments -- all --fast) || return 1
+    dup=$(grep '^## ' <<<"$out" | sort | uniq -d)
+    echo "    $(grep -c '^## ' <<<"$out") sections"
+    if [[ -n "$dup" ]]; then
+        echo "experiments: sections printed more than once:" >&2
+        echo "$dup" >&2
+        return 1
+    fi
+}
+gate "experiments all --fast" experiments_gate
 
 # The frozen benchmark (benchmark/, its own package and lock file) is the
 # judge of every perf PR; a library change that breaks its build, its

@@ -579,6 +579,102 @@ pub fn assert_adapter_matches_oracle(
     got
 }
 
+/// Corrected timestamps per location, sorted by location: what two runs of
+/// one trace must agree on however each stored or emitted its timelines.
+pub type ByLocation = Vec<(drift_lab::tracefmt::Location, Vec<Time>)>;
+
+pub fn times_by_location(trace: &Trace) -> ByLocation {
+    let mut lines: ByLocation = trace
+        .procs
+        .iter()
+        .map(|p| (p.location, p.events.iter().map(|e| e.time).collect()))
+        .collect();
+    lines.sort_by_key(|(location, _)| *location);
+    lines
+}
+
+/// The `DTC3` encoding of `base` through the incremental windowed engine:
+/// the re-decoded output and the engine's CLC report. `PreSync::None`, so
+/// the CLC is the only stage that moves a timestamp.
+pub fn run_windowed_clc(
+    base: &Trace,
+    lmin: &dyn MinLatency,
+    params: &ClcParams,
+    window: usize,
+    ctx: &str,
+) -> (Trace, drift_lab::clocksync::ClcReport) {
+    use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
+    let bytes = to_binary_columnar_v3_blocked(base, 2);
+    let cfg = PipelineConfig { presync: PreSync::None, clc: Some(*params), ..PipelineConfig::default() };
+    let (out, rep) = drift_lab::clocksync::synchronize_stream_incremental(
+        &[&bytes[..]],
+        &vec![None; base.n_procs()],
+        None,
+        lmin,
+        &cfg,
+        window,
+    )
+    .unwrap_or_else(|e| panic!("{ctx}: windowed engine, window {window}: {e}"));
+    let back = from_binary_columnar(out.concat().into())
+        .unwrap_or_else(|e| panic!("{ctx}: window {window}: emitted frames do not decode: {e}"));
+    (back, rep.clc.expect("the CLC ran"))
+}
+
+/// Hold the windowed engine to the oracle on `base`, at windows 1, 3 and
+/// one wider than the trace: timestamps per location, the jump set (the
+/// engine reports canonical (timeline, index) order, the oracle discovery
+/// order), `max_jump` and the moved / total counts.
+pub fn assert_windowed_matches_oracle(
+    base: &Trace,
+    lmin: &dyn MinLatency,
+    params: &ClcParams,
+    ctx: &str,
+) {
+    let mut oracle = base.clone();
+    let want = clc_reference::controlled_logical_clock_reference(&mut oracle, lmin, params)
+        .unwrap_or_else(|e| panic!("{ctx}: oracle: {e}"));
+    let mut want_jumps: Vec<_> = want.jumps.iter().map(|j| (j.event, j.size)).collect();
+    want_jumps.sort_by_key(|(event, _)| (event.p(), event.i()));
+    for window in [1, 3, base.n_events() + 1] {
+        let ctx = format!("{ctx}: windowed, window {window}");
+        let (back, got) = run_windowed_clc(base, lmin, params, window, &ctx);
+        assert_eq!(times_by_location(&back), times_by_location(&oracle), "{ctx}: timestamps");
+        let got_jumps: Vec<_> = got.jumps.iter().map(|j| (j.event, j.size)).collect();
+        assert_eq!(got_jumps, want_jumps, "{ctx}: jump set");
+        assert_eq!(
+            (got.max_jump, got.events_moved, got.events_total),
+            (want.max_jump, want.events_moved, want.events_total),
+            "{ctx}: report"
+        );
+    }
+}
+
+/// One trace through the three shipped drivers of the CLC kernel — batch
+/// `synchronize`, `synchronize_stream` over the `DTC3` encoding, and the
+/// windowed engine (window 3) over the same stream — each answering
+/// [`times_by_location`]. `PreSync::None` throughout.
+pub fn clc_drivers(
+    base: &Trace,
+    lmin: &dyn MinLatency,
+    params: &ClcParams,
+) -> [(&'static str, ByLocation); 3] {
+    use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
+    let cfg = PipelineConfig { presync: PreSync::None, clc: Some(*params), ..PipelineConfig::default() };
+    let init = vec![None; base.n_procs()];
+    let mut batch = base.clone();
+    synchronize(&mut batch, &init, None, lmin, &cfg).expect("batch driver");
+    let bytes = to_binary_columnar_v3_blocked(base, 2);
+    let (streamed, _) =
+        drift_lab::clocksync::synchronize_stream([&bytes[..]], &init, None, lmin, &cfg)
+            .expect("streamed driver");
+    let (windowed, _) = run_windowed_clc(base, lmin, params, 3, "windowed driver");
+    [
+        ("batch", times_by_location(&batch)),
+        ("streamed", times_by_location(&streamed)),
+        ("windowed", times_by_location(&windowed)),
+    ]
+}
+
 /// Census totals of one stage, comparable without `PartialEq` on reports.
 pub fn totals(r: &StageReport) -> (usize, usize, usize) {
     (r.p2p.violations.len(), r.p2p.reversed, r.coll.logical_violated)

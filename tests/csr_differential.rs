@@ -14,6 +14,7 @@ mod common;
 
 use common::{
     assert_adapter_matches_oracle, assert_identical, assert_report_matches_reference,
+    assert_windowed_matches_oracle,
     clc_fingerprints, clc_reference, directed_latency, drifted_trace, drifted_zoo_trace,
     graph_edges, mixed_trace, reference_edges, reference_synchronize, zoo_latencies,
 };
@@ -268,7 +269,8 @@ fn adapter_matches_the_oracle_forward_only() {
 
 /// Timestamps pinned to the `i64` edges: the remote bound, the
 /// amortized-gap arithmetic and the backward-window extrapolation all
-/// overflow plain `i64` ops here. Both engines saturate, and agree.
+/// overflow plain `i64` ops here. Both engines saturate, and agree — and so
+/// does the windowed engine, fed the same trace as a `DTC3` stream.
 #[test]
 fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
     use drift_lab::tracefmt::{RegionId, Tag};
@@ -284,6 +286,7 @@ fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
     t.procs[1].push(Time::from_ps(i64::MAX - 1), EventKind::Exit { region: RegionId(0) });
     let rep = assert_adapter_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "i64 edges");
     assert_eq!(rep.expect("acyclic").n_jumps(), 1);
+    assert_windowed_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "i64 edges");
 }
 
 /// Every allreduce of these cases is evaluated in aggregate by the kernel
@@ -314,7 +317,8 @@ fn aggregated_ends_equal_the_reference() {
 }
 
 /// Collective begins within 1 % of the `i64` edges: the class maximum plus
-/// latency saturates exactly where the oracle's per-edge terms do.
+/// latency saturates exactly where the oracle's per-edge terms do; the
+/// windowed engine walks the same ends' views and must land there too.
 #[test]
 fn aggregated_ends_saturate_like_the_reference() {
     let near = i64::MAX / 100;
@@ -332,6 +336,7 @@ fn aggregated_ends_saturate_like_the_reference() {
     for backward in [true, false] {
         let params = ClcParams { backward, ..ClcParams::default() };
         assert_adapter_matches_oracle(&t, &lmin, &params, "i64 edges").expect("acyclic");
+        assert_windowed_matches_oracle(&t, &lmin, &params, "i64 edges");
         let mut fixed = t.clone();
         controlled_logical_clock(&mut fixed, &lmin, &params).expect("acyclic");
         assert_eq!(fixed.procs[4].events[1].time, Time::MAX, "the late begins saturate the early end");

@@ -140,12 +140,36 @@ fn determinism_across_identical_runs() {
     assert_ne!(run_once(9), run_once(10), "different seeds should differ");
 }
 
+/// A timeline that receives its own *later* send has no logical order. The
+/// Lamport walk used to exempt same-timeline sends from the wait and stamp
+/// the receive below its send; the vector walk panicked. One walk, one
+/// typed answer.
+#[test]
+fn receive_of_its_own_later_send_is_a_typed_cycle_for_both_logical_clocks() {
+    use drift_lab::clocksync::{lamport_timestamps, vector_timestamps, ClcError};
+    let recv = EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 };
+    let send = EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 };
+    let mut t = Trace::for_ranks(1);
+    t.procs[0].push(Time::from_us(1), recv);
+    t.procs[0].push(Time::from_us(2), send);
+    assert_eq!(lamport_timestamps(&t), Err(ClcError::CyclicTrace));
+    assert_eq!(vector_timestamps(&t), Err(ClcError::CyclicTrace));
+
+    // The other way round is an ordinary message.
+    let mut t = Trace::for_ranks(1);
+    t.procs[0].push(Time::from_us(1), send);
+    t.procs[0].push(Time::from_us(2), recv);
+    assert_eq!(lamport_timestamps(&t).expect("acyclic")[0], vec![1, 2]);
+    let v = vector_timestamps(&t).expect("acyclic");
+    assert!(v[0][0].happened_before(&v[0][1]));
+}
+
 #[test]
 fn logical_clocks_agree_with_vector_clocks_on_simulated_traces() {
     let mut c = cluster(5, 30.0);
     let out = run(&mut c, &ring_program(20), &RunOptions::default()).unwrap();
-    let lamport = drift_lab::clocksync::lamport_timestamps(&out.trace);
-    let vectors = drift_lab::clocksync::vector_timestamps(&out.trace);
+    let lamport = drift_lab::clocksync::lamport_timestamps(&out.trace).expect("acyclic");
+    let vectors = drift_lab::clocksync::vector_timestamps(&out.trace).expect("acyclic");
     let matching = match_messages(&out.trace);
     for m in &matching.messages {
         assert!(

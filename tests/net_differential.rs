@@ -153,7 +153,10 @@ fn loopback_incremental_streams_identical_bytes() {
     let server = test_server();
     let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
 
-    for window in [128usize, 1024] {
+    // `u64::MAX` is what a hostile `JobConfig` can put on the wire: the
+    // engine sizes its lanes by the timelines, so the job is answered like
+    // any other — and the jobs after it find the server alive.
+    for window in [128u64, u64::MAX, 1024] {
         for (which, bytes) in &inputs {
             let label = format!("{which}/win{window}");
             let cfg = PipelineConfig::default();
@@ -164,7 +167,7 @@ fn loopback_incremental_streams_identical_bytes() {
                 Some(&fin),
                 &lmin,
                 &cfg,
-                window,
+                window as usize,
             )
             .unwrap_or_else(|e| panic!("{label}: direct incremental failed: {e}"));
 
@@ -173,7 +176,7 @@ fn loopback_incremental_streams_identical_bytes() {
                 lmin,
                 &init,
                 &fin,
-                WireMode::Incremental { window_events: window as u64 },
+                WireMode::Incremental { window_events: window },
                 vec![bytes.clone()],
             );
             let out = client

@@ -145,6 +145,53 @@ proptest! {
         }
     }
 
+    // --- equivariances: no oracle, so a defect the oracle shares shows ------
+    //
+    // Batch, streamed and windowed drivers share one matcher, one lowering
+    // and one CLC step with each other, and the matcher with the oracle; a
+    // symmetry of the *problem* needs none of them to be right to be checked.
+
+    /// The CLC sees differences of timestamps only: every timestamp moved
+    /// by one constant (far from the `i64` edges, where saturation is the
+    /// documented exception) moves every corrected timestamp by it.
+    #[test]
+    fn clc_commutes_with_a_shift_of_the_time_axis(
+        (trace, lmin_us) in arb_skewed_trace_with_barriers(Some(5)),
+        shift_ps in -(1i64 << 58)..(1i64 << 58),
+    ) {
+        let lmin = UniformLatency(Dur::from_us(lmin_us));
+        let shift = Dur::from_ps(shift_ps);
+        let mut moved = trace.clone();
+        for e in moved.procs.iter_mut().flat_map(|p| p.events.iter_mut()) {
+            e.time += shift;
+        }
+        let here = common::clc_drivers(&trace, &lmin, &ClcParams::default());
+        let there = common::clc_drivers(&moved, &lmin, &ClcParams::default());
+        for ((driver, here), (_, there)) in here.into_iter().zip(there) {
+            for ((location, a), (_, b)) in here.into_iter().zip(there) {
+                let a: Vec<Time> = a.into_iter().map(|t| t + shift).collect();
+                prop_assert_eq!(a, b, "{} driver, {:?}, shift {} ps", driver, location, shift_ps);
+            }
+        }
+    }
+
+    /// Which timeline is stored first is an accident of the file: the same
+    /// timelines in reverse order get the same timestamps, location by
+    /// location (the schedule, and so the order jumps are found in, differs).
+    #[test]
+    fn clc_ignores_the_storage_order_of_timelines(
+        (trace, lmin_us) in arb_skewed_trace_with_barriers(Some(5)),
+    ) {
+        let lmin = UniformLatency(Dur::from_us(lmin_us));
+        let mut reversed = trace.clone();
+        reversed.procs.reverse();
+        let stored = common::clc_drivers(&trace, &lmin, &ClcParams::default());
+        let turned = common::clc_drivers(&reversed, &lmin, &ClcParams::default());
+        for ((driver, stored), (_, turned)) in stored.into_iter().zip(turned) {
+            prop_assert_eq!(stored, turned, "{} driver", driver);
+        }
+    }
+
     // --- codecs ---------------------------------------------------------------
 
     #[test]
@@ -163,9 +210,9 @@ proptest! {
 
     #[test]
     fn lamport_and_vector_conditions_hold((trace, _) in arb_skewed_trace()) {
-        let lamport = drift_lab::clocksync::lamport_timestamps(&trace);
+        let lamport = drift_lab::clocksync::lamport_timestamps(&trace).expect("acyclic");
         prop_assert!(drift_lab::clocksync::satisfies_lamport_condition(&trace, &lamport));
-        let vectors = drift_lab::clocksync::vector_timestamps(&trace);
+        let vectors = drift_lab::clocksync::vector_timestamps(&trace).expect("acyclic");
         let m = match_messages(&trace);
         for msg in &m.messages {
             prop_assert!(vectors[msg.send.p()][msg.send.i()]

@@ -219,3 +219,33 @@ fn windowed_residency_stays_bounded_while_batch_grows() {
          {large_peak} B @ {large_n} events"
     );
 }
+
+/// The window arrives off the wire as a `u64`; a lane segment sized by it
+/// alone was a 64 GiB gauge reading at `1 << 30` and an aborted process at
+/// `1 << 40`. Segments are as wide as their timeline at most, so every
+/// window a timeline fits in is the same run.
+#[test]
+fn oversized_window_holds_no_more_than_the_timelines() {
+    let mut t = Trace::for_ranks(2);
+    t.procs[0].push(Time::from_us(9), EventKind::Send { to: Rank(1), tag: Tag(0), bytes: 0 });
+    t.procs[1].push(Time::from_us(3), EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 });
+    let bytes = to_binary_columnar_v3_blocked(&t, 4);
+    let lmin = UniformLatency(Dur::from_us(4));
+    let cfg = PipelineConfig {
+        presync: PreSync::None,
+        clc: Some(ClcParams::default()),
+        ..PipelineConfig::default()
+    };
+    let run = |window| {
+        synchronize_stream_incremental(&[&bytes[..]], &[None, None], None, &lmin, &cfg, window)
+            .unwrap_or_else(|e| panic!("window {window}: {e}"))
+    };
+    let (narrow, _) = run(1);
+    for window in [1usize << 30, 1 << 40, usize::MAX] {
+        let (frames, rep) = run(window);
+        assert_eq!(frames, narrow, "window {window}");
+        assert_eq!(rep.clc.expect("clc ran").n_jumps(), 1, "window {window}");
+        let peak = rep.stats.peak_resident_column_bytes;
+        assert!(peak <= 1024, "window {window}: {peak} B resident for two events");
+    }
+}
