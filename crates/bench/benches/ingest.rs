@@ -16,49 +16,20 @@
 //! source trace and its columns, and v3 costs 25–40 % more bytes than v2.
 //!
 //! Run with `cargo bench -p bench --bench ingest` (add `-- --test` for the
-//! CI smoke run: fewer repetitions, same report). Either way the summary is
-//! written to `BENCH_ingest.json` at the repository root.
+//! CI smoke run: fewer repetitions, same report).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use simclock::Time;
+use rand::SeedableRng;
 use std::time::{Duration, Instant};
 use tracefmt::io::{
     from_binary_columnar, to_binary_columnar, to_binary_columnar_v3, StreamDecoder, TraceBuilder,
 };
-use tracefmt::{EventKind, Rank, Tag, Trace, TraceColumns};
+use tracefmt::{Trace, TraceColumns};
+use workloads::skewed_p2p;
 
 const PROCS: usize = 16;
 const MSGS: usize = 60_000; // ≥120k events
 const STREAM_CHUNK: usize = 256 * 1024;
-
-/// A causally valid message trace with skewed clocks (same shape as the
-/// pipeline benchmarks; drift detail is irrelevant to decode speed).
-fn big_trace(seed: u64) -> Trace {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let offsets: Vec<i64> = (0..PROCS)
-        .map(|p| if p == 0 { 0 } else { rng.gen_range(-500i64..500) })
-        .collect();
-    let mut trace = Trace::for_ranks(PROCS);
-    let mut now = [0i64; PROCS];
-    for m in 0..MSGS {
-        let from = rng.gen_range(0usize..PROCS);
-        let to = (from + rng.gen_range(1usize..PROCS)) % PROCS;
-        let send_true = now[from] + rng.gen_range(5i64..40);
-        now[from] = send_true;
-        let recv_true = send_true.max(now[to]) + 4 + rng.gen_range(0i64..20);
-        now[to] = recv_true;
-        trace.procs[from].push(
-            Time::from_us(send_true + offsets[from]),
-            EventKind::Send { to: Rank(to as u32), tag: Tag(m as u32), bytes: 64 },
-        );
-        trace.procs[to].push(
-            Time::from_us(recv_true + offsets[to]),
-            EventKind::Recv { from: Rank(from as u32), tag: Tag(m as u32), bytes: 64 },
-        );
-    }
-    trace
-}
 
 /// Best-of-N wall time of `f` (minimum is the least noisy estimator for a
 /// deterministic workload).
@@ -103,7 +74,7 @@ fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
     let iters = if test_mode { 3 } else { 15 };
 
-    let trace = big_trace(7);
+    let (trace, ..) = skewed_p2p(&mut StdRng::seed_from_u64(7), PROCS, MSGS, 500);
     let n_events = trace.n_events();
     assert!(n_events >= 100_000, "bench trace too small: {n_events}");
     let columns = TraceColumns::gather(&trace);
@@ -141,18 +112,4 @@ fn main() {
     println!("  v2_streamed  {eps_v2_stream:>12.0} events/s");
     println!("  v3_full      {eps_v3_full:>12.0} events/s");
     println!("  v3_streamed  {eps_v3_stream:>12.0} events/s");
-
-    let json = format!(
-        "{{\n  \"n_events\": {n_events},\n  \"v2_bytes\": {},\n  \"v3_bytes\": {},\n  \
-         \"v3_over_v2_bytes\": {byte_ratio:.3},\n  \
-         \"v2_full_events_per_sec\": {eps_v2_full:.0},\n  \
-         \"v2_streamed_events_per_sec\": {eps_v2_stream:.0},\n  \
-         \"v3_full_events_per_sec\": {eps_v3_full:.0},\n  \
-         \"v3_streamed_events_per_sec\": {eps_v3_stream:.0}\n}}\n",
-        v2_bytes.len(),
-        v3_bytes.len(),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-    std::fs::write(out, json).expect("write BENCH_ingest.json");
-    println!("wrote {out}");
 }

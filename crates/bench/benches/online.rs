@@ -1,29 +1,24 @@
-//! Online synchronization: filter and corrector throughput, plus the
-//! method head-to-head the paper's claim rests on.
+//! Online synchronization kernels: filter and corrector throughput.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! * raw [`DriftKalman`] update throughput (predict + observe per probe);
 //! * end-to-end [`OnlineCorrector`] throughput: events/sec through
-//!   `map_next` with a realistic probe-to-event ratio;
-//! * the violation-census comparison from the `online` experiment —
-//!   interp vs. CLC vs. online over every static drift model and the
-//!   churn scenarios, at a fixed seed.
+//!   `map_next` with a realistic probe-to-event ratio.
+//!
+//! What the method is worth against interpolation and the CLC — violation
+//! censuses, deterministic integers — is `experiments online`'s table, and
+//! the rule on it (online strictly below interpolation on every
+//! non-constant drift model, never above it under churn) is asserted by
+//! the tests of `experiments::online_exp`.
 //!
 //! Run with `cargo bench -p bench --bench online` (add `-- --test` for
-//! the CI smoke run: fewer repetitions, same report). Either way the
-//! summary is written to `BENCH_online.json` at the repository root.
-//! `scripts/ci.sh` re-checks the censuses with the same rule as the
-//! bench's own assert — the online method must strictly undercut
-//! endpoint interpolation on every non-constant drift model — so a
-//! regression cannot hide behind a stale JSON. The census counts are
-//! machine-independent (the pipeline is deterministic), so the gate
-//! holds at every CPU count.
+//! the CI smoke run: fewer repetitions, same report).
 
-use experiments::online_exp::{churn_rows, static_rows, OnlineRow};
-use onlinesync::{DriftKalman, KalmanParams, OnlineCorrector, ProbeFix};
+use onlinesync::{DriftKalman, KalmanParams, OffsetMeasurement, OnlineCorrector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use simclock::{Dur, Time};
 use std::time::{Duration, Instant};
 
 /// Best-of-N wall time (minimum is the least noisy estimator for a
@@ -40,17 +35,17 @@ fn best_of(iters: usize, mut f: impl FnMut() -> u64) -> Duration {
 
 /// Synthetic probe stream: drifting offset plus bounded noise, 10 ms
 /// cadence in worker time.
-fn probe_stream(n: usize, seed: u64) -> Vec<ProbeFix> {
+fn probe_stream(n: usize, seed: u64) -> Vec<OffsetMeasurement> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|i| {
             let t_ps = (i as i64 + 1) * 10_000_000_000; // 10 ms
             let drift_off = (t_ps as f64 * 30e-6) as i64; // 30 ppm
-            ProbeFix {
-                worker_time_ps: t_ps,
-                offset_ps: 400_000_000 + drift_off + rng.gen_range(-2_000_000i64..2_000_000),
-                rtt_ps: 10_000_000 + rng.gen_range(0i64..5_000_000),
-            }
+            OffsetMeasurement::new(
+                Time::from_ps(t_ps),
+                Dur::from_ps(400_000_000 + drift_off + rng.gen_range(-2_000_000i64..2_000_000)),
+                Dur::from_ps(10_000_000 + rng.gen_range(0i64..5_000_000)),
+            )
         })
         .collect()
 }
@@ -91,67 +86,4 @@ fn main() {
     });
     let corr_eps = events_n as f64 / t_corr.as_secs_f64();
     println!("corrector: {events_n} events, {corr_eps:>12.0} events/s ({t_corr:?})");
-
-    // 3. Method head-to-head at a fixed seed (deterministic counts).
-    let msgs = if test_mode { 800 } else { 2500 };
-    let mut rows = static_rows(msgs, 2008);
-    rows.extend(churn_rows(msgs, 2009));
-    println!(
-        "{:<22} {:>8} {:>8} {:>8} {:>8}",
-        "scenario", "raw", "interp", "clc", "online"
-    );
-    for r in &rows {
-        println!(
-            "{:<22} {:>8} {:>8} {:>8} {:>8}",
-            r.scenario, r.raw, r.interp, r.clc, r.online
-        );
-    }
-
-    // The bench's own gate, mirrored by scripts/ci.sh on the written
-    // report: strictly fewer violations than interpolation on every
-    // non-constant drift model, and never worse than raw anywhere.
-    for r in &rows {
-        assert!(
-            r.online <= r.raw,
-            "{}: online {} worse than raw {}",
-            r.scenario,
-            r.online,
-            r.raw
-        );
-        if r.scenario != "constant" && !r.scenario.starts_with("churn") {
-            assert!(
-                r.online < r.interp,
-                "{}: online {} not strictly below interp {}",
-                r.scenario,
-                r.online,
-                r.interp
-            );
-        }
-    }
-
-    let census_json = |r: &OnlineRow| {
-        format!(
-            "    {{ \"scenario\": \"{}\", \"messages\": {}, \"raw\": {}, \"interp\": {}, \
-             \"clc\": {}, \"online\": {} }}",
-            r.scenario, r.messages, r.raw, r.interp, r.clc, r.online
-        )
-    };
-    let flat = |r: &OnlineRow| {
-        let key = r.scenario.replace(['/', '-'], "_");
-        format!(
-            "  \"census_{key}_interp\": {},\n  \"census_{key}_online\": {}",
-            r.interp, r.online
-        )
-    };
-    let json = format!
-    (
-        "{{\n  \"filter_updates_per_sec\": {filter_ups:.0},\n  \
-         \"corrector_events_per_sec\": {corr_eps:.0},\n  \"messages_per_scenario\": {msgs},\n\
-         {},\n  \"censuses\": [\n{}\n  ]\n}}\n",
-        rows.iter().map(flat).collect::<Vec<_>>().join(",\n"),
-        rows.iter().map(census_json).collect::<Vec<_>>().join(",\n"),
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_online.json");
-    std::fs::write(out, json).expect("write BENCH_online.json");
-    println!("wrote {out}");
 }

@@ -1,10 +1,10 @@
 //! Shared fixtures for the drift-lab benchmark harness.
 //!
-//! Each bench target regenerates one of the paper's tables/figures (at a
-//! reduced size, so `cargo bench` stays snappy) or measures the performance
-//! of a core algorithm. The full-size regeneration lives in the
-//! `experiments` binary; these benches prove the code paths and give
-//! stable performance baselines.
+//! Each bench target times one kernel in isolation — a CLC variant, a
+//! pipeline stage, a codec, the census, the online filter — prints what it
+//! measured and asserts what must hold on any host; none writes a file. The
+//! paper's tables and figures are the `experiments` binary's, and what a
+//! whole job costs end to end is `benchmark/`'s to report.
 
 #![forbid(unsafe_code)]
 

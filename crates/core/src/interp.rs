@@ -52,23 +52,18 @@ impl OffsetAlignment {
 }
 
 impl OffsetAlignment {
-    /// Apply the alignment to a dense picosecond column in place.
-    ///
-    /// `m(t) = t + o₁` is a pure integer add, so the loop carries no
-    /// per-element dispatch or float work and autovectorizes to packed
-    /// 64-bit adds. Bit-identical to mapping each element through
-    /// [`TimestampMap::map`].
+    /// Apply the alignment to a dense picosecond column in place: every
+    /// element through [`TimestampMap::map`], a saturating integer add.
     pub fn map_col(&self, col: &mut [i64]) {
-        let off = self.offset.as_ps();
         for ps in col.iter_mut() {
-            *ps += off;
+            *ps = self.map(Time::from_ps(*ps)).as_ps();
         }
     }
 }
 
 impl TimestampMap for OffsetAlignment {
     fn map(&self, t: Time) -> Time {
-        t + self.offset
+        t.saturating_add(self.offset)
     }
 }
 
@@ -100,25 +95,33 @@ impl LinearInterpolation {
     /// Build from the two measurements (order is normalised internally).
     ///
     /// # Panics
-    /// Panics if both anchors share the same worker time.
+    /// Panics if both anchors share the same worker time; measurements that
+    /// come from outside the program go through [`try_new`](Self::try_new).
     pub fn new(a: &OffsetMeasurement, b: &OffsetMeasurement) -> Self {
+        Self::try_new(a, b).expect("interpolation anchors coincide")
+    }
+
+    /// [`new`](Self::new), or `None` when both anchors share the same worker
+    /// time — no line passes through them.
+    pub fn try_new(a: &OffsetMeasurement, b: &OffsetMeasurement) -> Option<Self> {
         let (first, second) = if a.worker_time <= b.worker_time {
             (a, b)
         } else {
             (b, a)
         };
-        let dw = (second.worker_time - first.worker_time).as_secs_f64();
-        assert!(dw > 0.0, "interpolation anchors coincide");
-        LinearInterpolation {
+        let dw = second.worker_time.saturating_since(first.worker_time).as_secs_f64();
+        (dw > 0.0).then(|| LinearInterpolation {
             w1: first.worker_time,
             o1: first.offset,
-            slope: (second.offset - first.offset).as_secs_f64() / dw,
-        }
+            slope: second.offset.saturating_sub(first.offset).as_secs_f64() / dw,
+        })
     }
 
-    /// The interpolated offset at worker time `t`.
+    /// The interpolated offset at worker time `t`, saturating at the `i64`
+    /// edges.
     pub fn offset_at(&self, t: Time) -> Dur {
-        self.o1 + Dur::from_secs_f64(self.slope * (t - self.w1).as_secs_f64())
+        let ds = t.saturating_since(self.w1).as_secs_f64();
+        self.o1.saturating_add(Dur::from_secs_f64(self.slope * ds))
     }
 
     /// The fitted drift slope (seconds of offset per second — the relative
@@ -127,31 +130,19 @@ impl LinearInterpolation {
         self.slope
     }
 
-    /// Apply Eq. 3 to a dense picosecond column in place.
-    ///
-    /// The anchor constants are hoisted, but each element runs the exact
-    /// [`offset_at`](LinearInterpolation::offset_at) float sequence —
-    /// ps→seconds divide, slope multiply, `.round()`-ing seconds→ps
-    /// conversion — so results are bit-identical to the per-event map.
-    /// (The `.round()` is load-bearing: a `trunc(x + 0.5)` rewrite differs
-    /// on values like `0.49999999999999994` and would break bit-identity
-    /// with the per-event reference map.) The loop body is branchless, so the
-    /// autovectorizer can turn it into packed converts and FMAs without
-    /// changing any individual result.
+    /// Apply Eq. 3 to a dense picosecond column in place: every element
+    /// through [`TimestampMap::map`], with the dispatch on the map's kind
+    /// paid once per column instead of once per event.
     pub fn map_col(&self, col: &mut [i64]) {
-        let w1 = self.w1.as_ps();
-        let o1 = self.o1.as_ps();
-        let slope = self.slope;
         for ps in col.iter_mut() {
-            let ds = Dur::from_ps(*ps - w1).as_secs_f64();
-            *ps += o1 + Dur::from_secs_f64(slope * ds).as_ps();
+            *ps = self.map(Time::from_ps(*ps)).as_ps();
         }
     }
 }
 
 impl TimestampMap for LinearInterpolation {
     fn map(&self, t: Time) -> Time {
-        t + self.offset_at(t)
+        t.saturating_add(self.offset_at(t))
     }
 }
 

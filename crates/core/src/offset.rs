@@ -13,6 +13,7 @@
 //! round with the smallest round-trip time wins — that round's delays are
 //! the most symmetric with the highest probability.
 
+pub use onlinesync::OffsetMeasurement;
 use simclock::{Dur, Time};
 
 /// The three local timestamps of one request/reply exchange.
@@ -36,20 +37,6 @@ impl ProbeSample {
     pub fn offset(&self) -> Dur {
         self.t1 + (self.t2 - self.t1) / 2 - self.t0
     }
-}
-
-/// An offset measurement anchored at a worker-local time: "at worker time
-/// `worker_time`, the master clock was `offset` ahead". The `(w, o)` pairs
-/// of the paper's Eq. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OffsetMeasurement {
-    /// Worker-local anchor time.
-    pub worker_time: Time,
-    /// Master − worker offset at that anchor.
-    pub offset: Dur,
-    /// Round-trip of the winning probe (quality indicator; half of it
-    /// bounds the estimation error).
-    pub rtt: Dur,
 }
 
 /// Estimate the offset from repeated probes by Cristian's min-round-trip

@@ -42,7 +42,7 @@ use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport};
 use crate::interp::{LinearInterpolation, OffsetAlignment, TimestampMap};
 use crate::offset::OffsetMeasurement;
-use onlinesync::{KalmanParams, OnlineCorrector, ProbeFix};
+use onlinesync::{KalmanParams, OnlineCorrector};
 use simclock::Time;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -114,17 +114,7 @@ impl OnlineSpec {
 
     /// Instantiate the per-timeline correction lanes.
     pub(crate) fn corrector(&self) -> OnlineCorrector {
-        OnlineCorrector::new(
-            self.probes
-                .iter()
-                .map(|ps| {
-                    ps.iter()
-                        .map(|m| ProbeFix::new(m.worker_time, m.offset, m.rtt))
-                        .collect()
-                })
-                .collect(),
-            self.kalman,
-        )
+        OnlineCorrector::new(self.probes.to_vec(), self.kalman)
     }
 }
 
@@ -234,11 +224,8 @@ impl TimestampMap for PresyncMap {
 impl PresyncMap {
     /// Apply the map to a dense picosecond column in place.
     ///
-    /// The enum dispatch is hoisted out of the loop and each variant runs
-    /// its own columnar kernel ([`OffsetAlignment::map_col`] is a packed
-    /// integer add, [`LinearInterpolation::map_col`] keeps the exact Eq. 3
-    /// float sequence) — both bit-identical to mapping each element
-    /// through [`TimestampMap::map`].
+    /// The enum dispatch is hoisted out of the loop; each variant's
+    /// `map_col` maps every element through its [`TimestampMap::map`].
     pub(crate) fn map_col(&self, col: &mut [i64]) {
         match self {
             PresyncMap::Identity => {}
@@ -422,15 +409,23 @@ fn build_presync_maps(
                     "linear interpolation requires finalize measurements".into(),
                 )
             })?;
-            Ok(Some(
-                init.iter()
-                    .zip(fin)
-                    .map(|(a, b)| match (a, b) {
-                        (Some(a), Some(b)) => PresyncMap::Linear(LinearInterpolation::new(a, b)),
-                        _ => PresyncMap::Identity,
-                    })
-                    .collect(),
-            ))
+            // The measurements are the caller's (a service takes them off the
+            // wire): two anchors at one worker time are bad input, not a bug.
+            init.iter()
+                .zip(fin)
+                .enumerate()
+                .map(|(p, pair)| match pair {
+                    (Some(a), Some(b)) => match LinearInterpolation::try_new(a, b) {
+                        Some(map) => Ok(PresyncMap::Linear(map)),
+                        None => Err(PipelineError::BadMeasurements(format!(
+                            "process {p}: init and finalize anchors share worker time {} ps",
+                            a.worker_time.as_ps()
+                        ))),
+                    },
+                    _ => Ok(PresyncMap::Identity),
+                })
+                .collect::<Result<_, _>>()
+                .map(Some)
         }
     }
 }
@@ -863,29 +858,46 @@ mod tests {
         assert!(matches!(err, Err(PipelineError::BadMeasurements(_))));
     }
 
-    /// The drivers share one preamble (`freeze_inputs`): the same bad input
-    /// is the same error — variant and message — from the batch, the
-    /// streamed and the incremental entry point.
+    /// The drivers share one preamble (`freeze_inputs`, `build_presync_maps`):
+    /// the same bad input is the same error — variant and message — from the
+    /// batch, the streamed and the incremental entry point, and the batch
+    /// driver hands the trace back as it got it.
     #[test]
     fn bad_inputs_fail_identically_from_every_driver() {
         let mut far = Trace::for_ranks(3);
         far.procs[2].location.rank = Rank(1 << 20);
+        let coincident = vec![None, measurements(-500, 7)];
+        // Cases with finalize measurements run `PreSync::Linear`.
         let cases = [
-            (skewed_trace(), vec![None], "bad measurements: init has 1 entries for 2 procs"),
-            (far, vec![None; 3], "bad trace: rank id 1048576 out of range for a 3-process trace"),
+            (skewed_trace(), vec![None], None, "bad measurements: init has 1 entries for 2 procs"),
+            (far, vec![None; 3], None,
+             "bad trace: rank id 1048576 out of range for a 3-process trace"),
+            (
+                skewed_trace(),
+                coincident.clone(),
+                Some(coincident),
+                "bad measurements: process 1: init and finalize anchors share worker time \
+                 7000000 ps",
+            ),
         ];
-        for (trace, init, message) in cases {
-            let cfg = PipelineConfig { presync: PreSync::AlignOnly, ..Default::default() };
+        for (trace, init, fin, message) in cases {
+            let presync = if fin.is_some() { PreSync::Linear } else { PreSync::AlignOnly };
+            let cfg = PipelineConfig { presync, ..Default::default() };
+            let fin = fin.as_deref();
             let bytes = tracefmt::io::to_binary_columnar_v3_blocked(&trace, 16);
             let chunks = [&bytes[..]];
+            let mut batch = trace.clone();
             let errors = [
-                synchronize(&mut trace.clone(), &init, None, &LMIN, &cfg).err(),
-                synchronize_stream(chunks, &init, None, &LMIN, &cfg).err(),
-                synchronize_stream_incremental(&chunks, &init, None, &LMIN, &cfg, 8).err(),
+                synchronize(&mut batch, &init, fin, &LMIN, &cfg).err(),
+                synchronize_stream(chunks, &init, fin, &LMIN, &cfg).err(),
+                synchronize_stream_incremental(&chunks, &init, fin, &LMIN, &cfg, 8).err(),
             ];
             for (driver, err) in errors.into_iter().enumerate() {
                 let err = err.unwrap_or_else(|| panic!("driver {driver} accepted: {message}"));
                 assert_eq!(err.to_string(), message, "driver {driver}");
+            }
+            for (before, after) in trace.procs.iter().zip(&batch.procs) {
+                assert_eq!(before.events, after.events, "{message}: trace rewritten");
             }
         }
     }

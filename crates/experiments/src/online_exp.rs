@@ -206,16 +206,7 @@ pub fn churn_rows(msgs: usize, seed: u64) -> Vec<OnlineRow> {
         .iter()
         .map(|(label, cfg)| {
             let s = churn_scenario(cfg.clone(), msgs, seed);
-            let conv = |m: &workloads::ProbeMeasurement| OffsetMeasurement {
-                worker_time: m.worker_time,
-                offset: m.offset,
-                rtt: m.rtt,
-            };
-            let init: Vec<_> = s.init.iter().map(|m| m.as_ref().map(conv)).collect();
-            let fin: Vec<_> = s.fin.iter().map(|m| m.as_ref().map(conv)).collect();
-            let probes: Vec<Vec<_>> =
-                s.probes.iter().map(|ps| ps.iter().map(conv).collect()).collect();
-            race(label, &s.trace, &init, &fin, &probes, &s.lmin)
+            race(label, &s.trace, &s.init, &s.fin, &s.probes, &s.lmin)
         })
         .collect()
 }
@@ -268,6 +259,20 @@ mod tests {
         for row in churn_rows(800, 11) {
             assert!(row.messages > 0);
             assert!(row.online <= row.raw, "{}: online made things worse", row.scenario);
+        }
+        // Under dynamic membership the no-lookahead filter is held to "never
+        // behind endpoint interpolation" (the static drift models to strictly
+        // ahead, above) on both island layouts.
+        let rows = churn_rows(800, 2009);
+        assert_eq!(rows.len(), 2);
+        for row in rows {
+            assert!(
+                row.online <= row.interp,
+                "{}: online {} above interp {}",
+                row.scenario,
+                row.online,
+                row.interp
+            );
         }
     }
 }

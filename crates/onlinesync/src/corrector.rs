@@ -14,14 +14,14 @@
 //! two close events must not reorder a timeline against itself (local
 //! event order is ground truth, Lamport's first clock condition).
 
-use crate::filter::{DriftKalman, KalmanParams, ProbeFix};
+use crate::filter::{DriftKalman, KalmanParams, OffsetMeasurement};
 
 /// Online correction state for a single timeline (process).
 #[derive(Debug, Clone)]
 pub struct OnlineLane {
     filter: DriftKalman,
-    /// Probe schedule sorted by `worker_time_ps`.
-    probes: Vec<ProbeFix>,
+    /// Probe schedule sorted by `worker_time`.
+    probes: Vec<OffsetMeasurement>,
     /// Next unconsumed probe.
     next: usize,
     /// Last emitted corrected timestamp, for the monotone clamp.
@@ -32,8 +32,8 @@ impl OnlineLane {
     /// Build a lane from this timeline's probe schedule. The schedule is
     /// sorted by worker time internally; an empty schedule yields the
     /// identity correction (the master timeline's lane).
-    pub fn new(mut probes: Vec<ProbeFix>, params: KalmanParams) -> Self {
-        probes.sort_by_key(|p| p.worker_time_ps);
+    pub fn new(mut probes: Vec<OffsetMeasurement>, params: KalmanParams) -> Self {
+        probes.sort_by_key(|p| p.worker_time);
         OnlineLane {
             filter: DriftKalman::new(params),
             probes,
@@ -55,8 +55,14 @@ impl OnlineLane {
     /// Correct the next raw timestamp of this timeline. **Must** be called
     /// in nondecreasing raw-timestamp order (the natural per-timeline
     /// event order); the output is then guaranteed nondecreasing too.
+    ///
+    /// Inlined into its callers' per-event loops: as a call, its first
+    /// float instruction (`cvtsi2sd`) can inherit a false dependency on the
+    /// previous call's result, which chains the events' divides end to end
+    /// and halves the online stage's rate (61 M against 126 M events/s).
+    #[inline]
     pub fn map_next(&mut self, raw_ps: i64) -> i64 {
-        while self.next < self.probes.len() && self.probes[self.next].worker_time_ps <= raw_ps {
+        while self.next < self.probes.len() && self.probes[self.next].worker_time.as_ps() <= raw_ps {
             self.filter.observe(self.probes[self.next]);
             self.next += 1;
         }
@@ -82,7 +88,7 @@ pub struct OnlineCorrector {
 impl OnlineCorrector {
     /// One lane per timeline, in timeline order. Timelines beyond the end
     /// of `probes` (or with empty schedules) get the identity correction.
-    pub fn new(probes: Vec<Vec<ProbeFix>>, params: KalmanParams) -> Self {
+    pub fn new(probes: Vec<Vec<OffsetMeasurement>>, params: KalmanParams) -> Self {
         OnlineCorrector {
             lanes: probes
                 .into_iter()
@@ -127,6 +133,15 @@ impl OnlineCorrector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simclock::{Dur, Time};
+
+    fn probe(worker_time_ps: i64, offset_ps: i64, rtt_ps: i64) -> OffsetMeasurement {
+        OffsetMeasurement::new(
+            Time::from_ps(worker_time_ps),
+            Dur::from_ps(offset_ps),
+            Dur::from_ps(rtt_ps),
+        )
+    }
 
     #[test]
     fn no_probes_is_identity() {
@@ -139,11 +154,8 @@ mod tests {
     #[test]
     fn constant_offset_probes_shift_by_that_offset() {
         let probes = (0..20)
-            .map(|k| ProbeFix {
-                worker_time_ps: k * 1_000_000_000,
-                offset_ps: 42_000_000, // 42 µs fast-forward
-                rtt_ps: 5_000_000,
-            })
+            // 42 µs fast-forward
+            .map(|k| probe(k * 1_000_000_000, 42_000_000, 5_000_000))
             .collect();
         let mut lane = OnlineLane::new(probes, KalmanParams::default());
         // Event well inside the probe window: corrected ≈ raw + 42 µs.
@@ -155,9 +167,9 @@ mod tests {
     #[test]
     fn probes_before_event_are_consumed_future_ones_are_not() {
         let probes = vec![
-            ProbeFix { worker_time_ps: 100, offset_ps: 0, rtt_ps: 1000 },
-            ProbeFix { worker_time_ps: 200, offset_ps: 0, rtt_ps: 1000 },
-            ProbeFix { worker_time_ps: 900, offset_ps: 0, rtt_ps: 1000 },
+            probe(100, 0, 1000),
+            probe(200, 0, 1000),
+            probe(900, 0, 1000),
         ];
         let mut lane = OnlineLane::new(probes, KalmanParams::default());
         lane.map_next(250);
@@ -172,16 +184,8 @@ mod tests {
         // filter revises downward sharply, yet events at 1.9s then 2.1s
         // must not swap.
         let probes = vec![
-            ProbeFix {
-                worker_time_ps: 1_000_000_000_000,
-                offset_ps: 100_000_000,
-                rtt_ps: 2_000_000,
-            },
-            ProbeFix {
-                worker_time_ps: 2_000_000_000_000,
-                offset_ps: -100_000_000,
-                rtt_ps: 2_000_000,
-            },
+            probe(1_000_000_000_000, 100_000_000, 2_000_000),
+            probe(2_000_000_000_000, -100_000_000, 2_000_000),
         ];
         let mut lane = OnlineLane::new(probes, KalmanParams::default());
         let mut prev = i64::MIN;
@@ -203,10 +207,10 @@ mod tests {
     #[test]
     fn unsorted_probe_schedule_is_sorted_internally() {
         let probes = vec![
-            ProbeFix { worker_time_ps: 5_000_000_000, offset_ps: 10_000, rtt_ps: 1000 },
-            ProbeFix { worker_time_ps: 1_000_000_000, offset_ps: 10_000, rtt_ps: 1000 },
+            probe(5_000_000_000, 10_000, 1000),
+            probe(1_000_000_000, 10_000, 1000),
         ];
         let lane = OnlineLane::new(probes, KalmanParams::default());
-        assert!(lane.probes[0].worker_time_ps <= lane.probes[1].worker_time_ps);
+        assert!(lane.probes[0].worker_time <= lane.probes[1].worker_time);
     }
 }

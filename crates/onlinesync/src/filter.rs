@@ -28,28 +28,33 @@ use simclock::{Dur, Time};
 /// Picoseconds per second, as f64.
 const PS_PER_S: f64 = 1e12;
 
-/// One Cristian probe observation, reduced to plain picosecond fields so
-/// the filter has no dependency on any particular measurement type.
+/// An offset measurement anchored at a worker-local time: "at worker time
+/// `worker_time`, the master clock was `offset` ahead" — one Cristian probe
+/// reduced to its Eq. 2 estimate, the `(w, o)` pairs of the paper's Eq. 3.
+/// The one in-memory spelling of the triple: the filter's observation, the
+/// pipeline's init/finalize anchors (`clocksync` re-exports it) and the
+/// probe schedules of the churn scenarios.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeFix {
-    /// Worker-local time of the observation.
-    pub worker_time_ps: i64,
-    /// Estimated master − worker offset at that time (Eq. 2).
-    pub offset_ps: i64,
-    /// Round-trip time of the probe exchange (error bound = rtt/2).
-    pub rtt_ps: i64,
+pub struct OffsetMeasurement {
+    /// Worker-local anchor time.
+    pub worker_time: Time,
+    /// Master − worker offset at that anchor.
+    pub offset: Dur,
+    /// Round-trip of the winning probe (quality indicator; half of it
+    /// bounds the estimation error).
+    pub rtt: Dur,
 }
 
-impl ProbeFix {
-    /// Build from `simclock` types.
+impl OffsetMeasurement {
+    /// The measurement `(worker_time, offset, rtt)`.
     pub fn new(worker_time: Time, offset: Dur, rtt: Dur) -> Self {
-        ProbeFix {
-            worker_time_ps: worker_time.as_ps(),
-            offset_ps: offset.as_ps(),
-            rtt_ps: rtt.as_ps(),
-        }
+        OffsetMeasurement { worker_time, offset, rtt }
     }
 }
+
+/// The name the frozen `benchmark/src/drive.rs` spells; goes with its next
+/// edit.
+pub type ProbeFix = OffsetMeasurement;
 
 /// Filter tuning. The defaults are deliberately conservative: they track
 /// tens-of-ppm drift excursions with second-scale probe cadences (the
@@ -199,18 +204,18 @@ impl DriftKalman {
 
     /// Absorb one probe: predict to its worker time, then correct the
     /// state with the measured offset (measurement matrix H = [1, 0]).
-    pub fn observe(&mut self, probe: ProbeFix) {
-        self.predict_to(probe.worker_time_ps);
-        let z = probe.offset_ps as f64;
+    pub fn observe(&mut self, probe: OffsetMeasurement) {
+        self.predict_to(probe.worker_time.as_ps());
+        let z = probe.offset.as_ps() as f64;
         if self.updates == 0 {
             // First fix: collapse the offset prior onto the measurement
             // (the standard informative-prior shortcut; the drift prior
             // stays wide until a second fix gives the slope information).
             self.offset_ps = z;
-            self.p00 = self.params.r_of(probe.rtt_ps);
+            self.p00 = self.params.r_of(probe.rtt.as_ps());
             self.p01 = 0.0;
         } else {
-            let r = self.params.r_of(probe.rtt_ps);
+            let r = self.params.r_of(probe.rtt.as_ps());
             let y = z - self.offset_ps;
             let s = self.p00 + r;
             // S ≥ R > 0 by construction, but stay defensive.
@@ -282,12 +287,12 @@ impl DriftKalman {
 mod tests {
     use super::*;
 
-    fn probe(t_us: i64, off_us: i64) -> ProbeFix {
-        ProbeFix {
-            worker_time_ps: t_us * 1_000_000,
-            offset_ps: off_us * 1_000_000,
-            rtt_ps: 10 * 1_000_000,
-        }
+    fn probe(t_us: i64, off_us: i64) -> OffsetMeasurement {
+        OffsetMeasurement::new(Time::from_us(t_us), Dur::from_us(off_us), Dur::from_us(10))
+    }
+
+    fn ps(worker_time: i64, offset: i64, rtt: i64) -> OffsetMeasurement {
+        OffsetMeasurement::new(Time::from_ps(worker_time), Dur::from_ps(offset), Dur::from_ps(rtt))
     }
 
     #[test]
@@ -334,10 +339,10 @@ mod tests {
     fn hostile_probes_never_produce_nonfinite_state() {
         let mut f = DriftKalman::new(KalmanParams::default());
         let cases = [
-            ProbeFix { worker_time_ps: i64::MAX, offset_ps: i64::MAX, rtt_ps: i64::MAX },
-            ProbeFix { worker_time_ps: i64::MIN, offset_ps: i64::MIN, rtt_ps: 0 },
-            ProbeFix { worker_time_ps: 0, offset_ps: 0, rtt_ps: -5 },
-            ProbeFix { worker_time_ps: 1, offset_ps: i64::MAX, rtt_ps: 1 },
+            ps(i64::MAX, i64::MAX, i64::MAX),
+            ps(i64::MIN, i64::MIN, 0),
+            ps(0, 0, -5),
+            ps(1, i64::MAX, 1),
         ];
         for (i, c) in cases.iter().enumerate() {
             f.observe(*c);
@@ -365,11 +370,8 @@ mod tests {
         for k in 0..10i64 {
             f.observe(probe(k * 1_000_000, 100));
         }
-        f.observe(ProbeFix {
-            worker_time_ps: 10 * 1_000_000 * 1_000_000,
-            offset_ps: 10_000 * 1_000_000,
-            rtt_ps: 200_000 * 1_000_000, // 200 ms RTT → ~100 ms error bound
-        });
+        // 200 ms RTT → ~100 ms error bound
+        f.observe(OffsetMeasurement::new(Time::from_secs(10), Dur::from_ms(10), Dur::from_ms(200)));
         let off_us = f.offset_at_ps(10 * 1_000_000 * 1_000_000) / 1e6;
         assert!((off_us - 100.0).abs() < 60.0, "outlier dominated: {off_us} µs");
     }

@@ -36,5 +36,5 @@ pub mod filter;
 pub mod network;
 
 pub use corrector::{OnlineCorrector, OnlineLane};
-pub use filter::{DriftKalman, KalmanParams, ProbeFix};
-pub use network::{ChurnEvent, ChurnKind, ClockNetwork, NetworkConfig, NodeProbe, TreeEpoch};
+pub use filter::{DriftKalman, KalmanParams, OffsetMeasurement, ProbeFix};
+pub use network::{ChurnEvent, ChurnKind, ClockNetwork, NetworkConfig, TreeEpoch};

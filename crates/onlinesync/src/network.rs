@@ -26,12 +26,12 @@
 //!   root: every LAN hop adds a little noise, every WAN hop adds a lot —
 //!   deep or cross-island nodes genuinely synchronize worse.
 //!
-//! The output is plain data ([`NodeProbe`] → [`ProbeFix`], local clock
+//! The output is plain data ([`OffsetMeasurement`] schedules, local clock
 //! readings via [`ClockNetwork::local_at`]), so the `workloads` crate can
 //! turn a network into an ordinary trace that every engine in the
 //! workspace — batch, columnar, windowed, service — can chew on.
 
-use crate::filter::ProbeFix;
+use crate::filter::OffsetMeasurement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simclock::{
@@ -95,27 +95,6 @@ impl TreeEpoch {
             v = p;
         }
         None
-    }
-}
-
-/// One two-way probe of the reference by a worker node, already reduced
-/// to the Eq. 2 estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeProbe {
-    /// Probing node.
-    pub node: usize,
-    /// Worker-local time of the estimate.
-    pub worker_time: Time,
-    /// Estimated reference − worker offset (includes path noise).
-    pub offset: Dur,
-    /// Round-trip along the node's tree path.
-    pub rtt: Dur,
-}
-
-impl NodeProbe {
-    /// The filter-facing view of this probe.
-    pub fn fix(&self) -> ProbeFix {
-        ProbeFix::new(self.worker_time, self.offset, self.rtt)
     }
 }
 
@@ -407,7 +386,7 @@ impl ClockNetwork {
     /// The probe schedule of one node: Eq. 2 estimates on the configured
     /// cadence while alive, with RTT and error composed along the node's
     /// tree path at each instant. Node 0 (the reference) never probes.
-    pub fn probe_schedule(&self, node: usize) -> Vec<NodeProbe> {
+    pub fn probe_schedule(&self, node: usize) -> Vec<OffsetMeasurement> {
         if node == 0 {
             return Vec::new();
         }
@@ -432,8 +411,7 @@ impl ClockNetwork {
             let err_scale_us = 0.05 * self.config.lan_us * lan as f64
                 + 0.05 * self.config.wan_us * wan as f64;
             let err_us = rng.gen_range(-err_scale_us..err_scale_us.max(1e-9));
-            probes.push(NodeProbe {
-                node,
+            probes.push(OffsetMeasurement {
                 worker_time: self.local_at(node, t),
                 offset: self.true_offset(node, t) + Dur::from_us_f64(err_us),
                 rtt: Dur::from_us_f64(rtt_us.max(1.0)),
@@ -441,14 +419,6 @@ impl ClockNetwork {
             t += step;
         }
         probes
-    }
-
-    /// Probe schedules for every node, as filter-facing [`ProbeFix`]
-    /// lists (index = node; node 0's list is empty).
-    pub fn all_probe_fixes(&self) -> Vec<Vec<ProbeFix>> {
-        (0..self.config.nodes)
-            .map(|n| self.probe_schedule(n).iter().map(NodeProbe::fix).collect())
-            .collect()
     }
 }
 
@@ -466,7 +436,9 @@ mod tests {
         let b = net(7);
         assert_eq!(a.churn(), b.churn());
         assert_eq!(a.epochs(), b.epochs());
-        assert_eq!(a.all_probe_fixes(), b.all_probe_fixes());
+        for node in 0..a.config().nodes {
+            assert_eq!(a.probe_schedule(node), b.probe_schedule(node));
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@
 //!    however few, is followed by the next read.
 
 use crate::invariant::traces_identical;
-use crate::workload::job_trace;
 use clocksync::{synchronize, PipelineConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,7 +115,7 @@ pub fn run_net_chaos(seed: u64, cfg: &NetChaosConfig) -> NetChaosReport {
     for c in 0..cfg.connections {
         let procs = rng.gen_range(2usize..5);
         let msgs = rng.gen_range(4usize..40);
-        let (trace, init, fin) = job_trace(&mut rng, procs, msgs);
+        let (trace, init, fin) = workloads::skewed_p2p(&mut rng, procs, msgs, 400);
         let lmin = UniformLatency(Dur::from_us(4));
         let pipeline = PipelineConfig::default();
         let bytes = to_binary_columnar_blocked(&trace, 16);

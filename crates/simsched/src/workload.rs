@@ -11,13 +11,13 @@ use clocksync::{OffsetMeasurement, OnlineSpec, PipelineConfig, SyncMethod};
 use onlinesync::NetworkConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simclock::{Dur, Time};
+use simclock::Dur;
 use std::sync::Arc;
 use std::time::Duration;
 use syncd::{chunked, Fault, FaultInjector, JobInput, JobSpec, Priority};
 use tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
-use tracefmt::{EventKind, MinLatency, Rank, Tag, Trace, UniformLatency};
-use workloads::churn_scenario;
+use tracefmt::{MinLatency, Trace, UniformLatency};
+use workloads::{churn_scenario, skewed_p2p};
 
 /// One workload job plus what the invariant checker needs to know about
 /// it.
@@ -30,49 +30,6 @@ pub struct WorkItem {
 }
 
 type Measurements = Vec<Option<OffsetMeasurement>>;
-
-/// A causally valid multi-rank trace with skewed linear clocks, plus
-/// matching init/finalize offset measurements (same construction as the
-/// syncd benches, scaled down for simulation).
-pub(crate) fn job_trace(
-    rng: &mut StdRng,
-    procs: usize,
-    msgs: usize,
-) -> (Trace, Measurements, Measurements) {
-    let offsets: Vec<i64> = (0..procs)
-        .map(|p| if p == 0 { 0 } else { rng.gen_range(-400i64..400) })
-        .collect();
-    let local = |p: usize, t: i64| t + offsets[p];
-    let mut trace = Trace::for_ranks(procs);
-    let mut now = vec![0i64; procs];
-    for m in 0..msgs {
-        let from = rng.gen_range(0usize..procs);
-        let to = (from + rng.gen_range(1usize..procs)) % procs;
-        let send_true = now[from] + rng.gen_range(5i64..40);
-        now[from] = send_true;
-        let recv_true = send_true.max(now[to]) + 4 + rng.gen_range(0i64..20);
-        now[to] = recv_true;
-        trace.procs[from].push(
-            Time::from_us(local(from, send_true)),
-            EventKind::Send { to: Rank(to as u32), tag: Tag(m as u32), bytes: 64 },
-        );
-        trace.procs[to].push(
-            Time::from_us(local(to, recv_true)),
-            EventKind::Recv { from: Rank(from as u32), tag: Tag(m as u32), bytes: 64 },
-        );
-    }
-    let end = now.iter().max().copied().unwrap_or(0) + 100;
-    let measure = |p: usize, t: i64| -> Option<OffsetMeasurement> {
-        (p != 0).then(|| OffsetMeasurement {
-            worker_time: Time::from_us(local(p, t)),
-            offset: Dur::from_us(-offsets[p] + 2),
-            rtt: Dur::from_us(10),
-        })
-    };
-    let init: Vec<_> = (0..procs).map(|p| measure(p, 0)).collect();
-    let fin: Vec<_> = (0..procs).map(|p| measure(p, end)).collect();
-    (trace, init, fin)
-}
 
 /// A churn-shaped job: dynamic membership, NTP islands, WAN links, and
 /// per-node probe schedules, scaled down to simulation size.
@@ -87,15 +44,7 @@ fn churn_job(
         ..NetworkConfig::default()
     };
     let s = churn_scenario(cfg, msgs, rng.gen());
-    let conv = |m: &workloads::ProbeMeasurement| OffsetMeasurement {
-        worker_time: m.worker_time,
-        offset: m.offset,
-        rtt: m.rtt,
-    };
-    let init = s.init.iter().map(|m| m.as_ref().map(conv)).collect();
-    let fin = s.fin.iter().map(|m| m.as_ref().map(conv)).collect();
-    let probes = s.probes.iter().map(|ps| ps.iter().map(conv).collect()).collect();
-    (s.trace, init, fin, probes)
+    (s.trace, s.init, s.fin, s.probes)
 }
 
 /// Generate `jobs` work items from `seed`. Roughly a third arrive as
@@ -116,7 +65,7 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
             let (trace, init, fin, probes) = if rng.gen_bool(0.2) {
                 churn_job(&mut rng, msgs.max(8))
             } else {
-                let (trace, init, fin) = job_trace(&mut rng, procs, msgs);
+                let (trace, init, fin) = skewed_p2p(&mut rng, procs, msgs, 400);
                 // A two-probe schedule per worker (the init/fin anchors) is
                 // enough for the online filter on these linear clocks.
                 let probes = init
@@ -275,7 +224,7 @@ mod tests {
             }
         }
         // Churn traces (more than 4 linear-clock procs never happen in
-        // job_trace, and churn probes are dense) must be represented.
+        // skewed_p2p, and churn probes are dense) must be represented.
         let churny = items
             .iter()
             .filter(|i| match &i.spec.pipeline.method {

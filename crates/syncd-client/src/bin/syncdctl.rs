@@ -177,18 +177,7 @@ fn drifted_fixture(procs: usize, msgs: usize, seed: u64) -> Fixture {
 fn churn_fixture(procs: usize, msgs: usize, seed: u64) -> Fixture {
     let cfg = NetworkConfig { nodes: procs.max(3), ..NetworkConfig::default() };
     let s = churn_scenario(cfg, msgs, seed);
-    let conv = |m: &workloads::ProbeMeasurement| OffsetMeasurement {
-        worker_time: m.worker_time,
-        offset: m.offset,
-        rtt: m.rtt,
-    };
-    Fixture {
-        trace: s.trace,
-        init: s.init.iter().map(|m| m.as_ref().map(conv)).collect(),
-        fin: s.fin.iter().map(|m| m.as_ref().map(conv)).collect(),
-        probes: s.probes.iter().map(|ps| ps.iter().map(conv).collect()).collect(),
-        lmin_ps: s.lmin.0.as_ps(),
-    }
+    Fixture { trace: s.trace, init: s.init, fin: s.fin, probes: s.probes, lmin_ps: s.lmin.0.as_ps() }
 }
 
 fn main() {

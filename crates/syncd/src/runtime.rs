@@ -7,7 +7,8 @@
 //! the deterministic simulation harness substitutes a virtual clock so
 //! deadlines and backoff timers advance only on simulated ticks. The seam
 //! is two virtual calls on paths that are already milliseconds long, so it
-//! costs nothing in production — `BENCH_syncd.json` gates on that.
+//! costs nothing in production — `benchmark/` reports it as
+//! `syncd.service_overhead_s`.
 //!
 //! The second half of the seam is the [`AttemptProbe`]: an extra
 //! cancellation source threaded into the pipeline's

@@ -18,25 +18,15 @@
 //! first/last probe per node, the CLC cleans up after it, and the online
 //! filter consumes the full schedule.
 
-use onlinesync::{ClockNetwork, NetworkConfig};
+use onlinesync::{ClockNetwork, NetworkConfig, OffsetMeasurement};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simclock::{Dur, Time};
 use tracefmt::{EventKind, Rank, Tag, Trace, UniformLatency};
 
-/// An offset measurement in the pipeline's shape, kept local so this
-/// crate does not depend on `clocksync` (which would be a cycle through
-/// the dev-dependency graph's spirit, if not its letter). Field-for-field
-/// identical to `clocksync::OffsetMeasurement`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeMeasurement {
-    /// Worker-local anchor time.
-    pub worker_time: Time,
-    /// Reference − worker offset at that anchor.
-    pub offset: Dur,
-    /// Winning probe round-trip.
-    pub rtt: Dur,
-}
+/// The name the frozen `benchmark/src/drive.rs` spells; goes with its next
+/// edit.
+pub type ProbeMeasurement = OffsetMeasurement;
 
 /// A generated dynamic-membership fixture.
 #[derive(Debug)]
@@ -45,13 +35,13 @@ pub struct ChurnScenario {
     pub trace: Trace,
     /// Init measurement per node: each worker's *first* probe (taken just
     /// after joining). `None` for the reference node.
-    pub init: Vec<Option<ProbeMeasurement>>,
+    pub init: Vec<Option<OffsetMeasurement>>,
     /// Finalize measurement per node: each worker's *last* probe (taken
     /// just before leaving). `None` for the reference node.
-    pub fin: Vec<Option<ProbeMeasurement>>,
+    pub fin: Vec<Option<OffsetMeasurement>>,
     /// Full probe schedule per node (index = node; empty for the
     /// reference) — the online method's input.
-    pub probes: Vec<Vec<ProbeMeasurement>>,
+    pub probes: Vec<Vec<OffsetMeasurement>>,
     /// The minimum-latency model matching the generated traffic.
     pub lmin: UniformLatency,
     /// Messages actually placed (pairs must be co-alive, so heavy churn
@@ -128,18 +118,7 @@ pub fn churn_scenario(cfg: NetworkConfig, msgs: usize, seed: u64) -> ChurnScenar
     // Probe schedules → measurement vectors. Init/fin are the schedule's
     // endpoints: what a joining node measures before doing work, and the
     // last estimate it took before leaving.
-    let probes: Vec<Vec<ProbeMeasurement>> = (0..n)
-        .map(|p| {
-            net.probe_schedule(p)
-                .into_iter()
-                .map(|pr| ProbeMeasurement {
-                    worker_time: pr.worker_time,
-                    offset: pr.offset,
-                    rtt: pr.rtt,
-                })
-                .collect()
-        })
-        .collect();
+    let probes: Vec<Vec<OffsetMeasurement>> = (0..n).map(|p| net.probe_schedule(p)).collect();
     let init: Vec<_> = probes.iter().map(|ps| ps.first().copied()).collect();
     let fin: Vec<_> = probes.iter().map(|ps| ps.last().copied()).collect();
 

@@ -10,6 +10,8 @@
 //! * [`pingpong`] — the latency measurements behind Table II;
 //! * [`sweep`] — Sweep3D-like wavefront pipelines (the CLC stress case);
 //! * [`openmp`] — the parallel-for benchmark behind Figs. 3 and 8;
+//! * [`p2p`] — random point-to-point traffic through constant clock skews
+//!   (the fixture of the kernel benches and the service campaigns);
 //! * [`churn`] — dynamic-membership scenarios over an `onlinesync`
 //!   [`ClockNetwork`](onlinesync::ClockNetwork): NTP islands, WAN links,
 //!   join/leave churn, and per-node Cristian probe schedules.
@@ -19,6 +21,7 @@
 
 pub mod churn;
 pub mod openmp;
+pub mod p2p;
 pub mod pingpong;
 pub mod pop;
 pub mod smg;
@@ -29,6 +32,7 @@ pub use openmp::{
     check_run, placement_ablation, run_benchmark, run_benchmark_placed, violation_sweep,
     OmpViolationRow,
 };
+pub use p2p::skewed_p2p;
 pub use pingpong::{
     measure_allreduce_latency, measure_collective_latency, measure_p2p_latency,
     LatencyMeasurement,

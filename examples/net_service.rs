@@ -18,58 +18,15 @@
 //! The CI smoke step runs this binary headless; a non-zero exit fails
 //! the gate.
 
-use clocksync::{OffsetMeasurement, PipelineConfig};
+use clocksync::PipelineConfig;
 use drift_lab::prelude::*;
 use drift_lab::syncd::{Counter, NetServer, NetServerConfig, TenantConfig};
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency, WireMode};
 use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_blocked};
+use drift_lab::workloads::skewed_p2p;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-const PROCS: usize = 6;
-
-type Measurements = Vec<Option<OffsetMeasurement>>;
-
-/// A causally valid message trace recorded through skewed clocks, plus
-/// the offset probes the pipeline needs — the same construction as the
-/// network benches.
-fn drifted_fixture(seed: u64, msgs: usize) -> (Trace, Measurements, Measurements) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let offsets: Vec<i64> = (0..PROCS)
-        .map(|p| if p == 0 { 0 } else { rng.gen_range(-300i64..300) })
-        .collect();
-    let local = |p: usize, t: i64| t + offsets[p];
-    let mut trace = Trace::for_ranks(PROCS);
-    let mut now = [0i64; PROCS];
-    for m in 0..msgs {
-        let from = rng.gen_range(0usize..PROCS);
-        let to = (from + rng.gen_range(1usize..PROCS)) % PROCS;
-        let send_true = now[from] + rng.gen_range(5i64..40);
-        now[from] = send_true;
-        let recv_true = send_true.max(now[to]) + 4 + rng.gen_range(0i64..20);
-        now[to] = recv_true;
-        trace.procs[from].push(
-            Time::from_us(local(from, send_true)),
-            EventKind::Send { to: Rank(to as u32), tag: Tag(m as u32), bytes: 64 },
-        );
-        trace.procs[to].push(
-            Time::from_us(local(to, recv_true)),
-            EventKind::Recv { from: Rank(from as u32), tag: Tag(m as u32), bytes: 64 },
-        );
-    }
-    let end = *now.iter().max().expect("non-empty") + 100;
-    let measure = |p: usize, t: i64| -> Option<OffsetMeasurement> {
-        (p != 0).then(|| OffsetMeasurement {
-            worker_time: Time::from_us(local(p, t)),
-            offset: Dur::from_us(-offsets[p] + 2),
-            rtt: Dur::from_us(10),
-        })
-    };
-    let init: Vec<_> = (0..PROCS).map(|p| measure(p, 0)).collect();
-    let fin: Vec<_> = (0..PROCS).map(|p| measure(p, end)).collect();
-    (trace, init, fin)
-}
+use rand::SeedableRng;
 
 /// Bit-identity: every timestamp and event kind equal, rank by rank.
 fn same_bits(a: &Trace, b: &Trace) -> bool {
@@ -88,7 +45,7 @@ fn main() {
     let lmin = UniformLatency(Dur::from_us(4));
     let cfg = PipelineConfig::default();
     // Large enough that the upload is more than one 256 KiB `Chunk` frame.
-    let (trace, init, fin) = drifted_fixture(7, 6000);
+    let (trace, init, fin) = skewed_p2p(&mut StdRng::seed_from_u64(7), 6, 6000, 300);
     let bytes = to_binary_columnar_blocked(&trace, 1024).to_vec();
     println!(
         "fixture: {} ranks, {} events, {} DTC2 bytes",

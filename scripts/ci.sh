@@ -3,61 +3,54 @@
 #
 #   ./scripts/ci.sh
 #
-# 1. tier-1 (ROADMAP): release build + the root package's test suite,
-#    then every workspace crate's unit tests — and the number of test
-#    binaries that reported must not drop below the floor checked in here
-# 2. lint gate: clippy over the whole workspace, warnings are errors
-# 3. the wide v2/v3 differential matrix (a 6000-message trace size on
-#    top) — opt-in via DRIFT_STRESS=1
-# 4. bench harnesses in check mode (each bench body runs once); the
-#    ingest smoke run asserts what holds on any host (every decode path
-#    returns the source trace, v3 costs 25-40 % more bytes than v2) and
-#    refreshes BENCH_ingest.json with report-only rates, the census smoke
-#    run refreshes BENCH_census.json and the perf gate below fails the
-#    script if the SIMD census-kernel throughput regresses, the
-#    stage-share gate runs the POP example and fails unless `lower` runs
-#    at >= 1.5x the event rate of `clc`, the collective-cost gate bounds
-#    what an allreduce adds to `clc`'s time per event, the inlining gate
-#    looks for the graph accessors and the shared CLC step among the
-#    symbols, four grep gates keep the deleted intra-job parallelism, the
-#    second CLC walker and the in-process router from coming back under
-#    their old names, the codec's frame grammar in its one file and the
-#    CLC arithmetic in its one step, and a size ratchet holds the
-#    line count of the three production crates under a ceiling that only
-#    goes down; the
-#    syncd smoke run refreshes BENCH_syncd.json and a sanity gate checks
-#    its report; the incremental smoke run refreshes
-#    BENCH_incremental.json and the residency gate fails the script if
-#    the windowed engine's resident columns stop being O(window); the
-#    syncd_net smoke run refreshes BENCH_syncd_net.json and the wire
-#    gate bounds socket-vs-in-process overhead, and the "upload never
-#    sleeps on progress" gate runs the count-based reader tests in release
-#    (idle back-offs <= idle reads, on scripted, byte-by-byte and real
-#    loopback sessions); the online smoke run
-#    refreshes BENCH_online.json and the online gate fails the script
-#    unless the no-lookahead filter strictly undercuts endpoint
-#    interpolation's violation census on every non-constant drift model
-# 5. VOPR chaos campaign: 500 seeded simulation schedules against the
-#    stepped service (5000 with DRIFT_STRESS=1); any failing seed is
-#    shrunk, written to vopr-failure-<seed>.simt, and printed with a
-#    copy-pasteable repro command — plus a netchaos campaign of seeded
-#    connection-fault sessions through the wire stack
-# 6. service + network smokes: the sync_service example runs headless
-#    and must show >=1 retried job and 0 service crashes in its metrics
-#    exporter; the net_service example must hold every wire-path
-#    invariant over a real loopback socket; `experiments all --fast` must
-#    exit 0 and print every section once
-# 7. the frozen end-to-end benchmark's own gate: its tests, then a smoke
-#    run of all four workloads that exits non-zero on any unverified job
-#    or seed-2008 pin mismatch
+# Three steps stop the script at the first failure:
 #
-# Steps 1-3 stop the script at the first failure. Everything from step 4
-# on runs through `gate`, which records a failing gate's name and goes on:
-# some of those gates compare wall-clock ratios that depend on the host
-# (the socket path is below its floor on a box with two contended vCPUs),
-# and one of them failing must not hide the verdict of the campaigns,
-# smokes and the frozen benchmark after it. The script exits non-zero at
-# the end with the list of failed gates.
+#   tier-1 (ROADMAP): release build + the root package's test suite
+#   every workspace crate's tests, with floors on the number of test
+#     binaries that reported and of tests they passed
+#   clippy over the whole workspace, warnings are errors
+#   (DRIFT_STRESS=1 adds the wide v2/v3 differential matrix here and
+#   widens the two campaigns below)
+#
+# Everything after them runs through `gate`, which records a failing gate's
+# name and goes on, so one red gate never hides the verdict of the ones
+# behind it; the script ends with the number of gates run and the list of
+# those that failed. The gates, in order:
+#
+#   bench check: engine | census | ingest | online
+#       each kernel bench runs its body once and holds its own asserts:
+#       census kernels >= 3x the reference walk (one process, one input),
+#       every decode path returns its source, v3/v2 byte ratio
+#   stage shares            `lower` >= 1.5x `clc` items/s, one run of the
+#                           POP example
+#   collective cost         `clc` per event with allreduces <= 1.6x without,
+#                           one run of the engine bench
+#   inlined accessors       `nm` lists no graph accessor and no CLC step
+#   no intra-job parallelism | one CLC walker, one service tier |
+#   one frame grammar | one CLC step
+#       grep gates: deleted names stay deleted, the codec's grammar and the
+#       CLC arithmetic stay in their one file
+#   size ratchet            lines under crates/{core,tracefmt,syncd}/src
+#                           against a ceiling that only goes down
+#   vopr campaign | netchaos campaign
+#       seeded schedules against the stepped service, seeded connection
+#       faults through the wire stack; a failing seed prints its repro
+#   upload never sleeps on progress
+#       five count-based reader tests, by name, in release
+#   network smoke | service smoke | experiments all --fast
+#       the two service examples and the paper's figures, headless
+#   benchmark: cargo test | run --smoke
+#       the frozen end-to-end benchmark's own verdict: every job verified,
+#       every seed-2008 pin equal
+#
+# What a gate compares is a count, a byte ratio, a grep, or two timings
+# taken by one process in one run; none reads a number an earlier step
+# stored, and none holds one process's wall time against another's. How
+# fast a whole job runs is `benchmark/`'s to say (BENCHMARK.json), by
+# alternating runs of two commits — not this script's.
+#
+# The script leaves the checkout as it found it: `git status --porcelain`
+# is recorded first and compared last, also when run from a copy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -87,9 +80,15 @@ WORKSPACE_TEST_BINARIES_FLOOR=48
 # move. Raised by four when the CLC step was written once: the two
 # oracle-free equivariances of `tests/proptest_invariants.rs`, the
 # oversized-window pin of `tests/windowed_differential.rs` and the
-# self-message pin of `tests/end_to_end.rs`.
-WORKSPACE_TESTS_FLOOR=634
+# self-message pin of `tests/end_to_end.rs`. Raised by two when the
+# service benches went: the coincident-anchors pin of
+# `tests/syncd_differential.rs` and the `i64`-edge presync property of
+# `tests/proptest_invariants.rs` (the same bug's other pins joined
+# existing tests).
+WORKSPACE_TESTS_FLOOR=636
 
+tree_before=$(git status --porcelain)
+gates_run=0
 failed_gates=()
 
 # gate NAME COMMAND...: run one gate; on failure record NAME and continue.
@@ -98,6 +97,7 @@ failed_gates=()
 gate() {
     local name=$1
     shift
+    gates_run=$((gates_run + 1))
     echo "==> gate: ${name}"
     if ! "$@"; then
         echo "gate FAILED: ${name}" >&2
@@ -144,30 +144,7 @@ fi
 gate "bench check: engine" cargo bench -p bench --bench engine -- --test
 gate "bench check: census" cargo bench -p bench --bench census -- --test
 gate "bench check: ingest" cargo bench -p bench --bench ingest -- --test
-gate "bench check: syncd_throughput" cargo bench -p bench --bench syncd_throughput -- --test
-gate "bench check: incremental" cargo bench -p bench --bench incremental -- --test
-gate "bench check: syncd_net" cargo bench -p bench --bench syncd_net -- --test
 gate "bench check: online" cargo bench -p bench --bench online -- --test
-
-# Kernel-throughput gate: the SIMD-width census kernels against the
-# reference walk — a single-thread-vs-single-thread ratio on the same
-# host, so it holds at every CPU count. The floor sits well under the
-# measured margin (~5.5x on the reference host) to absorb scheduler noise.
-kernel_throughput_gate() {
-    local census_speedup census_eps
-    census_speedup=$(sed -n 's/.*"census_kernel_over_reference_speedup": \([0-9.]*\).*/\1/p' BENCH_census.json)
-    census_eps=$(sed -n 's/.*"census_events_per_sec": \([0-9.]*\).*/\1/p' BENCH_census.json)
-    if [[ -z "$census_speedup" || -z "$census_eps" ]]; then
-        echo "perf gate: could not read census kernel fields from BENCH_census.json" >&2
-        return 1
-    fi
-    echo "    census kernel ${census_eps} events/s, ${census_speedup}x over reference walk"
-    if ! awk -v s="$census_speedup" 'BEGIN { exit !(s >= 3.0) }'; then
-        echo "perf gate: census kernel speedup ${census_speedup}x < 3.0x over the reference walk" >&2
-        return 1
-    fi
-}
-gate "kernel throughput from BENCH_census.json" kernel_throughput_gate
 
 # Stage-share gate: on the POP example (32 ranks, 600 allreduces — 98 % of
 # its 608 000 constraints are collective) `lower` must run at >= 1.5x the
@@ -297,7 +274,7 @@ gate "one CLC step" one_clc_step_gate
 # src/ against a ceiling that only ever goes down — lower it to the printed
 # count whenever a PR shrinks them; a PR that needs to raise it says why.
 # The public-item counts are reported beside it, not gated.
-SRC_LINES_CEILING=19052
+SRC_LINES_CEILING=19043
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -311,73 +288,6 @@ size_ratchet_gate() {
     fi
 }
 gate "size ratchet: core + tracefmt + syncd" size_ratchet_gate
-
-# Residency gate: the incremental windowed engine's whole contract is
-# that its resident timestamp columns are O(window), not O(trace). The
-# bench runs the same workload at 1x and 10x the events; the measured
-# column high-water mark must stay (near) flat across that growth, and
-# must undercut the batch engine's 8 x n_events gather at the 10x scale.
-# Both ratios are machine-independent (bytes, not seconds), so the gate
-# holds at every CPU count.
-residency_gate() {
-    local res_growth res_margin res_peak
-    res_growth=$(sed -n 's/.*"residency_growth_under_10x": \([0-9.]*\).*/\1/p' BENCH_incremental.json)
-    res_margin=$(sed -n 's/.*"batch_over_windowed_resident": \([0-9.]*\).*/\1/p' BENCH_incremental.json)
-    res_peak=$(sed -n 's/.*"large_peak_resident_bytes": \([0-9]*\).*/\1/p' BENCH_incremental.json)
-    if [[ -z "$res_growth" || -z "$res_margin" || -z "$res_peak" ]]; then
-        echo "residency gate: could not read fields from BENCH_incremental.json" >&2
-        return 1
-    fi
-    echo "    peak ${res_peak} B, growth under 10x events ${res_growth}x, batch/windowed ${res_margin}x"
-    if ! awk -v g="$res_growth" 'BEGIN { exit !(g < 2.0) }'; then
-        echo "residency gate: windowed columns grew ${res_growth}x under 10x events (must stay < 2.0x)" >&2
-        return 1
-    fi
-    if ! awk -v m="$res_margin" 'BEGIN { exit !(m >= 4.0) }'; then
-        echo "residency gate: windowed columns only ${res_margin}x below the batch gather (need >= 4.0x)" >&2
-        return 1
-    fi
-}
-gate "O(window) columns from BENCH_incremental.json" residency_gate
-
-# Online-sync gate: the whole point of the online method is that a
-# drift-tracking filter with NO lookahead still beats postmortem endpoint
-# interpolation wherever drift is non-constant. The bench races the
-# methods over fixed-seed scenarios and records violation censuses —
-# integer counts from a deterministic pipeline, so the gate is
-# machine-independent and holds at every CPU count. The online census
-# must be strictly below interpolation's on every non-constant drift
-# model, and never above it on the dynamic-membership churn scenarios.
-online_gate() {
-    local model oi oo
-    for model in sawtooth sinusoid randomwalk; do
-        oi=$(sed -n "s/.*\"census_${model}_interp\": \([0-9]*\).*/\1/p" BENCH_online.json)
-        oo=$(sed -n "s/.*\"census_${model}_online\": \([0-9]*\).*/\1/p" BENCH_online.json)
-        if [[ -z "$oi" || -z "$oo" ]]; then
-            echo "online gate: could not read ${model} censuses from BENCH_online.json" >&2
-            return 1
-        fi
-        echo "    ${model}: interp ${oi} -> online ${oo}"
-        if [[ "$oo" -ge "$oi" ]]; then
-            echo "online gate: ${model}: online census ${oo} not strictly below interp ${oi}" >&2
-            return 1
-        fi
-    done
-    for model in churn_2_islands churn_3_islands_heavy; do
-        oi=$(sed -n "s/.*\"census_${model}_interp\": \([0-9]*\).*/\1/p" BENCH_online.json)
-        oo=$(sed -n "s/.*\"census_${model}_online\": \([0-9]*\).*/\1/p" BENCH_online.json)
-        if [[ -z "$oi" || -z "$oo" ]]; then
-            echo "online gate: could not read ${model} censuses from BENCH_online.json" >&2
-            return 1
-        fi
-        echo "    ${model}: interp ${oi} -> online ${oo}"
-        if [[ "$oo" -gt "$oi" ]]; then
-            echo "online gate: ${model}: online census ${oo} above interp ${oi}" >&2
-            return 1
-        fi
-    done
-}
-gate "violation censuses from BENCH_online.json" online_gate
 
 # VOPR campaign: every seed must pass every invariant and replay
 # identically from its decision trace. On failure the runner prints the
@@ -404,79 +314,10 @@ fi
 gate "netchaos campaign (${net_seeds} seeds)" \
     cargo run --release -q -p simsched --bin vopr -- --net-seeds "$net_seeds"
 
-# Sanity gate over the syncd bench report. The CPU-aware throughput gate
-# lives inside the bench itself; here we only check the report is sane.
-#
-# Seam-overhead gate: the Runtime/StepService seam must cost nothing in
-# production. The service/direct throughput ratio is host-relative (both
-# sides run on the same machine in the same process), so it is stable
-# across CPU counts; the pre-seam baseline measured 1.202 on 1 cpu, and a
-# ratio well below 1.0 would mean the executor path started paying for
-# its abstractions.
-#
-# Measurement policy (explicit, so a flaky host doesn't get blamed on
-# the code): the bench reports the *median of three strictly
-# alternating direct/service rounds* — the methodology of "Reliable
-# benchmarking: requirements and solutions" (arXiv:1505.07734) — so one
-# noisy round (cold caches, a background task) is discarded by
-# construction, and this gate reads that median. There is therefore NO
-# retry loop here: a median below the floor across three rounds is a
-# real regression, not noise, and must fail the gate.
-syncd_report_gate() {
-    local svc_jps p50 p99 ratio
-    svc_jps=$(sed -n 's/.*"service_jobs_per_sec": \([0-9.]*\).*/\1/p' BENCH_syncd.json)
-    p50=$(sed -n 's/.*"job_latency_p50_seconds": \([0-9.]*\).*/\1/p' BENCH_syncd.json)
-    p99=$(sed -n 's/.*"job_latency_p99_seconds": \([0-9.]*\).*/\1/p' BENCH_syncd.json)
-    if [[ -z "$svc_jps" || -z "$p50" || -z "$p99" ]]; then
-        echo "perf gate: could not read syncd fields from BENCH_syncd.json" >&2
-        return 1
-    fi
-    echo "    service ${svc_jps} jobs/s, latency p50 ${p50}s p99 ${p99}s"
-    if ! awk -v j="$svc_jps" -v a="$p50" -v b="$p99" \
-            'BEGIN { exit !(j > 0 && a <= b && b > 0) }'; then
-        echo "perf gate: implausible syncd report (jobs/s ${svc_jps}, p50 ${p50}, p99 ${p99})" >&2
-        return 1
-    fi
-    ratio=$(sed -n 's/.*"service_over_direct_ratio": \([0-9.]*\).*/\1/p' BENCH_syncd.json)
-    if [[ -z "$ratio" ]]; then
-        echo "perf gate: could not read service_over_direct_ratio from BENCH_syncd.json" >&2
-        return 1
-    fi
-    echo "    service/direct ratio ${ratio}x (pre-seam baseline 1.202x)"
-    if ! awk -v r="$ratio" 'BEGIN { exit !(r >= 0.90) }'; then
-        echo "perf gate: service/direct ratio ${ratio}x < 0.90x — executor seam regressed throughput" >&2
-        return 1
-    fi
-}
-gate "syncd service report from BENCH_syncd.json" syncd_report_gate
-
-# Wire-overhead gate: the framed loopback path (syncd-client -> TCP ->
-# syncd-server) versus the same jobs submitted in-process. Same
-# median-of-three alternating-rounds policy as the seam gate above; the
-# floor bounds protocol overhead (framing, kernel copies, credit
-# round-trips, reply re-encode) to 30% of throughput even on a
-# single-CPU host where serialization cannot overlap job execution.
-wire_overhead_gate() {
-    local net_ratio net_jps
-    net_ratio=$(sed -n 's/.*"socket_over_inproc_ratio": \([0-9.]*\).*/\1/p' BENCH_syncd_net.json)
-    net_jps=$(sed -n 's/.*"socket_jobs_per_sec": \([0-9.]*\).*/\1/p' BENCH_syncd_net.json)
-    if [[ -z "$net_ratio" || -z "$net_jps" ]]; then
-        echo "perf gate: could not read fields from BENCH_syncd_net.json" >&2
-        return 1
-    fi
-    echo "    socket ${net_jps} jobs/s, socket/in-process ratio ${net_ratio}x"
-    if ! awk -v r="$net_ratio" 'BEGIN { exit !(r >= 0.7) }'; then
-        echo "perf gate: socket path at ${net_ratio}x of in-process throughput (floor 0.7x)" >&2
-        return 1
-    fi
-}
-gate "wire overhead from BENCH_syncd_net.json" wire_overhead_gate
-
 # Read-granularity gate: a connection backs off only after a read on which
 # the transport had nothing (`NetIdleSleeps <= NetIdleReads`), never after
 # one that consumed bytes without completing a frame — which once capped
-# ingest at 64 KiB per 0.55 ms and which the ratio above cannot see (its
-# jobs are one frame, one read). Counts, so it holds on any host: the
+# ingest at 64 KiB per 0.55 ms. Counts, so it holds on any host: the
 # scripted read_limit x idle_every grid, the 1.3 MB loopback job, the
 # per-read stop check and split Cancel of the driver's unit tests, and the
 # byte-by-byte netchaos leg. A filter that stops matching must fail the
@@ -545,6 +386,12 @@ gate "benchmark: cargo test" \
 gate "benchmark: run --smoke" \
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
 
+echo "==> ${gates_run} gates run"
+if [[ "$(git status --porcelain)" != "$tree_before" ]]; then
+    echo "the run changed the working tree:" >&2
+    diff <(printf '%s\n' "$tree_before") <(git status --porcelain) >&2 || true
+    failed_gates+=("working tree left as found")
+fi
 if [[ ${#failed_gates[@]} -gt 0 ]]; then
     echo "==> ${#failed_gates[@]} gate(s) FAILED:" >&2
     printf '    %s\n' "${failed_gates[@]}" >&2

@@ -495,7 +495,6 @@ pub fn reference_synchronize(
     cfg: &PipelineConfig,
 ) -> Reference {
     use drift_lab::clocksync::{apply_maps, IdentityMap, TraceAnalysis};
-    use drift_lab::onlinesync::ProbeFix;
     use drift_lab::tracefmt::{check_collectives_at, check_p2p_messages_at};
 
     let analysis = TraceAnalysis::capture(trace).expect("oracle: well-formed trace");
@@ -506,10 +505,7 @@ pub fn reference_synchronize(
     let raw = census(trace);
 
     if let SyncMethod::Online(spec) = &cfg.method {
-        let fixes = |ps: &Vec<OffsetMeasurement>| {
-            ps.iter().map(|m| ProbeFix::new(m.worker_time, m.offset, m.rtt)).collect()
-        };
-        let mut corr = OnlineCorrector::new(spec.probes.iter().map(fixes).collect(), spec.kalman);
+        let mut corr = OnlineCorrector::new(spec.probes.to_vec(), spec.kalman);
         trace.map_times(|p, t| Time::from_ps(corr.map_next(p, t.as_ps())));
         return (raw, census(trace), None, None);
     }

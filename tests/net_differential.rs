@@ -328,6 +328,30 @@ fn loopback_errors_are_typed() {
         other => panic!("expected typed remote error, got {other:?}"),
     }
 
+    // Coincident init/finalize anchors: the measurements come off the wire
+    // unchecked, so the pipeline answers for them — typed, without an
+    // executor panic — and the server serves the next job.
+    let panics_before = server.metrics().counter(Counter::JobPanics);
+    let mut coincident = fin.clone();
+    coincident[1].as_mut().expect("worker").worker_time = init[1].expect("worker").worker_time;
+    let mut client = SyncClient::connect(addr, "tok").expect("connect");
+    let req = request(&cfg, lmin, &init, &coincident, WireMode::Batch, vec![bytes.clone()]);
+    match client.submit(&req) {
+        Err(ClientError::Remote { code, detail }) => {
+            assert_eq!(code, ErrorCode::Pipeline, "{detail}");
+            assert!(detail.contains("process 1:"), "{detail}");
+        }
+        other => panic!("expected a typed pipeline error, got {other:?}"),
+    }
+    assert_eq!(server.metrics().counter(Counter::JobPanics), panics_before);
+    let mut client = SyncClient::connect(addr, "tok").expect("connect");
+    let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![bytes.clone()]);
+    let mut direct = trace.clone();
+    synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct");
+    let served = client.submit(&req).expect("the next job is served");
+    let served = from_binary_columnar(served.stream.concat().into()).expect("reply decodes");
+    assert_identical(&direct, &served, "job after the refused one");
+
     // Tenant upload quota.
     let mut client = SyncClient::connect(addr, "small").expect("connect");
     let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![bytes.clone()]);

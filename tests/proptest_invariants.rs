@@ -392,6 +392,83 @@ proptest! {
     }
 }
 
+proptest! {
+    // Cheap cases, and the ones that matter — an offset that carries only
+    // part of a timeline over the edge — are a twentieth of them.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Pre-synchronisation within 1 % of the `i64` edges — timestamps,
+    /// anchors and offsets — saturates instead of wrapping: no driver
+    /// panics, a timeline that ran forwards still does, and the batch and
+    /// the windowed driver agree on every picosecond. (Every timeline sits
+    /// at the same edge and takes an offset of the same class, so corrected
+    /// timelines stay within `i64` range of each other: the censuses
+    /// subtract plainly.)
+    #[test]
+    fn presync_saturates_at_the_i64_edges(
+        (trace, lmin_us) in arb_skewed_trace(),
+        flags in 0u8..8,
+        inset in (0usize..3, 0..i64::MAX / 200),
+        offset_class in 0usize..3,
+        offset_inset in 0..i64::MAX / 100,
+        slope in -0.5f64..0.5,
+    ) {
+        let (high_edge, linear, clc) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+        // Slide the trace onto its edge: a nanosecond, a millisecond or up to
+        // half a percent of the range away from it, so that small offsets
+        // cross the edge in the middle of a timeline too.
+        let inset = inset.1 % [1 << 10, 1 << 30, i64::MAX / 200][inset.0];
+        let times = || trace.iter_events().map(|(_, e)| e.time.as_ps());
+        let (lo, hi) = (times().min().expect("events"), times().max().expect("events"));
+        let onto_edge = |t: i64| {
+            Time::from_ps(if high_edge { i64::MAX - inset + (t - hi) } else { i64::MIN + inset + (t - lo) })
+        };
+        let mut base = trace.clone();
+        base.map_times(|_, t| onto_edge(t.as_ps()));
+        let (w1, w2) = (onto_edge(lo), onto_edge(hi));
+
+        // Offsets near either edge, or within a millisecond of zero on the
+        // side that crosses the trace's edge; the finalize offset keeps the
+        // fitted slope within ±0.5, where Eq. 3 is monotone.
+        let small = offset_inset % (1 << 30) * if high_edge { 1 } else { -1 };
+        let o1 = Dur::from_ps([i64::MAX - offset_inset, i64::MIN + offset_inset, small][offset_class]);
+        let o2 = o1.saturating_add((w2 - w1).scale(slope));
+        let rtt = Dur::from_us(10);
+        let n = base.n_procs();
+        let init = vec![Some(OffsetMeasurement::new(w1, o1, rtt)); n];
+        let fin = vec![Some(OffsetMeasurement::new(w2, o2, rtt)); n];
+        let cfg = drift_lab::clocksync::PipelineConfig {
+            presync: if linear { PreSync::Linear } else { PreSync::AlignOnly },
+            clc: clc.then(ClcParams::default),
+            ..Default::default()
+        };
+        let lmin = UniformLatency(Dur::from_us(lmin_us));
+
+        let mut batch = base.clone();
+        drift_lab::clocksync::synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg).unwrap();
+        let bytes = io::to_binary_columnar_v3_blocked(&base, 4);
+        let (frames, _) = drift_lab::clocksync::synchronize_stream_incremental(
+            &[&bytes[..]], &init, Some(&fin), &lmin, &cfg, 3,
+        ).unwrap();
+        let windowed = io::from_binary_columnar(frames.concat().into()).unwrap();
+
+        prop_assert_eq!(
+            common::times_by_location(&batch),
+            common::times_by_location(&windowed),
+            "batch and windowed differ"
+        );
+        for (p, (before, after)) in base.procs.iter().zip(&batch.procs).enumerate() {
+            for (i, pair) in before.events.windows(2).enumerate() {
+                if pair[0].time <= pair[1].time {
+                    prop_assert!(after.events[i].time <= after.events[i + 1].time,
+                        "rank {p}: events {i}, {} ran forwards before presync, backwards after",
+                        i + 1);
+                }
+            }
+        }
+    }
+}
+
 // -------- extensions: POMP CLC and clock-domain-aware CLC -----------------
 
 /// A random POMP trace: a team of 2–6 threads, several region instances,

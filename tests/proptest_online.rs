@@ -8,42 +8,43 @@
 //! locally ordered without a postmortem pass.
 
 use drift_lab::experiments::online_exp::static_rows;
-use drift_lab::onlinesync::{DriftKalman, KalmanParams, OnlineLane, ProbeFix};
+use drift_lab::onlinesync::{DriftKalman, KalmanParams, OffsetMeasurement, OnlineLane};
+use drift_lab::simclock::{Dur, Time};
 use proptest::prelude::*;
 
 // ------------------------------------------------------------ strategies --
 
+fn probe((worker_time_ps, offset_ps, rtt_ps): (i64, i64, i64)) -> OffsetMeasurement {
+    OffsetMeasurement::new(
+        Time::from_ps(worker_time_ps),
+        Dur::from_ps(offset_ps),
+        Dur::from_ps(rtt_ps),
+    )
+}
+
 /// Completely arbitrary probe streams: unsorted times, extreme offsets,
 /// zero/negative RTTs. The filter must shrug all of it off.
-fn arb_hostile_probes() -> impl Strategy<Value = Vec<ProbeFix>> {
+fn arb_hostile_probes() -> impl Strategy<Value = Vec<OffsetMeasurement>> {
     prop::collection::vec(
         (
             -1_000_000_000_000_000i64..1_000_000_000_000_000,
             -1_000_000_000_000_000i64..1_000_000_000_000_000,
             -1_000_000_000_000i64..1_000_000_000_000,
         )
-            .prop_map(|(t, off, rtt)| ProbeFix {
-                worker_time_ps: t,
-                offset_ps: off,
-                rtt_ps: rtt,
-            }),
+            .prop_map(probe),
         0..40,
     )
 }
 
 /// A well-formed probe lane: sorted sane times, bounded offsets and RTTs.
-fn arb_sane_lane() -> impl Strategy<Value = Vec<ProbeFix>> {
+fn arb_sane_lane() -> impl Strategy<Value = Vec<OffsetMeasurement>> {
     prop::collection::vec(
         (
             0i64..2_000_000_000_000,       // within 2 s
             -500_000_000i64..500_000_000,  // |offset| < 500 µs
             1_000_000i64..50_000_000,      // rtt 1..50 µs
         )
-            .prop_map(|(t, off, rtt)| ProbeFix {
-                worker_time_ps: t,
-                offset_ps: off,
-                rtt_ps: rtt,
-            }),
+            .prop_map(probe),
         0..30,
     )
 }
@@ -74,7 +75,7 @@ proptest! {
         mut probes in arb_sane_lane(),
         raws in prop::collection::vec(0i64..2_000_000_000_000, 1..120),
     ) {
-        probes.sort_by_key(|p| p.worker_time_ps);
+        probes.sort_by_key(|p| p.worker_time);
         let mut lane = OnlineLane::new(probes, KalmanParams::default());
         let mut raw_sorted = raws;
         raw_sorted.sort_unstable();
@@ -100,7 +101,7 @@ proptest! {
         for i in 1..=200i64 {
             let t_ps = i * 10_000_000_000;
             let offset = offset0_us * 1_000_000 + (t_ps as f64 * drift_ppm * 1e-6) as i64;
-            k.observe(ProbeFix { worker_time_ps: t_ps, offset_ps: offset, rtt_ps: 10_000_000 });
+            k.observe(probe((t_ps, offset, 10_000_000)));
             last_t = t_ps;
         }
         let est = k.drift_ppm();

@@ -9,7 +9,7 @@
 mod common;
 
 use common::{assert_identical, drifted_trace, reference_synchronize};
-use drift_lab::clocksync::{synchronize, PipelineConfig, PreSync};
+use drift_lab::clocksync::{synchronize, PipelineConfig, PipelineError, PreSync};
 use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobError, JobInput, JobSpec, Priority,
     ServiceConfig, SyncService,
@@ -152,6 +152,39 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
     assert_eq!(m.counter(Counter::Completed), 4);
     assert_eq!(m.counter(Counter::Failed), 1);
     assert!(m.counter(Counter::Retried) >= 2);
+    assert_eq!(m.counter(Counter::ServiceCrashes), 0);
+    assert_eq!(m.admitted_bytes, 0, "all budget charges released");
+    service.shutdown();
+}
+
+/// Init and finalize anchors at one worker time are the tenant's bad
+/// measurements, whichever engine the job asked for: a typed pipeline error
+/// naming the process, and no executor ever panics over it.
+#[test]
+fn coincident_anchors_fail_typed_without_a_panic() {
+    let (trace, init, mut fin, lmin) = drifted_trace(2, 1, "constant", 3);
+    fin[1].as_mut().expect("worker").worker_time = init[1].expect("worker").worker_time;
+    let bytes = to_binary_columnar_blocked(&trace, 16);
+    let service = SyncService::start(ServiceConfig::default());
+    let inputs = [
+        JobInput::Trace(trace.clone()),
+        JobInput::Stream(chunked(&bytes, 64)),
+        JobInput::StreamIncremental { chunks: chunked(&bytes, 64), window_events: 8 },
+    ];
+    for input in inputs {
+        let kind = input.kind();
+        let failure = submit(&service, input, &init, &fin, lmin, PipelineConfig::default())
+            .wait()
+            .expect_err("coincident anchors must fail the job");
+        assert!(
+            matches!(&failure.error, JobError::Pipeline(PipelineError::BadMeasurements(m))
+                if m.starts_with("process 1:")),
+            "{kind}: expected BadMeasurements naming process 1, got {:?}",
+            failure.error
+        );
+    }
+    let m = service.metrics();
+    assert_eq!(m.counter(Counter::JobPanics), 0);
     assert_eq!(m.counter(Counter::ServiceCrashes), 0);
     assert_eq!(m.admitted_bytes, 0, "all budget charges released");
     service.shutdown();
