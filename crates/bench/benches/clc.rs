@@ -76,12 +76,6 @@ fn bench_baselines(c: &mut Criterion) {
             full_exchange_maps(&trace, &insts, &lmin, 0, FullExchangeFit::Piecewise(8)).unwrap()
         })
     });
-    g.bench_function("lamport_stamps", |b| {
-        b.iter(|| clocksync::lamport_timestamps(&trace).expect("acyclic"))
-    });
-    g.bench_function("vector_stamps", |b| {
-        b.iter(|| clocksync::vector_timestamps(&trace).expect("acyclic"))
-    });
     g.finish();
 }
 

@@ -1,4 +1,5 @@
-//! Trace I/O throughput: text and columnar codecs and on-disk archives.
+//! Trace I/O throughput: text and columnar codecs, and the analyses that
+//! reconstruct messages and collectives.
 
 use bench::skewed_trace;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -19,21 +20,6 @@ fn bench_codecs(c: &mut Criterion) {
         b.iter(|| from_binary_columnar(bin.clone()).unwrap().n_events())
     });
     g.finish();
-}
-
-fn bench_archive(c: &mut Criterion) {
-    let (_, trace) = skewed_trace(8, 200, 31);
-    let dir = std::env::temp_dir().join(format!("drift-lab-bench-{}", std::process::id()));
-    let mut g = c.benchmark_group("archive");
-    g.sample_size(10);
-    g.bench_function("write_read_round_trip", |b| {
-        b.iter(|| {
-            tracefmt::archive::write_archive(&dir, &trace).unwrap();
-            tracefmt::archive::read_archive(&dir).unwrap().n_events()
-        })
-    });
-    g.finish();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_analysis(c: &mut Criterion) {
@@ -64,9 +50,8 @@ fn bench_analysis(c: &mut Criterion) {
     g.bench_function("match_collectives", |b| {
         b.iter(|| tracefmt::match_collectives(&trace).unwrap().len())
     });
-    g.bench_function("profile", |b| b.iter(|| tracefmt::profile(&trace).messages));
     g.finish();
 }
 
-criterion_group!(benches, bench_codecs, bench_archive, bench_analysis);
+criterion_group!(benches, bench_codecs, bench_analysis);
 criterion_main!(benches);

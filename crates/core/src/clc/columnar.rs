@@ -7,10 +7,10 @@
 //! ([`TraceColumns`]) driven by the flat [`DepGraph`]:
 //!
 //! * an event's constraints are its `in_of` / `out_of` edges, never its
-//!   kind: only matched receives, collective ends and constrained events
-//!   have in-edges, only matched sends, collective begins and constraining
-//!   events out-edges, and an empty edge slice leaves the event bound by
-//!   its own timeline alone;
+//!   kind: only matched receives, collective ends and POMP-constrained
+//!   events have in-edges, only matched sends, collective begins and
+//!   constraining events out-edges, and an empty edge slice leaves the
+//!   event bound by its own timeline alone;
 //! * the remote bound is a `max` over `corrected(producer) + latency` in
 //!   saturating arithmetic, latencies baked into the edges at build and
 //!   equal in both directions of an edge. In-edges are walked in dispatch

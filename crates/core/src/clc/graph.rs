@@ -5,9 +5,9 @@
 //! CLC pass, so the answer must be an index, not a hash probe over
 //! scattered heap nodes. This module lowers a constraint set — [`Matching`]
 //! message edges plus the collective → point-to-point mapped edges of the
-//! paper's [30] extension ([`DepGraph::try_build`]), or an explicit
-//! `(from, to, bound)` list ([`DepGraph::try_from_edges`]) — into flat
-//! arrays indexed by a *global event id* (`gid`): event `(p, i)` is
+//! paper's [30] extension ([`DepGraph::try_build`]), or the fork/join edges
+//! and team barriers of an OpenMP trace ([`crate::pomp_constraints`]) —
+//! into flat arrays indexed by a *global event id* (`gid`): event `(p, i)` is
 //! `base[p] + i`, timelines concatenated in proc order — exactly the
 //! layout of a flattened [`tracefmt::TraceColumns`].
 //!
@@ -15,11 +15,11 @@
 //!
 //! * **Stored edges**, in both directions: `in_offsets`/`in_edges` is the
 //!   CSR of *producers* (`in_edges[in_offsets[v] .. in_offsets[v+1]]` is the
-//!   matched send of receive `v`, or the `from` events of the constraints
-//!   on `v` in list order), `out_offsets`/`out_edges` the transpose (the
-//!   matched receive of a send), and `in_lat_ps`/`out_lat_ps` the minimum
-//!   latency of each edge in picoseconds, baked in at build time from the
-//!   frozen latency model or the constraint's bound.
+//!   matched send of receive `v`, or the fork and thread ends a POMP event
+//!   waits on), `out_offsets`/`out_edges` the transpose (the matched
+//!   receive of a send), and `in_lat_ps`/`out_lat_ps` the minimum latency
+//!   of each edge in picoseconds, baked in at build time from the frozen
+//!   latency model or the POMP `d_min`.
 //! * **Collectives**, as a [`CollTable`]: per instance its flavour, root
 //!   position and member rows; per member the gids of its begin and end;
 //!   per communicator one `k × k` `l_min` block and its transpose. Beside
@@ -43,8 +43,8 @@
 //!
 //! View order is dispatch order (the module docs of [`super`]): the view of
 //! a collective end walks the begins of the other members in increasing
-//! member position, a receive has its one message edge, a constrained event
-//! its constraints in list order (the counting sort of the lowering keeps
+//! member position, a receive has its one message edge, a POMP event its
+//! stored edges in lowering order (the counting sort of the lowering keeps
 //! triple order per consumer). A forward pass walking a view blocks on the
 //! first pending producer in that order — the foundation of the
 //! bit-identity guarantee shared by the batch kernel, the windowed engine
@@ -156,7 +156,7 @@ pub struct DepGraph {
     /// CSR offsets into `in_edges`, one slot per event plus a terminator.
     in_offsets: Vec<u32>,
     /// Producers of each stored edge — the matched send of a receive, the
-    /// `from` of a constraint — grouped per consumer.
+    /// fork or thread end a POMP event waits on — grouped per consumer.
     in_edges: Vec<u32>,
     /// Minimum latency of each in-edge, aligned with `in_edges`.
     in_lat_ps: Vec<i64>,
@@ -227,32 +227,17 @@ impl DepGraph {
         DepGraph::lower(&triples, instances, proc_lens, lmin)
     }
 
-    /// Lower an explicit constraint list: one stored edge per
-    /// `(from, to, bound)` — `time(to) ≥ time(from) + bound` — and no
-    /// collectives. The in-edges of an event keep the order its constraints
-    /// have in `edges`, so a forward pass blocks on the first pending one
-    /// in list order. Endpoints are the caller's: one outside `proc_lens`
-    /// is [`PlanBuildError::EventOutOfRange`].
-    pub fn try_from_edges(
-        edges: impl IntoIterator<Item = (EventId, EventId, Dur)>,
-        proc_lens: &[usize],
-    ) -> Result<DepGraph, PlanBuildError> {
-        let in_range = |id: EventId| proc_lens.get(id.p()).is_some_and(|&len| id.i() < len);
-        let triples = edges
-            .into_iter()
-            .map(|(from, to, bound)| match [from, to].into_iter().find(|&id| !in_range(id)) {
-                Some(id) => Err(PlanBuildError::EventOutOfRange(id)),
-                None => Ok((from, to, bound.as_ps())),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        // No instances: the latency model is never queried.
-        DepGraph::lower(&triples, &[], proc_lens, &tracefmt::UniformLatency(Dur::ZERO))
-    }
-
-    /// The lowering behind both constructors: `(src, dst, latency)` triples
+    /// The one lowering behind every graph: `(src, dst, latency)` triples
     /// with endpoints inside `proc_lens` into both CSR directions, and
-    /// `instances` into the member table.
-    fn lower(
+    /// `instances` into the member table. [`DepGraph::try_build`] hands it
+    /// matched messages and the trace's collectives, the POMP lowering
+    /// (`super::pomp`) its fork/join rules and team barriers. An event's
+    /// in-edges keep the order its triples have, so a forward pass blocks on
+    /// the first pending one in that order. A collective begin may have
+    /// stored in-edges but no stored out-edge, an end stored out-edges but
+    /// no stored in-edge: the kernels read a member's collective edges only
+    /// where its stored run in that direction is empty.
+    pub(super) fn lower(
         triples: &[(EventId, EventId, i64)],
         instances: &[CollectiveInstance],
         proc_lens: &[usize],
@@ -880,35 +865,6 @@ mod tests {
             DepGraph::build(&Matching::default(), &[barrier(&[(0, 2, 2)])], &[4, 4], &LMIN)
         });
         assert!(built.is_err());
-    }
-
-    /// The constraint constructor: an event's in-edges come back in list
-    /// order (the forward pass blocks on the first pending one), and an
-    /// endpoint outside the shape is named, whichever end it is.
-    #[test]
-    fn explicit_edges_keep_list_order_and_check_their_range() {
-        let (e, d) = (EventId::new, Dur::from_ps);
-        let lens = [2, 1, 2];
-        let edges = [
-            (e(1, 0), e(0, 1), d(5)),
-            (e(0, 1), e(2, 1), d(1)),
-            (e(2, 0), e(0, 1), d(3)),
-            (e(0, 0), e(0, 1), d(9)),
-        ];
-        let g = DepGraph::try_from_edges(edges, &lens).expect("in range");
-        assert_eq!((g.n_events(), g.n_edges()), (5, 4));
-        assert_eq!(
-            g.in_deps(e(0, 1)).collect::<Vec<_>>(),
-            vec![(e(1, 0), d(5)), (e(2, 0), d(3)), (e(0, 0), d(9))]
-        );
-        assert_eq!(g.out_deps(e(0, 1)).collect::<Vec<_>>(), vec![(e(2, 1), d(1))]);
-        assert_eq!(g.in_deps(e(1, 0)).count() + g.out_deps(e(2, 1)).count(), 0);
-        for bad in [e(1, 1), e(3, 0)] {
-            for edge in [(e(0, 0), bad, d(1)), (bad, e(0, 0), d(1))] {
-                let lowered = DepGraph::try_from_edges([edges[0], edge], &lens).map(|g| g.n_edges());
-                assert_eq!(lowered, Err(PlanBuildError::EventOutOfRange(bad)));
-            }
-        }
     }
 
     #[test]

@@ -30,8 +30,8 @@
 //!
 //! * [`controlled_logical_clock`] — matched messages as stored edges,
 //!   collectives as the member table the §V flavour mapping is derived from;
-//! * [`pomp`] — fork/join/barrier rules of a thread team as an explicit
-//!   [`pomp::Constraint`] list, forward pass only;
+//! * [`pomp`] — fork/join rules of a thread team as stored edges, its
+//!   barriers as N-to-N member rows, forward pass only;
 //! * [`domains`] — the message/collective graph again, with a jump
 //!   broadcast between two runs of the forward pass.
 //!
@@ -39,8 +39,8 @@
 //! on each, corrects events in program order until one must wait. An event
 //! waits on its in-edges in a fixed order — a receive on its one matched
 //! send, a collective end on the begins of the other members in increasing
-//! member position (restricted by flavour), a constrained event on its
-//! constraints in list order — and the pass leaves the timeline at the
+//! member position (restricted by flavour), a POMP event on its stored
+//! edges in lowering order — and the pass leaves the timeline at the
 //! *first* producer not yet corrected. That schedule fixes the order jumps
 //! are discovered in, so every engine that keeps it (the batch kernel, the
 //! windowed engine, the map-based reference under `tests/common/`) reports

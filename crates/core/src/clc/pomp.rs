@@ -3,111 +3,106 @@
 //! The paper names this as an open limitation of the CLC (§VI: "current
 //! limitations … include the non-observance of shared-memory clock
 //! conditions related to OpenMP constructs"). This module closes it: the
-//! POMP happened-before rules are expressed as generic timing constraints —
+//! POMP happened-before rules of a thread team —
 //!
 //! * every event of a parallel region happens after the **fork**,
 //! * the **join** happens after every event of the region,
-//! * every barrier **exit** happens after every barrier **enter**,
+//! * every barrier **exit** happens after every other thread's barrier
+//!   **enter**,
 //!
-//! — and lowered as the edges of the graph the message CLC's forward
-//! kernel walks, which enforces them. Because threads of one SMP node
-//! communicate through shared memory, the minimum "latency" of these
-//! constraints is the synchronisation cost `d_min`, typically tens to
-//! hundreds of nanoseconds.
+//! — are lowered into the graph the message CLC's forward kernel walks,
+//! which enforces them. Fork → first event and last event → join are two
+//! stored edges per thread (per-thread monotonicity, which the forward pass
+//! maintains anyway, orders the interior). A team barrier is exactly the
+//! N-to-N collective of the paper's §V mapping, so each region's barrier is
+//! one N-to-N instance of the collective member table — one member row per
+//! thread, `BarrierEnter` its begin and `BarrierExit` its end — which the
+//! forward pass evaluates once per instance instead of walking `k·(k−1)`
+//! edges. Because threads of one SMP node communicate through shared
+//! memory, the minimum "latency" of every rule is the synchronisation cost
+//! `d_min`, typically tens to hundreds of nanoseconds.
 
 use super::columnar::{check_mu, forward_pass_csr};
 use super::graph::DepGraph;
 use super::{commit, proc_lens, ClcError, ClcParams, ClcReport};
 use simclock::Dur;
-use tracefmt::{match_parallel_regions, EventId, Trace, TraceColumns};
+use tracefmt::{
+    match_parallel_regions, CollMember, CollOp, CollectiveInstance, CommId, EventId, Trace,
+    TraceColumns, UniformLatency,
+};
 
-/// One happened-before constraint: `time(to) ≥ time(from) + bound`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Constraint {
-    /// The earlier event.
-    pub from: EventId,
-    /// The later event.
-    pub to: EventId,
-    /// Minimum separation.
-    pub bound: Dur,
-}
-
-/// Extract the POMP constraints from a thread-team trace.
+/// Lower the POMP rules of a thread-team trace into the dependency graph
+/// the CLC's forward kernel walks.
 ///
 /// `d_min` is the minimum shared-memory synchronisation latency (the
-/// shared-memory analogue of the paper's `l_min`).
-pub fn pomp_constraints(trace: &Trace, d_min: Dur) -> Result<Vec<Constraint>, ClcError> {
+/// shared-memory analogue of the paper's `l_min`). Fork and join rules are
+/// stored edges; each region's barrier is one N-to-N collective instance,
+/// so [`DepGraph::n_edges`] still counts its `k·(k−1)` logical edges while
+/// the graph holds `k` member rows. A region in which some thread records
+/// a barrier exit but no barrier enter has no member row to give that
+/// thread: its barrier rules stay stored edges, every enter before every
+/// other thread's exit.
+pub fn pomp_constraints(trace: &Trace, d_min: Dur) -> Result<DepGraph, ClcError> {
     let regions = match_parallel_regions(trace).map_err(ClcError::BadCollectives)?;
-    let mut out = Vec::new();
+    let bound = d_min.as_ps();
+    let mut edges = Vec::new();
+    let mut barriers = Vec::new();
     for reg in &regions {
-        let mut barrier_enters = Vec::new();
-        let mut barrier_exits = Vec::new();
         for th in &reg.threads {
-            // Fork precedes the thread's first event; the thread's last
-            // event precedes the join. (Interior events are ordered by the
-            // per-thread monotonicity the forward pass maintains anyway.)
             let first = EventId::new(th.proc, th.first as usize);
             let last = EventId::new(th.proc, th.last as usize);
             if first != reg.fork {
-                out.push(Constraint { from: reg.fork, to: first, bound: d_min });
+                edges.push((reg.fork, first, bound));
             }
             if last != reg.join {
-                out.push(Constraint { from: last, to: reg.join, bound: d_min });
-            }
-            if let Some(be) = th.barrier_enter {
-                barrier_enters.push(be);
-            }
-            if let Some(bx) = th.barrier_exit {
-                barrier_exits.push(bx);
+                edges.push((last, reg.join, bound));
             }
         }
-        // Barrier overlap: no thread leaves before every thread entered.
-        for &exit in &barrier_exits {
-            for &enter in &barrier_enters {
-                if enter.p() != exit.p() {
-                    out.push(Constraint { from: enter, to: exit, bound: d_min });
+        let members: Option<Vec<CollMember>> = reg
+            .threads
+            .iter()
+            .map(|th| {
+                let rank = trace.procs[th.proc].location.rank;
+                Some(CollMember { rank, begin: th.barrier_enter?, end: th.barrier_exit? })
+            })
+            .collect();
+        match members {
+            Some(members) => barriers.push(CollectiveInstance {
+                op: CollOp::Barrier,
+                comm: CommId::WORLD,
+                root: None,
+                members,
+            }),
+            None => {
+                for exit in reg.threads.iter().filter_map(|th| th.barrier_exit) {
+                    for enter in reg.threads.iter().filter_map(|th| th.barrier_enter) {
+                        if enter.p() != exit.p() {
+                            edges.push((enter, exit, bound));
+                        }
+                    }
                 }
             }
         }
     }
-    Ok(out)
+    DepGraph::lower(&edges, &barriers, &proc_lens(trace), &UniformLatency(d_min))
+        .map_err(|e| ClcError::BadCollectives(e.to_string()))
 }
 
-/// Apply the CLC forward pass to an arbitrary constraint set.
-///
-/// The constraints are lowered as the edges of a [`DepGraph`] — an event's
-/// in-edges in list order — and corrected by the forward kernel the message
-/// CLC runs, in saturating arithmetic. Forward amortization only:
-/// `params.backward` and `params.backward_window_factor` are not read.
-///
-/// Constraints must be acyclic when combined with per-timeline program
-/// order (true for POMP rules and any happened-before relation); a cycle
-/// yields [`ClcError::CyclicTrace`], an endpoint that is no event of
-/// `trace` [`ClcError::BadParams`].
-pub fn controlled_logical_clock_generic(
-    trace: &mut Trace,
-    constraints: &[Constraint],
-    params: &ClcParams,
-) -> Result<ClcReport, ClcError> {
-    check_mu(params.mu)?;
-    let edges = constraints.iter().map(|c| (c.from, c.to, c.bound));
-    let graph = DepGraph::try_from_edges(edges, &proc_lens(trace))
-        .map_err(|e| ClcError::BadParams(format!("constraint list: {e}")))?;
-    let mut cols = TraceColumns::gather(trace);
-    let report = forward_pass_csr(&mut cols, &graph, params.mu)?;
-    Ok(commit(&cols, trace, report))
-}
-
-/// Restore the POMP shared-memory clock conditions in an OpenMP trace:
-/// [`pomp_constraints`] through [`controlled_logical_clock_generic`], so
-/// forward amortization only.
+/// Restore the POMP shared-memory clock conditions in an OpenMP trace: the
+/// forward pass of the CLC over [`pomp_constraints`], in saturating
+/// arithmetic. Forward amortization only: `params.backward` and
+/// `params.backward_window_factor` are not read. A team whose rules
+/// contradict its threads' program order is [`ClcError::CyclicTrace`].
 pub fn controlled_logical_clock_pomp(
     trace: &mut Trace,
     d_min: Dur,
     params: &ClcParams,
 ) -> Result<ClcReport, ClcError> {
-    let constraints = pomp_constraints(trace, d_min)?;
-    controlled_logical_clock_generic(trace, &constraints, params)
+    let graph = pomp_constraints(trace, d_min)?;
+    check_mu(params.mu)?;
+    let mut cols = TraceColumns::gather(trace);
+    let report = forward_pass_csr(&mut cols, &graph, params.mu)?;
+    Ok(commit(&cols, trace, report))
 }
 
 #[cfg(test)]
@@ -117,98 +112,97 @@ mod tests {
     use simclock::Time;
     use tracefmt::{check_pomp, EventKind, RegionId};
 
+    const R: RegionId = RegionId(0);
+    const FORK: EventKind = EventKind::Fork { region: R };
+    const JOIN: EventKind = EventKind::Join { region: R };
+    const ENTER: EventKind = EventKind::Enter { region: R };
+    const EXIT: EventKind = EventKind::Exit { region: R };
+    const B_IN: EventKind = EventKind::BarrierEnter { region: R };
+    const B_OUT: EventKind = EventKind::BarrierExit { region: R };
+
     fn us(n: i64) -> Time {
         Time::from_us(n)
     }
 
+    /// A team trace: each `(thread, µs, kind)` appended to its timeline.
+    fn team(threads: usize, events: &[(usize, i64, EventKind)]) -> Trace {
+        let mut t = Trace::for_threads(threads);
+        for &(p, at, kind) in events {
+            t.procs[p].push(us(at), kind);
+        }
+        t
+    }
+
     /// A 2-thread region with every POMP rule violated by skewed clocks:
     /// worker events before the fork, barrier non-overlap, events after the
-    /// join.
+    /// join. The master's clock is right, the worker's 90 µs behind.
     fn broken_trace() -> Trace {
-        let r = RegionId(0);
-        let mut t = Trace::for_threads(2);
-        // Master (thread 0), "correct" clock.
-        t.procs[0].push(us(100), EventKind::Fork { region: r });
-        t.procs[0].push(us(101), EventKind::Enter { region: r });
-        t.procs[0].push(us(150), EventKind::Exit { region: r });
-        t.procs[0].push(us(150), EventKind::BarrierEnter { region: r });
-        t.procs[0].push(us(181), EventKind::BarrierExit { region: r });
-        t.procs[0].push(us(182), EventKind::Join { region: r });
-        // Worker (thread 1), clock 90 µs behind: everything looks early.
-        t.procs[1].push(us(12), EventKind::Enter { region: r });
-        t.procs[1].push(us(90), EventKind::Exit { region: r });
-        t.procs[1].push(us(90), EventKind::BarrierEnter { region: r });
-        t.procs[1].push(us(91), EventKind::BarrierExit { region: r });
-        t
+        team(2, &[
+            (0, 100, FORK), (0, 101, ENTER), (0, 150, EXIT), (0, 150, B_IN), (0, 181, B_OUT),
+            (0, 182, JOIN),
+            (1, 12, ENTER), (1, 90, EXIT), (1, 90, B_IN), (1, 91, B_OUT),
+        ])
+    }
+
+    fn pomp_violations(t: &Trace) -> usize {
+        check_pomp(t, &match_parallel_regions(t).unwrap()).any_violations
     }
 
     #[test]
     fn pomp_clc_restores_all_rules() {
         let mut t = broken_trace();
-        let regions = match_parallel_regions(&t).unwrap();
-        let before = check_pomp(&t, &regions);
-        assert!(before.any_violations > 0, "fixture must violate");
-
+        assert!(pomp_violations(&t) > 0, "fixture must violate");
         let d_min = Dur::from_ns(100);
         let rep = controlled_logical_clock_pomp(&mut t, d_min, &ClcParams::default()).unwrap();
         assert!(rep.n_jumps() > 0);
-
-        let regions = match_parallel_regions(&t).unwrap();
-        let after = check_pomp(&t, &regions);
-        assert_eq!(after.any_violations, 0, "{after:?}");
+        assert_eq!(pomp_violations(&t), 0);
         assert!(t.is_locally_monotone());
     }
 
+    /// Fork → first and last → join are stored, two per thread; the barrier
+    /// is one member row per thread, counted as its 2 logical edges.
     #[test]
-    fn constraint_extraction_shapes() {
+    fn a_region_lowers_to_two_edges_and_one_member_row_per_thread() {
         let t = broken_trace();
-        let cs = pomp_constraints(&t, Dur::from_ns(100)).unwrap();
-        // fork -> first event of each thread (master's first is its Enter),
-        // last events -> join, and 2 cross-thread barrier pairs... plus the
-        // master's own fork->enter and exit->join edges.
-        assert!(cs.len() >= 5, "{} constraints", cs.len());
-        // Every constraint's endpoints are valid events.
-        for c in &cs {
-            assert!(c.from.i() < t.procs[c.from.p()].events.len());
-            assert!(c.to.i() < t.procs[c.to.p()].events.len());
-        }
+        let g = pomp_constraints(&t, Dur::from_ns(100)).unwrap();
+        let coll = g.coll_table();
+        assert_eq!((coll.n_instances(), coll.n_members()), (1, 2));
+        assert_eq!(g.n_edges(), 2 * 2 + 2);
+        let inst = coll.instance(0);
+        assert_eq!(inst.n_logical_by_position(), 2);
+        // Begins are the barrier enters, ends the exits, in thread order.
+        assert_eq!((inst.begins, inst.ends), (&[3, 8][..], &[4, 9][..]));
+        let deps = |p, i| g.in_deps(EventId::new(p, i)).collect::<Vec<_>>();
+        let d = Dur::from_ns(100);
+        assert_eq!(deps(1, 0), [(EventId::new(0, 0), d)]);
+        assert_eq!(deps(0, 5), [(EventId::new(0, 4), d), (EventId::new(1, 3), d)]);
+        assert_eq!(deps(1, 3), [(EventId::new(0, 3), d)]);
     }
 
     #[test]
     fn consistent_trace_untouched() {
-        let r = RegionId(0);
-        let mut t = Trace::for_threads(2);
-        t.procs[0].push(us(0), EventKind::Fork { region: r });
-        t.procs[0].push(us(10), EventKind::BarrierEnter { region: r });
-        t.procs[0].push(us(30), EventKind::BarrierExit { region: r });
-        t.procs[0].push(us(40), EventKind::Join { region: r });
-        t.procs[1].push(us(5), EventKind::Enter { region: r });
-        t.procs[1].push(us(12), EventKind::Exit { region: r });
-        t.procs[1].push(us(12), EventKind::BarrierEnter { region: r });
-        t.procs[1].push(us(31), EventKind::BarrierExit { region: r });
+        let mut t = team(2, &[
+            (0, 0, FORK), (0, 10, B_IN), (0, 30, B_OUT), (0, 40, JOIN),
+            (1, 5, ENTER), (1, 12, EXIT), (1, 12, B_IN), (1, 31, B_OUT),
+        ]);
         let before = t.clone();
         let rep =
             controlled_logical_clock_pomp(&mut t, Dur::from_ns(100), &ClcParams::default())
                 .unwrap();
         assert_eq!(rep.n_jumps(), 0);
-        for p in 0..2 {
-            assert_eq!(t.procs[p].events, before.procs[p].events);
-        }
+        assert_untouched(&t, &before);
     }
 
     #[test]
     fn repairs_a_simulated_openmp_run() {
         // End-to-end: the Fig. 8 benchmark at 4 threads is full of
-        // violations; the POMP CLC must clear them all.
+        // violations; the POMP CLC must clear them all. A synthetic
+        // multi-region trace, with per-chip clock offsets applied by hand.
         let shape = simclock::Platform::ItaniumSmp.shape(1);
         let profile = simclock::Platform::ItaniumSmp
             .clock_profile(simclock::TimerKind::CycleCounter, 60.0);
         let clocks =
             simclock::ClockEnsemble::build(shape, simclock::ClockDomain::PerChip, &profile, 3);
-        // (mpisim is a dev-dependency of clocksync? No — construct manually.)
-        // Build a small synthetic multi-region trace instead, with per-chip
-        // clock offsets applied by hand.
-        let r = RegionId(0);
         let mut t = Trace::for_threads(4);
         let offs: Vec<Dur> = (0..4)
             .map(|chip| {
@@ -218,93 +212,103 @@ mod tests {
             .collect();
         for k in 0..20i64 {
             let base = k * 1000;
-            t.procs[0].push(us(base) + offs[0], EventKind::Fork { region: r });
+            t.procs[0].push(us(base) + offs[0], FORK);
             #[allow(clippy::needless_range_loop)]
             for th in 0..4usize {
-                t.procs[th].push(us(base + 2) + offs[th], EventKind::Enter { region: r });
-                t.procs[th].push(us(base + 50) + offs[th], EventKind::Exit { region: r });
-                t.procs[th].push(us(base + 50) + offs[th], EventKind::BarrierEnter { region: r });
-                t.procs[th].push(us(base + 52) + offs[th], EventKind::BarrierExit { region: r });
+                for (at, kind) in [(2, ENTER), (50, EXIT), (50, B_IN), (52, B_OUT)] {
+                    t.procs[th].push(us(base + at) + offs[th], kind);
+                }
             }
-            t.procs[0].push(us(base + 53) + offs[0], EventKind::Join { region: r });
+            t.procs[0].push(us(base + 53) + offs[0], JOIN);
         }
-        let regions = match_parallel_regions(&t).unwrap();
-        let before = check_pomp(&t, &regions);
-        assert!(before.any_violations > 0, "chip offsets should violate");
+        assert!(pomp_violations(&t) > 0, "chip offsets should violate");
         controlled_logical_clock_pomp(&mut t, Dur::from_ns(100), &ClcParams::default())
             .unwrap();
-        let regions = match_parallel_regions(&t).unwrap();
-        let after = check_pomp(&t, &regions);
-        assert_eq!(after.any_violations, 0, "{after:?}");
+        assert_eq!(pomp_violations(&t), 0);
     }
 
-    fn local_events(times: &[&[i64]]) -> Trace {
-        let mut t = Trace::for_ranks(times.len());
-        for (p, col) in times.iter().enumerate() {
-            for &ps in *col {
-                t.procs[p].push(Time::from_ps(ps), EventKind::Enter { region: RegionId(0) });
-            }
-        }
-        t
-    }
-
-    /// A cycle between two timelines, found after the first constraint has
-    /// already moved `(1, 0)`: the error is typed and the trace is written
-    /// on `Ok` only.
+    /// Two regions of a 3-thread team. In the first, thread 2 records its
+    /// barrier exit but no enter: no member row can stand for it, so that
+    /// barrier stays four stored edges. The second is an ordinary member
+    /// table instance. Both are repaired, and the output — timestamps and
+    /// jump sequence — is what the all-stored-edges lowering produced,
+    /// recorded before the barriers became member rows.
     #[test]
-    fn cyclic_constraints_detected() {
-        let mut t = local_events(&[&[100, 110], &[50, 60]]);
+    fn a_thread_without_a_barrier_enter_keeps_its_region_on_stored_edges() {
+        let mut t = team(3, &[
+            (0, 100, FORK), (0, 101, ENTER), (0, 140, B_IN), (0, 160, B_OUT), (0, 161, JOIN),
+            (1, 62, ENTER), (1, 95, B_IN), (1, 121, B_OUT),
+            (2, 133, ENTER), (2, 189, B_OUT),
+            (0, 200, FORK), (0, 201, ENTER), (0, 230, B_IN), (0, 250, B_OUT), (0, 251, JOIN),
+            (1, 162, ENTER), (1, 185, B_IN), (1, 211, B_OUT),
+            (2, 233, ENTER), (2, 290, B_IN), (2, 300, B_OUT),
+        ]);
+        assert_eq!(pomp_violations(&t), 2);
+
+        let g = pomp_constraints(&t, Dur::from_ns(100)).unwrap();
+        assert_eq!((g.coll_table().n_instances(), g.coll_table().n_members()), (1, 3));
+        // 2 × 2 × 3 fork/join edges, 4 stored barrier edges, 3 × 2 logical.
+        assert_eq!(g.n_edges(), 12 + 4 + 6);
+        // Stored in the first region, member rows in the second.
+        let n_deps = |p: usize, i: usize| g.in_deps(EventId::new(p, i)).count();
+        assert_eq!((n_deps(2, 1), n_deps(0, 3), n_deps(0, 8)), (2, 1, 2));
+
+        let rep = controlled_logical_clock_pomp(&mut t, Dur::from_ns(100), &ClcParams::default())
+            .unwrap();
+        assert_eq!(pomp_violations(&t), 0);
+        // Everything below in ns.
+        let times = |p: usize| t.procs[p].events.iter().map(|e| e.time).collect::<Vec<_>>();
+        let at = |ns: &[i64]| ns.iter().map(|&n| Time::from_ns(n)).collect::<Vec<_>>();
+        assert_eq!(
+            times(0),
+            at(&[100_000, 101_000, 140_000, 160_000, 189_100, 227_710, 228_700, 257_410, 290_100, 300_100])
+        );
+        assert_eq!(times(1), at(&[100_100, 132_770, 158_510, 227_810, 250_580, 290_100]));
+        assert_eq!(times(2), at(&[133_000, 189_000, 233_000, 290_000, 300_000]));
+        let jumps: Vec<_> = rep.jumps.iter().map(|j| (j.event.p(), j.event.i(), j.size)).collect();
+        let ns = Dur::from_ns;
+        assert_eq!(
+            jumps,
+            [(1, 0, ns(38_100)), (0, 4, ns(28_100)), (1, 3, ns(28_710)), (0, 8, ns(12_890)), (1, 5, ns(13_780)), (0, 9, ns(9_010))]
+        );
+        assert_eq!((rep.events_moved, rep.max_jump), (12, Dur::from_ns(38_100)));
+    }
+
+    /// A master that records its region's barrier after the join asks the
+    /// join to wait for an event behind it: a cycle, reported typed, and
+    /// the trace is written on `Ok` only.
+    #[test]
+    fn rules_against_program_order_are_a_typed_cycle() {
+        let mut t = team(2, &[
+            (0, 10, FORK), (0, 20, JOIN), (0, 15, B_IN), (0, 16, B_OUT),
+            (1, 5, B_IN), (1, 6, B_OUT),
+        ]);
         let before = t.clone();
-        let c = |from: (usize, usize), to: (usize, usize)| Constraint {
-            from: EventId::new(from.0, from.1),
-            to: EventId::new(to.0, to.1),
-            bound: Dur::from_ps(7),
-        };
-        let cs = [c((0, 0), (1, 0)), c((1, 1), (0, 1)), c((0, 1), (1, 1))];
-        let err = controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default());
+        let err = controlled_logical_clock_pomp(&mut t, Dur::from_ns(100), &ClcParams::default());
         assert_eq!(err.unwrap_err(), ClcError::CyclicTrace);
         assert_untouched(&t, &before);
-        // Without the cycle the same list does move (1, 0).
-        controlled_logical_clock_generic(&mut t, &cs[..1], &ClcParams::default()).unwrap();
-        assert_eq!(t.procs[1].events[0].time, Time::from_ps(107));
     }
 
-    /// Timestamps at the `i64` edges: the local gap, the remote bound and
-    /// the jump size all overflow plain `i64` arithmetic. The kernel
-    /// saturates; nothing panics, nothing wraps.
+    /// A team at the `i64` edges: the master within `d_min` of the top, the
+    /// worker at the bottom. Fork → first, the barrier's aggregated bounds
+    /// and the worker's jump all overflow plain `i64` arithmetic; the kernel
+    /// and the member-table evaluation saturate, nothing panics, nothing
+    /// wraps.
     #[test]
     fn i64_edge_timestamps_saturate() {
-        let mut t = local_events(&[&[i64::MIN + 5, i64::MAX - 5], &[i64::MIN + 5, i64::MAX - 5]]);
-        let cs = [Constraint {
-            from: EventId::new(0, 1),
-            to: EventId::new(1, 0),
-            bound: Dur::from_ns(100),
-        }];
-        let rep = controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default()).unwrap();
-        assert_eq!(rep.n_jumps(), 1);
-        assert_eq!(rep.max_jump, Dur::MAX);
-        assert_eq!(t.procs[0].events[1].time, Time::from_ps(i64::MAX - 5));
-        assert_eq!(t.procs[1].events[0].time, Time::MAX);
-        assert_eq!(t.procs[1].events[1].time, Time::MAX);
-        assert!(t.is_locally_monotone());
-    }
-
-    /// A constraint naming an event the trace does not have — past its
-    /// timeline's end, or on a timeline that does not exist — is the
-    /// caller's mistake, reported as such: not a cycle, not a panic.
-    #[test]
-    fn out_of_range_endpoints_are_a_typed_error() {
-        let mut t = local_events(&[&[10, 20], &[10, 20]]);
-        let before = t.clone();
-        for (from, to) in [((0, 2), (1, 0)), ((1, 0), (0, 2)), ((2, 0), (1, 0)), ((1, 0), (7, 0))] {
-            let cs = [Constraint {
-                from: EventId::new(from.0, from.1),
-                to: EventId::new(to.0, to.1),
-                bound: Dur::from_ns(1),
-            }];
-            let err = controlled_logical_clock_generic(&mut t, &cs, &ClcParams::default());
-            assert!(matches!(err, Err(ClcError::BadParams(_))), "{from:?} -> {to:?}: {err:?}");
-            assert_untouched(&t, &before);
+        let mut t = Trace::for_threads(2);
+        let (top, bottom) = (i64::MAX, i64::MIN);
+        for (p, ps, kind) in [
+            (0, top - 10, FORK), (0, top - 9, B_IN), (0, top - 8, B_OUT), (0, top - 7, JOIN),
+            (1, bottom + 5, B_IN), (1, bottom + 6, B_OUT),
+        ] {
+            t.procs[p].push(Time::from_ps(ps), kind);
         }
+        let rep = controlled_logical_clock_pomp(&mut t, Dur::from_ns(100), &ClcParams::default())
+            .unwrap();
+        assert_eq!((rep.n_jumps(), rep.max_jump), (2, Dur::MAX));
+        let times = |p: usize| t.procs[p].events.iter().map(|e| e.time).collect::<Vec<_>>();
+        assert_eq!(times(0), [Time::from_ps(top - 10), Time::MAX, Time::MAX, Time::MAX]);
+        assert_eq!(times(1), [Time::MAX, Time::MAX]);
     }
 }

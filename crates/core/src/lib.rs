@@ -9,9 +9,9 @@
 //! * [`interp`] — offset alignment, Eq. 3 linear offset interpolation, and
 //!   the piecewise-linear generalisation;
 //! * [`condition`] — clock-condition slack diagnostics (Eq. 1);
-//! * [`lamport`] / [`vector`] — the classic logical clocks (§V);
 //! * [`clc`] — the Controlled Logical Clock with forward and backward
-//!   amortization and the collective → point-to-point mapping extension;
+//!   amortization and the collective → point-to-point mapping extension,
+//!   also lowered for OpenMP thread teams and clock domains;
 //! * [`baselines`] — Duda regression & convex hull, Hofmann min/max,
 //!   Jézéquel spanning trees, Babaoğlu/Drummond full-exchange bounds;
 //! * [`pipeline`] — the recommended chain: linear interpolation for weak
@@ -27,20 +27,14 @@ pub mod baselines;
 pub mod clc;
 pub mod condition;
 pub mod interp;
-pub mod lamport;
 pub mod offset;
 pub mod pipeline;
 pub mod predict;
-mod stamp;
-pub mod vector;
 
 pub use baselines::{AffineMap, Corridor};
 pub use clc::domains::{controlled_logical_clock_with_domains, domain_misalignment};
 pub use clc::graph::DepGraph;
-pub use clc::pomp::{
-    controlled_logical_clock_generic, controlled_logical_clock_pomp, pomp_constraints,
-    Constraint,
-};
+pub use clc::pomp::{controlled_logical_clock_pomp, pomp_constraints};
 pub use clc::{
     controlled_logical_clock, ClcError, ClcParams, ClcReport, Jump,
 };
@@ -49,7 +43,6 @@ pub use interp::{
     apply_maps, IdentityMap, LinearInterpolation, OffsetAlignment, PiecewiseInterpolation,
     RegressionInterpolation, TimestampMap,
 };
-pub use lamport::{lamport_timestamps, satisfies_lamport_condition};
 pub use offset::{estimate_offset, error_bound, OffsetMeasurement, ProbeSample};
 pub use pipeline::{
     synchronize, synchronize_stream, synchronize_stream_incremental,
@@ -60,4 +53,3 @@ pub use pipeline::{
     PreSync, StageReport, StageStats, StageTotals, SyncMethod, TraceAnalysis,
 };
 pub use predict::{normal_cdf, safe_run_length, violation_probability, WanderModel};
-pub use vector::{vector_timestamps, VectorStamp};

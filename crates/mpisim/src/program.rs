@@ -396,33 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn wrapper_ids_match_the_tracefmt_registry() {
-        let reg = tracefmt::RegionRegistry::with_mpi_wrappers();
-        assert_eq!(reg.name(regions::MPI_SEND), Some("MPI_Send"));
-        assert_eq!(reg.name(regions::MPI_RECV), Some("MPI_Recv"));
-        assert_eq!(reg.name(regions::MPI_ISEND), Some("MPI_Isend"));
-        assert_eq!(reg.name(regions::MPI_IRECV), Some("MPI_Irecv"));
-        assert_eq!(reg.name(regions::MPI_WAIT), Some("MPI_Wait"));
-        for op in [
-            CollOp::Barrier,
-            CollOp::Bcast,
-            CollOp::Scatter,
-            CollOp::Reduce,
-            CollOp::Gather,
-            CollOp::Allreduce,
-            CollOp::Allgather,
-            CollOp::Alltoall,
-            CollOp::Scan,
-        ] {
-            assert_eq!(
-                reg.name(regions::coll_region(op)),
-                Some(op.label()),
-                "registry out of sync for {op:?}"
-            );
-        }
-    }
-
-    #[test]
     fn region_ids_do_not_collide() {
         use std::collections::HashSet;
         let mut ids = HashSet::new();

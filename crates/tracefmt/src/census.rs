@@ -48,7 +48,7 @@ use crate::event::CollFlavor;
 use crate::ids::EventId;
 use crate::trace::Trace;
 use crate::violation::{CollReport, MinLatency, P2pReport, ViolatedMessage};
-use simclock::Dur;
+use simclock::{Dur, Time};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,7 +90,10 @@ impl fmt::Display for PlanBuildError {
 impl std::error::Error for PlanBuildError {}
 
 /// One struct-of-arrays lane of clock-condition checks: for check `k`,
-/// `transfer = flat[to[k]] - flat[from[k]]` must be `>= bound[k]`.
+/// `transfer = flat[to[k]] - flat[from[k]]` must be `>= bound[k]`. The
+/// subtraction saturates: two timelines at opposite `i64` edges are a
+/// transfer past the range, not a wrapped one, and `transfer < bound` is
+/// decided exactly for every bound above `i64::MIN`.
 ///
 /// Offsets are `u32` deliberately: the sequential lane streams are half
 /// the width of the random gather traffic they drive, and the AVX2 path
@@ -275,12 +278,12 @@ impl CensusPlan {
                 let m = k + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let (send, recv) = self.p2p_ids[m];
-                let transfer =
-                    times[self.p2p.to[m] as usize] - times[self.p2p.from[m] as usize];
+                let (from, to) = (self.p2p.from[m] as usize, self.p2p.to[m] as usize);
                 report.violations.push(ViolatedMessage {
                     send,
                     recv,
-                    measured_transfer: Dur::from_ps(transfer),
+                    measured_transfer: Time::from_ps(times[to])
+                        .saturating_since(Time::from_ps(times[from])),
                     l_min: Dur::from_ps(self.p2p.bound[m]),
                 });
             }
@@ -303,36 +306,47 @@ impl CensusPlan {
             begins.extend(inst.begins.iter().map(|&g| times[g as usize]));
             ends.clear();
             ends.extend(inst.ends.iter().map(|&g| times[g as usize]));
-            let tally = instance_tally(&inst, &begins, &ends);
-            report.logical_total += tally.total;
-            report.logical_violated += tally.violated;
-            report.logical_reversed += tally.reversed;
-            report.instances_affected += usize::from(tally.violated > 0);
+            // A difference of two `i64`s overflows only when their signs
+            // differ: only an instance with times on both sides of zero
+            // takes the saturating form.
+            let first = begins.first().copied().unwrap_or(0);
+            let differ = |times: &[i64]| times.iter().fold(0, |acc, &t| acc | (t ^ first));
+            let (total, violated, reversed) = if (differ(&begins) | differ(&ends)) < 0 {
+                instance_tally::<true>(&inst, &begins, &ends)
+            } else {
+                instance_tally::<false>(&inst, &begins, &ends)
+            };
+            report.logical_total += total;
+            report.logical_violated += violated;
+            report.logical_reversed += reversed;
+            report.instances_affected += usize::from(violated > 0);
         }
         report
     }
 }
 
-/// Logical-message counts of one collective instance.
+/// Logical-message counts of one collective instance. With `SATURATE` a
+/// transfer is subtracted saturating, like the reference; without, wrapping
+/// — the exact difference wherever none overflows, and the form the dense
+/// loop vectorizes.
 #[derive(Default)]
-struct Tally {
+struct Tally<const SATURATE: bool> {
     total: usize,
     violated: usize,
     reversed: usize,
 }
 
-impl Tally {
+impl<const SATURATE: bool> Tally<SATURATE> {
     /// The logical messages between one fixed event and a run of others,
     /// `bounds[j]` being the `l_min` of the pair `(fixed, others[j])`:
     /// from `fixed` to each of `others` when `outgoing`, the other way
-    /// round otherwise. Wrapping subtraction equals the reference's plain
-    /// one wherever that does not overflow.
+    /// round otherwise.
     #[inline]
     fn run(&mut self, fixed: i64, others: &[i64], bounds: &[i64], outgoing: bool) {
         self.total += others.len();
         for (&other, &bound) in others.iter().zip(bounds) {
-            let transfer =
-                if outgoing { other.wrapping_sub(fixed) } else { fixed.wrapping_sub(other) };
+            let (from, to) = if outgoing { (fixed, other) } else { (other, fixed) };
+            let transfer = if SATURATE { to.saturating_sub(from) } else { to.wrapping_sub(from) };
             let violated = transfer < bound;
             self.violated += usize::from(violated);
             self.reversed += usize::from(violated & (transfer < 0));
@@ -368,10 +382,14 @@ impl Tally {
 /// Census one instance from its gathered begin and end times (by member
 /// position): the logical messages of the §V flavour mapping, as the
 /// reference [`check_collectives_at`](crate::violation::check_collectives_at)
-/// enumerates them.
-fn instance_tally(inst: &CollInstRef<'_>, begins: &[i64], ends: &[i64]) -> Tally {
+/// enumerates them. Returns `(total, violated, reversed)`.
+fn instance_tally<const SATURATE: bool>(
+    inst: &CollInstRef<'_>,
+    begins: &[i64],
+    ends: &[i64],
+) -> (usize, usize, usize) {
     let block = inst.block;
-    let mut tally = Tally::default();
+    let mut tally = Tally::<SATURATE>::default();
     match (inst.flavor, inst.root_pos) {
         (CollFlavor::OneToN, Some(r)) => {
             tally.run_excluding_rank_of(r, block, begins[r], ends, block.from_member(r), true);
@@ -394,7 +412,7 @@ fn instance_tally(inst: &CollInstRef<'_>, begins: &[i64], ends: &[i64]) -> Tally
             }
         }
     }
-    tally
+    (tally.total, tally.violated, tally.reversed)
 }
 
 /// Violation and reversal bitmasks for checks `lo..hi` of a lane
@@ -418,9 +436,9 @@ fn lane_masks_scalar(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (
     let mut vmask = 0u64;
     let mut rmask = 0u64;
     for (bit, k) in (lo..hi).enumerate() {
-        let transfer = times[lane.to[k] as usize] - times[lane.from[k] as usize];
-        vmask |= u64::from(transfer < lane.bound[k]) << bit;
-        rmask |= u64::from(transfer < 0) << bit;
+        let (from, to) = (times[lane.from[k] as usize], times[lane.to[k] as usize]);
+        vmask |= u64::from(to.saturating_sub(from) < lane.bound[k]) << bit;
+        rmask |= u64::from(from > to) << bit;
     }
     (vmask, rmask)
 }
@@ -440,7 +458,10 @@ fn avx2_available() -> bool {
 
 /// AVX2 mask kernel: 4-lane `i64` gathers of both endpoints, packed
 /// subtract and signed compares, mask bits collected via `movemask`.
-/// Integer-only arithmetic — bit-identical to [`lane_masks_scalar`].
+/// Integer-only arithmetic — bit-identical to [`lane_masks_scalar`]: a
+/// difference of two `i64`s overflows only when their signs differ, and a
+/// chunk that has such a pair is handed to the scalar kernel, which
+/// saturates.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
@@ -449,7 +470,7 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
     let base = times.as_ptr();
     let mut vmask = 0u64;
     let mut rmask = 0u64;
-    let zero = _mm256_setzero_si256();
+    let mut signs_differ = _mm256_setzero_si256();
     let mut k = lo;
     let mut bit = 0u32;
     // SAFETY (both loops): every offset in the lane was validated against
@@ -473,13 +494,15 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
         let t_to1 = _mm256_i32gather_epi64::<8>(base, idx_to1);
         let bound0 = _mm256_loadu_si256(lane.bound.as_ptr().add(k).cast());
         let bound1 = _mm256_loadu_si256(lane.bound.as_ptr().add(k + 4).cast());
+        let differ = _mm256_or_si256(_mm256_xor_si256(t_to0, t_from0), _mm256_xor_si256(t_to1, t_from1));
+        signs_differ = _mm256_or_si256(signs_differ, differ);
         let transfer0 = _mm256_sub_epi64(t_to0, t_from0);
         let transfer1 = _mm256_sub_epi64(t_to1, t_from1);
-        // transfer < bound  <=>  bound > transfer
+        // transfer < bound  <=>  bound > transfer; reversed: from > to
         let viol0 = _mm256_cmpgt_epi64(bound0, transfer0);
         let viol1 = _mm256_cmpgt_epi64(bound1, transfer1);
-        let rev0 = _mm256_cmpgt_epi64(zero, transfer0);
-        let rev1 = _mm256_cmpgt_epi64(zero, transfer1);
+        let rev0 = _mm256_cmpgt_epi64(t_from0, t_to0);
+        let rev1 = _mm256_cmpgt_epi64(t_from1, t_to1);
         let v0 = _mm256_movemask_pd(_mm256_castsi256_pd(viol0)) as u64;
         let v1 = _mm256_movemask_pd(_mm256_castsi256_pd(viol1)) as u64;
         let r0 = _mm256_movemask_pd(_mm256_castsi256_pd(rev0)) as u64;
@@ -495,9 +518,10 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
         let t_from = _mm256_i32gather_epi64::<8>(base, idx_from);
         let t_to = _mm256_i32gather_epi64::<8>(base, idx_to);
         let bound = _mm256_loadu_si256(lane.bound.as_ptr().add(k).cast());
+        signs_differ = _mm256_or_si256(signs_differ, _mm256_xor_si256(t_to, t_from));
         let transfer = _mm256_sub_epi64(t_to, t_from);
         let viol = _mm256_cmpgt_epi64(bound, transfer);
-        let rev = _mm256_cmpgt_epi64(zero, transfer);
+        let rev = _mm256_cmpgt_epi64(t_from, t_to);
         let v = _mm256_movemask_pd(_mm256_castsi256_pd(viol)) as u64;
         let r = _mm256_movemask_pd(_mm256_castsi256_pd(rev)) as u64;
         vmask |= v << bit;
@@ -505,10 +529,13 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
         k += 4;
         bit += 4;
     }
+    if _mm256_movemask_pd(_mm256_castsi256_pd(signs_differ)) != 0 {
+        return lane_masks_scalar(lane, times, lo, hi);
+    }
     for k in k..hi {
-        let transfer = times[lane.to[k] as usize] - times[lane.from[k] as usize];
-        vmask |= u64::from(transfer < lane.bound[k]) << bit;
-        rmask |= u64::from(transfer < 0) << bit;
+        let (from, to) = (times[lane.from[k] as usize], times[lane.to[k] as usize]);
+        vmask |= u64::from(to.saturating_sub(from) < lane.bound[k]) << bit;
+        rmask |= u64::from(from > to) << bit;
         bit += 1;
     }
     (vmask, rmask)
@@ -623,6 +650,48 @@ mod tests {
             if avx2_available() {
                 let simd = unsafe { lane_masks_avx2(&plan.p2p, times, lo, hi) };
                 assert_eq!(scalar, simd);
+            }
+            lo = hi;
+        }
+    }
+
+    /// Every ordered pair of timestamps at and near both `i64` edges is a
+    /// check, under bounds from zero to `i64::MAX`: transfers past the range
+    /// either way. The scalar kernel, the AVX2 kernel (body, 4-wide step and
+    /// tail: chunks of 61) and the dispatched one count what exact `i128`
+    /// arithmetic counts.
+    #[test]
+    fn masks_at_the_i64_edges_equal_an_i128_oracle() {
+        let times = [
+            i64::MIN, i64::MIN + 1, i64::MIN + 4_000_000, -1, 0, 1,
+            i64::MAX - 4_000_000, i64::MAX - 1, i64::MAX,
+        ];
+        let mut lane = CheckLane::default();
+        for from in 0..times.len() as u64 {
+            for to in 0..times.len() as u64 {
+                for bound in [-5, 0, 1, 4_000_000, i64::MAX] {
+                    lane.push(from, to, Dur::from_ps(bound));
+                }
+            }
+        }
+        let (n, mut lo) = (lane.len(), 0);
+        while lo < n {
+            let hi = (lo + 61).min(n);
+            let mut want = (0u64, 0u64);
+            for (bit, k) in (lo..hi).enumerate() {
+                let (from, to) = (times[lane.from[k] as usize], times[lane.to[k] as usize]);
+                let transfer = i128::from(to) - i128::from(from);
+                want.0 |= u64::from(transfer < i128::from(lane.bound[k])) << bit;
+                want.1 |= u64::from(transfer < 0) << bit;
+            }
+            assert_eq!(lane_masks_scalar(&lane, &times, lo, hi), want, "scalar, checks {lo}..{hi}");
+            assert_eq!(lane_masks(&lane, &times, lo, hi), want, "dispatched, checks {lo}..{hi}");
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: gated on runtime AVX2 detection; every index is
+                // below `times.len()`.
+                let simd = unsafe { lane_masks_avx2(&lane, &times, lo, hi) };
+                assert_eq!(simd, want, "AVX2, checks {lo}..{hi}");
             }
             lo = hi;
         }

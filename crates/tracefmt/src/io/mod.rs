@@ -35,7 +35,6 @@ mod segment;
 mod tests;
 mod text;
 
-pub(crate) use encode::encode_timeline;
 pub use decode::{from_binary_columnar, StreamDecoder, TraceBuilder};
 pub use encode::{
     to_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3,

@@ -5,7 +5,8 @@
 //!
 //! * [`ids`] — strongly typed ranks, threads, regions, tags, communicators;
 //! * [`event`] — the MPI + POMP event taxonomy the paper traces;
-//! * [`trace`] — per-timeline event streams with unreliable timestamps;
+//! * [`trace`] — per-timeline event streams with unreliable timestamps, and
+//!   [`column`](mod@column) — the same timestamps as one flat columnar slab;
 //! * [`analysis`] — postmortem reconstruction of messages, collective
 //!   instances and parallel regions from event *order* (never timestamps);
 //! * [`violation`] — clock-condition checks (paper Eq. 1) for point-to-point
@@ -13,6 +14,7 @@
 //!   shared-memory rules of Fig. 8;
 //! * [`coll`] — the collective member table both the CLC's dependency graph
 //!   and the plan-based census ([`census`]) read collectives from;
+//! * [`diff`] — per-event comparison of two traces of one run;
 //! * [`stats`] — Welford summaries, line fits and percentiles for the
 //!   experiment tables;
 //! * [`io`] — text and binary trace codecs.
@@ -20,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod archive;
 pub mod cast;
 pub mod census;
 pub mod coll;
@@ -29,9 +30,6 @@ pub mod diff;
 pub mod event;
 pub mod ids;
 pub mod io;
-pub mod profile;
-pub mod regions;
-pub mod render;
 pub mod stats;
 pub mod trace;
 pub mod violation;
@@ -46,11 +44,7 @@ pub use coll::{BlockClasses, CollInstRef, CollTable, LatBlock};
 pub use column::{TimeSource, TraceColumns};
 pub use event::{CollFlavor, CollOp, EventKind, EventRecord};
 pub use ids::{CommId, EventId, Location, Rank, RegionId, Tag, ThreadId};
-pub use profile::{profile, KindCounts, TraceProfile};
-pub use regions::RegionRegistry;
-pub use archive::{read_archive, write_archive, ArchiveError};
 pub use diff::{diff_traces, DiffError, ProcDiff, TraceDiff};
-pub use render::{render_timeline, RenderOptions};
 pub use stats::{fit_line, percentile, LineFit, Summary};
 pub use trace::{ProcessTrace, Trace};
 pub use violation::{

@@ -92,7 +92,8 @@ pub struct ViolatedMessage {
     pub send: EventId,
     /// The receive event.
     pub recv: EventId,
-    /// `t_recv - t_send` as recorded (negative when the order is reversed).
+    /// `t_recv - t_send` as recorded (negative when the order is reversed),
+    /// saturated at the `i64` range.
     pub measured_transfer: Dur,
     /// The `l_min` that applied to this message.
     pub l_min: Dur,
@@ -144,9 +145,9 @@ pub fn check_p2p_messages_at<S: TimeSource + ?Sized>(
         let ts = times.time_of(m.send);
         let tr = times.time_of(m.recv);
         let bound = lmin.l_min(m.from, m.to);
-        let transfer = tr - ts;
+        let transfer = tr.saturating_since(ts);
         if transfer < bound {
-            if transfer < Dur::ZERO {
+            if ts > tr {
                 report.reversed += 1;
             }
             report.violations.push(ViolatedMessage {
@@ -215,14 +216,13 @@ pub fn check_collectives_at<S: TimeSource + ?Sized>(
     };
     for inst in instances {
         let mut violated_here = 0usize;
-        let mut check = |from: Rank, t_from, to: Rank, t_to| {
+        let mut check = |from: Rank, t_from: simclock::Time, to: Rank, t_to: simclock::Time| {
             report.logical_total += 1;
             let bound = lmin.l_min(from, to);
-            let transfer = t_to - t_from;
-            if transfer < bound {
+            if t_to.saturating_since(t_from) < bound {
                 report.logical_violated += 1;
                 violated_here += 1;
-                if transfer < Dur::ZERO {
+                if t_from > t_to {
                     report.logical_reversed += 1;
                 }
             }

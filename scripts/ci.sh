@@ -26,10 +26,11 @@
 #   collective cost         `clc` per event with allreduces <= 1.6x without,
 #                           one run of the engine bench
 #   inlined accessors       `nm` lists no graph accessor and no CLC step
-#   no intra-job parallelism | one CLC walker, one service tier |
+#   deleted names stay deleted | no hash map under the CLC |
 #   one frame grammar | one CLC step
-#       grep gates: deleted names stay deleted, the codec's grammar and the
-#       CLC arithmetic stay in their one file
+#       grep gates: deleted names stay deleted, the CLC and the pipeline
+#       stay hash-free, the codec's grammar and the CLC arithmetic stay in
+#       their one file
 #   size ratchet            lines under crates/{core,tracefmt,syncd}/src
 #                           against a ceiling that only goes down
 #   vopr campaign | netchaos campaign
@@ -63,29 +64,17 @@ cd "$(dirname "$0")/.."
 # subject.
 WORKSPACE_TEST_BINARIES_FLOOR=48
 # Tests those binaries passed between them when the floor was last set.
-# Last reset when the map-based CLC walker moved under tests/ as the oracle
-# and the in-process router was deleted: five comparisons against the
-# walker left `clocksync`'s unit tests for `tests/csr_differential.rs`
-# (ten tests there now: the moved ones, the recorded-output pins of the
-# POMP and clock-domain lowerings, `pop_batch`'s input), the lowerings
-# brought five unit tests (four in `clocksync`, one in `bench`), and the
-# router's two unit tests and its differential test went with their
-# subject. Then the `DTL1` codec, the times-only decode lane, the text
-# writer and the `TimeColumn` wrapper took their eleven tests with them
-# (nine unit tests of `tracefmt::io`, one of `tracefmt::column`, the v1
-# property of `tests/codec_roundtrip.rs`) while the one frame grammar
-# brought five (the encoders' byte-stability golden, two archive tests, the
-# split-magic reply of `tests/net_differential.rs`, the readers-agree
-# property of `tests/proptest_stream_faults.rs`). The binary floor did not
-# move. Raised by four when the CLC step was written once: the two
-# oracle-free equivariances of `tests/proptest_invariants.rs`, the
-# oversized-window pin of `tests/windowed_differential.rs` and the
-# self-message pin of `tests/end_to_end.rs`. Raised by two when the
-# service benches went: the coincident-anchors pin of
-# `tests/syncd_differential.rs` and the `i64`-edge presync property of
-# `tests/proptest_invariants.rs` (the same bug's other pins joined
-# existing tests).
-WORKSPACE_TESTS_FLOOR=636
+# Last reset downwards when the trace tooling and the logical clocks left
+# the shipped crates and POMP barriers became member rows: 33 tests went
+# with their subjects — the unit tests of `tracefmt::{render, archive,
+# profile, regions}` (20) and `clocksync::{lamport, vector}` (8), `mpisim`'s
+# `wrapper_ids_match_the_tracefmt_registry`, the constraint-list tests of
+# `DepGraph::try_from_edges` and `controlled_logical_clock_generic` (one
+# each), `proptest_invariants::lamport_and_vector_conditions_hold` and
+# `end_to_end::logical_clocks_agree_with_vector_clocks_on_simulated_traces`
+# — and three came: the census's `i64`-edge unit test and property, and the
+# POMP pin of a thread with a barrier exit but no enter.
+WORKSPACE_TESTS_FLOOR=606
 
 tree_before=$(git status --porcelain)
 gates_run=0
@@ -223,18 +212,32 @@ inlining_gate() {
 }
 gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inlining_gate
 
-# A job is single-threaded (DESIGN §9); none of the names its parallel
-# paths went by may come back.
-gate "no intra-job parallelism" bash -c \
-    "! grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded' crates src tests examples"
+# Deleted names stay deleted: a job is single-threaded (DESIGN §9), so no
+# name its parallel paths went by; one service tier (DESIGN §16.5), so none
+# of the in-process router's; none of the trace tooling's (time-line
+# rendering, archives, composition profiles, the region-name registry) or
+# the logical clocks' (ROADMAP item 7); and no second way into the CLC's
+# dependency graph beside its one lowering (DESIGN §11.1). The map-based
+# walker's names live on only as the tests' oracle, under tests/common/.
+deleted_names_gate() {
+    local hits
+    hits=$(
+        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges' \
+            crates src tests examples
+        grep -rnE 'deps_from_parts|extract_deps' crates src examples
+    ) || true
+    if [[ -n "$hits" ]]; then
+        echo "deleted names are back:" >&2
+        echo "$hits" >&2
+        return 1
+    fi
+}
+gate "deleted names stay deleted" deleted_names_gate
 
-# One CLC walker (the CSR kernel; the map-based one is the tests' oracle
-# under tests/common/) and one service tier (DESIGN §16.5): no hash map
-# under the CLC or the pipeline, none of the second walker's or the
-# in-process router's names outside tests/.
-gate "one CLC walker, one service tier" bash -c \
-    "! grep -rn HashMap crates/core/src/clc crates/core/src/pipeline \
-     && ! grep -rnE 'JobRouter|RouterConfig|steal_back|deps_from_parts|extract_deps' crates src examples"
+# One CLC walker (the CSR kernel; DESIGN §11): no hash map under the CLC or
+# the pipeline.
+gate "no hash map under the CLC or the pipeline" bash -c \
+    "! grep -rn HashMap crates/core/src/clc crates/core/src/pipeline"
 
 # One frame grammar (DESIGN §14): magic negotiation, the header checks, the
 # v3 pad, the trailer and the after-trailer rule live in one private file
@@ -274,7 +277,7 @@ gate "one CLC step" one_clc_step_gate
 # src/ against a ceiling that only ever goes down — lower it to the printed
 # count whenever a PR shrinks them; a PR that needs to raise it says why.
 # The public-item counts are reported beside it, not gated.
-SRC_LINES_CEILING=19043
+SRC_LINES_CEILING=17944
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)

@@ -13,9 +13,8 @@
 //! * [`tracefmt`] — the event model, trace containers, codecs, and
 //!   clock-condition violation checks;
 //! * [`clocksync`] — the algorithms: Cristian offset estimation (Eq. 2),
-//!   linear offset interpolation (Eq. 3), logical clocks, the Controlled
-//!   Logical Clock with amortization and collective mapping, and the
-//!   classic baselines;
+//!   linear offset interpolation (Eq. 3), the Controlled Logical Clock with
+//!   amortization and collective mapping, and the classic baselines;
 //! * [`onlinesync`] — online synchronization: a recursive drift/offset
 //!   Kalman filter over Cristian probes, a streaming timestamp corrector,
 //!   and dynamic-topology clock networks (churn, NTP islands, evolving

@@ -443,11 +443,14 @@ fn adapter_matches_the_oracle_on_the_pop_batch_input() {
 
 // -------------------------------- outputs recorded before the lowerings --
 
-/// `controlled_logical_clock_pomp` lowers its constraint list onto the CSR
-/// forward kernel. What it must reproduce is the output of the hash-map
-/// walker it replaced, recorded at the last commit that had it: FNV-1a
-/// fingerprints of every corrected timestamp and of the jump sequence, and
-/// the report's counts, for three OpenMP benchmark runs × two μ.
+/// `controlled_logical_clock_pomp` lowers a team's fork/join rules as stored
+/// edges and its barriers as N-to-N member rows, onto the CSR forward
+/// kernel. What it must reproduce is the output of the hash-map walker it
+/// replaced, recorded at the last commit that had it: FNV-1a fingerprints
+/// of every corrected timestamp and of the jump sequence, and the report's
+/// counts, for three OpenMP benchmark runs × two μ. The logical edge count
+/// is the one the walker's `k²` constraint list had; what is stored is two
+/// edges and one member row per thread and region.
 #[test]
 fn pomp_lowering_reproduces_the_recorded_walker_output() {
     use drift_lab::clocksync::{controlled_logical_clock_pomp, pomp_constraints};
@@ -492,7 +495,15 @@ fn pomp_lowering_reproduces_the_recorded_walker_output() {
     for Run { input: (threads, regions, seed), events, constraints, per_mu } in pins {
         let base = drift_lab::workloads::run_benchmark(threads, regions, seed);
         assert_eq!(base.n_events(), events);
-        assert_eq!(pomp_constraints(&base, d_min).expect("well-formed").len(), constraints);
+        let graph = pomp_constraints(&base, d_min).expect("well-formed");
+        assert_eq!(graph.n_edges(), constraints);
+        let coll = graph.coll_table();
+        let logical: usize = coll.instances().map(|inst| inst.n_logical_by_position()).sum();
+        assert_eq!(
+            (graph.n_edges() - logical, coll.n_members()),
+            (2 * threads * regions, threads * regions),
+            "stored edges and member rows of run_benchmark({threads}, {regions}, {seed})"
+        );
         for (mu, (times, jumps, n_jumps, max_jump, moved)) in [0.99, 0.9].into_iter().zip(per_mu) {
             let ctx = format!("run_benchmark({threads}, {regions}, {seed}), mu {mu}");
             let mut t = base.clone();

@@ -140,48 +140,51 @@ fn determinism_across_identical_runs() {
     assert_ne!(run_once(9), run_once(10), "different seeds should differ");
 }
 
-/// A timeline that receives its own *later* send has no logical order. The
-/// Lamport walk used to exempt same-timeline sends from the wait and stamp
-/// the receive below its send; the vector walk panicked. One walk, one
-/// typed answer.
+/// A timeline that receives its own *later* send has no causal order: the
+/// receive would wait for an event behind it on its own timeline. The CLC
+/// answers a typed cycle, batch and windowed, and writes nothing; the other
+/// order is an ordinary message.
 #[test]
-fn receive_of_its_own_later_send_is_a_typed_cycle_for_both_logical_clocks() {
-    use drift_lab::clocksync::{lamport_timestamps, vector_timestamps, ClcError};
+fn receive_of_its_own_later_send_is_a_typed_cycle_for_the_clc() {
+    use drift_lab::clocksync::{
+        controlled_logical_clock, synchronize_stream_incremental, ClcError, PipelineError,
+    };
     let recv = EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 };
     let send = EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 };
-    let mut t = Trace::for_ranks(1);
-    t.procs[0].push(Time::from_us(1), recv);
-    t.procs[0].push(Time::from_us(2), send);
-    assert_eq!(lamport_timestamps(&t), Err(ClcError::CyclicTrace));
-    assert_eq!(vector_timestamps(&t), Err(ClcError::CyclicTrace));
+    let lmin = UniformLatency(Dur::from_us(4));
+    let cfg = PipelineConfig {
+        presync: PreSync::None,
+        clc: Some(ClcParams::default()),
+        ..PipelineConfig::default()
+    };
+    let one_timeline = |first, second| {
+        let mut t = Trace::for_ranks(1);
+        t.procs[0].push(Time::from_us(1), first);
+        t.procs[0].push(Time::from_us(2), second);
+        t
+    };
+    let windowed = |t: &Trace| {
+        let bytes = drift_lab::tracefmt::io::to_binary_columnar_v3(t);
+        synchronize_stream_incremental(&[&bytes[..]], &[None], None, &lmin, &cfg, 64)
+            .map(|(frames, _)| drift_lab::tracefmt::io::from_binary_columnar(frames.concat().into()))
+    };
 
-    // The other way round is an ordinary message.
-    let mut t = Trace::for_ranks(1);
-    t.procs[0].push(Time::from_us(1), send);
-    t.procs[0].push(Time::from_us(2), recv);
-    assert_eq!(lamport_timestamps(&t).expect("acyclic")[0], vec![1, 2]);
-    let v = vector_timestamps(&t).expect("acyclic");
-    assert!(v[0][0].happened_before(&v[0][1]));
-}
+    let cyclic = one_timeline(recv, send);
+    let mut batch = cyclic.clone();
+    let err = controlled_logical_clock(&mut batch, &lmin, &ClcParams::default());
+    assert_eq!(err.unwrap_err(), ClcError::CyclicTrace);
+    assert_eq!(batch.procs[0].events, cyclic.procs[0].events);
+    let err = windowed(&cyclic);
+    assert!(matches!(err, Err(PipelineError::Clc(ClcError::CyclicTrace))), "{err:?}");
 
-#[test]
-fn logical_clocks_agree_with_vector_clocks_on_simulated_traces() {
-    let mut c = cluster(5, 30.0);
-    let out = run(&mut c, &ring_program(20), &RunOptions::default()).unwrap();
-    let lamport = drift_lab::clocksync::lamport_timestamps(&out.trace).expect("acyclic");
-    let vectors = drift_lab::clocksync::vector_timestamps(&out.trace).expect("acyclic");
-    let matching = match_messages(&out.trace);
-    for m in &matching.messages {
-        assert!(
-            lamport[m.send.p()][m.send.i()] < lamport[m.recv.p()][m.recv.i()],
-            "Lamport condition broken"
-        );
-        assert!(
-            vectors[m.send.p()][m.send.i()]
-                .happened_before(&vectors[m.recv.p()][m.recv.i()]),
-            "vector-clock condition broken"
-        );
-    }
+    // Send first: a message one µs long, moved out to l_min.
+    let ordinary = one_timeline(send, recv);
+    let mut batch = ordinary.clone();
+    let rep = controlled_logical_clock(&mut batch, &lmin, &ClcParams::default()).unwrap();
+    assert_eq!(rep.n_jumps(), 1);
+    assert_eq!(batch.procs[0].events[1].time, Time::from_us(5));
+    let streamed = windowed(&ordinary).expect("acyclic").expect("decodes");
+    assert_eq!(streamed.procs[0].events, batch.procs[0].events);
 }
 
 #[test]

@@ -206,20 +206,6 @@ proptest! {
         }
     }
 
-    // --- logical clocks --------------------------------------------------------
-
-    #[test]
-    fn lamport_and_vector_conditions_hold((trace, _) in arb_skewed_trace()) {
-        let lamport = drift_lab::clocksync::lamport_timestamps(&trace).expect("acyclic");
-        prop_assert!(drift_lab::clocksync::satisfies_lamport_condition(&trace, &lamport));
-        let vectors = drift_lab::clocksync::vector_timestamps(&trace).expect("acyclic");
-        let m = match_messages(&trace);
-        for msg in &m.messages {
-            prop_assert!(vectors[msg.send.p()][msg.send.i()]
-                .happened_before(&vectors[msg.recv.p()][msg.recv.i()]));
-        }
-    }
-
     // --- clock physics --------------------------------------------------------
 
     #[test]
@@ -466,6 +452,86 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The violation censuses at the `i64` edges: each timeline sits near
+    /// the bottom of the range, near zero or near its top, so a message
+    /// between two of them is ordinary or carries a transfer past the range
+    /// either way, and one allreduce at the end spans every timeline. The
+    /// plan census (AVX2 or forced-scalar kernels), the pipeline's raw
+    /// census, the reference walk and exact `i128` arithmetic count the same
+    /// violations and reversals.
+    #[test]
+    fn censuses_count_exactly_at_the_i64_edges(
+        (trace, lmin_us) in arb_skewed_trace(),
+        edges in prop::collection::vec(0usize..3, 6),
+        inset in 0..i64::MAX / 4,
+    ) {
+        use drift_lab::tracefmt::{
+            check_collectives_at, check_p2p_messages_at, match_collectives, CensusPlan,
+            CollReport, EventId, P2pReport, TraceColumns,
+        };
+        let mut t = trace;
+        let (op, comm, root, bytes) = (CollOp::Allreduce, CommId::WORLD, None, 8);
+        for pt in &mut t.procs {
+            let last = pt.events.last().map_or(Time::ZERO, |e| e.time);
+            pt.push(last + Dur::from_us(1), EventKind::CollBegin { op, comm, root, bytes });
+            pt.push(last + Dur::from_us(2), EventKind::CollEnd { op, comm, root, bytes });
+        }
+        // Slide each timeline onto its edge: its earliest event `inset`
+        // above `i64::MIN`, or its latest `inset` below `i64::MAX`.
+        for (p, pt) in t.procs.iter_mut().enumerate() {
+            let lo = pt.events.iter().map(|e| e.time.as_ps()).min().expect("events");
+            let hi = pt.events.iter().map(|e| e.time.as_ps()).max().expect("events");
+            for e in &mut pt.events {
+                let ps = e.time.as_ps();
+                e.time = Time::from_ps(match edges[p] {
+                    0 => i64::MIN + inset + (ps - lo),
+                    1 => ps,
+                    _ => i64::MAX - inset - (hi - ps),
+                });
+            }
+        }
+        let lmin = UniformLatency(Dur::from_us(lmin_us));
+        let l = i128::from(Dur::from_us(lmin_us).as_ps());
+        let at = |id: EventId| i128::from(t.procs[id.p()].events[id.i()].time.as_ps());
+
+        let matching = match_messages(&t);
+        let insts = match_collectives(&t).expect("one allreduce");
+        let (mut violated, mut reversed) = (0, 0);
+        for m in &matching.messages {
+            let transfer = at(m.recv) - at(m.send);
+            violated += usize::from(transfer < l);
+            reversed += usize::from(transfer < l && transfer < 0);
+        }
+        let (mut logical, mut logical_violated, mut logical_reversed) = (0, 0, 0);
+        for a in &insts[0].members {
+            for b in insts[0].members.iter().filter(|b| b.rank != a.rank) {
+                let transfer = at(b.end) - at(a.begin);
+                logical += 1;
+                logical_violated += usize::from(transfer < l);
+                logical_reversed += usize::from(transfer < l && transfer < 0);
+            }
+        }
+        let exact = (violated, reversed, logical, logical_violated, logical_reversed);
+
+        let cols = TraceColumns::gather(&t);
+        let lens: Vec<usize> = t.procs.iter().map(|pt| pt.events.len()).collect();
+        let plan = CensusPlan::build(&lens, &matching.messages, &insts, &lmin).expect("fits");
+        let (p2p, coll) = (plan.p2p_census(plan.flat_of(&cols)), plan.collective_census(plan.flat_of(&cols)));
+        let reference_p2p = check_p2p_messages_at(&cols, &matching.messages, &lmin);
+        let reference_coll = check_collectives_at(&cols, &insts, &lmin);
+        let counts = |p2p: &P2pReport, coll: &CollReport| {
+            (p2p.violations.len(), p2p.reversed, coll.logical_total, coll.logical_violated, coll.logical_reversed)
+        };
+        prop_assert_eq!(counts(&p2p, &coll), exact, "plan census");
+        prop_assert_eq!(counts(&reference_p2p, &reference_coll), exact, "reference census");
+        prop_assert_eq!(&p2p.violations, &reference_p2p.violations);
+
+        let n = t.n_procs();
+        let cfg = drift_lab::clocksync::PipelineConfig { presync: PreSync::None, clc: None, ..Default::default() };
+        let rep = drift_lab::clocksync::synchronize(&mut t, &vec![None; n], None, &lmin, &cfg).unwrap();
+        prop_assert_eq!(counts(&rep.raw.p2p, &rep.raw.coll), exact, "pipeline census");
     }
 }
 
