@@ -15,8 +15,7 @@ use rand::{Rng, SeedableRng};
 use simclock::{Dur, Time};
 use std::time::{Duration, Instant};
 use tracefmt::{
-    check_collectives, check_p2p, match_collectives, match_messages, CensusPlan, EventKind,
-    Rank, Tag, Trace, TraceColumns, UniformLatency,
+    check_collectives, check_p2p, Capture, CensusPlan, EventKind, Rank, Tag, Trace, TraceColumns, UniformLatency,
 };
 
 const PROCS: usize = 16;
@@ -113,8 +112,8 @@ fn main() {
     // columnar kernels (event offsets and l_min bounds frozen once into
     // flat check lanes, then chunked branchless/AVX2 passes gathering
     // straight from the columns' timestamp slab — zero copies per round).
-    let matching = match_messages(&presynced);
-    let insts = match_collectives(&presynced).expect("well-formed");
+    let (matching, insts) = Capture::of(&presynced).finish();
+    let insts = insts.expect("well-formed");
     let cols = TraceColumns::gather(&presynced);
     let plan = CensusPlan::for_columns(&cols, &matching.messages, &insts, &lmin)
         .expect("plan builds");

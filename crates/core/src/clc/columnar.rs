@@ -365,14 +365,13 @@ fn backward_pass_csr(
 mod tests {
     use super::*;
     use crate::clc::{fixtures, ClcParams};
-    use tracefmt::{match_collectives, match_messages, MinLatency, Trace, UniformLatency};
+    use tracefmt::{Capture, MinLatency, Trace, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
 
     fn graph_of(t: &Trace) -> DepGraph {
-        let matching = match_messages(t);
-        let insts = match_collectives(t).unwrap();
-        DepGraph::from_trace(t, &matching, &insts, &LMIN)
+        let (matching, insts) = Capture::of(t).finish();
+        DepGraph::from_trace(t, &matching, &insts.unwrap(), &LMIN)
     }
 
     #[test]
@@ -435,8 +434,8 @@ mod tests {
         for (procs, rounds, lmin) in cases {
             let ctx = format!("{procs}x{rounds}");
             let base = fixtures::mixed_trace(procs, rounds);
-            let matching = match_messages(&base);
-            let insts = match_collectives(&base).unwrap();
+            let (matching, insts) = Capture::of(&base).finish();
+            let insts = insts.unwrap();
             for backward in [true, false] {
                 let params = ClcParams { backward, ..ClcParams::default() };
                 let graph = DepGraph::from_trace(&base, &matching, &insts, lmin);

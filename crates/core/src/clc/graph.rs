@@ -692,14 +692,13 @@ impl CollPass {
 mod tests {
     use super::super::fixtures;
     use super::*;
-    use tracefmt::{match_collectives, match_messages, EventKind, Rank, Tag, UniformLatency};
+    use tracefmt::{Capture, EventKind, Rank, Tag, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
 
     fn graph_of(trace: &Trace) -> DepGraph {
-        let matching = match_messages(trace);
-        let insts = match_collectives(trace).unwrap();
-        DepGraph::from_trace(trace, &matching, &insts, &LMIN)
+        let (matching, insts) = Capture::of(trace).finish();
+        DepGraph::from_trace(trace, &matching, &insts.unwrap(), &LMIN)
     }
 
     #[test]
@@ -747,8 +746,9 @@ mod tests {
                 );
             }
         }
-        let insts = match_collectives(&t).unwrap();
-        let g = DepGraph::from_trace(&t, &match_messages(&t), &insts, &LMIN);
+        let (matching, insts) = Capture::of(&t).finish();
+        let insts = insts.unwrap();
+        let g = DepGraph::from_trace(&t, &matching, &insts, &LMIN);
 
         let events = g.n_events();
         assert_eq!(events, 2 * k * ops.len());

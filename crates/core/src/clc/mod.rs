@@ -56,7 +56,7 @@ pub mod graph;
 pub mod pomp;
 
 use simclock::Dur;
-use tracefmt::{match_collectives, match_messages, EventId, MinLatency, Trace, TraceColumns};
+use tracefmt::{Capture, EventId, MinLatency, Trace, TraceColumns};
 
 /// Tuning of the CLC.
 #[derive(Debug, Clone, Copy)]
@@ -177,8 +177,8 @@ pub fn controlled_logical_clock(
 /// the graph the kernels walk, `lmin` baked into its edges. Matching reads
 /// event order and kinds only, so the graph outlives any timestamp rewrite.
 pub(crate) fn lower(trace: &Trace, lmin: &dyn MinLatency) -> Result<graph::DepGraph, ClcError> {
-    let matching = match_messages(trace);
-    let instances = match_collectives(trace).map_err(ClcError::BadCollectives)?;
+    let (matching, instances) = Capture::of(trace).finish();
+    let instances = instances.map_err(ClcError::BadCollectives)?;
     graph::DepGraph::try_build(&matching, &instances, &proc_lens(trace), lmin)
         .map_err(|e| ClcError::BadCollectives(e.to_string()))
 }
@@ -290,8 +290,8 @@ mod tests {
     use super::*;
     use simclock::Time;
     use tracefmt::{
-        check_collectives, check_p2p, match_collectives as mc, match_messages as mm, CollOp,
-        CommId, EventKind, Rank, RegionId, Tag, UniformLatency,
+        check_collectives, check_p2p, CollOp, CommId, EventKind, Rank, RegionId, Tag,
+        UniformLatency,
     };
 
     fn us(n: i64) -> Time {
@@ -301,10 +301,10 @@ mod tests {
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000)); // 4 µs
 
     fn assert_condition_holds(trace: &Trace) {
-        let m = mm(trace);
+        let (m, insts) = Capture::of(trace).finish();
         let r = check_p2p(trace, &m, &LMIN);
         assert!(r.violations.is_empty(), "p2p violations remain: {r:?}");
-        let insts = mc(trace).unwrap();
+        let insts = insts.unwrap();
         let c = check_collectives(trace, &insts, &LMIN);
         assert_eq!(c.logical_violated, 0, "collective violations remain");
     }

@@ -49,8 +49,8 @@ use std::sync::Arc;
 use std::time::Instant;
 use tracefmt::io::{CodecError, StreamDecoder, TraceBuilder};
 use tracefmt::{
-    match_collectives, match_messages, CensusPlan, CollReport, CollectiveInstance, LatencyTable,
-    Matching, MinLatency, P2pReport, Rank, Trace, TraceColumns,
+    Capture, CensusPlan, CollReport, CollectiveInstance, LatencyTable, Matching, MinLatency,
+    P2pReport, Rank, Trace, TraceColumns,
 };
 
 /// Which pre-synchronisation to apply.
@@ -178,12 +178,11 @@ pub struct TraceAnalysis {
 }
 
 impl TraceAnalysis {
-    /// Reconstruct the communication structure of `trace`.
+    /// Reconstruct the communication structure of `trace`, reading each
+    /// event once.
     pub fn capture(trace: &Trace) -> Result<Self, String> {
-        Ok(TraceAnalysis {
-            matching: match_messages(trace),
-            instances: match_collectives(trace)?,
-        })
+        let (matching, instances) = Capture::of(trace).finish();
+        Ok(TraceAnalysis { matching, instances: instances? })
     }
 
     /// [`capture`](Self::capture) straight from a `DTC2`/`DTC3` stream

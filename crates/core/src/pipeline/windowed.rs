@@ -68,10 +68,7 @@ use tracefmt::io::{
     decode_block_kinds, decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter,
     StreamIndex,
 };
-use tracefmt::{
-    assemble_collective_instances, group_calls_by_comm, CollectiveScanner, EventId, EventKind,
-    Location, MessageMatcher, MinLatency, Rank,
-};
+use tracefmt::{Capture, EventId, EventKind, Location, MinLatency, Rank};
 
 /// A finalized-chunk consumer for the streaming entry point: called with
 /// `(index, chunk)` in dense order; returning `false` aborts the run.
@@ -286,43 +283,31 @@ impl Source<'_> {
 
 /// Reconstruct the communication structure straight from the indexed
 /// stream: the streamed twin of [`TraceAnalysis::capture`], feeding the
-/// same order-based matcher and scanner block by block — one decode per
-/// block, timelines in order — so the analysis is bit-identical to the
-/// batch analysis of the decoded trace.
+/// same one-scan [`Capture`] block by block — one decode per block,
+/// timelines in order — so the analysis, and any error in it, is
+/// bit-identical to the batch analysis of the decoded trace.
 pub(super) fn capture_analysis_streamed(
     index: &StreamIndex,
     store: &ChunkStore,
 ) -> Result<TraceAnalysis, PipelineError> {
-    let n = index.locations.len();
-    let mut matcher = MessageMatcher::new();
-    let mut per_timeline = Vec::with_capacity(n);
+    let ranks = index.locations.iter().map(|l| l.rank);
+    let mut capture = Capture::new(ranks, index.n_events() as usize);
     let mut scratch = Vec::new();
     let mut kinds: Vec<EventKind> = Vec::new();
-
-    for p in 0..n {
-        let rank = index.locations[p].rank;
-        let mut scanner = CollectiveScanner::new(p, rank);
-        for &bidx in &index.proc_blocks[p] {
+    for (p, blocks) in index.proc_blocks.iter().enumerate() {
+        for &bidx in blocks {
             let bm = &index.blocks[bidx as usize];
             kinds.clear();
             let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
             decode_block_kinds(index.version, payload, bm.n_events as usize, &mut kinds)
                 .map_err(PipelineError::Codec)?;
             for (j, kind) in kinds.iter().enumerate() {
-                let i = bm.first_idx as usize + j;
-                matcher.feed(rank, p, i, kind);
-                scanner.feed(i, kind).map_err(PipelineError::BadTrace)?;
+                capture.feed(p, bm.first_idx as usize + j, kind);
             }
         }
-        per_timeline.push(scanner.finish());
     }
-    let mut instances = Vec::new();
-    for (comm, lists) in group_calls_by_comm(per_timeline) {
-        instances.extend(
-            assemble_collective_instances(comm, &lists).map_err(PipelineError::BadTrace)?,
-        );
-    }
-    Ok(TraceAnalysis { matching: matcher.finish(), instances })
+    let (matching, instances) = capture.finish();
+    Ok(TraceAnalysis { matching, instances: instances.map_err(PipelineError::BadTrace)? })
 }
 
 /// One forward sweep of the windowed engine: per-timeline frontiers over

@@ -15,7 +15,7 @@ use clocksync::{
 };
 use std::time::Instant;
 use tracefmt::{
-    check_collectives, check_p2p, match_collectives, match_messages, MinLatency, Trace,
+    check_collectives, check_p2p, match_collectives, match_messages, Capture, MinLatency, Trace,
 };
 
 /// Result of one method.
@@ -41,9 +41,9 @@ fn distortion(raw: &Trace, corrected: &Trace) -> f64 {
 }
 
 fn census(trace: &Trace, lmin: &dyn MinLatency) -> (usize, f64) {
-    let m = match_messages(trace);
+    let (m, insts) = Capture::of(trace).finish();
     let p2p = check_p2p(trace, &m, lmin);
-    let insts = match_collectives(trace).expect("well-formed");
+    let insts = insts.expect("well-formed");
     let coll = check_collectives(trace, &insts, lmin);
     let total = p2p.total + coll.logical_total;
     let bad = p2p.violations.len() + coll.logical_violated;

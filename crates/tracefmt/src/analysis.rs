@@ -10,10 +10,10 @@
 //! so corrupted clocks cannot corrupt the structure.
 
 use crate::event::{CollOp, EventKind};
-use crate::ids::{CommId, EventId, Rank, RegionId, Tag};
+use crate::ids::{CommId, EventId, Rank, RegionId};
 use crate::trace::Trace;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// A matched point-to-point message: its send and receive events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,226 +49,6 @@ impl Matching {
     }
 }
 
-/// One side (sends or receives) of the point-to-point traffic as the
-/// matcher stores it: parallel columns in feed order. `pairs` holds the
-/// complete `(from, to)` — the event names its peer, the timeline supplies
-/// the other end.
-#[derive(Debug, Default)]
-struct MsgRecords {
-    ids: Vec<EventId>,
-    pairs: Vec<(Rank, Rank)>,
-    tags: Vec<u32>,
-}
-
-impl MsgRecords {
-    fn push(&mut self, id: EventId, from: Rank, to: Rank, tag: Tag) {
-        self.ids.push(id);
-        self.pairs.push((from, to));
-        self.tags.push(tag.0);
-    }
-}
-
-/// "No partner" in the ordinal tables; record counts stay below it.
-const NONE: u32 = u32::MAX;
-
-/// Per-event message matcher: the streaming face of [`match_messages`].
-/// [`feed`] it every event once, in `(timeline, index)` order; [`finish`]
-/// yields the [`Matching`] of the whole.
-///
-/// Sort-based and hash-free: both sides are grouped by `(from, to)` with a
-/// stable counting sort over compacted ranks, so every table is sized by
-/// the record count — never by a rank or tag value, never by ranks². Inside
-/// a pair, sends and receives zip positionally when their tag sequences
-/// agree (which *is* per-tag FIFO: the k-th receive of a tag sits where the
-/// k-th send of that tag sits); when they do not, both sides are stably
-/// sorted by tag first and zip per tag.
-///
-/// [`feed`]: MessageMatcher::feed
-/// [`finish`]: MessageMatcher::finish
-#[derive(Debug, Default)]
-pub struct MessageMatcher {
-    sends: MsgRecords,
-    /// Payload size per send, parallel to `sends`.
-    send_bytes: Vec<u64>,
-    recvs: MsgRecords,
-}
-
-impl MessageMatcher {
-    /// Fresh matcher with no records.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feed event `i` of timeline `p`, whose location rank is `rank`.
-    /// Kinds other than `Send`/`Recv` are ignored.
-    #[inline]
-    pub fn feed(&mut self, rank: Rank, p: usize, i: usize, kind: &EventKind) {
-        match *kind {
-            EventKind::Send { to, tag, bytes } => {
-                self.sends.push(EventId::new(p, i), rank, to, tag);
-                self.send_bytes.push(bytes);
-            }
-            EventKind::Recv { from, tag, .. } => {
-                self.recvs.push(EventId::new(p, i), from, rank, tag)
-            }
-            _ => {}
-        }
-    }
-
-    /// Match the records fed so far. Partners are written into per-record
-    /// ordinal slots and read back in feed order, so `messages` and
-    /// `unmatched_recvs` come out in receive order and `unmatched_sends`
-    /// in send order — what draining per-`(from, to, tag)` FIFO queues
-    /// receive by receive produces — with no final sort.
-    pub fn finish(self) -> Matching {
-        let MessageMatcher { sends, send_bytes, recvs } = self;
-        assert!(
-            sends.ids.len() < NONE as usize && recvs.ids.len() < NONE as usize,
-            "message records exceed the u32 ordinal space"
-        );
-        let ranks = RankIds::of(&sends.pairs, &recvs.pairs);
-        let mut s_ord = ranks.group_by_pair(&sends.pairs);
-        let mut r_ord = ranks.group_by_pair(&recvs.pairs);
-
-        // partner[r] = ordinal of the send that receive r consumes.
-        let mut partner = vec![NONE; recvs.ids.len()];
-        let mut consumed = vec![false; sends.ids.len()];
-        let (s_pair, r_pair) = (|s: u32| sends.pairs[s as usize], |r: u32| recvs.pairs[r as usize]);
-        let (mut si, mut ri) = (0, 0);
-        while si < s_ord.len() && ri < r_ord.len() {
-            let pair = s_pair(s_ord[si]);
-            match pair.cmp(&r_pair(r_ord[ri])) {
-                Ordering::Less => si += 1,
-                Ordering::Greater => ri += 1,
-                Ordering::Equal => {
-                    let s_end = si + s_ord[si..].partition_point(|&s| s_pair(s) == pair);
-                    let r_end = ri + r_ord[ri..].partition_point(|&r| r_pair(r) == pair);
-                    let (s, r) = (&mut s_ord[si..s_end], &mut r_ord[ri..r_end]);
-                    zip_pair(s, r, &sends.tags, &recvs.tags, |s, r| {
-                        partner[r as usize] = s;
-                        consumed[s as usize] = true;
-                    });
-                    (si, ri) = (s_end, r_end);
-                }
-            }
-        }
-
-        let mut out = Matching::default();
-        for (r, &s) in partner.iter().enumerate() {
-            if s == NONE {
-                out.unmatched_recvs.push(recvs.ids[r]);
-                continue;
-            }
-            let (send, recv, (from, to)) = (sends.ids[s as usize], recvs.ids[r], recvs.pairs[r]);
-            out.messages.push(MessageMatch { send, recv, from, to, bytes: send_bytes[s as usize] });
-        }
-        let unconsumed = sends.ids.iter().zip(&consumed).filter(|(_, &c)| !c);
-        out.unmatched_sends = unconsumed.map(|(&id, _)| id).collect();
-        out
-    }
-}
-
-/// Per-tag FIFO between the sends `s` and receives `r` of one rank pair
-/// (ordinals in feed order into the tag columns), calling
-/// `link(send, recv)` per match.
-fn zip_pair(
-    s: &mut [u32],
-    r: &mut [u32],
-    s_tags: &[u32],
-    r_tags: &[u32],
-    mut link: impl FnMut(u32, u32),
-) {
-    let (tag_s, tag_r) = (|s: u32| s_tags[s as usize], |r: u32| r_tags[r as usize]);
-    // Tag sequences that agree pair up position by position as they stand
-    // (the j-th receive of a tag sits where its j-th send sits); otherwise
-    // bring each tag's sends and receives together first, feed order kept.
-    if s.iter().zip(r.iter()).any(|(&s, &r)| tag_s(s) != tag_r(r)) {
-        s.sort_by_key(|&s| tag_s(s));
-        r.sort_by_key(|&r| tag_r(r));
-    }
-    let (mut a, mut b) = (0, 0);
-    while a < s.len() && b < r.len() {
-        match tag_s(s[a]).cmp(&tag_r(r[b])) {
-            Ordering::Less => a += 1,
-            Ordering::Greater => b += 1,
-            Ordering::Equal => {
-                link(s[a], r[b]);
-                (a, b) = (a + 1, b + 1);
-            }
-        }
-    }
-}
-
-/// Rank values compacted, order kept, to table indices bounded by the
-/// record count: ranks below `dense` index themselves, the rest — `sparse`,
-/// sorted — follow. A trace's ranks are normally `0..n` and all dense; a
-/// hostile `Rank(u32::MAX)` costs one `sparse` entry, not a table that big.
-struct RankIds {
-    dense: u32,
-    sparse: Vec<Rank>,
-}
-
-impl RankIds {
-    fn of(sends: &[(Rank, Rank)], recvs: &[(Rank, Rank)]) -> Self {
-        let ends = || sends.iter().chain(recvs).flat_map(|&(from, to)| [from, to]);
-        let above_all = ends().map(|r| u64::from(r.0) + 1).max().unwrap_or(0);
-        let dense = above_all.min(sends.len().max(recvs.len()) as u64) as u32;
-        let mut sparse: Vec<Rank> = ends().filter(|r| r.0 >= dense).collect();
-        sparse.sort_unstable();
-        sparse.dedup();
-        RankIds { dense, sparse }
-    }
-
-    fn index(&self, rank: Rank) -> usize {
-        if rank.0 < self.dense {
-            return rank.idx();
-        }
-        self.dense as usize + self.sparse.binary_search(&rank).expect("every rank was collected")
-    }
-
-    /// Ordinals of `pairs` grouped by `(from, to)` in ascending rank order,
-    /// feed order kept inside each group: an LSD pair of stable counting
-    /// passes (`to`, then `from`), each over one table of O(ranks)
-    /// counters — a single pass over a pair table would be O(ranks²).
-    fn group_by_pair(&self, pairs: &[(Rank, Rank)]) -> Vec<u32> {
-        let n_ids = self.dense as usize + self.sparse.len();
-        let pass = |input: &[u32], out: &mut [u32], end: fn(&(Rank, Rank)) -> Rank| {
-            let mut next = vec![0u32; n_ids + 1];
-            for pair in pairs {
-                next[self.index(end(pair)) + 1] += 1;
-            }
-            for k in 0..n_ids {
-                next[k + 1] += next[k];
-            }
-            for &i in input {
-                let slot = &mut next[self.index(end(&pairs[i as usize]))];
-                out[*slot as usize] = i;
-                *slot += 1;
-            }
-        };
-        let mut by_pair: Vec<u32> = (0..pairs.len() as u32).collect();
-        let mut by_to = vec![0u32; pairs.len()];
-        pass(&by_pair, &mut by_to, |pair| pair.1);
-        pass(&by_to, &mut by_pair, |pair| pair.0);
-        by_pair
-    }
-}
-
-/// Match sends to receives by (source, destination, tag) in FIFO order.
-///
-/// The trace's timelines are indexed by rank position in `trace.procs`;
-/// ranks referenced by `Send`/`Recv` events are resolved through each
-/// timeline's location.
-pub fn match_messages(trace: &Trace) -> Matching {
-    let mut m = MessageMatcher::new();
-    for (p, pt) in trace.procs.iter().enumerate() {
-        for (i, e) in pt.events.iter().enumerate() {
-            m.feed(pt.location.rank, p, i, &e.kind);
-        }
-    }
-    m.finish()
-}
-
 /// One member's participation in a collective instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CollMember {
@@ -301,184 +81,450 @@ impl CollectiveInstance {
     }
 }
 
-/// One collective call of one timeline, in call order — the unit a
-/// [`CollectiveScanner`] scans out and [`assemble_collective_instances`]
-/// zips into instances.
+/// "No record" for a receive's partner and "still open" for a call's end;
+/// record counts and event indices stay below it.
+const NONE: u32 = u32::MAX;
+
+/// Compact id of a peer rank no timeline carries: it never finds a partner.
+const NOBODY: u32 = u32::MAX >> 1;
+
+/// One send or receive as [`Capture`] keeps it: 24 bytes, in feed order.
 #[derive(Debug, Clone, Copy)]
-pub struct CollCall {
-    /// Rank of the calling timeline.
-    pub rank: Rank,
-    /// The call's `CollBegin` event.
-    pub begin: EventId,
-    /// The call's `CollEnd` event (`None` for a truncated trace).
-    pub end: Option<EventId>,
-    /// Which operation the caller recorded.
-    pub op: CollOp,
-    /// Root rank for rooted flavours.
-    pub root: Option<Rank>,
+struct MsgRec {
+    id: EventId,
+    /// Grouping key, side bit lowest (set on a receive): with counted
+    /// buckets `(from · ranks + to) · 2 + side`, else `peer · 2 + side`; a
+    /// peer no timeline carries is `NOBODY · 2 + side`.
+    key: u32,
+    tag: u32,
+    /// A send's payload size. On a receive, the record of the send it
+    /// matched once zipped; `NONE` until then.
+    aux: u64,
 }
 
-/// Per-event collective call scanner for one timeline: the streaming face
-/// of [`match_collectives`]' scan pass. Feed every event of timeline `p` in
-/// program order; [`finish`] yields the per-communicator call lists, ready
-/// for [`group_calls_by_comm`].
-///
-/// [`finish`]: CollectiveScanner::finish
+impl MsgRec {
+    #[inline]
+    fn is_recv(&self) -> bool {
+        self.key & 1 == 1
+    }
+}
+
+/// One collective call: the `k`-th its timeline made on the communicator
+/// of `slots[slot]`.
+#[derive(Debug, Clone, Copy)]
+struct CallRec {
+    slot: u32,
+    k: u32,
+    begin: EventId,
+    /// Index of its `CollEnd` on the caller's timeline; `NONE` while open.
+    end: u32,
+    op: CollOp,
+    root: Option<Rank>,
+}
+
+/// Where one communicator's calls stand on the timeline being fed: how
+/// many it made, and the one whose `CollEnd` is still to come; `most` is
+/// the most any timeline made, its instance count.
 #[derive(Debug)]
-pub struct CollectiveScanner {
-    p: usize,
-    rank: Rank,
-    /// Per communicator, in first-call order: its calls, and the position
-    /// of the one whose `CollEnd` is still to come.
-    comms: Vec<(CommId, Vec<CollCall>, Option<usize>)>,
-    /// Slot of the previous collective event. A run of calls on one
-    /// communicator — nearly every trace — resolves here without hashing;
-    /// `slot_of` is probed only on a switch, which keeps a hostile stream
-    /// of distinct communicators O(1) per event.
+struct CommSlot {
+    comm: CommId,
+    timeline: usize,
+    calls: u32,
+    open: Option<usize>,
+    most: u32,
+}
+
+/// The communication structure of a trace, captured in one scan: matched
+/// point-to-point messages and collective instances. [`feed`] it every
+/// event once, in `(timeline, index)` order; [`finish`] yields both. Batch
+/// ([`Capture::of`]) and streamed callers feed the same scan, so their
+/// results are equal field for field, errors included. Sends and receives
+/// are grouped per rank pair by counting sorts over compact rank ids and
+/// zip per-tag FIFO; DESIGN §9.1 has the record layout and the bounds.
+///
+/// [`feed`]: Capture::feed
+/// [`finish`]: Capture::finish
+#[derive(Debug)]
+pub struct Capture {
+    /// The timelines' ranks, sorted and deduplicated: compact id → rank.
+    ranks: Vec<Rank>,
+    /// `ranks` is `0..ranks.len()`: a rank is its own id.
+    identity: bool,
+    /// Compact rank id of each timeline.
+    own: Vec<u32>,
+    /// Records per `(from, to, side)` bucket; `None` past the bound.
+    counts: Option<Vec<u32>>,
+    msgs: Vec<MsgRec>,
+    n_recvs: usize,
+    calls: Vec<CallRec>,
+    /// Per communicator, in first-call order. A run of calls on one
+    /// communicator resolves through `last` without hashing; `slot_of` is
+    /// probed only on a switch, so a hostile stream of distinct
+    /// communicators stays O(1) per event.
+    slots: Vec<CommSlot>,
     last: usize,
     slot_of: HashMap<CommId, usize>,
+    /// The first malformed collective met; calls after it are not kept.
+    coll_err: Option<String>,
 }
 
-impl CollectiveScanner {
-    /// Scanner for timeline `p` whose location rank is `rank`.
-    pub fn new(p: usize, rank: Rank) -> Self {
-        Self { p, rank, comms: Vec::new(), last: 0, slot_of: HashMap::new() }
+impl Capture {
+    /// An empty capture for timelines of the given ranks, in timeline
+    /// order. `n_events`, the trace's event count, sizes the record column
+    /// and bounds the bucket table; feeding more is correct, only slower.
+    pub fn new(ranks: impl IntoIterator<Item = Rank>, n_events: usize) -> Self {
+        let timeline_ranks: Vec<Rank> = ranks.into_iter().collect();
+        let mut ranks = timeline_ranks.clone();
+        ranks.sort_unstable();
+        ranks.dedup();
+        let u = ranks.len();
+        assert!(u < NOBODY as usize, "more distinct ranks than compact ids");
+        let counted = 2 * u * u <= n_events && n_events < NOBODY as usize;
+        let mut capture = Capture {
+            identity: ranks.last().is_none_or(|r| r.idx() + 1 == u),
+            ranks,
+            own: Vec::new(),
+            counts: counted.then(|| zeroed(2 * u * u)),
+            msgs: Vec::with_capacity(n_events),
+            n_recvs: 0,
+            calls: Vec::new(),
+            slots: Vec::new(),
+            last: 0,
+            slot_of: HashMap::new(),
+            coll_err: None,
+        };
+        capture.own = timeline_ranks.iter().map(|&r| capture.id_of(r)).collect();
+        capture
     }
 
-    /// Feed event `i` of the timeline. Errors on a `CollEnd` with no open
-    /// `CollBegin` on the same communicator.
-    pub fn feed(&mut self, i: usize, kind: &EventKind) -> Result<(), String> {
-        let (EventKind::CollBegin { comm, .. } | EventKind::CollEnd { comm, .. }) = *kind else {
-            return Ok(());
-        };
-        if self.comms.get(self.last).is_none_or(|slot| slot.0 != comm) {
-            self.last = *self.slot_of.entry(comm).or_insert(self.comms.len());
-            if self.last == self.comms.len() {
-                self.comms.push((comm, Vec::new(), None));
+    /// Capture every event of `trace`.
+    pub fn of(trace: &Trace) -> Self {
+        let ranks = trace.procs.iter().map(|pt| pt.location.rank);
+        let mut capture = Capture::new(ranks, trace.n_events());
+        for (p, pt) in trace.procs.iter().enumerate() {
+            for (i, e) in pt.events.iter().enumerate() {
+                capture.feed(p, i, &e.kind);
             }
         }
-        let (_, calls, open) = &mut self.comms[self.last];
-        let id = EventId::new(self.p, i);
-        if let EventKind::CollBegin { op, root, .. } = *kind {
-            *open = Some(calls.len());
-            calls.push(CollCall { rank: self.rank, begin: id, end: None, op, root });
+        capture
+    }
+
+    /// Compact id of `rank`, or `NOBODY` when no timeline carries it.
+    #[inline]
+    fn id_of(&self, rank: Rank) -> u32 {
+        let id = if self.identity {
+            (rank.idx() < self.ranks.len()).then_some(rank.idx())
         } else {
-            // Taking the slot closes the call: a second end is an error,
-            // not a rewrite of the first.
-            let p = self.p;
-            let call = open.take().ok_or_else(|| format!("CollEnd without CollBegin at proc {p}"))?;
-            calls[call].end = Some(id);
+            self.ranks.binary_search(&rank).ok()
+        };
+        id.map_or(NOBODY, |id| id as u32)
+    }
+
+    /// Feed event `i` of timeline `p`. Kinds other than messages and
+    /// collective calls are ignored.
+    #[inline]
+    pub fn feed(&mut self, p: usize, i: usize, kind: &EventKind) {
+        let (peer, side, tag, aux) = match *kind {
+            EventKind::Send { to, tag, bytes } => (to, 0, tag, bytes),
+            EventKind::Recv { from, tag, .. } => {
+                self.n_recvs += 1;
+                (from, 1, tag, u64::from(NONE))
+            }
+            EventKind::CollBegin { .. } | EventKind::CollEnd { .. } if self.coll_err.is_none() => {
+                if let Err(e) = self.feed_call(p, i, kind) {
+                    self.coll_err = Some(e);
+                }
+                return;
+            }
+            _ => return,
+        };
+        let peer = self.id_of(peer);
+        let key = match &mut self.counts {
+            Some(counts) if peer != NOBODY => {
+                let (own, u) = (self.own[p], self.ranks.len() as u32);
+                let (from, to) = if side == 1 { (peer, own) } else { (own, peer) };
+                let key = (from * u + to) << 1 | side;
+                counts[key as usize] += 1;
+                key
+            }
+            _ => peer << 1 | side,
+        };
+        self.msgs.push(MsgRec { id: EventId::new(p, i), key, tag: tag.0, aux });
+    }
+
+    /// Open or close a collective call on its communicator. Errors on a
+    /// `CollEnd` with no open call there, or of another op than its begin.
+    fn feed_call(&mut self, p: usize, i: usize, kind: &EventKind) -> Result<(), String> {
+        let (EventKind::CollBegin { op, comm, root, .. } | EventKind::CollEnd { op, comm, root, .. }) =
+            *kind
+        else {
+            unreachable!("only collective events are fed here");
+        };
+        if self.slots.get(self.last).is_none_or(|slot| slot.comm != comm) {
+            self.last = *self.slot_of.entry(comm).or_insert(self.slots.len());
+            if self.last == self.slots.len() {
+                self.slots.push(CommSlot { comm, timeline: p, calls: 0, open: None, most: 0 });
+            }
         }
+        let slot = &mut self.slots[self.last];
+        if slot.timeline != p {
+            (slot.timeline, slot.calls, slot.open) = (p, 0, None);
+        }
+        if let EventKind::CollBegin { .. } = kind {
+            slot.open = Some(self.calls.len());
+            let (slot_at, begin) = (self.last as u32, EventId::new(p, i));
+            self.calls.push(CallRec { slot: slot_at, k: slot.calls, begin, end: NONE, op, root });
+            slot.calls += 1;
+            slot.most = slot.most.max(slot.calls);
+            return Ok(());
+        }
+        // Taking the slot closes the call: a second end is an error, not a
+        // rewrite of the first.
+        let call = slot.open.take().ok_or_else(|| format!("CollEnd without CollBegin at proc {p}"))?;
+        let call = &mut self.calls[call];
+        if op != call.op {
+            return Err(format!("collective #{} on {comm}: op mismatch {:?} vs {op:?}", call.k, call.op));
+        }
+        call.end = i as u32;
         Ok(())
     }
 
-    /// The per-communicator call lists, in first-call order.
-    pub fn finish(self) -> Vec<(CommId, Vec<CollCall>)> {
-        self.comms.into_iter().map(|(comm, calls, _)| (comm, calls)).collect()
+    /// The matching, and the collective instances or the first reason the
+    /// calls do not form them.
+    pub fn finish(mut self) -> (Matching, Result<Vec<CollectiveInstance>, String>) {
+        let instances = if let Some(e) = self.coll_err.take() { Err(e) } else { self.assemble() };
+        // The calls' memory goes back before the matching takes its own.
+        self.calls = Vec::new();
+        (self.into_matching(), instances)
     }
-}
 
-/// Scan timeline `p` for collective calls, grouped per communicator in
-/// call order. Errors on a `CollEnd` with no open `CollBegin` on the same
-/// communicator.
-fn collect_collective_calls(
-    trace: &Trace,
-    p: usize,
-) -> Result<Vec<(CommId, Vec<CollCall>)>, String> {
-    let pt = &trace.procs[p];
-    let mut scanner = CollectiveScanner::new(p, pt.location.rank);
-    for (i, e) in pt.events.iter().enumerate() {
-        scanner.feed(i, &e.kind)?;
-    }
-    Ok(scanner.finish())
-}
-
-/// Regroup every timeline's scan result (`per_timeline[p]` is timeline
-/// `p`'s) per communicator, in communicator order, into the `lists`
-/// [`assemble_collective_instances`] takes.
-pub fn group_calls_by_comm(
-    per_timeline: Vec<Vec<(CommId, Vec<CollCall>)>>,
-) -> BTreeMap<CommId, Vec<Vec<CollCall>>> {
-    let n = per_timeline.len();
-    let mut by_comm = BTreeMap::new();
-    for (p, calls) in per_timeline.into_iter().enumerate() {
-        for (comm, list) in calls {
-            by_comm.entry(comm).or_insert_with(|| vec![Vec::new(); n])[p] = list;
-        }
-    }
-    by_comm
-}
-
-/// Zip the per-timeline call lists of one communicator into instances:
-/// the k-th call of every participating timeline belongs to instance k.
-/// `lists[p]` is timeline `p`'s call list (empty for non-participants).
-pub fn assemble_collective_instances(
-    comm: CommId,
-    lists: &[Vec<CollCall>],
-) -> Result<Vec<CollectiveInstance>, String> {
-    let participating: Vec<usize> = (0..lists.len()).filter(|&p| !lists[p].is_empty()).collect();
-    let n_calls = participating
-        .iter()
-        .map(|&p| lists[p].len())
-        .max()
-        .unwrap_or(0);
-    let mut out = Vec::with_capacity(n_calls);
-    for k in 0..n_calls {
-        let mut members = Vec::new();
-        let mut op: Option<CollOp> = None;
-        let mut root: Option<Rank> = None;
-        for &p in &participating {
-            let Some(call) = lists[p].get(k) else {
-                return Err(format!("rank at proc {p} missing collective #{k} on {comm}"));
-            };
-            match op {
-                None => {
-                    op = Some(call.op);
-                    root = call.root;
-                }
-                Some(o) if o != call.op => {
-                    return Err(format!(
-                        "collective #{k} on {comm}: op mismatch {o:?} vs {:?}",
-                        call.op
-                    ));
-                }
-                _ => {}
+    /// Group the records, zip each pair, then sweep them in feed order:
+    /// `messages` and `unmatched_recvs` come out in receive order and
+    /// `unmatched_sends` in send order — what draining per-`(from, to, tag)`
+    /// FIFO queues receive by receive produces — with no final sort.
+    fn into_matching(self) -> Matching {
+        let Capture { ranks, own, counts, mut msgs, n_recvs, .. } = self;
+        assert!(msgs.len() < NONE as usize, "message records exceed the u32 ordinal space");
+        let u = ranks.len();
+        let known = (0..msgs.len() as u32).filter(|&k| msgs[k as usize].key >> 1 != NOBODY);
+        // Grouped records, and where each bucket starts when counted.
+        let (mut order, starts) = match counts {
+            Some(counts) => {
+                let (order, starts) = counting_sort(known, |k| msgs[k as usize].key as usize, counts);
+                (order, Some(starts))
             }
-            let end = call.end.ok_or_else(|| {
-                format!("collective #{k} on {comm}: missing CollEnd at proc {p}")
-            })?;
-            members.push(CollMember {
-                rank: call.rank,
-                begin: call.begin,
-                end,
-            });
+            None => {
+                let rec = |k: u32| &msgs[k as usize];
+                let by_to = |k| pair_of(rec(k), &own).1 as usize * 2 + usize::from(rec(k).is_recv());
+                let (by_to, _) = counting_sort(known.clone(), by_to, tally(known, by_to, 2 * u));
+                let by_from = |k| pair_of(rec(k), &own).0 as usize;
+                let counts = tally(by_to.iter().copied(), by_from, u);
+                (counting_sort(by_to.iter().copied(), by_from, counts).0, None)
+            }
+        };
+
+        let mut consumed = vec![0u64; msgs.len().div_ceil(64)];
+        let mut matched = 0;
+        match starts {
+            // Bucket 2·pair holds the pair's sends, 2·pair + 1 its receives.
+            Some(starts) => {
+                for pair in 0..u * u {
+                    let [s, r, end] = [0, 1, 2].map(|j| starts[2 * pair + j] as usize);
+                    if s < r && r < end {
+                        matched += zip_pair(&mut order[s..end], r - s, &mut msgs, &mut consumed);
+                    }
+                }
+            }
+            // Runs of one `(from, to)`, sends first.
+            None => {
+                let mut a = 0;
+                while a < order.len() {
+                    let pair = |k: &u32| pair_of(&msgs[*k as usize], &own);
+                    let run = pair(&order[a]);
+                    let end = a + order[a..].iter().take_while(|k| pair(k) == run).count();
+                    let sends = order[a..end].iter().take_while(|&&k| !msgs[k as usize].is_recv());
+                    let sends = sends.count();
+                    matched += zip_pair(&mut order[a..end], sends, &mut msgs, &mut consumed);
+                    a = end;
+                }
+            }
         }
-        out.push(CollectiveInstance {
-            op: op.expect("non-empty instance"),
-            comm,
-            root,
-            members,
-        });
+        drop(order);
+
+        let mut out = Matching {
+            messages: Vec::with_capacity(matched),
+            unmatched_sends: Vec::with_capacity(msgs.len() - n_recvs - matched),
+            unmatched_recvs: Vec::with_capacity(n_recvs - matched),
+        };
+        let rank = |id: EventId| ranks[own[id.p()] as usize];
+        for (k, rec) in msgs.iter().enumerate() {
+            if !rec.is_recv() {
+                if consumed[k / 64] >> (k % 64) & 1 == 0 {
+                    out.unmatched_sends.push(rec.id);
+                }
+            } else if rec.aux == u64::from(NONE) {
+                out.unmatched_recvs.push(rec.id);
+            } else {
+                let send = &msgs[rec.aux as usize];
+                let (from, to) = (rank(send.id), rank(rec.id));
+                let bytes = send.aux;
+                out.messages.push(MessageMatch { send: send.id, recv: rec.id, from, to, bytes });
+            }
+        }
+        out
     }
-    Ok(out)
+
+    /// Zip the calls into instances: within one communicator, the k-th call
+    /// of every participating timeline belongs to instance k (MPI requires
+    /// all ranks of a communicator to issue collectives in the same order),
+    /// and every member must name the same op and root. Instances come out
+    /// per communicator in id order, each in call order.
+    fn assemble(&self) -> Result<Vec<CollectiveInstance>, String> {
+        let mut by_comm: Vec<usize> = (0..self.slots.len()).collect();
+        by_comm.sort_unstable_by_key(|&s| self.slots[s].comm);
+        // Instance `first[slot] + k` gathers the k-th calls on that slot's
+        // communicator; one counting sort groups them, timelines in order.
+        let mut first = vec![0; self.slots.len()];
+        let mut n = 0;
+        for &s in &by_comm {
+            (first[s], n) = (n, n + self.slots[s].most as usize);
+        }
+        let call = |c: &u32| &self.calls[*c as usize];
+        let instance = |c: u32| first[call(&c).slot as usize] + call(&c).k as usize;
+        let calls = 0..self.calls.len() as u32;
+        let (order, starts) = counting_sort(calls.clone(), instance, tally(calls, instance, n));
+        let group = |i: usize| order[starts[i] as usize..starts[i + 1] as usize].iter().map(call);
+        let mut out = Vec::with_capacity(n);
+        for &s in &by_comm {
+            let comm = self.slots[s].comm;
+            // The participants are the callers of instance 0.
+            let participants = || group(first[s]).map(|c| c.begin.proc);
+            for k in 0..self.slots[s].most {
+                let mut calls = group(first[s] + k as usize).peekable();
+                let (op, root) = calls.peek().map(|c| (c.op, c.root)).expect("an instance has a caller");
+                let mut members = Vec::with_capacity(participants().len());
+                for p in participants() {
+                    let Some(call) = calls.next_if(|c| c.begin.proc == p) else {
+                        return Err(format!("rank at proc {p} missing collective #{k} on {comm}"));
+                    };
+                    let at = || format!("collective #{k} on {comm}");
+                    if call.op != op {
+                        return Err(format!("{}: op mismatch {:?} vs {:?}", at(), op, call.op));
+                    }
+                    if call.root != root {
+                        return Err(format!("{}: root mismatch {:?} vs {:?}", at(), root, call.root));
+                    }
+                    if call.end == NONE {
+                        return Err(format!("{}: missing CollEnd at proc {p}", at()));
+                    }
+                    let rank = self.ranks[self.own[call.begin.p()] as usize];
+                    let end = EventId { proc: p, idx: call.end };
+                    members.push(CollMember { rank, begin: call.begin, end });
+                }
+                out.push(CollectiveInstance { op, comm, root, members });
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// `(from, to)` compact ids of a record keyed by its peer.
+#[inline]
+fn pair_of(rec: &MsgRec, own: &[u32]) -> (u32, u32) {
+    let (own, peer) = (own[rec.id.p()], rec.key >> 1);
+    if rec.is_recv() { (peer, own) } else { (own, peer) }
+}
+
+/// `width` zero counts, with one slot spare for the end [`counting_sort`]
+/// appends.
+fn zeroed(width: usize) -> Vec<u32> {
+    let mut counts = Vec::with_capacity(width + 1);
+    counts.resize(width, 0);
+    counts
+}
+
+/// Items per key (`< width`): the first half of a counting sort.
+fn tally(items: impl Iterator<Item = u32>, key: impl Fn(u32) -> usize, width: usize) -> Vec<u32> {
+    let mut counts = zeroed(width);
+    for i in items {
+        counts[key(i)] += 1;
+    }
+    counts
+}
+
+/// The second half of a stable counting sort: `items` ordered by `key`,
+/// feed order kept among equal keys, given each key's item count. Returns
+/// the order and where each key's run starts, plus the item count.
+fn counting_sort<I>(items: I, key: impl Fn(u32) -> usize, counts: Vec<u32>) -> (Vec<u32>, Vec<u32>)
+where
+    I: DoubleEndedIterator<Item = u32>,
+{
+    let mut at = counts;
+    let mut end = 0;
+    for slot in &mut at {
+        end += *slot;
+        *slot = end;
+    }
+    at.push(end);
+    let mut order = vec![0u32; end as usize];
+    // Back to front into the last free slot of each run: stable.
+    for i in items.rev() {
+        let slot = &mut at[key(i)];
+        *slot -= 1;
+        order[*slot as usize] = i;
+    }
+    (order, at)
+}
+
+/// Per-tag FIFO inside one rank pair's `group`: its first `sends` records
+/// are the sends, the rest the receives, each in feed order. Each receive
+/// records its send, each matched send is marked in the `consumed` bitset.
+/// Returns the number of matches.
+fn zip_pair(group: &mut [u32], sends: usize, msgs: &mut [MsgRec], consumed: &mut [u64]) -> usize {
+    let (s, r) = group.split_at_mut(sends);
+    let tag = |msgs: &[MsgRec], k: u32| msgs[k as usize].tag;
+    // Tag sequences that agree pair up position by position as they stand
+    // (the j-th receive of a tag sits where its j-th send sits); otherwise
+    // bring each tag's sends and receives together first, feed order kept.
+    if s.iter().zip(r.iter()).any(|(&s, &r)| tag(msgs, s) != tag(msgs, r)) {
+        s.sort_by_key(|&s| tag(msgs, s));
+        r.sort_by_key(|&r| tag(msgs, r));
+    }
+    let (mut a, mut b, mut matched) = (0, 0, 0);
+    while a < s.len() && b < r.len() {
+        match tag(msgs, s[a]).cmp(&tag(msgs, r[b])) {
+            Ordering::Less => a += 1,
+            Ordering::Greater => b += 1,
+            Ordering::Equal => {
+                let (send, recv) = (s[a] as usize, r[b] as usize);
+                msgs[recv].aux = send as u64;
+                consumed[send / 64] |= 1 << (send % 64);
+                (a, b, matched) = (a + 1, b + 1, matched + 1);
+            }
+        }
+    }
+    matched
+}
+
+/// Match sends to receives by (source, destination, tag) in FIFO order.
+///
+/// The trace's timelines are indexed by rank position in `trace.procs`;
+/// ranks referenced by `Send`/`Recv` events are resolved through each
+/// timeline's location.
+pub fn match_messages(trace: &Trace) -> Matching {
+    Capture::of(trace).finish().0
 }
 
 /// Reconstruct collective instances: within one communicator, the k-th
 /// collective call of every rank belongs to instance k (MPI requires all
 /// ranks of a communicator to issue collectives in the same order).
 ///
-/// Returns instances in per-communicator call order. Instances whose `op`
-/// differs across ranks indicate a malformed trace and are reported via
-/// `Err` with the instance index.
+/// Returns instances in per-communicator call order. A malformed trace —
+/// a `CollEnd` without its `CollBegin` or of another op, a missing call or
+/// end, members disagreeing on the op or the root — is reported via `Err`
+/// naming the communicator and the instance.
 pub fn match_collectives(trace: &Trace) -> Result<Vec<CollectiveInstance>, String> {
-    let per_timeline = (0..trace.n_procs())
-        .map(|p| collect_collective_calls(trace, p))
-        .collect::<Result<_, _>>()?;
-    let mut out = Vec::new();
-    for (comm, lists) in group_calls_by_comm(per_timeline) {
-        out.extend(assemble_collective_instances(comm, &lists)?);
-    }
-    Ok(out)
+    Capture::of(trace).finish().1
 }
 
 /// One thread's view of a parallel region instance (POMP model).
@@ -613,6 +659,7 @@ pub fn match_parallel_regions(trace: &Trace) -> Result<Vec<ParallelRegion>, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::Tag;
     use simclock::Time;
 
     fn us(n: i64) -> Time {

@@ -107,9 +107,13 @@ struct CheckLane {
 }
 
 impl CheckLane {
-    fn push(&mut self, from: u64, to: u64, bound: Dur) {
-        self.from.push(from as u32);
-        self.to.push(to as u32);
+    fn with_capacity(n: usize) -> Self {
+        CheckLane { from: Vec::with_capacity(n), to: Vec::with_capacity(n), bound: Vec::with_capacity(n) }
+    }
+
+    fn push(&mut self, from: u32, to: u32, bound: Dur) {
+        self.from.push(from);
+        self.to.push(to);
         self.bound.push(bound.as_ps());
     }
 
@@ -133,12 +137,12 @@ impl CheckLane {
 /// [`check_collectives_at`]: crate::violation::check_collectives_at
 #[derive(Debug, Clone)]
 pub struct CensusPlan {
-    /// Per-timeline event counts the plan was built against.
-    lens: Vec<u32>,
+    /// The trace shape the plan was built against: timeline `p`'s events
+    /// sit at `base[p]..base[p + 1]` of the flat array. A violation's event
+    /// ids are read back from its flat offsets through it.
+    base: Vec<u32>,
     /// Point-to-point checks, one per matched message, in message order.
     p2p: CheckLane,
-    /// Send/recv ids per message, for violation materialization.
-    p2p_ids: Vec<(EventId, EventId)>,
     /// The collective instances, as member rows and latency blocks.
     coll: Arc<CollTable>,
 }
@@ -170,33 +174,30 @@ impl CensusPlan {
         coll: Arc<CollTable>,
         lmin: &dyn MinLatency,
     ) -> Result<CensusPlan, PlanBuildError> {
-        let lens: Vec<u32> = timeline_lens.iter().map(|&l| l as u32).collect();
-        let mut proc_base = Vec::with_capacity(lens.len());
-        let mut base = 0u64;
-        for &l in &lens {
-            proc_base.push(base);
-            base += u64::from(l);
+        let mut base = Vec::with_capacity(timeline_lens.len() + 1);
+        let mut end = 0u64;
+        base.push(0);
+        for &len in timeline_lens {
+            end += len as u64;
+            if end > i32::MAX as u64 {
+                return Err(PlanBuildError::TraceTooLarge);
+            }
+            base.push(end as u32);
         }
-        if base > i32::MAX as u64 {
-            return Err(PlanBuildError::TraceTooLarge);
-        }
-        assert_eq!(coll.n_events() as u64, base, "plan/collective-table event count mismatch");
-        let locate = |id: EventId| -> Result<u64, PlanBuildError> {
-            if id.p() < lens.len() && id.idx < lens[id.p()] {
-                Ok(proc_base[id.p()] + u64::from(id.idx))
-            } else {
-                Err(PlanBuildError::EventOutOfRange(id))
+        assert_eq!(coll.n_events() as u64, end, "plan/collective-table event count mismatch");
+        let locate = |id: EventId| -> Result<u32, PlanBuildError> {
+            match (base.get(id.p()), base.get(id.p() + 1)) {
+                (Some(&start), Some(&end)) if id.idx < end - start => Ok(start + id.idx),
+                _ => Err(PlanBuildError::EventOutOfRange(id)),
             }
         };
 
-        let mut p2p = CheckLane::default();
-        let mut p2p_ids = Vec::with_capacity(messages.len());
+        let mut p2p = CheckLane::with_capacity(messages.len());
         for m in messages {
             p2p.push(locate(m.send)?, locate(m.recv)?, lmin.l_min(m.from, m.to));
-            p2p_ids.push((m.send, m.recv));
         }
 
-        Ok(CensusPlan { lens, p2p, p2p_ids, coll })
+        Ok(CensusPlan { base, p2p, coll })
     }
 
     /// [`build`](CensusPlan::build) against the shape of `cols`.
@@ -222,10 +223,13 @@ impl CensusPlan {
 
     /// Heap bytes the plan holds, its collective table included.
     pub fn heap_bytes(&self) -> usize {
-        4 * self.lens.len()
-            + self.p2p.len() * (4 + 4 + 8)
-            + self.p2p_ids.len() * std::mem::size_of::<(EventId, EventId)>()
-            + self.coll.heap_bytes()
+        4 * self.base.len() + self.p2p.len() * (4 + 4 + 8) + self.coll.heap_bytes()
+    }
+
+    /// The event at flat offset `at`.
+    fn event_at(&self, at: u32) -> EventId {
+        let p = self.base.partition_point(|&start| start <= at) - 1;
+        EventId::new(p, (at - self.base[p]) as usize)
     }
 
     /// Borrow the flat gather array of `cols` — the slab itself. Zero
@@ -235,9 +239,10 @@ impl CensusPlan {
     /// Panics when `cols` does not have the shape the plan was built for —
     /// a mismatched layout would silently census the wrong events.
     pub fn flat_of<'a>(&self, cols: &'a TraceColumns) -> &'a [i64] {
-        assert_eq!(cols.n_procs(), self.lens.len(), "plan/column timeline count mismatch");
+        assert_eq!(cols.n_procs() + 1, self.base.len(), "plan/column timeline count mismatch");
         for (p, col) in cols.iter().enumerate() {
-            assert_eq!(col.len() as u32, self.lens[p], "plan/column length mismatch on timeline {p}");
+            let len = self.base[p + 1] - self.base[p];
+            assert_eq!(col.len() as u32, len, "plan/column length mismatch on timeline {p}");
         }
         cols.flat()
     }
@@ -248,10 +253,11 @@ impl CensusPlan {
     /// # Panics
     /// Panics on a shape mismatch, like [`flat_of`](CensusPlan::flat_of).
     pub fn flatten_trace(&self, trace: &Trace) -> Vec<i64> {
-        assert_eq!(trace.procs.len(), self.lens.len(), "plan/trace timeline count mismatch");
-        let mut ps = Vec::with_capacity(self.lens.iter().map(|&l| l as usize).sum());
+        assert_eq!(trace.procs.len() + 1, self.base.len(), "plan/trace timeline count mismatch");
+        let mut ps = Vec::with_capacity(*self.base.last().expect("one base per timeline, plus the end") as usize);
         for (p, pt) in trace.procs.iter().enumerate() {
-            assert_eq!(pt.events.len() as u32, self.lens[p], "plan/trace length mismatch on timeline {p}");
+            let len = self.base[p + 1] - self.base[p];
+            assert_eq!(pt.events.len() as u32, len, "plan/trace length mismatch on timeline {p}");
             ps.extend(pt.events.iter().map(|e| e.time.as_ps()));
         }
         ps
@@ -277,13 +283,12 @@ impl CensusPlan {
             while bits != 0 {
                 let m = k + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (send, recv) = self.p2p_ids[m];
-                let (from, to) = (self.p2p.from[m] as usize, self.p2p.to[m] as usize);
+                let (from, to) = (self.p2p.from[m], self.p2p.to[m]);
                 report.violations.push(ViolatedMessage {
-                    send,
-                    recv,
-                    measured_transfer: Time::from_ps(times[to])
-                        .saturating_since(Time::from_ps(times[from])),
+                    send: self.event_at(from),
+                    recv: self.event_at(to),
+                    measured_transfer: Time::from_ps(times[to as usize])
+                        .saturating_since(Time::from_ps(times[from as usize])),
                     l_min: Dur::from_ps(self.p2p.bound[m]),
                 });
             }
@@ -667,8 +672,8 @@ mod tests {
             i64::MAX - 4_000_000, i64::MAX - 1, i64::MAX,
         ];
         let mut lane = CheckLane::default();
-        for from in 0..times.len() as u64 {
-            for to in 0..times.len() as u64 {
+        for from in 0..times.len() as u32 {
+            for to in 0..times.len() as u32 {
                 for bound in [-5, 0, 1, 4_000_000, i64::MAX] {
                     lane.push(from, to, Dur::from_ps(bound));
                 }

@@ -35,9 +35,8 @@ pub mod trace;
 pub mod violation;
 
 pub use analysis::{
-    assemble_collective_instances, group_calls_by_comm, match_collectives, match_messages, match_parallel_regions, CollCall, CollMember,
-    CollectiveInstance, CollectiveScanner, Matching, MessageMatch, MessageMatcher, ParallelRegion,
-    RegionThread,
+    match_collectives, match_messages, match_parallel_regions, Capture, CollMember,
+    CollectiveInstance, Matching, MessageMatch, ParallelRegion, RegionThread,
 };
 pub use census::{CensusPlan, PlanBuildError};
 pub use coll::{BlockClasses, CollInstRef, CollTable, LatBlock};

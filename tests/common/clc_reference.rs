@@ -15,8 +15,7 @@
 use drift_lab::clocksync::{ClcError, ClcParams, ClcReport, Jump};
 use drift_lab::simclock::{Dur, Time};
 use drift_lab::tracefmt::{
-    self, match_collectives, match_messages, CollFlavor, EventId, EventKind, MinLatency, Rank,
-    Trace,
+    self, CollFlavor, EventId, EventKind, MinLatency, Rank, Trace,
 };
 use std::collections::HashMap;
 
@@ -111,8 +110,8 @@ impl Iterator for DepsOfEnd<'_> {
 }
 
 pub fn extract_deps(trace: &Trace) -> Result<Deps, ClcError> {
-    let matching = match_messages(trace);
-    let raw = match_collectives(trace).map_err(ClcError::BadCollectives)?;
+    let (matching, raw) = tracefmt::Capture::of(trace).finish();
+    let raw = raw.map_err(ClcError::BadCollectives)?;
     Ok(deps_from_parts(&matching, &raw))
 }
 

@@ -468,8 +468,8 @@ proptest! {
         inset in 0..i64::MAX / 4,
     ) {
         use drift_lab::tracefmt::{
-            check_collectives_at, check_p2p_messages_at, match_collectives, CensusPlan,
-            CollReport, EventId, P2pReport, TraceColumns,
+            check_collectives_at, check_p2p_messages_at, Capture, CensusPlan, CollReport,
+            EventId, P2pReport, TraceColumns,
         };
         let mut t = trace;
         let (op, comm, root, bytes) = (CollOp::Allreduce, CommId::WORLD, None, 8);
@@ -496,8 +496,8 @@ proptest! {
         let l = i128::from(Dur::from_us(lmin_us).as_ps());
         let at = |id: EventId| i128::from(t.procs[id.p()].events[id.i()].time.as_ps());
 
-        let matching = match_messages(&t);
-        let insts = match_collectives(&t).expect("one allreduce");
+        let (matching, insts) = Capture::of(&t).finish();
+        let insts = insts.expect("one allreduce");
         let (mut violated, mut reversed) = (0, 0);
         for m in &matching.messages {
             let transfer = at(m.recv) - at(m.send);

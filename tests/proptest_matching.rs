@@ -2,14 +2,15 @@
 //! matcher against the FIFO-queue oracle in `tests/common`, on traces no
 //! tracer would write — timelines sharing a rank, tags reordered inside a
 //! rank pair, dangling sends and receives, ranks no timeline carries,
-//! empty timelines, sparse rank ids — and the two capture paths (batch,
-//! streamed) against each other. Everything is compared in exact order:
+//! empty timelines, sparse rank ids, hundreds of timelines with a few
+//! messages each — and the two capture paths (batch, streamed) against
+//! each other, errors included. Everything is compared in exact order:
 //! `messages`, `unmatched_sends`, `unmatched_recvs`.
 
 mod common;
 
 use common::fifo_match_messages;
-use drift_lab::clocksync::TraceAnalysis;
+use drift_lab::clocksync::{PipelineError, TraceAnalysis};
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 use drift_lab::tracefmt::{
@@ -83,6 +84,55 @@ fn arb_message_trace() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// A trace of 64–600 timelines with a few messages each — fewer events
+/// than the squared count of distinct ranks, so the capture groups by its
+/// fallback passes rather than by `(from, to)` buckets. Ranks are each
+/// timeline's own, shared by pairs of timelines, or sparse ids; sends to a
+/// rank no timeline carries, stray receives and reused tags ride along.
+fn arb_wide_trace() -> impl Strategy<Value = Trace> {
+    (
+        64usize..600,
+        0u8..3,
+        prop::collection::vec((0u8..5, 0usize..1 << 20, 0usize..1 << 20, 0u32..3), 0..900),
+    )
+        .prop_map(|(n, layout, mut ops): (usize, u8, Vec<Op>)| {
+            let rank_of = |p: usize| match layout {
+                0 => p as u32,
+                1 => p as u32 / 2,
+                _ => p as u32 * 1_000 + 7,
+            };
+            let mut trace = Trace {
+                procs: (0..n)
+                    .map(|p| {
+                        let rank = Rank(rank_of(p));
+                        ProcessTrace::new(Location { rank, thread: ThreadId(p as u32) })
+                    })
+                    .collect(),
+            };
+            ops.truncate(n * 3 / 2);
+            let t = Time::from_us(1);
+            for (kind, a, b, tag) in ops {
+                let (a, b, tag) = (a % n, b % n, Tag(tag));
+                let (rank_a, rank_b) = (trace.procs[a].location.rank, trace.procs[b].location.rank);
+                match kind {
+                    0..=2 => {
+                        trace.procs[a].push(t, EventKind::Send { to: rank_b, tag, bytes: 5 });
+                        trace.procs[b].push(t, EventKind::Recv { from: rank_a, tag, bytes: 5 });
+                    }
+                    3 => trace.procs[a].push(
+                        t,
+                        EventKind::Send { to: Rank(u32::MAX - tag.0), tag, bytes: 1 },
+                    ),
+                    _ => {
+                        let from = if b % 4 == 0 { Rank(3_000_000) } else { rank_b };
+                        trace.procs[a].push(t, EventKind::Recv { from, tag, bytes: 1 });
+                    }
+                }
+            }
+            trace
+        })
+}
+
 fn assert_same_matching(got: &Matching, want: &Matching, ctx: &str) {
     assert_eq!(got.messages, want.messages, "{ctx}: messages");
     assert_eq!(got.unmatched_sends, want.unmatched_sends, "{ctx}: unmatched sends");
@@ -114,6 +164,77 @@ fn tags_reordered_inside_a_pair_match_per_tag_fifo() {
     assert_eq!(got, [(1, 0, 20), (0, 1, 10), (2, 2, 11)]);
     assert_eq!(m.unmatched_sends, [EventId::new(0, 3)]);
     assert_eq!(m.unmatched_recvs, [EventId::new(1, 3)]);
+}
+
+#[test]
+fn malformed_collectives_fail_alike_batch_and_streamed() {
+    let (comm, bytes) = (CommId::WORLD, 0);
+    let call = |op, root| {
+        [EventKind::CollBegin { op, comm, root, bytes }, EventKind::CollEnd { op, comm, root, bytes }]
+    };
+    // Members naming two roots; a barrier closed as an allreduce.
+    let mut roots = Trace::for_ranks(2);
+    for (p, root) in [(0, 0), (1, 1)] {
+        for kind in call(CollOp::Bcast, Some(Rank(root))) {
+            roots.procs[p].push(Time::from_us(1), kind);
+        }
+    }
+    let mut ops = Trace::for_ranks(1);
+    let [begin, _] = call(CollOp::Barrier, None);
+    let [_, end] = call(CollOp::Allreduce, None);
+    ops.procs[0].push(Time::from_us(1), begin);
+    ops.procs[0].push(Time::from_us(2), end);
+    for (trace, want) in [
+        (roots, "collective #0 on comm0: root mismatch Some(Rank(0)) vs Some(Rank(1))"),
+        (ops, "collective #0 on comm0: op mismatch Barrier vs Allreduce"),
+    ] {
+        assert_eq!(TraceAnalysis::capture(&trace).unwrap_err(), want, "batch");
+        let bytes = to_binary_columnar_v3_blocked(&trace, 1);
+        match TraceAnalysis::capture_stream(&[&bytes[..]]) {
+            Err(PipelineError::BadTrace(got)) => assert_eq!(got, want, "streamed"),
+            other => panic!("streamed: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_pair_leaves_its_latest_sends_unmatched() {
+    // Sizes past 32 bits ride along.
+    let mut t = Trace::for_ranks(2);
+    for bytes in [u64::MAX, 1 << 40, 7] {
+        t.procs[0].push(Time::from_us(1), EventKind::Send { to: Rank(1), tag: Tag(7), bytes });
+    }
+    for _ in 0..2 {
+        t.procs[1].push(Time::from_us(2), EventKind::Recv { from: Rank(0), tag: Tag(7), bytes: 0 });
+    }
+    let m = match_messages(&t);
+    let got: Vec<_> = m.messages.iter().map(|m| (m.send.idx, m.recv.idx, m.bytes)).collect();
+    assert_eq!(got, [(0, 0, u64::MAX), (1, 1, 1 << 40)]);
+    assert_eq!(m.unmatched_sends, [EventId::new(0, 2)]);
+}
+
+#[test]
+fn peers_no_timeline_carries_stay_unmatched() {
+    // Ranks 0 and 1 (dense ids), then 5 and 9 (sparse): a send to rank 7
+    // and a receive from rank 2 name no timeline, so neither may pair with
+    // the receive from, or the send to, the timeline's own rank.
+    for ranks in [[0, 1], [5, 9]] {
+        let mut t = Trace::for_ranks(2);
+        (t.procs[0].location.rank, t.procs[1].location.rank) = (Rank(ranks[0]), Rank(ranks[1]));
+        let own = Rank(ranks[0]);
+        for kind in [
+            EventKind::Send { to: Rank(7), tag: Tag(4), bytes: 1 },
+            EventKind::Recv { from: own, tag: Tag(4), bytes: 1 },
+            EventKind::Send { to: own, tag: Tag(6), bytes: 1 },
+            EventKind::Recv { from: Rank(2), tag: Tag(6), bytes: 1 },
+        ] {
+            t.procs[0].push(Time::from_us(1), kind);
+        }
+        let m = match_messages(&t);
+        assert!(m.messages.is_empty(), "ranks {ranks:?}: {:?}", m.messages);
+        assert_eq!(m.unmatched_sends, [EventId::new(0, 0), EventId::new(0, 2)]);
+        assert_eq!(m.unmatched_recvs, [EventId::new(0, 1), EventId::new(0, 3)]);
+    }
 }
 
 #[test]
@@ -162,6 +283,28 @@ proptest! {
     #[test]
     fn batch_and_streamed_capture_agree(trace in arb_message_trace()) {
         let batch = TraceAnalysis::capture(&trace).expect("barriers are well-formed");
+        for block in [1usize, 7, 1024] {
+            let bytes = to_binary_columnar_v3_blocked(&trace, block);
+            let chunks: Vec<&[u8]> = bytes.chunks(61).collect();
+            let streamed = TraceAnalysis::capture_stream(&chunks).expect("intact stream");
+            assert_same_analysis(&streamed, &batch, &format!("streamed, {block}-event blocks"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Wide traces group by the fallback passes — and still reproduce the
+    /// oracle exactly, batch and streamed at every block size.
+    #[test]
+    fn wide_traces_match_the_oracle_through_the_fallback_grouping(trace in arb_wide_trace()) {
+        let mut ranks: Vec<Rank> = trace.procs.iter().map(|pt| pt.location.rank).collect();
+        ranks.sort_unstable();
+        ranks.dedup();
+        prop_assert!(ranks.len().pow(2) > trace.n_events(), "past the bucket bound");
+        let batch = TraceAnalysis::capture(&trace).expect("no collectives");
+        assert_same_matching(&batch.matching, &fifo_match_messages(&trace), "batch");
         for block in [1usize, 7, 1024] {
             let bytes = to_binary_columnar_v3_blocked(&trace, block);
             let chunks: Vec<&[u8]> = bytes.chunks(61).collect();
