@@ -1,19 +1,18 @@
 //! Ingest throughput: how fast trace bytes become a pipeline-ready trace.
 //!
-//! Both layouts of the columnar format are decoded from the same
-//! ≥100k-event trace, each run ending in the state the pipeline starts
-//! from (a [`Trace`] plus its gathered timestamp [`TraceColumns`]):
+//! A ≥100k-event trace is encoded as `DTC3` and decoded two ways, each run
+//! ending in the state the pipeline starts from (a [`Trace`] plus its
+//! gathered timestamp [`TraceColumns`]):
 //!
-//! * `v2_full` / `v3_full` — one call over one contiguous buffer;
-//! * `v2_streamed` / `v3_streamed` — the same bytes fed to the incremental
+//! * `v3_full` — one call over one contiguous buffer;
+//! * `v3_streamed` — the same bytes fed to the incremental
 //!   [`StreamDecoder`] in bounded chunks, the way `synchronize_stream`
 //!   ingests: timestamp columns fall out of the block frames directly.
 //!
-//! The rates are report-only: what they feed is the facts table of
-//! DESIGN.md §14 (which layout stays is an open question there), and the
-//! end-to-end benchmark judges the decoder where it sits in a job. What
-//! this run *asserts* holds on any host: every decode path returns the
-//! source trace and its columns, and v3 costs 25–40 % more bytes than v2.
+//! The rates are report-only (DESIGN.md §14 keeps them); the end-to-end
+//! benchmark judges the decoder where it sits in a job. What this run
+//! *asserts* holds on any host: both decode paths return the source trace
+//! and its columns.
 //!
 //! Run with `cargo bench -p bench --bench ingest` (add `-- --test` for the
 //! CI smoke run: fewer repetitions, same report).
@@ -21,9 +20,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-use tracefmt::io::{
-    from_binary_columnar, to_binary_columnar, to_binary_columnar_v3, StreamDecoder, TraceBuilder,
-};
+use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3, StreamDecoder, TraceBuilder};
 use tracefmt::{Trace, TraceColumns};
 use workloads::skewed_p2p;
 
@@ -78,38 +75,24 @@ fn main() {
     let n_events = trace.n_events();
     assert!(n_events >= 100_000, "bench trace too small: {n_events}");
     let columns = TraceColumns::gather(&trace);
-    let v2_bytes = to_binary_columnar(&trace);
-    let v3_bytes = to_binary_columnar_v3(&trace);
+    let bytes = to_binary_columnar_v3(&trace);
 
-    // Machine-independent facts first: every path decodes to the source.
-    for (layout, bytes) in [("v2", &v2_bytes), ("v3", &v3_bytes)] {
-        let full = from_binary_columnar(bytes.clone()).expect("columnar decodes");
-        assert!(same_trace(&full, &trace), "{layout} full decode differs from the source trace");
-        let (chunked, cols) = streamed(bytes);
-        assert!(same_trace(&chunked, &trace), "{layout} streamed decode differs from the source");
-        assert!(cols == columns, "{layout} streamed columns differ from a gather of the source");
-    }
-    let byte_ratio = v3_bytes.len() as f64 / v2_bytes.len() as f64;
-    assert!(
-        (1.25..=1.40).contains(&byte_ratio),
-        "v3 must cost 25-40 % more bytes than v2 on a message trace, got {byte_ratio:.3}x"
-    );
+    // Machine-independent facts first: both paths decode to the source.
+    let full = from_binary_columnar(bytes.clone()).expect("columnar decodes");
+    assert!(same_trace(&full, &trace), "full decode differs from the source trace");
+    let (chunked, cols) = streamed(&bytes);
+    assert!(same_trace(&chunked, &trace), "streamed decode differs from the source");
+    assert!(cols == columns, "streamed columns differ from a gather of the source");
 
-    let full = |bytes: &_| {
-        let took = best_of(iters, || from_binary_columnar(Clone::clone(bytes)).expect("decodes"));
-        events_per_sec(n_events, took)
-    };
-    let chunked = |bytes: &[u8]| events_per_sec(n_events, best_of(iters, || streamed(bytes)));
-    let (eps_v2_full, eps_v2_stream) = (full(&v2_bytes), chunked(&v2_bytes));
-    let (eps_v3_full, eps_v3_stream) = (full(&v3_bytes), chunked(&v3_bytes));
+    let took = best_of(iters, || from_binary_columnar(bytes.clone()).expect("decodes"));
+    let eps_full = events_per_sec(n_events, took);
+    let eps_stream = events_per_sec(n_events, best_of(iters, || streamed(&bytes)));
 
     println!(
-        "ingest: {n_events} events, v2 {} bytes, v3 {} bytes ({byte_ratio:.3}x)",
-        v2_bytes.len(),
-        v3_bytes.len()
+        "ingest: {n_events} events, {} bytes ({:.1} B/event)",
+        bytes.len(),
+        bytes.len() as f64 / n_events as f64
     );
-    println!("  v2_full      {eps_v2_full:>12.0} events/s");
-    println!("  v2_streamed  {eps_v2_stream:>12.0} events/s");
-    println!("  v3_full      {eps_v3_full:>12.0} events/s");
-    println!("  v3_streamed  {eps_v3_stream:>12.0} events/s");
+    println!("  v3_full      {eps_full:>12.0} events/s");
+    println!("  v3_streamed  {eps_stream:>12.0} events/s");
 }

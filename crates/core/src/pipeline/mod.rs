@@ -185,7 +185,7 @@ impl TraceAnalysis {
         Ok(TraceAnalysis { matching, instances: instances? })
     }
 
-    /// [`capture`](Self::capture) straight from a `DTC2`/`DTC3` stream
+    /// [`capture`](Self::capture) straight from a `DTC3` stream
     /// presented as byte chunks, decoding block by block without
     /// materializing the trace. Same result as capturing the decoded trace.
     pub fn capture_stream(chunks: &[&[u8]]) -> Result<Self, PipelineError> {
@@ -521,8 +521,8 @@ pub fn synchronize_with_cancel(
     synchronize_impl(trace, None, init, fin, lmin, cfg, cancel)
 }
 
-/// Stream-decode a columnar binary trace (the `DTC2` format of
-/// [`tracefmt::io::to_binary_columnar`]) chunk by chunk and run the
+/// Stream-decode a columnar binary trace (the `DTC3` format of
+/// [`tracefmt::io::to_binary_columnar_v3`]) chunk by chunk and run the
 /// pipeline on the result.
 ///
 /// Unlike decode-then-[`synchronize`], the input never has to be resident

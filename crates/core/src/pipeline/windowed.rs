@@ -24,7 +24,7 @@
 //!   behind it;
 //! * finalized blocks are re-encoded by [`FrameWriter`] with their payload
 //!   bytes passed through verbatim and streamed out as self-contained
-//!   chunks whose concatenation is a well-formed `DTC2`/`DTC3` stream.
+//!   chunks whose concatenation is a well-formed `DTC3` stream.
 //!
 //! # Bit-identity with the batch engine
 //!
@@ -271,7 +271,7 @@ impl Source<'_> {
         self.next_block[p] += 1;
         self.tmp.clear();
         let seg = self.store.read(bm.times_off, bm.n_events as usize * 8, &mut self.scratch);
-        decode_block_times(self.index.version, seg, &mut self.tmp);
+        decode_block_times(seg, &mut self.tmp);
         if let Some(maps) = self.maps {
             maps[p].map_col(&mut self.tmp);
         }
@@ -299,7 +299,7 @@ pub(super) fn capture_analysis_streamed(
             let bm = &index.blocks[bidx as usize];
             kinds.clear();
             let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-            decode_block_kinds(index.version, payload, bm.n_events as usize, &mut kinds)
+            decode_block_kinds(payload, bm.n_events as usize, &mut kinds)
                 .map_err(PipelineError::Codec)?;
             for (j, kind) in kinds.iter().enumerate() {
                 capture.feed(p, bm.first_idx as usize + j, kind);
@@ -472,12 +472,9 @@ struct Emitter<'a> {
 
 impl<'a> Emitter<'a> {
     /// Open the output stream: emits the magic chunk.
-    fn open(
-        index: &StreamIndex,
-        consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
-    ) -> Result<Emitter<'a>, PipelineError> {
+    fn open(consume: &'a mut dyn FnMut(Vec<u8>) -> bool) -> Result<Emitter<'a>, PipelineError> {
         let mut magic = Vec::new();
-        let writer = FrameWriter::new(index.version, &mut magic);
+        let writer = FrameWriter::new(&mut magic);
         let mut emit = Emitter { writer, consume, frames: 0, events: 0 };
         emit.push(magic)?;
         Ok(emit)
@@ -710,7 +707,7 @@ fn passthrough_emit(
         mem.alloc(bytes);
         times.clear();
         let seg = store.read(bm.times_off, bm.n_events as usize * 8, &mut scratch);
-        decode_block_times(index.version, seg, &mut times);
+        decode_block_times(seg, &mut times);
         let p = bm.timeline as usize;
         if let Some(maps) = maps {
             maps[p].map_col(&mut times);
@@ -726,12 +723,12 @@ fn passthrough_emit(
 /// Run the pipeline incrementally over a chunked columnar stream and
 /// stream the corrected trace back out with bounded resident memory.
 ///
-/// The input is the same `DTC2`/`DTC3` chunk sequence
-/// [`synchronize_stream`] accepts; the output is a chunk sequence of the
-/// same version — magic, one chunk per re-encoded block frame, trailer —
-/// whose concatenation is a well-formed stream (frames interleave across
-/// timelines in finalization order; per-timeline block order is
-/// preserved, which is all the format requires). Corrected timestamps are
+/// The input is the same `DTC3` chunk sequence [`synchronize_stream`]
+/// accepts; the output is a chunk sequence of the same format — magic, one
+/// chunk per re-encoded block frame, trailer — whose concatenation is a
+/// well-formed stream (frames interleave across timelines in finalization
+/// order; per-timeline block order is preserved, which is all the format
+/// requires). Corrected timestamps are
 /// bit-identical to the batch pipeline's for **every** `window_events ≥ 1`;
 /// the window only bounds how much column state stays resident
 /// ([`PipelineStats::peak_resident_column_bytes`]), and a window wider
@@ -857,7 +854,7 @@ fn run_incremental(
     let (clc, (frames, events)) = match cfg.effective_clc() {
         None => {
             let t0 = Instant::now();
-            let mut emit = Emitter::open(&index, consume)?;
+            let mut emit = Emitter::open(consume)?;
             passthrough_emit(&index, &store, maps, cancel, &mem, &mut emit)?;
             let counts = emit.close()?;
             stats.stages.push(StageStats::new("emit", counts.1 as usize, t0.elapsed()));
@@ -902,7 +899,7 @@ fn run_incremental(
             };
 
             let t0 = Instant::now();
-            let mut emit = Emitter::open(&index, consume)?;
+            let mut emit = Emitter::open(consume)?;
             let fwd = Sweep::new(params.mu, params.backward, lanes());
             let refwd = Sweep::new(1.0, false, lanes());
             let (report, emit_time) =
@@ -929,9 +926,7 @@ mod tests {
     use simclock::Dur;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
-    use tracefmt::io::{
-        from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
-    };
+    use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
     use tracefmt::{Trace, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -1022,19 +1017,6 @@ mod tests {
             assert_times_match(&batch, &back, &format!("fwd window {window}"));
             assert!(rep.stats.stage("clc:discover").is_none(), "no discover sweep");
         }
-    }
-
-    #[test]
-    fn v2_stream_roundtrips_through_the_windowed_engine() {
-        let base = mixed_trace(3, 8);
-        let bytes = to_binary_columnar_blocked(&base, 4);
-        let cfg = cfg(Some(ClcParams::default()));
-
-        let mut batch = base.clone();
-        synchronize(&mut batch, &[None; 3], None, &LMIN, &cfg).unwrap();
-
-        let (back, _) = run_incremental(&bytes, 3, &cfg, 3);
-        assert_times_match(&batch, &back, "v2 window 3");
     }
 
     #[test]

@@ -41,7 +41,7 @@ use rand::{Rng, SeedableRng};
 use simclock::Dur;
 use syncd::{Counter, NetServer, NetServerConfig, ScriptedTransport, ServiceConfig, TenantConfig};
 use syncd_wire::{encode_frame, Frame, FrameScanner, WireJobConfig, WireLatency, MAGIC, VERSION};
-use tracefmt::io::{from_binary_columnar, to_binary_columnar_blocked};
+use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 use tracefmt::UniformLatency;
 
 /// Campaign shape.
@@ -118,7 +118,7 @@ pub fn run_net_chaos(seed: u64, cfg: &NetChaosConfig) -> NetChaosReport {
         let (trace, init, fin) = workloads::skewed_p2p(&mut rng, procs, msgs, 400);
         let lmin = UniformLatency(Dur::from_us(4));
         let pipeline = PipelineConfig::default();
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
 
         let mut session = encode_frame(&Frame::Hello {
             magic: MAGIC,

@@ -15,7 +15,7 @@ use simclock::Dur;
 use std::sync::Arc;
 use std::time::Duration;
 use syncd::{chunked, Fault, FaultInjector, JobInput, JobSpec, Priority};
-use tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
+use tracefmt::io::to_binary_columnar_v3_blocked;
 use tracefmt::{MinLatency, Trace, UniformLatency};
 use workloads::{churn_scenario, skewed_p2p};
 
@@ -48,9 +48,9 @@ fn churn_job(
 }
 
 /// Generate `jobs` work items from `seed`. Roughly a third arrive as
-/// columnar streams (half `DTC2`, half the zero-copy `DTC3` variant), a
-/// quarter of those poisoned at the byte level and a third of them run
-/// through the incremental windowed engine with a small random window;
+/// `DTC3` columnar streams, a quarter of those poisoned at the byte level
+/// and a third of them run through the incremental windowed engine with a
+/// small random window;
 /// a fifth of the traces come from the dynamic-membership churn scenario
 /// (NTP islands, joins/leaves, probe schedules), and a quarter of the
 /// non-incremental jobs run the online sync method instead of the CLC;
@@ -79,13 +79,7 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
             let as_stream = rng.gen_bool(1.0 / 3.0);
             let mut poisoned = false;
             let input = if as_stream {
-                // Both wire versions go through the same negotiating
-                // decoder; the campaign must poison both.
-                let bytes = if rng.gen_bool(0.5) {
-                    to_binary_columnar_v3_blocked(&trace, 16)
-                } else {
-                    to_binary_columnar_blocked(&trace, 16)
-                };
+                let bytes = to_binary_columnar_v3_blocked(&trace, 16);
                 let mut chunks = chunked(&bytes, rng.gen_range(32usize..256));
                 if rng.gen_bool(0.25) {
                     poisoned = true;
@@ -101,8 +95,8 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
                 }
                 if rng.gen_bool(1.0 / 3.0) {
                     // The incremental engine must survive the same chaos
-                    // as the batch stream path: both wire versions, byte
-                    // poisoning, cancellation, deadlines, retries.
+                    // as the batch stream path: byte poisoning,
+                    // cancellation, deadlines, retries.
                     JobInput::StreamIncremental {
                         chunks,
                         window_events: rng.gen_range(1usize..64),
@@ -188,21 +182,6 @@ mod tests {
         assert!(incremental > 0, "no incremental jobs in the workload");
         assert!(poisoned > 0);
         assert!(deadlines > 0);
-        // Both wire versions must be represented among the streams.
-        let leading = |magic: &[u8]| {
-            items
-                .iter()
-                .filter(|i| match &i.spec.input {
-                    JobInput::Stream(chunks)
-                    | JobInput::StreamIncremental { chunks, .. } => chunks
-                        .first()
-                        .is_some_and(|c| c.starts_with(magic)),
-                    JobInput::Trace(_) => false,
-                })
-                .count()
-        };
-        assert!(leading(b"DTC2") > 0, "no v2 streams in the workload");
-        assert!(leading(b"DTC3") > 0, "no v3 streams in the workload");
     }
 
     #[test]

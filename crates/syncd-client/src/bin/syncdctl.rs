@@ -5,17 +5,18 @@
 //! syncdctl submit --addr HOST:PORT --token TOKEN [--procs N] [--msgs N]
 //!                 [--seed N] [--incremental WINDOW] [--presync none|align|linear]
 //!                 [--method interp|clc|online] [--churn]
-//!                 [--v3] [--priority high|normal|low]
+//!                 [--priority high|normal|low]
 //! ```
 //!
 //! `submit` generates a synthetic drifted trace (the same construction the
 //! integration fixtures use: true-timeline messages recorded through
-//! drifting clocks), uploads it, and prints the job summary — a one-command
-//! end-to-end smoke of the wire path. Beside the server's `queue_wait_us`
+//! drifting clocks), uploads it as a `DTC3` stream, and prints the job
+//! summary — a one-command end-to-end smoke of the wire path. Beside the
+//! server's `queue_wait_us`
 //! and `run_time_us` it prints `wall_us`, timed around the submission on
 //! this side, and `transfer_us = wall − queue_wait − run_time`: what the
 //! wire cost (upload, reply re-encode, download), most visible on a job of
-//! several 256 KiB frames (`--msgs 20000 --v3`: 1.3 MB up).
+//! several 256 KiB frames (`--msgs 20000`: 1.3 MB up).
 //!
 //! `--method` selects the synchronization method the service runs: `interp`
 //! (offset interpolation only), `clc` (presync + controlled logical clock,
@@ -34,7 +35,7 @@ use rand::{Rng, SeedableRng};
 use simclock::{ConstantDrift, DriftModel, Dur, SinusoidalDrift, Time};
 use syncd_client::{JobRequest, SyncClient};
 use syncd_wire::{WireJobConfig, WireLatency, WireMeasurement, WireMode};
-use tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
+use tracefmt::io::to_binary_columnar_v3_blocked;
 use tracefmt::{EventKind, Rank, Tag, Trace};
 use workloads::churn_scenario;
 
@@ -207,11 +208,7 @@ fn main() {
                 "online" => 2,
                 other => die(&format!("unknown method {other}")),
             };
-            let stream = if args.flag("v3") {
-                to_binary_columnar_v3_blocked(&fixture.trace, 256).to_vec()
-            } else {
-                to_binary_columnar_blocked(&fixture.trace, 256).to_vec()
-            };
+            let stream = to_binary_columnar_v3_blocked(&fixture.trace, 256).to_vec();
             let mut config = WireJobConfig {
                 mode: if let Some(w) = args.get("incremental") {
                     if method == 2 {

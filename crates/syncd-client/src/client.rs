@@ -57,7 +57,7 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-/// One job to submit: the wire config plus the DTC2/DTC3 stream bytes.
+/// One job to submit: the wire config plus the `DTC3` stream bytes.
 #[derive(Debug, Clone)]
 pub struct JobRequest {
     /// Pipeline + scheduling header.

@@ -68,7 +68,7 @@ pub enum FrameKind {
     HelloAck = 2,
     /// Client → server job header: full pipeline + scheduling config.
     JobConfig = 3,
-    /// Raw stream bytes. Client → server: DTC2/DTC3 input (credit-bound).
+    /// Raw stream bytes. Client → server: `DTC3` input (credit-bound).
     /// Server → client: the corrected batch-mode output stream.
     Chunk = 4,
     /// Client → server: end of the input stream; run the job.

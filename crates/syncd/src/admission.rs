@@ -9,7 +9,7 @@
 
 use crate::job::{JobInput, Priority};
 use std::collections::VecDeque;
-use tracefmt::io::{estimate_columnar_stream, CodecError, ColumnarVersion};
+use tracefmt::io::estimate_columnar_stream;
 use tracefmt::EventRecord;
 
 /// Working-set estimate of one job.
@@ -22,10 +22,6 @@ pub struct JobCost {
     /// Whether the estimate saw the whole input (a truncated stream scan
     /// yields a lower bound; the run itself will then fail typed).
     pub complete: bool,
-    /// The wire version the header scan negotiated from a stream's magic —
-    /// the version a reply to the submitter is encoded in. `None` for an
-    /// in-memory trace (and for bytes that open with no known magic).
-    pub version: Option<ColumnarVersion>,
 }
 
 /// Per-event working-set charge: the decoded record itself plus the
@@ -42,24 +38,14 @@ const PER_EVENT_OVERHEAD: u64 = 32;
 /// Flat charge per job (queue entry, report, per-proc maps).
 const PER_JOB_BASE: u64 = 16 * 1024;
 
-/// Estimate what admitting `input` will cost, without decoding it.
-///
-/// `Err` is the header scan's verdict on a stream that glues two
-/// incompatible wire versions together ([`CodecError::MixedVersions`]).
-/// Such input can never decode; the service refuses it at submit, typed,
-/// instead of admitting a job that is guaranteed to burn its whole retry
-/// budget. Every other defect is priced — the run answers it.
-pub fn estimate_job_cost(input: &JobInput) -> Result<JobCost, CodecError> {
+/// Estimate what admitting `input` will cost, without decoding it. A
+/// malformed stream is priced like any other — the run answers for it.
+pub fn estimate_job_cost(input: &JobInput) -> JobCost {
     let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     match input {
         JobInput::Trace(trace) => {
             let events = trace.n_events() as u64;
-            Ok(JobCost {
-                bytes: PER_JOB_BASE + events * record,
-                events,
-                complete: true,
-                version: None,
-            })
+            JobCost { bytes: PER_JOB_BASE + events * record, events, complete: true }
         }
         JobInput::Stream(chunks) => stream_cost(chunks, false),
         JobInput::StreamIncremental { chunks, .. } => stream_cost(chunks, true),
@@ -75,12 +61,9 @@ pub fn estimate_job_cost(input: &JobInput) -> Result<JobCost, CodecError> {
 /// record charge stays — message matching and the dependency graph
 /// (message edges in CSR form, collectives as member rows) are O(events)
 /// structural metadata on that path too.
-fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> Result<JobCost, CodecError> {
+fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> JobCost {
     let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     let est = estimate_columnar_stream(chunks.iter().map(|c| c.as_slice()));
-    if let Some(glued @ CodecError::MixedVersions) = est.error {
-        return Err(glued);
-    }
     // A stream whose headers were unreadable (or cut off) still occupies
     // its own bytes; floor the event estimate on the encoded size so
     // garbage input cannot claim to be free. A *clean* complete scan is
@@ -99,12 +82,7 @@ fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> Result<JobCost, CodecE
     } else {
         est.bytes
     };
-    Ok(JobCost {
-        bytes: PER_JOB_BASE + stream_bytes + events * record,
-        events,
-        complete: est.complete,
-        version: est.version,
-    })
+    JobCost { bytes: PER_JOB_BASE + stream_bytes + events * record, events, complete: est.complete }
 }
 
 /// One queued entry: the job plus its admission cost (generic so the
@@ -184,7 +162,7 @@ impl<T> PriorityQueue<T> {
 mod tests {
     use super::*;
     use simclock::Time;
-    use tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
+    use tracefmt::io::to_binary_columnar_v3_blocked;
     use tracefmt::{EventKind, RegionId, Trace};
 
     fn tiny_trace(events_per_proc: usize) -> Trace {
@@ -200,14 +178,10 @@ mod tests {
         t
     }
 
-    fn cost_of(input: JobInput) -> JobCost {
-        estimate_job_cost(&input).expect("one wire version")
-    }
-
     #[test]
     fn trace_cost_scales_with_events() {
-        let small = cost_of(JobInput::Trace(tiny_trace(10)));
-        let large = cost_of(JobInput::Trace(tiny_trace(1000)));
+        let small = estimate_job_cost(&JobInput::Trace(tiny_trace(10)));
+        let large = estimate_job_cost(&JobInput::Trace(tiny_trace(1000)));
         assert_eq!(small.events, 20);
         assert_eq!(large.events, 2000);
         assert!(large.bytes > small.bytes);
@@ -217,46 +191,21 @@ mod tests {
     #[test]
     fn stream_cost_comes_from_headers_and_flags_truncation() {
         let trace = tiny_trace(64);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
-        let whole = cost_of(JobInput::Stream(vec![bytes.to_vec()]));
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
+        let whole = estimate_job_cost(&JobInput::Stream(vec![bytes.to_vec()]));
         assert_eq!(whole.events, 128);
         assert!(whole.complete);
 
         let cut = bytes.len() / 2;
-        let truncated = cost_of(JobInput::Stream(vec![bytes[..cut].to_vec()]));
+        let truncated = estimate_job_cost(&JobInput::Stream(vec![bytes[..cut].to_vec()]));
         assert!(!truncated.complete);
         assert!(truncated.bytes > 0);
     }
 
     #[test]
-    fn v3_stream_cost_comes_from_headers_too() {
-        let trace = tiny_trace(64);
-        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
-        let cost = cost_of(JobInput::Stream(vec![bytes.to_vec()]));
-        assert_eq!(cost.events, 128);
-        assert!(cost.complete);
-        assert_eq!(cost.version, Some(ColumnarVersion::V3));
-    }
-
-    #[test]
-    fn concatenated_v2_and_v3_streams_are_refused() {
-        let trace = tiny_trace(8);
-        let v2 = to_binary_columnar_blocked(&trace, 16).to_vec();
-        let v3 = to_binary_columnar_v3_blocked(&trace, 16).to_vec();
-        for glued in [[v2.clone(), v3.clone()].concat(), [v3, v2.clone()].concat()] {
-            let refused = estimate_job_cost(&JobInput::Stream(vec![glued]));
-            assert_eq!(refused, Err(CodecError::MixedVersions));
-        }
-        // Same-version self-concatenation is malformed but not *mixed*: it
-        // is priced, and fails in the run.
-        let doubled = [v2.clone(), v2].concat();
-        assert!(estimate_job_cost(&JobInput::Stream(vec![doubled])).is_ok());
-    }
-
-    #[test]
     fn garbage_streams_are_never_free() {
         let garbage = vec![vec![0xAB; 4096]];
-        let cost = cost_of(JobInput::Stream(garbage));
+        let cost = estimate_job_cost(&JobInput::Stream(garbage));
         assert!(!cost.complete);
         assert!(cost.events >= 4096 / 24);
         assert!(cost.bytes > 4096);
@@ -269,11 +218,11 @@ mod tests {
         // it — admission must price the tail, not trust the few events
         // the headers announce.
         let small = tiny_trace(4);
-        let valid = to_binary_columnar_blocked(&small, 16).to_vec();
+        let valid = to_binary_columnar_v3_blocked(&small, 16).to_vec();
         let mut dirty = valid.clone();
         dirty.extend(std::iter::repeat_n(0xA5u8, 64 * 1024));
         let total = dirty.len() as u64;
-        let cost = cost_of(JobInput::Stream(vec![dirty]));
+        let cost = estimate_job_cost(&JobInput::Stream(vec![dirty]));
         assert!(cost.complete, "trailer was present, scan is complete");
         assert!(
             cost.events >= total / 24,
@@ -282,7 +231,7 @@ mod tests {
             total
         );
         // And it must charge strictly more than the clean stream alone.
-        let clean = cost_of(JobInput::Stream(vec![valid]));
+        let clean = estimate_job_cost(&JobInput::Stream(vec![valid]));
         assert!(cost.bytes > clean.bytes + 64 * 1024);
     }
 
@@ -290,8 +239,8 @@ mod tests {
     fn incremental_job_cost_covers_input_and_output() {
         let trace = tiny_trace(64);
         let chunks = vec![to_binary_columnar_v3_blocked(&trace, 16).to_vec()];
-        let stream = cost_of(JobInput::Stream(chunks.clone()));
-        let incremental = cost_of(JobInput::StreamIncremental {
+        let stream = estimate_job_cost(&JobInput::Stream(chunks.clone()));
+        let incremental = estimate_job_cost(&JobInput::StreamIncremental {
             chunks,
             window_events: 32,
         });

@@ -1,4 +1,4 @@
-//! Deterministic fault injection for DTC2 byte streams.
+//! Deterministic fault injection for `DTC3` byte streams.
 //!
 //! The service's robustness claims ("a poisoned job fails typed, retries,
 //! and never takes the service down") need poisoned inputs on demand. A

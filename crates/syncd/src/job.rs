@@ -45,18 +45,18 @@ impl Priority {
     }
 }
 
-/// What the job synchronizes: an in-memory trace, or a DTC2 byte stream
+/// What the job synchronizes: an in-memory trace, or a `DTC3` byte stream
 /// fed to the streaming ingest path.
 #[derive(Clone)]
 pub enum JobInput {
     /// An already-decoded trace (cloned per attempt so retries start from
     /// the raw timestamps).
     Trace(Trace),
-    /// DTC2 chunks, exactly as they would arrive from a socket or file
+    /// `DTC3` chunks, exactly as they would arrive from a socket or file
     /// reader. The service estimates its memory cost from the block
     /// headers alone before admitting the job.
     Stream(Vec<Vec<u8>>),
-    /// DTC2/DTC3 chunks run through the incremental windowed engine
+    /// `DTC3` chunks run through the incremental windowed engine
     /// ([`clocksync::synchronize_stream_incremental`]): corrected
     /// timestamps come back as re-encoded stream frames in
     /// [`JobSuccess::frames`] instead of a decoded [`Trace`], and the
@@ -183,11 +183,6 @@ pub enum SubmitError {
         /// Budget headroom at the time of the attempt.
         available: u64,
     },
-    /// The admission header scan proved the stream input can never decode
-    /// (e.g. a `DTC3` stream concatenated after a `DTC2` trailer). The
-    /// typed codec error says what is wrong with the bytes; the job is
-    /// refused instead of admitted to fail through its whole retry budget.
-    MalformedStream(tracefmt::io::CodecError),
     /// The service is shutting down.
     Shutdown,
 }
@@ -205,7 +200,6 @@ impl std::fmt::Display for SubmitError {
                 f,
                 "job needs ~{estimated} bytes but only {available} of the memory budget is free"
             ),
-            SubmitError::MalformedStream(e) => write!(f, "stream input refused: {e}"),
             SubmitError::Shutdown => write!(f, "service is shutting down"),
         }
     }
@@ -256,14 +250,9 @@ pub struct JobSuccess {
     /// high-water mark — are real.
     pub report: PipelineReport,
     /// Corrected-stream frames from a [`JobInput::StreamIncremental`]
-    /// job: concatenated, they are a well-formed `DTC2`/`DTC3` stream.
+    /// job: concatenated, they are a well-formed `DTC3` stream.
     /// Empty for the other job modes.
     pub frames: Vec<Vec<u8>>,
-    /// The wire version of a stream input, as admission's header scan
-    /// negotiated it from the magic (the run decoded the same bytes by the
-    /// same grammar) — what a reply that re-encodes [`trace`](Self::trace)
-    /// echoes. `None` for a [`JobInput::Trace`] job.
-    pub input_version: Option<tracefmt::io::ColumnarVersion>,
     /// Attempts it took (1 = no retry).
     pub attempts: u32,
     /// Time spent queued before the first attempt.

@@ -6,7 +6,7 @@
 //! tenants share:
 //!
 //! * **Admission control** — submissions pass a bounded queue and a
-//!   memory budget before anything is decoded. A streamed DTC2 job's cost
+//!   memory budget before anything is decoded. A streamed `DTC3` job's cost
 //!   is estimated from its block headers alone
 //!   ([`tracefmt::io::estimate_columnar_stream`]), so an over-budget
 //!   stream is bounced in microseconds without allocating for it.

@@ -26,9 +26,6 @@ pub enum Counter {
     RejectedQueueFull,
     /// Submissions bounced by the memory-budget admission check.
     RejectedOverBudget,
-    /// Submissions bounced because the stream input was malformed in a way
-    /// the header scan already proves fatal (mixed DTC2/DTC3 versions).
-    RejectedMalformed,
     /// Jobs that finished successfully.
     Completed,
     /// Jobs that exhausted their retries (or failed terminally).
@@ -70,11 +67,10 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 18] = [
+    pub const ALL: [Counter; 17] = [
         Counter::Accepted,
         Counter::RejectedQueueFull,
         Counter::RejectedOverBudget,
-        Counter::RejectedMalformed,
         Counter::Completed,
         Counter::Failed,
         Counter::Retried,
@@ -97,7 +93,6 @@ impl Counter {
             Counter::Accepted => "syncd_jobs_accepted_total",
             Counter::RejectedQueueFull => "syncd_jobs_rejected_total{reason=\"queue_full\"}",
             Counter::RejectedOverBudget => "syncd_jobs_rejected_total{reason=\"over_budget\"}",
-            Counter::RejectedMalformed => "syncd_jobs_rejected_total{reason=\"malformed\"}",
             Counter::Completed => "syncd_jobs_completed_total",
             Counter::Failed => "syncd_jobs_failed_total",
             Counter::Retried => "syncd_jobs_retried_total",

@@ -18,9 +18,7 @@ use syncd_wire::{
     ErrorCode, Frame, FrameScanner, WireError, WireJobConfig, WireJobResult, WireJump,
     WireMode, CHUNK_PAYLOAD, MAGIC, VERSION,
 };
-use tracefmt::io::{
-    to_binary_columnar_blocked, to_binary_columnar_v3_blocked, ColumnarVersion,
-};
+use tracefmt::io::to_binary_columnar_v3_blocked;
 
 /// Smallest credit grant worth issuing: below this the per-chunk protocol
 /// overhead dominates and the client would crawl.
@@ -436,9 +434,6 @@ impl<T: Transport> Conn<'_, T> {
                 ErrorCode::OverBudget,
                 format!("job needs ~{estimated} bytes, {available} free"),
             ),
-            SubmitError::MalformedStream(err) => {
-                Close::App(ErrorCode::Malformed, err.to_string())
-            }
             SubmitError::Shutdown => Close::Shutdown,
         })?;
         count(self.net, Counter::NetJobs);
@@ -543,13 +538,7 @@ impl<T: Transport> Conn<'_, T> {
         sent_frames: u64,
     ) -> Result<(), Close> {
         if !incremental {
-            // The reply echoes the version the upload was decoded as.
-            let bytes = match success.input_version {
-                Some(ColumnarVersion::V3) => {
-                    to_binary_columnar_v3_blocked(&success.trace, OUT_BLOCK_EVENTS)
-                }
-                _ => to_binary_columnar_blocked(&success.trace, OUT_BLOCK_EVENTS),
-            };
+            let bytes = to_binary_columnar_v3_blocked(&success.trace, OUT_BLOCK_EVENTS);
             for slice in bytes.chunks(CHUNK_PAYLOAD.max(1)) {
                 self.send(&Frame::Chunk(slice.to_vec()))?;
             }
@@ -713,16 +702,16 @@ mod tests {
     use std::io;
     use std::sync::mpsc;
     use syncd_wire::{encode_frame, WireLatency};
-    use tracefmt::io::to_binary_columnar_blocked;
+    use tracefmt::io::to_binary_columnar_v3_blocked;
     use tracefmt::UniformLatency;
 
     type Measurements = Vec<Option<OffsetMeasurement>>;
 
-    /// The service tests' 2-rank trace of `msgs` messages, as a DTC2
+    /// The service tests' 2-rank trace of `msgs` messages, as a `DTC3`
     /// stream, and its measurements.
     fn fixture(msgs: usize) -> (Vec<u8>, Measurements, Measurements) {
         let (trace, init, fin) = crate::service::tests::fixture(msgs);
-        (to_binary_columnar_blocked(&trace, 16).to_vec(), init, fin)
+        (to_binary_columnar_v3_blocked(&trace, 16).to_vec(), init, fin)
     }
 
     fn server() -> NetServer {

@@ -48,7 +48,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use tracefmt::io::ColumnarVersion;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -90,8 +89,6 @@ pub(crate) struct Ticket {
     state: Arc<JobState>,
     submitted: Duration,
     deadline: Option<Duration>,
-    /// What admission's header scan negotiated from the input's magic.
-    input_version: Option<ColumnarVersion>,
 }
 
 pub(crate) struct QueueInner {
@@ -149,11 +146,7 @@ impl Shared {
     /// (or a negative transient between the two).
     pub(crate) fn submit(self: &Arc<Self>, spec: JobSpec) -> Result<JobHandle, SubmitError> {
         let metrics = &self.metrics;
-        let estimate = estimate_job_cost(&spec.input).map_err(|refused| {
-            metrics.inc(Counter::RejectedMalformed);
-            SubmitError::MalformedStream(refused)
-        })?;
-        let cost = estimate.bytes;
+        let cost = estimate_job_cost(&spec.input).bytes;
         let budget = self.cfg.memory_budget_bytes;
         let mut inner = self.lock();
         if inner.shutdown {
@@ -189,7 +182,6 @@ impl Shared {
                     state: Arc::clone(&state),
                     submitted: now,
                     deadline,
-                    input_version: estimate.version,
                 },
                 cost,
             },
@@ -661,7 +653,6 @@ impl JobRun {
                 trace,
                 report,
                 frames,
-                input_version: self.ticket.input_version,
                 attempts: self.attempts,
                 queue_wait: self.queue_wait,
                 run_time: shared.runtime.now().saturating_sub(t0),
@@ -737,7 +728,7 @@ pub(crate) mod tests {
     use clocksync::{synchronize, OffsetMeasurement, PipelineConfig};
     use simclock::{Dur, Time};
     use std::sync::Arc;
-    use tracefmt::io::to_binary_columnar_blocked;
+    use tracefmt::io::to_binary_columnar_v3_blocked;
     use tracefmt::{EventKind, Tag, Trace, UniformLatency};
 
     /// A 2-rank trace with messages 0 → 1, rank 1's clock skewed by
@@ -821,7 +812,7 @@ pub(crate) mod tests {
     #[test]
     fn poisoned_stream_fails_typed_after_retries() {
         let (trace, ..) = fixture(40);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let poisoned = FaultInjector::new()
             .with(Fault::Truncate { at: bytes.len() / 2 })
             .apply(&chunked(&bytes, 64));
@@ -861,7 +852,7 @@ pub(crate) mod tests {
         )
         .unwrap();
 
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let service = SyncService::start_default();
         // The last window is what a hostile `JobConfig` can ask for: a lane
         // segment is never wider than its timeline, so it runs like any
@@ -907,7 +898,7 @@ pub(crate) mod tests {
     #[test]
     fn zero_window_incremental_job_fails_typed() {
         let (trace, init, fin) = fixture(4);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let service = SyncService::start(ServiceConfig {
             max_retries: 0,
             ..ServiceConfig::default()
@@ -927,24 +918,6 @@ pub(crate) mod tests {
         let failure = handle.wait().expect_err("zero window must fail");
         assert!(matches!(failure.error, JobError::Pipeline(_)));
         assert_eq!(service.metrics().admitted_bytes, 0);
-        service.shutdown();
-    }
-
-    #[test]
-    fn mixed_version_stream_is_refused_at_submit() {
-        let (trace, ..) = fixture(8);
-        let mut glued = to_binary_columnar_blocked(&trace, 16).to_vec();
-        glued.extend_from_slice(&tracefmt::io::to_binary_columnar_v3_blocked(&trace, 16));
-        let service = SyncService::start_default();
-        match service.submit(spec(JobInput::Stream(vec![glued]))) {
-            Err(SubmitError::MalformedStream(e)) => {
-                assert_eq!(e, tracefmt::io::CodecError::MixedVersions);
-            }
-            other => panic!("want MalformedStream, got {:?}", other.err()),
-        }
-        let m = service.metrics();
-        assert_eq!(m.counter(Counter::RejectedMalformed), 1);
-        assert_eq!(m.counter(Counter::Accepted), 0);
         service.shutdown();
     }
 
@@ -982,7 +955,7 @@ pub(crate) mod tests {
             ..ServiceConfig::default()
         });
         let (trace, ..) = fixture(4);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let poisoned = FaultInjector::new()
             .with(Fault::Truncate { at: bytes.len() - 3 })
             .apply(&chunked(&bytes, 64));

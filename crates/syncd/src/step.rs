@@ -254,7 +254,7 @@ mod tests {
     use clocksync::{OffsetMeasurement, PipelineConfig};
     use simclock::{Dur, Time, VirtualClock};
     use std::sync::Arc;
-    use tracefmt::io::to_binary_columnar_blocked;
+    use tracefmt::io::to_binary_columnar_v3_blocked;
     use tracefmt::{EventKind, Tag, Trace, UniformLatency};
 
     /// A virtual-clock runtime for tests (the full-featured one lives in
@@ -335,7 +335,7 @@ mod tests {
             Arc::clone(&clock) as Arc<dyn Runtime>,
         );
         let (trace, _) = fixture(8);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let poisoned = FaultInjector::new()
             .with(Fault::Truncate { at: bytes.len() / 2 })
             .apply(&chunked(&bytes, 64));

@@ -472,6 +472,12 @@ fn avx2_available() -> bool {
 unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
     use std::arch::x86_64::*;
     debug_assert!(hi - lo <= CHUNK);
+    // The SAFETY claim below, checked where it is made in debug builds:
+    // the lane loads stay in the lane, the gathers in `times`.
+    debug_assert!(hi <= lane.from.len() && hi <= lane.to.len() && hi <= lane.bound.len());
+    debug_assert!((lo..hi).all(|k| {
+        (lane.from[k] as usize) < times.len() && (lane.to[k] as usize) < times.len()
+    }));
     let base = times.as_ptr();
     let mut vmask = 0u64;
     let mut rmask = 0u64;

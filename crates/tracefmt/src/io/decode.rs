@@ -1,7 +1,7 @@
 //! The decoding reader: the frame walk with each block's body decoded into
 //! a [`TraceBuilder`].
 
-use super::frame::{Block, ColumnarVersion, Unit, Walk};
+use super::frame::{Block, Unit, Walk};
 use super::{segment, CodecError};
 use crate::column::TraceColumns;
 use crate::event::EventRecord;
@@ -18,12 +18,12 @@ use simclock::Time;
 /// the block size regardless of trace length:
 ///
 /// ```
-/// use tracefmt::io::{to_binary_columnar, StreamDecoder, TraceBuilder};
+/// use tracefmt::io::{to_binary_columnar_v3, StreamDecoder, TraceBuilder};
 /// # use tracefmt::{Trace, EventKind, RegionId};
 /// # use simclock::Time;
 /// # let mut trace = Trace::for_ranks(1);
 /// # trace.procs[0].push(Time::from_us(1), EventKind::Enter { region: RegionId(0) });
-/// let encoded = to_binary_columnar(&trace);
+/// let encoded = to_binary_columnar_v3(&trace);
 /// let mut dec = StreamDecoder::new();
 /// let mut builder = TraceBuilder::new();
 /// for chunk in encoded.chunks(64 * 1024) {
@@ -46,12 +46,6 @@ impl StreamDecoder {
     /// Fresh decoder expecting the stream magic first.
     pub fn new() -> Self {
         StreamDecoder::default()
-    }
-
-    /// The wire version negotiated from the stream magic (None until the
-    /// first four bytes arrive).
-    pub fn version(&self) -> Option<ColumnarVersion> {
-        self.walk.version
     }
 
     /// Bytes buffered but not yet decoded (the incomplete trailing unit).
@@ -125,7 +119,7 @@ impl StreamDecoder {
                     Some(frame) => builder.push_frame(block, frame)?,
                     None => break,
                 },
-                Unit::Magic(_) | Unit::Trailer => {}
+                Unit::Magic | Unit::Trailer => {}
             }
             pos += self.walk.advance(&unit);
         }
@@ -134,9 +128,7 @@ impl StreamDecoder {
 
     /// Declare end of stream. Errors with [`CodecError::Truncated`] unless
     /// the end-of-stream trailer was decoded — any stream cut mid-frame,
-    /// between frames, or before the trailer is reported here — and with
-    /// the after-trailer verdict when bytes too few to judge earlier
-    /// follow it.
+    /// between frames, or before the trailer is reported here.
     pub fn finish(self) -> Result<(), CodecError> {
         self.walk.end(self.buffered())
     }
@@ -179,9 +171,9 @@ impl TraceBuilder {
         events.reserve(block.n_events);
         let col = &mut self.cols[p];
         let start = col.len();
-        segment::decode_block_times(block.version, times, col);
+        segment::decode_block_times(times, col);
         let times = &col[start..];
-        segment::for_each_kind(block.version, payload, block.n_events, |i, kind| {
+        segment::for_each_kind(payload, block.n_events, |i, kind| {
             events.push(EventRecord::new(Time::from_ps(times[i]), kind));
         })
     }
@@ -199,8 +191,7 @@ impl TraceBuilder {
     }
 }
 
-/// Decode the columnar format — v2 or v3, negotiated from the magic — in
-/// one call (convenience wrapper around [`StreamDecoder`] +
+/// Decode the columnar format in one call (convenience wrapper around [`StreamDecoder`] +
 /// [`TraceBuilder`]).
 pub fn from_binary_columnar(buf: Bytes) -> Result<Trace, CodecError> {
     let mut dec = StreamDecoder::new();

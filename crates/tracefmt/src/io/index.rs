@@ -3,7 +3,7 @@
 //! the incremental pipeline) or tolerantly into a [`StreamEstimate`]
 //! (admission pricing) — plus the [`ChunkStore`] an index is read through.
 
-use super::frame::{Block, ColumnarVersion, Unit, Walk, HEADER_BYTES};
+use super::frame::{Block, Unit, Walk, HEADER_BYTES};
 use super::CodecError;
 use crate::ids::Location;
 
@@ -87,9 +87,6 @@ pub struct StreamEstimate {
     /// the stream is truncated (or a header was implausible and the scan
     /// stopped early) — the estimate is then a lower bound.
     pub complete: bool,
-    /// Wire version negotiated from the stream magic (None when the scan
-    /// stopped before — or on — the magic).
-    pub version: Option<ColumnarVersion>,
     /// Bytes following the end-of-stream trailer: garbage, or a
     /// concatenated second stream. Zero for a cleanly terminated stream.
     /// The decoder proper rejects any such bytes, so `complete` alone does
@@ -100,8 +97,7 @@ pub struct StreamEstimate {
     pub trailing_bytes: u64,
     /// The typed error [`index_columnar_chunks`] and the decoder answer
     /// for this input's frame grammar — the walk is the same — or `None`
-    /// for a stream they accept. ([`CodecError::MixedVersions`] here is
-    /// what admission refuses at submit.)
+    /// for a stream they accept.
     pub error: Option<CodecError>,
 }
 
@@ -122,7 +118,6 @@ pub fn estimate_columnar_stream<'a>(
         blocks: walk.blocks,
         bytes,
         complete: walk.finished,
-        version: walk.version,
         // A finished walk stands just past the trailer.
         trailing_bytes: if walk.finished { bytes - walk.off } else { 0 },
         error: verdict.err(),
@@ -220,12 +215,10 @@ pub struct BlockMeta {
     /// Events in the block.
     pub n_events: u32,
     /// Absolute stream offset of the timestamp segment
-    /// (`n_events * 8` bytes; big-endian on v2, 8-aligned little-endian
-    /// on v3).
+    /// (`n_events * 8` bytes, 8-aligned, little-endian).
     pub times_off: u64,
-    /// Absolute stream offset of the kind/args payload (variable-stride
-    /// records on v2; the kind-code run followed by the fixed-stride args
-    /// records on v3).
+    /// Absolute stream offset of the kind/args payload (the kind-code run
+    /// followed by the fixed-stride args records).
     pub payload_off: u64,
     /// Payload length in bytes.
     pub payload_len: u32,
@@ -236,8 +229,8 @@ pub struct BlockMeta {
 /// timestamp or payload byte having been decoded.
 ///
 /// The indexer is the strict twin of [`estimate_columnar_stream`]: it is
-/// the same walk [`StreamDecoder`](super::StreamDecoder) takes — magic
-/// negotiation, header ceilings, trailer counters, nothing after the
+/// the same walk [`StreamDecoder`](super::StreamDecoder) takes — the
+/// magic, header ceilings, trailer counters, nothing after the
 /// trailer — so a stream that indexes cleanly is one whose frames the
 /// decoder accepts in full, and one that does not fails with the
 /// decoder's error. The incremental pipeline builds on this: random
@@ -245,8 +238,6 @@ pub struct BlockMeta {
 /// bytes staying wherever the caller put them.
 #[derive(Debug, Clone)]
 pub struct StreamIndex {
-    /// Wire version negotiated from the magic.
-    pub version: ColumnarVersion,
     /// Timelines in first-seen order.
     pub locations: Vec<Location>,
     /// Every block frame, in stream order.
@@ -292,6 +283,5 @@ pub fn index_columnar_chunks(chunks: &[&[u8]]) -> Result<StreamIndex, CodecError
         proc_lens[p as usize] += block.n_events as u64;
     });
     scan.verdict?;
-    let version = scan.walk.version.expect("an accepted stream has passed its magic");
-    Ok(StreamIndex { version, locations, blocks, proc_blocks, proc_lens, total_bytes: scan.bytes })
+    Ok(StreamIndex { locations, blocks, proc_blocks, proc_lens, total_bytes: scan.bytes })
 }

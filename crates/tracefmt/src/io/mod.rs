@@ -1,5 +1,5 @@
 //! Trace codecs: a human-readable text format and one block-framed binary
-//! format in two segment layouts.
+//! format, `DTC3`.
 //!
 //! The text format ([`to_text`] / [`from_text`]) writes one event per line
 //! (`rank:thread time_ps MNEMONIC args…`), convenient for diffing and
@@ -15,16 +15,12 @@
 //! ([`index_columnar_chunks`], [`ChunkStore`]); [`FrameWriter`] is the
 //! write-side twin.
 //!
-//! The magic selects one of two segment layouts, negotiated once per
-//! stream ([`ColumnarVersion`]): `DTC2` ([`to_binary_columnar`]) stores
-//! big-endian timestamps and variable-stride kind/args records; `DTC3`
-//! ([`to_binary_columnar_v3`]) stores 8-byte-aligned *little-endian*
-//! timestamps and fixed-stride records, so an aligned buffer (an mmap, a
-//! stream chunk) is reinterpreted as a run of a timestamp column in one
-//! bulk copy, at ~32 % more bytes. Every reader and writer
-//! handles both; which of the two stays is an open question DESIGN.md §14
-//! records with its numbers. The frame grammar is written once, in the
-//! private `frame` module, and the layouts once, in `segment`.
+//! The encoder is [`to_binary_columnar_v3`]. Timestamps are 8-byte-aligned
+//! *little-endian* `i64` runs and the kind/args records have a fixed
+//! stride, so an aligned buffer (an mmap, a stream chunk) is reinterpreted
+//! as a run of a timestamp column in one bulk copy (DESIGN.md §14 records
+//! what the layout costs in bytes). The frame grammar is written once, in
+//! the private `frame` module, and the segment layout once, in `segment`.
 
 mod decode;
 mod encode;
@@ -36,11 +32,8 @@ mod tests;
 mod text;
 
 pub use decode::{from_binary_columnar, StreamDecoder, TraceBuilder};
-pub use encode::{
-    to_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3,
-    to_binary_columnar_v3_blocked,
-};
-pub use frame::{ColumnarVersion, FrameWriter, BLOCK_EVENTS, MAX_BLOCK_EVENTS, MAX_LOCATION_ID};
+pub use encode::{to_binary_columnar_v3, to_binary_columnar_v3_blocked};
+pub use frame::{FrameWriter, BLOCK_EVENTS, MAX_BLOCK_EVENTS, MAX_LOCATION_ID};
 pub use index::{
     estimate_columnar_stream, index_columnar_chunks, BlockMeta, ChunkStore, StreamEstimate,
     StreamIndex,
@@ -57,11 +50,6 @@ pub enum CodecError {
     UnknownKind(String),
     /// A field failed to parse.
     BadField(String),
-    /// Two incompatible wire versions were concatenated in one stream
-    /// (a `DTC3` stream glued after a `DTC2` trailer, or the reverse).
-    /// Per-stream version negotiation happens once, at the magic; every
-    /// reader answers this for such input, and admission refuses it.
-    MixedVersions,
 }
 
 impl std::fmt::Display for CodecError {
@@ -70,9 +58,6 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "input truncated"),
             CodecError::UnknownKind(s) => write!(f, "unknown event kind {s:?}"),
             CodecError::BadField(s) => write!(f, "bad field: {s}"),
-            CodecError::MixedVersions => {
-                write!(f, "mixed DTC2/DTC3 streams in one input")
-            }
         }
     }
 }

@@ -94,62 +94,6 @@ fn text_rejects_unknown_mnemonic() {
 }
 
 #[test]
-fn columnar_round_trip_various_block_sizes() {
-    let t = sample_trace();
-    for block in [1, 2, 3, 8192] {
-        let b = to_binary_columnar_blocked(&t, block);
-        let back = from_binary_columnar(b).unwrap();
-        assert!(traces_equal(&t, &back), "block size {block}");
-    }
-}
-
-#[test]
-fn columnar_preserves_empty_timelines() {
-    let mut t = Trace::for_ranks(3);
-    t.procs[1].push(Time::from_ns(10), EventKind::Enter { region: RegionId(0) });
-    let back = from_binary_columnar(to_binary_columnar(&t)).unwrap();
-    assert!(traces_equal(&t, &back));
-}
-
-#[test]
-fn streaming_decode_equals_full_decode_any_chunk_size() {
-    let t = sample_trace();
-    let b = to_binary_columnar_blocked(&t, 2);
-    for chunk_size in [1, 3, 7, 16, 64, b.len()] {
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for chunk in b.chunks(chunk_size) {
-            dec.feed_into(chunk, &mut builder).unwrap();
-        }
-        dec.finish().unwrap();
-        let (back, cols) = builder.finish_parts();
-        assert!(traces_equal(&t, &back), "chunk size {chunk_size}");
-        assert_eq!(cols.n_events(), t.n_events());
-        for (id, e) in t.iter_events() {
-            assert_eq!(cols.time(id), e.time);
-        }
-    }
-}
-
-#[test]
-fn columnar_detects_truncation_at_every_boundary() {
-    let t = sample_trace();
-    let b = to_binary_columnar_blocked(&t, 2);
-    // Any proper prefix must fail with Truncated (never panic): either
-    // feed() trips over a broken frame or finish() reports the stub.
-    for cut in 0..b.len() {
-        let mut dec = StreamDecoder::new();
-        let outcome = feed(&mut dec, &b[..cut]).and_then(|()| dec.finish());
-        assert_eq!(
-            outcome,
-            Err(CodecError::Truncated),
-            "cut at {cut}/{} not detected",
-            b.len()
-        );
-    }
-}
-
-#[test]
 fn columnar_rejects_bad_magic() {
     let mut buf = BytesMut::new();
     buf.put_u32(0xdeadbeef);
@@ -161,121 +105,9 @@ fn columnar_rejects_bad_magic() {
 }
 
 #[test]
-fn columnar_rejects_unknown_kind_code() {
-    let mut buf = BytesMut::new();
-    buf.put_u32(0x4454_4332);
-    // One block, one event, payload = bogus kind code + 4 arg bytes.
-    buf.put_u32(0); // rank
-    buf.put_u32(0); // thread
-    buf.put_u32(1); // n_events
-    buf.put_u32(5); // payload_len
-    buf.put_i64(42); // timestamp column
-    buf.put_u8(200); // unknown kind code
-    buf.put_u32(0);
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(
-        feed(&mut dec, &buf.freeze()),
-        Err(CodecError::UnknownKind(_))
-    ));
-}
-
-#[test]
-fn columnar_rejects_unknown_coll_code() {
-    let mut buf = BytesMut::new();
-    buf.put_u32(0x4454_4332);
-    buf.put_u32(0);
-    buf.put_u32(0);
-    buf.put_u32(1);
-    buf.put_u32(22); // CollBegin payload size
-    buf.put_i64(42);
-    buf.put_u8(4); // CollBegin
-    buf.put_u8(99); // unknown collective op
-    buf.put_u32(0);
-    buf.put_i64(-1);
-    buf.put_u64(8);
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(
-        feed(&mut dec, &buf.freeze()),
-        Err(CodecError::UnknownKind(_))
-    ));
-}
-
-#[test]
-fn columnar_rejects_payload_length_mismatch() {
-    let mut buf = BytesMut::new();
-    buf.put_u32(0x4454_4332);
-    buf.put_u32(0);
-    buf.put_u32(0);
-    buf.put_u32(1);
-    buf.put_u32(7); // too long for one Enter record (5 bytes)
-    buf.put_i64(42);
-    buf.put_u8(0); // Enter
-    buf.put_u32(1); // region
-    buf.put_u8(0); // 2 bytes of trailing garbage
-    buf.put_u8(0);
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(
-        feed(&mut dec, &buf.freeze()),
-        Err(CodecError::BadField(_))
-    ));
-}
-
-#[test]
-fn columnar_rejects_oversized_block_header() {
-    // A frame header claiming 2^31 events would make a naive reader
-    // wait for ~16 GiB; the decoder must reject it immediately.
-    let mut buf = BytesMut::new();
-    buf.put_u32(0x4454_4332);
-    buf.put_u32(0); // rank
-    buf.put_u32(0); // thread
-    buf.put_u32(1 << 31); // n_events far beyond MAX_BLOCK_EVENTS
-    buf.put_u32(64); // payload_len
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
-}
-
-#[test]
-fn columnar_rejects_corrupt_rank_in_block_header() {
-    // A flipped high byte in a header's rank id must fail typed at
-    // parse time — the id would otherwise reach dense per-rank
-    // structures downstream (the l_min table is quadratic in it).
-    let encoded = to_binary_columnar(&sample_trace());
-    let mut corrupt = encoded.to_vec();
-    corrupt[4] ^= 0xF0; // rank field of the first frame header
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(feed(&mut dec, &corrupt), Err(CodecError::BadField(_))));
-}
-
-#[test]
-fn columnar_rejects_inconsistent_block_header() {
-    // 8 events cannot fit in a 10-byte payload (records are >= 5 bytes).
-    let mut buf = BytesMut::new();
-    buf.put_u32(0x4454_4332);
-    buf.put_u32(0);
-    buf.put_u32(0);
-    buf.put_u32(8);
-    buf.put_u32(10);
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
-}
-
-#[test]
-fn stream_estimate_matches_encoder_totals() {
-    let t = sample_trace();
-    let b = to_binary_columnar_blocked(&t, 2);
-    for chunk_size in [1, 3, 7, 64, b.len()] {
-        let est = estimate_columnar_stream(b.chunks(chunk_size));
-        assert_eq!(est.events, t.n_events() as u64, "chunks of {chunk_size}");
-        assert!(est.complete, "chunks of {chunk_size}");
-        assert_eq!(est.bytes, b.len() as u64);
-        assert!(est.blocks >= 4, "blocks of 2 events over 8 events");
-    }
-}
-
-#[test]
 fn stream_estimate_tolerates_truncation_and_garbage() {
     let t = sample_trace();
-    let b = to_binary_columnar_blocked(&t, 2);
+    let b = to_binary_columnar_v3_blocked(&t, 2);
     // Truncated stream: a lower bound, flagged incomplete.
     let est = estimate_columnar_stream(std::iter::once(&b[..b.len() / 2]));
     assert!(!est.complete);
@@ -297,14 +129,6 @@ fn v3_round_trip_various_block_sizes() {
 }
 
 #[test]
-fn v3_decode_is_bit_identical_to_v2() {
-    let t = sample_trace();
-    let v2 = from_binary_columnar(to_binary_columnar_blocked(&t, 3)).unwrap();
-    let v3 = from_binary_columnar(to_binary_columnar_v3_blocked(&t, 3)).unwrap();
-    assert!(traces_equal(&v2, &v3));
-}
-
-#[test]
 fn v3_preserves_empty_timelines_and_negative_times() {
     let mut t = Trace::for_ranks(3);
     t.procs[1].push(Time::from_ns(-5000), EventKind::Enter { region: RegionId(0) });
@@ -322,7 +146,6 @@ fn v3_streaming_decode_equals_full_decode_any_chunk_size() {
         for chunk in b.chunks(chunk_size) {
             dec.feed_into(chunk, &mut builder).unwrap();
         }
-        assert_eq!(dec.version(), Some(ColumnarVersion::V3));
         dec.finish().unwrap();
         let (back, cols) = builder.finish_parts();
         assert!(traces_equal(&t, &back), "chunk size {chunk_size}");
@@ -381,19 +204,17 @@ fn v3_rejects_corrupt_rank_and_oversized_headers() {
 }
 
 #[test]
-fn stream_estimate_prices_v3_and_reports_version() {
+fn stream_estimate_prices_v3_from_its_headers() {
     let t = sample_trace();
     let b = to_binary_columnar_v3_blocked(&t, 2);
     for chunk_size in [1, 3, 7, 64, b.len()] {
         let est = estimate_columnar_stream(b.chunks(chunk_size));
         assert_eq!(est.events, t.n_events() as u64, "chunks of {chunk_size}");
+        assert_eq!(est.blocks, 5, "blocks of 2 over timelines of 5 and 3 events");
         assert!(est.complete, "chunks of {chunk_size}");
         assert_eq!(est.bytes, b.len() as u64);
-        assert_eq!(est.version, Some(ColumnarVersion::V3));
         assert_eq!(est.error, None);
     }
-    let est = estimate_columnar_stream(std::iter::once(&to_binary_columnar(&t)[..]));
-    assert_eq!(est.version, Some(ColumnarVersion::V2));
 }
 
 /// What `chunks` is to each of the three readers: the decoder fed chunk
@@ -407,26 +228,21 @@ fn verdicts(chunks: &[&[u8]]) -> [Result<(), CodecError>; 3] {
 
 #[test]
 fn every_reader_gives_one_verdict_on_bytes_after_the_trailer() {
-    let t = sample_trace();
-    let (v2, v3) = (to_binary_columnar(&t), to_binary_columnar_v3(&t));
+    let v3 = to_binary_columnar_v3(&sample_trace());
     type Verdict = Result<(), CodecError>;
     let after = || Err(CodecError::BadField("data after end-of-stream trailer".into()));
-    let cases: [(&[u8], &[u8], Verdict); 9] = [
-        (&v2, &[], Ok(())),
-        (&v3, &[], Ok(())),
-        // The other version's stream — or just its magic — is a glued input.
-        (&v2, &v3, Err(CodecError::MixedVersions)),
-        (&v3, &v2, Err(CodecError::MixedVersions)),
-        (&v2, &v3[..4], Err(CodecError::MixedVersions)),
-        // Same-version concatenation is malformed but not *mixed*; neither
-        // is garbage, nor a tail too short to be a magic.
-        (&v2, &v2, after()),
-        (&v3, &v3, after()),
-        (&v3, &[0xA5; 17], after()),
-        (&v2, &v3[..3], after()),
+    // A second stream glued on, its magic alone, garbage, a single byte:
+    // all are trailing data.
+    let cases: [(&[u8], Verdict); 6] = [
+        (&[], Ok(())),
+        (&v3, after()),
+        (&v3[..4], after()),
+        (&v3[..3], after()),
+        (&[0xA5; 17], after()),
+        (&[0], after()),
     ];
-    for (stream, tail, want) in cases {
-        let glued = [stream, tail].concat();
+    for (tail, want) in cases {
+        let glued = [&v3[..], tail].concat();
         for chunk_size in [1, 2, 5, 64, glued.len()] {
             let chunks: Vec<&[u8]> = glued.chunks(chunk_size).collect();
             for (reader, got) in ["decoder", "indexer", "estimator"].iter().zip(verdicts(&chunks)) {
@@ -439,46 +255,65 @@ fn every_reader_gives_one_verdict_on_bytes_after_the_trailer() {
     }
 }
 
+/// A stream with one frame dropped and its trailer intact is caught by the
+/// trailer's counters, by every reader, however it is chunked.
+#[test]
+fn a_dropped_frame_is_caught_by_the_trailer_counters() {
+    let b = to_binary_columnar_v3_blocked(&sample_trace(), 2);
+    let idx = index_columnar_chunks(&[&b[..]]).unwrap();
+    // The last frame, which starts where the one before it ends: dropping
+    // it moves no later frame's pad.
+    let before = &idx.blocks[idx.blocks.len() - 2];
+    let frame_at = (before.payload_off + u64::from(before.payload_len)) as usize;
+    let dropped = [&b[..frame_at], &b[b.len() - 16..]].concat();
+    let want = Err(CodecError::BadField("end-of-stream counter mismatch".into()));
+    for chunk_size in [1, 7, dropped.len()] {
+        let chunks: Vec<&[u8]> = dropped.chunks(chunk_size).collect();
+        for (reader, got) in ["decoder", "indexer", "estimator"].iter().zip(verdicts(&chunks)) {
+            assert_eq!(got, want, "{reader}, chunks of {chunk_size}");
+        }
+    }
+}
+
 #[test]
 fn stream_estimate_reports_trailing_bytes() {
     let t = sample_trace();
-    for bytes in [to_binary_columnar_blocked(&t, 2), to_binary_columnar_v3_blocked(&t, 2)] {
-        // Clean stream: no trailing bytes, at any chunking.
-        for chunk_size in [1, 3, 7, bytes.len()] {
-            let est = estimate_columnar_stream(bytes.chunks(chunk_size));
-            assert!(est.complete);
-            assert_eq!(est.trailing_bytes, 0, "chunks of {chunk_size}");
-        }
-        // Trailing garbage after a valid trailer: still `complete`
-        // (the trailer WAS seen), but the tail is reported so
-        // admission can refuse to trust the header-announced totals —
-        // the decoder proper will reject this stream.
-        for garbage_len in [1usize, 3, 4, 17] {
-            let mut dirty = bytes.to_vec();
-            dirty.extend(std::iter::repeat_n(0xA5u8, garbage_len));
-            for chunk_size in [1, 5, dirty.len()] {
-                let est = estimate_columnar_stream(dirty.chunks(chunk_size));
-                assert!(est.complete);
-                assert_eq!(est.bytes, dirty.len() as u64);
-                assert_eq!(
-                    est.trailing_bytes, garbage_len as u64,
-                    "garbage {garbage_len}, chunks of {chunk_size}"
-                );
-            }
-        }
-        // Same-version concatenation: the whole second stream is
-        // trailing — admission must not price this as the first
-        // stream's totals alone.
-        let mut glued = bytes.to_vec();
-        glued.extend_from_slice(&bytes);
-        let est = estimate_columnar_stream(std::iter::once(&glued[..]));
+    let bytes = to_binary_columnar_v3_blocked(&t, 2);
+    // Clean stream: no trailing bytes, at any chunking.
+    for chunk_size in [1, 3, 7, bytes.len()] {
+        let est = estimate_columnar_stream(bytes.chunks(chunk_size));
         assert!(est.complete);
-        assert_eq!(est.trailing_bytes, bytes.len() as u64);
-        // Truncated stream: no trailer, so no trailing bytes.
-        let est = estimate_columnar_stream(std::iter::once(&bytes[..bytes.len() - 1]));
-        assert!(!est.complete);
-        assert_eq!(est.trailing_bytes, 0);
+        assert_eq!(est.trailing_bytes, 0, "chunks of {chunk_size}");
     }
+    // Trailing garbage after a valid trailer: still `complete`
+    // (the trailer WAS seen), but the tail is reported so
+    // admission can refuse to trust the header-announced totals —
+    // the decoder proper will reject this stream.
+    for garbage_len in [1usize, 3, 4, 17] {
+        let mut dirty = bytes.to_vec();
+        dirty.extend(std::iter::repeat_n(0xA5u8, garbage_len));
+        for chunk_size in [1, 5, dirty.len()] {
+            let est = estimate_columnar_stream(dirty.chunks(chunk_size));
+            assert!(est.complete);
+            assert_eq!(est.bytes, dirty.len() as u64);
+            assert_eq!(
+                est.trailing_bytes, garbage_len as u64,
+                "garbage {garbage_len}, chunks of {chunk_size}"
+            );
+        }
+    }
+    // A second stream glued on: the whole of it is
+    // trailing — admission must not price this as the first
+    // stream's totals alone.
+    let mut glued = bytes.to_vec();
+    glued.extend_from_slice(&bytes);
+    let est = estimate_columnar_stream(std::iter::once(&glued[..]));
+    assert!(est.complete);
+    assert_eq!(est.trailing_bytes, bytes.len() as u64);
+    // Truncated stream: no trailer, so no trailing bytes.
+    let est = estimate_columnar_stream(std::iter::once(&bytes[..bytes.len() - 1]));
+    assert!(!est.complete);
+    assert_eq!(est.trailing_bytes, 0);
 }
 
 #[test]
@@ -502,39 +337,34 @@ fn chunk_store_reads_across_boundaries() {
 #[test]
 fn index_agrees_with_streaming_decode() {
     let t = sample_trace();
-    for (bytes, version) in [
-        (to_binary_columnar_blocked(&t, 3), ColumnarVersion::V2),
-        (to_binary_columnar_v3_blocked(&t, 3), ColumnarVersion::V3),
-    ] {
-        for chunk_size in [1usize, 7, 16, bytes.len()] {
-            let pieces: Vec<&[u8]> = bytes.chunks(chunk_size).collect();
-            let idx = index_columnar_chunks(&pieces).unwrap();
-            assert_eq!(idx.version, version);
-            assert_eq!(idx.total_bytes, bytes.len() as u64);
-            assert_eq!(idx.n_events(), t.n_events() as u64);
-            assert_eq!(idx.locations.len(), t.n_procs());
-            // Rebuild the whole trace through the random-access lane
-            // and compare with the reference decoder.
-            let store = ChunkStore::new(&pieces);
-            let mut scratch = Vec::new();
-            let timelines = idx.locations.iter().map(|&loc| ProcessTrace::new(loc));
-            let mut back = Trace { procs: timelines.collect() };
-            for b in &idx.blocks {
-                let mut times = Vec::new();
-                let seg =
-                    store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
-                decode_block_times(version, seg, &mut times);
-                let mut kinds = Vec::new();
-                let payload =
-                    store.read(b.payload_off, b.payload_len as usize, &mut scratch);
-                decode_block_kinds(version, payload, b.n_events as usize, &mut kinds)
-                    .unwrap();
-                let events =
-                    times.iter().zip(kinds).map(|(&ps, k)| EventRecord::new(Time::from_ps(ps), k));
-                back.procs[b.timeline as usize].events.extend(events);
-            }
-            assert!(traces_equal(&t, &back), "chunks of {chunk_size}");
+    let bytes = to_binary_columnar_v3_blocked(&t, 3);
+    for chunk_size in [1usize, 7, 16, bytes.len()] {
+        let pieces: Vec<&[u8]> = bytes.chunks(chunk_size).collect();
+        let idx = index_columnar_chunks(&pieces).unwrap();
+        assert_eq!(idx.total_bytes, bytes.len() as u64);
+        assert_eq!(idx.n_events(), t.n_events() as u64);
+        assert_eq!(idx.locations.len(), t.n_procs());
+        // Rebuild the whole trace through the random-access lane
+        // and compare with the reference decoder.
+        let store = ChunkStore::new(&pieces);
+        let mut scratch = Vec::new();
+        let timelines = idx.locations.iter().map(|&loc| ProcessTrace::new(loc));
+        let mut back = Trace { procs: timelines.collect() };
+        for b in &idx.blocks {
+            let mut times = Vec::new();
+            let seg =
+                store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
+            decode_block_times(seg, &mut times);
+            let mut kinds = Vec::new();
+            let payload =
+                store.read(b.payload_off, b.payload_len as usize, &mut scratch);
+            decode_block_kinds(payload, b.n_events as usize, &mut kinds)
+                .unwrap();
+            let events =
+                times.iter().zip(kinds).map(|(&ps, k)| EventRecord::new(Time::from_ps(ps), k));
+            back.procs[b.timeline as usize].events.extend(events);
         }
+        assert!(traces_equal(&t, &back), "chunks of {chunk_size}");
     }
 }
 
@@ -571,30 +401,25 @@ fn index_is_strict_about_malformed_streams() {
 
 #[test]
 fn frame_writer_reemits_bit_identically() {
-    let t = sample_trace();
-    for (bytes, version) in [
-        (to_binary_columnar_blocked(&t, 3), ColumnarVersion::V2),
-        (to_binary_columnar_v3_blocked(&t, 3), ColumnarVersion::V3),
-    ] {
-        let pieces: Vec<&[u8]> = bytes.chunks(13).collect();
-        let idx = index_columnar_chunks(&pieces).unwrap();
-        let store = ChunkStore::new(&pieces);
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        let mut writer = FrameWriter::new(version, &mut out);
-        for b in &idx.blocks {
-            let loc = idx.locations[b.timeline as usize];
-            let mut times = Vec::new();
-            let seg = store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
-            decode_block_times(version, seg, &mut times);
-            let payload = store
-                .read(b.payload_off, b.payload_len as usize, &mut scratch)
-                .to_vec();
-            writer.frame(&mut out, loc, &times, &payload);
-        }
-        writer.finish(&mut out);
-        assert_eq!(&out[..], &bytes[..], "{version:?} re-emission diverged");
+    let bytes = to_binary_columnar_v3_blocked(&sample_trace(), 3);
+    let pieces: Vec<&[u8]> = bytes.chunks(13).collect();
+    let idx = index_columnar_chunks(&pieces).unwrap();
+    let store = ChunkStore::new(&pieces);
+    let mut scratch = Vec::new();
+    let mut out = Vec::new();
+    let mut writer = FrameWriter::new(&mut out);
+    for b in &idx.blocks {
+        let loc = idx.locations[b.timeline as usize];
+        let mut times = Vec::new();
+        let seg = store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
+        decode_block_times(seg, &mut times);
+        let payload = store
+            .read(b.payload_off, b.payload_len as usize, &mut scratch)
+            .to_vec();
+        writer.frame(&mut out, loc, &times, &payload);
     }
+    writer.finish(&mut out);
+    assert_eq!(&out[..], &bytes[..], "re-emission diverged");
 }
 
 /// Satellite pin for the partial-frame buffering paths: splitting the
@@ -607,11 +432,7 @@ fn two_piece_split_at_every_boundary_decodes_identically() {
     // Block size 1 and an odd trace shape maximize pad-phase variety:
     // consecutive v3 frames land on different (mod 8) offsets.
     let t = sample_trace();
-    for bytes in [
-        to_binary_columnar_blocked(&t, 1),
-        to_binary_columnar_v3_blocked(&t, 1),
-        to_binary_columnar_v3_blocked(&t, 3),
-    ] {
+    for bytes in [to_binary_columnar_v3_blocked(&t, 1), to_binary_columnar_v3_blocked(&t, 3)] {
         let reference = from_binary_columnar(bytes.clone()).unwrap();
         for cut in 0..=bytes.len() {
             let mut dec = StreamDecoder::new();
@@ -643,7 +464,7 @@ fn negative_timestamps_survive() {
     t.procs[0].push(Time::from_ns(-5000), EventKind::Enter { region: RegionId(0) });
     let round = from_text(&to_text(&t)).unwrap();
     assert_eq!(round.procs[0].events[0].time, Time::from_ns(-5000));
-    let round = from_binary_columnar(to_binary_columnar(&t)).unwrap();
+    let round = from_binary_columnar(to_binary_columnar_v3(&t)).unwrap();
     assert_eq!(round.procs[0].events[0].time, Time::from_ns(-5000));
 }
 
@@ -669,7 +490,7 @@ fn sparse_trace() -> Trace {
 }
 
 /// Wire bytes are a contract with stored streams and with the server's
-/// peers: length and FNV-1a of both encoders' output, recorded before the
+/// peers: length and FNV-1a of the encoder's output, recorded before the
 /// encoders became clients of one frame writer.
 #[test]
 fn encoder_output_is_byte_stable() {
@@ -678,21 +499,44 @@ fn encoder_output_is_byte_stable() {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         })
     }
-    // (trace, block size, v2 length, v2 hash, v3 length, v3 hash)
+    // (trace, block size, v3 length, v3 hash)
     let golden = [
-        ("sample", 1, 344, 0x1084faf8cb96f045, 465, 0x851ee8ae3e9a4074u64),
-        ("sample", 4, 264, 0xcb1588a6bc3bc0b0, 347, 0x531b76389bae3fa1),
-        ("sample", 2048, 248, 0xf05f10f87d4ce803, 323, 0xb668bb498eb5e880),
-        ("sparse", 1, 481, 0x716750e7c804343f, 649, 0xcc65deaea386b2f2),
-        ("sparse", 4, 353, 0x499134ca8acf4ff7, 460, 0x52be1d014b6cda60),
-        ("sparse", 2048, 337, 0x08f0e8abe0fe7374, 440, 0x7b3924bf46043e33),
+        ("sample", 1, 465, 0x851ee8ae3e9a4074u64),
+        ("sample", 4, 347, 0x531b76389bae3fa1),
+        ("sample", 2048, 323, 0xb668bb498eb5e880),
+        ("sparse", 1, 649, 0xcc65deaea386b2f2),
+        ("sparse", 4, 460, 0x52be1d014b6cda60),
+        ("sparse", 2048, 440, 0x7b3924bf46043e33),
     ];
-    for (name, block, v2_len, v2_hash, v3_len, v3_hash) in golden {
+    for (name, block, v3_len, v3_hash) in golden {
         let t = if name == "sample" { sample_trace() } else { sparse_trace() };
-        let v2 = to_binary_columnar_blocked(&t, block);
         let v3 = to_binary_columnar_v3_blocked(&t, block);
-        assert_eq!((v2.len(), fnv1a(&v2)), (v2_len, v2_hash), "{name}, v2, blocks of {block}");
         assert_eq!((v3.len(), fnv1a(&v3)), (v3_len, v3_hash), "{name}, v3, blocks of {block}");
         assert!(traces_equal(&t, &from_binary_columnar(v3).unwrap()), "{name} round trip");
+    }
+}
+
+/// The timestamp decoder copies a segment in bulk when its bytes happen to
+/// be 8-aligned in memory and loads them unaligned otherwise (`cast`). A
+/// stream fed in one piece from each of the 8 byte offsets of a buffer puts
+/// every segment on each alignment once, so both paths run and must agree.
+#[test]
+fn decodes_identically_at_every_byte_offset_of_its_buffer() {
+    let t = sparse_trace();
+    let bytes = to_binary_columnar_v3_blocked(&t, 2);
+    let mut buf = vec![0u8; bytes.len() + 16];
+    let aligned = buf.as_ptr().align_offset(8);
+    for shift in 0..8 {
+        let at = aligned + shift;
+        buf[at..at + bytes.len()].copy_from_slice(&bytes);
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        dec.feed_into(&buf[at..at + bytes.len()], &mut builder).unwrap();
+        dec.finish().unwrap();
+        let (back, cols) = builder.finish_parts();
+        assert!(traces_equal(&t, &back), "stream at buffer offset {shift} (mod 8)");
+        for (id, e) in t.iter_events() {
+            assert_eq!(cols.time(id), e.time, "stream at buffer offset {shift} (mod 8)");
+        }
     }
 }

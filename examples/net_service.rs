@@ -7,7 +7,7 @@
 //!
 //! Three acts, each asserting what it demonstrates:
 //!
-//! 1. **batch over TCP** — upload a drifted trace as a DTC2 stream,
+//! 1. **batch over TCP** — upload a drifted trace as a `DTC3` stream,
 //!    get the corrected trace back, and check it is *bit-identical* to
 //!    running the pipeline in-process;
 //! 2. **incremental streaming** — the same job in windowed mode, with
@@ -23,7 +23,7 @@ use drift_lab::prelude::*;
 use drift_lab::syncd::{Counter, NetServer, NetServerConfig, TenantConfig};
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency, WireMode};
-use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_blocked};
+use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 use drift_lab::workloads::skewed_p2p;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,9 +46,9 @@ fn main() {
     let cfg = PipelineConfig::default();
     // Large enough that the upload is more than one 256 KiB `Chunk` frame.
     let (trace, init, fin) = skewed_p2p(&mut StdRng::seed_from_u64(7), 6, 6000, 300);
-    let bytes = to_binary_columnar_blocked(&trace, 1024).to_vec();
+    let bytes = to_binary_columnar_v3_blocked(&trace, 1024).to_vec();
     println!(
-        "fixture: {} ranks, {} events, {} DTC2 bytes",
+        "fixture: {} ranks, {} events, {} DTC3 bytes",
         trace.n_procs(),
         trace.n_events(),
         bytes.len()

@@ -1,7 +1,7 @@
 //! `syncd` as a multi-tenant service: trace two application twins (a
 //! POP-like ocean model and an SMG2000-like solver), submit both to one
-//! shared `SyncService` — POP twice, once in memory and once as a DTC2
-//! byte stream — alongside a *poisoned* stream (corrupted mid-flight) and
+//! shared `SyncService` — POP twice, once in memory and once as a
+//! `DTC3` byte stream — alongside a *poisoned* stream (corrupted mid-flight) and
 //! a tight-quota tenant whose submission admission control bounces, then
 //! print the service's metrics exporter.
 //!
@@ -21,7 +21,7 @@ use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobInput, JobSpec, Priority, ServiceConfig,
     SyncService,
 };
-use drift_lab::tracefmt::io::to_binary_columnar_blocked;
+use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 use drift_lab::tracefmt::{LatencyTable, MinLatency};
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,9 +78,9 @@ fn main() {
         )
         .expect("POP job admitted");
 
-    // Tenant 1 again: the same POP trace as a chunked DTC2 byte stream —
+    // Tenant 1 again: the same POP trace as a chunked `DTC3` byte stream —
     // the wire path a remote tracer would use.
-    let pop_bytes = to_binary_columnar_blocked(&pop, 4096);
+    let pop_bytes = to_binary_columnar_v3_blocked(&pop, 4096);
     let pop_stream_job = service
         .submit(JobSpec::new(
             JobInput::Stream(chunked(&pop_bytes, 64 * 1024)),

@@ -9,8 +9,8 @@
 #   every workspace crate's tests, with floors on the number of test
 #     binaries that reported and of tests they passed
 #   clippy over the whole workspace, warnings are errors
-#   (DRIFT_STRESS=1 adds the wide v2/v3 differential matrix here and
-#   widens the two campaigns below)
+#   (DRIFT_STRESS=1 adds the wide one-shot/streamed differential matrix
+#   here and widens the two campaigns below)
 #
 # Everything after them runs through `gate`, which records a failing gate's
 # name and goes on, so one red gate never hides the verdict of the ones
@@ -20,7 +20,7 @@
 #   bench check: engine | census | ingest | online
 #       each kernel bench runs its body once and holds its own asserts:
 #       census kernels >= 3x the reference walk (one process, one input),
-#       every decode path returns its source, v3/v2 byte ratio
+#       every decode path returns its source
 #   stage shares            `lower` >= 1.5x `clc` items/s, one run of the
 #                           POP example
 #   collective cost         `clc` per event with allreduces <= 1.6x without,
@@ -33,8 +33,10 @@
 #       their one file
 #   size ratchet            lines under crates/{core,tracefmt,syncd}/src
 #                           against a ceiling that only goes down
-#   capture mutants         scripts/mutants.sh: one-line mutants of the
-#                           trace capture, each killed by a named test
+#   capture and frame mutants
+#                           scripts/mutants.sh: one-line mutants of the
+#                           trace capture and the frame grammar, each
+#                           killed by its named tests
 #   vopr campaign | netchaos campaign
 #       seeded schedules against the stepped service, seeded connection
 #       faults through the wire stack; a failing seed prints its repro
@@ -78,8 +80,13 @@ WORKSPACE_TEST_BINARIES_FLOOR=49
 # POMP pin of a thread with a barrier exit but no enter. Raised when the
 # capture became one scan: its byte budget (a binary of its own), the
 # fallback-grouping and malformed-collective legs and two pins of the
-# matcher's edges came.
-WORKSPACE_TESTS_FLOOR=611
+# matcher's edges came. Lowered by 14 when `DTC3` became the only binary
+# layout: 17 tests went — 14 `DTC2` tests whose `DTC3` twins stay, and the
+# v2-vs-v3 decode comparison, the glued-version refusal at admission and
+# at submit, whose subjects went — and 3 came: a dropped frame caught by
+# the trailer, the decoder at every buffer alignment, and a `DTC2` magic
+# refused alike by the three readers.
+WORKSPACE_TESTS_FLOOR=597
 
 tree_before=$(git status --porcelain)
 gates_run=0
@@ -126,10 +133,10 @@ echo "==> lint: cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${DRIFT_STRESS:-0}" == "1" ]]; then
-    # The v2↔v3 differential matrix widens itself under DRIFT_STRESS=1
-    # (adds a 6000-message trace size) in both the AVX2 and the
-    # forced-scalar test binary.
-    echo "==> stress: v2/v3 differential matrix (wide, DRIFT_STRESS=1)"
+    # The one-shot/streamed differential matrix widens itself under
+    # DRIFT_STRESS=1 (adds a 6000-message trace size) in both the AVX2 and
+    # the forced-scalar test binary.
+    echo "==> stress: differential matrix (wide, DRIFT_STRESS=1)"
     cargo test -q --test columnar_differential --test columnar_differential_scalar
 else
     echo "==> stress: skipped (set DRIFT_STRESS=1 to run the wide matrix)"
@@ -225,11 +232,13 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # dependency graph beside its one lowering (DESIGN §11.1). The map-based
 # walker's names live on only as the tests' oracle, under tests/common/.
 # One scan captures messages and collectives (DESIGN §9.1): none of the
-# two-pass capture's streaming faces or its rank table.
+# two-pass capture's streaming faces or its rank table. One binary layout
+# (DESIGN §14.3): none of the second layout's encoders, version enum,
+# glued-version error or the service's refusal path and version echo.
 deleted_names_gate() {
     local hits
     hits=$(
-        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds' \
+        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(' \
             crates src tests examples
         grep -rnE 'deps_from_parts|extract_deps' crates src examples
     ) || true
@@ -246,15 +255,14 @@ gate "deleted names stay deleted" deleted_names_gate
 gate "no hash map under the CLC or the pipeline" bash -c \
     "! grep -rn HashMap crates/core/src/clc crates/core/src/pipeline"
 
-# One frame grammar (DESIGN §14): magic negotiation, the header checks, the
-# v3 pad, the trailer and the after-trailer rule live in one private file
-# of `tracefmt::io`, every reader and writer goes through it, and nobody
-# sniffs a stream's version from its first bytes (the one literal left is
-# `simsched`'s workload test, which counts what it generated).
+# One frame grammar (DESIGN §14): the magic, the header checks, the pad,
+# the trailer and the after-trailer rule live in one private file of
+# `tracefmt::io`, every reader and writer goes through it, and no shipped
+# source reads a stream's first bytes itself.
 one_frame_grammar_gate() {
     local owners sniffers
-    owners=$(grep -rlE 'v3_pad|check_block_header|MAGIC_COLUMNAR' crates)
-    sniffers=$(grep -rlE 'b"DT[CL]' crates/*/src | grep -v '^crates/simsched/src/workload.rs$' || true)
+    owners=$(grep -rlE 'frame_pad|check_block_header|MAGIC_COLUMNAR' crates)
+    sniffers=$(grep -rlE 'b"DT[CL]' crates/*/src || true)
     if [[ "$owners" != "crates/tracefmt/src/io/frame.rs" || -n "$sniffers" ]]; then
         echo "one frame grammar: the grammar's names are in [${owners//$'\n'/ }]," \
             "magic literals in [${sniffers//$'\n'/ }]" >&2
@@ -288,8 +296,8 @@ gate "one CLC step" one_clc_step_gate
 # grouping rides beside the two counting passes it falls back to, kept
 # because it measured 1.18x on online_churn's events/s against the passes
 # alone, and the collective checks the scan added (a CollEnd's op, every
-# member's root).
-SRC_LINES_CEILING=17978
+# member's root). Lowered from 17 978 when `DTC3` became the only layout.
+SRC_LINES_CEILING=17472
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -304,12 +312,14 @@ size_ratchet_gate() {
 }
 gate "size ratchet: core + tracefmt + syncd" size_ratchet_gate
 
-# Capture mutants (ROADMAP item 9): every one-line mutant of the trace
-# capture in scripts/mutants.sh — unstable grouping, the positional zip
-# without its tag check, an unknown peer taken for rank 0, the root and
-# end-op checks skipped, either grouping path dropping the side bit — must
-# turn its named test red in a copy of the checkout (~15 s once built).
-gate "capture mutants: scripts/mutants.sh" ./scripts/mutants.sh
+# Capture and frame mutants (ROADMAP item 9): every one-line mutant in
+# scripts/mutants.sh — of the trace capture: unstable grouping, the
+# positional zip without its tag check, an unknown peer taken for rank 0,
+# the root and end-op checks skipped, either grouping path dropping the
+# side bit; of the frame grammar: trailer counters or header ids
+# unchecked, timestamp segments unpadded — must turn its named tests red
+# in a copy of the checkout (~40 s once built).
+gate "capture and frame mutants: scripts/mutants.sh" ./scripts/mutants.sh
 
 # VOPR campaign: every seed must pass every invariant and replay
 # identically from its decision trace. On failure the runner prints the

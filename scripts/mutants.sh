@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# Mutation-kill gate for the trace capture (ROADMAP item 9):
+# Mutation-kill gate for the trace capture and the frame grammar (ROADMAP
+# item 9):
 #
 #   ./scripts/mutants.sh
 #
-# Each mutant changes one line of `crates/tracefmt/src/analysis.rs` in a
-# fresh `cp -a` copy of the checkout and must turn the test named beside it
-# red; the unmutated copy passes every named test first, so a red test is
-# the mutant's doing. A mutant that survives is a finding: add the test
-# that kills it. One row per mutant; the script fails if any survives.
+# Each mutant changes one line of one source file in a fresh `cp -a` copy
+# of the checkout and must turn every test named beside it red; the
+# unmutated copy passes every named test first, so a red test is the
+# mutant's doing. A mutant that survives is a finding: add the test that
+# kills it. One row per mutant; the script fails if any survives.
 #
 # The copy lives at one path (target/mutants/tree) and builds into one
 # target directory (target/mutants/target), so a run after the first
@@ -18,51 +19,83 @@ root=$(pwd)
 work="$root/target/mutants"
 tree="$work/tree"
 export CARGO_TARGET_DIR="$work/target"
-file=crates/tracefmt/src/analysis.rs
 
-# Four lines per mutant, a blank line between: what it breaks, the line as
-# it stands (indentation aside), the mutant's line, the test that must fail
-# (`crate::path` for a unit test, `tests/<file>.rs::<name>` otherwise).
+# Five lines per mutant, a blank line between: what it breaks, the file it
+# edits, the line as it stands (indentation aside), the mutant's line, and
+# the tests that must fail, space-separated (`crate::path` for a unit test,
+# `tests/<file>.rs::<name>` otherwise).
 mutants=$(cat <<'EOF'
 unstable grouping: equal keys come out reversed
+crates/tracefmt/src/analysis.rs
 for i in items.rev() {
 for i in items {
 tests/proptest_matching.rs::a_pair_leaves_its_latest_sends_unmatched
 
 positional zip without its tag-agreement check
+crates/tracefmt/src/analysis.rs
 if s.iter().zip(r.iter()).any(|(&s, &r)| tag(msgs, s) != tag(msgs, r)) {
 if false {
 tests/proptest_matching.rs::tags_reordered_inside_a_pair_match_per_tag_fifo
 
 a peer no timeline carries is rank id 0
+crates/tracefmt/src/analysis.rs
 id.map_or(NOBODY, |id| id as u32)
 id.map_or(0, |id| id as u32)
 tests/proptest_matching.rs::peers_no_timeline_carries_stay_unmatched
 
 members naming different roots are accepted
+crates/tracefmt/src/analysis.rs
 if call.root != root {
 if false {
 tests/proptest_matching.rs::malformed_collectives_fail_alike_batch_and_streamed
 
 a CollEnd of another op is accepted
+crates/tracefmt/src/analysis.rs
 if op != call.op {
 if false {
 tests/proptest_matching.rs::malformed_collectives_fail_alike_batch_and_streamed
 
 bucket grouping drops the side bit
+crates/tracefmt/src/analysis.rs
 let key = (from * u + to) << 1 | side;
 let key = (from * u + to) << 1;
 tests/proptest_matching.rs::sort_based_matching_equals_the_fifo_oracle
 
 fallback grouping drops the side bit
+crates/tracefmt/src/analysis.rs
 let by_to = |k| pair_of(rec(k), &own).1 as usize * 2 + usize::from(rec(k).is_recv());
 let by_to = |k| pair_of(rec(k), &own).1 as usize * 2;
 tests/proptest_matching.rs::wide_traces_match_the_oracle_through_the_fallback_grouping
+
+trailer counters unchecked
+crates/tracefmt/src/io/frame.rs
+if n_events != self.events as u32 || payload_len != self.blocks as u32 {
+if false {
+tracefmt::io::tests::a_dropped_frame_is_caught_by_the_trailer_counters
+
+header rank and thread ids unchecked
+crates/tracefmt/src/io/frame.rs
+if rank > MAX_LOCATION_ID || thread > MAX_LOCATION_ID {
+if false {
+tracefmt::io::tests::v3_rejects_corrupt_rank_and_oversized_headers
+
+timestamp segments unpadded
+crates/tracefmt/src/io/frame.rs
+((8 - (frame_start + HEADER_BYTES as u64) % 8) % 8) as usize
+0
+tracefmt::io::tests::encoder_output_is_byte_stable tracefmt::io::frame::tests::v3_timestamp_segments_are_8_aligned
 EOF
 )
 
-# A fresh copy of the checkout without build outputs or history. The file
-# the mutants edit gets a new mtime, so cargo never mistakes a restored line
+names=() files=() origs=() repls=() tests=()
+while IFS= read -r name && IFS= read -r file && IFS= read -r orig && IFS= read -r repl &&
+    IFS= read -r test; do
+    names+=("$name") files+=("$file") origs+=("$orig") repls+=("$repl") tests+=("$test")
+    IFS= read -r _ || true
+done <<<"$mutants"
+
+# A fresh copy of the checkout without build outputs or history. The files
+# the mutants edit get a new mtime, so cargo never mistakes a restored line
 # for the build of the mutant before it.
 fresh_copy() {
     rm -rf "$tree"
@@ -71,7 +104,9 @@ fresh_copy() {
         case "${entry##*/}" in target | benchmark | bench-logs) continue ;; esac
         cp -a "$entry" "$tree/"
     done
-    touch "$tree/$file"
+    for file in $(printf '%s\n' "${files[@]}" | sort -u); do
+        touch "$tree/$file"
+    done
 }
 
 # run_test NAME: 0 when the named test passes in the copy, 1 when it
@@ -94,30 +129,24 @@ run_test() {
     (cd "$tree" && cargo test -q "${target[@]}" "$filter" -- --exact) >/dev/null 2>&1
 }
 
-# mutate ORIGINAL MUTANT: replace the one line of the copy's file that is
-# ORIGINAL once stripped of its indentation.
+# mutate FILE ORIGINAL MUTANT: replace the one line of the copy's FILE that
+# is ORIGINAL once stripped of its indentation.
 mutate() {
-    local path="$tree/$file" out
-    out=$(awk -v orig="$1" -v repl="$2" '
+    local file=$1 path="$tree/$1" out
+    out=$(awk -v orig="$2" -v repl="$3" '
         { line = $0; sub(/^[ \t]+/, "", line) }
         line == orig { n++; match($0, /^[ \t]*/); print substr($0, 1, RLENGTH) repl; next }
         { print }
         END { if (n != 1) exit 1 }' "$path") || {
-        echo "mutants: '$1' is not exactly one line of $file" >&2
+        echo "mutants: '$2' is not exactly one line of $file" >&2
         return 1
     }
     printf '%s\n' "$out" >"$path"
 }
 
 t0=$(date +%s)
-names=() origs=() repls=() tests=()
-while IFS= read -r name && IFS= read -r orig && IFS= read -r repl && IFS= read -r test; do
-    names+=("$name") origs+=("$orig") repls+=("$repl") tests+=("$test")
-    IFS= read -r _ || true
-done <<<"$mutants"
-
 fresh_copy
-for test in $(printf '%s\n' "${tests[@]}" | sort -u); do
+for test in $(printf '%s\n' "${tests[@]}" | tr ' ' '\n' | sort -u); do
     if ! run_test "$test"; then
         echo "mutants: ${test} fails on the unmutated copy" >&2
         exit 1
@@ -125,16 +154,18 @@ for test in $(printf '%s\n' "${tests[@]}" | sort -u); do
 done
 
 survivors=0
-printf '%-50s %-9s %s\n' "mutant" "verdict" "named test"
+printf '%-50s %-9s %s\n' "mutant" "verdict" "named tests"
 for k in "${!names[@]}"; do
     fresh_copy
-    mutate "${origs[$k]}" "${repls[$k]}"
-    if run_test "${tests[$k]}"; then
-        verdict=SURVIVED
-        survivors=$((survivors + 1))
-    else
-        verdict=killed
-    fi
+    mutate "${files[$k]}" "${origs[$k]}" "${repls[$k]}"
+    # Killed only when every named test turns red.
+    verdict=killed
+    for test in ${tests[$k]}; do
+        if run_test "$test"; then
+            verdict=SURVIVED
+        fi
+    done
+    [[ "$verdict" == killed ]] || survivors=$((survivors + 1))
     printf '%-50s %-9s %s\n' "${names[$k]}" "$verdict" "${tests[$k]}"
 done
 echo "${#names[@]} mutants, ${survivors} survived, $(($(date +%s) - t0)) s"

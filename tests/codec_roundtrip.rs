@@ -1,15 +1,15 @@
 //! Property-based round-trip guarantees for the trace codecs: arbitrary
 //! traces — every event kind, negative timestamps, uneven timelines —
-//! must survive the text format and both layouts of the blocked columnar
-//! format bit-identically, in any chaining order, and the incremental
+//! must survive the text format and the blocked columnar `DTC3` format
+//! bit-identically, in any chaining order, and the incremental
 //! [`StreamDecoder`] must agree with the one-shot decoder for every
 //! chunking of the byte stream.
 //!
 //! [`StreamDecoder`]: drift_lab::tracefmt::io::StreamDecoder
 
 use drift_lab::tracefmt::io::{
-    from_binary_columnar, from_text, index_columnar_chunks, to_binary_columnar_blocked,
-    to_binary_columnar_v3_blocked, to_text, CodecError, StreamDecoder, TraceBuilder,
+    from_binary_columnar, from_text, index_columnar_chunks, to_binary_columnar_v3_blocked,
+    to_text, CodecError, StreamDecoder, TraceBuilder,
 };
 use drift_lab::tracefmt::{CollOp, CommId, EventKind, Rank, RegionId, Tag, Trace, TraceColumns};
 use drift_lab::simclock::Time;
@@ -156,25 +156,23 @@ proptest! {
 
     #[test]
     fn columnar_round_trip_is_lossless(trace in arb_trace(), block in 1usize..64) {
-        // Both wire versions: big-endian v2 and aligned little-endian v3.
-        for bytes in [
-            to_binary_columnar_blocked(&trace, block),
-            to_binary_columnar_v3_blocked(&trace, block),
-        ] {
-            let back = from_binary_columnar(bytes).expect("columnar decodes");
-            prop_assert!(first_difference(&trace, &back).is_none(),
-                "columnar round trip diverged: {:?}", first_difference(&trace, &back));
-        }
+        let back = from_binary_columnar(to_binary_columnar_v3_blocked(&trace, block))
+            .expect("columnar decodes");
+        prop_assert!(first_difference(&trace, &back).is_none(),
+            "columnar round trip diverged: {:?}", first_difference(&trace, &back));
     }
 
     #[test]
     fn chained_formats_are_lossless(trace in arb_trace(), block in 1usize..32) {
-        // text -> v2 columnar -> v3 columnar, re-decoding at every hop.
+        // text -> columnar -> text -> columnar, re-decoding at every hop.
         let hop1 = from_text(&to_text(&trace)).expect("text decodes");
-        let hop2 = from_binary_columnar(to_binary_columnar_blocked(&hop1, block))
+        let hop2 = from_binary_columnar(to_binary_columnar_v3_blocked(&hop1, block))
             .expect("columnar decodes");
-        let hop3 = from_binary_columnar(to_binary_columnar_v3_blocked(&hop2, block))
-            .expect("v3 columnar decodes");
+        let hop3 = from_binary_columnar(to_binary_columnar_v3_blocked(
+            &from_text(&to_text(&hop2)).expect("text decodes again"),
+            block,
+        ))
+        .expect("columnar decodes again");
         prop_assert!(first_difference(&trace, &hop3).is_none(),
             "format chain diverged: {:?}", first_difference(&trace, &hop3));
     }
@@ -185,23 +183,19 @@ proptest! {
         block in 1usize..48,
         chunk in 1usize..257,
     ) {
-        for bytes in [
-            to_binary_columnar_blocked(&trace, block),
-            to_binary_columnar_v3_blocked(&trace, block),
-        ] {
-            let mut dec = StreamDecoder::new();
-            let mut builder = TraceBuilder::new();
-            for piece in bytes.chunks(chunk) {
-                dec.feed_into(piece, &mut builder).expect("stream decodes");
-            }
-            dec.finish().expect("stream complete");
-            let (back, cols) = builder.finish_parts();
-            prop_assert!(first_difference(&trace, &back).is_none(),
-                "streamed decode diverged: {:?}", first_difference(&trace, &back));
-            // The decoder's columns are exactly what a gather would produce.
-            prop_assert!(cols == TraceColumns::gather(&back),
-                "decoder columns differ from gathered columns");
+        let bytes = to_binary_columnar_v3_blocked(&trace, block);
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        for piece in bytes.chunks(chunk) {
+            dec.feed_into(piece, &mut builder).expect("stream decodes");
         }
+        dec.finish().expect("stream complete");
+        let (back, cols) = builder.finish_parts();
+        prop_assert!(first_difference(&trace, &back).is_none(),
+            "streamed decode diverged: {:?}", first_difference(&trace, &back));
+        // The decoder's columns are exactly what a gather would produce.
+        prop_assert!(cols == TraceColumns::gather(&back),
+            "decoder columns differ from gathered columns");
     }
 }
 
@@ -210,38 +204,27 @@ proptest! {
     // quadratic in the stream length — fewer, smaller cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Truncating a v2 or v3 stream at *any* byte boundary must yield a
+    /// Truncating a stream at *any* byte boundary must yield a
     /// typed [`CodecError`] from the one-shot decoder — never a panic,
     /// never a silently shorter trace — and the streaming decoder must
     /// never claim completion on such a prefix.
     #[test]
     fn truncation_at_every_boundary_is_a_typed_error(trace in arb_small_trace()) {
-        for bytes in [
-            to_binary_columnar_blocked(&trace, 4),
-            to_binary_columnar_v3_blocked(&trace, 4),
-        ] {
-            for cut in 0..bytes.len() {
-                match from_binary_columnar(bytes.slice(0..cut)) {
-                    Err(CodecError::Truncated)
-                    | Err(CodecError::BadField(_))
-                    | Err(CodecError::UnknownKind(_)) => {}
-                    Err(CodecError::MixedVersions) => prop_assert!(
-                        false, "prefix of one stream cannot mix versions (cut={})", cut),
-                    Ok(_) => prop_assert!(
-                        false, "truncated stream decoded successfully at cut={}", cut),
-                }
+        let bytes = to_binary_columnar_v3_blocked(&trace, 4);
+        for cut in 0..bytes.len() {
+            prop_assert!(from_binary_columnar(bytes.slice(0..cut)).is_err(),
+                "truncated stream decoded successfully at cut={}", cut);
 
-                let mut dec = StreamDecoder::new();
-                let mut builder = TraceBuilder::new();
-                let fed: Result<(), CodecError> = bytes[..cut]
-                    .chunks(11)
-                    .try_fold((), |(), piece| dec.feed_into(piece, &mut builder));
-                if fed.is_ok() {
-                    prop_assert!(!dec.is_finished(),
-                        "decoder claims completion at cut={}", cut);
-                    prop_assert!(dec.finish().is_err(),
-                        "finish() accepted a truncated stream at cut={}", cut);
-                }
+            let mut dec = StreamDecoder::new();
+            let mut builder = TraceBuilder::new();
+            let fed: Result<(), CodecError> = bytes[..cut]
+                .chunks(11)
+                .try_fold((), |(), piece| dec.feed_into(piece, &mut builder));
+            if fed.is_ok() {
+                prop_assert!(!dec.is_finished(),
+                    "decoder claims completion at cut={}", cut);
+                prop_assert!(dec.finish().is_err(),
+                    "finish() accepted a truncated stream at cut={}", cut);
             }
         }
     }

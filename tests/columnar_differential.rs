@@ -3,8 +3,7 @@
 //! reports to the reference chain composed from the public per-stage
 //! functions (`common::reference_synchronize`) — and the streaming-ingest
 //! entry point [`synchronize_stream`] must reproduce the same results again
-//! from the chunked binary encoding, for both wire versions: the big-endian
-//! `DTC2` default and the aligned little-endian `DTC3` zero-copy variant.
+//! from the chunked `DTC3` binary encoding.
 
 mod common;
 
@@ -15,7 +14,7 @@ use common::{
 use drift_lab::clocksync::{
     synchronize, synchronize_stream, ClcParams, PipelineConfig, PipelineError, PreSync,
 };
-use drift_lab::tracefmt::io::to_binary_columnar_blocked;
+use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 
 /// The full matrix: trace sizes × drift models × PreSync variants. The
 /// oracle is the reference; the driver must reproduce it bit for bit —
@@ -72,7 +71,7 @@ fn streamed_ingest_matches_in_memory_pipeline() {
         let mem = synchronize(&mut mem_trace, &init, Some(&fin), &lmin, &cfg)
             .expect("in-memory pipeline runs");
 
-        let bytes = to_binary_columnar_blocked(&base, 256);
+        let bytes = to_binary_columnar_v3_blocked(&base, 256);
         let (stream_trace, stream) = synchronize_stream(
             bytes.chunks(chunk),
             &init,
@@ -104,7 +103,7 @@ fn streamed_ingest_matches_in_memory_pipeline() {
 #[test]
 fn streamed_ingest_rejects_truncated_input() {
     let (base, init, fin, lmin) = drifted_trace(3, 100, "constant", 7);
-    let bytes = to_binary_columnar_blocked(&base, 64);
+    let bytes = to_binary_columnar_v3_blocked(&base, 64);
     let cut = &bytes[..bytes.len() - 1];
     let err = synchronize_stream(
         cut.chunks(16),
@@ -119,12 +118,12 @@ fn streamed_ingest_rejects_truncated_input() {
     );
 }
 
-/// v3 zero-copy streamed ingest against one-shot v2 decode + synchronize,
-/// both against the oracle, across drift models × presync (see
-/// `common::v3_ingest_differential_matrix`; widened by `DRIFT_STRESS=1`).
+/// Zero-copy streamed ingest against one-shot decode + synchronize, both
+/// against the oracle, across drift models × presync (see
+/// `common::ingest_differential_matrix`; widened by `DRIFT_STRESS=1`).
 /// This binary runs the kernels the host CPU offers (AVX2 where present);
 /// `columnar_differential_scalar.rs` repeats it with the scalar kernels.
 #[test]
-fn v3_streamed_ingest_is_bit_identical_to_v2_decode() {
-    common::v3_ingest_differential_matrix();
+fn streamed_ingest_is_bit_identical_to_one_shot_decode() {
+    common::ingest_differential_matrix();
 }

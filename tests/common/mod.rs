@@ -707,21 +707,19 @@ pub fn assert_report_matches_reference(
     );
 }
 
-/// The `DTC2`-v2 vs `DTC3` differential matrix: for every drift model ×
-/// [`PreSync`], one-shot v2 decode followed by
-/// [`synchronize`] and the v3 zero-copy streamed ingest must both be
-/// bit-identical to [`reference_synchronize`] on the decoded trace —
-/// corrected timestamps and every stage census.
+/// The one-shot vs streamed `DTC3` differential matrix: for every drift
+/// model × [`PreSync`], one-shot decode followed by [`synchronize`] and the
+/// zero-copy streamed ingest must both be bit-identical to
+/// [`reference_synchronize`] on the decoded trace — corrected timestamps
+/// and every stage census.
 ///
 /// Shared by `columnar_differential.rs` (AVX2 kernels where the host has
 /// them) and `columnar_differential_scalar.rs` (`TRACEFMT_NO_AVX2`
 /// forced before the CPU probe is cached). `DRIFT_STRESS=1` widens the
 /// matrix with a 6000-message trace size.
-pub fn v3_ingest_differential_matrix() {
+pub fn ingest_differential_matrix() {
     use drift_lab::clocksync::synchronize_stream;
-    use drift_lab::tracefmt::io::{
-        from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
-    };
+    use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 
     let stress = std::env::var("DRIFT_STRESS").is_ok_and(|v| v == "1");
     let sizes: &[(usize, usize)] = if stress {
@@ -736,10 +734,9 @@ pub fn v3_ingest_differential_matrix() {
         for (mi, model) in models.iter().enumerate() {
             let seed = 41_000 + (si * 10 + mi) as u64;
             let (base, init, fin, lmin) = drifted_trace(procs, msgs, model, seed);
-            let v2 = to_binary_columnar_blocked(&base, 256);
             let v3 = to_binary_columnar_v3_blocked(&base, 256);
-            let decoded = from_binary_columnar(v2)
-                .unwrap_or_else(|e| panic!("{procs}p/{msgs}m {model}: v2 decode failed: {e}"));
+            let decoded = from_binary_columnar(v3.clone())
+                .unwrap_or_else(|e| panic!("{procs}p/{msgs}m {model}: decode failed: {e}"));
             for presync in presyncs {
                 let ctx = format!("{procs}p/{msgs}m {model} {presync:?}");
                 let cfg = PipelineConfig {
@@ -751,14 +748,14 @@ pub fn v3_ingest_differential_matrix() {
                 let reference =
                     reference_synchronize(&mut ref_trace, &init, Some(&fin), &lmin, &cfg);
 
-                // One-shot v2 decode, then synchronize.
-                let mut v2_trace = decoded.clone();
-                let v2_rep = synchronize(&mut v2_trace, &init, Some(&fin), &lmin, &cfg)
-                    .unwrap_or_else(|e| panic!("{ctx}: v2 pipeline failed: {e}"));
-                assert_identical(&ref_trace, &v2_trace, &format!("{ctx} (v2 decode)"));
-                assert_report_matches_reference(&reference, &v2_rep, &ctx);
+                // One-shot decode, then synchronize.
+                let mut one_shot = decoded.clone();
+                let one_shot_rep = synchronize(&mut one_shot, &init, Some(&fin), &lmin, &cfg)
+                    .unwrap_or_else(|e| panic!("{ctx}: one-shot pipeline failed: {e}"));
+                assert_identical(&ref_trace, &one_shot, &format!("{ctx} (one-shot decode)"));
+                assert_report_matches_reference(&reference, &one_shot_rep, &ctx);
 
-                // v3 zero-copy streamed ingest, awkward chunk size on
+                // Zero-copy streamed ingest, awkward chunk size on
                 // purpose.
                 let (v3_trace, v3_rep) =
                     synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)

@@ -18,9 +18,7 @@ use drift_lab::syncd::{
 };
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency, WireMode};
-use drift_lab::tracefmt::io::{
-    from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
-};
+use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 use drift_lab::tracefmt::UniformLatency;
 use std::time::Duration;
 
@@ -70,7 +68,7 @@ fn test_server() -> NetServer {
 #[test]
 fn loopback_batch_matches_direct_across_the_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
-    let v2 = to_binary_columnar_blocked(&trace, 32).to_vec();
+    let bytes = to_binary_columnar_v3_blocked(&trace, 32).to_vec();
     let server = test_server();
     let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
 
@@ -79,7 +77,7 @@ fn loopback_batch_matches_direct_across_the_grid() {
         let mut direct = trace.clone();
         let (raw, _, _, clc) = reference_synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg);
 
-        let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![v2.clone()]);
+        let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![bytes.clone()]);
         let out = client
             .submit(&req)
             .unwrap_or_else(|e| panic!("{label}: socket job failed: {e}"));
@@ -114,10 +112,9 @@ fn loopback_batch_matches_direct_across_the_grid() {
     server.shutdown();
 }
 
-/// The reply echoes the upload's wire version however the upload was
-/// framed: a `DTC3` stream whose first `Chunk` carries two bytes — too few
-/// to hold a magic — is answered in `DTC3`, with the bytes the one-chunk
-/// upload gets.
+/// The reply does not depend on how the upload was framed: a `DTC3` stream
+/// whose first `Chunk` carries two bytes — too few to hold a magic — is
+/// answered in `DTC3`, with the bytes the one-chunk upload gets.
 #[test]
 fn loopback_reply_version_survives_a_split_magic() {
     let (trace, init, fin, lmin) = drifted_trace(3, 120, "sinusoid", 17);
@@ -142,14 +139,11 @@ fn loopback_reply_version_survives_a_split_magic() {
 
 /// Incremental jobs stream corrected frames back while running; their
 /// concatenation must be byte-identical to the in-process incremental
-/// engine's output, for both DTC2 and DTC3 inputs.
+/// engine's output.
 #[test]
 fn loopback_incremental_streams_identical_bytes() {
     let (trace, init, fin, lmin) = drifted_trace(3, 400, "randomwalk", 9);
-    let inputs = [
-        ("v2", to_binary_columnar_blocked(&trace, 64).to_vec()),
-        ("v3", to_binary_columnar_v3_blocked(&trace, 64).to_vec()),
-    ];
+    let bytes = to_binary_columnar_v3_blocked(&trace, 64).to_vec();
     let server = test_server();
     let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
 
@@ -157,47 +151,45 @@ fn loopback_incremental_streams_identical_bytes() {
     // engine sizes its lanes by the timelines, so the job is answered like
     // any other — and the jobs after it find the server alive.
     for window in [128u64, u64::MAX, 1024] {
-        for (which, bytes) in &inputs {
-            let label = format!("{which}/win{window}");
-            let cfg = PipelineConfig::default();
-            let refs = [bytes.as_slice()];
-            let (direct_frames, direct_rep) = synchronize_stream_incremental(
-                &refs,
-                &init,
-                Some(&fin),
-                &lmin,
-                &cfg,
-                window as usize,
-            )
-            .unwrap_or_else(|e| panic!("{label}: direct incremental failed: {e}"));
+        let label = format!("win{window}");
+        let cfg = PipelineConfig::default();
+        let refs = [bytes.as_slice()];
+        let (direct_frames, direct_rep) = synchronize_stream_incremental(
+            &refs,
+            &init,
+            Some(&fin),
+            &lmin,
+            &cfg,
+            window as usize,
+        )
+        .unwrap_or_else(|e| panic!("{label}: direct incremental failed: {e}"));
 
-            let req = request(
-                &cfg,
-                lmin,
-                &init,
-                &fin,
-                WireMode::Incremental { window_events: window },
-                vec![bytes.clone()],
-            );
-            let out = client
-                .submit(&req)
-                .unwrap_or_else(|e| panic!("{label}: socket job failed: {e}"));
+        let req = request(
+            &cfg,
+            lmin,
+            &init,
+            &fin,
+            WireMode::Incremental { window_events: window },
+            vec![bytes.clone()],
+        );
+        let out = client
+            .submit(&req)
+            .unwrap_or_else(|e| panic!("{label}: socket job failed: {e}"));
 
-            assert_eq!(
-                out.stream.concat(),
-                direct_frames.concat(),
-                "{label}: streamed bytes diverge from the in-process engine"
-            );
-            assert_eq!(
-                out.summary.frames as usize,
-                direct_frames.len(),
-                "{label}: frame count"
-            );
-            assert!(!out.summary.census_present, "{label}: incremental skips censuses");
-            if let Some(clc) = &direct_rep.clc {
-                assert_eq!(out.summary.n_jumps as usize, clc.jumps.len(), "{label}: jumps");
-                assert_eq!(out.summary.max_jump_ps, clc.max_jump.as_ps(), "{label}: max");
-            }
+        assert_eq!(
+            out.stream.concat(),
+            direct_frames.concat(),
+            "{label}: streamed bytes diverge from the in-process engine"
+        );
+        assert_eq!(
+            out.summary.frames as usize,
+            direct_frames.len(),
+            "{label}: frame count"
+        );
+        assert!(!out.summary.census_present, "{label}: incremental skips censuses");
+        if let Some(clc) = &direct_rep.clc {
+            assert_eq!(out.summary.n_jumps as usize, clc.jumps.len(), "{label}: jumps");
+            assert_eq!(out.summary.max_jump_ps, clc.max_jump.as_ps(), "{label}: max");
         }
     }
     server.shutdown();
@@ -208,7 +200,7 @@ fn loopback_incremental_streams_identical_bytes() {
 #[test]
 fn loopback_contention_and_connection_reuse() {
     let (trace, init, fin, lmin) = drifted_trace(3, 200, "constant", 77);
-    let bytes = to_binary_columnar_blocked(&trace, 32).to_vec();
+    let bytes = to_binary_columnar_v3_blocked(&trace, 32).to_vec();
     let cfg = PipelineConfig::default();
     let mut direct = trace.clone();
     synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct");
@@ -282,7 +274,7 @@ fn loopback_upload_never_sleeps_on_progress() {
 #[test]
 fn loopback_errors_are_typed() {
     let (trace, init, fin, lmin) = drifted_trace(2, 120, "constant", 5);
-    let bytes = to_binary_columnar_blocked(&trace, 16).to_vec();
+    let bytes = to_binary_columnar_v3_blocked(&trace, 16).to_vec();
     let server = NetServer::start_loopback(NetServerConfig {
         tenants: vec![
             TenantConfig::new("tok"),
@@ -374,7 +366,7 @@ fn loopback_errors_are_typed() {
 #[test]
 fn loopback_mid_job_disconnects_release_everything() {
     let (trace, init, fin, lmin) = drifted_trace(3, 300, "sinusoid", 11);
-    let bytes = to_binary_columnar_blocked(&trace, 32).to_vec();
+    let bytes = to_binary_columnar_v3_blocked(&trace, 32).to_vec();
     let cfg = PipelineConfig::default();
     let mut direct = trace.clone();
     synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct");
@@ -450,10 +442,10 @@ fn loopback_online_method_matches_direct() {
     let mut direct = trace.clone();
     let (raw, ..) = reference_synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg);
 
-    let v2 = to_binary_columnar_blocked(&trace, 32).to_vec();
+    let bytes = to_binary_columnar_v3_blocked(&trace, 32).to_vec();
     let server = test_server();
     let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
-    let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![v2]);
+    let req = request(&cfg, lmin, &init, &fin, WireMode::Batch, vec![bytes]);
     let out = client.submit(&req).expect("socket online job");
 
     let returned =

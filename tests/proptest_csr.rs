@@ -22,7 +22,7 @@ use common::{
 };
 use drift_lab::clocksync::{ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use drift_lab::prelude::*;
-use drift_lab::tracefmt::io::{to_binary_columnar, StreamDecoder, TraceBuilder};
+use drift_lab::tracefmt::io::{to_binary_columnar_v3, StreamDecoder, TraceBuilder};
 use drift_lab::tracefmt::{check_collectives_at, CensusPlan, CollOp, MinLatency, TraceColumns};
 use proptest::prelude::*;
 
@@ -276,7 +276,7 @@ proptest! {
         chunk in 16usize..512,
         keep_per_mille in 100u32..1001,
     ) {
-        let bytes = to_binary_columnar(&trace);
+        let bytes = to_binary_columnar_v3(&trace);
 
         // Full stream, chunked feeding: must reproduce the trace exactly.
         let mut dec = StreamDecoder::new();

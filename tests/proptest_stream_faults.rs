@@ -3,7 +3,7 @@
 //! The `syncd` service's isolation story starts one layer down: whatever a
 //! tenant feeds [`synchronize_stream`], the pipeline must come back with
 //! `Ok` or a *typed* error — never a panic, never an absurd allocation.
-//! These properties drive mutated DTC2 streams (bit flips, truncations,
+//! These properties drive mutated `DTC3` streams (bit flips, truncations,
 //! dropped chunks, injected garbage, and pure garbage) through the full
 //! pipeline under random chunkings, and also pin down that the header-only
 //! cost estimator used by admission control never overstates a valid
@@ -30,8 +30,7 @@ use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency};
 use drift_lab::tracefmt::io::{
     estimate_columnar_stream, from_binary_columnar, index_columnar_chunks,
-    to_binary_columnar_blocked, to_binary_columnar_v3_blocked, CodecError, StreamDecoder,
-    TraceBuilder,
+    to_binary_columnar_v3_blocked, CodecError, StreamDecoder, TraceBuilder,
 };
 use drift_lab::tracefmt::MinLatency;
 use proptest::prelude::*;
@@ -168,6 +167,30 @@ fn cyclic_traces_fail_typed_from_every_driver_service_and_server() {
     }
 }
 
+/// `DTC2`, the big-endian layout this format replaced, is not a second
+/// dialect: a stream that opens with its magic is refused at the magic, by
+/// the decoder, the indexer and the admission estimator alike.
+#[test]
+fn a_dtc2_stream_is_refused_at_its_magic_by_every_reader() {
+    let (trace, ..) = drifted_trace(2, 10, "constant", 1);
+    let bytes = [&b"DTC2"[..], &to_binary_columnar_v3_blocked(&trace, 4)[4..]].concat();
+    let want = CodecError::BadField("magic".into());
+    for chunk in [1, 3, bytes.len()] {
+        let chunks = chunked(&bytes, chunk);
+        let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        let mut dec = StreamDecoder::new();
+        let mut builder = TraceBuilder::new();
+        let decoded = refs.iter().try_for_each(|c| dec.feed_into(c, &mut builder));
+        let decoded = decoded.and_then(|()| dec.finish());
+        assert_eq!(decoded, Err(want.clone()), "decoder, chunks of {chunk}");
+        let indexed = index_columnar_chunks(&refs).err();
+        assert_eq!(indexed, Some(want.clone()), "indexer, chunks of {chunk}");
+        let est = estimate_columnar_stream(refs.iter().copied());
+        assert_eq!(est.error, Some(want.clone()), "estimator, chunks of {chunk}");
+        assert_eq!((est.events, est.complete), (0, false), "estimator, chunks of {chunk}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -184,7 +207,7 @@ proptest! {
         which in 0usize..3,
     ) {
         let (trace, ..) = drifted_trace(4, msgs, "sinusoid", seed);
-        let bytes = to_binary_columnar_blocked(&trace, block);
+        let bytes = to_binary_columnar_v3_blocked(&trace, block);
         let at = (bytes.len() as u64 * at_per_mille as u64 / 1000) as usize;
         let chunks = chunked(&bytes, chunk);
         let fault = match which {
@@ -200,11 +223,11 @@ proptest! {
     }
 
     /// One frame grammar, one verdict: for an intact, truncated,
-    /// bit-flipped, glued or garbage-tailed stream of either version the
-    /// indexer and the admission estimator answer what the decoder
-    /// answers, at any chunking — `Ok` together, the same typed error
-    /// together — and a stream all three accept is priced from exactly the
-    /// events and blocks it decodes to. The decoder alone reads payloads,
+    /// bit-flipped, glued or garbage-tailed stream the indexer and the
+    /// admission estimator answer what the decoder answers, at any
+    /// chunking — `Ok` together, the same typed error together — and a
+    /// stream all three accept is priced from exactly the events and
+    /// blocks it decodes to. The decoder alone reads payloads,
     /// so a flipped record byte is its to report, inside a block whose
     /// header the others accepted.
     #[test]
@@ -213,31 +236,20 @@ proptest! {
         msgs in 8usize..80,
         block in 1usize..48,
         chunk in 1usize..200,
-        // Seven mutations × two wire versions.
-        case in 0usize..14,
+        // Six mutations.
+        which in 0usize..6,
         at_per_mille in 0u32..1000,
         xor in 1u8..255,
         garbage in prop::collection::vec(0u8..255, 1..40),
     ) {
         let (trace, ..) = drifted_trace(3, msgs, "sinusoid", seed);
-        let encode = |v3: bool| if v3 {
-            to_binary_columnar_v3_blocked(&trace, block).to_vec()
-        } else {
-            to_binary_columnar_blocked(&trace, block).to_vec()
-        };
-        let (which, v3) = (case / 2, case % 2 == 1);
-        let (bytes, other) = (encode(v3), encode(!v3));
+        let bytes = to_binary_columnar_v3_blocked(&trace, block).to_vec();
         let at = (bytes.len() as u64 * u64::from(at_per_mille) / 1000) as usize;
-        // The grammar's rule for bytes after the trailer, stated apart from
-        // its implementation: the other version's magic is a glued stream,
-        // anything else is trailing data.
-        let after = |tail: &[u8]| if tail.starts_with(&other[..4]) {
-            CodecError::MixedVersions
-        } else {
-            CodecError::BadField("data after end-of-stream trailer".into())
-        };
+        // Whatever follows the trailer — a second stream, its magic alone,
+        // garbage — is trailing data.
+        let after = CodecError::BadField("data after end-of-stream trailer".into());
         let tailed = |tail: &[u8]| {
-            (chunked(&[&bytes[..], tail].concat(), chunk), Some(Err(after(tail))))
+            (chunked(&[&bytes[..], tail].concat(), chunk), Some(Err(after.clone())))
         };
         let inject = |fault| FaultInjector::new().with(fault).apply(&chunked(&bytes, chunk));
         // The mutated stream and, where the mutation fixes it, the verdict.
@@ -245,9 +257,8 @@ proptest! {
             0 => (chunked(&bytes, chunk), Some(Ok(()))),
             1 => (inject(Fault::Truncate { at }), Some(Err(CodecError::Truncated))),
             2 => (inject(Fault::FlipByte { at, xor }), None),
-            3 => tailed(&other),
-            4 => tailed(&bytes),
-            5 => tailed(&other[..garbage.len().min(4)]),
+            3 => tailed(&bytes),
+            4 => tailed(&bytes[..garbage.len().min(4)]),
             _ => tailed(&garbage),
         };
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
@@ -299,7 +310,7 @@ proptest! {
         garbage_pos in 0usize..8,
     ) {
         let (trace, ..) = drifted_trace(3, msgs, "randomwalk", seed);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let mut inj = FaultInjector::new();
         for (at, xor) in flips {
             inj = inj.with(Fault::FlipByte { at, xor });
@@ -357,7 +368,7 @@ proptest! {
         let init = vec![None; timelines];
         let lmin = UniformLatency(Dur::from_us(2));
         let cfg = PipelineConfig { presync: PreSync::None, ..PipelineConfig::default() };
-        let bytes = to_binary_columnar_blocked(&trace, 8);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 8);
         let chunks: Vec<&[u8]> = bytes.chunks(64).collect();
         let batch = synchronize(&mut trace.clone(), &init, None, &lmin, &cfg);
         let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg);
@@ -392,7 +403,7 @@ proptest! {
         chunk in 8usize..256,
     ) {
         let (trace, init, fin, lmin) = drifted_trace(4, msgs, "constant", seed);
-        let bytes = to_binary_columnar_blocked(&trace, block);
+        let bytes = to_binary_columnar_v3_blocked(&trace, block);
         let cfg = PipelineConfig::default();
 
         let mut direct = trace.clone();

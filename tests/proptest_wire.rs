@@ -24,7 +24,7 @@ use drift_lab::syncd_wire::{
     encode_frame, ErrorCode, Frame, FrameScanner, WireError, WireJobConfig, WireJump,
     WireLatency, WireMode, CHUNK_PAYLOAD, MAGIC, MAX_FRAME_PAYLOAD, VERSION,
 };
-use drift_lab::tracefmt::io::{to_binary_columnar_blocked, to_binary_columnar_v3_blocked};
+use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 use drift_lab::clocksync::PipelineConfig;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
@@ -369,7 +369,7 @@ fn assert_no_leak(hostile: Vec<u8>, read_limit: usize, write_quota: Option<u64>)
     .with_measurements(&init, Some(&fin));
     let req = JobRequest {
         config,
-        chunks: vec![to_binary_columnar_blocked(&trace, 16).to_vec()],
+        chunks: vec![to_binary_columnar_v3_blocked(&trace, 16).to_vec()],
     };
     let mut client =
         SyncClient::connect(server.local_addr(), "tok").expect("server still accepts");
@@ -397,7 +397,7 @@ proptest! {
         // Upper half of the range means "writes never fail".
         let fail_writes = (fail_writes_raw < 256).then_some(fail_writes_raw);
         let (trace, ..) = drifted_trace(3, 30, "sinusoid", seed);
-        let bytes = to_binary_columnar_blocked(&trace, 16);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let mut session = session_bytes(&bytes, WireMode::Batch);
         let cut = (session.len() as u64 * cut_per_mille as u64 / 1000) as usize;
         session.truncate(cut.max(1));
@@ -408,26 +408,24 @@ proptest! {
         assert_no_leak(session, read_limit, fail_writes);
     }
 
-    /// A job whose stream mixes DTC2 and DTC3 chunks is malformed by
-    /// construction; it must fail with a typed error frame (admission or
-    /// pipeline), never panic, never leak.
+    /// A job whose stream is two streams glued together is malformed by
+    /// construction; admission prices it like any other, and the run must
+    /// fail it with a typed error frame, never panic, never leak.
     #[test]
-    fn mixed_version_streams_fail_typed(
+    fn glued_streams_fail_typed(
         seed in 0u64..1000,
         incremental_raw in 0u8..2,
     ) {
         let incremental = incremental_raw == 1;
         let (trace, ..) = drifted_trace(3, 25, "randomwalk", seed);
-        let v2 = to_binary_columnar_blocked(&trace, 16);
-        let v3 = to_binary_columnar_v3_blocked(&trace, 16);
-        let mut mixed = v2.to_vec();
-        mixed.extend_from_slice(&v3);
+        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
+        let glued = [&bytes[..], &bytes[..]].concat();
         let mode = if incremental {
             WireMode::Incremental { window_events: 64 }
         } else {
             WireMode::Batch
         };
-        let session = session_bytes(&mixed, mode);
+        let session = session_bytes(&glued, mode);
 
         let server = NetServer::start_loopback(NetServerConfig {
             tenants: vec![TenantConfig::new("tok")],
@@ -454,7 +452,7 @@ proptest! {
                     code,
                     ErrorCode::Malformed | ErrorCode::Pipeline | ErrorCode::Panicked
                 ),
-                "mixed-version stream must fail as a codec/pipeline error, got {code:?}"
+                "a glued stream must fail as a codec/pipeline error, got {code:?}"
             ),
             other => prop_assert!(false, "expected a typed error frame, got {other:?}"),
         }
@@ -477,7 +475,7 @@ proptest! {
 /// charge, server still up.
 fn assert_old_sessions_refused(version: u16, old_layout: impl Fn(&Frame) -> Vec<u8>) {
     let (trace, ..) = drifted_trace(3, 20, "constant", 3);
-    let session = session_bytes(&to_binary_columnar_blocked(&trace, 16), WireMode::Batch);
+    let session = session_bytes(&to_binary_columnar_v3_blocked(&trace, 16), WireMode::Batch);
     let (frames, err, _) = scan_chunked(&session, usize::MAX);
     assert!(err.is_none());
     let hello = encode_frame(&Frame::Hello { magic: MAGIC, version, token: "tok".into() });

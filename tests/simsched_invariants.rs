@@ -179,16 +179,61 @@ fn regression_seed_61_doomed_backoff_parking() {
 }
 
 /// Seed 283 used to panic with a capacity overflow: a flipped byte in a
-/// DTC2 block header decoded into a ~4-billion rank id, and the dense
-/// `l_min` table allocation (`n * n`) blew up far from the corrupt input.
-/// Fixed by validating header rank/thread ids at decode time (typed
+/// block header decoded into a ~4-billion rank id, and the dense `l_min`
+/// table allocation (`n * n`) blew up far from the corrupt input. Fixed by
+/// validating header rank/thread ids at decode time (typed
 /// `CodecError::BadField`) plus a quadratic-table guard in the pipeline.
+/// The seed's workload has been redrawn since, so the path is also pinned
+/// by hand: a `DTC3` stream whose first header has its rank's high byte
+/// flipped, through `SyncService`, fails typed on every attempt.
 #[test]
 fn regression_seed_283_corrupt_rank_capacity_overflow() {
+    use drift_lab::clocksync::PipelineError;
+    use drift_lab::prelude::*;
+    use drift_lab::syncd::{
+        chunked, Counter, JobError, JobInput, JobSpec, ServiceConfig, SyncService,
+    };
+    use drift_lab::tracefmt::io::{to_binary_columnar_v3_blocked, CodecError};
+    use drift_lab::tracefmt::MinLatency;
+    use std::sync::Arc;
+
     let rec = run_random(283, &SimConfig::default());
     assert!(
         rec.violation.is_none(),
         "seed 283 regressed: {:?}",
         rec.violation
     );
+
+    let mut trace = Trace::for_ranks(2);
+    for p in 0..2 {
+        trace.procs[p].push(Time::from_us(1), EventKind::Enter { region: RegionId(0) });
+    }
+    let mut bytes = to_binary_columnar_v3_blocked(&trace, 16).to_vec();
+    bytes[4] ^= 0xF0; // high byte of the first frame header's rank
+    let service = SyncService::start(ServiceConfig {
+        max_retries: 1,
+        retry_backoff: std::time::Duration::from_millis(1),
+        ..ServiceConfig::default()
+    });
+    let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(UniformLatency(Dur::from_us(1)));
+    let spec = JobSpec::new(
+        JobInput::Stream(chunked(&bytes, 8)),
+        vec![None; 2],
+        None,
+        lmin,
+        PipelineConfig::default(),
+    );
+    let failure = service.submit(spec).expect("admitted").wait().expect_err("corrupt rank");
+    assert!(
+        matches!(
+            &failure.error,
+            JobError::Pipeline(PipelineError::Codec(CodecError::BadField(field)))
+                if field.starts_with("timeline id out of range")
+        ),
+        "got {:?}",
+        failure.error
+    );
+    assert_eq!(failure.attempts, 2);
+    assert_eq!(service.metrics().counter(Counter::JobPanics), 0);
+    service.shutdown();
 }

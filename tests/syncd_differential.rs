@@ -14,7 +14,7 @@ use drift_lab::syncd::{
     chunked, Counter, Fault, FaultInjector, JobError, JobInput, JobSpec, Priority,
     ServiceConfig, SyncService,
 };
-use drift_lab::tracefmt::io::to_binary_columnar_blocked;
+use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 use drift_lab::tracefmt::{MinLatency, Trace, UniformLatency};
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ fn submit(
 #[test]
 fn service_matches_direct_across_the_config_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
-    let bytes = to_binary_columnar_blocked(&trace, 32);
+    let bytes = to_binary_columnar_v3_blocked(&trace, 32);
     let service = SyncService::start(ServiceConfig {
         executors: 2,
         ..ServiceConfig::default()
@@ -113,7 +113,7 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
     let mut direct = trace.clone();
     synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct run");
 
-    let bytes = to_binary_columnar_blocked(&trace, 16);
+    let bytes = to_binary_columnar_v3_blocked(&trace, 16);
     let poisoned = FaultInjector::new()
         .with(Fault::FlipByte { at: bytes.len() / 3, xor: 0x40 })
         .with(Fault::Truncate { at: bytes.len() - 7 })
@@ -164,7 +164,7 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
 fn coincident_anchors_fail_typed_without_a_panic() {
     let (trace, init, mut fin, lmin) = drifted_trace(2, 1, "constant", 3);
     fin[1].as_mut().expect("worker").worker_time = init[1].expect("worker").worker_time;
-    let bytes = to_binary_columnar_blocked(&trace, 16);
+    let bytes = to_binary_columnar_v3_blocked(&trace, 16);
     let service = SyncService::start(ServiceConfig::default());
     let inputs = [
         JobInput::Trace(trace.clone()),

@@ -16,9 +16,7 @@ use drift_lab::clocksync::{
     synchronize, synchronize_stream_incremental, ClcParams, PipelineConfig, PreSync,
 };
 use drift_lab::prelude::*;
-use drift_lab::tracefmt::io::{
-    from_binary_columnar, to_binary_columnar_blocked, to_binary_columnar_v3_blocked,
-};
+use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 use drift_lab::tracefmt::MinLatency;
 
 /// Run the incremental engine over `bytes` in awkward 4096-byte chunks and
@@ -157,31 +155,6 @@ fn windowed_engine_differential_matrix() {
     // The matrix must not silently collapse after a refactor.
     let floor = sizes.len() * models.len() * presyncs.len() * 4 + 2 * models.len() * 2;
     assert!(legs >= floor, "windowed matrix ran only {legs} legs (expected {floor})");
-}
-
-#[test]
-fn windowed_engine_handles_v2_streams_in_the_matrix() {
-    for (mi, model) in ["constant", "sinusoid", "randomwalk"].iter().enumerate() {
-        let (base, init, fin, lmin) = drifted_trace(4, 200, model, 74_000 + mi as u64);
-        let v2 = to_binary_columnar_blocked(&base, 64);
-        let cfg = PipelineConfig {
-            presync: PreSync::Linear,
-            clc: Some(ClcParams::default()),
-            ..PipelineConfig::default()
-        };
-        let mut batch = base.clone();
-        let (.., bclc) = reference_synchronize(&mut batch, &init, Some(&fin), &lmin, &cfg);
-        let bclc = bclc.as_ref().expect("clc configured");
-        for window in [3usize, 128] {
-            let ctx = format!("v2 {model} window={window}");
-            let (back, rep) = run_windowed(&v2, &init, &fin, &lmin, &cfg, window, &ctx);
-            assert_times_match(&batch, &back, &ctx);
-            assert_clc_match(bclc, rep.clc.as_ref().expect("clc ran"), &ctx);
-            // The emitted stream must re-announce itself as v2.
-            // (run_windowed already proved it decodes.)
-            assert!(rep.frames > 0, "{ctx}: no frames emitted");
-        }
-    }
 }
 
 #[test]
