@@ -31,7 +31,7 @@
 //! so the two engines cannot disagree on a timestamp. What each keeps to
 //! itself is everything *around* the step: the schedule (run-to-block here,
 //! bounded bursts with a safety frontier there), the storage (in place
-//! over one slab here, segment lanes behind [`Timeline`] there) and the
+//! over one slab here, ring lanes behind [`Timeline`] there) and the
 //! aggregated evaluation of classed N-to-N collectives ([`CollPass`], batch
 //! only — an aggregate would outlive the lanes' retired segments).
 //!
@@ -67,7 +67,7 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     };
     let mut report = passes(cols).inspect_err(|_| cols.flat_mut().copy_from_slice(&originals))?;
     report.events_total = cols.n_events();
-    report.events_moved = events_moved(cols, &originals);
+    report.events_moved = count_moved(cols.flat(), &originals);
     Ok(report)
 }
 
@@ -86,15 +86,11 @@ pub(crate) fn validate(params: &ClcParams) -> Result<(), ClcError> {
     Ok(())
 }
 
-/// Count events whose corrected time differs from the original. Branchless
-/// compare-and-sum over two dense `i64` runs — the autovectorizer turns
-/// each timeline into packed compares.
-fn events_moved(cols: &TraceColumns, originals: &[i64]) -> usize {
-    cols.flat()
-        .iter()
-        .zip(originals)
-        .map(|(&a, &b)| usize::from(a != b))
-        .sum()
+/// Count the positions where two `i64` runs differ: events whose corrected
+/// time differs from the original. Branchless compare-and-sum — the
+/// autovectorizer turns it into packed compares.
+pub(crate) fn count_moved(corrected: &[i64], originals: &[i64]) -> usize {
+    corrected.iter().zip(originals).map(|(&a, &b)| usize::from(a != b)).sum()
 }
 
 /// One forward step of the CLC — the only place its arithmetic is written;
@@ -171,7 +167,7 @@ impl Walk {
 }
 
 /// What the backward walk needs of the timeline it rewrites: the batch
-/// pass hands it a column slice, the windowed engine a segment lane.
+/// pass hands it a column slice, the windowed engine a ring lane.
 pub(crate) trait Timeline {
     fn get(&self, i: u64) -> i64;
     fn set(&mut self, i: u64, v: i64);

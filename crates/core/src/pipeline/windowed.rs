@@ -3,20 +3,21 @@
 //!
 //! The batch pipeline gathers every timeline's full `i64` timestamp lane
 //! before the CLC runs, so its resident set is O(trace). This engine
-//! processes the stream in *epochs* over segment-backed lanes instead:
+//! processes the stream in *epochs* over ring-buffer lanes instead:
 //!
 //! * the input chunks are indexed once ([`index_columnar_chunks`]) — block
 //!   offsets, per-timeline lengths — and re-read on demand through a
 //!   zero-copy [`ChunkStore`]; the trace is never materialized;
 //! * the forward pass advances each timeline at most `window_events` per
-//!   round-robin epoch, ingesting blocks lazily and appending corrected
-//!   times to fixed-width lane segments — `window_events` wide, but never
-//!   wider than the timeline itself, so the window (a number off the wire)
-//!   can ask for no more memory than the input stream paid for;
+//!   round-robin epoch, decoding input blocks lazily into one ring per
+//!   timeline and appending corrected times to others; rings retire and
+//!   resize in segments `window_events` wide, but never wider than the
+//!   timeline itself, so the window (a number off the wire) can ask for
+//!   no more memory than the input stream paid for;
 //! * a *carry frontier* of per-segment read counters tracks which corrected
-//!   values remote consumers still need; a segment is retired (freed) the
-//!   moment its frontier clears, so steady-state residency is
-//!   O(window + dependency skew), not O(trace);
+//!   values remote consumers still need; a segment is retired the moment
+//!   its frontier clears, and the ring gives its capacity back, so
+//!   steady-state residency is O(window + dependency skew), not O(trace);
 //! * with backward amortization enabled, a first sweep discovers every
 //!   jump's backward-walk window so a second sweep can tell when a prefix
 //!   of a timeline is *final* — no remaining walk can reach below the
@@ -56,7 +57,7 @@ use super::{
     build_presync_maps, freeze_inputs, CancelToken, PipelineConfig, PipelineError, PipelineStats,
     PresyncMap, StageStats, TraceAnalysis,
 };
-use crate::clc::columnar::{backward_walk, forward_step, Timeline, Walk};
+use crate::clc::columnar::{backward_walk, count_moved, forward_step, Timeline, Walk};
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
@@ -116,8 +117,8 @@ impl IncrementalReport {
     }
 }
 
-/// High-water gauge over the lane segments' allocations, shared by every
-/// lane of a run (a job is single-threaded: plain cells).
+/// High-water gauge over the lanes' ring allocations, shared by every lane
+/// of a run (a job is single-threaded: plain cells).
 #[derive(Default)]
 struct MemGauge {
     cur: Cell<u64>,
@@ -135,53 +136,122 @@ impl MemGauge {
     }
 }
 
-/// An append-only `i64` lane stored as fixed-width segments that can be
-/// retired from the front once no frontier needs them. Indices are
-/// *logical* (stable across retirement); reading a retired index is a bug
-/// caught by the debug assert.
+/// An append-only `i64` lane over one ring buffer whose head retires `w`
+/// values (a segment) at a time once no frontier needs them. Indices are
+/// *logical*; a resident one maps to its slot by one conditional subtract.
+/// Reading a retired index is a bug caught by the debug asserts.
+///
+/// The capacity, which the gauge counts, is whole segments: a full ring
+/// grows to what its span needs plus 1/32 of the old capacity, and gives
+/// freed segments back once more than 1/16 of it is free — exactly the
+/// segments the span touches below sixteen, and a linear number of copies
+/// however long a backlog grows (DESIGN §15.2).
 ///
 /// A lane other timelines read from also counts the reads each resident
-/// segment still owes: `reads[seg − first_seg]`, running sums — a read may
-/// be released before the segment it targets is pushed (the deque grows
+/// segment still owes: `reads[(i − head) / w]`, running sums — a read may
+/// be released before the value it targets is pushed (the counters grow
 /// ahead of the lane) or before the segment's own additions land (an entry
 /// may dip negative until its frontier passes).
 struct Lane<'m> {
     mem: &'m MemGauge,
     w: u64,
-    first_seg: u64,
-    segs: VecDeque<Box<[i64]>>,
+    /// The slots; its length is the capacity.
+    ring: Vec<i64>,
+    /// Logical index of the oldest resident value, a multiple of `w`…
+    head: u64,
+    /// …and its slot.
+    at: usize,
     reads: VecDeque<i64>,
     /// Logical length: total values ever pushed.
     len: u64,
 }
 
 impl<'m> Lane<'m> {
-    /// One lane per timeline of the stream. A segment is `window` values
-    /// wide but never wider than its own timeline: the window comes from
-    /// the caller (off the wire, for a served job), the timeline lengths
-    /// from bytes the caller actually sent, so an absurd window allocates
-    /// nothing the input did not pay for — and a timeline that fits one
-    /// segment is scheduled the same whatever the window says.
+    /// One lane per timeline of the stream. Its segments are `window`
+    /// values wide but never wider than its own timeline: the window comes
+    /// from the caller (off the wire, for a served job), the timeline
+    /// lengths from bytes the caller actually sent, so an absurd window
+    /// allocates nothing the input did not pay for — and a timeline that
+    /// fits one segment is scheduled the same whatever the window says.
     fn per_timeline(index: &StreamIndex, window: usize, mem: &'m MemGauge) -> Vec<Lane<'m>> {
         let lane = |&len: &u64| Lane {
             mem,
             w: (window as u64).min(len.max(1)),
-            first_seg: 0,
-            segs: VecDeque::new(),
+            ring: Vec::new(),
+            head: 0,
+            at: 0,
             reads: VecDeque::new(),
             len: 0,
         };
         index.proc_lens.iter().map(lane).collect()
     }
 
-    fn push(&mut self, v: i64) {
-        if self.len.is_multiple_of(self.w) {
-            self.segs.push_back(vec![0i64; self.w as usize].into_boxed_slice());
-            self.mem.alloc(8 * self.w);
+    /// The slot of resident index `i`.
+    #[inline(always)]
+    fn slot(&self, i: u64) -> usize {
+        let s = self.at + (i - self.head) as usize;
+        if s >= self.ring.len() {
+            s - self.ring.len()
+        } else {
+            s
         }
-        let seg = (self.len / self.w - self.first_seg) as usize;
-        self.segs[seg][(self.len % self.w) as usize] = v;
+    }
+
+    #[inline(always)]
+    fn push(&mut self, v: i64) {
+        if self.len - self.head == self.ring.len() as u64 {
+            self.grow(1);
+        }
+        let s = self.slot(self.len);
+        self.ring[s] = v;
         self.len += 1;
+    }
+
+    /// Push `n` values at once: the (at most two) pieces of ring the caller
+    /// fills, in index order.
+    #[inline(always)]
+    fn push_slices(&mut self, n: u64) -> (&mut [i64], &mut [i64]) {
+        if self.len + n - self.head > self.ring.len() as u64 {
+            self.grow(n);
+        }
+        let (at, n) = (self.slot(self.len), n as usize);
+        let first = n.min(self.ring.len() - at);
+        self.len += n as u64;
+        let (wrapped, tail) = self.ring.split_at_mut(at);
+        (&mut tail[..first], &mut wrapped[..n - first])
+    }
+
+    /// Resident values `lo..hi`, in index order, as at most two slices.
+    #[inline(always)]
+    fn slices(&self, lo: u64, hi: u64) -> (&[i64], &[i64]) {
+        debug_assert!(self.head <= lo && lo <= hi && hi <= self.len, "slice of a non-resident run");
+        let (at, n) = (self.slot(lo), (hi - lo) as usize);
+        let (wrapped, tail) = self.ring.split_at(at);
+        let first = n.min(tail.len());
+        (&tail[..first], &wrapped[..n - first])
+    }
+
+    /// Make room for `n` more values (see the type's docs for the margin).
+    #[cold]
+    fn grow(&mut self, n: u64) {
+        let segs = (self.len + n - self.head).div_ceil(self.w);
+        self.resize(segs + self.ring.len() as u64 / self.w / 32);
+    }
+
+    /// Resize the ring to `segs` segments, the resident span rotated to
+    /// its front in place: the one reallocation a lane makes when its span
+    /// outgrows the ring or leaves enough of it free.
+    #[inline(never)]
+    fn resize(&mut self, segs: u64) {
+        let (old, cap) = (self.ring.len(), (segs * self.w) as usize);
+        self.ring.rotate_left(self.at);
+        self.at = 0;
+        self.ring.truncate(cap);
+        self.ring.shrink_to_fit();
+        self.ring.reserve_exact(cap - self.ring.len());
+        self.ring.resize(cap, 0);
+        self.mem.free(8 * old as u64);
+        self.mem.alloc(8 * cap as u64);
     }
 
     /// Account `delta` pending reads of value `i`.
@@ -189,35 +259,42 @@ impl<'m> Lane<'m> {
     fn owe(&mut self, i: u64, delta: i64) {
         // A segment retires only after its last read, so nothing is ever
         // accounted to one that is gone.
-        let Some(at) = (i / self.w).checked_sub(self.first_seg) else {
+        let Some(at) = i.checked_sub(self.head) else {
             debug_assert!(false, "read accounted to a retired segment");
             return;
         };
-        let at = at as usize;
+        let at = (at / self.w) as usize;
         if at >= self.reads.len() {
             self.reads.resize(at + 1, 0);
         }
         self.reads[at] += delta;
     }
 
-    /// Retire head segments wholly below `upto` that owe no read.
+    /// Retire head segments wholly below `upto` that owe no read, and give
+    /// back the freed capacity (see the type's docs for the margin).
     #[inline(always)]
     fn retire(&mut self, upto: u64) {
-        while !self.segs.is_empty()
-            && (self.first_seg + 1) * self.w <= upto
-            && self.reads.front().is_none_or(|&pending| pending == 0)
-        {
+        debug_assert!(upto <= self.len, "retirement past the lane's end");
+        let mut head = self.head;
+        while head + self.w <= upto && self.reads.front().is_none_or(|&pending| pending == 0) {
             self.reads.pop_front();
-            self.segs.pop_front();
-            self.first_seg += 1;
-            self.mem.free(8 * self.w);
+            head += self.w;
+        }
+        if head != self.head {
+            self.at = self.slot(head);
+            self.head = head;
+            let segs = self.ring.len() as u64 / self.w;
+            let need = (self.len - head).div_ceil(self.w);
+            if segs - need > segs / 16 {
+                self.resize(need);
+            }
         }
     }
 }
 
 impl Drop for Lane<'_> {
     fn drop(&mut self) {
-        self.mem.free(8 * self.w * self.segs.len() as u64);
+        self.mem.free(8 * self.ring.len() as u64);
     }
 }
 
@@ -227,15 +304,16 @@ impl Timeline for Lane<'_> {
     #[inline(always)]
     fn get(&self, i: u64) -> i64 {
         debug_assert!(i < self.len, "lane read past frontier");
-        debug_assert!(i / self.w >= self.first_seg, "lane read of retired segment");
-        self.segs[(i / self.w - self.first_seg) as usize][(i % self.w) as usize]
+        debug_assert!(i >= self.head, "lane read of retired segment");
+        self.ring[self.slot(i)]
     }
 
     #[inline(always)]
     fn set(&mut self, i: u64, v: i64) {
         debug_assert!(i < self.len, "lane write past frontier");
-        debug_assert!(i / self.w >= self.first_seg, "lane write to retired segment");
-        self.segs[(i / self.w - self.first_seg) as usize][(i % self.w) as usize] = v;
+        debug_assert!(i >= self.head, "lane write to retired segment");
+        let s = self.slot(i);
+        self.ring[s] = v;
     }
 }
 
@@ -248,7 +326,6 @@ struct Source<'a> {
     orig: Vec<Lane<'a>>,
     next_block: Vec<usize>,
     scratch: Vec<u8>,
-    tmp: Vec<i64>,
 }
 
 impl Source<'_> {
@@ -262,21 +339,21 @@ impl Source<'_> {
         self.orig[p].get(i)
     }
 
-    /// Decode timeline `p`'s next block, apply its presync map, and append
-    /// the times to its lane.
+    /// Decode timeline `p`'s next block straight into its lane and apply
+    /// its presync map there.
     fn ingest_block(&mut self, p: usize) {
         let list = &self.index.proc_blocks[p];
         debug_assert!(self.next_block[p] < list.len(), "index accounts for every event");
         let bm = &self.index.blocks[list[self.next_block[p]] as usize];
         self.next_block[p] += 1;
-        self.tmp.clear();
         let seg = self.store.read(bm.times_off, bm.n_events as usize * 8, &mut self.scratch);
-        decode_block_times(seg, &mut self.tmp);
+        let (a, b) = self.orig[p].push_slices(bm.n_events as u64);
+        let (seg_a, seg_b) = seg.split_at(8 * a.len());
+        decode_block_times(seg_a, a);
+        decode_block_times(seg_b, b);
         if let Some(maps) = self.maps {
-            maps[p].map_col(&mut self.tmp);
-        }
-        for &v in &self.tmp {
-            self.orig[p].push(v);
+            maps[p].map_col(a);
+            maps[p].map_col(b);
         }
     }
 }
@@ -374,7 +451,10 @@ impl<'a> Sweep<'a> {
         let gid = graph.base(p) + i as u32;
         let srcs = graph.in_of(gid);
         let mut jump = None;
-        let ready = |src| self.passed(graph, src).then(|| self.value(graph, src));
+        let ready = |src| {
+            let (q, j) = graph.locate(src);
+            ((j as u64) < self.frontier[q]).then(|| self.out[q].get(j as u64))
+        };
         let corrected =
             forward_step(orig, prev, self.mu, None, srcs, ready, |size| jump = Some(size))?;
         self.out[p].push(corrected.as_ps());
@@ -641,13 +721,12 @@ fn apply_and_emit<'a>(
                 }
                 let te = Instant::now();
                 times.clear();
-                for j in bm.first_idx..end {
-                    let v = done.out[p].get(j);
-                    if v != src.orig[p].get(j) {
-                        report.events_moved += 1;
-                    }
-                    times.push(v);
-                }
+                let (a, b) = done.out[p].slices(bm.first_idx, end);
+                times.extend_from_slice(a);
+                times.extend_from_slice(b);
+                let (a, b) = src.orig[p].slices(bm.first_idx, end);
+                let (ta, tb) = times.split_at(a.len());
+                report.events_moved += count_moved(ta, a) + count_moved(tb, b);
                 let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
                 let frame = emit.frame(index.locations[p], &times, payload);
                 emitted[p] = end;
@@ -705,7 +784,7 @@ fn passthrough_emit(
         cancel.check()?;
         let bytes = bm.n_events as u64 * 8;
         mem.alloc(bytes);
-        times.clear();
+        times.resize(bm.n_events as usize, 0);
         let seg = store.read(bm.times_off, bm.n_events as usize * 8, &mut scratch);
         decode_block_times(seg, &mut times);
         let p = bm.timeline as usize;
@@ -884,7 +963,6 @@ fn run_incremental(
                 orig: lanes(),
                 next_block: vec![0; n],
                 scratch: Vec::new(),
-                tmp: Vec::new(),
             };
             let walks = if params.backward {
                 let t0 = Instant::now();
@@ -912,7 +990,7 @@ fn run_incremental(
         }
     };
 
-    debug_assert_eq!(mem.cur.get(), 0, "every lane segment returned to the gauge");
+    debug_assert_eq!(mem.cur.get(), 0, "every lane ring returned to the gauge");
     stats.peak_resident_column_bytes = mem.peak.get();
     stats.total_seconds = t_total.elapsed().as_secs_f64();
     Ok(IncrementalReport { clc, stats, frames, events: events as usize })
@@ -1097,6 +1175,71 @@ mod tests {
             sp * 4 < lp,
             "expected a much smaller resident peak: window 16 → {sp} B, window 65536 → {lp} B"
         );
+    }
+
+    /// A lane of 4-value segments driven through growth, wrap and
+    /// retirement — 70 values kept behind its end, so it holds more than
+    /// sixteen segments and retires without shrinking, one segment held
+    /// back by a pending read for a while, and a backward walk after every
+    /// burst — holds what a plain `Vec` given the same pushes and walks
+    /// holds, and the gauge reads its capacity.
+    #[test]
+    fn ring_lane_matches_a_vec_model() {
+        let graph = DepGraph::build(&Default::default(), &[], &[300], &LMIN);
+        let mem = MemGauge::default();
+        let mut lane = Lane {
+            mem: &mem,
+            w: 4,
+            ring: Vec::new(),
+            head: 0,
+            at: 0,
+            reads: VecDeque::new(),
+            len: 0,
+        };
+        let mut model: Vec<i64> = Vec::new();
+        let (mut wrapped, mut crossed, mut grew, mut shrank) = (false, false, false, false);
+        for round in 0..40 {
+            // A burst of 7: singly or as two ring pieces.
+            let burst: Vec<i64> = (model.len() as i64..).take(7).map(|i| 1_000 * i).collect();
+            let cap = lane.ring.len();
+            if round % 2 == 0 {
+                burst.iter().for_each(|&v| lane.push(v));
+            } else {
+                let (a, b) = lane.push_slices(7);
+                a.copy_from_slice(&burst[..a.len()]);
+                b.copy_from_slice(&burst[a.len()..]);
+            }
+            grew |= cap < lane.ring.len();
+            model.extend(&burst);
+            // A jump at the last event walks back ~5 events.
+            let k = lane.len - 1;
+            let walk = Walk::new(k, Time::from_ps(model[k as usize]), Dur::from_ps(1_500), 2.5);
+            crossed |= lane.slot(k - 5) > lane.slot(k);
+            backward_walk(&walk, &graph, 0, &mut lane, |_| 0);
+            backward_walk(&walk, &graph, 0, &mut model[..], |_| 0);
+            // Value 150 owes a read from round 20 to round 34.
+            match round {
+                20 => lane.owe(150, 1),
+                34 => lane.owe(150, -1),
+                _ => {}
+            }
+            let cap = lane.ring.len();
+            lane.retire(lane.len.saturating_sub(70));
+            shrank |= cap > lane.ring.len();
+            if (20..34).contains(&round) {
+                assert!(lane.head <= 148, "round {round}: retired a segment owing a read");
+            }
+            let (a, b) = lane.slices(lane.head, lane.len);
+            wrapped |= !b.is_empty();
+            assert_eq!([a, b].concat(), model[lane.head as usize..], "round {round}");
+            for i in lane.head..lane.len {
+                assert_eq!(lane.get(i), model[i as usize], "round {round}: value {i}");
+            }
+            assert_eq!(mem.cur.get(), 8 * lane.ring.len() as u64, "round {round}");
+        }
+        assert!(wrapped && crossed, "slices wrap {wrapped}, walks cross the wrap {crossed}");
+        assert!(grew && shrank, "grow {grew}, shrink {shrank}");
+        assert!(lane.head > 148, "the held segment retired once released");
     }
 
     #[test]

@@ -218,6 +218,9 @@ pub struct ScriptedTransport {
     scan_pos: usize,
     saw_terminal: bool,
     reads: usize,
+    /// Whether a slow sender's transport has answered the first read past
+    /// the end of its script with `Idle` yet.
+    idled_at_end: bool,
     write_quota: Option<u64>,
     outbound: Vec<u8>,
 }
@@ -235,6 +238,7 @@ impl ScriptedTransport {
             scan_pos: 0,
             saw_terminal: false,
             reads: 0,
+            idled_at_end: false,
             write_quota: None,
             outbound: Vec::new(),
         }
@@ -246,8 +250,9 @@ impl ScriptedTransport {
         self
     }
 
-    /// Return [`ReadOutcome::Idle`] on every `k`-th poll (models a slow
-    /// sender; `0` disables).
+    /// Return [`ReadOutcome::Idle`] on every `k`-th poll and on the first
+    /// poll past the end of the script (models a slow sender, which idles
+    /// at least once however few reads its upload takes; `0` disables).
     pub fn idle_every(mut self, k: usize) -> ScriptedTransport {
         self.idle_every = k;
         self
@@ -316,6 +321,10 @@ impl Transport for ScriptedTransport {
             return Ok(ReadOutcome::Idle);
         }
         if self.pos >= self.inbound.len() {
+            if self.idle_every > 0 && !self.idled_at_end {
+                self.idled_at_end = true;
+                return Ok(ReadOutcome::Idle);
+            }
             if self.close_after_reply && self.terminal_written() {
                 return Ok(ReadOutcome::Eof);
             }

@@ -4,8 +4,8 @@
 //! little-endian `i64` runs precisely so an ingest path can treat the raw
 //! bytes *as* the column: on a little-endian target, when the segment's
 //! address is 8-aligned (guaranteed for a page-aligned mmap because the
-//! encoder pads every segment to an 8-aligned stream offset), appending it
-//! to a `Vec<i64>` is one `memcpy` — no per-element decode at all.
+//! encoder pads every segment to an 8-aligned stream offset), copying it
+//! into an `i64` column is one `memcpy` — no per-element decode at all.
 //!
 //! The cast is a shim rather than a dependency: `i64` accepts every bit
 //! pattern, so the only soundness obligations are alignment and length,
@@ -40,19 +40,19 @@ pub fn as_i64_slice_le(bytes: &[u8]) -> Option<&[i64]> {
     }
 }
 
-/// Append a little-endian `i64` run to `dst`: one bulk copy when
+/// Write a little-endian `i64` run over `dst`: one bulk copy when
 /// [`as_i64_slice_le`] applies, an element-wise unaligned-load loop
-/// otherwise. `bytes.len()` must be a multiple of 8.
+/// otherwise. `bytes.len()` must be `8 * dst.len()`.
 #[inline]
-pub fn extend_i64_from_le_bytes(dst: &mut Vec<i64>, bytes: &[u8]) {
-    debug_assert_eq!(bytes.len() % 8, 0);
+pub fn copy_i64_from_le_bytes(dst: &mut [i64], bytes: &[u8]) {
+    assert_eq!(bytes.len(), 8 * dst.len(), "one 8-byte word per value");
     match as_i64_slice_le(bytes) {
-        Some(run) => dst.extend_from_slice(run),
-        None => dst.extend(
-            bytes
-                .chunks_exact(8)
-                .map(|c| i64::from_le_bytes(c.try_into().unwrap())),
-        ),
+        Some(run) => dst.copy_from_slice(run),
+        None => {
+            for (d, c) in dst.iter_mut().zip(bytes.chunks_exact(8)) {
+                *d = i64::from_le_bytes(c.try_into().expect("exact chunk"));
+            }
+        }
     }
 }
 
@@ -68,8 +68,8 @@ mod tests {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         // Whatever the buffer's alignment, the decoded values must match.
-        let mut out = Vec::new();
-        extend_i64_from_le_bytes(&mut out, &bytes);
+        let mut out = vec![0; values.len()];
+        copy_i64_from_le_bytes(&mut out, &bytes);
         assert_eq!(out, values);
         // Deliberately misaligned view: the cast must refuse, the fallback
         // must still decode the shifted values correctly.
@@ -79,8 +79,8 @@ mod tests {
         if !(mis.as_ptr() as usize).is_multiple_of(8) {
             assert!(as_i64_slice_le(mis).is_none());
         }
-        let mut out2 = Vec::new();
-        extend_i64_from_le_bytes(&mut out2, mis);
+        let mut out2 = vec![0; values.len()];
+        copy_i64_from_le_bytes(&mut out2, mis);
         assert_eq!(out2, values);
     }
 

@@ -171,7 +171,8 @@ impl TraceBuilder {
         events.reserve(block.n_events);
         let col = &mut self.cols[p];
         let start = col.len();
-        segment::decode_block_times(times, col);
+        col.resize(start + block.n_events, 0);
+        segment::decode_block_times(times, &mut col[start..]);
         let times = &col[start..];
         segment::for_each_kind(payload, block.n_events, |i, kind| {
             events.push(EventRecord::new(Time::from_ps(times[i]), kind));

@@ -188,10 +188,11 @@ pub(super) fn for_each_kind(
 
 /// Decode one block's raw timestamp segment (as addressed by
 /// [`BlockMeta::times_off`](super::BlockMeta::times_off)) into picosecond
-/// values appended to `out`: one bulk copy when the run happens to be
-/// 8-aligned in memory, unaligned loads otherwise ([`crate::cast`]).
-pub fn decode_block_times(seg: &[u8], out: &mut Vec<i64>) {
-    crate::cast::extend_i64_from_le_bytes(out, seg);
+/// values written over `out`, which holds exactly one value per 8 bytes:
+/// one bulk copy when the run happens to be 8-aligned in memory, unaligned
+/// loads otherwise ([`crate::cast`]).
+pub fn decode_block_times(seg: &[u8], out: &mut [i64]) {
+    crate::cast::copy_i64_from_le_bytes(out, seg);
 }
 
 /// Decode one block's kind/args payload (as addressed by

@@ -351,7 +351,7 @@ fn index_agrees_with_streaming_decode() {
         let timelines = idx.locations.iter().map(|&loc| ProcessTrace::new(loc));
         let mut back = Trace { procs: timelines.collect() };
         for b in &idx.blocks {
-            let mut times = Vec::new();
+            let mut times = vec![0; b.n_events as usize];
             let seg =
                 store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
             decode_block_times(seg, &mut times);
@@ -410,7 +410,7 @@ fn frame_writer_reemits_bit_identically() {
     let mut writer = FrameWriter::new(&mut out);
     for b in &idx.blocks {
         let loc = idx.locations[b.timeline as usize];
-        let mut times = Vec::new();
+        let mut times = vec![0; b.n_events as usize];
         let seg = store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
         decode_block_times(seg, &mut times);
         let payload = store

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Mutation-kill gate for the trace capture and the frame grammar (ROADMAP
-# item 9):
+# Mutation-kill gate for the trace capture, the frame grammar and the
+# windowed engine's ring lanes (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -84,6 +84,18 @@ crates/tracefmt/src/io/frame.rs
 ((8 - (frame_start + HEADER_BYTES as u64) % 8) % 8) as usize
 0
 tracefmt::io::tests::encoder_output_is_byte_stable tracefmt::io::frame::tests::v3_timestamp_segments_are_8_aligned
+
+lane slice split one short of the ring's end
+crates/core/src/pipeline/windowed.rs
+let first = n.min(tail.len());
+let first = n.min(tail.len() - 1);
+clocksync::pipeline::windowed::tests::ring_lane_matches_a_vec_model tests/windowed_differential.rs::windowed_engine_differential_matrix
+
+lane retires a segment that owes a read
+crates/core/src/pipeline/windowed.rs
+while head + self.w <= upto && self.reads.front().is_none_or(|&pending| pending == 0) {
+while head + self.w <= upto {
+clocksync::pipeline::windowed::tests::ring_lane_matches_a_vec_model tests/windowed_differential.rs::windowed_engine_differential_matrix
 EOF
 )
 

@@ -101,8 +101,10 @@ fn windowed_engine_differential_matrix() {
             let (base, init, fin, lmin) = drifted_trace(procs, msgs, model, seed);
             let v3 = to_binary_columnar_v3_blocked(&base, 256);
             let n = base.n_events();
-            // One sub-block window, two mid windows, one ≥ whole trace.
-            let windows = [1usize, 64, 4096, n.max(1)];
+            // One sub-block window, mid windows — three of them no power
+            // of two, so a lane's segments do not divide the block size —
+            // and one ≥ whole trace.
+            let windows = [1usize, 3, 64, 1000, 1025, 4096, n.max(1)];
             for presync in presyncs {
                 let cfg = PipelineConfig {
                     presync,
@@ -153,7 +155,7 @@ fn windowed_engine_differential_matrix() {
         }
     }
     // The matrix must not silently collapse after a refactor.
-    let floor = sizes.len() * models.len() * presyncs.len() * 4 + 2 * models.len() * 2;
+    let floor = sizes.len() * models.len() * presyncs.len() * 7 + 2 * models.len() * 2;
     assert!(legs >= floor, "windowed matrix ran only {legs} legs (expected {floor})");
 }
 
