@@ -1,37 +1,65 @@
 //! Command-line driver: `experiments <name>... [--fast] [--seed N] [--csv DIR]`.
 //!
-//! Names: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 intranode
-//! clc online ablations predict timers all`. `--fast` shortens the long deviation runs and shrinks the
-//! application workloads so the whole campaign completes in well under a
-//! minute; without it the runs use the paper's full durations.
+//! Names: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 timers
+//! intranode clc online ablations predict all` (no name means `all`). `--fast`
+//! shortens the long deviation runs and shrinks the application workloads so
+//! the whole campaign completes in well under a minute; without it the runs
+//! use the paper's full durations. An unknown name or option exits non-zero.
 
 #![forbid(unsafe_code)]
 
 use experiments::*;
 use std::path::PathBuf;
 
+/// Every section name the driver knows, in the order it prints them.
+const SECTIONS: [&str; 17] = [
+    "fig1", "fig2", "fig3", "table1", "table2", "timers", "fig4", "fig5", "fig6", "fig7", "fig8",
+    "intranode", "clc", "online", "ablations", "predict", "all",
+];
+
+/// A parsed command line.
+#[derive(Debug)]
+struct Args {
+    names: Vec<&'static str>,
+    fast: bool,
+    seed: u64,
+    csv_dir: Option<PathBuf>,
+}
+
+/// Parse the arguments after the program name. The value after `--seed`
+/// or `--csv` is never taken for a section name.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args { names: Vec::new(), fast: false, seed: 2008, csv_dir: None };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--fast" => parsed.fast = true,
+            "--seed" => {
+                let value = it.next().ok_or("--seed needs a value")?;
+                parsed.seed = value.parse().map_err(|_| format!("--seed {value}: not a u64"))?;
+            }
+            "--csv" => parsed.csv_dir = Some(it.next().ok_or("--csv needs a directory")?.into()),
+            other => match SECTIONS.iter().find(|&&name| name == other) {
+                Some(&name) => parsed.names.push(name),
+                None => {
+                    let sections = SECTIONS.join(" ");
+                    return Err(format!("unknown argument {other:?}; sections: {sections}"));
+                }
+            },
+        }
+    }
+    if parsed.names.is_empty() {
+        parsed.names.push("all");
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2008u64);
-    let csv_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let mut names: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && args.iter().position(|x| x == *a).map(|i| i == 0 || args[i-1] != "--seed").unwrap_or(true))
-        .map(|s| s.as_str())
-        .collect();
-    if names.is_empty() {
-        names.push("all");
-    }
+    let Args { names, fast, seed, csv_dir } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    });
     let all = names.contains(&"all");
     // Scale divisors under --fast.
     let dev_scale = if fast { 10.0 } else { 1.0 };
@@ -151,5 +179,27 @@ fn main() {
     }
     if has("predict") {
         predict_exp::print_predict(if fast { 120.0 } else { 600.0 }, if fast { 4 } else { 10 }, seed + 80);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(&line.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_names_fail_and_option_values_are_never_names() {
+        let err = parse("fgi7 --fast").unwrap_err();
+        assert!(err.contains("fgi7") && err.contains("fig7 fig8"), "{err}");
+        let args = parse("table1 --csv fig1 --seed 7").unwrap();
+        assert_eq!(args.names, ["table1"]);
+        assert_eq!(args.csv_dir, Some(PathBuf::from("fig1")));
+        assert_eq!(args.seed, 7);
+        assert_eq!(parse("--seed 9 --fast").unwrap().names, ["all"]);
+        assert!(parse("--seed fig1").is_err());
+        assert!(parse("clc --csv").is_err());
     }
 }

@@ -31,12 +31,6 @@ pub enum MpiOp {
         /// Coefficient of variation.
         cv: f64,
     },
-    /// Idle without tracing (models the paper's sleep padding around
-    /// SMG2000's computational phase).
-    Sleep {
-        /// How long to sleep.
-        dur: Dur,
-    },
     /// Blocking standard send.
     Send {
         /// Destination rank.
@@ -132,12 +126,6 @@ impl RankProgram {
     /// Append a jittered compute phase.
     pub fn compute_jitter(mut self, mean: Dur, cv: f64) -> Self {
         self.ops.push(MpiOp::ComputeJitter { mean, cv });
-        self
-    }
-
-    /// Append an untraced sleep.
-    pub fn sleep(mut self, dur: Dur) -> Self {
-        self.ops.push(MpiOp::Sleep { dur });
         self
     }
 

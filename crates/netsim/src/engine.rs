@@ -90,11 +90,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|e| (e.time, e.item))
     }
 
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -135,15 +130,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_tracks_push_and_pop() {
         let mut q = EventQueue::new();
         q.push(Time::from_us(7), ());
-        assert_eq!(q.peek_time(), Some(Time::from_us(7)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

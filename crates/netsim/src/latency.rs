@@ -95,16 +95,6 @@ pub struct LoadWave {
 }
 
 impl LoadWave {
-    /// Pure jitter-stretch wave without congestion.
-    pub fn jitter_only(amplitude: f64, period_s: f64) -> Self {
-        LoadWave {
-            amplitude,
-            period_s,
-            congestion: Dur::ZERO,
-            asymmetry: 1.0,
-        }
-    }
-
     /// Load multiplier for jitter/tail at true time `t` (≥ 0).
     pub fn factor(&self, t: Time) -> f64 {
         let w = core::f64::consts::TAU / self.period_s;
@@ -350,7 +340,13 @@ mod tests {
     #[test]
     fn load_wave_stretches_tails_not_base() {
         let mut h = HierarchicalLatency::xeon_infiniband();
-        h.load = Some(LoadWave::jitter_only(3.0, 100.0));
+        let jitter_only = |amplitude| LoadWave {
+            amplitude,
+            period_s: 100.0,
+            congestion: Dur::ZERO,
+            asymmetry: 1.0,
+        };
+        h.load = Some(jitter_only(3.0));
         // Peak load at t = 25 s, trough at t = 75 s.
         let peak = Time::from_secs(25);
         let trough = Time::from_secs(75);
@@ -373,7 +369,7 @@ mod tests {
         // The physical minimum survives: no sample under the base latency.
         assert!(min_peak >= h.inter_node.base);
         // Factor math.
-        let w = LoadWave::jitter_only(0.5, 100.0);
+        let w = jitter_only(0.5);
         assert!((w.factor(Time::from_secs(25)) - 1.5).abs() < 1e-9);
         assert!((w.factor(Time::from_secs(75)) - 0.5).abs() < 1e-9);
         assert!((w.factor(Time::ZERO) - 1.0).abs() < 1e-9);

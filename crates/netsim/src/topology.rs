@@ -88,18 +88,6 @@ impl Topology {
             node / (dims[0] * dims[1]),
         ]
     }
-
-    /// Largest hop count over all node pairs in `0..nodes` (network
-    /// diameter as seen by this machine).
-    pub fn diameter(&self, nodes: usize) -> u32 {
-        let mut max = 0;
-        for a in 0..nodes {
-            for b in (a + 1)..nodes {
-                max = max.max(self.hops(a, b));
-            }
-        }
-        max
-    }
 }
 
 /// Where each MPI rank runs: the pinning configurations of the paper's
@@ -112,7 +100,7 @@ pub struct Placement {
 
 impl Placement {
     /// Explicit placement.
-    pub fn custom(shape: MachineShape, core_of_rank: Vec<CoreId>) -> Self {
+    fn custom(shape: MachineShape, core_of_rank: Vec<CoreId>) -> Self {
         for c in &core_of_rank {
             assert!(c.0 < shape.n_cores(), "core id out of range");
         }
@@ -258,7 +246,6 @@ mod tests {
         let t = Topology::Crossbar;
         assert_eq!(t.hops(0, 0), 0);
         assert_eq!(t.hops(0, 3), 1);
-        assert_eq!(t.diameter(8), 1);
     }
 
     #[test]
@@ -266,7 +253,6 @@ mod tests {
         let t = Topology::FatTree { leaf_radix: 4 };
         assert_eq!(t.hops(0, 3), 1); // same leaf
         assert_eq!(t.hops(0, 4), 3); // via spine
-        assert_eq!(t.diameter(8), 3);
     }
 
     #[test]
@@ -290,7 +276,6 @@ mod tests {
         assert_eq!(t.hops(0, 2), 2); // same group, different router
         assert_eq!(t.hops(0, 7), 2); // last router of group 0
         assert_eq!(t.hops(0, 8), 3); // group 1
-        assert_eq!(t.diameter(16), 3);
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl OnlineLane {
         &self.filter
     }
 
-    /// Number of probes consumed so far.
-    pub fn probes_consumed(&self) -> usize {
-        self.next
-    }
-
     /// Correct the next raw timestamp of this timeline. **Must** be called
     /// in nondecreasing raw-timestamp order (the natural per-timeline
     /// event order); the output is then guaranteed nondecreasing too.
@@ -173,9 +168,9 @@ mod tests {
         ];
         let mut lane = OnlineLane::new(probes, KalmanParams::default());
         lane.map_next(250);
-        assert_eq!(lane.probes_consumed(), 2);
+        assert_eq!(lane.next, 2);
         lane.map_next(901);
-        assert_eq!(lane.probes_consumed(), 3);
+        assert_eq!(lane.next, 3);
     }
 
     #[test]

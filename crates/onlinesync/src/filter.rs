@@ -159,16 +159,6 @@ impl DriftKalman {
         self.offset_ps
     }
 
-    /// Worker-local anchor time of the current state, ps.
-    pub fn anchor_ps(&self) -> i64 {
-        self.anchor_ps
-    }
-
-    /// One-sigma uncertainty of the offset estimate at the anchor, ps.
-    pub fn offset_sd_ps(&self) -> f64 {
-        self.p00.max(0.0).sqrt()
-    }
-
     /// Predicted master − worker offset at worker time `t_ps`, without
     /// mutating the filter (pure extrapolation from the anchor).
     pub fn offset_at_ps(&self, t_ps: i64) -> f64 {
@@ -356,9 +346,9 @@ mod tests {
         let mut f = DriftKalman::new(KalmanParams::default());
         f.observe(probe(1_000_000, 50));
         f.observe(probe(2_000_000, 50));
-        let anchor = f.anchor_ps();
+        let anchor = f.anchor_ps;
         f.observe(probe(500_000, 1_000_000)); // stale, absurd
-        assert_eq!(f.anchor_ps(), anchor, "anchor rewound on stale probe");
+        assert_eq!(f.anchor_ps, anchor, "anchor rewound on stale probe");
         assert!(f.is_finite());
     }
 

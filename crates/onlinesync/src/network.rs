@@ -345,7 +345,7 @@ impl ClockNetwork {
     }
 
     /// The tree in force at true time `t`.
-    pub fn epoch_at(&self, t: Time) -> &TreeEpoch {
+    fn epoch_at(&self, t: Time) -> &TreeEpoch {
         match self.epochs.iter().rposition(|e| e.from <= t) {
             Some(i) => &self.epochs[i],
             None => &self.epochs[0],
@@ -354,7 +354,7 @@ impl ClockNetwork {
 
     /// True if `node` is a member at true time `t` (half-open interval —
     /// a leaver is gone at its leave instant).
-    pub fn alive_at(&self, node: usize, t: Time) -> bool {
+    fn alive_at(&self, node: usize, t: Time) -> bool {
         node == 0 || (self.alive[node].0 <= t && t < self.alive[node].1)
     }
 

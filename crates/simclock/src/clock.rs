@@ -126,11 +126,6 @@ impl SimClock {
         self.kind
     }
 
-    /// Initial offset at true time zero.
-    pub fn offset0(&self) -> Dur {
-        self.offset0
-    }
-
     /// Cost of one read in true time (intrusion overhead).
     pub fn read_overhead(&self) -> Dur {
         self.noise.spec().read_overhead
@@ -167,12 +162,6 @@ impl SimClock {
     /// clamp its own stream, as real tracing libraries do.
     pub fn sample(&mut self, t: Time) -> Time {
         self.noise.sample(self.ideal_at(t))
-    }
-
-    /// Drop the monotonicity state (e.g. between independent experiment
-    /// repetitions on the same clock object).
-    pub fn reset_monotonicity(&mut self) {
-        self.last = None;
     }
 }
 
@@ -278,16 +267,5 @@ mod tests {
         assert_eq!(c.sample(Time::from_secs(1)), Time::from_secs(1));
         // And it does not disturb the clamp state of `read`.
         assert_eq!(c.read(Time::from_secs(2)), Time::from_secs(5));
-    }
-
-    #[test]
-    fn reset_monotonicity_allows_lower_reads() {
-        let mut c = SimClock::ideal();
-        let hi = c.read(Time::from_secs(5));
-        assert_eq!(hi, Time::from_secs(5));
-        // Without reset, an earlier query clamps up.
-        assert_eq!(c.read(Time::from_secs(1)), Time::from_secs(5));
-        c.reset_monotonicity();
-        assert_eq!(c.read(Time::from_secs(1)), Time::from_secs(1));
     }
 }

@@ -260,21 +260,11 @@ impl ClockEnsemble {
         self.clocks[self.domain_of_core[core.0]].read_overhead()
     }
 
-    /// Whether two cores read the very same clock (always true inside one
-    /// domain — e.g. two cores of one chip under [`ClockDomain::PerChip`]).
-    pub fn same_clock(&self, a: CoreId, b: CoreId) -> bool {
-        self.domain_of_core[a.0] == self.domain_of_core[b.0]
-    }
-
     /// Direct access to a core's clock (e.g. for offset probing).
     pub fn clock_of_core_mut(&mut self, core: CoreId) -> &mut SimClock {
         &mut self.clocks[self.domain_of_core[core.0]]
     }
 
-    /// Direct access to a core's clock.
-    pub fn clock_of_core(&self, core: CoreId) -> &SimClock {
-        &self.clocks[self.domain_of_core[core.0]]
-    }
 }
 
 #[cfg(test)]
@@ -325,9 +315,10 @@ mod tests {
     fn same_chip_cores_share_clock_per_chip_domain() {
         let s = MachineShape::new(2, 2, 4);
         let e = ClockEnsemble::build(s, ClockDomain::PerChip, &tiny_profile(), 2);
-        assert!(e.same_clock(s.core(0, 0, 0), s.core(0, 0, 3)));
-        assert!(!e.same_clock(s.core(0, 0, 0), s.core(0, 1, 0)));
-        assert!(!e.same_clock(s.core(0, 0, 0), s.core(1, 0, 0)));
+        let at = |core| e.ideal_at(core, Time::from_secs(50));
+        assert_eq!(at(s.core(0, 0, 0)), at(s.core(0, 0, 3)));
+        assert_ne!(at(s.core(0, 0, 0)), at(s.core(0, 1, 0)));
+        assert_ne!(at(s.core(0, 0, 0)), at(s.core(1, 0, 0)));
     }
 
     #[test]

@@ -28,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aging;
 pub mod clock;
 pub mod drift;
 pub mod ensemble;
@@ -39,7 +38,6 @@ pub mod stability;
 pub mod time;
 pub mod virt;
 
-pub use aging::{AgingDrift, SteppedClock};
 pub use clock::{SimClock, TimerKind};
 pub use drift::{
     gaussian, CompositeDrift, ConstantDrift, DriftModel, PiecewiseLinearDrift, RandomWalkDrift,
@@ -49,6 +47,6 @@ pub use ensemble::{ClockDomain, ClockEnsemble, CoreId, Locality, MachineShape};
 pub use noise::{NoiseSpec, ReadNoise};
 pub use ntp::NtpDiscipline;
 pub use platform::{ClockProfile, Platform};
-pub use stability::{adev_curve, allan_deviation, sample_phase};
+pub use stability::{allan_deviation, sample_phase};
 pub use time::{Dur, Time};
 pub use virt::VirtualClock;

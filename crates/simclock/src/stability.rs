@@ -53,21 +53,6 @@ pub fn sample_phase(clock: &SimClock, tau0: Dur, n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Allan-deviation curve of a clock at octave-spaced averaging factors.
-/// Returns `(tau_s, adev)` pairs.
-pub fn adev_curve(clock: &SimClock, tau0: Dur, n_samples: usize) -> Vec<(f64, f64)> {
-    let phase = sample_phase(clock, tau0, n_samples);
-    let mut out = Vec::new();
-    let mut m = 1usize;
-    while 2 * m < n_samples {
-        if let Some(adev) = allan_deviation(&phase, tau0.as_secs_f64(), m) {
-            out.push((m as f64 * tau0.as_secs_f64(), adev));
-        }
-        m *= 2;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,12 +67,23 @@ mod tests {
         SimClock::new(TimerKind::IntelTsc, Dur::ZERO, drift, NoiseSpec::noiseless(), 0)
     }
 
+    /// `(tau_s, adev)` of a clock at octave-spaced averaging factors.
+    fn octave_adev(clock: &SimClock, tau0: Dur, n_samples: usize) -> Vec<(f64, f64)> {
+        let phase = sample_phase(clock, tau0, n_samples);
+        let tau0 = tau0.as_secs_f64();
+        let octaves = std::iter::successors(Some(1usize), |m| Some(2 * m));
+        octaves
+            .take_while(|&m| 2 * m < n_samples)
+            .filter_map(|m| Some((m as f64 * tau0, allan_deviation(&phase, tau0, m)?)))
+            .collect()
+    }
+
     #[test]
     fn constant_drift_has_zero_allan_deviation() {
         // A perfectly constant rate is perfectly stable: second differences
         // of a linear phase vanish.
         let c = clock_with(Arc::new(ConstantDrift::new(5e-6)));
-        let curve = adev_curve(&c, Dur::from_secs(1), 128);
+        let curve = octave_adev(&c, Dur::from_secs(1), 128);
         for (tau, adev) in curve {
             assert!(
                 adev < 1e-15,
@@ -102,7 +98,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let d = RandomWalkDrift::generate(&mut rng, 1e-9, 1.0, 3000.0);
         let c = clock_with(Arc::new(d));
-        let curve = adev_curve(&c, Dur::from_secs(1), 2048);
+        let curve = octave_adev(&c, Dur::from_secs(1), 2048);
         assert!(curve.len() >= 6);
         let first = curve[1].1;
         let last = curve[curve.len() - 1].1;

@@ -93,12 +93,6 @@ impl Time {
         self.0 as f64 / PS_PER_US as f64
     }
 
-    /// Span from the origin to this instant.
-    #[inline]
-    pub const fn since_origin(self) -> Dur {
-        Dur(self.0)
-    }
-
     /// Element-wise maximum.
     #[inline]
     pub fn max(self, other: Time) -> Time {

@@ -28,13 +28,6 @@ impl VirtualClock {
         VirtualClock::default()
     }
 
-    /// A clock starting at `t`.
-    pub fn starting_at(t: Time) -> Self {
-        VirtualClock {
-            now_ps: AtomicI64::new(t.as_ps()),
-        }
-    }
-
     /// The current simulated instant.
     pub fn now(&self) -> Time {
         Time::from_ps(self.now_ps.load(Ordering::Acquire))
@@ -77,7 +70,8 @@ mod tests {
 
     #[test]
     fn advance_to_is_a_monotonic_max() {
-        let c = VirtualClock::starting_at(Time::from_ms(10));
+        let c = VirtualClock::new();
+        c.advance(Dur::from_ms(10));
         assert_eq!(c.advance_to(Time::from_ms(4)), Time::from_ms(10));
         assert_eq!(c.advance_to(Time::from_ms(25)), Time::from_ms(25));
         assert_eq!(c.now(), Time::from_ms(25));

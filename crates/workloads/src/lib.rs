@@ -28,15 +28,9 @@ pub mod smg;
 pub mod sweep;
 
 pub use churn::{churn_scenario, ChurnScenario, ProbeMeasurement};
-pub use openmp::{
-    check_run, placement_ablation, run_benchmark, run_benchmark_placed, violation_sweep,
-    OmpViolationRow,
-};
+pub use openmp::{placement_ablation, run_benchmark, violation_sweep, OmpViolationRow};
 pub use p2p::skewed_p2p;
-pub use pingpong::{
-    measure_allreduce_latency, measure_collective_latency, measure_p2p_latency,
-    LatencyMeasurement,
-};
+pub use pingpong::{measure_allreduce_latency, measure_p2p_latency, LatencyMeasurement};
 pub use pop::PopConfig;
 pub use smg::SmgConfig;
 pub use sweep::SweepConfig;

@@ -23,7 +23,7 @@ pub struct OmpViolationRow {
 }
 
 /// Run the benchmark once with an explicit thread placement.
-pub fn run_benchmark_placed(
+fn run_benchmark_placed(
     threads: usize,
     regions: usize,
     placement: ThreadPlacement,
@@ -61,7 +61,7 @@ pub fn run_benchmark(threads: usize, regions: usize, seed: u64) -> Trace {
 }
 
 /// Check one run for POMP violations.
-pub fn check_run(trace: &Trace) -> PompReport {
+fn check_run(trace: &Trace) -> PompReport {
     let regions = match_parallel_regions(trace).expect("well-formed POMP trace");
     check_pomp(trace, &regions)
 }

@@ -92,7 +92,7 @@ pub fn measure_allreduce_latency(
 /// Duration statistics of an arbitrary collective operation across `reps`
 /// instances on `n` ranks, measured as `CollEnd − CollBegin` on rank 0.
 /// Rooted flavours use rank 0 as the root.
-pub fn measure_collective_latency(
+fn measure_collective_latency(
     cluster: &mut Cluster,
     op: tracefmt::CollOp,
     n: usize,

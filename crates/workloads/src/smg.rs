@@ -69,7 +69,7 @@ impl SmgConfig {
         let cycle_region = regions::user(10);
         let level_region = |l: usize| regions::user(20 + l as u32);
         Program::build(self.ranks, |r| {
-            let mut p = RankProgram::new().trace_off().sleep(self.padding).trace_on();
+            let mut p = RankProgram::new().trace_off().compute(self.padding).trace_on();
             for _it in 0..self.iterations {
                 p = p.enter(cycle_region);
                 // Down-sweep: fine → coarse; up-sweep back. Payload and
@@ -97,7 +97,7 @@ impl SmgConfig {
                 p = p.allreduce(CommId::WORLD, self.norm_bytes);
                 p = p.exit(cycle_region);
             }
-            p.trace_off().sleep(self.padding)
+            p.trace_off().compute(self.padding)
         })
     }
 }

@@ -33,11 +33,12 @@
 #       their one file
 #   size ratchet            lines under crates/{core,tracefmt,syncd}/src
 #                           against a ceiling that only goes down
-#   capture, frame and lane mutants
+#   simulation size ratchet the same over the simulation side's ten crates
+#   capture, frame, lane and simulator mutants
 #                           scripts/mutants.sh: one-line mutants of the
-#                           trace capture, the frame grammar and the
-#                           windowed ring lane, each killed by its named
-#                           tests
+#                           trace capture, the frame grammar, the
+#                           windowed ring lane and the simulator's message
+#                           path, each killed by its named tests
 #   vopr campaign | netchaos campaign
 #       seeded schedules against the stepped service, seeded connection
 #       faults through the wire stack; a failing seed prints its repro
@@ -86,8 +87,16 @@ WORKSPACE_TEST_BINARIES_FLOOR=49
 # v2-vs-v3 decode comparison, the glued-version refusal at admission and
 # at submit, whose subjects went — and 3 came: a dropped frame caught by
 # the trailer, the decoder at every buffer alignment, and a `DTC2` magic
-# refused alike by the three readers.
-WORKSPACE_TESTS_FLOOR=597
+# refused alike by the three readers. Lowered by 7 when the simulator got
+# one message path and its uncalled items left: 7 unit tests went with
+# their subjects — `simclock::aging`'s five (`aging_integral_is_quadratic`,
+# `aging_defeats_a_straight_line`, `steps_accumulate`,
+# `backward_step_is_hidden_by_the_tracer_clamp`, `unsorted_steps_panic`),
+# `clock::tests::reset_monotonicity_allows_lower_reads` and `mpisim`'s
+# `subcommunicator_collectives`; the `same_clock` asserts now read
+# `ideal_at`, in the test that held them. Five came: four simulator pins
+# in `end_to_end` and the `experiments` argument parser's test.
+WORKSPACE_TESTS_FLOOR=590
 
 tree_before=$(git status --porcelain)
 gates_run=0
@@ -237,11 +246,14 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # One scan captures messages and collectives (DESIGN §9.1): none of the
 # two-pass capture's streaming faces or its rank table. One binary layout
 # (DESIGN §14.3): none of the second layout's encoders, version enum,
-# glued-version error or the service's refusal path and version echo.
+# glued-version error or the service's refusal path and version echo. One
+# message path in the simulator (DESIGN §7): none of the clock models
+# nothing ran (crystal aging, stepped clocks), the Allan curve, the sleep
+# op that was a compute, or the run options only their own tests set.
 deleted_names_gate() {
     local hits
     hits=$(
-        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(' \
+        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(|AgingDrift|SteppedClock|adev_curve|MpiOp::Sleep|tracing_initially|extra_comms' \
             crates src tests examples
         grep -rnE 'deps_from_parts|extract_deps' crates src examples
     ) || true
@@ -319,15 +331,40 @@ size_ratchet_gate() {
 }
 gate "size ratchet: core + tracefmt + syncd" size_ratchet_gate
 
-# Capture, frame and lane mutants (ROADMAP item 9): every one-line mutant
-# in scripts/mutants.sh — of the trace capture: unstable grouping, the
-# positional zip without its tag check, an unknown peer taken for rank 0,
-# the root and end-op checks skipped, either grouping path dropping the
-# side bit; of the frame grammar: trailer counters or header ids
-# unchecked, timestamp segments unpadded; of the windowed ring lane: a
-# slice split one short of the ring's end, a segment retired while it
-# owes a read — must turn its named tests red in a copy of the checkout.
-gate "capture, frame and lane mutants: scripts/mutants.sh" ./scripts/mutants.sh
+# The simulation side's ratchet (ROADMAP item 14): the same rule over the
+# ten crates that simulate, measure and drive — lower it to the printed
+# count whenever a PR shrinks them. Set at 16 420 lines (from 16 891) when
+# `mpisim::run` got one send path, one receive completion and one record
+# site, and the simulation side's uncalled public items left.
+SIM_LINES_CEILING=16420
+SIM_CRATES=(bench experiments mpisim netsim onlinesync simclock simsched syncd-client syncd-wire workloads)
+sim_size_ratchet_gate() {
+    local lines crate
+    lines=$(for crate in "${SIM_CRATES[@]}"; do find "crates/${crate}/src" -name '*.rs' -print0; done |
+        xargs -0 cat | wc -l)
+    echo "    simulation crates' src: ${lines} lines (ceiling ${SIM_LINES_CEILING})"
+    for crate in "${SIM_CRATES[@]}"; do
+        echo "    crates/${crate}/src public items: $(grep -rhE '^\s*pub (fn|struct|enum|type|const|trait) ' "crates/${crate}/src" | wc -l)"
+    done
+    if [[ "$lines" -gt "$SIM_LINES_CEILING" ]]; then
+        echo "simulation size ratchet: ${lines} lines, ceiling is ${SIM_LINES_CEILING}" >&2
+        return 1
+    fi
+}
+gate "size ratchet: simulation crates" sim_size_ratchet_gate
+
+# Capture, frame, lane and simulator mutants (ROADMAP item 9): every
+# one-line mutant in scripts/mutants.sh — of the trace capture: unstable
+# grouping, the positional zip without its tag check, an unknown peer taken
+# for rank 0, the root and end-op checks skipped, either grouping path
+# dropping the side bit; of the frame grammar: trailer counters or header
+# ids unchecked, timestamp segments unpadded; of the windowed ring lane: a
+# slice split one short of the ring's end, a segment retired while it owes
+# a read; of the simulator: the send path without its non-overtaking
+# clamp, the receive completion without the send overhead, a resumed call
+# recording its Enter twice — must turn its named tests red in a copy of
+# the checkout.
+gate "capture, frame, lane and simulator mutants: scripts/mutants.sh" ./scripts/mutants.sh
 
 # VOPR campaign: every seed must pass every invariant and replay
 # identically from its decision trace. On failure the runner prints the

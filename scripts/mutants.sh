@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Mutation-kill gate for the trace capture, the frame grammar and the
-# windowed engine's ring lanes (ROADMAP item 9):
+# Mutation-kill gate for the trace capture, the frame grammar, the
+# windowed engine's ring lanes and the simulator's message path (ROADMAP
+# item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -96,6 +97,24 @@ crates/core/src/pipeline/windowed.rs
 while head + self.w <= upto && self.reads.front().is_none_or(|&pending| pending == 0) {
 while head + self.w <= upto {
 clocksync::pipeline::windowed::tests::ring_lane_matches_a_vec_model tests/windowed_differential.rs::windowed_engine_differential_matrix
+
+send path without the non-overtaking clamp
+crates/mpisim/src/runtime.rs
+*clamp = (depart + transfer).max(*clamp);
+*clamp = depart + transfer;
+mpisim::runtime::tests::non_overtaking_holds_under_jitter
+
+receive completion without the send overhead
+crates/mpisim/src/runtime.rs
+st.now = st.now.max(arrival) + self.cluster.latency.send_overhead;
+st.now = st.now.max(arrival);
+tests/end_to_end.rs::simulator_pin_pingpong_unwrapped tests/end_to_end.rs::simulator_pin_nonblocking_mix
+
+a resumed blocked call records its Enter again
+crates/mpisim/src/runtime.rs
+if self.wrap && !self.states[rank].entered_call {
+if self.wrap {
+tests/end_to_end.rs::simulator_pin_nonblocking_mix tests/end_to_end.rs::simulator_pin_pop_wrapped
 EOF
 )
 

@@ -225,3 +225,119 @@ fn partial_tracing_tolerates_unmatched_messages() {
     let rep = check_p2p(&trace, &m, &lmin);
     assert!(rep.violations.is_empty());
 }
+
+// ------------------------------------------------- simulator fingerprints --
+//
+// What `mpisim::run` records, pinned: the event stream of four programs on
+// one fixed drifting-clock cluster, so that a change to the scheduler that
+// moves one timestamp, reorders one RNG draw or drops one wrapper event
+// turns a pin red. The cluster is built here, not by the experiments'
+// `traced_run`, so a change to the time compression never moves a pin.
+
+/// One event kind as five fixed words: a code, then its fields.
+fn kind_words(kind: EventKind) -> [i64; 5] {
+    let root = |r: Option<Rank>| r.map_or(-1, |r| i64::from(r.0));
+    match kind {
+        EventKind::Enter { region } => [0, i64::from(region.0), 0, 0, 0],
+        EventKind::Exit { region } => [1, i64::from(region.0), 0, 0, 0],
+        EventKind::Send { to, tag, bytes } => [2, i64::from(to.0), i64::from(tag.0), bytes as i64, 0],
+        EventKind::Recv { from, tag, bytes } => {
+            [3, i64::from(from.0), i64::from(tag.0), bytes as i64, 0]
+        }
+        EventKind::CollBegin { op, comm, root: r, bytes } => {
+            [4, op as i64, i64::from(comm.0), root(r), bytes as i64]
+        }
+        EventKind::CollEnd { op, comm, root: r, bytes } => {
+            [5, op as i64, i64::from(comm.0), root(r), bytes as i64]
+        }
+        other => panic!("the MPI simulator records no {other:?}"),
+    }
+}
+
+/// FNV-1a-64 over every (timeline, time, kind) of a trace, as
+/// little-endian `i64` words.
+fn simulator_fingerprint(trace: &Trace) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for (p, pt) in trace.procs.iter().enumerate() {
+        for e in &pt.events {
+            let head = [p as i64, e.time.as_ps()];
+            for w in head.into_iter().chain(kind_words(e.kind)) {
+                for b in w.to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+    }
+    h
+}
+
+fn simulate(program: &Program, opts: &RunOptions) -> Trace {
+    run(&mut cluster(2008, 60.0), program, opts).unwrap().trace
+}
+
+#[test]
+fn simulator_pin_pop_wrapped() {
+    let trace = simulate(&PopConfig::mref_like(4, 2, 300).build(), &RunOptions::default());
+    assert_eq!(trace.n_events(), 2912);
+    assert_eq!(simulator_fingerprint(&trace), 0x33d8_e6ef_3b06_9cc5);
+}
+
+#[test]
+fn simulator_pin_smg_wrapped() {
+    let trace = simulate(&SmgConfig::paper_like(8, 600).build(), &RunOptions::default());
+    assert_eq!(trace.n_events(), 4080);
+    assert_eq!(simulator_fingerprint(&trace), 0xdbc6_714c_87df_5708);
+}
+
+/// Table II's ping-pong: rank 0 and rank 1, no wrapper events.
+#[test]
+fn simulator_pin_pingpong_unwrapped() {
+    let program = Program::build(2, |r| {
+        let mut p = RankProgram::new();
+        for i in 0..200u32 {
+            p = if r.0 == 0 {
+                p.send(Rank(1), Tag(i), 0).recv(Rank(1), Tag(i))
+            } else {
+                p.recv(Rank(0), Tag(i)).send(Rank(0), Tag(i), 0)
+            };
+        }
+        p
+    });
+    let opts = RunOptions { wrap_mpi_calls: false, ..RunOptions::default() };
+    let trace = simulate(&program, &opts);
+    assert_eq!(trace.n_events(), 800);
+    assert_eq!(simulator_fingerprint(&trace), 0xf4f9_038b_a425_e3b0);
+}
+
+/// Non-blocking traffic: a ring posted with `irecv`/`isend` and completed by
+/// `wait` and `waitall`, a `recv` posted long before its send leaves (the
+/// sender computes first), and a `sendrecv` ring.
+#[test]
+fn simulator_pin_nonblocking_mix() {
+    use drift_lab::mpisim::ReqId;
+    let program = Program::build(8, |r| {
+        let next = Rank((r.0 + 1) % 8);
+        let prev = Rank((r.0 + 7) % 8);
+        let mut p = RankProgram::new();
+        for i in 0..6u32 {
+            p = p
+                .irecv(prev, Tag(i), ReqId(0))
+                .isend(next, Tag(i), 512, ReqId(1))
+                .compute_jitter(Dur::from_us(50), 0.2)
+                .wait(ReqId(0))
+                .irecv(next, Tag(100 + i), ReqId(2))
+                .isend(prev, Tag(100 + i), 64, ReqId(3))
+                .waitall();
+            p = if r.0 % 2 == 0 {
+                p.recv(Rank(r.0 + 1), Tag(200 + i))
+            } else {
+                p.compute(Dur::from_us(300)).send(Rank(r.0 - 1), Tag(200 + i), 8)
+            };
+            p = p.sendrecv(next, Tag(300 + i), 128, prev, Tag(300 + i));
+        }
+        p
+    });
+    let trace = simulate(&program, &RunOptions::default());
+    assert_eq!(trace.n_events(), 1296);
+    assert_eq!(simulator_fingerprint(&trace), 0x1f4e_476e_2038_b72b);
+}
