@@ -17,9 +17,8 @@
 //!   order (the module docs of [`super`]) and the pass leaves a timeline at
 //!   the first pending producer — the round-robin blocking schedule that
 //!   fixes the order jumps are reported in;
-//! * backward clamping takes a `min` over the out-edge set against a
-//!   snapshot taken after the forward pass, so the result does not depend
-//!   on timeline order.
+//! * backward clamping takes a `min` over the out-edge set against the
+//!   forward pass's times, so the result does not depend on timeline order.
 //!
 //! # One step, one walk, two schedules
 //!
@@ -35,6 +34,14 @@
 //! aggregated evaluation of classed N-to-N collectives ([`CollPass`], batch
 //! only — an aggregate would outlive the lanes' retired segments).
 //!
+//! The batch driver also skips the closing μ = 1 sweep where a certificate
+//! ([`sweep_leaves`]) proves it idle. The forward output F is a fixed point
+//! of the sweep (monotone, and above every remote bound); the walks only
+//! move events forward; so the sweep leaves their output C as it is if C is
+//! monotone at every moved event, every moved event stays at or below what
+//! its consumers' F allow, and no timeline spans 2⁵² ps — beyond that
+//! `Dur::scale(1.0)` rounds a gap, up as well as down.
+//!
 //! Bit-identity with the map-based reference implementation of the same
 //! algorithm (`tests/common/clc_reference.rs`, which shares no code with
 //! this module) is enforced by `tests/csr_differential.rs`,
@@ -43,13 +50,15 @@
 use super::graph::{CollPass, DepGraph, Edges};
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
+use std::ops::Range;
 use tracefmt::{EventId, TraceColumns};
 
 /// The CLC on timestamp columns over the CSR graph: forward pass, then —
 /// when configured — backward amortization and a μ = 1 forward sweep that
-/// guarantees the postcondition whatever the clamping left. Latencies live
-/// on the graph edges, so no latency model is consulted here. On error the
-/// columns are left as they were.
+/// guarantees the postcondition whatever the clamping left — run only
+/// where its certificate fails (module docs). Latencies live on the graph
+/// edges, so no latency model is consulted here. On error the columns are
+/// left as they were.
 pub(crate) fn controlled_logical_clock_columnar_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -59,8 +68,7 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     let originals = cols.flat().to_vec();
     let passes = |cols: &mut TraceColumns| {
         let report = forward_pass_csr(cols, graph, params.mu)?;
-        if params.backward {
-            backward_amortization_csr(cols, graph, params, &report.jumps);
+        if params.backward && !backward_amortization_csr(cols, graph, params, &report.jumps) {
             forward_pass_csr(cols, graph, 1.0)?;
         }
         Ok(report)
@@ -184,21 +192,32 @@ impl Timeline for [i64] {
     }
 }
 
+/// The latest time the consumers on `out` allow their producer, each
+/// consumer's time read through `snapshot`: `min(snapshot(dst) − lat)` in
+/// saturating arithmetic, `None` for an event nothing consumes — the cap
+/// of [`backward_walk`] over a view ([`CollPass::latest`] folds it for the
+/// begins of an aggregated instance).
+#[inline(always)]
+pub(crate) fn latest_allowed(out: Edges<'_>, snapshot: impl Fn(u32) -> i64) -> Option<Time> {
+    out.iter().map(|(dst, lat)| Time::from_ps(snapshot(dst)).saturating_sub(Dur::from_ps(lat))).min()
+}
+
 /// One backward walk — written once, like [`forward_step`]: shift the
 /// events before the jump forward by `min(ramp, cap, shift of successor)`,
-/// the ramp linear over the window, the cap what each out-edge's consumer
-/// leaves (read through `snapshot`, the post-forward time of a gid), and
+/// the ramp linear over the window, the cap what the event's consumers
+/// leave (`latest` of its gid, as [`latest_allowed`] answers it: the
+/// monotone `saturating_since` makes that the minimum of per-edge caps), and
 /// stop at the window start or the first event that cannot move. `base` is
-/// the gid of the timeline's first event.
+/// the gid of the timeline's first event. Returns the lowest index shifted.
 #[inline(always)]
 pub(crate) fn backward_walk<L: Timeline + ?Sized>(
     walk: &Walk,
-    graph: &DepGraph,
     base: u32,
     line: &mut L,
-    snapshot: impl Fn(u32) -> i64,
-) {
+    mut latest: impl FnMut(u32) -> Option<Time>,
+) -> u64 {
     let mut shift_above = walk.delta;
+    let mut lowest = walk.k;
     for i in (0..walk.k).rev() {
         let t_i = Time::from_ps(line.get(i));
         if t_i <= walk.w_start {
@@ -207,21 +226,16 @@ pub(crate) fn backward_walk<L: Timeline + ?Sized>(
         let frac = t_i.saturating_since(walk.w_start).as_ps() as f64
             / walk.window.as_ps().max(1) as f64;
         let ramp = walk.delta.scale(frac.clamp(0.0, 1.0));
-        let mut cap = Dur::MAX;
-        for (dst, lat) in graph.out_of(base + i as u32).iter() {
-            cap = cap.min(
-                Time::from_ps(snapshot(dst))
-                    .saturating_sub(Dur::from_ps(lat))
-                    .saturating_since(t_i),
-            );
-        }
+        let cap = latest(base + i as u32).map_or(Dur::MAX, |l| l.saturating_since(t_i));
         let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
         line.set(i, t_i.saturating_add(shift).as_ps());
         shift_above = shift;
         if shift == Dur::ZERO {
             break;
         }
+        lowest = i;
     }
+    lowest
 }
 
 /// The forward pass over CSR in-edges: assign corrected times in
@@ -308,18 +322,20 @@ pub(crate) fn forward_pass_csr(
 
 /// Backward amortization over columns and CSR out-edges: smooth each jump
 /// over a window of preceding events with a linear ramp, clamped so no
-/// outgoing message or collective contribution becomes violated.
+/// outgoing message or collective contribution becomes violated. Returns
+/// whether the μ = 1 sweep may be skipped ([`sweep_leaves`]).
 ///
 /// Remote constraint times are read from a **snapshot** taken after the
 /// forward pass: the result is independent of timeline order, and since
 /// backward shifts only ever move events *forward*, snapshot-based slacks
-/// are conservative.
+/// are conservative. A timeline's walks run in ascending jump order — the
+/// forward pass's — so `col[k]` still holds the value jump `k` left.
 fn backward_amortization_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
     params: &ClcParams,
     jumps: &[Jump],
-) {
+) -> bool {
     // The columns' slab is timeline-major in gid order: one `memcpy` gives
     // the snapshot indexed the way out-edge targets are named.
     let snapshot = cols.flat().to_vec();
@@ -327,34 +343,43 @@ fn backward_amortization_csr(
     for j in jumps {
         per_proc[j.event.p()].push(*j);
     }
-    for list in per_proc.iter_mut() {
-        list.sort_by_key(|j| j.event.i());
-    }
+    let (mut caps, mut idle) = (CollPass::new(graph), true);
     for (p, col) in cols.iter_mut_slices() {
-        backward_pass_csr(p, col, &per_proc[p], graph, params, &snapshot);
+        debug_assert!(per_proc[p].windows(2).all(|w| w[0].event.i() < w[1].event.i()));
+        let base = graph.base(p);
+        for jump in per_proc[p].iter().filter(|j| j.event.i() > 0) {
+            let k = jump.event.i();
+            let walk = Walk::new(k as u64, Time::from_ps(col[k]), jump.size, params.backward_window_factor);
+            let lowest = backward_walk(&walk, base, col, |gid| caps.latest(graph, gid, &snapshot));
+            idle = idle && sweep_leaves(col, lowest as usize..k, base, graph, &snapshot, &mut caps);
+        }
+        idle = idle && sweep_leaves(col, 0..0, base, graph, &snapshot, &mut caps);
     }
+    idle
 }
 
-/// The per-timeline backward kernel over a raw picosecond slice: one
-/// [`backward_walk`] per jump, ascending. `snapshot` is the post-forward
-/// trace flattened by gid. At walk time `col[k]` still holds the forward
-/// value the jump left — earlier walks write below earlier jumps only.
-fn backward_pass_csr(
-    p: usize,
-    col: &mut [i64],
-    jumps: &[Jump],
+/// The certificate (module docs) on one timeline's amortized times `c`,
+/// `base` its first gid: `true` while the μ = 1 sweep would leave it as it
+/// is. Checked after each walk on the indices it `moved` — later walks only
+/// raise what they rewrite and the successors of what they do not — and on
+/// the span. A moved time is above `i64::MIN`, so `C ≤ F − lat` implies
+/// `C + lat ≤ F`, with F the `forward` times by gid.
+fn sweep_leaves(
+    c: &[i64],
+    moved: Range<usize>,
+    base: u32,
     graph: &DepGraph,
-    params: &ClcParams,
-    snapshot: &[i64],
-) {
-    for jump in jumps {
-        let k = jump.event.i();
-        if k == 0 {
-            continue;
-        }
-        let walk = Walk::new(k as u64, Time::from_ps(col[k]), jump.size, params.backward_window_factor);
-        backward_walk(&walk, graph, graph.base(p), col, |dst| snapshot[dst as usize]);
-    }
+    forward: &[i64],
+    caps: &mut CollPass,
+) -> bool {
+    let span_exact = c.first().zip(c.last()).is_none_or(|(first, last)| {
+        last.checked_sub(*first).is_some_and(|span| span < 1 << 52)
+    });
+    span_exact
+        && moved.into_iter().all(|i| {
+            c[i] <= c[i + 1]
+                && caps.latest(graph, base + i as u32, forward).is_none_or(|l| Time::from_ps(c[i]) <= l)
+        })
 }
 
 #[cfg(test)]
@@ -415,17 +440,21 @@ mod tests {
         assert_eq!((ra.max_jump, ra.events_moved), (rb.max_jump, rb.events_moved), "{ctx}");
     }
 
-    /// The aggregated N-to-N ends against the view walk of the same graph:
-    /// timestamps, jumps and the order the jumps are found in. (Against the
-    /// map-based reference: `tests/csr_differential.rs`, same cases.)
+    /// The aggregated N-to-N members — ends forward, begins backward —
+    /// against the view walk of the same graph: timestamps, jumps and the
+    /// order the jumps are found in. (Against the map-based reference:
+    /// `tests/csr_differential.rs`, these cases and hand-built ones — ties
+    /// at a class minimum, a begin's own end the lowest, the `i64` edges.)
     #[test]
     fn aggregated_ends_equal_the_view_walk() {
         let flat = |_: tracefmt::Rank, _: tracefmt::Rank| Dur::from_us(40);
-        let cases: [(usize, usize, &dyn MinLatency); 4] = [
+        let cases: [(usize, usize, &dyn MinLatency); 5] = [
             (2, 9, &flat),
             (6, 21, &tree_latency(2, 4)),
             (9, 30, &tree_latency(3, 6)),
             (24, 13, &tree_latency(4, 8)),
+            // Nodes {0, 1}, {2, 3} and {4}: rank 4 is a class of its own.
+            (5, 17, &tree_latency(2, 4)),
         ];
         for (procs, rounds, lmin) in cases {
             let ctx = format!("{procs}x{rounds}");
@@ -444,9 +473,55 @@ mod tests {
                 let mut walked = TraceColumns::gather(&base);
                 let rw =
                     controlled_logical_clock_columnar_csr(&mut walked, &walk_graph, &params).unwrap();
-                assert_same_run((&classed, &rc), (&walked, &rw), &format!("{ctx} vs walk"));
+                assert_same_run((&classed, &rc), (&walked, &rw), &format!("{ctx} backward {backward}"));
             }
         }
+    }
+
+    /// The certified run against the driver as it was, sweeping always, on
+    /// skewed mixed traces and on the same traces with one timeline's first
+    /// half moved 2⁶⁰ ps back: the certificate holds on the first, its span
+    /// check fails on the second, and either way the two runs agree on every
+    /// timestamp, the jump sequence, `max_jump` and `events_moved`.
+    #[test]
+    fn certified_runs_equal_the_forced_sweep() {
+        let params = ClcParams::default();
+        for (procs, rounds) in [(2, 9), (5, 17), (8, 23)] {
+            let skewed = fixtures::mixed_trace(procs, rounds);
+            let mut split = skewed.clone();
+            let half = split.procs[1].events.len() / 2;
+            for e in &mut split.procs[1].events[..half] {
+                e.time = e.time.saturating_sub(Dur::from_ps(1 << 60));
+            }
+            for (trace, holds) in [(&skewed, true), (&split, false)] {
+                let (graph, cols) = (graph_of(trace), TraceColumns::gather(trace));
+                let (mut a, mut b) = (cols.clone(), cols.clone());
+                let ra = controlled_logical_clock_columnar_csr(&mut a, &graph, &params).unwrap();
+                let mut rb = forward_pass_csr(&mut b, &graph, params.mu).unwrap();
+                assert_eq!(backward_amortization_csr(&mut b, &graph, &params, &rb.jumps), holds);
+                forward_pass_csr(&mut b, &graph, 1.0).unwrap();
+                rb.events_moved = count_moved(b.flat(), cols.flat());
+                assert_same_run((&a, &ra), (&b, &rb), &format!("{procs}x{rounds}, certificate {holds}"));
+            }
+        }
+    }
+
+    /// A moved event above its successor — no walk leaves one — is refused:
+    /// the sweep would move the successor, though the span is small and the
+    /// event has no consumer. Ordered, the same move is certified.
+    #[test]
+    fn an_unordered_moved_event_is_refused() {
+        let mut t = Trace::for_ranks(1);
+        for at in [0, 10, 20] {
+            t.procs[0].push(Time::from_us(at), tracefmt::EventKind::Enter { region: tracefmt::RegionId(0) });
+        }
+        let (graph, mut cols) = (graph_of(&t), TraceColumns::gather(&t));
+        let (forward, mut caps) = (cols.flat().to_vec(), CollPass::new(&graph));
+        assert!(sweep_leaves(&[0, 15_000_000, 20_000_000], 1..2, 0, &graph, &forward, &mut caps));
+        cols.flat_mut()[1] = 25_000_000;
+        assert!(!sweep_leaves(cols.flat(), 1..2, 0, &graph, &forward, &mut caps));
+        forward_pass_csr(&mut cols, &graph, 1.0).unwrap();
+        assert_eq!(cols.flat()[2], 25_000_000, "the sweep moves the successor");
     }
 
     /// The pass is in place, so a cycle is found with part of the slab

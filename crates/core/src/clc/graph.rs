@@ -64,11 +64,12 @@
 //! instance. Stored size is O(events + Σ k² over communicators) whatever
 //! the number of instances.
 
-use simclock::Dur;
+use super::columnar::latest_allowed;
+use simclock::{Dur, Time};
 use std::sync::Arc;
 use tracefmt::{
-    BlockClasses, CollFlavor, CollInstRef, CollTable, CollectiveInstance, EventId, Matching,
-    MinLatency, PlanBuildError, Trace,
+    CollFlavor, CollInstRef, CollTable, CollectiveInstance, EventId, Matching, MinLatency,
+    PlanBuildError, Trace,
 };
 
 /// `skip` of a view that leaves nothing out.
@@ -527,7 +528,8 @@ impl DepGraph {
         }
     }
 
-    /// The same graph with every N-to-N end walking its view: what the
+    /// The same graph with every N-to-N member walking its view — each end
+    /// in the forward pass, each begin in the backward one: what the
     /// aggregated evaluation must be bit-identical to.
     #[cfg(test)]
     pub(crate) fn without_aggregation(mut self) -> DepGraph {
@@ -592,11 +594,11 @@ impl Top2 {
     }
 }
 
-/// One forward pass's view of the *aggregated* N-to-N instances: those
-/// whose latency block is classed ([`BlockClasses`]) and whose members each
-/// begin before they end on a timeline of their own.
+/// One pass's view of the *aggregated* N-to-N instances: those whose
+/// latency block is classed ([`tracefmt::BlockClasses`]) and whose members
+/// each begin before they end on a timeline of their own.
 ///
-/// The end at position `pos` of such an instance is bounded by
+/// *Forward*, the end at position `pos` of such an instance is bounded by
 /// `max_{j ≠ pos} corrected(begin_j) + L[j][pos]`, and its view walk blocks
 /// while any other begin is uncorrected. Its own begin lies before it on
 /// its timeline, so "any other begin is uncorrected" is `pending != 0`
@@ -608,14 +610,23 @@ impl Top2 {
 /// begin plus `M`; only the end's own class needs the largest *other*
 /// begin, hence the top two per class. That is the same maximum over the
 /// same terms, in O(k + classes²) per instance instead of O(k²).
+///
+/// *Backward* ([`CollPass::latest`]), the begin at `pos` may move up to
+/// `min_{j ≠ pos} snapshot(end_j).saturating_sub(L[pos][j])`: the
+/// complement of the same fold over the complemented ends, `!x` being
+/// order-reversing with `!(x.saturating_sub(l)) == (!x).saturating_add(l)`.
+/// An instance is folded when one of its begins is first asked for. A
+/// classed block has more members than classes: no begin is left termless.
 pub(crate) struct CollPass {
-    /// Per instance: begins still uncorrected, or [`NOT_AGGREGATED`].
+    /// Per instance: begins still uncorrected (forward), 0 once folded
+    /// (backward), or [`NOT_AGGREGATED`].
     pending: Vec<u32>,
-    /// Per member row: the bound of the row's end, once `pending` is 0.
+    /// Per member row of a folded instance: the bound of the row's end
+    /// (forward), the latest time of its begin (backward).
     remote: Vec<i64>,
-    /// Per class of the instance at hand: its corrected begins' top two.
+    /// Per class of the instance at hand: its members' top two.
     top: Vec<Top2>,
-    /// Per class: the bound contributed by all *other* classes' begins.
+    /// Per class: the bound contributed by all *other* classes' members.
     others: Vec<i64>,
 }
 
@@ -658,32 +669,58 @@ impl CollPass {
         }
         self.pending[i] -= 1;
         if self.pending[i] == 0 {
-            let inst = graph.coll.instance(i);
-            let classes = inst.block.classes().expect("aggregated instances are classed");
-            self.aggregate(&inst, classes, corr);
+            self.aggregate(graph, i, |b| corr[b as usize], false);
         }
     }
 
-    fn aggregate(&mut self, inst: &CollInstRef<'_>, classes: &BlockClasses, corr: &[i64]) {
+    /// Backward: [`latest_allowed`] for `gid`'s out-edges, folded once per
+    /// instance for the begins of an aggregated one.
+    #[inline(always)]
+    pub(crate) fn latest(&mut self, graph: &DepGraph, gid: u32, snapshot: &[i64]) -> Option<Time> {
+        let slot = graph.member_slot(gid);
+        if slot != 0 && slot & 1 == 0 {
+            let row = (slot >> 1) as usize - 1;
+            let i = graph.row_inst[row] as usize;
+            if self.pending[i] != NOT_AGGREGATED {
+                if self.pending[i] != 0 {
+                    self.pending[i] = 0;
+                    self.aggregate(graph, i, |e| !snapshot[e as usize], true);
+                }
+                return Some(Time::from_ps(self.remote[row]));
+            }
+        }
+        latest_allowed(graph.out_of(gid), |dst| snapshot[dst as usize])
+    }
+
+    /// Fold instance `i`'s begins into its ends' bounds, or — `backward` —
+    /// its complemented ends into its begins' latest times.
+    #[inline(never)]
+    fn aggregate(&mut self, graph: &DepGraph, i: usize, value: impl Fn(u32) -> i64, backward: bool) {
+        let inst = graph.coll.instance(i);
+        let classes = inst.block.classes().expect("aggregated instances are classed");
+        let lat = |from, to| if backward { classes.lat(to, from) } else { classes.lat(from, to) };
         let n = classes.n_classes();
         self.top.clear();
         self.top.resize(n, Top2::default());
-        for (j, &begin) in inst.begins.iter().enumerate() {
-            self.top[classes.of(j)].offer(corr[begin as usize], j);
+        for (j, &member) in (if backward { inst.ends } else { inst.begins }).iter().enumerate() {
+            self.top[classes.of(j)].offer(value(member), j);
         }
         self.others.clear();
         for to in 0..n {
             let from_others = (0..n).filter(|&from| from != to).filter_map(|from| {
                 let (value, _) = self.top[from].first?;
-                Some(value.saturating_add(classes.lat(from, to)))
+                Some(value.saturating_add(lat(from, to)))
             });
             self.others.push(from_others.max().unwrap_or(i64::MIN));
         }
         let rows = inst.first_row..inst.first_row + inst.begins.len();
         for (pos, bound) in self.remote[rows].iter_mut().enumerate() {
             let c = classes.of(pos);
-            let own = self.top[c].without(pos).map(|v| v.saturating_add(classes.lat(c, c)));
+            let own = self.top[c].without(pos).map(|v| v.saturating_add(lat(c, c)));
             *bound = own.map_or(self.others[c], |own| own.max(self.others[c]));
+            if backward {
+                *bound = !*bound;
+            }
         }
     }
 }
@@ -785,12 +822,20 @@ mod tests {
                 .min_by_key(|(elapsed, ..)| *elapsed)
                 .expect("three runs")
         };
+        let walk_graph = DepGraph::from_trace(&t, &matching, &insts, &LMIN).without_aggregation();
         let (fast, classed, classed_jumps) = best_of_3(&g);
-        let (slow, walked, walked_jumps) = best_of_3(&g.without_aggregation());
+        let (slow, walked, walked_jumps) = best_of_3(&walk_graph);
         assert_eq!(classed, walked);
         let in_order = |jumps: &[crate::clc::Jump]| jumps.iter().map(|j| (j.event, j.size)).collect::<Vec<_>>();
         assert_eq!(in_order(&classed_jumps), in_order(&walked_jumps));
         assert!(fast * 4 < slow, "aggregated {fast:?} vs view walk {slow:?} on {k} timelines");
+        // The whole CLC: the backward pass caps the begins in aggregate too.
+        let full = |g: &DepGraph| {
+            let mut cols = TraceColumns::gather(&t);
+            let report = controlled_logical_clock_columnar_csr(&mut cols, g, &ClcParams::default()).unwrap();
+            (cols.flat().to_vec(), in_order(&report.jumps), report.events_moved)
+        };
+        assert_eq!(full(&g), full(&walk_graph));
     }
 
     /// A hand-built instance with two members on timeline 0, the second

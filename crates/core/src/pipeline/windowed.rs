@@ -57,7 +57,9 @@ use super::{
     build_presync_maps, freeze_inputs, CancelToken, PipelineConfig, PipelineError, PipelineStats,
     PresyncMap, StageStats, TraceAnalysis,
 };
-use crate::clc::columnar::{backward_walk, count_moved, forward_step, Timeline, Walk};
+use crate::clc::columnar::{
+    backward_walk, count_moved, forward_step, latest_allowed, Timeline, Walk,
+};
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
@@ -687,7 +689,9 @@ fn apply_and_emit<'a>(
                     if !(fwd.frontier[p] > wj.k && rwalk[p] >= wj.k) {
                         break;
                     }
-                    backward_walk(wj, graph, gbase, &mut walked[p], |dst| fwd.value(graph, dst));
+                    backward_walk(wj, gbase, &mut walked[p], |g| {
+                        latest_allowed(graph.out_of(g), |dst| fwd.value(graph, dst))
+                    });
                     next_walk[p] += 1;
                     progressed = true;
                 }
@@ -1185,7 +1189,6 @@ mod tests {
     /// holds, and the gauge reads its capacity.
     #[test]
     fn ring_lane_matches_a_vec_model() {
-        let graph = DepGraph::build(&Default::default(), &[], &[300], &LMIN);
         let mem = MemGauge::default();
         let mut lane = Lane {
             mem: &mem,
@@ -1215,8 +1218,8 @@ mod tests {
             let k = lane.len - 1;
             let walk = Walk::new(k, Time::from_ps(model[k as usize]), Dur::from_ps(1_500), 2.5);
             crossed |= lane.slot(k - 5) > lane.slot(k);
-            backward_walk(&walk, &graph, 0, &mut lane, |_| 0);
-            backward_walk(&walk, &graph, 0, &mut model[..], |_| 0);
+            backward_walk(&walk, 0, &mut lane, |_| None);
+            backward_walk(&walk, 0, &mut model[..], |_| None);
             // Value 150 owes a read from round 20 to round 34.
             match round {
                 20 => lane.owe(150, 1),

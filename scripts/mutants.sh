@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the
-# windowed engine's ring lanes and the simulator's message path (ROADMAP
-# item 9):
+# windowed engine's ring lanes, the batch CLC and the simulator's message
+# path (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -115,6 +115,30 @@ crates/mpisim/src/runtime.rs
 if self.wrap && !self.states[rank].entered_call {
 if self.wrap {
 tests/end_to_end.rs::simulator_pin_nonblocking_mix tests/end_to_end.rs::simulator_pin_pop_wrapped
+
+certificate without its successor-order check
+crates/core/src/clc/columnar.rs
+c[i] <= c[i + 1]
+true
+clocksync::clc::columnar::tests::an_unordered_moved_event_is_refused
+
+certificate without its span check
+crates/core/src/clc/columnar.rs
+last.checked_sub(*first).is_some_and(|span| span < 1 << 52)
+true
+tests/csr_differential.rs::a_gap_the_sweep_rounds_is_refused_by_the_certificate tests/proptest_csr.rs::certified_clc_equals_the_always_sweeping_reference
+
+class fold without its own-position exclusion
+crates/core/src/clc/graph.rs
+let own = self.top[c].without(pos).map(|v| v.saturating_add(lat(c, c)));
+let own = self.top[c].first.map(|(v, _)| v.saturating_add(lat(c, c)));
+clocksync::clc::columnar::tests::aggregated_ends_equal_the_view_walk tests/csr_differential.rs::aggregated_begin_caps_equal_the_reference
+
+a remote bound at the candidate taken as a jump
+crates/core/src/clc/columnar.rs
+Some(r) if r > candidate => {
+Some(r) if r >= candidate => {
+tests/csr_differential.rs::a_tie_is_not_a_jump
 EOF
 )
 

@@ -289,6 +289,37 @@ fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
     assert_windowed_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "i64 edges");
 }
 
+/// A gap the μ = 1 re-sweep's `Dur::scale(1.0)` rounds up: 2⁵³ + 3 ps is
+/// the double 2⁵³ + 4, so the sweep moves the second event by 1 ps though
+/// nothing jumped. The kernel's certificate must send it to the sweep —
+/// only its span check can — and the oracle, which always sweeps, agrees.
+#[test]
+fn a_gap_the_sweep_rounds_is_refused_by_the_certificate() {
+    use drift_lab::tracefmt::RegionId;
+    let gap = (1i64 << 53) + 3;
+    let mut t = Trace::for_ranks(1);
+    t.procs[0].push(Time::from_ps(0), EventKind::Enter { region: RegionId(0) });
+    t.procs[0].push(Time::from_ps(gap), EventKind::Exit { region: RegionId(0) });
+    let rep = assert_adapter_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "2^53 + 3 gap");
+    assert_eq!(rep.expect("acyclic").events_moved, 1);
+    let mut fixed = t.clone();
+    controlled_logical_clock(&mut fixed, &LMIN_4US, &ClcParams::default()).expect("acyclic");
+    assert_eq!(fixed.procs[0].events[1].time, Time::from_ps(gap + 1), "the sweep ran");
+}
+
+/// A remote bound equal to the local candidate is no jump: a receive
+/// recorded exactly `l_min` after its send stays where it is and is not
+/// reported.
+#[test]
+fn a_tie_is_not_a_jump() {
+    use drift_lab::tracefmt::Tag;
+    let mut t = Trace::for_ranks(2);
+    t.procs[0].push(Time::from_us(10), EventKind::Send { to: Rank(1), tag: Tag(0), bytes: 0 });
+    t.procs[1].push(Time::from_us(14), EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 });
+    let rep = assert_adapter_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "tie").expect("acyclic");
+    assert_eq!((rep.n_jumps(), rep.events_moved), (0, 0));
+}
+
 /// Every allreduce of these cases is evaluated in aggregate by the kernel
 /// (the in-crate twin of this test compares that against the view walk);
 /// the oracle dispatches each end over `deps_of_end`.
@@ -313,6 +344,55 @@ fn aggregated_ends_equal_the_reference() {
             let rep = assert_adapter_matches_oracle(&base, lmin, &params, &ctx).expect("acyclic");
             assert!(rep.n_jumps() > 0, "{ctx}: nothing to correct");
         }
+    }
+}
+
+/// An allreduce over one timeline per entry of `begins`, each end
+/// `after[p]` behind its begin (saturating), then on timeline 0 a receive
+/// 1 µs after its end of a send the last timeline makes `late` after its
+/// own: a jump whose backward walk reaches timeline 0's begin.
+fn allreduce_then_late_send(begins: &[i64], after: &[i64], late: i64) -> Trace {
+    use drift_lab::tracefmt::Tag;
+    let (op, comm, root, bytes) = (CollOp::Allreduce, CommId::WORLD, None, 0);
+    let last = begins.len() - 1;
+    let mut t = Trace::for_ranks(begins.len());
+    for (p, (&at, &after)) in begins.iter().zip(after).enumerate() {
+        t.procs[p].push(Time::from_ps(at), EventKind::CollBegin { op, comm, root, bytes });
+        let end = Time::from_ps(at.saturating_add(after));
+        t.procs[p].push(end, EventKind::CollEnd { op, comm, root, bytes });
+    }
+    let end = |t: &Trace, p: usize| t.procs[p].events[1].time;
+    let sent = end(&t, last).saturating_add(Dur::from_ps(late));
+    t.procs[last].push(sent, EventKind::Send { to: Rank(0), tag: Tag(0), bytes });
+    let received = end(&t, 0).saturating_add(Dur::from_us(1));
+    t.procs[0].push(received, EventKind::Recv { from: Rank(last as u32), tag: Tag(0), bytes });
+    t
+}
+
+/// The backward pass caps a classed allreduce's begins in aggregate, from
+/// each class's two lowest ends: against the oracle's walk over every end
+/// on ties at a class minimum, on a begin whose own end is its class's
+/// unique lowest (it may move up to the next one), and with ends at both
+/// `i64` edges, where the caps saturate.
+#[test]
+fn aggregated_begin_caps_equal_the_reference() {
+    let flat = |_: Rank, _: Rank| Dur::from_us(40);
+    let us = |v: i64| v * 1_000_000;
+    let near = i64::MAX / 100;
+    let edges = [i64::MIN + 1, i64::MIN + near, i64::MAX - near, i64::MAX - 3, 17];
+    let staggered = [us(500), us(600), us(700), us(800), us(900)];
+    let tree = tree_latency(2, 4);
+    let cases: [(Trace, &dyn MinLatency, &str); 4] = [
+        (allreduce_then_late_send(&[0; 4], &[us(500); 4], us(20_000)), &flat, "tied ends"),
+        (allreduce_then_late_send(&[0; 4], &staggered[..4], us(20_000)), &flat, "own end lowest"),
+        // Nodes {0, 1}, {2, 3} and {4}: three classes, one of one member.
+        (allreduce_then_late_send(&[0; 5], &staggered, us(20_000)), &tree, "a lone class"),
+        (allreduce_then_late_send(&edges, &[5, us(30), 5, us(30), 5], 0), &tree, "i64 edges"),
+    ];
+    for (t, lmin, ctx) in &cases {
+        let rep = assert_adapter_matches_oracle(t, *lmin, &ClcParams::default(), ctx).expect("acyclic");
+        assert!(rep.n_jumps() > 0, "{ctx}: nothing to correct");
+        assert_windowed_matches_oracle(t, *lmin, &ClcParams::default(), ctx);
     }
 }
 

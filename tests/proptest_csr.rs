@@ -17,6 +17,7 @@
 mod common;
 
 use common::{
+    arb_skewed_trace, arb_skewed_trace_with_barriers, assert_adapter_matches_oracle,
     assert_identical, collective_zoo_trace, directed_latency, graph_edges, hierarchical_latency,
     reference_edges, reference_synchronize,
 };
@@ -211,8 +212,57 @@ fn assert_classed_walked_and_reference_agree(
     assert_eq!(in_order(wrep.clc.as_ref().expect("clc ran")), sorted, "windowed jump set");
 }
 
+/// `trace` slid onto the `i64` edges, timeline by timeline as `placement`
+/// says: 0 stays, 1 ends `inset` below `i64::MAX`, 2 starts `inset` above
+/// `i64::MIN`, and 3 splits — its first half at the low edge, the rest at
+/// the high one, a span no `f64` gap keeps exact.
+fn onto_i64_edges(trace: &Trace, placement: &[u8], inset: i64) -> Trace {
+    let mut edged = trace.clone();
+    for (p, line) in edged.procs.iter_mut().enumerate() {
+        let times = || line.events.iter().map(|e| e.time.as_ps());
+        let (Some(lo), Some(hi)) = (times().min(), times().max()) else { continue };
+        let half = line.events.len() / 2;
+        for (i, e) in line.events.iter_mut().enumerate() {
+            let t = e.time.as_ps();
+            let (low, high) = (i64::MIN + inset + (t - lo), i64::MAX - inset + (t - hi));
+            e.time = Time::from_ps(match placement[p % placement.len()] {
+                1 => high,
+                2 => low,
+                3 if i < half => low,
+                3 => high,
+                _ => t,
+            });
+        }
+    }
+    edged
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The batch CLC runs its μ = 1 re-sweep only where its certificate
+    /// fails; the map-based reference runs it always. On skewed traces —
+    /// with and without world barriers, whose begins the backward pass caps
+    /// in aggregate — and on the same traces slid onto the `i64` edges,
+    /// where split timelines defeat the certificate and saturation meets
+    /// every clamp, the two agree on every timestamp, the jump sequence,
+    /// `max_jump` and `events_moved`.
+    #[test]
+    fn certified_clc_equals_the_always_sweeping_reference(
+        (trace, lmin_us) in arb_skewed_trace(),
+        (barriers, barrier_lmin_us) in arb_skewed_trace_with_barriers(Some(3)),
+        placement in prop::collection::vec(0u8..4, 6),
+        inset in 0..i64::MAX / 200,
+    ) {
+        let params = ClcParams::default();
+        for (base, lmin_us, name) in [(trace, lmin_us, "skewed"), (barriers, barrier_lmin_us, "barriers")] {
+            let lmin = UniformLatency(Dur::from_us(lmin_us));
+            assert_adapter_matches_oracle(&base, &lmin, &params, name).expect("acyclic");
+            let edged = onto_i64_edges(&base, &placement, inset);
+            assert_adapter_matches_oracle(&edged, &lmin, &params, &format!("{name} at the i64 edges"))
+                .expect("acyclic");
+        }
+    }
 
     /// Random communicator widths up to 24 ranks, latency matrices of every
     /// family: whatever the lowering classes is exact, what it cannot class

@@ -2,6 +2,8 @@
 
 mod common;
 
+use common::{arb_skewed_trace, arb_skewed_trace_with_barriers};
+
 use drift_lab::clocksync::{controlled_logical_clock, ClcParams, LinearInterpolation,
     OffsetMeasurement, PreSync, TimestampMap};
 use drift_lab::prelude::*;
@@ -10,68 +12,6 @@ use drift_lab::simclock::DriftModel;
 use drift_lab::tracefmt::io;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-// ------------------------------------------------------------ strategies --
-
-/// A random but *causally valid* two-to-six-process message trace: messages
-/// are generated on a true timeline, then per-process clock skews corrupt
-/// the recorded timestamps (which is exactly how real violations arise).
-fn arb_skewed_trace() -> impl Strategy<Value = (Trace, i64)> {
-    arb_skewed_trace_with_barriers(None)
-}
-
-/// [`arb_skewed_trace`] with a world barrier after every `barrier_every`-th
-/// message, entered and left on the same true timeline.
-fn arb_skewed_trace_with_barriers(
-    barrier_every: Option<usize>,
-) -> impl Strategy<Value = (Trace, i64)> {
-    (
-        2usize..6,
-        5usize..40,
-        prop::collection::vec(-300i64..300, 6),
-        1i64..20,
-    )
-        .prop_map(move |(procs, msgs, skews, lmin_us)| {
-            let mut trace = Trace::for_ranks(procs);
-            let mut now = vec![0i64; procs];
-            for m in 0..msgs {
-                let from = m % procs;
-                let to = (m * 7 + 1) % procs;
-                if from == to {
-                    continue;
-                }
-                let send_true = now[from] + 10 + (m as i64 * 13) % 50;
-                now[from] = send_true;
-                let recv_true = send_true.max(now[to]) + lmin_us + (m as i64 * 5) % 30;
-                now[to] = recv_true;
-                trace.procs[from].push(
-                    Time::from_us(send_true + skews[from]),
-                    EventKind::Send { to: Rank(to as u32), tag: Tag(m as u32), bytes: 8 },
-                );
-                trace.procs[to].push(
-                    Time::from_us(recv_true + skews[to]),
-                    EventKind::Recv { from: Rank(from as u32), tag: Tag(m as u32), bytes: 8 },
-                );
-                if barrier_every.is_some_and(|every| m % every == every - 1) {
-                    let (op, comm, root, bytes) = (CollOp::Barrier, CommId::WORLD, None, 0);
-                    let last_in = *now.iter().max().expect("non-empty") + 1 + (m as i64 * 3) % 7;
-                    for (p, now_p) in now.iter_mut().enumerate() {
-                        let begin = (*now_p + 1).max(last_in - (p as i64 * 11) % 9);
-                        *now_p = last_in + lmin_us + (p as i64 * 5) % 4;
-                        trace.procs[p].push(
-                            Time::from_us(begin + skews[p]),
-                            EventKind::CollBegin { op, comm, root, bytes },
-                        );
-                        trace.procs[p].push(
-                            Time::from_us(*now_p + skews[p]),
-                            EventKind::CollEnd { op, comm, root, bytes },
-                        );
-                    }
-                }
-            }
-            (trace, lmin_us)
-        })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
