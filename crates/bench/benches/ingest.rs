@@ -1,18 +1,20 @@
 //! Ingest throughput: how fast trace bytes become a pipeline-ready trace.
 //!
-//! A ≥100k-event trace is encoded as `DTC3` and decoded two ways, each run
-//! ending in the state the pipeline starts from (a [`Trace`] plus its
-//! gathered timestamp [`TraceColumns`]):
+//! A ≥100k-event trace is encoded as `DTC3` and read back the way
+//! `synchronize_stream` ingests — the chunks indexed where they lie, then
+//! every block decoded through the index — ending in the state the
+//! pipeline starts from (a [`Trace`] plus its timestamp [`TraceColumns`]).
+//! Two input shapes:
 //!
-//! * `v3_full` — one call over one contiguous buffer;
-//! * `v3_streamed` — the same bytes fed to the incremental
-//!   [`StreamDecoder`] in bounded chunks, the way `synchronize_stream`
-//!   ingests: timestamp columns fall out of the block frames directly.
+//! * `one_buffer` — the stream as one contiguous buffer;
+//! * `chunks_256k` — the same bytes as 256 KiB chunks (a read buffer, a
+//!   network upload): frames that straddle two chunks are assembled in a
+//!   scratch buffer.
 //!
 //! The rates are report-only (DESIGN.md §14 keeps them); the end-to-end
 //! benchmark judges the decoder where it sits in a job. What this run
-//! *asserts* holds on any host: both decode paths return the source trace
-//! and its columns.
+//! *asserts* holds on any host: both shapes decode to the source trace and
+//! its columns.
 //!
 //! Run with `cargo bench -p bench --bench ingest` (add `-- --test` for the
 //! CI smoke run: fewer repetitions, same report).
@@ -20,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
-use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3, StreamDecoder, TraceBuilder};
+use tracefmt::io::{decode_indexed, index_columnar_chunks, to_binary_columnar_v3, ChunkStore};
 use tracefmt::{Trace, TraceColumns};
 use workloads::skewed_p2p;
 
@@ -55,16 +57,10 @@ fn same_trace(a: &Trace, b: &Trace) -> bool {
         })
 }
 
-/// The streamed decode path: bounded chunks through the incremental
-/// decoder; the timestamp columns come straight out of the block frames.
-fn streamed(bytes: &[u8]) -> (Trace, TraceColumns) {
-    let mut dec = StreamDecoder::new();
-    let mut builder = TraceBuilder::new();
-    for chunk in bytes.chunks(STREAM_CHUNK) {
-        dec.feed_into(chunk, &mut builder).expect("stream decodes");
-    }
-    dec.finish().expect("stream complete");
-    builder.finish_parts()
+/// Ingest as the pipeline does: index the chunks, decode every block.
+fn ingest(chunks: &[&[u8]]) -> (Trace, TraceColumns) {
+    let index = index_columnar_chunks(chunks).expect("stream indexes");
+    decode_indexed(&index, &ChunkStore::new(chunks)).expect("stream decodes")
 }
 
 fn main() {
@@ -77,22 +73,22 @@ fn main() {
     let columns = TraceColumns::gather(&trace);
     let bytes = to_binary_columnar_v3(&trace);
 
-    // Machine-independent facts first: both paths decode to the source.
-    let full = from_binary_columnar(bytes.clone()).expect("columnar decodes");
-    assert!(same_trace(&full, &trace), "full decode differs from the source trace");
-    let (chunked, cols) = streamed(&bytes);
-    assert!(same_trace(&chunked, &trace), "streamed decode differs from the source");
-    assert!(cols == columns, "streamed columns differ from a gather of the source");
-
-    let took = best_of(iters, || from_binary_columnar(bytes.clone()).expect("decodes"));
-    let eps_full = events_per_sec(n_events, took);
-    let eps_stream = events_per_sec(n_events, best_of(iters, || streamed(&bytes)));
+    let shapes: [(&str, Vec<&[u8]>); 2] =
+        [("one_buffer", vec![&bytes[..]]), ("chunks_256k", bytes.chunks(STREAM_CHUNK).collect())];
+    // Machine-independent facts first: both shapes decode to the source.
+    for (name, chunks) in &shapes {
+        let (back, cols) = ingest(chunks);
+        assert!(same_trace(&back, &trace), "{name}: decode differs from the source trace");
+        assert!(cols == columns, "{name}: columns differ from a gather of the source");
+    }
 
     println!(
         "ingest: {n_events} events, {} bytes ({:.1} B/event)",
         bytes.len(),
         bytes.len() as f64 / n_events as f64
     );
-    println!("  v3_full      {eps_full:>12.0} events/s");
-    println!("  v3_streamed  {eps_stream:>12.0} events/s");
+    for (name, chunks) in &shapes {
+        let eps = events_per_sec(n_events, best_of(iters, || ingest(chunks)));
+        println!("  {name:<12} {eps:>12.0} events/s");
+    }
 }

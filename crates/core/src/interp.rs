@@ -199,74 +199,6 @@ impl TimestampMap for PiecewiseInterpolation {
     }
 }
 
-/// Least-squares line through many offset measurements, weighted by probe
-/// quality (`1/rtt`).
-///
-/// Sits between Eq. 3 (which trusts exactly two anchors) and
-/// [`PiecewiseInterpolation`] (which follows every anchor, noise included):
-/// the regression averages measurement noise away but still assumes a
-/// constant drift — useful when many probes exist but the clock is a
-/// well-behaved hardware counter.
-#[derive(Debug, Clone, Copy)]
-pub struct RegressionInterpolation {
-    slope: f64,
-    intercept_s: f64,
-}
-
-impl RegressionInterpolation {
-    /// Weighted least-squares fit through the measurements.
-    ///
-    /// Returns `None` for fewer than two measurements or zero time spread.
-    pub fn fit(ms: &[OffsetMeasurement]) -> Option<Self> {
-        if ms.len() < 2 {
-            return None;
-        }
-        let weight = |m: &OffsetMeasurement| {
-            let rtt = m.rtt.as_secs_f64();
-            if rtt > 0.0 {
-                1.0 / rtt
-            } else {
-                1.0
-            }
-        };
-        let wsum: f64 = ms.iter().map(weight).sum();
-        let mx: f64 = ms.iter().map(|m| weight(m) * m.worker_time.as_secs_f64()).sum::<f64>() / wsum;
-        let my: f64 = ms.iter().map(|m| weight(m) * m.offset.as_secs_f64()).sum::<f64>() / wsum;
-        let mut sxx = 0.0;
-        let mut sxy = 0.0;
-        for m in ms {
-            let w = weight(m);
-            let dx = m.worker_time.as_secs_f64() - mx;
-            sxx += w * dx * dx;
-            sxy += w * dx * (m.offset.as_secs_f64() - my);
-        }
-        if sxx == 0.0 {
-            return None;
-        }
-        let slope = sxy / sxx;
-        Some(RegressionInterpolation {
-            slope,
-            intercept_s: my - slope * mx,
-        })
-    }
-
-    /// Fitted relative rate difference.
-    pub fn slope(&self) -> f64 {
-        self.slope
-    }
-
-    /// Fitted offset at worker time `t`.
-    pub fn offset_at(&self, t: Time) -> Dur {
-        Dur::from_secs_f64(self.slope * t.as_secs_f64() + self.intercept_s)
-    }
-}
-
-impl TimestampMap for RegressionInterpolation {
-    fn map(&self, t: Time) -> Time {
-        t + self.offset_at(t)
-    }
-}
-
 /// Apply per-process maps to a whole trace (`maps[p]` for process `p`).
 pub fn apply_maps(trace: &mut Trace, maps: &[Box<dyn TimestampMap>]) {
     assert_eq!(maps.len(), trace.n_procs(), "one map per process required");
@@ -341,52 +273,6 @@ mod tests {
         assert_eq!(at(100.0), Dur::from_us(100));
         // Boundary-segment extrapolation.
         assert_eq!(at(250.0), Dur::from_us(-50));
-    }
-
-    #[test]
-    fn regression_fits_through_noisy_anchors() {
-        // True offset line: 3 µs/s + 50 µs, with alternating ±2 µs noise.
-        let anchors: Vec<OffsetMeasurement> = (0..20)
-            .map(|k| {
-                let noise = if k % 2 == 0 { 2.0 } else { -2.0 };
-                m(k as f64 * 10.0, 50.0 + 3.0 * (k as f64 * 10.0) + noise)
-            })
-            .collect();
-        let r = RegressionInterpolation::fit(&anchors).unwrap();
-        assert!((r.slope() - 3e-6).abs() < 1e-8, "slope {}", r.slope());
-        let mid = r.offset_at(Time::from_secs(95));
-        assert!((mid.as_us_f64() - (50.0 + 285.0)).abs() < 2.5, "{mid:?}");
-        // Two-point Eq. 3 through the first and last anchors is fully
-        // exposed to their noise; the regression averages it away.
-        let two = LinearInterpolation::new(&anchors[0], &anchors[19]);
-        let reg_err = (r.offset_at(Time::from_secs(95)).as_us_f64() - 335.0).abs();
-        let two_err = (two.offset_at(Time::from_secs(95)).as_us_f64() - 335.0).abs();
-        assert!(reg_err <= two_err + 1e-9);
-    }
-
-    #[test]
-    fn regression_weighting_prefers_clean_probes() {
-        // One wild anchor with a huge rtt (low weight) must barely matter.
-        let mut anchors: Vec<OffsetMeasurement> =
-            (0..10).map(|k| m(k as f64 * 10.0, 100.0)).collect();
-        anchors.push(OffsetMeasurement {
-            worker_time: Time::from_secs(45),
-            offset: Dur::from_us(10_000),
-            rtt: Dur::from_ms(50), // terrible probe
-        });
-        let r = RegressionInterpolation::fit(&anchors).unwrap();
-        let at = r.offset_at(Time::from_secs(45)).as_us_f64();
-        assert!((at - 100.0).abs() < 50.0, "outlier dominated: {at}");
-    }
-
-    #[test]
-    fn regression_degenerate_inputs() {
-        assert!(RegressionInterpolation::fit(&[]).is_none());
-        assert!(RegressionInterpolation::fit(&[m(1.0, 2.0)]).is_none());
-        assert!(
-            RegressionInterpolation::fit(&[m(5.0, 1.0), m(5.0, 2.0)]).is_none(),
-            "no time spread"
-        );
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //!   round trips (paper Eq. 2, min-round-trip filtered);
 //! * [`interp`] — offset alignment, Eq. 3 linear offset interpolation, and
 //!   the piecewise-linear generalisation;
-//! * [`condition`] — clock-condition slack diagnostics (Eq. 1);
 //! * [`clc`] — the Controlled Logical Clock with forward and backward
 //!   amortization and the collective → point-to-point mapping extension,
 //!   also lowered for OpenMP thread teams and clock domains;
@@ -25,7 +24,6 @@
 
 pub mod baselines;
 pub mod clc;
-pub mod condition;
 pub mod interp;
 pub mod offset;
 pub mod pipeline;
@@ -38,12 +36,11 @@ pub use clc::pomp::{controlled_logical_clock_pomp, pomp_constraints};
 pub use clc::{
     controlled_logical_clock, ClcError, ClcParams, ClcReport, Jump,
 };
-pub use condition::{message_slacks, required_accuracy, slack_stats, SlackStats};
 pub use interp::{
     apply_maps, IdentityMap, LinearInterpolation, OffsetAlignment, PiecewiseInterpolation,
-    RegressionInterpolation, TimestampMap,
+    TimestampMap,
 };
-pub use offset::{estimate_offset, error_bound, OffsetMeasurement, ProbeSample};
+pub use offset::{estimate_offset, OffsetMeasurement, ProbeSample};
 pub use pipeline::{
     synchronize, synchronize_stream, synchronize_stream_incremental,
     synchronize_stream_incremental_with_cancel, synchronize_stream_incremental_with_sink,

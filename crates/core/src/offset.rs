@@ -64,13 +64,6 @@ pub fn estimate_offset(samples: &[ProbeSample]) -> Option<OffsetMeasurement> {
     })
 }
 
-/// Error bound of a measurement: the offset cannot be wrong by more than
-/// half the round-trip (minus the true minimum latency, which is unknown;
-/// this is the conservative bound).
-pub fn error_bound(m: &OffsetMeasurement) -> Dur {
-    m.rtt / 2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +106,6 @@ mod tests {
         assert_eq!(m.rtt, Dur::from_us(10));
         assert_eq!(m.worker_time, Time::from_us(105));
         assert_eq!(m.offset, Dur::from_us(0));
-        assert_eq!(error_bound(&m), Dur::from_us(5));
     }
 
     #[test]

@@ -47,7 +47,7 @@ use simclock::Time;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-use tracefmt::io::{CodecError, StreamDecoder, TraceBuilder};
+use tracefmt::io::{decode_indexed, index_columnar_chunks, ChunkStore, CodecError};
 use tracefmt::{
     Capture, CensusPlan, CollReport, CollectiveInstance, LatencyTable, Matching, MinLatency,
     P2pReport, Rank, Trace, TraceColumns,
@@ -189,9 +189,8 @@ impl TraceAnalysis {
     /// presented as byte chunks, decoding block by block without
     /// materializing the trace. Same result as capturing the decoded trace.
     pub fn capture_stream(chunks: &[&[u8]]) -> Result<Self, PipelineError> {
-        let index = tracefmt::io::index_columnar_chunks(chunks).map_err(PipelineError::Codec)?;
-        let store = tracefmt::io::ChunkStore::new(chunks);
-        windowed::capture_analysis_streamed(&index, &store)
+        let index = index_columnar_chunks(chunks).map_err(PipelineError::Codec)?;
+        windowed::capture_analysis_streamed(&index, &ChunkStore::new(chunks))
     }
 
     /// Census work items: messages plus collective instances.
@@ -312,8 +311,8 @@ pub type CancelProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 /// (set by whoever wants the run stopped), an optional deadline, and any
 /// number of [`CancelProbe`]s.
 ///
-/// The pipeline polls the token between stages — and, on the streaming
-/// path, between input chunks — and bails out with
+/// The pipeline polls the token between stages — and, in the windowed
+/// engine, between the bursts and blocks of its sweeps — and bails out with
 /// [`PipelineError::Cancelled`] at the next checkpoint after any source
 /// trips. Stages themselves run to completion, so a run stops within one
 /// stage's latency of the request; nothing is rolled back (callers that
@@ -521,16 +520,17 @@ pub fn synchronize_with_cancel(
     synchronize_impl(trace, None, init, fin, lmin, cfg, cancel)
 }
 
-/// Stream-decode a columnar binary trace (the `DTC3` format of
-/// [`tracefmt::io::to_binary_columnar_v3`]) chunk by chunk and run the
+/// Decode a columnar binary trace (the `DTC3` format of
+/// [`tracefmt::io::to_binary_columnar_v3`]) from its byte chunks and run the
 /// pipeline on the result.
 ///
-/// Unlike decode-then-[`synchronize`], the input never has to be resident
-/// as one contiguous buffer: each chunk (any size — a read buffer, a
-/// network packet) is fed to the incremental [`StreamDecoder`], and the
-/// timestamp columns it produces feed the timestamp stages directly, so the
-/// gather pass over the materialized records is skipped as well. The
-/// decode cost is recorded as an `"ingest"` stage in
+/// Unlike decode-then-[`synchronize`], the input never has to be one
+/// contiguous buffer: the chunks (any size — read buffers, network
+/// packets) are indexed where they lie ([`index_columnar_chunks`]) and
+/// every block is decoded through that index ([`decode_indexed`]) into
+/// the trace and its timestamp columns, which feed the timestamp stages
+/// directly, so the gather pass over the materialized records is skipped
+/// as well. Index and decode are recorded as one `"ingest"` stage in
 /// [`PipelineStats`] (items = events decoded, shards = blocks decoded).
 ///
 /// Returns the decoded, synchronized trace alongside the report.
@@ -545,7 +545,7 @@ pub fn synchronize_stream<'a>(
 }
 
 /// [`synchronize_stream`] with a cooperative [`CancelToken`], polled
-/// between input chunks during ingest and between pipeline stages after.
+/// before the index and between the pipeline stages after ingest.
 pub fn synchronize_stream_with_cancel<'a>(
     chunks: impl IntoIterator<Item = &'a [u8]>,
     init: &[Option<OffsetMeasurement>],
@@ -555,19 +555,15 @@ pub fn synchronize_stream_with_cancel<'a>(
     cancel: &CancelToken,
 ) -> Result<(Trace, PipelineReport), PipelineError> {
     let t0 = Instant::now();
-    let mut decoder = StreamDecoder::new();
-    let mut builder = TraceBuilder::new();
-    for chunk in chunks {
-        cancel.check()?;
-        decoder
-            .feed_into(chunk, &mut builder)
-            .map_err(PipelineError::Codec)?;
-    }
-    let blocks = decoder.blocks_decoded() as usize;
-    decoder.finish().map_err(PipelineError::Codec)?;
-    let (mut trace, cols) = builder.finish_parts();
-    let ingest =
-        StageStats { shards: blocks, ..StageStats::new("ingest", cols.n_events(), t0.elapsed()) };
+    cancel.check()?;
+    let chunks: Vec<&[u8]> = chunks.into_iter().collect();
+    let index = index_columnar_chunks(&chunks).map_err(PipelineError::Codec)?;
+    let (mut trace, cols) =
+        decode_indexed(&index, &ChunkStore::new(&chunks)).map_err(PipelineError::Codec)?;
+    let ingest = StageStats {
+        shards: index.blocks.len(),
+        ..StageStats::new("ingest", cols.n_events(), t0.elapsed())
+    };
     let report = synchronize_impl(&mut trace, Some((cols, ingest)), init, fin, lmin, cfg, cancel)?;
     Ok((trace, report))
 }
@@ -898,6 +894,23 @@ mod tests {
             for (before, after) in trace.procs.iter().zip(&batch.procs) {
                 assert_eq!(before.events, after.events, "{message}: trace rewritten");
             }
+        }
+        // Valid measurements, one block whose payload holds an unknown kind
+        // code: both stream drivers read it through one decoder.
+        let mut one = Trace::for_ranks(1);
+        one.procs[0].push(Time::from_us(1), EventKind::Enter { region: tracefmt::RegionId(0) });
+        let mut bytes = tracefmt::io::to_binary_columnar_v3_blocked(&one, 16).to_vec();
+        let codes_at = index_columnar_chunks(&[&bytes]).unwrap().blocks[0].payload_off;
+        bytes[codes_at as usize] = 200;
+        let (chunks, cfg, fin) = ([&bytes[..]], PipelineConfig::default(), Some(&[None][..]));
+        let errors = [
+            synchronize_stream(chunks, &[None], fin, &LMIN, &cfg).err(),
+            synchronize_stream_incremental(&chunks, &[None], fin, &LMIN, &cfg, 8).err(),
+        ];
+        for (driver, err) in errors.into_iter().enumerate() {
+            let err = err.unwrap_or_else(|| panic!("stream driver {driver} accepted kind 200"));
+            assert!(matches!(err, PipelineError::Codec(CodecError::UnknownKind(_))), "{err:?}");
+            assert_eq!(err.to_string(), "trace ingest failed: unknown event kind \"code 200\"");
         }
     }
 

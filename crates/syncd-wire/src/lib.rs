@@ -22,8 +22,7 @@
 //! service's byte-denominated memory budget: a slow or hostile client
 //! stalls *its own* connection, never the server's memory.
 //!
-//! Frame scanning reuses the partial-frame buffering discipline of
-//! [`tracefmt::io::StreamDecoder`]: chunks of any size are scanned in
+//! Frame scanning is incremental: chunks of any size are scanned in
 //! place, and at most one incomplete frame is ever buffered
 //! ([`FrameScanner`]).
 //!

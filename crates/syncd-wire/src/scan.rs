@@ -1,9 +1,8 @@
 //! Incremental frame scanning over arbitrarily-chunked byte streams.
 //!
 //! Sockets deliver bytes in whatever chunks the kernel felt like; frames
-//! do not align with reads. [`FrameScanner`] follows the same discipline
-//! as `tracefmt`'s `StreamDecoder`: every *complete* frame inside a fed
-//! chunk is scanned **in place** (the payload slice handed to the callback
+//! do not align with reads. [`FrameScanner`] scans every *complete* frame
+//! inside a fed chunk **in place** (the payload slice handed to the callback
 //! borrows straight from the caller's buffer — no intermediate copy), and
 //! at most one *incomplete* trailing frame is buffered across calls. The
 //! buffer never grows past one frame, and a frame header declaring more

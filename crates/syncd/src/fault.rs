@@ -95,7 +95,7 @@ impl FaultInjector {
 }
 
 /// Split `bytes` into chunks of `chunk_size` (the last may be shorter) —
-/// the shape a network reader would hand the streaming decoder.
+/// the shape a network reader would hand a stream job.
 pub fn chunked(bytes: &[u8], chunk_size: usize) -> Vec<Vec<u8>> {
     assert!(chunk_size > 0, "chunk_size must be positive");
     bytes.chunks(chunk_size).map(<[u8]>::to_vec).collect()

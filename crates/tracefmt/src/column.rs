@@ -11,8 +11,8 @@
 //! This module splits the timestamp column out. [`TraceColumns`] holds
 //! every timeline's timestamps (picoseconds) in **one contiguous slab**,
 //! timeline-major, with a bounds table marking where each column starts
-//! (the codec decodes one `Vec<i64>` per timeline, block by block, and
-//! concatenates them once). The slab layout is what makes
+//! (the codec decodes each block's timestamps straight into their run of
+//! it). The slab layout is what makes
 //! the census kernels zero-copy: the flat gather array they index is the
 //! slab itself ([`TraceColumns::flat`]), not a per-round copy, and the CLC
 //! kernels snapshot it with a single `memcpy`. Columns are gathered from a
@@ -75,18 +75,15 @@ impl TraceColumns {
         TraceColumns { slab, bounds }
     }
 
-    /// Build from per-timeline picosecond columns (the codec's decode
-    /// buffers, grown block by block in arrival order): one concatenating
-    /// copy replaces the gather pass the pipeline would otherwise run.
-    pub fn from_columns(cols: &[Vec<i64>]) -> Self {
-        let mut slab = Vec::with_capacity(cols.iter().map(Vec::len).sum());
-        let mut bounds = Vec::with_capacity(cols.len() + 1);
-        bounds.push(0);
-        for c in cols {
-            slab.extend_from_slice(c);
-            bounds.push(slab.len());
-        }
-        TraceColumns { slab, bounds }
+    /// All-zero columns of the given lengths, for the codec's decoder to
+    /// write each block's run of timestamps into in place.
+    pub(crate) fn zeroed(lens: impl IntoIterator<Item = usize>) -> Self {
+        let mut bounds = vec![0];
+        bounds.extend(lens.into_iter().scan(0, |end, n| {
+            *end += n;
+            Some(*end)
+        }));
+        TraceColumns { slab: vec![0; bounds[bounds.len() - 1]], bounds }
     }
 
     /// Scatter the columns back into the trace's event records.
@@ -263,9 +260,9 @@ mod tests {
         assert_eq!(cols.col(0), &cols.flat()[..2]);
         assert_eq!(cols.col(1), &cols.flat()[2..]);
         assert_eq!(cols.flat()[2], Time::from_us(5).as_ps());
-        // from_columns concatenates in the same order.
-        let rebuilt = TraceColumns::from_columns(&[cols.col(0).to_vec(), cols.col(1).to_vec()]);
-        assert_eq!(rebuilt, cols);
+        // The decoder's zeroed slab has the same bounds.
+        let zeroed = TraceColumns::zeroed([2, 1]);
+        assert_eq!((zeroed.col(0), zeroed.col(1)), (&[0, 0][..], &[0][..]));
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //!           of the stream's event and frame counts
 //! ```
 //!
-//! Readers step a [`Walk`] over the stream — [`Walk::peek`] parses and
-//! validates the unit at the walk's offset, [`Walk::advance`] moves past
-//! it, [`Walk::end`] judges where the input stopped — and differ only in
-//! what they do with a block: the decoder decodes its body, the indexer
-//! and the admission estimator note where it lies and skip it. Writers
-//! drive a [`FrameWriter`].
+//! One walk over the headers reads the grammar: it steps a [`Walk`] —
+//! [`Walk::peek`] parses and validates the unit at the walk's offset,
+//! [`Walk::advance`] moves past it, [`Walk::end`] judges where the input
+//! stopped — and skips every body. The strict indexer and the tolerant
+//! admission estimator are its two folds (`index`); block bodies are read
+//! only through an index, so no reader but the walk parses a header.
+//! Writers drive a [`FrameWriter`].
 
 use super::{segment, CodecError};
 use crate::ids::{Location, Rank, ThreadId};
@@ -32,16 +33,15 @@ pub(super) const HEADER_BYTES: usize = 16;
 
 /// Default number of events per block frame. Large enough that the 16-byte
 /// frame header is noise, small enough that a frame (tens of KiB) is
-/// comfortably below a typical read-buffer chunk — a streaming reader then
-/// buffers at most a small partial frame per chunk boundary and scans the
-/// rest in place — and the decoder's working set stays in cache.
+/// comfortably below a typical read-buffer chunk — few frames straddle a
+/// chunk boundary, which is where a read through the index copies — and
+/// the decoder's working set stays in cache.
 pub const BLOCK_EVENTS: usize = 2048;
 
-/// Hard ceiling on the per-block event count a decoder will accept (and an
+/// Hard ceiling on the per-block event count a reader will accept (and an
 /// encoder will emit). A corrupted or hostile frame header claiming billions
-/// of events would otherwise make a streaming reader buffer gigabytes
-/// waiting for a frame that can never complete; with the ceiling the header
-/// is rejected as [`CodecError::BadField`] the moment it is parsed.
+/// of events is rejected as [`CodecError::BadField`] the moment it is
+/// parsed, before anything is sized from it.
 pub const MAX_BLOCK_EVENTS: usize = 1 << 20;
 
 /// Ceiling on the rank and thread ids a decoder will accept in a frame
@@ -118,11 +118,6 @@ impl Block {
     pub(super) fn payload_at(&self) -> usize {
         self.times_at + self.n_events * 8
     }
-
-    /// Bytes of the whole frame.
-    pub(super) fn len(&self) -> usize {
-        self.payload_at() + self.payload_len
-    }
 }
 
 /// One unit of the grammar, as [`Walk::peek`] finds it.
@@ -136,19 +131,6 @@ pub(super) enum Unit {
     Block(Block),
     /// The end-of-stream trailer, counters verified.
     Trailer,
-}
-
-impl Unit {
-    /// Bytes from the unit's first byte to its last (for `Short`, to where
-    /// it can be parsed).
-    pub(super) fn len(&self) -> usize {
-        match self {
-            Unit::Short(needed) => *needed,
-            Unit::Magic => MAGIC_BYTES,
-            Unit::Block(block) => block.len(),
-            Unit::Trailer => HEADER_BYTES,
-        }
-    }
 }
 
 /// A reader's position in the grammar.
@@ -206,17 +188,24 @@ impl Walk {
 
     /// Move past `unit` (nothing, for `Short`); returns its length.
     pub(super) fn advance(&mut self, unit: &Unit) -> usize {
-        match unit {
+        let len = match unit {
             Unit::Short(_) => return 0,
-            Unit::Magic => self.opened = true,
+            Unit::Magic => {
+                self.opened = true;
+                MAGIC_BYTES
+            }
             Unit::Block(block) => {
                 self.events += block.n_events as u64;
                 self.blocks += 1;
+                block.payload_at() + block.payload_len
             }
-            Unit::Trailer => self.finished = true,
-        }
-        self.off += unit.len() as u64;
-        unit.len()
+            Unit::Trailer => {
+                self.finished = true;
+                HEADER_BYTES
+            }
+        };
+        self.off += len as u64;
+        len
     }
 
     /// The input ended with `left` bytes at the walk's offset that
@@ -308,11 +297,11 @@ impl FrameWriter {
 #[cfg(test)]
 mod tests {
     use super::super::tests::sample_trace;
-    use super::super::{to_binary_columnar_v3_blocked, StreamDecoder, TraceBuilder};
+    use super::super::{from_binary_columnar, to_binary_columnar_v3_blocked};
     use super::*;
 
     #[test]
-    fn v3_timestamp_segments_are_8_aligned() {
+    fn timestamp_segments_are_8_aligned() {
         let t = sample_trace();
         for block in [1, 2, 5] {
             let b = to_binary_columnar_v3_blocked(&t, block);
@@ -335,23 +324,21 @@ mod tests {
     }
 
     #[test]
-    fn v3_rejects_unknown_kind_and_coll_codes() {
+    fn payloads_with_unknown_kind_and_coll_codes_are_refused() {
         let t = sample_trace();
         let b = to_binary_columnar_v3_blocked(&t, MAX_BLOCK_EVENTS);
         // First frame: header at 4, pad, then 5 timestamps, then 5 codes.
         let codes_at = 4 + 16 + frame_pad(4) + 5 * 8;
         let mut corrupt = b.to_vec();
         corrupt[codes_at] = 200; // unknown kind code
-        let mut dec = StreamDecoder::new();
-        let fed = dec.feed_into(&corrupt, &mut TraceBuilder::new());
-        assert!(matches!(fed, Err(CodecError::UnknownKind(_))));
+        let decoded = from_binary_columnar(corrupt.into());
+        assert!(matches!(decoded, Err(CodecError::UnknownKind(_))));
         // Corrupt the op field (args record `a`) of the CollBegin at index
         // 2 of rank 0's first frame.
         let args_at = codes_at + 5 + 2 * 24;
         let mut corrupt = b.to_vec();
         corrupt[args_at] = 99; // unknown collective op (LE low byte)
-        let mut dec = StreamDecoder::new();
-        let fed = dec.feed_into(&corrupt, &mut TraceBuilder::new());
-        assert!(matches!(fed, Err(CodecError::UnknownKind(_))));
+        let decoded = from_binary_columnar(corrupt.into());
+        assert!(matches!(decoded, Err(CodecError::UnknownKind(_))));
     }
 }

@@ -1,7 +1,9 @@
 //! The header-only readers: one pass over a chunked stream's frame headers,
-//! bodies skipped, folded strictly into a [`StreamIndex`] (random access for
-//! the incremental pipeline) or tolerantly into a [`StreamEstimate`]
-//! (admission pricing) — plus the [`ChunkStore`] an index is read through.
+//! bodies skipped, folded strictly into a [`StreamIndex`] or tolerantly
+//! into a [`StreamEstimate`] (admission pricing) — plus the [`ChunkStore`]
+//! an index is read through. Every block body is read behind an index:
+//! all of them by [`decode_indexed`](super::decode_indexed), a window at a
+//! time by the incremental pipeline.
 
 use super::frame::{Block, Unit, Walk, HEADER_BYTES};
 use super::CodecError;
@@ -95,9 +97,9 @@ pub struct StreamEstimate {
     /// under its event estimate, or trailing garbage would under-charge
     /// the budget for a job that is guaranteed to fail.
     pub trailing_bytes: u64,
-    /// The typed error [`index_columnar_chunks`] and the decoder answer
-    /// for this input's frame grammar — the walk is the same — or `None`
-    /// for a stream they accept.
+    /// The typed error [`index_columnar_chunks`] answers for this input —
+    /// the walk is the same — and so every decode of it, or `None` for a
+    /// stream the index accepts.
     pub error: Option<CodecError>,
 }
 
@@ -125,10 +127,10 @@ pub fn estimate_columnar_stream<'a>(
 }
 
 /// Zero-copy random access over a sequence of borrowed byte chunks — the
-/// storage view the incremental synchronization pipeline reads a columnar
-/// stream through. The chunks are never concatenated; a read that falls
-/// inside one chunk borrows it directly, and only reads crossing a chunk
-/// boundary copy into the caller's scratch buffer.
+/// storage view every block body of a columnar stream is read through.
+/// The chunks are never concatenated; a read that falls inside one chunk
+/// borrows it directly, and only reads crossing a chunk boundary copy into
+/// the caller's scratch buffer.
 #[derive(Debug)]
 pub struct ChunkStore<'a> {
     chunks: &'a [&'a [u8]],
@@ -208,7 +210,7 @@ impl<'a> ChunkStore<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockMeta {
     /// Index into [`StreamIndex::locations`] (first-seen timeline order,
-    /// the same order [`TraceBuilder`](super::TraceBuilder) assigns).
+    /// the order of a decoded trace's timelines).
     pub timeline: u32,
     /// Index, within the timeline, of the block's first event.
     pub first_idx: u64,
@@ -228,14 +230,14 @@ pub struct BlockMeta {
 /// every block frame located and attributed to its timeline, without any
 /// timestamp or payload byte having been decoded.
 ///
-/// The indexer is the strict twin of [`estimate_columnar_stream`]: it is
-/// the same walk [`StreamDecoder`](super::StreamDecoder) takes — the
-/// magic, header ceilings, trailer counters, nothing after the
-/// trailer — so a stream that indexes cleanly is one whose frames the
-/// decoder accepts in full, and one that does not fails with the
-/// decoder's error. The incremental pipeline builds on this: random
-/// access to any block's segments via a [`ChunkStore`], with the input
-/// bytes staying wherever the caller put them.
+/// The indexer is the strict twin of [`estimate_columnar_stream`]: the
+/// same walk — the magic, header ceilings, trailer counters, nothing after
+/// the trailer — with its verdict final, so a stream that indexes cleanly
+/// is one whose every frame is well formed, and one that does not fails
+/// with the walk's error before any body is read. The decoder and the
+/// incremental pipeline build on this: random access to any block's
+/// segments via a [`ChunkStore`], with the input bytes staying wherever
+/// the caller put them; a payload error is all they have left to report.
 #[derive(Debug, Clone)]
 pub struct StreamIndex {
     /// Timelines in first-seen order.

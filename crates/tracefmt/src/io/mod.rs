@@ -7,13 +7,14 @@
 //! disk (paper §III: buffers are flushed at termination or when full) and
 //! what every other part of this repository reads back: a magic, then
 //! length-prefixed per-timeline block frames whose timestamps are a dense
-//! column segment, then a trailer. A reader ingests it chunk by chunk —
-//! decoding each block as soon as its bytes arrive, without materializing
-//! the whole record vector first — and hands the timestamp columns straight
-//! to the synchronisation pipeline ([`StreamDecoder`]), or indexes its
-//! frames without decoding them and reads blocks at random
-//! ([`index_columnar_chunks`], [`ChunkStore`]); [`FrameWriter`] is the
-//! write-side twin.
+//! column segment, then a trailer. A reader holds the stream as byte
+//! chunks of any size, never concatenated. It indexes their frames
+//! without decoding a body ([`index_columnar_chunks`]), then reads blocks
+//! through a [`ChunkStore`]: all of them into a trace and its timestamp
+//! columns ([`decode_indexed`], what the synchronisation pipeline starts
+//! from), or a window of them at a time (the incremental pipeline).
+//! [`estimate_columnar_stream`] is the index's tolerant twin for
+//! admission; [`FrameWriter`] is the write side.
 //!
 //! The encoder is [`to_binary_columnar_v3`]. Timestamps are 8-byte-aligned
 //! *little-endian* `i64` runs and the kind/args records have a fixed
@@ -31,7 +32,7 @@ mod segment;
 mod tests;
 mod text;
 
-pub use decode::{from_binary_columnar, StreamDecoder, TraceBuilder};
+pub use decode::{decode_indexed, from_binary_columnar};
 pub use encode::{to_binary_columnar_v3, to_binary_columnar_v3_blocked};
 pub use frame::{FrameWriter, BLOCK_EVENTS, MAX_BLOCK_EVENTS, MAX_LOCATION_ID};
 pub use index::{

@@ -1,4 +1,5 @@
 use super::*;
+use crate::column::TraceColumns;
 use crate::event::{CollOp, EventKind, EventRecord};
 use crate::ids::{CommId, Rank, RegionId, Tag};
 use crate::trace::{ProcessTrace, Trace};
@@ -56,10 +57,15 @@ pub(super) fn sample_trace() -> Trace {
     t
 }
 
-/// Feed `bytes` to `dec`, decoded frames discarded: for tests whose subject
-/// is the decoder's verdict.
-fn feed(dec: &mut StreamDecoder, bytes: &[u8]) -> Result<(), CodecError> {
-    dec.feed_into(bytes, &mut TraceBuilder::new())
+/// The one reader over `chunks`: index the frames, decode every block.
+fn decode(chunks: &[&[u8]]) -> Result<(Trace, TraceColumns), CodecError> {
+    decode_indexed(&index_columnar_chunks(chunks)?, &ChunkStore::new(chunks))
+}
+
+/// `back` is `t`, and `cols` its gathered timestamp columns.
+fn assert_decoded(t: &Trace, (back, cols): &(Trace, TraceColumns), what: &str) {
+    assert!(traces_equal(t, back), "{what}");
+    assert_eq!(cols, &TraceColumns::gather(t), "{what}");
 }
 
 fn traces_equal(a: &Trace, b: &Trace) -> bool {
@@ -97,11 +103,7 @@ fn text_rejects_unknown_mnemonic() {
 fn columnar_rejects_bad_magic() {
     let mut buf = BytesMut::new();
     buf.put_u32(0xdeadbeef);
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(
-        feed(&mut dec, &buf.freeze()),
-        Err(CodecError::BadField(_))
-    ));
+    assert!(matches!(decode(&[&buf.freeze()]), Err(CodecError::BadField(_))));
 }
 
 #[test]
@@ -118,80 +120,66 @@ fn stream_estimate_tolerates_truncation_and_garbage() {
     assert_eq!(est.events, 0);
 }
 
+/// Timelines of several blocks each: every block's records and timestamps
+/// land at its own place in the timeline and the slab.
 #[test]
-fn v3_round_trip_various_block_sizes() {
+fn round_trip_various_block_sizes() {
     let t = sample_trace();
     for block in [1, 2, 3, 8192] {
         let b = to_binary_columnar_v3_blocked(&t, block);
-        let back = from_binary_columnar(b).unwrap();
-        assert!(traces_equal(&t, &back), "block size {block}");
+        assert_decoded(&t, &decode(&[&b]).unwrap(), &format!("block size {block}"));
+        assert!(traces_equal(&t, &from_binary_columnar(b).unwrap()), "block size {block}");
     }
 }
 
 #[test]
-fn v3_preserves_empty_timelines_and_negative_times() {
+fn preserves_empty_timelines_and_negative_times() {
     let mut t = Trace::for_ranks(3);
     t.procs[1].push(Time::from_ns(-5000), EventKind::Enter { region: RegionId(0) });
     let back = from_binary_columnar(to_binary_columnar_v3(&t)).unwrap();
     assert!(traces_equal(&t, &back));
 }
 
+/// Reads that cross chunk boundaries at every phase assemble the same
+/// segments a single buffer holds.
 #[test]
-fn v3_streaming_decode_equals_full_decode_any_chunk_size() {
+fn decodes_identically_at_any_chunk_size() {
     let t = sample_trace();
     let b = to_binary_columnar_v3_blocked(&t, 2);
     for chunk_size in [1, 3, 7, 16, 64, b.len()] {
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for chunk in b.chunks(chunk_size) {
-            dec.feed_into(chunk, &mut builder).unwrap();
-        }
-        dec.finish().unwrap();
-        let (back, cols) = builder.finish_parts();
-        assert!(traces_equal(&t, &back), "chunk size {chunk_size}");
-        assert_eq!(cols.n_events(), t.n_events());
-        for (id, e) in t.iter_events() {
-            assert_eq!(cols.time(id), e.time);
-        }
+        let chunks: Vec<&[u8]> = b.chunks(chunk_size).collect();
+        assert_decoded(&t, &decode(&chunks).unwrap(), &format!("chunk size {chunk_size}"));
     }
 }
 
 #[test]
-fn v3_detects_truncation_at_every_boundary() {
+fn detects_truncation_at_every_boundary() {
     let t = sample_trace();
     let b = to_binary_columnar_v3_blocked(&t, 2);
     for cut in 0..b.len() {
-        let mut dec = StreamDecoder::new();
-        let outcome = feed(&mut dec, &b[..cut]).and_then(|()| dec.finish());
-        assert_eq!(
-            outcome,
-            Err(CodecError::Truncated),
-            "cut at {cut}/{} not detected",
-            b.len()
-        );
+        let outcome = decode(&[&b[..cut]]).map(drop);
+        assert_eq!(outcome, Err(CodecError::Truncated), "cut at {cut}/{} not detected", b.len());
     }
 }
 
 #[test]
-fn v3_rejects_inconsistent_payload_length() {
-    // v3 records are fixed-stride: payload_len must be exactly 25·n.
+fn rejects_inconsistent_payload_length() {
+    // Records are fixed-stride: payload_len must be exactly 25·n.
     let mut buf = BytesMut::new();
     buf.put_u32(0x4454_4333);
     buf.put_u32(0); // rank
     buf.put_u32(0); // thread
     buf.put_u32(1); // n_events
     buf.put_u32(24); // should be 25
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
+    assert!(matches!(decode(&[&buf.freeze()]), Err(CodecError::BadField(_))));
 }
 
 #[test]
-fn v3_rejects_corrupt_rank_and_oversized_headers() {
+fn rejects_corrupt_rank_and_oversized_headers() {
     let encoded = to_binary_columnar_v3(&sample_trace());
     let mut corrupt = encoded.to_vec();
     corrupt[4] ^= 0xF0; // rank field of the first frame header
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(feed(&mut dec, &corrupt), Err(CodecError::BadField(_))));
+    assert!(matches!(decode(&[&corrupt]), Err(CodecError::BadField(_))));
 
     let mut buf = BytesMut::new();
     buf.put_u32(0x4454_4333);
@@ -199,12 +187,11 @@ fn v3_rejects_corrupt_rank_and_oversized_headers() {
     buf.put_u32(0);
     buf.put_u32(1 << 31); // n_events far beyond MAX_BLOCK_EVENTS
     buf.put_u32(64);
-    let mut dec = StreamDecoder::new();
-    assert!(matches!(feed(&mut dec, &buf.freeze()), Err(CodecError::BadField(_))));
+    assert!(matches!(decode(&[&buf.freeze()]), Err(CodecError::BadField(_))));
 }
 
 #[test]
-fn stream_estimate_prices_v3_from_its_headers() {
+fn stream_estimate_prices_a_stream_from_its_headers() {
     let t = sample_trace();
     let b = to_binary_columnar_v3_blocked(&t, 2);
     for chunk_size in [1, 3, 7, 64, b.len()] {
@@ -217,13 +204,11 @@ fn stream_estimate_prices_v3_from_its_headers() {
     }
 }
 
-/// What `chunks` is to each of the three readers: the decoder fed chunk
-/// by chunk, the indexer, the admission estimator.
+/// What `chunks` is to each of the three readers: the decoder behind the
+/// index, the indexer, the admission estimator.
 fn verdicts(chunks: &[&[u8]]) -> [Result<(), CodecError>; 3] {
-    let mut dec = StreamDecoder::new();
-    let decoded = chunks.iter().try_for_each(|c| feed(&mut dec, c)).and_then(|()| dec.finish());
     let estimated = estimate_columnar_stream(chunks.iter().copied()).error.map_or(Ok(()), Err);
-    [decoded, index_columnar_chunks(chunks).map(drop), estimated]
+    [decode(chunks).map(drop), index_columnar_chunks(chunks).map(drop), estimated]
 }
 
 #[test]
@@ -334,8 +319,10 @@ fn chunk_store_reads_across_boundaries() {
     }
 }
 
+/// Blocks read one at a time through the index, the way the incremental
+/// pipeline reads them, rebuild the trace.
 #[test]
-fn index_agrees_with_streaming_decode() {
+fn block_by_block_reads_rebuild_the_trace() {
     let t = sample_trace();
     let bytes = to_binary_columnar_v3_blocked(&t, 3);
     for chunk_size in [1usize, 7, 16, bytes.len()] {
@@ -344,8 +331,6 @@ fn index_agrees_with_streaming_decode() {
         assert_eq!(idx.total_bytes, bytes.len() as u64);
         assert_eq!(idx.n_events(), t.n_events() as u64);
         assert_eq!(idx.locations.len(), t.n_procs());
-        // Rebuild the whole trace through the random-access lane
-        // and compare with the reference decoder.
         let store = ChunkStore::new(&pieces);
         let mut scratch = Vec::new();
         let timelines = idx.locations.iter().map(|&loc| ProcessTrace::new(loc));
@@ -422,37 +407,24 @@ fn frame_writer_reemits_bit_identically() {
     assert_eq!(&out[..], &bytes[..], "re-emission diverged");
 }
 
-/// Satellite pin for the partial-frame buffering paths: splitting the
-/// stream into exactly two pieces at *every* byte boundary — including
-/// every split inside a v3 alignment pad and every split landing
-/// exactly on an 8-byte timestamp-segment boundary — must decode
-/// identically to the one-shot decode.
+/// Splitting the stream into exactly two pieces at *every* byte boundary —
+/// including every split inside an alignment pad or a header and every
+/// split landing exactly on an 8-byte timestamp-segment boundary — must
+/// decode identically to the one-buffer decode.
 #[test]
 fn two_piece_split_at_every_boundary_decodes_identically() {
     // Block size 1 and an odd trace shape maximize pad-phase variety:
-    // consecutive v3 frames land on different (mod 8) offsets.
+    // consecutive frames land on different (mod 8) offsets.
     let t = sample_trace();
     for bytes in [to_binary_columnar_v3_blocked(&t, 1), to_binary_columnar_v3_blocked(&t, 3)] {
-        let reference = from_binary_columnar(bytes.clone()).unwrap();
         for cut in 0..=bytes.len() {
-            let mut dec = StreamDecoder::new();
-            let mut builder = TraceBuilder::new();
-            dec.feed_into(&bytes[..cut], &mut builder).unwrap();
-            dec.feed_into(&bytes[cut..], &mut builder).unwrap();
-            dec.finish().unwrap();
-            let (back, cols) = builder.finish_parts();
-            assert!(traces_equal(&reference, &back), "split at {cut}");
-            assert_eq!(cols.n_events(), reference.n_events(), "split at {cut}");
+            let pieces = decode(&[&bytes[..cut], &bytes[cut..]]).unwrap();
+            assert_decoded(&t, &pieces, &format!("split at {cut}"));
         }
         // Chunks of exactly 8 bytes: every timestamp element boundary
-        // in a v3 segment is also a chunk boundary.
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for piece in bytes.chunks(8) {
-            dec.feed_into(piece, &mut builder).unwrap();
-        }
-        dec.finish().unwrap();
-        assert!(traces_equal(&reference, &builder.finish()), "8-byte chunking");
+        // in a segment is also a chunk boundary.
+        let chunks: Vec<&[u8]> = bytes.chunks(8).collect();
+        assert_decoded(&t, &decode(&chunks).unwrap(), "8-byte chunking");
     }
 }
 
@@ -529,14 +501,7 @@ fn decodes_identically_at_every_byte_offset_of_its_buffer() {
     for shift in 0..8 {
         let at = aligned + shift;
         buf[at..at + bytes.len()].copy_from_slice(&bytes);
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        dec.feed_into(&buf[at..at + bytes.len()], &mut builder).unwrap();
-        dec.finish().unwrap();
-        let (back, cols) = builder.finish_parts();
-        assert!(traces_equal(&t, &back), "stream at buffer offset {shift} (mod 8)");
-        for (id, e) in t.iter_events() {
-            assert_eq!(cols.time(id), e.time, "stream at buffer offset {shift} (mod 8)");
-        }
+        let decoded = decode(&[&buf[at..at + bytes.len()]]).unwrap();
+        assert_decoded(&t, &decoded, &format!("stream at buffer offset {shift} (mod 8)"));
     }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Mutation-kill gate for the trace capture, the frame grammar, the
-# windowed engine's ring lanes, the batch CLC and the simulator's message
-# path (ROADMAP item 9):
+# Mutation-kill gate for the trace capture, the frame grammar, the one
+# stream reader, the windowed engine's ring lanes, the batch CLC and the
+# simulator's message path (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -78,13 +78,25 @@ header rank and thread ids unchecked
 crates/tracefmt/src/io/frame.rs
 if rank > MAX_LOCATION_ID || thread > MAX_LOCATION_ID {
 if false {
-tracefmt::io::tests::v3_rejects_corrupt_rank_and_oversized_headers
+tracefmt::io::tests::rejects_corrupt_rank_and_oversized_headers
 
 timestamp segments unpadded
 crates/tracefmt/src/io/frame.rs
 ((8 - (frame_start + HEADER_BYTES as u64) % 8) % 8) as usize
 0
-tracefmt::io::tests::encoder_output_is_byte_stable tracefmt::io::frame::tests::v3_timestamp_segments_are_8_aligned
+tracefmt::io::tests::encoder_output_is_byte_stable tracefmt::io::frame::tests::timestamp_segments_are_8_aligned
+
+every block decoded to its timeline's start
+crates/tracefmt/src/io/decode.rs
+let first = block.first_idx as usize;
+let first = 0;
+tracefmt::io::tests::round_trip_various_block_sizes
+
+cross-chunk read keeps the first chunk's offset
+crates/tracefmt/src/io/index.rs
+in_off = 0;
+// in_off = 0;
+tracefmt::io::tests::decodes_identically_at_any_chunk_size
 
 lane slice split one short of the ring's end
 crates/core/src/pipeline/windowed.rs

@@ -1,15 +1,13 @@
 //! Property-based round-trip guarantees for the trace codecs: arbitrary
 //! traces — every event kind, negative timestamps, uneven timelines —
 //! must survive the text format and the blocked columnar `DTC3` format
-//! bit-identically, in any chaining order, and the incremental
-//! [`StreamDecoder`] must agree with the one-shot decoder for every
-//! chunking of the byte stream.
-//!
-//! [`StreamDecoder`]: drift_lab::tracefmt::io::StreamDecoder
+//! bit-identically, in any chaining order, and the decoder behind the
+//! header index must read the same trace and columns from every chunking
+//! of the byte stream.
 
 use drift_lab::tracefmt::io::{
-    from_binary_columnar, from_text, index_columnar_chunks, to_binary_columnar_v3_blocked,
-    to_text, CodecError, StreamDecoder, TraceBuilder,
+    decode_indexed, from_binary_columnar, from_text, index_columnar_chunks,
+    to_binary_columnar_v3_blocked, to_text, ChunkStore, CodecError,
 };
 use drift_lab::tracefmt::{CollOp, CommId, EventKind, Rank, RegionId, Tag, Trace, TraceColumns};
 use drift_lab::simclock::Time;
@@ -115,6 +113,11 @@ fn arb_small_trace() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// The one reader over `chunks`: index the frames, decode every block.
+fn decode(chunks: &[&[u8]]) -> Result<(Trace, TraceColumns), CodecError> {
+    decode_indexed(&index_columnar_chunks(chunks)?, &ChunkStore::new(chunks))
+}
+
 /// First difference between two traces, or `None` when identical.
 fn first_difference(a: &Trace, b: &Trace) -> Option<String> {
     if a.n_procs() != b.n_procs() {
@@ -184,15 +187,10 @@ proptest! {
         chunk in 1usize..257,
     ) {
         let bytes = to_binary_columnar_v3_blocked(&trace, block);
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for piece in bytes.chunks(chunk) {
-            dec.feed_into(piece, &mut builder).expect("stream decodes");
-        }
-        dec.finish().expect("stream complete");
-        let (back, cols) = builder.finish_parts();
+        let pieces: Vec<&[u8]> = bytes.chunks(chunk).collect();
+        let (back, cols) = decode(&pieces).expect("stream decodes");
         prop_assert!(first_difference(&trace, &back).is_none(),
-            "streamed decode diverged: {:?}", first_difference(&trace, &back));
+            "chunked decode diverged: {:?}", first_difference(&trace, &back));
         // The decoder's columns are exactly what a gather would produce.
         prop_assert!(cols == TraceColumns::gather(&back),
             "decoder columns differ from gathered columns");
@@ -204,44 +202,34 @@ proptest! {
     // quadratic in the stream length — fewer, smaller cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Truncating a stream at *any* byte boundary must yield a
-    /// typed [`CodecError`] from the one-shot decoder — never a panic,
-    /// never a silently shorter trace — and the streaming decoder must
-    /// never claim completion on such a prefix.
+    /// Truncating a stream at *any* byte boundary must yield
+    /// [`CodecError::Truncated`] — never a panic, never a silently shorter
+    /// trace — from one buffer and from chunks alike.
     #[test]
     fn truncation_at_every_boundary_is_a_typed_error(trace in arb_small_trace()) {
         let bytes = to_binary_columnar_v3_blocked(&trace, 4);
         for cut in 0..bytes.len() {
-            prop_assert!(from_binary_columnar(bytes.slice(0..cut)).is_err(),
-                "truncated stream decoded successfully at cut={}", cut);
-
-            let mut dec = StreamDecoder::new();
-            let mut builder = TraceBuilder::new();
-            let fed: Result<(), CodecError> = bytes[..cut]
-                .chunks(11)
-                .try_fold((), |(), piece| dec.feed_into(piece, &mut builder));
-            if fed.is_ok() {
-                prop_assert!(!dec.is_finished(),
-                    "decoder claims completion at cut={}", cut);
-                prop_assert!(dec.finish().is_err(),
-                    "finish() accepted a truncated stream at cut={}", cut);
-            }
+            prop_assert_eq!(from_binary_columnar(bytes.slice(0..cut)).map(drop),
+                Err(CodecError::Truncated), "one buffer cut at {}", cut);
+            let pieces: Vec<&[u8]> = bytes[..cut].chunks(11).collect();
+            prop_assert_eq!(decode(&pieces).map(drop),
+                Err(CodecError::Truncated), "chunks of 11 cut at {}", cut);
         }
     }
 
-    /// A chunk boundary that splits a DTC3 alignment pad, lands exactly on
+    /// A chunk boundary that splits an alignment pad, lands exactly on
     /// an 8-byte times-segment boundary, or falls anywhere inside a frame
-    /// header must not change what the streaming decoder produces. The
+    /// header must not change what the decoder produces. The
     /// uniform-chunk-size property above reaches these offsets only by
     /// accident; here every such cut is exercised deliberately as a
-    /// two-piece split and compared against the one-shot decode.
+    /// two-piece split and compared against the one-buffer decode.
     #[test]
-    fn v3_pad_and_alignment_splits_decode_identically(
+    fn pad_and_alignment_splits_decode_identically(
         trace in arb_small_trace(),
         block in 1usize..6,
     ) {
         let bytes = to_binary_columnar_v3_blocked(&trace, block);
-        let expected = from_binary_columnar(bytes.clone()).expect("one-shot decodes");
+        let expected = from_binary_columnar(bytes.clone()).expect("one buffer decodes");
         let idx = index_columnar_chunks(&[&bytes[..]]).expect("well-formed stream indexes");
 
         // Every 8-byte segment boundary, the stream ends, and — per frame —
@@ -259,13 +247,7 @@ proptest! {
         cuts.dedup();
 
         for cut in cuts {
-            let mut dec = StreamDecoder::new();
-            let mut builder = TraceBuilder::new();
-            for piece in [&bytes[..cut], &bytes[cut..]] {
-                dec.feed_into(piece, &mut builder).expect("split stream decodes");
-            }
-            dec.finish().expect("split stream complete");
-            let (back, _) = builder.finish_parts();
+            let (back, _) = decode(&[&bytes[..cut], &bytes[cut..]]).expect("split stream decodes");
             prop_assert!(first_difference(&expected, &back).is_none(),
                 "two-piece split at {} diverged: {:?}",
                 cut, first_difference(&expected, &back));

@@ -8,7 +8,7 @@
 mod common;
 
 #[test]
-fn v3_streamed_ingest_is_bit_identical_on_scalar_kernels() {
+fn streamed_ingest_is_bit_identical_on_scalar_kernels() {
     // Set before any census/CLC kernel has run in this process, on the
     // only thread alive this early in the test binary.
     std::env::set_var("TRACEFMT_NO_AVX2", "1");

@@ -23,9 +23,29 @@ use common::{
 };
 use drift_lab::clocksync::{ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use drift_lab::prelude::*;
-use drift_lab::tracefmt::io::{to_binary_columnar_v3, StreamDecoder, TraceBuilder};
+use drift_lab::tracefmt::io::{
+    decode_indexed, index_columnar_chunks, to_binary_columnar_v3, BlockMeta, ChunkStore,
+    StreamIndex,
+};
 use drift_lab::tracefmt::{check_collectives_at, CensusPlan, CollOp, MinLatency, TraceColumns};
 use proptest::prelude::*;
+
+/// `index` cut back to the block frames that end at or before byte `cut`,
+/// and to the timelines they carry: what a reader of a stream truncated
+/// there could decode. Timelines are numbered in first-seen order, so
+/// those are a prefix of the locations.
+fn arrived_by(index: &StreamIndex, cut: u64) -> StreamIndex {
+    let arrived = |b: &&BlockMeta| b.payload_off + u64::from(b.payload_len) <= cut;
+    let blocks: Vec<BlockMeta> = index.blocks.iter().take_while(arrived).copied().collect();
+    let n = blocks.iter().map(|b| b.timeline as usize + 1).max().unwrap_or(0);
+    let (mut proc_blocks, mut proc_lens) = (vec![Vec::new(); n], vec![0; n]);
+    for (k, b) in blocks.iter().enumerate() {
+        proc_blocks[b.timeline as usize].push(k as u32);
+        proc_lens[b.timeline as usize] += u64::from(b.n_events);
+    }
+    let locations = index.locations[..n].to_vec();
+    StreamIndex { locations, blocks, proc_blocks, proc_lens, total_bytes: cut }
+}
 
 // ------------------------------------------------------------ strategies --
 
@@ -315,11 +335,12 @@ proptest! {
         assert_collective_census(&zoo, &directed_latency(base_us));
     }
 
-    /// The same round trip on a trace rebuilt from *streamed* ingest fed
-    /// in bounded chunks, and on a trace rebuilt from only a truncated
-    /// prefix of the byte stream (the decoder keeps whole frames; the
-    /// partial tail frame stays pending). Whatever events survive
-    /// truncation must lower to exactly the edges their analysis implies.
+    /// The same round trip on a trace rebuilt from *streamed* ingest of
+    /// bounded chunks, and on a trace rebuilt from only the frames a
+    /// truncated prefix of the byte stream holds in full (the stream's
+    /// index cut back to them, the partial tail frame never read).
+    /// Whatever events survive truncation must lower to exactly the edges
+    /// their analysis implies.
     #[test]
     fn csr_round_trips_streamed_and_truncated_ingest(
         (trace, lmin_us) in arb_mixed_trace(),
@@ -327,37 +348,21 @@ proptest! {
         keep_per_mille in 100u32..1001,
     ) {
         let bytes = to_binary_columnar_v3(&trace);
+        let chunks: Vec<&[u8]> = bytes.chunks(chunk).collect();
+        let index = index_columnar_chunks(&chunks).expect("stream indexes");
+        let store = ChunkStore::new(&chunks);
 
-        // Full stream, chunked feeding: must reproduce the trace exactly.
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        for c in bytes.chunks(chunk) {
-            dec.feed_into(c, &mut builder).expect("stream decodes");
-        }
-        dec.finish().expect("stream complete");
-        let (streamed, _cols) = builder.finish_parts();
+        // Full stream, chunked: must reproduce the trace exactly.
+        let (streamed, _cols) = decode_indexed(&index, &store).expect("stream decodes");
         prop_assert_eq!(streamed.n_events(), trace.n_events());
         let lmin = UniformLatency(Dur::from_us(lmin_us));
         assert_round_trip(&streamed, &lmin);
 
-        // Truncated prefix: frames that arrived in full still decode; the
-        // partial tail is simply never delivered.
-        let cut = (bytes.len() as u64 * keep_per_mille as u64 / 1000) as usize;
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        let mut parse_ok = true;
-        for c in bytes[..cut].chunks(chunk) {
-            if dec.feed_into(c, &mut builder).is_err() {
-                // A cut inside a header can make the prefix undecodable —
-                // that is a parse error, not a lowering concern.
-                parse_ok = false;
-                break;
-            }
-        }
-        if parse_ok {
-            let (truncated, _cols) = builder.finish_parts();
-            prop_assert!(truncated.n_events() <= trace.n_events());
-            assert_round_trip(&truncated, &lmin);
-        }
+        // Truncated prefix: the frames that arrived in full.
+        let cut = bytes.len() as u64 * u64::from(keep_per_mille) / 1000;
+        let (truncated, _cols) =
+            decode_indexed(&arrived_by(&index, cut), &store).expect("whole frames decode");
+        prop_assert!(truncated.n_events() <= trace.n_events());
+        assert_round_trip(&truncated, &lmin);
     }
 }

@@ -8,9 +8,9 @@
 //! pipeline under random chunkings, and also pin down that the header-only
 //! cost estimator used by admission control never overstates a valid
 //! stream and never panics on a corrupt one, and that the three readers of
-//! the frame grammar — decoder, indexer, estimator — answer one typed
-//! verdict for one input. Two named inputs add what no
-//! run can record but bytes can claim: a dependency cycle across
+//! the frame grammar — indexer, estimator, and the decoder behind the
+//! index — answer one typed verdict for one input. Two named inputs add
+//! what no run can record but bytes can claim: a dependency cycle across
 //! timelines, which every driver, the service and the server must answer
 //! typed instead of waiting on it.
 
@@ -29,13 +29,19 @@ use drift_lab::syncd::{
 use drift_lab::syncd_client::{ClientError, JobRequest, SyncClient};
 use drift_lab::syncd_wire::{ErrorCode, WireJobConfig, WireLatency};
 use drift_lab::tracefmt::io::{
-    estimate_columnar_stream, from_binary_columnar, index_columnar_chunks,
-    to_binary_columnar_v3_blocked, CodecError, StreamDecoder, TraceBuilder,
+    decode_indexed, estimate_columnar_stream, from_binary_columnar, index_columnar_chunks,
+    to_binary_columnar_v3_blocked, ChunkStore, CodecError,
 };
 use drift_lab::tracefmt::MinLatency;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The decoder behind the index over `chunks`.
+fn decode(chunks: &[&[u8]]) -> Result<Trace, CodecError> {
+    let index = index_columnar_chunks(chunks)?;
+    decode_indexed(&index, &ChunkStore::new(chunks)).map(|(trace, _)| trace)
+}
 
 /// Feed a (possibly corrupt) chunked stream through the whole pipeline.
 /// The property under test is simply that this returns — `Ok` for intact
@@ -178,11 +184,7 @@ fn a_dtc2_stream_is_refused_at_its_magic_by_every_reader() {
     for chunk in [1, 3, bytes.len()] {
         let chunks = chunked(&bytes, chunk);
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        let decoded = refs.iter().try_for_each(|c| dec.feed_into(c, &mut builder));
-        let decoded = decoded.and_then(|()| dec.finish());
-        assert_eq!(decoded, Err(want.clone()), "decoder, chunks of {chunk}");
+        assert_eq!(decode(&refs).err(), Some(want.clone()), "decoder, chunks of {chunk}");
         let indexed = index_columnar_chunks(&refs).err();
         assert_eq!(indexed, Some(want.clone()), "indexer, chunks of {chunk}");
         let est = estimate_columnar_stream(refs.iter().copied());
@@ -224,12 +226,13 @@ proptest! {
 
     /// One frame grammar, one verdict: for an intact, truncated,
     /// bit-flipped, glued or garbage-tailed stream the indexer and the
-    /// admission estimator answer what the decoder answers, at any
-    /// chunking — `Ok` together, the same typed error together — and a
-    /// stream all three accept is priced from exactly the events and
-    /// blocks it decodes to. The decoder alone reads payloads,
-    /// so a flipped record byte is its to report, inside a block whose
-    /// header the others accepted.
+    /// admission estimator answer alike, at any chunking — `Ok` together,
+    /// the same typed error together — and a stream all three accept is
+    /// priced from exactly the events and blocks it decodes to. The header
+    /// walk's verdict comes first: where the indexer refuses a stream, the
+    /// decoder behind it answers the same error. The decoder alone reads
+    /// payloads, so a payload error (a flipped kind or collective code) is
+    /// its to report, and only where the indexer accepted the stream.
     #[test]
     fn readers_agree_on_every_single_fault_stream(
         seed in 0u64..1000,
@@ -265,34 +268,30 @@ proptest! {
 
         let est = estimate_columnar_stream(refs.iter().copied());
         let indexed = index_columnar_chunks(&refs);
-        let mut dec = StreamDecoder::new();
-        let mut builder = TraceBuilder::new();
-        let fed = refs.iter().try_for_each(|c| dec.feed_into(c, &mut builder));
-        let blocks_decoded = dec.blocks_decoded();
-        let streamed = fed.and_then(|()| dec.finish());
-        let one_shot = from_binary_columnar(refs.concat().into()).map(drop);
+        let decoded = decode(&refs);
+        let verdict = decoded.as_ref().map(drop).map_err(Clone::clone);
+        let one_buffer = from_binary_columnar(refs.concat().into()).map(drop);
 
-        prop_assert_eq!(&one_shot, &streamed, "chunking changed the decoder's verdict");
+        prop_assert_eq!(&one_buffer, &verdict, "chunking changed the decoder's verdict");
         prop_assert_eq!(indexed.as_ref().err(), est.error.as_ref(), "indexer vs estimator");
         if let Some(want) = want {
-            prop_assert_eq!(&streamed, &want, "decoder, mutation {}", which);
+            prop_assert_eq!(&verdict, &want, "decoder, mutation {}", which);
             prop_assert_eq!(indexed.as_ref().map(drop).map_err(Clone::clone), want, "indexer");
         }
-        match (&streamed, &est.error) {
-            (Ok(()), None) => {
+        match (&indexed, &decoded) {
+            (Ok(index), Ok(trace)) => {
                 prop_assert!(est.complete && est.trailing_bytes == 0);
-                prop_assert_eq!(est.events, builder.finish().n_events() as u64);
-                prop_assert_eq!(est.blocks, blocks_decoded);
+                prop_assert_eq!(est.events, trace.n_events() as u64);
+                prop_assert_eq!(est.blocks, index.blocks.len() as u64);
             }
-            (Err(decoder), Some(walk)) if decoder == walk => {}
-            (Err(decoder), _) => {
-                prop_assert!(
-                    blocks_decoded < est.blocks,
-                    "decoder says {:?} at a unit where the header walk says {:?}",
-                    decoder, est.error
-                );
+            (Err(walk), Err(decoder)) => {
+                prop_assert_eq!(decoder, walk, "the header walk's verdict comes first")
             }
-            (Ok(()), Some(walk)) => {
+            (Ok(_), Err(decoder)) => prop_assert!(
+                matches!(decoder, CodecError::UnknownKind(_)),
+                "the decoder says {:?} of a stream the header walk accepts", decoder
+            ),
+            (Err(walk), Ok(_)) => {
                 prop_assert!(false, "decoder accepted what the walk calls {:?}", walk)
             }
         }
