@@ -1,9 +1,9 @@
-//! Trace I/O throughput: text and columnar codecs, and the analyses that
+//! Trace I/O throughput: the columnar codec, and the analyses that
 //! reconstruct messages and collectives.
 
 use bench::skewed_trace;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use tracefmt::io::{from_binary_columnar, from_text, to_binary_columnar_v3, to_text};
+use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3};
 use tracefmt::{EventKind, Tag};
 
 fn bench_codecs(c: &mut Criterion) {
@@ -11,9 +11,6 @@ fn bench_codecs(c: &mut Criterion) {
     let events = trace.n_events() as u64;
     let mut g = c.benchmark_group("codecs");
     g.throughput(Throughput::Elements(events));
-    g.bench_function("text_encode", |b| b.iter(|| to_text(&trace).len()));
-    let text = to_text(&trace);
-    g.bench_function("text_decode", |b| b.iter(|| from_text(&text).unwrap().n_events()));
     g.bench_function("columnar_encode", |b| b.iter(|| to_binary_columnar_v3(&trace).len()));
     let bin = to_binary_columnar_v3(&trace);
     g.bench_function("columnar_decode", |b| {

@@ -43,10 +43,8 @@ pub use interp::{
 pub use offset::{estimate_offset, OffsetMeasurement, ProbeSample};
 pub use pipeline::{
     synchronize, synchronize_stream, synchronize_stream_incremental,
-    synchronize_stream_incremental_with_cancel, synchronize_stream_incremental_with_sink,
-    synchronize_stream_with_cancel,
-    synchronize_with_cancel, CancelProbe, CancelToken, IncrementalReport, OnlineSpec,
-    PipelineConfig, PipelineError, PipelineReport, PipelineStats,
-    PreSync, StageReport, StageStats, StageTotals, SyncMethod, TraceAnalysis,
+    synchronize_stream_incremental_with_sink, CancelProbe, CancelToken, IncrementalReport,
+    OnlineSpec, PipelineConfig, PipelineError, PipelineReport, PipelineStats, PreSync,
+    StageReport, StageStats, StageTotals, SyncMethod, TraceAnalysis,
 };
 pub use predict::{normal_cdf, safe_run_length, violation_probability, WanderModel};

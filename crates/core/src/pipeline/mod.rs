@@ -2,9 +2,15 @@
 //! weak pre-synchronisation by linear offset interpolation, then the CLC to
 //! remove residual clock-condition violations.
 //!
-//! [`synchronize`] drives the whole chain on a trace and reports violation
-//! counts before, after interpolation, and after the CLC — the numbers the
-//! constructive experiments print.
+//! Four drivers run it. [`synchronize`] drives the whole chain on a trace
+//! in place and reports violation counts before, after interpolation, and
+//! after the CLC — the numbers the constructive experiments print.
+//! [`synchronize_stream`] does the same from the `DTC3` bytes a tracer
+//! wrote, polling a [`CancelToken`]. The windowed engine streams corrected
+//! chunks back out with bounded memory: [`synchronize_stream_incremental`]
+//! collects them, [`synchronize_stream_incremental_with_sink`] hands each
+//! to a consumer as it finalizes, under a [`CancelToken`]. A service calls
+//! the two drivers that take a token, one per engine.
 //!
 //! # Execution model
 //!
@@ -33,8 +39,7 @@ mod windowed;
 
 pub use stats::{PipelineStats, StageStats, StageTotals};
 pub use windowed::{
-    synchronize_stream_incremental, synchronize_stream_incremental_with_cancel,
-    synchronize_stream_incremental_with_sink, IncrementalReport,
+    synchronize_stream_incremental, synchronize_stream_incremental_with_sink, IncrementalReport,
 };
 
 use crate::clc::columnar::controlled_logical_clock_columnar_csr;
@@ -69,17 +74,14 @@ pub enum PreSync {
 /// postmortem schemes, or the model-based online corrector.
 ///
 /// The method selects the timestamp-rewriting stages; the censuses around
-/// them are method-independent. `Interp` and `Clc` share the presync
-/// stage configured by [`PipelineConfig::presync`]; `Online` replaces it
-/// (and the CLC) with the recursive filter correction.
+/// them are method-independent. `Clc` runs the presync stage configured by
+/// [`PipelineConfig::presync`]; `Online` replaces it (and the CLC) with the
+/// recursive filter correction. Interpolation alone is `Clc` with
+/// [`PipelineConfig::clc`] set to `None`.
 #[derive(Debug, Clone, Default)]
 pub enum SyncMethod {
-    /// Postmortem interpolation only: run the configured presync stage
-    /// and stop. [`PipelineConfig::clc`] is ignored.
-    Interp,
-    /// Postmortem presync followed by the CLC (the default — the exact
-    /// behaviour of every earlier revision of this pipeline; the CLC
-    /// stage still runs only when [`PipelineConfig::clc`] is `Some`).
+    /// Postmortem presync followed by the CLC (the default; the CLC stage
+    /// runs only when [`PipelineConfig::clc`] is `Some`).
     #[default]
     Clc,
     /// Model-based online correction: one per-pair drift Kalman filter
@@ -277,7 +279,8 @@ pub enum PipelineError {
     /// Streaming ingest could not decode the trace bytes.
     Codec(CodecError),
     /// The run was cancelled (or its deadline passed) at a cooperative
-    /// checkpoint; the trace may be partially rewritten.
+    /// checkpoint. Like every other error, it leaves the caller's trace
+    /// untouched: [`synchronize`] writes records only in its final stage.
     Cancelled,
     /// The requested configuration is not supported by this entry point
     /// (e.g. the online method on the incremental windowed engine).
@@ -315,9 +318,10 @@ pub type CancelProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 /// engine, between the bursts and blocks of its sweeps — and bails out with
 /// [`PipelineError::Cancelled`] at the next checkpoint after any source
 /// trips. Stages themselves run to completion, so a run stops within one
-/// stage's latency of the request; nothing is rolled back (callers that
-/// need the original timestamps keep their own copy, as [`synchronize`]
-/// mutates the trace in place regardless).
+/// stage's latency of the request. Nothing needs rolling back: the stages
+/// rewrite gathered columns, and [`synchronize`] scatters them into the
+/// trace only after the last fallible stage, so a failed run leaves the
+/// caller's trace as it was.
 #[derive(Clone, Default)]
 pub struct CancelToken {
     flag: Option<Arc<AtomicBool>>,
@@ -336,7 +340,8 @@ impl std::fmt::Debug for CancelToken {
 }
 
 impl CancelToken {
-    /// A token that never cancels (what the plain entry points use).
+    /// A token that never cancels (what [`synchronize`] and
+    /// [`synchronize_stream_incremental`] use).
     pub fn none() -> Self {
         CancelToken::default()
     }
@@ -495,7 +500,9 @@ fn census_stage_planned(
 /// `init[p]` / `fin[p]` are the offset measurements of process `p` taken at
 /// program initialization and finalization (`None` entries for the master,
 /// which is never remapped). `fin` may be `None` as a whole when only
-/// alignment is requested.
+/// alignment is requested. On any error the trace is left as it was: the
+/// corrected times are written into its records by the last stage, which
+/// cannot fail.
 pub fn synchronize(
     trace: &mut Trace,
     init: &[Option<OffsetMeasurement>],
@@ -506,23 +513,11 @@ pub fn synchronize(
     synchronize_impl(trace, None, init, fin, lmin, cfg, &CancelToken::none())
 }
 
-/// [`synchronize`] with a cooperative [`CancelToken`], polled between
-/// stages. Long-running services use this to enforce per-job deadlines and
-/// user cancellation without tearing down the worker pool.
-pub fn synchronize_with_cancel(
-    trace: &mut Trace,
-    init: &[Option<OffsetMeasurement>],
-    fin: Option<&[Option<OffsetMeasurement>]>,
-    lmin: &dyn MinLatency,
-    cfg: &PipelineConfig,
-    cancel: &CancelToken,
-) -> Result<PipelineReport, PipelineError> {
-    synchronize_impl(trace, None, init, fin, lmin, cfg, cancel)
-}
-
 /// Decode a columnar binary trace (the `DTC3` format of
 /// [`tracefmt::io::to_binary_columnar_v3`]) from its byte chunks and run the
-/// pipeline on the result.
+/// pipeline on the result, polling `cancel` before the index and between
+/// the stages after ingest (a service enforces deadlines and user
+/// cancellation through it; [`CancelToken::none`] never cancels).
 ///
 /// Unlike decode-then-[`synchronize`], the input never has to be one
 /// contiguous buffer: the chunks (any size — read buffers, network
@@ -535,18 +530,6 @@ pub fn synchronize_with_cancel(
 ///
 /// Returns the decoded, synchronized trace alongside the report.
 pub fn synchronize_stream<'a>(
-    chunks: impl IntoIterator<Item = &'a [u8]>,
-    init: &[Option<OffsetMeasurement>],
-    fin: Option<&[Option<OffsetMeasurement>]>,
-    lmin: &dyn MinLatency,
-    cfg: &PipelineConfig,
-) -> Result<(Trace, PipelineReport), PipelineError> {
-    synchronize_stream_with_cancel(chunks, init, fin, lmin, cfg, &CancelToken::none())
-}
-
-/// [`synchronize_stream`] with a cooperative [`CancelToken`], polled
-/// before the index and between the pipeline stages after ingest.
-pub fn synchronize_stream_with_cancel<'a>(
     chunks: impl IntoIterator<Item = &'a [u8]>,
     init: &[Option<OffsetMeasurement>],
     fin: Option<&[Option<OffsetMeasurement>]>,
@@ -608,8 +591,7 @@ fn synchronize_impl(
 
     // Lower the analysis into the dependency graph the CLC kernels walk:
     // message edges in CSR form, collectives as a member table. The method
-    // gates this: Interp and Online never run a CLC, whatever `cfg.clc`
-    // says.
+    // gates this: Online never runs a CLC, whatever `cfg.clc` says.
     // An analysis that does not fit the trace shape is the tenant's bytes,
     // not a bug here: a typed error, never the panic of `DepGraph::build`.
     let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
@@ -706,7 +688,7 @@ fn synchronize_impl(
             }
         };
 
-        // CLC cleanup (gated on the method: Interp stops after presync).
+        // CLC cleanup (skipped when `cfg.clc` is `None`).
         let (after_clc, clc) = match clc_inputs {
             None => (None, None),
             Some((params, graph)) => {
@@ -855,8 +837,7 @@ mod tests {
 
     /// The drivers share one preamble (`freeze_inputs`, `build_presync_maps`):
     /// the same bad input is the same error — variant and message — from the
-    /// batch, the streamed and the incremental entry point, and the batch
-    /// driver hands the trace back as it got it.
+    /// batch, the streamed and the incremental entry point.
     #[test]
     fn bad_inputs_fail_identically_from_every_driver() {
         let mut far = Trace::for_ranks(3);
@@ -881,18 +862,14 @@ mod tests {
             let fin = fin.as_deref();
             let bytes = tracefmt::io::to_binary_columnar_v3_blocked(&trace, 16);
             let chunks = [&bytes[..]];
-            let mut batch = trace.clone();
             let errors = [
-                synchronize(&mut batch, &init, fin, &LMIN, &cfg).err(),
-                synchronize_stream(chunks, &init, fin, &LMIN, &cfg).err(),
+                synchronize(&mut trace.clone(), &init, fin, &LMIN, &cfg).err(),
+                synchronize_stream(chunks, &init, fin, &LMIN, &cfg, &CancelToken::none()).err(),
                 synchronize_stream_incremental(&chunks, &init, fin, &LMIN, &cfg, 8).err(),
             ];
             for (driver, err) in errors.into_iter().enumerate() {
                 let err = err.unwrap_or_else(|| panic!("driver {driver} accepted: {message}"));
                 assert_eq!(err.to_string(), message, "driver {driver}");
-            }
-            for (before, after) in trace.procs.iter().zip(&batch.procs) {
-                assert_eq!(before.events, after.events, "{message}: trace rewritten");
             }
         }
         // Valid measurements, one block whose payload holds an unknown kind
@@ -904,7 +881,7 @@ mod tests {
         bytes[codes_at as usize] = 200;
         let (chunks, cfg, fin) = ([&bytes[..]], PipelineConfig::default(), Some(&[None][..]));
         let errors = [
-            synchronize_stream(chunks, &[None], fin, &LMIN, &cfg).err(),
+            synchronize_stream(chunks, &[None], fin, &LMIN, &cfg, &CancelToken::none()).err(),
             synchronize_stream_incremental(&chunks, &[None], fin, &LMIN, &cfg, 8).err(),
         ];
         for (driver, err) in errors.into_iter().enumerate() {
@@ -933,34 +910,88 @@ mod tests {
         }
     }
 
+    /// `synchronize` reports every error it can return — bad measurements,
+    /// a bad trace, a cyclic trace, bad CLC parameters — without touching
+    /// the caller's trace: records are written only by the final scatter.
     #[test]
-    fn pre_cancelled_token_stops_the_run_immediately() {
-        let mut t = skewed_trace();
-        let init = vec![None, measurements(-500, 0)];
-        let fin = vec![None, measurements(-500, 10_000)];
-        let flag = Arc::new(AtomicBool::new(true));
-        let before: Vec<i64> = t.procs[1].events.iter().map(|e| e.time.as_ps()).collect();
-        let err = synchronize_with_cancel(
-            &mut t,
-            &init,
-            Some(&fin),
-            &LMIN,
-            &PipelineConfig::default(),
-            &CancelToken::none().with_flag(flag),
-        );
-        assert!(matches!(err, Err(PipelineError::Cancelled)));
-        // Cancelled at the entry checkpoint: nothing was rewritten yet.
-        let after: Vec<i64> = t.procs[1].events.iter().map(|e| e.time.as_ps()).collect();
-        assert_eq!(before, after);
+    fn a_failed_synchronize_leaves_the_trace_untouched() {
+        let mut far = skewed_trace();
+        far.procs[1].location.rank = Rank(1 << 20);
+        let coincident = vec![None, measurements(-500, 7)];
+        let good = (vec![None, measurements(-500, 0)], Some(vec![None, measurements(-500, 10_000)]));
+        let bad_mu = PipelineConfig {
+            clc: Some(ClcParams { mu: 0.0, ..ClcParams::default() }),
+            ..PipelineConfig::default()
+        };
+        let cyclic = crate::clc::fixtures::cyclic_after_a_jump();
+        let n_cyclic = cyclic.n_procs();
+        let cases = [
+            (skewed_trace(), vec![None], good.1.clone(), PipelineConfig::default()),
+            (skewed_trace(), coincident.clone(), Some(coincident), PipelineConfig::default()),
+            (far, good.0.clone(), good.1.clone(), PipelineConfig::default()),
+            (cyclic, vec![None; n_cyclic], Some(vec![None; n_cyclic]), PipelineConfig::default()),
+            (skewed_trace(), good.0.clone(), good.1.clone(), bad_mu),
+        ];
+        let mut seen = Vec::new();
+        for (before, init, fin, cfg) in cases {
+            let mut trace = before.clone();
+            let err = synchronize(&mut trace, &init, fin.as_deref(), &LMIN, &cfg).unwrap_err();
+            seen.push(match err {
+                PipelineError::BadMeasurements(_) => "measurements",
+                PipelineError::BadTrace(_) => "trace",
+                PipelineError::Clc(ClcError::CyclicTrace) => "cyclic",
+                PipelineError::Clc(ClcError::BadParams(_)) => "params",
+                other => panic!("unexpected error {other:?}"),
+            });
+            for (p, (a, b)) in before.procs.iter().zip(&trace.procs).enumerate() {
+                assert_eq!(a.location, b.location, "{err}: proc {p}");
+                assert_eq!(a.events, b.events, "{err}: proc {p} rewritten");
+            }
+        }
+        assert_eq!(seen, ["measurements", "measurements", "trace", "cyclic", "params"]);
+    }
+
+    /// A probe that trips on its n-th poll, for every n up to the run's
+    /// last checkpoint, stops `synchronize_stream` with `Cancelled`; once n
+    /// passes the last poll the run completes with the uncancelled result.
+    #[test]
+    fn a_cancel_at_any_checkpoint_is_cancelled_never_partial() {
+        let bytes = tracefmt::io::to_binary_columnar_v3_blocked(&skewed_trace(), 4);
+        let init = vec![None, measurements(-530, 0)];
+        let fin = vec![None, measurements(-530, 10_000)];
+        let cfg = PipelineConfig::default();
+        let run = |cancel: &CancelToken| {
+            synchronize_stream([&bytes[..]], &init, Some(&fin), &LMIN, &cfg, cancel)
+        };
+        let (want, want_rep) = run(&CancelToken::none()).unwrap();
+        let mut n = 1;
+        let (got, rep) = loop {
+            let polls = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let seen = Arc::clone(&polls);
+            let token = CancelToken::none()
+                .with_probe(Arc::new(move || seen.fetch_add(1, Ordering::Relaxed) + 1 >= n));
+            match run(&token) {
+                Ok(done) => break done,
+                Err(PipelineError::Cancelled) => {}
+                Err(e) => panic!("trip at poll {n}: {e:?}"),
+            }
+            assert!(polls.load(Ordering::Relaxed) == n, "trip at poll {n} was not the last poll");
+            n += 1;
+        };
+        assert!(n > 4, "only {} checkpoints", n - 1);
+        for (a, b) in want.procs.iter().zip(&got.procs) {
+            assert_eq!(a.events, b.events);
+        }
+        assert_eq!(rep.clc.unwrap().n_jumps(), want_rep.clc.unwrap().n_jumps());
     }
 
     #[test]
     fn expired_deadline_cancels_the_run() {
-        let mut t = skewed_trace();
+        let bytes = tracefmt::io::to_binary_columnar_v3_blocked(&skewed_trace(), 16);
         let init = vec![None, measurements(-500, 0)];
         let fin = vec![None, measurements(-500, 10_000)];
-        let err = synchronize_with_cancel(
-            &mut t,
+        let err = synchronize_stream(
+            [&bytes[..]],
             &init,
             Some(&fin),
             &LMIN,
@@ -968,25 +999,11 @@ mod tests {
             &CancelToken::none().with_deadline(Instant::now() - Duration::from_millis(1)),
         );
         assert!(matches!(err, Err(PipelineError::Cancelled)), "expected Cancelled, got {err:?}");
-    }
-
-    #[test]
-    fn unarmed_token_never_cancels() {
-        let token = CancelToken::none();
+        let flag = Arc::new(AtomicBool::new(false));
+        let token = CancelToken::none().with_flag(Arc::clone(&flag));
         assert!(!token.is_cancelled());
-        let mut t = skewed_trace();
-        let init = vec![None, measurements(-500, 0)];
-        let fin = vec![None, measurements(-500, 10_000)];
-        let rep = synchronize_with_cancel(
-            &mut t,
-            &init,
-            Some(&fin),
-            &LMIN,
-            &PipelineConfig::default(),
-            &token,
-        )
-        .unwrap();
-        assert_eq!(rep.after_clc.unwrap().total_violations(), 0);
+        flag.store(true, Ordering::Relaxed);
+        assert!(token.is_cancelled());
     }
 
     /// Probe schedule matching `skewed_trace`'s worker: master − worker
@@ -998,26 +1015,6 @@ mod tests {
             rtt: Dur::from_us(10),
         };
         vec![Vec::new(), vec![probe(0), probe(5_000), probe(11_000)]]
-    }
-
-    #[test]
-    fn interp_method_skips_the_clc_even_when_configured() {
-        let mut t = skewed_trace();
-        let init = vec![None, measurements(-530, 0)];
-        let fin = vec![None, measurements(-530, 10_000)];
-        let cfg = PipelineConfig {
-            method: SyncMethod::Interp,
-            clc: Some(ClcParams::default()),
-            ..PipelineConfig::default()
-        };
-        let rep = synchronize(&mut t, &init, Some(&fin), &LMIN, &cfg).unwrap();
-        // Inaccurate probes leave residual violations — and with the
-        // interp method nothing cleans them up.
-        assert!(rep.after_presync.total_violations() > 0);
-        assert!(rep.after_clc.is_none());
-        assert!(rep.clc.is_none());
-        assert!(rep.stats.stage("clc").is_none());
-        assert!(rep.stats.stage("lower").is_none());
     }
 
     #[test]

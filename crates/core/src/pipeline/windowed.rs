@@ -73,10 +73,6 @@ use tracefmt::io::{
 };
 use tracefmt::{Capture, EventId, EventKind, Location, MinLatency, Rank};
 
-/// A finalized-chunk consumer for the streaming entry point: called with
-/// `(index, chunk)` in dense order; returning `false` aborts the run.
-pub type FrameSink<'a> = dyn Fn(u64, &[u8]) -> bool + 'a;
-
 /// Outcome of an incremental windowed run: what [`PipelineReport`] is to
 /// the batch entry points, minus the censuses (see the module docs).
 ///
@@ -827,69 +823,30 @@ pub fn synchronize_stream_incremental(
     cfg: &PipelineConfig,
     window_events: usize,
 ) -> Result<(Vec<Vec<u8>>, IncrementalReport), PipelineError> {
-    synchronize_stream_incremental_with_cancel(
-        chunks,
-        init,
-        fin,
-        lmin,
-        cfg,
-        window_events,
-        &CancelToken::none(),
-    )
-}
-
-/// [`synchronize_stream_incremental`] with a cooperative [`CancelToken`],
-/// polled once per processing epoch and once per passthrough block.
-#[allow(clippy::too_many_arguments)]
-pub fn synchronize_stream_incremental_with_cancel(
-    chunks: &[&[u8]],
-    init: &[Option<OffsetMeasurement>],
-    fin: Option<&[Option<OffsetMeasurement>]>,
-    lmin: &dyn MinLatency,
-    cfg: &PipelineConfig,
-    window_events: usize,
-    cancel: &CancelToken,
-) -> Result<(Vec<Vec<u8>>, IncrementalReport), PipelineError> {
     let mut out = Vec::new();
     let mut collect = |chunk| {
         out.push(chunk);
         true
     };
-    let report = run_incremental(chunks, init, fin, lmin, cfg, window_events, cancel, &mut collect)?;
+    let none = CancelToken::none();
+    let report = synchronize_stream_incremental_with_sink(
+        chunks, init, fin, lmin, cfg, window_events, &none, &mut collect,
+    )?;
     Ok((out, report))
 }
 
-/// [`synchronize_stream_incremental_with_cancel`] that *streams* the
-/// corrected chunks to `sink` as they finalize instead of accumulating
-/// them: `sink(index, chunk)` is called with dense indices from 0 (the
-/// magic chunk) through the trailer, in order, while the run progresses.
-/// The chunk sequence is deterministic for a given input, so a retried
-/// run re-emits identical chunks at identical indices — a sink can resume
-/// from a high-water mark. Returning `false` from the sink aborts the run
-/// with [`PipelineError::Cancelled`]. The returned report's `frames` and
-/// `events` count what was emitted; no chunks are retained in memory.
+/// [`synchronize_stream_incremental`] with a cooperative [`CancelToken`]
+/// (polled once per processing epoch and once per passthrough block) that
+/// hands the corrected chunks to `consume` as they finalize instead of
+/// collecting them: by value, in order, from the magic chunk through the
+/// trailer, while the run progresses. The chunk sequence is deterministic
+/// for a given input, so a retried run re-emits identical chunks in the
+/// same order — a consumer can resume from a high-water mark. Returning
+/// `false` from `consume` aborts the run with [`PipelineError::Cancelled`]
+/// (a stalled consumer cancels *its own* run, never wedges the engine).
+/// The returned report's `frames` and `events` count what was emitted.
 #[allow(clippy::too_many_arguments)]
 pub fn synchronize_stream_incremental_with_sink(
-    chunks: &[&[u8]],
-    init: &[Option<OffsetMeasurement>],
-    fin: Option<&[Option<OffsetMeasurement>]>,
-    lmin: &dyn MinLatency,
-    cfg: &PipelineConfig,
-    window_events: usize,
-    cancel: &CancelToken,
-    sink: &FrameSink<'_>,
-) -> Result<IncrementalReport, PipelineError> {
-    let mut next = 0u64;
-    let mut numbered = |chunk: Vec<u8>| {
-        let taken = sink(next, &chunk);
-        next += 1;
-        taken
-    };
-    run_incremental(chunks, init, fin, lmin, cfg, window_events, cancel, &mut numbered)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_incremental(
     chunks: &[&[u8]],
     init: &[Option<OffsetMeasurement>],
     fin: Option<&[Option<OffsetMeasurement>]>,
@@ -1132,17 +1089,54 @@ mod tests {
     fn pre_cancelled_token_stops_immediately() {
         let base = mixed_trace(2, 3);
         let bytes = to_binary_columnar_v3_blocked(&base, 4);
-        let chunks: Vec<&[u8]> = vec![&bytes];
-        let err = synchronize_stream_incremental_with_cancel(
-            &chunks,
+        let mut taken = 0;
+        let err = synchronize_stream_incremental_with_sink(
+            &[&bytes[..]],
             &[None, None],
             None,
             &LMIN,
             &cfg(Some(ClcParams::default())),
             16,
             &CancelToken::none().with_flag(Arc::new(AtomicBool::new(true))),
+            &mut |_| {
+                taken += 1;
+                true
+            },
         );
         assert!(matches!(err, Err(PipelineError::Cancelled)));
+        assert_eq!(taken, 0, "a cancelled run emitted chunks");
+    }
+
+    /// A consumer that refuses its k-th chunk stops the run there, with
+    /// and without the CLC: `Cancelled`, and not one chunk more offered.
+    #[test]
+    fn a_refused_chunk_cancels_the_run() {
+        let base = mixed_trace(3, 4);
+        let bytes = to_binary_columnar_v3_blocked(&base, 4);
+        for clc in [Some(ClcParams::default()), None] {
+            let (all, _) =
+                synchronize_stream_incremental(&[&bytes[..]], &[None; 3], None, &LMIN, &cfg(clc), 8)
+                    .unwrap();
+            assert!(all.len() > 3, "fixture emits too few chunks");
+            for refuse_at in 0..all.len() {
+                let mut offered = Vec::new();
+                let err = synchronize_stream_incremental_with_sink(
+                    &[&bytes[..]],
+                    &[None; 3],
+                    None,
+                    &LMIN,
+                    &cfg(clc),
+                    8,
+                    &CancelToken::none(),
+                    &mut |chunk| {
+                        offered.push(chunk);
+                        offered.len() <= refuse_at
+                    },
+                );
+                assert!(matches!(err, Err(PipelineError::Cancelled)), "refused at {refuse_at}");
+                assert_eq!(offered[..], all[..=refuse_at], "refused at {refuse_at}");
+            }
+        }
     }
 
     #[test]

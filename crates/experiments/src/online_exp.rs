@@ -167,7 +167,7 @@ fn race(
         scenario: scenario.to_string(),
         messages: trace.n_message_events() / 2,
         raw: census(trace, lmin),
-        interp: run(PipelineConfig { method: SyncMethod::Interp, ..Default::default() }),
+        interp: run(PipelineConfig { clc: None, ..Default::default() }),
         clc: run(PipelineConfig::default()),
         online: run(PipelineConfig {
             method: SyncMethod::Online(OnlineSpec::new(probes.to_vec())),

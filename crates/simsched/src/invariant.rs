@@ -16,8 +16,7 @@
 
 use crate::workload::WorkItem;
 use clocksync::{
-    synchronize_stream_incremental_with_cancel, synchronize_stream_with_cancel,
-    synchronize_with_cancel, CancelToken, PipelineError,
+    synchronize_stream, synchronize_stream_incremental, CancelToken, PipelineError,
 };
 use syncd::{Counter, JobError, JobInput, JobOutcome, JobSpec, MetricsSnapshot};
 use tracefmt::Trace;
@@ -152,42 +151,21 @@ pub fn run_oracle(spec: &JobSpec) -> Oracle {
     let pipeline = &spec.pipeline;
     let fin = spec.fin.as_deref();
     let lmin = &*spec.lmin;
-    let cancel = CancelToken::none();
     let result = match &spec.input {
-        JobInput::Trace(trace) => {
-            let mut work = trace.clone();
-            synchronize_with_cancel(&mut work, &spec.init, fin, lmin, pipeline, &cancel)
-                .map(|_| work)
+        JobInput::Stream(chunks) => {
+            let chunks = chunks.iter().map(Vec::as_slice);
+            synchronize_stream(chunks, &spec.init, fin, lmin, pipeline, &CancelToken::none())
+                .map(|(trace, _)| trace)
         }
-        JobInput::Stream(chunks) => synchronize_stream_with_cancel(
-            chunks.iter().map(|c| c.as_slice()),
-            &spec.init,
-            fin,
-            lmin,
-            pipeline,
-            &cancel,
-        )
-        .map(|(trace, _)| trace),
-        JobInput::StreamIncremental {
-            chunks,
-            window_events,
-        } => {
-            let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-            synchronize_stream_incremental_with_cancel(
-                &refs,
-                &spec.init,
-                fin,
-                lmin,
-                pipeline,
-                *window_events,
-                &cancel,
-            )
-            // The oracle compares *traces*, so decode the emitted frames
-            // the same way the checker decodes the job's frames below.
-            .and_then(|(frames, _)| {
-                tracefmt::io::from_binary_columnar(frames.concat().into())
-                    .map_err(PipelineError::Codec)
-            })
+        JobInput::StreamIncremental { chunks, window_events } => {
+            let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+            synchronize_stream_incremental(&refs, &spec.init, fin, lmin, pipeline, *window_events)
+                // The oracle compares *traces*, so decode the emitted frames
+                // the same way the checker decodes the job's frames below.
+                .and_then(|(frames, _)| {
+                    tracefmt::io::from_binary_columnar(frames.concat().into())
+                        .map_err(PipelineError::Codec)
+                })
         }
     };
     match result {

@@ -1,7 +1,7 @@
 //! Seeded workload generation: the jobs a simulated campaign runs.
 //!
-//! Everything about the workload — trace shapes, clock skews, stream vs.
-//! in-memory inputs, byte-level poisoning, priorities, deadlines, retry
+//! Everything about the workload — trace shapes, clock skews, chunking,
+//! byte-level poisoning, priorities, deadlines, retry
 //! budgets — is drawn from one PRNG seeded with the campaign seed alone.
 //! The *schedule* draws from a different stream (see
 //! [`harness`](crate::harness)), so shrinking a failing schedule never
@@ -47,10 +47,11 @@ fn churn_job(
     (s.trace, s.init, s.fin, s.probes)
 }
 
-/// Generate `jobs` work items from `seed`. Roughly a third arrive as
-/// `DTC3` columnar streams, a quarter of those poisoned at the byte level
-/// and a third of them run through the incremental windowed engine with a
-/// small random window;
+/// Generate `jobs` work items from `seed`. Every job is the `DTC3` stream a
+/// tracer writes. Roughly two thirds arrive clean, as one chunk; the rest
+/// are cut into random chunks, a quarter of those poisoned at the byte
+/// level and a third of them run through the incremental windowed engine
+/// with a small random window;
 /// a fifth of the traces come from the dynamic-membership churn scenario
 /// (NTP islands, joins/leaves, probe schedules), and a quarter of the
 /// non-incremental jobs run the online sync method instead of the CLC;
@@ -76,10 +77,9 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
                 (trace, init, fin, probes)
             };
 
-            let as_stream = rng.gen_bool(1.0 / 3.0);
+            let bytes = to_binary_columnar_v3_blocked(&trace, 16);
             let mut poisoned = false;
-            let input = if as_stream {
-                let bytes = to_binary_columnar_v3_blocked(&trace, 16);
+            let input = if rng.gen_bool(1.0 / 3.0) {
                 let mut chunks = chunked(&bytes, rng.gen_range(32usize..256));
                 if rng.gen_bool(0.25) {
                     poisoned = true;
@@ -105,7 +105,7 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
                     JobInput::Stream(chunks)
                 }
             } else {
-                JobInput::Trace(trace)
+                JobInput::Stream(vec![bytes.to_vec()])
             };
 
             let mut pipeline = PipelineConfig::default();
@@ -149,9 +149,6 @@ mod tests {
             assert_eq!(x.spec.deadline, y.spec.deadline);
             assert_eq!(x.spec.max_retries, y.spec.max_retries);
             match (&x.spec.input, &y.spec.input) {
-                (JobInput::Trace(t), JobInput::Trace(u)) => {
-                    assert_eq!(t.n_events(), u.n_events())
-                }
                 (JobInput::Stream(c), JobInput::Stream(d)) => assert_eq!(c, d),
                 (
                     JobInput::StreamIncremental { chunks: c, window_events: v },
@@ -178,7 +175,7 @@ mod tests {
             .count();
         let poisoned = items.iter().filter(|i| i.poisoned).count();
         let deadlines = items.iter().filter(|i| i.spec.deadline.is_some()).count();
-        assert!(streams > 0 && streams < 64);
+        assert!(streams > incremental, "{streams} batch vs {incremental} incremental jobs");
         assert!(incremental > 0, "no incremental jobs in the workload");
         assert!(poisoned > 0);
         assert!(deadlines > 0);

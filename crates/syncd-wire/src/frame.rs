@@ -327,7 +327,9 @@ pub struct WireJobConfig {
     pub init: Vec<Option<WireMeasurement>>,
     /// Finalize measurements (None = align-only data).
     pub fin: Option<Vec<Option<WireMeasurement>>>,
-    /// Synchronization method: 0 interp-only, 1 presync + CLC, 2 online.
+    /// Synchronization method: 1 presync + CLC (the CLC only when `clc` is
+    /// set), 2 online. 0, interpolation only, is still read: it decodes to
+    /// method 1 with the CLC off.
     pub method: u8,
     /// Online filter tuning (meaningful when `method == 2`).
     pub kalman: WireKalman,
@@ -358,7 +360,6 @@ impl WireJobConfig {
             init: Vec::new(),
             fin: None,
             method: match &cfg.method {
-                SyncMethod::Interp => 0,
                 SyncMethod::Clc => 1,
                 SyncMethod::Online(_) => 2,
             },
@@ -402,14 +403,13 @@ impl WireJobConfig {
                 2 => PreSync::Linear,
                 _ => return Err(WireError::BadPayload("presync")),
             },
-            clc: self.clc.map(|c| ClcParams {
+            clc: self.clc.filter(|_| self.method != 0).map(|c| ClcParams {
                 mu: c.mu,
                 backward: c.backward,
                 backward_window_factor: c.backward_window_factor,
             }),
             method: match self.method {
-                0 => SyncMethod::Interp,
-                1 => SyncMethod::Clc,
+                0 | 1 => SyncMethod::Clc,
                 2 => SyncMethod::Online(OnlineSpec {
                     probes: Arc::new(
                         self.probes
@@ -1084,6 +1084,23 @@ mod tests {
         assert_eq!(back.method, 2);
         assert_eq!(back.kalman, cfg.kalman);
         assert_eq!(back.probes, cfg.probes);
+    }
+
+    /// Method byte 0 (interpolation only, from older clients) still reads:
+    /// it turns the CLC off whatever the header's CLC field says, and the
+    /// config it decodes to is written back as method 1 with no CLC.
+    #[test]
+    fn interp_method_byte_decodes_to_the_clc_off() {
+        let wire = WireJobConfig { method: 0, ..config() };
+        roundtrip(Frame::JobConfig(Box::new(wire.clone())));
+        let pipeline = wire.pipeline_config().expect("valid");
+        assert!(matches!(pipeline.method, SyncMethod::Clc));
+        assert!(pipeline.clc.is_none());
+        assert_eq!(pipeline.presync, PreSync::Linear);
+        let back = WireJobConfig::new(&pipeline, wire.lmin.clone());
+        assert_eq!((back.method, back.clc), (1, None));
+        let again = back.pipeline_config().expect("valid");
+        assert!(matches!(again.method, SyncMethod::Clc) && again.clc.is_none());
     }
 
     #[test]

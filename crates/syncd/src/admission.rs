@@ -1,11 +1,11 @@
 //! Admission control: memory-cost estimation and the bounded priority
 //! queue.
 //!
-//! Cost estimation is deliberately cheap. For an in-memory trace the
-//! event count is already known; for a columnar stream the estimator runs
-//! [`estimate_columnar_stream`] — a header-only scan that reads 16 bytes
-//! per block and skips every payload — so admission never decodes (or
-//! allocates for) a stream it is about to reject.
+//! Cost estimation is deliberately cheap: the estimator runs
+//! [`estimate_columnar_stream`] over a job's `DTC3` chunks — a header-only
+//! scan that reads 16 bytes per block and skips every payload — so
+//! admission never decodes (or allocates for) a stream it is about to
+//! reject.
 
 use crate::job::{JobInput, Priority};
 use std::collections::VecDeque;
@@ -41,12 +41,7 @@ const PER_JOB_BASE: u64 = 16 * 1024;
 /// Estimate what admitting `input` will cost, without decoding it. A
 /// malformed stream is priced like any other — the run answers for it.
 pub fn estimate_job_cost(input: &JobInput) -> JobCost {
-    let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     match input {
-        JobInput::Trace(trace) => {
-            let events = trace.n_events() as u64;
-            JobCost { bytes: PER_JOB_BASE + events * record, events, complete: true }
-        }
         JobInput::Stream(chunks) => stream_cost(chunks, false),
         JobInput::StreamIncremental { chunks, .. } => stream_cost(chunks, true),
     }
@@ -179,9 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn trace_cost_scales_with_events() {
-        let small = estimate_job_cost(&JobInput::Trace(tiny_trace(10)));
-        let large = estimate_job_cost(&JobInput::Trace(tiny_trace(1000)));
+    fn stream_cost_scales_with_events() {
+        let cost = |n| {
+            let bytes = to_binary_columnar_v3_blocked(&tiny_trace(n), 16);
+            estimate_job_cost(&JobInput::Stream(vec![bytes.to_vec()]))
+        };
+        let (small, large) = (cost(10), cost(1000));
         assert_eq!(small.events, 20);
         assert_eq!(large.events, 2000);
         assert!(large.bytes > small.bytes);

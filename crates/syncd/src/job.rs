@@ -45,13 +45,11 @@ impl Priority {
     }
 }
 
-/// What the job synchronizes: an in-memory trace, or a `DTC3` byte stream
-/// fed to the streaming ingest path.
+/// What the job synchronizes: the `DTC3` bytes a tracer wrote, run
+/// through the batch or the windowed engine. A trace already in memory is
+/// the library's to synchronize ([`clocksync::synchronize`]).
 #[derive(Clone)]
 pub enum JobInput {
-    /// An already-decoded trace (cloned per attempt so retries start from
-    /// the raw timestamps).
-    Trace(Trace),
     /// `DTC3` chunks, exactly as they would arrive from a socket or file
     /// reader. The service estimates its memory cost from the block
     /// headers alone before admitting the job.
@@ -74,7 +72,6 @@ impl JobInput {
     /// A short human label for logs and errors.
     pub fn kind(&self) -> &'static str {
         match self {
-            JobInput::Trace(_) => "trace",
             JobInput::Stream(_) => "stream",
             JobInput::StreamIncremental { .. } => "stream-incremental",
         }
@@ -97,7 +94,7 @@ pub type FrameSink = Arc<dyn Fn(u64, &[u8]) -> bool + Send + Sync>;
 /// input through a direct pipeline call when checking bit-identity.
 #[derive(Clone)]
 pub struct JobSpec {
-    /// The trace (in-memory or streamed bytes).
+    /// The trace's bytes and the engine that runs them.
     pub input: JobInput,
     /// Init offset measurements, one per process.
     pub init: Vec<Option<OffsetMeasurement>>,

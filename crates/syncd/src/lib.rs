@@ -3,7 +3,8 @@
 //! Everything below this crate is a *library*: you hand
 //! [`clocksync::synchronize`] one trace and get one corrected trace back.
 //! `syncd` turns that library into a long-running **service** that many
-//! tenants share:
+//! tenants share. What reaches a service is what a tracer wrote after the
+//! run: `DTC3` bytes, in whatever chunks they arrive ([`JobInput`]).
 //!
 //! * **Admission control** — submissions pass a bounded queue and a
 //!   memory budget before anything is decoded. A streamed `DTC3` job's cost
@@ -33,20 +34,22 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use syncd::{JobInput, JobSpec, SyncService};
+//! use syncd::{chunked, JobInput, JobSpec, SyncService};
+//! use tracefmt::io::to_binary_columnar_v3;
 //! use tracefmt::UniformLatency;
 //! use simclock::Dur;
 //!
 //! let service = SyncService::start_default();
-//! let trace = tracefmt::Trace::for_ranks(2);
-//! // An empty trace with no offset measurements: run the censuses only.
+//! // An empty two-rank trace as a tracer would write it, in 4 KiB chunks.
+//! let bytes = to_binary_columnar_v3(&tracefmt::Trace::for_ranks(2));
+//! // No offset measurements: run the censuses only.
 //! let cfg = clocksync::PipelineConfig {
 //!     presync: clocksync::PreSync::None,
 //!     clc: None,
 //!     ..clocksync::PipelineConfig::default()
 //! };
 //! let spec = JobSpec::new(
-//!     JobInput::Trace(trace),
+//!     JobInput::Stream(chunked(&bytes, 4096)),
 //!     vec![None, None],
 //!     None,
 //!     Arc::new(UniformLatency(Dur::from_us(1))),
@@ -54,7 +57,7 @@
 //! );
 //! let handle = service.submit(spec).unwrap();
 //! let outcome = handle.wait();
-//! assert!(outcome.is_ok());
+//! assert_eq!(outcome.unwrap().trace.n_procs(), 2);
 //! service.shutdown();
 //! ```
 

@@ -33,21 +33,20 @@
 
 use crate::admission::{estimate_job_cost, PriorityQueue, Queued};
 use crate::job::{
-    JobError, JobFailure, JobHandle, JobId, JobOutcome, JobSpec, JobState, JobSuccess,
+    JobError, JobFailure, JobHandle, JobId, JobInput, JobOutcome, JobSpec, JobState, JobSuccess,
     SubmitError,
 };
 use crate::metrics::{Counter, MetricsRegistry, MetricsSnapshot};
 use crate::runtime::{AttemptProbe, RealRuntime, Runtime};
 use clocksync::{
-    synchronize_stream_incremental_with_cancel, synchronize_stream_incremental_with_sink,
-    synchronize_stream_with_cancel, synchronize_with_cancel, CancelToken, PipelineError,
+    synchronize_stream, synchronize_stream_incremental_with_sink, CancelToken, PipelineError,
 };
-use simclock::Time;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+use tracefmt::Trace;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -571,81 +570,39 @@ impl JobRun {
         if let Some(probe) = probe {
             cancel = cancel.with_probe(Arc::clone(probe));
         }
-        // The pipeline rewrites timestamps only — never event structure —
-        // so retry isolation does not need a full `Trace::clone` per
-        // attempt (the seam that cost ~10% over direct calls). Instead the
-        // attempt runs in place, and when a retry is still possible we keep
-        // an 8-byte-per-event timestamp snapshot to roll a failed attempt
-        // back bit-exactly. When this is the last permitted attempt no
-        // snapshot is taken at all.
-        let retry_possible = self.attempts < self.max_attempts;
-        let spec = &mut self.ticket.spec;
-        let snapshot: Option<Vec<Vec<Time>>> = match (&spec.input, retry_possible) {
-            (crate::job::JobInput::Trace(trace), true) => Some(snapshot_times(trace)),
-            _ => None,
-        };
-        let init = &spec.init;
-        let fin = spec.fin.as_deref();
-        let lmin = &*spec.lmin;
-        let pipeline = &spec.pipeline;
-        let frame_sink = spec.frame_sink.clone();
-        let input = &mut spec.input;
-        let result = catch_unwind(AssertUnwindSafe(|| match input {
-            crate::job::JobInput::Trace(trace) => {
-                synchronize_with_cancel(trace, init, fin, lmin, pipeline, &cancel).map(
-                    |report| {
-                        // Move the corrected trace out; the ticket keeps an
-                        // empty husk (the job is finished either way).
-                        let done = std::mem::replace(trace, tracefmt::Trace::for_ranks(0));
-                        (done, report, Vec::new())
-                    },
-                )
+        let spec = &self.ticket.spec;
+        let (init, fin, lmin, cfg) =
+            (&spec.init, spec.fin.as_deref(), &*spec.lmin, &spec.pipeline);
+        // The input is bytes and the drivers only read them, so a retry
+        // starts from the submitted stream with nothing to roll back.
+        let result = catch_unwind(AssertUnwindSafe(|| match &spec.input {
+            JobInput::Stream(chunks) => {
+                let chunks = chunks.iter().map(Vec::as_slice);
+                synchronize_stream(chunks, init, fin, lmin, cfg, &cancel)
+                    .map(|(trace, report)| (trace, report, Vec::new()))
             }
-            crate::job::JobInput::Stream(chunks) => synchronize_stream_with_cancel(
-                chunks.iter().map(|c| c.as_slice()),
-                init,
-                fin,
-                lmin,
-                pipeline,
-                &cancel,
-            )
-            .map(|(trace, report)| (trace, report, Vec::new())),
-            crate::job::JobInput::StreamIncremental {
-                chunks,
-                window_events,
-            } => {
-                let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-                match frame_sink.as_deref() {
-                    // A sink (the network layer) takes the corrected frames
-                    // as they are sealed; nothing is collected in memory.
-                    Some(sink) => synchronize_stream_incremental_with_sink(
-                        &refs,
-                        init,
-                        fin,
-                        lmin,
-                        pipeline,
-                        *window_events,
-                        &cancel,
-                        sink,
-                    )
-                    .map(|inc| {
-                        (tracefmt::Trace::for_ranks(0), inc.to_pipeline_report(), Vec::new())
-                    }),
-                    None => synchronize_stream_incremental_with_cancel(
-                        &refs,
-                        init,
-                        fin,
-                        lmin,
-                        pipeline,
-                        *window_events,
-                        &cancel,
-                    )
-                    // The corrected output IS the frames; the empty trace is
-                    // documented on `JobSuccess::trace`.
-                    .map(|(frames, inc)| {
-                        (tracefmt::Trace::for_ranks(0), inc.to_pipeline_report(), frames)
-                    }),
-                }
+            JobInput::StreamIncremental { chunks, window_events } => {
+                let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+                // A sink (the network layer) takes the corrected chunks,
+                // numbered, as they are sealed; without one they are the
+                // success payload. The empty trace is documented on
+                // `JobSuccess::trace`.
+                let mut frames = Vec::new();
+                let mut next = 0;
+                let mut consume = |chunk: Vec<u8>| match &spec.frame_sink {
+                    Some(sink) => {
+                        next += 1;
+                        sink(next - 1, &chunk)
+                    }
+                    None => {
+                        frames.push(chunk);
+                        true
+                    }
+                };
+                synchronize_stream_incremental_with_sink(
+                    &refs, init, fin, lmin, cfg, *window_events, &cancel, &mut consume,
+                )
+                .map(|inc| (Trace::for_ranks(0), inc.to_pipeline_report(), frames))
             }
         }));
         match result {
@@ -667,45 +624,12 @@ impl JobRun {
                     AttemptOutcome::Terminal(JobError::DeadlineExceeded)
                 }
             }
-            Ok(Err(err)) => {
-                self.rollback(snapshot);
-                AttemptOutcome::Retryable(JobError::Pipeline(err))
-            }
+            Ok(Err(err)) => AttemptOutcome::Retryable(JobError::Pipeline(err)),
             Err(payload) => {
-                self.rollback(snapshot);
                 shared.metrics.inc(Counter::JobPanics);
                 let msg = panic_message(payload.as_ref());
                 AttemptOutcome::Retryable(JobError::Panicked(msg))
             }
-        }
-    }
-
-    /// Undo a failed in-place attempt so the retry starts from the
-    /// submitted timestamps, bit for bit.
-    fn rollback(&mut self, snapshot: Option<Vec<Vec<Time>>>) {
-        if let (Some(snap), crate::job::JobInput::Trace(trace)) =
-            (snapshot, &mut self.ticket.spec.input)
-        {
-            restore_times(trace, &snap);
-        }
-    }
-}
-
-/// Per-timeline timestamp copy — the only state the pipeline mutates.
-fn snapshot_times(trace: &tracefmt::Trace) -> Vec<Vec<Time>> {
-    trace
-        .procs
-        .iter()
-        .map(|p| p.events.iter().map(|e| e.time).collect())
-        .collect()
-}
-
-fn restore_times(trace: &mut tracefmt::Trace, snap: &[Vec<Time>]) {
-    debug_assert_eq!(trace.procs.len(), snap.len());
-    for (proc, times) in trace.procs.iter_mut().zip(snap) {
-        debug_assert_eq!(proc.events.len(), times.len());
-        for (event, &t) in proc.events.iter_mut().zip(times) {
-            event.time = t;
         }
     }
 }
@@ -768,13 +692,19 @@ pub(crate) mod tests {
         Arc::new(UniformLatency(Dur::from_us(1)))
     }
 
+    /// `trace` as the stream job a tracer's bytes make: `DTC3`, 16-event
+    /// blocks, 64-byte chunks.
+    fn stream(trace: &Trace) -> JobInput {
+        JobInput::Stream(chunked(&to_binary_columnar_v3_blocked(trace, 16), 64))
+    }
+
     fn spec(input: JobInput) -> JobSpec {
         let (_, init, fin) = fixture(0);
         JobSpec::new(input, init, Some(fin), lmin(), PipelineConfig::default())
     }
 
     #[test]
-    fn trace_job_matches_the_direct_pipeline_call() {
+    fn stream_job_matches_the_direct_pipeline_call() {
         let (trace, init, fin) = fixture(40);
         let mut direct = trace.clone();
         synchronize(
@@ -789,7 +719,7 @@ pub(crate) mod tests {
         let service = SyncService::start_default();
         let handle = service
             .submit(JobSpec::new(
-                JobInput::Trace(trace),
+                stream(&trace),
                 init,
                 Some(fin),
                 lmin(),
@@ -928,7 +858,7 @@ pub(crate) mod tests {
         let handle = service
             .submit(
                 JobSpec::new(
-                    JobInput::Trace(trace),
+                    stream(&trace),
                     init,
                     Some(fin),
                     lmin(),
@@ -973,7 +903,7 @@ pub(crate) mod tests {
         let (trace, init, fin) = fixture(10);
         let handle = service
             .submit(JobSpec::new(
-                JobInput::Trace(trace),
+                stream(&trace),
                 init,
                 Some(fin),
                 lmin(),
@@ -993,9 +923,9 @@ pub(crate) mod tests {
     fn full_queue_and_tiny_budget_reject_typed() {
         let (service, busy) = busy_service(1);
         // One job fits the queue...
-        let q1 = service.submit(spec(JobInput::Trace(fixture(2).0))).unwrap();
+        let q1 = service.submit(spec(stream(&fixture(2).0))).unwrap();
         // ...the next bounces.
-        match service.submit(spec(JobInput::Trace(fixture(2).0))) {
+        match service.submit(spec(stream(&fixture(2).0))) {
             Err(SubmitError::QueueFull { capacity }) => assert_eq!(capacity, 1),
             other => panic!("want QueueFull, got {:?}", other.err()),
         }
@@ -1008,7 +938,7 @@ pub(crate) mod tests {
             memory_budget_bytes: 1,
             ..ServiceConfig::default()
         });
-        match tiny.submit(spec(JobInput::Trace(fixture(2).0))) {
+        match tiny.submit(spec(stream(&fixture(2).0))) {
             Err(SubmitError::OverBudget { estimated, available }) => {
                 assert!(estimated > 1);
                 assert_eq!(available, 1);
@@ -1022,7 +952,7 @@ pub(crate) mod tests {
     #[test]
     fn shutdown_now_fails_queued_jobs_typed() {
         let (service, busy) = busy_service(8);
-        let queued = service.submit(spec(JobInput::Trace(fixture(2).0))).unwrap();
+        let queued = service.submit(spec(stream(&fixture(2).0))).unwrap();
         service.shutdown_now();
         let failure = queued.wait().expect_err("queued job must be failed");
         assert!(matches!(failure.error, JobError::Shutdown));
@@ -1033,10 +963,10 @@ pub(crate) mod tests {
     fn high_priority_jumps_the_queue() {
         let (service, busy) = busy_service(8);
         let low = service
-            .submit(spec(JobInput::Trace(fixture(2).0)).with_priority(Priority::Low))
+            .submit(spec(stream(&fixture(2).0)).with_priority(Priority::Low))
             .unwrap();
         let high = service
-            .submit(spec(JobInput::Trace(fixture(2).0)).with_priority(Priority::High))
+            .submit(spec(stream(&fixture(2).0)).with_priority(Priority::High))
             .unwrap();
         let _ = busy.wait();
         let high_out = high.wait().expect("high-priority job succeeds");

@@ -286,6 +286,12 @@ mod tests {
         (t, vec![None, None])
     }
 
+    /// `trace` as the stream job a tracer's bytes make: `DTC3`, 16-event
+    /// blocks, 64-byte chunks.
+    fn stream(trace: &Trace) -> JobInput {
+        JobInput::Stream(chunked(&to_binary_columnar_v3_blocked(trace, 16), 64))
+    }
+
     fn spec(input: JobInput) -> JobSpec {
         let (_, init) = fixture(0);
         let cfg = PipelineConfig {
@@ -312,7 +318,7 @@ mod tests {
             executors: 1,
             ..ServiceConfig::default()
         });
-        let handle = s.submit(spec(JobInput::Trace(fixture(4).0))).unwrap();
+        let handle = s.submit(spec(stream(&fixture(4).0))).unwrap();
         assert!(s.can_progress(0));
         let id = handle.id();
         assert_eq!(s.step(0, None), StepEvent::Dispatched { job: id });
@@ -370,8 +376,8 @@ mod tests {
             executors: 2,
             ..ServiceConfig::default()
         });
-        let h1 = s.submit(spec(JobInput::Trace(fixture(2).0))).unwrap();
-        let h2 = s.submit(spec(JobInput::Trace(fixture(2).0))).unwrap();
+        let h1 = s.submit(spec(stream(&fixture(2).0))).unwrap();
+        let h2 = s.submit(spec(stream(&fixture(2).0))).unwrap();
         s.begin_shutdown(true);
         assert_eq!(s.step(0, None), StepEvent::Exited { drained: 2 });
         assert_eq!(s.step(1, None), StepEvent::Exited { drained: 0 });
@@ -391,7 +397,7 @@ mod tests {
             executors: 1,
             ..ServiceConfig::default()
         });
-        let handle = s.submit(spec(JobInput::Trace(fixture(16).0))).unwrap();
+        let handle = s.submit(spec(stream(&fixture(16).0))).unwrap();
         let id = handle.id();
         assert_eq!(s.step(0, None), StepEvent::Dispatched { job: id });
         // A probe that arms the job's real cancel flag at the first
@@ -420,7 +426,7 @@ mod tests {
             max_retries: 0,
             ..ServiceConfig::default()
         });
-        let handle = s.submit(spec(JobInput::Trace(fixture(16).0))).unwrap();
+        let handle = s.submit(spec(stream(&fixture(16).0))).unwrap();
         let id = handle.id();
         assert_eq!(s.step(0, None), StepEvent::Dispatched { job: id });
         let probe: AttemptProbe = Arc::new(|| panic!("injected worker crash"));

@@ -1,9 +1,6 @@
-//! Trace codecs: a human-readable text format and one block-framed binary
-//! format, `DTC3`.
+//! The trace codec: one block-framed binary format, `DTC3`.
 //!
-//! The text format ([`to_text`] / [`from_text`]) writes one event per line
-//! (`rank:thread time_ps MNEMONIC args…`), convenient for diffing and
-//! debugging. The binary format is what a tracing library would flush to
+//! It is what a tracing library would flush to
 //! disk (paper §III: buffers are flushed at termination or when full) and
 //! what every other part of this repository reads back: a magic, then
 //! length-prefixed per-timeline block frames whose timestamps are a dense
@@ -18,9 +15,9 @@
 //!
 //! The encoder is [`to_binary_columnar_v3`]. Timestamps are 8-byte-aligned
 //! *little-endian* `i64` runs and the kind/args records have a fixed
-//! stride, so an aligned buffer (an mmap, a stream chunk) is reinterpreted
-//! as a run of a timestamp column in one bulk copy (DESIGN.md §14 records
-//! what the layout costs in bytes). The frame grammar is written once, in
+//! stride, so a block's timestamps decode as one loop of word loads into
+//! their column run (DESIGN.md §14 records what the layout costs in
+//! bytes). The frame grammar is written once, in
 //! the private `frame` module, and the segment layout once, in `segment`.
 
 mod decode;
@@ -30,7 +27,6 @@ mod index;
 mod segment;
 #[cfg(test)]
 mod tests;
-mod text;
 
 pub use decode::{decode_indexed, from_binary_columnar};
 pub use encode::{to_binary_columnar_v3, to_binary_columnar_v3_blocked};
@@ -40,7 +36,6 @@ pub use index::{
     StreamIndex,
 };
 pub use segment::{decode_block_kinds, decode_block_times};
-pub use text::{from_text, to_text};
 
 /// Errors arising while decoding a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -3,9 +3,8 @@
 //! each), then every args record (24 bytes each: `a: u32, b: u32, c: u64,
 //! d: u64`, little-endian, unused fields zero).
 //!
-//! The segments are laid out for bulk reinterpretation: an aligned
-//! timestamp run is appended to its column in one copy ([`crate::cast`])
-//! and the fixed stride needs no cursor.
+//! The fixed stride needs no cursor: a block's timestamps are one run of
+//! 8-byte words and its records one run of 24-byte ones.
 
 use super::CodecError;
 use crate::event::{CollOp, EventKind, EventRecord};
@@ -188,11 +187,14 @@ pub(super) fn for_each_kind(
 
 /// Decode one block's raw timestamp segment (as addressed by
 /// [`BlockMeta::times_off`](super::BlockMeta::times_off)) into picosecond
-/// values written over `out`, which holds exactly one value per 8 bytes:
-/// one bulk copy when the run happens to be 8-aligned in memory, unaligned
-/// loads otherwise ([`crate::cast`]).
+/// values written over `out`, which holds exactly one value per 8 bytes.
+/// The loop compiles to unaligned loads with no byte swap on little-endian
+/// targets, wherever the segment sits in memory.
 pub fn decode_block_times(seg: &[u8], out: &mut [i64]) {
-    crate::cast::copy_i64_from_le_bytes(out, seg);
+    assert_eq!(seg.len(), 8 * out.len(), "one 8-byte word per value");
+    for (t, word) in out.iter_mut().zip(seg.chunks_exact(8)) {
+        *t = i64::from_le_bytes(word.try_into().expect("exact chunk"));
+    }
 }
 
 /// Decode one block's kind/args payload (as addressed by

@@ -1,9 +1,10 @@
 //! `syncd` as a multi-tenant service: trace two application twins (a
-//! POP-like ocean model and an SMG2000-like solver), submit both to one
-//! shared `SyncService` — POP twice, once in memory and once as a
-//! `DTC3` byte stream — alongside a *poisoned* stream (corrupted mid-flight) and
-//! a tight-quota tenant whose submission admission control bounces, then
-//! print the service's metrics exporter.
+//! POP-like ocean model and an SMG2000-like solver), submit the `DTC3`
+//! bytes their tracer writes to one shared `SyncService` — POP twice, once
+//! through the batch engine and once through the windowed one — alongside
+//! a *poisoned* stream (corrupted mid-flight) and a tight-quota tenant
+//! whose submission admission control bounces, then print the service's
+//! metrics exporter.
 //!
 //! ```sh
 //! cargo run --release --example sync_service
@@ -64,11 +65,13 @@ fn main() {
     });
     let cfg = PipelineConfig::default();
 
-    // Tenant 1: POP, in memory, high priority.
+    // Tenant 1: POP as a chunked `DTC3` byte stream — what a remote tracer
+    // sends — through the batch engine, high priority.
+    let pop_bytes = to_binary_columnar_v3_blocked(&pop, 4096);
     let pop_job = service
         .submit(
             JobSpec::new(
-                JobInput::Trace(pop.clone()),
+                JobInput::Stream(chunked(&pop_bytes, 64 * 1024)),
                 pop_init.clone(),
                 Some(pop_fin.clone()),
                 Arc::clone(&pop_lmin),
@@ -78,23 +81,26 @@ fn main() {
         )
         .expect("POP job admitted");
 
-    // Tenant 1 again: the same POP trace as a chunked `DTC3` byte stream —
-    // the wire path a remote tracer would use.
-    let pop_bytes = to_binary_columnar_v3_blocked(&pop, 4096);
-    let pop_stream_job = service
+    // Tenant 1 again: the same bytes through the windowed engine, which
+    // keeps O(window) timestamps resident and answers in corrected frames.
+    let pop_windowed_job = service
         .submit(JobSpec::new(
-            JobInput::Stream(chunked(&pop_bytes, 64 * 1024)),
+            JobInput::StreamIncremental {
+                chunks: chunked(&pop_bytes, 64 * 1024),
+                window_events: 1024,
+            },
             pop_init.clone(),
             Some(pop_fin),
             pop_lmin,
             cfg.clone(),
         ))
-        .expect("POP stream job admitted");
+        .expect("POP windowed job admitted");
 
     // Tenant 2: SMG2000, normal priority.
+    let smg_bytes = to_binary_columnar_v3_blocked(&smg, 4096);
     let smg_job = service
         .submit(JobSpec::new(
-            JobInput::Trace(smg),
+            JobInput::Stream(chunked(&smg_bytes, 64 * 1024)),
             smg_init.clone(),
             Some(smg_fin),
             Arc::clone(&smg_lmin),
@@ -144,15 +150,23 @@ fn main() {
     );
     quota_service.shutdown();
 
-    // Collect the outcomes.
-    for (name, job) in [("POP", pop_job), ("POP/stream", pop_stream_job), ("SMG2000", smg_job)] {
+    // Collect the outcomes. The batch engine reports its censuses; the
+    // windowed one skips them and answers in corrected frames.
+    for (name, job) in [("POP", pop_job), ("POP/window", pop_windowed_job), ("SMG2000", smg_job)] {
         let out = job.wait().expect("healthy job succeeds");
-        let after = out.report.after_clc.as_ref().expect("CLC ran");
+        let clc = out.report.clc.as_ref().expect("CLC ran");
+        let result = if out.frames.is_empty() {
+            let after = out.report.after_clc.as_ref().expect("CLC census ran");
+            format!("{} residual violations", after.total_violations())
+        } else {
+            let bytes: usize = out.frames.iter().map(Vec::len).sum();
+            format!("{} corrected frames, {bytes} bytes", out.frames.len())
+        };
         println!(
-            "{name:<11} ok: {} attempts, {:?} run, {} residual violations",
+            "{name:<11} ok: {} attempts, {:?} run, {} jumps, {result}",
             out.attempts,
             out.run_time,
-            after.total_violations()
+            clc.n_jumps()
         );
     }
     match poisoned_job.wait() {

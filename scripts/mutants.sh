@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
-# stream reader, the windowed engine's ring lanes, the batch CLC and the
-# simulator's message path (ROADMAP item 9):
+# stream reader, the windowed engine's ring lanes and its chunk consumer,
+# the batch CLC, Eq. 3's presync, the p2p census bound and the simulator's
+# message path (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -151,6 +152,24 @@ crates/core/src/clc/columnar.rs
 Some(r) if r > candidate => {
 Some(r) if r >= candidate => {
 tests/csr_differential.rs::a_tie_is_not_a_jump
+
+Eq. 3 presync adds its offset without saturating
+crates/core/src/interp.rs
+t.saturating_add(self.offset_at(t))
+t + self.offset_at(t)
+tests/proptest_invariants.rs::presync_saturates_at_the_i64_edges
+
+p2p census bound with its l_min sign flipped
+crates/tracefmt/src/census.rs
+self.bound.push(bound.as_ps());
+self.bound.push(-bound.as_ps());
+tracefmt::census::tests::p2p_census_is_bit_identical_to_reference tests/proptest_invariants.rs::censuses_count_exactly_at_the_i64_edges
+
+windowed driver ignores a consumer's refusal
+crates/core/src/pipeline/windowed.rs
+if (self.consume)(chunk) {
+if (self.consume)(chunk) || true {
+clocksync::pipeline::windowed::tests::a_refused_chunk_cancels_the_run
 EOF
 )
 

@@ -1,13 +1,13 @@
-//! Property-based round-trip guarantees for the trace codecs: arbitrary
+//! Property-based round-trip guarantees for the trace codec: arbitrary
 //! traces — every event kind, negative timestamps, uneven timelines —
-//! must survive the text format and the blocked columnar `DTC3` format
-//! bit-identically, in any chaining order, and the decoder behind the
-//! header index must read the same trace and columns from every chunking
-//! of the byte stream.
+//! must survive the blocked columnar `DTC3` format bit-identically, at any
+//! block size and through any chain of re-encodings, and the decoder
+//! behind the header index must read the same trace and columns from
+//! every chunking of the byte stream.
 
 use drift_lab::tracefmt::io::{
-    decode_indexed, from_binary_columnar, from_text, index_columnar_chunks,
-    to_binary_columnar_v3_blocked, to_text, ChunkStore, CodecError,
+    decode_indexed, from_binary_columnar, index_columnar_chunks, to_binary_columnar_v3_blocked,
+    ChunkStore, CodecError,
 };
 use drift_lab::tracefmt::{CollOp, CommId, EventKind, Rank, RegionId, Tag, Trace, TraceColumns};
 use drift_lab::simclock::Time;
@@ -150,14 +150,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn text_round_trip_is_lossless(trace in arb_trace()) {
-        let text = to_text(&trace);
-        let back = from_text(&text).expect("text decodes");
-        prop_assert!(first_difference(&trace, &back).is_none(),
-            "text round trip diverged: {:?}", first_difference(&trace, &back));
-    }
-
-    #[test]
     fn columnar_round_trip_is_lossless(trace in arb_trace(), block in 1usize..64) {
         let back = from_binary_columnar(to_binary_columnar_v3_blocked(&trace, block))
             .expect("columnar decodes");
@@ -166,18 +158,17 @@ proptest! {
     }
 
     #[test]
-    fn chained_formats_are_lossless(trace in arb_trace(), block in 1usize..32) {
-        // text -> columnar -> text -> columnar, re-decoding at every hop.
-        let hop1 = from_text(&to_text(&trace)).expect("text decodes");
-        let hop2 = from_binary_columnar(to_binary_columnar_v3_blocked(&hop1, block))
-            .expect("columnar decodes");
-        let hop3 = from_binary_columnar(to_binary_columnar_v3_blocked(
-            &from_text(&to_text(&hop2)).expect("text decodes again"),
-            block,
-        ))
-        .expect("columnar decodes again");
-        prop_assert!(first_difference(&trace, &hop3).is_none(),
-            "format chain diverged: {:?}", first_difference(&trace, &hop3));
+    fn chained_formats_are_lossless(trace in arb_trace(), block in 1usize..32, other in 1usize..32) {
+        // Blocks of `block` -> blocks of `other` -> blocks of `block`,
+        // re-decoding at every hop: the last hop writes the first's bytes.
+        let first = to_binary_columnar_v3_blocked(&trace, block);
+        let hop1 = from_binary_columnar(first.clone()).expect("columnar decodes");
+        let hop2 = from_binary_columnar(to_binary_columnar_v3_blocked(&hop1, other))
+            .expect("re-blocked columnar decodes");
+        let last = to_binary_columnar_v3_blocked(&hop2, block);
+        prop_assert!(first_difference(&trace, &hop2).is_none(),
+            "format chain diverged: {:?}", first_difference(&trace, &hop2));
+        prop_assert_eq!(&first[..], &last[..], "re-encoding changed the bytes");
     }
 
     #[test]

@@ -12,7 +12,8 @@ use common::{
     totals,
 };
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream, ClcParams, PipelineConfig, PipelineError, PreSync,
+    synchronize, synchronize_stream, CancelToken, ClcParams, PipelineConfig, PipelineError,
+    PreSync,
 };
 use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 
@@ -78,6 +79,7 @@ fn streamed_ingest_matches_in_memory_pipeline() {
             Some(&fin),
             &lmin,
             &cfg,
+            &CancelToken::none(),
         )
         .expect("streamed pipeline runs");
 
@@ -111,6 +113,7 @@ fn streamed_ingest_rejects_truncated_input() {
         Some(&fin),
         &lmin,
         &PipelineConfig::default(),
+        &CancelToken::none(),
     );
     assert!(
         matches!(err, Err(PipelineError::Codec(_))),

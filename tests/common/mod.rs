@@ -661,8 +661,9 @@ pub fn clc_drivers(
     let mut batch = base.clone();
     synchronize(&mut batch, &init, None, lmin, &cfg).expect("batch driver");
     let bytes = to_binary_columnar_v3_blocked(base, 2);
+    let none = drift_lab::clocksync::CancelToken::none();
     let (streamed, _) =
-        drift_lab::clocksync::synchronize_stream([&bytes[..]], &init, None, lmin, &cfg)
+        drift_lab::clocksync::synchronize_stream([&bytes[..]], &init, None, lmin, &cfg, &none)
             .expect("streamed driver");
     let (windowed, _) = run_windowed_clc(base, lmin, params, 3, "windowed driver");
     [
@@ -719,9 +720,10 @@ pub fn assert_report_matches_reference(
 /// forced before the CPU probe is cached). `DRIFT_STRESS=1` widens the
 /// matrix with a 6000-message trace size.
 pub fn ingest_differential_matrix() {
-    use drift_lab::clocksync::synchronize_stream;
+    use drift_lab::clocksync::{synchronize_stream, CancelToken};
     use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 
+    let none = CancelToken::none();
     let stress = std::env::var("DRIFT_STRESS").is_ok_and(|v| v == "1");
     let sizes: &[(usize, usize)] = if stress {
         &[(3, 60), (5, 400), (8, 1500), (10, 6000)]
@@ -759,7 +761,7 @@ pub fn ingest_differential_matrix() {
                 // Zero-copy streamed ingest, awkward chunk size on
                 // purpose.
                 let (v3_trace, v3_rep) =
-                    synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg)
+                    synchronize_stream(v3.chunks(4096), &init, Some(&fin), &lmin, &cfg, &none)
                         .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
                 assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
                 assert_report_matches_reference(&reference, &v3_rep, &ctx);
@@ -789,7 +791,7 @@ pub fn ingest_differential_matrix() {
             assert_identical(&ref_trace, &trace, &ctx);
             assert_report_matches_reference(&reference, &rep, &ctx);
             let (v3_trace, v3_rep) =
-                synchronize_stream(v3.chunks(4096), &init, Some(&fin), lmin, &cfg)
+                synchronize_stream(v3.chunks(4096), &init, Some(&fin), lmin, &cfg, &none)
                     .unwrap_or_else(|e| panic!("{ctx}: v3 pipeline failed: {e}"));
             assert_identical(&ref_trace, &v3_trace, &format!("{ctx} (v3 stream)"));
             assert_report_matches_reference(&reference, &v3_rep, &ctx);

@@ -136,9 +136,6 @@ proptest! {
 
     #[test]
     fn codecs_round_trip((trace, _) in arb_skewed_trace()) {
-        let text = io::to_text(&trace);
-        let back = io::from_text(&text).unwrap();
-        prop_assert_eq!(back.n_events(), trace.n_events());
         let bin = io::to_binary_columnar_v3(&trace);
         let back = io::from_binary_columnar(bin).unwrap();
         for p in 0..trace.n_procs() {

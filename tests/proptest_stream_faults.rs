@@ -18,8 +18,8 @@ mod common;
 
 use common::{assert_identical, drifted_trace};
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream, synchronize_stream_incremental, ClcError, PipelineConfig,
-    PipelineError,
+    synchronize, synchronize_stream, synchronize_stream_incremental, CancelToken, ClcError,
+    PipelineConfig, PipelineError,
 };
 use drift_lab::prelude::*;
 use drift_lab::syncd::{
@@ -57,6 +57,7 @@ fn run_stream(chunks: &[Vec<u8>], seed: u64) {
         Some(&fin),
         &lmin,
         &PipelineConfig::default(),
+        &CancelToken::none(),
     );
     // Either outcome is fine; reaching here without a panic is the test.
     let _ = result.map(|(t, _)| t.n_events());
@@ -112,7 +113,8 @@ fn cyclic_traces_fail_typed_from_every_driver_service_and_server() {
         let mut batch = trace.clone();
         cyclic(synchronize(&mut batch, &init, None, &lmin, &cfg).map(drop), name);
         assert_identical(&trace, &batch, &format!("{name}: timestamps as submitted"));
-        let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg);
+        let none = CancelToken::none();
+        let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg, &none);
         cyclic(streamed.map(drop), &format!("{name}, streamed"));
         for window in [1, 64] {
             let windowed = synchronize_stream_incremental(&chunks, &init, None, &lmin, &cfg, window);
@@ -126,7 +128,8 @@ fn cyclic_traces_fail_typed_from_every_driver_service_and_server() {
             let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
             JobSpec::new(input, vec![None; 2], None, lmin, cfg.clone())
         };
-        let (stream, next, pipeline) = (chunked(&bytes, 32), healthy.clone(), cfg.clone());
+        let next = chunked(&to_binary_columnar_v3_blocked(&healthy, 16), 64);
+        let (stream, pipeline) = (chunked(&bytes, 32), cfg.clone());
         let service = SyncService::start(service_cfg.clone());
         within_deadline(&format!("{name}, in-process service"), move || {
             let failure = service
@@ -139,7 +142,7 @@ fn cyclic_traces_fail_typed_from_every_driver_service_and_server() {
                 JobError::Pipeline(PipelineError::Clc(ClcError::CyclicTrace))
             );
             assert!(is_cyclic, "got {:?}", failure.error);
-            let served = service.submit(spec(JobInput::Trace(next), &pipeline)).expect("admitted");
+            let served = service.submit(spec(JobInput::Stream(next), &pipeline)).expect("admitted");
             served.wait().expect("the executor serves the next job");
             service.shutdown();
         });
@@ -370,7 +373,8 @@ proptest! {
         let bytes = to_binary_columnar_v3_blocked(&trace, 8);
         let chunks: Vec<&[u8]> = bytes.chunks(64).collect();
         let batch = synchronize(&mut trace.clone(), &init, None, &lmin, &cfg);
-        let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg);
+        let none = CancelToken::none();
+        let streamed = synchronize_stream(chunks.iter().copied(), &init, None, &lmin, &cfg, &none);
         let windowed = synchronize_stream_incremental(&chunks, &init, None, &lmin, &cfg, 4);
         // One analysis, one lowering: the drivers agree on the verdict.
         prop_assert_eq!(batch.is_ok(), streamed.is_ok());
@@ -415,6 +419,7 @@ proptest! {
             Some(&fin),
             &lmin,
             &cfg,
+            &CancelToken::none(),
         )
         .expect("intact stream synchronizes");
         assert_identical(&direct, &streamed, "stream vs direct");

@@ -1,10 +1,9 @@
 //! Differential guarantees for the `syncd` service: a job run through the
-//! service — any presync, trace or stream input, alone
+//! service — any presync, the trace's `DTC3` bytes in any chunking, alone
 //! or in a contended mixed batch with a poisoned neighbour — produces
-//! **bit-identical** timestamps to the reference chain
-//! (`common::reference_synchronize`) across the config grid, and to calling
-//! `clocksync::synchronize` directly with the same configuration under
-//! contention.
+//! **bit-identical** timestamps to calling `clocksync::synchronize` directly
+//! on the same trace with the same configuration, and to the reference
+//! chain (`common::reference_synchronize`) across the config grid.
 
 mod common;
 
@@ -49,7 +48,8 @@ fn submit(
         .expect("admission accepts the job")
 }
 
-/// Every presync, both input kinds, one shared service: each job's output must equal the oracle's.
+/// Every presync, two chunkings of one stream, one shared service: each
+/// job's output must equal a direct `synchronize` and the oracle's.
 #[test]
 fn service_matches_direct_across_the_config_grid() {
     let (trace, init, fin, lmin) = drifted_trace(4, 300, "sinusoid", 42);
@@ -63,39 +63,26 @@ fn service_matches_direct_across_the_config_grid() {
     let mut jobs = Vec::new();
     for (label, cfg) in configs() {
         let mut direct = trace.clone();
-        reference_synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg);
-        let h_trace = submit(
-            &service,
-            JobInput::Trace(trace.clone()),
-            &init,
-            &fin,
-            lmin,
-            cfg.clone(),
-        );
-        let h_stream = submit(
-            &service,
-            JobInput::Stream(chunked(&bytes, 128)),
-            &init,
-            &fin,
-            lmin,
-            cfg,
-        );
-        jobs.push((label, direct, h_trace, h_stream));
+        synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct run");
+        let mut oracle = trace.clone();
+        reference_synchronize(&mut oracle, &init, Some(&fin), &lmin, &cfg);
+        assert_identical(&oracle, &direct, &format!("{label} (direct vs oracle)"));
+        let handles = [chunked(&bytes, 128), vec![bytes.to_vec()]]
+            .map(|chunks| submit(&service, JobInput::Stream(chunks), &init, &fin, lmin, cfg.clone()));
+        jobs.push((label, direct, handles));
     }
 
-    for (label, direct, h_trace, h_stream) in jobs {
-        let via_trace = h_trace
-            .wait()
-            .unwrap_or_else(|f| panic!("{label}: trace job failed: {}", f.error));
-        assert_identical(&direct, &via_trace.trace, &format!("{label} (trace job)"));
-        let via_stream = h_stream
-            .wait()
-            .unwrap_or_else(|f| panic!("{label}: stream job failed: {}", f.error));
-        assert_identical(&direct, &via_stream.trace, &format!("{label} (stream job)"));
+    for (label, direct, handles) in jobs {
+        for (h, chunking) in handles.into_iter().zip(["128-byte chunks", "one chunk"]) {
+            let ok = h
+                .wait()
+                .unwrap_or_else(|f| panic!("{label}: {chunking} job failed: {}", f.error));
+            assert_identical(&direct, &ok.trace, &format!("{label} ({chunking})"));
+        }
     }
 
     let m = service.metrics();
-    // Every presync, each as trace + stream: the grid must not silently
+    // Every presync, each in two chunkings: the grid must not silently
     // collapse.
     let grid = PRESYNCS.len() as u64;
     assert_eq!(m.counter(Counter::Completed), grid * 2);
@@ -127,10 +114,10 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
     });
 
     // Interleave: healthy, healthy, poisoned, healthy, healthy.
-    let h1 = submit(&service, JobInput::Trace(trace.clone()), &init, &fin, lmin, cfg.clone());
+    let h1 = submit(&service, JobInput::Stream(vec![bytes.to_vec()]), &init, &fin, lmin, cfg.clone());
     let h2 = submit(&service, JobInput::Stream(chunked(&bytes, 96)), &init, &fin, lmin, cfg.clone());
     let bad = submit(&service, JobInput::Stream(poisoned), &init, &fin, lmin, cfg.clone());
-    let h3 = submit(&service, JobInput::Trace(trace.clone()), &init, &fin, lmin, cfg.clone());
+    let h3 = submit(&service, JobInput::Stream(chunked(&bytes, 7)), &init, &fin, lmin, cfg.clone());
     let h4 = submit(&service, JobInput::Stream(chunked(&bytes, 32)), &init, &fin, lmin, cfg);
 
     let failure = bad.wait().expect_err("poisoned job must fail");
@@ -167,7 +154,7 @@ fn coincident_anchors_fail_typed_without_a_panic() {
     let bytes = to_binary_columnar_v3_blocked(&trace, 16);
     let service = SyncService::start(ServiceConfig::default());
     let inputs = [
-        JobInput::Trace(trace.clone()),
+        JobInput::Stream(vec![bytes.to_vec()]),
         JobInput::Stream(chunked(&bytes, 64)),
         JobInput::StreamIncremental { chunks: chunked(&bytes, 64), window_events: 8 },
     ];
@@ -199,6 +186,7 @@ fn priorities_and_contention_do_not_change_bits() {
     let mut direct = trace.clone();
     synchronize(&mut direct, &init, Some(&fin), &lmin, &cfg).expect("direct run");
 
+    let bytes = to_binary_columnar_v3_blocked(&trace, 16);
     let service = SyncService::start(ServiceConfig {
         executors: 1, // force strict queueing so priority order matters
         ..ServiceConfig::default()
@@ -212,7 +200,7 @@ fn priorities_and_contention_do_not_change_bits() {
         let h = service
             .submit(
                 JobSpec::new(
-                    JobInput::Trace(trace.clone()),
+                    JobInput::Stream(chunked(&bytes, 256)),
                     init.clone(),
                     Some(fin.clone()),
                     lmin_arc,
@@ -250,7 +238,7 @@ fn empty_trace_job_completes() {
         Arc::new(UniformLatency(drift_lab::simclock::Dur::from_us(1)));
     let h = service
         .submit(JobSpec::new(
-            JobInput::Trace(Trace::for_ranks(3)),
+            JobInput::Stream(vec![to_binary_columnar_v3_blocked(&Trace::for_ranks(3), 16).to_vec()]),
             vec![None, None, None],
             None,
             lmin,
