@@ -134,13 +134,7 @@ pub(crate) fn forward_step(
         let c = Time::from_ps(corrected(src)?).saturating_add(Dur::from_ps(lat));
         remote = Some(remote.map_or(c, |b: Time| b.max(c)));
     }
-    let candidate = match prev {
-        None => orig,
-        Some((prev_orig, prev_corr)) => {
-            let gap = orig.saturating_since(prev_orig).max(Dur::ZERO);
-            orig.max(prev_corr.saturating_add(gap.scale(mu)))
-        }
-    };
+    let candidate = candidate(orig, prev, mu);
     Some(match remote {
         Some(r) if r > candidate => {
             on_jump(r.saturating_since(candidate));
@@ -148,6 +142,22 @@ pub(crate) fn forward_step(
         }
         _ => candidate,
     })
+}
+
+/// The amortized local candidate of [`forward_step`]: `orig`, or `mu` of
+/// the original gap behind the predecessor's corrected time if that is
+/// later. Alone, it is what an event with no remote bound takes — the
+/// windowed engine replays a timeline's forward values from it and the
+/// jumps its one cross-timeline sweep recorded.
+#[inline(always)]
+pub(crate) fn candidate(orig: Time, prev: Option<(Time, Time)>, mu: f64) -> Time {
+    match prev {
+        None => orig,
+        Some((prev_orig, prev_corr)) => {
+            let gap = orig.saturating_since(prev_orig).max(Dur::ZERO);
+            orig.max(prev_corr.saturating_add(gap.scale(mu)))
+        }
+    }
 }
 
 /// The backward walk one jump asks for, derived once from the forward

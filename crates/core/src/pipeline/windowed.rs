@@ -8,48 +8,58 @@
 //! * the input chunks are indexed once ([`index_columnar_chunks`]) — block
 //!   offsets, per-timeline lengths — and re-read on demand through a
 //!   zero-copy [`ChunkStore`]; the trace is never materialized;
-//! * the forward pass advances each timeline at most `window_events` per
-//!   round-robin epoch, decoding input blocks lazily into one ring per
-//!   timeline and appending corrected times to others; rings retire and
-//!   resize in segments `window_events` wide, but never wider than the
-//!   timeline itself, so the window (a number off the wire) can ask for
-//!   no more memory than the input stream paid for;
-//! * a *carry frontier* of per-segment read counters tracks which corrected
-//!   values remote consumers still need; a segment is retired the moment
-//!   its frontier clears, and the ring gives its capacity back, so
-//!   steady-state residency is O(window + dependency skew), not O(trace);
-//! * with backward amortization enabled, a first sweep discovers every
-//!   jump's backward-walk window so a second sweep can tell when a prefix
-//!   of a timeline is *final* — no remaining walk can reach below the
-//!   safety frontier `b` — and run the second forward pass and emission
-//!   behind it;
-//! * finalized blocks are re-encoded by [`FrameWriter`] with their payload
+//! * one forward sweep crosses timelines: it advances each timeline at most
+//!   `window_events` per round-robin epoch, decoding input blocks lazily
+//!   into one ring per timeline and appending corrected times to another,
+//!   and records every jump — its index, its size and the time it left the
+//!   event at; rings retire and resize in segments `window_events` wide, but
+//!   never wider than the timeline itself, so the window (a number off the
+//!   wire) can ask for no more memory than the input stream paid for;
+//! * a *carry frontier* of per-segment read counters tracks which values
+//!   remote readers still need; a segment is retired the moment its
+//!   frontier clears, and the ring gives its capacity back, so steady-state
+//!   residency is O(window + dependency skew), not O(trace);
+//! * with backward amortization enabled, a second epoch loop *replays* each
+//!   timeline's forward values locally — the amortized candidate from the
+//!   input, or the recorded jump's time; no remote read — as far as the
+//!   next block's emission or a pending walk needs, at most one segment
+//!   per epoch; it applies the walks, advances a *safety frontier* `b` past
+//!   events no remaining walk can reach, and behind it, to a fixpoint
+//!   across timelines once per epoch, a *finality frontier* that certifies
+//!   the μ = 1 pass per event: an event is final at its walked time if its
+//!   predecessor and producers are final, it is not below its predecessor,
+//!   the gap from it is under 2⁵² ps and no producer's value plus latency
+//!   exceeds it; an event the certificate refuses takes the μ = 1 step in
+//!   place (a `clc:resweep` stage row counts them);
+//! * final blocks are re-encoded by [`FrameWriter`] with their payload
 //!   bytes passed through verbatim and streamed out as self-contained
-//!   chunks whose concatenation is a well-formed `DTC3` stream.
+//!   chunks whose concatenation is a well-formed `DTC3` stream; a block's
+//!   input times are decoded again to count the events it moved, so no
+//!   lane keeps them past the pass that read them.
 //!
 //! # Bit-identity with the batch engine
 //!
-//! The arithmetic is the batch engine's own: every sweep here steps through
-//! [`forward_step`], every walk is a [`backward_walk`] over a [`Walk`]
-//! derived by the same constructor, all of [`crate::clc::columnar`]. What
-//! this module owns is what differs — the schedule (bounded per-epoch
-//! bursts and a safety frontier instead of run-to-block), the storage
-//! (lanes that retire, behind the [`Timeline`] seam, instead of one slab in
-//! place) and views walked for every collective end (no `CollPass`: an
-//! aggregate would outlive retired segments). The forward pass is
-//! confluent — every event's corrected time is a function of its already
-//! corrected dependencies, not of visit order — so corrected timestamps,
-//! `max_jump`, `events_moved` and the jump *set* are bit-identical for
-//! every window size; the report's jump order is canonicalized to
-//! (timeline, index), whereas the batch report lists discovery order.
-//! `tests/windowed_differential.rs` compares both sorted.
+//! The arithmetic is the batch engine's own: the sweep steps through
+//! [`forward_step`], the replay through its [`candidate`], every walk is a
+//! [`backward_walk`] over a [`Walk`] derived by the same constructor, all
+//! of [`crate::clc::columnar`]. What this module owns is what differs — the
+//! schedule (bounded per-epoch bursts and two frontiers instead of
+//! run-to-block), the storage (lanes that retire, behind the [`Timeline`]
+//! seam, instead of one slab in place) and views walked for every
+//! collective end (no `CollPass`: an aggregate would outlive retired
+//! segments). The forward pass is confluent — every event's corrected time
+//! is a function of its already corrected dependencies, not of visit order
+//! — so corrected timestamps, `max_jump`, `events_moved` and the jump *set*
+//! are bit-identical for every window size; the report's jump order is
+//! canonicalized to (timeline, index), whereas the batch report lists
+//! discovery order. `tests/windowed_differential.rs` compares both sorted.
 //!
 //! # Scope
 //!
 //! The violation censuses are skipped (they are whole-trace diagnostics;
 //! run the batch pipeline when they are needed). Message matching
 //! and the CSR dependency graph remain O(trace) *structural* metadata, as
-//! do the discovered walk windows; the O(window) bound — and the
+//! do the recorded jumps; the O(window) bound — and the
 //! [`PipelineStats::peak_resident_column_bytes`] gauge enforcing it in CI —
 //! covers the `i64` timestamp lanes, which dominate at scale.
 
@@ -58,9 +68,9 @@ use super::{
     PresyncMap, StageStats, TraceAnalysis,
 };
 use crate::clc::columnar::{
-    backward_walk, count_moved, forward_step, latest_allowed, Timeline, Walk,
+    backward_walk, candidate, count_moved, forward_step, latest_allowed, Timeline, Walk,
 };
-use crate::clc::graph::DepGraph;
+use crate::clc::graph::{DepGraph, Edges};
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
@@ -68,8 +78,8 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 use tracefmt::io::{
-    decode_block_kinds, decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter,
-    StreamIndex,
+    decode_block_kinds, decode_block_times, index_columnar_chunks, BlockMeta, ChunkStore,
+    FrameWriter, StreamIndex,
 };
 use tracefmt::{Capture, EventId, EventKind, Location, MinLatency, Rank};
 
@@ -172,16 +182,21 @@ impl<'m> Lane<'m> {
     /// allocates nothing the input did not pay for — and a timeline that
     /// fits one segment is scheduled the same whatever the window says.
     fn per_timeline(index: &StreamIndex, window: usize, mem: &'m MemGauge) -> Vec<Lane<'m>> {
-        let lane = |&len: &u64| Lane {
+        let lane = |&len: &u64| Lane::new(mem, (window as u64).min(len.max(1)));
+        index.proc_lens.iter().map(lane).collect()
+    }
+
+    /// An empty lane of segments `w` values wide.
+    fn new(mem: &'m MemGauge, w: u64) -> Lane<'m> {
+        Lane {
             mem,
-            w: (window as u64).min(len.max(1)),
+            w,
             ring: Vec::new(),
             head: 0,
             at: 0,
             reads: VecDeque::new(),
             len: 0,
-        };
-        index.proc_lens.iter().map(lane).collect()
+        }
     }
 
     /// The slot of resident index `i`.
@@ -255,11 +270,11 @@ impl<'m> Lane<'m> {
     /// Account `delta` pending reads of value `i`.
     #[inline]
     fn owe(&mut self, i: u64, delta: i64) {
-        // A segment retires only after its last read, so nothing is ever
-        // accounted to one that is gone.
+        // A segment retires only after its last read, so a read accounted
+        // to one that is gone means a segment went while still read: fail
+        // loudly in every build rather than drop the read.
         let Some(at) = i.checked_sub(self.head) else {
-            debug_assert!(false, "read accounted to a retired segment");
-            return;
+            panic!("read accounted to a retired segment");
         };
         let at = (at / self.w) as usize;
         if at >= self.reads.len() {
@@ -315,37 +330,19 @@ impl Timeline for Lane<'_> {
     }
 }
 
-/// The pre-CLC side of a sweep: the presynchronized input times, decoded
-/// from the indexed stream one block at a time as a frontier reaches them.
-struct Source<'a> {
+/// The indexed input stream: its blocks' presynchronized times and their
+/// payload bytes, read on demand.
+struct Stream<'a> {
     index: &'a StreamIndex,
     store: &'a ChunkStore<'a>,
     maps: Option<&'a [PresyncMap]>,
-    orig: Vec<Lane<'a>>,
-    next_block: Vec<usize>,
     scratch: Vec<u8>,
 }
 
-impl Source<'_> {
-    /// The input time of event `i` of timeline `p`, at most one past what
-    /// is decoded: that read ingests the timeline's next block.
-    #[inline(always)]
-    fn get(&mut self, p: usize, i: u64) -> i64 {
-        if i == self.orig[p].len {
-            self.ingest_block(p);
-        }
-        self.orig[p].get(i)
-    }
-
-    /// Decode timeline `p`'s next block straight into its lane and apply
-    /// its presync map there.
-    fn ingest_block(&mut self, p: usize) {
-        let list = &self.index.proc_blocks[p];
-        debug_assert!(self.next_block[p] < list.len(), "index accounts for every event");
-        let bm = &self.index.blocks[list[self.next_block[p]] as usize];
-        self.next_block[p] += 1;
+impl Stream<'_> {
+    /// Timeline `p`'s block `bm` into `a` then `b`, its presync map applied.
+    fn times(&mut self, p: usize, bm: &BlockMeta, a: &mut [i64], b: &mut [i64]) {
         let seg = self.store.read(bm.times_off, bm.n_events as usize * 8, &mut self.scratch);
-        let (a, b) = self.orig[p].push_slices(bm.n_events as u64);
         let (seg_a, seg_b) = seg.split_at(8 * a.len());
         decode_block_times(seg_a, a);
         decode_block_times(seg_b, b);
@@ -353,6 +350,44 @@ impl Source<'_> {
             maps[p].map_col(a);
             maps[p].map_col(b);
         }
+    }
+}
+
+/// The pre-CLC side of a pass: the input times, decoded one block at a time
+/// as a frontier reaches them into a lane per timeline that the pass
+/// retires behind its frontier.
+struct Source<'a> {
+    stream: Stream<'a>,
+    input: Vec<Lane<'a>>,
+    next_block: Vec<usize>,
+}
+
+impl Source<'_> {
+    /// The input time of event `i` of timeline `p`, at most one past what
+    /// is decoded: that read decodes the timeline's next block.
+    #[inline(always)]
+    fn get(&mut self, p: usize, i: u64) -> i64 {
+        if i == self.input[p].len {
+            self.decode_next(p);
+        }
+        self.input[p].get(i)
+    }
+
+    /// Decode timeline `p`'s blocks until its first `upto` input times are.
+    fn decode_to(&mut self, p: usize, upto: u64) {
+        while self.input[p].len < upto {
+            self.decode_next(p);
+        }
+    }
+
+    fn decode_next(&mut self, p: usize) {
+        let index = self.stream.index;
+        let list = &index.proc_blocks[p];
+        debug_assert!(self.next_block[p] < list.len(), "index accounts for every event");
+        let bm = &index.blocks[list[self.next_block[p]] as usize];
+        self.next_block[p] += 1;
+        let (a, b) = self.input[p].push_slices(bm.n_events as u64);
+        self.stream.times(p, bm, a, b);
     }
 }
 
@@ -385,16 +420,26 @@ pub(super) fn capture_analysis_streamed(
     Ok(TraceAnalysis { matching, instances: instances.map_err(PipelineError::BadTrace)? })
 }
 
-/// One forward sweep of the windowed engine: per-timeline frontiers over
-/// output lanes that other timelines read their remote bounds from. The
-/// engine runs three — discovery, the forward pass proper, the μ = 1
-/// re-sweep — that differ in where an event's input comes from and what is
-/// done with its outcome, never in the step, which is [`forward_step`].
+/// A jump as the sweep found it: the event's index, the jump's size and the
+/// corrected time it left the event at — what the replay puts back there
+/// and what the jump's [`Walk`] is derived from.
+#[derive(Debug, Clone, Copy)]
+struct Found {
+    k: u64,
+    delta: Dur,
+    at: Time,
+}
+
+impl Found {
+    fn walk(&self, params: &ClcParams) -> Walk {
+        Walk::new(self.k, self.at, self.delta, params.backward_window_factor)
+    }
+}
+
+/// The engine's one cross-timeline forward sweep: per-timeline frontiers
+/// over output lanes that other timelines read their remote bounds from.
 struct Sweep<'a> {
     mu: f64,
-    /// Whether an event's value also owes one read per *in*-edge: the
-    /// clamp of a backward walk visiting the producer.
-    arm_in_edges: bool,
     /// Per timeline: events corrected so far.
     frontier: Vec<u64>,
     /// Per timeline: the last corrected event's (input, corrected) pair.
@@ -404,30 +449,9 @@ struct Sweep<'a> {
 }
 
 impl<'a> Sweep<'a> {
-    fn new(mu: f64, arm_in_edges: bool, out: Vec<Lane<'a>>) -> Sweep<'a> {
+    fn new(mu: f64, out: Vec<Lane<'a>>) -> Sweep<'a> {
         let n = out.len();
-        Sweep { mu, arm_in_edges, frontier: vec![0; n], prev: vec![None; n], out }
-    }
-
-    /// Account `delta` pending reads of the corrected value of `gid`.
-    #[inline(always)]
-    fn owe(&mut self, graph: &DepGraph, gid: u32, delta: i64) {
-        let (p, i) = graph.locate(gid);
-        self.out[p].owe(i as u64, delta);
-    }
-
-    /// Whether `gid` is corrected: its timeline's frontier has passed it.
-    #[inline(always)]
-    fn passed(&self, graph: &DepGraph, gid: u32) -> bool {
-        let (p, i) = graph.locate(gid);
-        (i as u64) < self.frontier[p]
-    }
-
-    /// The corrected value of `gid`.
-    #[inline(always)]
-    fn value(&self, graph: &DepGraph, gid: u32) -> i64 {
-        let (p, i) = graph.locate(gid);
-        self.out[p].get(i as u64)
+        Sweep { mu, frontier: vec![0; n], prev: vec![None; n], out }
     }
 
     /// Correct timeline `p`'s next event, whose input time is `orig` and
@@ -456,20 +480,21 @@ impl<'a> Sweep<'a> {
         let corrected =
             forward_step(orig, prev, self.mu, None, srcs, ready, |size| jump = Some(size))?;
         self.out[p].push(corrected.as_ps());
-        let owed = graph.out_of(gid).len() + if self.arm_in_edges { srcs.len() } else { 0 };
+        let owed = graph.out_of(gid).len();
         if owed > 0 {
             self.out[p].owe(i, owed as i64);
         }
         for (src, _) in srcs.iter() {
-            self.owe(graph, src, -1);
+            let (q, j) = graph.locate(src);
+            self.out[q].owe(j as u64, -1);
         }
         self.frontier[p] += 1;
         Some((corrected, jump))
     }
 
     /// Advance timeline `p` until it blocks, reaches `upto` or has taken
-    /// `limit` steps: `input(i)` supplies event `i`'s input time,
-    /// `on_event(i, corrected, jump)` sees each outcome. Whether it moved.
+    /// `limit` steps, its input read from `src`;
+    /// `on_jump(i, corrected, size)` sees each jump. Whether it moved.
     #[inline(always)]
     fn advance(
         &mut self,
@@ -477,83 +502,428 @@ impl<'a> Sweep<'a> {
         p: usize,
         upto: u64,
         limit: u64,
-        mut input: impl FnMut(u64) -> i64,
-        mut on_event: impl FnMut(u64, Time, Option<Dur>),
+        src: &mut Source,
+        mut on_jump: impl FnMut(u64, Time, Dur),
     ) -> bool {
         let start = self.frontier[p];
         let stop = upto.min(start.saturating_add(limit));
         let mut last = self.prev[p];
         while self.frontier[p] < stop {
             let i = self.frontier[p];
-            let orig = Time::from_ps(input(i));
+            let orig = Time::from_ps(src.get(p, i));
             let Some((corrected, jump)) = self.step(graph, p, orig, last) else {
                 break;
             };
             last = Some((orig, corrected));
-            on_event(i, corrected, jump);
+            if let Some(size) = jump {
+                on_jump(i, corrected, size);
+            }
         }
         self.prev[p] = last;
         self.frontier[p] != start
     }
 }
 
-/// Sweep 1 (backward path only): run the forward pass once, with bounded
-/// lookback, purely to *discover* every jump's backward walk. Corrected
-/// values are kept only while a remote consumer still needs them (the
-/// per-segment read counters); nothing is emitted.
-fn discover_walks(
-    mut src: Source<'_>,
+/// Run the one cross-timeline forward sweep to the end of every timeline,
+/// recording each jump per timeline in index order. Corrected values are
+/// kept only while a remote consumer still needs them (the per-segment
+/// read counters). Without backward amortization they are final, and
+/// `emit` sends each block the frontier has passed; with it, nothing is
+/// emitted here — [`apply_and_emit`] replays the values from the jumps.
+fn forward_sweep(
+    src: &mut Source<'_>,
     mut fwd: Sweep<'_>,
     graph: &DepGraph,
-    params: &ClcParams,
     cancel: &CancelToken,
-) -> Result<Vec<Vec<Walk>>, PipelineError> {
-    let lens = &src.index.proc_lens;
+    mut emit: Option<&mut Emitter<'_>>,
+) -> Result<Vec<Vec<Found>>, PipelineError> {
+    let lens = &src.stream.index.proc_lens;
     let n = lens.len();
-    let mut walks: Vec<Vec<Walk>> = vec![Vec::new(); n];
+    let mut found: Vec<Vec<Found>> = vec![Vec::new(); n];
 
     while (0..n).any(|p| fwd.frontier[p] < lens[p]) {
         cancel.check()?;
         let mut progressed = false;
         for p in 0..n {
             let burst = fwd.out[p].w;
-            let record = |i, at, jump| {
-                if let (Some(delta), true) = (jump, i > 0) {
-                    walks[p].push(Walk::new(i, at, delta, params.backward_window_factor));
-                }
-            };
-            progressed |= fwd.advance(graph, p, lens[p], burst, |i| src.get(p, i), record);
-            src.orig[p].retire(fwd.frontier[p]);
-            fwd.out[p].retire(fwd.frontier[p]);
+            let record = |k, at, delta| found[p].push(Found { k, delta, at });
+            progressed |= fwd.advance(graph, p, lens[p], burst, src, record);
+            src.input[p].retire(fwd.frontier[p]);
+            let mut done = fwd.frontier[p];
+            if let Some(emit) = emit.as_deref_mut() {
+                emit.blocks(p, done, &fwd.out[p], &mut src.stream)?;
+                done = emit.emitted[p];
+            }
+            fwd.out[p].retire(done);
         }
         if !progressed {
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
-    Ok(walks)
+    Ok(found)
+}
+
+/// The finality check — the batch engine's μ = 1 certificate (DESIGN
+/// §11.1) per event: whether the μ = 1 step would leave an event at its
+/// walked time `c`, given its predecessor's (walked, final) pair `prev`
+/// and its producers' final values (`None` while one is not final). It
+/// would when the predecessor is final at its walked time, `c` is not below
+/// it, the gap is under 2⁵² ps (below that `Dur::scale(1.0)` is exact) and
+/// no producer's value plus its edge latency exceeds `c`.
+#[inline(always)]
+fn certified(
+    c: Time,
+    prev: Option<(Time, Time)>,
+    srcs: Edges<'_>,
+    value: impl Fn(u32) -> Option<i64>,
+) -> Option<bool> {
+    let mut holds = prev.is_none_or(|(walked, fin)| {
+        walked == fin
+            && c >= walked
+            && c.saturating_since(walked) < Dur::from_ps(1 << 52)
+    });
+    for (src, lat) in srcs.iter() {
+        holds &= Time::from_ps(value(src)?).saturating_add(Dur::from_ps(lat)) <= c;
+    }
+    Some(holds)
+}
+
+/// The backward path after the sweep (DESIGN §15.3), per timeline: the
+/// replay of the forward values F, the walks over C, the safety frontier
+/// `b` and the finality frontier behind it.
+struct Apply<'a, 'g> {
+    graph: &'g DepGraph,
+    found: &'g [Vec<Found>],
+    params: &'g ClcParams,
+    /// F, the replayed forward values; a value owes one read per in-edge —
+    /// the clamp of a walk visiting the producer — released when the
+    /// producer's safety frontier passes it.
+    fwd: Vec<Lane<'a>>,
+    /// C, the walked values, rewritten in place where the certificate
+    /// fails; a final value owes one read per out-edge (a consumer's
+    /// finality check).
+    walked: Vec<Lane<'a>>,
+    at: Vec<Frontiers>,
+    /// Events the certificate refused, and the time their μ = 1 steps took.
+    resteps: usize,
+    restep_time: Duration,
+}
+
+/// One timeline's frontiers in [`Apply`].
+#[derive(Default)]
+struct Frontiers {
+    replayed: u64,
+    /// How far the replay must reach for a walk to apply: the walk holding
+    /// back the safety frontier, or an out-edge target `rwalk` waits on.
+    need: u64,
+    /// The last replayed event's (input, F) pair, and the next recorded
+    /// jump the replay puts back.
+    replay_prev: Option<(Time, Time)>,
+    replay_jump: usize,
+    /// Prefix whose out-edge targets are all replayed: a walk may clamp
+    /// through any of them.
+    rwalk: u64,
+    next_walk: usize,
+    /// `sufmin[j]` = min window start over the walks of the timeline's
+    /// jumps `j..` and the jump index of the walk it is from: while walk
+    /// `j` is the next unapplied one, every event at or below it is never
+    /// written again and never visited.
+    sufmin: Vec<(Time, u64)>,
+    /// The safety frontier `b`.
+    safe: u64,
+    /// The finality frontier and its last event's (walked, final) pair.
+    settled: u64,
+    settle_prev: Option<(Time, Time)>,
+}
+
+impl<'a, 'g> Apply<'a, 'g> {
+    fn new(
+        graph: &'g DepGraph,
+        found: &'g [Vec<Found>],
+        params: &'g ClcParams,
+        lanes: impl Fn() -> Vec<Lane<'a>>,
+    ) -> Self {
+        let at = found
+            .iter()
+            .map(|fs| {
+                let mut sufmin: Vec<_> =
+                    fs.iter().rev().map(|f| (f.walk(params).w_start, f.k)).collect();
+                for j in 1..sufmin.len() {
+                    sufmin[j] = std::cmp::min_by_key(sufmin[j - 1], sufmin[j], |&(w, _)| w);
+                }
+                sufmin.reverse();
+                Frontiers { sufmin, ..Frontiers::default() }
+            })
+            .collect();
+        Apply {
+            graph,
+            found,
+            params,
+            fwd: lanes(),
+            walked: lanes(),
+            at,
+            resteps: 0,
+            restep_time: Duration::ZERO,
+        }
+    }
+
+    /// Replay timeline `p`'s forward values up to `upto`, one timeline at a
+    /// time: an event takes the recorded jump's time where the sweep found
+    /// one and its [`candidate`] otherwise — exactly what [`forward_step`]
+    /// gave it, with no remote read — onto F and the walked lane; the
+    /// input retires behind it. Whether it moved.
+    #[inline(always)]
+    fn replay(&mut self, p: usize, upto: u64, src: &mut Source) -> bool {
+        let at = &mut self.at[p];
+        let start = at.replayed;
+        if upto <= start {
+            return false;
+        }
+        src.decode_to(p, upto);
+        let (graph, found, mu) = (self.graph, &self.found[p], self.params.mu);
+        let (input, fwd, walked) = (&mut src.input[p], &mut self.fwd[p], &mut self.walked[p]);
+        let base = graph.base(p);
+        let (mut last, mut next) = (at.replay_prev, at.replay_jump);
+        // Clamp reads armed per segment: one account per segment crossed.
+        let (mut seg_end, mut owed) = ((start / fwd.w + 1) * fwd.w, 0i64);
+        for i in start..upto {
+            let orig = Time::from_ps(input.get(i));
+            let f = match found.get(next) {
+                Some(jump) if jump.k == i => {
+                    next += 1;
+                    jump.at
+                }
+                _ => candidate(orig, last, mu),
+            };
+            fwd.push(f.as_ps());
+            walked.push(f.as_ps());
+            if i == seg_end {
+                fwd.owe(i - 1, owed);
+                (seg_end, owed) = (seg_end + fwd.w, 0);
+            }
+            owed += graph.in_of(base + i as u32).len() as i64;
+            last = Some((orig, f));
+        }
+        fwd.owe(upto - 1, owed);
+        input.retire(upto);
+        (at.replayed, at.replay_prev, at.replay_jump) = (upto, last, next);
+        true
+    }
+
+    /// Timeline `p`'s walks: advance `rwalk`, apply every walk whose
+    /// preconditions cleared (ascending by jump index, the batch
+    /// application order), then advance the safety frontier past events at
+    /// or below every remaining walk's window start — their clamp reads
+    /// will not happen, so they are released. What holds either frontier
+    /// back raises the replay's `need`. Whether anything moved.
+    fn walk(&mut self, p: usize) -> bool {
+        let graph = self.graph;
+        let base = graph.base(p);
+        let start = (self.at[p].rwalk, self.at[p].next_walk, self.at[p].safe);
+        'rwalk: while self.at[p].rwalk < self.at[p].replayed {
+            for (dst, _) in graph.out_of(base + self.at[p].rwalk as u32).iter() {
+                let (q, j) = graph.locate(dst);
+                if j as u64 >= self.at[q].replayed {
+                    self.at[q].need = self.at[q].need.max(j as u64 + 1);
+                    break 'rwalk;
+                }
+            }
+            self.at[p].rwalk += 1;
+        }
+        while let Some(jump) = self.found[p].get(self.at[p].next_walk) {
+            if !(self.at[p].replayed > jump.k && self.at[p].rwalk >= jump.k) {
+                break;
+            }
+            let fwd = &self.fwd;
+            backward_walk(&jump.walk(self.params), base, &mut self.walked[p], |g| {
+                latest_allowed(graph.out_of(g), |dst| {
+                    let (q, j) = graph.locate(dst);
+                    fwd[q].get(j as u64)
+                })
+            });
+            self.at[p].next_walk += 1;
+        }
+        let (below, k) = self.at[p].sufmin.get(self.at[p].next_walk).copied().unwrap_or((Time::MAX, 0));
+        while self.at[p].safe < self.at[p].replayed {
+            if Time::from_ps(self.walked[p].get(self.at[p].safe)) > below {
+                self.at[p].need = self.at[p].need.max(k + 1);
+                break;
+            }
+            for (dst, _) in graph.out_of(base + self.at[p].safe as u32).iter() {
+                let (q, j) = graph.locate(dst);
+                self.fwd[q].owe(j as u64, -1);
+            }
+            self.at[p].safe += 1;
+        }
+        start != (self.at[p].rwalk, self.at[p].next_walk, self.at[p].safe)
+    }
+
+    /// Advance timeline `p`'s finality frontier behind the safety frontier
+    /// — one event short of it while walks remain, since a walk may still
+    /// read its break element — until an event's producers are not all
+    /// final. An event the certificate holds for is final at its walked
+    /// time; one it refuses takes the μ = 1 step ([`Apply::restep`]).
+    /// Whether it moved.
+    #[inline(always)]
+    fn settle(&mut self, p: usize) -> bool {
+        let graph = self.graph;
+        let base = graph.base(p);
+        let walks_left = self.at[p].next_walk < self.found[p].len();
+        let limit = self.at[p].safe - u64::from(walks_left && self.at[p].safe > 0);
+        let start = self.at[p].settled;
+        let mut last = self.at[p].settle_prev;
+        while self.at[p].settled < limit {
+            let i = self.at[p].settled;
+            let gid = base + i as u32;
+            let srcs = graph.in_of(gid);
+            let c = Time::from_ps(self.walked[p].get(i));
+            let value = |src| {
+                let (q, j) = graph.locate(src);
+                ((j as u64) < self.at[q].settled).then(|| self.walked[q].get(j as u64))
+            };
+            let Some(holds) = certified(c, last, srcs, value) else {
+                break;
+            };
+            let fin = if holds { c } else { self.restep(p, i, c, last) };
+            last = Some((c, fin));
+            let owed = graph.out_of(gid).len();
+            if owed > 0 {
+                self.walked[p].owe(i, owed as i64);
+            }
+            for (src, _) in srcs.iter() {
+                let (q, j) = graph.locate(src);
+                self.walked[q].owe(j as u64, -1);
+            }
+            self.at[p].settled += 1;
+        }
+        self.at[p].settle_prev = last;
+        self.at[p].settled != start
+    }
+
+    /// The μ = 1 step for event `i` of timeline `p`, walked to `c`, whose
+    /// producers are final: what the batch engine's re-sweep gives it,
+    /// written over the walked value in place.
+    #[cold]
+    #[inline(never)]
+    fn restep(&mut self, p: usize, i: u64, c: Time, prev: Option<(Time, Time)>) -> Time {
+        let t0 = Instant::now();
+        let graph = self.graph;
+        let srcs = graph.in_of(graph.base(p) + i as u32);
+        let value = |src| {
+            let (q, j) = graph.locate(src);
+            Some(self.walked[q].get(j as u64))
+        };
+        let fin = forward_step(c, prev, 1.0, None, srcs, value, |_| {})
+            .expect("a certified event's producers are final");
+        self.walked[p].set(i, fin.as_ps());
+        self.resteps += 1;
+        self.restep_time += t0.elapsed();
+        fin
+    }
+}
+
+/// The backward path's epoch loop after the sweep. Per epoch: per timeline,
+/// replay as far as emitting the next block or applying a pending walk
+/// needs, and walk; then the finality frontiers to a fixpoint across
+/// timelines; then, per timeline, emit the blocks wholly final and retire
+/// what no reader needs: F once replayed and its clamp reads are released,
+/// the walked lane once emitted and its finality reads are paid. Returns
+/// the events the certificate refused and the time their steps took.
+fn apply_and_emit(
+    src: &mut Source<'_>,
+    mut ap: Apply<'_, '_>,
+    cancel: &CancelToken,
+    emit: &mut Emitter<'_>,
+) -> Result<(usize, Duration), PipelineError> {
+    let index = src.stream.index;
+    let lens = &index.proc_lens;
+    let n = lens.len();
+    // Extra reach past what the frontiers ask for, doubled by an epoch that
+    // moves nothing: a safety net, since `need` and the next block name
+    // what every frontier waits on.
+    let mut reach = 0u64;
+    while (0..n).any(|p| emit.emitted[p] < lens[p]) {
+        cancel.check()?;
+        let mut progressed = false;
+        for (p, &len) in lens.iter().enumerate() {
+            // Emitting the next block needs `b` one past its end.
+            let next_end = index.proc_blocks[p].get(emit.next_block[p]).map_or(len, |&b| {
+                let bm = &index.blocks[b as usize];
+                bm.first_idx + bm.n_events as u64 + 1
+            });
+            let want = next_end.max(ap.at[p].need).saturating_add(reach);
+            let upto = len.min(want).min(ap.at[p].replayed + ap.fwd[p].w);
+            progressed |= ap.replay(p, upto.max(ap.at[p].replayed), src);
+            progressed |= ap.walk(p);
+        }
+        while (0..n).fold(false, |moved, p| ap.settle(p) | moved) {
+            progressed = true;
+        }
+        for p in 0..n {
+            progressed |= emit.blocks(p, ap.at[p].settled, &ap.walked[p], &mut src.stream)?;
+            ap.fwd[p].retire(ap.at[p].replayed);
+            ap.walked[p].retire(emit.emitted[p]);
+        }
+        if !progressed {
+            // The sweep already refused cyclic traces; with every timeline
+            // replayed, the walks, frontiers and emission always drain.
+            if (0..n).all(|p| ap.at[p].replayed == lens[p]) {
+                return Err(PipelineError::Clc(ClcError::CyclicTrace));
+            }
+            reach = reach.max(1).saturating_mul(2);
+        }
+    }
+    Ok((ap.resteps, ap.restep_time))
 }
 
 /// Where corrected output chunks go: a consumer called with each chunk, in
-/// order, *while the run progresses* — the collecting entry points push to
+/// order, *while the run progresses* — the collecting entry point pushes to
 /// a `Vec`, the streaming one numbers the chunks for the caller's sink (the
 /// seam the network service streams `CorrectedFrame`s through). The
 /// sequence — magic chunk, one chunk per block frame, trailer — is
 /// deterministic for a given input. A consumer returning `false` aborts the
 /// run with [`PipelineError::Cancelled`] (a stalled consumer cancels *its
 /// own* job, never wedges the engine).
+///
+/// With the CLC, it also tracks per timeline the blocks sent and counts the
+/// moved events of each against its input, decoded again.
 struct Emitter<'a> {
     writer: FrameWriter,
     consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
     frames: usize,
     events: u64,
+    /// Per timeline: the next block to send, and the events sent.
+    next_block: Vec<usize>,
+    emitted: Vec<u64>,
+    moved: usize,
+    /// Time spent building block frames.
+    time: Duration,
+    times: Vec<i64>,
+    input: Vec<i64>,
+    scratch: Vec<u8>,
 }
 
 impl<'a> Emitter<'a> {
-    /// Open the output stream: emits the magic chunk.
-    fn open(consume: &'a mut dyn FnMut(Vec<u8>) -> bool) -> Result<Emitter<'a>, PipelineError> {
+    /// Open the output stream of `n` timelines: emits the magic chunk.
+    fn open(
+        n: usize,
+        consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
+    ) -> Result<Emitter<'a>, PipelineError> {
         let mut magic = Vec::new();
         let writer = FrameWriter::new(&mut magic);
-        let mut emit = Emitter { writer, consume, frames: 0, events: 0 };
+        let mut emit = Emitter {
+            writer,
+            consume,
+            frames: 0,
+            events: 0,
+            next_block: vec![0; n],
+            emitted: vec![0; n],
+            moved: 0,
+            time: Duration::ZERO,
+            times: Vec::new(),
+            input: Vec::new(),
+            scratch: Vec::new(),
+        };
         emit.push(magic)?;
         Ok(emit)
     }
@@ -575,9 +945,52 @@ impl<'a> Emitter<'a> {
         frame
     }
 
+    /// Send timeline `p`'s blocks that lie wholly below `upto`, their
+    /// final times read from `lane`, counting the events each moved against
+    /// its input decoded again from `stream` (one transient block column,
+    /// counted by the gauge). Whether any went.
+    fn blocks(
+        &mut self,
+        p: usize,
+        upto: u64,
+        lane: &Lane,
+        stream: &mut Stream,
+    ) -> Result<bool, PipelineError> {
+        let index = stream.index;
+        let start = self.next_block[p];
+        while let Some(&bidx) = index.proc_blocks[p].get(self.next_block[p]) {
+            let bm = &index.blocks[bidx as usize];
+            let end = bm.first_idx + bm.n_events as u64;
+            if end > upto {
+                break;
+            }
+            let te = Instant::now();
+            let mut times = std::mem::take(&mut self.times);
+            times.clear();
+            let (a, b) = lane.slices(bm.first_idx, end);
+            times.extend_from_slice(a);
+            times.extend_from_slice(b);
+            let bytes = 8 * bm.n_events as u64;
+            lane.mem.alloc(bytes);
+            self.input.resize(bm.n_events as usize, 0);
+            stream.times(p, bm, &mut self.input, &mut []);
+            self.moved += count_moved(&times, &self.input);
+            lane.mem.free(bytes);
+            let mut scratch = std::mem::take(&mut self.scratch);
+            let payload = stream.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
+            let frame = self.frame(index.locations[p], &times, payload);
+            (self.times, self.scratch) = (times, scratch);
+            self.emitted[p] = end;
+            self.next_block[p] += 1;
+            self.time += te.elapsed();
+            self.push(frame)?;
+        }
+        Ok(self.next_block[p] != start)
+    }
+
     /// Close the stream: emits the trailer. Returns (frames, events).
     fn close(self) -> Result<(usize, u64), PipelineError> {
-        let Emitter { writer, consume, frames, events } = self;
+        let Emitter { writer, consume, frames, events, .. } = self;
         let mut trailer = Vec::new();
         writer.finish(&mut trailer);
         if consume(trailer) {
@@ -588,210 +1001,25 @@ impl<'a> Emitter<'a> {
     }
 }
 
-/// Sweep 2: the full windowed CLC with emission. Per epoch and timeline,
-/// in order: (1) advance the forward sweep `fwd` (into the snapshot lane,
-/// duplicated into the walk lane on the backward path); (2) advance
-/// `rwalk`, the prefix whose out-edge targets are all corrected (a walk
-/// for jump `k` may clamp against any of them); (3) apply every walk whose
-/// preconditions cleared, ascending; (4) advance the safety frontier `b`
-/// past events at or below every *remaining* walk's window start — final
-/// values no walk will touch again; (5) advance the μ = 1 re-sweep `refwd`
-/// over the walked values behind `b`; (6) emit blocks wholly behind the
-/// finalization horizon; (7) retire cleared segments.
-///
-/// Without backward amortization, steps 2–5 vanish and the horizon is the
-/// forward frontier itself. Returns the CLC report and the time spent
-/// building frames.
-#[allow(clippy::too_many_arguments)]
-fn apply_and_emit<'a>(
-    mut src: Source<'a>,
-    mut fwd: Sweep<'a>,
-    mut walked: Vec<Lane<'a>>,
-    mut refwd: Sweep<'a>,
-    graph: &DepGraph,
-    walks: &[Vec<Walk>],
-    cancel: &CancelToken,
-    emit: &mut Emitter<'_>,
-) -> Result<(ClcReport, Duration), PipelineError> {
-    let (index, store) = (src.index, src.store);
-    let lens = &index.proc_lens;
-    let n = lens.len();
-    // The forward sweep arms in-edge reads exactly when walks will clamp
-    // through them.
-    let backward = fwd.arm_in_edges;
-
-    // Backward-path frontiers of steps 2–4, then emission state.
-    let mut rwalk = vec![0u64; n];
-    let mut next_walk = vec![0usize; n];
-    let mut b = vec![0u64; n];
-    let mut emit_block = vec![0usize; n];
-    let mut emitted = vec![0u64; n];
-
-    // sufmin[p][j] = min window start over walks[p][j..]: while walk j is
-    // the next unapplied one, every event at or below sufmin[p][j] is
-    // final (no remaining walk writes it or clamps through its out-edges).
-    let sufmin: Vec<Vec<Time>> = walks
-        .iter()
-        .map(|ws| {
-            let mut m = vec![Time::MAX; ws.len()];
-            let mut cur = Time::MAX;
-            for j in (0..ws.len()).rev() {
-                cur = cur.min(ws[j].w_start);
-                m[j] = cur;
-            }
-            m
-        })
-        .collect();
-
-    let mut report = ClcReport::default();
-    let mut emit_time = Duration::ZERO;
-    let mut scratch = Vec::new();
-    let mut times: Vec<i64> = Vec::new();
-
-    loop {
-        cancel.check()?;
-        let mut progressed = false;
-        for p in 0..n {
-            let gbase = graph.base(p);
-
-            // (1) Forward frontier. On the backward path each event also
-            // arms one potential clamp read per in-edge, released when the
-            // safety frontier passes the *source* (step 4): a walk visiting
-            // the source would read this event's snapshot value.
-            let burst = fwd.out[p].w;
-            progressed |= fwd.advance(graph, p, lens[p], burst, |i| src.get(p, i), |i, at, jump| {
-                if let Some(size) = jump {
-                    report.jumps.push(Jump { event: EventId::new(p, i as usize), size });
-                    report.max_jump = report.max_jump.max(size);
-                }
-                if backward {
-                    walked[p].push(at.as_ps());
-                }
-            });
-
-            if backward {
-                // (2) rwalk: prefix of events whose out-edge targets are
-                // all corrected — a walk may clamp through any of them.
-                while rwalk[p] < fwd.frontier[p]
-                    && graph.out_of(gbase + rwalk[p] as u32).iter().all(|(dst, _)| fwd.passed(graph, dst))
-                {
-                    rwalk[p] += 1;
-                    progressed = true;
-                }
-
-                // (3) Apply ready walks, ascending by jump index — the
-                // batch per-timeline application order.
-                while let Some(wj) = walks[p].get(next_walk[p]) {
-                    if !(fwd.frontier[p] > wj.k && rwalk[p] >= wj.k) {
-                        break;
-                    }
-                    backward_walk(wj, gbase, &mut walked[p], |g| {
-                        latest_allowed(graph.out_of(g), |dst| fwd.value(graph, dst))
-                    });
-                    next_walk[p] += 1;
-                    progressed = true;
-                }
-
-                // (4) Safety frontier: an event at or below every
-                // remaining walk's window start is never written again and
-                // never visited, so its pending clamp reads (one per
-                // out-edge) will not happen — release them.
-                let cur_sufmin = sufmin[p].get(next_walk[p]).copied().unwrap_or(Time::MAX);
-                while b[p] < fwd.frontier[p] && Time::from_ps(walked[p].get(b[p])) <= cur_sufmin {
-                    for (dst, _) in graph.out_of(gbase + b[p] as u32).iter() {
-                        fwd.owe(graph, dst, -1);
-                    }
-                    b[p] += 1;
-                    progressed = true;
-                }
-
-                // (5) Second forward pass behind the safety frontier: its
-                // inputs are the walked values, mu = 1.
-                progressed |=
-                    refwd.advance(graph, p, b[p], u64::MAX, |i| walked[p].get(i), |_, _, _| {});
-            }
-
-            // (6) Emit blocks wholly behind the finalization horizon.
-            let done = if backward { &refwd } else { &fwd };
-            while let Some(&bidx) = index.proc_blocks[p].get(emit_block[p]) {
-                let bm = &index.blocks[bidx as usize];
-                let end = bm.first_idx + bm.n_events as u64;
-                if end > done.frontier[p] {
-                    break;
-                }
-                let te = Instant::now();
-                times.clear();
-                let (a, b) = done.out[p].slices(bm.first_idx, end);
-                times.extend_from_slice(a);
-                times.extend_from_slice(b);
-                let (a, b) = src.orig[p].slices(bm.first_idx, end);
-                let (ta, tb) = times.split_at(a.len());
-                report.events_moved += count_moved(ta, a) + count_moved(tb, b);
-                let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-                let frame = emit.frame(index.locations[p], &times, payload);
-                emitted[p] = end;
-                emit_block[p] += 1;
-                emit_time += te.elapsed();
-                emit.push(frame)?;
-                progressed = true;
-            }
-
-            // (7) Retirement: originals once emitted (the moved-event
-            // comparison was their last read); the snapshot once its
-            // frontier passed and the carry counter cleared (and, without
-            // the backward path, once emitted — it is the emission lane);
-            // the walk lane once re-forwarded and strictly behind the
-            // safety frontier (a walk may still *read* its break element);
-            // the re-sweep's lane once emitted and drained by remote
-            // consumers.
-            src.orig[p].retire(emitted[p]);
-            fwd.out[p].retire(if backward { fwd.frontier[p] } else { emitted[p] });
-            if backward {
-                walked[p].retire(refwd.frontier[p].min(b[p].saturating_sub(1)));
-                refwd.out[p].retire(emitted[p]);
-            }
-        }
-
-        if (0..n).all(|p| emitted[p] == lens[p]) {
-            break;
-        }
-        if !progressed {
-            // Only an unsatisfiable forward dependency can wedge every
-            // frontier at once: the walk/safety/re-forward/emission chain
-            // always drains once the forward sweep completes.
-            return Err(PipelineError::Clc(ClcError::CyclicTrace));
-        }
-    }
-
-    report.events_total = index.n_events() as usize;
-    report.jumps.sort_by_key(|j| (j.event.p(), j.event.i()));
-    Ok((report, emit_time))
-}
-
 /// The CLC-less path: re-emit every block in stream order with its presync
 /// map applied; one transient column per block.
 fn passthrough_emit(
-    index: &StreamIndex,
-    store: &ChunkStore,
-    maps: Option<&[PresyncMap]>,
+    stream: &mut Stream,
     cancel: &CancelToken,
     mem: &MemGauge,
     emit: &mut Emitter<'_>,
 ) -> Result<(), PipelineError> {
     let mut scratch = Vec::new();
     let mut times: Vec<i64> = Vec::new();
+    let index = stream.index;
     for bm in &index.blocks {
         cancel.check()?;
         let bytes = bm.n_events as u64 * 8;
         mem.alloc(bytes);
         times.resize(bm.n_events as usize, 0);
-        let seg = store.read(bm.times_off, bm.n_events as usize * 8, &mut scratch);
-        decode_block_times(seg, &mut times);
         let p = bm.timeline as usize;
-        if let Some(maps) = maps {
-            maps[p].map_col(&mut times);
-        }
-        let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
+        stream.times(p, bm, &mut times, &mut []);
+        let payload = stream.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
         let frame = emit.frame(index.locations[p], &times, payload);
         mem.free(bytes);
         emit.push(frame)?;
@@ -887,15 +1115,15 @@ pub fn synchronize_stream_incremental_with_sink(
     let mut stats = PipelineStats::default();
     stats.stages.push(StageStats::new("index", n_events, t0.elapsed()));
     let maps = build_presync_maps(cfg.presync, init, fin)?;
-    let maps = maps.as_deref();
+    let mut stream = Stream { index: &index, store: &store, maps: maps.as_deref(), scratch: Vec::new() };
     cancel.check()?;
 
     let mem = MemGauge::default();
     let (clc, (frames, events)) = match cfg.effective_clc() {
         None => {
             let t0 = Instant::now();
-            let mut emit = Emitter::open(consume)?;
-            passthrough_emit(&index, &store, maps, cancel, &mem, &mut emit)?;
+            let mut emit = Emitter::open(n, consume)?;
+            passthrough_emit(&mut stream, cancel, &mem, &mut emit)?;
             let counts = emit.close()?;
             stats.stages.push(StageStats::new("emit", counts.1 as usize, t0.elapsed()));
             (None, counts)
@@ -917,35 +1145,42 @@ pub fn synchronize_stream_incremental_with_sink(
                 .push(StageStats::new("lower", n_events, t0.elapsed()));
 
             let lanes = || Lane::per_timeline(&index, window_events, &mem);
-            let source = || Source {
-                index: &index,
-                store: &store,
-                maps,
-                orig: lanes(),
-                next_block: vec![0; n],
-                scratch: Vec::new(),
-            };
-            let walks = if params.backward {
-                let t0 = Instant::now();
-                let fwd = Sweep::new(params.mu, false, lanes());
-                let walks = discover_walks(source(), fwd, &graph, params, cancel)?;
-                stats
-                    .stages
-                    .push(StageStats::new("clc:discover", n_events, t0.elapsed()));
-                walks
-            } else {
-                vec![Vec::new(); n]
-            };
-
+            let sweep = Sweep::new(params.mu, lanes());
+            let mut src = Source { stream, input: lanes(), next_block: vec![0; n] };
             let t0 = Instant::now();
-            let mut emit = Emitter::open(consume)?;
-            let fwd = Sweep::new(params.mu, params.backward, lanes());
-            let refwd = Sweep::new(1.0, false, lanes());
-            let (report, emit_time) =
-                apply_and_emit(source(), fwd, lanes(), refwd, &graph, &walks, cancel, &mut emit)?;
+            let (found, emit) = if params.backward {
+                let found = forward_sweep(&mut src, sweep, &graph, cancel, None)?;
+                stats.stages.push(StageStats::new("clc:discover", n_events, t0.elapsed()));
+                let t0 = Instant::now();
+                let mut emit = Emitter::open(n, consume)?;
+                // The replay decodes the input from its first block again.
+                (src.input, src.next_block) = (lanes(), vec![0; n]);
+                let ap = Apply::new(&graph, &found, params, lanes);
+                let (resteps, restep_time) = apply_and_emit(&mut src, ap, cancel, &mut emit)?;
+                let apply_time = t0.elapsed().saturating_sub(emit.time + restep_time);
+                stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
+                if resteps > 0 {
+                    stats.stages.push(StageStats::new("clc:resweep", resteps, restep_time));
+                }
+                (found, emit)
+            } else {
+                let mut emit = Emitter::open(n, consume)?;
+                let found = forward_sweep(&mut src, sweep, &graph, cancel, Some(&mut emit))?;
+                let apply_time = t0.elapsed().saturating_sub(emit.time);
+                stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
+                (found, emit)
+            };
+            let mut report = ClcReport::default();
+            for (p, jumps) in found.iter().enumerate() {
+                for jump in jumps {
+                    report.jumps.push(Jump { event: EventId::new(p, jump.k as usize), size: jump.delta });
+                    report.max_jump = report.max_jump.max(jump.delta);
+                }
+            }
+            report.events_total = n_events;
+            report.events_moved = emit.moved;
+            let emit_time = emit.time;
             let counts = emit.close()?;
-            let apply_time = t0.elapsed().saturating_sub(emit_time);
-            stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
             stats.stages.push(StageStats::new("emit", counts.1 as usize, emit_time));
             (Some(report), counts)
         }
@@ -1011,34 +1246,73 @@ mod tests {
         }
     }
 
+    /// Every window size against the batch engine, bit for bit. Beside a
+    /// small mixed trace: the skewed mixed traces of the batch re-sweep's
+    /// certificate test, where the per-event certificate holds everywhere,
+    /// and the same with one timeline's first half moved 2⁶⁰ ps back, where
+    /// it fails at the split and the μ = 1 step takes over (`clc:resweep`).
     #[test]
     fn windowed_matches_batch_for_every_window_size() {
-        let base = mixed_trace(4, 12);
-        let bytes = to_binary_columnar_v3_blocked(&base, 5);
         let cfg = cfg(Some(ClcParams::default()));
-
-        let mut batch = base.clone();
-        let brep = synchronize(&mut batch, &[None; 4], None, &LMIN, &cfg).unwrap();
-        let bclc = brep.clc.unwrap();
-        let mut bjumps = bclc.jumps.clone();
-        bjumps.sort_by_key(|j| (j.event.p(), j.event.i()));
-
-        for window in [1usize, 2, 3, 7, 64, 65_536] {
-            let (back, rep) = run_incremental(&bytes, 4, &cfg, window);
-            assert_times_match(&batch, &back, &format!("window {window}"));
-            let c = rep.clc.expect("clc ran");
-            assert_eq!(c.n_jumps(), bjumps.len(), "window {window}: jump count");
-            for (a, b) in c.jumps.iter().zip(&bjumps) {
-                assert_eq!(a.event, b.event, "window {window}");
-                assert_eq!(a.size, b.size, "window {window}");
+        let mut cases = vec![(mixed_trace(4, 12), 5, vec![1usize, 2, 3, 7, 64, 65_536], false)];
+        for (procs, rounds) in [(2, 9), (5, 17), (8, 23)] {
+            let skewed = mixed_trace(procs, rounds);
+            let mut split = skewed.clone();
+            let half = split.procs[1].events.len() / 2;
+            for e in &mut split.procs[1].events[..half] {
+                e.time = e.time.saturating_sub(Dur::from_ps(1 << 60));
             }
-            assert_eq!(c.max_jump, bclc.max_jump, "window {window}");
-            assert_eq!(c.events_moved, bclc.events_moved, "window {window}");
-            assert_eq!(c.events_total, bclc.events_total, "window {window}");
-            assert_eq!(rep.events, base.n_events(), "window {window}");
-            assert!(rep.stats.stage("clc:discover").is_some());
-            assert!(rep.stats.stage("emit").is_some());
+            cases.push((skewed, 4, vec![1, 7, 64, 65_536], false));
+            cases.push((split, 4, vec![1, 7, 64, 65_536], true));
         }
+
+        for (base, block, windows, resweeps) in cases {
+            let n = base.n_procs();
+            let bytes = to_binary_columnar_v3_blocked(&base, block);
+            let mut batch = base.clone();
+            let brep = synchronize(&mut batch, &vec![None; n], None, &LMIN, &cfg).unwrap();
+            let bclc = brep.clc.unwrap();
+            let mut bjumps = bclc.jumps.clone();
+            bjumps.sort_by_key(|j| (j.event.p(), j.event.i()));
+
+            for window in windows {
+                let ctx = format!("{n} timelines, window {window}, resweeps {resweeps}");
+                let (back, rep) = run_incremental(&bytes, n, &cfg, window);
+                assert_times_match(&batch, &back, &ctx);
+                let c = rep.clc.expect("clc ran");
+                assert_eq!(c.n_jumps(), bjumps.len(), "{ctx}: jump count");
+                for (a, b) in c.jumps.iter().zip(&bjumps) {
+                    assert_eq!(a.event, b.event, "{ctx}");
+                    assert_eq!(a.size, b.size, "{ctx}");
+                }
+                assert_eq!(c.max_jump, bclc.max_jump, "{ctx}");
+                assert_eq!(c.events_moved, bclc.events_moved, "{ctx}");
+                assert_eq!(c.events_total, bclc.events_total, "{ctx}");
+                assert_eq!(rep.events, base.n_events(), "{ctx}");
+                assert!(rep.stats.stage("clc:discover").is_some());
+                assert!(rep.stats.stage("emit").is_some());
+                assert_eq!(rep.stats.stage("clc:resweep").is_some(), resweeps, "{ctx}");
+            }
+        }
+    }
+
+    /// The finality check refuses an event below its predecessor — no walk
+    /// leaves one — with no producer and a small gap: the μ = 1 step would
+    /// lift it to the predecessor. At or above it, the same event is final.
+    #[test]
+    fn an_unordered_event_is_not_final() {
+        let mut t = Trace::for_ranks(1);
+        t.procs[0].push(Time::ZERO, EventKind::Enter { region: tracefmt::RegionId(0) });
+        let (matching, insts) = Capture::of(&t).finish();
+        let graph = DepGraph::from_trace(&t, &matching, &insts.unwrap(), &LMIN);
+        let edges = graph.in_of(0);
+        let at = Time::from_us;
+        let prev = Some((at(10), at(10)));
+        assert_eq!(certified(at(9), prev, edges, |_| None), Some(false));
+        assert_eq!(certified(at(10), prev, edges, |_| None), Some(true));
+        assert_eq!(certified(at(11), prev, edges, |_| None), Some(true));
+        // A predecessor the step moved leaves no successor final.
+        assert_eq!(certified(at(11), Some((at(10), at(12))), edges, |_| None), Some(false));
     }
 
     #[test]
@@ -1184,15 +1458,7 @@ mod tests {
     #[test]
     fn ring_lane_matches_a_vec_model() {
         let mem = MemGauge::default();
-        let mut lane = Lane {
-            mem: &mem,
-            w: 4,
-            ring: Vec::new(),
-            head: 0,
-            at: 0,
-            reads: VecDeque::new(),
-            len: 0,
-        };
+        let mut lane = Lane::new(&mem, 4);
         let mut model: Vec<i64> = Vec::new();
         let (mut wrapped, mut crossed, mut grew, mut shrank) = (false, false, false, false);
         for round in 0..40 {
@@ -1237,6 +1503,20 @@ mod tests {
         assert!(wrapped && crossed, "slices wrap {wrapped}, walks cross the wrap {crossed}");
         assert!(grew && shrank, "grow {grew}, shrink {shrank}");
         assert!(lane.head > 148, "the held segment retired once released");
+    }
+
+    /// A read accounted to a retired segment means the segment went while
+    /// still read: a panic in every build (the service turns it into a
+    /// failed job), never a dropped read.
+    #[test]
+    #[should_panic(expected = "read accounted to a retired segment")]
+    fn a_read_of_a_retired_segment_panics() {
+        let mem = MemGauge::default();
+        let mut lane = Lane::new(&mem, 4);
+        (0..12).for_each(|v| lane.push(v));
+        lane.retire(8);
+        assert_eq!(lane.head, 8);
+        lane.owe(3, 1);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
-# stream reader, the windowed engine's ring lanes and its chunk consumer,
-# the batch CLC, Eq. 3's presync, the p2p census bound and the simulator's
-# message path (ROADMAP item 9):
+# stream reader, the windowed engine's ring lanes, replay, finality check
+# and chunk consumer, the batch CLC and its walk constructor, Eq. 3's
+# presync, the p2p census bound and the simulator's message path (ROADMAP
+# item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -170,6 +171,30 @@ crates/core/src/pipeline/windowed.rs
 if (self.consume)(chunk) {
 if (self.consume)(chunk) || true {
 clocksync::pipeline::windowed::tests::a_refused_chunk_cancels_the_run
+
+the windowed replay ignores a recorded jump
+crates/core/src/pipeline/windowed.rs
+jump.at
+candidate(orig, last, mu)
+clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::windowed_engine_differential_matrix
+
+windowed finality check without its order condition
+crates/core/src/pipeline/windowed.rs
+&& c >= walked
+&& true
+clocksync::pipeline::windowed::tests::an_unordered_event_is_not_final
+
+an event the finality check refuses keeps its walked time
+crates/core/src/pipeline/windowed.rs
+let fin = if holds { c } else { self.restep(p, i, c, last) };
+let fin = c;
+clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size
+
+a walk's window starts 1 ps later
+crates/core/src/clc/columnar.rs
+Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window) }
+Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window).saturating_add(Dur::from_ps(1)) }
+tests/columnar_differential.rs::columnar_is_bit_identical_across_the_config_matrix
 EOF
 )
 
