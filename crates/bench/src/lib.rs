@@ -85,38 +85,4 @@ mod tests {
         let rep = tracefmt::check_p2p(&trace, &m, &lmin);
         assert!(rep.total > 0);
     }
-
-    /// The domain-aware CLC on the `clc_variants/domain_aware` corpus:
-    /// FNV-1a fingerprints of the corrected timestamps and of the jump
-    /// sequence, recorded before its three phases moved onto one lowered
-    /// graph and one set of columns.
-    #[test]
-    fn domain_aware_clc_reproduces_its_recorded_output() {
-        use clocksync::{controlled_logical_clock_with_domains, ClcParams};
-        let fnv1a = |words: &mut dyn Iterator<Item = i64>| {
-            words.flat_map(i64::to_le_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
-        };
-        let (cluster, base) = skewed_trace(16, 150, 19);
-        let lmin = lmin_table(&cluster, 16);
-        let domains: Vec<usize> = (0..16).map(|p| p / 4).collect();
-        for (backward, times, jumps, n_jumps, moved) in [
-            (true, 0x2e31_a133_bdb1_eb77_u64, 0x0fa1_d20f_6ffa_1900_u64, 3_149, 31_232),
-            (false, 0xeb3e_f715_ae47_3ef4, 0x23b0_5c0e_b783_6b58, 2_974, 31_208),
-        ] {
-            let mut t = base.clone();
-            let params = ClcParams { backward, ..ClcParams::default() };
-            let rep = controlled_logical_clock_with_domains(&mut t, &lmin, &params, &domains).unwrap();
-            assert_eq!(fnv1a(&mut t.iter_events().map(|(_, e)| e.time.as_ps())), times);
-            let words = |j: &clocksync::Jump| {
-                [i64::from(j.event.proc), i64::from(j.event.idx), j.size.as_ps()]
-            };
-            assert_eq!(fnv1a(&mut rep.jumps.iter().flat_map(words)), jumps);
-            assert_eq!(
-                (rep.n_jumps(), rep.max_jump.as_ps(), rep.events_moved, rep.events_total),
-                (n_jumps, 91_885_587_376, moved, 31_232)
-            );
-        }
-    }
 }

@@ -1,7 +1,7 @@
 //! The CLC kernels: the forward and backward passes over columnar
 //! timestamp storage and the CSR graph. Every batch CLC of this crate —
-//! the pipeline's `clc` stage, [`super::controlled_logical_clock`], the
-//! POMP and clock-domain variants — is a lowering that ends here.
+//! the pipeline's `clc` stage, [`super::controlled_logical_clock`] and the
+//! POMP variant — is a lowering that ends here.
 //!
 //! The passes are tight loops over dense `i64` picosecond columns
 //! ([`TraceColumns`]) driven by the flat [`DepGraph`]:

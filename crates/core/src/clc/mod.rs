@@ -31,9 +31,7 @@
 //! * [`controlled_logical_clock`] — matched messages as stored edges,
 //!   collectives as the member table the §V flavour mapping is derived from;
 //! * [`pomp`] — fork/join rules of a thread team as stored edges, its
-//!   barriers as N-to-N member rows, forward pass only;
-//! * [`domains`] — the message/collective graph again, with a jump
-//!   broadcast between two runs of the forward pass.
+//!   barriers as N-to-N member rows, forward pass only.
 //!
 //! **Dispatch order.** The forward pass visits timelines round-robin and,
 //! on each, corrects events in program order until one must wait. An event
@@ -51,7 +49,6 @@
 //! Every function here rewrites its trace only when it returns `Ok`.
 
 pub(crate) mod columnar;
-pub mod domains;
 pub mod graph;
 pub mod pomp;
 
@@ -176,7 +173,7 @@ pub fn controlled_logical_clock(
 /// Reconstruct the trace's messages and collectives and lower them into
 /// the graph the kernels walk, `lmin` baked into its edges. Matching reads
 /// event order and kinds only, so the graph outlives any timestamp rewrite.
-pub(crate) fn lower(trace: &Trace, lmin: &dyn MinLatency) -> Result<graph::DepGraph, ClcError> {
+fn lower(trace: &Trace, lmin: &dyn MinLatency) -> Result<graph::DepGraph, ClcError> {
     let (matching, instances) = Capture::of(trace).finish();
     let instances = instances.map_err(ClcError::BadCollectives)?;
     graph::DepGraph::try_build(&matching, &instances, &proc_lens(trace), lmin)

@@ -12,10 +12,6 @@
 //! ```text
 //! m(t) = t + (o₂ − o₁)/(w₂ − w₁) · (t − w₁) + o₁
 //! ```
-//!
-//! * [`PiecewiseInterpolation`] generalises to any number of anchor points —
-//!   the "piecewise" option the paper mentions as perturbation-prone but
-//!   strictly more accurate when mid-run measurements exist.
 
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
@@ -146,59 +142,6 @@ impl TimestampMap for LinearInterpolation {
     }
 }
 
-/// Piecewise-linear interpolation through any number of anchors; constant
-/// extrapolation of the boundary segments outside the anchored range.
-#[derive(Debug, Clone)]
-pub struct PiecewiseInterpolation {
-    anchors: Vec<OffsetMeasurement>,
-}
-
-impl PiecewiseInterpolation {
-    /// Build from measurements (sorted internally by worker time).
-    ///
-    /// # Panics
-    /// Panics when fewer than two anchors are given or two anchors share a
-    /// worker time.
-    pub fn new(mut anchors: Vec<OffsetMeasurement>) -> Self {
-        assert!(anchors.len() >= 2, "need at least two anchors");
-        anchors.sort_by_key(|m| m.worker_time);
-        for w in anchors.windows(2) {
-            assert!(
-                w[0].worker_time < w[1].worker_time,
-                "duplicate anchor times"
-            );
-        }
-        PiecewiseInterpolation { anchors }
-    }
-
-    /// Number of anchors.
-    pub fn len(&self) -> usize {
-        self.anchors.len()
-    }
-
-    /// Always false (construction requires ≥ 2 anchors).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    fn segment(&self, t: Time) -> (&OffsetMeasurement, &OffsetMeasurement) {
-        let n = self.anchors.len();
-        let idx = match self.anchors.binary_search_by_key(&t, |m| m.worker_time) {
-            Ok(i) => i,
-            Err(i) => i.saturating_sub(1),
-        }
-        .min(n - 2);
-        (&self.anchors[idx], &self.anchors[idx + 1])
-    }
-}
-
-impl TimestampMap for PiecewiseInterpolation {
-    fn map(&self, t: Time) -> Time {
-        let (a, b) = self.segment(t);
-        LinearInterpolation::new(a, b).map(t)
-    }
-}
-
 /// Apply per-process maps to a whole trace (`maps[p]` for process `p`).
 pub fn apply_maps(trace: &mut Trace, maps: &[Box<dyn TimestampMap>]) {
     assert_eq!(maps.len(), trace.n_procs(), "one map per process required");
@@ -259,20 +202,6 @@ mod tests {
     #[should_panic(expected = "coincide")]
     fn coincident_anchors_panic() {
         let _ = LinearInterpolation::new(&m(5.0, 1.0), &m(5.0, 2.0));
-    }
-
-    #[test]
-    fn piecewise_follows_kinks() {
-        // Offset: 0 at t=0, 100 µs at t=100, back to 0 at t=200 — a shape a
-        // single line cannot fit.
-        let pw = PiecewiseInterpolation::new(vec![m(0.0, 0.0), m(100.0, 100.0), m(200.0, 0.0)]);
-        assert_eq!(pw.len(), 3);
-        let at = |s: f64| pw.map(Time::from_secs_f64(s)) - Time::from_secs_f64(s);
-        assert_eq!(at(50.0), Dur::from_us(50));
-        assert_eq!(at(150.0), Dur::from_us(50));
-        assert_eq!(at(100.0), Dur::from_us(100));
-        // Boundary-segment extrapolation.
-        assert_eq!(at(250.0), Dur::from_us(-50));
     }
 
     #[test]

@@ -6,40 +6,32 @@
 //!
 //! * [`offset`] — Cristian's probabilistic offset estimation from probe
 //!   round trips (paper Eq. 2, min-round-trip filtered);
-//! * [`interp`] — offset alignment, Eq. 3 linear offset interpolation, and
-//!   the piecewise-linear generalisation;
+//! * [`interp`] — offset alignment and Eq. 3 linear offset interpolation;
 //! * [`clc`] — the Controlled Logical Clock with forward and backward
 //!   amortization and the collective → point-to-point mapping extension,
-//!   also lowered for OpenMP thread teams and clock domains;
-//! * [`baselines`] — Duda regression & convex hull, Hofmann min/max,
-//!   Jézéquel spanning trees, Babaoğlu/Drummond full-exchange bounds;
+//!   also lowered for OpenMP thread teams;
 //! * [`pipeline`] — the recommended chain: linear interpolation for weak
-//!   pre-synchronisation, then the CLC for the residual violations;
-//! * [`predict`] — analytical violation-probability model (Brownian-bridge
-//!   residuals of interpolated random-walk wander), validated against the
-//!   simulator.
+//!   pre-synchronisation, then the CLC for the residual violations.
+//!
+//! The crate ships what a synchronizer runs. The paper's §V comparison
+//! (the classic baselines) and the extensions only the evaluation calls
+//! (the clock-domain CLC, the violation-probability model) live in the
+//! `experiments` crate's `survey` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baselines;
 pub mod clc;
 pub mod interp;
 pub mod offset;
 pub mod pipeline;
-pub mod predict;
 
-pub use baselines::{AffineMap, Corridor};
-pub use clc::domains::{controlled_logical_clock_with_domains, domain_misalignment};
 pub use clc::graph::DepGraph;
 pub use clc::pomp::{controlled_logical_clock_pomp, pomp_constraints};
 pub use clc::{
     controlled_logical_clock, ClcError, ClcParams, ClcReport, Jump,
 };
-pub use interp::{
-    apply_maps, IdentityMap, LinearInterpolation, OffsetAlignment, PiecewiseInterpolation,
-    TimestampMap,
-};
+pub use interp::{apply_maps, IdentityMap, LinearInterpolation, OffsetAlignment, TimestampMap};
 pub use offset::{estimate_offset, OffsetMeasurement, ProbeSample};
 pub use pipeline::{
     synchronize, synchronize_stream, synchronize_stream_incremental,
@@ -47,4 +39,3 @@ pub use pipeline::{
     OnlineSpec, PipelineConfig, PipelineError, PipelineReport, PipelineStats, PreSync,
     StageReport, StageStats, StageTotals, SyncMethod, TraceAnalysis,
 };
-pub use predict::{normal_cdf, safe_run_length, violation_probability, WanderModel};

@@ -16,9 +16,10 @@
 //!    load waves.
 
 use crate::common::cluster_one_rank_per_node;
+use crate::survey::PiecewiseInterpolation;
 use clocksync::{
-    controlled_logical_clock, estimate_offset, ClcParams, OffsetMeasurement,
-    PiecewiseInterpolation, ProbeSample, TimestampMap,
+    controlled_logical_clock, estimate_offset, ClcParams, OffsetMeasurement, ProbeSample,
+    TimestampMap,
 };
 use mpisim::probe_worker;
 use simclock::{Dur, Platform, Time, TimerKind};

@@ -7,11 +7,12 @@
 //! residual violations and wall time.
 
 use crate::fig7::{pop_program, traced_run, TracedRun};
-use clocksync::baselines::babaoglu::{full_exchange_maps, FullExchangeFit};
-use clocksync::baselines::jezequel::spanning_tree_maps;
+use crate::survey::babaoglu::{full_exchange_maps, FullExchangeFit};
+use crate::survey::domains::controlled_logical_clock_with_domains;
+use crate::survey::jezequel::spanning_tree_maps;
+use crate::survey::PiecewiseInterpolation;
 use clocksync::{
-    apply_maps, controlled_logical_clock_with_domains, synchronize, ClcParams,
-    IdentityMap, PiecewiseInterpolation, PipelineConfig, PreSync, TimestampMap,
+    apply_maps, synchronize, ClcParams, IdentityMap, PipelineConfig, PreSync, TimestampMap,
 };
 use std::time::Instant;
 use tracefmt::{

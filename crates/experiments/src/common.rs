@@ -5,7 +5,52 @@ use clocksync::{estimate_offset, OffsetMeasurement, ProbeSample};
 use mpisim::{probe_worker, Cluster};
 use netsim::{HierarchicalLatency, Placement, Topology};
 use simclock::{ClockDomain, ClockEnsemble, Dur, Platform, Time, TimerKind};
-use tracefmt::fit_line;
+
+/// Ordinary least-squares line fit `y = slope·x + intercept`.
+///
+/// Characterises drift lines in deviation series; also Duda's regression
+/// baseline ([`crate::survey::duda`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LineFit {
+    /// Slope of the fitted line.
+    pub slope: f64,
+    /// Intercept at `x = 0`.
+    pub intercept: f64,
+    /// Coefficient of determination `R²` (1.0 when the fit is exact;
+    /// 0.0 returned for degenerate inputs).
+    pub r2: f64,
+}
+
+/// Fit a least-squares line through `(x, y)` points.
+///
+/// Returns `None` for fewer than two points or zero x-variance.
+pub fn fit_line(points: &[(f64, f64)]) -> Option<LineFit> {
+    if points.len() < 2 {
+        return None;
+    }
+    let n = points.len() as f64;
+    let mean_x = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let mean_y = points.iter().map(|p| p.1).sum::<f64>() / n;
+    let mut sxx = 0.0;
+    let mut sxy = 0.0;
+    let mut syy = 0.0;
+    for &(x, y) in points {
+        sxx += (x - mean_x) * (x - mean_x);
+        sxy += (x - mean_x) * (y - mean_y);
+        syy += (y - mean_y) * (y - mean_y);
+    }
+    if sxx == 0.0 {
+        return None;
+    }
+    let slope = sxy / sxx;
+    let intercept = mean_y - slope * mean_x;
+    let r2 = if syy == 0.0 { 1.0 } else { (sxy * sxy) / (sxx * syy) };
+    Some(LineFit {
+        slope,
+        intercept,
+        r2,
+    })
+}
 
 /// How long to run and how densely to sample.
 #[derive(Debug, Clone, Copy)]
@@ -248,6 +293,25 @@ pub fn print_series(title: &str, series: &[DeviationSeries], max_rows: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn line_fit_exact() {
+        let pts: Vec<(f64, f64)> = (0..10).map(|i| (i as f64, 3.0 * i as f64 + 1.0)).collect();
+        let f = fit_line(&pts).unwrap();
+        assert!((f.slope - 3.0).abs() < 1e-12);
+        assert!((f.intercept - 1.0).abs() < 1e-12);
+        assert!((f.r2 - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn line_fit_degenerate() {
+        assert!(fit_line(&[(1.0, 2.0)]).is_none());
+        assert!(fit_line(&[(1.0, 2.0), (1.0, 3.0)]).is_none());
+        // Horizontal line: slope 0, r2 == 1 by convention (syy == 0).
+        let f = fit_line(&[(0.0, 5.0), (1.0, 5.0), (2.0, 5.0)]).unwrap();
+        assert_eq!(f.slope, 0.0);
+        assert_eq!(f.r2, 1.0);
+    }
 
     #[test]
     fn run_lengths_match_paper() {

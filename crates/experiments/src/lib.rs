@@ -15,6 +15,7 @@
 //! | [`online_exp`] | online filter vs. interp/CLC on static + churn scenarios |
 //! | [`ablations`] | probe-count / anchor / μ / network-load ablations |
 //! | [`predict_exp`] | analytical residual model vs. simulation |
+//! | [`survey`] | the §V baselines and extensions the survey compares with the CLC |
 //! | [`csvout`] | CSV export (`--csv <dir>`) |
 
 #![forbid(unsafe_code)]
@@ -31,4 +32,5 @@ pub mod fig8;
 pub mod intranode;
 pub mod online_exp;
 pub mod predict_exp;
+pub mod survey;
 pub mod tables;

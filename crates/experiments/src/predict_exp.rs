@@ -1,6 +1,6 @@
 //! Model validation: the analytical violation predictor vs. the simulator.
 //!
-//! `clocksync::predict` models the residual after two-point interpolation
+//! [`crate::survey::predict`] models the residual after two-point interpolation
 //! as a Brownian-bridge of the integrated rate random walk. This experiment
 //! compares, per run position, the predicted residual standard deviation
 //! with the deviation actually measured in the simulator (across several
@@ -9,7 +9,7 @@
 //! Eq. 3 stops protecting the clock condition?*
 
 use crate::common::{cluster_one_rank_per_node, measure_deviations, Correction, RunLength};
-use clocksync::predict::WanderModel;
+use crate::survey::predict::{safe_run_length, WanderModel};
 use simclock::{Dur, Platform, TimerKind};
 use tracefmt::Summary;
 
@@ -89,7 +89,7 @@ pub fn print_predict(duration_s: f64, seeds: u64, seed: u64) {
         ("inter-chip (0.86 us)", Dur::from_us_f64(0.86)),
         ("inter-core (0.47 us)", Dur::from_us_f64(0.47)),
     ] {
-        let t = clocksync::predict::safe_run_length(&model, l);
+        let t = safe_run_length(&model, l);
         println!(
             "safe run length for {label}: ~{:.0} s before mid-run residual std exceeds half the latency",
             t
@@ -124,8 +124,8 @@ mod tests {
     #[test]
     fn safe_run_length_orders_by_latency() {
         let m = xeon_tsc_wander();
-        let t_node = clocksync::predict::safe_run_length(&m, Dur::from_us_f64(4.29));
-        let t_core = clocksync::predict::safe_run_length(&m, Dur::from_us_f64(0.47));
+        let t_node = safe_run_length(&m, Dur::from_us_f64(4.29));
+        let t_core = safe_run_length(&m, Dur::from_us_f64(0.47));
         assert!(t_node > t_core, "larger latency budget → longer safe runs");
         // Minutes, not hours — the paper's message.
         assert!(t_node > 30.0 && t_node < 3600.0, "t_node = {t_node}");

@@ -15,7 +15,7 @@
 //! * [`coll`] — the collective member table both the CLC's dependency graph
 //!   and the plan-based census ([`census`]) read collectives from;
 //! * [`diff`] — per-event comparison of two traces of one run;
-//! * [`stats`] — Welford summaries, line fits and percentiles for the
+//! * [`stats`] — Welford summaries and percentiles for the
 //!   experiment tables;
 //! * [`io`] — the `DTC3` binary trace codec.
 
@@ -45,7 +45,7 @@ pub use column::{TimeSource, TraceColumns};
 pub use event::{CollFlavor, CollOp, EventKind, EventRecord};
 pub use ids::{CommId, EventId, Location, Rank, RegionId, Tag, ThreadId};
 pub use diff::{diff_traces, DiffError, ProcDiff, TraceDiff};
-pub use stats::{fit_line, percentile, LineFit, Summary};
+pub use stats::{percentile, Summary};
 pub use trace::{ProcessTrace, Trace};
 pub use violation::{
     check_collectives, check_collectives_at, check_p2p, check_p2p_messages_at, check_pomp, check_pomp_at, CollReport, LatencyTable, MinLatency,

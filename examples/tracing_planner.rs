@@ -14,8 +14,7 @@
 //! cargo run --release --example tracing_planner
 //! ```
 
-use drift_lab::clocksync::predict::{violation_probability, WanderModel};
-use drift_lab::clocksync::safe_run_length;
+use drift_lab::experiments::survey::predict::{safe_run_length, violation_probability, WanderModel};
 use drift_lab::prelude::*;
 
 fn wander_of(platform: Platform, timer: TimerKind) -> WanderModel {

@@ -274,13 +274,18 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # interpolation-only method beside `clc: None`, no text codec, no unsafe
 # cast of timestamp bytes. One cross-timeline sweep in the windowed engine
 # (DESIGN §15.3): none of the second forward sweep's in-edge arming, the
-# discovery-only driver or the μ = 1 re-sweep lanes.
+# discovery-only driver or the μ = 1 re-sweep lanes. `clocksync` ships what
+# a synchronizer runs: none of the §V survey's old paths (the baselines,
+# `predict`, the domain-aware CLC, piecewise interpolation, the line fit),
+# anchored so that their new home, `experiments::survey`, does not match.
 deleted_names_gate() {
     local hits
     hits=$(
         grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(|AgingDrift|SteppedClock|adev_curve|MpiOp::Sleep|tracing_initially|extra_comms|StreamDecoder|TraceBuilder|feed_into|finish_parts|message_slacks|slack_stats|SlackStats|required_accuracy|RegressionInterpolation|error_bound|synchronize_with_cancel|synchronize_stream_with_cancel|synchronize_stream_incremental_with_cancel|JobInput::Trace|snapshot_times|restore_times|SyncMethod::Interp|to_text|from_text|copy_i64_from_le_bytes|as_i64_slice_le|arm_in_edges|discover_walks|refwd|ingest_block' \
             crates src tests examples
         grep -rnE 'deps_from_parts|extract_deps' crates src examples
+        grep -rnE '\bclocksync::(baselines|predict|AffineMap|Corridor|PiecewiseInterpolation)\b|\bclc::domains\b|\btracefmt::fit_line\b' \
+            crates src tests examples
     ) || true
     if [[ -n "$hits" ]]; then
         echo "deleted names are back:" >&2
@@ -359,8 +364,10 @@ gate "one CLC step" one_clc_step_gate
 # input, and three unit tests (the refused-event traces, the check's order
 # test, a read of a retired segment) outweigh the second forward sweep and
 # the re-sweep lanes they replace; measured 1.3x on stream_windowed's
-# events/s at seeds 2008 and 7.
-SRC_LINES_CEILING=17328
+# events/s at seeds 2008 and 7. Lowered from 17 328 when the §V survey
+# code (the baselines, `predict`, the domain-aware CLC, piecewise
+# interpolation, the line fit) moved to `experiments::survey`.
+SRC_LINES_CEILING=15515
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -382,8 +389,14 @@ gate "size ratchet: core + tracefmt + syncd" size_ratchet_gate
 # site, and the simulation side's uncalled public items left. Lowered to
 # 16 418 when `syncd-wire`'s docs stopped citing the push decoder, and to
 # 16 410 when the campaigns' trace jobs became stream jobs and the io
-# bench's text rows left with the text codec.
-SIM_LINES_CEILING=16410
+# bench's text rows left with the text codec. Raised by 1 810 (from
+# 16 410) when the §V survey code moved out of `clocksync` and `tracefmt`
+# into `experiments::survey` with its tests: the size ratchet above fell by
+# 1 813 in the same change (what moved, plus re-exports, crate docs and the
+# domain-aware CLC's private-kernel plumbing), so the two together fell by
+# 3 — the survey's docs got shorter, and its domain tests carry their own
+# copy of a cyclic fixture `clocksync` keeps private.
+SIM_LINES_CEILING=18220
 SIM_CRATES=(bench experiments mpisim netsim onlinesync simclock simsched syncd-client syncd-wire workloads)
 sim_size_ratchet_gate() {
     local lines crate
@@ -420,7 +433,9 @@ gate "size ratchet: simulation crates" sim_size_ratchet_gate
 # bound's `l_min` with its sign flipped; of the windowed driver: a
 # consumer's refusal ignored, the replay ignoring a recorded jump, the
 # finality check without its order condition, a refused event keeping its
-# walked time — must turn its named tests red in a copy of the checkout.
+# walked time; of the graph lowering: a collective instance lowered without
+# its first member — must turn its named tests red in a copy of the
+# checkout.
 gate "capture, frame, reader, lane, consumer, CLC, presync, census and simulator mutants: scripts/mutants.sh" ./scripts/mutants.sh
 
 # VOPR campaign: every seed must pass every invariant and replay

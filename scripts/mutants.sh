@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
 # stream reader, the windowed engine's ring lanes, replay, finality check
-# and chunk consumer, the batch CLC and its walk constructor, Eq. 3's
-# presync, the p2p census bound and the simulator's message path (ROADMAP
-# item 9):
+# and chunk consumer, the batch CLC, its walk constructor and its
+# collective lowering, Eq. 3's presync, the p2p census bound and the
+# simulator's message path (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -195,6 +195,12 @@ crates/core/src/clc/columnar.rs
 Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window) }
 Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window).saturating_add(Dur::from_ps(1)) }
 tests/columnar_differential.rs::columnar_is_bit_identical_across_the_config_matrix
+
+a collective lowered without its first member
+crates/core/src/clc/graph.rs
+for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate() {
+for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate().skip(1) {
+clocksync::clc::tests::collective_one_to_n_repair tests/csr_differential.rs::csr_lowers_every_collective_flavour
 EOF
 )
 

@@ -7,7 +7,8 @@
 //! structure (the oracle of `tests/common/clc_reference.rs`, run by
 //! `common::reference_synchronize`) or the CSR graph: the kernel inside the
 //! pipeline, and the same kernel behind the public
-//! `controlled_logical_clock`, `_pomp` and `_with_domains` lowerings. (The
+//! `controlled_logical_clock` and `_pomp` lowerings (and the domain-aware
+//! CLC of `experiments::survey::domains`, written over the former). (The
 //! fixture generators live in `tests/common/mod.rs`.)
 
 mod common;
@@ -603,11 +604,11 @@ fn pomp_lowering_reproduces_the_recorded_walker_output() {
 /// (clock-mates 0 and 1 with parallel local activity, a violated message
 /// from the remote timeline 2 landing mid-stream on 0), recorded while its
 /// phase 1 ran the map walker and its phase 3 re-matched and re-lowered
-/// the trace. (The same pin on the `clc_variants/domain_aware` bench corpus
-/// lives beside that fixture, in `crates/bench/src/lib.rs`.)
+/// the trace. (The same pin on the bench corpus lives beside the function,
+/// in `crates/experiments/src/survey/domains.rs`.)
 #[test]
 fn domain_clc_reproduces_its_recorded_output() {
-    use drift_lab::clocksync::controlled_logical_clock_with_domains;
+    use drift_lab::experiments::survey::domains::controlled_logical_clock_with_domains;
     use drift_lab::tracefmt::{RegionId, Tag};
     let enter = EventKind::Enter { region: RegionId(0) };
     let mut base = Trace::for_ranks(3);

@@ -1,9 +1,9 @@
 //! Integration tests for the beyond-the-paper extensions, chained across
 //! crates: diffing, POMP/domain CLC, prediction.
 
-use drift_lab::clocksync::{
-    controlled_logical_clock, controlled_logical_clock_pomp,
-    controlled_logical_clock_with_domains, domain_misalignment, ClcParams,
+use drift_lab::clocksync::{controlled_logical_clock, controlled_logical_clock_pomp, ClcParams};
+use drift_lab::experiments::survey::domains::{
+    controlled_logical_clock_with_domains, domain_misalignment,
 };
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::diff_traces;
@@ -94,11 +94,11 @@ fn pomp_clc_fixes_a_full_openmp_benchmark_run() {
 
 #[test]
 fn prediction_module_agrees_with_platform_parameters() {
-    use drift_lab::clocksync::predict::WanderModel;
+    use drift_lab::experiments::survey::predict::{safe_run_length, WanderModel};
     let p = Platform::XeonCluster.clock_profile(TimerKind::IntelTsc, 60.0);
     let m = WanderModel { step_sigma: p.walk_step_sigma, step_s: p.walk_step_s };
     // The safe run length for the paper's inter-node latency must be in the
     // minutes range — consistent with both Fig. 6 and our Fig. 7 setups.
-    let safe = drift_lab::clocksync::safe_run_length(&m, Dur::from_us_f64(4.29));
+    let safe = safe_run_length(&m, Dur::from_us_f64(4.29));
     assert!(safe > 60.0 && safe < 1800.0, "safe window {safe} s");
 }

@@ -549,7 +549,7 @@ proptest! {
         (trace, lmin_us) in arb_skewed_trace(),
         split in 1usize..4,
     ) {
-        use drift_lab::clocksync::controlled_logical_clock_with_domains;
+        use drift_lab::experiments::survey::domains::controlled_logical_clock_with_domains;
         let n = trace.n_procs();
         // Group processes into `split` clock domains round-robin.
         let domains: Vec<usize> = (0..n).map(|p| p % split.min(n)).collect();
