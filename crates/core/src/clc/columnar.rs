@@ -42,12 +42,25 @@
 //! its consumers' F allow, and no timeline spans 2⁵² ps — beyond that
 //! `Dur::scale(1.0)` rounds a gap, up as well as down.
 //!
+//! # What a run allocates
+//!
+//! Nothing proportional to the events but one bit each. The passes run in
+//! place, so a failed run leaves a partial pass in the columns: both
+//! callers (the pipeline's `clc` stage and the public drivers, which
+//! gather their own columns) drop them on `Err` before anything is written
+//! back. `events_moved` is counted from a 1-bit-per-event set ([`Moved`])
+//! that the forward pass, the backward walks and the μ = 1 sweep mark as
+//! they raise times. The backward caps read the forward times of the
+//! events that consume a constraint, and only those are kept
+//! ([`Snapshot`]): one word per stored in-edge and one per collective
+//! member row.
+//!
 //! Bit-identity with the map-based reference implementation of the same
 //! algorithm (`tests/common/clc_reference.rs`, which shares no code with
 //! this module) is enforced by `tests/csr_differential.rs`,
 //! `tests/columnar_differential.rs` and the property tests.
 
-use super::graph::{CollPass, DepGraph, Edges};
+use super::graph::{CollPass, DepGraph, Edges, Snapshot};
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
 use std::ops::Range;
@@ -57,26 +70,44 @@ use tracefmt::{EventId, TraceColumns};
 /// when configured — backward amortization and a μ = 1 forward sweep that
 /// guarantees the postcondition whatever the clamping left — run only
 /// where its certificate fails (module docs). Latencies live on the graph
-/// edges, so no latency model is consulted here. On error the columns are
-/// left as they were.
+/// edges, so no latency model is consulted here. On error the columns hold
+/// a partial pass; the caller drops them.
 pub(crate) fn controlled_logical_clock_columnar_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
     params: &ClcParams,
 ) -> Result<ClcReport, ClcError> {
     validate(params)?;
-    let originals = cols.flat().to_vec();
-    let passes = |cols: &mut TraceColumns| {
-        let report = forward_pass_csr(cols, graph, params.mu)?;
-        if params.backward && !backward_amortization_csr(cols, graph, params, &report.jumps) {
-            forward_pass_csr(cols, graph, 1.0)?;
-        }
-        Ok(report)
-    };
-    let mut report = passes(cols).inspect_err(|_| cols.flat_mut().copy_from_slice(&originals))?;
+    let mut moved = Moved::new(cols.n_events());
+    let mut report = forward_pass_csr(cols, graph, params.mu, &mut moved)?;
+    if params.backward && !backward_amortization_csr(cols, graph, params, &report.jumps, &mut moved) {
+        forward_pass_csr(cols, graph, 1.0, &mut moved)?;
+    }
     report.events_total = cols.n_events();
-    report.events_moved = count_moved(cols.flat(), &originals);
+    report.events_moved = moved.count();
     Ok(report)
+}
+
+/// The events a run has moved, one bit per gid. Every pass only raises
+/// times — the forward candidate is at least the event's own time, a
+/// walk's shift at least zero — so an event ends above its input iff some
+/// pass raised it, and the union of what the passes mark is exact.
+pub(crate) struct Moved(Vec<u64>);
+
+impl Moved {
+    pub(crate) fn new(n_events: usize) -> Moved {
+        Moved(vec![0; n_events.div_ceil(64)])
+    }
+
+    /// Mark `gid` if `raised`; branch-free.
+    #[inline(always)]
+    fn mark(&mut self, gid: usize, raised: bool) {
+        self.0[gid >> 6] |= u64::from(raised) << (gid & 63);
+    }
+
+    fn count(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
 }
 
 pub(crate) fn check_mu(mu: f64) -> Result<(), ClcError> {
@@ -185,20 +216,42 @@ impl Walk {
 }
 
 /// What the backward walk needs of the timeline it rewrites: the batch
-/// pass hands it a column slice, the windowed engine a ring lane.
+/// pass hands it a column slice that marks what it raises, the windowed
+/// engine a ring lane.
 pub(crate) trait Timeline {
     fn get(&self, i: u64) -> i64;
     fn set(&mut self, i: u64, v: i64);
 }
 
+/// A plain slice: the model the windowed lane's tests hold it against.
+#[cfg(test)]
 impl Timeline for [i64] {
-    #[inline(always)]
     fn get(&self, i: u64) -> i64 {
         self[i as usize]
     }
-    #[inline(always)]
     fn set(&mut self, i: u64, v: i64) {
         self[i as usize] = v;
+    }
+}
+
+/// One column of the slab, `base` its first gid, marking in `moved` every
+/// event a write raises.
+struct Marked<'a> {
+    col: &'a mut [i64],
+    base: usize,
+    moved: &'a mut Moved,
+}
+
+impl Timeline for Marked<'_> {
+    #[inline(always)]
+    fn get(&self, i: u64) -> i64 {
+        self.col[i as usize]
+    }
+    #[inline(always)]
+    fn set(&mut self, i: u64, v: i64) {
+        let t = &mut self.col[i as usize];
+        self.moved.mark(self.base + i as usize, v != *t);
+        *t = v;
     }
 }
 
@@ -257,9 +310,9 @@ pub(crate) fn backward_walk<L: Timeline + ?Sized>(
 /// timeline's frontier, which already holds its corrected time. So the hot
 /// loop touches one dense `i64` array — no column indirection, no
 /// binary-search `locate` (the producer-pending check compares raw gids
-/// against a per-timeline frontier). On [`ClcError::CyclicTrace`] the slab
-/// holds a partial pass; a caller that promises untouched columns restores
-/// them from its own copy.
+/// against a per-timeline frontier). Every event it raises is marked in
+/// `moved`. On [`ClcError::CyclicTrace`] the slab holds a partial pass, and
+/// `moved` marks part of it: the caller drops both.
 ///
 /// A collective end of an aggregated N-to-N instance takes its bound from
 /// the pass's [`CollPass`] instead of walking its view — the same maximum,
@@ -268,6 +321,7 @@ pub(crate) fn forward_pass_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
     mu: f64,
+    moved: &mut Moved,
 ) -> Result<ClcReport, ClcError> {
     let n = cols.n_procs();
     let lens: Vec<usize> = (0..n).map(|p| cols.col(p).len()).collect();
@@ -312,6 +366,7 @@ pub(crate) fn forward_pass_csr(
                     break 'events; // producer not yet corrected
                 };
                 flat[gid] = corrected.as_ps();
+                moved.mark(gid, corrected != orig);
                 if slot != 0 && slot & 1 == 0 {
                     coll.begin_corrected(graph, slot, flat);
                 }
@@ -335,20 +390,20 @@ pub(crate) fn forward_pass_csr(
 /// outgoing message or collective contribution becomes violated. Returns
 /// whether the μ = 1 sweep may be skipped ([`sweep_leaves`]).
 ///
-/// Remote constraint times are read from a **snapshot** taken after the
-/// forward pass: the result is independent of timeline order, and since
-/// backward shifts only ever move events *forward*, snapshot-based slacks
-/// are conservative. A timeline's walks run in ascending jump order — the
-/// forward pass's — so `col[k]` still holds the value jump `k` left.
+/// Remote constraint times are read from a **snapshot** of the consumers'
+/// forward times ([`Snapshot`]): the result is independent of timeline
+/// order, and since backward shifts only ever move events *forward*,
+/// snapshot-based slacks are conservative. A timeline's walks run in
+/// ascending jump order — the forward pass's — so `col[k]` still holds the
+/// value jump `k` left. Every event a walk raises is marked in `moved`.
 fn backward_amortization_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
     params: &ClcParams,
     jumps: &[Jump],
+    moved: &mut Moved,
 ) -> bool {
-    // The columns' slab is timeline-major in gid order: one `memcpy` gives
-    // the snapshot indexed the way out-edge targets are named.
-    let snapshot = cols.flat().to_vec();
+    let snapshot = Snapshot::take(graph, cols.flat());
     let mut per_proc: Vec<Vec<Jump>> = vec![Vec::new(); cols.n_procs()];
     for j in jumps {
         per_proc[j.event.p()].push(*j);
@@ -360,7 +415,8 @@ fn backward_amortization_csr(
         for jump in per_proc[p].iter().filter(|j| j.event.i() > 0) {
             let k = jump.event.i();
             let walk = Walk::new(k as u64, Time::from_ps(col[k]), jump.size, params.backward_window_factor);
-            let lowest = backward_walk(&walk, base, col, |gid| caps.latest(graph, gid, &snapshot));
+            let mut line = Marked { col: &mut *col, base: base as usize, moved: &mut *moved };
+            let lowest = backward_walk(&walk, base, &mut line, |gid| caps.latest(graph, gid, &snapshot));
             idle = idle && sweep_leaves(col, lowest as usize..k, base, graph, &snapshot, &mut caps);
         }
         idle = idle && sweep_leaves(col, 0..0, base, graph, &snapshot, &mut caps);
@@ -373,13 +429,13 @@ fn backward_amortization_csr(
 /// is. Checked after each walk on the indices it `moved` — later walks only
 /// raise what they rewrite and the successors of what they do not — and on
 /// the span. A moved time is above `i64::MIN`, so `C ≤ F − lat` implies
-/// `C + lat ≤ F`, with F the `forward` times by gid.
+/// `C + lat ≤ F`, with F the `forward` times of the consumers.
 fn sweep_leaves(
     c: &[i64],
     moved: Range<usize>,
     base: u32,
     graph: &DepGraph,
-    forward: &[i64],
+    forward: &Snapshot,
     caps: &mut CollPass,
 ) -> bool {
     let span_exact = c.first().zip(c.last()).is_none_or(|(first, last)| {
@@ -507,9 +563,11 @@ mod tests {
                 let (graph, cols) = (graph_of(trace), TraceColumns::gather(trace));
                 let (mut a, mut b) = (cols.clone(), cols.clone());
                 let ra = controlled_logical_clock_columnar_csr(&mut a, &graph, &params).unwrap();
-                let mut rb = forward_pass_csr(&mut b, &graph, params.mu).unwrap();
-                assert_eq!(backward_amortization_csr(&mut b, &graph, &params, &rb.jumps), holds);
-                forward_pass_csr(&mut b, &graph, 1.0).unwrap();
+                let mut moved = Moved::new(cols.n_events());
+                let mut rb = forward_pass_csr(&mut b, &graph, params.mu, &mut moved).unwrap();
+                let certified = backward_amortization_csr(&mut b, &graph, &params, &rb.jumps, &mut moved);
+                assert_eq!(certified, holds);
+                forward_pass_csr(&mut b, &graph, 1.0, &mut moved).unwrap();
                 rb.events_moved = count_moved(b.flat(), cols.flat());
                 assert_same_run((&a, &ra), (&b, &rb), &format!("{procs}x{rounds}, certificate {holds}"));
             }
@@ -526,31 +584,31 @@ mod tests {
             t.procs[0].push(Time::from_us(at), tracefmt::EventKind::Enter { region: tracefmt::RegionId(0) });
         }
         let (graph, mut cols) = (graph_of(&t), TraceColumns::gather(&t));
-        let (forward, mut caps) = (cols.flat().to_vec(), CollPass::new(&graph));
+        let (forward, mut caps) = (Snapshot::take(&graph, cols.flat()), CollPass::new(&graph));
         assert!(sweep_leaves(&[0, 15_000_000, 20_000_000], 1..2, 0, &graph, &forward, &mut caps));
         cols.flat_mut()[1] = 25_000_000;
         assert!(!sweep_leaves(cols.flat(), 1..2, 0, &graph, &forward, &mut caps));
-        forward_pass_csr(&mut cols, &graph, 1.0).unwrap();
+        forward_pass_csr(&mut cols, &graph, 1.0, &mut Moved::new(3)).unwrap();
         assert_eq!(cols.flat()[2], 25_000_000, "the sweep moves the successor");
     }
 
     /// The pass is in place, so a cycle is found with part of the slab
-    /// already rewritten: the driver must hand the columns back as they
-    /// were, bit for bit.
+    /// already rewritten: the public driver must drop those columns and
+    /// hand the trace back as it was, bit for bit.
     #[test]
-    fn cyclic_trace_leaves_the_columns_untouched() {
-        let t = fixtures::cyclic_after_a_jump();
+    fn cyclic_trace_leaves_the_trace_untouched() {
+        let mut t = fixtures::cyclic_after_a_jump();
+        let before = TraceColumns::gather(&t);
+
+        let mut scratch = before.clone();
         let graph = graph_of(&t);
-        let mut cols = TraceColumns::gather(&t);
-        let before = cols.flat().to_vec();
+        let failed = forward_pass_csr(&mut scratch, &graph, 0.99, &mut Moved::new(t.n_events()));
+        assert!(matches!(failed, Err(ClcError::CyclicTrace)));
+        assert_ne!(scratch.flat(), before.flat(), "the fixture must fail after a correction");
 
-        let mut scratch = TraceColumns::gather(&t);
-        assert!(matches!(forward_pass_csr(&mut scratch, &graph, 0.99), Err(ClcError::CyclicTrace)));
-        assert_ne!(scratch.flat(), &before[..], "the fixture must fail after a correction");
-
-        let err = controlled_logical_clock_columnar_csr(&mut cols, &graph, &ClcParams::default());
+        let err = crate::clc::controlled_logical_clock(&mut t, &LMIN, &ClcParams::default());
         assert!(matches!(err, Err(ClcError::CyclicTrace)));
-        assert_eq!(cols.flat(), &before[..]);
+        assert_eq!(TraceColumns::gather(&t).flat(), before.flat());
     }
 
     #[test]

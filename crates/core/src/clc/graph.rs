@@ -562,6 +562,42 @@ impl DepGraph {
     }
 }
 
+/// The forward pass's times where a backward cap reads them, and nowhere
+/// else: at the consumers of stored edges and at collective ends. One word
+/// per stored in-edge — a consumer's time sits at the start of its in-edge
+/// run, which no other consumer shares — and one per member row, the
+/// row's end. A collective end has no stored in-edge, so `coll_slot` tells
+/// the two apart.
+pub(crate) struct Snapshot {
+    /// `stored[in_offsets[v]]`: F of the consumer `v` of a stored edge.
+    stored: Vec<i64>,
+    /// `ends[row]`: F of the member row's end.
+    ends: Vec<i64>,
+}
+
+impl Snapshot {
+    /// Read the consumers' times out of the gid-indexed slab `flat`.
+    pub(crate) fn take(graph: &DepGraph, flat: &[i64]) -> Snapshot {
+        let mut stored = vec![0; graph.in_edges.len()];
+        for &v in &graph.out_edges {
+            stored[graph.in_offsets[v as usize] as usize] = flat[v as usize];
+        }
+        let ends = graph.coll.instances().flat_map(|inst| inst.ends).map(|&e| flat[e as usize]).collect();
+        Snapshot { stored, ends }
+    }
+
+    /// F of `gid`: a consumer of a stored edge or a collective end.
+    #[inline(always)]
+    fn at(&self, graph: &DepGraph, gid: u32) -> i64 {
+        let slot = graph.member_slot(gid);
+        if slot & 1 == 1 {
+            self.ends[(slot >> 1) as usize - 1]
+        } else {
+            self.stored[graph.in_offsets[gid as usize] as usize]
+        }
+    }
+}
+
 /// The largest and second-largest value offered, and who offered the
 /// largest: enough to answer "the largest offered by anyone but `j`".
 #[derive(Debug, Clone, Copy, Default)]
@@ -669,14 +705,14 @@ impl CollPass {
         }
         self.pending[i] -= 1;
         if self.pending[i] == 0 {
-            self.aggregate(graph, i, |b| corr[b as usize], false);
+            self.aggregate(graph, i, |_, b| corr[b as usize], false);
         }
     }
 
     /// Backward: [`latest_allowed`] for `gid`'s out-edges, folded once per
     /// instance for the begins of an aggregated one.
     #[inline(always)]
-    pub(crate) fn latest(&mut self, graph: &DepGraph, gid: u32, snapshot: &[i64]) -> Option<Time> {
+    pub(crate) fn latest(&mut self, graph: &DepGraph, gid: u32, snapshot: &Snapshot) -> Option<Time> {
         let slot = graph.member_slot(gid);
         if slot != 0 && slot & 1 == 0 {
             let row = (slot >> 1) as usize - 1;
@@ -684,18 +720,19 @@ impl CollPass {
             if self.pending[i] != NOT_AGGREGATED {
                 if self.pending[i] != 0 {
                     self.pending[i] = 0;
-                    self.aggregate(graph, i, |e| !snapshot[e as usize], true);
+                    self.aggregate(graph, i, |row, _| !snapshot.ends[row], true);
                 }
                 return Some(Time::from_ps(self.remote[row]));
             }
         }
-        latest_allowed(graph.out_of(gid), |dst| snapshot[dst as usize])
+        latest_allowed(graph.out_of(gid), |dst| snapshot.at(graph, dst))
     }
 
     /// Fold instance `i`'s begins into its ends' bounds, or — `backward` —
-    /// its complemented ends into its begins' latest times.
+    /// its complemented ends into its begins' latest times. `value` reads
+    /// a member's time by its row and its gid.
     #[inline(never)]
-    fn aggregate(&mut self, graph: &DepGraph, i: usize, value: impl Fn(u32) -> i64, backward: bool) {
+    fn aggregate(&mut self, graph: &DepGraph, i: usize, value: impl Fn(usize, u32) -> i64, backward: bool) {
         let inst = graph.coll.instance(i);
         let classes = inst.block.classes().expect("aggregated instances are classed");
         let lat = |from, to| if backward { classes.lat(to, from) } else { classes.lat(from, to) };
@@ -703,7 +740,7 @@ impl CollPass {
         self.top.clear();
         self.top.resize(n, Top2::default());
         for (j, &member) in (if backward { inst.ends } else { inst.begins }).iter().enumerate() {
-            self.top[classes.of(j)].offer(value(member), j);
+            self.top[classes.of(j)].offer(value(inst.first_row + j, member), j);
         }
         self.others.clear();
         for to in 0..n {
@@ -756,7 +793,7 @@ mod tests {
     /// — in what is stored, and in what a forward pass evaluates.
     #[test]
     fn stored_size_is_linear_in_events_plus_communicator_squared() {
-        use crate::clc::columnar::{controlled_logical_clock_columnar_csr, forward_pass_csr};
+        use crate::clc::columnar::{controlled_logical_clock_columnar_csr, forward_pass_csr, Moved};
         use crate::clc::ClcParams;
         use tracefmt::{check_collectives_at, CollOp, CommId, TraceColumns};
 
@@ -816,7 +853,8 @@ mod tests {
                 .map(|_| {
                     let mut cols = TraceColumns::gather(&t);
                     let t0 = std::time::Instant::now();
-                    let jumps = forward_pass_csr(&mut cols, g, 0.99).unwrap().jumps;
+                    let moved = &mut Moved::new(cols.n_events());
+                    let jumps = forward_pass_csr(&mut cols, g, 0.99, moved).unwrap().jumps;
                     (t0.elapsed(), cols.flat().to_vec(), jumps)
                 })
                 .min_by_key(|(elapsed, ..)| *elapsed)
@@ -844,7 +882,7 @@ mod tests {
     /// its ends walk their views — and the forward pass reports the cycle.
     #[test]
     fn collective_begin_after_its_own_timelines_end_is_a_cycle() {
-        use crate::clc::columnar::forward_pass_csr;
+        use crate::clc::columnar::{forward_pass_csr, Moved};
         use crate::clc::ClcError;
         use tracefmt::{CollMember, CollOp, CommId, TraceColumns};
         let member = |p, b, e| CollMember {
@@ -868,7 +906,8 @@ mod tests {
             }
         }
         let mut cols = TraceColumns::gather(&t);
-        assert!(matches!(forward_pass_csr(&mut cols, &g, 0.99), Err(ClcError::CyclicTrace)));
+        let failed = forward_pass_csr(&mut cols, &g, 0.99, &mut Moved::new(6));
+        assert!(matches!(failed, Err(ClcError::CyclicTrace)));
     }
 
     /// What no decoded trace can hold but a hand-built analysis can: the

@@ -184,19 +184,6 @@ pub(crate) fn proc_lens(trace: &Trace) -> Vec<usize> {
     trace.procs.iter().map(|p| p.events.len()).collect()
 }
 
-/// Write corrected columns back into the trace — until here still holding
-/// the timestamps the run started from — and count against those.
-pub(crate) fn commit(cols: &TraceColumns, trace: &mut Trace, mut report: ClcReport) -> ClcReport {
-    report.events_total = cols.n_events();
-    report.events_moved = trace
-        .iter_events()
-        .zip(cols.flat())
-        .filter(|((_, e), &corrected)| e.time.as_ps() != corrected)
-        .count();
-    cols.scatter_into(trace);
-    report
-}
-
 /// Deterministic test traces shared by the CLC engine test suites.
 #[cfg(test)]
 pub(crate) mod fixtures {

@@ -22,9 +22,9 @@
 //! memory, the minimum "latency" of every rule is the synchronisation cost
 //! `d_min`, typically tens to hundreds of nanoseconds.
 
-use super::columnar::{check_mu, forward_pass_csr};
+use super::columnar::controlled_logical_clock_columnar_csr;
 use super::graph::DepGraph;
-use super::{commit, proc_lens, ClcError, ClcParams, ClcReport};
+use super::{proc_lens, ClcError, ClcParams, ClcReport};
 use simclock::Dur;
 use tracefmt::{
     match_parallel_regions, CollMember, CollOp, CollectiveInstance, CommId, EventId, Trace,
@@ -99,10 +99,11 @@ pub fn controlled_logical_clock_pomp(
     params: &ClcParams,
 ) -> Result<ClcReport, ClcError> {
     let graph = pomp_constraints(trace, d_min)?;
-    check_mu(params.mu)?;
     let mut cols = TraceColumns::gather(trace);
-    let report = forward_pass_csr(&mut cols, &graph, params.mu)?;
-    Ok(commit(&cols, trace, report))
+    let forward_only = ClcParams { backward: false, ..*params };
+    let report = controlled_logical_clock_columnar_csr(&mut cols, &graph, &forward_only)?;
+    cols.scatter_into(trace);
+    Ok(report)
 }
 
 #[cfg(test)]

@@ -64,7 +64,7 @@ impl OnlineLane {
         let corr = self.filter.offset_at_ps(raw_ps);
         // The filter clamps its state so `corr` is finite and well inside
         // f64's exact-i64 range; saturate the add anyway for hostile raws.
-        let out = raw_ps.saturating_add(corr.round() as i64);
+        let out = raw_ps.saturating_add(simclock::round_ties_away(corr));
         let out = match self.last_out {
             Some(prev) => out.max(prev),
             None => out,

@@ -48,5 +48,5 @@ pub use noise::{NoiseSpec, ReadNoise};
 pub use ntp::NtpDiscipline;
 pub use platform::{ClockProfile, Platform};
 pub use stability::{allan_deviation, sample_phase};
-pub use time::{Dur, Time};
+pub use time::{round_ties_away, Dur, Time};
 pub use virt::VirtualClock;

@@ -69,10 +69,11 @@ impl Time {
         Time(s * PS_PER_SEC)
     }
 
-    /// Instant from fractional seconds (rounded to the nearest picosecond).
+    /// Instant from fractional seconds (rounded to the nearest picosecond,
+    /// ties away from zero).
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        Time((s * PS_PER_SEC as f64).round() as i64)
+        Time(round_ties_away(s * PS_PER_SEC as f64))
     }
 
     /// Raw picoseconds.
@@ -177,16 +178,18 @@ impl Dur {
         Dur(s * PS_PER_SEC)
     }
 
-    /// Span from fractional seconds (rounded to the nearest picosecond).
+    /// Span from fractional seconds (rounded to the nearest picosecond,
+    /// ties away from zero).
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        Dur((s * PS_PER_SEC as f64).round() as i64)
+        Dur(round_ties_away(s * PS_PER_SEC as f64))
     }
 
-    /// Span from fractional microseconds.
+    /// Span from fractional microseconds (rounded like
+    /// [`from_secs_f64`](Dur::from_secs_f64)).
     #[inline]
     pub fn from_us_f64(us: f64) -> Self {
-        Dur((us * PS_PER_US as f64).round() as i64)
+        Dur(round_ties_away(us * PS_PER_US as f64))
     }
 
     /// Raw picoseconds.
@@ -238,33 +241,11 @@ impl Dur {
     }
 
     /// Multiply by a dimensionless factor, rounding to the nearest ps, ties
-    /// away from zero, saturating at the `i64` edges — bit for bit
-    /// `(ps as f64 * f).round() as i64`. `f64::round` is a libm call on
-    /// baseline x86-64 and this sits on the CLC's per-event path, so the
-    /// rounding is one addition and the truncating cast instead.
-    ///
-    /// Why `(y + h.copysign(y)) as i64`, with `h = ½ − 2⁻⁵⁴` the double just
-    /// below one half, is that rounding — for `y ≥ 0` (signs mirror) with
-    /// integer part `n` and `u` the spacing of doubles at `y`:
-    ///
-    /// * `y < ½`: the exact sum is at most `2h`, the double just below 1,
-    ///   and float rounding is monotone — it truncates to 0;
-    /// * fraction below ½, `y ≥ 1`: the fraction is at most `½ − u` (zero
-    ///   once `u ≥ ½`), so the exact sum lies below `n + 1 − u`, itself a
-    ///   double; the rounded sum stays below `n + 1` and truncates to `n`.
-    ///   From `2⁵²` on `y` is an integer and `+ h` rounds straight back;
-    /// * fraction at least ½: the exact sum is at least `n + 1 − 2⁻⁵⁴`,
-    ///   nearer to `n + 1` than to any double below it (for `n = 0` a tie,
-    ///   which round-to-even gives to `1.0`) and below `n + 2`: it
-    ///   truncates to `n + 1`. (A plain `+ 0.5` fails the first case: it
-    ///   carries `h` itself up to 1.)
-    ///
-    /// NaN casts to 0 and ±∞ saturate either way. Pinned against
-    /// `f64::round` over the full range by this module's tests.
+    /// away from zero, saturating at the `i64` edges: [`round_ties_away`]
+    /// of the product. This sits on the CLC's per-event path.
     #[inline]
     pub fn scale(self, f: f64) -> Dur {
-        let y = self.0 as f64 * f;
-        Dur((y + 0.499_999_999_999_999_94_f64.copysign(y)) as i64)
+        Dur(round_ties_away(self.0 as f64 * f))
     }
 
     /// Saturating addition.
@@ -278,6 +259,35 @@ impl Dur {
     pub fn saturating_sub(self, rhs: Dur) -> Dur {
         Dur(self.0.saturating_sub(rhs.0))
     }
+}
+
+/// Round to the nearest integer, ties away from zero, saturating at the
+/// `i64` edges — bit for bit `y.round() as i64`. `f64::round` is a libm
+/// call on baseline x86-64, and this sits on per-event paths (Eq. 3's
+/// offset, the CLC's amortized gap), so the rounding is one addition and
+/// the truncating cast instead.
+///
+/// Why `(y + h.copysign(y)) as i64`, with `h = ½ − 2⁻⁵⁴` the double just
+/// below one half, is that rounding — for `y ≥ 0` (signs mirror) with
+/// integer part `n` and `u` the spacing of doubles at `y`:
+///
+/// * `y < ½`: the exact sum is at most `2h`, the double just below 1,
+///   and float rounding is monotone — it truncates to 0;
+/// * fraction below ½, `y ≥ 1`: the fraction is at most `½ − u` (zero
+///   once `u ≥ ½`), so the exact sum lies below `n + 1 − u`, itself a
+///   double; the rounded sum stays below `n + 1` and truncates to `n`.
+///   From `2⁵²` on `y` is an integer and `+ h` rounds straight back;
+/// * fraction at least ½: the exact sum is at least `n + 1 − 2⁻⁵⁴`,
+///   nearer to `n + 1` than to any double below it (for `n = 0` a tie,
+///   which round-to-even gives to `1.0`) and below `n + 2`: it
+///   truncates to `n + 1`. (A plain `+ 0.5` fails the first case: it
+///   carries `h` itself up to 1.)
+///
+/// NaN casts to 0 and ±∞ saturate either way. Pinned against
+/// `f64::round` over the full range by this module's tests.
+#[inline]
+pub fn round_ties_away(y: f64) -> i64 {
+    (y + 0.499_999_999_999_999_94_f64.copysign(y)) as i64
 }
 
 impl Add<Dur> for Time {
@@ -463,8 +473,10 @@ mod tests {
         (d as f64 * f).round() as i64
     }
 
-    #[test]
-    fn scale_equals_libm_round_on_the_hard_cases() {
+    /// Spans and factors whose products sit where rounding is hard: exact
+    /// halves, the spacing of doubles passing through ½ and 1 around 2⁵¹
+    /// and 2⁵², the double just below ½, the `i64` edges, NaN and ±∞.
+    fn hard_cases() -> (Vec<i64>, [f64; 20]) {
         let p52 = 1i64 << 52;
         let mut spans = vec![0, 1, -1, 2, 3, 5, 7, 999_999, i64::MAX, i64::MIN, i64::MAX - 1];
         for e in [51, 52, 53, 62] {
@@ -480,6 +492,12 @@ mod tests {
             0.5, 0.99, 1.0, 50.0, 0.0, -0.0, -0.5, -1.0, 0.25, 0.75, 1e-6, 1e-18, 1e18, below_half,
             f64::EPSILON, f64::MIN_POSITIVE, f64::MAX, f64::NAN, f64::INFINITY, f64::NEG_INFINITY,
         ];
+        (spans, factors)
+    }
+
+    #[test]
+    fn scale_equals_libm_round_on_the_hard_cases() {
+        let (spans, factors) = hard_cases();
         for &d in &spans {
             for &f in &factors {
                 let got = Dur::from_ps(d).scale(f).as_ps();
@@ -487,10 +505,37 @@ mod tests {
             }
         }
         // The one double a plain `+ 0.5` gets wrong, reached exactly.
+        let below_half = 0.499_999_999_999_999_94_f64;
         assert_eq!(Dur::from_ps(1).scale(below_half), Dur::ZERO);
         assert_eq!(Dur::from_ps(-1).scale(below_half), Dur::ZERO);
         assert_eq!(Dur::from_ps(1).scale(0.5), Dur::from_ps(1));
         assert_eq!(Dur::from_ps(-1).scale(0.5), Dur::from_ps(-1));
+    }
+
+    /// The same table through [`round_ties_away`] itself — every product
+    /// and its neighbours one double either side — and through the
+    /// constructors it backs.
+    #[test]
+    fn round_ties_away_equals_libm_round_on_the_hard_cases() {
+        let (spans, factors) = hard_cases();
+        for &d in &spans {
+            for &f in &factors {
+                let y = d as f64 * f;
+                for y in [y, f64::from_bits(y.to_bits().wrapping_sub(1)), f64::from_bits(y.to_bits() + 1)] {
+                    assert_eq!(round_ties_away(y), y.round() as i64, "{y:e}");
+                }
+            }
+        }
+        for y in [0.499_999_999_999_999_94_f64, 0.5, 1.5, 2.5, 4_503_599_627_370_495.5] {
+            assert_eq!(round_ties_away(y), y.round() as i64, "{y:e}");
+            assert_eq!(round_ties_away(-y), (-y).round() as i64, "{:e}", -y);
+        }
+        assert_eq!(round_ties_away(0.499_999_999_999_999_94), 0);
+        for s in [1_234.567_890_123, 4.29e-6, -0.5e-12, 1.5e-12, 2.5e-12, 1e9] {
+            assert_eq!(Time::from_secs_f64(s).as_ps(), (s * PS_PER_SEC as f64).round() as i64, "{s:e} s");
+            assert_eq!(Dur::from_secs_f64(s).as_ps(), (s * PS_PER_SEC as f64).round() as i64, "{s:e} s");
+            assert_eq!(Dur::from_us_f64(s).as_ps(), (s * PS_PER_US as f64).round() as i64, "{s:e} us");
+        }
     }
 
     proptest::proptest! {
@@ -514,6 +559,18 @@ mod tests {
             }
             let odd = d | 1;
             proptest::prop_assert_eq!(Dur::from_ps(odd).scale(0.5).as_ps(), scale_by_round(odd, 0.5));
+        }
+
+        /// Arbitrary bit patterns — NaNs, infinities, subnormals and
+        /// magnitudes past the `i64` range among them — and the same
+        /// mantissas moved to exponents from 2⁻² to 2⁶⁴, where the
+        /// fraction and the spacing of doubles decide the rounding.
+        #[test]
+        fn round_ties_away_equals_libm_round(bits in 0u64..u64::MAX, exp in 0u64..67) {
+            let y = f64::from_bits(bits);
+            proptest::prop_assert_eq!(round_ties_away(y), y.round() as i64);
+            let moved = f64::from_bits(bits & !(0x7ff << 52) | (1021 + exp) << 52);
+            proptest::prop_assert_eq!(round_ties_away(moved), moved.round() as i64);
         }
     }
 

@@ -40,9 +40,19 @@
 //! and a branchless tally. It counts exactly the pairs the reference check
 //! visits: those whose members differ in **rank**, which is exclusion by
 //! position wherever a communicator's ranks are distinct.
+//!
+//! An N-to-N instance whose latency block is classed
+//! ([`BlockClasses`]) is bounded before it is walked: per end class `b`,
+//! `max_a (latest begin of class a + lat(a, b))`, summed with `checked_add`.
+//! An end at or above that threshold is at least `l_min` after every begin,
+//! so it can be neither violated nor reversed and its row only adds to the
+//! total. The other rows, a class whose threshold overflows, and every
+//! unclassed instance run the dense loop. A corrected trace clears every
+//! threshold: the census after the CLC reads `2k` times and `classes²`
+//! latencies per instance instead of `k²` pairs.
 
 use crate::analysis::{CollectiveInstance, MessageMatch};
-use crate::coll::{CollInstRef, CollTable, LatBlock};
+use crate::coll::{BlockClasses, CollInstRef, CollTable, LatBlock, MAX_CLASSES};
 use crate::column::TraceColumns;
 use crate::event::CollFlavor;
 use crate::ids::EventId;
@@ -382,6 +392,42 @@ impl<const SATURATE: bool> Tally<SATURATE> {
             }
         }
     }
+
+    /// An N-to-N instance over a classed block, end by end. Per end class
+    /// `b` the threshold is `max_a (latest begin of class a) + lat(a, b)`,
+    /// summed with `checked_add`: an end at or above it is at least `l_min`
+    /// after every begin — in exact arithmetic, so the saturating and the
+    /// wrapping transfer agree — and is neither violated nor reversed, so
+    /// its row only counts. Every other end, and every end of a class whose
+    /// threshold overflows, runs dense over the begins. Folding a member's
+    /// own begin and a one-member class's diagonal entry into the
+    /// threshold only raises it: a row it skips has no violation.
+    fn n_to_n_classed(&mut self, block: &LatBlock, classes: &BlockClasses, begins: &[i64], ends: &[i64]) {
+        let n = classes.n_classes();
+        let mut latest = [i64::MIN; MAX_CLASSES];
+        for (a, &begin) in begins.iter().enumerate() {
+            let c = classes.of(a);
+            latest[c] = latest[c].max(begin);
+        }
+        // Every class has a member, so every `latest` is a begin.
+        let mut threshold = [None; MAX_CLASSES];
+        for (b, t) in threshold[..n].iter_mut().enumerate() {
+            *t = (0..n).try_fold(i64::MIN, |acc, a| Some(acc.max(latest[a].checked_add(classes.lat(a, b))?)));
+        }
+        let ranks = block.ranks();
+        for (j, &end) in ends.iter().enumerate() {
+            match threshold[classes.of(j)] {
+                Some(t) if end >= t => {
+                    self.total += if block.ranks_distinct() {
+                        begins.len() - 1
+                    } else {
+                        ranks.iter().filter(|&&r| r != ranks[j]).count()
+                    };
+                }
+                _ => self.run_excluding_rank_of(j, block, end, begins, block.to_member(j), false),
+            }
+        }
+    }
 }
 
 /// Census one instance from its gathered begin and end times (by member
@@ -404,11 +450,14 @@ fn instance_tally<const SATURATE: bool>(
         }
         // A rooted instance whose root takes no part constrains nothing.
         (CollFlavor::OneToN | CollFlavor::NToOne, None) => {}
-        (CollFlavor::NToN, _) => {
-            for (a, &begin) in begins.iter().enumerate() {
-                tally.run_excluding_rank_of(a, block, begin, ends, block.from_member(a), true);
+        (CollFlavor::NToN, _) => match block.classes() {
+            Some(classes) => tally.n_to_n_classed(block, classes, begins, ends),
+            None => {
+                for (a, &begin) in begins.iter().enumerate() {
+                    tally.run_excluding_rank_of(a, block, begin, ends, block.from_member(a), true);
+                }
             }
-        }
+        },
         // Every lower member's begin against every higher member's end; no
         // rank exclusion.
         (CollFlavor::Prefix, _) => {
@@ -555,7 +604,7 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{match_collectives, match_messages};
+    use crate::analysis::{match_collectives, match_messages, CollMember};
     use crate::event::{CollOp, EventKind};
     use crate::ids::{CommId, Rank, Tag};
     use crate::violation::{check_collectives_at, check_p2p_messages_at, UniformLatency};
@@ -638,6 +687,113 @@ mod tests {
         assert_eq!(got.logical_reversed, want.logical_reversed);
         assert_eq!(got.instances_affected, want.instances_affected);
         assert!(want.logical_violated > 0, "test trace should violate");
+    }
+
+    /// One N-to-N instance per round, member `p` on timeline `p` with rank
+    /// `ranks[p]`, its begin and end at the round's times.
+    fn barrier_rounds(ranks: &[u32], rounds: &[(Vec<i64>, Vec<i64>)]) -> (Trace, Vec<CollectiveInstance>) {
+        let mut t = Trace::for_ranks(ranks.len());
+        let mut insts = Vec::new();
+        let (op, comm) = (CollOp::Barrier, CommId::WORLD);
+        for (begins, ends) in rounds {
+            let mut members = Vec::new();
+            for (p, (&b, &e)) in begins.iter().zip(ends).enumerate() {
+                let at = t.procs[p].events.len();
+                t.procs[p].push(Time::from_ps(b), EventKind::CollBegin { op, comm, root: None, bytes: 8 });
+                t.procs[p].push(Time::from_ps(e), EventKind::CollEnd { op, comm, root: None, bytes: 8 });
+                members.push(CollMember {
+                    rank: Rank(ranks[p]),
+                    begin: EventId::new(p, at),
+                    end: EventId::new(p, at + 1),
+                });
+            }
+            insts.push(CollectiveInstance { op, comm, root: None, members });
+        }
+        (t, insts)
+    }
+
+    /// The plan's census of `rounds` against the reference, field by
+    /// field; returns the report and whether the block was classed.
+    fn census_against_reference(
+        ranks: &[u32],
+        rounds: &[(Vec<i64>, Vec<i64>)],
+        lmin: &dyn MinLatency,
+    ) -> (CollReport, bool) {
+        let (t, insts) = barrier_rounds(ranks, rounds);
+        let plan = CensusPlan::build(&lens(&t), &[], &insts, lmin).unwrap();
+        let cols = TraceColumns::gather(&t);
+        let got = plan.collective_census(plan.flat_of(&cols));
+        let want = check_collectives_at(&cols, &insts, lmin);
+        let ctx = format!("ranks {ranks:?}");
+        assert_eq!(got.instances, want.instances, "{ctx}");
+        assert_eq!(got.logical_total, want.logical_total, "{ctx}");
+        assert_eq!(got.logical_violated, want.logical_violated, "{ctx}");
+        assert_eq!(got.logical_reversed, want.logical_reversed, "{ctx}");
+        assert_eq!(got.instances_affected, want.instances_affected, "{ctx}");
+        let classed = plan.coll.instances().all(|inst| inst.block.classes().is_some());
+        (got, classed)
+    }
+
+    /// Ranks on nodes of two, nodes under switches of four; between
+    /// switches the latency depends on the direction.
+    fn switch_tree(from: Rank, to: Rank) -> Dur {
+        let (a, b) = (from.0, to.0);
+        Dur::from_us(match (a / 2 == b / 2, a / 4 == b / 4) {
+            (true, _) => 25,
+            (_, true) => 50,
+            _ => 90 + i64::from(a / 4 > b / 4),
+        })
+    }
+
+    /// The class-bounded N-to-N census against the reference walk: uniform
+    /// and switch-tree classes, distinct and duplicated ranks, rounds
+    /// fine, violated and reversed, and times at the `i64` edges, where
+    /// the threshold's `checked_add` overflows and every row runs dense.
+    #[test]
+    fn classed_n_to_n_census_equals_the_reference() {
+        let uniform = UniformLatency(Dur::from_us(40));
+        let lmins: [&dyn MinLatency; 2] = [&uniform, &switch_tree];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |span: i64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as i64 % span
+        };
+        let mut rounds: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+        for round in 0..40i64 {
+            let at = round * 1_000_000_000;
+            // Up to 100 µs of begin skew against ends 0–160 µs after the
+            // latest begin: some rows clear every bound, some do not.
+            let begins: Vec<i64> = (0..8).map(|_| at + next(100_000_000)).collect();
+            let latest = *begins.iter().max().unwrap();
+            let ends = (0..8).map(|_| latest + next(160_000_000) - 60_000_000).collect();
+            rounds.push((begins, ends));
+        }
+        rounds.push((vec![i64::MAX - 5; 8], vec![i64::MAX; 8]));
+        rounds.push((vec![i64::MAX - 100_000_000; 8], vec![i64::MAX - 30_000_000; 8]));
+        rounds.push((vec![i64::MIN; 8], vec![i64::MAX; 8]));
+        rounds.push((vec![i64::MAX; 8], vec![i64::MIN; 8]));
+        for lmin in lmins {
+            for ranks in [[0, 1, 2, 3, 4, 5, 6, 7], [0, 0, 1, 1, 2, 2, 3, 3], [3, 1, 3, 0, 2, 2, 7, 1]] {
+                let (report, classed) = census_against_reference(&ranks, &rounds, lmin);
+                assert!(classed, "ranks {ranks:?}: the block must be classed");
+                assert!(report.logical_violated > 0 && report.logical_reversed > 0, "ranks {ranks:?}");
+            }
+        }
+    }
+
+    /// An end exactly at its class threshold is clear of every begin; one
+    /// picosecond under it, it violates the one latest begin.
+    #[test]
+    fn an_end_at_the_class_threshold_is_clear_and_one_ps_under_is_not() {
+        let lmin = UniformLatency(Dur::from_us(3));
+        let bound = 100_000_000 + 3_000_000;
+        for (end, violated) in [(bound, 0), (bound - 1, 1)] {
+            let begins = vec![0, 100_000_000, 50, 7];
+            let ends = vec![bound + 9, bound + 9, end, bound];
+            let (report, classed) = census_against_reference(&[0, 1, 2, 3], &[(begins, ends)], &lmin);
+            assert!(classed);
+            assert_eq!((report.logical_total, report.logical_violated), (12, violated), "end {end}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::collections::HashMap;
 
 /// Most classes a [`BlockClasses`] may have: the per-instance cost of a
 /// consumer is O(k + classes²), so this keeps it O(k).
-const MAX_CLASSES: usize = 8;
+pub(crate) const MAX_CLASSES: usize = 8;
 
 /// A [`LatBlock`] whose off-diagonal latencies depend only on which of a
 /// few *classes* the two members fall in — same node, same switch, remote —

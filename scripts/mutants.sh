@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
 # stream reader, the windowed engine's ring lanes, replay, finality check
-# and chunk consumer, the batch CLC, its walk constructor and its
-# collective lowering, Eq. 3's presync, the p2p census bound and the
-# simulator's message path (ROADMAP item 9):
+# and chunk consumer, the batch CLC, its walk constructor, its moved-event
+# set and its collective lowering, Eq. 3's presync and the rounding behind
+# it, the p2p census bound, the classed collective census threshold and
+# the simulator's message path (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -201,6 +202,24 @@ crates/core/src/clc/graph.rs
 for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate() {
 for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate().skip(1) {
 clocksync::clc::tests::collective_one_to_n_repair tests/csr_differential.rs::csr_lowers_every_collective_flavour
+
+a backward walk that does not mark what it raises
+crates/core/src/clc/columnar.rs
+self.moved.mark(self.base + i as usize, v != *t);
+// self.moved.mark(self.base + i as usize, v != *t);
+clocksync::clc::columnar::tests::certified_runs_equal_the_forced_sweep tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
+
+the classed collective census threshold 1 ps loose
+crates/tracefmt/src/census.rs
+Some(t) if end >= t => {
+Some(t) if end >= t.saturating_sub(1) => {
+tracefmt::census::tests::an_end_at_the_class_threshold_is_clear_and_one_ps_under_is_not
+
+rounding by a plain + 0.5
+crates/simclock/src/time.rs
+(y + 0.499_999_999_999_999_94_f64.copysign(y)) as i64
+(y + 0.5_f64.copysign(y)) as i64
+simclock::time::tests::round_ties_away_equals_libm_round_on_the_hard_cases simclock::time::tests::scale_equals_libm_round_on_the_hard_cases
 EOF
 )
 

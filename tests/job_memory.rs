@@ -1,0 +1,76 @@
+//! One batch job's heap budget, counted rather than timed.
+//!
+//! A job starts from a trimmed heap, so every byte a stage allocates is a
+//! page it faults in: the peak the job adds to its input is what this test
+//! holds, on any host. The input is the benchmark's `pop_batch` job (the
+//! POP-like program at 32 ranks, seed 2008, Eq. 3 and then the CLC). One
+//! `#[test]` on purpose: the counters are process-wide, and a second test
+//! running on another thread would allocate into them.
+
+use drift_lab::clocksync::{synchronize, ClcParams, PipelineConfig, PreSync};
+use drift_lab::experiments::fig7::{pop_program, traced_run};
+use drift_lab::tracefmt::{LatencyTable, Rank};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+/// The system allocator, counting live bytes and their high-water mark.
+/// `realloc` keeps the trait's default (allocate, copy, free), so a move
+/// counts the old and the new block together, as the heap holds them.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters only
+// observe the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
+            PEAK.fetch_max(live, Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        System.dealloc(p, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes per event the job may add to its input at its peak. The CLC that
+/// copied the whole slab twice (a rollback copy and the backward pass's
+/// snapshot) peaked at 55 B per event on this input; without them, and with
+/// the snapshot kept only where a backward cap reads it, about 41.
+const PEAK_BYTES_PER_EVENT: usize = 45;
+
+#[test]
+fn pop_batch_job_peaks_under_its_per_event_budget() {
+    let (program, duration, compression) = pop_program(20);
+    let run = traced_run(&program, duration, compression, 2008);
+    let ranks: Vec<Rank> = (0..run.trace.n_procs() as u32).map(Rank).collect();
+    let cluster = &run.cluster;
+    let lmin = LatencyTable::freeze(&|a: Rank, b: Rank| cluster.l_min(a, b, 0), &ranks);
+    let cfg = PipelineConfig {
+        presync: PreSync::Linear,
+        clc: Some(ClcParams::default()),
+        ..PipelineConfig::default()
+    };
+    let mut trace = run.trace.clone();
+    let events = trace.n_events();
+    assert_eq!(events, 166_400, "the benchmark's pop_batch input");
+
+    let base = LIVE.load(Relaxed);
+    PEAK.store(base, Relaxed);
+    let report = synchronize(&mut trace, &run.init, Some(&run.fin), &lmin, &cfg).expect("pop_batch synchronizes");
+    let peak = PEAK.load(Relaxed) - base;
+    let after = report.after_clc.as_ref().expect("the job runs the CLC");
+    assert_eq!(after.total_violations(), 0);
+    let budget = PEAK_BYTES_PER_EVENT * events;
+    println!("job peak {peak} B above its input for {events} events ({:.1} B each; budget {budget} B)", peak as f64 / events as f64);
+    assert!(peak <= budget, "the job peaked at {peak} B above its input, over its {budget} B budget");
+}
