@@ -1,5 +1,5 @@
 //! The CLC kernels: the forward and backward passes over columnar
-//! timestamp storage and the CSR graph. Every batch CLC of this crate —
+//! timestamp storage and the dependency graph. Every batch CLC of this crate —
 //! the pipeline's `clc` stage, [`super::controlled_logical_clock`] and the
 //! POMP variant — is a lowering that ends here.
 //!
@@ -52,8 +52,8 @@
 //! that the forward pass, the backward walks and the μ = 1 sweep mark as
 //! they raise times. The backward caps read the forward times of the
 //! events that consume a constraint, and only those are kept
-//! ([`Snapshot`]): one word per stored in-edge and one per collective
-//! member row.
+//! ([`Snapshot`]): one word per message, one per collective member row and
+//! one per POMP event.
 //!
 //! Bit-identity with the map-based reference implementation of the same
 //! algorithm (`tests/common/clc_reference.rs`, which shares no code with
@@ -349,13 +349,13 @@ pub(crate) fn forward_pass_csr(
                 // pass's `CollPass` and walks nothing; every other event
                 // walks its view.
                 let mut known: Option<Time> = None;
-                let slot = graph.member_slot(gid as u32);
-                let mut view = graph.message_in(gid as u32);
-                if slot & 1 == 1 && view.is_empty() {
-                    match coll.pending(graph, slot) {
-                        Some(0) => known = Some(Time::from_ps(coll.bound(slot))),
+                let link = graph.link(gid as u32);
+                let mut view = graph.stored_in(gid as u32, link);
+                if link.is_end() && view.is_empty() {
+                    match coll.pending(graph, link) {
+                        Some(0) => known = Some(Time::from_ps(coll.bound(link))),
                         Some(_) => break 'events, // a begin not yet corrected
-                        None => view = graph.collective_in(gid as u32),
+                        None => view = graph.collective_in(link),
                     }
                 }
                 let ready = |src| (src < frontier[graph.proc_of(src)]).then(|| flat[src as usize]);
@@ -367,8 +367,8 @@ pub(crate) fn forward_pass_csr(
                 };
                 flat[gid] = corrected.as_ps();
                 moved.mark(gid, corrected != orig);
-                if slot != 0 && slot & 1 == 0 {
-                    coll.begin_corrected(graph, slot, flat);
+                if link.is_begin() {
+                    coll.begin_corrected(graph, link, flat);
                 }
                 last = Some((orig, corrected));
                 frontier[p] += 1;

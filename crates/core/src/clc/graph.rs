@@ -1,10 +1,11 @@
-//! The event-dependency graph the CLC kernels walk: a compressed-sparse-row
-//! (CSR) graph of stored edges plus the trace's collective member table.
+//! The event-dependency graph the CLC kernels walk: one link word per event
+//! into the job's message table, its collective member table, or — for an
+//! OpenMP team — a small CSR of stored edges.
 //!
 //! "What constrains this event?" is asked in the innermost loop of every
 //! CLC pass, so the answer must be an index, not a hash probe over
-//! scattered heap nodes. This module lowers a constraint set — [`Matching`]
-//! message edges plus the collective → point-to-point mapped edges of the
+//! scattered heap nodes. This module lowers a constraint set — matched
+//! messages plus the collective → point-to-point mapped edges of the
 //! paper's [30] extension ([`DepGraph::try_build`]), or the fork/join edges
 //! and team barriers of an OpenMP trace ([`crate::pomp_constraints`]) —
 //! into flat arrays indexed by a *global event id* (`gid`): event `(p, i)` is
@@ -13,18 +14,24 @@
 //!
 //! # What is stored
 //!
-//! * **Stored edges**, in both directions: `in_offsets`/`in_edges` is the
-//!   CSR of *producers* (`in_edges[in_offsets[v] .. in_offsets[v+1]]` is the
-//!   matched send of receive `v`, or the fork and thread ends a POMP event
-//!   waits on), `out_offsets`/`out_edges` the transpose (the matched
-//!   receive of a send), and `in_lat_ps`/`out_lat_ps` the minimum latency
-//!   of each edge in picoseconds, baked in at build time from the frozen
-//!   latency model or the POMP `d_min`.
+//! * **Per event, two words**: its timeline (`proc_of`) and its [`Link`]:
+//!   none, the send or the receive of message `m`, the begin or the end of
+//!   member row `r`, plus a flag for an event with stored POMP edges. An
+//!   event that carries no constraint — most of them — links nothing.
+//! * **Messages**, as the job's [`MessageTable`]: per message, in matching
+//!   order, the gids of its send and its receive and `l_min` in
+//!   picoseconds. A receive's in-edge is `(send[m], lat[m])`, a send's
+//!   out-edge `(recv[m], lat[m])`. Shared by `Arc` with the census plan of
+//!   the same job, which checks the same messages.
 //! * **Collectives**, as a [`CollTable`]: per instance its flavour, root
 //!   position and member rows; per member the gids of its begin and end;
 //!   per communicator one `k × k` `l_min` block and its transpose. Beside
-//!   it, one word per event (`coll_slot`: which member row an event is the
-//!   begin or end of) and one per member row (`row_inst`: its instance).
+//!   it one word per member row (`row_inst`: its instance). Shared with the
+//!   census plan like the message table.
+//! * **POMP's stored edges** (fork → a thread's first event, a thread's
+//!   last event → join, the barrier rules of a team with an exit-only
+//!   thread): a CSR in both directions over the events they link only,
+//!   found from the gid by a binary search. A message graph has none.
 //!
 //! # What is derived
 //!
@@ -32,24 +39,25 @@
 //! [`DepGraph::in_of`] / [`DepGraph::out_of`] return an [`Edges`] view —
 //! `(gids, lats, skip)`: parallel slices of neighbour gids and latencies,
 //! walked in order with position `skip` left out. For a receive or send the
-//! slices are the CSR run and nothing is skipped. For a collective end at
-//! member position `pos` they are the instance's begin-gid row and row
-//! `pos` of the transposed latency block, restricted by flavour — all of
-//! it but `pos` (N-to-N, the root of an N-to-1), the root alone (a non-root
-//! of a 1-to-N), the prefix below `pos` (scan) — and symmetrically the
-//! end-gid row and row `pos` of the block for a begin. An edge's
-//! contribution to its consumer is exactly `corrected(producer) + lat`, one
-//! saturating `Time + Dur` addition.
+//! slices are one entry of the message table, for a POMP event its CSR
+//! run, and nothing is skipped. For a collective end at member position
+//! `pos` they are the instance's begin-gid row and row `pos` of the
+//! transposed latency block, restricted by flavour — all of it but `pos`
+//! (N-to-N, the root of an N-to-1), the root alone (a non-root of a
+//! 1-to-N), the prefix below `pos` (scan) — and symmetrically the end-gid
+//! row and row `pos` of the block for a begin. An edge's contribution to
+//! its consumer is exactly `corrected(producer) + lat`, one saturating
+//! `Time + Dur` addition.
 //!
 //! View order is dispatch order (the module docs of [`super`]): the view of
 //! a collective end walks the begins of the other members in increasing
 //! member position, a receive has its one message edge, a POMP event its
-//! stored edges in lowering order (the counting sort of the lowering keeps
-//! triple order per consumer). A forward pass walking a view blocks on the
-//! first pending producer in that order — the foundation of the
-//! bit-identity guarantee shared by the batch kernel, the windowed engine
-//! and the map-based reference under `tests/common/` (same `max`/`min`
-//! over the same `saturating_add` terms, same jump order).
+//! stored edges in lowering order (the grouping keeps rule order per
+//! event). A forward pass walking a view blocks on the first pending
+//! producer in that order — the foundation of the bit-identity guarantee
+//! shared by the batch kernel, the windowed engine and the map-based
+//! reference under `tests/common/` (same `max`/`min` over the same
+//! `saturating_add` terms, same jump order).
 //!
 //! The serial forward pass goes one step further for an N-to-N instance
 //! whose latency block is classed ([`tracefmt::BlockClasses`]): it does not
@@ -61,15 +69,15 @@
 //! Degrees and the logical edge count follow from flavour and member
 //! count: [`Edges::len`] is slice length minus the skipped position and
 //! [`DepGraph::n_edges`] sums `k·(k−1)` / `k−1` / `k·(k−1)/2` per
-//! instance. Stored size is O(events + Σ k² over communicators) whatever
-//! the number of instances.
+//! instance. Stored size is O(events + messages + Σ k² over
+//! communicators) whatever the number of instances.
 
 use super::columnar::latest_allowed;
 use simclock::{Dur, Time};
 use std::sync::Arc;
 use tracefmt::{
-    CollFlavor, CollInstRef, CollTable, CollectiveInstance, EventId, Matching, MinLatency,
-    PlanBuildError, Trace,
+    CollFlavor, CollInstRef, CollTable, CollectiveInstance, EventId, Matching, MessageTable,
+    MinLatency, PlanBuildError, Trace,
 };
 
 /// `skip` of a view that leaves nothing out.
@@ -78,9 +86,68 @@ const NO_SKIP: usize = usize::MAX;
 /// `pending` of an instance that is not evaluated in aggregate.
 const NOT_AGGREGATED: u32 = u32::MAX;
 
+/// What one event is to the graph, in one word: its kind in the low three
+/// bits, the POMP flag above them, the message or member row it names
+/// above that. Zero links nothing.
+#[derive(Clone, Copy)]
+pub(crate) struct Link(u32);
+
+/// A message endpoint or a collective member.
+const LINKED: u32 = 0b001;
+/// The consuming side: a receive or a collective end.
+const CONSUMER: u32 = 0b010;
+/// A collective member rather than a message endpoint.
+const MEMBER: u32 = 0b100;
+const KIND: u32 = LINKED | CONSUMER | MEMBER;
+const SEND: u32 = LINKED;
+const RECV: u32 = LINKED | CONSUMER;
+const BEGIN: u32 = LINKED | MEMBER;
+const END: u32 = LINKED | MEMBER | CONSUMER;
+/// The event has stored POMP edges (in [`Rules`]).
+const RULED: u32 = 0b1000;
+const INDEX_SHIFT: u32 = 4;
+/// How many messages, or member rows, the index bits can name.
+const MAX_INDEX: usize = 1 << (32 - INDEX_SHIFT);
+
+impl Link {
+    #[inline(always)]
+    fn new(kind: u32, index: usize) -> Link {
+        Link((index as u32) << INDEX_SHIFT | kind)
+    }
+
+    #[inline(always)]
+    fn kind(self) -> u32 {
+        self.0 & KIND
+    }
+
+    /// The message or member row the link names.
+    #[inline(always)]
+    fn index(self) -> usize {
+        (self.0 >> INDEX_SHIFT) as usize
+    }
+
+    /// Whether the event closes a collective call.
+    #[inline(always)]
+    pub(crate) fn is_end(self) -> bool {
+        self.kind() == END
+    }
+
+    /// Whether the event opens a collective call.
+    #[inline(always)]
+    pub(crate) fn is_begin(self) -> bool {
+        self.kind() == BEGIN
+    }
+
+    #[inline(always)]
+    fn is_ruled(self) -> bool {
+        self.0 & RULED != 0
+    }
+}
+
 /// The constraint edges of one event in one direction: neighbour gids and
 /// edge latencies as parallel slices, walked in order with position `skip`
-/// left out. Borrowed from the CSR arrays or from the collective table.
+/// left out. Borrowed from the message table, the POMP CSR or the
+/// collective table.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Edges<'a> {
     gids: &'a [u32],
@@ -144,8 +211,79 @@ impl Iterator for EdgeIter<'_> {
     }
 }
 
-/// Dependency graph over the events of one trace: message edges in CSR
-/// form, collectives as a member table. See the module docs.
+/// Edges grouped per node: `start[n]..start[n + 1]` is node `n`'s run of
+/// neighbour gids and latencies.
+#[derive(Default)]
+struct Csr {
+    start: Vec<u32>,
+    gid: Vec<u32>,
+    lat: Vec<i64>,
+}
+
+impl Csr {
+    /// Group `(node, neighbour gid, latency)` edges by node, in their order
+    /// per node (a stable sort).
+    fn group(n_nodes: usize, mut edges: Vec<(usize, u32, i64)>) -> Csr {
+        edges.sort_by_key(|&(n, ..)| n);
+        let start = (0..=n_nodes).map(|n| edges.partition_point(|&(m, ..)| m < n) as u32).collect();
+        Csr { start, gid: edges.iter().map(|e| e.1).collect(), lat: edges.iter().map(|e| e.2).collect() }
+    }
+
+    #[inline]
+    fn run(&self, n: usize) -> Edges<'_> {
+        let (a, b) = (self.start[n] as usize, self.start[n + 1] as usize);
+        Edges::run(&self.gid[a..b], &self.lat[a..b])
+    }
+
+    fn heap_bytes(&self) -> usize {
+        4 * (self.start.len() + self.gid.len()) + 8 * self.lat.len()
+    }
+}
+
+/// The stored edges of a POMP lowering, over the events they link.
+#[derive(Default)]
+struct Rules {
+    /// Gids of the linked events ("nodes"), ascending.
+    nodes: Vec<u32>,
+    /// Per node, its producers and their latencies, in rule order.
+    into: Csr,
+    /// Per node, its consumers and their latencies, in rule order.
+    from: Csr,
+}
+
+impl Rules {
+    /// Group `(src, dst, latency)` rules by consumer and by producer, and
+    /// flag every event they link.
+    fn lower(rules: &[(u32, u32, i64)], link: &mut [Link]) -> Rules {
+        if rules.is_empty() {
+            return Rules::default();
+        }
+        let mut nodes: Vec<u32> = rules.iter().flat_map(|&(s, d, _)| [s, d]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let node = |g: u32| nodes.partition_point(|&n| n < g);
+        let into = Csr::group(nodes.len(), rules.iter().map(|&(s, d, l)| (node(d), s, l)).collect());
+        let from = Csr::group(nodes.len(), rules.iter().map(|&(s, d, l)| (node(s), d, l)).collect());
+        for &g in &nodes {
+            link[g as usize].0 |= RULED;
+        }
+        Rules { nodes, into, from }
+    }
+
+    /// The node of a flagged event.
+    #[inline]
+    fn node(&self, gid: u32) -> usize {
+        self.nodes.partition_point(|&n| n < gid)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        4 * self.nodes.len() + self.into.heap_bytes() + self.from.heap_bytes()
+    }
+}
+
+/// Dependency graph over the events of one trace: one link per event into
+/// the message table, the collective member table or the POMP edges. See
+/// the module docs.
 pub struct DepGraph {
     /// `base[p]` is the gid of event `(p, 0)`; `base[n_procs]` the total
     /// event count. Prefix sums of the timeline lengths.
@@ -154,26 +292,13 @@ pub struct DepGraph {
     /// `base`, materialized so the hot kernels resolve gid → timeline in
     /// one load instead of a binary search over `base`.
     proc_of: Vec<u32>,
-    /// CSR offsets into `in_edges`, one slot per event plus a terminator.
-    in_offsets: Vec<u32>,
-    /// Producers of each stored edge — the matched send of a receive, the
-    /// fork or thread end a POMP event waits on — grouped per consumer.
-    in_edges: Vec<u32>,
-    /// Minimum latency of each in-edge, aligned with `in_edges`.
-    in_lat_ps: Vec<i64>,
-    /// CSR offsets into `out_edges`, one slot per event plus a terminator.
-    out_offsets: Vec<u32>,
-    /// Consumers of each stored edge, grouped per producer.
-    out_edges: Vec<u32>,
-    /// Minimum latency of each out-edge, aligned with `out_edges`.
-    out_lat_ps: Vec<i64>,
+    /// What each event is to the graph.
+    link: Vec<Link>,
+    /// Every matched message. Shared with the census plan of the same job.
+    msgs: Arc<MessageTable>,
     /// Every collective instance; the only form collective constraints
     /// take. Shared with the census plan of the same job.
     coll: Arc<CollTable>,
-    /// Per event, which member row it opens or closes: 0 for neither,
-    /// else `(row + 1) << 1 | is_end`. Empty when the trace has no
-    /// collectives, so a point-to-point job neither allocates nor reads it.
-    coll_slot: Vec<u32>,
     /// Instance of each member row.
     row_inst: Vec<u32>,
     /// Per instance, the begins a forward pass must see corrected before it
@@ -181,8 +306,10 @@ pub struct DepGraph {
     /// count — or [`NOT_AGGREGATED`] for an instance whose ends walk their
     /// views. What a [`CollPass`] starts from.
     pending_init: Vec<u32>,
-    /// Logical constraint edges: messages plus the flavour-mapped edges of
-    /// every instance. A count, never a capacity.
+    /// POMP's stored edges; empty in a message graph.
+    rules: Rules,
+    /// Logical constraint edges: messages, POMP rules and the flavour-mapped
+    /// edges of every instance. A count, never a capacity.
     n_edges: usize,
 }
 
@@ -208,38 +335,48 @@ impl DepGraph {
     }
 
     /// [`DepGraph::build`] for an analysis that is not trusted to fit the
-    /// trace shape: more than `u32::MAX` events (or `2³¹` collective
-    /// members), a collective member outside the shape, or an event that is
-    /// a member of two instances is an error, not a panic. Message
-    /// endpoints are trusted — the matcher only emits events it was fed.
+    /// trace shape: more than `u32::MAX` events (or `2²⁸` messages or
+    /// collective members), an event outside the shape, or an event that
+    /// two messages or collective members claim is an error, not a panic.
     pub fn try_build(
         matching: &Matching,
         instances: &[CollectiveInstance],
         proc_lens: &[usize],
         lmin: &dyn MinLatency,
     ) -> Result<DepGraph, PlanBuildError> {
-        // Message edges, in matching order. A receive has one matched
-        // send, so per-consumer order is trivially the dispatch order.
-        let triples: Vec<(EventId, EventId, i64)> = matching
-            .messages
-            .iter()
-            .map(|m| (m.send, m.recv, lmin.l_min(m.from, m.to).as_ps()))
-            .collect();
-        DepGraph::lower(&triples, instances, proc_lens, lmin)
+        let msgs = MessageTable::build(proc_lens, &matching.messages, lmin)?;
+        DepGraph::with_messages(Arc::new(msgs), instances, proc_lens, lmin)
     }
 
-    /// The one lowering behind every graph: `(src, dst, latency)` triples
-    /// with endpoints inside `proc_lens` into both CSR directions, and
-    /// `instances` into the member table. [`DepGraph::try_build`] hands it
-    /// matched messages and the trace's collectives, the POMP lowering
-    /// (`super::pomp`) its fork/join rules and team barriers. An event's
-    /// in-edges keep the order its triples have, so a forward pass blocks on
-    /// the first pending one in that order. A collective begin may have
-    /// stored in-edges but no stored out-edge, an end stored out-edges but
-    /// no stored in-edge: the kernels read a member's collective edges only
-    /// where its stored run in that direction is empty.
+    /// [`DepGraph::try_build`] over a message table already frozen for
+    /// this trace shape ([`tracefmt::Capture::finish_table`]), which the
+    /// graph then shares with the job's census plan.
+    ///
+    /// # Panics
+    /// Panics when `msgs` was built for a different event count.
+    pub fn with_messages(
+        msgs: Arc<MessageTable>,
+        instances: &[CollectiveInstance],
+        proc_lens: &[usize],
+        lmin: &dyn MinLatency,
+    ) -> Result<DepGraph, PlanBuildError> {
+        DepGraph::lower(msgs, &[], instances, proc_lens, lmin)
+    }
+
+    /// The one lowering behind every graph: the message table and POMP's
+    /// `(src, dst, latency)` rules, with endpoints inside `proc_lens`, into
+    /// the links, and `instances` into the member table.
+    /// [`DepGraph::with_messages`] hands it matched messages and the
+    /// trace's collectives, the POMP lowering (`super::pomp`) its fork/join
+    /// rules and team barriers. An event's stored in-edges keep the order
+    /// its rules have, so a forward pass blocks on the first pending one in
+    /// that order. A collective begin may have stored in-edges but no
+    /// stored out-edge, an end stored out-edges but no stored in-edge: the
+    /// kernels read a member's collective edges only where its stored run
+    /// in that direction is empty.
     pub(super) fn lower(
-        triples: &[(EventId, EventId, i64)],
+        msgs: Arc<MessageTable>,
+        rules: &[(EventId, EventId, i64)],
         instances: &[CollectiveInstance],
         proc_lens: &[usize],
         lmin: &dyn MinLatency,
@@ -255,62 +392,45 @@ impl DepGraph {
                 .ok_or(PlanBuildError::TraceTooLarge)?;
         }
         base.push(total);
+        assert_eq!(msgs.n_events(), total as usize, "graph/message-table event count mismatch");
         let mut proc_of = Vec::with_capacity(total as usize);
         for (p, &len) in proc_lens.iter().enumerate() {
             proc_of.extend(std::iter::repeat_n(p as u32, len));
         }
-        let gid = |id: EventId| base[id.p()] + id.idx;
-        let n_msgs = triples.len();
+        let id_of = |g: u32| {
+            let p = proc_of[g as usize] as usize;
+            EventId::new(p, (g - base[p]) as usize)
+        };
 
-        // Counting sort into both CSR directions: degree count, prefix
-        // sum, then a cursor fill that preserves triple order per slot. The
-        // offset arrays are their own cursors: degrees are counted two
-        // slots up, so after the prefix sum slot `v + 1` holds the *start*
-        // of `v`'s run, the fill advances it to the run's end — the start
-        // of `v + 1`'s, which is what slot `v + 1` must hold — and the
-        // spare last slot is dropped.
-        let total = total as usize;
-        let mut in_offsets = vec![0u32; total + 2];
-        let mut out_offsets = vec![0u32; total + 2];
-        for &(src, dst, _) in triples {
-            in_offsets[gid(dst) as usize + 2] += 1;
-            out_offsets[gid(src) as usize + 2] += 1;
+        // An event has one kind: a message's send or receive, or the begin
+        // or end of one collective call.
+        let mut link = vec![Link(0); total as usize];
+        let mut claim = |g: u32, kind: u32, index: usize| {
+            let at = &mut link[g as usize];
+            if at.0 != 0 {
+                return Err(PlanBuildError::SharedMember(id_of(g)));
+            }
+            *at = Link::new(kind, index);
+            Ok(())
+        };
+        if msgs.len() >= MAX_INDEX {
+            return Err(PlanBuildError::TraceTooLarge);
         }
-        for v in 1..=total {
-            in_offsets[v + 1] += in_offsets[v];
-            out_offsets[v + 1] += out_offsets[v];
+        for (m, (&send, &recv)) in msgs.sends().iter().zip(msgs.recvs()).enumerate() {
+            claim(send, SEND, m)?;
+            claim(recv, RECV, m)?;
         }
-        let mut in_edges = vec![0u32; n_msgs];
-        let mut in_lat_ps = vec![0i64; n_msgs];
-        let mut out_edges = vec![0u32; n_msgs];
-        let mut out_lat_ps = vec![0i64; n_msgs];
-        for &(src, dst, lat) in triples {
-            let (s, d) = (gid(src), gid(dst));
-            let c = in_offsets[d as usize + 1] as usize;
-            in_edges[c] = s;
-            in_lat_ps[c] = lat;
-            in_offsets[d as usize + 1] += 1;
-            let c = out_offsets[s as usize + 1] as usize;
-            out_edges[c] = d;
-            out_lat_ps[c] = lat;
-            out_offsets[s as usize + 1] += 1;
-        }
-        in_offsets.truncate(total + 1);
-        out_offsets.truncate(total + 1);
 
         let coll = CollTable::build(proc_lens, instances, lmin)?;
-        // Collectives: index the member rows by event and count the logical
-        // edges — nothing here is proportional to their number.
-        let mut n_edges = n_msgs;
-        let mut coll_slot = Vec::new();
+        // Collectives: link the member rows and count the logical edges —
+        // nothing here is proportional to their number.
+        let mut n_edges = msgs.len() + rules.len();
         let mut row_inst = Vec::new();
         let mut pending_init = Vec::new();
         if coll.n_instances() > 0 {
-            // Member rows are tagged into 31 bits of `coll_slot`.
-            if coll.n_members() >= (u32::MAX >> 1) as usize {
+            if coll.n_members() >= MAX_INDEX {
                 return Err(PlanBuildError::TraceTooLarge);
             }
-            coll_slot = vec![0u32; total];
             row_inst = Vec::with_capacity(coll.n_members());
             pending_init = Vec::with_capacity(coll.n_instances());
             // member_of[p]: the last instance (+ 1) with a member on
@@ -323,19 +443,8 @@ impl DepGraph {
                 // timeline no other member is on.
                 let mut aggregate = inst.flavor == CollFlavor::NToN && inst.block.classes().is_some();
                 for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate() {
-                    let tag = ((inst.first_row + pos + 1) as u32) << 1;
-                    // An event has one kind: a collective begin (end) opens
-                    // (closes) one call, and is no send (receive).
-                    for (g, tag) in [(begin, tag), (end, tag | 1)] {
-                        if coll_slot[g as usize] != 0 {
-                            let p = proc_of[g as usize] as usize;
-                            let id = EventId::new(p, (g - base[p]) as usize);
-                            return Err(PlanBuildError::SharedMember(id));
-                        }
-                        coll_slot[g as usize] = tag;
-                    }
-                    debug_assert!(out_offsets[begin as usize] == out_offsets[begin as usize + 1]);
-                    debug_assert!(in_offsets[end as usize] == in_offsets[end as usize + 1]);
+                    claim(begin, BEGIN, inst.first_row + pos)?;
+                    claim(end, END, inst.first_row + pos)?;
                     row_inst.push(i as u32);
                     let p = proc_of[begin as usize];
                     let alone = std::mem::replace(&mut member_of[p as usize], i as u32 + 1) <= i as u32;
@@ -345,19 +454,26 @@ impl DepGraph {
             }
         }
 
+        let gid = |id: EventId| base[id.p()] + id.idx;
+        let rules: Vec<(u32, u32, i64)> = rules.iter().map(|&(s, d, lat)| (gid(s), gid(d), lat)).collect();
+        let rules = Rules::lower(&rules, &mut link);
+        // A collective begin has no stored out-edge, an end no stored
+        // in-edge: the kernels read a member's collective edges only where
+        // its stored run in that direction is empty.
+        debug_assert!(rules.nodes.iter().enumerate().all(|(n, &g)| {
+            let link = link[g as usize];
+            (!link.is_begin() || rules.from.run(n).is_empty()) && (!link.is_end() || rules.into.run(n).is_empty())
+        }));
+
         Ok(DepGraph {
             base,
             proc_of,
-            in_offsets,
-            in_edges,
-            in_lat_ps,
-            out_offsets,
-            out_edges,
-            out_lat_ps,
+            link,
+            msgs,
             coll: Arc::new(coll),
-            coll_slot,
             row_inst,
             pending_init,
+            rules,
             n_edges,
         })
     }
@@ -393,25 +509,27 @@ impl DepGraph {
         self.n_edges
     }
 
+    /// The message table the graph reads message edges from, for the
+    /// census plan of the same job to share.
+    pub fn messages(&self) -> &Arc<MessageTable> {
+        &self.msgs
+    }
+
     /// The collective table the graph reads collective constraints from,
     /// for the census plan of the same job to share.
     pub fn coll_table(&self) -> &Arc<CollTable> {
         &self.coll
     }
 
-    /// Heap bytes the graph holds, its collective table included:
+    /// Heap bytes the graph holds, its two tables included:
     /// O(events + messages + Σ k² over communicators).
     pub fn heap_bytes(&self) -> usize {
         let words32 = self.base.len()
             + self.proc_of.len()
-            + self.in_offsets.len()
-            + self.in_edges.len()
-            + self.out_offsets.len()
-            + self.out_edges.len()
-            + self.coll_slot.len()
+            + self.link.len()
             + self.row_inst.len()
             + self.pending_init.len();
-        4 * words32 + 8 * (self.in_lat_ps.len() + self.out_lat_ps.len()) + self.coll.heap_bytes()
+        4 * words32 + self.rules.heap_bytes() + self.msgs.heap_bytes() + self.coll.heap_bytes()
     }
 
     /// Global event id of `(p, 0)` — gids of timeline `p` are
@@ -434,69 +552,85 @@ impl DepGraph {
         (p, (gid - self.base[p]) as usize)
     }
 
+    /// The link of `gid`, in one load.
+    #[inline(always)]
+    pub(crate) fn link(&self, gid: u32) -> Link {
+        self.link[gid as usize]
+    }
+
     /// In-edges of `gid` — producer gids and edge latencies, in
-    /// dependency-dispatch order: the matched send of a receive, or the
-    /// begins a collective end waits on.
+    /// dependency-dispatch order: the matched send of a receive, the begins
+    /// a collective end waits on, or a POMP event's stored producers.
     ///
-    /// Only the CSR path is inlined into the kernels' loops; a graph
+    /// Only the message path is inlined into the kernels' loops; a graph
     /// without collectives never leaves it, and in one with collectives
     /// only their members do.
     #[inline(always)]
     pub(crate) fn in_of(&self, gid: u32) -> Edges<'_> {
-        let run = self.message_in(gid);
-        if !run.gids.is_empty() || self.member_slot(gid) == 0 {
+        let link = self.link(gid);
+        let run = self.stored_in(gid, link);
+        if !run.is_empty() || !link.is_end() {
             return run;
         }
-        self.collective_in(gid)
+        self.collective_in(link)
     }
 
-    /// The CSR run of `gid`: the matched send of a receive, else empty.
+    /// The stored in-edges of `gid`, linked by `link`: a receive's message
+    /// edge, a POMP event's run, else none.
     #[inline(always)]
-    pub(crate) fn message_in(&self, gid: u32) -> Edges<'_> {
-        let a = self.in_offsets[gid as usize] as usize;
-        let b = self.in_offsets[gid as usize + 1] as usize;
-        Edges::run(&self.in_edges[a..b], &self.in_lat_ps[a..b])
-    }
-
-    /// The `coll_slot` word of `gid`: 0 for an event that is no collective
-    /// member, odd for a collective end, even for a begin.
-    #[inline(always)]
-    pub(crate) fn member_slot(&self, gid: u32) -> u32 {
-        self.coll_slot.get(gid as usize).copied().unwrap_or(0)
+    pub(crate) fn stored_in(&self, gid: u32, link: Link) -> Edges<'_> {
+        if link.kind() == RECV {
+            let m = link.index();
+            return Edges::run(&self.msgs.sends()[m..=m], &self.msgs.lats()[m..=m]);
+        }
+        if link.is_ruled() {
+            return self.rules_in(gid);
+        }
+        Edges::EMPTY
     }
 
     /// Out-edges of `gid` — consumer gids and edge latencies: the matched
-    /// receive of a send, or the ends waiting on a collective begin.
+    /// receive of a send, the ends waiting on a collective begin, or a POMP
+    /// event's stored consumers.
     #[inline(always)]
     pub(crate) fn out_of(&self, gid: u32) -> Edges<'_> {
-        let a = self.out_offsets[gid as usize] as usize;
-        let b = self.out_offsets[gid as usize + 1] as usize;
-        if a != b || self.member_slot(gid) == 0 {
-            return Edges::run(&self.out_edges[a..b], &self.out_lat_ps[a..b]);
+        let link = self.link(gid);
+        if link.kind() == SEND {
+            let m = link.index();
+            return Edges::run(&self.msgs.recvs()[m..=m], &self.msgs.lats()[m..=m]);
         }
-        self.collective_out(gid)
+        let run = if link.is_ruled() { self.rules_out(gid) } else { Edges::EMPTY };
+        if !run.is_empty() || !link.is_begin() {
+            return run;
+        }
+        self.collective_out(link)
     }
 
-    /// The collective member `gid` opens or closes, if any: its instance,
-    /// its position among the members, and whether `gid` is the end.
-    #[inline]
-    fn member_at(&self, gid: u32) -> Option<(CollInstRef<'_>, usize, bool)> {
-        let slot = self.coll_slot[gid as usize];
-        if slot == 0 {
-            return None;
-        }
-        let row = (slot >> 1) as usize - 1;
-        let inst = self.coll.instance(self.row_inst[row] as usize);
-        Some((inst, row - inst.first_row, slot & 1 == 1))
-    }
-
-    /// [`in_of`](DepGraph::in_of) for an event without a message in-edge:
-    /// the begins a collective end waits on, cut out of the member table.
     #[inline(never)]
-    pub(crate) fn collective_in(&self, gid: u32) -> Edges<'_> {
-        let Some((inst, pos, true)) = self.member_at(gid) else {
-            return Edges::EMPTY; // no collective end
-        };
+    fn rules_in(&self, gid: u32) -> Edges<'_> {
+        self.rules.into.run(self.rules.node(gid))
+    }
+
+    #[inline(never)]
+    fn rules_out(&self, gid: u32) -> Edges<'_> {
+        self.rules.from.run(self.rules.node(gid))
+    }
+
+    /// The collective member a begin or end links: its instance and its
+    /// position among the members.
+    #[inline]
+    fn member_at(&self, link: Link) -> (CollInstRef<'_>, usize) {
+        let row = link.index();
+        let inst = self.coll.instance(self.row_inst[row] as usize);
+        (inst, row - inst.first_row)
+    }
+
+    /// [`in_of`](DepGraph::in_of) for a collective end without a stored
+    /// in-edge: the begins it waits on, cut out of the member table.
+    #[inline(never)]
+    pub(crate) fn collective_in(&self, link: Link) -> Edges<'_> {
+        debug_assert!(link.is_end());
+        let (inst, pos) = self.member_at(link);
         let to_me = inst.block.to_member(pos);
         match (inst.flavor, inst.root_pos) {
             (CollFlavor::OneToN, Some(r)) if r != pos => {
@@ -509,13 +643,12 @@ impl DepGraph {
         }
     }
 
-    /// [`out_of`](DepGraph::out_of) for an event without a message
-    /// out-edge: the ends waiting on a collective begin.
+    /// [`out_of`](DepGraph::out_of) for a collective begin without a
+    /// stored out-edge: the ends waiting on it.
     #[inline(never)]
-    fn collective_out(&self, gid: u32) -> Edges<'_> {
-        let Some((inst, pos, false)) = self.member_at(gid) else {
-            return Edges::EMPTY; // no collective begin
-        };
+    fn collective_out(&self, link: Link) -> Edges<'_> {
+        debug_assert!(link.is_begin());
+        let (inst, pos) = self.member_at(link);
         let from_me = inst.block.from_member(pos);
         match (inst.flavor, inst.root_pos) {
             (CollFlavor::OneToN, Some(r)) if r == pos => Edges::all_but(inst.ends, from_me, r),
@@ -563,37 +696,37 @@ impl DepGraph {
 }
 
 /// The forward pass's times where a backward cap reads them, and nowhere
-/// else: at the consumers of stored edges and at collective ends. One word
-/// per stored in-edge — a consumer's time sits at the start of its in-edge
-/// run, which no other consumer shares — and one per member row, the
-/// row's end. A collective end has no stored in-edge, so `coll_slot` tells
-/// the two apart.
+/// else: at the consumers of constraints. One word per message — its
+/// receive's — one per member row — the row's end — and one per POMP
+/// event, indexed through the consumer's link.
 pub(crate) struct Snapshot {
-    /// `stored[in_offsets[v]]`: F of the consumer `v` of a stored edge.
-    stored: Vec<i64>,
+    /// `recvs[m]`: F of message `m`'s receive.
+    recvs: Vec<i64>,
     /// `ends[row]`: F of the member row's end.
     ends: Vec<i64>,
+    /// `nodes[n]`: F of POMP node `n`.
+    nodes: Vec<i64>,
 }
 
 impl Snapshot {
     /// Read the consumers' times out of the gid-indexed slab `flat`.
     pub(crate) fn take(graph: &DepGraph, flat: &[i64]) -> Snapshot {
-        let mut stored = vec![0; graph.in_edges.len()];
-        for &v in &graph.out_edges {
-            stored[graph.in_offsets[v as usize] as usize] = flat[v as usize];
+        let at = |gids: &[u32]| gids.iter().map(|&g| flat[g as usize]).collect();
+        Snapshot {
+            recvs: at(graph.msgs.recvs()),
+            ends: graph.coll.instances().flat_map(|inst| inst.ends).map(|&e| flat[e as usize]).collect(),
+            nodes: at(&graph.rules.nodes),
         }
-        let ends = graph.coll.instances().flat_map(|inst| inst.ends).map(|&e| flat[e as usize]).collect();
-        Snapshot { stored, ends }
     }
 
-    /// F of `gid`: a consumer of a stored edge or a collective end.
+    /// F of `gid`: a receive, a collective end or a POMP event.
     #[inline(always)]
     fn at(&self, graph: &DepGraph, gid: u32) -> i64 {
-        let slot = graph.member_slot(gid);
-        if slot & 1 == 1 {
-            self.ends[(slot >> 1) as usize - 1]
-        } else {
-            self.stored[graph.in_offsets[gid as usize] as usize]
+        let link = graph.link(gid);
+        match link.kind() {
+            RECV => self.recvs[link.index()],
+            END => self.ends[link.index()],
+            _ => self.nodes[graph.rules.node(gid)],
         }
     }
 }
@@ -677,29 +810,27 @@ impl CollPass {
         }
     }
 
-    /// What the collective end tagged `slot` waits for: `Some(0)` — nothing,
+    /// What the collective end `link` waits for: `Some(0)` — nothing,
     /// [`CollPass::bound`] is final; `Some(n)` — `n` begins of its
     /// aggregated instance; `None` — walk its view.
     #[inline]
-    pub(crate) fn pending(&self, graph: &DepGraph, slot: u32) -> Option<u32> {
-        let row = (slot >> 1) as usize - 1;
-        let pending = self.pending[graph.row_inst[row] as usize];
+    pub(crate) fn pending(&self, graph: &DepGraph, link: Link) -> Option<u32> {
+        let pending = self.pending[graph.row_inst[link.index()] as usize];
         (pending != NOT_AGGREGATED).then_some(pending)
     }
 
-    /// The remote bound, in ps, of the aggregated end tagged `slot`.
-    /// `i64::MIN` — never above a candidate — when it has no in-edge.
+    /// The remote bound, in ps, of the aggregated end `link`. `i64::MIN` —
+    /// never above a candidate — when it has no in-edge.
     #[inline]
-    pub(crate) fn bound(&self, slot: u32) -> i64 {
-        self.remote[(slot >> 1) as usize - 1]
+    pub(crate) fn bound(&self, link: Link) -> i64 {
+        self.remote[link.index()]
     }
 
-    /// The collective begin tagged `slot` was just corrected in `corr`
+    /// The collective begin `link` was just corrected in `corr`
     /// (gid-indexed, every corrected event in place).
     #[inline]
-    pub(crate) fn begin_corrected(&mut self, graph: &DepGraph, slot: u32, corr: &[i64]) {
-        let row = (slot >> 1) as usize - 1;
-        let i = graph.row_inst[row] as usize;
+    pub(crate) fn begin_corrected(&mut self, graph: &DepGraph, link: Link, corr: &[i64]) {
+        let i = graph.row_inst[link.index()] as usize;
         if self.pending[i] == NOT_AGGREGATED {
             return;
         }
@@ -713,9 +844,9 @@ impl CollPass {
     /// instance for the begins of an aggregated one.
     #[inline(always)]
     pub(crate) fn latest(&mut self, graph: &DepGraph, gid: u32, snapshot: &Snapshot) -> Option<Time> {
-        let slot = graph.member_slot(gid);
-        if slot != 0 && slot & 1 == 0 {
-            let row = (slot >> 1) as usize - 1;
+        let link = graph.link(gid);
+        if link.is_begin() {
+            let row = link.index();
             let i = graph.row_inst[row] as usize;
             if self.pending[i] != NOT_AGGREGATED {
                 if self.pending[i] != 0 {
@@ -787,6 +918,30 @@ mod tests {
         }
     }
 
+    /// Every matched message is its receive's one in-edge and its send's
+    /// one out-edge, read from the message table with its own `l_min`; a
+    /// message endpoint has no edge the other way, and a collective member
+    /// links no message.
+    #[test]
+    fn links_resolve_to_the_message_table() {
+        let t = fixtures::mixed_trace(4, 9);
+        let lmin = |from: Rank, to: Rank| Dur::from_us(10 * i64::from(from.0) + i64::from(to.0) + 1);
+        let (matching, insts) = Capture::of(&t).finish();
+        let insts = insts.unwrap();
+        let g = DepGraph::from_trace(&t, &matching, &insts, &lmin);
+        assert_eq!(g.messages().len(), matching.messages.len());
+        for m in &matching.messages {
+            let lat = lmin(m.from, m.to);
+            assert_eq!(g.in_deps(m.recv).collect::<Vec<_>>(), [(m.send, lat)], "{m:?}");
+            assert_eq!(g.out_deps(m.send).collect::<Vec<_>>(), [(m.recv, lat)], "{m:?}");
+            assert_eq!((g.in_deps(m.send).count(), g.out_deps(m.recv).count()), (0, 0), "{m:?}");
+        }
+        let member = insts[0].members[1];
+        assert!(g.in_deps(member.end).all(|(id, _)| insts[0].members.iter().any(|m| m.begin == id)));
+        assert!(g.out_deps(member.begin).all(|(id, _)| insts[0].members.iter().any(|m| m.end == id)));
+        assert_eq!(g.in_deps(member.end).count(), 3);
+    }
+
     /// A collective's cost is its members, not its logical messages: a
     /// 512-timeline communicator running 40 barriers and one collective of
     /// every other flavour is 44 032 events and 10.6 million logical edges
@@ -827,7 +982,7 @@ mod tests {
         let events = g.n_events();
         assert_eq!(events, 2 * k * ops.len());
         assert_eq!(g.n_edges(), 40 * k * (k - 1) + 2 * (k - 1) + k * (k - 1) / 2);
-        assert!(g.in_edges.is_empty() && g.out_edges.is_empty(), "no collective edge is stored");
+        assert!(g.msgs.is_empty() && g.rules.nodes.is_empty(), "no collective edge is stored");
         assert_eq!(g.coll.n_members(), k * ops.len());
         assert_eq!(g.coll.n_blocks(), 1);
         let stored_words = g.heap_bytes() / 8;

@@ -26,9 +26,10 @@ use super::columnar::controlled_logical_clock_columnar_csr;
 use super::graph::DepGraph;
 use super::{proc_lens, ClcError, ClcParams, ClcReport};
 use simclock::Dur;
+use std::sync::Arc;
 use tracefmt::{
-    match_parallel_regions, CollMember, CollOp, CollectiveInstance, CommId, EventId, Trace,
-    TraceColumns, UniformLatency,
+    match_parallel_regions, CollMember, CollOp, CollectiveInstance, CommId, EventId, MessageTable,
+    Trace, TraceColumns, UniformLatency,
 };
 
 /// Lower the POMP rules of a thread-team trace into the dependency graph
@@ -84,7 +85,9 @@ pub fn pomp_constraints(trace: &Trace, d_min: Dur) -> Result<DepGraph, ClcError>
             }
         }
     }
-    DepGraph::lower(&edges, &barriers, &proc_lens(trace), &UniformLatency(d_min))
+    let (lens, lmin) = (proc_lens(trace), UniformLatency(d_min));
+    MessageTable::build(&lens, &[], &lmin)
+        .and_then(|none| DepGraph::lower(Arc::new(none), &edges, &barriers, &lens, &lmin))
         .map_err(|e| ClcError::BadCollectives(e.to_string()))
 }
 

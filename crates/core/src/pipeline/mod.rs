@@ -27,7 +27,8 @@
 //!
 //! Cross-stage work is computed once and cached: message matching and
 //! collective reconstruction are order-based (timestamps never enter
-//! them), so one [`TraceAnalysis`] serves every census; the `l_min` model
+//! them), so one message table and one collective table, frozen once with
+//! their `l_min`, serve every census and the CLC's graph; the `l_min` model
 //! is frozen into a dense [`LatencyTable`] up front so later stages never
 //! re-query a potentially expensive model.
 //!
@@ -54,7 +55,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tracefmt::io::{decode_indexed, index_columnar_chunks, ChunkStore, CodecError};
 use tracefmt::{
-    Capture, CensusPlan, CollReport, CollectiveInstance, LatencyTable, Matching, MinLatency,
+    Capture, CensusPlan, CollReport, CollTable, CollectiveInstance, LatencyTable, Matching, MinLatency,
     P2pReport, Rank, Trace, TraceColumns,
 };
 
@@ -192,12 +193,8 @@ impl TraceAnalysis {
     /// materializing the trace. Same result as capturing the decoded trace.
     pub fn capture_stream(chunks: &[&[u8]]) -> Result<Self, PipelineError> {
         let index = index_columnar_chunks(chunks).map_err(PipelineError::Codec)?;
-        windowed::capture_analysis_streamed(&index, &ChunkStore::new(chunks))
-    }
-
-    /// Census work items: messages plus collective instances.
-    fn n_items(&self) -> usize {
-        self.matching.messages.len() + self.instances.len()
+        let (matching, instances) = windowed::capture_streamed(&index, &ChunkStore::new(chunks))?.finish();
+        Ok(TraceAnalysis { matching, instances: instances.map_err(PipelineError::BadTrace)? })
     }
 }
 
@@ -581,25 +578,28 @@ fn synchronize_impl(
 
     // Reconstruct the communication structure once; every census reuses it
     // (matching is order-based, so timestamp rewrites cannot invalidate
-    // it).
+    // it). The matched messages go straight into the job's one message
+    // table, `l_min` frozen per message.
     cancel.check()?;
     let t0 = Instant::now();
-    let analysis = TraceAnalysis::capture(trace).map_err(PipelineError::BadTrace)?;
+    let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
+    let (msgs, instances) = Capture::of(trace).finish_table(&lens, &table);
+    let instances = instances.map_err(PipelineError::BadTrace)?;
+    let msgs = Arc::new(msgs.map_err(|e| PipelineError::BadTrace(e.to_string()))?);
     stats
         .stages
         .push(StageStats::new("match", n_events, t0.elapsed()));
 
     // Lower the analysis into the dependency graph the CLC kernels walk:
-    // message edges in CSR form, collectives as a member table. The method
-    // gates this: Online never runs a CLC, whatever `cfg.clc` says.
-    // An analysis that does not fit the trace shape is the tenant's bytes,
-    // not a bug here: a typed error, never the panic of `DepGraph::build`.
-    let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
+    // one link per event into the message table and the collective member
+    // table. The method gates this: Online never runs a CLC, whatever
+    // `cfg.clc` says. An analysis that does not fit the trace shape is the
+    // tenant's bytes, not a bug here: a typed error, never a panic.
     let clc_inputs = match cfg.effective_clc() {
         None => None,
         Some(params) => {
             let t0 = Instant::now();
-            let graph = DepGraph::try_build(&analysis.matching, &analysis.instances, &lens, &table)
+            let graph = DepGraph::with_messages(Arc::clone(&msgs), &instances, &lens, &table)
                 .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
             stats
                 .stages
@@ -617,6 +617,24 @@ fn synchronize_impl(
     };
     cancel.check()?;
 
+    // Freeze the timestamp-independent census state once: event ids
+    // resolved to flat-array offsets, and the graph's two tables when
+    // `lower` built them, so a job lowers its messages and its collectives
+    // once. Every census then runs the same kernels over the columns.
+    let t0 = Instant::now();
+    let coll = match &clc_inputs {
+        Some((_, graph)) => Ok(Arc::clone(graph.coll_table())),
+        None => CollTable::build(&lens, &instances, &table).map(Arc::new),
+    };
+    let n_items = msgs.len() + instances.len();
+    drop(instances);
+    let plan = coll
+        .and_then(|coll| CensusPlan::with_tables(&lens, msgs, coll))
+        .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
+    stats
+        .stages
+        .push(StageStats::new("plan", n_items, t0.elapsed()));
+
     let mut cols = pre_cols.unwrap_or_else(|| {
         let t0 = Instant::now();
         let cols = TraceColumns::gather(trace);
@@ -627,29 +645,6 @@ fn synchronize_impl(
     });
     // Batch residency: every timeline's full i64 lane is live at once.
     stats.peak_resident_column_bytes = 8 * n_events as u64;
-
-    // Freeze the timestamp-independent census state once: event ids
-    // resolved to flat-array offsets, message bounds baked into dense
-    // lanes, collectives as the member table — the graph's when `lower`
-    // built one, so a job lowers its collectives at most once. Every
-    // census then runs the same kernels over snapshots of the columns.
-    let t0 = Instant::now();
-    let plan = match &clc_inputs {
-        Some((_, graph)) => {
-            let coll = Arc::clone(graph.coll_table());
-            CensusPlan::with_table(&lens, &analysis.matching.messages, coll, &table)
-        }
-        None => CensusPlan::for_columns(
-            &cols,
-            &analysis.matching.messages,
-            &analysis.instances,
-            &table,
-        ),
-    }
-    .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
-    stats
-        .stages
-        .push(StageStats::new("plan", analysis.n_items(), t0.elapsed()));
 
     let raw = census_stage_planned("census:raw", &plan, &cols, &mut stats);
 

@@ -57,15 +57,19 @@
 //! # Scope
 //!
 //! The violation censuses are skipped (they are whole-trace diagnostics;
-//! run the batch pipeline when they are needed). Message matching
-//! and the CSR dependency graph remain O(trace) *structural* metadata, as
-//! do the recorded jumps; the O(window) bound — and the
+//! run the batch pipeline when they are needed). Message matching and the
+//! dependency graph remain O(trace) *structural* metadata, as do the
+//! recorded jumps: while it matches, the capture keeps a 24-byte record per
+//! send and receive (its column sized by the stream's event count); the
+//! graph then keeps 8 bytes per event (a timeline and a link) and 16 per
+//! message (the message table) — 3.2 MB for a 200 000-event stream of
+//! 100 000 messages. The O(window) bound — and the
 //! [`PipelineStats::peak_resident_column_bytes`] gauge enforcing it in CI —
 //! covers the `i64` timestamp lanes, which dominate at scale.
 
 use super::{
     build_presync_maps, freeze_inputs, CancelToken, PipelineConfig, PipelineError, PipelineStats,
-    PresyncMap, StageStats, TraceAnalysis,
+    PresyncMap, StageStats,
 };
 use crate::clc::columnar::{
     backward_walk, candidate, count_moved, forward_step, latest_allowed, Timeline, Walk,
@@ -76,6 +80,7 @@ use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracefmt::io::{
     decode_block_kinds, decode_block_times, index_columnar_chunks, BlockMeta, ChunkStore,
@@ -391,15 +396,11 @@ impl Source<'_> {
     }
 }
 
-/// Reconstruct the communication structure straight from the indexed
-/// stream: the streamed twin of [`TraceAnalysis::capture`], feeding the
-/// same one-scan [`Capture`] block by block — one decode per block,
-/// timelines in order — so the analysis, and any error in it, is
-/// bit-identical to the batch analysis of the decoded trace.
-pub(super) fn capture_analysis_streamed(
-    index: &StreamIndex,
-    store: &ChunkStore,
-) -> Result<TraceAnalysis, PipelineError> {
+/// Feed every event of the indexed stream to the one-scan [`Capture`],
+/// block by block — one decode per block, timelines in order: the
+/// streamed twin of [`Capture::of`], so what it finishes into, and any
+/// error in it, is bit-identical to the capture of the decoded trace.
+pub(super) fn capture_streamed(index: &StreamIndex, store: &ChunkStore) -> Result<Capture, PipelineError> {
     let ranks = index.locations.iter().map(|l| l.rank);
     let mut capture = Capture::new(ranks, index.n_events() as usize);
     let mut scratch = Vec::new();
@@ -416,8 +417,7 @@ pub(super) fn capture_analysis_streamed(
             }
         }
     }
-    let (matching, instances) = capture.finish();
-    Ok(TraceAnalysis { matching, instances: instances.map_err(PipelineError::BadTrace)? })
+    Ok(capture)
 }
 
 /// A jump as the sweep found it: the event's index, the jump's size and the
@@ -1130,16 +1130,18 @@ pub fn synchronize_stream_incremental_with_sink(
         }
         Some(params) => {
             let t0 = Instant::now();
-            let analysis = capture_analysis_streamed(&index, &store)?;
+            let proc_lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
+            let (msgs, instances) = capture_streamed(&index, &store)?.finish_table(&proc_lens, &table);
+            let instances = instances.map_err(PipelineError::BadTrace)?;
+            let msgs = msgs.map_err(|e| PipelineError::BadTrace(e.to_string()))?;
             stats
                 .stages
                 .push(StageStats::new("match", n_events, t0.elapsed()));
 
             let t0 = Instant::now();
-            let proc_lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
-            let graph =
-                DepGraph::try_build(&analysis.matching, &analysis.instances, &proc_lens, &table)
-                    .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
+            let graph = DepGraph::with_messages(Arc::new(msgs), &instances, &proc_lens, &table)
+                .map_err(|e| PipelineError::BadTrace(e.to_string()))?;
+            drop(instances);
             stats
                 .stages
                 .push(StageStats::new("lower", n_events, t0.elapsed()));

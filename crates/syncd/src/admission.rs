@@ -24,16 +24,22 @@ pub struct JobCost {
     pub complete: bool,
 }
 
-/// Per-event working-set charge: the decoded record itself plus the
-/// columnar timestamp copy, replay scratch, and the matching,
-/// dependency-graph and census-plan entries the pipeline allocates per
-/// event. The graph and the plan hold a collective as its member rows (a
-/// few words per `CollBegin`/`CollEnd`, whatever the communicator's
-/// width), never as its k·(k−1) logical messages, so a flat per-event rate
-/// covers them. What does not scale with events is one k × k `l_min` block
-/// per communicator — the order of the `LatencyTable` every job freezes,
-/// and bounded with it by the pipeline's rank ceiling.
-const PER_EVENT_OVERHEAD: u64 = 32;
+/// Per-event working-set charge on top of the decoded record: the columnar
+/// timestamp copy, the capture's records, and the dependency graph and
+/// census plan the pipeline builds. The graph keeps two words per event (a
+/// timeline and a link) and shares one message table (16 bytes a message)
+/// and one collective member table with the plan; a collective is its
+/// member rows (a few words per `CollBegin`/`CollEnd`, whatever the
+/// communicator's width), never its k·(k−1) logical messages, so a flat
+/// per-event rate covers them. What does not scale with events is one
+/// k × k `l_min` block per communicator — the order of the `LatencyTable`
+/// every job freezes, and bounded with it by the pipeline's rank ceiling.
+/// `tests/admission_memory.rs` holds the charge against the peak live heap
+/// of a batch and a windowed job: with the stream's bytes, the `pop_batch`
+/// input pins 102.4 bytes per event (the decoded trace and its columns,
+/// then the capture, whose record column is reserved for every event)
+/// against 105 charged.
+const PER_EVENT_OVERHEAD: u64 = 40;
 
 /// Flat charge per job (queue entry, report, per-proc maps).
 const PER_JOB_BASE: u64 = 16 * 1024;
@@ -53,9 +59,9 @@ pub fn estimate_job_cost(input: &JobInput) -> JobCost {
 /// O(window) timestamp columns resident, but it re-encodes the whole
 /// stream as corrected frames that accumulate until the submitter takes
 /// them, so the job pins roughly input + output bytes. The per-event
-/// record charge stays — message matching and the dependency graph
-/// (message edges in CSR form, collectives as member rows) are O(events)
-/// structural metadata on that path too.
+/// record charge stays — the capture's records and the dependency graph
+/// (a link per event, the message table, collectives as member rows) are
+/// O(events) structural metadata on that path too.
 fn stream_cost(chunks: &[Vec<u8>], emits_frames: bool) -> JobCost {
     let record = std::mem::size_of::<EventRecord>() as u64 + PER_EVENT_OVERHEAD;
     let est = estimate_columnar_stream(chunks.iter().map(|c| c.as_slice()));

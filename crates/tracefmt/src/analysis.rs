@@ -9,9 +9,11 @@
 //! use event order within each timeline, never the (unreliable) timestamps,
 //! so corrupted clocks cannot corrupt the structure.
 
+use crate::census::{MessageTable, PlanBuildError};
 use crate::event::{CollOp, EventKind};
 use crate::ids::{CommId, EventId, Rank, RegionId};
 use crate::trace::Trace;
+use crate::violation::MinLatency;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -122,6 +124,53 @@ struct CallRec {
     root: Option<Rank>,
 }
 
+/// A column that grows a fixed-size chunk at a time instead of doubling:
+/// no element is ever moved, and at most one chunk is allocated ahead of
+/// what it holds. The call records are not sized up front (the number of
+/// collective calls is not known before the scan), and a doubling column
+/// would hold its old and its new buffer at once while it moves.
+#[derive(Debug)]
+struct Chunked<T> {
+    chunks: Vec<Vec<T>>,
+    len: usize,
+}
+
+/// Elements per [`Chunked`] chunk: 64 KiB of call records.
+const CHUNK: usize = 2048;
+
+impl<T> Default for Chunked<T> {
+    fn default() -> Self {
+        Chunked { chunks: Vec::new(), len: 0 }
+    }
+}
+
+impl<T> Chunked<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn push(&mut self, value: T) {
+        if self.len.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks[self.len / CHUNK].push(value);
+        self.len += 1;
+    }
+}
+
+impl<T> std::ops::Index<usize> for Chunked<T> {
+    type Output = T;
+    fn index(&self, i: usize) -> &T {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Chunked<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+}
+
 /// Where one communicator's calls stand on the timeline being fed: how
 /// many it made, and the one whose `CollEnd` is still to come; `most` is
 /// the most any timeline made, its instance count.
@@ -156,7 +205,7 @@ pub struct Capture {
     counts: Option<Vec<u32>>,
     msgs: Vec<MsgRec>,
     n_recvs: usize,
-    calls: Vec<CallRec>,
+    calls: Chunked<CallRec>,
     /// Per communicator, in first-call order. A run of calls on one
     /// communicator resolves through `last` without hashing; `slot_of` is
     /// probed only on a switch, so a hostile stream of distinct
@@ -187,7 +236,7 @@ impl Capture {
             counts: counted.then(|| zeroed(2 * u * u)),
             msgs: Vec::with_capacity(n_events),
             n_recvs: 0,
-            calls: Vec::new(),
+            calls: Chunked::default(),
             slots: Vec::new(),
             last: 0,
             slot_of: HashMap::new(),
@@ -292,18 +341,44 @@ impl Capture {
     /// The matching, and the collective instances or the first reason the
     /// calls do not form them.
     pub fn finish(mut self) -> (Matching, Result<Vec<CollectiveInstance>, String>) {
-        let instances = if let Some(e) = self.coll_err.take() { Err(e) } else { self.assemble() };
-        // The calls' memory goes back before the matching takes its own.
-        self.calls = Vec::new();
-        (self.into_matching(), instances)
+        let instances = self.instances();
+        (self.zip().into_matching(), instances)
     }
 
-    /// Group the records, zip each pair, then sweep them in feed order:
-    /// `messages` and `unmatched_recvs` come out in receive order and
-    /// `unmatched_sends` in send order — what draining per-`(from, to, tag)`
-    /// FIFO queues receive by receive produces — with no final sort.
-    fn into_matching(self) -> Matching {
-        let Capture { ranks, own, counts, mut msgs, n_recvs, .. } = self;
+    /// [`finish`](Capture::finish) for a job that only synchronizes: the
+    /// matched messages go straight into the [`MessageTable`] of the trace
+    /// shape `timeline_lens` — `lmin` frozen per message, in the order of
+    /// [`Matching::messages`] — with no [`MessageMatch`] list and no list of
+    /// unmatched events in between. The records' memory goes back before
+    /// the instances take their own.
+    pub fn finish_table(
+        mut self,
+        timeline_lens: &[usize],
+        lmin: &dyn MinLatency,
+    ) -> (Result<MessageTable, PlanBuildError>, Result<Vec<CollectiveInstance>, String>) {
+        let table = {
+            let zipped = self.zip();
+            let rank = |id: EventId| zipped.ranks[zipped.own[id.p()] as usize];
+            let pairs = zipped.matched().map(|(send, recv)| (send.id, recv.id, lmin.l_min(rank(send.id), rank(recv.id))));
+            MessageTable::collect(timeline_lens, zipped.matched, pairs)
+        };
+        (table, self.instances())
+    }
+
+    /// The collective instances, or the first reason the calls do not form
+    /// them; the calls' memory goes back once they are assembled.
+    fn instances(&mut self) -> Result<Vec<CollectiveInstance>, String> {
+        let instances = if let Some(e) = self.coll_err.take() { Err(e) } else { self.assemble() };
+        self.calls = Chunked::default();
+        instances
+    }
+
+    /// Group the records and zip each pair: every matched receive records
+    /// its send, every matched send is marked consumed. The records move
+    /// out of the capture.
+    fn zip(&mut self) -> Zipped<'_> {
+        let (counts, mut msgs) = (self.counts.take(), std::mem::take(&mut self.msgs));
+        let (ranks, own, n_recvs) = (&self.ranks, &self.own, self.n_recvs);
         assert!(msgs.len() < NONE as usize, "message records exceed the u32 ordinal space");
         let u = ranks.len();
         let known = (0..msgs.len() as u32).filter(|&k| msgs[k as usize].key >> 1 != NOBODY);
@@ -315,9 +390,9 @@ impl Capture {
             }
             None => {
                 let rec = |k: u32| &msgs[k as usize];
-                let by_to = |k| pair_of(rec(k), &own).1 as usize * 2 + usize::from(rec(k).is_recv());
+                let by_to = |k| pair_of(rec(k), own).1 as usize * 2 + usize::from(rec(k).is_recv());
                 let (by_to, _) = counting_sort(known.clone(), by_to, tally(known, by_to, 2 * u));
-                let by_from = |k| pair_of(rec(k), &own).0 as usize;
+                let by_from = |k| pair_of(rec(k), own).0 as usize;
                 let counts = tally(by_to.iter().copied(), by_from, u);
                 (counting_sort(by_to.iter().copied(), by_from, counts).0, None)
             }
@@ -339,7 +414,7 @@ impl Capture {
             None => {
                 let mut a = 0;
                 while a < order.len() {
-                    let pair = |k: &u32| pair_of(&msgs[*k as usize], &own);
+                    let pair = |k: &u32| pair_of(&msgs[*k as usize], own);
                     let run = pair(&order[a]);
                     let end = a + order[a..].iter().take_while(|k| pair(k) == run).count();
                     let sends = order[a..end].iter().take_while(|&&k| !msgs[k as usize].is_recv());
@@ -349,8 +424,34 @@ impl Capture {
                 }
             }
         }
-        drop(order);
+        Zipped { ranks, own, msgs, n_recvs, consumed, matched }
+    }
+}
 
+/// The records of a [`Capture`] once zipped: each matched receive's `aux`
+/// names its send's record, each matched send is set in `consumed`.
+struct Zipped<'a> {
+    ranks: &'a [Rank],
+    own: &'a [u32],
+    msgs: Vec<MsgRec>,
+    n_recvs: usize,
+    consumed: Vec<u64>,
+    matched: usize,
+}
+
+impl Zipped<'_> {
+    /// `(send, receive)` records of every match, in receive order.
+    fn matched(&self) -> impl Iterator<Item = (&MsgRec, &MsgRec)> {
+        let recvs = self.msgs.iter().filter(|rec| rec.is_recv() && rec.aux != u64::from(NONE));
+        recvs.map(|rec| (&self.msgs[rec.aux as usize], rec))
+    }
+
+    /// Sweep the records in feed order: `messages` and `unmatched_recvs`
+    /// come out in receive order and `unmatched_sends` in send order —
+    /// what draining per-`(from, to, tag)` FIFO queues receive by receive
+    /// produces — with no final sort.
+    fn into_matching(self) -> Matching {
+        let Zipped { ranks, own, msgs, n_recvs, consumed, matched } = self;
         let mut out = Matching {
             messages: Vec::with_capacity(matched),
             unmatched_sends: Vec::with_capacity(msgs.len() - n_recvs - matched),
@@ -373,7 +474,9 @@ impl Capture {
         }
         out
     }
+}
 
+impl Capture {
     /// Zip the calls into instances: within one communicator, the k-th call
     /// of every participating timeline belongs to instance k (MPI requires
     /// all ranks of a communicator to issue collectives in the same order),

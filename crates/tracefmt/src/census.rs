@@ -17,8 +17,12 @@
 //!   ([`TraceColumns::flat`]), so the kernels gather straight from live
 //!   pipeline storage with **zero copies** per census round, and a check
 //!   is two indexed loads instead of two two-level lookups;
-//! * point-to-point `l_min` bounds are frozen per check into a dense `i64`
-//!   lane;
+//! * matched messages are frozen into a [`MessageTable`] — send and
+//!   receive offsets and `l_min` as three dense lanes, 16 bytes per
+//!   message — which the CLC's dependency graph of the same job reads as
+//!   its message edges ([`CensusPlan::with_tables`] shares it, and the
+//!   collective table, by `Arc`: a plan beside a graph adds 4 bytes per
+//!   timeline);
 //! * collective instances are lowered into a [`CollTable`] — member rows
 //!   plus one `l_min` matrix per communicator — and never expanded into
 //!   their logical messages (paper §V flavour mapping).
@@ -67,14 +71,15 @@ const CHUNK: usize = 64;
 
 /// Why an analysis could not be lowered for a trace shape: an event
 /// coordinate referred to a timeline the trace does not have or an event
-/// index past the end of its timeline, one event was claimed by two
-/// collective instances, or the trace is too large to address.
+/// index past the end of its timeline, one event was claimed twice, or the
+/// trace is too large to address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanBuildError {
     /// The offending event id.
     EventOutOfRange(EventId),
-    /// An event that two collective instances (or two members of one) list
-    /// as their begin or end; an event opens or closes one call.
+    /// An event that two collective members list as their begin or end, or
+    /// that a dependency graph's lowering finds claimed twice by its
+    /// messages and members: an event opens or closes one call or message.
     SharedMember(EventId),
     /// The trace has more events than the plan's 32-bit flat offsets (and
     /// the AVX2 gather's signed-index form) can address.
@@ -88,7 +93,7 @@ impl fmt::Display for PlanBuildError {
                 write!(f, "event {id} is outside the trace shape the plan was built for")
             }
             PlanBuildError::SharedMember(id) => {
-                write!(f, "event {id} is a member of two collective instances")
+                write!(f, "event {id} is claimed by two collective members or messages")
             }
             PlanBuildError::TraceTooLarge => {
                 write!(f, "trace exceeds the plan's 2^31-event addressing limit")
@@ -99,36 +104,131 @@ impl fmt::Display for PlanBuildError {
 
 impl std::error::Error for PlanBuildError {}
 
-/// One struct-of-arrays lane of clock-condition checks: for check `k`,
-/// `transfer = flat[to[k]] - flat[from[k]]` must be `>= bound[k]`. The
-/// subtraction saturates: two timelines at opposite `i64` edges are a
-/// transfer past the range, not a wrapped one, and `transfer < bound` is
-/// decided exactly for every bound above `i64::MIN`.
+/// The prefix sums of a trace shape's timeline lengths: timeline `p`'s
+/// events sit at `base[p]..base[p + 1]` of the flat array. The flat size
+/// must fit the `u32` gids every lowering uses.
+pub(crate) fn bases(timeline_lens: &[usize]) -> Result<Vec<u32>, PlanBuildError> {
+    let mut base = Vec::with_capacity(timeline_lens.len() + 1);
+    let mut end = 0u32;
+    base.push(0);
+    for &len in timeline_lens {
+        end = u32::try_from(len).ok().and_then(|len| end.checked_add(len)).ok_or(PlanBuildError::TraceTooLarge)?;
+        base.push(end);
+    }
+    Ok(base)
+}
+
+/// The flat offset of `id` in a shape given by its [`bases`].
+pub(crate) fn locate(base: &[u32], id: EventId) -> Result<u32, PlanBuildError> {
+    match (base.get(id.p()), base.get(id.p() + 1)) {
+        (Some(&start), Some(&end)) if id.idx < end - start => Ok(start + id.idx),
+        _ => Err(PlanBuildError::EventOutOfRange(id)),
+    }
+}
+
+/// The matched messages of one trace, frozen once per job for both of
+/// their consumers: the census checks message `m` (`transfer =
+/// flat[recv[m]] - flat[send[m]]` must be `>= lat[m]`), and the CLC's
+/// dependency graph walks it as the receive's in-edge `(send[m], lat[m])`
+/// and the send's out-edge `(recv[m], lat[m])`. Struct of arrays in
+/// matching order, 16 bytes per message: the gids (flat offsets) of the
+/// send and the receive, and `l_min` in picoseconds. Shared by `Arc`, like
+/// the [`CollTable`].
+///
+/// Every gid is inside the shape the table was built for, so a census
+/// gathers through it unchecked. The census subtraction saturates: two
+/// timelines at opposite `i64` edges are a transfer past the range, not a
+/// wrapped one, and `transfer < bound` is decided exactly for every bound
+/// above `i64::MIN`.
 ///
 /// Offsets are `u32` deliberately: the sequential lane streams are half
 /// the width of the random gather traffic they drive, and the AVX2 path
-/// gets the cheaper `i32`-index gather form (`build` rejects traces past
+/// gets the cheaper `i32`-index gather form (a plan refuses shapes past
 /// `i32::MAX` events, so the signed reinterpretation is lossless).
 #[derive(Debug, Clone, Default)]
-struct CheckLane {
-    from: Vec<u32>,
-    to: Vec<u32>,
-    bound: Vec<i64>,
+pub struct MessageTable {
+    /// Events of the trace shape the table was built for.
+    n_events: u32,
+    send: Vec<u32>,
+    recv: Vec<u32>,
+    lat: Vec<i64>,
 }
 
-impl CheckLane {
-    fn with_capacity(n: usize) -> Self {
-        CheckLane { from: Vec::with_capacity(n), to: Vec::with_capacity(n), bound: Vec::with_capacity(n) }
+impl MessageTable {
+    /// Freeze `messages` for a trace shape given as per-timeline event
+    /// counts; `lmin` is evaluated once per message.
+    pub fn build(
+        timeline_lens: &[usize],
+        messages: &[MessageMatch],
+        lmin: &dyn MinLatency,
+    ) -> Result<MessageTable, PlanBuildError> {
+        let pairs = messages.iter().map(|m| (m.send, m.recv, lmin.l_min(m.from, m.to)));
+        MessageTable::collect(timeline_lens, messages.len(), pairs)
     }
 
-    fn push(&mut self, from: u32, to: u32, bound: Dur) {
-        self.from.push(from);
-        self.to.push(to);
-        self.bound.push(bound.as_ps());
+    /// The table of `(send, recv, l_min)` in the order given; `n` is how
+    /// many there are.
+    pub(crate) fn collect(
+        timeline_lens: &[usize],
+        n: usize,
+        pairs: impl Iterator<Item = (EventId, EventId, Dur)>,
+    ) -> Result<MessageTable, PlanBuildError> {
+        let base = bases(timeline_lens)?;
+        let n_events = *base.last().expect("one base per timeline, plus the end");
+        let mut table = MessageTable {
+            n_events,
+            send: Vec::with_capacity(n),
+            recv: Vec::with_capacity(n),
+            lat: Vec::with_capacity(n),
+        };
+        for (send, recv, l_min) in pairs {
+            table.push(locate(&base, send)?, locate(&base, recv)?, l_min);
+        }
+        Ok(table)
     }
 
-    fn len(&self) -> usize {
-        self.from.len()
+    fn push(&mut self, send: u32, recv: u32, l_min: Dur) {
+        self.send.push(send);
+        self.recv.push(recv);
+        self.lat.push(l_min.as_ps());
+    }
+
+    /// Number of messages.
+    pub fn len(&self) -> usize {
+        self.send.len()
+    }
+
+    /// Whether the trace matched no message.
+    pub fn is_empty(&self) -> bool {
+        self.send.is_empty()
+    }
+
+    /// Event count of the trace shape the table was built for.
+    pub fn n_events(&self) -> usize {
+        self.n_events as usize
+    }
+
+    /// The gid of every message's send, in matching order.
+    #[inline]
+    pub fn sends(&self) -> &[u32] {
+        &self.send
+    }
+
+    /// The gid of every message's receive, in matching order.
+    #[inline]
+    pub fn recvs(&self) -> &[u32] {
+        &self.recv
+    }
+
+    /// Every message's `l_min` in picoseconds, in matching order.
+    #[inline]
+    pub fn lats(&self) -> &[i64] {
+        &self.lat
+    }
+
+    /// Heap bytes the table holds: 16 per message.
+    pub fn heap_bytes(&self) -> usize {
+        self.len() * (4 + 4 + 8)
     }
 }
 
@@ -152,7 +252,7 @@ pub struct CensusPlan {
     /// ids are read back from its flat offsets through it.
     base: Vec<u32>,
     /// Point-to-point checks, one per matched message, in message order.
-    p2p: CheckLane,
+    msgs: Arc<MessageTable>,
     /// The collective instances, as member rows and latency blocks.
     coll: Arc<CollTable>,
 }
@@ -168,46 +268,30 @@ impl CensusPlan {
         instances: &[CollectiveInstance],
         lmin: &dyn MinLatency,
     ) -> Result<CensusPlan, PlanBuildError> {
+        let msgs = Arc::new(MessageTable::build(timeline_lens, messages, lmin)?);
         let coll = Arc::new(CollTable::build(timeline_lens, instances, lmin)?);
-        CensusPlan::with_table(timeline_lens, messages, coll, lmin)
+        CensusPlan::with_tables(timeline_lens, msgs, coll)
     }
 
-    /// [`build`](CensusPlan::build) over an already lowered collective
-    /// table — the one a `DepGraph` of the same trace carries — so a job
-    /// lowers its collectives once for both consumers.
+    /// [`build`](CensusPlan::build) over already frozen tables — the ones a
+    /// `DepGraph` of the same trace walks — so a job lowers its messages
+    /// and its collectives once for both consumers.
     ///
     /// # Panics
-    /// Panics when `coll` was built for a different event count.
-    pub fn with_table(
+    /// Panics when a table was built for a different event count.
+    pub fn with_tables(
         timeline_lens: &[usize],
-        messages: &[MessageMatch],
+        msgs: Arc<MessageTable>,
         coll: Arc<CollTable>,
-        lmin: &dyn MinLatency,
     ) -> Result<CensusPlan, PlanBuildError> {
-        let mut base = Vec::with_capacity(timeline_lens.len() + 1);
-        let mut end = 0u64;
-        base.push(0);
-        for &len in timeline_lens {
-            end += len as u64;
-            if end > i32::MAX as u64 {
-                return Err(PlanBuildError::TraceTooLarge);
-            }
-            base.push(end as u32);
+        let base = bases(timeline_lens)?;
+        let end = *base.last().expect("one base per timeline, plus the end");
+        if end > i32::MAX as u32 {
+            return Err(PlanBuildError::TraceTooLarge);
         }
-        assert_eq!(coll.n_events() as u64, end, "plan/collective-table event count mismatch");
-        let locate = |id: EventId| -> Result<u32, PlanBuildError> {
-            match (base.get(id.p()), base.get(id.p() + 1)) {
-                (Some(&start), Some(&end)) if id.idx < end - start => Ok(start + id.idx),
-                _ => Err(PlanBuildError::EventOutOfRange(id)),
-            }
-        };
-
-        let mut p2p = CheckLane::with_capacity(messages.len());
-        for m in messages {
-            p2p.push(locate(m.send)?, locate(m.recv)?, lmin.l_min(m.from, m.to));
-        }
-
-        Ok(CensusPlan { base, p2p, coll })
+        assert_eq!(msgs.n_events(), end as usize, "plan/message-table event count mismatch");
+        assert_eq!(coll.n_events(), end as usize, "plan/collective-table event count mismatch");
+        Ok(CensusPlan { base, msgs, coll })
     }
 
     /// [`build`](CensusPlan::build) against the shape of `cols`.
@@ -223,7 +307,7 @@ impl CensusPlan {
 
     /// Number of point-to-point checks (matched messages) in the plan.
     pub fn n_messages(&self) -> usize {
-        self.p2p.len()
+        self.msgs.len()
     }
 
     /// Number of collective instances in the plan.
@@ -231,9 +315,10 @@ impl CensusPlan {
         self.coll.n_instances()
     }
 
-    /// Heap bytes the plan holds, its collective table included.
+    /// Heap bytes the plan holds, its two tables included (a caller that
+    /// shares them with a `DepGraph` counts them once).
     pub fn heap_bytes(&self) -> usize {
-        4 * self.base.len() + self.p2p.len() * (4 + 4 + 8) + self.coll.heap_bytes()
+        4 * self.base.len() + self.msgs.heap_bytes() + self.coll.heap_bytes()
     }
 
     /// The event at flat offset `at`.
@@ -277,7 +362,7 @@ impl CensusPlan {
     /// flat timeline-major timestamp array
     /// ([`flat_of`](CensusPlan::flat_of)).
     pub fn p2p_census(&self, times: &[i64]) -> P2pReport {
-        let hi = self.p2p.len();
+        let hi = self.msgs.len();
         let mut report = P2pReport {
             total: hi,
             ..P2pReport::default()
@@ -285,7 +370,7 @@ impl CensusPlan {
         let mut k = 0;
         while k < hi {
             let end = (k + CHUNK).min(hi);
-            let (vmask, rmask) = lane_masks(&self.p2p, times, k, end);
+            let (vmask, rmask) = lane_masks(&self.msgs, times, k, end);
             report.reversed += (vmask & rmask).count_ones() as usize;
             // Materialize violations in message order — only for chunks
             // that actually have any.
@@ -293,13 +378,13 @@ impl CensusPlan {
             while bits != 0 {
                 let m = k + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (from, to) = (self.p2p.from[m], self.p2p.to[m]);
+                let (from, to) = (self.msgs.send[m], self.msgs.recv[m]);
                 report.violations.push(ViolatedMessage {
                     send: self.event_at(from),
                     recv: self.event_at(to),
                     measured_transfer: Time::from_ps(times[to as usize])
                         .saturating_since(Time::from_ps(times[from as usize])),
-                    l_min: Dur::from_ps(self.p2p.bound[m]),
+                    l_min: Dur::from_ps(self.msgs.lat[m]),
                 });
             }
             k = end;
@@ -472,7 +557,7 @@ fn instance_tally<const SATURATE: bool>(
 /// Violation and reversal bitmasks for checks `lo..hi` of a lane
 /// (`hi - lo <= 64`): bit `k - lo` of the first mask is set when check `k`
 /// violates its bound, of the second when its transfer is negative.
-fn lane_masks(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
+fn lane_masks(lane: &MessageTable, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
     #[cfg(target_arch = "x86_64")]
     {
         if avx2_available() {
@@ -485,13 +570,13 @@ fn lane_masks(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (u64, u6
 
 /// Branchless scalar mask kernel — the portable path and the reference the
 /// AVX2 specialization must agree with.
-fn lane_masks_scalar(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
+fn lane_masks_scalar(lane: &MessageTable, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
     debug_assert!(hi - lo <= CHUNK);
     let mut vmask = 0u64;
     let mut rmask = 0u64;
     for (bit, k) in (lo..hi).enumerate() {
-        let (from, to) = (times[lane.from[k] as usize], times[lane.to[k] as usize]);
-        vmask |= u64::from(to.saturating_sub(from) < lane.bound[k]) << bit;
+        let (from, to) = (times[lane.send[k] as usize], times[lane.recv[k] as usize]);
+        vmask |= u64::from(to.saturating_sub(from) < lane.lat[k]) << bit;
         rmask |= u64::from(from > to) << bit;
     }
     (vmask, rmask)
@@ -518,14 +603,14 @@ fn avx2_available() -> bool {
 /// saturates.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
+unsafe fn lane_masks_avx2(lane: &MessageTable, times: &[i64], lo: usize, hi: usize) -> (u64, u64) {
     use std::arch::x86_64::*;
     debug_assert!(hi - lo <= CHUNK);
     // The SAFETY claim below, checked where it is made in debug builds:
     // the lane loads stay in the lane, the gathers in `times`.
-    debug_assert!(hi <= lane.from.len() && hi <= lane.to.len() && hi <= lane.bound.len());
+    debug_assert!(hi <= lane.send.len() && hi <= lane.recv.len() && hi <= lane.lat.len());
     debug_assert!((lo..hi).all(|k| {
-        (lane.from[k] as usize) < times.len() && (lane.to[k] as usize) < times.len()
+        (lane.send[k] as usize) < times.len() && (lane.recv[k] as usize) < times.len()
     }));
     let base = times.as_ptr();
     let mut vmask = 0u64;
@@ -533,27 +618,27 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
     let mut signs_differ = _mm256_setzero_si256();
     let mut k = lo;
     let mut bit = 0u32;
-    // SAFETY (both loops): every offset in the lane was validated against
-    // the trace shape at plan build (which also capped the flat size at
-    // `i32::MAX`, so the u32→i32 index reinterpretation is lossless), and
-    // `flat_of` asserted the same shape on borrow, so all gather indices
-    // are in bounds of `times`.
+    // SAFETY (both loops): every offset in the table was validated against
+    // its trace shape when the table was built, the plan asserted that
+    // shape and capped the flat size at `i32::MAX` (so the u32→i32 index
+    // reinterpretation is lossless), and `flat_of` asserted the same shape
+    // on borrow, so all gather indices are in bounds of `times`.
     //
     // Two independent 4-lane groups per iteration: the gathers are the
     // long-latency step, and interleaving two chains keeps more of them
     // in flight than out-of-order execution manages across iterations of
     // a 4-wide loop.
     while k + 8 <= hi {
-        let idx_from0 = _mm_loadu_si128(lane.from.as_ptr().add(k).cast());
-        let idx_to0 = _mm_loadu_si128(lane.to.as_ptr().add(k).cast());
-        let idx_from1 = _mm_loadu_si128(lane.from.as_ptr().add(k + 4).cast());
-        let idx_to1 = _mm_loadu_si128(lane.to.as_ptr().add(k + 4).cast());
+        let idx_from0 = _mm_loadu_si128(lane.send.as_ptr().add(k).cast());
+        let idx_to0 = _mm_loadu_si128(lane.recv.as_ptr().add(k).cast());
+        let idx_from1 = _mm_loadu_si128(lane.send.as_ptr().add(k + 4).cast());
+        let idx_to1 = _mm_loadu_si128(lane.recv.as_ptr().add(k + 4).cast());
         let t_from0 = _mm256_i32gather_epi64::<8>(base, idx_from0);
         let t_to0 = _mm256_i32gather_epi64::<8>(base, idx_to0);
         let t_from1 = _mm256_i32gather_epi64::<8>(base, idx_from1);
         let t_to1 = _mm256_i32gather_epi64::<8>(base, idx_to1);
-        let bound0 = _mm256_loadu_si256(lane.bound.as_ptr().add(k).cast());
-        let bound1 = _mm256_loadu_si256(lane.bound.as_ptr().add(k + 4).cast());
+        let bound0 = _mm256_loadu_si256(lane.lat.as_ptr().add(k).cast());
+        let bound1 = _mm256_loadu_si256(lane.lat.as_ptr().add(k + 4).cast());
         let differ = _mm256_or_si256(_mm256_xor_si256(t_to0, t_from0), _mm256_xor_si256(t_to1, t_from1));
         signs_differ = _mm256_or_si256(signs_differ, differ);
         let transfer0 = _mm256_sub_epi64(t_to0, t_from0);
@@ -573,11 +658,11 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
         bit += 8;
     }
     while k + 4 <= hi {
-        let idx_from = _mm_loadu_si128(lane.from.as_ptr().add(k).cast());
-        let idx_to = _mm_loadu_si128(lane.to.as_ptr().add(k).cast());
+        let idx_from = _mm_loadu_si128(lane.send.as_ptr().add(k).cast());
+        let idx_to = _mm_loadu_si128(lane.recv.as_ptr().add(k).cast());
         let t_from = _mm256_i32gather_epi64::<8>(base, idx_from);
         let t_to = _mm256_i32gather_epi64::<8>(base, idx_to);
-        let bound = _mm256_loadu_si256(lane.bound.as_ptr().add(k).cast());
+        let bound = _mm256_loadu_si256(lane.lat.as_ptr().add(k).cast());
         signs_differ = _mm256_or_si256(signs_differ, _mm256_xor_si256(t_to, t_from));
         let transfer = _mm256_sub_epi64(t_to, t_from);
         let viol = _mm256_cmpgt_epi64(bound, transfer);
@@ -593,8 +678,8 @@ unsafe fn lane_masks_avx2(lane: &CheckLane, times: &[i64], lo: usize, hi: usize)
         return lane_masks_scalar(lane, times, lo, hi);
     }
     for k in k..hi {
-        let (from, to) = (times[lane.from[k] as usize], times[lane.to[k] as usize]);
-        vmask |= u64::from(to.saturating_sub(from) < lane.bound[k]) << bit;
+        let (from, to) = (times[lane.send[k] as usize], times[lane.recv[k] as usize]);
+        vmask |= u64::from(to.saturating_sub(from) < lane.lat[k]) << bit;
         rmask |= u64::from(from > to) << bit;
         bit += 1;
     }
@@ -805,17 +890,17 @@ mod tests {
         let plan = CensusPlan::build(&lens(&t), &m.messages, &[], &lmin).unwrap();
         let cols = TraceColumns::gather(&t);
         let times = plan.flat_of(&cols);
-        let n = plan.p2p.len();
+        let n = plan.msgs.len();
         let mut lo = 0;
         while lo < n {
             // Odd chunk ends exercise the SIMD tail path.
             let hi = (lo + 61).min(n);
-            let scalar = lane_masks_scalar(&plan.p2p, times, lo, hi);
-            let dispatched = lane_masks(&plan.p2p, times, lo, hi);
+            let scalar = lane_masks_scalar(&plan.msgs, times, lo, hi);
+            let dispatched = lane_masks(&plan.msgs, times, lo, hi);
             assert_eq!(scalar, dispatched);
             #[cfg(target_arch = "x86_64")]
             if avx2_available() {
-                let simd = unsafe { lane_masks_avx2(&plan.p2p, times, lo, hi) };
+                let simd = unsafe { lane_masks_avx2(&plan.msgs, times, lo, hi) };
                 assert_eq!(scalar, simd);
             }
             lo = hi;
@@ -833,7 +918,7 @@ mod tests {
             i64::MIN, i64::MIN + 1, i64::MIN + 4_000_000, -1, 0, 1,
             i64::MAX - 4_000_000, i64::MAX - 1, i64::MAX,
         ];
-        let mut lane = CheckLane::default();
+        let mut lane = MessageTable::default();
         for from in 0..times.len() as u32 {
             for to in 0..times.len() as u32 {
                 for bound in [-5, 0, 1, 4_000_000, i64::MAX] {
@@ -846,9 +931,9 @@ mod tests {
             let hi = (lo + 61).min(n);
             let mut want = (0u64, 0u64);
             for (bit, k) in (lo..hi).enumerate() {
-                let (from, to) = (times[lane.from[k] as usize], times[lane.to[k] as usize]);
+                let (from, to) = (times[lane.send[k] as usize], times[lane.recv[k] as usize]);
                 let transfer = i128::from(to) - i128::from(from);
-                want.0 |= u64::from(transfer < i128::from(lane.bound[k])) << bit;
+                want.0 |= u64::from(transfer < i128::from(lane.lat[k])) << bit;
                 want.1 |= u64::from(transfer < 0) << bit;
             }
             assert_eq!(lane_masks_scalar(&lane, &times, lo, hi), want, "scalar, checks {lo}..{hi}");

@@ -32,7 +32,7 @@
 //! two timelines of one communicator share a rank.
 
 use crate::analysis::CollectiveInstance;
-use crate::census::PlanBuildError;
+use crate::census::{bases, locate, PlanBuildError};
 use crate::event::CollFlavor;
 use crate::ids::{EventId, Rank};
 use crate::violation::MinLatency;
@@ -282,24 +282,13 @@ impl CollTable {
         instances: &[CollectiveInstance],
         lmin: &dyn MinLatency,
     ) -> Result<CollTable, PlanBuildError> {
-        let total: u64 = timeline_lens.iter().map(|&len| len as u64).sum();
-        let n_events = u32::try_from(total).map_err(|_| PlanBuildError::TraceTooLarge)?;
+        let base = bases(timeline_lens)?;
+        let n_events = *base.last().expect("one base per timeline, plus the end");
         if instances.is_empty() {
             // A point-to-point trace pays for no table: nothing allocated.
             return Ok(CollTable { n_events, ..CollTable::default() });
         }
-        let mut base = Vec::with_capacity(timeline_lens.len());
-        let mut next = 0u64;
-        for &len in timeline_lens {
-            base.push(next);
-            next += len as u64;
-        }
-        let locate = |id: EventId| -> Result<u32, PlanBuildError> {
-            match timeline_lens.get(id.p()) {
-                Some(&len) if id.i() < len => Ok((base[id.p()] + u64::from(id.idx)) as u32),
-                _ => Err(PlanBuildError::EventOutOfRange(id)),
-            }
-        };
+        let locate = |id: EventId| locate(&base, id);
 
         let n_members: usize = instances.iter().map(|inst| inst.members.len()).sum();
         if u32::try_from(n_members).is_err() {

@@ -13,7 +13,8 @@
 //!   messages, logical messages derived from collectives, and the POMP
 //!   shared-memory rules of Fig. 8;
 //! * [`coll`] — the collective member table both the CLC's dependency graph
-//!   and the plan-based census ([`census`]) read collectives from;
+//!   and the plan-based census ([`census`]) read collectives from, beside
+//!   the [`MessageTable`] they read matched messages from;
 //! * [`diff`] — per-event comparison of two traces of one run;
 //! * [`stats`] — Welford summaries and percentiles for the
 //!   experiment tables;
@@ -39,7 +40,7 @@ pub use analysis::{
     match_collectives, match_messages, match_parallel_regions, Capture, CollMember,
     CollectiveInstance, Matching, MessageMatch, ParallelRegion, RegionThread,
 };
-pub use census::{CensusPlan, PlanBuildError};
+pub use census::{CensusPlan, MessageTable, PlanBuildError};
 pub use coll::{BlockClasses, CollInstRef, CollTable, LatBlock};
 pub use column::{TimeSource, TraceColumns};
 pub use event::{CollFlavor, CollOp, EventKind, EventRecord};

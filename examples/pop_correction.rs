@@ -40,21 +40,24 @@ fn main() {
     let lmin = move |a: Rank, b: Rank| lmin_table[a.idx()][b.idx()];
 
     // What the pipeline will hold for this trace's communication structure:
-    // message edges are stored, an allreduce is 32 member rows however many
-    // logical messages (32 x 31) the paper's mapping derives from it.
+    // a message is one row of the message table, an allreduce 32 member rows
+    // however many logical messages (32 x 31) the paper's mapping derives
+    // from it. The graph and the census plan share both tables, so they
+    // are counted once.
     let analysis = TraceAnalysis::capture(&tr.trace).expect("well-formed trace");
     let lens: Vec<usize> = tr.trace.procs.iter().map(|p| p.events.len()).collect();
     let graph = DepGraph::build(&analysis.matching, &analysis.instances, &lens, &lmin);
-    let plan = CensusPlan::build(&lens, &analysis.matching.messages, &analysis.instances, &lmin)
-        .expect("plan builds");
+    let (msgs, coll) = (graph.messages().clone(), graph.coll_table().clone());
+    let shared = msgs.heap_bytes() + coll.heap_bytes();
+    let plan = CensusPlan::with_tables(&lens, msgs, coll).expect("plan builds");
     println!(
-        "{} constraints lowered as {} message edges + {} collective member rows: \
-         graph {} KiB, census plan {} KiB",
+        "{} constraints lowered as {} messages + {} collective member rows: \
+         graph and census plan {} KiB, of it {} KiB of shared tables",
         graph.n_edges(),
-        analysis.matching.messages.len(),
+        graph.messages().len(),
         graph.coll_table().n_members(),
-        graph.heap_bytes() / 1024,
-        plan.heap_bytes() / 1024,
+        (graph.heap_bytes() + plan.heap_bytes() - shared) / 1024,
+        shared / 1024,
     );
 
     // Scalasca's pipeline: Eq. 3 interpolation, then the CLC.

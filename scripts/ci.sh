@@ -74,8 +74,10 @@ cd "$(dirname "$0")/.."
 # (`parallel_differential`) and the tests of the sharded stages, the replay
 # CLC, its ring capacities and the worker-count axes went with their
 # subject. Raised by 1 when one batch job's heap budget got a binary of
-# its own (`tests/job_memory.rs`: a counting global allocator).
-WORKSPACE_TEST_BINARIES_FLOOR=50
+# its own (`tests/job_memory.rs`: a counting global allocator), and by 1
+# when admission's charge was held against two jobs' peaks in another
+# (`tests/admission_memory.rs`).
+WORKSPACE_TEST_BINARIES_FLOOR=51
 # Tests those binaries passed between them when the floor was last set.
 # Last reset downwards when the trace tooling and the logical clocks left
 # the shipped crates and POMP barriers became member rows: 33 tests went
@@ -111,7 +113,10 @@ WORKSPACE_TEST_BINARIES_FLOOR=50
 # on the hard cases and over arbitrary bit patterns, and the `pop_batch`
 # job's heap budget (`cyclic_trace_leaves_the_columns_untouched` became
 # `cyclic_trace_leaves_the_trace_untouched`, through the public driver).
-WORKSPACE_TESTS_FLOOR=597
+# Raised by 2 when the census and the CLC graph came to share one message
+# table: admission's charge against the peaks of a batch and a windowed
+# job, and the graph's links resolving to the table's rows.
+WORKSPACE_TESTS_FLOOR=599
 
 tree_before=$(git status --porcelain)
 gates_run=0
@@ -234,7 +239,9 @@ clc_collective_gate() {
 }
 gate "collective cost: clc/pop_allreduce vs clc/pop_halo_only" clc_collective_gate
 
-# Inlining gate: the per-edge accessors of the dependency graph and the
+# Inlining gate: the per-edge accessors of the dependency graph (`in_of`,
+# `out_of`, the per-event `link` and the receive's `stored_in`, and the
+# `Link` word's tests) and the
 # shared CLC step must stay inlined into the CLC kernels. The windowed loops
 # are large, so an accessor that grows is outlined silently, which cost the
 # message-only `stream_windowed` workload 10-15 % when it happened (PR 15);
@@ -255,7 +262,7 @@ inlining_gate() {
     for example in pop_correction net_service; do
         cargo build --release -q --example "$example" || return 1
         syms=$(nm -C "target/release/examples/${example}" | grep -E \
-            'DepGraph::(in_of|out_of|message_in|member_slot)|EdgeIter.*::next|CollPass::latest|graph::Snapshot::at|columnar::Moved::mark|columnar::(forward_step|candidate|backward_walk|latest_allowed)|Sweep.*::(step|advance)|windowed::(certified|Apply.*::(replay|settle))|Timeline.*::[gs]et|windowed::Lane::(slot|push|slices)' || true)
+            'DepGraph::(in_of|out_of|link|stored_in)|graph::Link::|EdgeIter.*::next|CollPass::latest|graph::Snapshot::at|columnar::Moved::mark|columnar::(forward_step|candidate|backward_walk|latest_allowed)|Sweep.*::(step|advance)|windowed::(certified|Apply.*::(replay|settle))|Timeline.*::[gs]et|windowed::Lane::(slot|push|slices)' || true)
         if [[ -n "$syms" ]]; then
             echo "inlining gate: outlined in ${example}:" >&2
             echo "$syms" >&2
@@ -291,12 +298,16 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # a synchronizer runs: none of the §V survey's old paths (the baselines,
 # `predict`, the domain-aware CLC, piecewise interpolation, the line fit),
 # anchored so that their new home, `experiments::survey`, does not match.
+# One link word per event (DESIGN §11.1): none of the graph's per-event
+# offset arrays, its member-slot word or the lowering's list of message
+# edges, anchored as words.
 deleted_names_gate() {
     local hits
     hits=$(
         grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(|AgingDrift|SteppedClock|adev_curve|MpiOp::Sleep|tracing_initially|extra_comms|StreamDecoder|TraceBuilder|feed_into|finish_parts|message_slacks|slack_stats|SlackStats|required_accuracy|RegressionInterpolation|error_bound|synchronize_with_cancel|synchronize_stream_with_cancel|synchronize_stream_incremental_with_cancel|JobInput::Trace|snapshot_times|restore_times|SyncMethod::Interp|to_text|from_text|copy_i64_from_le_bytes|as_i64_slice_le|arm_in_edges|discover_walks|refwd|ingest_block' \
             crates src tests examples
         grep -rnE 'deps_from_parts|extract_deps' crates src examples
+        grep -rnwE 'in_offsets|out_offsets|coll_slot|triples' crates src tests examples
         grep -rnE '\bclocksync::(baselines|predict|AffineMap|Corridor|PiecewiseInterpolation)\b|\bclc::domains\b|\btracefmt::fit_line\b' \
             crates src tests examples
     ) || true
@@ -387,7 +398,16 @@ gate "one CLC step" one_clc_step_gate
 # place of its two full-slab copies (+85 in clc/, net of the `commit`
 # helper and the POMP driver's own pass, which went); measured 1.33x
 # (seed 2008) and 1.23x (seed 7) on pop_batch's events/s, 10/10 pairs each.
-SRC_LINES_CEILING=15756
+# Raised by 339 (from 15 756) when the census and the CLC graph came to
+# share one message table and the graph to keep one link word per event:
+# the `MessageTable` with its accessors and the census's shared shape
+# helpers (+85 in census.rs, net of the check lane; the collective table
+# uses them, -11 in coll.rs), the link word, the POMP edges' CSR over the
+# events they link and a unit test (+155 in graph.rs, net of the per-event
+# CSR and its counting sort), and the capture's table-filling finish and
+# chunked call column (+103 in analysis.rs); measured 1.19x (seed 2008)
+# and 1.17x (seed 7) on pop_batch's events/s, 10/10 pairs each.
+SRC_LINES_CEILING=16095
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -459,9 +479,10 @@ gate "size ratchet: simulation crates" sim_size_ratchet_gate
 # driver: a
 # consumer's refusal ignored, the replay ignoring a recorded jump, the
 # finality check without its order condition, a refused event keeping its
-# walked time; of the graph lowering: a collective instance lowered without
-# its first member — must turn its named tests red in a copy of the
-# checkout.
+# walked time; of the graph's links: every collective end linked to its
+# instance's first member row, a receive linked as a send, a message edge
+# without the message table's l_min — must turn its named tests red in a
+# copy of the checkout.
 gate "capture, frame, reader, lane, consumer, CLC, presync, census and simulator mutants: scripts/mutants.sh" ./scripts/mutants.sh
 
 # VOPR campaign: every seed must pass every invariant and replay

@@ -2,9 +2,9 @@
 # Mutation-kill gate for the trace capture, the frame grammar, the one
 # stream reader, the windowed engine's ring lanes, replay, finality check
 # and chunk consumer, the batch CLC, its walk constructor, its moved-event
-# set and its collective lowering, Eq. 3's presync and the rounding behind
-# it, the p2p census bound, the classed collective census threshold and
-# the simulator's message path (ROADMAP item 9):
+# set and its graph's links (message and collective), Eq. 3's presync and
+# the rounding behind it, the p2p census bound, the classed collective
+# census threshold and the simulator's message path (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -67,8 +67,8 @@ tests/proptest_matching.rs::sort_based_matching_equals_the_fifo_oracle
 
 fallback grouping drops the side bit
 crates/tracefmt/src/analysis.rs
-let by_to = |k| pair_of(rec(k), &own).1 as usize * 2 + usize::from(rec(k).is_recv());
-let by_to = |k| pair_of(rec(k), &own).1 as usize * 2;
+let by_to = |k| pair_of(rec(k), own).1 as usize * 2 + usize::from(rec(k).is_recv());
+let by_to = |k| pair_of(rec(k), own).1 as usize * 2;
 tests/proptest_matching.rs::wide_traces_match_the_oracle_through_the_fallback_grouping
 
 trailer counters unchecked
@@ -163,8 +163,8 @@ tests/proptest_invariants.rs::presync_saturates_at_the_i64_edges
 
 p2p census bound with its l_min sign flipped
 crates/tracefmt/src/census.rs
-self.bound.push(bound.as_ps());
-self.bound.push(-bound.as_ps());
+self.lat.push(l_min.as_ps());
+self.lat.push(-l_min.as_ps());
 tracefmt::census::tests::p2p_census_is_bit_identical_to_reference tests/proptest_invariants.rs::censuses_count_exactly_at_the_i64_edges
 
 windowed driver ignores a consumer's refusal
@@ -197,11 +197,23 @@ Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window
 Walk { k, delta, window, w_start: at.saturating_sub(delta).saturating_sub(window).saturating_add(Dur::from_ps(1)) }
 tests/columnar_differential.rs::columnar_is_bit_identical_across_the_config_matrix
 
-a collective lowered without its first member
+every collective end linked to its instance's first member row
 crates/core/src/clc/graph.rs
-for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate() {
-for (pos, (&begin, &end)) in inst.begins.iter().zip(inst.ends).enumerate().skip(1) {
+claim(end, END, inst.first_row + pos)?;
+claim(end, END, inst.first_row)?;
 clocksync::clc::tests::collective_one_to_n_repair tests/csr_differential.rs::csr_lowers_every_collective_flavour
+
+a receive whose link resolves to the send side
+crates/core/src/clc/graph.rs
+claim(recv, RECV, m)?;
+claim(recv, SEND, m)?;
+clocksync::clc::graph::tests::links_resolve_to_the_message_table tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
+
+a message edge that drops the table's l_min
+crates/core/src/clc/graph.rs
+return Edges::run(&self.msgs.sends()[m..=m], &self.msgs.lats()[m..=m]);
+return Edges::run(&self.msgs.sends()[m..=m], &[0]);
+clocksync::clc::graph::tests::links_resolve_to_the_message_table tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
 
 a backward walk that does not mark what it raises
 crates/core/src/clc/columnar.rs

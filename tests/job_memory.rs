@@ -2,16 +2,18 @@
 //!
 //! A job starts from a trimmed heap, so every byte a stage allocates is a
 //! page it faults in: the peak the job adds to its input is what this test
-//! holds, on any host. The input is the benchmark's `pop_batch` job (the
-//! POP-like program at 32 ranks, seed 2008, Eq. 3 and then the CLC). One
+//! holds, on any host, beside what the job's graph and census plan hold.
+//! The input is the benchmark's `pop_batch` job (the POP-like program at
+//! 32 ranks, seed 2008, Eq. 3 and then the CLC). One
 //! `#[test]` on purpose: the counters are process-wide, and a second test
 //! running on another thread would allocate into them.
 
-use drift_lab::clocksync::{synchronize, ClcParams, PipelineConfig, PreSync};
+use drift_lab::clocksync::{synchronize, ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use drift_lab::experiments::fig7::{pop_program, traced_run};
-use drift_lab::tracefmt::{LatencyTable, Rank};
+use drift_lab::tracefmt::{CensusPlan, LatencyTable, Rank};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// The system allocator, counting live bytes and their high-water mark.
 /// `realloc` keeps the trait's default (allocate, copy, free), so a move
@@ -45,8 +47,20 @@ static GLOBAL: Counting = Counting;
 /// Bytes per event the job may add to its input at its peak. The CLC that
 /// copied the whole slab twice (a rollback copy and the backward pass's
 /// snapshot) peaked at 55 B per event on this input; without them, and with
-/// the snapshot kept only where a backward cap reads it, about 41.
-const PEAK_BYTES_PER_EVENT: usize = 45;
+/// the snapshot kept only where a backward cap reads it, about 41. With one
+/// message table for the census and the graph, one link word per event in
+/// place of three offset words, the capture's call records grown a chunk at
+/// a time and its message records freed before the collective instances
+/// are assembled, 29.2: the peak is now the capture's, whose record column
+/// is reserved for every event (capacity never written costs no page, but
+/// this allocator counts it).
+const PEAK_BYTES_PER_EVENT: usize = 30;
+
+/// Bytes the job's dependency graph and census plan hold together on this
+/// input, each shared table counted once: 8 per event (timeline and link),
+/// 16 per message (the message table), the collective member table, and
+/// the plan's per-timeline bases: 1.80 MB.
+const LOWERED_BYTES: usize = 1_900_000;
 
 #[test]
 fn pop_batch_job_peaks_under_its_per_event_budget() {
@@ -63,6 +77,18 @@ fn pop_batch_job_peaks_under_its_per_event_budget() {
     let mut trace = run.trace.clone();
     let events = trace.n_events();
     assert_eq!(events, 166_400, "the benchmark's pop_batch input");
+
+    let lowered = {
+        let analysis = TraceAnalysis::capture(&trace).expect("pop_batch analyses");
+        let graph = DepGraph::from_trace(&trace, &analysis.matching, &analysis.instances, &lmin);
+        let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
+        let (msgs, coll) = (Arc::clone(graph.messages()), Arc::clone(graph.coll_table()));
+        let shared = msgs.heap_bytes() + coll.heap_bytes();
+        let plan = CensusPlan::with_tables(&lens, msgs, coll).expect("the plan fits");
+        graph.heap_bytes() + plan.heap_bytes() - shared
+    };
+    println!("graph and plan hold {lowered} B ({:.1} B per event; budget {LOWERED_BYTES} B)", lowered as f64 / events as f64);
+    assert!(lowered <= LOWERED_BYTES, "graph and plan hold {lowered} B, over their {LOWERED_BYTES} B budget");
 
     let base = LIVE.load(Relaxed);
     PEAK.store(base, Relaxed);
