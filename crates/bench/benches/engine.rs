@@ -1,37 +1,14 @@
-//! Simulator-core performance: event-queue operations and end-to-end MPI
-//! simulation throughput (events per second) — and the collective side of
-//! the synchronisation pipeline in isolation (`lower`, `plan`, `clc`).
+//! Simulator-core performance: end-to-end MPI simulation throughput
+//! (events per second) — and the collective side of the synchronisation
+//! pipeline in isolation (`lower`, `plan`, `clc`).
 
 use bench::{lmin_table, ring_program, xeon_cluster};
 use clocksync::{synchronize, ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use mpisim::{run, RunOptions};
-use netsim::EventQueue;
 use simclock::Time;
 use std::time::Duration;
 use tracefmt::{CensusPlan, CollOp, CommId, EventKind, Rank, Tag, Trace};
-
-fn bench_event_queue(c: &mut Criterion) {
-    let mut g = c.benchmark_group("event_queue");
-    g.throughput(Throughput::Elements(10_000));
-    g.bench_function("push_pop_10k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::with_capacity(10_000);
-            for i in 0..10_000u64 {
-                // Pseudo-random interleaving without an RNG in the loop.
-                let t = Time::from_ns(((i * 2_654_435_761) % 1_000_000) as i64);
-                q.push(t, i);
-            }
-            let mut last = Time::MIN;
-            while let Some((t, _)) = q.pop() {
-                debug_assert!(t >= last);
-                last = t;
-            }
-            last
-        })
-    });
-    g.finish();
-}
 
 fn bench_simulation_throughput(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulation");
@@ -176,7 +153,6 @@ fn bench_clc_collectives(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_event_queue,
     bench_simulation_throughput,
     bench_probing,
     bench_collective_lowering,

@@ -1067,11 +1067,10 @@ pub fn synchronize_stream_incremental(
 /// (polled once per processing epoch and once per passthrough block) that
 /// hands the corrected chunks to `consume` as they finalize instead of
 /// collecting them: by value, in order, from the magic chunk through the
-/// trailer, while the run progresses. The chunk sequence is deterministic
-/// for a given input, so a retried run re-emits identical chunks in the
-/// same order — a consumer can resume from a high-water mark. Returning
-/// `false` from `consume` aborts the run with [`PipelineError::Cancelled`]
-/// (a stalled consumer cancels *its own* run, never wedges the engine).
+/// trailer, while the run progresses; the chunk sequence is deterministic
+/// for a given input. Returning `false` from `consume` aborts the run with
+/// [`PipelineError::Cancelled`] (a stalled consumer cancels *its own* run,
+/// never wedges the engine).
 /// The returned report's `frames` and `events` count what was emitted.
 #[allow(clippy::too_many_arguments)]
 pub fn synchronize_stream_incremental_with_sink(

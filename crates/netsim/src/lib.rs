@@ -2,7 +2,6 @@
 //!
 //! The network substrate under the drift-lab MPI simulator:
 //!
-//! * [`engine`] — a time-ordered event queue with FIFO tie-breaking,
 //! * [`topology`] — interconnect topologies (crossbar, fat-tree, 3-D torus)
 //!   and rank [`Placement`] over the node/chip/core hierarchy (paper
 //!   Table I),
@@ -14,12 +13,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod latency;
 pub mod rng;
 pub mod topology;
 
-pub use engine::EventQueue;
 pub use latency::{HierarchicalLatency, LatencySpec, LoadWave};
 pub use rng::{fork_seed, SeedTree};
 pub use topology::{Placement, Topology};

@@ -28,9 +28,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
-use syncd::{
-    AttemptProbe, Counter, JobHandle, ServiceConfig, StepEvent, StepService,
-};
+use syncd::{AttemptProbe, Counter, JobHandle, ServiceConfig, StepService};
 
 /// Distinct PRNG stream for scheduling so that decision shrinking never
 /// perturbs the workload (golden-ratio offset, as in SplitMix).
@@ -45,10 +43,6 @@ pub struct SimConfig {
     pub queue_capacity: usize,
     /// Memory budget (small, so OverBudget is reachable).
     pub memory_budget_bytes: u64,
-    /// Service-default retry budget.
-    pub max_retries: u32,
-    /// Base retry backoff (virtual time).
-    pub retry_backoff: Duration,
     /// Jobs per seed.
     pub jobs: usize,
     /// Scheduling decisions per seed before the deterministic drain.
@@ -61,8 +55,6 @@ impl Default for SimConfig {
             executors: 3,
             queue_capacity: 6,
             memory_budget_bytes: 192 * 1024,
-            max_retries: 3,
-            retry_backoff: Duration::from_micros(400),
             jobs: 10,
             max_decisions: 300,
         }
@@ -75,8 +67,6 @@ impl SimConfig {
             executors: self.executors,
             queue_capacity: self.queue_capacity,
             memory_budget_bytes: self.memory_budget_bytes,
-            max_retries: self.max_retries,
-            retry_backoff: self.retry_backoff,
             default_deadline: None,
         }
     }
@@ -198,7 +188,7 @@ impl FaultPlan {
 struct Tracked {
     handle: JobHandle,
     item_idx: usize,
-    deadline: Option<Duration>,
+    had_deadline: bool,
     cancel_requested: bool,
     crashes: u64,
 }
@@ -213,7 +203,6 @@ struct Sim {
     by_id: HashMap<u64, usize>,
     shutdown_sent: bool,
     abandon_sent: bool,
-    backoffs: u64,
     crashes_delivered: u64,
     decisions: Vec<Decision>,
     steps: usize,
@@ -236,7 +225,6 @@ impl Sim {
             by_id: HashMap::new(),
             shutdown_sent: false,
             abandon_sent: false,
-            backoffs: 0,
             crashes_delivered: 0,
             decisions: Vec::new(),
             steps: 0,
@@ -285,15 +273,14 @@ impl Sim {
         let item_idx = self.next_submit;
         self.next_submit += 1;
         let spec = item.spec.clone();
-        let deadline_rel = spec.deadline;
+        let had_deadline = spec.deadline.is_some();
         match self.svc.submit(spec) {
             Ok(handle) => {
-                let deadline = deadline_rel.map(|d| self.rt.now() + d);
                 self.by_id.insert(handle.id().0, self.tracked.len());
                 self.tracked.push(Tracked {
                     handle,
                     item_idx,
-                    deadline,
+                    had_deadline,
                     cancel_requested: false,
                     crashes: 0,
                 });
@@ -306,38 +293,15 @@ impl Sim {
         }
     }
 
-    fn observe(&mut self, event: StepEvent) {
-        match event {
-            StepEvent::BackoffStarted { job, until } => {
-                self.backoffs += 1;
-                if let Some(&idx) = self.by_id.get(&job.0) {
-                    if let Some(deadline) = self.tracked[idx].deadline {
-                        if until >= deadline {
-                            self.fail(format!(
-                                "{job} parked in retry backoff until {until:?}, past its \
-                                 deadline {deadline:?}: the retry is doomed and the executor \
-                                 is head-of-line blocked"
-                            ));
-                        }
-                    }
-                }
-            }
-            StepEvent::Dispatched { .. }
-            | StepEvent::Parked { .. }
-            | StepEvent::Finished { .. }
-            | StepEvent::Idle
-            | StepEvent::Exited { .. }
-            | StepEvent::Stopped => {}
-        }
-    }
-
     fn step_exec(&mut self, exec: usize, fault: Option<(u8, FaultOp)>) {
         if exec >= self.svc.executors() {
             return;
         }
         let target = self.svc.current_job(exec);
-        let event = match fault {
-            None => self.svc.step(exec, None),
+        match fault {
+            None => {
+                self.svc.step(exec, None);
+            }
             Some((skip, op)) => {
                 let canceller = target
                     .and_then(|id| self.by_id.get(&id.0))
@@ -350,7 +314,7 @@ impl Sim {
                     delivered: AtomicBool::new(false),
                 });
                 let probe = plan.probe();
-                let event = self.svc.step(exec, Some(&probe));
+                self.svc.step(exec, Some(&probe));
                 if plan.delivered.load(Ordering::Relaxed) {
                     if let Some(&idx) = target.and_then(|id| self.by_id.get(&id.0)) {
                         match op {
@@ -363,10 +327,8 @@ impl Sim {
                         }
                     }
                 }
-                event
             }
-        };
-        self.observe(event);
+        }
     }
 
     /// Apply one decision and run the per-step checks.
@@ -403,8 +365,8 @@ impl Sim {
         }
     }
 
-    /// One unrecorded drain step (round-robin over executors, advance the
-    /// clock to the next wake when stuck, shut down when idle).
+    /// One unrecorded drain step (round-robin over executors, shut down
+    /// when idle).
     fn drain_step(&mut self) -> bool {
         self.steps += 1;
         let mut progressed = false;
@@ -422,10 +384,6 @@ impl Sim {
             return false;
         }
         if progressed {
-            return true;
-        }
-        if let Some(wake) = self.svc.next_wake() {
-            self.rt.advance_to(wake);
             return true;
         }
         if !self.shutdown_sent {
@@ -467,7 +425,6 @@ impl Sim {
         }
         let m = self.svc.metrics();
         let observed = ObservedEvents {
-            backoffs: self.backoffs,
             crashes_delivered: self.crashes_delivered,
         };
         if let Some(msg) = check_quiescence(&m, &self.ground_truth(), &observed) {
@@ -479,7 +436,7 @@ impl Sim {
             let outcome = TrackedOutcome {
                 item: &self.items[t.item_idx],
                 outcome: t.handle.peek(),
-                had_deadline: t.deadline.is_some(),
+                had_deadline: t.had_deadline,
                 cancel_requested: t.cancel_requested,
                 crashes: t.crashes,
             };
@@ -502,7 +459,6 @@ impl Sim {
                 None => h.write(0),
                 Some(Ok(success)) => {
                     h.write(1);
-                    h.write(success.attempts as u64);
                     for p in &success.trace.procs {
                         for e in &p.events {
                             h.write(e.time.as_ps() as u64);
@@ -511,7 +467,6 @@ impl Sim {
                 }
                 Some(Err(failure)) => {
                     h.write(2);
-                    h.write(failure.attempts as u64);
                     h.write(match failure.error {
                         syncd::JobError::Pipeline(_) => 10,
                         syncd::JobError::Panicked(_) => 11,

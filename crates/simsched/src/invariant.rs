@@ -44,7 +44,7 @@ pub struct GroundTruth {
     pub admitted_bytes: u64,
     /// Jobs currently queued.
     pub queue_len: usize,
-    /// Jobs currently held by executors (dispatched or parked).
+    /// Jobs currently held by executors (dispatched, not yet run).
     pub held_jobs: usize,
     /// The configured memory budget.
     pub budget: u64,
@@ -104,8 +104,6 @@ pub fn check_step(m: &MetricsSnapshot, truth: &GroundTruth) -> Option<String> {
 /// Scheduler-event tallies the harness observed, reconciled against the
 /// metrics counters at quiescence.
 pub struct ObservedEvents {
-    /// `StepEvent::BackoffStarted` events seen.
-    pub backoffs: u64,
     /// Crash faults actually delivered at a pipeline checkpoint.
     pub crashes_delivered: u64,
 }
@@ -191,9 +189,6 @@ pub fn check_job(id: u64, t: &TrackedOutcome<'_>) -> Option<String> {
     };
     match outcome {
         Ok(success) => {
-            if success.attempts == 0 {
-                return Some(format!("job {id} completed with zero attempts"));
-            }
             // An incremental job's corrected output is its emitted frames;
             // decode them so the same trace comparison applies.
             let got = match &t.item.spec.input {
@@ -292,13 +287,6 @@ pub fn check_quiescence(
     if accepted != settled {
         return Some(format!(
             "accepted {accepted} != completed+failed {settled} at quiescence"
-        ));
-    }
-    if m.counter(Counter::Retried) != observed.backoffs {
-        return Some(format!(
-            "Retried counter {} != observed backoff events {}",
-            m.counter(Counter::Retried),
-            observed.backoffs
         ));
     }
     if m.counter(Counter::JobPanics) != observed.crashes_delivered {

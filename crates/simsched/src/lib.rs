@@ -5,10 +5,10 @@
 //! multi-tenant synchronization service:
 //!
 //! * [`rt::SimRuntime`] — `syncd`'s clock seam over a
-//!   [`simclock::VirtualClock`]; deadlines, backoff, and latency advance
-//!   only on simulated ticks.
-//! * [`workload`] — seeded job mixes: trace and stream inputs, byte-level
-//!   poisoning, priorities, deadlines, retry budgets.
+//!   [`simclock::VirtualClock`]; deadlines and latency advance only on
+//!   simulated ticks.
+//! * [`workload`] — seeded job mixes: batch and windowed stream inputs,
+//!   byte-level poisoning, priorities, deadlines.
 //! * [`harness`] — the scheduler: every run is a seed; every scheduling
 //!   choice (which executor steps, which checkpoint a fault fires at,
 //!   when the clock moves, when shutdown begins) is drawn from the

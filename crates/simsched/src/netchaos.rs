@@ -98,8 +98,6 @@ pub fn run_net_chaos(seed: u64, cfg: &NetChaosConfig) -> NetChaosReport {
         ingest_window: cfg.ingest_window,
         service: ServiceConfig {
             executors: 2,
-            max_retries: 1,
-            retry_backoff: std::time::Duration::from_millis(1),
             ..ServiceConfig::default()
         },
     })

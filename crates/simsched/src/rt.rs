@@ -3,11 +3,11 @@
 //!
 //! Time exists only as the virtual clock's picosecond counter; it moves
 //! when the harness (or an injected fault) advances it, never on its own.
-//! Deadlines, retry backoffs, and latency histograms inside the service
-//! therefore depend solely on the simulated schedule — two runs of the
+//! Deadlines and latency histograms inside the service therefore depend
+//! solely on the simulated schedule — two runs of the
 //! same schedule read identical timestamps, bit for bit.
 
-use simclock::{Dur, Time, VirtualClock};
+use simclock::{Dur, VirtualClock};
 use std::time::Duration;
 
 /// A [`syncd::Runtime`] whose `now` is a shared [`VirtualClock`].
@@ -35,13 +35,6 @@ impl SimRuntime {
     pub fn advance(&self, d: Duration) -> Duration {
         ps_to_duration(self.clock.advance(duration_to_dur(d)).as_ps())
     }
-
-    /// Advance the clock *to* `t` (monotonic max; a past target is a
-    /// no-op) and return the instant afterwards.
-    pub fn advance_to(&self, t: Duration) -> Duration {
-        let target = Time::from_ps((t.as_nanos() as i64).saturating_mul(1000));
-        ps_to_duration(self.clock.advance_to(target).as_ps())
-    }
 }
 
 fn ps_to_duration(ps: i64) -> Duration {
@@ -55,15 +48,6 @@ fn duration_to_dur(d: Duration) -> Dur {
 impl syncd::Runtime for SimRuntime {
     fn now(&self) -> Duration {
         SimRuntime::now(self)
-    }
-
-    /// A simulated sleep *is* an advance: the only thing the threaded
-    /// executor loop sleeps for is retry backoff, and in simulation that
-    /// time passes instantly. (The step-mode service never calls this —
-    /// it parks the executor and lets the harness decide when the clock
-    /// moves.)
-    fn sleep(&self, d: Duration) {
-        self.advance(d);
     }
 }
 
@@ -80,13 +64,5 @@ mod tests {
         assert_eq!(Runtime::now(&rt), Duration::from_nanos(1));
         rt.advance(Duration::from_millis(3));
         assert_eq!(Runtime::now(&rt), Duration::from_nanos(3_000_001));
-    }
-
-    #[test]
-    fn advance_to_is_monotonic() {
-        let rt = SimRuntime::new();
-        rt.advance_to(Duration::from_micros(10));
-        rt.advance_to(Duration::from_micros(4));
-        assert_eq!(Runtime::now(&rt), Duration::from_micros(10));
     }
 }

@@ -1,8 +1,8 @@
 //! Seeded workload generation: the jobs a simulated campaign runs.
 //!
 //! Everything about the workload — trace shapes, clock skews, chunking,
-//! byte-level poisoning, priorities, deadlines, retry
-//! budgets — is drawn from one PRNG seeded with the campaign seed alone.
+//! byte-level poisoning, priorities, deadlines — is drawn from one PRNG
+//! seeded with the campaign seed alone.
 //! The *schedule* draws from a different stream (see
 //! [`harness`](crate::harness)), so shrinking a failing schedule never
 //! changes which jobs exist.
@@ -55,7 +55,7 @@ fn churn_job(
 /// a fifth of the traces come from the dynamic-membership churn scenario
 /// (NTP islands, joins/leaves, probe schedules), and a quarter of the
 /// non-incremental jobs run the online sync method instead of the CLC;
-/// jobs carry a mix of priorities, deadlines and retry-budget overrides.
+/// jobs carry a mix of priorities and deadlines.
 pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
     let mut rng = StdRng::seed_from_u64(seed);
     let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(UniformLatency(Dur::from_us(4)));
@@ -96,7 +96,7 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
                 if rng.gen_bool(1.0 / 3.0) {
                     // The incremental engine must survive the same chaos
                     // as the batch stream path: byte poisoning,
-                    // cancellation, deadlines, retries.
+                    // cancellation, deadlines, crashes.
                     JobInput::StreamIncremental {
                         chunks,
                         window_events: rng.gen_range(1usize..64),
@@ -123,12 +123,8 @@ pub fn generate(seed: u64, jobs: usize) -> Vec<WorkItem> {
             };
             if rng.gen_bool(0.3) {
                 // Virtual-time deadlines on the same scale as the
-                // schedule's clock advances and the service's backoff, so
-                // all three race each other.
+                // schedule's clock advances, so the two race each other.
                 spec = spec.with_deadline(Duration::from_micros(rng.gen_range(100u64..8_000)));
-            }
-            if rng.gen_bool(0.25) {
-                spec = spec.with_max_retries(rng.gen_range(0u32..4));
             }
             WorkItem { spec, poisoned }
         })
@@ -147,7 +143,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.poisoned, y.poisoned);
             assert_eq!(x.spec.deadline, y.spec.deadline);
-            assert_eq!(x.spec.max_retries, y.spec.max_retries);
             match (&x.spec.input, &y.spec.input) {
                 (JobInput::Stream(c), JobInput::Stream(d)) => assert_eq!(c, d),
                 (

@@ -202,9 +202,9 @@ fn main() {
             } else {
                 drifted_fixture(procs.max(2), msgs, seed)
             };
-            let method: u8 = match args.get("method").unwrap_or("clc") {
-                "interp" => 0,
-                "clc" => 1,
+            let method_name = args.get("method").unwrap_or("clc");
+            let method: u8 = match method_name {
+                "interp" | "clc" => 1,
                 "online" => 2,
                 other => die(&format!("unknown method {other}")),
             };
@@ -236,6 +236,10 @@ fn main() {
                 method,
                 ..WireJobConfig::new(&Default::default(), WireLatency::Uniform(0))
             };
+            if method_name == "interp" {
+                // Interpolation only: the CLC method without its CLC section.
+                config.clc = None;
+            }
             if method == 2 {
                 config.probes = fixture
                     .probes
@@ -255,11 +259,10 @@ fn main() {
                 Ok(outcome) => {
                     let s = outcome.summary;
                     println!(
-                        "job ok: attempts={} wall_us={} queue_wait_us={} run_time_us={} \
+                        "job ok: wall_us={} queue_wait_us={} run_time_us={} \
                          transfer_us={} upload_bytes={} \
                          jumps={} max_jump_ps={} moved={}/{} frames={} \
                          out_chunks={} out_bytes={}",
-                        s.attempts,
                         wall_us,
                         s.queue_wait_us,
                         s.run_time_us,

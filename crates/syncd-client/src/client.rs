@@ -238,14 +238,13 @@ impl SyncClient {
             match self.recv()? {
                 Frame::Chunk(bytes) => stream.push(bytes),
                 Frame::CorrectedFrame { index, bytes } => {
-                    // A transparent server-side retry may legally resend
-                    // nothing below the high-water mark; a gap is a bug.
-                    if index == next_idx {
-                        stream.push(bytes);
-                        next_idx += 1;
-                    } else if index > next_idx {
-                        return Err(ClientError::Protocol("corrected frame gap"));
+                    // Each chunk is sent once, in order: a gap or a repeat
+                    // is a protocol error.
+                    if index != next_idx {
+                        return Err(ClientError::Protocol("corrected frame out of sequence"));
                     }
+                    stream.push(bytes);
+                    next_idx += 1;
                 }
                 Frame::Jumps(batch) => jumps.extend(batch),
                 Frame::Credit { grant } => self.credit += grant,

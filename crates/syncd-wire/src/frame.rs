@@ -74,8 +74,7 @@ pub enum FrameKind {
     /// Client → server: end of the input stream; run the job.
     ChunkEnd = 5,
     /// Server → client: one corrected output chunk of an *incremental*
-    /// job, streamed while the job runs. Indexed so a transparent retry
-    /// never re-delivers a chunk the client already has.
+    /// job, streamed while the job runs, indexed in sending order.
     CorrectedFrame = 6,
     /// Server → client: CLC jump batch (may repeat for large jump sets).
     Jumps = 7,
@@ -129,9 +128,9 @@ pub enum ErrorCode {
     OverBudget = 6,
     /// The service (or node) is shutting down.
     Shutdown = 7,
-    /// The pipeline failed typed on the final attempt.
+    /// The pipeline failed typed.
     Pipeline = 8,
-    /// The final attempt panicked (isolated; the message survives).
+    /// The run panicked (isolated; the message survives).
     Panicked = 9,
     /// The job was cancelled (client request, disconnect, or slow-reader
     /// backpressure cutoff).
@@ -276,12 +275,7 @@ pub struct WireKalman {
 
 impl Default for WireKalman {
     fn default() -> Self {
-        let p = KalmanParams::default();
-        WireKalman {
-            drift_noise_ppm2_per_s: p.drift_noise_ppm2_per_s,
-            offset_noise_us2_per_s: p.offset_noise_us2_per_s,
-            probe_noise_floor_us: p.probe_noise_floor_us,
-        }
+        WireKalman::from_params(KalmanParams::default())
     }
 }
 
@@ -315,8 +309,6 @@ pub struct WireJobConfig {
     pub priority: u8,
     /// Deadline from submission in microseconds (`u64::MAX` = none).
     pub deadline_us: u64,
-    /// Retry budget override (`u32::MAX` = service default).
-    pub max_retries: u32,
     /// Pre-synchronisation stage: 0 none, 1 align-only, 2 linear.
     pub presync: u8,
     /// CLC stage (None = skip).
@@ -328,8 +320,7 @@ pub struct WireJobConfig {
     /// Finalize measurements (None = align-only data).
     pub fin: Option<Vec<Option<WireMeasurement>>>,
     /// Synchronization method: 1 presync + CLC (the CLC only when `clc` is
-    /// set), 2 online. 0, interpolation only, is still read: it decodes to
-    /// method 1 with the CLC off.
+    /// set), 2 online.
     pub method: u8,
     /// Online filter tuning (meaningful when `method == 2`).
     pub kalman: WireKalman,
@@ -345,7 +336,6 @@ impl WireJobConfig {
             mode: WireMode::Batch,
             priority: 1,
             deadline_us: u64::MAX,
-            max_retries: u32::MAX,
             presync: match cfg.presync {
                 PreSync::None => 0,
                 PreSync::AlignOnly => 1,
@@ -403,13 +393,13 @@ impl WireJobConfig {
                 2 => PreSync::Linear,
                 _ => return Err(WireError::BadPayload("presync")),
             },
-            clc: self.clc.filter(|_| self.method != 0).map(|c| ClcParams {
+            clc: self.clc.map(|c| ClcParams {
                 mu: c.mu,
                 backward: c.backward,
                 backward_window_factor: c.backward_window_factor,
             }),
             method: match self.method {
-                0 | 1 => SyncMethod::Clc,
+                1 => SyncMethod::Clc,
                 2 => SyncMethod::Online(OnlineSpec {
                     probes: Arc::new(
                         self.probes
@@ -459,11 +449,9 @@ pub struct WireJump {
 /// Terminal success summary of one wire job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireJobResult {
-    /// Attempts the service needed (1 = no retry).
-    pub attempts: u32,
     /// Queue wait in microseconds.
     pub queue_wait_us: u64,
-    /// Run time of the successful attempt in microseconds.
+    /// Run time of the job in microseconds.
     pub run_time_us: u64,
     /// Total CLC jumps (the `Jumps` frames carry the set itself).
     pub n_jumps: u64,
@@ -512,9 +500,8 @@ pub enum Frame {
     ChunkEnd,
     /// Streamed corrected chunk of an incremental job.
     CorrectedFrame {
-        /// Monotone chunk index from 0 (magic chunk) to `frames + 1`
-        /// (trailer chunk); lets a transparent server-side retry skip
-        /// chunks the client already received.
+        /// Dense chunk index from 0 (magic chunk) to `frames + 1`
+        /// (trailer chunk), each sent once.
         index: u64,
         /// The chunk bytes.
         bytes: Vec<u8>,
@@ -704,7 +691,6 @@ impl Frame {
                 }
                 e.u8(cfg.priority);
                 e.u64(cfg.deadline_us);
-                e.u32(cfg.max_retries);
                 e.u8(cfg.presync);
                 match &cfg.clc {
                     None => e.u8(0),
@@ -765,7 +751,6 @@ impl Frame {
                 }
             }
             Frame::JobResult(r) => {
-                e.u32(r.attempts);
                 e.u64(r.queue_wait_us);
                 e.u64(r.run_time_us);
                 e.u64(r.n_jumps);
@@ -823,7 +808,6 @@ impl Frame {
                     return Err(WireError::BadPayload("priority"));
                 }
                 let deadline_us = d.u64("deadline")?;
-                let max_retries = d.u32("max_retries")?;
                 let presync = d.u8("presync")?;
                 let clc = match d.u8("clc flag")? {
                     0 => None,
@@ -857,7 +841,7 @@ impl Frame {
                     _ => return Err(WireError::BadPayload("fin flag")),
                 };
                 let method = d.u8("method")?;
-                if method > 2 {
+                if !(1..=2).contains(&method) {
                     return Err(WireError::BadPayload("method"));
                 }
                 let kalman = WireKalman {
@@ -890,7 +874,6 @@ impl Frame {
                     mode,
                     priority,
                     deadline_us,
-                    max_retries,
                     presync,
                     clc,
                     lmin,
@@ -928,7 +911,6 @@ impl Frame {
             }
             FrameKind::JobResult => {
                 let r = WireJobResult {
-                    attempts: d.u32("result attempts")?,
                     queue_wait_us: d.u64("result queue wait")?,
                     run_time_us: d.u64("result run time")?,
                     n_jumps: d.u64("result jumps")?,
@@ -982,7 +964,6 @@ mod tests {
             mode: WireMode::Incremental { window_events: 64 },
             priority: 0,
             deadline_us: 12_000,
-            max_retries: 3,
             presync: 2,
             clc: Some(WireClc { mu: 0.99, backward: true, backward_window_factor: 50.0 }),
             lmin: WireLatency::Table { n: 2, entries: vec![0, 4_000_000, 4_000_000, 0] },
@@ -1028,7 +1009,6 @@ mod tests {
             WireJump { proc: 3, idx: 0, size_ps: -1 },
         ]));
         roundtrip(Frame::JobResult(WireJobResult {
-            attempts: 2,
             queue_wait_us: 5,
             run_time_us: 1000,
             n_jumps: 3,
@@ -1086,21 +1066,21 @@ mod tests {
         assert_eq!(back.probes, cfg.probes);
     }
 
-    /// Method byte 0 (interpolation only, from older clients) still reads:
-    /// it turns the CLC off whatever the header's CLC field says, and the
-    /// config it decodes to is written back as method 1 with no CLC.
+    /// Method byte 0 (interpolation only, up to version 4) is refused
+    /// typed, decoded or built: "no CLC" has one spelling, method 1 with
+    /// no CLC section, and it round-trips as itself.
     #[test]
-    fn interp_method_byte_decodes_to_the_clc_off() {
+    fn interp_method_byte_is_refused_typed() {
         let wire = WireJobConfig { method: 0, ..config() };
-        roundtrip(Frame::JobConfig(Box::new(wire.clone())));
-        let pipeline = wire.pipeline_config().expect("valid");
-        assert!(matches!(pipeline.method, SyncMethod::Clc));
-        assert!(pipeline.clc.is_none());
-        assert_eq!(pipeline.presync, PreSync::Linear);
-        let back = WireJobConfig::new(&pipeline, wire.lmin.clone());
-        assert_eq!((back.method, back.clc), (1, None));
-        let again = back.pipeline_config().expect("valid");
-        assert!(matches!(again.method, SyncMethod::Clc) && again.clc.is_none());
+        assert_eq!(wire.pipeline_config().err(), Some(WireError::BadPayload("method")));
+        let bytes = Frame::JobConfig(Box::new(wire)).encode();
+        assert_eq!(Frame::decode(bytes[4], &bytes[5..]), Err(WireError::BadPayload("method")));
+
+        let off = WireJobConfig { clc: None, ..config() };
+        roundtrip(Frame::JobConfig(Box::new(off.clone())));
+        let pipeline = off.pipeline_config().expect("valid");
+        assert!(matches!(pipeline.method, SyncMethod::Clc) && pipeline.clc.is_none());
+        assert_eq!(WireJobConfig::new(&pipeline, off.lmin.clone()).method, 1);
     }
 
     #[test]
@@ -1119,7 +1099,6 @@ mod tests {
             Frame::JobConfig(Box::new(config())),
             Frame::Jumps(vec![WireJump { proc: 1, idx: 2, size_ps: 3 }]),
             Frame::JobResult(WireJobResult {
-                attempts: 1,
                 queue_wait_us: 0,
                 run_time_us: 0,
                 n_jumps: 0,
@@ -1165,52 +1144,66 @@ mod tests {
         let cfg = Frame::JobConfig(Box::new(config())).encode();
         let kind = cfg[4];
         let mut p = cfg[5..].to_vec();
-        // lmin tag offset: mode(1+8) prio(1) deadline(8) retries(4)
-        // presync(1) clc(1+17) = 41.
-        assert_eq!(p[41], 1, "lmin tag expected at offset 41");
-        p[42..46].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        // lmin tag offset: mode(1+8) prio(1) deadline(8) presync(1)
+        // clc(1+17) = 37.
+        assert_eq!(p[37], 1, "lmin tag expected at offset 37");
+        p[38..42].copy_from_slice(&0x8000_0000u32.to_le_bytes());
         assert_eq!(
             Frame::decode(kind, &p),
             Err(WireError::BadPayload("lmin table n"))
         );
     }
 
+    /// `cfg`'s payload in the version-4 layout: a `u32` retry budget after
+    /// `deadline`, at payload offset mode(1+8) prio(1) deadline(8) = 18.
+    fn v4_payload(cfg: WireJobConfig, retries: u32) -> Vec<u8> {
+        let mut p = Frame::JobConfig(Box::new(cfg)).encode()[5..].to_vec();
+        p.splice(18..18, retries.to_le_bytes());
+        p
+    }
+
+    fn decodes_typed_error(payload: &[u8]) -> bool {
+        matches!(Frame::decode(FrameKind::JobConfig as u8, payload), Err(WireError::BadPayload(_)))
+    }
+
+    /// Protocol version 4 carried a retry budget after `deadline`. Such a
+    /// payload is not a current `JobConfig`: every following field is read
+    /// four bytes early and the decode ends typed, whatever the budget.
+    #[test]
+    fn v4_layout_job_config_fails_typed() {
+        for cfg in [config(), online_config()] {
+            for retries in [u32::MAX, 0, 1, 3] {
+                assert!(decodes_typed_error(&v4_payload(cfg.clone(), retries)), "retries={retries}");
+            }
+        }
+    }
+
     /// Protocol version 2 carried a `storage` byte after `presync`
-    /// (payload offset 23). Such a payload is not a current `JobConfig`:
-    /// every following field is read one byte early and the decode ends
-    /// typed, for either value the byte could take.
+    /// (payload offset 23 of the version-4 layout). Such a payload is not
+    /// a current `JobConfig` either, for either value the byte could take.
     #[test]
     fn v2_layout_job_config_fails_typed() {
         for cfg in [config(), online_config()] {
-            let bytes = Frame::JobConfig(Box::new(cfg)).encode();
             for storage in [0u8, 1] {
-                let mut p = bytes[5..].to_vec();
+                let mut p = v4_payload(cfg.clone(), u32::MAX);
                 p.insert(23, storage);
-                assert!(
-                    matches!(Frame::decode(bytes[4], &p), Err(WireError::BadPayload(_))),
-                    "v2 layout (storage={storage}) decoded"
-                );
+                assert!(decodes_typed_error(&p), "v2 layout (storage={storage}) decoded");
             }
         }
     }
 
     /// Protocol version 3 carried a `parallel` section between `clc` and
-    /// `lmin` (payload offset 41 of these configs): a flag byte, plus
-    /// workers and shard size when set. Neither layout decodes as a
-    /// version-4 `JobConfig`.
+    /// `lmin` (payload offset 41 of the version-4 layout of these configs):
+    /// a flag byte, plus workers and shard size when set. Neither layout
+    /// decodes as a current `JobConfig`.
     #[test]
     fn v3_layout_job_config_fails_typed() {
         for cfg in [config(), online_config()] {
-            let bytes = Frame::JobConfig(Box::new(cfg)).encode();
             let sharded = [&[1u8][..], &2u32.to_le_bytes(), &8192u32.to_le_bytes()].concat();
             for section in [vec![0u8], sharded] {
-                let mut p = bytes[5..].to_vec();
+                let mut p = v4_payload(cfg.clone(), u32::MAX);
                 p.splice(41..41, section.iter().copied());
-                assert!(
-                    matches!(Frame::decode(bytes[4], &p), Err(WireError::BadPayload(_))),
-                    "v3 layout ({} section bytes) decoded",
-                    section.len()
-                );
+                assert!(decodes_typed_error(&p), "v3 layout ({} section bytes) decoded", section.len());
             }
         }
     }
@@ -1221,10 +1214,10 @@ mod tests {
     #[test]
     fn job_config_size_arithmetic() {
         let payload = |cfg: WireJobConfig| Frame::JobConfig(Box::new(cfg)).encode().len() - 5;
-        // mode(1+8) prio(1) deadline(8) retries(4) presync(1) clc(1+17)
+        // mode(1+8) prio(1) deadline(8) presync(1) clc(1+17)
         // lmin table(1+4+4×8) init(4 + 1 + 1+24) fin(1 + 4 + 1 + 1)
         // method(1) kalman(24) probe lists(4).
-        assert_eq!(payload(config()), 41 + 37 + 30 + 7 + 29);
+        assert_eq!(payload(config()), 37 + 37 + 30 + 7 + 29);
         // Two probe lists: an empty one and one of two 24-byte probes.
         assert_eq!(payload(online_config()), payload(config()) + 2 * 4 + 2 * 24);
         let minimal = WireJobConfig {
@@ -1234,7 +1227,7 @@ mod tests {
             fin: None,
             ..config()
         };
-        assert_eq!(payload(minimal), 24 + 9 + 4 + 1 + 29);
+        assert_eq!(payload(minimal), 20 + 9 + 4 + 1 + 29);
     }
 
     #[test]

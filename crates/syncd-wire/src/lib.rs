@@ -50,10 +50,12 @@ pub const MAGIC: u32 = 0x0057_5344;
 
 /// Protocol version this crate speaks. Version 3 dropped the `storage`
 /// byte from the `JobConfig` payload (the pipeline has one timestamp
-/// layout), version 4 its `parallel` section (a job is single-threaded);
+/// layout), version 4 its `parallel` section (a job is single-threaded),
+/// version 5 its retry budget and the result's attempt count (a job runs
+/// once) and method byte 0 (no CLC is method 1 without a CLC section);
 /// a `Hello` of any other version is refused as
 /// [`ErrorCode::VersionMismatch`].
-pub const VERSION: u16 = 4;
+pub const VERSION: u16 = 5;
 
 /// Upper bound on a frame's declared payload length (kind byte included).
 /// Large objects — trace streams, corrected traces — are chunked into

@@ -1,6 +1,6 @@
 //! Deterministic fault injection for `DTC3` byte streams.
 //!
-//! The service's robustness claims ("a poisoned job fails typed, retries,
+//! The service's robustness claims ("a poisoned job fails typed
 //! and never takes the service down") need poisoned inputs on demand. A
 //! [`FaultInjector`] corrupts an encoded stream at absolute byte offsets
 //! — truncation, bit flips, dropped chunks — so tests and the demo can

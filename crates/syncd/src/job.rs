@@ -63,7 +63,7 @@ pub enum JobInput {
         /// The input stream, chunked as it arrived.
         chunks: Vec<Vec<u8>>,
         /// Forward-pass burst and lane-segment width, in events. Must be
-        /// at least 1 or the attempt fails typed.
+        /// at least 1 or the job fails typed.
         window_events: usize,
     },
 }
@@ -79,12 +79,10 @@ impl JobInput {
 }
 
 /// Where a [`JobInput::StreamIncremental`] job's corrected chunks go
-/// *while the job runs*: `sink(index, chunk)` with dense indices from 0
-/// (the magic chunk) through the trailer. The chunk sequence is
-/// deterministic for a given input, so after a transparent retry the sink
-/// sees the same chunks at the same indices again and can skip everything
-/// below its high-water mark. Returning `false` cancels the attempt (the
-/// network server uses this as the stalled-reader cutoff).
+/// *while the job runs*: `sink(index, chunk)` once per chunk, with dense
+/// indices from 0 (the magic chunk) through the trailer. Returning `false`
+/// cancels the job (the network server uses this as the stalled-reader
+/// cutoff).
 pub type FrameSink = Arc<dyn Fn(u64, &[u8]) -> bool + Send + Sync>;
 
 /// Everything the service needs to run one synchronization job.
@@ -108,8 +106,6 @@ pub struct JobSpec {
     pub priority: Priority,
     /// Per-job deadline measured from submission (None = service default).
     pub deadline: Option<Duration>,
-    /// Retry budget override (None = service default).
-    pub max_retries: Option<u32>,
     /// Streaming output sink for a [`JobInput::StreamIncremental`] job
     /// (None = corrected chunks accumulate in [`JobSuccess::frames`]).
     /// Ignored by the other job modes.
@@ -117,7 +113,7 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with default priority/deadline/retries.
+    /// A spec with default priority and deadline.
     pub fn new(
         input: JobInput,
         init: Vec<Option<OffsetMeasurement>>,
@@ -133,7 +129,6 @@ impl JobSpec {
             pipeline,
             priority: Priority::default(),
             deadline: None,
-            max_retries: None,
             frame_sink: None,
         }
     }
@@ -147,12 +142,6 @@ impl JobSpec {
     /// Set a per-job deadline from submission time.
     pub fn with_deadline(mut self, d: Duration) -> Self {
         self.deadline = Some(d);
-        self
-    }
-
-    /// Override the retry budget.
-    pub fn with_max_retries(mut self, n: u32) -> Self {
-        self.max_retries = Some(n);
         self
     }
 
@@ -204,12 +193,13 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Why a job (all attempts included) failed.
+/// Why a job failed. Every variant is terminal: a job runs at most once.
 #[derive(Debug, Clone)]
 pub enum JobError {
-    /// The pipeline returned a typed error on the final attempt.
+    /// The pipeline returned a typed error.
     Pipeline(PipelineError),
-    /// The final attempt panicked; the payload's message, if any.
+    /// The run panicked (caught; the executor survives); the payload's
+    /// message, if any.
     Panicked(String),
     /// The submitter cancelled the job.
     Cancelled,
@@ -250,11 +240,9 @@ pub struct JobSuccess {
     /// job: concatenated, they are a well-formed `DTC3` stream.
     /// Empty for the other job modes.
     pub frames: Vec<Vec<u8>>,
-    /// Attempts it took (1 = no retry).
-    pub attempts: u32,
-    /// Time spent queued before the first attempt.
+    /// Time spent queued before the run.
     pub queue_wait: Duration,
-    /// Wall-clock of the successful attempt.
+    /// Wall-clock of the run.
     pub run_time: Duration,
 }
 
@@ -263,8 +251,6 @@ pub struct JobSuccess {
 pub struct JobFailure {
     /// The terminal error.
     pub error: JobError,
-    /// Attempts made before giving up.
-    pub attempts: u32,
 }
 
 /// What `JobHandle::wait` returns.
@@ -401,14 +387,8 @@ mod tests {
     #[test]
     fn finish_is_first_writer_wins_and_wait_takes_it() {
         let state = Arc::new(JobState::new(JobId(7)));
-        state.finish(Err(JobFailure {
-            error: JobError::Cancelled,
-            attempts: 0,
-        }));
-        state.finish(Err(JobFailure {
-            error: JobError::Shutdown,
-            attempts: 0,
-        }));
+        state.finish(Err(JobFailure { error: JobError::Cancelled }));
+        state.finish(Err(JobFailure { error: JobError::Shutdown }));
         let handle = JobHandle {
             state: Arc::clone(&state),
         };

@@ -14,10 +14,11 @@
 //! * **Scheduling** — three strict [`Priority`] classes, FIFO within a
 //!   class, dispatched to a fixed pool of executor threads, one job per
 //!   thread: `executors` bounds what the service asks of the machine.
-//! * **Fault isolation** — every attempt runs under `catch_unwind`; a
-//!   poisoned input fails *typed* ([`JobError`]), is retried with
-//!   exponential backoff up to a budget, and cannot take down an executor
-//!   or another tenant's job. [`FaultInjector`] produces such inputs
+//! * **Fault isolation** — every job runs once, under `catch_unwind`; a
+//!   poisoned input fails *typed* ([`JobError`]) and cannot take down an
+//!   executor or another tenant's job. The failure is terminal: a run is a
+//!   deterministic function of the job's owned bytes, so it would fail
+//!   again the same way. [`FaultInjector`] produces such inputs
 //!   deterministically for tests.
 //! * **Cancellation and deadlines** — cooperative, via the pipeline's
 //!   [`clocksync::CancelToken`]: [`JobHandle::cancel`] or an expired

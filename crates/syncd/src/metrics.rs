@@ -28,15 +28,13 @@ pub enum Counter {
     RejectedOverBudget,
     /// Jobs that finished successfully.
     Completed,
-    /// Jobs that exhausted their retries (or failed terminally).
+    /// Jobs that failed (every failure is terminal).
     Failed,
-    /// Retry attempts (a job retried twice counts two).
-    Retried,
     /// Jobs cancelled by their submitter.
     Cancelled,
     /// Jobs stopped because their deadline passed.
     DeadlineExceeded,
-    /// Job attempts that panicked (caught; the job was isolated).
+    /// Job runs that panicked (caught; the job was isolated).
     JobPanics,
     /// Executor threads lost to an escaped panic. Stays 0 unless fault
     /// isolation itself failed — the CI smoke test asserts on it.
@@ -67,13 +65,12 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in export order.
-    pub const ALL: [Counter; 17] = [
+    pub const ALL: [Counter; 16] = [
         Counter::Accepted,
         Counter::RejectedQueueFull,
         Counter::RejectedOverBudget,
         Counter::Completed,
         Counter::Failed,
-        Counter::Retried,
         Counter::Cancelled,
         Counter::DeadlineExceeded,
         Counter::JobPanics,
@@ -95,7 +92,6 @@ impl Counter {
             Counter::RejectedOverBudget => "syncd_jobs_rejected_total{reason=\"over_budget\"}",
             Counter::Completed => "syncd_jobs_completed_total",
             Counter::Failed => "syncd_jobs_failed_total",
-            Counter::Retried => "syncd_jobs_retried_total",
             Counter::Cancelled => "syncd_jobs_cancelled_total",
             Counter::DeadlineExceeded => "syncd_jobs_deadline_exceeded_total",
             Counter::JobPanics => "syncd_job_panics_total",
@@ -391,14 +387,14 @@ mod tests {
         let m = MetricsRegistry::new();
         m.inc(Counter::Accepted);
         m.inc(Counter::Accepted);
-        m.inc(Counter::Retried);
+        m.inc(Counter::Failed);
         m.queue_depth_add(3);
         m.queue_depth_add(-1);
         m.admitted_bytes_add(1024);
         let s = m.snapshot();
         assert_eq!(s.counter(Counter::Accepted), 2);
-        assert_eq!(s.counter(Counter::Retried), 1);
-        assert_eq!(s.counter(Counter::Failed), 0);
+        assert_eq!(s.counter(Counter::Failed), 1);
+        assert_eq!(s.counter(Counter::Completed), 0);
         assert_eq!(s.queue_depth, 2);
         assert_eq!(s.admitted_bytes, 1024);
     }
@@ -406,9 +402,9 @@ mod tests {
     #[test]
     fn exporter_text_carries_the_ci_asserted_series() {
         let m = MetricsRegistry::new();
-        m.inc(Counter::Retried);
+        m.inc(Counter::Failed);
         let text = m.snapshot().render_text();
-        assert!(text.contains("syncd_jobs_retried_total 1"));
+        assert!(text.contains("syncd_jobs_failed_total 1"));
         assert!(text.contains("syncd_service_crashes_total 0"));
         assert!(text.contains("syncd_job_latency_seconds{quantile=\"0.99\"}"));
     }

@@ -27,7 +27,7 @@ const MIN_GRANT: u64 = 64 * 1024;
 /// Bound on corrected-output bytes buffered between the executor's frame
 /// sink and the socket writer. When the client stops reading, the
 /// executor blocks here — and after [`SINK_STALL`] the sink reports
-/// `false`, cancelling the attempt instead of holding an executor thread
+/// `false`, cancelling the job instead of holding an executor thread
 /// hostage forever.
 const SINK_CAP: usize = 4 * 1024 * 1024;
 
@@ -415,9 +415,6 @@ impl<T: Transport> Conn<'_, T> {
         if cfg.deadline_us != u64::MAX {
             spec = spec.with_deadline(Duration::from_micros(cfg.deadline_us));
         }
-        if cfg.max_retries != u32::MAX {
-            spec = spec.with_max_retries(cfg.max_retries);
-        }
         if let Some(ss) = &sink {
             let ss = Arc::clone(ss);
             spec = spec.with_frame_sink(Arc::new(move |idx, chunk| ss.offer(idx, chunk)));
@@ -585,7 +582,6 @@ fn wire_result(success: &JobSuccess, incremental: bool, sent_frames: u64) -> Wir
             )
         });
     WireJobResult {
-        attempts: success.attempts,
         queue_wait_us: success.queue_wait.as_micros() as u64,
         run_time_us: success.run_time.as_micros() as u64,
         n_jumps,
@@ -617,11 +613,6 @@ struct SinkState {
 struct SinkQ {
     items: VecDeque<(u64, Vec<u8>)>,
     buffered: usize,
-    /// High-water mark: next chunk index not yet accepted. A transparent
-    /// retry regenerates the deterministic chunk sequence from index 0;
-    /// everything below this mark is acknowledged without re-buffering,
-    /// so the client never sees a duplicate.
-    next: u64,
     closed: bool,
 }
 
@@ -631,23 +622,19 @@ impl SinkState {
             q: Mutex::new(SinkQ {
                 items: VecDeque::new(),
                 buffered: 0,
-                next: 0,
                 closed: false,
             }),
             space: Condvar::new(),
         }
     }
 
-    /// The executor-side frame sink. Returns `false` (cancelling the
-    /// attempt) when the connection is gone or the reader has stalled
-    /// past [`SINK_STALL`].
+    /// The executor-side frame sink. Returns `false` (cancelling the job)
+    /// when the connection is gone or the reader has stalled past
+    /// [`SINK_STALL`].
     fn offer(&self, idx: u64, chunk: &[u8]) -> bool {
         let mut q = self.q.lock().unwrap_or_else(|e| e.into_inner());
         if q.closed {
             return false;
-        }
-        if idx < q.next {
-            return true;
         }
         let deadline = Instant::now() + SINK_STALL;
         // Always accept at least one resident chunk so an oversized chunk
@@ -667,7 +654,6 @@ impl SinkState {
             return false;
         }
         q.buffered += chunk.len();
-        q.next = idx + 1;
         q.items.push_back((idx, chunk.to_vec()));
         true
     }

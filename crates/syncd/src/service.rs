@@ -3,13 +3,14 @@
 //!
 //! # Fault and tenant isolation
 //!
-//! Each job attempt runs under `catch_unwind`, so a poisoned input that
-//! panics deep in decoding or synchronization fails *that attempt* with a
-//! typed [`JobError`] — the executor thread, the queue, and every other
-//! tenant's job survive. Attempts that fail with a retryable error are
-//! re-run with exponential backoff up to the retry budget. The
-//! `syncd_service_crashes_total` counter only moves if a panic escapes
-//! this isolation, which the CI smoke test asserts never happens.
+//! Each job runs under `catch_unwind`, so a poisoned input that panics
+//! deep in decoding or synchronization fails *that job* with a typed
+//! [`JobError`] — the executor thread, the queue, and every other
+//! tenant's job survive. A failure is terminal: the run is a
+//! deterministic function of the job's owned bytes, so a second run would
+//! fail the same way. The `syncd_service_crashes_total` counter only moves
+//! if a panic escapes this isolation, which the CI smoke test asserts
+//! never happens.
 //!
 //! # Determinism
 //!
@@ -21,8 +22,8 @@
 //! # Execution seam
 //!
 //! All scheduling state transitions live in step-shaped pieces — take a
-//! job off the queue ([`Shared::try_take`]), run one attempt and decide
-//! retry/terminal ([`JobRun::step`]), drain the queue at shutdown — and
+//! job off the queue ([`Shared::try_take`]), run it to its outcome
+//! ([`JobRun::run`]), drain the queue at shutdown — and
 //! every timestamp goes through the [`Runtime`] clock. The threaded
 //! [`SyncService`] drives those pieces from OS executor threads; the
 //! [`StepService`](crate::step::StepService) drives the *same* pieces one
@@ -59,10 +60,6 @@ pub struct ServiceConfig {
     /// Memory budget in bytes; admission rejects jobs whose estimated
     /// working set would push the admitted total past it.
     pub memory_budget_bytes: u64,
-    /// Default retry budget (attempts = retries + 1).
-    pub max_retries: u32,
-    /// Backoff before retry `n` is `retry_backoff * 2^(n-1)`.
-    pub retry_backoff: Duration,
     /// Deadline applied to jobs that don't set their own (None = none).
     pub default_deadline: Option<Duration>,
 }
@@ -74,8 +71,6 @@ impl Default for ServiceConfig {
             executors: cpus.min(4),
             queue_capacity: 64,
             memory_budget_bytes: 512 << 20,
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(2),
             default_deadline: None,
         }
     }
@@ -245,10 +240,7 @@ impl Shared {
         for Queued { job, cost } in drained {
             self.metrics.queue_depth_add(-1);
             self.release(cost);
-            job.state.finish(Err(JobFailure {
-                error: JobError::Shutdown,
-                attempts: 0,
-            }));
+            job.state.finish(Err(JobFailure { error: JobError::Shutdown }));
             self.metrics.inc(Counter::Failed);
         }
         n
@@ -407,44 +399,18 @@ fn executor_loop(shared: &Shared) {
         let guard = CrashGuard {
             metrics: &shared.metrics,
         };
-        let mut run = JobRun::begin(shared, ticket, cost);
-        while let RunStep::Backoff(backoff) = run.step(shared, None) {
-            shared.runtime.sleep(backoff);
-        }
+        JobRun::begin(shared, ticket, cost).run(shared, None);
         drop(guard);
     }
 }
 
-/// A job's terminal state after one attempt, or a decision to retry.
-enum AttemptOutcome {
-    Done(Box<JobSuccess>),
-    Terminal(JobError),
-    Retryable(JobError),
-}
-
-/// What one [`JobRun::step`] produced.
-pub(crate) enum RunStep {
-    /// The attempt failed retryably; wait out `backoff` before stepping
-    /// again. (The threaded loop sleeps; the step-mode service parks the
-    /// executor until the virtual clock passes the wake time.)
-    Backoff(Duration),
-    /// The job reached a terminal outcome; all bookkeeping (metrics,
-    /// budget release, handle delivery) is already done.
-    Finished {
-        /// Whether the job succeeded.
-        ok: bool,
-    },
-}
-
-/// One admitted job being executed: the retry loop of the service,
-/// decomposed into explicit steps so the threaded executor and the
-/// deterministic simulation drive the identical state machine.
+/// One admitted job on its executor, between dispatch and its outcome.
+/// [`JobRun::run`] consumes it, so a job runs once; the threaded executor
+/// and the deterministic simulation drive the identical calls.
 pub(crate) struct JobRun {
     ticket: Ticket,
     cost: u64,
     queue_wait: Duration,
-    attempts: u32,
-    max_attempts: u32,
 }
 
 impl JobRun {
@@ -458,14 +424,10 @@ impl JobRun {
             .saturating_sub(ticket.submitted);
         metrics.observe_queue_wait(queue_wait);
         metrics.running_add(1);
-
-        let max_attempts = ticket.spec.max_retries.unwrap_or(shared.cfg.max_retries) + 1;
         JobRun {
             ticket,
             cost,
             queue_wait,
-            attempts: 0,
-            max_attempts,
         }
     }
 
@@ -474,44 +436,18 @@ impl JobRun {
         self.ticket.state.id
     }
 
-    /// Run one attempt (or conclude without one if the job was cancelled
-    /// or its deadline passed). `probe` is threaded into the attempt's
-    /// [`CancelToken`] as an extra cancellation source — the simulation
-    /// harness's per-checkpoint fault-injection hook; the threaded service
-    /// passes `None`.
-    pub(crate) fn step(&mut self, shared: &Shared, probe: Option<&AttemptProbe>) -> RunStep {
-        let result = 'run: {
-            if self.ticket.state.cancel.load(Ordering::Relaxed) {
-                break 'run Err(JobError::Cancelled);
-            }
-            if self.deadline_passed(shared) {
-                break 'run Err(JobError::DeadlineExceeded);
-            }
-            self.attempts += 1;
-            match self.attempt(shared, probe) {
-                AttemptOutcome::Done(success) => break 'run Ok(*success),
-                AttemptOutcome::Terminal(err) => break 'run Err(err),
-                AttemptOutcome::Retryable(err) => {
-                    if self.attempts >= self.max_attempts {
-                        break 'run Err(err);
-                    }
-                    let backoff =
-                        shared.cfg.retry_backoff * 2u32.saturating_pow(self.attempts - 1);
-                    // A backoff that would wake at or past the deadline is
-                    // doomed — the deadline check above would fail the job
-                    // the moment it woke — so fail it now instead of
-                    // holding the executor in a useless sleep while other
-                    // tenants' jobs queue behind it. (Found by the
-                    // simsched chaos campaign: seed 61's doomed parking.)
-                    if let Some(deadline) = self.ticket.deadline {
-                        if shared.runtime.now() + backoff >= deadline {
-                            break 'run Err(JobError::DeadlineExceeded);
-                        }
-                    }
-                    shared.metrics.inc(Counter::Retried);
-                    return RunStep::Backoff(backoff);
-                }
-            }
+    /// Run the job (or conclude without running it if it was cancelled or
+    /// its deadline passed) and deliver its outcome; returns whether it
+    /// succeeded. `probe` is threaded into the run's [`CancelToken`] as an
+    /// extra cancellation source — the simulation harness's per-checkpoint
+    /// fault-injection hook; the threaded service passes `None`.
+    pub(crate) fn run(self, shared: &Shared, probe: Option<&AttemptProbe>) -> bool {
+        let result = if self.ticket.state.cancel.load(Ordering::Relaxed) {
+            Err(JobError::Cancelled)
+        } else if self.deadline_passed(shared) {
+            Err(JobError::DeadlineExceeded)
+        } else {
+            self.attempt(shared, probe)
         };
         self.finish(shared, result)
     }
@@ -524,7 +460,7 @@ impl JobRun {
 
     /// Terminal bookkeeping: counters, latency, stats fold, budget
     /// release, and outcome delivery to the submitter's handle.
-    fn finish(&mut self, shared: &Shared, result: Result<JobSuccess, JobError>) -> RunStep {
+    fn finish(self, shared: &Shared, result: Result<JobSuccess, JobError>) -> bool {
         let metrics = &shared.metrics;
         metrics.running_add(-1);
         let ok = result.is_ok();
@@ -536,10 +472,7 @@ impl JobRun {
                 metrics.fold_pipeline_stats(&success.report.stats);
                 Ok(success)
             }
-            Err(error) => Err(JobFailure {
-                error,
-                attempts: self.attempts,
-            }),
+            Err(error) => Err(JobFailure { error }),
         };
         match &outcome {
             Ok(_) => metrics.inc(Counter::Completed),
@@ -554,10 +487,14 @@ impl JobRun {
         }
         shared.release(self.cost);
         self.ticket.state.finish(outcome);
-        RunStep::Finished { ok }
+        ok
     }
 
-    fn attempt(&mut self, shared: &Shared, probe: Option<&AttemptProbe>) -> AttemptOutcome {
+    fn attempt(
+        &self,
+        shared: &Shared,
+        probe: Option<&AttemptProbe>,
+    ) -> Result<JobSuccess, JobError> {
         let t0 = shared.runtime.now();
         let mut cancel =
             CancelToken::none().with_flag(Arc::clone(&self.ticket.state.cancel));
@@ -573,8 +510,6 @@ impl JobRun {
         let spec = &self.ticket.spec;
         let (init, fin, lmin, cfg) =
             (&spec.init, spec.fin.as_deref(), &*spec.lmin, &spec.pipeline);
-        // The input is bytes and the drivers only read them, so a retry
-        // starts from the submitted stream with nothing to roll back.
         let result = catch_unwind(AssertUnwindSafe(|| match &spec.input {
             JobInput::Stream(chunks) => {
                 let chunks = chunks.iter().map(Vec::as_slice);
@@ -606,29 +541,27 @@ impl JobRun {
             }
         }));
         match result {
-            Ok(Ok((trace, report, frames))) => AttemptOutcome::Done(Box::new(JobSuccess {
+            Ok(Ok((trace, report, frames))) => Ok(JobSuccess {
                 trace,
                 report,
                 frames,
-                attempts: self.attempts,
                 queue_wait: self.queue_wait,
                 run_time: shared.runtime.now().saturating_sub(t0),
-            })),
+            }),
             Ok(Err(PipelineError::Cancelled)) => {
                 // Disambiguate: an armed flag means the submitter (or an
                 // injected fault acting as one) cancelled; otherwise the
                 // deadline tripped the token.
                 if self.ticket.state.cancel.load(Ordering::Relaxed) {
-                    AttemptOutcome::Terminal(JobError::Cancelled)
+                    Err(JobError::Cancelled)
                 } else {
-                    AttemptOutcome::Terminal(JobError::DeadlineExceeded)
+                    Err(JobError::DeadlineExceeded)
                 }
             }
-            Ok(Err(err)) => AttemptOutcome::Retryable(JobError::Pipeline(err)),
+            Ok(Err(err)) => Err(JobError::Pipeline(err)),
             Err(payload) => {
                 shared.metrics.inc(Counter::JobPanics);
-                let msg = panic_message(payload.as_ref());
-                AttemptOutcome::Retryable(JobError::Panicked(msg))
+                Err(JobError::Panicked(panic_message(payload.as_ref())))
             }
         }
     }
@@ -651,7 +584,7 @@ pub(crate) mod tests {
     use crate::job::{JobInput, Priority};
     use clocksync::{synchronize, OffsetMeasurement, PipelineConfig};
     use simclock::{Dur, Time};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
     use tracefmt::io::to_binary_columnar_v3_blocked;
     use tracefmt::{EventKind, Tag, Trace, UniformLatency};
 
@@ -727,7 +660,6 @@ pub(crate) mod tests {
             ))
             .unwrap();
         let success = handle.wait().expect("job succeeds");
-        assert_eq!(success.attempts, 1);
         for (p, (got, want)) in success.trace.procs.iter().zip(&direct.procs).enumerate() {
             for (i, (g, w)) in got.events.iter().zip(&want.events).enumerate() {
                 assert_eq!(g.time, w.time, "proc {p} event {i}");
@@ -739,33 +671,37 @@ pub(crate) mod tests {
         service.shutdown();
     }
 
+    /// A truncated stream fails typed on its one run, batch or windowed:
+    /// one `Failed` per job, no panic, and its budget charge released.
     #[test]
-    fn poisoned_stream_fails_typed_after_retries() {
+    fn poisoned_stream_fails_typed_on_its_only_run() {
         let (trace, ..) = fixture(40);
         let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let poisoned = FaultInjector::new()
             .with(Fault::Truncate { at: bytes.len() / 2 })
             .apply(&chunked(&bytes, 64));
 
-        let service = SyncService::start(ServiceConfig {
-            max_retries: 2,
-            retry_backoff: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        });
-        let handle = service.submit(spec(JobInput::Stream(poisoned))).unwrap();
-        let failure = handle.wait().expect_err("poisoned job must fail");
-        assert_eq!(failure.attempts, 3);
-        assert!(
-            matches!(failure.error, JobError::Pipeline(_)),
-            "want typed pipeline error, got {:?}",
-            failure.error
-        );
-        let m = service.metrics();
-        assert_eq!(m.counter(Counter::Retried), 2);
-        assert_eq!(m.counter(Counter::Failed), 1);
-        assert_eq!(m.counter(Counter::ServiceCrashes), 0);
-        // The budget charge is released once the job is done.
-        assert_eq!(m.admitted_bytes, 0);
+        let service = SyncService::start_default();
+        let inputs = [
+            JobInput::Stream(poisoned.clone()),
+            JobInput::StreamIncremental { chunks: poisoned, window_events: 8 },
+        ];
+        for (n, input) in inputs.into_iter().enumerate() {
+            let kind = input.kind();
+            let handle = service.submit(spec(input)).unwrap();
+            let failure = handle.wait().expect_err("poisoned job must fail");
+            assert!(
+                matches!(failure.error, JobError::Pipeline(_)),
+                "{kind}: want typed pipeline error, got {:?}",
+                failure.error
+            );
+            let m = service.metrics();
+            assert_eq!(m.counter(Counter::Failed), n as u64 + 1, "{kind}");
+            assert_eq!(m.counter(Counter::JobPanics), 0, "{kind}");
+            assert_eq!(m.counter(Counter::ServiceCrashes), 0, "{kind}");
+            // The budget charge is released once the job is done.
+            assert_eq!(m.admitted_bytes, 0, "{kind}");
+        }
         service.shutdown();
     }
 
@@ -829,10 +765,7 @@ pub(crate) mod tests {
     fn zero_window_incremental_job_fails_typed() {
         let (trace, init, fin) = fixture(4);
         let bytes = to_binary_columnar_v3_blocked(&trace, 16);
-        let service = SyncService::start(ServiceConfig {
-            max_retries: 0,
-            ..ServiceConfig::default()
-        });
+        let service = SyncService::start_default();
         let handle = service
             .submit(JobSpec::new(
                 JobInput::StreamIncremental {
@@ -873,33 +806,34 @@ pub(crate) mod tests {
         service.shutdown();
     }
 
-    /// A service whose single executor is pinned down for ~200 ms by a
-    /// poisoned job in its retry backoff — long enough to make queue
-    /// interactions deterministic.
-    fn busy_service(queue_capacity: usize) -> (SyncService, JobHandle) {
+    /// A service whose single executor is held by a windowed job whose
+    /// frame sink blocks until the returned sender is dropped, so queue
+    /// interactions are deterministic.
+    fn busy_service(queue_capacity: usize) -> (SyncService, JobHandle, mpsc::Sender<()>) {
         let service = SyncService::start(ServiceConfig {
             executors: 1,
             queue_capacity,
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(200),
             ..ServiceConfig::default()
         });
-        let (trace, ..) = fixture(4);
-        let bytes = to_binary_columnar_v3_blocked(&trace, 16);
-        let poisoned = FaultInjector::new()
-            .with(Fault::Truncate { at: bytes.len() - 3 })
-            .apply(&chunked(&bytes, 64));
-        let busy = service.submit(spec(JobInput::Stream(poisoned))).unwrap();
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let bytes = to_binary_columnar_v3_blocked(&fixture(4).0, 16);
+        let input = JobInput::StreamIncremental { chunks: chunked(&bytes, 64), window_events: 8 };
+        let sink = Arc::new(move |_: u64, _: &[u8]| {
+            let _ = gate.lock().unwrap().recv();
+            true
+        });
+        let busy = service.submit(spec(input).with_frame_sink(sink)).unwrap();
         // Wait until the executor has actually taken the job off the queue.
         while service.metrics().queue_depth > 0 {
             std::thread::yield_now();
         }
-        (service, busy)
+        (service, busy, release)
     }
 
     #[test]
     fn cancelled_queued_job_never_runs() {
-        let (service, busy) = busy_service(8);
+        let (service, busy, release) = busy_service(8);
         let (trace, init, fin) = fixture(10);
         let handle = service
             .submit(JobSpec::new(
@@ -911,17 +845,17 @@ pub(crate) mod tests {
             ))
             .unwrap();
         handle.cancel();
+        drop(release);
         let failure = handle.wait().expect_err("cancelled job must fail");
         assert!(matches!(failure.error, JobError::Cancelled));
-        assert_eq!(failure.attempts, 0);
         assert_eq!(service.metrics().counter(Counter::Cancelled), 1);
-        let _ = busy.wait();
+        busy.wait().expect("the held job completes");
         service.shutdown();
     }
 
     #[test]
     fn full_queue_and_tiny_budget_reject_typed() {
-        let (service, busy) = busy_service(1);
+        let (service, busy, release) = busy_service(1);
         // One job fits the queue...
         let q1 = service.submit(spec(stream(&fixture(2).0))).unwrap();
         // ...the next bounces.
@@ -930,6 +864,7 @@ pub(crate) mod tests {
             other => panic!("want QueueFull, got {:?}", other.err()),
         }
         assert_eq!(service.metrics().counter(Counter::RejectedQueueFull), 1);
+        drop(release);
         let _ = busy.wait();
         let _ = q1.wait();
         service.shutdown();
@@ -951,8 +886,11 @@ pub(crate) mod tests {
 
     #[test]
     fn shutdown_now_fails_queued_jobs_typed() {
-        let (service, busy) = busy_service(8);
+        let (service, busy, release) = busy_service(8);
         let queued = service.submit(spec(stream(&fixture(2).0))).unwrap();
+        // Abandon the queue before the held job lets its executor go.
+        service.shared().begin_shutdown(true);
+        drop(release);
         service.shutdown_now();
         let failure = queued.wait().expect_err("queued job must be failed");
         assert!(matches!(failure.error, JobError::Shutdown));
@@ -961,13 +899,14 @@ pub(crate) mod tests {
 
     #[test]
     fn high_priority_jumps_the_queue() {
-        let (service, busy) = busy_service(8);
+        let (service, busy, release) = busy_service(8);
         let low = service
             .submit(spec(stream(&fixture(2).0)).with_priority(Priority::Low))
             .unwrap();
         let high = service
             .submit(spec(stream(&fixture(2).0)).with_priority(Priority::High))
             .unwrap();
+        drop(release);
         let _ = busy.wait();
         let high_out = high.wait().expect("high-priority job succeeds");
         let low_out = low.wait().expect("low-priority job succeeds");

@@ -3,26 +3,23 @@
 //!
 //! A [`StepService`] owns the same [`Shared`](crate::service) state as a
 //! running [`SyncService`](crate::SyncService) — same admission control,
-//! same priority queue, same retry/deadline/cancellation logic via
+//! same priority queue, same deadline/cancellation logic via
 //! [`JobRun`](crate::service) — but nothing runs until a caller *steps* a
 //! logical executor. Each step is one atomic transition of the real
 //! executor loop:
 //!
 //! * **dispatch** — pop the highest-priority job off the queue,
-//! * **attempt** — run one pipeline attempt to its conclusion (retryable
-//!   failure parks the executor in backoff; terminal outcomes do all the
-//!   bookkeeping),
-//! * **wake** — a parked executor whose backoff expired re-attempts,
+//! * **run** — run the job to its outcome and do all the bookkeeping,
 //! * **exit** — an idle executor observes shutdown and drains the queue.
 //!
 //! Which executor steps next is the caller's choice, which is the whole
 //! point: the deterministic simulation harness (`crates/simsched`) feeds
 //! that choice from a seeded PRNG, so every interleaving of dispatches,
-//! retries, cancellations, and shutdown that the threaded service could
-//! produce becomes a *replayable* schedule. Within an attempt, the
-//! optional [`AttemptProbe`] is polled at every pipeline checkpoint,
-//! giving the caller deterministic mid-attempt yield points for fault
-//! injection (cancel, crash, clock jump).
+//! runs, cancellations, and shutdown that the threaded service could
+//! produce becomes a *replayable* schedule. Within a run, the optional
+//! [`AttemptProbe`] is polled at every pipeline checkpoint, giving the
+//! caller deterministic mid-run yield points for fault injection (cancel,
+//! crash, clock jump).
 //!
 //! Outside of tests and simulation there is no reason to use this type —
 //! it executes jobs on the caller's thread.
@@ -30,19 +27,15 @@
 use crate::job::{JobHandle, JobId, JobSpec, SubmitError};
 use crate::metrics::MetricsSnapshot;
 use crate::runtime::{AttemptProbe, Runtime};
-use crate::service::{JobRun, RunStep, ServiceConfig, Shared, Take};
+use crate::service::{JobRun, ServiceConfig, Shared, Take};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Where one logical executor is in its loop.
 enum ExecPhase {
     /// Between jobs: the next step tries the queue.
     Idle,
-    /// Holding a popped job whose next attempt has not started yet.
+    /// Holding a popped job that has not run yet.
     Dispatched(Box<JobRun>),
-    /// Holding a job in retry backoff until the runtime clock reaches
-    /// `wake`.
-    Parked { run: Box<JobRun>, wake: Duration },
     /// Observed shutdown and exited the loop.
     Stopped,
 }
@@ -54,30 +47,15 @@ pub enum StepEvent {
     /// The queue was empty (and the service not shut down); a threaded
     /// executor would now block on the condition variable.
     Idle,
-    /// Popped `job` off the queue. Its first attempt has *not* run yet —
-    /// that is the next step, so two executors can both hold dispatched
-    /// jobs before either runs, exactly as threads can.
+    /// Popped `job` off the queue. It has *not* run yet — that is the
+    /// next step, so two executors can both hold dispatched jobs before
+    /// either runs, exactly as threads can.
     Dispatched {
         /// The popped job.
         job: JobId,
     },
-    /// An attempt failed retryably; the executor is parked until `until`
-    /// on the runtime clock (exponential backoff).
-    BackoffStarted {
-        /// The retrying job.
-        job: JobId,
-        /// Absolute wake time on the runtime clock.
-        until: Duration,
-    },
-    /// The executor is parked and the clock has not reached `until`; no
-    /// progress was made.
-    Parked {
-        /// The parked job.
-        job: JobId,
-        /// Absolute wake time on the runtime clock.
-        until: Duration,
-    },
-    /// The job reached a terminal outcome (delivered to its handle, all
+    /// The job reached its outcome — ran, or concluded unrun if it was
+    /// cancelled or past its deadline (delivered to its handle, all
     /// accounting done).
     Finished {
         /// The finished job.
@@ -150,28 +128,14 @@ impl StepService {
     }
 
     /// Whether stepping executor `idx` right now would make progress.
-    /// `false` means the step would return [`StepEvent::Idle`],
-    /// [`StepEvent::Parked`], or [`StepEvent::Stopped`].
+    /// `false` means the step would return [`StepEvent::Idle`] or
+    /// [`StepEvent::Stopped`].
     pub fn can_progress(&self, idx: usize) -> bool {
         match &self.execs[idx] {
             ExecPhase::Idle => self.shared.queue_len() > 0 || self.shared.is_shutdown(),
             ExecPhase::Dispatched(_) => true,
-            ExecPhase::Parked { wake, .. } => self.shared.runtime.now() >= *wake,
             ExecPhase::Stopped => false,
         }
-    }
-
-    /// The earliest backoff wake time among parked executors, if any —
-    /// how far a harness must advance a virtual clock to unblock one when
-    /// nothing else is runnable.
-    pub fn next_wake(&self) -> Option<Duration> {
-        self.execs
-            .iter()
-            .filter_map(|e| match e {
-                ExecPhase::Parked { wake, .. } => Some(*wake),
-                _ => None,
-            })
-            .min()
     }
 
     /// Whether every executor has exited (terminal after shutdown).
@@ -179,20 +143,18 @@ impl StepService {
         self.execs.iter().all(|e| matches!(e, ExecPhase::Stopped))
     }
 
-    /// The id of the job executor `idx` currently holds (dispatched or
-    /// parked), if any.
+    /// The id of the dispatched job executor `idx` holds, if any.
     pub fn current_job(&self, idx: usize) -> Option<JobId> {
         match &self.execs[idx] {
             ExecPhase::Dispatched(run) => Some(run.id()),
-            ExecPhase::Parked { run, .. } => Some(run.id()),
             _ => None,
         }
     }
 
     /// Drive executor `idx` through one transition of the executor loop.
-    /// `probe` is polled at every pipeline checkpoint of an attempt run by
-    /// this step (the simulation's mid-attempt fault-injection hook);
-    /// pass `None` for faithful no-fault execution.
+    /// `probe` is polled at every pipeline checkpoint of a job run by this
+    /// step (the simulation's mid-run fault-injection hook); pass `None`
+    /// for faithful no-fault execution.
     pub fn step(&mut self, idx: usize, probe: Option<&AttemptProbe>) -> StepEvent {
         let phase = std::mem::replace(&mut self.execs[idx], ExecPhase::Idle);
         let (next, event) = match phase {
@@ -208,40 +170,15 @@ impl StepService {
                     (ExecPhase::Stopped, StepEvent::Exited { drained })
                 }
             },
-            ExecPhase::Dispatched(run) => self.attempt(run, probe),
-            ExecPhase::Parked { run, wake } => {
-                if self.shared.runtime.now() >= wake {
-                    self.attempt(run, probe)
-                } else {
-                    let job = run.id();
-                    (
-                        ExecPhase::Parked { run, wake },
-                        StepEvent::Parked { job, until: wake },
-                    )
-                }
+            ExecPhase::Dispatched(run) => {
+                let job = run.id();
+                let ok = run.run(&self.shared, probe);
+                (ExecPhase::Idle, StepEvent::Finished { job, ok })
             }
             ExecPhase::Stopped => (ExecPhase::Stopped, StepEvent::Stopped),
         };
         self.execs[idx] = next;
         event
-    }
-
-    fn attempt(
-        &self,
-        mut run: Box<JobRun>,
-        probe: Option<&AttemptProbe>,
-    ) -> (ExecPhase, StepEvent) {
-        let job = run.id();
-        match run.step(&self.shared, probe) {
-            RunStep::Backoff(backoff) => {
-                let wake = self.shared.runtime.now() + backoff;
-                (
-                    ExecPhase::Parked { run, wake },
-                    StepEvent::BackoffStarted { job, until: wake },
-                )
-            }
-            RunStep::Finished { ok } => (ExecPhase::Idle, StepEvent::Finished { job, ok }),
-        }
     }
 }
 
@@ -254,6 +191,7 @@ mod tests {
     use clocksync::{OffsetMeasurement, PipelineConfig};
     use simclock::{Dur, Time, VirtualClock};
     use std::sync::Arc;
+    use std::time::Duration;
     use tracefmt::io::to_binary_columnar_v3_blocked;
     use tracefmt::{EventKind, Tag, Trace, UniformLatency};
 
@@ -264,9 +202,6 @@ mod tests {
     impl Runtime for TestClock {
         fn now(&self) -> Duration {
             Duration::from_nanos((self.0.now().as_ps() / 1000).max(0) as u64)
-        }
-        fn sleep(&self, d: Duration) {
-            self.0.advance(Dur::from_ps((d.as_nanos() as i64) * 1000));
         }
     }
 
@@ -328,46 +263,37 @@ mod tests {
         assert_eq!(s.admitted_bytes(), 0);
     }
 
+    /// A poisoned stream, batch or windowed, is dispatched and then fails
+    /// typed on the very next step: its one run ends it, and the executor
+    /// is free again.
     #[test]
-    fn retry_parks_until_virtual_backoff_expires() {
-        let clock = Arc::new(TestClock(VirtualClock::new()));
-        let mut s = StepService::new(
-            ServiceConfig {
-                executors: 1,
-                max_retries: 1,
-                retry_backoff: Duration::from_millis(10),
-                ..ServiceConfig::default()
-            },
-            Arc::clone(&clock) as Arc<dyn Runtime>,
-        );
+    fn a_poisoned_stream_fails_on_the_step_after_dispatch() {
+        let mut s = service(ServiceConfig {
+            executors: 1,
+            ..ServiceConfig::default()
+        });
         let (trace, _) = fixture(8);
         let bytes = to_binary_columnar_v3_blocked(&trace, 16);
         let poisoned = FaultInjector::new()
             .with(Fault::Truncate { at: bytes.len() / 2 })
             .apply(&chunked(&bytes, 64));
-        let handle = s.submit(spec(JobInput::Stream(poisoned))).unwrap();
-        let id = handle.id();
-        assert_eq!(s.step(0, None), StepEvent::Dispatched { job: id });
-        let until = match s.step(0, None) {
-            StepEvent::BackoffStarted { job, until } => {
-                assert_eq!(job, id);
-                until
-            }
-            other => panic!("want backoff, got {other:?}"),
-        };
-        // Parked: stepping without advancing the clock makes no progress.
-        assert!(!s.can_progress(0));
-        assert_eq!(s.step(0, None), StepEvent::Parked { job: id, until });
-        assert_eq!(s.next_wake(), Some(until));
-        // Advance the virtual clock past the wake; the retry runs and the
-        // job fails terminally (retry budget 1).
-        clock.0.advance(Dur::from_ms(11));
-        assert!(s.can_progress(0));
-        assert_eq!(s.step(0, None), StepEvent::Finished { job: id, ok: false });
-        let failure = handle.wait().expect_err("poisoned job fails");
-        assert_eq!(failure.attempts, 2);
-        assert!(matches!(failure.error, JobError::Pipeline(_)));
-        assert_eq!(s.metrics().counter(Counter::Retried), 1);
+        let inputs = [
+            JobInput::Stream(poisoned.clone()),
+            JobInput::StreamIncremental { chunks: poisoned, window_events: 8 },
+        ];
+        for input in inputs {
+            let handle = s.submit(spec(input)).unwrap();
+            let id = handle.id();
+            assert_eq!(s.step(0, None), StepEvent::Dispatched { job: id });
+            assert_eq!(s.step(0, None), StepEvent::Finished { job: id, ok: false });
+            assert_eq!(s.current_job(0), None);
+            let failure = handle.wait().expect_err("poisoned job fails");
+            assert!(matches!(failure.error, JobError::Pipeline(_)), "{:?}", failure.error);
+        }
+        let m = s.metrics();
+        assert_eq!(m.counter(Counter::Failed), 2);
+        assert_eq!(m.counter(Counter::JobPanics), 0);
+        assert_eq!(s.admitted_bytes(), 0);
     }
 
     #[test]
@@ -415,7 +341,6 @@ mod tests {
         );
         let failure = handle.wait().expect_err("cancelled");
         assert!(matches!(failure.error, JobError::Cancelled));
-        assert_eq!(failure.attempts, 1);
         assert_eq!(s.metrics().counter(Counter::Cancelled), 1);
     }
 
@@ -423,7 +348,6 @@ mod tests {
     fn probe_panic_is_contained_as_a_worker_crash() {
         let mut s = service(ServiceConfig {
             executors: 1,
-            max_retries: 0,
             ..ServiceConfig::default()
         });
         let handle = s.submit(spec(stream(&fixture(16).0))).unwrap();

@@ -60,7 +60,6 @@ use crate::coll::{BlockClasses, CollInstRef, CollTable, LatBlock, MAX_CLASSES};
 use crate::column::TraceColumns;
 use crate::event::CollFlavor;
 use crate::ids::EventId;
-use crate::trace::Trace;
 use crate::violation::{CollReport, MinLatency, P2pReport, ViolatedMessage};
 use simclock::{Dur, Time};
 use std::fmt;
@@ -340,22 +339,6 @@ impl CensusPlan {
             assert_eq!(col.len() as u32, len, "plan/column length mismatch on timeline {p}");
         }
         cols.flat()
-    }
-
-    /// Flatten an array-of-structs trace into the plan's gather layout
-    /// (the AoS layout has no slab to borrow, so this one does copy).
-    ///
-    /// # Panics
-    /// Panics on a shape mismatch, like [`flat_of`](CensusPlan::flat_of).
-    pub fn flatten_trace(&self, trace: &Trace) -> Vec<i64> {
-        assert_eq!(trace.procs.len() + 1, self.base.len(), "plan/trace timeline count mismatch");
-        let mut ps = Vec::with_capacity(*self.base.last().expect("one base per timeline, plus the end") as usize);
-        for (p, pt) in trace.procs.iter().enumerate() {
-            let len = self.base[p + 1] - self.base[p];
-            assert_eq!(pt.events.len() as u32, len, "plan/trace length mismatch on timeline {p}");
-            ps.extend(pt.events.iter().map(|e| e.time.as_ps()));
-        }
-        ps
     }
 
     /// Point-to-point census over all planned messages. `times` is the
@@ -692,6 +675,7 @@ mod tests {
     use crate::analysis::{match_collectives, match_messages, CollMember};
     use crate::event::{CollOp, EventKind};
     use crate::ids::{CommId, Rank, Tag};
+    use crate::trace::Trace;
     use crate::violation::{check_collectives_at, check_p2p_messages_at, UniformLatency};
     use simclock::Time;
 
@@ -947,16 +931,6 @@ mod tests {
             }
             lo = hi;
         }
-    }
-
-    #[test]
-    fn flatten_trace_matches_slab_layout() {
-        let t = mixed_trace(3, 40);
-        let m = match_messages(&t);
-        let lmin = UniformLatency(Dur::from_us(2));
-        let plan = CensusPlan::build(&lens(&t), &m.messages, &[], &lmin).unwrap();
-        let cols = TraceColumns::gather(&t);
-        assert_eq!(plan.flat_of(&cols), plan.flatten_trace(&t).as_slice());
     }
 
     #[test]

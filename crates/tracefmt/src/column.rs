@@ -173,26 +173,6 @@ impl TraceColumns {
     pub fn time(&self, id: EventId) -> Time {
         Time::from_ps(self.col(id.p())[id.i()])
     }
-
-    /// Overwrite the timestamp of event `id`.
-    #[inline]
-    pub fn set_time(&mut self, id: EventId, t: Time) {
-        let p = id.p();
-        self.col_mut(p)[id.i()] = t.as_ps();
-    }
-
-    /// Per-timeline snapshot as `Vec<Vec<Time>>` (the shape the CLC's
-    /// amortization kernels take their originals in).
-    pub fn to_time_vecs(&self) -> Vec<Vec<Time>> {
-        self.iter()
-            .map(|c| c.iter().map(|&ps| Time::from_ps(ps)).collect())
-            .collect()
-    }
-
-    /// All columns locally monotone?
-    pub fn is_locally_monotone(&self) -> bool {
-        self.iter().all(|c| c.windows(2).all(|w| w[0] <= w[1]))
-    }
 }
 
 impl TimeSource for TraceColumns {
@@ -277,19 +257,6 @@ mod tests {
         }
         assert_eq!(cols.flat()[0], 0);
         assert_eq!(cols.flat()[2], 1);
-    }
-
-    #[test]
-    fn set_time_and_snapshots() {
-        let t = sample();
-        let mut cols = TraceColumns::gather(&t);
-        cols.set_time(EventId::new(0, 1), Time::from_us(42));
-        assert_eq!(cols.time(EventId::new(0, 1)), Time::from_us(42));
-        let vecs = cols.to_time_vecs();
-        assert_eq!(vecs[0][1], Time::from_us(42));
-        assert!(cols.is_locally_monotone());
-        cols.set_time(EventId::new(0, 0), Time::from_us(999));
-        assert!(!cols.is_locally_monotone());
     }
 
     #[test]

@@ -174,27 +174,6 @@ impl EventKind {
     pub fn is_message(self) -> bool {
         matches!(self, EventKind::Send { .. } | EventKind::Recv { .. })
     }
-
-    /// Is this a collective begin/end?
-    pub fn is_collective(self) -> bool {
-        matches!(self, EventKind::CollBegin { .. } | EventKind::CollEnd { .. })
-    }
-
-    /// Short mnemonic for codecs and debugging output.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            EventKind::Enter { .. } => "ENTR",
-            EventKind::Exit { .. } => "EXIT",
-            EventKind::Send { .. } => "SEND",
-            EventKind::Recv { .. } => "RECV",
-            EventKind::CollBegin { .. } => "CBEG",
-            EventKind::CollEnd { .. } => "CEND",
-            EventKind::Fork { .. } => "FORK",
-            EventKind::Join { .. } => "JOIN",
-            EventKind::BarrierEnter { .. } => "BENT",
-            EventKind::BarrierExit { .. } => "BEXT",
-        }
-    }
 }
 
 /// One trace record: a timestamp taken from the executing core's local clock
@@ -252,32 +231,5 @@ mod tests {
         };
         assert!(send.is_message());
         assert!(!enter.is_message());
-        assert!(!send.is_collective());
-        let cb = EventKind::CollBegin {
-            op: CollOp::Barrier,
-            comm: CommId::WORLD,
-            root: None,
-            bytes: 0,
-        };
-        assert!(cb.is_collective());
-    }
-
-    #[test]
-    fn mnemonics_are_unique() {
-        use std::collections::HashSet;
-        let kinds = [
-            EventKind::Enter { region: RegionId(0) },
-            EventKind::Exit { region: RegionId(0) },
-            EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 },
-            EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 },
-            EventKind::CollBegin { op: CollOp::Barrier, comm: CommId::WORLD, root: None, bytes: 0 },
-            EventKind::CollEnd { op: CollOp::Barrier, comm: CommId::WORLD, root: None, bytes: 0 },
-            EventKind::Fork { region: RegionId(0) },
-            EventKind::Join { region: RegionId(0) },
-            EventKind::BarrierEnter { region: RegionId(0) },
-            EventKind::BarrierExit { region: RegionId(0) },
-        ];
-        let set: HashSet<_> = kinds.iter().map(|k| k.mnemonic()).collect();
-        assert_eq!(set.len(), kinds.len());
     }
 }

@@ -49,6 +49,6 @@ pub use diff::{diff_traces, DiffError, ProcDiff, TraceDiff};
 pub use stats::{percentile, Summary};
 pub use trace::{ProcessTrace, Trace};
 pub use violation::{
-    check_collectives, check_collectives_at, check_p2p, check_p2p_messages_at, check_pomp, check_pomp_at, CollReport, LatencyTable, MinLatency,
+    check_collectives, check_collectives_at, check_p2p, check_p2p_messages_at, check_pomp, CollReport, LatencyTable, MinLatency,
     P2pReport, PompReport, UniformLatency, ViolatedMessage,
 };

@@ -102,11 +102,6 @@ impl Trace {
         &self.procs[id.p()].events[id.i()]
     }
 
-    /// Mutable event access (used by timestamp-correction algorithms).
-    pub fn event_mut(&mut self, id: EventId) -> &mut EventRecord {
-        &mut self.procs[id.p()].events[id.i()]
-    }
-
     /// Timestamp of an event.
     pub fn time(&self, id: EventId) -> Time {
         self.event(id).time
@@ -135,18 +130,6 @@ impl Trace {
     /// All timelines locally monotone?
     pub fn is_locally_monotone(&self) -> bool {
         self.procs.iter().all(|p| p.is_locally_monotone())
-    }
-
-    /// Earliest and latest timestamp in the trace, if any events exist.
-    pub fn time_span(&self) -> Option<(Time, Time)> {
-        let mut span: Option<(Time, Time)> = None;
-        for (_, e) in self.iter_events() {
-            span = Some(match span {
-                None => (e.time, e.time),
-                Some((lo, hi)) => (lo.min(e.time), hi.max(e.time)),
-            });
-        }
-        span
     }
 }
 
@@ -180,15 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn event_lookup_and_mutation() {
-        let mut t = sample();
-        let id = EventId::new(1, 0);
-        assert_eq!(t.time(id), Time::from_us(5));
-        t.event_mut(id).time = Time::from_us(9);
-        assert_eq!(t.time(id), Time::from_us(9));
-    }
-
-    #[test]
     fn map_times_applies_per_proc() {
         let mut t = sample();
         t.map_times(|p, time| {
@@ -208,13 +182,6 @@ mod tests {
         assert!(t.is_locally_monotone());
         t.procs[0].events[2].time = Time::from_us(0);
         assert!(!t.is_locally_monotone());
-    }
-
-    #[test]
-    fn time_span() {
-        let t = sample();
-        assert_eq!(t.time_span(), Some((Time::from_us(1), Time::from_us(5))));
-        assert_eq!(Trace::for_ranks(1).time_span(), None);
     }
 
     #[test]

@@ -112,11 +112,6 @@ pub struct P2pReport {
 }
 
 impl P2pReport {
-    /// Fraction of messages violating the clock condition, in percent.
-    pub fn violation_pct(&self) -> f64 {
-        pct(self.violations.len(), self.total)
-    }
-
     /// Fraction of messages whose send/receive order is reversed, percent.
     pub fn reversed_pct(&self) -> f64 {
         pct(self.reversed, self.total)
@@ -177,11 +172,6 @@ pub struct CollReport {
 }
 
 impl CollReport {
-    /// Percentage of logical messages violated.
-    pub fn violation_pct(&self) -> f64 {
-        pct(self.logical_violated, self.logical_total)
-    }
-
     /// Percentage of logical messages reversed.
     pub fn reversed_pct(&self) -> f64 {
         pct(self.logical_reversed, self.logical_total)
@@ -319,26 +309,20 @@ impl PompReport {
 /// all events of a region must be enclosed by its fork and join, and barrier
 /// executions of all threads must overlap.
 pub fn check_pomp(trace: &Trace, regions: &[ParallelRegion]) -> PompReport {
-    check_pomp_at(trace, regions)
-}
-
-/// [`check_pomp`] over any timestamp layout (AoS trace or columnar store)
-/// — bit-identical reports either way.
-pub fn check_pomp_at<S: TimeSource + ?Sized>(times: &S, regions: &[ParallelRegion]) -> PompReport {
     let mut report = PompReport {
         regions: regions.len(),
         ..PompReport::default()
     };
     for reg in regions {
-        let t_fork = times.time_of(reg.fork);
-        let t_join = times.time_of(reg.join);
+        let t_fork = trace.time(reg.fork);
+        let t_join = trace.time(reg.join);
         let mut entry = false;
         let mut exit = false;
         let mut bar_enter_max = None::<simclock::Time>;
         let mut bar_exit_min = None::<simclock::Time>;
         for th in &reg.threads {
             for i in th.first as usize..=th.last as usize {
-                let t = times.time_of(EventId::new(th.proc, i));
+                let t = trace.time(EventId::new(th.proc, i));
                 if t < t_fork {
                     entry = true;
                 }
@@ -347,11 +331,11 @@ pub fn check_pomp_at<S: TimeSource + ?Sized>(times: &S, regions: &[ParallelRegio
                 }
             }
             if let Some(be) = th.barrier_enter {
-                let t = times.time_of(be);
+                let t = trace.time(be);
                 bar_enter_max = Some(bar_enter_max.map_or(t, |m| m.max(t)));
             }
             if let Some(bx) = th.barrier_exit {
-                let t = times.time_of(bx);
+                let t = trace.time(bx);
                 bar_exit_min = Some(bar_exit_min.map_or(t, |m| m.min(t)));
             }
         }
@@ -410,7 +394,6 @@ mod tests {
         let r = check_p2p(&t, &m, &UniformLatency(Dur::from_us(4)));
         assert_eq!(r.total, 1);
         assert!(r.violations.is_empty());
-        assert_eq!(r.violation_pct(), 0.0);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! ```
 //!
 //! The CI smoke step runs this binary headless and asserts on two
-//! exporter lines: at least one retry happened
-//! (`syncd_jobs_retried_total`) and no panic ever escaped an executor
-//! (`syncd_service_crashes_total 0`).
+//! exporter lines: exactly one job failed, the poisoned one, on its only
+//! run (`syncd_jobs_failed_total 1`), and no panic ever escaped an
+//! executor (`syncd_service_crashes_total 0`).
 
 use drift_lab::clocksync::PipelineConfig;
 use drift_lab::experiments::fig7::{pop_program, smg_program, traced_run};
@@ -25,7 +25,6 @@ use drift_lab::syncd::{
 use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
 use drift_lab::tracefmt::{LatencyTable, MinLatency};
 use std::sync::Arc;
-use std::time::Duration;
 
 type Measurements = Vec<Option<drift_lab::clocksync::OffsetMeasurement>>;
 
@@ -58,11 +57,7 @@ fn main() {
     let (smg_prog, smg_dur, smg_comp) = smg_program(8);
     let (smg, smg_init, smg_fin, smg_lmin) = traced_job("SMG2000", &smg_prog, smg_dur, smg_comp, 23);
 
-    let service = SyncService::start(ServiceConfig {
-        max_retries: 2,
-        retry_backoff: Duration::from_millis(1),
-        ..ServiceConfig::default()
-    });
+    let service = SyncService::start_default();
     let cfg = PipelineConfig::default();
 
     // Tenant 1: POP as a chunked `DTC3` byte stream — what a remote tracer
@@ -108,8 +103,8 @@ fn main() {
         ))
         .expect("SMG job admitted");
 
-    // A hostile tenant: the POP stream corrupted mid-flight. The service
-    // retries it (metrics below show the attempts) and fails it typed —
+    // A hostile tenant: the POP stream corrupted mid-flight. Its one run
+    // fails typed — a second would fail the same way on the same bytes —
     // no executor dies, nobody else's job is touched.
     let poisoned = FaultInjector::new()
         .with(Fault::FlipByte { at: pop_bytes.len() / 2, xor: 0x80 })
@@ -163,17 +158,13 @@ fn main() {
             format!("{} corrected frames, {bytes} bytes", out.frames.len())
         };
         println!(
-            "{name:<11} ok: {} attempts, {:?} run, {} jumps, {result}",
-            out.attempts,
+            "{name:<11} ok: {:?} run, {} jumps, {result}",
             out.run_time,
             clc.n_jumps()
         );
     }
     match poisoned_job.wait() {
-        Err(failure) => println!(
-            "poisoned    failed typed after {} attempts: {}",
-            failure.attempts, failure.error
-        ),
+        Err(failure) => println!("poisoned    failed typed: {}", failure.error),
         Ok(_) => println!("poisoned    unexpectedly succeeded"),
     }
 
@@ -183,9 +174,10 @@ fn main() {
     println!("\n--- metrics exporter ---");
     print!("{}", snapshot.render_text());
 
-    assert!(
-        snapshot.counter(Counter::Retried) >= 1,
-        "the poisoned job must have been retried"
+    assert_eq!(
+        snapshot.counter(Counter::Failed),
+        1,
+        "the poisoned job, and only it, must fail"
     );
     assert_eq!(
         snapshot.counter(Counter::ServiceCrashes),

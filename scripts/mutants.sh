@@ -4,7 +4,8 @@
 # and chunk consumer, the batch CLC, its walk constructor, its moved-event
 # set and its graph's links (message and collective), Eq. 3's presync and
 # the rounding behind it, the p2p census bound, the classed collective
-# census threshold and the simulator's message path (ROADMAP item 9):
+# census threshold, the simulator's message path and the service's job
+# path — a job's terminal bookkeeping in `syncd` (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -232,6 +233,24 @@ crates/simclock/src/time.rs
 (y + 0.499_999_999_999_999_94_f64.copysign(y)) as i64
 (y + 0.5_f64.copysign(y)) as i64
 simclock::time::tests::round_ties_away_equals_libm_round_on_the_hard_cases simclock::time::tests::scale_equals_libm_round_on_the_hard_cases
+
+a finished job's budget charge is never released
+crates/syncd/src/service.rs
+shared.release(self.cost);
+// shared.release(self.cost);
+syncd::service::tests::poisoned_stream_fails_typed_on_its_only_run syncd::step::tests::a_poisoned_stream_fails_on_the_step_after_dispatch
+
+a failed job is counted as completed
+crates/syncd/src/service.rs
+metrics.inc(Counter::Failed);
+metrics.inc(Counter::Completed);
+syncd::service::tests::poisoned_stream_fails_typed_on_its_only_run syncd::step::tests::a_poisoned_stream_fails_on_the_step_after_dispatch
+
+a caught panic is not counted
+crates/syncd/src/service.rs
+shared.metrics.inc(Counter::JobPanics);
+// shared.metrics.inc(Counter::JobPanics);
+syncd::step::tests::probe_panic_is_contained_as_a_worker_crash tests/simsched_invariants.rs::crafted_schedule_reaches_panicked
 EOF
 )
 

@@ -24,7 +24,7 @@
 //! * [`experiments`] — regenerates every table and figure of the paper;
 //! * [`syncd`] — a multi-tenant synchronization *service* over the
 //!   pipeline: admission control, priority scheduling, fault-isolated
-//!   retried jobs, and a metrics registry.
+//!   jobs that run once and fail typed, and a metrics registry.
 //!
 //! The [`prelude`] re-exports the types most programs need:
 //!

@@ -270,7 +270,7 @@ fn loopback_upload_never_sleeps_on_progress() {
 }
 
 /// Typed failures cross the wire as typed error frames: auth, malformed
-/// input (a poisoned stream fails its retry budget), and tenant quotas.
+/// input (a poisoned stream fails on its one run), and tenant quotas.
 #[test]
 fn loopback_errors_are_typed() {
     let (trace, init, fin, lmin) = drifted_trace(2, 120, "constant", 5);
@@ -287,8 +287,6 @@ fn loopback_errors_are_typed() {
         ingest_window: 1 << 20,
         service: ServiceConfig {
             executors: 1,
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(1),
             ..ServiceConfig::default()
         },
     })
@@ -303,7 +301,7 @@ fn loopback_errors_are_typed() {
     }
 
     // Poisoned stream: admission lets a subtly corrupt stream through and
-    // the pipeline fails typed after its retries.
+    // the pipeline fails typed.
     let poisoned = FaultInjector::new()
         .with(Fault::FlipByte { at: bytes.len() / 2, xor: 0x40 })
         .apply(&chunked(&bytes, 64));
@@ -358,6 +356,38 @@ fn loopback_errors_are_typed() {
     let m = server.metrics();
     assert!(m.counter(Counter::NetAuthFailures) >= 1);
     server.shutdown();
+}
+
+/// A truncated stream fails typed on its one run over a socket, batch or
+/// incremental: one `Pipeline` error frame and one `Failed` job each, no
+/// panic, and every admission charge released.
+#[test]
+fn loopback_poisoned_stream_fails_on_its_only_run() {
+    let (trace, init, fin, lmin) = drifted_trace(3, 200, "sinusoid", 9);
+    let bytes = to_binary_columnar_v3_blocked(&trace, 16);
+    let poisoned = FaultInjector::new()
+        .with(Fault::Truncate { at: bytes.len() / 2 })
+        .apply(&chunked(&bytes, 64));
+    let cfg = PipelineConfig::default();
+    let server = test_server();
+    let modes = [WireMode::Batch, WireMode::Incremental { window_events: 64 }];
+    for (n, mode) in modes.into_iter().enumerate() {
+        // A typed job error closes its connection.
+        let mut client = SyncClient::connect(server.local_addr(), "tok").expect("connect");
+        let req = request(&cfg, lmin, &init, &fin, mode, poisoned.clone());
+        match client.submit(&req) {
+            Err(ClientError::Remote { code, detail }) => {
+                assert_eq!(code, ErrorCode::Pipeline, "{mode:?}: {detail}")
+            }
+            other => panic!("{mode:?}: expected a typed pipeline error, got {other:?}"),
+        }
+        let m = server.metrics();
+        assert_eq!(m.counter(Counter::Failed), n as u64 + 1, "{mode:?}");
+        assert_eq!(m.counter(Counter::JobPanics), 0, "{mode:?}");
+    }
+    let m = server.shutdown();
+    assert_eq!(m.counter(Counter::NetJobs), 2);
+    assert_eq!(m.admitted_bytes, 0);
 }
 
 /// A client that vanishes mid-upload or mid-download never leaks an

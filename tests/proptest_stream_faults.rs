@@ -121,9 +121,9 @@ fn cyclic_traces_fail_typed_from_every_driver_service_and_server() {
             cyclic(windowed.map(drop), &format!("{name}, window {window}"));
         }
 
-        // One executor, no retries: the job after the cyclic one is served
+        // One executor: the job after the cyclic one is served
         // by the thread that answered it.
-        let service_cfg = ServiceConfig { executors: 1, max_retries: 0, ..ServiceConfig::default() };
+        let service_cfg = ServiceConfig { executors: 1, ..ServiceConfig::default() };
         let spec = move |input, cfg: &PipelineConfig| {
             let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(lmin);
             JobSpec::new(input, vec![None; 2], None, lmin, cfg.clone())

@@ -105,33 +105,40 @@ fn scan_chunked(bytes: &[u8], step: usize) -> (Vec<Frame>, Option<WireError>, Fr
     (frames, None, scanner)
 }
 
-/// Re-encode a frame with `extra` spliced in at payload offset `at`.
-fn with_payload_bytes(frame: &Frame, at: usize, extra: &[u8]) -> Vec<u8> {
-    let mut bytes = encode_frame(frame);
+/// An encoded frame with `extra` spliced in at payload offset `at` and its
+/// length prefix grown to match.
+fn with_payload_bytes(mut bytes: Vec<u8>, at: usize, extra: &[u8]) -> Vec<u8> {
     bytes.splice(4 + 1 + at..4 + 1 + at, extra.iter().copied());
     let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) + extra.len() as u32;
     bytes[..4].copy_from_slice(&len.to_le_bytes());
     bytes
 }
 
-/// Re-encode a `JobConfig` frame in the protocol-version-2 layout: one
-/// `storage` byte after `presync`, i.e. at payload offset mode(1+8) +
-/// priority(1) + deadline(8) + retries(4) + presync(1) = 23.
+/// Re-encode a `JobConfig` frame in the protocol-version-4 layout: a `u32`
+/// retry budget after `deadline`, i.e. at payload offset mode(1+8) +
+/// priority(1) + deadline(8) = 18.
+fn v4_layout(frame: &Frame, retries: u32) -> Vec<u8> {
+    with_payload_bytes(encode_frame(frame), 18, &retries.to_le_bytes())
+}
+
+/// Re-encode a `JobConfig` frame in the protocol-version-2 layout: the
+/// version-4 one with a `storage` byte after `presync`, i.e. at payload
+/// offset 18 + retries(4) + presync(1) = 23.
 fn v2_layout(frame: &Frame, storage: u8) -> Vec<u8> {
-    with_payload_bytes(frame, 23, &[storage])
+    with_payload_bytes(v4_layout(frame, u32::MAX), 23, &[storage])
 }
 
 /// Re-encode a `JobConfig` frame that runs a CLC in the protocol-version-3
-/// layout: a `parallel` section after `clc`, i.e. at payload offset
-/// 23 + clc(1+17) = 41 — a zero flag byte, or a one and `workers` and
-/// `shard_size` as `u32`s.
+/// layout: the version-4 one with a `parallel` section after `clc`, i.e.
+/// at payload offset 23 + clc(1+17) = 41 — a zero flag byte, or a one and
+/// `workers` and `shard_size` as `u32`s.
 fn v3_layout(frame: &Frame, workers: Option<u32>) -> Vec<u8> {
     let mut section = vec![u8::from(workers.is_some())];
     if let Some(w) = workers {
         section.extend(w.to_le_bytes());
         section.extend(8192u32.to_le_bytes());
     }
-    with_payload_bytes(frame, 41, &section)
+    with_payload_bytes(v4_layout(frame, u32::MAX), 41, &section)
 }
 
 proptest! {
@@ -157,8 +164,6 @@ proptest! {
         );
     }
 
-    /// Every frame kind survives encode → arbitrary-chunked scan → decode
-    /// bit-exactly, for any read fragmentation down to one byte.
     /// Nor is a version-3 one, with or without its `parallel` section set:
     /// the latency model is read from the old flag byte on.
     #[test]
@@ -178,6 +183,30 @@ proptest! {
             "expected a typed payload error, got {err:?}"
         );
     }
+
+    /// Nor is a version-4 one, whatever retry budget it carries: every
+    /// field after `deadline` is read four bytes early.
+    #[test]
+    fn v4_layout_job_configs_fail_typed(
+        seed in 0u64..10_000,
+        pick in 0usize..3,
+        raw in 0u32..u32::MAX,
+        step in 1usize..64,
+    ) {
+        // The "service default" budget most clients sent, a small one, any.
+        let retries = [u32::MAX, raw % 8, raw][pick];
+        let config = &sample_frames(seed, 0, 0)[2];
+        prop_assert!(matches!(config, Frame::JobConfig(_)));
+        let (decoded, err, _) = scan_chunked(&v4_layout(config, retries), step);
+        prop_assert!(decoded.is_empty(), "v4 layout decoded as {decoded:?}");
+        prop_assert!(
+            matches!(err, Some(WireError::BadPayload(_))),
+            "expected a typed payload error, got {err:?}"
+        );
+    }
+
+    /// Every frame kind survives encode → arbitrary-chunked scan → decode
+    /// bit-exactly, for any read fragmentation down to one byte.
 
     #[test]
     fn frames_roundtrip_under_any_chunking(
@@ -329,12 +358,7 @@ fn assert_no_leak(hostile: Vec<u8>, read_limit: usize, write_quota: Option<u64>)
     let server = NetServer::start_loopback(NetServerConfig {
         tenants: vec![TenantConfig::new("tok")],
         ingest_window: 1 << 20,
-        service: ServiceConfig {
-            executors: 1,
-            max_retries: 1,
-            retry_backoff: Duration::from_millis(1),
-            ..ServiceConfig::default()
-        },
+        service: ServiceConfig { executors: 1, ..ServiceConfig::default() },
     })
     .expect("bind");
 
@@ -430,12 +454,7 @@ proptest! {
         let server = NetServer::start_loopback(NetServerConfig {
             tenants: vec![TenantConfig::new("tok")],
             ingest_window: 1 << 20,
-            service: ServiceConfig {
-                executors: 1,
-                max_retries: 1,
-                retry_backoff: Duration::from_millis(1),
-                ..ServiceConfig::default()
-            },
+            service: ServiceConfig { executors: 1, ..ServiceConfig::default() },
         })
         .expect("bind");
         // The scripted peer stays connected (Idle, not Eof) until the
@@ -517,6 +536,11 @@ fn v2_sessions_are_refused_typed() {
 fn v3_sessions_are_refused_typed() {
     assert_old_sessions_refused(3, |config| v3_layout(config, None));
     assert_old_sessions_refused(3, |config| v3_layout(config, Some(2)));
+}
+
+#[test]
+fn v4_sessions_are_refused_typed() {
+    assert_old_sessions_refused(4, |config| v4_layout(config, u32::MAX));
 }
 
 // ---------------------------------------------------------------------

@@ -78,16 +78,11 @@ fn crafted_schedule_reaches_success() {
 
 #[test]
 fn crafted_schedule_reaches_pipeline_error() {
-    // A poisoned stream with no retry budget fails typed on the first
-    // attempt. The service default of zero retries applies because the
-    // shape filter rejects per-job overrides.
-    let cfg = SimConfig {
-        max_retries: 0,
-        ..one_job_config()
-    };
+    // A poisoned stream fails typed on its one run.
+    let cfg = one_job_config();
     find_crafted_seed(
         &cfg,
-        |item| item.poisoned && item.spec.max_retries.is_none() && item.spec.deadline.is_none(),
+        |item| item.poisoned && item.spec.deadline.is_none(),
         &[Decision::Submit],
         "pipeline",
     );
@@ -95,16 +90,13 @@ fn crafted_schedule_reaches_pipeline_error() {
 
 #[test]
 fn crafted_schedule_reaches_panicked() {
-    // Dispatch the job, then step its attempt with a crash fault armed at
-    // the first pipeline checkpoint. Zero retries makes the crash
-    // terminal: the worker is lost mid-replay and the caller sees it.
-    let cfg = SimConfig {
-        max_retries: 0,
-        ..one_job_config()
-    };
+    // Dispatch the job, then step its run with a crash fault armed at the
+    // first pipeline checkpoint. The crash ends the job: the worker is
+    // lost mid-run and the caller sees it.
+    let cfg = one_job_config();
     find_crafted_seed(
         &cfg,
-        |item| !item.poisoned && item.spec.max_retries.is_none(),
+        |item| !item.poisoned,
         &[
             Decision::Submit,
             Decision::Exec { exec: 0 },
@@ -164,10 +156,12 @@ fn crafted_schedule_reaches_shutdown() {
     );
 }
 
-/// Seed 61 used to park a retry in a backoff that expired *after* the
-/// job's deadline: the retry was doomed, and the executor head-of-line
-/// blocked on it for the rest of the deadline. Fixed by failing fast
-/// (`DeadlineExceeded`) when the next backoff cannot beat the deadline.
+/// Seed 61 once parked a retry in a backoff that expired *after* the
+/// job's deadline, head-of-line blocking its executor. A job now runs once
+/// and nothing parks, so that bug class is gone; the seed stays as a
+/// replay of a deadline-heavy schedule through every remaining invariant
+/// (budget and job conservation, gauges against ground truth, `JobPanics`
+/// equal to delivered crashes, and bit-identity with the direct pipeline).
 #[test]
 fn regression_seed_61_doomed_backoff_parking() {
     let rec = run_random(61, &SimConfig::default());
@@ -185,13 +179,13 @@ fn regression_seed_61_doomed_backoff_parking() {
 /// `CodecError::BadField`) plus a quadratic-table guard in the pipeline.
 /// The seed's workload has been redrawn since, so the path is also pinned
 /// by hand: a `DTC3` stream whose first header has its rank's high byte
-/// flipped, through `SyncService`, fails typed on every attempt.
+/// flipped, through `SyncService`, fails typed without a panic.
 #[test]
 fn regression_seed_283_corrupt_rank_capacity_overflow() {
     use drift_lab::clocksync::PipelineError;
     use drift_lab::prelude::*;
     use drift_lab::syncd::{
-        chunked, Counter, JobError, JobInput, JobSpec, ServiceConfig, SyncService,
+        chunked, Counter, JobError, JobInput, JobSpec, SyncService,
     };
     use drift_lab::tracefmt::io::{to_binary_columnar_v3_blocked, CodecError};
     use drift_lab::tracefmt::MinLatency;
@@ -210,11 +204,7 @@ fn regression_seed_283_corrupt_rank_capacity_overflow() {
     }
     let mut bytes = to_binary_columnar_v3_blocked(&trace, 16).to_vec();
     bytes[4] ^= 0xF0; // high byte of the first frame header's rank
-    let service = SyncService::start(ServiceConfig {
-        max_retries: 1,
-        retry_backoff: std::time::Duration::from_millis(1),
-        ..ServiceConfig::default()
-    });
+    let service = SyncService::start_default();
     let lmin: Arc<dyn MinLatency + Send + Sync> = Arc::new(UniformLatency(Dur::from_us(1)));
     let spec = JobSpec::new(
         JobInput::Stream(chunked(&bytes, 8)),
@@ -233,7 +223,6 @@ fn regression_seed_283_corrupt_rank_capacity_overflow() {
         "got {:?}",
         failure.error
     );
-    assert_eq!(failure.attempts, 2);
     assert_eq!(service.metrics().counter(Counter::JobPanics), 0);
     service.shutdown();
 }

@@ -92,7 +92,7 @@ fn service_matches_direct_across_the_config_grid() {
 }
 
 /// A mixed batch: healthy jobs interleaved with one poisoned stream. The
-/// poisoned job retries, fails typed, and affects nothing else.
+/// poisoned job fails typed on its one run and affects nothing else.
 #[test]
 fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
     let (trace, init, fin, lmin) = drifted_trace(3, 200, "randomwalk", 7);
@@ -108,8 +108,6 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
 
     let service = SyncService::start(ServiceConfig {
         executors: 2,
-        max_retries: 2,
-        retry_backoff: std::time::Duration::from_millis(1),
         ..ServiceConfig::default()
     });
 
@@ -126,7 +124,6 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
         "poisoned job must fail typed, got {:?}",
         failure.error
     );
-    assert_eq!(failure.attempts, 3, "retry budget of 2 means 3 attempts");
 
     for (i, h) in [h1, h2, h3, h4].into_iter().enumerate() {
         let ok = h.wait().unwrap_or_else(|f| {
@@ -138,7 +135,6 @@ fn poisoned_neighbour_cannot_corrupt_healthy_jobs() {
     let m = service.metrics();
     assert_eq!(m.counter(Counter::Completed), 4);
     assert_eq!(m.counter(Counter::Failed), 1);
-    assert!(m.counter(Counter::Retried) >= 2);
     assert_eq!(m.counter(Counter::ServiceCrashes), 0);
     assert_eq!(m.admitted_bytes, 0, "all budget charges released");
     service.shutdown();
