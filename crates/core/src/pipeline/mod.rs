@@ -1001,6 +1001,17 @@ mod tests {
         assert!(token.is_cancelled());
     }
 
+    /// A job cancelled in a service queue relies on the cancel check
+    /// coming before the decoder: bytes that do not decode are `Cancelled`.
+    #[test]
+    fn cancelled_token_is_checked_before_the_bytes() {
+        let cfg = PipelineConfig::default();
+        let run = |token: &CancelToken| synchronize_stream([&b"not a trace"[..]], &[None], None, &LMIN, &cfg, token).err();
+        assert!(matches!(run(&CancelToken::none()), Some(PipelineError::Codec(_))));
+        let cancelled = CancelToken::none().with_flag(Arc::new(AtomicBool::new(true)));
+        assert!(matches!(run(&cancelled), Some(PipelineError::Cancelled)));
+    }
+
     /// Probe schedule matching `skewed_trace`'s worker: master − worker
     /// is exactly −500 µs the whole run.
     fn worker_probes() -> Vec<Vec<OffsetMeasurement>> {

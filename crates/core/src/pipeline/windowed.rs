@@ -1382,6 +1382,19 @@ mod tests {
         assert_eq!(taken, 0, "a cancelled run emitted chunks");
     }
 
+    /// A job cancelled in a service queue relies on the cancel check
+    /// coming before the decoder: bytes that do not decode are `Cancelled`.
+    #[test]
+    fn cancelled_token_is_checked_before_the_bytes() {
+        let run = |token: &CancelToken| {
+            let (bytes, cfg) = ([&b"not a trace"[..]], cfg(None));
+            synchronize_stream_incremental_with_sink(&bytes, &[None], None, &LMIN, &cfg, 16, token, &mut |_| true)
+        };
+        assert!(matches!(run(&CancelToken::none()), Err(PipelineError::Codec(_))));
+        let cancelled = CancelToken::none().with_flag(Arc::new(AtomicBool::new(true)));
+        assert!(matches!(run(&cancelled), Err(PipelineError::Cancelled)));
+    }
+
     /// A consumer that refuses its k-th chunk stops the run there, with
     /// and without the CLC: `Cancelled`, and not one chunk more offered.
     #[test]

@@ -16,6 +16,7 @@
 //!    load waves.
 
 use crate::common::cluster_one_rank_per_node;
+use crate::survey::truth::interval_distortion;
 use crate::survey::PiecewiseInterpolation;
 use clocksync::{
     controlled_logical_clock, estimate_offset, ClcParams, OffsetMeasurement, ProbeSample,
@@ -194,19 +195,12 @@ pub fn mu_ablation(seed: u64) -> Vec<MuRow> {
             .expect("CLC runs");
             let m = tracefmt::match_messages(&after);
             let violations = tracefmt::check_p2p(&after, &m, &lmin).violations.len();
-            // Interval distortion on proc 1 (the corrected side).
-            let mut distortion = Summary::new();
-            for w in 0..before.procs[1].events.len() - 1 {
-                let orig =
-                    (before.procs[1].events[w + 1].time - before.procs[1].events[w].time)
-                        .as_us_f64();
-                let corr =
-                    (after.procs[1].events[w + 1].time - after.procs[1].events[w].time)
-                        .as_us_f64();
-                if orig > 0.0 {
-                    distortion.add(100.0 * (corr - orig).abs() / orig);
-                }
-            }
+            // Interval distortion on proc 1 (the corrected side). Its skew
+            // is constant, so its true intervals are its raw ones.
+            let distortion = interval_distortion(
+                before.procs[1].events.iter().map(|e| e.time),
+                after.procs[1].events.iter().map(|e| e.time),
+            );
             MuRow {
                 mu,
                 violations,

@@ -4,12 +4,14 @@
 //! method the paper surveys — offset alignment, linear interpolation (Eq. 3),
 //! the CLC on top of interpolation, and the classic baselines (Duda via
 //! Jézéquel spanning trees, Babaoğlu full-exchange bounds) — then reports
-//! residual violations and wall time.
+//! residual violations, wall time and each method's error against the true
+//! event times ([`TruthReport`]).
 
 use crate::fig7::{pop_program, traced_run, TracedRun};
 use crate::survey::babaoglu::{full_exchange_maps, FullExchangeFit};
 use crate::survey::domains::controlled_logical_clock_with_domains;
 use crate::survey::jezequel::spanning_tree_maps;
+use crate::survey::truth::{eq3_frame, TruthReport};
 use crate::survey::PiecewiseInterpolation;
 use clocksync::{
     apply_maps, synchronize, ClcParams, IdentityMap, PipelineConfig, PreSync, TimestampMap,
@@ -30,15 +32,10 @@ pub struct MethodResult {
     pub violated_pct: f64,
     /// Wall-clock milliseconds the method took (correction only).
     pub millis: f64,
-    /// Mean relative distortion of local interval lengths vs. the raw
-    /// trace, percent (interval preservation quality).
-    pub interval_distortion_pct: f64,
-}
-
-fn distortion(raw: &Trace, corrected: &Trace) -> f64 {
-    tracefmt::diff_traces(raw, corrected)
-        .map(|d| d.mean_interval_distortion_pct())
-        .unwrap_or(f64::NAN)
+    /// The corrected trace against the truth, in Eq. 3's frame; moved
+    /// events are counted against the trace the method started from (the
+    /// raw trace, or Eq. 3's output for the CLC rows).
+    pub truth: TruthReport,
 }
 
 fn census(trace: &Trace, lmin: &dyn MinLatency) -> (usize, f64) {
@@ -58,6 +55,7 @@ fn census(trace: &Trace, lmin: &dyn MinLatency) -> (usize, f64) {
 pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
     let (prog, dur, k) = pop_program(scale);
     let base: TracedRun = traced_run(&prog, dur, k, seed);
+    let (truth, bound) = eq3_frame(&base);
     let mut out = Vec::new();
 
     let lmin_owned = {
@@ -72,45 +70,35 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
         }
         move |a: tracefmt::Rank, b: tracefmt::Rank| table[a.idx()][b.idx()]
     };
+    let score = |method: &'static str, millis: f64, input: &Trace, t: &Trace| {
+        let (violations, violated_pct) = census(t, &lmin_owned);
+        let truth = TruthReport::new(input, t, &truth, bound);
+        MethodResult { method, violations, violated_pct, millis, truth }
+    };
 
     // Raw.
-    let (v, p) = census(&base.trace, &lmin_owned);
-    out.push(MethodResult {
-        method: "uncorrected",
-        violations: v,
-        violated_pct: p,
-        millis: 0.0,
-        interval_distortion_pct: 0.0,
-    });
+    out.push(score("uncorrected", 0.0, &base.trace, &base.trace));
 
     // Alignment / interpolation / CLC via the pipeline.
-    let pipeline_method = |name: &'static str, cfg: PipelineConfig| -> MethodResult {
+    let pipeline = |cfg: PipelineConfig| {
         let mut t = base.trace.clone();
         let start = Instant::now();
         synchronize(&mut t, &base.init, Some(&base.fin), &lmin_owned, &cfg)
             .expect("pipeline runs");
-        let millis = start.elapsed().as_secs_f64() * 1e3;
-        let (v, p) = census(&t, &lmin_owned);
-        MethodResult {
-            method: name,
-            violations: v,
-            violated_pct: p,
-            millis,
-            interval_distortion_pct: distortion(&base.trace, &t),
-        }
+        (t, start.elapsed().as_secs_f64() * 1e3)
     };
-    out.push(pipeline_method(
-        "offset alignment",
-        PipelineConfig { presync: PreSync::AlignOnly, clc: None, ..Default::default() },
-    ));
-    out.push(pipeline_method(
-        "linear interpolation (Eq. 3)",
-        PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() },
-    ));
-    out.push(pipeline_method(
-        "interpolation + CLC",
-        PipelineConfig { presync: PreSync::Linear, clc: Some(ClcParams::default()), ..Default::default() },
-    ));
+    let (t, millis) =
+        pipeline(PipelineConfig { presync: PreSync::AlignOnly, clc: None, ..Default::default() });
+    out.push(score("offset alignment", millis, &base.trace, &t));
+    let (eq3, millis) =
+        pipeline(PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() });
+    out.push(score("linear interpolation (Eq. 3)", millis, &base.trace, &eq3));
+    let (t, millis) = pipeline(PipelineConfig {
+        presync: PreSync::Linear,
+        clc: Some(ClcParams::default()),
+        ..Default::default()
+    });
+    out.push(score("interpolation + CLC", millis, &eq3, &t));
 
     // Doleschal-style periodic internal synchronisation (paper [17]):
     // piecewise-linear interpolation through init + eight mid-run + finalize
@@ -142,28 +130,13 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
             .collect();
         apply_maps(&mut t, &maps);
         let millis = start.elapsed().as_secs_f64() * 1e3;
-        let (v, p) = census(&t, &lmin_owned);
-        out.push(MethodResult {
-            method: "periodic probes, piecewise (Doleschal)",
-            violations: v,
-            violated_pct: p,
-            millis,
-            interval_distortion_pct: distortion(&base.trace, &t),
-        });
+        out.push(score("periodic probes, piecewise (Doleschal)", millis, &base.trace, &t));
     }
 
     // Clock-domain-aware CLC (the paper's §VI future work): ranks on one
     // chip share a clock and move together.
     {
-        let mut t = base.trace.clone();
-        synchronize(
-            &mut t,
-            &base.init,
-            Some(&base.fin),
-            &lmin_owned,
-            &PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() },
-        )
-        .expect("pipeline runs");
+        let mut t = eq3.clone();
         let start = Instant::now();
         controlled_logical_clock_with_domains(
             &mut t,
@@ -173,14 +146,7 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
         )
         .expect("domain CLC runs");
         let millis = start.elapsed().as_secs_f64() * 1e3;
-        let (v, p) = census(&t, &lmin_owned);
-        out.push(MethodResult {
-            method: "interpolation + domain-aware CLC",
-            violations: v,
-            violated_pct: p,
-            millis,
-            interval_distortion_pct: distortion(&base.trace, &t),
-        });
+        out.push(score("interpolation + domain-aware CLC", millis, &eq3, &t));
     }
 
     // Jézéquel spanning tree of Duda pairwise fits.
@@ -196,25 +162,9 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
                     .collect();
                 apply_maps(&mut t, &boxed);
                 let millis = start.elapsed().as_secs_f64() * 1e3;
-                let (v, p) = census(&t, &lmin_owned);
-                out.push(MethodResult {
-                    method: "Jezequel tree of Duda fits",
-                    violations: v,
-                    violated_pct: p,
-                    millis,
-                    interval_distortion_pct: distortion(&base.trace, &t),
-                });
+                out.push(score("Jezequel tree of Duda fits", millis, &base.trace, &t));
             }
-            Err(e) => {
-                out.push(MethodResult {
-                    method: "Jezequel tree of Duda fits",
-                    violations: usize::MAX,
-                    violated_pct: 100.0,
-                    millis: 0.0,
-                    interval_distortion_pct: f64::NAN,
-                });
-                eprintln!("jezequel failed: {e}");
-            }
+            Err(e) => eprintln!("jezequel failed: {e}"),
         }
     }
 
@@ -227,14 +177,7 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
             Ok(maps) => {
                 apply_maps(&mut t, &maps);
                 let millis = start.elapsed().as_secs_f64() * 1e3;
-                let (v, p) = census(&t, &lmin_owned);
-                out.push(MethodResult {
-                    method: "Babaoglu full-exchange (piecewise)",
-                    violations: v,
-                    violated_pct: p,
-                    millis,
-                    interval_distortion_pct: distortion(&base.trace, &t),
-                });
+                out.push(score("Babaoglu full-exchange (piecewise)", millis, &base.trace, &t));
             }
             Err(e) => eprintln!("babaoglu failed: {e}"),
         }
@@ -247,15 +190,41 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
 pub fn print_clc(scale: usize, seed: u64) {
     println!("\n## §V — removing the violations: synchronisation method survey (POP-like run)");
     println!(
-        "{:<40} {:>12} {:>14} {:>12} {:>14}",
-        "method", "violations", "violated [%]", "time [ms]", "interval-d [%]"
+        "{:<40} {:>12} {:>14} {:>12} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>9} {:>9} {:>14}",
+        "method",
+        "violations",
+        "violated [%]",
+        "time [ms]",
+        "mean e [us]",
+        "truth rms [us]",
+        "p50 |e| [us]",
+        "p99 |e| [us]",
+        "max |e| [us]",
+        "in l/2 [%]",
+        "closer",
+        "further",
+        "interval-d [%]"
     );
     for r in clc_survey(scale, seed) {
+        let t = &r.truth;
         println!(
-            "{:<40} {:>12} {:>14.3} {:>12.1} {:>14.3}",
-            r.method, r.violations, r.violated_pct, r.millis, r.interval_distortion_pct
+            "{:<40} {:>12} {:>14.3} {:>12.1} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.2} {:>9} {:>9} {:>14.3}",
+            r.method,
+            r.violations,
+            r.violated_pct,
+            r.millis,
+            t.mean_us,
+            t.rms_us,
+            t.p50_abs_us,
+            t.p99_abs_us,
+            t.max_abs_us,
+            100.0 * t.within_share,
+            t.moved_closer,
+            t.moved_further,
+            t.interval_distortion_pct
         );
     }
+    println!("truth: each event's true time on the master's ideal clock (Eq. 3's frame); |e| in l/2: within half the inter-node l_min (§III); closer/further: moved events against the method's input (raw, or Eq. 3 for the CLCs); interval-d: local intervals against the true ones.");
     println!("paper conclusion: interpolation alone leaves violations; the CLC restores the clock condition completely.");
 }
 

@@ -40,6 +40,8 @@ pub struct TracedRun {
     pub cluster: Cluster,
     /// The recorded trace (raw local timestamps).
     pub trace: Trace,
+    /// Each event's true (simulator) time, indexed like `trace`.
+    pub truth: Vec<Vec<Time>>,
     /// Init offset measurements per proc (None for the master).
     pub init: Vec<Option<OffsetMeasurement>>,
     /// Finalize offset measurements per proc.
@@ -141,6 +143,7 @@ pub fn traced_run(
     TracedRun {
         cluster,
         trace: out.trace,
+        truth: out.truth,
         init,
         fin,
         mid,

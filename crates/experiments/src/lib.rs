@@ -14,8 +14,7 @@
 //! | [`clc_exp`] | §V constructive survey (CLC + baselines + extensions) |
 //! | [`online_exp`] | online filter vs. interp/CLC on static + churn scenarios |
 //! | [`ablations`] | probe-count / anchor / μ / network-load ablations |
-//! | [`predict_exp`] | analytical residual model vs. simulation |
-//! | [`survey`] | the §V baselines and extensions the survey compares with the CLC |
+//! | [`survey`] | the §V baselines and extensions the survey compares with the CLC, and their error against the simulator's truth |
 //! | [`csvout`] | CSV export (`--csv <dir>`) |
 
 #![forbid(unsafe_code)]
@@ -31,6 +30,5 @@ pub mod fig7;
 pub mod fig8;
 pub mod intranode;
 pub mod online_exp;
-pub mod predict_exp;
 pub mod survey;
 pub mod tables;

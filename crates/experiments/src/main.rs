@@ -1,7 +1,7 @@
 //! Command-line driver: `experiments <name>... [--fast] [--seed N] [--csv DIR]`.
 //!
 //! Names: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 timers
-//! intranode clc online ablations predict all` (no name means `all`). `--fast`
+//! intranode clc online ablations all` (no name means `all`). `--fast`
 //! shortens the long deviation runs and shrinks the application workloads so
 //! the whole campaign completes in well under a minute; without it the runs
 //! use the paper's full durations. An unknown name or option exits non-zero.
@@ -12,9 +12,9 @@ use experiments::*;
 use std::path::PathBuf;
 
 /// Every section name the driver knows, in the order it prints them.
-const SECTIONS: [&str; 17] = [
+const SECTIONS: [&str; 16] = [
     "fig1", "fig2", "fig3", "table1", "table2", "timers", "fig4", "fig5", "fig6", "fig7", "fig8",
-    "intranode", "clc", "online", "ablations", "predict", "all",
+    "intranode", "clc", "online", "ablations", "all",
 ];
 
 /// A parsed command line.
@@ -176,9 +176,6 @@ fn main() {
     }
     if has("ablations") {
         ablations::print_ablations(seed + 70);
-    }
-    if has("predict") {
-        predict_exp::print_predict(if fast { 120.0 } else { 600.0 }, if fast { 4 } else { 10 }, seed + 80);
     }
 }
 

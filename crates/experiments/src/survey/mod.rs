@@ -9,15 +9,16 @@
 //! 1987), [`hofmann`] (interval min/max midpoints, 1993), [`jezequel`]
 //! (spanning-tree composition, 1989), [`babaoglu`] (full-exchange bounds,
 //! 1987). Beside them: [`domains`], the clock-domain-aware CLC written over
-//! the public CLC; [`predict`], the violation-probability model; and
-//! [`PiecewiseInterpolation`], Eq. 3 through any number of anchors.
+//! the public CLC; [`PiecewiseInterpolation`], Eq. 3 through any number of
+//! anchors; and [`truth`], which scores any of them against the true event
+//! times the simulator recorded.
 
 pub mod babaoglu;
 pub mod domains;
 pub mod duda;
 pub mod hofmann;
 pub mod jezequel;
-pub mod predict;
+pub mod truth;
 
 use clocksync::{LinearInterpolation, OffsetMeasurement, TimestampMap};
 use simclock::{Dur, Time};

@@ -161,6 +161,10 @@ pub struct RunStats {
 pub struct RunOutput {
     /// The event trace with local-clock timestamps.
     pub trace: Trace,
+    /// Each event's true (simulator) time, indexed like `trace`: what the
+    /// tracer's clock read is compared with. A tracer cannot know it, so
+    /// it never enters a codec.
+    pub truth: Vec<Vec<Time>>,
     /// Run statistics.
     pub stats: RunStats,
 }
@@ -278,6 +282,7 @@ struct Sim<'c> {
     wrap: bool,
     states: Vec<RankState>,
     trace: Trace,
+    truth: Vec<Vec<Time>>,
     mailboxes: HashMap<ChannelKey, VecDeque<Time>>,
     channel_clamp: HashMap<ChannelKey, Time>,
     // Receive matching: MPI pairs messages with receives in *posting*
@@ -316,6 +321,7 @@ pub fn run(cluster: &mut Cluster, program: &Program, opts: &RunOptions) -> Resul
         wrap: opts.wrap_mpi_calls,
         states,
         trace: Trace::for_ranks(n),
+        truth: vec![Vec::new(); n],
         mailboxes: HashMap::new(),
         channel_clamp: HashMap::new(),
         posted: HashMap::new(),
@@ -378,6 +384,7 @@ pub fn run(cluster: &mut Cluster, program: &Program, opts: &RunOptions) -> Resul
     let events = sim.trace.n_events();
     Ok(RunOutput {
         trace: sim.trace,
+        truth: sim.truth,
         stats: RunStats {
             end_time,
             messages: sim.messages,
@@ -490,7 +497,8 @@ impl Sim<'_> {
 
     /// The one record site: one local clock read on `rank`'s core, whose
     /// overhead advances its true time; the timestamp stream is clamped
-    /// monotone. Nothing is recorded while the rank's tracing is off.
+    /// monotone, and the true time of the read is kept beside it. Nothing
+    /// is recorded while the rank's tracing is off.
     fn record(&mut self, rank: usize, kind: EventKind) {
         let st = &mut self.states[rank];
         if !st.tracing {
@@ -501,6 +509,7 @@ impl Sim<'_> {
         let ts = self.cluster.clocks.sample(core, st.now).max(st.last_ts);
         st.last_ts = ts;
         self.trace.procs[rank].push(ts, kind);
+        self.truth[rank].push(st.now);
     }
 
     /// One MPI call as a PMPI wrapper sees it: `Enter(region)`, the body,
@@ -849,6 +858,35 @@ mod tests {
         let out = run(&mut cluster, &prog, &RunOptions::default()).unwrap();
         assert!(out.trace.is_locally_monotone());
         assert_eq!(out.stats.messages, 400);
+    }
+
+    #[test]
+    fn truth_has_one_nondecreasing_entry_per_event() {
+        let mut cluster = ideal_cluster(2, 4);
+        let prog = Program::build(4, |r| {
+            let next = Rank((r.0 + 1) % 4);
+            let prev = Rank((r.0 + 3) % 4);
+            let mut p = RankProgram::new().trace_off().send(next, Tag(99), 8).recv(prev, Tag(99));
+            p = p.trace_on();
+            for i in 0..20 {
+                p = p
+                    .compute_jitter(Dur::from_us(10), 0.5)
+                    .send(next, Tag(i), 64)
+                    .recv(prev, Tag(i))
+                    .allreduce(CommId::WORLD, 8);
+            }
+            p
+        });
+        let start_time = Time::from_ms(3);
+        let out = run(&mut cluster, &prog, &RunOptions { start_time, ..RunOptions::default() })
+            .unwrap();
+        assert_eq!(out.truth.len(), out.trace.n_procs());
+        for (times, proc) in out.truth.iter().zip(&out.trace.procs) {
+            assert_eq!(times.len(), proc.len());
+            assert!(times.first().is_some_and(|&t| t > start_time));
+            assert!(times.windows(2).all(|w| w[0] <= w[1]));
+            assert!(times.last().is_some_and(|&t| t <= out.stats.end_time));
+        }
     }
 }
 

@@ -436,26 +436,13 @@ impl JobRun {
         self.ticket.state.id
     }
 
-    /// Run the job (or conclude without running it if it was cancelled or
-    /// its deadline passed) and deliver its outcome; returns whether it
-    /// succeeded. `probe` is threaded into the run's [`CancelToken`] as an
-    /// extra cancellation source — the simulation harness's per-checkpoint
+    /// Run the job and deliver its outcome; returns whether it succeeded.
+    /// `probe` is threaded into the run's [`CancelToken`] as an extra
+    /// cancellation source — the simulation harness's per-checkpoint
     /// fault-injection hook; the threaded service passes `None`.
     pub(crate) fn run(self, shared: &Shared, probe: Option<&AttemptProbe>) -> bool {
-        let result = if self.ticket.state.cancel.load(Ordering::Relaxed) {
-            Err(JobError::Cancelled)
-        } else if self.deadline_passed(shared) {
-            Err(JobError::DeadlineExceeded)
-        } else {
-            self.attempt(shared, probe)
-        };
+        let result = self.attempt(shared, probe);
         self.finish(shared, result)
-    }
-
-    fn deadline_passed(&self, shared: &Shared) -> bool {
-        self.ticket
-            .deadline
-            .is_some_and(|d| shared.runtime.now() >= d)
     }
 
     /// Terminal bookkeeping: counters, latency, stats fold, budget

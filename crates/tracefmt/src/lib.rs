@@ -15,7 +15,6 @@
 //! * [`coll`] — the collective member table both the CLC's dependency graph
 //!   and the plan-based census ([`census`]) read collectives from, beside
 //!   the [`MessageTable`] they read matched messages from;
-//! * [`diff`] — per-event comparison of two traces of one run;
 //! * [`stats`] — Welford summaries and percentiles for the
 //!   experiment tables;
 //! * [`io`] — the `DTC3` binary trace codec.
@@ -28,7 +27,6 @@ pub mod analysis;
 pub mod census;
 pub mod coll;
 pub mod column;
-pub mod diff;
 pub mod event;
 pub mod ids;
 pub mod io;
@@ -45,7 +43,6 @@ pub use coll::{BlockClasses, CollInstRef, CollTable, LatBlock};
 pub use column::{TimeSource, TraceColumns};
 pub use event::{CollFlavor, CollOp, EventKind, EventRecord};
 pub use ids::{CommId, EventId, Location, Rank, RegionId, Tag, ThreadId};
-pub use diff::{diff_traces, DiffError, ProcDiff, TraceDiff};
 pub use stats::{percentile, Summary};
 pub use trace::{ProcessTrace, Trace};
 pub use violation::{

@@ -33,6 +33,9 @@ pub type ProbeMeasurement = OffsetMeasurement;
 pub struct ChurnScenario {
     /// The recorded trace (local clocks, drift and islands baked in).
     pub trace: Trace,
+    /// Each event's true time, indexed like `trace`: the `send` / `recv`
+    /// instant it was placed at before its node's clock read it.
+    pub truth: Vec<Vec<Time>>,
     /// Init measurement per node: each worker's *first* probe (taken just
     /// after joining). `None` for the reference node.
     pub init: Vec<Option<OffsetMeasurement>>,
@@ -105,15 +108,29 @@ pub fn churn_scenario(cfg: NetworkConfig, msgs: usize, seed: u64) -> ChurnScenar
         now[from] = send;
         now[to] = recv;
         trace.procs[from].push(
-            net.local_at(from, t_us(send)),
+            t_us(send),
             EventKind::Send { to: Rank(to as u32), tag: Tag(placed as u32), bytes: 64 },
         );
         trace.procs[to].push(
-            net.local_at(to, t_us(recv)),
+            t_us(recv),
             EventKind::Recv { from: Rank(from as u32), tag: Tag(placed as u32), bytes: 64 },
         );
         placed += 1;
     }
+
+    // Every event was placed at its true time; now its node's clock reads
+    // it.
+    let truth = (trace.procs.iter_mut().enumerate())
+        .map(|(p, proc)| {
+            (proc.events.iter_mut())
+                .map(|e| {
+                    let t = e.time;
+                    e.time = net.local_at(p, t);
+                    t
+                })
+                .collect()
+        })
+        .collect();
 
     // Probe schedules → measurement vectors. Init/fin are the schedule's
     // endpoints: what a joining node measures before doing work, and the
@@ -122,7 +139,7 @@ pub fn churn_scenario(cfg: NetworkConfig, msgs: usize, seed: u64) -> ChurnScenar
     let init: Vec<_> = probes.iter().map(|ps| ps.first().copied()).collect();
     let fin: Vec<_> = probes.iter().map(|ps| ps.last().copied()).collect();
 
-    ChurnScenario { trace, init, fin, probes, lmin, messages: placed, network: net }
+    ChurnScenario { trace, truth, init, fin, probes, lmin, messages: placed, network: net }
 }
 
 #[cfg(test)]

@@ -77,8 +77,9 @@ cd "$(dirname "$0")/.."
 # subject. Raised by 1 when one batch job's heap budget got a binary of
 # its own (`tests/job_memory.rs`: a counting global allocator), and by 1
 # when admission's charge was held against two jobs' peaks in another
-# (`tests/admission_memory.rs`).
-WORKSPACE_TEST_BINARIES_FLOOR=51
+# (`tests/admission_memory.rs`), and by 1 when the simulator's truth became
+# an adversary of the lowering and the CLC (`tests/truth.rs`).
+WORKSPACE_TEST_BINARIES_FLOOR=52
 # Tests those binaries passed between them when the floor was last set.
 # Last reset downwards when the trace tooling and the logical clocks left
 # the shipped crates and POMP barriers became member rows: 33 tests went
@@ -128,8 +129,15 @@ WORKSPACE_TEST_BINARIES_FLOOR=51
 # `JobConfig` layout refused as a unit test, a property and a session, and
 # a poisoned stream failing on its only run over a socket
 # (`step::tests::retry_parks_until_virtual_backoff_expires` became
-# `a_poisoned_stream_fails_on_the_step_after_dispatch`).
-WORKSPACE_TESTS_FLOOR=590
+# `a_poisoned_stream_fails_on_the_step_after_dispatch`). Lowered by 7 when
+# the simulator came to return true time and the models of it left: 13
+# tests went with their subjects — `tracefmt::diff`'s three unit tests and
+# its doc test, `survey::predict`'s six, `predict_exp`'s two and
+# `extensions::prediction_module_agrees_with_platform_parameters` — and six
+# came: the simulator's truth per event, `TruthReport` on a fixture, a
+# cancelled token before undecodable bytes in each stream driver, and
+# `tests/truth.rs`'s feasibility adversary and CLC-against-truth property.
+WORKSPACE_TESTS_FLOOR=583
 
 tree_before=$(git status --porcelain)
 gates_run=0
@@ -316,7 +324,10 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # edges, anchored as words. A job runs once (DESIGN §12): none of the retry
 # budget's knobs, the backoff step and its parked executor phase, the
 # wake-time query or the retry counter. None of the simulator's event queue
-# nothing ran, or the tracefmt items only their own tests called.
+# nothing ran, or the tracefmt items only their own tests called. The
+# simulator returns true time (DESIGN §7): none of the trace diff that
+# scored corrections against the raw trace, or the residual model and its
+# experiment that predicted Eq. 3's error.
 deleted_names_gate() {
     local hits
     hits=$(
@@ -327,6 +338,8 @@ deleted_names_gate() {
         grep -rnE '\bclocksync::(baselines|predict|AffineMap|Corridor|PiecewiseInterpolation)\b|\bclc::domains\b|\btracefmt::fit_line\b' \
             crates src tests examples
         grep -rnE 'max_retries|retry_backoff|with_max_retries|RunStep::Backoff|BackoffStarted|ExecPhase::Parked|StepEvent::Parked|next_wake|Counter::Retried|jobs_retried_total|EventQueue|flatten_trace|to_time_vecs|check_pomp_at' \
+            crates src tests examples
+        grep -rnE 'diff_traces|TraceDiff|ProcDiff|DiffError|predict_exp|WanderModel|safe_run_length' \
             crates src tests examples
     ) || true
     if [[ -n "$hits" ]]; then
@@ -431,8 +444,12 @@ gate "one CLC step" one_clc_step_gate
 # called (`TraceColumns::{to_time_vecs, set_time, is_locally_monotone}`,
 # `Trace::{event_mut, time_span}`, `CensusPlan::flatten_trace`,
 # `EventKind::{mnemonic, is_collective}`, the reports' `violation_pct`,
-# `check_pomp_at`) left with their tests (-157).
-SRC_LINES_CEILING=15747
+# `check_pomp_at`) left with their tests (-157). Lowered from 15 747 when
+# the simulator came to return true time: `tracefmt::diff` left (-211 with
+# its re-exports), and so did the service's dispatch-time cancel and
+# deadline checks (-13), net of a unit test per stream driver pinning the
+# cancel check before the decoder (+24).
+SRC_LINES_CEILING=15547
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -469,7 +486,12 @@ gate "size ratchet: core + tracefmt + syncd" size_ratchet_gate
 # wake-time drain (-88), `VirtualClock::advance_to` (-21) and the wire's
 # retry budget and attempt count (-5 net of the version-4 refusal test);
 # `syncdctl` grew by 2 to send interpolation as method 1 without a CLC.
-SIM_LINES_CEILING=18008
+# Lowered from 18 008 when the simulator came to return true time: the
+# residual model (`survey::predict`) and its experiment left (-363), net of
+# the truth the simulator and the churn generator keep, `TruthReport` with
+# its test and the §V survey's truth columns, net of the distortion code
+# the survey and the μ ablation no longer carry (+174).
+SIM_LINES_CEILING=17819
 SIM_CRATES=(bench experiments mpisim netsim onlinesync simclock simsched syncd-client syncd-wire workloads)
 sim_size_ratchet_gate() {
     local lines crate
@@ -591,9 +613,10 @@ service_smoke_gate() {
 gate "service smoke: sync_service example" service_smoke_gate
 
 # The paper's figures as a smoke run (ROADMAP item 3's entry point): the
-# whole campaign in its short form must run to the end in release, and no
+# whole campaign in its short form must run to the end in release, no
 # section may be printed twice (`all` once ran the timer taxonomy under two
-# names).
+# names), and the §V survey must score its methods against the truth (its
+# header names the `truth rms [us]` column).
 experiments_gate() {
     local out dup
     out=$(cargo run --release -q -p experiments -- all --fast) || return 1
@@ -602,6 +625,10 @@ experiments_gate() {
     if [[ -n "$dup" ]]; then
         echo "experiments: sections printed more than once:" >&2
         echo "$dup" >&2
+        return 1
+    fi
+    if ! grep -A1 '^## §V' <<<"$out" | grep -q 'truth rms \[us\]'; then
+        echo "experiments: the §V survey prints no truth rms column" >&2
         return 1
     fi
 }

@@ -202,13 +202,13 @@ every collective end linked to its instance's first member row
 crates/core/src/clc/graph.rs
 claim(end, END, inst.first_row + pos)?;
 claim(end, END, inst.first_row)?;
-clocksync::clc::tests::collective_one_to_n_repair tests/csr_differential.rs::csr_lowers_every_collective_flavour
+clocksync::clc::tests::collective_one_to_n_repair tests/csr_differential.rs::csr_lowers_every_collective_flavour tests/truth.rs::traces_stamped_with_their_truth_are_feasible
 
 a receive whose link resolves to the send side
 crates/core/src/clc/graph.rs
 claim(recv, RECV, m)?;
 claim(recv, SEND, m)?;
-clocksync::clc::graph::tests::links_resolve_to_the_message_table tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
+clocksync::clc::graph::tests::links_resolve_to_the_message_table tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces tests/truth.rs::traces_stamped_with_their_truth_are_feasible
 
 a message edge that drops the table's l_min
 crates/core/src/clc/graph.rs

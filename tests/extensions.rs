@@ -1,12 +1,11 @@
 //! Integration tests for the beyond-the-paper extensions, chained across
-//! crates: diffing, POMP/domain CLC, prediction.
+//! crates: the CLC on a wavefront, POMP and the domain-aware CLC.
 
 use drift_lab::clocksync::{controlled_logical_clock, controlled_logical_clock_pomp, ClcParams};
 use drift_lab::experiments::survey::domains::{
     controlled_logical_clock_with_domains, domain_misalignment,
 };
 use drift_lab::prelude::*;
-use drift_lab::tracefmt::diff_traces;
 use drift_lab::workloads::SweepConfig;
 
 fn sweep_cluster(seed: u64) -> Cluster {
@@ -24,11 +23,18 @@ fn sweep_cluster(seed: u64) -> Cluster {
     )
 }
 
+/// Each event's shift from `before` to `after`, µs, timeline by timeline.
+fn shifts_us<'a>(before: &'a Trace, after: &'a Trace) -> impl Iterator<Item = f64> + 'a {
+    let events = |t: &'a Trace| t.procs.iter().flat_map(|p| &p.events);
+    events(before).zip(events(after)).map(|(b, a)| (a.time - b.time).as_us_f64())
+}
+
 #[test]
 fn diff_clc_chain_on_a_wavefront() {
     // A Sweep3D-like wavefront on a dragonfly with skewed clocks violates
-    // the clock condition; the CLC removes every violation, and the diff
-    // against the raw trace counts exactly the events the CLC moved.
+    // the clock condition; the CLC removes every violation, and the events
+    // whose timestamps differ from the raw trace's are exactly the ones it
+    // reports moved.
     let cfg = SweepConfig::small();
     let mut cluster = sweep_cluster(3);
     let raw = run(&mut cluster, &cfg.build(), &RunOptions::default()).unwrap().trace;
@@ -38,7 +44,7 @@ fn diff_clc_chain_on_a_wavefront() {
     let mut fixed = raw.clone();
     let rep = controlled_logical_clock(&mut fixed, &lmin, &ClcParams::default()).unwrap();
     assert!(check_p2p(&fixed, &match_messages(&fixed), &lmin).violations.is_empty());
-    assert_eq!(diff_traces(&raw, &fixed).unwrap().moved(), rep.events_moved);
+    assert_eq!(shifts_us(&raw, &fixed).filter(|&s| s != 0.0).count(), rep.events_moved);
 }
 
 #[test]
@@ -86,19 +92,8 @@ fn pomp_clc_fixes_a_full_openmp_benchmark_run() {
         .unwrap();
     let regions = match_parallel_regions(&fixed).unwrap();
     assert_eq!(check_pomp(&fixed, &regions).any_violations, 0);
-    // The diff shows the corrections were bounded (µs scale, not wild).
-    let d = diff_traces(&trace, &fixed).unwrap();
-    assert!(d.moved() > 0);
-    assert!(d.max_abs_shift_us() < 100.0, "shift {}", d.max_abs_shift_us());
-}
-
-#[test]
-fn prediction_module_agrees_with_platform_parameters() {
-    use drift_lab::experiments::survey::predict::{safe_run_length, WanderModel};
-    let p = Platform::XeonCluster.clock_profile(TimerKind::IntelTsc, 60.0);
-    let m = WanderModel { step_sigma: p.walk_step_sigma, step_s: p.walk_step_s };
-    // The safe run length for the paper's inter-node latency must be in the
-    // minutes range — consistent with both Fig. 6 and our Fig. 7 setups.
-    let safe = safe_run_length(&m, Dur::from_us_f64(4.29));
-    assert!(safe > 60.0 && safe < 1800.0, "safe window {safe} s");
+    // The corrections were bounded (µs scale, not wild).
+    let max_shift = shifts_us(&trace, &fixed).map(f64::abs).fold(0.0, f64::max);
+    assert!(max_shift > 0.0);
+    assert!(max_shift < 100.0, "shift {max_shift}");
 }
