@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
-# stream reader, the windowed engine's ring lanes, replay, finality check
-# and chunk consumer, the batch CLC, its walk constructor, its moved-event
+# stream reader, the windowed engine's ring lanes, replay, μ = 1 decision,
+# finality check and chunk consumer, the batch CLC, its walk constructor, its moved-event
 # set and its graph's links (message and collective), Eq. 3's presync and
 # the rounding behind it, the p2p census bound, the classed collective
 # census threshold, the simulator's message path and the service's job
@@ -191,6 +191,12 @@ crates/core/src/pipeline/windowed.rs
 let fin = if holds { c } else { self.restep(p, i, c, last) };
 let fin = c;
 clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size
+
+windowed certificate decided without its span check
+crates/core/src/pipeline/windowed.rs
+idle: span.is_some_and(|span| span < 1 << 52),
+idle: true,
+clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::the_mu_1_decision_matches_batch_at_its_boundary
 
 a walk's window starts 1 ps later
 crates/core/src/clc/columnar.rs

@@ -5,7 +5,9 @@
 //! (`common::reference_synchronize`) on the whole trace — corrected
 //! timestamps, the jump set (compared in canonical order; the reference
 //! CLC lists discovery order), `max_jump`, and the moved/total event
-//! counts.
+//! counts. Beside it: the residency bounds, the μ = 1 decision at its
+//! boundary and the `i64` edges, a negative latency, and the entry point's
+//! edge cases.
 //!
 //! `DRIFT_STRESS=1` widens the matrix with a 6000-message trace size.
 
@@ -13,7 +15,8 @@ mod common;
 
 use common::{drifted_trace, drifted_zoo_trace, reference_synchronize, zoo_latencies};
 use drift_lab::clocksync::{
-    synchronize, synchronize_stream_incremental, ClcParams, PipelineConfig, PreSync,
+    synchronize, synchronize_stream_incremental, ClcError, ClcParams, PipelineConfig,
+    PipelineError, PreSync,
 };
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
@@ -201,6 +204,27 @@ fn windowed_residency_stays_bounded_while_batch_grows() {
     );
 }
 
+/// A zero window is refused, an empty stream comes back an empty stream,
+/// and a timeline that receives its own later send is a cycle, reported
+/// rather than looped on.
+#[test]
+fn zero_windows_empty_streams_and_local_cycles() {
+    let lmin = UniformLatency(Dur::from_us(4));
+    let cfg = PipelineConfig { presync: PreSync::None, clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+    let run = |t: &Trace, window| {
+        let bytes = to_binary_columnar_v3_blocked(t, 4);
+        synchronize_stream_incremental(&[&bytes[..]], &vec![None; t.n_procs()], None, &lmin, &cfg, window)
+    };
+    let mut cycle = Trace::for_ranks(1);
+    cycle.procs[0].push(Time::from_us(5), EventKind::Recv { from: Rank(0), tag: Tag(0), bytes: 0 });
+    cycle.procs[0].push(Time::from_us(10), EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 });
+    assert!(matches!(run(&cycle, 0), Err(PipelineError::BadTrace(_))), "zero window");
+    assert!(matches!(run(&cycle, 16), Err(PipelineError::Clc(ClcError::CyclicTrace))), "local cycle");
+    let (out, rep) = run(&Trace::for_ranks(0), 16).expect("empty stream");
+    assert_eq!((rep.frames, rep.events), (0, 0));
+    assert_eq!(from_binary_columnar(out.concat().into()).expect("decodes").n_procs(), 0);
+}
+
 /// The window arrives off the wire as a `u64`; a lane segment sized by it
 /// alone was a 64 GiB gauge reading at `1 << 30` and an aborted process at
 /// `1 << 40`. Segments are as wide as their timeline at most, so every
@@ -228,5 +252,94 @@ fn oversized_window_holds_no_more_than_the_timelines() {
         assert_eq!(rep.clc.expect("clc ran").n_jumps(), 1, "window {window}");
         let peak = rep.stats.peak_resident_column_bytes;
         assert!(peak <= 1024, "window {window}: {peak} B resident for two events");
+    }
+}
+
+/// Three timelines passing a message round a ring, the middle one's clock
+/// 30 µs behind, so receives jump and walk back, from `start` on (times
+/// past `i64::MAX` saturate); a fourth timeline holds one region, entered
+/// at `start` and left at `exit`.
+fn ring_with_a_long_region(start: i64, exit: i64) -> Trace {
+    use drift_lab::tracefmt::RegionId;
+    let mut t = Trace::for_ranks(4);
+    let at = |us: i64, skew: i64| Time::from_ps(start).saturating_add(Dur::from_us(us + skew));
+    for round in 0..24i64 {
+        let (from, to) = (round % 3, (round + 1) % 3);
+        let skew = |p: i64| if p == 1 { -30 } else { 0 };
+        let tag = Tag(round as u32);
+        t.procs[from as usize].push(at(10 * round, skew(from)), EventKind::Send { to: Rank(to as u32), tag, bytes: 8 });
+        t.procs[to as usize].push(at(10 * round + 5, skew(to)), EventKind::Recv { from: Rank(from as u32), tag, bytes: 8 });
+    }
+    t.procs[3].push(Time::from_ps(start), EventKind::Enter { region: RegionId(0) });
+    t.procs[3].push(Time::from_ps(exit), EventKind::Exit { region: RegionId(0) });
+    t
+}
+
+/// The windowed engine decides the μ = 1 pass once, by the widest span of
+/// a timeline's forward values: a region 1 ps short of 2⁵² ps leaves it
+/// idle, one of exactly 2⁵² ps sends every event through the finality
+/// check, which steps the region's exit (a `clc:resweep` row). Both
+/// against batch at windows 1, 7, 1 024 and unbounded — timestamps, the
+/// sorted jumps, `max_jump`, `events_moved` — and so is the same ring run
+/// into `i64::MAX`, where its last events tie there, and from `i64::MIN`,
+/// where window starts saturate, and a region from `i64::MIN` to
+/// `i64::MAX`, whose span no `i64` holds.
+#[test]
+fn the_mu_1_decision_matches_batch_at_its_boundary() {
+    let lmin = UniformLatency(Dur::from_us(4));
+    let cfg = PipelineConfig { presync: PreSync::None, clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+    let cases = [
+        ("2^52 - 1 ps", ring_with_a_long_region(0, (1 << 52) - 1), Some(false)),
+        ("2^52 ps", ring_with_a_long_region(0, 1 << 52), Some(true)),
+        ("into i64::MAX", ring_with_a_long_region(i64::MAX - 200_000_000, i64::MAX), None),
+        ("from i64::MIN", ring_with_a_long_region(i64::MIN, i64::MIN + 7), None),
+        ("i64::MIN to i64::MAX", ring_with_a_long_region(i64::MIN, i64::MAX), None),
+    ];
+    for (name, base, resweeps) in cases {
+        let none = vec![None; base.n_procs()];
+        let mut batch = base.clone();
+        let brep = synchronize(&mut batch, &none, None, &lmin, &cfg).expect("batch engine");
+        let bclc = brep.clc.expect("clc configured");
+        assert!(bclc.n_jumps() > 0, "{name}: nothing to correct");
+        let bytes = to_binary_columnar_v3_blocked(&base, 4);
+        for window in [1, 7, 1024, usize::MAX] {
+            let ctx = format!("{name}, window {window}");
+            let (back, rep) = run_windowed(&bytes, &none, &none, &lmin, &cfg, window, &ctx);
+            assert_times_match(&batch, &back, &ctx);
+            assert_clc_match(&bclc, rep.clc.as_ref().expect("clc ran"), &ctx);
+            if let Some(resweeps) = resweeps {
+                assert_eq!(rep.stats.stage("clc:resweep").is_some(), resweeps, "{ctx}");
+            }
+        }
+    }
+}
+
+/// F values retire by time, behind what every safety frontier has passed;
+/// a negative latency lets a producer's walked time pass its consumer's F
+/// by as much, so the engine keeps that much more. Four messages under
+/// `l_min` = −10 µs, the first received 100 µs before it was sent: the
+/// smallest trace a random search found on which an engine that retired F
+/// without that margin read a value it had already given up.
+#[test]
+fn a_negative_latency_keeps_what_walks_still_clamp_against() {
+    let mut t = Trace::for_ranks(3);
+    for (m, (from, to, send, recv)) in [(0, 1, 90, -10), (1, 0, 20, 130), (1, 2, 30, 60), (0, 1, 160, 60)].into_iter().enumerate() {
+        let tag = Tag(m as u32);
+        t.procs[from].push(Time::from_us(send), EventKind::Send { to: Rank(to as u32), tag, bytes: 0 });
+        t.procs[to].push(Time::from_us(recv), EventKind::Recv { from: Rank(from as u32), tag, bytes: 0 });
+    }
+    let lmin = UniformLatency(Dur::from_us(-10));
+    let cfg = PipelineConfig { presync: PreSync::None, clc: Some(ClcParams::default()), ..PipelineConfig::default() };
+    let none = vec![None; 3];
+    let mut batch = t.clone();
+    let bclc = synchronize(&mut batch, &none, None, &lmin, &cfg).expect("batch engine").clc.expect("clc configured");
+    for block in [1, 4] {
+        let bytes = to_binary_columnar_v3_blocked(&t, block);
+        for window in [1, 2, 7] {
+            let ctx = format!("block {block}, window {window}");
+            let (back, rep) = run_windowed(&bytes, &none, &none, &lmin, &cfg, window, &ctx);
+            assert_times_match(&batch, &back, &ctx);
+            assert_clc_match(&bclc, rep.clc.as_ref().expect("clc ran"), &ctx);
+        }
     }
 }
