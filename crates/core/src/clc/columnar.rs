@@ -37,10 +37,11 @@
 //! The batch driver also skips the closing μ = 1 sweep where a certificate
 //! ([`sweep_leaves`]) proves it idle. The forward output F is a fixed point
 //! of the sweep (monotone, and above every remote bound); the walks only
-//! move events forward; so the sweep leaves their output C as it is if C is
-//! monotone at every moved event, every moved event stays at or below what
-//! its consumers' F allow, and no timeline spans 2⁵² ps — beyond that
-//! `Dur::scale(1.0)` rounds a gap, up as well as down.
+//! move events forward, and [`backward_walk`] keeps their output C monotone
+//! and every moved event at or below what its consumers' F allow (its cap
+//! and its non-increasing shifts); so the sweep leaves C as it is unless a
+//! timeline spans 2⁵² ps — beyond that `Dur::scale(1.0)` rounds a gap, up
+//! as well as down. The windowed engine decides from the span alone too.
 //!
 //! # What a run allocates
 //!
@@ -63,7 +64,6 @@
 use super::graph::{CollPass, DepGraph, Edges, Snapshot};
 use super::{ClcError, ClcParams, ClcReport, Jump};
 use simclock::{Dur, Time};
-use std::ops::Range;
 use tracefmt::{EventId, TraceColumns};
 
 /// The CLC on timestamp columns over the CSR graph: forward pass, then —
@@ -271,16 +271,15 @@ pub(crate) fn latest_allowed(out: Edges<'_>, snapshot: impl Fn(u32) -> i64) -> O
 /// leave (`latest` of its gid, as [`latest_allowed`] answers it: the
 /// monotone `saturating_since` makes that the minimum of per-edge caps), and
 /// stop at the window start or the first event that cannot move. `base` is
-/// the gid of the timeline's first event. Returns the lowest index shifted.
+/// the gid of the timeline's first event.
 #[inline(always)]
 pub(crate) fn backward_walk<L: Timeline + ?Sized>(
     walk: &Walk,
     base: u32,
     line: &mut L,
     mut latest: impl FnMut(u32) -> Option<Time>,
-) -> u64 {
+) {
     let mut shift_above = walk.delta;
-    let mut lowest = walk.k;
     for i in (0..walk.k).rev() {
         let t_i = Time::from_ps(line.get(i));
         if t_i <= walk.w_start {
@@ -296,9 +295,7 @@ pub(crate) fn backward_walk<L: Timeline + ?Sized>(
         if shift == Dur::ZERO {
             break;
         }
-        lowest = i;
     }
-    lowest
 }
 
 /// The forward pass over CSR in-edges: assign corrected times in
@@ -416,36 +413,21 @@ fn backward_amortization_csr(
             let k = jump.event.i();
             let walk = Walk::new(k as u64, Time::from_ps(col[k]), jump.size, params.backward_window_factor);
             let mut line = Marked { col: &mut *col, base: base as usize, moved: &mut *moved };
-            let lowest = backward_walk(&walk, base, &mut line, |gid| caps.latest(graph, gid, &snapshot));
-            idle = idle && sweep_leaves(col, lowest as usize..k, base, graph, &snapshot, &mut caps);
+            backward_walk(&walk, base, &mut line, |gid| caps.latest(graph, gid, &snapshot));
         }
-        idle = idle && sweep_leaves(col, 0..0, base, graph, &snapshot, &mut caps);
+        idle = idle && sweep_leaves(col);
     }
     idle
 }
 
-/// The certificate (module docs) on one timeline's amortized times `c`,
-/// `base` its first gid: `true` while the μ = 1 sweep would leave it as it
-/// is. Checked after each walk on the indices it `moved` — later walks only
-/// raise what they rewrite and the successors of what they do not — and on
-/// the span. A moved time is above `i64::MIN`, so `C ≤ F − lat` implies
-/// `C + lat ≤ F`, with F the `forward` times of the consumers.
-fn sweep_leaves(
-    c: &[i64],
-    moved: Range<usize>,
-    base: u32,
-    graph: &DepGraph,
-    forward: &Snapshot,
-    caps: &mut CollPass,
-) -> bool {
-    let span_exact = c.first().zip(c.last()).is_none_or(|(first, last)| {
+/// The certificate (module docs) on one timeline's amortized times `c`:
+/// `true` while the μ = 1 sweep would leave it as it is — while it spans
+/// less than 2⁵² ps, where every gap is exact in `f64` (checked
+/// subtraction).
+fn sweep_leaves(c: &[i64]) -> bool {
+    c.first().zip(c.last()).is_none_or(|(first, last)| {
         last.checked_sub(*first).is_some_and(|span| span < 1 << 52)
-    });
-    span_exact
-        && moved.into_iter().all(|i| {
-            c[i] <= c[i + 1]
-                && caps.latest(graph, base + i as u32, forward).is_none_or(|l| Time::from_ps(c[i]) <= l)
-        })
+    })
 }
 
 #[cfg(test)]
@@ -572,24 +554,6 @@ mod tests {
                 assert_same_run((&a, &ra), (&b, &rb), &format!("{procs}x{rounds}, certificate {holds}"));
             }
         }
-    }
-
-    /// A moved event above its successor — no walk leaves one — is refused:
-    /// the sweep would move the successor, though the span is small and the
-    /// event has no consumer. Ordered, the same move is certified.
-    #[test]
-    fn an_unordered_moved_event_is_refused() {
-        let mut t = Trace::for_ranks(1);
-        for at in [0, 10, 20] {
-            t.procs[0].push(Time::from_us(at), tracefmt::EventKind::Enter { region: tracefmt::RegionId(0) });
-        }
-        let (graph, mut cols) = (graph_of(&t), TraceColumns::gather(&t));
-        let (forward, mut caps) = (Snapshot::take(&graph, cols.flat()), CollPass::new(&graph));
-        assert!(sweep_leaves(&[0, 15_000_000, 20_000_000], 1..2, 0, &graph, &forward, &mut caps));
-        cols.flat_mut()[1] = 25_000_000;
-        assert!(!sweep_leaves(cols.flat(), 1..2, 0, &graph, &forward, &mut caps));
-        forward_pass_csr(&mut cols, &graph, 1.0, &mut Moved::new(3)).unwrap();
-        assert_eq!(cols.flat()[2], 25_000_000, "the sweep moves the successor");
     }
 
     /// The pass is in place, so a cycle is found with part of the slab

@@ -4,19 +4,18 @@
 //! method the paper surveys — offset alignment, linear interpolation (Eq. 3),
 //! the CLC on top of interpolation, and the classic baselines (Duda via
 //! Jézéquel spanning trees, Babaoğlu full-exchange bounds) — then reports
-//! residual violations, wall time and each method's error against the true
-//! event times ([`TruthReport`]).
+//! residual violations and each method's error against the true event
+//! times ([`TruthReport`]).
 
+use crate::common::{print_claims, Claim};
 use crate::fig7::{pop_program, traced_run, TracedRun};
 use crate::survey::babaoglu::{full_exchange_maps, FullExchangeFit};
-use crate::survey::domains::controlled_logical_clock_with_domains;
 use crate::survey::jezequel::spanning_tree_maps;
 use crate::survey::truth::{eq3_frame, TruthReport};
 use crate::survey::PiecewiseInterpolation;
 use clocksync::{
     apply_maps, synchronize, ClcParams, IdentityMap, PipelineConfig, PreSync, TimestampMap,
 };
-use std::time::Instant;
 use tracefmt::{
     check_collectives, check_p2p, match_collectives, match_messages, Capture, MinLatency, Trace,
 };
@@ -30,8 +29,6 @@ pub struct MethodResult {
     pub violations: usize,
     /// Violation percentage.
     pub violated_pct: f64,
-    /// Wall-clock milliseconds the method took (correction only).
-    pub millis: f64,
     /// The corrected trace against the truth, in Eq. 3's frame; moved
     /// events are counted against the trace the method started from (the
     /// raw trace, or Eq. 3's output for the CLC rows).
@@ -51,8 +48,24 @@ fn census(trace: &Trace, lmin: &dyn MinLatency) -> (usize, f64) {
     )
 }
 
+/// The survey's rows and what its claims read beside them.
+#[derive(Debug, Clone)]
+pub struct Survey {
+    /// One row per method, the uncorrected trace first.
+    pub methods: Vec<MethodResult>,
+    /// Events off the master's node that Eq. 3 leaves within §III's bound
+    /// of the truth.
+    pub eq3_off_node_within: usize,
+}
+
+/// Labels of the rows the §V claims read.
+const RAW: &str = "uncorrected";
+const ALIGN: &str = "offset alignment";
+const EQ3: &str = "linear interpolation (Eq. 3)";
+const CLC: &str = "interpolation + CLC";
+
 /// Run the survey on a fresh POP-like run.
-pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
+pub fn clc_survey(scale: usize, seed: u64) -> Survey {
     let (prog, dur, k) = pop_program(scale);
     let base: TracedRun = traced_run(&prog, dur, k, seed);
     let (truth, bound) = eq3_frame(&base);
@@ -70,42 +83,44 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
         }
         move |a: tracefmt::Rank, b: tracefmt::Rank| table[a.idx()][b.idx()]
     };
-    let score = |method: &'static str, millis: f64, input: &Trace, t: &Trace| {
+    let score = |method: &'static str, input: &Trace, t: &Trace| {
         let (violations, violated_pct) = census(t, &lmin_owned);
         let truth = TruthReport::new(input, t, &truth, bound);
-        MethodResult { method, violations, violated_pct, millis, truth }
+        MethodResult { method, violations, violated_pct, truth }
     };
 
     // Raw.
-    out.push(score("uncorrected", 0.0, &base.trace, &base.trace));
+    out.push(score(RAW, &base.trace, &base.trace));
 
     // Alignment / interpolation / CLC via the pipeline.
     let pipeline = |cfg: PipelineConfig| {
         let mut t = base.trace.clone();
-        let start = Instant::now();
         synchronize(&mut t, &base.init, Some(&base.fin), &lmin_owned, &cfg)
             .expect("pipeline runs");
-        (t, start.elapsed().as_secs_f64() * 1e3)
+        t
     };
-    let (t, millis) =
-        pipeline(PipelineConfig { presync: PreSync::AlignOnly, clc: None, ..Default::default() });
-    out.push(score("offset alignment", millis, &base.trace, &t));
-    let (eq3, millis) =
-        pipeline(PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() });
-    out.push(score("linear interpolation (Eq. 3)", millis, &base.trace, &eq3));
-    let (t, millis) = pipeline(PipelineConfig {
+    let t = pipeline(PipelineConfig { presync: PreSync::AlignOnly, clc: None, ..Default::default() });
+    out.push(score(ALIGN, &base.trace, &t));
+    let eq3 = pipeline(PipelineConfig { presync: PreSync::Linear, clc: None, ..Default::default() });
+    out.push(score(EQ3, &base.trace, &eq3));
+    let master = base.cluster.placement.node_of(0);
+    let eq3_off_node_within = (0..eq3.n_procs())
+        .filter(|&p| base.cluster.placement.node_of(p) != master)
+        .flat_map(|p| eq3.procs[p].events.iter().zip(&truth[p]))
+        .filter(|(e, &t)| (e.time - t).abs() <= bound)
+        .count();
+    let t = pipeline(PipelineConfig {
         presync: PreSync::Linear,
         clc: Some(ClcParams::default()),
         ..Default::default()
     });
-    out.push(score("interpolation + CLC", millis, &eq3, &t));
+    out.push(score(CLC, &eq3, &t));
 
     // Doleschal-style periodic internal synchronisation (paper [17]):
     // piecewise-linear interpolation through init + eight mid-run + finalize
     // probe anchors.
     {
         let mut t = base.trace.clone();
-        let start = Instant::now();
         let n = t.n_procs();
         let maps: Vec<Box<dyn TimestampMap>> = (0..n)
             .map(|p| -> Box<dyn TimestampMap> {
@@ -129,30 +144,12 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
             })
             .collect();
         apply_maps(&mut t, &maps);
-        let millis = start.elapsed().as_secs_f64() * 1e3;
-        out.push(score("periodic probes, piecewise (Doleschal)", millis, &base.trace, &t));
-    }
-
-    // Clock-domain-aware CLC (the paper's §VI future work): ranks on one
-    // chip share a clock and move together.
-    {
-        let mut t = eq3.clone();
-        let start = Instant::now();
-        controlled_logical_clock_with_domains(
-            &mut t,
-            &lmin_owned,
-            &ClcParams::default(),
-            &base.clock_domains,
-        )
-        .expect("domain CLC runs");
-        let millis = start.elapsed().as_secs_f64() * 1e3;
-        out.push(score("interpolation + domain-aware CLC", millis, &eq3, &t));
+        out.push(score("periodic probes, piecewise (Doleschal)", &base.trace, &t));
     }
 
     // Jézéquel spanning tree of Duda pairwise fits.
     {
         let mut t = base.trace.clone();
-        let start = Instant::now();
         let m = match_messages(&t);
         match spanning_tree_maps(&t, &m, &lmin_owned, 0) {
             Ok(maps) => {
@@ -161,8 +158,7 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
                     .map(|m| Box::new(m) as Box<dyn TimestampMap>)
                     .collect();
                 apply_maps(&mut t, &boxed);
-                let millis = start.elapsed().as_secs_f64() * 1e3;
-                out.push(score("Jezequel tree of Duda fits", millis, &base.trace, &t));
+                out.push(score("Jezequel tree of Duda fits", &base.trace, &t));
             }
             Err(e) => eprintln!("jezequel failed: {e}"),
         }
@@ -171,30 +167,49 @@ pub fn clc_survey(scale: usize, seed: u64) -> Vec<MethodResult> {
     // Babaoğlu full-exchange bounds (piecewise fit).
     {
         let mut t = base.trace.clone();
-        let start = Instant::now();
         let insts = match_collectives(&t).expect("well-formed");
         match full_exchange_maps(&t, &insts, &lmin_owned, 0, FullExchangeFit::Piecewise(16)) {
             Ok(maps) => {
                 apply_maps(&mut t, &maps);
-                let millis = start.elapsed().as_secs_f64() * 1e3;
-                out.push(score("Babaoglu full-exchange (piecewise)", millis, &base.trace, &t));
+                out.push(score("Babaoglu full-exchange (piecewise)", &base.trace, &t));
             }
             Err(e) => eprintln!("babaoglu failed: {e}"),
         }
     }
 
-    out
+    Survey { methods: out, eq3_off_node_within }
 }
 
-/// Print the survey.
-pub fn print_clc(scale: usize, seed: u64) {
+/// The §V claims: the paper's methods before the CLC (no correction,
+/// offset alignment, Eq. 3) leave violations and the CLC leaves none; and
+/// Eq. 3 leaves no event off the master's node within §III's bound. (The
+/// survey's other baselines are not the paper's: periodic probes and the
+/// Jézéquel tree leave 0 violations on some seeds.)
+pub fn claims(survey: &Survey) -> Vec<Claim> {
+    let row = |label: &str| survey.methods.iter().find(|r| r.method == label);
+    let violates = |label| row(label).is_some_and(|r| r.violations > 0);
+    vec![
+        Claim::new(
+            "sec5.clc",
+            [RAW, ALIGN, EQ3].into_iter().all(violates) && row(CLC).is_some_and(|r| r.violations == 0),
+            "interpolation alone leaves violations; the CLC restores the clock condition completely",
+        ),
+        Claim::new(
+            "sec5.eq3",
+            row(EQ3).is_some() && survey.eq3_off_node_within == 0,
+            "Eq. 3 leaves no event off the master's node within half the inter-node latency of the truth",
+        ),
+    ]
+}
+
+/// Print the survey and its claims.
+pub fn print_clc(survey: &Survey) -> Vec<Claim> {
     println!("\n## §V — removing the violations: synchronisation method survey (POP-like run)");
     println!(
-        "{:<40} {:>12} {:>14} {:>12} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>9} {:>9} {:>14}",
+        "{:<40} {:>12} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>14} {:>9} {:>9} {:>14}",
         "method",
         "violations",
         "violated [%]",
-        "time [ms]",
         "mean e [us]",
         "truth rms [us]",
         "p50 |e| [us]",
@@ -205,14 +220,13 @@ pub fn print_clc(scale: usize, seed: u64) {
         "further",
         "interval-d [%]"
     );
-    for r in clc_survey(scale, seed) {
+    for r in &survey.methods {
         let t = &r.truth;
         println!(
-            "{:<40} {:>12} {:>14.3} {:>12.1} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.2} {:>9} {:>9} {:>14.3}",
+            "{:<40} {:>12} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.2} {:>9} {:>9} {:>14.3}",
             r.method,
             r.violations,
             r.violated_pct,
-            r.millis,
             t.mean_us,
             t.rms_us,
             t.p50_abs_us,
@@ -224,33 +238,34 @@ pub fn print_clc(scale: usize, seed: u64) {
             t.interval_distortion_pct
         );
     }
-    println!("truth: each event's true time on the master's ideal clock (Eq. 3's frame); |e| in l/2: within half the inter-node l_min (§III); closer/further: moved events against the method's input (raw, or Eq. 3 for the CLCs); interval-d: local intervals against the true ones.");
-    println!("paper conclusion: interpolation alone leaves violations; the CLC restores the clock condition completely.");
+    println!("truth: each event's true time on the master's ideal clock (Eq. 3's frame); |e| in l/2: within half the inter-node l_min (§III); closer/further: moved events against the method's input (raw, or Eq. 3 for the CLC); interval-d: local intervals of at least 1 us against the true ones.");
+    println!("Eq. 3 leaves {} events off the master's node in l/2.", survey.eq3_off_node_within);
+    print_claims(claims(survey))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The claims on a short run, and on that run's rows edited into a
+    /// counterexample per condition.
     #[test]
-    fn clc_removes_all_violations_and_interpolation_does_not() {
-        let results = clc_survey(40, 6);
-        let get = |name: &str| {
-            results
-                .iter()
-                .find(|r| r.method == name)
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .clone()
-        };
-        let raw = get("uncorrected");
-        let interp = get("linear interpolation (Eq. 3)");
-        let clc = get("interpolation + CLC");
-        assert!(raw.violations > 0, "raw trace should violate");
-        assert!(
-            interp.violations < raw.violations,
-            "interpolation should help"
-        );
-        assert!(interp.violations > 0, "but not fully (the paper's point)");
-        assert_eq!(clc.violations, 0, "CLC must restore the clock condition");
+    fn clc_claims_hold_on_a_short_run_and_fail_on_counterexamples() {
+        let survey = clc_survey(40, 6);
+        let verdicts = |s: &Survey| claims(s).iter().map(|c| c.holds).collect::<Vec<_>>();
+        assert_eq!(verdicts(&survey), [true, true], "{:?}", claims(&survey));
+        let violations = |label: &str| survey.methods.iter().find(|r| r.method == label).unwrap().violations;
+        assert!(violations(EQ3) < violations(RAW), "interpolation should help");
+        fn row<'a>(s: &'a mut Survey, label: &str) -> &'a mut MethodResult {
+            s.methods.iter_mut().find(|r| r.method == label).unwrap()
+        }
+        let mut clean_eq3 = survey.clone();
+        row(&mut clean_eq3, EQ3).violations = 0;
+        assert_eq!(verdicts(&clean_eq3), [false, true]);
+        let mut leaky_clc = survey.clone();
+        row(&mut leaky_clc, CLC).violations = 1;
+        assert_eq!(verdicts(&leaky_clc), [false, true]);
+        let accurate = Survey { eq3_off_node_within: 1, ..survey.clone() };
+        assert_eq!(verdicts(&accurate), [true, false]);
     }
 }

@@ -1,10 +1,48 @@
-//! Shared experiment infrastructure: cluster construction, deviation
-//! measurement via probing, and table/series printing.
+//! Shared experiment infrastructure: the paper's claims, cluster
+//! construction, deviation measurement via probing, and table/series
+//! printing.
 
 use clocksync::{estimate_offset, OffsetMeasurement, ProbeSample};
 use mpisim::{probe_worker, Cluster};
 use netsim::{HierarchicalLatency, Placement, Topology};
 use simclock::{ClockDomain, ClockEnsemble, Dur, Platform, Time, TimerKind};
+use std::fmt;
+
+/// One of the paper's claims, judged on the rows a section computed. Each
+/// section with claims has one function that derives them from its rows;
+/// the section prints them, and the `experiments` binary exits 1 when one
+/// it printed fails.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// Short id (`fig5.worst`), the same on every seed.
+    pub id: &'static str,
+    /// Whether the rows bear the statement out.
+    pub holds: bool,
+    /// The paper's statement, with the condition that checks it.
+    pub statement: &'static str,
+}
+
+impl Claim {
+    /// A claim `id` stating `statement`, judged `holds`.
+    pub fn new(id: &'static str, holds: bool, statement: &'static str) -> Self {
+        Claim { id, holds, statement }
+    }
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = if self.holds { "holds" } else { "FAILS" };
+        write!(f, "claim {}: {verdict} — {}", self.id, self.statement)
+    }
+}
+
+/// Print one line per claim and hand the claims back.
+pub fn print_claims(claims: Vec<Claim>) -> Vec<Claim> {
+    for claim in &claims {
+        println!("{claim}");
+    }
+    claims
+}
 
 /// Ordinary least-squares line fit `y = slope·x + intercept`.
 ///
@@ -75,15 +113,6 @@ impl RunLength {
     /// The paper's "long run".
     pub fn long() -> Self {
         RunLength { duration_s: 3600.0, sample_every_s: 20.0 }
-    }
-
-    /// Scale the duration down (for `--fast` smoke runs), keeping the
-    /// sampling density proportional.
-    pub fn scaled(self, factor: f64) -> Self {
-        RunLength {
-            duration_s: self.duration_s / factor,
-            sample_every_s: (self.sample_every_s / factor).max(0.5),
-        }
     }
 }
 
@@ -318,8 +347,6 @@ mod tests {
         assert_eq!(RunLength::short().duration_s, 300.0);
         assert_eq!(RunLength::medium().duration_s, 1800.0);
         assert_eq!(RunLength::long().duration_s, 3600.0);
-        let fast = RunLength::long().scaled(10.0);
-        assert_eq!(fast.duration_s, 360.0);
     }
 
     #[test]

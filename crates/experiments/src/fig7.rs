@@ -9,6 +9,7 @@
 //! transfer events among all trace events. Numbers are averaged over three
 //! runs, as in the paper.
 
+use crate::common::{print_claims, Claim};
 use clocksync::{
     estimate_offset, synchronize, OffsetMeasurement, PipelineConfig, PreSync, ProbeSample,
 };
@@ -49,8 +50,6 @@ pub struct TracedRun {
     /// Periodic mid-run measurements (Doleschal-style internal timer
     /// synchronisation, paper reference [17]): one vector per probe epoch.
     pub mid: Vec<Vec<Option<OffsetMeasurement>>>,
-    /// Clock-domain id per rank (ranks sharing a chip share a clock).
-    pub clock_domains: Vec<usize>,
 }
 
 fn probe_measurements(
@@ -134,12 +133,6 @@ pub fn traced_run(
         let (m, _) = probe_measurements(&mut cluster, ranks, at);
         mid.push(m);
     }
-    let clock_domains: Vec<usize> = (0..ranks)
-        .map(|r| {
-            let core = cluster.placement.core_of(r);
-            cluster.placement.shape().chip_of(core)
-        })
-        .collect();
     TracedRun {
         cluster,
         trace: out.trace,
@@ -147,7 +140,6 @@ pub fn traced_run(
         init,
         fin,
         mid,
-        clock_domains,
     }
 }
 
@@ -244,8 +236,18 @@ pub fn fig7(scale: usize, runs: usize, seed: u64) -> Vec<Fig7Row> {
     rows
 }
 
-/// Print precomputed Fig. 7 rows.
-pub fn print_rows(rows: &[Fig7Row]) {
+/// Fig. 7's claim: a non-zero share of messages is reversed in every
+/// application.
+pub fn claims(rows: &[Fig7Row]) -> Vec<Claim> {
+    vec![Claim::new(
+        "fig7",
+        !rows.is_empty() && rows.iter().all(|r| r.reversed_pct > 0.0),
+        "a significant non-zero share of messages is reversed after interpolation in both applications",
+    )]
+}
+
+/// Print precomputed Fig. 7 rows and their claim.
+pub fn print_rows(rows: &[Fig7Row]) -> Vec<Claim> {
     let runs = rows.first().map_or(0, |r| r.runs);
     println!("\n## Fig. 7 — Xeon cluster: reversed messages after Scalasca-style interpolation (32 procs, avg of {runs} runs)");
     println!(
@@ -258,12 +260,7 @@ pub fn print_rows(rows: &[Fig7Row]) {
             r.app, r.reversed_pct, r.violated_pct, r.message_event_pct
         );
     }
-    println!("paper shape: a significant non-zero percentage of messages is reversed for both applications.");
-}
-
-/// Print Fig. 7 (compute + print).
-pub fn print_fig7(scale: usize, runs: usize, seed: u64) {
-    print_rows(&fig7(scale, runs, seed));
+    print_claims(claims(rows))
 }
 
 #[cfg(test)]
@@ -271,11 +268,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fig7_violations_are_significant_and_messages_are_a_large_fraction() {
+    fn fig7_claim_holds_and_messages_are_a_large_fraction() {
         // Heavily scaled down for the test suite; the effect survives
         // because the interpolation window geometry is preserved.
         let rows = fig7(30, 1, 9);
         assert_eq!(rows.len(), 2);
+        let claims = claims(&rows);
+        assert!(claims[0].holds, "{claims:?}");
         for r in &rows {
             assert!(
                 r.violated_pct > 0.5,
@@ -290,6 +289,9 @@ mod tests {
                 r.message_event_pct
             );
         }
+        let mut none = rows.clone();
+        none[1].reversed_pct = 0.0;
+        assert!(!super::claims(&none)[0].holds, "one application without reversals");
     }
 
     #[test]

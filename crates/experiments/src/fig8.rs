@@ -8,6 +8,7 @@
 //! violations the most frequent; here which category leads depends on the
 //! team size and the run length, so the printout names the leader per row.
 
+use crate::common::{print_claims, Claim};
 use workloads::{violation_sweep, OmpViolationRow};
 
 /// Run the Fig. 8 sweep (4, 8, 12, 16 threads; `runs` repetitions).
@@ -15,8 +16,18 @@ pub fn fig8(regions: usize, runs: usize, seed: u64) -> Vec<OmpViolationRow> {
     violation_sweep(&[4, 8, 12, 16], regions, runs, seed)
 }
 
-/// Print precomputed Fig. 8 rows.
-pub fn print_rows(rows: &[OmpViolationRow], runs: usize, regions: usize) {
+/// Fig. 8's claim: the share of regions with violations does not grow
+/// with the team.
+pub fn claims(rows: &[OmpViolationRow]) -> Vec<Claim> {
+    vec![Claim::new(
+        "fig8",
+        rows.windows(2).all(|w| w[1].any_pct <= w[0].any_pct),
+        "the share of parallel regions with violations falls as threads are added",
+    )]
+}
+
+/// Print precomputed Fig. 8 rows and their claim.
+pub fn print_rows(rows: &[OmpViolationRow], runs: usize, regions: usize) -> Vec<Claim> {
     println!("\n## Fig. 8 — Itanium SMP: parallel regions with POMP violations (avg of {runs} runs, {regions} regions each)");
     println!(
         "{:>8} {:>10} {:>12} {:>12} {:>14}",
@@ -28,10 +39,10 @@ pub fn print_rows(rows: &[OmpViolationRow], runs: usize, regions: usize) {
             row.threads, row.any_pct, row.entry_pct, row.exit_pct, row.barrier_pct
         );
     }
-    println!("paper shape: 83% affected at 4 threads, dropping sharply; ~0% at 16; the paper reports exit violations as the most frequent.");
     let leaders: Vec<String> =
         rows.iter().map(|row| format!("{} at {}", most_frequent(row), row.threads)).collect();
-    println!("most frequent here: {}", leaders.join(", "));
+    println!("most frequent here (the paper: exit): {}", leaders.join(", "));
+    print_claims(claims(rows))
 }
 
 /// The violation categories with the largest share of `row` as printed
@@ -48,28 +59,21 @@ fn most_frequent(row: &OmpViolationRow) -> String {
     names.join(" = ")
 }
 
-/// Print Fig. 8 beside the paper's anchor values (compute + print).
-pub fn print_fig8(regions: usize, runs: usize, seed: u64) {
-    print_rows(&fig8(regions, runs, seed), runs, regions);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn fig8_shape_matches_the_paper() {
+    fn fig8_claim_holds_on_a_short_sweep() {
         let rows = fig8(120, 3, 2);
         assert_eq!(rows.len(), 4);
-        let any: Vec<f64> = rows.iter().map(|r| r.any_pct).collect();
-        // High at 4 threads.
-        assert!(any[0] > 50.0, "4 threads: {:.1}% (expected high)", any[0]);
-        // Near zero at 16 threads.
-        assert!(any[3] < 12.0, "16 threads: {:.1}% (expected ~0)", any[3]);
-        // Overall declining trend.
-        assert!(
-            any[0] > any[2] && any[1] > any[3],
-            "violations should decline with team size: {any:?}"
-        );
+        let claims = claims(&rows);
+        assert!(claims[0].holds, "{claims:?}");
+        // High at 4 threads, near zero at 16.
+        assert!(rows[0].any_pct > 50.0, "4 threads: {:.1}% (expected high)", rows[0].any_pct);
+        assert!(rows[3].any_pct < 12.0, "16 threads: {:.1}% (expected ~0)", rows[3].any_pct);
+        let mut rising = rows.clone();
+        rising[3].any_pct = rising[2].any_pct + 0.1;
+        assert!(!super::claims(&rising)[0].holds, "16 threads above 12");
     }
 }

@@ -1,7 +1,10 @@
 //! # experiments — regenerate every table and figure of the paper
 //!
 //! Each module regenerates one piece of the paper's evaluation from the
-//! simulated substrate and prints the same rows/series the paper reports:
+//! simulated substrate, at the paper's durations, and prints the same
+//! rows/series the paper reports. Where the paper states a claim about them,
+//! one function per section judges it on those rows ([`common::Claim`]);
+//! the `experiments` binary prints every verdict and exits 1 if one fails.
 //!
 //! | module | paper artefact |
 //! |---|---|

@@ -1,10 +1,12 @@
-//! Command-line driver: `experiments <name>... [--fast] [--seed N] [--csv DIR]`.
+//! Command-line driver: `experiments <name>... [--seed N] [--csv DIR]`.
 //!
 //! Names: `fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 table1 table2 timers
-//! intranode clc online ablations all` (no name means `all`). `--fast`
-//! shortens the long deviation runs and shrinks the application workloads so
-//! the whole campaign completes in well under a minute; without it the runs
-//! use the paper's full durations. An unknown name or option exits non-zero.
+//! intranode clc online ablations all` (no name means `all`). Every run
+//! uses the paper's durations. A section with claims prints one `claim
+//! <id>: holds|FAILS — <statement>` line per claim; the process exits 1 if
+//! any claim it printed fails, and 2 on an unknown name or option.
+//! `crates/experiments/golden/all_seed2008.txt` is the output of
+//! `experiments all` (seed 2008).
 
 #![forbid(unsafe_code)]
 
@@ -21,7 +23,6 @@ const SECTIONS: [&str; 16] = [
 #[derive(Debug)]
 struct Args {
     names: Vec<&'static str>,
-    fast: bool,
     seed: u64,
     csv_dir: Option<PathBuf>,
 }
@@ -29,11 +30,10 @@ struct Args {
 /// Parse the arguments after the program name. The value after `--seed`
 /// or `--csv` is never taken for a section name.
 fn parse_args(args: &[String]) -> Result<Args, String> {
-    let mut parsed = Args { names: Vec::new(), fast: false, seed: 2008, csv_dir: None };
+    let mut parsed = Args { names: Vec::new(), seed: 2008, csv_dir: None };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--fast" => parsed.fast = true,
             "--seed" => {
                 let value = it.next().ok_or("--seed needs a value")?;
                 parsed.seed = value.parse().map_err(|_| format!("--seed {value}: not a u64"))?;
@@ -56,18 +56,22 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Args { names, fast, seed, csv_dir } = parse_args(&args).unwrap_or_else(|e| {
+    let Args { names, seed, csv_dir } = parse_args(&args).unwrap_or_else(|e| {
         eprintln!("experiments: {e}");
         std::process::exit(2);
     });
     let all = names.contains(&"all");
-    // Scale divisors under --fast.
-    let dev_scale = if fast { 10.0 } else { 1.0 };
-    let app_scale = if fast { 30 } else { 4 };
-    let fig8_regions = if fast { 120 } else { 400 };
     let has = |n: &str| all || names.contains(&n);
+    let save_series = |names: &[&str], outcomes: &[deviations::DeviationOutcome]| {
+        if let Some(dir) = &csv_dir {
+            for (name, o) in names.iter().zip(outcomes) {
+                csvout::save_series(dir, name, &o.series).expect("csv written");
+            }
+        }
+    };
+    let mut claims = Vec::new();
 
-    println!("# drift-lab experiment campaign (seed {seed}, fast={fast})");
+    println!("# drift-lab experiment campaign (seed {seed})");
     if has("fig1") {
         fig1_2_3::print_fig1();
     }
@@ -80,38 +84,37 @@ fn main() {
     if has("table1") {
         tables::print_table1();
     }
+    // Table II's extension measures each platform's inter-node latency,
+    // which Fig. 5's and Fig. 6's residuals are held against.
+    let platforms =
+        (has("table2") || has("fig5") || has("fig6")).then(|| tables::table2_platforms(2000, seed));
+    let latency = platforms.as_ref().map(|rows| rows.each_ref().map(|(_, m)| m.mean_us()));
     if has("table2") {
-        tables::print_table2(if fast { 500 } else { 5000 }, seed);
-        tables::print_table2_platforms(if fast { 300 } else { 2000 }, seed);
+        claims.extend(tables::print_table2(&tables::table2(5000, seed)));
+        tables::print_table2_platforms(platforms.as_ref().expect("measured above"));
     }
     if has("timers") {
         tables::print_timer_taxonomy(seed);
     }
     if has("fig4") {
-        let outcomes = deviations::print_fig4(dev_scale, seed);
-        if let Some(dir) = &csv_dir {
-            for (name, o) in &outcomes {
-                csvout::save_series(dir, name, &o.series).expect("csv written");
-            }
-        }
+        let outcomes = deviations::fig4(seed);
+        claims.extend(deviations::print_fig4(&outcomes));
+        save_series(&["fig4a", "fig4b", "fig4c"], &outcomes);
     }
     if has("fig5") {
-        let outcomes = deviations::print_fig5(dev_scale, seed + 10);
-        if let Some(dir) = &csv_dir {
-            for (name, o) in &outcomes {
-                csvout::save_series(dir, name, &o.series).expect("csv written");
-            }
-        }
+        let outcomes = deviations::fig5(seed + 10);
+        claims.extend(deviations::print_fig5(&outcomes, &latency.expect("measured above")));
+        save_series(&["fig5a", "fig5b", "fig5c"], &outcomes);
     }
     if has("fig6") {
-        let o = deviations::print_fig6(if fast { 2.0 } else { 1.0 }, seed + 22);
-        if let Some(dir) = &csv_dir {
-            csvout::save_series(dir, "fig6", &o.series).expect("csv written");
-        }
+        let outcome = deviations::fig6(common::RunLength::short(), seed + 22);
+        let [xeon, ..] = latency.expect("measured above");
+        claims.extend(deviations::print_fig6(&outcome, xeon));
+        save_series(&["fig6"], std::slice::from_ref(&outcome));
     }
     if has("fig7") {
-        let rows = fig7::fig7(app_scale, 3, seed + 30);
-        fig7::print_rows(&rows);
+        let rows = fig7::fig7(4, 3, seed + 30);
+        claims.extend(fig7::print_rows(&rows));
         if let Some(dir) = &csv_dir {
             let table: Vec<Vec<String>> = rows
                 .iter()
@@ -129,8 +132,8 @@ fn main() {
         }
     }
     if has("fig8") {
-        let rows = fig8::fig8(fig8_regions, 3, seed + 40);
-        fig8::print_rows(&rows, 3, fig8_regions);
+        let rows = fig8::fig8(400, 3, seed + 40);
+        claims.extend(fig8::print_rows(&rows, 3, 400));
         if let Some(dir) = &csv_dir {
             let table: Vec<Vec<String>> = rows
                 .iter()
@@ -149,13 +152,13 @@ fn main() {
         }
     }
     if has("intranode") {
-        intranode::print_intranode(if fast { 60.0 } else { 300.0 }, seed + 50);
+        claims.extend(intranode::print_intranode(&intranode::intranode(300.0, seed + 50), 300.0));
     }
     if has("clc") {
-        clc_exp::print_clc(app_scale, seed + 60);
+        claims.extend(clc_exp::print_clc(&clc_exp::clc_survey(4, seed + 60)));
     }
     if has("online") {
-        let rows = online_exp::print_online(if fast { 600 } else { 2500 }, seed + 90);
+        let rows = online_exp::print_online(2500, seed + 90);
         if let Some(dir) = &csv_dir {
             let table: Vec<Vec<String>> = rows
                 .iter()
@@ -177,6 +180,11 @@ fn main() {
     if has("ablations") {
         ablations::print_ablations(seed + 70);
     }
+    let failed = claims.iter().filter(|c| !c.holds).count();
+    println!("\n# claims: {} hold, {failed} fail", claims.len() - failed);
+    if failed > 0 {
+        std::process::exit(1);
+    }
 }
 
 #[cfg(test)]
@@ -189,13 +197,15 @@ mod tests {
 
     #[test]
     fn unknown_names_fail_and_option_values_are_never_names() {
-        let err = parse("fgi7 --fast").unwrap_err();
+        let err = parse("fgi7").unwrap_err();
         assert!(err.contains("fgi7") && err.contains("fig7 fig8"), "{err}");
+        let err = parse("all --fast").unwrap_err();
+        assert!(err.contains("\"--fast\""), "the campaign has one length: {err}");
         let args = parse("table1 --csv fig1 --seed 7").unwrap();
         assert_eq!(args.names, ["table1"]);
         assert_eq!(args.csv_dir, Some(PathBuf::from("fig1")));
         assert_eq!(args.seed, 7);
-        assert_eq!(parse("--seed 9 --fast").unwrap().names, ["all"]);
+        assert_eq!(parse("--seed 9").unwrap().names, ["all"]);
         assert!(parse("--seed fig1").is_err());
         assert!(parse("clc --csv").is_err());
     }

@@ -8,13 +8,11 @@
 //! how they fit a function into it: [`duda`] (regression and convex hull,
 //! 1987), [`hofmann`] (interval min/max midpoints, 1993), [`jezequel`]
 //! (spanning-tree composition, 1989), [`babaoglu`] (full-exchange bounds,
-//! 1987). Beside them: [`domains`], the clock-domain-aware CLC written over
-//! the public CLC; [`PiecewiseInterpolation`], Eq. 3 through any number of
-//! anchors; and [`truth`], which scores any of them against the true event
-//! times the simulator recorded.
+//! 1987). Beside them: [`PiecewiseInterpolation`], Eq. 3 through any
+//! number of anchors; and [`truth`], which scores any of them against the
+//! true event times the simulator recorded.
 
 pub mod babaoglu;
-pub mod domains;
 pub mod duda;
 pub mod hofmann;
 pub mod jezequel;

@@ -82,9 +82,15 @@ impl TruthReport {
     }
 }
 
-/// Relative change of every positive reference interval between
-/// consecutive events of one timeline, percent: `100 · |stamped − ref| /
-/// ref`, one sample per interval.
+/// The shortest reference interval [`interval_distortion`] scores, µs.
+/// Below it a clock read's noise is a large part of the interval itself
+/// (an `Enter` → `Exit` gap of a few hundred ns), and the relative change
+/// measures that noise, not the correction.
+pub const MIN_SCORED_INTERVAL_US: f64 = 1.0;
+
+/// Relative change of every reference interval of at least
+/// [`MIN_SCORED_INTERVAL_US`] between consecutive events of one timeline,
+/// percent: `100 · |stamped − ref| / ref`, one sample per interval.
 pub fn interval_distortion(
     reference: impl IntoIterator<Item = Time>,
     stamped: impl IntoIterator<Item = Time>,
@@ -94,7 +100,7 @@ pub fn interval_distortion(
     for (r, s) in reference.into_iter().zip(stamped) {
         if let Some((pr, ps)) = prev {
             let orig = (r - pr).as_us_f64();
-            if orig > 0.0 {
+            if orig >= MIN_SCORED_INTERVAL_US {
                 let corr = (s - ps).as_us_f64();
                 out.add(100.0 * (corr - orig).abs() / orig);
             }
@@ -153,5 +159,14 @@ mod tests {
         assert_eq!((untouched.moved_closer, untouched.moved_further), (0, 0));
         assert_eq!(untouched.interval_distortion_pct, 0.0);
         assert_eq!(untouched.within_share, 0.0);
+    }
+
+    #[test]
+    fn intervals_under_a_microsecond_are_not_scored() {
+        let reference = [0, 999_999, 2_000_000, 2_000_000].map(Time::from_ps);
+        let stamped = [0, 1_999_999, 3_000_000, 3_500_000].map(Time::from_ps);
+        // Only the 1 µs interval counts: stamped 1 µs, +0 %.
+        let d = interval_distortion(reference, stamped);
+        assert_eq!((d.count(), d.mean()), (1, 0.0));
     }
 }

@@ -132,12 +132,6 @@ if self.wrap && !self.states[rank].entered_call {
 if self.wrap {
 tests/end_to_end.rs::simulator_pin_nonblocking_mix tests/end_to_end.rs::simulator_pin_pop_wrapped
 
-certificate without its successor-order check
-crates/core/src/clc/columnar.rs
-c[i] <= c[i + 1]
-true
-clocksync::clc::columnar::tests::an_unordered_moved_event_is_refused
-
 certificate without its span check
 crates/core/src/clc/columnar.rs
 last.checked_sub(*first).is_some_and(|span| span < 1 << 52)

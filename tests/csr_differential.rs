@@ -7,9 +7,8 @@
 //! structure (the oracle of `tests/common/clc_reference.rs`, run by
 //! `common::reference_synchronize`) or the CSR graph: the kernel inside the
 //! pipeline, and the same kernel behind the public
-//! `controlled_logical_clock` and `_pomp` lowerings (and the domain-aware
-//! CLC of `experiments::survey::domains`, written over the former). (The
-//! fixture generators live in `tests/common/mod.rs`.)
+//! `controlled_logical_clock` and `_pomp` lowerings. (The fixture
+//! generators live in `tests/common/mod.rs`.)
 
 mod common;
 
@@ -600,37 +599,3 @@ fn pomp_lowering_reproduces_the_recorded_walker_output() {
     }
 }
 
-/// `controlled_logical_clock_with_domains` on the fixture of its unit tests
-/// (clock-mates 0 and 1 with parallel local activity, a violated message
-/// from the remote timeline 2 landing mid-stream on 0), recorded while its
-/// phase 1 ran the map walker and its phase 3 re-matched and re-lowered
-/// the trace. (The same pin on the bench corpus lives beside the function,
-/// in `crates/experiments/src/survey/domains.rs`.)
-#[test]
-fn domain_clc_reproduces_its_recorded_output() {
-    use drift_lab::experiments::survey::domains::controlled_logical_clock_with_domains;
-    use drift_lab::tracefmt::{RegionId, Tag};
-    let enter = EventKind::Enter { region: RegionId(0) };
-    let mut base = Trace::for_ranks(3);
-    for k in (0..10i64).chain(11..40) {
-        if k == 11 {
-            base.procs[2]
-                .push(Time::from_us(250), EventKind::Send { to: Rank(0), tag: Tag(0), bytes: 0 });
-            base.procs[0]
-                .push(Time::from_us(100), EventKind::Recv { from: Rank(2), tag: Tag(0), bytes: 0 });
-        }
-        base.procs[0].push(Time::from_us(k * 10), enter);
-        base.procs[1].push(Time::from_us(k * 10), enter);
-    }
-    let forward_only = ClcParams { backward: false, ..ClcParams::default() };
-    for (params, times, moved) in [
-        (ClcParams::default(), 0x2e7c_d9b5_fdfc_9b8e_u64, 69),
-        (forward_only, 0x5c25_9aa6_4ec5_afbc, 59),
-    ] {
-        let mut t = base.clone();
-        let rep = controlled_logical_clock_with_domains(&mut t, &LMIN_4US, &params, &[0, 0, 1])
-            .expect("acyclic");
-        assert_eq!(clc_fingerprints(&t, &rep), (times, 0xd196_bf93_7ec8_64d3));
-        assert_eq!((rep.n_jumps(), rep.max_jump, rep.events_moved), (1, Dur::from_us(154), moved));
-    }
-}

@@ -1,10 +1,7 @@
 //! Integration tests for the beyond-the-paper extensions, chained across
-//! crates: the CLC on a wavefront, POMP and the domain-aware CLC.
+//! crates: the CLC on a wavefront and POMP.
 
 use drift_lab::clocksync::{controlled_logical_clock, controlled_logical_clock_pomp, ClcParams};
-use drift_lab::experiments::survey::domains::{
-    controlled_logical_clock_with_domains, domain_misalignment,
-};
 use drift_lab::prelude::*;
 use drift_lab::workloads::SweepConfig;
 
@@ -45,39 +42,6 @@ fn diff_clc_chain_on_a_wavefront() {
     let rep = controlled_logical_clock(&mut fixed, &lmin, &ClcParams::default()).unwrap();
     assert!(check_p2p(&fixed, &match_messages(&fixed), &lmin).violations.is_empty());
     assert_eq!(shifts_us(&raw, &fixed).filter(|&s| s != 0.0).count(), rep.events_moved);
-}
-
-#[test]
-fn domain_clc_on_simulated_cluster_respects_chip_domains() {
-    // Ranks sharing a chip share a clock; the domain-aware CLC must keep
-    // them rigid where the plain CLC tears them apart.
-    let cfg = SweepConfig::small();
-    let mut cluster = sweep_cluster(9);
-    let out = run(&mut cluster, &cfg.build(), &RunOptions::default()).unwrap();
-    let raw = out.trace;
-    let shape = cluster.placement.shape();
-    let domains: Vec<usize> = (0..16)
-        .map(|r| shape.chip_of(cluster.placement.core_of(r)))
-        .collect();
-    let lmin = UniformLatency(Dur::from_us(4));
-
-    let mut plain = raw.clone();
-    controlled_logical_clock(&mut plain, &lmin, &ClcParams::default()).unwrap();
-    let mut aware = raw.clone();
-    controlled_logical_clock_with_domains(&mut aware, &lmin, &ClcParams::default(), &domains)
-        .unwrap();
-
-    let mis_plain = domain_misalignment(&raw, &plain, &domains, Dur::from_us(50));
-    let mis_aware = domain_misalignment(&raw, &aware, &domains, Dur::from_us(50));
-    assert!(
-        mis_aware <= mis_plain,
-        "domain-aware ({mis_aware:?}) should not be worse than plain ({mis_plain:?})"
-    );
-    // Both restore the condition.
-    for t in [&plain, &aware] {
-        let m = match_messages(t);
-        assert!(check_p2p(t, &m, &lmin).violations.is_empty());
-    }
 }
 
 #[test]

@@ -472,7 +472,7 @@ proptest! {
     }
 }
 
-// -------- extensions: POMP CLC and clock-domain-aware CLC -----------------
+// -------- extensions: POMP CLC -------------------------------------------------
 
 /// A random POMP trace: a team of 2–6 threads, several region instances,
 /// per-thread clock skews corrupting the recorded timestamps.
@@ -542,35 +542,5 @@ proptest! {
         let rep = check_pomp(&t, &regions);
         prop_assert_eq!(rep.any_violations, 0, "POMP CLC left violations");
         prop_assert!(t.is_locally_monotone());
-    }
-
-    #[test]
-    fn domain_clc_keeps_constraints_and_never_moves_backward(
-        (trace, lmin_us) in arb_skewed_trace(),
-        split in 1usize..4,
-    ) {
-        use drift_lab::experiments::survey::domains::controlled_logical_clock_with_domains;
-        let n = trace.n_procs();
-        // Group processes into `split` clock domains round-robin.
-        let domains: Vec<usize> = (0..n).map(|p| p % split.min(n)).collect();
-        let before = trace.clone();
-        let mut t = trace;
-        let lmin = UniformLatency(Dur::from_us(lmin_us));
-        controlled_logical_clock_with_domains(
-            &mut t,
-            &lmin,
-            &drift_lab::clocksync::ClcParams::default(),
-            &domains,
-        )
-        .unwrap();
-        let m = match_messages(&t);
-        let rep = check_p2p(&t, &m, &lmin);
-        prop_assert!(rep.violations.is_empty(), "domain CLC left violations");
-        prop_assert!(t.is_locally_monotone());
-        for p in 0..n {
-            for (a, b) in t.procs[p].events.iter().zip(&before.procs[p].events) {
-                prop_assert!(a.time >= b.time, "domain CLC moved an event backward");
-            }
-        }
     }
 }
