@@ -34,14 +34,14 @@
 //! aggregated evaluation of classed N-to-N collectives ([`CollPass`], batch
 //! only — an aggregate would outlive the lanes' retired segments).
 //!
-//! The batch driver also skips the closing μ = 1 sweep where a certificate
-//! ([`sweep_leaves`]) proves it idle. The forward output F is a fixed point
-//! of the sweep (monotone, and above every remote bound); the walks only
-//! move events forward, and [`backward_walk`] keeps their output C monotone
-//! and every moved event at or below what its consumers' F allow (its cap
-//! and its non-increasing shifts); so the sweep leaves C as it is unless a
-//! timeline spans 2⁵² ps — beyond that `Dur::scale(1.0)` rounds a gap, up
-//! as well as down. The windowed engine decides from the span alone too.
+//! The CLC ends with its walks; no closing μ = 1 forward sweep follows
+//! them. The forward output F is a fixed point of such a sweep (monotone,
+//! and above every remote bound); the walks only move events forward, and
+//! [`backward_walk`] keeps their output C monotone (its shifts never grow
+//! going back) and every moved event at or below what its consumers' F
+//! allow (its cap). So C meets every constraint F met, and the sweep could
+//! only have changed it by rounding: past 2⁵² ps its `Dur::scale(1.0)`
+//! rounds a gap, up as well as down, even on a trace without a message.
 //!
 //! # What a run allocates
 //!
@@ -50,9 +50,9 @@
 //! callers (the pipeline's `clc` stage and the public drivers, which
 //! gather their own columns) drop them on `Err` before anything is written
 //! back. `events_moved` is counted from a 1-bit-per-event set ([`Moved`])
-//! that the forward pass, the backward walks and the μ = 1 sweep mark as
-//! they raise times. The backward caps read the forward times of the
-//! events that consume a constraint, and only those are kept
+//! that the forward pass and the backward walks mark as they raise times.
+//! The backward caps read the forward times of the events that consume a
+//! constraint, and only those are kept
 //! ([`Snapshot`]): one word per message, one per collective member row and
 //! one per POMP event.
 //!
@@ -67,11 +67,10 @@ use simclock::{Dur, Time};
 use tracefmt::{EventId, TraceColumns};
 
 /// The CLC on timestamp columns over the CSR graph: forward pass, then —
-/// when configured — backward amortization and a μ = 1 forward sweep that
-/// guarantees the postcondition whatever the clamping left — run only
-/// where its certificate fails (module docs). Latencies live on the graph
-/// edges, so no latency model is consulted here. On error the columns hold
-/// a partial pass; the caller drops them.
+/// when configured — backward amortization, whose output is final (module
+/// docs). Latencies live on the graph edges, so no latency model is
+/// consulted here. On error the columns hold a partial pass; the caller
+/// drops them.
 pub(crate) fn controlled_logical_clock_columnar_csr(
     cols: &mut TraceColumns,
     graph: &DepGraph,
@@ -80,8 +79,8 @@ pub(crate) fn controlled_logical_clock_columnar_csr(
     validate(params)?;
     let mut moved = Moved::new(cols.n_events());
     let mut report = forward_pass_csr(cols, graph, params.mu, &mut moved)?;
-    if params.backward && !backward_amortization_csr(cols, graph, params, &report.jumps, &mut moved) {
-        forward_pass_csr(cols, graph, 1.0, &mut moved)?;
+    if params.backward {
+        backward_amortization_csr(cols, graph, params, &report.jumps, &mut moved);
     }
     report.events_total = cols.n_events();
     report.events_moved = moved.count();
@@ -384,8 +383,7 @@ pub(crate) fn forward_pass_csr(
 
 /// Backward amortization over columns and CSR out-edges: smooth each jump
 /// over a window of preceding events with a linear ramp, clamped so no
-/// outgoing message or collective contribution becomes violated. Returns
-/// whether the μ = 1 sweep may be skipped ([`sweep_leaves`]).
+/// outgoing message or collective contribution becomes violated.
 ///
 /// Remote constraint times are read from a **snapshot** of the consumers'
 /// forward times ([`Snapshot`]): the result is independent of timeline
@@ -399,13 +397,13 @@ fn backward_amortization_csr(
     params: &ClcParams,
     jumps: &[Jump],
     moved: &mut Moved,
-) -> bool {
+) {
     let snapshot = Snapshot::take(graph, cols.flat());
     let mut per_proc: Vec<Vec<Jump>> = vec![Vec::new(); cols.n_procs()];
     for j in jumps {
         per_proc[j.event.p()].push(*j);
     }
-    let (mut caps, mut idle) = (CollPass::new(graph), true);
+    let mut caps = CollPass::new(graph);
     for (p, col) in cols.iter_mut_slices() {
         debug_assert!(per_proc[p].windows(2).all(|w| w[0].event.i() < w[1].event.i()));
         let base = graph.base(p);
@@ -415,19 +413,7 @@ fn backward_amortization_csr(
             let mut line = Marked { col: &mut *col, base: base as usize, moved: &mut *moved };
             backward_walk(&walk, base, &mut line, |gid| caps.latest(graph, gid, &snapshot));
         }
-        idle = idle && sweep_leaves(col);
     }
-    idle
-}
-
-/// The certificate (module docs) on one timeline's amortized times `c`:
-/// `true` while the μ = 1 sweep would leave it as it is — while it spans
-/// less than 2⁵² ps, where every gap is exact in `f64` (checked
-/// subtraction).
-fn sweep_leaves(c: &[i64]) -> bool {
-    c.first().zip(c.last()).is_none_or(|(first, last)| {
-        last.checked_sub(*first).is_some_and(|span| span < 1 << 52)
-    })
 }
 
 #[cfg(test)]
@@ -526,13 +512,12 @@ mod tests {
         }
     }
 
-    /// The certified run against the driver as it was, sweeping always, on
-    /// skewed mixed traces and on the same traces with one timeline's first
-    /// half moved 2⁶⁰ ps back: the certificate holds on the first, its span
-    /// check fails on the second, and either way the two runs agree on every
-    /// timestamp, the jump sequence, `max_jump` and `events_moved`.
+    /// The moved-event set against the positions of the slab that
+    /// changed, on skewed mixed traces and on the same traces with one
+    /// timeline's first half moved 2⁶⁰ ps back: the events the pass and
+    /// the walks mark are exactly those that end above their input.
     #[test]
-    fn certified_runs_equal_the_forced_sweep() {
+    fn the_moved_set_is_what_the_run_raised() {
         let params = ClcParams::default();
         for (procs, rounds) in [(2, 9), (5, 17), (8, 23)] {
             let skewed = fixtures::mixed_trace(procs, rounds);
@@ -541,17 +526,12 @@ mod tests {
             for e in &mut split.procs[1].events[..half] {
                 e.time = e.time.saturating_sub(Dur::from_ps(1 << 60));
             }
-            for (trace, holds) in [(&skewed, true), (&split, false)] {
+            for trace in [&skewed, &split] {
                 let (graph, cols) = (graph_of(trace), TraceColumns::gather(trace));
-                let (mut a, mut b) = (cols.clone(), cols.clone());
-                let ra = controlled_logical_clock_columnar_csr(&mut a, &graph, &params).unwrap();
-                let mut moved = Moved::new(cols.n_events());
-                let mut rb = forward_pass_csr(&mut b, &graph, params.mu, &mut moved).unwrap();
-                let certified = backward_amortization_csr(&mut b, &graph, &params, &rb.jumps, &mut moved);
-                assert_eq!(certified, holds);
-                forward_pass_csr(&mut b, &graph, 1.0, &mut moved).unwrap();
-                rb.events_moved = count_moved(b.flat(), cols.flat());
-                assert_same_run((&a, &ra), (&b, &rb), &format!("{procs}x{rounds}, certificate {holds}"));
+                let mut fixed = cols.clone();
+                let rep = controlled_logical_clock_columnar_csr(&mut fixed, &graph, &params).unwrap();
+                assert!(rep.n_jumps() > 0, "{procs}x{rounds}: nothing to correct");
+                assert_eq!(rep.events_moved, count_moved(fixed.flat(), cols.flat()), "{procs}x{rounds}");
             }
         }
     }

@@ -25,11 +25,10 @@
 //!   next block's emission or a pending walk needs, at most one segment
 //!   per epoch; it applies the walks and advances a *safety frontier* `b`
 //!   past events no remaining walk can reach, and F retires behind the
-//!   least walked time any `b` has passed. The sweep decides the μ = 1
-//!   pass once: where no timeline spans 2⁵² ps it is idle, and a *finality
-//!   frontier* follows `b` in that same time order; elsewhere the frontier
-//!   certifies each event to a fixpoint across timelines, and an event the
-//!   certificate refuses takes the μ = 1 step in place (`clc:resweep`);
+//!   least walked time any `b` has passed. A walked value is final once
+//!   `b` has passed it — the CLC ends with its walks (no closing μ = 1
+//!   pass, see [`crate::clc::columnar`]) — and a *finality frontier*
+//!   follows `b` in that same time order;
 //! * final blocks are re-encoded by [`FrameWriter`] with their payload
 //!   bytes passed through verbatim and streamed out as self-contained
 //!   chunks whose concatenation is a well-formed `DTC3` stream; a block's
@@ -73,7 +72,7 @@ use super::{
 use crate::clc::columnar::{
     backward_walk, candidate, count_moved, forward_step, latest_allowed, Timeline, Walk,
 };
-use crate::clc::graph::{DepGraph, Edges};
+use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
@@ -522,8 +521,7 @@ impl<'a> Sweep<'a> {
 }
 
 /// Run the one cross-timeline forward sweep to the end of every timeline,
-/// recording each jump per timeline in index order, and the widest span of
-/// a timeline's forward values ([`Apply::new`] decides by it). Corrected values are
+/// recording each jump per timeline in index order. Corrected values are
 /// kept only while a remote consumer still needs them (the per-segment
 /// read counters). Without backward amortization they are final, and
 /// `emit` sends each block the frontier has passed; with it, nothing is
@@ -534,11 +532,10 @@ fn forward_sweep(
     graph: &DepGraph,
     cancel: &CancelToken,
     mut emit: Option<&mut Emitter<'_>>,
-) -> Result<(Vec<Vec<Found>>, Option<i64>), PipelineError> {
+) -> Result<Vec<Vec<Found>>, PipelineError> {
     let lens = &src.stream.index.proc_lens;
     let n = lens.len();
     let mut found: Vec<Vec<Found>> = vec![Vec::new(); n];
-    let mut first: Vec<Option<i64>> = vec![None; n];
 
     while (0..n).any(|p| fwd.frontier[p] < lens[p]) {
         cancel.check()?;
@@ -547,9 +544,6 @@ fn forward_sweep(
             let burst = fwd.out[p].w;
             let record = |k, at, delta| found[p].push(Found { k, delta, at });
             progressed |= fwd.advance(graph, p, lens[p], burst, src, record);
-            if first[p].is_none() && fwd.frontier[p] > 0 {
-                first[p] = Some(fwd.out[p].get(0));
-            }
             src.input[p].retire(fwd.frontier[p]);
             let mut done = fwd.frontier[p];
             if let Some(emit) = emit.as_deref_mut() {
@@ -562,37 +556,7 @@ fn forward_sweep(
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
-    // The widest span from a timeline's first to its last forward value,
-    // `None` past `i64`: every walked value lies between the two.
-    let span = first.into_iter().zip(fwd.prev).try_fold(0, |widest: i64, (first, last)| {
-        first.zip(last).map_or(Some(widest), |(a, (_, z))| Some(widest.max(z.as_ps().checked_sub(a)?)))
-    });
-    Ok((found, span))
-}
-
-/// The finality check — the batch engine's μ = 1 certificate (DESIGN
-/// §11.1) per event: whether the μ = 1 step would leave an event at its
-/// walked time `c`, given its predecessor's (walked, final) pair `prev`
-/// and its producers' final values (`None` while one is not final). It
-/// would when the predecessor is final at its walked time, `c` is not below
-/// it, the gap is under 2⁵² ps (below that `Dur::scale(1.0)` is exact) and
-/// no producer's value plus its edge latency exceeds `c`.
-#[inline(always)]
-fn certified(
-    c: Time,
-    prev: Option<(Time, Time)>,
-    srcs: Edges<'_>,
-    value: impl Fn(u32) -> Option<i64>,
-) -> Option<bool> {
-    let mut holds = prev.is_none_or(|(walked, fin)| {
-        walked == fin
-            && c >= walked
-            && c.saturating_since(walked) < Dur::from_ps(1 << 52)
-    });
-    for (src, lat) in srcs.iter() {
-        holds &= Time::from_ps(value(src)?).saturating_add(Dur::from_ps(lat)) <= c;
-    }
-    Some(holds)
+    Ok(found)
 }
 
 /// The backward path after the sweep (DESIGN §15.3), per timeline: the
@@ -607,18 +571,9 @@ struct Apply<'a, 'g> {
     /// safety frontier has passed (DESIGN §15.3).
     fwd: Vec<Lane<'a>>,
     slack: i64,
-    /// C, the walked values, rewritten in place where the certificate
-    /// fails; unless `idle`, a final value owes one read per out-edge (a
-    /// consumer's finality check).
+    /// C, the walked values: the output.
     walked: Vec<Lane<'a>>,
     at: Vec<Frontiers>,
-    /// No timeline's forward values span 2⁵² ps: the μ = 1 pass is idle.
-    /// They all fit an `i64`: the walked lanes stay ordered.
-    idle: bool,
-    ordered: bool,
-    /// Events the certificate refused, and the time their μ = 1 steps took.
-    resteps: usize,
-    restep_time: Duration,
 }
 
 /// One timeline's frontiers in [`Apply`].
@@ -641,13 +596,13 @@ struct Frontiers {
     /// `j` is the next unapplied one, every event at or below it is never
     /// written again and never visited.
     sufmin: Vec<(Time, u64)>,
-    /// The safety frontier `b`; while the lanes stay ordered, every event at
-    /// or past it is walked to at least `passed`, the last value it passed.
+    /// The safety frontier `b`: every event at or past it is walked to at
+    /// least `passed`, the last value it passed (a timeline's walked values
+    /// are ordered).
     safe: u64,
     passed: i64,
-    /// The finality frontier and its last event's (walked, final) pair.
+    /// The finality frontier.
     settled: u64,
-    settle_prev: Option<(Time, Time)>,
 }
 
 impl<'a, 'g> Apply<'a, 'g> {
@@ -655,7 +610,6 @@ impl<'a, 'g> Apply<'a, 'g> {
         graph: &'g DepGraph,
         found: &'g [Vec<Found>],
         params: &'g ClcParams,
-        span: Option<i64>,
         slack: i64,
         lanes: impl Fn() -> Vec<Lane<'a>>,
     ) -> Self {
@@ -671,19 +625,7 @@ impl<'a, 'g> Apply<'a, 'g> {
                 Frontiers { sufmin, passed: i64::MIN, ..Frontiers::default() }
             })
             .collect();
-        Apply {
-            graph,
-            found,
-            params,
-            fwd: lanes(),
-            slack,
-            walked: lanes(),
-            at,
-            idle: span.is_some_and(|span| span < 1 << 52),
-            ordered: span.is_some(),
-            resteps: 0,
-            restep_time: Duration::ZERO,
-        }
+        Apply { graph, found, params, fwd: lanes(), slack, walked: lanes(), at }
     }
 
     /// Replay timeline `p`'s forward values up to `upto`, one timeline at a
@@ -788,91 +730,33 @@ impl<'a, 'g> Apply<'a, 'g> {
 
     /// Advance timeline `p`'s finality frontier behind the safety frontier
     /// — one event short of it while walks remain, since a walk may still
-    /// read its break element. Where the μ = 1 pass is idle, an event is
-    /// final at its walked time, and the frontier stops at one walked past
-    /// `bound`, the least any safety frontier has passed, so that no
-    /// timeline's lanes run ahead of its producers'. Elsewhere it stops at
-    /// an event whose producers are not all final; an event the certificate
-    /// holds for is final at its walked time, one it refuses takes the μ = 1
-    /// step ([`Apply::restep`]). Whether it moved.
+    /// read its break element — up to the first event walked past `bound`,
+    /// the least any safety frontier has passed, so that no timeline's
+    /// lanes run ahead of its producers'. Whether it moved.
     #[inline(always)]
     fn settle(&mut self, p: usize, bound: i64) -> bool {
-        let graph = self.graph;
-        let base = graph.base(p);
-        let walks_left = self.at[p].next_walk < self.found[p].len();
-        let limit = self.at[p].safe - u64::from(walks_left && self.at[p].safe > 0);
-        let start = self.at[p].settled;
-        let mut last = self.at[p].settle_prev;
-        while self.at[p].settled < limit {
-            let i = self.at[p].settled;
-            let c = Time::from_ps(self.walked[p].get(i));
-            if self.idle {
-                if c.as_ps() > bound {
-                    break;
-                }
-                self.at[p].settled += 1;
-                continue;
-            }
-            let gid = base + i as u32;
-            let srcs = graph.in_of(gid);
-            let value = |src| {
-                let (q, j) = graph.locate(src);
-                ((j as u64) < self.at[q].settled).then(|| self.walked[q].get(j as u64))
-            };
-            let Some(holds) = certified(c, last, srcs, value) else {
-                break;
-            };
-            let fin = if holds { c } else { self.restep(p, i, c, last) };
-            last = Some((c, fin));
-            let owed = graph.out_of(gid).len();
-            if owed > 0 {
-                self.walked[p].owe(i, owed as i64);
-            }
-            for (src, _) in srcs.iter() {
-                let (q, j) = graph.locate(src);
-                self.walked[q].owe(j as u64, -1);
-            }
-            self.at[p].settled += 1;
+        let at = &mut self.at[p];
+        let walks_left = at.next_walk < self.found[p].len();
+        let limit = at.safe - u64::from(walks_left && at.safe > 0);
+        let start = at.settled;
+        while at.settled < limit && self.walked[p].get(at.settled) <= bound {
+            at.settled += 1;
         }
-        self.at[p].settle_prev = last;
-        self.at[p].settled != start
-    }
-
-    /// The μ = 1 step for event `i` of timeline `p`, walked to `c`, whose
-    /// producers are final: what the batch engine's re-sweep gives it,
-    /// written over the walked value in place.
-    #[cold]
-    #[inline(never)]
-    fn restep(&mut self, p: usize, i: u64, c: Time, prev: Option<(Time, Time)>) -> Time {
-        let t0 = Instant::now();
-        let graph = self.graph;
-        let srcs = graph.in_of(graph.base(p) + i as u32);
-        let value = |src| {
-            let (q, j) = graph.locate(src);
-            Some(self.walked[q].get(j as u64))
-        };
-        let fin = forward_step(c, prev, 1.0, None, srcs, value, |_| {})
-            .expect("a certified event's producers are final");
-        self.walked[p].set(i, fin.as_ps());
-        self.resteps += 1;
-        self.restep_time += t0.elapsed();
-        fin
+        at.settled != start
     }
 }
 
 /// The backward path's epoch loop after the sweep. Per epoch: per timeline,
 /// replay as far as emitting the next block or applying a pending walk
-/// needs, and walk; then the finality frontiers; then, per timeline, emit
-/// the blocks wholly final and retire what no reader needs: F below what
-/// every safety frontier has passed, the walked lane once emitted and its
-/// finality reads are paid. Returns the events the certificate refused and
-/// the time their steps took.
+/// needs, and walk; then, per timeline, advance the finality frontier,
+/// emit the blocks wholly final and retire what no reader needs: F below
+/// what every safety frontier has passed, the walked lane once emitted.
 fn apply_and_emit(
     src: &mut Source<'_>,
     mut ap: Apply<'_, '_>,
     cancel: &CancelToken,
     emit: &mut Emitter<'_>,
-) -> Result<(usize, Duration), PipelineError> {
+) -> Result<(), PipelineError> {
     let index = src.stream.index;
     let lens = &index.proc_lens;
     let n = lens.len();
@@ -889,14 +773,11 @@ fn apply_and_emit(
             progressed |= ap.replay(p, upto.max(ap.at[p].replayed), src);
             progressed |= ap.walk(p);
         }
-        // The least walked time any safety frontier has passed, of use
-        // while the walked lanes stay ordered.
+        // The least walked time any safety frontier has passed.
         let passed = |p: usize| if ap.at[p].safe == lens[p] { i64::MAX } else { ap.at[p].passed };
-        let lo = if ap.ordered { (0..n).map(passed).min().unwrap_or(i64::MAX) } else { i64::MIN };
-        while (0..n).fold(false, |moved, p| ap.settle(p, lo) | moved) {
-            progressed = true;
-        }
+        let lo = (0..n).map(passed).min().unwrap_or(i64::MAX);
         for p in 0..n {
+            progressed |= ap.settle(p, lo);
             progressed |= emit.blocks(p, ap.at[p].settled, &ap.walked[p], &mut src.stream)?;
             ap.retire_fwd(p, lo);
             ap.walked[p].retire(emit.emitted[p]);
@@ -908,7 +789,7 @@ fn apply_and_emit(
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
-    Ok((ap.resteps, ap.restep_time))
+    Ok(())
 }
 
 /// Where corrected output chunks go: a consumer called with each chunk, in
@@ -1181,7 +1062,7 @@ pub fn synchronize_stream_incremental_with_sink(
             let mut src = Source { stream, input: lanes(), next_block: vec![0; n] };
             let t0 = Instant::now();
             let (found, emit) = if params.backward {
-                let (found, span) = forward_sweep(&mut src, sweep, &graph, cancel, None)?;
+                let found = forward_sweep(&mut src, sweep, &graph, cancel, None)?;
                 stats.stages.push(StageStats::new("clc:discover", n_events, t0.elapsed()));
                 let t0 = Instant::now();
                 let mut emit = Emitter::open(n, consume)?;
@@ -1192,22 +1073,20 @@ pub fn synchronize_stream_incremental_with_sink(
                 let table = &table;
                 let lats = ranks.iter().flat_map(|&a| ranks.iter().map(move |&b| table.l_min(a, b)));
                 let slack = lats.min().map_or(0, |l| l.as_ps().saturating_neg().max(0));
-                let ap = Apply::new(&graph, &found, params, span, slack, lanes);
-                let (resteps, restep_time) = apply_and_emit(&mut src, ap, cancel, &mut emit)?;
-                let apply_time = t0.elapsed().saturating_sub(emit.time + restep_time);
+                let ap = Apply::new(&graph, &found, params, slack, lanes);
+                apply_and_emit(&mut src, ap, cancel, &mut emit)?;
+                let apply_time = t0.elapsed().saturating_sub(emit.time);
                 stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
-                if resteps > 0 {
-                    stats.stages.push(StageStats::new("clc:resweep", resteps, restep_time));
-                }
                 (found, emit)
             } else {
                 let mut emit = Emitter::open(n, consume)?;
-                let (found, _) = forward_sweep(&mut src, sweep, &graph, cancel, Some(&mut emit))?;
+                let found = forward_sweep(&mut src, sweep, &graph, cancel, Some(&mut emit))?;
                 let apply_time = t0.elapsed().saturating_sub(emit.time);
                 stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
                 (found, emit)
             };
             let mut report = ClcReport::default();
+            report.jumps.reserve_exact(found.iter().map(Vec::len).sum());
             for (p, jumps) in found.iter().enumerate() {
                 for jump in jumps {
                     report.jumps.push(Jump { event: EventId::new(p, jump.k as usize), size: jump.delta });
@@ -1284,14 +1163,13 @@ mod tests {
     }
 
     /// Every window size against the batch engine, bit for bit. Beside a
-    /// small mixed trace: the skewed mixed traces of the batch re-sweep's
-    /// certificate test, where the per-event certificate holds everywhere,
-    /// and the same with one timeline's first half moved 2⁶⁰ ps back, where
-    /// it fails at the split and the μ = 1 step takes over (`clc:resweep`).
+    /// small mixed trace: skewed mixed traces, and the same with one
+    /// timeline's first half moved 2⁶⁰ ps back, a span no `f64` gap keeps
+    /// exact.
     #[test]
     fn windowed_matches_batch_for_every_window_size() {
         let cfg = cfg(Some(ClcParams::default()));
-        let mut cases = vec![(mixed_trace(4, 12), 5, vec![1usize, 2, 3, 7, 64, 65_536], false)];
+        let mut cases = vec![(mixed_trace(4, 12), 5, vec![1usize, 2, 3, 7, 64, 65_536])];
         for (procs, rounds) in [(2, 9), (5, 17), (8, 23)] {
             let skewed = mixed_trace(procs, rounds);
             let mut split = skewed.clone();
@@ -1299,11 +1177,11 @@ mod tests {
             for e in &mut split.procs[1].events[..half] {
                 e.time = e.time.saturating_sub(Dur::from_ps(1 << 60));
             }
-            cases.push((skewed, 4, vec![1, 7, 64, 65_536], false));
-            cases.push((split, 4, vec![1, 7, 64, 65_536], true));
+            cases.push((skewed, 4, vec![1, 7, 64, 65_536]));
+            cases.push((split, 4, vec![1, 7, 64, 65_536]));
         }
 
-        for (base, block, windows, resweeps) in cases {
+        for (base, block, windows) in cases {
             let n = base.n_procs();
             let bytes = to_binary_columnar_v3_blocked(&base, block);
             let mut batch = base.clone();
@@ -1313,7 +1191,7 @@ mod tests {
             bjumps.sort_by_key(|j| (j.event.p(), j.event.i()));
 
             for window in windows {
-                let ctx = format!("{n} timelines, window {window}, resweeps {resweeps}");
+                let ctx = format!("{n} timelines, window {window}");
                 let (back, rep) = run_incremental(&bytes, n, &cfg, window);
                 assert_times_match(&batch, &back, &ctx);
                 let c = rep.clc.expect("clc ran");
@@ -1328,28 +1206,8 @@ mod tests {
                 assert_eq!(rep.events, base.n_events(), "{ctx}");
                 assert!(rep.stats.stage("clc:discover").is_some());
                 assert!(rep.stats.stage("emit").is_some());
-                assert_eq!(rep.stats.stage("clc:resweep").is_some(), resweeps, "{ctx}");
             }
         }
-    }
-
-    /// The finality check refuses an event below its predecessor — no walk
-    /// leaves one — with no producer and a small gap: the μ = 1 step would
-    /// lift it to the predecessor. At or above it, the same event is final.
-    #[test]
-    fn an_unordered_event_is_not_final() {
-        let mut t = Trace::for_ranks(1);
-        t.procs[0].push(Time::ZERO, EventKind::Enter { region: tracefmt::RegionId(0) });
-        let (matching, insts) = Capture::of(&t).finish();
-        let graph = DepGraph::from_trace(&t, &matching, &insts.unwrap(), &LMIN);
-        let edges = graph.in_of(0);
-        let at = Time::from_us;
-        let prev = Some((at(10), at(10)));
-        assert_eq!(certified(at(9), prev, edges, |_| None), Some(false));
-        assert_eq!(certified(at(10), prev, edges, |_| None), Some(true));
-        assert_eq!(certified(at(11), prev, edges, |_| None), Some(true));
-        // A predecessor the step moved leaves no successor final.
-        assert_eq!(certified(at(11), Some((at(10), at(12))), edges, |_| None), Some(false));
     }
 
     #[test]

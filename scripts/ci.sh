@@ -24,7 +24,7 @@
 #   stage shares            `lower` >= 1.5x `clc` items/s, one run of the
 #                           POP example
 #   collective cost         `clc` per event with allreduces <= 1.6x without,
-#                           one run of the engine bench
+#                           median of five alternating engine bench rounds
 #   inlined accessors       `nm` lists no graph accessor and no CLC step
 #   deleted names stay deleted | no hash map under the CLC |
 #   one frame grammar | one CLC step
@@ -36,12 +36,11 @@
 #   simulation size ratchet the same over the simulation side's ten crates
 #   capture, frame, reader, lane, consumer, CLC, presync, census,
 #   simulator and job-path mutants
-#                           scripts/mutants.sh: 37 one-line mutants of the
+#                           scripts/mutants.sh: 36 one-line mutants of the
 #                           trace capture, the frame grammar, the one
 #                           stream reader, the windowed ring lane,
-#                           replay, μ = 1 decision, finality check and
-#                           chunk consumer, the
-#                           batch CLC, its walk and its moved-event set,
+#                           replay, finality frontier and chunk consumer,
+#                           the batch CLC, its walk and its moved-event set,
 #                           Eq. 3's presync and its rounding, the p2p
 #                           census bound, the classed collective census
 #                           threshold, the simulator's message path and
@@ -250,27 +249,37 @@ gate "stage shares: pop_correction" stage_share_gate
 # Collective-cost gate: the `clc` stage's time per event on the POP program
 # with its allreduces over the same program without them (`engine` bench,
 # `clc/pop_allreduce` and `clc/pop_halo_only`: 32 ranks x 600 steps, one
-# run, one host, so the ratio is machine-independent). An allreduce end is
-# bounded by 31 begins: evaluated edge by edge the program with allreduces
-# cost 2.0-2.5x per event of its halo exchange alone (three alternating
-# runs at the parent of the aggregated evaluation), evaluated once per
-# instance 0.9-1.3x. Since the re-sweep is certified instead of run, both
-# programs are faster (allreduce 12-13 -> 20 M events/s, halo 16 -> 26-30 M
-# in three alternating runs) and the ratio reads 1.3-1.5x: the sweep was a
-# flat per-event cost, and the halo program has less else to pay for. The
-# threshold sits where it was.
+# host, so the ratio is machine-independent). An allreduce end is bounded
+# by 31 begins: evaluated edge by edge the program with allreduces cost
+# 2.0-2.5x per event of its halo exchange alone (three alternating runs at
+# the parent of the aggregated evaluation), evaluated once per instance
+# 0.9-1.3x. Once the closing mu = 1 pass stopped running, both programs
+# got faster and the ratio read 1.3-1.5x, and a single run crossed 1.6x
+# about one time in six. So the gate takes five rounds, each timing the
+# two programs in their own bench process and in alternating order
+# (arXiv:1505.07734), and holds the median ratio to the threshold, which
+# sits where it was; it prints every round's ratio and the quartiles.
 clc_collective_gate() {
-    local out with without
-    out=$(cargo bench -q -p bench --bench engine -- clc/pop_) || return 1
-    with=$(awk '$1 == "clc/pop_allreduce" { print $(NF - 1) }' <<<"$out")
-    without=$(awk '$1 == "clc/pop_halo_only" { print $(NF - 1) }' <<<"$out")
-    if [[ -z "$with" || -z "$without" ]]; then
-        echo "collective-cost gate: no clc/pop_* rows in the engine bench's output" >&2
-        return 1
-    fi
-    echo "    clc at ${with} events/s with allreduces, ${without} events/s without"
-    if ! awk -v w="$with" -v o="$without" 'BEGIN { exit !(o <= 1.6 * w) }'; then
-        echo "collective-cost gate: an event costs the clc stage over 1.6x as much with allreduces (${with} vs ${without} events/s)" >&2
+    local round name out rate with without ratios=() q1 median q3
+    for round in 1 2 3 4 5; do
+        local order=(pop_allreduce pop_halo_only)
+        ((round % 2)) || order=(pop_halo_only pop_allreduce)
+        for name in "${order[@]}"; do
+            out=$(cargo bench -q -p bench --bench engine -- "clc/${name}") || return 1
+            rate=$(awk -v row="clc/${name}" '$1 == row { print $(NF - 1) }' <<<"$out")
+            if [[ -z "$rate" ]]; then
+                echo "collective-cost gate: no clc/${name} row in the engine bench's output" >&2
+                return 1
+            fi
+            if [[ "$name" == pop_allreduce ]]; then with=$rate; else without=$rate; fi
+        done
+        ratios+=("$(awk -v w="$with" -v o="$without" 'BEGIN { printf "%.3f", o / w }')")
+    done
+    read -r q1 median q3 < <(printf '%s\n' "${ratios[@]}" | sort -g | awk 'NR >= 2 && NR <= 4' | xargs)
+    echo "    halo-only / allreduce events/s by round: ${ratios[*]}"
+    echo "    median ${median}x, quartiles ${q1}x-${q3}x (threshold 1.6x)"
+    if ! awk -v m="$median" 'BEGIN { exit !(m <= 1.6) }'; then
+        echo "collective-cost gate: an event costs the clc stage ${median}x as much with allreduces (median of 5), over 1.6x" >&2
         return 1
     fi
 }
@@ -290,12 +299,7 @@ gate "collective cost: clc/pop_allreduce vs clc/pop_halo_only" clc_collective_ga
 # the windowed apply (`Apply::replay`, `Apply::scan` with its per-edge
 # `DepGraph::locate`, `Apply::settle`) and the windowed lane's ring
 # accessors (`slot`, `push`, `push_slices`, `slices`; only its resize path
-# is outlined on purpose) are `inline(always)` for the same reason. The
-# sweep decides the μ = 1 pass once: on traces whose timelines span less
-# than 2⁵² ps (every benchmark input) `settle` only follows the safety
-# frontier, and the per-event certificate (`certified`) runs on the
-# refused traces alone; it stays in the pattern, since those traces still
-# run it per event.
+# is outlined on purpose) are `inline(always)` for the same reason.
 # Outlined, they would show up as symbols of their own: in `pop_correction`
 # (the batch kernel) or in `net_service` (the one example that runs the
 # windowed engine).
@@ -305,7 +309,7 @@ inlining_gate() {
     for example in pop_correction net_service; do
         cargo build --release -q --example "$example" || return 1
         syms=$(nm -C "target/release/examples/${example}" | grep -E \
-            'DepGraph::(in_of|out_of|link|stored_in|locate)|graph::Link::|EdgeIter.*::next|CollPass::latest|graph::Snapshot::at|columnar::Moved::mark|columnar::(forward_step|candidate|backward_walk|latest_allowed)|Sweep.*::(step|advance)|windowed::(certified|Apply.*::(replay|scan|settle))|Timeline.*::[gs]et|windowed::Lane::(slot|push|slices)' || true)
+            'DepGraph::(in_of|out_of|link|stored_in|locate)|graph::Link::|EdgeIter.*::next|CollPass::latest|graph::Snapshot::at|columnar::Moved::mark|columnar::(forward_step|candidate|backward_walk|latest_allowed)|Sweep.*::(step|advance)|windowed::Apply.*::(replay|scan|settle)|Timeline.*::[gs]et|windowed::Lane::(slot|push|slices)' || true)
         if [[ -n "$syms" ]]; then
             echo "inlining gate: outlined in ${example}:" >&2
             echo "$syms" >&2
@@ -337,7 +341,10 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # interpolation-only method beside `clc: None`, no text codec, no unsafe
 # cast of timestamp bytes. One cross-timeline sweep in the windowed engine
 # (DESIGN §15.3): none of the second forward sweep's in-edge arming, the
-# discovery-only driver or the μ = 1 re-sweep lanes. `clocksync` ships what
+# discovery-only driver or the μ = 1 re-sweep lanes. The CLC ends with its
+# walks (DESIGN §11.1): none of the closing μ = 1 pass's certificates
+# (`sweep_leaves`, `certified`), its per-event step (`restep`) or its
+# stage row. `clocksync` ships what
 # a synchronizer runs: none of the §V survey's old paths (the baselines,
 # `predict`, the domain-aware CLC, piecewise interpolation, the line fit),
 # anchored so that their new home, `experiments::survey`, does not match.
@@ -355,7 +362,7 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 deleted_names_gate() {
     local hits
     hits=$(
-        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(|AgingDrift|SteppedClock|adev_curve|MpiOp::Sleep|tracing_initially|extra_comms|StreamDecoder|TraceBuilder|feed_into|finish_parts|message_slacks|slack_stats|SlackStats|required_accuracy|RegressionInterpolation|error_bound|synchronize_with_cancel|synchronize_stream_with_cancel|synchronize_stream_incremental_with_cancel|JobInput::Trace|snapshot_times|restore_times|SyncMethod::Interp|to_text|from_text|copy_i64_from_le_bytes|as_i64_slice_le|arm_in_edges|discover_walks|refwd|ingest_block' \
+        grep -rnE 'ParallelConfig|WireParallel|pool_workers|use_replay|run_sharded|JobRouter|RouterConfig|steal_back|render_timeline|RenderOptions|read_archive|write_archive|ArchiveError|TraceProfile|KindCounts|RegionRegistry|lamport_timestamps|satisfies_lamport_condition|vector_timestamps|VectorStamp|stamp_events|controlled_logical_clock_generic|try_from_edges|MessageMatcher|CollectiveScanner|CollCall|group_calls_by_comm|assemble_collective_instances|RankIds|ColumnarVersion|MixedVersions|to_binary_columnar_blocked|MalformedStream|RejectedMalformed|input_version|to_binary_columnar\(|AgingDrift|SteppedClock|adev_curve|MpiOp::Sleep|tracing_initially|extra_comms|StreamDecoder|TraceBuilder|feed_into|finish_parts|message_slacks|slack_stats|SlackStats|required_accuracy|RegressionInterpolation|error_bound|synchronize_with_cancel|synchronize_stream_with_cancel|synchronize_stream_incremental_with_cancel|JobInput::Trace|snapshot_times|restore_times|SyncMethod::Interp|to_text|from_text|copy_i64_from_le_bytes|as_i64_slice_le|arm_in_edges|discover_walks|refwd|ingest_block|sweep_leaves|certified|restep|clc:resweep' \
             crates src tests examples
         grep -rnE 'deps_from_parts|extract_deps' crates src examples
         grep -rnwE 'in_offsets|out_offsets|coll_slot|triples' crates src tests examples
@@ -485,7 +492,11 @@ gate "one CLC step" one_clc_step_gate
 # decide from each timeline's span alone, as the windowed engine does: its
 # order and consumer-cap checks, which `backward_walk` keeps by
 # construction, left with their unit test and the walk's return value.
-SRC_LINES_CEILING=15485
+# Lowered from 15 485 when the CLC came to end with its walks: the closing
+# mu = 1 pass left both engines — the batch certificate and second forward
+# pass, the windowed decision, per-event certificate, step and finality
+# reads — with the finality check's unit test.
+SRC_LINES_CEILING=15323
 size_ratchet_gate() {
     local lines
     lines=$(find crates/{core,tracefmt,syncd}/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
@@ -549,7 +560,7 @@ sim_size_ratchet_gate() {
 gate "size ratchet: simulation crates" sim_size_ratchet_gate
 
 # Capture, frame, reader, lane, consumer, CLC, presync, census, simulator
-# and job-path mutants (ROADMAP item 9): every one of the 37 one-line
+# and job-path mutants (ROADMAP item 9): every one of the 36 one-line
 # mutants in scripts/mutants.sh — of the trace capture:
 # unstable grouping, the positional zip without its tag check, an unknown
 # peer taken for rank 0, the root and end-op checks skipped, either
@@ -560,23 +571,22 @@ gate "size ratchet: simulation crates" sim_size_ratchet_gate
 # ring lane: a slice split one short of the ring's end, a segment retired
 # while it owes a read; of the simulator: the send path without its
 # non-overtaking clamp, the receive completion without the send overhead,
-# a resumed call recording its Enter twice; of the batch CLC: the re-sweep
-# certificate without its span check (its one check), the class
+# a resumed call recording its Enter twice; of the batch CLC: the class
 # fold without its own-position exclusion, a remote bound equal to the
-# candidate taken as a jump, a walk's window start 1 ps late, a backward
-# walk that does not mark what it raises in the moved-event set; of Eq. 3's
-# presync: an offset added without saturating, and the rounding behind it
-# by a plain + 0.5; of the census: the p2p bound's `l_min` with its sign
-# flipped, the classed collective threshold 1 ps loose; of the windowed
-# driver: a
-# consumer's refusal ignored, the replay ignoring a recorded jump, the
-# finality check without its order condition, a refused event keeping its
-# walked time, the μ = 1 pass decided idle without its span check (the
-# two finality rows still die: their tests reach the check through
-# `certified` itself and through the 2⁶⁰ ps split traces, which the
-# decision sends to it); of the graph's links: every collective end linked to its
-# instance's first member row, a receive linked as a send, a message edge
-# without the message table's l_min; of the service's job path: a
+# candidate taken as a jump, a backward walk without its successor's shift
+# or without its consumers' cap (the two properties the CLC's output rests
+# on now that no closing pass follows the walks; both die on the
+# reference's postcondition assertion, applied to the library's output), a
+# walk's window start 1 ps late, a backward walk that does not mark what
+# it raises in the moved-event set; of Eq. 3's presync: an offset added
+# without saturating, and the rounding behind it by a plain + 0.5; of the
+# census: the p2p bound's `l_min` with its sign flipped, the classed
+# collective threshold 1 ps loose; of the windowed driver: a consumer's
+# refusal ignored, the replay ignoring a recorded jump, the finality
+# frontier reaching a walk's break element (a debug build's read of a
+# retired segment); of the graph's links: every collective end linked to
+# its instance's first member row, a receive linked as a send, a message
+# edge without the message table's l_min; of the service's job path: a
 # finished job's budget charge never released, a failed job counted as
 # completed, a caught panic not counted — must turn its named tests red in
 # a copy of the checkout.

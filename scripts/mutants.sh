@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
-# stream reader, the windowed engine's ring lanes, replay, μ = 1 decision,
-# finality check and chunk consumer, the batch CLC, its walk constructor, its moved-event
-# set and its graph's links (message and collective), Eq. 3's presync and
-# the rounding behind it, the p2p census bound, the classed collective
-# census threshold, the simulator's message path and the service's job
-# path — a job's terminal bookkeeping in `syncd` (ROADMAP item 9):
+# stream reader, the windowed engine's ring lanes, replay, finality
+# frontier and chunk consumer, the batch CLC, its walk (shift, cap and
+# window), its moved-event set and its graph's links (message and
+# collective), Eq. 3's presync and the rounding behind it, the p2p census
+# bound, the classed collective census threshold, the simulator's message
+# path and the service's job path — a job's terminal bookkeeping in
+# `syncd` (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
 #
@@ -132,12 +133,6 @@ if self.wrap && !self.states[rank].entered_call {
 if self.wrap {
 tests/end_to_end.rs::simulator_pin_nonblocking_mix tests/end_to_end.rs::simulator_pin_pop_wrapped
 
-certificate without its span check
-crates/core/src/clc/columnar.rs
-last.checked_sub(*first).is_some_and(|span| span < 1 << 52)
-true
-tests/csr_differential.rs::a_gap_the_sweep_rounds_is_refused_by_the_certificate tests/proptest_csr.rs::certified_clc_equals_the_always_sweeping_reference
-
 class fold without its own-position exclusion
 crates/core/src/clc/graph.rs
 let own = self.top[c].without(pos).map(|v| v.saturating_add(lat(c, c)));
@@ -174,23 +169,23 @@ jump.at
 candidate(orig, last, mu)
 clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::windowed_engine_differential_matrix
 
-windowed finality check without its order condition
+the finality frontier reaches a walk's break element
 crates/core/src/pipeline/windowed.rs
-&& c >= walked
-&& true
-clocksync::pipeline::windowed::tests::an_unordered_event_is_not_final
+let limit = at.safe - u64::from(walks_left && at.safe > 0);
+let limit = at.safe;
+clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::windowed_engine_differential_matrix
 
-an event the finality check refuses keeps its walked time
-crates/core/src/pipeline/windowed.rs
-let fin = if holds { c } else { self.restep(p, i, c, last) };
-let fin = c;
-clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size
+a backward walk without its successor's shift
+crates/core/src/clc/columnar.rs
+let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
+let shift = ramp.min(cap).max(Dur::ZERO);
+tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces tests/proptest_csr.rs::clc_equals_the_reference_on_skewed_and_i64_edge_traces
 
-windowed certificate decided without its span check
-crates/core/src/pipeline/windowed.rs
-idle: span.is_some_and(|span| span < 1 << 52),
-idle: true,
-clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::the_mu_1_decision_matches_batch_at_its_boundary
+a backward walk without its consumers' cap
+crates/core/src/clc/columnar.rs
+let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
+let shift = ramp.min(shift_above).max(Dur::ZERO);
+tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces tests/csr_differential.rs::aggregated_begin_caps_equal_the_reference
 
 a walk's window starts 1 ps later
 crates/core/src/clc/columnar.rs
@@ -220,7 +215,7 @@ a backward walk that does not mark what it raises
 crates/core/src/clc/columnar.rs
 self.moved.mark(self.base + i as usize, v != *t);
 // self.moved.mark(self.base + i as usize, v != *t);
-clocksync::clc::columnar::tests::certified_runs_equal_the_forced_sweep tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
+clocksync::clc::columnar::tests::the_moved_set_is_what_the_run_raised tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
 
 the classed collective census threshold 1 ps loose
 crates/tracefmt/src/census.rs

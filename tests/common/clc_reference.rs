@@ -11,6 +11,14 @@
 //! [`CollInst::deps_of_end`] instead of member-table views or the
 //! aggregated N-to-N evaluation. Kept as it was, defects included: on
 //! [`ClcError::CyclicTrace`] the trace is left half-corrected.
+//!
+//! Like the kernel, it ends with its walks: no closing μ = 1 forward sweep.
+//! In its place every run asserts the postcondition that sweep stood for
+//! ([`assert_postcondition`]), which the differential helpers of
+//! `tests/common` also assert on the library's output, so a walk that
+//! breaks it fails there by name rather than only as a differing
+//! timestamp. The reference knows messages and collectives; POMP events
+//! carry no constraint here.
 
 use drift_lab::clocksync::{ClcError, ClcParams, ClcReport, Jump};
 use drift_lab::simclock::{Dur, Time};
@@ -191,16 +199,9 @@ pub fn controlled_logical_clock_with_deps(
     let mut report = forward_pass(trace, &originals, deps, lmin, params.mu)?;
     if params.backward {
         backward_amortization(trace, deps, lmin, params, &report.jumps);
-        // Safety net: backward clamping is designed to preserve every
-        // constraint, but a final μ=1 forward sweep guarantees the
-        // postcondition even if future latency models interact badly.
-        let post: Vec<Vec<Time>> = trace
-            .procs
-            .iter()
-            .map(|p| p.events.iter().map(|e| e.time).collect())
-            .collect();
-        let _ = forward_pass(trace, &post, deps, lmin, 1.0)?;
     }
+    // What a closing μ = 1 forward sweep would restore, if anything broke it.
+    assert_postcondition(trace, deps, lmin, "the reference CLC");
     report.events_total = trace.n_events();
     report.events_moved = trace
         .procs
@@ -215,6 +216,34 @@ pub fn controlled_logical_clock_with_deps(
         })
         .sum();
     Ok(report)
+}
+
+/// The CLC's postcondition on `trace`: every timeline is non-decreasing,
+/// every receive lies at least `l_min` after its send and every collective
+/// end at least `l_min` after each begin it depends on, in saturating
+/// arithmetic. The reference asserts it on its own output, and the
+/// differential helpers on the library's.
+pub fn assert_postcondition(trace: &Trace, deps: &Deps, lmin: &dyn MinLatency, ctx: &str) {
+    for (p, line) in trace.procs.iter().enumerate() {
+        for (i, pair) in line.events.windows(2).enumerate() {
+            assert!(pair[0].time <= pair[1].time, "{ctx}: timeline {p} runs backward at event {}", i + 1);
+        }
+    }
+    let rank = |id: EventId| trace.procs[id.p()].location.rank;
+    let after = |producer: EventId, from: Rank, consumer: EventId| {
+        trace.time(consumer) >= trace.time(producer).saturating_add(lmin.l_min(from, rank(consumer)))
+    };
+    for (&recv, &(send, from)) in &deps.send_of {
+        assert!(after(send, from, recv), "{ctx}: receive {recv:?} under its send {send:?} + l_min");
+    }
+    for inst in &deps.insts {
+        for (pos, &(_, _, end)) in inst.members.iter().enumerate() {
+            for j in inst.deps_of_end(pos) {
+                let (from, begin, _) = inst.members[j];
+                assert!(after(begin, from, end), "{ctx}: end {end:?} under begin {begin:?} + l_min");
+            }
+        }
+    }
 }
 
 /// The forward pass: assign corrected times in dependency order.

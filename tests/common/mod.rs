@@ -556,6 +556,7 @@ pub fn assert_adapter_matches_oracle(
     let want = clc_reference::controlled_logical_clock_reference(&mut oracle, lmin, params);
     match (&got, &want) {
         (Ok(got), Ok(want)) => {
+            assert_clc_postcondition(&adapted, lmin, ctx);
             assert_identical(&oracle, &adapted, ctx);
             let jumps = |r: &drift_lab::clocksync::ClcReport| {
                 r.jumps.iter().map(|j| (j.event, j.size)).collect::<Vec<_>>()
@@ -574,6 +575,13 @@ pub fn assert_adapter_matches_oracle(
         _ => panic!("{ctx}: adapter {got:?}, oracle {want:?}"),
     }
     got
+}
+
+/// The reference's postcondition ([`clc_reference::assert_postcondition`])
+/// on a trace the library corrected.
+pub fn assert_clc_postcondition(trace: &Trace, lmin: &dyn MinLatency, ctx: &str) {
+    let deps = clc_reference::extract_deps(trace).expect("a trace the CLC ran on analyses");
+    clc_reference::assert_postcondition(trace, &deps, lmin, &format!("{ctx}: the library's CLC"));
 }
 
 /// Corrected timestamps per location, sorted by location: what two runs of
@@ -635,6 +643,7 @@ pub fn assert_windowed_matches_oracle(
     for window in [1, 3, base.n_events() + 1] {
         let ctx = format!("{ctx}: windowed, window {window}");
         let (back, got) = run_windowed_clc(base, lmin, params, window, &ctx);
+        assert_clc_postcondition(&back, lmin, &ctx);
         assert_eq!(times_by_location(&back), times_by_location(&oracle), "{ctx}: timestamps");
         let got_jumps: Vec<_> = got.jumps.iter().map(|j| (j.event, j.size)).collect();
         assert_eq!(got_jumps, want_jumps, "{ctx}: jump set");

@@ -16,7 +16,8 @@ use common::{
     assert_adapter_matches_oracle, assert_identical, assert_report_matches_reference,
     assert_windowed_matches_oracle,
     clc_fingerprints, clc_reference, directed_latency, drifted_trace, drifted_zoo_trace,
-    graph_edges, mixed_trace, reference_edges, reference_synchronize, zoo_latencies,
+    graph_edges, mixed_trace, reference_edges, reference_synchronize, run_windowed_clc,
+    zoo_latencies,
 };
 use drift_lab::clocksync::{
     controlled_logical_clock, synchronize, ClcError, ClcParams, DepGraph, PipelineConfig, PreSync,
@@ -289,22 +290,31 @@ fn i64_edge_timestamps_do_not_panic_and_engines_agree() {
     assert_windowed_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "i64 edges");
 }
 
-/// A gap the μ = 1 re-sweep's `Dur::scale(1.0)` rounds up: 2⁵³ + 3 ps is
-/// the double 2⁵³ + 4, so the sweep moves the second event by 1 ps though
-/// nothing jumped. The kernel's certificate must send it to the sweep —
-/// only its span check can — and the oracle, which always sweeps, agrees.
+/// A trace without a message gives the CLC nothing to correct, however
+/// far its timelines span: a gap of 2⁵³ + 3 ps (the double 2⁵³ + 4, which
+/// a closing μ = 1 pass's `Dur::scale(1.0)` rounded up by 1 ps) and a
+/// region from `i64::MIN` to `i64::MAX`. The batch kernel, the reference
+/// and the windowed engine leave every time as it is.
 #[test]
-fn a_gap_the_sweep_rounds_is_refused_by_the_certificate() {
+fn a_trace_without_messages_is_left_as_it_is_at_any_span() {
     use drift_lab::tracefmt::RegionId;
-    let gap = (1i64 << 53) + 3;
-    let mut t = Trace::for_ranks(1);
-    t.procs[0].push(Time::from_ps(0), EventKind::Enter { region: RegionId(0) });
-    t.procs[0].push(Time::from_ps(gap), EventKind::Exit { region: RegionId(0) });
-    let rep = assert_adapter_matches_oracle(&t, &LMIN_4US, &ClcParams::default(), "2^53 + 3 gap");
-    assert_eq!(rep.expect("acyclic").events_moved, 1);
-    let mut fixed = t.clone();
-    controlled_logical_clock(&mut fixed, &LMIN_4US, &ClcParams::default()).expect("acyclic");
-    assert_eq!(fixed.procs[0].events[1].time, Time::from_ps(gap + 1), "the sweep ran");
+    let region = |enter: i64, exit: i64| {
+        let mut t = Trace::for_ranks(1);
+        t.procs[0].push(Time::from_ps(enter), EventKind::Enter { region: RegionId(0) });
+        t.procs[0].push(Time::from_ps(exit), EventKind::Exit { region: RegionId(0) });
+        t
+    };
+    let cases = [("2^53 + 3 ps gap", region(0, (1 << 53) + 3)), ("i64::MIN to i64::MAX", region(i64::MIN, i64::MAX))];
+    let params = ClcParams::default();
+    for (name, t) in cases {
+        let rep = assert_adapter_matches_oracle(&t, &LMIN_4US, &params, name).expect("acyclic");
+        assert_eq!((rep.n_jumps(), rep.events_moved), (0, 0), "{name}");
+        for window in [1, 2] {
+            let (back, wrep) = run_windowed_clc(&t, &LMIN_4US, &params, window, name);
+            assert_eq!(wrep.events_moved, 0, "{name}, window {window}");
+            assert_identical(&t, &back, &format!("{name}, window {window}"));
+        }
+    }
 }
 
 /// A remote bound equal to the local candidate is no jump: a receive

@@ -19,15 +19,15 @@ mod common;
 use common::{
     arb_skewed_trace, arb_skewed_trace_with_barriers, assert_adapter_matches_oracle,
     assert_identical, collective_zoo_trace, directed_latency, graph_edges, hierarchical_latency,
-    reference_edges, reference_synchronize,
+    reference_edges, reference_synchronize, run_windowed_clc,
 };
-use drift_lab::clocksync::{ClcParams, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
+use drift_lab::clocksync::{ClcParams, ClcReport, DepGraph, PipelineConfig, PreSync, TraceAnalysis};
 use drift_lab::prelude::*;
 use drift_lab::tracefmt::io::{
     decode_indexed, index_columnar_chunks, to_binary_columnar_v3, BlockMeta, ChunkStore,
     StreamIndex,
 };
-use drift_lab::tracefmt::{check_collectives_at, CensusPlan, CollOp, MinLatency, TraceColumns};
+use drift_lab::tracefmt::{check_collectives_at, CensusPlan, CollOp, MinLatency, ProcessTrace, TraceColumns};
 use proptest::prelude::*;
 
 /// `index` cut back to the block frames that end at or before byte `cut`,
@@ -177,7 +177,7 @@ fn assert_classed_walked_and_reference_agree(
     lmin: &dyn MinLatency,
     expect_classed: &dyn Fn(&drift_lab::tracefmt::LatBlock) -> Option<bool>,
 ) {
-    use drift_lab::clocksync::{synchronize, synchronize_stream_incremental, ClcReport};
+    use drift_lab::clocksync::{synchronize, synchronize_stream_incremental};
     use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
 
     // A class table, when a block has one, is the matrix off the diagonal.
@@ -257,18 +257,40 @@ fn onto_i64_edges(trace: &Trace, placement: &[u8], inset: i64) -> Trace {
     edged
 }
 
+/// `trace`, whose timeline `p` is rank `p`'s, with every rank `r`
+/// relabelled `perm[r]`: timeline `p` moves to index `perm[p]`, and each
+/// message names its peer by the new label.
+fn relabelled(trace: &Trace, perm: &[usize]) -> Trace {
+    let mut out = trace.clone();
+    for (p, line) in trace.procs.iter().enumerate() {
+        assert_eq!(line.location.rank, Rank(p as u32), "one timeline per rank, in rank order");
+        let new = |r: &mut Rank| *r = Rank(perm[r.idx()] as u32);
+        let moved = &mut out.procs[perm[p]];
+        *moved = line.clone();
+        new(&mut moved.location.rank);
+        for e in &mut moved.events {
+            match &mut e.kind {
+                EventKind::Send { to, .. } => new(to),
+                EventKind::Recv { from, .. } => new(from),
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The batch CLC runs its μ = 1 re-sweep only where its certificate
-    /// fails; the map-based reference runs it always. On skewed traces —
+    /// The batch CLC against the map-based reference, on skewed traces —
     /// with and without world barriers, whose begins the backward pass caps
     /// in aggregate — and on the same traces slid onto the `i64` edges,
-    /// where split timelines defeat the certificate and saturation meets
-    /// every clamp, the two agree on every timestamp, the jump sequence,
-    /// `max_jump` and `events_moved`.
+    /// where split timelines span more than any `f64` gap keeps exact and
+    /// saturation meets every clamp: every timestamp, the jump sequence,
+    /// `max_jump` and `events_moved` agree, and both outputs meet the
+    /// reference's postcondition.
     #[test]
-    fn certified_clc_equals_the_always_sweeping_reference(
+    fn clc_equals_the_reference_on_skewed_and_i64_edge_traces(
         (trace, lmin_us) in arb_skewed_trace(),
         (barriers, barrier_lmin_us) in arb_skewed_trace_with_barriers(Some(3)),
         placement in prop::collection::vec(0u8..4, 6),
@@ -281,6 +303,57 @@ proptest! {
             let edged = onto_i64_edges(&base, &placement, inset);
             assert_adapter_matches_oracle(&edged, &lmin, &params, &format!("{name} at the i64 edges"))
                 .expect("acyclic");
+        }
+    }
+
+    /// Relabelling the ranks, with the latency model permuted alongside,
+    /// permutes the output: under a per-pair model nowhere symmetric, the
+    /// batch and windowed engines give timeline `perm[p]` of the relabelled
+    /// trace the times timeline `p` got, report the jump set moved the same
+    /// way, and move as many events.
+    #[test]
+    fn relabelled_ranks_permute_the_output(
+        (trace, lmin_us) in arb_skewed_trace(),
+        keys in prop::collection::vec(0u32..1_000, 6),
+    ) {
+        let n = trace.n_procs();
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.sort_by_key(|&r| (keys[r], r));
+        let mut inverse = vec![0; n];
+        for (r, &to) in perm.iter().enumerate() {
+            inverse[to] = r;
+        }
+        let lmin = directed_latency(lmin_us);
+        let permuted = |a: Rank, b: Rank| lmin(Rank(inverse[a.idx()] as u32), Rank(inverse[b.idx()] as u32));
+        let relabelled_trace = relabelled(&trace, &perm);
+        let params = ClcParams::default();
+        // A report's jumps as a sorted set, timeline `p` named `label[p]`.
+        let jumps = |r: &ClcReport, label: &[usize]| {
+            let mut set: Vec<_> = r.jumps.iter().map(|j| (label[j.event.p()], j.event.i(), j.size)).collect();
+            set.sort_unstable();
+            set
+        };
+        let same: Vec<usize> = (0..n).collect();
+        let times = |line: &ProcessTrace| line.events.iter().map(|e| e.time).collect::<Vec<_>>();
+
+        let mut want = trace.clone();
+        let want_rep = controlled_logical_clock(&mut want, &lmin, &params).expect("acyclic");
+        let mut got = relabelled_trace.clone();
+        let got_rep = controlled_logical_clock(&mut got, &permuted, &params).expect("acyclic");
+        for (p, line) in want.procs.iter().enumerate() {
+            prop_assert_eq!(times(&got.procs[perm[p]]), times(line), "batch: timeline {}", p);
+        }
+        prop_assert_eq!(jumps(&got_rep, &same), jumps(&want_rep, &perm));
+        prop_assert_eq!((got_rep.max_jump, got_rep.events_moved), (want_rep.max_jump, want_rep.events_moved));
+
+        for window in [1, 3] {
+            let (back, rep) = run_windowed_clc(&relabelled_trace, &permuted, &params, window, "relabelled");
+            for (p, line) in want.procs.iter().enumerate() {
+                let at = back.procs.iter().find(|q| q.location.rank == Rank(perm[p] as u32)).expect("timeline emitted");
+                prop_assert_eq!(times(at), times(line), "windowed {}: timeline {}", window, p);
+            }
+            prop_assert_eq!(jumps(&rep, &same), jumps(&want_rep, &perm), "windowed {}", window);
+            prop_assert_eq!((rep.max_jump, rep.events_moved), (want_rep.max_jump, want_rep.events_moved));
         }
     }
 
