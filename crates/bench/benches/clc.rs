@@ -1,10 +1,10 @@
 //! Performance and ablation benches for the timestamp-correction
-//! algorithms: the CLC across trace sizes, forward amortization factor,
-//! backward amortization on/off, and the POMP variant. (The §V survey's
-//! methods are timed by `experiments clc`, in its `time [ms]` column.)
+//! algorithms: the CLC across trace sizes, forward amortization factor and
+//! backward amortization on/off. (The §V survey's methods are timed by
+//! `experiments clc`, in its `time [ms]` column.)
 //!
-//! `clc_scaling/serial`, `clc_ablations` and `clc_variants` call the public
-//! `controlled_logical_clock*` functions, so each iteration times the whole
+//! `clc_scaling/serial` and `clc_ablations` call the public
+//! `controlled_logical_clock`, so each iteration times the whole
 //! lowering — match, lower, gather, the CSR kernel, scatter — not the
 //! kernel alone (`engine`'s `clc/` group times the pipeline stage).
 //! `clc/engines` holds the windowed engine against the batch one, whole
@@ -65,24 +65,6 @@ fn bench_clc_ablations(c: &mut Criterion) {
             })
         });
     }
-    g.finish();
-}
-
-fn bench_clc_variants(c: &mut Criterion) {
-    let mut g = c.benchmark_group("clc_variants");
-    g.sample_size(10);
-    g.bench_function("pomp_openmp_trace", |b| {
-        let pomp_trace = workloads::run_benchmark(8, 100, 23);
-        b.iter(|| {
-            let mut t = pomp_trace.clone();
-            clocksync::controlled_logical_clock_pomp(
-                &mut t,
-                simclock::Dur::from_ns(100),
-                &ClcParams::default(),
-            )
-            .unwrap()
-        })
-    });
     g.finish();
 }
 
@@ -231,7 +213,6 @@ criterion_group!(
     benches,
     bench_clc_scaling,
     bench_clc_ablations,
-    bench_clc_variants,
     bench_clc_engines
 );
 criterion_main!(benches);

@@ -1,16 +1,16 @@
 //! The CLC kernels: the forward and backward passes over columnar
 //! timestamp storage and the dependency graph. Every batch CLC of this crate —
-//! the pipeline's `clc` stage, [`super::controlled_logical_clock`] and the
-//! POMP variant — is a lowering that ends here.
+//! the pipeline's `clc` stage and [`super::controlled_logical_clock`] — is a
+//! lowering that ends here.
 //!
 //! The passes are tight loops over dense `i64` picosecond columns
 //! ([`TraceColumns`]) driven by the flat [`DepGraph`]:
 //!
 //! * an event's constraints are its `in_of` / `out_of` edges, never its
-//!   kind: only matched receives, collective ends and POMP-constrained
-//!   events have in-edges, only matched sends, collective begins and
-//!   constraining events out-edges, and an empty edge slice leaves the
-//!   event bound by its own timeline alone;
+//!   kind: only matched receives and collective ends have in-edges, only
+//!   matched sends and collective begins out-edges, each from one table
+//!   row, and an empty edge slice leaves the event bound by its own
+//!   timeline alone;
 //! * the remote bound is a `max` over `corrected(producer) + latency` in
 //!   saturating arithmetic, latencies baked into the edges at build and
 //!   equal in both directions of an edge. In-edges are walked in dispatch
@@ -53,8 +53,7 @@
 //! that the forward pass and the backward walks mark as they raise times.
 //! The backward caps read the forward times of the events that consume a
 //! constraint, and only those are kept
-//! ([`Snapshot`]): one word per message, one per collective member row and
-//! one per POMP event.
+//! ([`Snapshot`]): one word per message and one per collective member row.
 //!
 //! Bit-identity with the map-based reference implementation of the same
 //! algorithm (`tests/common/clc_reference.rs`, which shares no code with
@@ -346,8 +345,8 @@ pub(crate) fn forward_pass_csr(
                 // walks its view.
                 let mut known: Option<Time> = None;
                 let link = graph.link(gid as u32);
-                let mut view = graph.stored_in(gid as u32, link);
-                if link.is_end() && view.is_empty() {
+                let mut view = graph.stored_in(link);
+                if link.is_end() {
                     match coll.pending(graph, link) {
                         Some(0) => known = Some(Time::from_ps(coll.bound(link))),
                         Some(_) => break 'events, // a begin not yet corrected

@@ -1,23 +1,24 @@
 //! The event-dependency graph the CLC kernels walk: one link word per event
-//! into the job's message table, its collective member table, or — for an
-//! OpenMP team — a small CSR of stored edges.
+//! into the job's message table or its collective member table.
 //!
 //! "What constrains this event?" is asked in the innermost loop of every
 //! CLC pass, so the answer must be an index, not a hash probe over
 //! scattered heap nodes. This module lowers a constraint set — matched
 //! messages plus the collective → point-to-point mapped edges of the
-//! paper's [30] extension ([`DepGraph::try_build`]), or the fork/join edges
-//! and team barriers of an OpenMP trace ([`crate::pomp_constraints`]) —
-//! into flat arrays indexed by a *global event id* (`gid`): event `(p, i)` is
-//! `base[p] + i`, timelines concatenated in proc order — exactly the
-//! layout of a flattened [`tracefmt::TraceColumns`].
+//! paper's [30] extension ([`DepGraph::try_build`]) — into flat arrays
+//! indexed by a *global event id* (`gid`): event `(p, i)` is `base[p] + i`,
+//! timelines concatenated in proc order — exactly the layout of a
+//! flattened [`tracefmt::TraceColumns`].
 //!
 //! # What is stored
 //!
 //! * **Per event, two words**: its timeline (`proc_of`) and its [`Link`]:
-//!   none, the send or the receive of message `m`, the begin or the end of
-//!   member row `r`, plus a flag for an event with stored POMP edges. An
-//!   event that carries no constraint — most of them — links nothing.
+//!   none, the send or the receive of message `m`, or the begin or the end
+//!   of member row `r`. An event that carries no constraint — most of them
+//!   — links nothing. So every event has at most one constraint source: a
+//!   receive's in-edge and a send's out-edge are its message-table row, a
+//!   collective end's in-edges and a begin's out-edges its member row, and
+//!   any other event has no edge.
 //! * **Messages**, as the job's [`MessageTable`]: per message, in matching
 //!   order, the gids of its send and its receive and `l_min` in
 //!   picoseconds. A receive's in-edge is `(send[m], lat[m])`, a send's
@@ -28,10 +29,6 @@
 //!   per communicator one `k × k` `l_min` block and its transpose. Beside
 //!   it one word per member row (`row_inst`: its instance). Shared with the
 //!   census plan like the message table.
-//! * **POMP's stored edges** (fork → a thread's first event, a thread's
-//!   last event → join, the barrier rules of a team with an exit-only
-//!   thread): a CSR in both directions over the events they link only,
-//!   found from the gid by a binary search. A message graph has none.
 //!
 //! # What is derived
 //!
@@ -39,25 +36,22 @@
 //! [`DepGraph::in_of`] / [`DepGraph::out_of`] return an [`Edges`] view —
 //! `(gids, lats, skip)`: parallel slices of neighbour gids and latencies,
 //! walked in order with position `skip` left out. For a receive or send the
-//! slices are one entry of the message table, for a POMP event its CSR
-//! run, and nothing is skipped. For a collective end at member position
-//! `pos` they are the instance's begin-gid row and row `pos` of the
-//! transposed latency block, restricted by flavour — all of it but `pos`
-//! (N-to-N, the root of an N-to-1), the root alone (a non-root of a
-//! 1-to-N), the prefix below `pos` (scan) — and symmetrically the end-gid
-//! row and row `pos` of the block for a begin. An edge's contribution to
+//! slices are one entry of the message table and nothing is skipped. For a
+//! collective end at member position `pos` they are the instance's
+//! begin-gid row and row `pos` of the transposed latency block, restricted
+//! by flavour — all of it but `pos` (N-to-N, the root of an N-to-1), the
+//! root alone (a non-root of a 1-to-N), the prefix below `pos` (scan) — and
+//! symmetrically the end-gid row and row `pos` of the block for a begin. An edge's contribution to
 //! its consumer is exactly `corrected(producer) + lat`, one saturating
 //! `Time + Dur` addition.
 //!
 //! View order is dispatch order (the module docs of [`super`]): the view of
 //! a collective end walks the begins of the other members in increasing
-//! member position, a receive has its one message edge, a POMP event its
-//! stored edges in lowering order (the grouping keeps rule order per
-//! event). A forward pass walking a view blocks on the first pending
-//! producer in that order — the foundation of the bit-identity guarantee
-//! shared by the batch kernel, the windowed engine and the map-based
-//! reference under `tests/common/` (same `max`/`min` over the same
-//! `saturating_add` terms, same jump order).
+//! member position, a receive has its one message edge. A forward pass
+//! walking a view blocks on the first pending producer in that order — the
+//! foundation of the bit-identity guarantee shared by the batch kernel, the
+//! windowed engine and the map-based reference under `tests/common/` (same
+//! `max`/`min` over the same `saturating_add` terms, same jump order).
 //!
 //! The serial forward pass goes one step further for an N-to-N instance
 //! whose latency block is classed ([`tracefmt::BlockClasses`]): it does not
@@ -87,8 +81,7 @@ const NO_SKIP: usize = usize::MAX;
 const NOT_AGGREGATED: u32 = u32::MAX;
 
 /// What one event is to the graph, in one word: its kind in the low three
-/// bits, the POMP flag above them, the message or member row it names
-/// above that. Zero links nothing.
+/// bits, the message or member row it names above them. Zero links nothing.
 #[derive(Clone, Copy)]
 pub(crate) struct Link(u32);
 
@@ -103,9 +96,7 @@ const SEND: u32 = LINKED;
 const RECV: u32 = LINKED | CONSUMER;
 const BEGIN: u32 = LINKED | MEMBER;
 const END: u32 = LINKED | MEMBER | CONSUMER;
-/// The event has stored POMP edges (in [`Rules`]).
-const RULED: u32 = 0b1000;
-const INDEX_SHIFT: u32 = 4;
+const INDEX_SHIFT: u32 = 3;
 /// How many messages, or member rows, the index bits can name.
 const MAX_INDEX: usize = 1 << (32 - INDEX_SHIFT);
 
@@ -137,17 +128,11 @@ impl Link {
     pub(crate) fn is_begin(self) -> bool {
         self.kind() == BEGIN
     }
-
-    #[inline(always)]
-    fn is_ruled(self) -> bool {
-        self.0 & RULED != 0
-    }
 }
 
 /// The constraint edges of one event in one direction: neighbour gids and
 /// edge latencies as parallel slices, walked in order with position `skip`
-/// left out. Borrowed from the message table, the POMP CSR or the
-/// collective table.
+/// left out. Borrowed from the message table or the collective table.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Edges<'a> {
     gids: &'a [u32],
@@ -172,11 +157,6 @@ impl<'a> Edges<'a> {
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.gids.len() - usize::from(self.skip < self.gids.len())
-    }
-
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// `(neighbour gid, latency in ps)` per edge, in dispatch order.
@@ -211,79 +191,8 @@ impl Iterator for EdgeIter<'_> {
     }
 }
 
-/// Edges grouped per node: `start[n]..start[n + 1]` is node `n`'s run of
-/// neighbour gids and latencies.
-#[derive(Default)]
-struct Csr {
-    start: Vec<u32>,
-    gid: Vec<u32>,
-    lat: Vec<i64>,
-}
-
-impl Csr {
-    /// Group `(node, neighbour gid, latency)` edges by node, in their order
-    /// per node (a stable sort).
-    fn group(n_nodes: usize, mut edges: Vec<(usize, u32, i64)>) -> Csr {
-        edges.sort_by_key(|&(n, ..)| n);
-        let start = (0..=n_nodes).map(|n| edges.partition_point(|&(m, ..)| m < n) as u32).collect();
-        Csr { start, gid: edges.iter().map(|e| e.1).collect(), lat: edges.iter().map(|e| e.2).collect() }
-    }
-
-    #[inline]
-    fn run(&self, n: usize) -> Edges<'_> {
-        let (a, b) = (self.start[n] as usize, self.start[n + 1] as usize);
-        Edges::run(&self.gid[a..b], &self.lat[a..b])
-    }
-
-    fn heap_bytes(&self) -> usize {
-        4 * (self.start.len() + self.gid.len()) + 8 * self.lat.len()
-    }
-}
-
-/// The stored edges of a POMP lowering, over the events they link.
-#[derive(Default)]
-struct Rules {
-    /// Gids of the linked events ("nodes"), ascending.
-    nodes: Vec<u32>,
-    /// Per node, its producers and their latencies, in rule order.
-    into: Csr,
-    /// Per node, its consumers and their latencies, in rule order.
-    from: Csr,
-}
-
-impl Rules {
-    /// Group `(src, dst, latency)` rules by consumer and by producer, and
-    /// flag every event they link.
-    fn lower(rules: &[(u32, u32, i64)], link: &mut [Link]) -> Rules {
-        if rules.is_empty() {
-            return Rules::default();
-        }
-        let mut nodes: Vec<u32> = rules.iter().flat_map(|&(s, d, _)| [s, d]).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let node = |g: u32| nodes.partition_point(|&n| n < g);
-        let into = Csr::group(nodes.len(), rules.iter().map(|&(s, d, l)| (node(d), s, l)).collect());
-        let from = Csr::group(nodes.len(), rules.iter().map(|&(s, d, l)| (node(s), d, l)).collect());
-        for &g in &nodes {
-            link[g as usize].0 |= RULED;
-        }
-        Rules { nodes, into, from }
-    }
-
-    /// The node of a flagged event.
-    #[inline]
-    fn node(&self, gid: u32) -> usize {
-        self.nodes.partition_point(|&n| n < gid)
-    }
-
-    fn heap_bytes(&self) -> usize {
-        4 * self.nodes.len() + self.into.heap_bytes() + self.from.heap_bytes()
-    }
-}
-
 /// Dependency graph over the events of one trace: one link per event into
-/// the message table, the collective member table or the POMP edges. See
-/// the module docs.
+/// the message table or the collective member table. See the module docs.
 pub struct DepGraph {
     /// `base[p]` is the gid of event `(p, 0)`; `base[n_procs]` the total
     /// event count. Prefix sums of the timeline lengths.
@@ -306,10 +215,8 @@ pub struct DepGraph {
     /// count — or [`NOT_AGGREGATED`] for an instance whose ends walk their
     /// views. What a [`CollPass`] starts from.
     pending_init: Vec<u32>,
-    /// POMP's stored edges; empty in a message graph.
-    rules: Rules,
-    /// Logical constraint edges: messages, POMP rules and the flavour-mapped
-    /// edges of every instance. A count, never a capacity.
+    /// Logical constraint edges: messages and the flavour-mapped edges of
+    /// every instance. A count, never a capacity.
     n_edges: usize,
 }
 
@@ -335,7 +242,7 @@ impl DepGraph {
     }
 
     /// [`DepGraph::build`] for an analysis that is not trusted to fit the
-    /// trace shape: more than `u32::MAX` events (or `2²⁸` messages or
+    /// trace shape: more than `u32::MAX` events (or `2²⁹` messages or
     /// collective members), an event outside the shape, or an event that
     /// two messages or collective members claim is an error, not a panic.
     pub fn try_build(
@@ -350,33 +257,14 @@ impl DepGraph {
 
     /// [`DepGraph::try_build`] over a message table already frozen for
     /// this trace shape ([`tracefmt::Capture::finish_table`]), which the
-    /// graph then shares with the job's census plan.
+    /// graph then shares with the job's census plan. The one lowering
+    /// behind every graph: the message table into the links of its
+    /// endpoints, and `instances` into the member table.
     ///
     /// # Panics
     /// Panics when `msgs` was built for a different event count.
     pub fn with_messages(
         msgs: Arc<MessageTable>,
-        instances: &[CollectiveInstance],
-        proc_lens: &[usize],
-        lmin: &dyn MinLatency,
-    ) -> Result<DepGraph, PlanBuildError> {
-        DepGraph::lower(msgs, &[], instances, proc_lens, lmin)
-    }
-
-    /// The one lowering behind every graph: the message table and POMP's
-    /// `(src, dst, latency)` rules, with endpoints inside `proc_lens`, into
-    /// the links, and `instances` into the member table.
-    /// [`DepGraph::with_messages`] hands it matched messages and the
-    /// trace's collectives, the POMP lowering (`super::pomp`) its fork/join
-    /// rules and team barriers. An event's stored in-edges keep the order
-    /// its rules have, so a forward pass blocks on the first pending one in
-    /// that order. A collective begin may have stored in-edges but no
-    /// stored out-edge, an end stored out-edges but no stored in-edge: the
-    /// kernels read a member's collective edges only where its stored run
-    /// in that direction is empty.
-    pub(super) fn lower(
-        msgs: Arc<MessageTable>,
-        rules: &[(EventId, EventId, i64)],
         instances: &[CollectiveInstance],
         proc_lens: &[usize],
         lmin: &dyn MinLatency,
@@ -424,7 +312,7 @@ impl DepGraph {
         let coll = CollTable::build(proc_lens, instances, lmin)?;
         // Collectives: link the member rows and count the logical edges —
         // nothing here is proportional to their number.
-        let mut n_edges = msgs.len() + rules.len();
+        let mut n_edges = msgs.len();
         let mut row_inst = Vec::new();
         let mut pending_init = Vec::new();
         if coll.n_instances() > 0 {
@@ -454,17 +342,6 @@ impl DepGraph {
             }
         }
 
-        let gid = |id: EventId| base[id.p()] + id.idx;
-        let rules: Vec<(u32, u32, i64)> = rules.iter().map(|&(s, d, lat)| (gid(s), gid(d), lat)).collect();
-        let rules = Rules::lower(&rules, &mut link);
-        // A collective begin has no stored out-edge, an end no stored
-        // in-edge: the kernels read a member's collective edges only where
-        // its stored run in that direction is empty.
-        debug_assert!(rules.nodes.iter().enumerate().all(|(n, &g)| {
-            let link = link[g as usize];
-            (!link.is_begin() || rules.from.run(n).is_empty()) && (!link.is_end() || rules.into.run(n).is_empty())
-        }));
-
         Ok(DepGraph {
             base,
             proc_of,
@@ -473,7 +350,6 @@ impl DepGraph {
             coll: Arc::new(coll),
             row_inst,
             pending_init,
-            rules,
             n_edges,
         })
     }
@@ -529,7 +405,7 @@ impl DepGraph {
             + self.link.len()
             + self.row_inst.len()
             + self.pending_init.len();
-        4 * words32 + self.rules.heap_bytes() + self.msgs.heap_bytes() + self.coll.heap_bytes()
+        4 * words32 + self.msgs.heap_bytes() + self.coll.heap_bytes()
     }
 
     /// Global event id of `(p, 0)` — gids of timeline `p` are
@@ -559,8 +435,8 @@ impl DepGraph {
     }
 
     /// In-edges of `gid` — producer gids and edge latencies, in
-    /// dependency-dispatch order: the matched send of a receive, the begins
-    /// a collective end waits on, or a POMP event's stored producers.
+    /// dependency-dispatch order: the matched send of a receive or the
+    /// begins a collective end waits on; any other event has none.
     ///
     /// Only the message path is inlined into the kernels' loops; a graph
     /// without collectives never leaves it, and in one with collectives
@@ -568,52 +444,37 @@ impl DepGraph {
     #[inline(always)]
     pub(crate) fn in_of(&self, gid: u32) -> Edges<'_> {
         let link = self.link(gid);
-        let run = self.stored_in(gid, link);
-        if !run.is_empty() || !link.is_end() {
-            return run;
+        if link.is_end() {
+            return self.collective_in(link);
         }
-        self.collective_in(link)
+        self.stored_in(link)
     }
 
-    /// The stored in-edges of `gid`, linked by `link`: a receive's message
-    /// edge, a POMP event's run, else none.
+    /// The message in-edge of the event linked by `link`: a receive's one
+    /// edge, else none.
     #[inline(always)]
-    pub(crate) fn stored_in(&self, gid: u32, link: Link) -> Edges<'_> {
+    pub(crate) fn stored_in(&self, link: Link) -> Edges<'_> {
         if link.kind() == RECV {
             let m = link.index();
             return Edges::run(&self.msgs.sends()[m..=m], &self.msgs.lats()[m..=m]);
-        }
-        if link.is_ruled() {
-            return self.rules_in(gid);
         }
         Edges::EMPTY
     }
 
     /// Out-edges of `gid` — consumer gids and edge latencies: the matched
-    /// receive of a send, the ends waiting on a collective begin, or a POMP
-    /// event's stored consumers.
+    /// receive of a send or the ends waiting on a collective begin; any
+    /// other event has none.
     #[inline(always)]
     pub(crate) fn out_of(&self, gid: u32) -> Edges<'_> {
         let link = self.link(gid);
-        if link.kind() == SEND {
-            let m = link.index();
-            return Edges::run(&self.msgs.recvs()[m..=m], &self.msgs.lats()[m..=m]);
+        match link.kind() {
+            SEND => {
+                let m = link.index();
+                Edges::run(&self.msgs.recvs()[m..=m], &self.msgs.lats()[m..=m])
+            }
+            BEGIN => self.collective_out(link),
+            _ => Edges::EMPTY,
         }
-        let run = if link.is_ruled() { self.rules_out(gid) } else { Edges::EMPTY };
-        if !run.is_empty() || !link.is_begin() {
-            return run;
-        }
-        self.collective_out(link)
-    }
-
-    #[inline(never)]
-    fn rules_in(&self, gid: u32) -> Edges<'_> {
-        self.rules.into.run(self.rules.node(gid))
-    }
-
-    #[inline(never)]
-    fn rules_out(&self, gid: u32) -> Edges<'_> {
-        self.rules.from.run(self.rules.node(gid))
     }
 
     /// The collective member a begin or end links: its instance and its
@@ -625,8 +486,8 @@ impl DepGraph {
         (inst, row - inst.first_row)
     }
 
-    /// [`in_of`](DepGraph::in_of) for a collective end without a stored
-    /// in-edge: the begins it waits on, cut out of the member table.
+    /// [`in_of`](DepGraph::in_of) for a collective end: the begins it waits
+    /// on, cut out of the member table.
     #[inline(never)]
     pub(crate) fn collective_in(&self, link: Link) -> Edges<'_> {
         debug_assert!(link.is_end());
@@ -643,8 +504,8 @@ impl DepGraph {
         }
     }
 
-    /// [`out_of`](DepGraph::out_of) for a collective begin without a
-    /// stored out-edge: the ends waiting on it.
+    /// [`out_of`](DepGraph::out_of) for a collective begin: the ends
+    /// waiting on it.
     #[inline(never)]
     fn collective_out(&self, link: Link) -> Edges<'_> {
         debug_assert!(link.is_begin());
@@ -697,37 +558,33 @@ impl DepGraph {
 
 /// The forward pass's times where a backward cap reads them, and nowhere
 /// else: at the consumers of constraints. One word per message — its
-/// receive's — one per member row — the row's end — and one per POMP
-/// event, indexed through the consumer's link.
+/// receive's — and one per member row — the row's end — indexed through
+/// the consumer's link.
 pub(crate) struct Snapshot {
     /// `recvs[m]`: F of message `m`'s receive.
     recvs: Vec<i64>,
     /// `ends[row]`: F of the member row's end.
     ends: Vec<i64>,
-    /// `nodes[n]`: F of POMP node `n`.
-    nodes: Vec<i64>,
 }
 
 impl Snapshot {
     /// Read the consumers' times out of the gid-indexed slab `flat`.
     pub(crate) fn take(graph: &DepGraph, flat: &[i64]) -> Snapshot {
-        let at = |gids: &[u32]| gids.iter().map(|&g| flat[g as usize]).collect();
         Snapshot {
-            recvs: at(graph.msgs.recvs()),
+            recvs: graph.msgs.recvs().iter().map(|&g| flat[g as usize]).collect(),
             ends: graph.coll.instances().flat_map(|inst| inst.ends).map(|&e| flat[e as usize]).collect(),
-            nodes: at(&graph.rules.nodes),
         }
     }
 
-    /// F of `gid`: a receive, a collective end or a POMP event.
+    /// F of `gid`: a receive or a collective end, the only consumers.
     #[inline(always)]
     fn at(&self, graph: &DepGraph, gid: u32) -> i64 {
         let link = graph.link(gid);
-        match link.kind() {
-            RECV => self.recvs[link.index()],
-            END => self.ends[link.index()],
-            _ => self.nodes[graph.rules.node(gid)],
+        if link.kind() == RECV {
+            return self.recvs[link.index()];
         }
+        debug_assert!(link.is_end());
+        self.ends[link.index()]
     }
 }
 
@@ -982,7 +839,7 @@ mod tests {
         let events = g.n_events();
         assert_eq!(events, 2 * k * ops.len());
         assert_eq!(g.n_edges(), 40 * k * (k - 1) + 2 * (k - 1) + k * (k - 1) / 2);
-        assert!(g.msgs.is_empty() && g.rules.nodes.is_empty(), "no collective edge is stored");
+        assert!(g.msgs.is_empty(), "no collective edge is stored");
         assert_eq!(g.coll.n_members(), k * ops.len());
         assert_eq!(g.coll.n_blocks(), 1);
         let stored_words = g.heap_bytes() / 8;

@@ -21,36 +21,32 @@
 //! corrected. The replay-based parallel implementation the paper cites
 //! as [31] is not part of this crate (DESIGN §9.2).
 //!
-//! # One walker, several lowerings
+//! # One walker, one lowering
 //!
 //! How a constraint set becomes corrected timestamps is decided in one
-//! place: the kernels of `columnar` over a [`graph::DepGraph`]. The
-//! variants of the algorithm differ only in *which happened-before edges
-//! carry which minimum latency*, so each is a lowering onto that graph:
-//!
-//! * [`controlled_logical_clock`] — matched messages as stored edges,
-//!   collectives as the member table the §V flavour mapping is derived from;
-//! * [`pomp`] — fork/join rules of a thread team as stored edges, its
-//!   barriers as N-to-N member rows, forward pass only.
+//! place: the kernels of `columnar` over a [`graph::DepGraph`], the
+//! lowering of matched messages (the message table) and collectives (the
+//! member table the §V flavour mapping is derived from). Every event has at
+//! most one constraint source: its message-table row, its member row, or
+//! none. OpenMP's happened-before rules (§VI names them a limitation of the
+//! CLC) are counted by `tracefmt::check_pomp`, not corrected.
 //!
 //! **Dispatch order.** The forward pass visits timelines round-robin and,
 //! on each, corrects events in program order until one must wait. An event
 //! waits on its in-edges in a fixed order — a receive on its one matched
 //! send, a collective end on the begins of the other members in increasing
-//! member position (restricted by flavour), a POMP event on its stored
-//! edges in lowering order — and the pass leaves the timeline at the
-//! *first* producer not yet corrected. That schedule fixes the order jumps
-//! are discovered in, so every engine that keeps it (the batch kernel, the
-//! windowed engine, the map-based reference under `tests/common/`) reports
-//! the same [`Jump`] sequence, not just the same timestamps. A round in
-//! which no timeline advances is a dependency cycle:
-//! [`ClcError::CyclicTrace`].
+//! member position (restricted by flavour) — and the pass leaves the
+//! timeline at the *first* producer not yet corrected. That schedule fixes
+//! the order jumps are discovered in, so every engine that keeps it (the
+//! batch kernel, the windowed engine, the map-based reference under
+//! `tests/common/`) reports the same [`Jump`] sequence, not just the same
+//! timestamps. A round in which no timeline advances is a dependency
+//! cycle: [`ClcError::CyclicTrace`].
 //!
 //! Every function here rewrites its trace only when it returns `Ok`.
 
 pub(crate) mod columnar;
 pub mod graph;
-pub mod pomp;
 
 use simclock::Dur;
 use tracefmt::{Capture, EventId, MinLatency, Trace, TraceColumns};
@@ -204,13 +200,6 @@ pub(crate) mod fixtures {
         t.procs[1].push(Time::from_us(60), recv(0, 2));
         t.procs[1].push(Time::from_us(70), send(0, 1));
         t
-    }
-
-    /// Every event record of `t` is what it is in `before`.
-    pub(crate) fn assert_untouched(t: &Trace, before: &Trace) {
-        for (got, was) in t.procs.iter().zip(&before.procs) {
-            assert_eq!(got.events, was.events);
-        }
     }
 
     /// Mixed p2p + collective ring trace with injected per-proc skew:

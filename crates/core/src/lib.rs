@@ -9,14 +9,15 @@
 //! * [`interp`] — offset alignment and Eq. 3 linear offset interpolation;
 //! * [`clc`] — the Controlled Logical Clock with forward and backward
 //!   amortization and the collective → point-to-point mapping extension,
-//!   also lowered for OpenMP thread teams;
+//!   over a dependency graph in which each event has at most one
+//!   constraint source: its message, its collective member row, or none;
 //! * [`pipeline`] — the recommended chain: linear interpolation for weak
 //!   pre-synchronisation, then the CLC for the residual violations.
 //!
 //! The crate ships what a synchronizer runs. The paper's §V comparison
-//! (the classic baselines) and the extensions only the evaluation calls
-//! (the clock-domain CLC, the violation-probability model) live in the
-//! `experiments` crate's `survey` module.
+//! (the classic baselines, piecewise interpolation, and scoring against
+//! the simulator's true times) lives in the `experiments` crate's `survey`
+//! module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +28,6 @@ pub mod offset;
 pub mod pipeline;
 
 pub use clc::graph::DepGraph;
-pub use clc::pomp::{controlled_logical_clock_pomp, pomp_constraints};
 pub use clc::{
     controlled_logical_clock, ClcError, ClcParams, ClcReport, Jump,
 };

@@ -275,9 +275,10 @@ pub enum PipelineError {
     Clc(ClcError),
     /// Streaming ingest could not decode the trace bytes.
     Codec(CodecError),
-    /// The run was cancelled (or its deadline passed) at a cooperative
-    /// checkpoint. Like every other error, it leaves the caller's trace
-    /// untouched: [`synchronize`] writes records only in its final stage.
+    /// The run was cancelled (its flag raised or a probe tripped) at a
+    /// cooperative checkpoint. Like every other error, it leaves the
+    /// caller's trace untouched: [`synchronize`] writes records only in its
+    /// final stage.
     Cancelled,
     /// The requested configuration is not supported by this entry point
     /// (e.g. the online method on the incremental windowed engine).
@@ -308,8 +309,8 @@ impl std::error::Error for PipelineError {}
 pub type CancelProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 
 /// Cooperative cancellation for a pipeline run: an optional shared flag
-/// (set by whoever wants the run stopped), an optional deadline, and any
-/// number of [`CancelProbe`]s.
+/// (set by whoever wants the run stopped) and any number of
+/// [`CancelProbe`]s — a deadline is a probe on the caller's clock.
 ///
 /// The pipeline polls the token between stages — and, in the windowed
 /// engine, between the bursts and blocks of its sweeps — and bails out with
@@ -322,7 +323,6 @@ pub type CancelProbe = Arc<dyn Fn() -> bool + Send + Sync>;
 #[derive(Clone, Default)]
 pub struct CancelToken {
     flag: Option<Arc<AtomicBool>>,
-    deadline: Option<Instant>,
     probes: Vec<CancelProbe>,
 }
 
@@ -330,7 +330,6 @@ impl std::fmt::Debug for CancelToken {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CancelToken")
             .field("flag", &self.flag)
-            .field("deadline", &self.deadline)
             .field("probes", &self.probes.len())
             .finish()
     }
@@ -350,28 +349,19 @@ impl CancelToken {
         self
     }
 
-    /// Attach a deadline; the run stops at the first checkpoint after it.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Attach one more [`CancelProbe`]; probes are polled (in attachment
-    /// order) at every checkpoint, after the flag and the deadline.
+    /// order) at every checkpoint, after the flag.
     pub fn with_probe(mut self, probe: CancelProbe) -> Self {
         self.probes.push(probe);
         self
     }
 
-    /// Has the flag been raised, the deadline passed, or a probe tripped?
+    /// Has the flag been raised or a probe tripped?
     pub fn is_cancelled(&self) -> bool {
         if let Some(f) = &self.flag {
             if f.load(Ordering::Relaxed) {
                 return true;
             }
-        }
-        if matches!(self.deadline, Some(d) if Instant::now() >= d) {
-            return true;
         }
         self.probes.iter().any(|p| p())
     }
@@ -722,7 +712,6 @@ fn synchronize_impl(
 mod tests {
     use super::*;
     use simclock::{Dur, Time};
-    use std::time::Duration;
     use tracefmt::{EventKind, Rank, Tag, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
@@ -981,7 +970,7 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_cancels_the_run() {
+    fn tripped_probe_or_raised_flag_cancels_the_run() {
         let bytes = tracefmt::io::to_binary_columnar_v3_blocked(&skewed_trace(), 16);
         let init = vec![None, measurements(-500, 0)];
         let fin = vec![None, measurements(-500, 10_000)];
@@ -991,7 +980,7 @@ mod tests {
             Some(&fin),
             &LMIN,
             &PipelineConfig::default(),
-            &CancelToken::none().with_deadline(Instant::now() - Duration::from_millis(1)),
+            &CancelToken::none().with_probe(Arc::new(|| true)),
         );
         assert!(matches!(err, Err(PipelineError::Cancelled)), "expected Cancelled, got {err:?}");
         let flag = Arc::new(AtomicBool::new(false));

@@ -13,10 +13,6 @@ use simclock::{Dur, Time};
 use std::sync::Arc;
 use tracefmt::{LatencyTable, MinLatency, Rank, UniformLatency};
 
-/// Sizing hint for a Hello frame (used by handshake readers that cap the
-/// first read).
-pub const HELLO_SIZE_HINT: usize = 4 + 1 + 4 + 2 + 2 + 256;
-
 /// Everything that can go wrong while encoding, scanning, or decoding
 /// frames. All variants are *typed* protocol outcomes — the scanner and
 /// decoders never panic on hostile bytes.

@@ -12,9 +12,9 @@
 use crate::frame::{Frame, WireError};
 use crate::MAX_FRAME_PAYLOAD;
 
-/// The per-frame callback [`FrameScanner::feed_raw`] drives: receives
+/// The per-frame callback `FrameScanner::feed_raw` drives: receives
 /// `(kind, payload)` for every complete frame; an `Err` aborts the scan.
-pub type RawFrameEmit<'a> = dyn FnMut(u8, &[u8]) -> Result<(), WireError> + 'a;
+type RawFrameEmit<'a> = dyn FnMut(u8, &[u8]) -> Result<(), WireError> + 'a;
 
 /// Streaming frame boundary scanner. See the module docs.
 #[derive(Debug, Default)]
@@ -56,30 +56,12 @@ impl FrameScanner {
         self.consumed
     }
 
-    /// Bytes needed before the next complete frame can be produced: a
-    /// useful read-size hint. At a frame boundary this is the header size.
-    pub fn wanted(&self) -> usize {
-        if self.partial.len() < 4 {
-            4 + 1 - self.partial.len()
-        } else {
-            let declared =
-                u32::from_le_bytes(self.partial[..4].try_into().unwrap()) as usize;
-            (4 + declared).saturating_sub(self.partial.len()).max(1)
-        }
-    }
-
-    /// True when the stream sits exactly at a frame boundary (no partial
-    /// frame buffered) — the only place EOF is legal.
-    pub fn at_boundary(&self) -> bool {
-        self.partial.is_empty()
-    }
-
     /// Scan `chunk`, invoking `emit(kind, payload)` for every complete
     /// frame. Payload slices borrow from `chunk` (or from the internal
     /// partial buffer when a frame straddled a chunk seam). A typed error
     /// from the scanner or from `emit` aborts the scan; the scanner must
     /// not be fed again after an error.
-    pub fn feed_raw(
+    fn feed_raw(
         &mut self,
         chunk: &[u8],
         emit: &mut RawFrameEmit<'_>,
@@ -139,8 +121,8 @@ impl FrameScanner {
         Ok(())
     }
 
-    /// Like [`FrameScanner::feed_raw`], but decodes each frame to its
-    /// typed form and collects them.
+    /// Scan `chunk` and decode every complete frame in it to its typed
+    /// form. The scanner must not be fed again after an error.
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<Frame>, WireError> {
         let mut out = Vec::new();
         self.feed_raw(chunk, &mut |kind, payload| {
@@ -200,16 +182,25 @@ mod tests {
 
     #[test]
     fn truncation_at_every_offset_is_typed() {
-        let bytes = stream(&sample_frames());
+        let frames = sample_frames();
+        let bytes = stream(&frames);
+        let ends: Vec<usize> = frames
+            .iter()
+            .scan(0, |at, f| {
+                *at += f.encode().len();
+                Some(*at)
+            })
+            .collect();
         for cut in 0..bytes.len() {
             let mut scanner = FrameScanner::new();
             let fed = scanner.feed(&bytes[..cut]).expect("prefix scans clean");
+            let boundary = cut == 0 || ends.contains(&cut);
             match scanner.finish() {
-                Ok(()) => assert!(scanner.at_boundary(), "cut {cut}"),
-                Err(WireError::Truncated) => assert!(!scanner.at_boundary(), "cut {cut}"),
+                Ok(()) => assert!(boundary, "cut {cut}"),
+                Err(WireError::Truncated) => assert!(!boundary, "cut {cut}"),
                 Err(e) => panic!("cut {cut}: unexpected {e:?}"),
             }
-            assert!(fed.len() <= sample_frames().len());
+            assert_eq!(fed.len(), ends.iter().filter(|&&end| end <= cut).count(), "cut {cut}");
         }
     }
 
@@ -238,19 +229,5 @@ mod tests {
             scanner.feed(&zero).unwrap_err(),
             WireError::Oversized { declared: 0 }
         ));
-    }
-
-    #[test]
-    fn wanted_is_a_truthful_read_hint() {
-        let frame = Frame::Chunk(vec![1u8; 64]).encode();
-        let mut scanner = FrameScanner::new();
-        assert_eq!(scanner.wanted(), 5);
-        scanner.feed(&frame[..2]).unwrap();
-        assert_eq!(scanner.wanted(), 3); // header completion first
-        scanner.feed(&frame[2..10]).unwrap();
-        assert_eq!(scanner.wanted(), frame.len() - 10);
-        let got = scanner.feed(&frame[10..]).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(scanner.wanted(), 5);
     }
 }

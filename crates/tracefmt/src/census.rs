@@ -565,17 +565,13 @@ fn lane_masks_scalar(lane: &MessageTable, times: &[i64], lo: usize, hi: usize) -
     (vmask, rmask)
 }
 
-/// Is AVX2 available on this machine? Checked once, cached. Setting
-/// `TRACEFMT_NO_AVX2` (to anything) forces the scalar path — the
-/// differential tests use it to exercise both kernels on one host.
+/// Is AVX2 available on this machine? Checked once, cached. The unit
+/// tests below hold both kernels to an `i128` oracle on one host.
 #[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
     use std::sync::OnceLock;
     static AVX2: OnceLock<bool> = OnceLock::new();
-    *AVX2.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("avx2")
-            && std::env::var_os("TRACEFMT_NO_AVX2").is_none()
-    })
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
 }
 
 /// AVX2 mask kernel: 4-lane `i64` gathers of both endpoints, packed
@@ -677,6 +673,7 @@ mod tests {
     use crate::ids::{CommId, Rank, Tag};
     use crate::trace::Trace;
     use crate::violation::{check_collectives_at, check_p2p_messages_at, UniformLatency};
+    use proptest::prelude::*;
     use simclock::Time;
 
     /// A trace with a spread of fine, sub-latency, and reversed messages
@@ -910,9 +907,16 @@ mod tests {
                 }
             }
         }
+        assert_masks_equal_i128(&lane, &times, 61);
+    }
+
+    /// Cut `lane` into chunks of `width` checks and hold the scalar, the
+    /// dispatched and — where the CPU has it — the AVX2 kernel to exact
+    /// `i128` arithmetic on each.
+    fn assert_masks_equal_i128(lane: &MessageTable, times: &[i64], width: usize) {
         let (n, mut lo) = (lane.len(), 0);
         while lo < n {
-            let hi = (lo + 61).min(n);
+            let hi = (lo + width).min(n);
             let mut want = (0u64, 0u64);
             for (bit, k) in (lo..hi).enumerate() {
                 let (from, to) = (times[lane.send[k] as usize], times[lane.recv[k] as usize]);
@@ -920,16 +924,61 @@ mod tests {
                 want.0 |= u64::from(transfer < i128::from(lane.lat[k])) << bit;
                 want.1 |= u64::from(transfer < 0) << bit;
             }
-            assert_eq!(lane_masks_scalar(&lane, &times, lo, hi), want, "scalar, checks {lo}..{hi}");
-            assert_eq!(lane_masks(&lane, &times, lo, hi), want, "dispatched, checks {lo}..{hi}");
+            assert_eq!(lane_masks_scalar(lane, times, lo, hi), want, "scalar, checks {lo}..{hi}");
+            assert_eq!(lane_masks(lane, times, lo, hi), want, "dispatched, checks {lo}..{hi}");
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: gated on runtime AVX2 detection; every index is
                 // below `times.len()`.
-                let simd = unsafe { lane_masks_avx2(&lane, &times, lo, hi) };
+                let simd = unsafe { lane_masks_avx2(lane, times, lo, hi) };
                 assert_eq!(simd, want, "AVX2, checks {lo}..{hi}");
             }
             lo = hi;
+        }
+    }
+
+    /// A value `offset` from zero (`side` 0), from `i64::MIN` (1) or from
+    /// `i64::MAX` (2).
+    fn near(side: u8, offset: i64) -> i64 {
+        match side {
+            0 => offset,
+            1 => i64::MIN + offset.abs(),
+            _ => i64::MAX - offset.abs(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random lanes of 1–300 checks, so every tail length occurs, over
+        /// times near zero and near both `i64` edges, with bounds from
+        /// negative through wide to `i64::MAX` and at the transfer itself
+        /// (every bound above `i64::MIN`), cut into chunks of 1–64.
+        #[test]
+        fn masks_on_random_lanes_equal_an_i128_oracle(
+            times in prop::collection::vec((0u8..3, -5_000_000i64..5_000_000), 1..16),
+            checks in prop::collection::vec(
+                (0usize..1 << 16, 0usize..1 << 16, 0u8..4, -5_000_000i64..5_000_000),
+                1..301,
+            ),
+            width in 1usize..65,
+        ) {
+            let times: Vec<i64> = times.into_iter().map(|(side, offset)| near(side, offset)).collect();
+            let mut lane = MessageTable::default();
+            for (from, to, kind, offset) in checks {
+                let (from, to) = ((from % times.len()) as u32, (to % times.len()) as u32);
+                let bound = match kind {
+                    0 => offset,
+                    1 => offset.saturating_mul(1 << 40),
+                    2 => i64::MAX - offset.abs(),
+                    // At the check's own transfer, or one either side —
+                    // above `i64::MIN`, where a saturated transfer decides
+                    // `transfer < bound` exactly.
+                    _ => times[to as usize].saturating_sub(times[from as usize]).saturating_add(offset % 2).max(i64::MIN + 1),
+                };
+                lane.push(from, to, Dur::from_ps(bound));
+            }
+            assert_masks_equal_i128(&lane, &times, width);
         }
     }
 

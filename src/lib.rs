@@ -14,14 +14,15 @@
 //!   clock-condition violation checks;
 //! * [`clocksync`] — the algorithms: Cristian offset estimation (Eq. 2),
 //!   linear offset interpolation (Eq. 3), the Controlled Logical Clock with
-//!   amortization and collective mapping, and the classic baselines;
+//!   amortization and collective mapping, and the synchronization pipeline;
 //! * [`onlinesync`] — online synchronization: a recursive drift/offset
 //!   Kalman filter over Cristian probes, a streaming timestamp corrector,
 //!   and dynamic-topology clock networks (churn, NTP islands, evolving
 //!   sync spanning trees);
 //! * [`workloads`] — POP-like, SMG2000-like, ping-pong and OpenMP workload
 //!   generators;
-//! * [`experiments`] — regenerates every table and figure of the paper;
+//! * [`experiments`] — regenerates every table and figure of the paper,
+//!   with the §V survey's classic baselines;
 //! * [`syncd`] — a multi-tenant synchronization *service* over the
 //!   pipeline: admission control, priority scheduling, fault-isolated
 //!   jobs that run once and fail typed, and a metrics registry.

@@ -124,8 +124,8 @@ fn streamed_ingest_rejects_truncated_input() {
 /// Zero-copy streamed ingest against one-shot decode + synchronize, both
 /// against the oracle, across drift models × presync (see
 /// `common::ingest_differential_matrix`; widened by `DRIFT_STRESS=1`).
-/// This binary runs the kernels the host CPU offers (AVX2 where present);
-/// `columnar_differential_scalar.rs` repeats it with the scalar kernels.
+/// It runs the census kernel the host CPU selects (AVX2 where present);
+/// `tracefmt`'s census unit tests hold both kernels to an `i128` oracle.
 #[test]
 fn streamed_ingest_is_bit_identical_to_one_shot_decode() {
     common::ingest_differential_matrix();

@@ -17,8 +17,8 @@
 //! ([`assert_postcondition`]), which the differential helpers of
 //! `tests/common` also assert on the library's output, so a walk that
 //! breaks it fails there by name rather than only as a differing
-//! timestamp. The reference knows messages and collectives; POMP events
-//! carry no constraint here.
+//! timestamp. The reference knows messages and collectives, as the
+//! library does; POMP events carry no constraint in either.
 
 use drift_lab::clocksync::{ClcError, ClcParams, ClcReport, Jump};
 use drift_lab::simclock::{Dur, Time};

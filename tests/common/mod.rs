@@ -724,10 +724,9 @@ pub fn assert_report_matches_reference(
 /// [`reference_synchronize`] on the decoded trace — corrected timestamps
 /// and every stage census.
 ///
-/// Shared by `columnar_differential.rs` (AVX2 kernels where the host has
-/// them) and `columnar_differential_scalar.rs` (`TRACEFMT_NO_AVX2`
-/// forced before the CPU probe is cached). `DRIFT_STRESS=1` widens the
-/// matrix with a 6000-message trace size.
+/// Run by `columnar_differential.rs`, on the census kernel the host's CPU
+/// selects (the census unit tests hold both kernels to one oracle).
+/// `DRIFT_STRESS=1` widens the matrix with a 6000-message trace size.
 pub fn ingest_differential_matrix() {
     use drift_lab::clocksync::{synchronize_stream, CancelToken};
     use drift_lab::tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
@@ -851,30 +850,6 @@ pub fn fifo_match_messages(trace: &Trace) -> drift_lab::tracefmt::Matching {
     out.unmatched_sends = pending.values().flatten().map(|&(id, _)| id).collect();
     out.unmatched_sends.sort();
     out
-}
-
-// ------------------------------------------------------------ fingerprints --
-
-/// 64-bit FNV-1a over little-endian `i64` words: the fingerprint the
-/// recorded-output pins are stated in.
-pub fn fnv1a(words: impl IntoIterator<Item = i64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Fingerprints of a CLC run: every timestamp in timeline order, and the
-/// jump sequence (timeline, index, size) in discovery order.
-pub fn clc_fingerprints(trace: &Trace, report: &drift_lab::clocksync::ClcReport) -> (u64, u64) {
-    let times = fnv1a(trace.iter_events().map(|(_, e)| e.time.as_ps()));
-    let jumps = fnv1a(report.jumps.iter().flat_map(|j| {
-        [i64::from(j.event.proc), i64::from(j.event.idx), j.size.as_ps()]
-    }));
-    (times, jumps)
 }
 
 /// A random but *causally valid* two-to-six-process message trace: messages

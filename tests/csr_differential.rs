@@ -7,7 +7,7 @@
 //! structure (the oracle of `tests/common/clc_reference.rs`, run by
 //! `common::reference_synchronize`) or the CSR graph: the kernel inside the
 //! pipeline, and the same kernel behind the public
-//! `controlled_logical_clock` and `_pomp` lowerings. (The fixture
+//! `controlled_logical_clock` lowering. (The fixture
 //! generators live in `tests/common/mod.rs`.)
 
 mod common;
@@ -15,7 +15,7 @@ mod common;
 use common::{
     assert_adapter_matches_oracle, assert_identical, assert_report_matches_reference,
     assert_windowed_matches_oracle,
-    clc_fingerprints, clc_reference, directed_latency, drifted_trace, drifted_zoo_trace,
+    clc_reference, directed_latency, drifted_trace, drifted_zoo_trace,
     graph_edges, mixed_trace, reference_edges, reference_synchronize, run_windowed_clc,
     zoo_latencies,
 };
@@ -530,82 +530,3 @@ fn adapter_matches_the_oracle_on_the_pop_batch_input() {
         assert_eq!(rep.n_jumps(), jumps, "{name}");
     }
 }
-
-// -------------------------------- outputs recorded before the lowerings --
-
-/// `controlled_logical_clock_pomp` lowers a team's fork/join rules as stored
-/// edges and its barriers as N-to-N member rows, onto the CSR forward
-/// kernel. What it must reproduce is the output of the hash-map walker it
-/// replaced, recorded at the last commit that had it: FNV-1a fingerprints
-/// of every corrected timestamp and of the jump sequence, and the report's
-/// counts, for three OpenMP benchmark runs × two μ. The logical edge count
-/// is the one the walker's `k²` constraint list had; what is stored is two
-/// edges and one member row per thread and region.
-#[test]
-fn pomp_lowering_reproduces_the_recorded_walker_output() {
-    use drift_lab::clocksync::{controlled_logical_clock_pomp, pomp_constraints};
-    /// Per μ ∈ {0.99, 0.9}: (times, jumps, n_jumps, max_jump ps, moved).
-    type Pin = (u64, u64, usize, i64, usize);
-    struct Run {
-        input: (usize, usize, u64),
-        events: usize,
-        constraints: usize,
-        per_mu: [Pin; 2],
-    }
-    let pins = [
-        Run {
-            input: (4, 300, 42),
-            events: 5_400,
-            constraints: 6_000,
-            per_mu: [
-                (0xa05d_2602_8748_f058, 0x3ff9_7703_9dd1_9caf, 177, 1_170_000, 397),
-                (0x60ec_1908_66f9_05be, 0x2fbb_1127_c1b7_0456, 178, 1_170_000, 185),
-            ],
-        },
-        Run {
-            input: (8, 300, 7),
-            events: 10_200,
-            constraints: 21_600,
-            per_mu: [
-                (0xf1b3_a78e_f5fe_ed51, 0x9985_298a_7e91_aefd, 65, 1_435_000, 161),
-                (0x0e9a_4ead_e488_ad09, 0x9985_298a_7e91_aefd, 65, 1_435_000, 67),
-            ],
-        },
-        Run {
-            input: (16, 2000, 2008),
-            events: 132_000,
-            constraints: 544_000,
-            per_mu: [
-                (0x0923_0205_0deb_21c0, 0x1800_37d9_f709_7bdb, 86, 1_305_000, 103),
-                (0x0905_c61a_d33e_4278, 0x1800_37d9_f709_7bdb, 86, 1_305_000, 86),
-            ],
-        },
-    ];
-    let d_min = Dur::from_ns(100);
-    for Run { input: (threads, regions, seed), events, constraints, per_mu } in pins {
-        let base = drift_lab::workloads::run_benchmark(threads, regions, seed);
-        assert_eq!(base.n_events(), events);
-        let graph = pomp_constraints(&base, d_min).expect("well-formed");
-        assert_eq!(graph.n_edges(), constraints);
-        let coll = graph.coll_table();
-        let logical: usize = coll.instances().map(|inst| inst.n_logical_by_position()).sum();
-        assert_eq!(
-            (graph.n_edges() - logical, coll.n_members()),
-            (2 * threads * regions, threads * regions),
-            "stored edges and member rows of run_benchmark({threads}, {regions}, {seed})"
-        );
-        for (mu, (times, jumps, n_jumps, max_jump, moved)) in [0.99, 0.9].into_iter().zip(per_mu) {
-            let ctx = format!("run_benchmark({threads}, {regions}, {seed}), mu {mu}");
-            let mut t = base.clone();
-            let params = ClcParams { mu, ..ClcParams::default() };
-            let rep = controlled_logical_clock_pomp(&mut t, d_min, &params).expect("acyclic");
-            assert_eq!(clc_fingerprints(&t, &rep), (times, jumps), "{ctx}");
-            assert_eq!(
-                (rep.n_jumps(), rep.max_jump.as_ps(), rep.events_moved, rep.events_total),
-                (n_jumps, max_jump, moved, events),
-                "{ctx}"
-            );
-        }
-    }
-}
-

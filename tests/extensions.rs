@@ -1,7 +1,7 @@
 //! Integration tests for the beyond-the-paper extensions, chained across
-//! crates: the CLC on a wavefront and POMP.
+//! crates: the CLC on a wavefront.
 
-use drift_lab::clocksync::{controlled_logical_clock, controlled_logical_clock_pomp, ClcParams};
+use drift_lab::clocksync::{controlled_logical_clock, ClcParams};
 use drift_lab::prelude::*;
 use drift_lab::workloads::SweepConfig;
 
@@ -42,22 +42,4 @@ fn diff_clc_chain_on_a_wavefront() {
     let rep = controlled_logical_clock(&mut fixed, &lmin, &ClcParams::default()).unwrap();
     assert!(check_p2p(&fixed, &match_messages(&fixed), &lmin).violations.is_empty());
     assert_eq!(shifts_us(&raw, &fixed).filter(|&s| s != 0.0).count(), rep.events_moved);
-}
-
-#[test]
-fn pomp_clc_fixes_a_full_openmp_benchmark_run() {
-    let trace = drift_lab::workloads::run_benchmark(4, 150, 21);
-    let regions = match_parallel_regions(&trace).unwrap();
-    let before = check_pomp(&trace, &regions);
-    assert!(before.any_violations > 0, "4-thread run should violate");
-
-    let mut fixed = trace.clone();
-    controlled_logical_clock_pomp(&mut fixed, Dur::from_ns(100), &ClcParams::default())
-        .unwrap();
-    let regions = match_parallel_regions(&fixed).unwrap();
-    assert_eq!(check_pomp(&fixed, &regions).any_violations, 0);
-    // The corrections were bounded (µs scale, not wild).
-    let max_shift = shifts_us(&trace, &fixed).map(f64::abs).fold(0.0, f64::max);
-    assert!(max_shift > 0.0);
-    assert!(max_shift < 100.0, "shift {max_shift}");
 }

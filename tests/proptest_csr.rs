@@ -279,6 +279,97 @@ fn relabelled(trace: &Trace, perm: &[usize]) -> Trace {
     out
 }
 
+/// The §V mapping of one collective call on two timelines, member by
+/// member: the timeline its begin sends to and the one its end receives
+/// from, `None` where the mapping leaves the event unconstrained.
+type Fan = [(Option<u32>, Option<u32>); 2];
+
+/// Every flavour on two timelines, rooted ones at either root, with the
+/// messages the mapping names: N-to-N each begin to the other's end,
+/// 1-to-N the root's begin to the other's end, N-to-1 the other's begin
+/// to the root's end, prefix member 0's begin to member 1's end.
+const FANS: [(CollOp, Option<u32>, Fan); 6] = [
+    (CollOp::Barrier, None, [(Some(1), Some(1)), (Some(0), Some(0))]),
+    (CollOp::Bcast, Some(0), [(Some(1), None), (None, Some(0))]),
+    (CollOp::Bcast, Some(1), [(None, Some(1)), (Some(0), None)]),
+    (CollOp::Reduce, Some(0), [(None, Some(1)), (Some(0), None)]),
+    (CollOp::Reduce, Some(1), [(Some(1), None), (None, Some(0))]),
+    (CollOp::Scan, None, [(Some(1), None), (None, Some(0))]),
+];
+
+/// Two timelines with `pre[p]` local events, one call of `op`, then
+/// `post[p]` local events, true times advancing by `gaps` and recorded on
+/// timeline `p` shifted by `skews[p]` — and its twin, the same events
+/// with the call re-kinded as the messages of `fan`: a send or receive
+/// where the mapping names one, an `Enter` / `Exit` where it does not.
+fn collective_and_twin(
+    (op, root, fan): (CollOp, Option<u32>, Fan),
+    pre: &[usize],
+    post: &[usize],
+    skews: &[i64],
+    gaps: &[i64],
+) -> (Trace, Trace) {
+    let region = RegionId(0);
+    let local = |k: usize| if k.is_multiple_of(2) { EventKind::Enter { region } } else { EventKind::Exit { region } };
+    let (comm, root_rank) = (CommId::WORLD, root.map(Rank));
+    let mut gap = gaps.iter().copied().cycle();
+    let (mut coll, mut twin) = (Trace::for_ranks(2), Trace::for_ranks(2));
+    let mut push = |p: usize, true_us: i64, kind: EventKind, twin_kind: EventKind| {
+        let at = Time::from_us(true_us + skews[p]);
+        coll.procs[p].push(at, kind);
+        twin.procs[p].push(at, twin_kind);
+    };
+    let mut now = [0i64; 2];
+    for p in 0..2 {
+        for k in 0..pre[p] {
+            now[p] += gap.next().expect("cycled");
+            push(p, now[p], local(k), local(k));
+        }
+        now[p] += gap.next().expect("cycled");
+        let begin = EventKind::CollBegin { op, comm, root: root_rank, bytes: 8 };
+        let send = fan[p].0.map_or(EventKind::Enter { region }, |to| EventKind::Send { to: Rank(to), tag: Tag(0), bytes: 8 });
+        push(p, now[p], begin, send);
+    }
+    let last_begin = now[0].max(now[1]);
+    for p in 0..2 {
+        now[p] = last_begin + 40 + gap.next().expect("cycled");
+        let end = EventKind::CollEnd { op, comm, root: root_rank, bytes: 8 };
+        let recv = fan[p].1.map_or(EventKind::Exit { region }, |from| EventKind::Recv { from: Rank(from), tag: Tag(0), bytes: 8 });
+        push(p, now[p], end, recv);
+        for k in 0..post[p] {
+            now[p] += gap.next().expect("cycled");
+            push(p, now[p], local(k), local(k));
+        }
+    }
+    (coll, twin)
+}
+
+/// What a CLC run leaves, per engine: batch `synchronize`, then the
+/// windowed engine at window 1 and at an unbounded window — timestamps by
+/// rank, the sorted jump set and `events_moved`.
+type ClcOutcome = (Vec<Vec<Time>>, Vec<(usize, usize, Dur)>, usize);
+
+fn clc_by_engine(trace: &Trace, lmin: &dyn MinLatency, ctx: &str) -> Vec<ClcOutcome> {
+    let outcome = |t: &Trace, rep: &ClcReport| {
+        let mut lines: Vec<_> = t.procs.iter().map(|l| (l.location.rank, l.events.iter().map(|e| e.time).collect())).collect();
+        lines.sort_by_key(|(rank, _)| *rank);
+        let mut jumps: Vec<_> = rep.jumps.iter().map(|j| (j.event.p(), j.event.i(), j.size)).collect();
+        jumps.sort_unstable();
+        (lines.into_iter().map(|(_, times)| times).collect(), jumps, rep.events_moved)
+    };
+    let params = ClcParams::default();
+    let cfg = PipelineConfig { presync: PreSync::None, clc: Some(params), ..PipelineConfig::default() };
+    let mut batch = trace.clone();
+    let rep = synchronize(&mut batch, &vec![None; trace.n_procs()], None, lmin, &cfg)
+        .unwrap_or_else(|e| panic!("{ctx}: batch: {e}"));
+    let mut out = vec![outcome(&batch, &rep.clc.expect("the CLC ran"))];
+    for window in [1, usize::MAX] {
+        let (back, rep) = run_windowed_clc(trace, lmin, &params, window, ctx);
+        out.push(outcome(&back, &rep));
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -354,6 +445,35 @@ proptest! {
             }
             prop_assert_eq!(jumps(&rep, &same), jumps(&want_rep, &perm), "windowed {}", window);
             prop_assert_eq!((rep.max_jump, rep.events_moved), (want_rep.max_jump, want_rep.events_moved));
+        }
+    }
+
+    /// A collective and its §V twin in messages give the same output: for
+    /// every flavour on two timelines, under random skews and a latency
+    /// model that differs by direction (the member rows walk their views)
+    /// and one that does not (a barrier is evaluated in aggregate), batch
+    /// `synchronize` and the windowed engine at windows 1 and ∞ give the
+    /// call and its twin the same timestamps, jump set and `events_moved`
+    /// — the member-table path against the message-table path.
+    #[test]
+    fn a_collective_and_its_p2p_twin_give_the_same_timestamps(
+        pre in prop::collection::vec(0usize..4, 2),
+        post in prop::collection::vec(0usize..4, 2),
+        skews in prop::collection::vec(-300i64..300, 2),
+        gaps in prop::collection::vec(1i64..60, 12),
+        (forth_us, extra_us) in (1i64..20, 1i64..20),
+    ) {
+        let directed = move |from: Rank, to: Rank| Dur::from_us(forth_us + if from < to { 0 } else { extra_us });
+        let symmetric = move |_: Rank, _: Rank| Dur::from_us(forth_us);
+        prop_assert_ne!(directed(Rank(0), Rank(1)), directed(Rank(1), Rank(0)));
+        for fan in FANS {
+            let (coll, twin) = collective_and_twin(fan, &pre, &post, &skews, &gaps);
+            for (name, lmin) in [("directed", &directed as &dyn MinLatency), ("symmetric", &symmetric)] {
+                let ctx = format!("{:?} rooted at {:?}, {name} latency", fan.0, fan.1);
+                let want = clc_by_engine(&coll, lmin, &ctx);
+                prop_assert_eq!(&clc_by_engine(&twin, lmin, &ctx), &want, "{}", ctx);
+                prop_assert!(want.iter().all(|got| got == &want[0]), "{}: engines disagree", ctx);
+            }
         }
     }
 

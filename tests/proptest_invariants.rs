@@ -395,7 +395,7 @@ proptest! {
     /// the bottom of the range, near zero or near its top, so a message
     /// between two of them is ordinary or carries a transfer past the range
     /// either way, and one allreduce at the end spans every timeline. The
-    /// plan census (AVX2 or forced-scalar kernels), the pipeline's raw
+    /// plan census (the kernel the CPU selects), the pipeline's raw
     /// census, the reference walk and exact `i128` arithmetic count the same
     /// violations and reversals.
     #[test]
@@ -469,78 +469,5 @@ proptest! {
         let cfg = drift_lab::clocksync::PipelineConfig { presync: PreSync::None, clc: None, ..Default::default() };
         let rep = drift_lab::clocksync::synchronize(&mut t, &vec![None; n], None, &lmin, &cfg).unwrap();
         prop_assert_eq!(counts(&rep.raw.p2p, &rep.raw.coll), exact, "pipeline census");
-    }
-}
-
-// -------- extensions: POMP CLC -------------------------------------------------
-
-/// A random POMP trace: a team of 2–6 threads, several region instances,
-/// per-thread clock skews corrupting the recorded timestamps.
-fn arb_pomp_trace() -> impl Strategy<Value = Trace> {
-    (
-        2usize..6,
-        2usize..8,
-        prop::collection::vec(-20i64..20, 6),
-    )
-        .prop_map(|(threads, regions, skews)| {
-            let r = RegionId(0);
-            let mut t = Trace::for_threads(threads);
-            let mut now = 10i64;
-            for k in 0..regions {
-                t.procs[0].push(
-                    Time::from_us(now + skews[0]),
-                    EventKind::Fork { region: r },
-                );
-                let start = now + 2;
-                let mut enters = Vec::new();
-                #[allow(clippy::needless_range_loop)]
-                for th in 0..threads {
-                    let body_end = start + 30 + ((th + k) as i64 * 7) % 17;
-                    t.procs[th].push(
-                        Time::from_us(start + skews[th]),
-                        EventKind::Enter { region: r },
-                    );
-                    t.procs[th].push(
-                        Time::from_us(body_end + skews[th]),
-                        EventKind::BarrierEnter { region: r },
-                    );
-                    enters.push(body_end);
-                }
-                let all_in = *enters.iter().max().expect("non-empty") + 1;
-                #[allow(clippy::needless_range_loop)]
-                for th in 0..threads {
-                    t.procs[th].push(
-                        Time::from_us(all_in + th as i64 + skews[th]),
-                        EventKind::BarrierExit { region: r },
-                    );
-                }
-                now = all_in + threads as i64 + 2;
-                t.procs[0].push(
-                    Time::from_us(now + skews[0]),
-                    EventKind::Join { region: r },
-                );
-                now += 10;
-            }
-            t
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn pomp_clc_always_restores_pomp_rules(trace in arb_pomp_trace()) {
-        use drift_lab::clocksync::controlled_logical_clock_pomp;
-        let mut t = trace;
-        controlled_logical_clock_pomp(
-            &mut t,
-            Dur::from_ns(100),
-            &drift_lab::clocksync::ClcParams::default(),
-        )
-        .unwrap();
-        let regions = match_parallel_regions(&t).unwrap();
-        let rep = check_pomp(&t, &regions);
-        prop_assert_eq!(rep.any_violations, 0, "POMP CLC left violations");
-        prop_assert!(t.is_locally_monotone());
     }
 }
