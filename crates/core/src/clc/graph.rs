@@ -269,26 +269,14 @@ impl DepGraph {
         proc_lens: &[usize],
         lmin: &dyn MinLatency,
     ) -> Result<DepGraph, PlanBuildError> {
-        let n = proc_lens.len();
-        let mut base = Vec::with_capacity(n + 1);
-        let mut total: u32 = 0;
-        for &len in proc_lens {
-            base.push(total);
-            total = u32::try_from(len)
-                .ok()
-                .and_then(|len| total.checked_add(len))
-                .ok_or(PlanBuildError::TraceTooLarge)?;
-        }
-        base.push(total);
+        let (n, base) = (proc_lens.len(), tracefmt::census::bases(proc_lens)?);
+        let total = *base.last().expect("one base per timeline, plus the end");
         assert_eq!(msgs.n_events(), total as usize, "graph/message-table event count mismatch");
         let mut proc_of = Vec::with_capacity(total as usize);
         for (p, &len) in proc_lens.iter().enumerate() {
             proc_of.extend(std::iter::repeat_n(p as u32, len));
         }
-        let id_of = |g: u32| {
-            let p = proc_of[g as usize] as usize;
-            EventId::new(p, (g - base[p]) as usize)
-        };
+        let id_of = |g: u32| tracefmt::census::event_at(&base, g);
 
         // An event has one kind: a message's send or receive, or the begin
         // or end of one collective call.

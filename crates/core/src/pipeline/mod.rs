@@ -187,15 +187,6 @@ impl TraceAnalysis {
         let (matching, instances) = Capture::of(trace).finish();
         Ok(TraceAnalysis { matching, instances: instances? })
     }
-
-    /// [`capture`](Self::capture) straight from a `DTC3` stream
-    /// presented as byte chunks, decoding block by block without
-    /// materializing the trace. Same result as capturing the decoded trace.
-    pub fn capture_stream(chunks: &[&[u8]]) -> Result<Self, PipelineError> {
-        let index = index_columnar_chunks(chunks).map_err(PipelineError::Codec)?;
-        let (matching, instances) = windowed::capture_streamed(&index, &ChunkStore::new(chunks))?.finish();
-        Ok(TraceAnalysis { matching, instances: instances.map_err(PipelineError::BadTrace)? })
-    }
 }
 
 /// Concrete per-process pre-synchronisation map. An enum rather than a
@@ -573,7 +564,7 @@ fn synchronize_impl(
     cancel.check()?;
     let t0 = Instant::now();
     let lens: Vec<usize> = trace.procs.iter().map(|p| p.events.len()).collect();
-    let (msgs, instances) = Capture::of(trace).finish_table(&lens, &table);
+    let (msgs, instances) = Capture::of(trace).finish_table(&table);
     let instances = instances.map_err(PipelineError::BadTrace)?;
     let msgs = Arc::new(msgs.map_err(|e| PipelineError::BadTrace(e.to_string()))?);
     stats

@@ -57,8 +57,8 @@
 //! The violation censuses are skipped (they are whole-trace diagnostics;
 //! run the batch pipeline when they are needed). Message matching and the
 //! dependency graph remain O(trace) *structural* metadata, as do the
-//! recorded jumps: while it matches, the capture keeps a 24-byte record per
-//! send and receive (its column sized by the stream's event count); the
+//! recorded jumps: while it matches, the capture keeps a 12-byte record per
+//! send and receive (its column reserved for the stream's event count); the
 //! graph then keeps 8 bytes per event (a timeline and a link) and 16 per
 //! message (the message table) — 3.2 MB for a 200 000-event stream of
 //! 100 000 messages. The O(window) bound — and the
@@ -81,10 +81,10 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tracefmt::io::{
-    decode_block_kinds, decode_block_times, index_columnar_chunks, BlockMeta, ChunkStore,
+    decode_block_times, index_columnar_chunks, BlockMeta, ChunkStore,
     FrameWriter, StreamIndex,
 };
-use tracefmt::{Capture, EventId, EventKind, Location, MinLatency, Rank};
+use tracefmt::{Capture, EventId, Location, MinLatency, Rank};
 
 /// Outcome of an incremental windowed run: what [`PipelineReport`] is to
 /// the batch entry points, minus the censuses (see the module docs).
@@ -390,30 +390,6 @@ impl Source<'_> {
         let (a, b) = self.input[p].push_slices(bm.n_events as u64);
         self.stream.times(p, bm, a, b);
     }
-}
-
-/// Feed every event of the indexed stream to the one-scan [`Capture`],
-/// block by block — one decode per block, timelines in order: the
-/// streamed twin of [`Capture::of`], so what it finishes into, and any
-/// error in it, is bit-identical to the capture of the decoded trace.
-pub(super) fn capture_streamed(index: &StreamIndex, store: &ChunkStore) -> Result<Capture, PipelineError> {
-    let ranks = index.locations.iter().map(|l| l.rank);
-    let mut capture = Capture::new(ranks, index.n_events() as usize);
-    let mut scratch = Vec::new();
-    let mut kinds: Vec<EventKind> = Vec::new();
-    for (p, blocks) in index.proc_blocks.iter().enumerate() {
-        for &bidx in blocks {
-            let bm = &index.blocks[bidx as usize];
-            kinds.clear();
-            let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-            decode_block_kinds(payload, bm.n_events as usize, &mut kinds)
-                .map_err(PipelineError::Codec)?;
-            for (j, kind) in kinds.iter().enumerate() {
-                capture.feed(p, bm.first_idx as usize + j, kind);
-            }
-        }
-    }
-    Ok(capture)
 }
 
 /// A jump as the sweep found it: the event's index, the jump's size and the
@@ -1046,7 +1022,7 @@ pub fn synchronize_stream_incremental_with_sink(
         Some(params) => {
             let t0 = Instant::now();
             let proc_lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
-            let (msgs, instances) = capture_streamed(&index, &store)?.finish_table(&proc_lens, &table);
+            let (msgs, instances) = Capture::of_stream(&index, &store).map_err(PipelineError::Codec)?.finish_table(&table);
             let instances = instances.map_err(PipelineError::BadTrace)?;
             let msgs = msgs.map_err(|e| PipelineError::BadTrace(e.to_string()))?;
             stats.stages.push(StageStats::new("match", n_events, t0.elapsed()));
@@ -1117,7 +1093,7 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
-    use tracefmt::{Trace, UniformLatency};
+    use tracefmt::{EventKind, Trace, UniformLatency};
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
 

@@ -9,11 +9,13 @@
 //! use event order within each timeline, never the (unreliable) timestamps,
 //! so corrupted clocks cannot corrupt the structure.
 
-use crate::census::{MessageTable, PlanBuildError};
+use crate::census::{bases, event_at, MessageTable, PlanBuildError};
 use crate::event::{CollOp, EventKind};
 use crate::ids::{CommId, EventId, Rank, RegionId};
+use crate::io::{decode_block_kinds, ChunkStore, CodecError, StreamIndex};
 use crate::trace::Trace;
-use crate::violation::MinLatency;
+use crate::violation::{MinLatency, UniformLatency};
+use simclock::Dur;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -83,25 +85,22 @@ impl CollectiveInstance {
     }
 }
 
-/// "No record" for a receive's partner and "still open" for a call's end;
-/// record counts and event indices stay below it.
+/// "Unmatched" in a receive's row, "still open" for a call's end.
 const NONE: u32 = u32::MAX;
 
 /// Compact id of a peer rank no timeline carries: it never finds a partner.
 const NOBODY: u32 = u32::MAX >> 1;
 
-/// One send or receive as [`Capture`] keeps it: 24 bytes, in feed order.
+/// One send or receive as [`Capture`] keeps it: 12 bytes, in feed order.
 #[derive(Debug, Clone, Copy)]
 struct MsgRec {
-    id: EventId,
+    /// A send's gid; a receive's row (its ordinal among receives).
+    id: u32,
     /// Grouping key, side bit lowest (set on a receive): with counted
     /// buckets `(from · ranks + to) · 2 + side`, else `peer · 2 + side`; a
     /// peer no timeline carries is `NOBODY · 2 + side`.
     key: u32,
     tag: u32,
-    /// A send's payload size. On a receive, the record of the send it
-    /// matched once zipped; `NONE` until then.
-    aux: u64,
 }
 
 impl MsgRec {
@@ -109,6 +108,30 @@ impl MsgRec {
     fn is_recv(&self) -> bool {
         self.key & 1 == 1
     }
+
+    /// What the zip reads of it, if a timeline carries its peer.
+    #[inline]
+    fn item(&self) -> Option<Item> {
+        (self.key >> 1 != NOBODY).then_some(Item { id: self.id, tag: self.tag })
+    }
+}
+
+/// A grouped record, as the zip reads it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Item {
+    id: u32,
+    tag: u32,
+}
+
+/// Rank pair `from → to`'s grouped records: `sends` sends from `at` on,
+/// then its receives up to `end`.
+#[derive(Debug, Clone, Copy)]
+struct Pair {
+    from: u32,
+    to: u32,
+    at: usize,
+    sends: usize,
+    end: usize,
 }
 
 /// One collective call: the `k`-th its timeline made on the communicator
@@ -185,14 +208,17 @@ struct CommSlot {
 
 /// The communication structure of a trace, captured in one scan: matched
 /// point-to-point messages and collective instances. [`feed`] it every
-/// event once, in `(timeline, index)` order; [`finish`] yields both. Batch
-/// ([`Capture::of`]) and streamed callers feed the same scan, so their
-/// results are equal field for field, errors included. Sends and receives
-/// are grouped per rank pair by counting sorts over compact rank ids and
-/// zip per-tag FIFO; DESIGN §9.1 has the record layout and the bounds.
+/// event once, in `(timeline, index)` order; [`finish_table`] writes the
+/// matched messages straight into a [`MessageTable`], [`finish`] lists
+/// them as a [`Matching`]. Batch ([`Capture::of`]) and streamed callers
+/// feed the same scan, so their results are equal field for field, errors
+/// included. Sends and receives are grouped per rank pair by counting
+/// sorts over compact rank ids and zip per-tag FIFO; DESIGN §9.1 has the
+/// record layout and the bounds.
 ///
 /// [`feed`]: Capture::feed
 /// [`finish`]: Capture::finish
+/// [`finish_table`]: Capture::finish_table
 #[derive(Debug)]
 pub struct Capture {
     /// The timelines' ranks, sorted and deduplicated: compact id → rank.
@@ -201,10 +227,19 @@ pub struct Capture {
     identity: bool,
     /// Compact rank id of each timeline.
     own: Vec<u32>,
+    /// The [`bases`] of the shape [`Capture::new`] was given.
+    base: Vec<u32>,
+    /// Why a message event fed had no gid in that shape (it is not kept).
+    shape_err: Option<PlanBuildError>,
     /// Records per `(from, to, side)` bucket; `None` past the bound.
     counts: Option<Vec<u32>>,
+    /// Reserved for every event: capacity never written costs no page.
     msgs: Vec<MsgRec>,
-    n_recvs: usize,
+    /// Each receive's gid, by row: what becomes the table's receive column.
+    recv: Vec<u32>,
+    /// Send sizes as runs `(first send's gid, size)`: a send of its
+    /// predecessor's size adds nothing. Only [`Capture::finish`] reads them.
+    sizes: Vec<(u32, u64)>,
     calls: Chunked<CallRec>,
     /// Per communicator, in first-call order. A run of calls on one
     /// communicator resolves through `last` without hashing; `slot_of` is
@@ -218,24 +253,32 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// An empty capture for timelines of the given ranks, in timeline
-    /// order. `n_events`, the trace's event count, sizes the record column
-    /// and bounds the bucket table; feeding more is correct, only slower.
-    pub fn new(ranks: impl IntoIterator<Item = Rank>, n_events: usize) -> Self {
+    /// An empty capture for timelines of the given ranks and event counts,
+    /// in timeline order: the counts give each event its gid.
+    pub fn new(ranks: impl IntoIterator<Item = Rank>, timeline_lens: &[usize]) -> Self {
         let timeline_ranks: Vec<Rank> = ranks.into_iter().collect();
+        assert_eq!(timeline_ranks.len(), timeline_lens.len(), "one rank and one length per timeline");
         let mut ranks = timeline_ranks.clone();
         ranks.sort_unstable();
         ranks.dedup();
         let u = ranks.len();
         assert!(u < NOBODY as usize, "more distinct ranks than compact ids");
+        let (base, shape_err) = match bases(timeline_lens) {
+            Ok(base) => (base, None),
+            Err(e) => (vec![0; timeline_lens.len() + 1], Some(e)), // no event gets a gid
+        };
+        let n_events = *base.last().expect("one base per timeline, plus the end") as usize;
         let counted = 2 * u * u <= n_events && n_events < NOBODY as usize;
         let mut capture = Capture {
             identity: ranks.last().is_none_or(|r| r.idx() + 1 == u),
             ranks,
             own: Vec::new(),
+            base,
+            shape_err,
             counts: counted.then(|| zeroed(2 * u * u)),
             msgs: Vec::with_capacity(n_events),
-            n_recvs: 0,
+            recv: Vec::new(),
+            sizes: Vec::new(),
             calls: Chunked::default(),
             slots: Vec::new(),
             last: 0,
@@ -249,13 +292,36 @@ impl Capture {
     /// Capture every event of `trace`.
     pub fn of(trace: &Trace) -> Self {
         let ranks = trace.procs.iter().map(|pt| pt.location.rank);
-        let mut capture = Capture::new(ranks, trace.n_events());
+        let lens: Vec<usize> = trace.procs.iter().map(|pt| pt.events.len()).collect();
+        let mut capture = Capture::new(ranks, &lens);
         for (p, pt) in trace.procs.iter().enumerate() {
             for (i, e) in pt.events.iter().enumerate() {
                 capture.feed(p, i, &e.kind);
             }
         }
         capture
+    }
+
+    /// Capture every event of an indexed `DTC3` stream, one block decode at
+    /// a time: the streamed twin of [`Capture::of`], equal to the capture of
+    /// the decoded trace field for field, errors included.
+    pub fn of_stream(index: &StreamIndex, store: &ChunkStore) -> Result<Self, CodecError> {
+        let ranks = index.locations.iter().map(|l| l.rank);
+        let lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
+        let mut capture = Capture::new(ranks, &lens);
+        let (mut scratch, mut kinds) = (Vec::new(), Vec::new());
+        for (p, blocks) in index.proc_blocks.iter().enumerate() {
+            for &block in blocks {
+                let bm = &index.blocks[block as usize];
+                kinds.clear();
+                let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
+                decode_block_kinds(payload, bm.n_events as usize, &mut kinds)?;
+                for (j, kind) in kinds.iter().enumerate() {
+                    capture.feed(p, bm.first_idx as usize + j, kind);
+                }
+            }
+        }
+        Ok(capture)
     }
 
     /// Compact id of `rank`, or `NOBODY` when no timeline carries it.
@@ -271,13 +337,20 @@ impl Capture {
 
     /// Feed event `i` of timeline `p`. Kinds other than messages and
     /// collective calls are ignored.
-    #[inline]
+    #[inline(always)]
     pub fn feed(&mut self, p: usize, i: usize, kind: &EventKind) {
-        let (peer, side, tag, aux) = match *kind {
-            EventKind::Send { to, tag, bytes } => (to, 0, tag, bytes),
+        let (peer, side, tag, id) = match *kind {
+            EventKind::Send { to, tag, bytes } => {
+                let Some(gid) = self.gid(p, i) else { return };
+                if self.sizes.last().is_none_or(|&(_, size)| size != bytes) {
+                    self.sizes.push((gid, bytes));
+                }
+                (to, 0, tag, gid)
+            }
             EventKind::Recv { from, tag, .. } => {
-                self.n_recvs += 1;
-                (from, 1, tag, u64::from(NONE))
+                let Some(gid) = self.gid(p, i) else { return };
+                self.recv.push(gid);
+                (from, 1, tag, self.recv.len() as u32 - 1)
             }
             EventKind::CollBegin { .. } | EventKind::CollEnd { .. } if self.coll_err.is_none() => {
                 if let Err(e) = self.feed_call(p, i, kind) {
@@ -298,7 +371,18 @@ impl Capture {
             }
             _ => peer << 1 | side,
         };
-        self.msgs.push(MsgRec { id: EventId::new(p, i), key, tag: tag.0, aux });
+        self.msgs.push(MsgRec { id, key, tag: tag.0 });
+    }
+
+    /// The gid of event `i` of timeline `p`, or the shape error kept.
+    #[inline]
+    fn gid(&mut self, p: usize, i: usize) -> Option<u32> {
+        let (start, end) = (self.base[p], self.base[p + 1]);
+        if i < (end - start) as usize {
+            return Some(start + i as u32);
+        }
+        self.shape_err.get_or_insert(PlanBuildError::EventOutOfRange(EventId::new(p, i)));
+        None
     }
 
     /// Open or close a collective call on its communicator. Errors on a
@@ -340,27 +424,39 @@ impl Capture {
 
     /// The matching, and the collective instances or the first reason the
     /// calls do not form them.
+    /// Panics when a message event fed has no gid in the shape given to
+    /// [`Capture::new`].
     pub fn finish(mut self) -> (Matching, Result<Vec<CollectiveInstance>, String>) {
-        let instances = self.instances();
-        (self.zip().into_matching(), instances)
+        assert!(self.shape_err.is_none(), "capture fed outside its shape: {:?}", self.shape_err);
+        let sent: Vec<u32> = self.msgs.iter().filter(|rec| !rec.is_recv()).map(|rec| rec.id).collect();
+        let (send, _, matched) = self.zip(&UniformLatency(Dur::ZERO));
+        (self.matching(&sent, &send, matched), self.instances())
     }
 
     /// [`finish`](Capture::finish) for a job that only synchronizes: the
-    /// matched messages go straight into the [`MessageTable`] of the trace
-    /// shape `timeline_lens` — `lmin` frozen per message, in the order of
-    /// [`Matching::messages`] — with no [`MessageMatch`] list and no list of
-    /// unmatched events in between. The records' memory goes back before
-    /// the instances take their own.
+    /// zip writes each matched receive's row of the [`MessageTable`] (its
+    /// send's gid and the pair's `l_min`, read once per rank pair) in the
+    /// order of [`Matching::messages`], and rows of unmatched receives are
+    /// compacted away. The records' memory goes back before the instances
+    /// take their own.
     pub fn finish_table(
         mut self,
-        timeline_lens: &[usize],
         lmin: &dyn MinLatency,
     ) -> (Result<MessageTable, PlanBuildError>, Result<Vec<CollectiveInstance>, String>) {
-        let table = {
-            let zipped = self.zip();
-            let rank = |id: EventId| zipped.ranks[zipped.own[id.p()] as usize];
-            let pairs = zipped.matched().map(|(send, recv)| (send.id, recv.id, lmin.l_min(rank(send.id), rank(recv.id))));
-            MessageTable::collect(timeline_lens, zipped.matched, pairs)
+        let table = match self.shape_err.take() {
+            Some(e) => Err(e),
+            None => {
+                let (mut send, mut lat, matched) = self.zip(lmin);
+                let mut recv = std::mem::take(&mut self.recv);
+                if matched < send.len() {
+                    let mut kept = send.iter().map(|&s| s != NONE);
+                    recv.retain(|_| kept.next() == Some(true));
+                    let mut kept = send.iter().map(|&s| s != NONE);
+                    lat.retain(|_| kept.next() == Some(true));
+                    send.retain(|&s| s != NONE);
+                }
+                Ok(MessageTable::from_columns(*self.base.last().expect("an end"), send, recv, lat))
+            }
         };
         (table, self.instances())
     }
@@ -373,105 +469,100 @@ impl Capture {
         instances
     }
 
-    /// Group the records and zip each pair: every matched receive records
-    /// its send, every matched send is marked consumed. The records move
+    /// Group the records by rank pair and side and zip each pair: every
+    /// matched receive's row gets its send's gid and the pair's `l_min`.
+    /// Returns the send column (`NONE` in the row of a receive left
+    /// unmatched), the `l_min` column and the match count. The records move
     /// out of the capture.
-    fn zip(&mut self) -> Zipped<'_> {
-        let (counts, mut msgs) = (self.counts.take(), std::mem::take(&mut self.msgs));
-        let (ranks, own, n_recvs) = (&self.ranks, &self.own, self.n_recvs);
-        assert!(msgs.len() < NONE as usize, "message records exceed the u32 ordinal space");
-        let u = ranks.len();
-        let known = (0..msgs.len() as u32).filter(|&k| msgs[k as usize].key >> 1 != NOBODY);
-        // Grouped records, and where each bucket starts when counted.
-        let (mut order, starts) = match counts {
+    fn zip(&mut self, lmin: &dyn MinLatency) -> (Vec<u32>, Vec<i64>, usize) {
+        let msgs = std::mem::take(&mut self.msgs);
+        let (mut slab, pairs) = match self.counts.take() {
             Some(counts) => {
-                let (order, starts) = counting_sort(known, |k| msgs[k as usize].key as usize, counts);
-                (order, Some(starts))
+                let known = msgs.iter().filter_map(|rec| Some((rec.key as usize, rec.item()?)));
+                let ((slab, starts), u) = (counting_sort(known, counts), self.ranks.len());
+                // Bucket 2·pair holds the pair's sends, 2·pair + 1 its receives.
+                let pairs = (0..u * u).filter_map(|q| {
+                    let [at, r, end] = [0, 1, 2].map(|j| starts[2 * q + j] as usize);
+                    let (from, to) = ((q / u) as u32, (q % u) as u32);
+                    (at < r && r < end).then_some(Pair { from, to, at, sends: r - at, end })
+                });
+                (slab, pairs.collect())
             }
-            None => {
-                let rec = |k: u32| &msgs[k as usize];
-                let by_to = |k| pair_of(rec(k), own).1 as usize * 2 + usize::from(rec(k).is_recv());
-                let (by_to, _) = counting_sort(known.clone(), by_to, tally(known, by_to, 2 * u));
-                let by_from = |k| pair_of(rec(k), own).0 as usize;
-                let counts = tally(by_to.iter().copied(), by_from, u);
-                (counting_sort(by_to.iter().copied(), by_from, counts).0, None)
-            }
+            None => self.group_wide(&msgs),
         };
+        drop(msgs);
 
-        let mut consumed = vec![0u64; msgs.len().div_ceil(64)];
-        let mut matched = 0;
-        match starts {
-            // Bucket 2·pair holds the pair's sends, 2·pair + 1 its receives.
-            Some(starts) => {
-                for pair in 0..u * u {
-                    let [s, r, end] = [0, 1, 2].map(|j| starts[2 * pair + j] as usize);
-                    if s < r && r < end {
-                        matched += zip_pair(&mut order[s..end], r - s, &mut msgs, &mut consumed);
-                    }
-                }
-            }
-            // Runs of one `(from, to)`, sends first.
-            None => {
-                let mut a = 0;
-                while a < order.len() {
-                    let pair = |k: &u32| pair_of(&msgs[*k as usize], own);
-                    let run = pair(&order[a]);
-                    let end = a + order[a..].iter().take_while(|k| pair(k) == run).count();
-                    let sends = order[a..end].iter().take_while(|&&k| !msgs[k as usize].is_recv());
-                    let sends = sends.count();
-                    matched += zip_pair(&mut order[a..end], sends, &mut msgs, &mut consumed);
-                    a = end;
-                }
-            }
+        let (ranks, rows, mut matched) = (&self.ranks, self.recv.len(), 0);
+        let (mut send, mut lat) = (vec![NONE; rows], vec![0; rows]);
+        for pair in pairs {
+            let (from, to) = (ranks[pair.from as usize], ranks[pair.to as usize]);
+            let l_min = lmin.l_min(from, to).as_ps();
+            let zip = |gid, row: usize| (send[row], lat[row]) = (gid, l_min);
+            matched += zip_pair(&mut slab[pair.at..pair.end], pair.sends, zip);
         }
-        Zipped { ranks, own, msgs, n_recvs, consumed, matched }
-    }
-}
-
-/// The records of a [`Capture`] once zipped: each matched receive's `aux`
-/// names its send's record, each matched send is set in `consumed`.
-struct Zipped<'a> {
-    ranks: &'a [Rank],
-    own: &'a [u32],
-    msgs: Vec<MsgRec>,
-    n_recvs: usize,
-    consumed: Vec<u64>,
-    matched: usize,
-}
-
-impl Zipped<'_> {
-    /// `(send, receive)` records of every match, in receive order.
-    fn matched(&self) -> impl Iterator<Item = (&MsgRec, &MsgRec)> {
-        let recvs = self.msgs.iter().filter(|rec| rec.is_recv() && rec.aux != u64::from(NONE));
-        recvs.map(|rec| (&self.msgs[rec.aux as usize], rec))
+        (send, lat, matched)
     }
 
-    /// Sweep the records in feed order: `messages` and `unmatched_recvs`
-    /// come out in receive order and `unmatched_sends` in send order —
-    /// what draining per-`(from, to, tag)` FIFO queues receive by receive
-    /// produces — with no final sort.
-    fn into_matching(self) -> Matching {
-        let Zipped { ranks, own, msgs, n_recvs, consumed, matched } = self;
+    /// The grouping past the bucket bound (hundreds of timelines with a few
+    /// messages each): two stable counting passes over `ranks`-sized
+    /// tables, by `(to, side)` and then by `from`, and the runs of one
+    /// `(from, to)` they leave, sends first.
+    fn group_wide(&self, msgs: &[MsgRec]) -> (Vec<Item>, Vec<Pair>) {
+        let u = self.ranks.len();
+        let rec = |k: u32| &msgs[k as usize];
+        let pair = |k: u32| self.pair_of(rec(k));
+        let known = (0..msgs.len() as u32).filter(|&k| rec(k).item().is_some());
+        let by_to = |k: u32| pair(k).1 as usize * 2 + usize::from(rec(k).is_recv());
+        let counts = tally(known.clone().map(by_to), 2 * u);
+        let (first, _) = counting_sort(known.map(|k| (by_to(k), k)), counts);
+        let by_from = |k: u32| pair(k).0 as usize;
+        let counts = tally(first.iter().map(|&k| by_from(k)), u);
+        let (order, _) = counting_sort(first.iter().map(|&k| (by_from(k), k)), counts);
+        let mut end = 0;
+        let pairs = order.chunk_by(|&a, &b| pair(a) == pair(b)).map(|run| {
+            let ((from, to), at) = (pair(run[0]), end);
+            end += run.len();
+            Pair { from, to, at, sends: run.iter().take_while(|&&k| !rec(k).is_recv()).count(), end }
+        });
+        (order.iter().filter_map(|&k| rec(k).item()).collect(), pairs.collect())
+    }
+
+    /// `(from, to)` compact ids of a record whose peer a timeline carries.
+    fn pair_of(&self, rec: &MsgRec) -> (u32, u32) {
+        let gid = if rec.is_recv() { self.recv[rec.id as usize] } else { rec.id };
+        let (own, peer) = (self.own[event_at(&self.base, gid).p()], rec.key >> 1);
+        if rec.is_recv() { (peer, own) } else { (own, peer) }
+    }
+
+    /// The zip's send column as lists, given every send's gid in feed
+    /// order: `messages` and `unmatched_recvs` in receive (row) order and
+    /// `unmatched_sends` in send order — what draining per-`(from, to,
+    /// tag)` FIFO queues receive by receive produces — with no sort.
+    fn matching(&self, sent: &[u32], send: &[u32], matched: usize) -> Matching {
         let mut out = Matching {
             messages: Vec::with_capacity(matched),
-            unmatched_sends: Vec::with_capacity(msgs.len() - n_recvs - matched),
-            unmatched_recvs: Vec::with_capacity(n_recvs - matched),
+            unmatched_sends: Vec::with_capacity(sent.len() - matched),
+            unmatched_recvs: Vec::with_capacity(send.len() - matched),
         };
-        let rank = |id: EventId| ranks[own[id.p()] as usize];
-        for (k, rec) in msgs.iter().enumerate() {
-            if !rec.is_recv() {
-                if consumed[k / 64] >> (k % 64) & 1 == 0 {
-                    out.unmatched_sends.push(rec.id);
-                }
-            } else if rec.aux == u64::from(NONE) {
-                out.unmatched_recvs.push(rec.id);
-            } else {
-                let send = &msgs[rec.aux as usize];
-                let (from, to) = (rank(send.id), rank(rec.id));
-                let bytes = send.aux;
-                out.messages.push(MessageMatch { send: send.id, recv: rec.id, from, to, bytes });
+        let (event, rank) = (|gid| event_at(&self.base, gid), |id: EventId| self.ranks[self.own[id.p()] as usize]);
+        let mut consumed = vec![false; *self.base.last().expect("an end") as usize];
+        // Rows are in gid order: a receive's timeline is found walking forward.
+        let mut p = 0;
+        for (&s, &r) in send.iter().zip(&self.recv) {
+            while self.base[p + 1] <= r {
+                p += 1;
             }
+            let recv = EventId::new(p, (r - self.base[p]) as usize);
+            if s == NONE {
+                out.unmatched_recvs.push(recv);
+                continue;
+            }
+            consumed[s as usize] = true;
+            let send = event(s);
+            let bytes = self.sizes[self.sizes.partition_point(|&(first, _)| first <= s) - 1].1;
+            out.messages.push(MessageMatch { send, recv, from: rank(send), to: rank(recv), bytes });
         }
+        out.unmatched_sends.extend(sent.iter().filter(|&&s| !consumed[s as usize]).map(|&s| event(s)));
         out
     }
 }
@@ -495,7 +586,8 @@ impl Capture {
         let call = |c: &u32| &self.calls[*c as usize];
         let instance = |c: u32| first[call(&c).slot as usize] + call(&c).k as usize;
         let calls = 0..self.calls.len() as u32;
-        let (order, starts) = counting_sort(calls.clone(), instance, tally(calls, instance, n));
+        let counts = tally(calls.clone().map(instance), n);
+        let (order, starts) = counting_sort(calls.map(|c| (instance(c), c)), counts);
         let group = |i: usize| order[starts[i] as usize..starts[i + 1] as usize].iter().map(call);
         let mut out = Vec::with_capacity(n);
         for &s in &by_comm {
@@ -531,13 +623,6 @@ impl Capture {
     }
 }
 
-/// `(from, to)` compact ids of a record keyed by its peer.
-#[inline]
-fn pair_of(rec: &MsgRec, own: &[u32]) -> (u32, u32) {
-    let (own, peer) = (own[rec.id.p()], rec.key >> 1);
-    if rec.is_recv() { (peer, own) } else { (own, peer) }
-}
-
 /// `width` zero counts, with one slot spare for the end [`counting_sort`]
 /// appends.
 fn zeroed(width: usize) -> Vec<u32> {
@@ -547,20 +632,22 @@ fn zeroed(width: usize) -> Vec<u32> {
 }
 
 /// Items per key (`< width`): the first half of a counting sort.
-fn tally(items: impl Iterator<Item = u32>, key: impl Fn(u32) -> usize, width: usize) -> Vec<u32> {
+fn tally(keys: impl Iterator<Item = usize>, width: usize) -> Vec<u32> {
     let mut counts = zeroed(width);
-    for i in items {
-        counts[key(i)] += 1;
+    for key in keys {
+        counts[key] += 1;
     }
     counts
 }
 
-/// The second half of a stable counting sort: `items` ordered by `key`,
-/// feed order kept among equal keys, given each key's item count. Returns
-/// the order and where each key's run starts, plus the item count.
-fn counting_sort<I>(items: I, key: impl Fn(u32) -> usize, counts: Vec<u32>) -> (Vec<u32>, Vec<u32>)
+/// The second half of a stable counting sort: the values of `items`, each
+/// a `(key, value)`, ordered by key, feed order kept among equal keys,
+/// given each key's item count. Returns them and where each key's run
+/// starts, plus the item count.
+fn counting_sort<T, I>(items: I, counts: Vec<u32>) -> (Vec<T>, Vec<u32>)
 where
-    I: DoubleEndedIterator<Item = u32>,
+    T: Copy + Default,
+    I: DoubleEndedIterator<Item = (usize, T)>,
 {
     let mut at = counts;
     let mut end = 0;
@@ -569,44 +656,41 @@ where
         *slot = end;
     }
     at.push(end);
-    let mut order = vec![0u32; end as usize];
+    let mut out = vec![T::default(); end as usize];
     // Back to front into the last free slot of each run: stable.
-    for i in items.rev() {
-        let slot = &mut at[key(i)];
+    items.rev().for_each(|(key, value)| {
+        let slot = &mut at[key];
         *slot -= 1;
-        order[*slot as usize] = i;
-    }
-    (order, at)
+        out[*slot as usize] = value;
+    });
+    (out, at)
 }
 
-/// Per-tag FIFO inside one rank pair's `group`: its first `sends` records
-/// are the sends, the rest the receives, each in feed order. Each receive
-/// records its send, each matched send is marked in the `consumed` bitset.
-/// Returns the number of matches.
-fn zip_pair(group: &mut [u32], sends: usize, msgs: &mut [MsgRec], consumed: &mut [u64]) -> usize {
+/// Per-tag FIFO inside one rank pair's `group`: its first `sends` items
+/// are the sends, the rest the receives, each in feed order. Calls
+/// `matched(send gid, receive row)` for each match and returns how many.
+#[inline]
+fn zip_pair(group: &mut [Item], sends: usize, mut matched: impl FnMut(u32, usize)) -> usize {
     let (s, r) = group.split_at_mut(sends);
-    let tag = |msgs: &[MsgRec], k: u32| msgs[k as usize].tag;
     // Tag sequences that agree pair up position by position as they stand
     // (the j-th receive of a tag sits where its j-th send sits); otherwise
     // bring each tag's sends and receives together first, feed order kept.
-    if s.iter().zip(r.iter()).any(|(&s, &r)| tag(msgs, s) != tag(msgs, r)) {
-        s.sort_by_key(|&s| tag(msgs, s));
-        r.sort_by_key(|&r| tag(msgs, r));
+    if s.iter().zip(r.iter()).any(|(s, r)| s.tag != r.tag) {
+        s.sort_by_key(|s| s.tag);
+        r.sort_by_key(|r| r.tag);
     }
-    let (mut a, mut b, mut matched) = (0, 0, 0);
+    let (mut a, mut b, mut n) = (0, 0, 0);
     while a < s.len() && b < r.len() {
-        match tag(msgs, s[a]).cmp(&tag(msgs, r[b])) {
+        match s[a].tag.cmp(&r[b].tag) {
             Ordering::Less => a += 1,
             Ordering::Greater => b += 1,
             Ordering::Equal => {
-                let (send, recv) = (s[a] as usize, r[b] as usize);
-                msgs[recv].aux = send as u64;
-                consumed[send / 64] |= 1 << (send % 64);
-                (a, b, matched) = (a + 1, b + 1, matched + 1);
+                matched(s[a].id, r[b].id as usize);
+                (a, b, n) = (a + 1, b + 1, n + 1);
             }
         }
     }
-    matched
+    n
 }
 
 /// Match sends to receives by (source, destination, tag) in FIFO order.
@@ -681,11 +765,7 @@ pub fn match_parallel_regions(trace: &Trace) -> Result<Vec<ParallelRegion>, Stri
         }
     }
     if forks.len() != joins.len() {
-        return Err(format!(
-            "unbalanced fork/join: {} forks, {} joins",
-            forks.len(),
-            joins.len()
-        ));
+        return Err(format!("unbalanced fork/join: {} forks, {} joins", forks.len(), joins.len()));
     }
 
     // Per thread, split its event stream into region instances by counting
@@ -693,45 +773,25 @@ pub fn match_parallel_regions(trace: &Trace) -> Result<Vec<ParallelRegion>, Stri
     // k-th region markers belong to instance k. We use explicit per-thread
     // instance cursors driven by BarrierExit (every instance ends with the
     // implicit barrier in the POMP model).
-    let mut regions: Vec<ParallelRegion> = forks
-        .iter()
-        .zip(&joins)
-        .map(|(&(region, fork), &join)| ParallelRegion {
-            region,
-            fork,
-            join,
-            threads: Vec::new(),
-        })
+    let mut regions: Vec<ParallelRegion> = (forks.iter().zip(&joins))
+        .map(|(&(region, fork), &join)| ParallelRegion { region, fork, join, threads: Vec::new() })
         .collect();
 
     for (p, pt) in trace.procs.iter().enumerate() {
         let mut inst = 0usize;
         let mut current: Option<RegionThread> = None;
         for (i, e) in pt.events.iter().enumerate() {
+            // Fork/Join live outside the per-thread span.
+            if matches!(e.kind, EventKind::Fork { .. } | EventKind::Join { .. }) {
+                continue;
+            }
+            let (first, last) = (i as u32, i as u32);
+            let cur = current.get_or_insert(RegionThread { proc: p, first, last, barrier_enter: None, barrier_exit: None });
+            cur.last = i as u32;
             match e.kind {
-                // Fork/Join live outside the per-thread span.
-                EventKind::Fork { .. } | EventKind::Join { .. } => {}
-                EventKind::BarrierEnter { .. } => {
-                    let cur = current.get_or_insert(RegionThread {
-                        proc: p,
-                        first: i as u32,
-                        last: i as u32,
-                        barrier_enter: None,
-                        barrier_exit: None,
-                    });
-                    cur.barrier_enter = Some(EventId::new(p, i));
-                    cur.last = i as u32;
-                }
+                EventKind::BarrierEnter { .. } => cur.barrier_enter = Some(EventId::new(p, i)),
                 EventKind::BarrierExit { .. } => {
-                    let cur = current.get_or_insert(RegionThread {
-                        proc: p,
-                        first: i as u32,
-                        last: i as u32,
-                        barrier_enter: None,
-                        barrier_exit: None,
-                    });
                     cur.barrier_exit = Some(EventId::new(p, i));
-                    cur.last = i as u32;
                     // The implicit barrier exit closes the instance.
                     let done = current.take().expect("just inserted");
                     let reg = regions.get_mut(inst).ok_or_else(|| {
@@ -740,16 +800,7 @@ pub fn match_parallel_regions(trace: &Trace) -> Result<Vec<ParallelRegion>, Stri
                     reg.threads.push(done);
                     inst += 1;
                 }
-                _ => {
-                    let cur = current.get_or_insert(RegionThread {
-                        proc: p,
-                        first: i as u32,
-                        last: i as u32,
-                        barrier_enter: None,
-                        barrier_exit: None,
-                    });
-                    cur.last = i as u32;
-                }
+                _ => {}
             }
         }
         if current.is_some() {

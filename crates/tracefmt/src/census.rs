@@ -104,9 +104,10 @@ impl fmt::Display for PlanBuildError {
 impl std::error::Error for PlanBuildError {}
 
 /// The prefix sums of a trace shape's timeline lengths: timeline `p`'s
-/// events sit at `base[p]..base[p + 1]` of the flat array. The flat size
-/// must fit the `u32` gids every lowering uses.
-pub(crate) fn bases(timeline_lens: &[usize]) -> Result<Vec<u32>, PlanBuildError> {
+/// events sit at `base[p]..base[p + 1]` of the flat array, event `i` of it
+/// at gid `base[p] + i`. The flat size must fit the `u32` gids every
+/// lowering uses.
+pub fn bases(timeline_lens: &[usize]) -> Result<Vec<u32>, PlanBuildError> {
     let mut base = Vec::with_capacity(timeline_lens.len() + 1);
     let mut end = 0u32;
     base.push(0);
@@ -123,6 +124,12 @@ pub(crate) fn locate(base: &[u32], id: EventId) -> Result<u32, PlanBuildError> {
         (Some(&start), Some(&end)) if id.idx < end - start => Ok(start + id.idx),
         _ => Err(PlanBuildError::EventOutOfRange(id)),
     }
+}
+
+/// The event at flat offset `gid` in a shape given by its [`bases`].
+pub fn event_at(base: &[u32], gid: u32) -> EventId {
+    let p = base.partition_point(|&start| start <= gid) - 1;
+    EventId::new(p, (gid - base[p]) as usize)
 }
 
 /// The matched messages of one trace, frozen once per job for both of
@@ -161,29 +168,22 @@ impl MessageTable {
         messages: &[MessageMatch],
         lmin: &dyn MinLatency,
     ) -> Result<MessageTable, PlanBuildError> {
-        let pairs = messages.iter().map(|m| (m.send, m.recv, lmin.l_min(m.from, m.to)));
-        MessageTable::collect(timeline_lens, messages.len(), pairs)
-    }
-
-    /// The table of `(send, recv, l_min)` in the order given; `n` is how
-    /// many there are.
-    pub(crate) fn collect(
-        timeline_lens: &[usize],
-        n: usize,
-        pairs: impl Iterator<Item = (EventId, EventId, Dur)>,
-    ) -> Result<MessageTable, PlanBuildError> {
         let base = bases(timeline_lens)?;
-        let n_events = *base.last().expect("one base per timeline, plus the end");
-        let mut table = MessageTable {
-            n_events,
-            send: Vec::with_capacity(n),
-            recv: Vec::with_capacity(n),
-            lat: Vec::with_capacity(n),
-        };
-        for (send, recv, l_min) in pairs {
-            table.push(locate(&base, send)?, locate(&base, recv)?, l_min);
+        let n = messages.len();
+        let (send, recv, lat) = (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut table = MessageTable::from_columns(*base.last().expect("an end"), send, recv, lat);
+        for m in messages {
+            table.push(locate(&base, m.send)?, locate(&base, m.recv)?, lmin.l_min(m.from, m.to));
         }
         Ok(table)
+    }
+
+    /// The table of columns written row by row, one row per message, for
+    /// a shape of `n_events` events: every gid must lie inside it.
+    pub(crate) fn from_columns(n_events: u32, send: Vec<u32>, recv: Vec<u32>, lat: Vec<i64>) -> MessageTable {
+        debug_assert!(send.len() == recv.len() && recv.len() == lat.len(), "one row per message");
+        debug_assert!(send.iter().chain(&recv).all(|&gid| gid < n_events), "gids inside the shape");
+        MessageTable { n_events, send, recv, lat }
     }
 
     fn push(&mut self, send: u32, recv: u32, l_min: Dur) {
@@ -320,12 +320,6 @@ impl CensusPlan {
         4 * self.base.len() + self.msgs.heap_bytes() + self.coll.heap_bytes()
     }
 
-    /// The event at flat offset `at`.
-    fn event_at(&self, at: u32) -> EventId {
-        let p = self.base.partition_point(|&start| start <= at) - 1;
-        EventId::new(p, (at - self.base[p]) as usize)
-    }
-
     /// Borrow the flat gather array of `cols` — the slab itself. Zero
     /// copies: the kernels read the pipeline's live timestamp storage.
     ///
@@ -363,8 +357,8 @@ impl CensusPlan {
                 bits &= bits - 1;
                 let (from, to) = (self.msgs.send[m], self.msgs.recv[m]);
                 report.violations.push(ViolatedMessage {
-                    send: self.event_at(from),
-                    recv: self.event_at(to),
+                    send: event_at(&self.base, from),
+                    recv: event_at(&self.base, to),
                     measured_transfer: Time::from_ps(times[to as usize])
                         .saturating_since(Time::from_ps(times[from as usize])),
                     l_min: Dur::from_ps(self.msgs.lat[m]),

@@ -36,7 +36,7 @@
 #   simulation size ratchet the same over the simulation side's ten crates
 #   capture, frame, reader, lane, consumer, CLC, presync, census,
 #   simulator and job-path mutants
-#                           scripts/mutants.sh: 36 one-line mutants of the
+#                           scripts/mutants.sh: 38 one-line mutants of the
 #                           trace capture, the frame grammar, the one
 #                           stream reader, the windowed ring lane,
 #                           replay, finality frontier and chunk consumer,
@@ -60,6 +60,9 @@
 #   benchmark: cargo test | run --smoke
 #       the frozen end-to-end benchmark's own verdict: every job verified,
 #       every seed-2008 pin equal
+#   pairs smoke             scripts/pairs.sh builds, runs one A/A pair of
+#                           one short workload and prints a row for every
+#                           metric (a smoke test, not a measurement)
 #
 # What a gate compares is a count, a byte ratio, a grep, a text the
 # program prints against the one checked in beside it, or two timings
@@ -379,7 +382,10 @@ gate "inlined graph accessors and CLC step: nm pop_correction, net_service" inli
 # offsets per rank instead). One constraint source per event (DESIGN
 # §11.1): none of the OpenMP CLC lowering, its link flag or its stored-edge
 # accessors. CPU detection alone picks the census kernel: no environment
-# override. None of the wire scanner's uncalled read hint.
+# override. None of the wire scanner's uncalled read hint. One capture
+# fills the message table row by row (DESIGN §9.1): none of the zipped
+# record view, the table collected from an iterator of event ids, or the
+# streamed capture's second home in the windowed engine.
 deleted_names_gate() {
     local hits
     hits=$(
@@ -395,6 +401,8 @@ deleted_names_gate() {
             crates src tests examples
         grep -rnE 'controlled_logical_clock_with_domains|domain_misalignment' crates src tests examples
         grep -rnE 'controlled_logical_clock_pomp|pomp_constraints|is_ruled|rules_in|rules_out|TRACEFMT_NO_AVX2|HELLO_SIZE_HINT' \
+            crates src tests examples
+        grep -rnE 'capture_streamed|TraceAnalysis::capture_stream|\bZipped\b|into_matching|MessageTable::collect' \
             crates src tests examples
     ) || true
     if [[ -n "$hits" ]]; then
@@ -591,12 +599,14 @@ sim_size_ratchet_gate() {
 gate "size ratchet: simulation crates" sim_size_ratchet_gate
 
 # Capture, frame, reader, lane, consumer, CLC, presync, census, simulator
-# and job-path mutants (ROADMAP item 9): every one of the 36 one-line
+# and job-path mutants (ROADMAP item 9): every one of the 38 one-line
 # mutants in scripts/mutants.sh — of the trace capture:
 # unstable grouping, the positional zip without its tag check, an unknown
 # peer taken for rank 0, the root and end-op checks skipped, either
-# grouping path dropping the side bit; of the frame grammar: trailer
-# counters or header ids unchecked, timestamp segments unpadded; of the one
+# grouping path dropping the side bit, the message table keeping the rows
+# of unmatched receives, a pair's l_min read for (to, from); of the frame
+# grammar: trailer counters or header ids unchecked, timestamp segments
+# unpadded; of the one
 # stream reader: every block decoded to the start of its timeline, a
 # cross-chunk read that keeps the first chunk's offset; of the windowed
 # ring lane: a slice split one short of the ring's end, a segment retired
@@ -746,6 +756,24 @@ gate "benchmark: cargo test" \
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 gate "benchmark: run --smoke" \
     cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --smoke
+
+# Parent/change pairs (ROADMAP item 23), the way every perf claim is
+# judged: one A/A pair of one second per seed only checks that the script
+# builds, runs and parses; a verdict from one pair says nothing.
+pairs_smoke_gate() {
+    local out rows
+    out=$(./scripts/pairs.sh --aa --pairs 1 --seconds 1 --workload pop_batch 2>&1) || {
+        printf '%s\n' "$out" >&2
+        return 1
+    }
+    rows=$(grep -cE '^  (events_per_s|setup_s|job_s_p50|job_s_p95|peak_rss_mb) +parent .* wins [01]/1 ' <<<"$out" || true)
+    if [[ "$rows" -ne 10 || $(grep -c 'failed runs parent 0 change 0' <<<"$out") -ne 2 ]]; then
+        printf '%s\n' "$out" >&2
+        echo "pairs smoke: ${rows} of 10 metric rows, or a run failed" >&2
+        return 1
+    fi
+}
+gate "pairs smoke: scripts/pairs.sh --aa" pairs_smoke_gate
 
 echo "==> ${gates_run} gates run"
 if [[ "$(git status --porcelain)" != "$tree_before" ]]; then

@@ -33,13 +33,13 @@ export CARGO_TARGET_DIR="$work/target"
 mutants=$(cat <<'EOF'
 unstable grouping: equal keys come out reversed
 crates/tracefmt/src/analysis.rs
-for i in items.rev() {
-for i in items {
+items.rev().for_each(|(key, value)| {
+items.for_each(|(key, value)| {
 tests/proptest_matching.rs::a_pair_leaves_its_latest_sends_unmatched
 
 positional zip without its tag-agreement check
 crates/tracefmt/src/analysis.rs
-if s.iter().zip(r.iter()).any(|(&s, &r)| tag(msgs, s) != tag(msgs, r)) {
+if s.iter().zip(r.iter()).any(|(s, r)| s.tag != r.tag) {
 if false {
 tests/proptest_matching.rs::tags_reordered_inside_a_pair_match_per_tag_fifo
 
@@ -69,9 +69,21 @@ tests/proptest_matching.rs::sort_based_matching_equals_the_fifo_oracle
 
 fallback grouping drops the side bit
 crates/tracefmt/src/analysis.rs
-let by_to = |k| pair_of(rec(k), own).1 as usize * 2 + usize::from(rec(k).is_recv());
-let by_to = |k| pair_of(rec(k), own).1 as usize * 2;
+let by_to = |k: u32| pair(k).1 as usize * 2 + usize::from(rec(k).is_recv());
+let by_to = |k: u32| pair(k).1 as usize * 2;
 tests/proptest_matching.rs::wide_traces_match_the_oracle_through_the_fallback_grouping
+
+the table keeps the rows of unmatched receives
+crates/tracefmt/src/analysis.rs
+if matched < send.len() {
+if false {
+tests/proptest_matching.rs::finish_table_writes_the_matchings_rows
+
+the pair's l_min read for (to, from)
+crates/tracefmt/src/analysis.rs
+let (from, to) = (ranks[pair.from as usize], ranks[pair.to as usize]);
+let (from, to) = (ranks[pair.to as usize], ranks[pair.from as usize]);
+tests/proptest_matching.rs::finish_table_writes_the_matchings_rows
 
 trailer counters unchecked
 crates/tracefmt/src/io/frame.rs

@@ -51,10 +51,12 @@ static GLOBAL: Counting = Counting;
 /// message table for the census and the graph, one link word per event in
 /// place of three offset words, the capture's call records grown a chunk at
 /// a time and its message records freed before the collective instances
-/// are assembled, 29.2: the peak is now the capture's, whose record column
-/// is reserved for every event (capacity never written costs no page, but
-/// this allocator counts it).
-const PEAK_BYTES_PER_EVENT: usize = 30;
+/// are assembled, 29.2: the peak was the capture's, whose 24-byte record
+/// column is reserved for every event (capacity never written costs no
+/// page, but this allocator counts it). With 12-byte records that fill the
+/// message table row by row, the capture peaks at 17.7 and the job at 26.2
+/// once it lowers the graph and runs the CLC.
+const PEAK_BYTES_PER_EVENT: usize = 27;
 
 /// Bytes the job's dependency graph and census plan hold together on this
 /// input, each shared table counted once: 8 per event (timeline and link),

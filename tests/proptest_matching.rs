@@ -5,16 +5,19 @@
 //! empty timelines, sparse rank ids, hundreds of timelines with a few
 //! messages each — and the two capture paths (batch, streamed) against
 //! each other, errors included. Everything is compared in exact order:
-//! `messages`, `unmatched_sends`, `unmatched_recvs`.
+//! `messages`, `unmatched_sends`, `unmatched_recvs`; and the message table
+//! a synchronizing job gets, batch and streamed, against the one built
+//! from that matching.
 
 mod common;
 
 use common::fifo_match_messages;
-use drift_lab::clocksync::{PipelineError, TraceAnalysis};
+use drift_lab::clocksync::TraceAnalysis;
 use drift_lab::prelude::*;
-use drift_lab::tracefmt::io::to_binary_columnar_v3_blocked;
+use drift_lab::tracefmt::io::{index_columnar_chunks, to_binary_columnar_v3_blocked, ChunkStore};
 use drift_lab::tracefmt::{
-    match_messages, CollOp, CommId, EventId, Location, Matching, ProcessTrace, ThreadId,
+    match_messages, Capture, CollOp, CommId, EventId, Location, Matching, MessageTable, PlanBuildError,
+    ProcessTrace, ThreadId,
 };
 use proptest::prelude::*;
 
@@ -133,6 +136,15 @@ fn arb_wide_trace() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// [`TraceAnalysis::capture`] of the `DTC3` stream in `chunks`, fed block
+/// by block.
+fn capture_stream(chunks: &[&[u8]]) -> Result<TraceAnalysis, String> {
+    let index = index_columnar_chunks(chunks).expect("intact stream");
+    let capture = Capture::of_stream(&index, &ChunkStore::new(chunks)).expect("intact stream");
+    let (matching, instances) = capture.finish();
+    Ok(TraceAnalysis { matching, instances: instances? })
+}
+
 fn assert_same_matching(got: &Matching, want: &Matching, ctx: &str) {
     assert_eq!(got.messages, want.messages, "{ctx}: messages");
     assert_eq!(got.unmatched_sends, want.unmatched_sends, "{ctx}: unmatched sends");
@@ -146,6 +158,31 @@ fn assert_same_analysis(got: &TraceAnalysis, want: &TraceAnalysis, ctx: &str) {
         format!("{:?}", want.instances),
         "{ctx}: collective instances"
     );
+}
+
+/// `l_min` per ordered rank pair: one written for `(to, from)`, or into
+/// another message's row, differs.
+fn pair_latency(from: Rank, to: Rank) -> Dur {
+    Dur::from_ps(i64::from(from.0) * 1_000_003 + i64::from(to.0) * 7 + 1)
+}
+
+/// The table `finish_table` writes row by row, from the batch capture and
+/// from the streamed one, is the table built from `finish`'s matching.
+fn assert_table_is_the_matchings(trace: &Trace) {
+    let lens: Vec<usize> = trace.procs.iter().map(|pt| pt.events.len()).collect();
+    let (matching, _) = Capture::of(trace).finish();
+    let want = MessageTable::build(&lens, &matching.messages, &pair_latency).expect("every id is in shape");
+    let bytes = to_binary_columnar_v3_blocked(trace, 7);
+    let chunks: Vec<&[u8]> = bytes.chunks(61).collect();
+    let index = index_columnar_chunks(&chunks).expect("intact stream");
+    let streamed = Capture::of_stream(&index, &ChunkStore::new(&chunks)).expect("intact stream");
+    for (capture, ctx) in [(Capture::of(trace), "batch"), (streamed, "streamed")] {
+        let got = capture.finish_table(&pair_latency).0.expect("every id is in shape");
+        assert_eq!(got.sends(), want.sends(), "{ctx}: sends");
+        assert_eq!(got.recvs(), want.recvs(), "{ctx}: receives");
+        assert_eq!(got.lats(), want.lats(), "{ctx}: l_min");
+        assert_eq!(got.n_events(), want.n_events(), "{ctx}: shape");
+    }
 }
 
 #[test]
@@ -190,10 +227,7 @@ fn malformed_collectives_fail_alike_batch_and_streamed() {
     ] {
         assert_eq!(TraceAnalysis::capture(&trace).unwrap_err(), want, "batch");
         let bytes = to_binary_columnar_v3_blocked(&trace, 1);
-        match TraceAnalysis::capture_stream(&[&bytes[..]]) {
-            Err(PipelineError::BadTrace(got)) => assert_eq!(got, want, "streamed"),
-            other => panic!("streamed: {other:?}"),
-        }
+        assert_eq!(capture_stream(&[&bytes[..]]).unwrap_err(), want, "streamed");
     }
 }
 
@@ -260,6 +294,21 @@ fn hostile_ranks_land_in_unmatched_without_value_sized_tables() {
 }
 
 #[test]
+fn a_message_event_outside_the_declared_shape_is_a_typed_error() {
+    // Timeline 0 is declared one event long; its second event has no gid,
+    // so the table is refused rather than written past the shape.
+    let (send, recv) = (EventKind::Send { to: Rank(0), tag: Tag(1), bytes: 8 }, EventKind::Recv { from: Rank(0), tag: Tag(1), bytes: 8 });
+    let mut capture = Capture::new([Rank(0)], &[1]);
+    capture.feed(0, 0, &send);
+    capture.feed(0, 1, &recv);
+    let (table, _) = capture.finish_table(&pair_latency);
+    assert_eq!(table.unwrap_err(), PlanBuildError::EventOutOfRange(EventId::new(0, 1)));
+    let mut capture = Capture::new([Rank(0)], &[usize::MAX]);
+    capture.feed(0, 0, &send);
+    assert_eq!(capture.finish_table(&pair_latency).0.unwrap_err(), PlanBuildError::TraceTooLarge);
+}
+
+#[test]
 fn self_messages_match_like_any_other_pair() {
     let mut t = Trace::for_ranks(1);
     t.procs[0].push(Time::from_us(1), EventKind::Send { to: Rank(0), tag: Tag(1), bytes: 8 });
@@ -286,9 +335,16 @@ proptest! {
         for block in [1usize, 7, 1024] {
             let bytes = to_binary_columnar_v3_blocked(&trace, block);
             let chunks: Vec<&[u8]> = bytes.chunks(61).collect();
-            let streamed = TraceAnalysis::capture_stream(&chunks).expect("intact stream");
+            let streamed = capture_stream(&chunks).expect("well-formed");
             assert_same_analysis(&streamed, &batch, &format!("streamed, {block}-event blocks"));
         }
+    }
+
+    /// The capture writes the message table row by row — send gid, receive
+    /// gid, `l_min` of the ordered pair — as freezing its matching would.
+    #[test]
+    fn finish_table_writes_the_matchings_rows(trace in arb_message_trace()) {
+        assert_table_is_the_matchings(&trace);
     }
 }
 
@@ -308,8 +364,14 @@ proptest! {
         for block in [1usize, 7, 1024] {
             let bytes = to_binary_columnar_v3_blocked(&trace, block);
             let chunks: Vec<&[u8]> = bytes.chunks(61).collect();
-            let streamed = TraceAnalysis::capture_stream(&chunks).expect("intact stream");
+            let streamed = capture_stream(&chunks).expect("well-formed");
             assert_same_analysis(&streamed, &batch, &format!("streamed, {block}-event blocks"));
         }
+    }
+
+    /// The table rows, through the fallback grouping.
+    #[test]
+    fn wide_traces_write_the_matchings_rows(trace in arb_wide_trace()) {
+        assert_table_is_the_matchings(&trace);
     }
 }
