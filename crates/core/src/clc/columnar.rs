@@ -155,7 +155,7 @@ pub(crate) fn forward_step(
     mu: f64,
     known: Option<Time>,
     view: Edges<'_>,
-    corrected: impl Fn(u32) -> Option<i64>,
+    mut corrected: impl FnMut(u32) -> Option<i64>,
     on_jump: impl FnOnce(Dur),
 ) -> Option<Time> {
     let mut remote = known;

@@ -224,7 +224,7 @@ impl PresyncMap {
 }
 
 /// Violation census of one pipeline stage.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StageReport {
     /// Point-to-point check.
     pub p2p: P2pReport,

@@ -9,9 +9,10 @@
 //!   offsets, per-timeline lengths — and re-read on demand through a
 //!   zero-copy [`ChunkStore`]; the trace is never materialized;
 //! * one forward sweep crosses timelines: it advances each timeline at most
-//!   `window_events` per round-robin epoch, decoding input blocks lazily
-//!   into one ring per timeline and appending corrected times to another,
-//!   and records every jump — its index, its size and the time it left the
+//!   `window_events` per round-robin epoch (none while the producer its
+//!   last step blocked on is pending), decoding input blocks lazily into
+//!   one ring per timeline and appending corrected times to another, and
+//!   records every jump — its index, its size and the time it left the
 //!   event at; rings retire and resize in segments `window_events` wide, but
 //!   never wider than the timeline itself, so the window (a number off the
 //!   wire) can ask for no more memory than the input stream paid for;
@@ -114,14 +115,10 @@ impl IncrementalReport {
     ///
     /// [`PipelineReport`]: super::PipelineReport
     pub fn to_pipeline_report(&self) -> super::PipelineReport {
-        let empty = || super::StageReport {
-            p2p: Default::default(),
-            coll: Default::default(),
-        };
         super::PipelineReport {
-            raw: empty(),
-            after_presync: empty(),
-            after_clc: self.clc.is_some().then(empty),
+            raw: Default::default(),
+            after_presync: Default::default(),
+            after_clc: self.clc.is_some().then(Default::default),
             clc: self.clc.clone(),
             stats: self.stats.clone(),
         }
@@ -331,6 +328,25 @@ impl Timeline for Lane<'_> {
     }
 }
 
+/// Visit two equally long runs of values, each at most two slices (as
+/// [`Lane::slices`] and [`Lane::push_slices`] give them), pairwise in
+/// order: at most three loops, each over contiguous pieces of both.
+#[inline(always)]
+fn zip_runs((s0, s1): (&[i64], &[i64]), (d0, d1): (&mut [i64], &mut [i64]), mut each: impl FnMut(&mut i64, i64)) {
+    let mut run = |s: &[i64], d: &mut [i64]| d.iter_mut().zip(s).for_each(|(d, &s)| each(d, s));
+    let cut = s0.len().min(d0.len());
+    run(&s0[..cut], &mut d0[..cut]);
+    if s0.len() > cut {
+        let k = s0.len() - cut;
+        run(&s0[cut..], &mut d1[..k]);
+        run(s1, &mut d1[k..]);
+    } else {
+        let k = d0.len() - cut;
+        run(&s1[..k], &mut d0[cut..]);
+        run(&s1[k..], d1);
+    }
+}
+
 /// The indexed input stream: its blocks' presynchronized times and their
 /// payload bytes, read on demand.
 struct Stream<'a> {
@@ -364,17 +380,15 @@ struct Source<'a> {
 }
 
 impl Source<'_> {
-    /// The input time of event `i` of timeline `p`, at most one past what
-    /// is decoded: that read decodes the timeline's next block.
+    /// The input time of event `i` of timeline `p`, decoding up to it.
     #[inline(always)]
     fn get(&mut self, p: usize, i: u64) -> i64 {
-        if i == self.input[p].len {
-            self.decode_next(p);
-        }
+        self.decode_to(p, i + 1);
         self.input[p].get(i)
     }
 
     /// Decode timeline `p`'s blocks until its first `upto` input times are.
+    #[inline(always)]
     fn decode_to(&mut self, p: usize, upto: u64) {
         while self.input[p].len < upto {
             self.decode_next(p);
@@ -418,17 +432,20 @@ struct Sweep<'a> {
     prev: Vec<Option<(Time, Time)>>,
     /// Corrected values, kept while a reader still needs them.
     out: Vec<Lane<'a>>,
+    /// Per timeline: `(q, j + 1)` for the producer `(q, j)` its last step
+    /// blocked on — nothing moves it before `frontier[q]` reaches `j + 1`.
+    wait: Vec<(usize, u64)>,
 }
 
 impl<'a> Sweep<'a> {
     fn new(mu: f64, out: Vec<Lane<'a>>) -> Sweep<'a> {
         let n = out.len();
-        Sweep { mu, frontier: vec![0; n], prev: vec![None; n], out }
+        Sweep { mu, frontier: vec![0; n], prev: vec![None; n], out, wait: vec![(0, 0); n] }
     }
 
     /// Correct timeline `p`'s next event, whose input time is `orig` and
     /// whose predecessor left `prev` (as [`forward_step`] takes it); `None`
-    /// — nothing changed — while one of its producers is pending.
+    /// — only `wait[p]` changed — while one of its producers is pending.
     /// The event's value now owes one read per out-edge (its consumers'
     /// remote bounds); the producers' values are paid the read just made —
     /// exactly one per in-edge, never repeated, since a blocked step
@@ -447,7 +464,11 @@ impl<'a> Sweep<'a> {
         let mut jump = None;
         let ready = |src| {
             let (q, j) = graph.locate(src);
-            ((j as u64) < self.frontier[q]).then(|| self.out[q].get(j as u64))
+            if (j as u64) < self.frontier[q] {
+                return Some(self.out[q].get(j as u64));
+            }
+            self.wait[p] = (q, j as u64 + 1);
+            None
         };
         let corrected =
             forward_step(orig, prev, self.mu, None, srcs, ready, |size| jump = Some(size))?;
@@ -517,9 +538,14 @@ fn forward_sweep(
         cancel.check()?;
         let mut progressed = false;
         for p in 0..n {
-            let burst = fwd.out[p].w;
-            let record = |k, at, delta| found[p].push(Found { k, delta, at });
-            progressed |= fwd.advance(graph, p, lens[p], burst, src, record);
+            // A timeline whose producer has not moved past what its last
+            // step waited on would block again: skip it, but retire.
+            let (q, need) = fwd.wait[p];
+            if need <= fwd.frontier[q] {
+                let burst = fwd.out[p].w;
+                let record = |k, at, delta| found[p].push(Found { k, delta, at });
+                progressed |= fwd.advance(graph, p, lens[p], burst, src, record);
+            }
             src.input[p].retire(fwd.frontier[p]);
             let mut done = fwd.frontier[p];
             if let Some(emit) = emit.as_deref_mut() {
@@ -620,19 +646,23 @@ impl<'a, 'g> Apply<'a, 'g> {
         let (found, mu) = (&self.found[p], self.params.mu);
         let (input, fwd, walked) = (&mut src.input[p], &mut self.fwd[p], &mut self.walked[p]);
         let (mut last, mut next) = (at.replay_prev, at.replay_jump);
-        for i in start..upto {
-            let orig = Time::from_ps(input.get(i));
-            let f = match found.get(next) {
-                Some(jump) if jump.k == i => {
-                    next += 1;
-                    jump.at
-                }
-                _ => candidate(orig, last, mu),
+        // The index of the next recorded jump: a cursor, not a lookup per event.
+        let mut jump = found.get(next).map_or(u64::MAX, |f| f.k);
+        let mut i = start;
+        zip_runs(input.slices(start, upto), fwd.push_slices(upto - start), |f, orig| {
+            let orig = Time::from_ps(orig);
+            let t = if i == jump {
+                next += 1;
+                jump = found.get(next).map_or(u64::MAX, |f| f.k);
+                found[next - 1].at
+            } else {
+                candidate(orig, last, mu)
             };
-            fwd.push(f.as_ps());
-            walked.push(f.as_ps());
-            last = Some((orig, f));
-        }
+            *f = t.as_ps();
+            last = Some((orig, t));
+            i += 1;
+        });
+        zip_runs(fwd.slices(start, upto), walked.push_slices(upto - start), |w, f| *w = f);
         input.retire(upto);
         (at.replayed, at.replay_prev, at.replay_jump) = (upto, last, next);
         true
@@ -821,11 +851,7 @@ impl<'a> Emitter<'a> {
     }
 
     fn push(&mut self, chunk: Vec<u8>) -> Result<(), PipelineError> {
-        if (self.consume)(chunk) {
-            Ok(())
-        } else {
-            Err(PipelineError::Cancelled)
-        }
+        (self.consume)(chunk).then_some(()).ok_or(PipelineError::Cancelled)
     }
 
     /// Re-encode one block with its corrected times, payload bytes verbatim.
@@ -885,11 +911,7 @@ impl<'a> Emitter<'a> {
         let Emitter { writer, consume, frames, events, .. } = self;
         let mut trailer = Vec::new();
         writer.finish(&mut trailer);
-        if consume(trailer) {
-            Ok((frames, events))
-        } else {
-            Err(PipelineError::Cancelled)
-        }
+        consume(trailer).then_some((frames, events)).ok_or(PipelineError::Cancelled)
     }
 }
 

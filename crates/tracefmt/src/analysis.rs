@@ -11,8 +11,8 @@
 
 use crate::census::{bases, event_at, MessageTable, PlanBuildError};
 use crate::event::{CollOp, EventKind};
-use crate::ids::{CommId, EventId, Rank, RegionId};
-use crate::io::{decode_block_kinds, ChunkStore, CodecError, StreamIndex};
+use crate::ids::{CommId, EventId, Rank, RegionId, Tag};
+use crate::io::{walk_records, ChunkStore, CodecError, Record, StreamIndex};
 use crate::trace::Trace;
 use crate::violation::{MinLatency, UniformLatency};
 use simclock::Dur;
@@ -295,29 +295,38 @@ impl Capture {
         let lens: Vec<usize> = trace.procs.iter().map(|pt| pt.events.len()).collect();
         let mut capture = Capture::new(ranks, &lens);
         for (p, pt) in trace.procs.iter().enumerate() {
-            for (i, e) in pt.events.iter().enumerate() {
-                capture.feed(p, i, &e.kind);
-            }
+            pt.events.iter().enumerate().for_each(|(i, e)| capture.feed(p, i, &e.kind));
         }
         capture
     }
 
-    /// Capture every event of an indexed `DTC3` stream, one block decode at
-    /// a time: the streamed twin of [`Capture::of`], equal to the capture of
-    /// the decoded trace field for field, errors included.
+    /// Capture every event of an indexed `DTC3` stream, walking each
+    /// block's records once: the streamed twin of [`Capture::of`], equal to
+    /// the capture of the decoded trace field for field, errors included.
+    /// Sends and receives go to the message path as their fields.
     pub fn of_stream(index: &StreamIndex, store: &ChunkStore) -> Result<Self, CodecError> {
         let ranks = index.locations.iter().map(|l| l.rank);
         let lens: Vec<usize> = index.proc_lens.iter().map(|&l| l as usize).collect();
         let mut capture = Capture::new(ranks, &lens);
-        let (mut scratch, mut kinds) = (Vec::new(), Vec::new());
+        let mut scratch = Vec::new();
         for (p, blocks) in index.proc_blocks.iter().enumerate() {
             for &block in blocks {
                 let bm = &index.blocks[block as usize];
-                kinds.clear();
+                let first = bm.first_idx as usize;
                 let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
-                decode_block_kinds(payload, bm.n_events as usize, &mut kinds)?;
-                for (j, kind) in kinds.iter().enumerate() {
-                    capture.feed(p, bm.first_idx as usize + j, kind);
+                let fed = walk_records(payload, bm.n_events as usize, |j, record| match record {
+                    Record::Message { recv, peer, tag, bytes } => {
+                        capture.message(p, first + j, recv, peer, tag, bytes)
+                    }
+                    Record::Other(kind) => capture.feed(p, first + j, &kind),
+                });
+                if let Err(e) = fed {
+                    // The decoder reads blocks in stream order: answer its first error.
+                    let mut walks = index.blocks.iter().map(|bm| {
+                        let payload = store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
+                        walk_records(payload, bm.n_events as usize, |_, _| ())
+                    });
+                    return Err(walks.find_map(Result::err).unwrap_or(e));
                 }
             }
         }
@@ -339,32 +348,40 @@ impl Capture {
     /// collective calls are ignored.
     #[inline(always)]
     pub fn feed(&mut self, p: usize, i: usize, kind: &EventKind) {
-        let (peer, side, tag, id) = match *kind {
-            EventKind::Send { to, tag, bytes } => {
-                let Some(gid) = self.gid(p, i) else { return };
-                if self.sizes.last().is_none_or(|&(_, size)| size != bytes) {
-                    self.sizes.push((gid, bytes));
-                }
-                (to, 0, tag, gid)
-            }
-            EventKind::Recv { from, tag, .. } => {
-                let Some(gid) = self.gid(p, i) else { return };
-                self.recv.push(gid);
-                (from, 1, tag, self.recv.len() as u32 - 1)
-            }
-            EventKind::CollBegin { .. } | EventKind::CollEnd { .. } if self.coll_err.is_none() => {
-                if let Err(e) = self.feed_call(p, i, kind) {
+        match *kind {
+            EventKind::Send { to, tag, bytes } => self.message(p, i, false, to, tag, bytes),
+            EventKind::Recv { from, tag, bytes } => self.message(p, i, true, from, tag, bytes),
+            EventKind::CollBegin { op, comm, root, .. } | EventKind::CollEnd { op, comm, root, .. }
+                if self.coll_err.is_none() =>
+            {
+                let begin = matches!(kind, EventKind::CollBegin { .. });
+                if let Err(e) = self.feed_call(p, i, begin, op, comm, root) {
                     self.coll_err = Some(e);
                 }
-                return;
             }
-            _ => return,
+            _ => {}
+        }
+    }
+
+    /// Feed send (or receive, `recv`) `i` of timeline `p` by its fields:
+    /// the one message path, which [`Capture::feed`] takes too.
+    #[inline(always)]
+    fn message(&mut self, p: usize, i: usize, recv: bool, peer: Rank, tag: Tag, bytes: u64) {
+        let Some(gid) = self.gid(p, i) else { return };
+        let id = if recv {
+            self.recv.push(gid);
+            self.recv.len() as u32 - 1
+        } else {
+            if self.sizes.last().is_none_or(|&(_, size)| size != bytes) {
+                self.sizes.push((gid, bytes));
+            }
+            gid
         };
-        let peer = self.id_of(peer);
+        let (peer, side) = (self.id_of(peer), u32::from(recv));
         let key = match &mut self.counts {
             Some(counts) if peer != NOBODY => {
                 let (own, u) = (self.own[p], self.ranks.len() as u32);
-                let (from, to) = if side == 1 { (peer, own) } else { (own, peer) };
+                let (from, to) = if recv { (peer, own) } else { (own, peer) };
                 let key = (from * u + to) << 1 | side;
                 counts[key as usize] += 1;
                 key
@@ -385,14 +402,12 @@ impl Capture {
         None
     }
 
-    /// Open or close a collective call on its communicator. Errors on a
-    /// `CollEnd` with no open call there, or of another op than its begin.
-    fn feed_call(&mut self, p: usize, i: usize, kind: &EventKind) -> Result<(), String> {
-        let (EventKind::CollBegin { op, comm, root, .. } | EventKind::CollEnd { op, comm, root, .. }) =
-            *kind
-        else {
-            unreachable!("only collective events are fed here");
-        };
+    /// Open (`begin`) or close a collective call on its communicator. Errors
+    /// on a `CollEnd` with no open call there, or of another op than its
+    /// begin.
+    fn feed_call(
+        &mut self, p: usize, i: usize, begin: bool, op: CollOp, comm: CommId, root: Option<Rank>,
+    ) -> Result<(), String> {
         if self.slots.get(self.last).is_none_or(|slot| slot.comm != comm) {
             self.last = *self.slot_of.entry(comm).or_insert(self.slots.len());
             if self.last == self.slots.len() {
@@ -403,7 +418,7 @@ impl Capture {
         if slot.timeline != p {
             (slot.timeline, slot.calls, slot.open) = (p, 0, None);
         }
-        if let EventKind::CollBegin { .. } = kind {
+        if begin {
             slot.open = Some(self.calls.len());
             let (slot_at, begin) = (self.last as u32, EventId::new(p, i));
             self.calls.push(CallRec { slot: slot_at, k: slot.calls, begin, end: NONE, op, root });

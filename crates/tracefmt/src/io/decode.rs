@@ -57,8 +57,8 @@ pub fn decode_indexed(
         segment::decode_block_times(store.read(block.times_off, n * 8, &mut scratch), times);
         let payload = store.read(block.payload_off, block.payload_len as usize, &mut scratch);
         let events = &mut trace.procs[p].events;
-        segment::for_each_kind(payload, n, |i, kind| {
-            events.push(EventRecord::new(Time::from_ps(times[i]), kind));
+        segment::walk_records(payload, n, |i, record| {
+            events.push(EventRecord::new(Time::from_ps(times[i]), record.kind()));
         })?;
     }
     Ok((trace, cols))

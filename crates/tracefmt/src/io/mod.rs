@@ -35,7 +35,8 @@ pub use index::{
     estimate_columnar_stream, index_columnar_chunks, BlockMeta, ChunkStore, StreamEstimate,
     StreamIndex,
 };
-pub use segment::{decode_block_kinds, decode_block_times};
+pub use segment::decode_block_times;
+pub(crate) use segment::{walk_records, Record};
 
 /// Errors arising while decoding a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]

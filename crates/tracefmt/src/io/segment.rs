@@ -10,73 +10,33 @@ use super::CodecError;
 use crate::event::{CollOp, EventKind, EventRecord};
 use crate::ids::{CommId, Rank, RegionId, Tag};
 
-fn coll_code(op: CollOp) -> u8 {
-    match op {
-        CollOp::Barrier => 0,
-        CollOp::Bcast => 1,
-        CollOp::Scatter => 2,
-        CollOp::Reduce => 3,
-        CollOp::Gather => 4,
-        CollOp::Allreduce => 5,
-        CollOp::Allgather => 6,
-        CollOp::Alltoall => 7,
-        CollOp::Scan => 8,
-    }
-}
+/// The collective ops by wire code.
+const COLL_OPS: [CollOp; 9] = {
+    use CollOp::*;
+    [Barrier, Bcast, Scatter, Reduce, Gather, Allreduce, Allgather, Alltoall, Scan]
+};
 
-fn coll_from_code(c: u8) -> Option<CollOp> {
-    Some(match c {
-        0 => CollOp::Barrier,
-        1 => CollOp::Bcast,
-        2 => CollOp::Scatter,
-        3 => CollOp::Reduce,
-        4 => CollOp::Gather,
-        5 => CollOp::Allreduce,
-        6 => CollOp::Allgather,
-        7 => CollOp::Alltoall,
-        8 => CollOp::Scan,
-        _ => return None,
-    })
-}
-
-fn kind_code(kind: &EventKind) -> u8 {
-    match kind {
-        EventKind::Enter { .. } => 0,
-        EventKind::Exit { .. } => 1,
-        EventKind::Send { .. } => 2,
-        EventKind::Recv { .. } => 3,
-        EventKind::CollBegin { .. } => 4,
-        EventKind::CollEnd { .. } => 5,
-        EventKind::Fork { .. } => 6,
-        EventKind::Join { .. } => 7,
-        EventKind::BarrierEnter { .. } => 8,
-        EventKind::BarrierExit { .. } => 9,
-    }
-}
-
-/// A kind as its wire code and argument fields — the inverse of
-/// [`kind_from_fields`], shared by the binary and the text format: `a`
-/// is the region, the peer or the collective op, `b` the tag or the
-/// communicator, `c` the message size or the root (−1 for none), `d` the
-/// collective's size; unused fields are zero.
+/// A kind as its wire code and argument fields — what [`walk_records`]
+/// reads back: `a` is the region, the peer or the collective op, `b` the
+/// tag or the communicator, `c` the message size or the root (−1 for
+/// none), `d` the collective's size; unused fields are zero.
 #[inline]
 pub(super) fn kind_fields(kind: &EventKind) -> (u8, u32, u32, u64, u64) {
-    let (a, b, c, d) = match *kind {
-        EventKind::Enter { region }
-        | EventKind::Exit { region }
-        | EventKind::Fork { region }
-        | EventKind::Join { region }
-        | EventKind::BarrierEnter { region }
-        | EventKind::BarrierExit { region } => (region.0, 0, 0, 0),
-        EventKind::Send { to: peer, tag, bytes } | EventKind::Recv { from: peer, tag, bytes } => {
-            (peer.0, tag.0, bytes, 0)
+    match *kind {
+        EventKind::Enter { region } => (0, region.0, 0, 0, 0),
+        EventKind::Exit { region } => (1, region.0, 0, 0, 0),
+        EventKind::Send { to, tag, bytes } => (2, to.0, tag.0, bytes, 0),
+        EventKind::Recv { from, tag, bytes } => (3, from.0, tag.0, bytes, 0),
+        EventKind::CollBegin { op, comm, root, bytes } | EventKind::CollEnd { op, comm, root, bytes } => {
+            let code = if matches!(kind, EventKind::CollBegin { .. }) { 4 } else { 5 };
+            let op = COLL_OPS.iter().position(|&o| o == op).expect("every op has a code");
+            (code, op as u32, comm.0, root.map_or(-1i64, |r| r.0.into()) as u64, bytes)
         }
-        EventKind::CollBegin { op, comm, root, bytes }
-        | EventKind::CollEnd { op, comm, root, bytes } => {
-            (coll_code(op).into(), comm.0, root.map_or(-1i64, |r| r.0.into()) as u64, bytes)
-        }
-    };
-    (kind_code(kind), a, b, c, d)
+        EventKind::Fork { region } => (6, region.0, 0, 0, 0),
+        EventKind::Join { region } => (7, region.0, 0, 0, 0),
+        EventKind::BarrierEnter { region } => (8, region.0, 0, 0, 0),
+        EventKind::BarrierExit { region } => (9, region.0, 0, 0, 0),
+    }
 }
 
 /// Bytes of the fixed-stride args record every event carries.
@@ -91,55 +51,50 @@ pub(super) fn payload_len(n_events: usize) -> usize {
     n_events * RECORD_BYTES
 }
 
-/// Append one event's fixed-stride args record (no kind code): every kind
-/// writes all four fields, little-endian.
-#[inline]
-fn put_args(out: &mut Vec<u8>, kind: &EventKind) {
-    let (_, a, b, c, d) = kind_fields(kind);
-    out.extend_from_slice(&a.to_le_bytes());
-    out.extend_from_slice(&b.to_le_bytes());
-    out.extend_from_slice(&c.to_le_bytes());
-    out.extend_from_slice(&d.to_le_bytes());
-}
-
 /// Append a timestamp segment.
 pub(super) fn put_times(out: &mut Vec<u8>, times_ps: impl Iterator<Item = i64>) {
     times_ps.for_each(|ps| out.extend_from_slice(&ps.to_le_bytes()));
 }
 
 /// Append the payload segment of `events`: every kind code, then every
-/// args record.
+/// args record, all four fields little-endian whatever the kind.
 pub(super) fn put_payload(out: &mut Vec<u8>, events: &[EventRecord]) {
-    events.iter().for_each(|e| out.push(kind_code(&e.kind)));
-    events.iter().for_each(|e| put_args(out, &e.kind));
+    events.iter().for_each(|e| out.push(kind_fields(&e.kind).0));
+    for (_, a, b, c, d) in events.iter().map(|e| kind_fields(&e.kind)) {
+        out.extend_from_slice(&a.to_le_bytes());
+        out.extend_from_slice(&b.to_le_bytes());
+        out.extend_from_slice(&c.to_le_bytes());
+        out.extend_from_slice(&d.to_le_bytes());
+    }
 }
 
-/// The kind a code and its already-split argument fields stand for (see
-/// [`kind_fields`]), in the binary or the text format.
+#[inline(always)]
+fn le_u32<const AT: usize>(s: &[u8; ARGS_BYTES]) -> u32 {
+    u32::from_le_bytes(s[AT..AT + 4].try_into().expect("four bytes"))
+}
+
+#[inline(always)]
+fn le_u64<const AT: usize>(s: &[u8; ARGS_BYTES]) -> u64 {
+    u64::from_le_bytes(s[AT..AT + 8].try_into().expect("eight bytes"))
+}
+
+/// The kind any code but a message's stands for, with its args record
+/// (see [`kind_fields`]).
 #[inline]
-pub(super) fn kind_from_fields(
-    code: u8,
-    a: u32,
-    b: u32,
-    c: u64,
-    d: u64,
-) -> Result<EventKind, CodecError> {
+fn other_kind(code: u8, args: &[u8; ARGS_BYTES]) -> Result<EventKind, CodecError> {
+    let a = le_u32::<0>(args);
     Ok(match code {
         0 => EventKind::Enter { region: RegionId(a) },
         1 => EventKind::Exit { region: RegionId(a) },
-        2 => EventKind::Send { to: Rank(a), tag: Tag(b), bytes: c },
-        3 => EventKind::Recv { from: Rank(a), tag: Tag(b), bytes: c },
         4 | 5 => {
-            let op = u8::try_from(a)
-                .ok()
-                .and_then(coll_from_code)
-                .ok_or_else(|| CodecError::UnknownKind("collective".into()))?;
-            let comm = CommId(b);
+            let op = COLL_OPS.get(a as usize).copied();
+            let op = op.ok_or_else(|| CodecError::UnknownKind("collective".into()))?;
+            let (comm, c, bytes) = (CommId(le_u32::<4>(args)), le_u64::<8>(args), le_u64::<16>(args));
             let root = (c as i64 >= 0).then_some(Rank(c as u32));
             if code == 4 {
-                EventKind::CollBegin { op, comm, root, bytes: d }
+                EventKind::CollBegin { op, comm, root, bytes }
             } else {
-                EventKind::CollEnd { op, comm, root, bytes: d }
+                EventKind::CollEnd { op, comm, root, bytes }
             }
         }
         6 => EventKind::Fork { region: RegionId(a) },
@@ -150,37 +105,53 @@ pub(super) fn kind_from_fields(
     })
 }
 
-/// Decode one event from its kind code and fixed-stride args record.
-#[inline]
-fn record(code: u8, args: &[u8; ARGS_BYTES]) -> Result<EventKind, CodecError> {
-    #[inline]
-    fn le_u32<const AT: usize>(s: &[u8; ARGS_BYTES]) -> u32 {
-        u32::from_le_bytes(s[AT..AT + 4].try_into().expect("four bytes"))
-    }
-    #[inline]
-    fn le_u64<const AT: usize>(s: &[u8; ARGS_BYTES]) -> u64 {
-        u64::from_le_bytes(s[AT..AT + 8].try_into().expect("eight bytes"))
-    }
-    let (a, b) = (le_u32::<0>(args), le_u32::<4>(args));
-    kind_from_fields(code, a, b, le_u64::<8>(args), le_u64::<16>(args))
+/// One record as [`walk_records`] hands it over.
+pub(crate) enum Record {
+    /// A send (code 2) or a receive (code 3, `recv`) as its fields: the
+    /// peer, the tag and the size.
+    Message { recv: bool, peer: Rank, tag: Tag, bytes: u64 },
+    /// Any other kind, decoded.
+    Other(EventKind),
 }
 
-/// Decode the `n_events` records of one block's payload, in order, handing
-/// each kind with its index in the block to `each`. The payload must be
-/// exactly their bytes.
-#[inline]
-pub(super) fn for_each_kind(
+impl Record {
+    /// The event kind it stands for.
+    #[inline(always)]
+    pub(crate) fn kind(self) -> EventKind {
+        match self {
+            Record::Message { recv: false, peer: to, tag, bytes } => EventKind::Send { to, tag, bytes },
+            Record::Message { recv: true, peer: from, tag, bytes } => EventKind::Recv { from, tag, bytes },
+            Record::Other(kind) => kind,
+        }
+    }
+}
+
+/// Walk the `n_events` records of one block's payload once, in order,
+/// handing each with its index in the block to `each`: a message as its
+/// fields, with no [`EventKind`] built, any other kind decoded. The
+/// payload must be exactly their bytes; an undecodable record stops the
+/// walk with its error, after `each` has seen the records before it.
+#[inline(always)]
+pub(crate) fn walk_records(
     payload: &[u8],
     n_events: usize,
-    mut each: impl FnMut(usize, EventKind),
+    mut each: impl FnMut(usize, Record),
 ) -> Result<(), CodecError> {
     if payload.len() != payload_len(n_events) {
         return Err(CodecError::BadField("block payload length".into()));
     }
     let (codes, args) = payload.split_at(n_events);
-    let records = codes.iter().zip(args.chunks_exact(ARGS_BYTES));
-    for (i, (&code, rec)) in records.enumerate() {
-        each(i, record(code, rec.try_into().expect("exact chunk"))?);
+    for (i, (&code, args)) in codes.iter().zip(args.chunks_exact(ARGS_BYTES)).enumerate() {
+        let args: &[u8; ARGS_BYTES] = args.try_into().expect("exact chunk");
+        each(i, match code {
+            2 | 3 => Record::Message {
+                recv: code == 3,
+                peer: Rank(le_u32::<0>(args)),
+                tag: Tag(le_u32::<4>(args)),
+                bytes: le_u64::<8>(args),
+            },
+            _ => Record::Other(other_kind(code, args)?),
+        });
     }
     Ok(())
 }
@@ -195,16 +166,4 @@ pub fn decode_block_times(seg: &[u8], out: &mut [i64]) {
     for (t, word) in out.iter_mut().zip(seg.chunks_exact(8)) {
         *t = i64::from_le_bytes(word.try_into().expect("exact chunk"));
     }
-}
-
-/// Decode one block's kind/args payload (as addressed by
-/// [`BlockMeta::payload_off`](super::BlockMeta::payload_off)) into event
-/// kinds appended to `out`.
-pub fn decode_block_kinds(
-    payload: &[u8],
-    n_events: usize,
-    out: &mut Vec<EventKind>,
-) -> Result<(), CodecError> {
-    out.reserve(n_events);
-    for_each_kind(payload, n_events, |_, kind| out.push(kind))
 }

@@ -316,14 +316,13 @@ fn block_by_block_reads_rebuild_the_trace() {
             let seg =
                 store.read(b.times_off, b.n_events as usize * 8, &mut scratch);
             decode_block_times(seg, &mut times);
-            let mut kinds = Vec::new();
             let payload =
                 store.read(b.payload_off, b.payload_len as usize, &mut scratch);
-            decode_block_kinds(payload, b.n_events as usize, &mut kinds)
-                .unwrap();
-            let events =
-                times.iter().zip(kinds).map(|(&ps, k)| EventRecord::new(Time::from_ps(ps), k));
-            back.procs[b.timeline as usize].events.extend(events);
+            let events = &mut back.procs[b.timeline as usize].events;
+            walk_records(payload, b.n_events as usize, |i, record| {
+                events.push(EventRecord::new(Time::from_ps(times[i]), record.kind()))
+            })
+            .unwrap();
         }
         assert!(traces_equal(&t, &back), "chunks of {chunk_size}");
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
-# stream reader, the windowed engine's ring lanes, replay, finality
-# frontier and chunk consumer, the batch CLC, its walk (shift, cap and
+# stream reader and its record walker, the windowed engine's ring lanes,
+# sweep, replay, finality frontier and chunk consumer, the batch CLC, its walk (shift, cap and
 # window), its moved-event set and its graph's links (message and
 # collective), Eq. 3's presync and the rounding behind it, the p2p census
 # bound, the classed collective census threshold, the simulator's message
@@ -109,6 +109,18 @@ let first = block.first_idx as usize;
 let first = 0;
 tracefmt::io::tests::round_trip_various_block_sizes
 
+the record walker swaps sends and receives
+crates/tracefmt/src/io/segment.rs
+recv: code == 3,
+recv: code == 2,
+tracefmt::io::tests::round_trip_various_block_sizes tests/proptest_matching.rs::batch_and_streamed_capture_agree
+
+the streamed capture feeds a block one index late
+crates/tracefmt/src/analysis.rs
+let first = bm.first_idx as usize;
+let first = bm.first_idx as usize + 1;
+tests/proptest_matching.rs::batch_and_streamed_capture_agree tests/proptest_matching.rs::streamed_capture_equals_the_decoded_ones_on_any_record
+
 cross-chunk read keeps the first chunk's offset
 crates/tracefmt/src/io/index.rs
 in_off = 0;
@@ -171,14 +183,20 @@ tracefmt::census::tests::p2p_census_is_bit_identical_to_reference tests/proptest
 
 windowed driver ignores a consumer's refusal
 crates/core/src/pipeline/windowed.rs
-if (self.consume)(chunk) {
-if (self.consume)(chunk) || true {
+(self.consume)(chunk).then_some(()).ok_or(PipelineError::Cancelled)
+((self.consume)(chunk) || true).then_some(()).ok_or(PipelineError::Cancelled)
 clocksync::pipeline::windowed::tests::a_refused_chunk_cancels_the_run
 
 the windowed replay ignores a recorded jump
 crates/core/src/pipeline/windowed.rs
-jump.at
+found[next - 1].at
 candidate(orig, last, mu)
+clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::windowed_engine_differential_matrix
+
+the sweep skips a timeline whose producer is ready
+crates/core/src/pipeline/windowed.rs
+if need <= fwd.frontier[q] {
+if need < fwd.frontier[q] {
 clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::windowed_engine_differential_matrix
 
 the finality frontier reaches a walk's break element

@@ -4,7 +4,8 @@
 //! rank pair, dangling sends and receives, ranks no timeline carries,
 //! empty timelines, sparse rank ids, hundreds of timelines with a few
 //! messages each — and the two capture paths (batch, streamed) against
-//! each other, errors included. Everything is compared in exact order:
+//! each other, errors included, also on streams whose message records
+//! carry any code byte and any args. Everything is compared in exact order:
 //! `messages`, `unmatched_sends`, `unmatched_recvs`; and the message table
 //! a synchronizing job gets, batch and streamed, against the one built
 //! from that matching.
@@ -14,7 +15,10 @@ mod common;
 use common::fifo_match_messages;
 use drift_lab::clocksync::TraceAnalysis;
 use drift_lab::prelude::*;
-use drift_lab::tracefmt::io::{index_columnar_chunks, to_binary_columnar_v3_blocked, ChunkStore};
+use drift_lab::tracefmt::io::{
+    from_binary_columnar, index_columnar_chunks, to_binary_columnar_v3_blocked, ChunkStore, CodecError,
+    FrameWriter,
+};
 use drift_lab::tracefmt::{
     match_messages, Capture, CollOp, CommId, EventId, Location, Matching, MessageTable, PlanBuildError,
     ProcessTrace, ThreadId,
@@ -185,6 +189,83 @@ fn assert_table_is_the_matchings(trace: &Trace) {
     }
 }
 
+/// One record as the wire writes it: its code byte and args `(a, b, c, d)`.
+type Raw = (u8, u32, u32, u64, u64);
+
+/// A message record whose code byte is any of 0..=255 — a send or a
+/// receive 19 times in 20, so that about half the streams decode — with
+/// arbitrary args: the peer and the tag are small enough to match four
+/// times in five, the rest any value.
+fn arb_raw_record() -> impl Strategy<Value = Raw> {
+    let small_or_any = |small: u32| (0u32..5, 0..small, 0..u32::MAX).prop_map(|(k, s, any)| if k < 4 { s } else { any });
+    let code = (0u32..40, 0u32..256).prop_map(|(k, any)| if k < 38 { 2 + (k % 2) as u8 } else { any as u8 });
+    (code, small_or_any(4), small_or_any(3), 0..u64::MAX, 0..u64::MAX)
+}
+
+/// Blocks of such records on up to four timelines, in stream order, the
+/// timelines' blocks interleaved: `(rank, records)`.
+fn arb_raw_stream() -> impl Strategy<Value = Vec<(u32, Vec<Raw>)>> {
+    prop::collection::vec((0u32..4, prop::collection::vec(arb_raw_record(), 0..12)), 1..10)
+}
+
+/// The `DTC3` stream of `blocks`, written frame by frame.
+fn encode_raw(blocks: &[(u32, Vec<Raw>)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let mut writer = FrameWriter::new(&mut out);
+    for (rank, records) in blocks {
+        let mut payload: Vec<u8> = records.iter().map(|r| r.0).collect();
+        for &(_, a, b, c, d) in records {
+            payload.extend([&a.to_le_bytes()[..], &b.to_le_bytes(), &c.to_le_bytes(), &d.to_le_bytes()].concat());
+        }
+        let times: Vec<i64> = (0..records.len() as i64).collect();
+        writer.frame(&mut out, Location::rank(*rank), &times, &payload);
+    }
+    writer.finish(&mut out);
+    out
+}
+
+/// What a synchronizing job gets of a capture: the table's columns and
+/// shape, and the instances, or the errors.
+type Finished = (Result<(Vec<u32>, Vec<u32>, Vec<i64>, usize), PlanBuildError>, Result<String, String>);
+
+fn finished(capture: Capture) -> Finished {
+    let (table, instances) = capture.finish_table(&pair_latency);
+    let table = table.map(|t| (t.sends().to_vec(), t.recvs().to_vec(), t.lats().to_vec(), t.n_events()));
+    (table, instances.map(|i| format!("{i:?}")))
+}
+
+/// The streamed capture of `bytes`, read in `chunk`-byte chunks, finishes
+/// as the capture of the decoded trace does, or fails with its error.
+fn assert_streamed_is_decoded(bytes: &[u8], chunk: usize) -> Result<Finished, CodecError> {
+    let chunks: Vec<&[u8]> = bytes.chunks(chunk).collect();
+    let index = index_columnar_chunks(&chunks).expect("frames are well-formed");
+    let streamed = Capture::of_stream(&index, &ChunkStore::new(&chunks)).map(finished);
+    let decoded = from_binary_columnar(bytes.to_vec().into()).map(|trace| finished(Capture::of(&trace)));
+    assert_eq!(streamed, decoded, "chunks of {chunk}");
+    streamed
+}
+
+/// A bad code in a later block of a timeline whose earlier blocks fed the
+/// capture fails the streamed capture as it fails the decoder; with two
+/// bad blocks, the error is the one first in stream order, as the decoder
+/// reads, not in timeline order.
+#[test]
+fn a_bad_code_in_a_later_block_fails_alike_batch_and_streamed() {
+    let (send, recv) = ((2, 1, 0, 8, 0), (3, 0, 0, 8, 0));
+    let bad = |code| (code, 0, 0, 0, 0);
+    let later = vec![(0, vec![send, send]), (1, vec![recv, recv]), (0, vec![send, bad(200)])];
+    let interleaved = vec![(0, vec![send]), (1, vec![recv, bad(17)]), (0, vec![bad(99)])];
+    for (blocks, code) in [(later, 200), (interleaved, 17)] {
+        let want = CodecError::UnknownKind(format!("code {code}"));
+        for chunk in [1, 7, 4096] {
+            assert_eq!(assert_streamed_is_decoded(&encode_raw(&blocks), chunk), Err(want.clone()));
+        }
+    }
+    let good = vec![(0, vec![send, send]), (1, vec![recv]), (1, vec![recv])];
+    let (table, _) = assert_streamed_is_decoded(&encode_raw(&good), 61).expect("every code decodes");
+    assert_eq!(table.expect("in shape").0, [0, 1], "both receives matched");
+}
+
 #[test]
 fn tags_reordered_inside_a_pair_match_per_tag_fifo() {
     let mut t = Trace::for_ranks(2);
@@ -338,6 +419,15 @@ proptest! {
             let streamed = capture_stream(&chunks).expect("well-formed");
             assert_same_analysis(&streamed, &batch, &format!("streamed, {block}-event blocks"));
         }
+    }
+
+    /// Message records with any code byte and any args, in blocks of
+    /// interleaved timelines: the streamed capture, which hands sends and
+    /// receives to the message path as their fields, finishes as the
+    /// capture of the decoded trace does — or fails with the same error.
+    #[test]
+    fn streamed_capture_equals_the_decoded_ones_on_any_record(blocks in arb_raw_stream(), chunk in 1usize..300) {
+        let _ = assert_streamed_is_decoded(&encode_raw(&blocks), chunk);
     }
 
     /// The capture writes the message table row by row — send gid, receive
