@@ -99,11 +99,11 @@ impl Moved {
 
     /// Mark `gid` if `raised`; branch-free.
     #[inline(always)]
-    fn mark(&mut self, gid: usize, raised: bool) {
+    pub(crate) fn mark(&mut self, gid: usize, raised: bool) {
         self.0[gid >> 6] |= u64::from(raised) << (gid & 63);
     }
 
-    fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.0.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
@@ -121,13 +121,6 @@ pub(crate) fn validate(params: &ClcParams) -> Result<(), ClcError> {
         return Err(ClcError::BadParams("non-positive backward window".into()));
     }
     Ok(())
-}
-
-/// Count the positions where two `i64` runs differ: events whose corrected
-/// time differs from the original. Branchless compare-and-sum — the
-/// autovectorizer turns it into packed compares.
-pub(crate) fn count_moved(corrected: &[i64], originals: &[i64]) -> usize {
-    corrected.iter().zip(originals).map(|(&a, &b)| usize::from(a != b)).sum()
 }
 
 /// One forward step of the CLC — the only place its arithmetic is written;
@@ -214,42 +207,43 @@ impl Walk {
 }
 
 /// What the backward walk needs of the timeline it rewrites: the batch
-/// pass hands it a column slice that marks what it raises, the windowed
-/// engine a ring lane.
+/// pass hands it a column slice, the windowed engine a ring lane, each
+/// [`Marked`].
 pub(crate) trait Timeline {
     fn get(&self, i: u64) -> i64;
     fn set(&mut self, i: u64, v: i64);
 }
 
-/// A plain slice: the model the windowed lane's tests hold it against.
-#[cfg(test)]
+/// A column of the batch slab.
 impl Timeline for [i64] {
+    #[inline(always)]
     fn get(&self, i: u64) -> i64 {
         self[i as usize]
     }
+    #[inline(always)]
     fn set(&mut self, i: u64, v: i64) {
         self[i as usize] = v;
     }
 }
 
-/// One column of the slab, `base` its first gid, marking in `moved` every
-/// event a write raises.
-struct Marked<'a> {
-    col: &'a mut [i64],
-    base: usize,
-    moved: &'a mut Moved,
+/// A timeline, `base` its first gid, marking in `moved` every event a
+/// write raises.
+pub(crate) struct Marked<'a, L: ?Sized> {
+    pub(crate) line: &'a mut L,
+    pub(crate) base: usize,
+    pub(crate) moved: &'a mut Moved,
 }
 
-impl Timeline for Marked<'_> {
+impl<L: Timeline + ?Sized> Timeline for Marked<'_, L> {
     #[inline(always)]
     fn get(&self, i: u64) -> i64 {
-        self.col[i as usize]
+        self.line.get(i)
     }
     #[inline(always)]
     fn set(&mut self, i: u64, v: i64) {
-        let t = &mut self.col[i as usize];
-        self.moved.mark(self.base + i as usize, v != *t);
-        *t = v;
+        let t = self.line.get(i);
+        self.moved.mark(self.base + i as usize, v != t);
+        self.line.set(i, v);
     }
 }
 
@@ -259,7 +253,7 @@ impl Timeline for Marked<'_> {
 /// of [`backward_walk`] over a view ([`CollPass::latest`] folds it for the
 /// begins of an aggregated instance).
 #[inline(always)]
-pub(crate) fn latest_allowed(out: Edges<'_>, snapshot: impl Fn(u32) -> i64) -> Option<Time> {
+pub(crate) fn latest_allowed(out: Edges<'_>, mut snapshot: impl FnMut(u32) -> i64) -> Option<Time> {
     out.iter().map(|(dst, lat)| Time::from_ps(snapshot(dst)).saturating_sub(Dur::from_ps(lat))).min()
 }
 
@@ -270,15 +264,20 @@ pub(crate) fn latest_allowed(out: Edges<'_>, snapshot: impl Fn(u32) -> i64) -> O
 /// monotone `saturating_since` makes that the minimum of per-edge caps), and
 /// stop at the window start or the first event that cannot move. `base` is
 /// the gid of the timeline's first event.
+///
+/// It visits the events below `above` (`k` for a new walk), none shifted by
+/// more than `shift_above` (`delta`). Where `latest` answers `None` — a
+/// consumer not known yet; never in the batch pass — it stops before the
+/// event and returns the pair to resume from; `None` once done.
 #[inline(always)]
 pub(crate) fn backward_walk<L: Timeline + ?Sized>(
     walk: &Walk,
+    (above, mut shift_above): (u64, Dur),
     base: u32,
     line: &mut L,
-    mut latest: impl FnMut(u32) -> Option<Time>,
-) {
-    let mut shift_above = walk.delta;
-    for i in (0..walk.k).rev() {
+    mut latest: impl FnMut(u32) -> Option<Option<Time>>,
+) -> Option<(u64, Dur)> {
+    for i in (0..above).rev() {
         let t_i = Time::from_ps(line.get(i));
         if t_i <= walk.w_start {
             break;
@@ -286,7 +285,10 @@ pub(crate) fn backward_walk<L: Timeline + ?Sized>(
         let frac = t_i.saturating_since(walk.w_start).as_ps() as f64
             / walk.window.as_ps().max(1) as f64;
         let ramp = walk.delta.scale(frac.clamp(0.0, 1.0));
-        let cap = latest(base + i as u32).map_or(Dur::MAX, |l| l.saturating_since(t_i));
+        let Some(latest) = latest(base + i as u32) else {
+            return Some((i + 1, shift_above));
+        };
+        let cap = latest.map_or(Dur::MAX, |l| l.saturating_since(t_i));
         let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
         line.set(i, t_i.saturating_add(shift).as_ps());
         shift_above = shift;
@@ -294,6 +296,7 @@ pub(crate) fn backward_walk<L: Timeline + ?Sized>(
             break;
         }
     }
+    None
 }
 
 /// The forward pass over CSR in-edges: assign corrected times in
@@ -409,8 +412,8 @@ fn backward_amortization_csr(
         for jump in per_proc[p].iter().filter(|j| j.event.i() > 0) {
             let k = jump.event.i();
             let walk = Walk::new(k as u64, Time::from_ps(col[k]), jump.size, params.backward_window_factor);
-            let mut line = Marked { col: &mut *col, base: base as usize, moved: &mut *moved };
-            backward_walk(&walk, base, &mut line, |gid| caps.latest(graph, gid, &snapshot));
+            let mut line = Marked { line: &mut *col, base: base as usize, moved: &mut *moved };
+            backward_walk(&walk, (walk.k, walk.delta), base, &mut line, |gid| Some(caps.latest(graph, gid, &snapshot)));
         }
     }
 }
@@ -420,6 +423,11 @@ mod tests {
     use super::*;
     use crate::clc::{fixtures, ClcParams};
     use tracefmt::{Capture, MinLatency, Trace, UniformLatency};
+
+    /// The positions where two runs differ.
+    fn differing(corrected: &[i64], originals: &[i64]) -> usize {
+        corrected.iter().zip(originals).filter(|(a, b)| a != b).count()
+    }
 
     const LMIN: UniformLatency = UniformLatency(Dur::from_ps(4_000_000));
 
@@ -530,7 +538,7 @@ mod tests {
                 let mut fixed = cols.clone();
                 let rep = controlled_logical_clock_columnar_csr(&mut fixed, &graph, &params).unwrap();
                 assert!(rep.n_jumps() > 0, "{procs}x{rounds}: nothing to correct");
-                assert_eq!(rep.events_moved, count_moved(fixed.flat(), cols.flat()), "{procs}x{rounds}");
+                assert_eq!(rep.events_moved, differing(fixed.flat(), cols.flat()), "{procs}x{rounds}");
             }
         }
     }

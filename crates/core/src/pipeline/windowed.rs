@@ -1,90 +1,74 @@
 //! Incremental windowed CLC: stream corrected timestamps out with bounded
-//! resident column memory.
+//! resident column memory (DESIGN §15).
 //!
 //! The batch pipeline gathers every timeline's full `i64` timestamp lane
 //! before the CLC runs, so its resident set is O(trace). This engine
 //! processes the stream in *epochs* over ring-buffer lanes instead:
 //!
-//! * the input chunks are indexed once ([`index_columnar_chunks`]) — block
-//!   offsets, per-timeline lengths — and re-read on demand through a
-//!   zero-copy [`ChunkStore`]; the trace is never materialized;
-//! * one forward sweep crosses timelines: it advances each timeline at most
-//!   `window_events` per round-robin epoch (none while the producer its
-//!   last step blocked on is pending), decoding input blocks lazily into
-//!   one ring per timeline and appending corrected times to another, and
-//!   records every jump — its index, its size and the time it left the
-//!   event at; rings retire and resize in segments `window_events` wide, but
-//!   never wider than the timeline itself, so the window (a number off the
-//!   wire) can ask for no more memory than the input stream paid for;
-//! * a *carry frontier* of per-segment read counters tracks which values
-//!   remote readers still need; a segment is retired the moment its
-//!   frontier clears, and the ring gives its capacity back, so steady-state
-//!   residency is O(window + dependency skew), not O(trace);
-//! * with backward amortization enabled, a second epoch loop *replays* each
-//!   timeline's forward values F locally — the amortized candidate from the
-//!   input, or the recorded jump's time; no remote read — as far as the
-//!   next block's emission or a pending walk needs, at most one segment
-//!   per epoch; it applies the walks and advances a *safety frontier* `b`
-//!   past events no remaining walk can reach, and F retires behind the
-//!   least walked time any `b` has passed. A walked value is final once
-//!   `b` has passed it — the CLC ends with its walks (no closing μ = 1
-//!   pass, see [`crate::clc::columnar`]) — and a *finality frontier*
-//!   follows `b` in that same time order;
-//! * final blocks are re-encoded by [`FrameWriter`] with their payload
-//!   bytes passed through verbatim and streamed out as self-contained
-//!   chunks whose concatenation is a well-formed `DTC3` stream; a block's
-//!   input times are decoded again to count the events it moved, so no
-//!   lane keeps them past the pass that read them.
+//! * the input chunks are indexed once ([`index_columnar_chunks`]) and read
+//!   where they lie through a zero-copy [`ChunkStore`] — one time at a time
+//!   by the sweep, a block at a time onto a lane by the replay below — and
+//!   only a block whose times straddle two chunks is copied;
+//! * one forward sweep crosses timelines, at most `window_events` per
+//!   timeline and round-robin epoch (none while the producer its last step
+//!   blocked on is pending), onto one ring per timeline; it marks the
+//!   events it raises and records every jump (index, size, the time it left
+//!   the event at); rings retire and resize in segments `window_events`
+//!   wide but never wider than the timeline, so a window off the wire asks
+//!   for no memory the input did not pay for;
+//! * per-segment read counters (the *carry frontier*) retire a segment once
+//!   no remote reader needs it: residency is O(window + dependency skew);
+//! * with backward amortization, a second epoch loop *replays* each
+//!   timeline's forward values F from its input and the recorded jumps (no
+//!   remote read), at most one segment per epoch and only as far as
+//!   something waits on; it applies the walks, each stopping before an
+//!   event whose consumer is not replayed yet and resuming there, and
+//!   advances a *safety frontier* `b` past events no remaining walk can
+//!   reach, with a *finality frontier* behind it; F retires behind the
+//!   least walked time any `b` has passed;
+//! * final blocks are re-encoded by [`FrameWriter`], payload bytes
+//!   verbatim, as self-contained chunks whose concatenation is a
+//!   well-formed `DTC3` stream.
 //!
 //! # Bit-identity with the batch engine
 //!
-//! The arithmetic is the batch engine's own: the sweep steps through
-//! [`forward_step`], the replay through its [`candidate`], every walk is a
-//! [`backward_walk`] over a [`Walk`] derived by the same constructor, all
-//! of [`crate::clc::columnar`]. What this module owns is what differs — the
-//! schedule (bounded per-epoch bursts and two frontiers instead of
-//! run-to-block), the storage (lanes that retire, behind the [`Timeline`]
-//! seam, instead of one slab in place) and views walked for every
-//! collective end (no `CollPass`: an aggregate would outlive retired
-//! segments). The forward pass is confluent — every event's corrected time
-//! is a function of its already corrected dependencies, not of visit order
-//! — so corrected timestamps, `max_jump`, `events_moved` and the jump *set*
-//! are bit-identical for every window size; the report's jump order is
-//! canonicalized to (timeline, index), whereas the batch report lists
-//! discovery order. `tests/windowed_differential.rs` compares both sorted.
+//! The arithmetic is the batch engine's own, all of
+//! [`crate::clc::columnar`]: [`forward_step`], its [`candidate`],
+//! [`backward_walk`] over a [`Walk`] and the [`Moved`] bits. This module
+//! owns what differs: the schedule, the storage behind the [`Timeline`]
+//! seam, and views walked for every collective end (no `CollPass`: an
+//! aggregate would outlive retired segments). The forward pass is
+//! confluent, so corrected timestamps, `max_jump`, `events_moved` and the
+//! jump *set* are bit-identical for every window size; the report lists
+//! jumps in (timeline, index) order, the batch report in discovery order.
 //!
 //! # Scope
 //!
-//! The violation censuses are skipped (they are whole-trace diagnostics;
-//! run the batch pipeline when they are needed). Message matching and the
-//! dependency graph remain O(trace) *structural* metadata, as do the
-//! recorded jumps: while it matches, the capture keeps a 12-byte record per
-//! send and receive (its column reserved for the stream's event count); the
-//! graph then keeps 8 bytes per event (a timeline and a link) and 16 per
-//! message (the message table) — 3.2 MB for a 200 000-event stream of
-//! 100 000 messages. The O(window) bound — and the
-//! [`PipelineStats::peak_resident_column_bytes`] gauge enforcing it in CI —
-//! covers the `i64` timestamp lanes, which dominate at scale.
+//! The violation censuses are skipped (whole-trace diagnostics: run the
+//! batch pipeline for them). Matching, the dependency graph, the recorded
+//! jumps and the moved bits stay O(trace) *structural* metadata (3.2 MB
+//! for 200 000 events and 100 000 messages); the O(window) bound and its
+//! gauge, [`PipelineStats::peak_resident_column_bytes`], cover the `i64`
+//! timestamp lanes, which dominate at scale.
 
 use super::{
     build_presync_maps, freeze_inputs, CancelToken, PipelineConfig, PipelineError, PipelineStats,
     PresyncMap, StageStats,
 };
 use crate::clc::columnar::{
-    backward_walk, candidate, count_moved, forward_step, latest_allowed, Timeline, Walk,
+    backward_walk, candidate, forward_step, latest_allowed, Marked, Moved, Timeline, Walk,
 };
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
+use crate::interp::TimestampMap;
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tracefmt::io::{
-    decode_block_times, index_columnar_chunks, BlockMeta, ChunkStore,
-    FrameWriter, StreamIndex,
-};
+use tracefmt::io::{decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter, StreamIndex};
 use tracefmt::{Capture, EventId, Location, MinLatency, Rank};
 
 /// Outcome of an incremental windowed run: what [`PipelineReport`] is to
@@ -147,17 +131,12 @@ impl MemGauge {
 /// An append-only `i64` lane over one ring buffer whose head retires `w`
 /// values (a segment) at a time once no frontier needs them. Indices are
 /// *logical*; a resident one maps to its slot by one conditional subtract.
-/// Reading a retired index is a bug caught by the debug asserts.
-///
-/// The capacity, which the gauge counts, is whole segments: a full ring
-/// grows to what its span needs plus 1/32 of the old capacity, and gives
-/// freed segments back once more than 1/16 of it is free — exactly the
-/// segments the span touches below sixteen, and a linear number of copies
-/// however long a backlog grows (DESIGN §15.2).
-///
-/// A lane other timelines read from also counts the reads each resident
-/// segment still owes: `reads[(i − head) / w]`, armed as a value is pushed
-/// or settled and released as its reader steps or settles.
+/// Reading a retired index is a bug caught by the debug asserts. The
+/// capacity, which the gauge counts, is whole segments: a full ring grows
+/// to what its span needs plus 1/32 of the old capacity, and gives freed
+/// segments back once more than 1/16 of it is free (DESIGN §15.2). A lane
+/// other timelines read from also counts the reads each resident segment
+/// still owes: `reads[(i − head) / w]`.
 struct Lane<'m> {
     mem: &'m MemGauge,
     w: u64,
@@ -173,12 +152,10 @@ struct Lane<'m> {
 }
 
 impl<'m> Lane<'m> {
-    /// One lane per timeline of the stream. Its segments are `window`
-    /// values wide but never wider than its own timeline: the window comes
-    /// from the caller (off the wire, for a served job), the timeline
-    /// lengths from bytes the caller actually sent, so an absurd window
-    /// allocates nothing the input did not pay for — and a timeline that
-    /// fits one segment is scheduled the same whatever the window says.
+    /// One lane per timeline of the stream, its segments `window` values
+    /// wide but never wider than its own timeline: the window comes off the
+    /// wire, the lengths from bytes the caller sent, so an absurd window
+    /// allocates nothing the input did not pay for.
     fn per_timeline(index: &StreamIndex, window: usize, mem: &'m MemGauge) -> Vec<Lane<'m>> {
         let lane = |&len: &u64| Lane::new(mem, (window as u64).min(len.max(1)));
         index.proc_lens.iter().map(lane).collect()
@@ -186,15 +163,7 @@ impl<'m> Lane<'m> {
 
     /// An empty lane of segments `w` values wide.
     fn new(mem: &'m MemGauge, w: u64) -> Lane<'m> {
-        Lane {
-            mem,
-            w,
-            ring: Vec::new(),
-            head: 0,
-            at: 0,
-            reads: VecDeque::new(),
-            len: 0,
-        }
+        Lane { mem, w, ring: Vec::new(), head: 0, at: 0, reads: VecDeque::new(), len: 0 }
     }
 
     /// The slot of resident index `i`.
@@ -240,6 +209,16 @@ impl<'m> Lane<'m> {
         let (wrapped, tail) = self.ring.split_at(at);
         let first = n.min(tail.len());
         (&tail[..first], &wrapped[..n - first])
+    }
+
+    /// The first index of resident `lo..hi` whose value is above `bound`,
+    /// or `hi`: one find-first over each of the (at most two) slices.
+    #[inline(always)]
+    fn first_above(&self, lo: u64, hi: u64, bound: i64) -> u64 {
+        let (a, b) = self.slices(lo, hi);
+        let above = |run: &[i64]| run.iter().position(|&v| v > bound);
+        let n = above(a).or_else(|| above(b).map(|k| a.len() + k)).unwrap_or(a.len() + b.len());
+        lo + n as u64
     }
 
     /// Make room for `n` more values (see the type's docs for the margin).
@@ -347,62 +326,104 @@ fn zip_runs((s0, s1): (&[i64], &[i64]), (d0, d1): (&mut [i64], &mut [i64]), mut 
     }
 }
 
-/// The indexed input stream: its blocks' presynchronized times and their
-/// payload bytes, read on demand.
-struct Stream<'a> {
+/// The indexed input stream, read where it lies: its blocks' payload bytes,
+/// and per timeline a reader of its presynchronized times.
+struct Source<'a> {
     index: &'a StreamIndex,
     store: &'a ChunkStore<'a>,
-    maps: Option<&'a [PresyncMap]>,
-    scratch: Vec<u8>,
+    mem: &'a MemGauge,
+    input: Vec<Input<'a>>,
 }
 
-impl Stream<'_> {
-    /// Timeline `p`'s block `bm` into `a` then `b`, its presync map applied.
-    fn times(&mut self, p: usize, bm: &BlockMeta, a: &mut [i64], b: &mut [i64]) {
-        let seg = self.store.read(bm.times_off, bm.n_events as usize * 8, &mut self.scratch);
-        let (seg_a, seg_b) = seg.split_at(8 * a.len());
-        decode_block_times(seg_a, a);
-        decode_block_times(seg_b, b);
-        if let Some(maps) = self.maps {
-            maps[p].map_col(a);
-            maps[p].map_col(b);
-        }
+/// One timeline's reader: its presync map and the block holding events
+/// `first..end` (`next_block` indexes the timeline's block list past it),
+/// whose times are borrowed from their chunk, or copied where they
+/// straddle two (a copy the gauge counts).
+struct Input<'a> {
+    map: PresyncMap,
+    first: u64,
+    end: u64,
+    next_block: usize,
+    words: Cow<'a, [u8]>,
+}
+
+impl<'a> Source<'a> {
+    fn new(index: &'a StreamIndex, store: &'a ChunkStore<'a>, maps: Option<&[PresyncMap]>, mem: &'a MemGauge) -> Self {
+        let map = |p| maps.map_or(PresyncMap::Identity, |maps| maps[p]);
+        let at = |p| Input { map: map(p), first: 0, end: 0, next_block: 0, words: Cow::Borrowed(&[][..]) };
+        Source { index, store, mem, input: (0..index.proc_lens.len()).map(at).collect() }
     }
-}
 
-/// The pre-CLC side of a pass: the input times, decoded one block at a time
-/// as a frontier reaches them into a lane per timeline that the pass
-/// retires behind its frontier.
-struct Source<'a> {
-    stream: Stream<'a>,
-    input: Vec<Lane<'a>>,
-    next_block: Vec<usize>,
-}
-
-impl Source<'_> {
-    /// The input time of event `i` of timeline `p`, decoding up to it.
+    /// The presynchronized input time of timeline `p`'s event `i`, read in
+    /// place; a timeline's reads go forward.
     #[inline(always)]
     fn get(&mut self, p: usize, i: u64) -> i64 {
-        self.decode_to(p, i + 1);
-        self.input[p].get(i)
+        if i >= self.input[p].end {
+            self.load(p, i);
+        }
+        let input = &self.input[p];
+        debug_assert!(i >= input.first, "input read behind its block");
+        let at = 8 * (i - input.first) as usize;
+        let word = input.words[at..at + 8].try_into().expect("one 8-byte word");
+        input.map.map(Time::from_ps(i64::from_le_bytes(word))).as_ps()
     }
 
-    /// Decode timeline `p`'s blocks until its first `upto` input times are.
-    #[inline(always)]
-    fn decode_to(&mut self, p: usize, upto: u64) {
-        while self.input[p].len < upto {
-            self.decode_next(p);
+    /// Move timeline `p`'s reader on to the block holding event `i`.
+    #[cold]
+    fn load(&mut self, p: usize, i: u64) {
+        self.release(p);
+        let (index, input) = (self.index, &mut self.input[p]);
+        let bm = loop {
+            let bm = &index.blocks[index.proc_blocks[p][input.next_block] as usize];
+            input.next_block += 1;
+            if bm.first_idx + bm.n_events as u64 > i {
+                break bm;
+            }
+        };
+        (input.first, input.end) = (bm.first_idx, bm.first_idx + bm.n_events as u64);
+        let (off, len) = (bm.times_off, 8 * bm.n_events as usize);
+        input.words = match self.store.get(off, len) {
+            Some(words) => Cow::Borrowed(words),
+            None => {
+                // A read across chunks assembles the block into `copy`.
+                let mut copy = Vec::new();
+                self.store.read(off, len, &mut copy);
+                self.mem.alloc(len as u64);
+                Cow::Owned(copy)
+            }
+        };
+    }
+
+    /// Decode timeline `p`'s next block onto the end of `lane`, in bulk —
+    /// the replay's input — and give back a copy the block needed.
+    fn decode_next(&mut self, p: usize, lane: &mut Lane) {
+        let i = lane.len;
+        self.load(p, i);
+        let input = &self.input[p];
+        let (a, b) = lane.push_slices(input.end - i);
+        let (wa, wb) = input.words[8 * (i - input.first) as usize..].split_at(8 * a.len());
+        for (words, times) in [(wa, a), (wb, b)] {
+            decode_block_times(words, times);
+            input.map.map_col(times);
+        }
+        self.release(p);
+    }
+
+    /// Give back timeline `p`'s copy of its block's times, if it holds one.
+    fn release(&mut self, p: usize) {
+        let words = std::mem::replace(&mut self.input[p].words, Cow::Borrowed(&[][..]));
+        if let Cow::Owned(copy) = words {
+            self.mem.free(copy.len() as u64);
         }
     }
 
-    fn decode_next(&mut self, p: usize) {
-        let index = self.stream.index;
-        let list = &index.proc_blocks[p];
-        debug_assert!(self.next_block[p] < list.len(), "index accounts for every event");
-        let bm = &index.blocks[list[self.next_block[p]] as usize];
-        self.next_block[p] += 1;
-        let (a, b) = self.input[p].push_slices(bm.n_events as u64);
-        self.stream.times(p, bm, a, b);
+    /// Move every reader back before its timeline's first block, giving
+    /// back any copy.
+    fn rewind(&mut self) {
+        for p in 0..self.input.len() {
+            self.release(p);
+            (self.input[p].end, self.input[p].next_block) = (0, 0);
+        }
     }
 }
 
@@ -435,28 +456,25 @@ struct Sweep<'a> {
     /// Per timeline: `(q, j + 1)` for the producer `(q, j)` its last step
     /// blocked on — nothing moves it before `frontier[q]` reaches `j + 1`.
     wait: Vec<(usize, u64)>,
+    /// The events whose corrected time is above their input.
+    moved: Moved,
 }
 
 impl<'a> Sweep<'a> {
-    fn new(mu: f64, out: Vec<Lane<'a>>) -> Sweep<'a> {
+    fn new(mu: f64, n_events: usize, out: Vec<Lane<'a>>) -> Sweep<'a> {
         let n = out.len();
-        Sweep { mu, frontier: vec![0; n], prev: vec![None; n], out, wait: vec![(0, 0); n] }
+        let (frontier, prev, wait) = (vec![0; n], vec![None; n], vec![(0, 0); n]);
+        Sweep { mu, frontier, prev, out, wait, moved: Moved::new(n_events) }
     }
 
     /// Correct timeline `p`'s next event, whose input time is `orig` and
     /// whose predecessor left `prev` (as [`forward_step`] takes it); `None`
     /// — only `wait[p]` changed — while one of its producers is pending.
-    /// The event's value now owes one read per out-edge (its consumers'
-    /// remote bounds); the producers' values are paid the read just made —
-    /// exactly one per in-edge, never repeated, since a blocked step
-    /// commits nothing.
+    /// The value owes one read per out-edge; its producers are paid the
+    /// read just made, once per in-edge, since a blocked step commits nothing.
     #[inline(always)]
     fn step(
-        &mut self,
-        graph: &DepGraph,
-        p: usize,
-        orig: Time,
-        prev: Option<(Time, Time)>,
+        &mut self, graph: &DepGraph, p: usize, orig: Time, prev: Option<(Time, Time)>,
     ) -> Option<(Time, Option<Dur>)> {
         let i = self.frontier[p];
         let gid = graph.base(p) + i as u32;
@@ -470,9 +488,9 @@ impl<'a> Sweep<'a> {
             self.wait[p] = (q, j as u64 + 1);
             None
         };
-        let corrected =
-            forward_step(orig, prev, self.mu, None, srcs, ready, |size| jump = Some(size))?;
+        let corrected = forward_step(orig, prev, self.mu, None, srcs, ready, |size| jump = Some(size))?;
         self.out[p].push(corrected.as_ps());
+        self.moved.mark(gid as usize, corrected != orig);
         let owed = graph.out_of(gid).len();
         if owed > 0 {
             self.out[p].owe(i, owed as i64);
@@ -486,17 +504,11 @@ impl<'a> Sweep<'a> {
     }
 
     /// Advance timeline `p` until it blocks, reaches `upto` or has taken
-    /// `limit` steps, its input read from `src`;
-    /// `on_jump(i, corrected, size)` sees each jump. Whether it moved.
+    /// `limit` steps, its input read from `src`, each jump recorded in
+    /// `found`. Whether it moved.
     #[inline(always)]
     fn advance(
-        &mut self,
-        graph: &DepGraph,
-        p: usize,
-        upto: u64,
-        limit: u64,
-        src: &mut Source,
-        mut on_jump: impl FnMut(u64, Time, Dur),
+        &mut self, graph: &DepGraph, p: usize, upto: u64, limit: u64, src: &mut Source, found: &mut Vec<Found>,
     ) -> bool {
         let start = self.frontier[p];
         let stop = upto.min(start.saturating_add(limit));
@@ -508,8 +520,8 @@ impl<'a> Sweep<'a> {
                 break;
             };
             last = Some((orig, corrected));
-            if let Some(size) = jump {
-                on_jump(i, corrected, size);
+            if let Some(delta) = jump {
+                found.push(Found { k: i, delta, at: corrected });
             }
         }
         self.prev[p] = last;
@@ -518,19 +530,15 @@ impl<'a> Sweep<'a> {
 }
 
 /// Run the one cross-timeline forward sweep to the end of every timeline,
-/// recording each jump per timeline in index order. Corrected values are
-/// kept only while a remote consumer still needs them (the per-segment
-/// read counters). Without backward amortization they are final, and
-/// `emit` sends each block the frontier has passed; with it, nothing is
-/// emitted here — [`apply_and_emit`] replays the values from the jumps.
+/// recording each jump per timeline in index order and marking every event
+/// it raises; corrected values are kept while a remote consumer needs them.
+/// Without backward amortization they are final, and `emit` sends each
+/// block the frontier has passed; with it, [`apply_and_emit`] replays them.
 fn forward_sweep(
-    src: &mut Source<'_>,
-    mut fwd: Sweep<'_>,
-    graph: &DepGraph,
-    cancel: &CancelToken,
+    src: &mut Source<'_>, mut fwd: Sweep<'_>, graph: &DepGraph, cancel: &CancelToken,
     mut emit: Option<&mut Emitter<'_>>,
-) -> Result<Vec<Vec<Found>>, PipelineError> {
-    let lens = &src.stream.index.proc_lens;
+) -> Result<(Vec<Vec<Found>>, Moved), PipelineError> {
+    let lens = &src.index.proc_lens;
     let n = lens.len();
     let mut found: Vec<Vec<Found>> = vec![Vec::new(); n];
 
@@ -543,13 +551,11 @@ fn forward_sweep(
             let (q, need) = fwd.wait[p];
             if need <= fwd.frontier[q] {
                 let burst = fwd.out[p].w;
-                let record = |k, at, delta| found[p].push(Found { k, delta, at });
-                progressed |= fwd.advance(graph, p, lens[p], burst, src, record);
+                progressed |= fwd.advance(graph, p, lens[p], burst, src, &mut found[p]);
             }
-            src.input[p].retire(fwd.frontier[p]);
             let mut done = fwd.frontier[p];
             if let Some(emit) = emit.as_deref_mut() {
-                emit.blocks(p, done, &fwd.out[p], &mut src.stream)?;
+                emit.blocks(p, done, &fwd.out[p], src)?;
                 done = emit.emitted[p];
             }
             fwd.out[p].retire(done);
@@ -558,7 +564,7 @@ fn forward_sweep(
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
-    Ok(found)
+    Ok((found, fwd.moved))
 }
 
 /// The backward path after the sweep (DESIGN §15.3), per timeline: the
@@ -568,6 +574,8 @@ struct Apply<'a, 'g> {
     graph: &'g DepGraph,
     found: &'g [Vec<Found>],
     params: &'g ClcParams,
+    /// The input the replay reads, decoded a block at a time ahead of it.
+    input: Vec<Lane<'a>>,
     /// F, the replayed forward values, read by the clamps of walks visiting
     /// their producers: a value retires once, plus `slack`, below what every
     /// safety frontier has passed (DESIGN §15.3).
@@ -576,31 +584,34 @@ struct Apply<'a, 'g> {
     /// C, the walked values: the output.
     walked: Vec<Lane<'a>>,
     at: Vec<Frontiers>,
+    /// The sweep's moved events, and those the walks raise.
+    moved: Moved,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Walks resumed where they stopped, on this thread.
+    static RESUMED: Cell<usize> = const { Cell::new(0) };
 }
 
 /// One timeline's frontiers in [`Apply`].
 #[derive(Default)]
 struct Frontiers {
     replayed: u64,
-    /// How far the replay must reach for a walk to apply: the walk holding
-    /// back the safety frontier, or an out-edge target `rwalk` waits on.
+    /// How far the replay must reach: past the walk holding back the safety
+    /// frontier, or a consumer a walk stopped at.
     need: u64,
-    /// The last replayed event's (input, F) pair, and the next recorded
-    /// jump the replay puts back.
+    /// The last replayed event's (input, F) pair and the next recorded jump.
     replay_prev: Option<(Time, Time)>,
     replay_jump: usize,
-    /// Prefix whose out-edge targets are all replayed: a walk may clamp
-    /// through any of them.
-    rwalk: u64,
+    /// The next walk, and where it stopped if it started.
     next_walk: usize,
-    /// `sufmin[j]` = min window start over the walks of the timeline's
-    /// jumps `j..` and the jump index of the walk it is from: while walk
-    /// `j` is the next unapplied one, every event at or below it is never
-    /// written again and never visited.
+    resume: Option<(u64, Dur)>,
+    /// `sufmin[j]` = min window start over the walks of jumps `j..`, and
+    /// the jump it is from: no walk from `j` on writes or visits below it.
     sufmin: Vec<(Time, u64)>,
     /// The safety frontier `b`: every event at or past it is walked to at
-    /// least `passed`, the last value it passed (a timeline's walked values
-    /// are ordered).
+    /// least `passed`, the last value it passed (walked values are ordered).
     safe: u64,
     passed: i64,
     /// The finality frontier.
@@ -609,25 +620,18 @@ struct Frontiers {
 
 impl<'a, 'g> Apply<'a, 'g> {
     fn new(
-        graph: &'g DepGraph,
-        found: &'g [Vec<Found>],
-        params: &'g ClcParams,
-        slack: i64,
+        graph: &'g DepGraph, found: &'g [Vec<Found>], params: &'g ClcParams, slack: i64, moved: Moved,
         lanes: impl Fn() -> Vec<Lane<'a>>,
     ) -> Self {
-        let at = found
-            .iter()
-            .map(|fs| {
-                let mut sufmin: Vec<_> =
-                    fs.iter().rev().map(|f| (f.walk(params).w_start, f.k)).collect();
-                for j in 1..sufmin.len() {
-                    sufmin[j] = std::cmp::min_by_key(sufmin[j - 1], sufmin[j], |&(w, _)| w);
-                }
-                sufmin.reverse();
-                Frontiers { sufmin, passed: i64::MIN, ..Frontiers::default() }
-            })
-            .collect();
-        Apply { graph, found, params, fwd: lanes(), slack, walked: lanes(), at }
+        let frontiers = |fs: &Vec<Found>| {
+            let mut sufmin: Vec<_> = fs.iter().map(|f| (f.walk(params).w_start, f.k)).collect();
+            for j in (1..sufmin.len()).rev() {
+                sufmin[j - 1] = std::cmp::min_by_key(sufmin[j], sufmin[j - 1], |&(w, _)| w);
+            }
+            Frontiers { sufmin, passed: i64::MIN, ..Frontiers::default() }
+        };
+        let at = found.iter().map(frontiers).collect();
+        Apply { graph, found, params, input: lanes(), fwd: lanes(), slack, walked: lanes(), at, moved }
     }
 
     /// Replay timeline `p`'s forward values up to `upto`, one timeline at a
@@ -642,9 +646,11 @@ impl<'a, 'g> Apply<'a, 'g> {
         if upto <= start {
             return false;
         }
-        src.decode_to(p, upto);
+        let (input, fwd, walked) = (&mut self.input[p], &mut self.fwd[p], &mut self.walked[p]);
+        while input.len < upto {
+            src.decode_next(p, input);
+        }
         let (found, mu) = (&self.found[p], self.params.mu);
-        let (input, fwd, walked) = (&mut src.input[p], &mut self.fwd[p], &mut self.walked[p]);
         let (mut last, mut next) = (at.replay_prev, at.replay_jump);
         // The index of the next recorded jump: a cursor, not a lookup per event.
         let mut jump = found.get(next).map_or(u64::MAX, |f| f.k);
@@ -668,58 +674,54 @@ impl<'a, 'g> Apply<'a, 'g> {
         true
     }
 
-    /// Advance timeline `p`'s `rwalk` — the one scan of an event's
-    /// out-edges — to the first event with a target not yet replayed, and
-    /// raise that target's `need`.
-    #[inline(always)]
-    fn scan(&mut self, p: usize) {
-        let (graph, base) = (self.graph, self.graph.base(p));
-        'rwalk: while self.at[p].rwalk < self.at[p].replayed {
-            for (dst, _) in graph.out_of(base + self.at[p].rwalk as u32).iter() {
-                let (q, j) = graph.locate(dst);
-                if j as u64 >= self.at[q].replayed {
-                    self.at[q].need = self.at[q].need.max(j as u64 + 1);
-                    break 'rwalk;
-                }
-            }
-            self.at[p].rwalk += 1;
-        }
-    }
-
-    /// Timeline `p`'s walks: [`Apply::scan`], apply every walk whose
-    /// preconditions cleared (ascending by jump index, the batch application
-    /// order), then advance the safety frontier past events at or below
-    /// every remaining walk's window start. What holds either frontier back
-    /// raises the replay's `need`. Whether anything moved.
+    /// Timeline `p`'s walks, ascending by jump index (the batch order), each
+    /// once the replay has passed its jump and until it stops before an
+    /// event whose consumer is not replayed yet, raising that consumer's
+    /// `need`; then the safety frontier past events at or below every
+    /// remaining walk's window start, raising `need` where it stops.
+    /// Whether anything moved.
     fn walk(&mut self, p: usize) -> bool {
-        let graph = self.graph;
+        let Apply { graph, found, params, fwd, walked, at, moved, .. } = self;
         let base = graph.base(p);
-        let start = (self.at[p].rwalk, self.at[p].next_walk, self.at[p].safe);
-        self.scan(p);
-        while let Some(jump) = self.found[p].get(self.at[p].next_walk) {
-            if !(self.at[p].replayed > jump.k && self.at[p].rwalk >= jump.k) {
+        let start = (at[p].next_walk, at[p].resume, at[p].safe);
+        while let Some(jump) = found[p].get(at[p].next_walk) {
+            if at[p].replayed <= jump.k {
                 break;
             }
-            let fwd = &self.fwd;
-            backward_walk(&jump.walk(self.params), base, &mut self.walked[p], |g| {
-                latest_allowed(graph.out_of(g), |dst| {
+            let walk = jump.walk(params);
+            #[cfg(test)]
+            RESUMED.with(|n| n.set(n.get() + usize::from(at[p].resume.is_some())));
+            let from = at[p].resume.take().unwrap_or((walk.k, walk.delta));
+            let mut line = Marked { line: &mut walked[p], base: base as usize, moved: &mut *moved };
+            let stop = backward_walk(&walk, from, base, &mut line, |g| {
+                let mut known = true;
+                let cap = latest_allowed(graph.out_of(g), |dst| {
                     let (q, j) = graph.locate(dst);
-                    fwd[q].get(j as u64)
-                })
+                    if (j as u64) < at[q].replayed {
+                        return fwd[q].get(j as u64);
+                    }
+                    at[q].need = at[q].need.max(j as u64 + 1);
+                    known = false;
+                    i64::MAX
+                });
+                known.then_some(cap)
             });
-            self.at[p].next_walk += 1;
-        }
-        let (below, k) = self.at[p].sufmin.get(self.at[p].next_walk).copied().unwrap_or((Time::MAX, 0));
-        while self.at[p].safe < self.at[p].replayed {
-            let c = self.walked[p].get(self.at[p].safe);
-            if Time::from_ps(c) > below {
-                self.at[p].need = self.at[p].need.max(k + 1);
+            if stop.is_some() {
+                at[p].resume = stop;
                 break;
             }
-            self.at[p].passed = c;
-            self.at[p].safe += 1;
+            at[p].next_walk += 1;
         }
-        start != (self.at[p].rwalk, self.at[p].next_walk, self.at[p].safe)
+        let at = &mut at[p];
+        let (below, k) = at.sufmin.get(at.next_walk).copied().unwrap_or((Time::MAX, 0));
+        let safe = walked[p].first_above(at.safe, at.replayed, below.as_ps());
+        if safe > at.safe {
+            (at.safe, at.passed) = (safe, walked[p].get(safe - 1));
+        }
+        if safe < at.replayed {
+            at.need = at.need.max(k + 1);
+        }
+        start != (at.next_walk, at.resume, at.safe)
     }
 
     /// Retire timeline `p`'s replayed F segments whose values plus `slack`
@@ -745,25 +747,20 @@ impl<'a, 'g> Apply<'a, 'g> {
         let walks_left = at.next_walk < self.found[p].len();
         let limit = at.safe - u64::from(walks_left && at.safe > 0);
         let start = at.settled;
-        while at.settled < limit && self.walked[p].get(at.settled) <= bound {
-            at.settled += 1;
-        }
+        at.settled = self.walked[p].first_above(start, limit, bound);
         at.settled != start
     }
 }
 
 /// The backward path's epoch loop after the sweep. Per epoch: per timeline,
-/// replay as far as emitting the next block or applying a pending walk
-/// needs, and walk; then, per timeline, advance the finality frontier,
-/// emit the blocks wholly final and retire what no reader needs: F below
-/// what every safety frontier has passed, the walked lane once emitted.
+/// replay as far as emitting the next block or a pending walk needs, and
+/// walk; then, per timeline, advance the finality frontier, emit the blocks
+/// wholly final and retire what no reader needs: F below what every safety
+/// frontier has passed, the walked lane once emitted. Returns the moved set.
 fn apply_and_emit(
-    src: &mut Source<'_>,
-    mut ap: Apply<'_, '_>,
-    cancel: &CancelToken,
-    emit: &mut Emitter<'_>,
-) -> Result<(), PipelineError> {
-    let index = src.stream.index;
+    src: &mut Source<'_>, mut ap: Apply<'_, '_>, cancel: &CancelToken, emit: &mut Emitter<'_>,
+) -> Result<Moved, PipelineError> {
+    let index = src.index;
     let lens = &index.proc_lens;
     let n = lens.len();
     while (0..n).any(|p| emit.emitted[p] < lens[p]) {
@@ -784,7 +781,7 @@ fn apply_and_emit(
         let lo = (0..n).map(passed).min().unwrap_or(i64::MAX);
         for p in 0..n {
             progressed |= ap.settle(p, lo);
-            progressed |= emit.blocks(p, ap.at[p].settled, &ap.walked[p], &mut src.stream)?;
+            progressed |= emit.blocks(p, ap.at[p].settled, &ap.walked[p], src)?;
             ap.retire_fwd(p, lo);
             ap.walked[p].retire(emit.emitted[p]);
         }
@@ -795,7 +792,7 @@ fn apply_and_emit(
             return Err(PipelineError::Clc(ClcError::CyclicTrace));
         }
     }
-    Ok(())
+    Ok(ap.moved)
 }
 
 /// Where corrected output chunks go: a consumer called with each chunk, in
@@ -807,8 +804,7 @@ fn apply_and_emit(
 /// run with [`PipelineError::Cancelled`] (a stalled consumer cancels *its
 /// own* job, never wedges the engine).
 ///
-/// With the CLC, it also tracks per timeline the blocks sent and counts the
-/// moved events of each against its input, decoded again.
+/// With the CLC, it also tracks per timeline the blocks sent.
 struct Emitter<'a> {
     writer: FrameWriter,
     consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
@@ -817,35 +813,20 @@ struct Emitter<'a> {
     /// Per timeline: the next block to send, and the events sent.
     next_block: Vec<usize>,
     emitted: Vec<u64>,
-    moved: usize,
     /// Time spent building block frames.
     time: Duration,
     times: Vec<i64>,
-    input: Vec<i64>,
     scratch: Vec<u8>,
 }
 
 impl<'a> Emitter<'a> {
     /// Open the output stream of `n` timelines: emits the magic chunk.
-    fn open(
-        n: usize,
-        consume: &'a mut dyn FnMut(Vec<u8>) -> bool,
-    ) -> Result<Emitter<'a>, PipelineError> {
+    fn open(n: usize, consume: &'a mut dyn FnMut(Vec<u8>) -> bool) -> Result<Emitter<'a>, PipelineError> {
         let mut magic = Vec::new();
         let writer = FrameWriter::new(&mut magic);
-        let mut emit = Emitter {
-            writer,
-            consume,
-            frames: 0,
-            events: 0,
-            next_block: vec![0; n],
-            emitted: vec![0; n],
-            moved: 0,
-            time: Duration::ZERO,
-            times: Vec::new(),
-            input: Vec::new(),
-            scratch: Vec::new(),
-        };
+        let (next_block, emitted, time) = (vec![0; n], vec![0; n], Duration::ZERO);
+        let (times, scratch) = (Vec::new(), Vec::new());
+        let mut emit = Emitter { writer, consume, frames: 0, events: 0, next_block, emitted, time, times, scratch };
         emit.push(magic)?;
         Ok(emit)
     }
@@ -864,17 +845,10 @@ impl<'a> Emitter<'a> {
     }
 
     /// Send timeline `p`'s blocks that lie wholly below `upto`, their
-    /// final times read from `lane`, counting the events each moved against
-    /// its input decoded again from `stream` (one transient block column,
-    /// counted by the gauge). Whether any went.
-    fn blocks(
-        &mut self,
-        p: usize,
-        upto: u64,
-        lane: &Lane,
-        stream: &mut Stream,
-    ) -> Result<bool, PipelineError> {
-        let index = stream.index;
+    /// final times read from `lane`, their payloads from `src`. Whether any
+    /// went.
+    fn blocks(&mut self, p: usize, upto: u64, lane: &Lane, src: &Source) -> Result<bool, PipelineError> {
+        let index = src.index;
         let start = self.next_block[p];
         while let Some(&bidx) = index.proc_blocks[p].get(self.next_block[p]) {
             let bm = &index.blocks[bidx as usize];
@@ -888,14 +862,8 @@ impl<'a> Emitter<'a> {
             let (a, b) = lane.slices(bm.first_idx, end);
             times.extend_from_slice(a);
             times.extend_from_slice(b);
-            let bytes = 8 * bm.n_events as u64;
-            lane.mem.alloc(bytes);
-            self.input.resize(bm.n_events as usize, 0);
-            stream.times(p, bm, &mut self.input, &mut []);
-            self.moved += count_moved(&times, &self.input);
-            lane.mem.free(bytes);
             let mut scratch = std::mem::take(&mut self.scratch);
-            let payload = stream.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
+            let payload = src.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
             let frame = self.frame(index.locations[p], &times, payload);
             (self.times, self.scratch) = (times, scratch);
             self.emitted[p] = end;
@@ -917,25 +885,19 @@ impl<'a> Emitter<'a> {
 
 /// The CLC-less path: re-emit every block in stream order with its presync
 /// map applied; one transient column per block.
-fn passthrough_emit(
-    stream: &mut Stream,
-    cancel: &CancelToken,
-    mem: &MemGauge,
-    emit: &mut Emitter<'_>,
-) -> Result<(), PipelineError> {
-    let mut scratch = Vec::new();
-    let mut times: Vec<i64> = Vec::new();
-    let index = stream.index;
+fn passthrough_emit(src: &mut Source, cancel: &CancelToken, emit: &mut Emitter<'_>) -> Result<(), PipelineError> {
+    let (mut times, mut scratch) = (Vec::new(), Vec::new());
+    let index = src.index;
     for bm in &index.blocks {
         cancel.check()?;
         let bytes = bm.n_events as u64 * 8;
-        mem.alloc(bytes);
-        times.resize(bm.n_events as usize, 0);
+        src.mem.alloc(bytes);
         let p = bm.timeline as usize;
-        stream.times(p, bm, &mut times, &mut []);
-        let payload = stream.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
+        times.clear();
+        times.extend((bm.first_idx..bm.first_idx + bm.n_events as u64).map(|i| src.get(p, i)));
+        let payload = src.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
         let frame = emit.frame(index.locations[p], &times, payload);
-        mem.free(bytes);
+        src.mem.free(bytes);
         emit.push(frame)?;
     }
     Ok(())
@@ -1028,15 +990,15 @@ pub fn synchronize_stream_incremental_with_sink(
     let mut stats = PipelineStats::default();
     stats.stages.push(StageStats::new("index", n_events, t0.elapsed()));
     let maps = build_presync_maps(cfg.presync, init, fin)?;
-    let mut stream = Stream { index: &index, store: &store, maps: maps.as_deref(), scratch: Vec::new() };
+    let mem = MemGauge::default();
+    let mut src = Source::new(&index, &store, maps.as_deref(), &mem);
     cancel.check()?;
 
-    let mem = MemGauge::default();
     let (clc, (frames, events)) = match cfg.effective_clc() {
         None => {
             let t0 = Instant::now();
             let mut emit = Emitter::open(n, consume)?;
-            passthrough_emit(&mut stream, cancel, &mem, &mut emit)?;
+            passthrough_emit(&mut src, cancel, &mut emit)?;
             let counts = emit.close()?;
             stats.stages.push(StageStats::new("emit", counts.1 as usize, t0.elapsed()));
             (None, counts)
@@ -1056,43 +1018,35 @@ pub fn synchronize_stream_incremental_with_sink(
             stats.stages.push(StageStats::new("lower", n_events, t0.elapsed()));
 
             let lanes = || Lane::per_timeline(&index, window_events, &mem);
-            let sweep = Sweep::new(params.mu, lanes());
-            let mut src = Source { stream, input: lanes(), next_block: vec![0; n] };
-            let t0 = Instant::now();
-            let (found, emit) = if params.backward {
-                let found = forward_sweep(&mut src, sweep, &graph, cancel, None)?;
+            let sweep = Sweep::new(params.mu, n_events, lanes());
+            let mut t0 = Instant::now();
+            let mut emit;
+            let (found, moved) = if params.backward {
+                let (found, moved) = forward_sweep(&mut src, sweep, &graph, cancel, None)?;
                 stats.stages.push(StageStats::new("clc:discover", n_events, t0.elapsed()));
-                let t0 = Instant::now();
-                let mut emit = Emitter::open(n, consume)?;
-                // The replay decodes the input from its first block again.
-                (src.input, src.next_block) = (lanes(), vec![0; n]);
+                t0 = Instant::now();
+                emit = Emitter::open(n, consume)?;
+                // The replay reads the input from its first block again.
+                src.rewind();
                 // A negative latency lets a producer's walked value pass its
                 // consumer's F by as much.
                 let table = &table;
                 let lats = ranks.iter().flat_map(|&a| ranks.iter().map(move |&b| table.l_min(a, b)));
                 let slack = lats.min().map_or(0, |l| l.as_ps().saturating_neg().max(0));
-                let ap = Apply::new(&graph, &found, params, slack, lanes);
-                apply_and_emit(&mut src, ap, cancel, &mut emit)?;
-                let apply_time = t0.elapsed().saturating_sub(emit.time);
-                stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
-                (found, emit)
+                let ap = Apply::new(&graph, &found, params, slack, moved, lanes);
+                let moved = apply_and_emit(&mut src, ap, cancel, &mut emit)?;
+                (found, moved)
             } else {
-                let mut emit = Emitter::open(n, consume)?;
-                let found = forward_sweep(&mut src, sweep, &graph, cancel, Some(&mut emit))?;
-                let apply_time = t0.elapsed().saturating_sub(emit.time);
-                stats.stages.push(StageStats::new("clc:apply", n_events, apply_time));
-                (found, emit)
+                emit = Emitter::open(n, consume)?;
+                forward_sweep(&mut src, sweep, &graph, cancel, Some(&mut emit))?
             };
-            let mut report = ClcReport::default();
-            report.jumps.reserve_exact(found.iter().map(Vec::len).sum());
-            for (p, jumps) in found.iter().enumerate() {
-                for jump in jumps {
-                    report.jumps.push(Jump { event: EventId::new(p, jump.k as usize), size: jump.delta });
-                    report.max_jump = report.max_jump.max(jump.delta);
-                }
+            stats.stages.push(StageStats::new("clc:apply", n_events, t0.elapsed().saturating_sub(emit.time)));
+            let mut jumps = Vec::with_capacity(found.iter().map(Vec::len).sum());
+            for (p, fs) in found.iter().enumerate() {
+                jumps.extend(fs.iter().map(|f| Jump { event: EventId::new(p, f.k as usize), size: f.delta }));
             }
-            report.events_total = n_events;
-            report.events_moved = emit.moved;
+            let max_jump = jumps.iter().map(|j| j.size).max().unwrap_or_default();
+            let report = ClcReport { jumps, max_jump, events_moved: moved.count(), events_total: n_events };
             let emit_time = emit.time;
             let counts = emit.close()?;
             stats.stages.push(StageStats::new("emit", counts.1 as usize, emit_time));
@@ -1100,7 +1054,8 @@ pub fn synchronize_stream_incremental_with_sink(
         }
     };
 
-    debug_assert_eq!(mem.cur.get(), 0, "every lane ring returned to the gauge");
+    src.rewind();
+    debug_assert_eq!(mem.cur.get(), 0, "every lane ring and input copy returned to the gauge");
     stats.peak_resident_column_bytes = mem.peak.get();
     stats.total_seconds = t_total.elapsed().as_secs_f64();
     Ok(IncrementalReport { clc, stats, frames, events: events as usize })
@@ -1112,6 +1067,7 @@ mod tests {
     use super::*;
     use crate::clc::fixtures::mixed_trace;
     use simclock::Dur;
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use tracefmt::io::{from_binary_columnar, to_binary_columnar_v3_blocked};
@@ -1208,6 +1164,32 @@ mod tests {
         }
     }
 
+    /// A walk stops before an event whose consumer is not replayed yet and
+    /// resumes there in a later epoch: at windows 1 and 2 some do, and the
+    /// output is batch's — times, the sorted jumps and `events_moved`, which
+    /// counts the events that end above their input.
+    #[test]
+    fn walks_resume_where_an_unreplayed_consumer_stopped_them() {
+        let cfg = cfg(Some(ClcParams::default()));
+        let times = |t: &Trace| t.procs.iter().flat_map(|p| &p.events).map(|e| e.time).collect::<Vec<_>>();
+        let jumps = |c: &ClcReport| c.jumps.iter().map(|j| (j.event.p(), j.event.i(), j.size)).collect::<BTreeSet<_>>();
+        for window in [1usize, 2] {
+            RESUMED.with(|n| n.set(0));
+            for (procs, rounds) in [(4, 12), (5, 17), (8, 23)] {
+                let (ctx, base) = (format!("{procs}x{rounds}, window {window}"), mixed_trace(procs, rounds));
+                let mut batch = base.clone();
+                let bclc = synchronize(&mut batch, &vec![None; procs], None, &LMIN, &cfg).unwrap().clc.unwrap();
+                let (back, rep) = run_incremental(&to_binary_columnar_v3_blocked(&base, 4), procs, &cfg, window);
+                let c = rep.clc.expect("clc ran");
+                assert_times_match(&batch, &back, &ctx);
+                assert_eq!((jumps(&c), c.events_moved), (jumps(&bclc), bclc.events_moved), "{ctx}");
+                let raised = times(&base).iter().zip(&times(&batch)).filter(|(a, b)| a != b).count();
+                assert_eq!(c.events_moved, raised, "{ctx}: events moved against the input");
+            }
+            assert!(RESUMED.with(Cell::get) > 0, "window {window}: no walk stopped and resumed");
+        }
+    }
+
     #[test]
     fn forward_only_matches_batch() {
         let base = mixed_trace(3, 10);
@@ -1216,11 +1198,12 @@ mod tests {
         let cfg = cfg(Some(params));
 
         let mut batch = base.clone();
-        synchronize(&mut batch, &[None; 3], None, &LMIN, &cfg).unwrap();
+        let bclc = synchronize(&mut batch, &[None; 3], None, &LMIN, &cfg).unwrap().clc.unwrap();
 
         for window in [1usize, 6, 1000] {
             let (back, rep) = run_incremental(&bytes, 3, &cfg, window);
             assert_times_match(&batch, &back, &format!("fwd window {window}"));
+            assert_eq!(rep.clc.unwrap().events_moved, bclc.events_moved, "fwd window {window}");
             assert!(rep.stats.stage("clc:discover").is_none(), "no discover sweep");
         }
     }
@@ -1348,8 +1331,8 @@ mod tests {
             let k = lane.len - 1;
             let walk = Walk::new(k, Time::from_ps(model[k as usize]), Dur::from_ps(1_500), 2.5);
             crossed |= lane.slot(k - 5) > lane.slot(k);
-            backward_walk(&walk, 0, &mut lane, |_| None);
-            backward_walk(&walk, 0, &mut model[..], |_| None);
+            backward_walk(&walk, (k, walk.delta), 0, &mut lane, |_| Some(None));
+            backward_walk(&walk, (k, walk.delta), 0, &mut model[..], |_| Some(None));
             // Value 150 owes a read from round 20 to round 34.
             match round {
                 20 => lane.owe(150, 1),

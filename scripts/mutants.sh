@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Mutation-kill gate for the trace capture, the frame grammar, the one
 # stream reader and its record walker, the windowed engine's ring lanes,
-# sweep, replay, finality frontier and chunk consumer, the batch CLC, its walk (shift, cap and
-# window), its moved-event set and its graph's links (message and
-# collective), Eq. 3's presync and the rounding behind it, the p2p census
-# bound, the classed collective census threshold, the simulator's message
-# path and the service's job path — a job's terminal bookkeeping in
+# sweep, replay, finality frontier, walk stops and chunk consumer, the
+# batch CLC, its walk (shift, cap, window and resume point) and its graph's
+# links (message and collective), both engines' moved-event sets, Eq. 3's
+# presync and the rounding behind it, the p2p census bound, the classed
+# collective census threshold, the simulator's message path and the
+# service's job path — a job's terminal bookkeeping in
 # `syncd` (ROADMAP item 9):
 #
 #   ./scripts/mutants.sh
@@ -205,6 +206,24 @@ let limit = at.safe - u64::from(walks_left && at.safe > 0);
 let limit = at.safe;
 clocksync::pipeline::windowed::tests::windowed_matches_batch_for_every_window_size tests/windowed_differential.rs::windowed_engine_differential_matrix
 
+a windowed walk reads the F of a consumer not yet replayed
+crates/core/src/pipeline/windowed.rs
+if (j as u64) < at[q].replayed {
+if (j as u64) <= at[q].replayed {
+clocksync::pipeline::windowed::tests::walks_resume_where_an_unreplayed_consumer_stopped_them tests/windowed_differential.rs::windowed_engine_differential_matrix
+
+a stopped walk resumes one event low
+crates/core/src/clc/columnar.rs
+return Some((i + 1, shift_above));
+return Some((i, shift_above));
+clocksync::pipeline::windowed::tests::walks_resume_where_an_unreplayed_consumer_stopped_them tests/windowed_differential.rs::windowed_engine_differential_matrix
+
+the windowed sweep does not mark what it raises
+crates/core/src/pipeline/windowed.rs
+self.moved.mark(gid as usize, corrected != orig);
+// self.moved.mark(gid as usize, corrected != orig);
+clocksync::pipeline::windowed::tests::walks_resume_where_an_unreplayed_consumer_stopped_them tests/windowed_differential.rs::windowed_engine_differential_matrix
+
 a backward walk without its successor's shift
 crates/core/src/clc/columnar.rs
 let shift = ramp.min(cap).min(shift_above).max(Dur::ZERO);
@@ -243,9 +262,9 @@ clocksync::clc::graph::tests::links_resolve_to_the_message_table tests/csr_diffe
 
 a backward walk that does not mark what it raises
 crates/core/src/clc/columnar.rs
-self.moved.mark(self.base + i as usize, v != *t);
-// self.moved.mark(self.base + i as usize, v != *t);
-clocksync::clc::columnar::tests::the_moved_set_is_what_the_run_raised tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces
+self.moved.mark(self.base + i as usize, v != t);
+// self.moved.mark(self.base + i as usize, v != t);
+clocksync::clc::columnar::tests::the_moved_set_is_what_the_run_raised tests/csr_differential.rs::adapter_matches_the_oracle_on_mixed_traces clocksync::pipeline::windowed::tests::walks_resume_where_an_unreplayed_consumer_stopped_them
 
 the classed collective census threshold 1 ps loose
 crates/tracefmt/src/census.rs
