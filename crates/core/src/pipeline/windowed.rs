@@ -5,10 +5,10 @@
 //! before the CLC runs, so its resident set is O(trace). This engine
 //! processes the stream in *epochs* over ring-buffer lanes instead:
 //!
-//! * the input chunks are indexed once ([`index_columnar_chunks`]) and read
-//!   where they lie through a zero-copy [`ChunkStore`] — one time at a time
-//!   by the sweep, a block at a time onto a lane by the replay below — and
-//!   only a block whose times straddle two chunks is copied;
+//! * the input chunks are indexed once ([`index_columnar_chunks`]) and
+//!   re-read on demand through a zero-copy [`ChunkStore`]: each pass below
+//!   decodes a timeline's input a block at a time onto a lane it retires
+//!   behind its frontier; the trace is never materialized;
 //! * one forward sweep crosses timelines, at most `window_events` per
 //!   timeline and round-robin epoch (none while the producer its last step
 //!   blocked on is pending), onto one ring per timeline; it marks the
@@ -60,15 +60,13 @@ use crate::clc::columnar::{
 };
 use crate::clc::graph::DepGraph;
 use crate::clc::{ClcError, ClcParams, ClcReport, Jump};
-use crate::interp::TimestampMap;
 use crate::offset::OffsetMeasurement;
 use simclock::{Dur, Time};
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tracefmt::io::{decode_block_times, index_columnar_chunks, ChunkStore, FrameWriter, StreamIndex};
+use tracefmt::io::{decode_block_times, index_columnar_chunks, BlockMeta, ChunkStore, FrameWriter, StreamIndex};
 use tracefmt::{Capture, EventId, Location, MinLatency, Rank};
 
 /// Outcome of an incremental windowed run: what [`PipelineReport`] is to
@@ -326,104 +324,51 @@ fn zip_runs((s0, s1): (&[i64], &[i64]), (d0, d1): (&mut [i64], &mut [i64]), mut 
     }
 }
 
-/// The indexed input stream, read where it lies: its blocks' payload bytes,
-/// and per timeline a reader of its presynchronized times.
+/// The indexed input stream: its blocks' payload bytes, and their
+/// presynchronized times decoded a block at a time onto a lane per
+/// timeline that the pass reading them retires behind its frontier.
 struct Source<'a> {
     index: &'a StreamIndex,
     store: &'a ChunkStore<'a>,
-    mem: &'a MemGauge,
-    input: Vec<Input<'a>>,
-}
-
-/// One timeline's reader: its presync map and the block holding events
-/// `first..end` (`next_block` indexes the timeline's block list past it),
-/// whose times are borrowed from their chunk, or copied where they
-/// straddle two (a copy the gauge counts).
-struct Input<'a> {
-    map: PresyncMap,
-    first: u64,
-    end: u64,
-    next_block: usize,
-    words: Cow<'a, [u8]>,
+    maps: Option<&'a [PresyncMap]>,
+    /// Per timeline: the next block to decode.
+    next_block: Vec<usize>,
+    scratch: Vec<u8>,
 }
 
 impl<'a> Source<'a> {
-    fn new(index: &'a StreamIndex, store: &'a ChunkStore<'a>, maps: Option<&[PresyncMap]>, mem: &'a MemGauge) -> Self {
-        let map = |p| maps.map_or(PresyncMap::Identity, |maps| maps[p]);
-        let at = |p| Input { map: map(p), first: 0, end: 0, next_block: 0, words: Cow::Borrowed(&[][..]) };
-        Source { index, store, mem, input: (0..index.proc_lens.len()).map(at).collect() }
+    fn new(index: &'a StreamIndex, store: &'a ChunkStore<'a>, maps: Option<&'a [PresyncMap]>) -> Self {
+        let next_block = vec![0; index.proc_lens.len()];
+        Source { index, store, maps, next_block, scratch: Vec::new() }
     }
 
-    /// The presynchronized input time of timeline `p`'s event `i`, read in
-    /// place; a timeline's reads go forward.
-    #[inline(always)]
-    fn get(&mut self, p: usize, i: u64) -> i64 {
-        if i >= self.input[p].end {
-            self.load(p, i);
-        }
-        let input = &self.input[p];
-        debug_assert!(i >= input.first, "input read behind its block");
-        let at = 8 * (i - input.first) as usize;
-        let word = input.words[at..at + 8].try_into().expect("one 8-byte word");
-        input.map.map(Time::from_ps(i64::from_le_bytes(word))).as_ps()
-    }
-
-    /// Move timeline `p`'s reader on to the block holding event `i`.
-    #[cold]
-    fn load(&mut self, p: usize, i: u64) {
-        self.release(p);
-        let (index, input) = (self.index, &mut self.input[p]);
-        let bm = loop {
-            let bm = &index.blocks[index.proc_blocks[p][input.next_block] as usize];
-            input.next_block += 1;
-            if bm.first_idx + bm.n_events as u64 > i {
-                break bm;
-            }
-        };
-        (input.first, input.end) = (bm.first_idx, bm.first_idx + bm.n_events as u64);
-        let (off, len) = (bm.times_off, 8 * bm.n_events as usize);
-        input.words = match self.store.get(off, len) {
-            Some(words) => Cow::Borrowed(words),
-            None => {
-                // A read across chunks assembles the block into `copy`.
-                let mut copy = Vec::new();
-                self.store.read(off, len, &mut copy);
-                self.mem.alloc(len as u64);
-                Cow::Owned(copy)
-            }
-        };
-    }
-
-    /// Decode timeline `p`'s next block onto the end of `lane`, in bulk —
-    /// the replay's input — and give back a copy the block needed.
-    fn decode_next(&mut self, p: usize, lane: &mut Lane) {
-        let i = lane.len;
-        self.load(p, i);
-        let input = &self.input[p];
-        let (a, b) = lane.push_slices(input.end - i);
-        let (wa, wb) = input.words[8 * (i - input.first) as usize..].split_at(8 * a.len());
+    /// Timeline `p`'s block `bm` into `a` then `b`, its presync map applied.
+    fn times(&mut self, p: usize, bm: &BlockMeta, a: &mut [i64], b: &mut [i64]) {
+        let words = self.store.read(bm.times_off, bm.n_events as usize * 8, &mut self.scratch);
+        let (wa, wb) = words.split_at(8 * a.len());
         for (words, times) in [(wa, a), (wb, b)] {
             decode_block_times(words, times);
-            input.map.map_col(times);
-        }
-        self.release(p);
-    }
-
-    /// Give back timeline `p`'s copy of its block's times, if it holds one.
-    fn release(&mut self, p: usize) {
-        let words = std::mem::replace(&mut self.input[p].words, Cow::Borrowed(&[][..]));
-        if let Cow::Owned(copy) = words {
-            self.mem.free(copy.len() as u64);
+            if let Some(maps) = self.maps {
+                maps[p].map_col(times);
+            }
         }
     }
 
-    /// Move every reader back before its timeline's first block, giving
-    /// back any copy.
-    fn rewind(&mut self) {
-        for p in 0..self.input.len() {
-            self.release(p);
-            (self.input[p].end, self.input[p].next_block) = (0, 0);
+    /// Decode timeline `p`'s blocks onto the end of `lane` until it holds
+    /// the first `upto` input times.
+    #[inline(always)]
+    fn fill(&mut self, p: usize, lane: &mut Lane, upto: u64) {
+        while lane.len < upto {
+            self.decode_next(p, lane);
         }
+    }
+
+    fn decode_next(&mut self, p: usize, lane: &mut Lane) {
+        let index = self.index;
+        let bm = &index.blocks[index.proc_blocks[p][self.next_block[p]] as usize];
+        self.next_block[p] += 1;
+        let (a, b) = lane.push_slices(bm.n_events as u64);
+        self.times(p, bm, a, b);
     }
 }
 
@@ -451,6 +396,8 @@ struct Sweep<'a> {
     frontier: Vec<u64>,
     /// Per timeline: the last corrected event's (input, corrected) pair.
     prev: Vec<Option<(Time, Time)>>,
+    /// The input, decoded a block at a time ahead of the frontier.
+    input: Vec<Lane<'a>>,
     /// Corrected values, kept while a reader still needs them.
     out: Vec<Lane<'a>>,
     /// Per timeline: `(q, j + 1)` for the producer `(q, j)` its last step
@@ -461,10 +408,11 @@ struct Sweep<'a> {
 }
 
 impl<'a> Sweep<'a> {
-    fn new(mu: f64, n_events: usize, out: Vec<Lane<'a>>) -> Sweep<'a> {
+    fn new(mu: f64, n_events: usize, lanes: impl Fn() -> Vec<Lane<'a>>) -> Sweep<'a> {
+        let (input, out) = (lanes(), lanes());
         let n = out.len();
         let (frontier, prev, wait) = (vec![0; n], vec![None; n], vec![(0, 0); n]);
-        Sweep { mu, frontier, prev, out, wait, moved: Moved::new(n_events) }
+        Sweep { mu, frontier, prev, input, out, wait, moved: Moved::new(n_events) }
     }
 
     /// Correct timeline `p`'s next event, whose input time is `orig` and
@@ -515,7 +463,8 @@ impl<'a> Sweep<'a> {
         let mut last = self.prev[p];
         while self.frontier[p] < stop {
             let i = self.frontier[p];
-            let orig = Time::from_ps(src.get(p, i));
+            src.fill(p, &mut self.input[p], i + 1);
+            let orig = Time::from_ps(self.input[p].get(i));
             let Some((corrected, jump)) = self.step(graph, p, orig, last) else {
                 break;
             };
@@ -553,6 +502,7 @@ fn forward_sweep(
                 let burst = fwd.out[p].w;
                 progressed |= fwd.advance(graph, p, lens[p], burst, src, &mut found[p]);
             }
+            fwd.input[p].retire(fwd.frontier[p]);
             let mut done = fwd.frontier[p];
             if let Some(emit) = emit.as_deref_mut() {
                 emit.blocks(p, done, &fwd.out[p], src)?;
@@ -647,9 +597,7 @@ impl<'a, 'g> Apply<'a, 'g> {
             return false;
         }
         let (input, fwd, walked) = (&mut self.input[p], &mut self.fwd[p], &mut self.walked[p]);
-        while input.len < upto {
-            src.decode_next(p, input);
-        }
+        src.fill(p, input, upto);
         let (found, mu) = (&self.found[p], self.params.mu);
         let (mut last, mut next) = (at.replay_prev, at.replay_jump);
         // The index of the next recorded jump: a cursor, not a lookup per event.
@@ -885,19 +833,21 @@ impl<'a> Emitter<'a> {
 
 /// The CLC-less path: re-emit every block in stream order with its presync
 /// map applied; one transient column per block.
-fn passthrough_emit(src: &mut Source, cancel: &CancelToken, emit: &mut Emitter<'_>) -> Result<(), PipelineError> {
+fn passthrough_emit(
+    src: &mut Source, cancel: &CancelToken, mem: &MemGauge, emit: &mut Emitter<'_>,
+) -> Result<(), PipelineError> {
     let (mut times, mut scratch) = (Vec::new(), Vec::new());
     let index = src.index;
     for bm in &index.blocks {
         cancel.check()?;
         let bytes = bm.n_events as u64 * 8;
-        src.mem.alloc(bytes);
+        mem.alloc(bytes);
+        times.resize(bm.n_events as usize, 0);
         let p = bm.timeline as usize;
-        times.clear();
-        times.extend((bm.first_idx..bm.first_idx + bm.n_events as u64).map(|i| src.get(p, i)));
+        src.times(p, bm, &mut times, &mut []);
         let payload = src.store.read(bm.payload_off, bm.payload_len as usize, &mut scratch);
         let frame = emit.frame(index.locations[p], &times, payload);
-        src.mem.free(bytes);
+        mem.free(bytes);
         emit.push(frame)?;
     }
     Ok(())
@@ -991,14 +941,14 @@ pub fn synchronize_stream_incremental_with_sink(
     stats.stages.push(StageStats::new("index", n_events, t0.elapsed()));
     let maps = build_presync_maps(cfg.presync, init, fin)?;
     let mem = MemGauge::default();
-    let mut src = Source::new(&index, &store, maps.as_deref(), &mem);
+    let mut src = Source::new(&index, &store, maps.as_deref());
     cancel.check()?;
 
     let (clc, (frames, events)) = match cfg.effective_clc() {
         None => {
             let t0 = Instant::now();
             let mut emit = Emitter::open(n, consume)?;
-            passthrough_emit(&mut src, cancel, &mut emit)?;
+            passthrough_emit(&mut src, cancel, &mem, &mut emit)?;
             let counts = emit.close()?;
             stats.stages.push(StageStats::new("emit", counts.1 as usize, t0.elapsed()));
             (None, counts)
@@ -1018,7 +968,7 @@ pub fn synchronize_stream_incremental_with_sink(
             stats.stages.push(StageStats::new("lower", n_events, t0.elapsed()));
 
             let lanes = || Lane::per_timeline(&index, window_events, &mem);
-            let sweep = Sweep::new(params.mu, n_events, lanes());
+            let sweep = Sweep::new(params.mu, n_events, lanes);
             let mut t0 = Instant::now();
             let mut emit;
             let (found, moved) = if params.backward {
@@ -1026,8 +976,8 @@ pub fn synchronize_stream_incremental_with_sink(
                 stats.stages.push(StageStats::new("clc:discover", n_events, t0.elapsed()));
                 t0 = Instant::now();
                 emit = Emitter::open(n, consume)?;
-                // The replay reads the input from its first block again.
-                src.rewind();
+                // The replay decodes the input from its first block again.
+                src.next_block.fill(0);
                 // A negative latency lets a producer's walked value pass its
                 // consumer's F by as much.
                 let table = &table;
@@ -1054,8 +1004,7 @@ pub fn synchronize_stream_incremental_with_sink(
         }
     };
 
-    src.rewind();
-    debug_assert_eq!(mem.cur.get(), 0, "every lane ring and input copy returned to the gauge");
+    debug_assert_eq!(mem.cur.get(), 0, "every lane ring returned to the gauge");
     stats.peak_resident_column_bytes = mem.peak.get();
     stats.total_seconds = t_total.elapsed().as_secs_f64();
     Ok(IncrementalReport { clc, stats, frames, events: events as usize })

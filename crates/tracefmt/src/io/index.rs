@@ -179,12 +179,20 @@ impl<'a> ChunkStore<'a> {
             "ChunkStore read out of range: {off}+{len} > {}",
             self.len()
         );
-        if let Some(bytes) = self.get(off, len) {
-            return bytes;
+        if len == 0 {
+            return &[];
         }
-        let (mut ci, mut in_off) = self.locate(off);
+        // Last chunk starting at or before `off`.
+        let ci = self.starts.partition_point(|&s| s <= off) - 1;
+        let in_off = (off - self.starts[ci]) as usize;
+        let chunk = self.chunks[ci];
+        if in_off + len <= chunk.len() {
+            return &chunk[in_off..in_off + len];
+        }
         scratch.clear();
         scratch.reserve(len);
+        let mut ci = ci;
+        let mut in_off = in_off;
         while scratch.len() < len {
             let chunk = self.chunks[ci];
             let take = (len - scratch.len()).min(chunk.len() - in_off);
@@ -193,20 +201,6 @@ impl<'a> ChunkStore<'a> {
             in_off = 0;
         }
         scratch
-    }
-
-    /// Borrow `len` bytes at absolute offset `off` for as long as the
-    /// chunks live, when they lie inside one chunk; `None` when they cross
-    /// a boundary (then [`ChunkStore::read`] assembles them) or the end.
-    pub fn get(&self, off: u64, len: usize) -> Option<&'a [u8]> {
-        let (ci, in_off) = self.locate(off);
-        self.chunks.get(ci)?.get(in_off..in_off + len)
-    }
-
-    /// The last chunk starting at or before `off`, and `off` within it.
-    fn locate(&self, off: u64) -> (usize, usize) {
-        let ci = self.starts.partition_point(|&s| s <= off) - 1;
-        (ci, (off - self.starts[ci]) as usize)
     }
 }
 
